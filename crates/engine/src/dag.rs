@@ -11,7 +11,8 @@
 //!   bound plans  ──add_root()──►  OperatorDag  ──DagScheduler──►  root results
 //!   (PhysicalPlan trees)          nodes deduplicated              every distinct node
 //!                                 by fingerprint;                 executed exactly once;
-//!                                 edges carry Arc<Relation>       fan-out is an Arc clone
+//!                                 edges carry Arc<Relation>       fan-out is an Arc clone;
+//!                                 (late-materialized views)       rows are built at roots
 //! ```
 //!
 //! * [`OperatorDag`] — the IR.  Nodes are bound physical operators, deduplicated by
@@ -23,7 +24,9 @@
 //!   with its own [`Executor`] over the shared catalog), merging statistics afterwards.  Both
 //!   modes execute every distinct node **exactly once** and hand each result to all consumers
 //!   as a shared `Arc<Relation>` — results are byte-identical regardless of mode or worker
-//!   count because every operator is a pure function of its children's batches.
+//!   count because every operator is a pure function of its children's batches.  What flows
+//!   along an interior edge is a late-materialized view (index vectors over base columns, see
+//!   [`Relation::view`]); the scheduler builds rows only for the roots it hands back.
 //! * [`DagExecutor`] — an incremental front-end for callers that discover operators one at a
 //!   time (the o-sharing u-trace, q-sharing's representative queries): each submitted plan is
 //!   merged into a growing DAG and only the nodes never executed before run.
@@ -315,7 +318,6 @@ impl OperatorDag {
             if let PhysicalPlan::HashJoin { .. } = *self.nodes[i].plan {
                 let (l, r) = (self.nodes[i].children[0], self.nodes[i].children[1]);
                 if (observed[l].is_some() || observed[r].is_some()) && effective[l] < effective[r] {
-                    summary.reordered_joins += 1;
                     hints.insert(
                         i,
                         JoinHint {
@@ -343,12 +345,14 @@ impl OperatorDag {
     /// Executes one node through the driving executor, applying the node's feedback hint and —
     /// when a recorder is attached — timing the execution and recording the observed output.
     /// All scheduler paths (sequential, parallel workers, recursive resolve) funnel through
-    /// here so feedback sees every execution exactly once.
+    /// here so feedback sees every execution exactly once.  A `root`'s result is about to be
+    /// handed to the caller, so its rows are built here, on the worker that produced it.
     fn run_node(
         &self,
         node: usize,
         exec: &mut Executor<'_>,
         children: &[Arc<Relation>],
+        root: bool,
     ) -> EngineResult<Arc<Relation>> {
         let n = &self.nodes[node];
         let hint = self.hints.get(&node).copied();
@@ -358,24 +362,21 @@ impl OperatorDag {
         let mut span = exec.tracer().span("node");
         span.tag("node", node as u64);
         span.tag("shared_by", n.consumers.len().max(1) as u64);
-        let result = match &self.recorder {
-            Some(store) => {
-                let started = Instant::now();
-                let out = exec.execute_node_hinted(&n.plan, children, hint)?;
-                store.record(
-                    n.fingerprint,
-                    out.len() as u64,
-                    out.estimated_bytes() as u64,
-                    started.elapsed().as_nanos() as u64,
-                );
-                Ok(out)
-            }
-            None => exec.execute_node_hinted(&n.plan, children, hint),
-        };
-        if let Ok(out) = &result {
-            span.tag("rows", out.len() as u64);
+        let started = Instant::now();
+        let out = exec.execute_node_hinted(&n.plan, children, hint)?;
+        if root {
+            exec.materialize_root(&out);
         }
-        result
+        if let Some(store) = &self.recorder {
+            store.record(
+                n.fingerprint,
+                out.len() as u64,
+                out.estimated_bytes() as u64,
+                started.elapsed().as_nanos() as u64,
+            );
+        }
+        span.tag("rows", out.len() as u64);
+        Ok(out)
     }
 
     /// Resolves a single root bottom-up through an external result cache.
@@ -384,7 +385,9 @@ impl OperatorDag {
     /// hit prunes the whole subgraph below it (and is the cache's to count).  Every computed
     /// result is handed to [`DagResultCache::publish`] exactly once.  Within one call, nodes
     /// reached through several consumers are resolved once (an internal memo, not a `lookup`
-    /// hit).
+    /// hit).  The incremental front-ends feed a result straight back in as the next step's
+    /// input, so it is returned as it was produced: a late-materialized result builds its rows
+    /// when (and if) the caller reads them.
     pub fn resolve_root(
         &self,
         root: NodeId,
@@ -413,7 +416,7 @@ impl OperatorDag {
         for &child in &self.nodes[node].children {
             children.push(self.resolve_node(child, exec, cache, memo)?);
         }
-        let result = self.run_node(node, exec, &children)?;
+        let result = self.run_node(node, exec, &children, false)?;
         cache.publish(self.nodes[node].fingerprint, &result);
         memo.insert(node, Arc::clone(&result));
         Ok(result)
@@ -451,7 +454,8 @@ pub struct DagRunReport {
 /// The outcome of executing a DAG: one result per registered root, plus accounting.
 #[derive(Debug)]
 pub struct DagRun {
-    /// Root results, in [`OperatorDag::add_root`] order.  Duplicate roots alias one `Arc`.
+    /// Root results, in [`OperatorDag::add_root`] order, rows built.  Duplicate roots alias
+    /// one `Arc`.
     pub root_results: Vec<Arc<Relation>>,
     /// Work accounting.
     pub report: DagRunReport,
@@ -549,10 +553,15 @@ impl DagScheduler {
         } else {
             self.run_parallel(dag, roots, &needed, &seeds, exec, cache, publish)?
         };
-        let root_results = roots
+        let root_results: Vec<Arc<Relation>> = roots
             .iter()
             .map(|&r| Arc::clone(results[r].as_ref().expect("root result retained")))
             .collect();
+        // Executed roots built their rows on the worker that ran them; a root answered by the
+        // cache may still be the view an earlier batch only used as an interior node.
+        for root in &root_results {
+            exec.materialize_root(root);
+        }
         Ok(DagRun {
             root_results,
             report: DagRunReport {
@@ -580,6 +589,7 @@ impl DagScheduler {
         // result is dropped as soon as its last consumer has executed (roots are retained for
         // extraction), so peak memory tracks the live frontier, not the whole batch.
         let mut retain = retention(dag, needed, roots);
+        let is_root = root_mask(dag, roots);
         let mut results: Vec<Option<Arc<Relation>>> = vec![None; dag.nodes.len()];
         for (&i, seed) in seeds {
             results[i] = Some(Arc::clone(seed));
@@ -594,7 +604,7 @@ impl DagScheduler {
                 .iter()
                 .map(|&c| Arc::clone(results[c].as_ref().expect("child resolved")))
                 .collect();
-            let out = dag.run_node(i, exec, &children)?;
+            let out = dag.run_node(i, exec, &children, is_root[i])?;
             if publish {
                 cache.publish(node.fingerprint, &out);
             }
@@ -736,6 +746,15 @@ fn retention(dag: &OperatorDag, needed: &[bool], roots: &[usize]) -> Vec<usize> 
     retain
 }
 
+/// Which nodes are roots of the run (their results leave the scheduler as rows).
+fn root_mask(dag: &OperatorDag, roots: &[usize]) -> Vec<bool> {
+    let mut mask = vec![false; dag.nodes.len()];
+    for &r in roots {
+        mask[r] = true;
+    }
+    mask
+}
+
 /// A ready node in the parallel scheduler's queue, ordered by bind-time cost estimate.
 ///
 /// The queue is a max-heap: the most expensive ready node (a hash join over big captured row
@@ -768,6 +787,8 @@ struct SchedState {
     ready_cv: Condvar,
     /// Which nodes this run executes (immutable; seeded or unreachable nodes are skipped).
     needed: Vec<bool>,
+    /// Which nodes are roots of the run (immutable).
+    is_root: Vec<bool>,
 }
 
 struct SchedInner {
@@ -845,6 +866,7 @@ impl SchedState {
             }),
             ready_cv: Condvar::new(),
             needed: needed.to_vec(),
+            is_root: root_mask(dag, roots),
         }
     }
 
@@ -871,7 +893,7 @@ impl SchedState {
                 .collect();
             drop(guard);
 
-            let outcome = dag.run_node(node, exec, &children);
+            let outcome = dag.run_node(node, exec, &children, self.is_root[node]);
 
             guard = self.state.lock().unwrap();
             guard.in_flight -= 1;

@@ -200,7 +200,8 @@ pub struct EpochRunReport {
     /// Nodes in this batch's snapshot whose cost came from an *observed* cardinality rather
     /// than the static estimate (0 when the adaptive loop is off or the epoch is cold).
     pub observed_nodes: u64,
-    /// Hash joins whose build side was flipped by observed-cardinality feedback.
+    /// Hash joins this batch *ran* with the build side flipped by observed-cardinality
+    /// feedback (0 when every hinted join was answered from a cached result).
     pub reordered_joins: u64,
 }
 
@@ -290,6 +291,7 @@ impl PreparedBatch {
         };
         // Stage 2 — execute (no lock): the scheduler runs against a local overlay cache.
         let mut overlay = OverlayCache::new(snapshot);
+        let flips_before = exec.stats().reordered_joins;
         let run = DagScheduler::with_workers(workers).execute_roots(
             &self.subdag,
             &self.roots,
@@ -309,7 +311,7 @@ impl PreparedBatch {
                 peak_parallelism: run.report.peak_parallelism,
                 workers: run.report.workers,
                 observed_nodes: self.feedback.observed_nodes,
-                reordered_joins: self.feedback.reordered_joins,
+                reordered_joins: exec.stats().reordered_joins - flips_before,
             },
         })
     }
@@ -664,6 +666,7 @@ impl EpochResults {
         let mut touched: HashMap<u64, Arc<Relation>> = HashMap::new();
         let mut hits = 0u64;
         let mut executed = 0u64;
+        let flips_before = exec.stats().reordered_joins;
         let run = {
             let mut cache = EpochResultCache {
                 weak: &mut self.weak_results,
@@ -697,7 +700,7 @@ impl EpochResults {
                 peak_parallelism: run.report.peak_parallelism,
                 workers: run.report.workers,
                 observed_nodes: feedback.observed_nodes,
-                reordered_joins: feedback.reordered_joins,
+                reordered_joins: exec.stats().reordered_joins - flips_before,
             },
         })
     }
@@ -805,15 +808,22 @@ impl EpochResults {
                 self.pin_recency.touch(fp, &mut entry.last_used);
                 continue;
             }
-            let bytes = rel.estimated_bytes().max(1);
-            let data = match &self.pool {
+            // A resident pin weighs what it holds (a late-materialized result: its index
+            // vectors); a spill-backed one what the pool accounts it at (its rows).
+            let (data, bytes) = match &self.pool {
                 Some(pool) => match pool.admit_shared(rel) {
-                    Ok(handle) => PinnedData::Spilled(handle),
+                    Ok(handle) => {
+                        let bytes = handle.estimated_bytes();
+                        (PinnedData::Spilled(handle), bytes)
+                    }
                     // An I/O failure while spilling degrades to "not pinned" (recomputed on
                     // next use) rather than failing the batch that already produced answers.
                     Err(_) => continue,
                 },
-                None => PinnedData::Mem(rel),
+                None => {
+                    let bytes = rel.estimated_bytes().max(1);
+                    (PinnedData::Mem(rel), bytes)
+                }
             };
             let stamp = self.pin_recency.insert_fresh(fp);
             self.pinned.insert(

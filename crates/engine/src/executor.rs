@@ -7,8 +7,13 @@
 //!
 //! * scans and `Values` leaves hand out shared views of existing row buffers (zero copies);
 //! * cached sub-plan results flow into downstream operators without re-materialisation;
-//! * tuples are only constructed where rows genuinely come into existence (projection
-//!   narrowing, join/product concatenation).
+//! * operators over converted inputs run as [`vectorized`] kernels and emit
+//!   *late-materialized* relations — index vectors over the shared base columns
+//!   ([`ColumnView`]) — so an interior operator never builds a tuple; rows are built once,
+//!   for the root of whatever is being evaluated, or where a result has to leave memory under
+//!   a byte budget (the inputs of a grace join, a result admitted to the spill pool);
+//! * the row operators remain for inputs that have no columnar form (`columnar: false`,
+//!   ad-hoc `Values` buffers, aggregate outputs, results reloaded from spill segments).
 //!
 //! Two things matter for fidelity to the paper:
 //!
@@ -19,8 +24,8 @@
 
 use crate::feedback::JoinHint;
 use crate::physical::{bind, BoundAggregate, PhysicalPlan};
-use crate::vectorized::{Batch, ColsBatch};
-use crate::{EngineError, EngineResult, ExecStats, Plan};
+use crate::{vectorized, EngineError, EngineResult, ExecStats, Plan};
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -28,7 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use urm_obs::Tracer;
 use urm_storage::{
-    Attribute, BufferPool, Catalog, ColumnarRelation, DataType, Relation, Schema, Tuple, Value,
+    Attribute, BufferPool, Catalog, ColumnView, DataType, Relation, Schema, Tuple, Value,
 };
 
 /// Executes [`Plan`]s against a [`Catalog`], accumulating [`ExecStats`].
@@ -86,7 +91,7 @@ impl<'a> Executor<'a> {
 
     /// Enables or disables the vectorized columnar path.  Off, every plan evaluates through
     /// the original row-at-a-time operators; on (the default), operators over converted
-    /// leaves run as per-column kernels driven by selection vectors.
+    /// inputs run as per-column kernels and exchange late-materialized views.
     pub fn set_columnar(&mut self, on: bool) {
         self.columnar = on;
     }
@@ -165,7 +170,7 @@ impl<'a> Executor<'a> {
     /// Evaluates an already-bound physical plan (does not count a completed source query).
     pub fn execute(&mut self, plan: &PhysicalPlan) -> EngineResult<Arc<Relation>> {
         let start = Instant::now();
-        let result = self.eval_tree(plan);
+        let result = self.eval_root(plan);
         self.stats.exec_time += start.elapsed();
         result
     }
@@ -175,7 +180,9 @@ impl<'a> Executor<'a> {
     ///
     /// This is the entry point of the shared-plan cache: it resolves each child through the
     /// cache and hands the shared batches here, so a cache hit flows into its parent operator
-    /// without any copy.  `children` must match the node's child count.
+    /// without any copy.  `children` must match the node's child count.  The result may be
+    /// late-materialized (see [`Relation::view`]); a caller for whom the node is a *root*
+    /// follows up with [`materialize_root`](Executor::materialize_root).
     pub fn execute_node(
         &mut self,
         node: &PhysicalPlan,
@@ -186,11 +193,12 @@ impl<'a> Executor<'a> {
 
     /// Like [`execute_node`](Executor::execute_node), steered by an adaptive-execution hint.
     ///
-    /// Today a hint only affects hash joins: a `build_left` hint builds the hash table on the
-    /// observed-smaller left side (the output is restored to the canonical probe order, so the
-    /// answer is byte-identical either way), and an observed build-bytes hint sizes the grace
-    /// join's partition fan-out.  Non-join nodes, and `hint: None`, behave exactly like
-    /// [`execute_node`](Executor::execute_node).
+    /// Today a hint only affects hash joins: a `build_left` hint makes the vectorized join
+    /// kernel build its hash table on the observed-smaller left side (the output is restored to
+    /// the canonical order, so the answer is byte-identical either way; each join that runs
+    /// flipped counts in [`ExecStats::reordered_joins`]), and an observed build-bytes hint
+    /// sizes the grace join's partition fan-out.  Non-join nodes, and `hint: None`, behave
+    /// exactly like [`execute_node`](Executor::execute_node).
     pub fn execute_node_hinted(
         &mut self,
         node: &PhysicalPlan,
@@ -198,9 +206,18 @@ impl<'a> Executor<'a> {
         hint: Option<JoinHint>,
     ) -> EngineResult<Arc<Relation>> {
         let start = Instant::now();
-        let result = self.eval_node_hinted(node, children, hint);
+        let result = self.eval_node(node, children, hint);
         self.stats.exec_time += start.elapsed();
         result
+    }
+
+    /// Builds the rows of a result that is about to leave the engine — the one place tuples
+    /// come into existence for a late-materialized relation — charging the time to this
+    /// executor.  A no-op for row relations and for rows already built.
+    pub fn materialize_root(&mut self, result: &Relation) {
+        let start = Instant::now();
+        let _ = result.rows();
+        self.stats.exec_time += start.elapsed();
     }
 
     /// The statistics accumulated so far.
@@ -232,7 +249,7 @@ impl<'a> Executor<'a> {
         let start = Instant::now();
         let result = self
             .bind(plan)
-            .and_then(|physical| self.eval_tree(&physical));
+            .and_then(|physical| self.eval_root(&physical));
         self.stats.exec_time += start.elapsed();
         if count_source_query && result.is_ok() {
             self.stats.record_source_query();
@@ -240,161 +257,49 @@ impl<'a> Executor<'a> {
         result
     }
 
+    /// Evaluates a physical tree whose result leaves the engine: rows are built here, once.
+    fn eval_root(&mut self, plan: &PhysicalPlan) -> EngineResult<Arc<Relation>> {
+        let result = self.eval_tree(plan)?;
+        let _ = result.rows();
+        Ok(result)
+    }
+
     /// Bottom-up evaluation of a physical tree.
     fn eval_tree(&mut self, plan: &PhysicalPlan) -> EngineResult<Arc<Relation>> {
-        if self.columnar {
-            let batch = self.eval_batch(plan)?;
-            return Ok(batch.materialize(plan.schema()));
-        }
         let mut children = Vec::with_capacity(2);
         for child in plan.children() {
             children.push(self.eval_tree(child)?);
         }
-        self.eval_node(plan, &children)
+        self.eval_node(plan, &children, None)
     }
 
-    /// Bottom-up *columnar* evaluation: leaves convert to typed columns (scans through the
-    /// catalog's memoised cache), selections refine selection vectors, joins and products
-    /// emit gather lists, aggregates fold flat vectors.  Operators that must leave the
-    /// columnar pipeline (budgeted joins, anything downstream of an aggregate) materialise
-    /// their children and re-use [`Executor::eval_node`] — the row implementation — so
-    /// results and statistics stay byte-identical to the row path everywhere.
-    fn eval_batch(&mut self, plan: &PhysicalPlan) -> EngineResult<Batch> {
-        match plan {
-            PhysicalPlan::Scan { view, .. } => {
-                self.stats.record_scan(view.len() as u64);
-                self.stats.rows_shared += view.len() as u64;
-                let conv = self.catalog.columnar_view(view);
-                Ok(Batch::from_leaf(conv.columns().to_vec(), Arc::clone(view)))
-            }
-            PhysicalPlan::Values { rel } => {
-                self.stats.rows_shared += rel.len() as u64;
-                // `Values` buffers are transient, so the conversion is not cached — caching
-                // them in the catalog would pin every ad-hoc buffer alive for its lifetime.
-                let conv = ColumnarRelation::from_relation(rel);
-                Ok(Batch::from_leaf(conv.columns().to_vec(), Arc::clone(rel)))
-            }
-            PhysicalPlan::Select {
-                predicate, input, ..
-            } => match self.eval_batch(input)? {
-                Batch::Cols(c) => {
-                    let read = c.len() as u64;
-                    let out = c.filter(predicate);
-                    self.stats.record_operator(read, out.len() as u64);
-                    self.stats.columnar_rows += out.len() as u64;
-                    Ok(Batch::Cols(out))
-                }
-                Batch::Rows(rel) => self.eval_node(plan, &[rel]).map(Batch::Rows),
-            },
-            PhysicalPlan::Project {
-                positions, input, ..
-            } => match self.eval_batch(input)? {
-                Batch::Cols(c) => {
-                    let out = c.project(positions);
-                    self.stats.record_operator(c.len() as u64, out.len() as u64);
-                    self.stats.columnar_rows += out.len() as u64;
-                    Ok(Batch::Cols(out))
-                }
-                Batch::Rows(rel) => self.eval_node(plan, &[rel]).map(Batch::Rows),
-            },
-            PhysicalPlan::Product { left, right, .. } => {
-                let l = self.eval_batch(left)?;
-                let r = self.eval_batch(right)?;
-                match (l, r) {
-                    (Batch::Cols(lc), Batch::Cols(rc)) => {
-                        let out = lc.product(&rc);
-                        self.stats
-                            .record_operator((lc.len() + rc.len()) as u64, out.len() as u64);
-                        self.stats.columnar_rows += out.len() as u64;
-                        Ok(Batch::Cols(out))
-                    }
-                    (l, r) => {
-                        let children =
-                            [l.materialize(left.schema()), r.materialize(right.schema())];
-                        self.eval_node(plan, &children).map(Batch::Rows)
-                    }
-                }
-            }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                ..
-            } => {
-                let l = self.eval_batch(left)?;
-                let r = self.eval_batch(right)?;
-                // Under a byte budget the join must consult the grace logic (which needs the
-                // build side materialised anyway); the row path owns that decision.
-                let budgeted = self.pool.as_ref().is_some_and(|p| p.budget().is_some());
-                match (l, r) {
-                    (Batch::Cols(lc), Batch::Cols(rc)) if !budgeted => {
-                        let out = lc.hash_join(&rc, left_keys, right_keys);
-                        self.stats
-                            .record_operator((lc.len() + rc.len()) as u64, out.len() as u64);
-                        self.stats.columnar_rows += out.len() as u64;
-                        Ok(Batch::Cols(out))
-                    }
-                    (l, r) => {
-                        let children =
-                            [l.materialize(left.schema()), r.materialize(right.schema())];
-                        self.eval_node(plan, &children).map(Batch::Rows)
-                    }
-                }
-            }
-            PhysicalPlan::Aggregate {
-                func,
-                input,
-                schema,
-            } => match self.eval_batch(input)? {
-                Batch::Cols(c) => {
-                    let row = match func {
-                        BoundAggregate::Count => Tuple::new(vec![Value::from(c.count())]),
-                        BoundAggregate::Sum { pos, column } => {
-                            let sum = c.sum(*pos).ok_or_else(|| EngineError::InvalidAggregate {
-                                func: "SUM",
-                                column: column.clone(),
-                            })?;
-                            Tuple::new(vec![Value::from(sum)])
-                        }
-                    };
-                    self.stats.record_operator(c.len() as u64, 1);
-                    self.stats.columnar_rows += 1;
-                    Ok(Batch::Rows(Arc::new(Relation::from_validated(
-                        schema.clone(),
-                        vec![row],
-                    ))))
-                }
-                Batch::Rows(rel) => self.eval_node(plan, &[rel]).map(Batch::Rows),
-            },
-        }
-    }
-
-    /// The memoised columnar view of an already-materialised batch, when the columnar path
-    /// is on and the batch's row buffer was converted by a scan (the per-node execution path
-    /// of the shared-operator DAG — intermediates miss and stay on the row path).
-    fn columnar_leaf(&self, rel: &Arc<Relation>) -> Option<ColsBatch> {
+    /// The columnar form of an operator input, when the columnar path is on and the input has
+    /// one: the view of a late-materialized intermediate, or the catalog's memoised
+    /// conversion of a row buffer a scan converted.  Anything else (ad-hoc `Values` buffers,
+    /// aggregate outputs, results reloaded from spill segments) stays on the row operators.
+    fn columnar_input<'r>(&self, rel: &'r Relation) -> Option<Cow<'r, ColumnView>> {
         if !self.columnar {
             return None;
         }
-        let conv = self.catalog.cached_columnar(rel)?;
-        Some(ColsBatch::from_leaf(
-            conv.columns().to_vec(),
-            Arc::clone(rel),
-        ))
+        match rel.view() {
+            Some(view) => Some(Cow::Borrowed(view)),
+            None => self
+                .catalog
+                .cached_columnar(rel)
+                .map(|base| Cow::Owned(ColumnView::from_base(base))),
+        }
     }
 
-    /// Evaluates one physical operator over its children's batches.
+    /// Accounts for and wraps the output of a vectorized operator that read `read` rows.
+    fn emit(&mut self, schema: &Schema, read: usize, out: ColumnView) -> Arc<Relation> {
+        self.stats.record_operator(read as u64, out.len() as u64);
+        self.stats.columnar_rows += out.len() as u64;
+        Arc::new(Relation::from_view(schema.clone(), out))
+    }
+
+    /// Evaluates one physical operator over its children's batches, steered by an optional
+    /// adaptive hint (hash joins only).
     fn eval_node(
-        &mut self,
-        plan: &PhysicalPlan,
-        children: &[Arc<Relation>],
-    ) -> EngineResult<Arc<Relation>> {
-        self.eval_node_hinted(plan, children, None)
-    }
-
-    /// [`eval_node`](Executor::eval_node) with an optional adaptive hint (hash joins only).
-    fn eval_node_hinted(
         &mut self,
         plan: &PhysicalPlan,
         children: &[Arc<Relation>],
@@ -405,9 +310,9 @@ impl<'a> Executor<'a> {
                 self.stats.record_scan(view.len() as u64);
                 self.stats.rows_shared += view.len() as u64;
                 if self.columnar {
-                    // Per-node execution (the shared-operator DAG) interchanges row batches;
-                    // converting here lets downstream operators over this buffer pick up the
-                    // columnar kernels via the catalog's memoised cache.
+                    // The scan hands out the base rows themselves; converting here (once per
+                    // buffer, memoised by the catalog) is what lets the operators over it
+                    // find its columnar form.
                     let _ = self.catalog.columnar_view(view);
                 }
                 Ok(Arc::clone(view))
@@ -420,13 +325,9 @@ impl<'a> Executor<'a> {
                 predicate, schema, ..
             } => {
                 let input = child(children, 0);
-                if let Some(batch) = self.columnar_leaf(&input) {
-                    let out = batch.filter(predicate);
-                    let produced = out.len() as u64;
-                    let rel = Batch::Cols(out).materialize(schema);
-                    self.stats.record_operator(input.len() as u64, produced);
-                    self.stats.columnar_rows += produced;
-                    return Ok(rel);
+                if let Some(view) = self.columnar_input(&input) {
+                    let out = vectorized::filter(&view, predicate);
+                    return Ok(self.emit(schema, input.len(), out));
                 }
                 let rows: Vec<Tuple> = input
                     .iter()
@@ -441,6 +342,9 @@ impl<'a> Executor<'a> {
                 positions, schema, ..
             } => {
                 let input = child(children, 0);
+                if let Some(view) = self.columnar_input(&input) {
+                    return Ok(self.emit(schema, input.len(), view.project(positions)));
+                }
                 let rows: Vec<Tuple> = input.iter().map(|t| t.project(positions)).collect();
                 self.stats
                     .record_operator(input.len() as u64, rows.len() as u64);
@@ -449,6 +353,10 @@ impl<'a> Executor<'a> {
             PhysicalPlan::Product { schema, .. } => {
                 let l = child(children, 0);
                 let r = child(children, 1);
+                if let (Some(lv), Some(rv)) = (self.columnar_input(&l), self.columnar_input(&r)) {
+                    let out = vectorized::product(&lv, &rv);
+                    return Ok(self.emit(schema, l.len() + r.len(), out));
+                }
                 let mut rows = Vec::with_capacity(l.len().saturating_mul(r.len()));
                 for lt in l.iter() {
                     for rt in r.iter() {
@@ -467,20 +375,20 @@ impl<'a> Executor<'a> {
             } => {
                 let l = child(children, 0);
                 let r = child(children, 1);
+                let build_left = hint.is_some_and(|h| h.build_left);
                 // Observed bytes only size the grace build (the right side); a flip hint's
                 // bytes describe the *left* side and must not leak into that sizing.
-                let observed_build =
-                    hint.and_then(|h| if h.build_left { None } else { h.build_bytes });
+                let observed_build = hint.and_then(|h| h.build_bytes).filter(|_| !build_left);
                 let grace = self.grace_partition_count(&r, observed_build);
                 if grace.is_none() {
-                    if let (Some(lc), Some(rc)) = (self.columnar_leaf(&l), self.columnar_leaf(&r)) {
-                        let out = lc.hash_join(&rc, left_keys, right_keys);
-                        let produced = out.len() as u64;
-                        let rel = Batch::Cols(out).materialize(schema);
-                        self.stats
-                            .record_operator((l.len() + r.len()) as u64, produced);
-                        self.stats.columnar_rows += produced;
-                        return Ok(rel);
+                    if let (Some(lv), Some(rv)) = (self.columnar_input(&l), self.columnar_input(&r))
+                    {
+                        // The one place a build-side flip runs (the grace path already bounds
+                        // its build side; the row join has no index form to sort back).
+                        self.stats.reordered_joins += u64::from(build_left);
+                        let out =
+                            vectorized::hash_join(&lv, &rv, left_keys, right_keys, build_left);
+                        return Ok(self.emit(schema, l.len() + r.len(), out));
                     }
                 }
                 let rows = match grace {
@@ -492,12 +400,6 @@ impl<'a> Executor<'a> {
                         partitions,
                         observed_build,
                     )?,
-                    // The flip applies to the in-memory row join only: the grace path already
-                    // bounds its build side, and the columnar fast path above was not taken
-                    // (intermediate inputs), which is exactly where a wrong build side hurts.
-                    None if hint.is_some_and(|h| h.build_left) => {
-                        hash_join_rows_flipped(&l, &r, left_keys, right_keys)
-                    }
                     None => hash_join_rows(&l, &r, left_keys, right_keys),
                 };
                 self.stats
@@ -506,56 +408,41 @@ impl<'a> Executor<'a> {
             }
             PhysicalPlan::Aggregate { func, schema, .. } => {
                 let input = child(children, 0);
-                if let Some(batch) = self.columnar_leaf(&input) {
-                    let row = match func {
-                        BoundAggregate::Count => Tuple::new(vec![Value::from(batch.count())]),
-                        BoundAggregate::Sum { pos, column } => {
-                            let sum =
-                                batch
-                                    .sum(*pos)
-                                    .ok_or_else(|| EngineError::InvalidAggregate {
-                                        func: "SUM",
-                                        column: column.clone(),
-                                    })?;
-                            Tuple::new(vec![Value::from(sum)])
-                        }
-                    };
-                    self.stats.record_operator(input.len() as u64, 1);
-                    self.stats.columnar_rows += 1;
-                    return Ok(Arc::new(Relation::from_validated(
-                        schema.clone(),
-                        vec![row],
-                    )));
-                }
-                let row = match func {
-                    BoundAggregate::Count => Tuple::new(vec![Value::from(input.len() as i64)]),
+                let view = self.columnar_input(&input);
+                let value = match func {
+                    BoundAggregate::Count => Value::from(input.len() as i64),
                     BoundAggregate::Sum { pos, column } => {
-                        let mut sum = 0.0f64;
-                        for t in input.iter() {
-                            match t.get(*pos) {
-                                Some(v) if v.is_null() => {}
-                                Some(v) => {
-                                    sum += v.as_f64().ok_or_else(|| {
-                                        EngineError::InvalidAggregate {
-                                            func: "SUM",
-                                            column: column.clone(),
-                                        }
-                                    })?;
-                                }
-                                None => {}
-                            }
-                        }
-                        Tuple::new(vec![Value::from(sum)])
+                        let sum = match &view {
+                            Some(view) => vectorized::sum(view, *pos),
+                            None => sum_rows(&input, *pos),
+                        };
+                        Value::from(sum.ok_or_else(|| EngineError::InvalidAggregate {
+                            func: "SUM",
+                            column: column.clone(),
+                        })?)
                     }
                 };
                 self.stats.record_operator(input.len() as u64, 1);
+                self.stats.columnar_rows += u64::from(view.is_some());
                 Ok(Arc::new(Relation::from_validated(
                     schema.clone(),
-                    vec![row],
+                    vec![Tuple::new(vec![value])],
                 )))
             }
         }
     }
+}
+
+/// SUM over column `pos` of a row relation, in row order; nulls and missing cells are
+/// skipped, a non-numeric value yields `None`.
+fn sum_rows(input: &Relation, pos: usize) -> Option<f64> {
+    let mut sum = 0.0f64;
+    for v in input.iter().filter_map(|t| t.get(pos)) {
+        if !v.is_null() {
+            sum += v.as_f64()?;
+        }
+    }
+    Some(sum)
 }
 
 impl Executor<'_> {
@@ -823,80 +710,6 @@ fn hash_join_rows(
         }
     }
     rows
-}
-
-/// [`hash_join_rows`] with the build side flipped onto the *left* input — the adaptive loop's
-/// answer to a mis-estimated build side (the canonical join always builds on the right, which
-/// is expensive when the right side is observed to be the big one).
-///
-/// Output order is restored to the canonical one exactly: the canonical join emits, for each
-/// probe (left) row in order, its matches in build (right) insertion order — i.e. the match
-/// pairs sorted lexicographically by `(left index, right index)`.  This variant collects the
-/// pairs by probing the *right* side against a left-built table, then sorts them into that
-/// same order before materialising, so flipping is invisible in the answer (the adaptive
-/// property suite holds it to byte identity).
-fn hash_join_rows_flipped(
-    left: &Relation,
-    right: &Relation,
-    left_keys: &[usize],
-    right_keys: &[usize],
-) -> Vec<Tuple> {
-    let lrows = left.rows();
-    let rrows = right.rows();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    if left_keys.len() == 1 {
-        let (lk, rk) = (left_keys[0], right_keys[0]);
-        let mut table: HashMap<&Value, Vec<u32>> = HashMap::with_capacity(lrows.len());
-        for (i, t) in lrows.iter().enumerate() {
-            match t.get(lk) {
-                Some(v) if !v.is_null() => table.entry(v).or_default().push(i as u32),
-                _ => {}
-            }
-        }
-        for (j, t) in rrows.iter().enumerate() {
-            let Some(v) = t.get(rk) else { continue };
-            if v.is_null() {
-                continue;
-            }
-            if let Some(matches) = table.get(v) {
-                for &i in matches {
-                    pairs.push((i, j as u32));
-                }
-            }
-        }
-    } else {
-        let mut table: HashMap<Vec<&Value>, Vec<u32>> = HashMap::with_capacity(lrows.len());
-        'left: for (i, t) in lrows.iter().enumerate() {
-            let mut key = Vec::with_capacity(left_keys.len());
-            for &k in left_keys {
-                match t.get(k) {
-                    Some(v) if !v.is_null() => key.push(v),
-                    _ => continue 'left,
-                }
-            }
-            table.entry(key).or_default().push(i as u32);
-        }
-        'right: for (j, t) in rrows.iter().enumerate() {
-            let mut key = Vec::with_capacity(right_keys.len());
-            for &k in right_keys {
-                match t.get(k) {
-                    Some(v) if !v.is_null() => key.push(v),
-                    _ => continue 'right,
-                }
-            }
-            if let Some(matches) = table.get(&key) {
-                for &i in matches {
-                    pairs.push((i, j as u32));
-                }
-            }
-        }
-    }
-    // (left, right) pairs are unique, so the unstable sort is deterministic.
-    pairs.sort_unstable();
-    pairs
-        .into_iter()
-        .map(|(i, j)| lrows[i as usize].concat(&rrows[j as usize]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1320,40 +1133,21 @@ mod tests {
     }
 
     #[test]
-    fn flipped_hash_join_is_byte_identical() {
-        // Duplicate keys (17 distinct values across 120/90 rows) and null key components on
-        // both sides: the flipped build must reproduce the canonical output *order* exactly,
-        // not just the same multiset.
-        let cat = join_catalog();
-        let l = cat.get("L").unwrap();
-        let r = cat.get("R").unwrap();
-        let canonical = hash_join_rows(&l, &r, &[1], &[1]);
-        assert!(canonical.len() > 100, "join must produce real fan-out");
-        assert_eq!(hash_join_rows_flipped(&l, &r, &[1], &[1]), canonical);
-
-        // Multi-key path (composite keys, nulls dropped per component).
-        let canonical = hash_join_rows(&l, &l, &[1, 2], &[1, 2]);
-        assert_eq!(hash_join_rows_flipped(&l, &l, &[1, 2], &[1, 2]), canonical);
-
-        // Empty probe side.
-        let empty = Relation::from_validated(r.schema().clone(), Vec::new());
-        assert!(hash_join_rows_flipped(&l, &empty, &[1], &[1]).is_empty());
-    }
-
-    #[test]
     fn build_side_hint_flips_without_changing_the_answer() {
+        // Duplicate keys (17 distinct values across 120/90 rows) and null keys on both sides:
+        // the flipped build must reproduce the canonical output *order* exactly.
         let cat = join_catalog();
         let plan =
             Plan::scan("L").hash_join(Plan::scan("R"), vec![("L.lkey".into(), "R.rkey".into())]);
-        // Columnar off: the both-leaf columnar fast path would otherwise win over the flip,
-        // which only applies to the in-memory row join.
-        let mut exec = Executor::new(&cat).with_columnar(false);
+        let mut exec = Executor::new(&cat);
         let physical = exec.bind(&plan).unwrap();
         let children: Vec<_> = physical
             .children()
             .map(|c| exec.execute(c).unwrap())
             .collect();
         let reference = exec.execute_node(&physical, &children).unwrap();
+        assert!(reference.len() > 100, "join must produce real fan-out");
+        assert_eq!(exec.stats().reordered_joins, 0);
         let hint = JoinHint {
             build_left: true,
             build_bytes: Some(1),
@@ -1361,8 +1155,40 @@ mod tests {
         let flipped = exec
             .execute_node_hinted(&physical, &children, Some(hint))
             .unwrap();
+        assert_eq!(exec.stats().reordered_joins, 1, "the join ran flipped");
         assert_eq!(flipped.schema(), reference.schema());
         assert_eq!(flipped.rows(), reference.rows());
+
+        // The row join has no flip: the hint is ignored, not miscounted.
+        let mut row_mode = Executor::new(&cat).with_columnar(false);
+        let unflipped = row_mode
+            .execute_node_hinted(&physical, &children, Some(hint))
+            .unwrap();
+        assert_eq!(row_mode.stats().reordered_joins, 0);
+        assert_eq!(unflipped.rows(), reference.rows());
+    }
+
+    #[test]
+    fn interior_results_are_views_and_roots_are_rows() {
+        let cat = join_catalog();
+        let plan = Plan::scan("L")
+            .hash_join(Plan::scan("R"), vec![("L.lkey".into(), "R.rkey".into())])
+            .project(vec!["R.rid".into(), "L.ltag".into()]);
+        let mut exec = Executor::new(&cat);
+        let physical = exec.bind(&plan).unwrap();
+        let join = physical.children().next().unwrap();
+        let inputs: Vec<_> = join.children().map(|c| exec.execute(c).unwrap()).collect();
+        let joined = exec.execute_node(join, &inputs).unwrap();
+        let view = joined.view().expect("a join over scans emits a view");
+        assert_eq!(view.group_count(), 2);
+        // Two index vectors of four bytes per row, whatever the five columns hold.
+        assert!(joined.estimated_bytes() <= joined.len() * 2 * 4 + 64);
+
+        let projected = exec.execute_node(&physical, &[joined]).unwrap();
+        assert_eq!(projected.view().unwrap().arity(), 2);
+        let expected = crate::ReferenceExecutor::new(&cat).run(&plan).unwrap();
+        assert_eq!(projected.rows(), expected.rows());
+        assert_eq!(exec.run(&plan).unwrap().rows(), expected.rows());
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   cost, so the parallel scheduler's max-heap starts the *actually* expensive nodes first;
 //! * build-side choice — a hash join whose observed left side is smaller than its right gets a
 //!   [`JoinHint`] flipping the build side (answers stay byte-identical: the flipped join
-//!   restores canonical probe order before returning);
+//!   restores canonical probe order before returning); a join that actually *runs* flipped is
+//!   counted where it runs, in [`ExecStats::reordered_joins`](crate::ExecStats);
 //! * grace sizing — the observed build-side bytes feed the grace join's partition fan-out and
 //!   the pool's admission reservation in place of the static `budget/4` heuristic.
 //!
@@ -175,8 +176,6 @@ pub struct JoinHint {
 pub struct FeedbackSummary {
     /// Nodes whose scheduling cost was replaced by an observed cardinality.
     pub observed_nodes: u64,
-    /// Hash joins whose build side was flipped by observation.
-    pub reordered_joins: u64,
 }
 
 #[cfg(test)]

@@ -104,4 +104,3 @@ pub use physical::{BoundAggregate, BoundPredicate, PhysicalPlan};
 pub use plan::Plan;
 pub use reference::ReferenceExecutor;
 pub use stats::ExecStats;
-pub use vectorized::{Batch, ColsBatch};

@@ -238,7 +238,8 @@ impl PhysicalPlan {
     ///
     /// Leaves hash by identity, not content: a scan hashes its relation name, alias and the
     /// *pointer* of the captured row buffer, and a `Values` leaf hashes its schema plus the
-    /// pointer of its shared row buffer.  Identity hashing makes fingerprints O(plan size)
+    /// identity of its shared storage ([`Relation::storage_id`] — the row buffer, or the view
+    /// of a late-materialized intermediate, whose rows fingerprinting therefore never builds).  Identity hashing makes fingerprints O(plan size)
     /// instead of O(data size) and ties every fingerprint to a concrete catalog snapshot — two
     /// epochs' scans of a same-named relation no longer collide.  The trade-off is that a cache
     /// keyed on these fingerprints must not outlive the relations its plans were bound against
@@ -260,12 +261,12 @@ impl PhysicalPlan {
                 0u8.hash(h);
                 relation.hash(h);
                 alias.hash(h);
-                (Arc::as_ptr(&view.shared_rows()) as usize).hash(h);
+                view.storage_id().hash(h);
             }
             PhysicalPlan::Values { rel } => {
                 1u8.hash(h);
                 rel.schema().hash(h);
-                (Arc::as_ptr(&rel.shared_rows()) as usize).hash(h);
+                rel.storage_id().hash(h);
             }
             PhysicalPlan::Select {
                 predicate, input, ..

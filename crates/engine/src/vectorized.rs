@@ -1,14 +1,14 @@
-//! Vectorized operator kernels over columnar batches driven by selection vectors.
+//! Vectorized operator kernels over late-materialized columnar views.
 //!
 //! The row executor evaluates every operator tuple-at-a-time, matching on the
-//! [`Value`](urm_storage::Value) enum once per cell.  This module provides the columnar
-//! alternative: a [`Batch`] is either a shared row relation (the interchange format) or a set
-//! of typed [`Column`]s plus an optional *selection vector* — the indices of the rows that are
-//! logically present.  Predicates evaluate column-at-a-time into a refined selection without
-//! materialising a single tuple; hash joins build and probe raw key columns (`i64`, `f64`
-//! bits, dictionary codes) and emit gather lists; aggregates fold flat vectors.  Rows are only
-//! reconstructed when a batch leaves the columnar pipeline (the query result, or an operator
-//! that has to fall back to the row implementation).
+//! [`Value`](urm_storage::Value) enum once per cell and building a full-width tuple per output
+//! row.  The kernels here work on [`ColumnView`]s instead: shared base columns addressed
+//! through one row-index vector per contributing input.  Predicates evaluate column-at-a-time
+//! into a survivor list that *refines* the index vectors; hash joins build and probe raw key
+//! columns (`i64`, `f64` bits, dictionary codes) and emit a pair of match lists that
+//! *compose* them; products enumerate pairs; aggregates fold flat vectors.  No operator here
+//! reads or writes a cell it does not need, and none builds a tuple — that happens once, where
+//! a result leaves the columnar pipeline (a plan or DAG root, or a memory-budgeted boundary).
 //!
 //! ## Fidelity
 //!
@@ -25,290 +25,102 @@
 //!   drop them.
 //! * SUM folds `f64`s in logical row order — float addition is not associative, and the row
 //!   path defines the order.
-//! * Join outputs are emitted probe-row-major (left order, then build order within a key),
-//!   matching the row hash join.
+//! * Join outputs are emitted left-row-major (left order, then right order within a key),
+//!   matching the row hash join — whichever side the hash table was built on.
 
 use crate::physical::BoundPredicate;
 use crate::CompareOp;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
-use urm_storage::{Column, Relation, Schema, Tuple, Value};
+use urm_storage::{Column, ColumnRef, ColumnView, NullBitmap, Value};
 
-/// A batch flowing between vectorized operators: columnar when the data entered through a
-/// converted leaf, rows when an operator had to fall back to the row implementation.
-#[derive(Debug, Clone)]
-pub enum Batch {
-    /// Typed columns plus an optional selection vector.
-    Cols(ColsBatch),
-    /// A materialised row relation (fallback interchange).
-    Rows(Arc<Relation>),
+/// Applies a compiled predicate: the output keeps the logical rows that satisfy it, in order.
+#[must_use]
+pub fn filter(view: &ColumnView, predicate: &BoundPredicate) -> ColumnView {
+    let all = (0..view.len() as u32).collect();
+    view.select_rows(refine(predicate, view, all))
 }
 
-/// The columnar half of [`Batch`]: positional columns over a shared physical buffer, with the
-/// logically-present rows described by `sel` (`None` = all rows, in order).
-#[derive(Debug, Clone)]
-pub struct ColsBatch {
-    /// Physical columns; every column has `physical_len` slots.
-    columns: Vec<Arc<Column>>,
-    /// Selection vector: logical row `j` lives at physical slot `sel[j]`.  `None` means the
-    /// identity selection over `0..physical_len`.
-    sel: Option<Arc<Vec<u32>>>,
-    /// Number of physical rows in each column.
-    physical_len: usize,
-    /// The row-form relation backing the columns, when the batch is still an (optionally
-    /// filtered) view of a converted leaf.  Lets materialisation clone original tuples —
-    /// and lets an unfiltered leaf at the root hand back the shared view, exactly like the
-    /// row path's zero-copy scans.
-    rows: Option<Arc<Relation>>,
+/// Cartesian product: every left row paired with every right row, left row major — the row
+/// path's nested-loop order.
+#[must_use]
+pub fn product(left: &ColumnView, right: &ColumnView) -> ColumnView {
+    let (ln, rn) = (left.len() as u32, right.len() as u32);
+    let mut lrows = Vec::with_capacity(left.len() * right.len());
+    let mut rrows = Vec::with_capacity(left.len() * right.len());
+    for l in 0..ln {
+        for r in 0..rn {
+            lrows.push(l);
+            rrows.push(r);
+        }
+    }
+    ColumnView::paired(left, right, lrows, rrows)
 }
 
-impl Batch {
-    /// A columnar batch over a converted leaf relation: full selection, row view retained.
-    #[must_use]
-    pub fn from_leaf(columns: Vec<Arc<Column>>, rel: Arc<Relation>) -> Batch {
-        Batch::Cols(ColsBatch::from_leaf(columns, rel))
-    }
-
-    /// Number of logical rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Batch::Cols(c) => c.len(),
-            Batch::Rows(r) => r.len(),
-        }
-    }
-
-    /// Whether the batch has no logical rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialises the batch as a row relation under `schema`.
-    ///
-    /// An unfiltered leaf batch hands back its shared row view (pointer bump); a filtered
-    /// leaf clones the selected original tuples; a computed batch reconstructs tuples from
-    /// its columns.  All three produce values bit-identical to the row path.
-    #[must_use]
-    pub fn materialize(&self, schema: &Schema) -> Arc<Relation> {
-        match self {
-            Batch::Rows(rel) => Arc::clone(rel),
-            Batch::Cols(c) => match (&c.rows, &c.sel) {
-                (Some(rel), None) => Arc::clone(rel),
-                (Some(rel), Some(sel)) => {
-                    let rows = rel.rows();
-                    let picked: Vec<Tuple> =
-                        sel.iter().map(|&i| rows[i as usize].clone()).collect();
-                    Arc::new(Relation::from_validated(schema.clone(), picked))
-                }
-                (None, _) => {
-                    let tuples: Vec<Tuple> = c
-                        .logical_indices()
-                        .map(|i| {
-                            Tuple::new(
-                                c.columns
-                                    .iter()
-                                    .map(|col| col.value_at(i as usize))
-                                    .collect(),
-                            )
-                        })
-                        .collect();
-                    Arc::new(Relation::from_validated(schema.clone(), tuples))
-                }
-            },
-        }
-    }
+/// Hash equi-join on positional key pairs.  Output rows come in left order (then right order
+/// within a key) with null keys dropped, exactly like the row hash join.  The hash table is
+/// built on the right input, or — `build_left`, the adaptive loop's answer to a right side
+/// observed to be the big one — on the left, in which case the emitted pairs are sorted back
+/// into that same order, so the flip is invisible in the answer.
+#[must_use]
+pub fn hash_join(
+    left: &ColumnView,
+    right: &ColumnView,
+    left_keys: &[usize],
+    right_keys: &[usize],
+    build_left: bool,
+) -> ColumnView {
+    let (lrows, rrows) = if left_keys.len() == 1 {
+        join_single_key(left, right, left_keys[0], right_keys[0], build_left)
+    } else {
+        join_multi_key(left, right, left_keys, right_keys, build_left)
+    };
+    ColumnView::paired(left, right, lrows, rrows)
 }
 
-impl ColsBatch {
-    /// A columnar batch over a converted leaf relation: full selection, row view retained.
-    #[must_use]
-    pub fn from_leaf(columns: Vec<Arc<Column>>, rel: Arc<Relation>) -> ColsBatch {
-        ColsBatch {
-            physical_len: rel.len(),
-            columns,
-            sel: None,
-            rows: Some(rel),
-        }
-    }
-
-    /// Number of logical rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sel.as_ref().map_or(self.physical_len, |s| s.len())
-    }
-
-    /// Whether the batch has no logical rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The physical slot indices of the logical rows, in logical order.
-    fn logical_indices(&self) -> impl Iterator<Item = u32> + '_ {
-        let (sel, n) = match &self.sel {
-            Some(s) => (Some(s.as_slice()), 0),
-            None => (None, self.physical_len as u32),
-        };
-        sel.map_or(0..n, |_| 0..0)
-            .chain(sel.into_iter().flatten().copied())
-    }
-
-    /// The physical slot indices as an owned vector (kernel candidate lists).
-    fn candidate_indices(&self) -> Vec<u32> {
-        match &self.sel {
-            Some(s) => s.as_ref().clone(),
-            None => (0..self.physical_len as u32).collect(),
-        }
-    }
-
-    /// The column at `pos`, if the batch is wide enough.
-    fn column(&self, pos: usize) -> Option<&Column> {
-        self.columns.get(pos).map(Arc::as_ref)
-    }
-
-    /// Applies a compiled predicate, producing a batch with a refined selection vector.
-    /// Output length equals the number of logically-present rows that satisfy the predicate;
-    /// column storage and the backing row view are shared untouched.
-    #[must_use]
-    pub fn filter(&self, predicate: &BoundPredicate) -> ColsBatch {
-        let survivors = refine(predicate, &self.columns, self.candidate_indices());
-        ColsBatch {
-            columns: self.columns.clone(),
-            sel: Some(Arc::new(survivors)),
-            physical_len: self.physical_len,
-            rows: self.rows.clone(),
-        }
-    }
-
-    /// Keeps the columns at `positions`, in that order (selection preserved, row view
-    /// dropped — the columns no longer line up with the backing tuples).
-    #[must_use]
-    pub fn project(&self, positions: &[usize]) -> ColsBatch {
-        let columns = positions
-            .iter()
-            .map(|&p| {
-                self.columns.get(p).map_or_else(
-                    // A position past the batch's arity can only arise from malformed
-                    // tuples; reproduce "missing cell" as an all-null column.
-                    || Arc::new(Column::from_values(vec![Value::Null; self.physical_len], 0)),
-                    Arc::clone,
-                )
-            })
-            .collect();
-        ColsBatch {
-            columns,
-            sel: self.sel.clone(),
-            physical_len: self.physical_len,
-            rows: None,
-        }
-    }
-
-    /// Cartesian product: every logical left row paired with every logical right row, left
-    /// row major — the row path's nested-loop order.
-    #[must_use]
-    pub fn product(&self, right: &ColsBatch) -> ColsBatch {
-        let ln = self.len();
-        let rn = right.len();
-        let mut lsel = Vec::with_capacity(ln * rn);
-        let mut rsel = Vec::with_capacity(ln * rn);
-        let rphys: Vec<u32> = right.candidate_indices();
-        for li in self.logical_indices() {
-            for &ri in &rphys {
-                lsel.push(li);
-                rsel.push(ri);
+/// SUM over column `pos`, folding in logical row order (float addition is order-sensitive;
+/// the row path defines the order).  Nulls and missing cells are skipped; a non-numeric value
+/// aborts with `None`, reported by the caller as the row path's `InvalidAggregate`.
+#[must_use]
+pub fn sum(view: &ColumnView, pos: usize) -> Option<f64> {
+    let Some(col) = view.column(pos) else {
+        return Some(0.0);
+    };
+    let slots = (0..view.len()).map(|row| col.slot(row));
+    let mut sum = 0.0f64;
+    match col.column {
+        Column::Int { values, nulls } => {
+            for i in slots.filter(|&i| !is_null(nulls.as_ref(), i)) {
+                sum += values[i] as f64;
             }
         }
-        gather_pair(self, right, &lsel, &rsel)
-    }
-
-    /// Hash equi-join on positional key pairs, build side right, probe side left — output
-    /// rows in probe order (then build order within a key), null keys dropped, exactly like
-    /// the row hash join.
-    #[must_use]
-    pub fn hash_join(
-        &self,
-        right: &ColsBatch,
-        left_keys: &[usize],
-        right_keys: &[usize],
-    ) -> ColsBatch {
-        let (lsel, rsel) = if left_keys.len() == 1 {
-            join_single_key(self, right, left_keys[0], right_keys[0])
-        } else {
-            join_multi_key(self, right, left_keys, right_keys)
-        };
-        gather_pair(self, right, &lsel, &rsel)
-    }
-
-    /// COUNT(*) over the logical rows.
-    #[must_use]
-    pub fn count(&self) -> i64 {
-        self.len() as i64
-    }
-
-    /// SUM over column `pos`, folding in logical row order (float addition is
-    /// order-sensitive; the row path defines the order).  Nulls and missing cells are
-    /// skipped; a non-numeric value aborts with `None`, reported by the caller as the row
-    /// path's `InvalidAggregate`.
-    #[must_use]
-    pub fn sum(&self, pos: usize) -> Option<f64> {
-        let Some(col) = self.column(pos) else {
-            return Some(0.0);
-        };
-        let mut sum = 0.0f64;
-        match col {
-            Column::Int { values, nulls } => {
-                for i in self.logical_indices() {
-                    if !nulls.as_ref().is_some_and(|b| b.is_null(i as usize)) {
-                        sum += values[i as usize] as f64;
-                    }
-                }
+        Column::Float { values, nulls } => {
+            for i in slots.filter(|&i| !is_null(nulls.as_ref(), i)) {
+                sum += values[i];
             }
-            Column::Float { values, nulls } => {
-                for i in self.logical_indices() {
-                    if !nulls.as_ref().is_some_and(|b| b.is_null(i as usize)) {
-                        sum += values[i as usize];
-                    }
-                }
+        }
+        Column::Bool { nulls, .. } | Column::Text { nulls, .. } => {
+            // Any logically-present non-null value is non-numeric: the row path errors.
+            if slots.into_iter().any(|i| !is_null(nulls.as_ref(), i)) {
+                return None;
             }
-            Column::Bool { nulls, .. } | Column::Text { nulls, .. } => {
-                // Any logically-present non-null value is non-numeric: the row path errors.
-                for i in self.logical_indices() {
-                    if !nulls.as_ref().is_some_and(|b| b.is_null(i as usize)) {
-                        return None;
-                    }
-                }
-            }
-            Column::Mixed(values) => {
-                for i in self.logical_indices() {
-                    match &values[i as usize] {
-                        Value::Null => {}
-                        v => sum += v.as_f64()?,
-                    }
+        }
+        Column::Mixed(values) => {
+            for i in slots {
+                match &values[i] {
+                    Value::Null => {}
+                    v => sum += v.as_f64()?,
                 }
             }
         }
-        Some(sum)
     }
+    Some(sum)
 }
 
-/// Builds the joined/product output batch: left columns gathered by `lsel`, right columns by
-/// `rsel`, concatenated.  Both gather lists are physical indices of equal length.
-fn gather_pair(left: &ColsBatch, right: &ColsBatch, lsel: &[u32], rsel: &[u32]) -> ColsBatch {
-    debug_assert_eq!(lsel.len(), rsel.len());
-    let columns = left
-        .columns
-        .iter()
-        .map(|c| Arc::new(c.gather(lsel)))
-        .chain(right.columns.iter().map(|c| Arc::new(c.gather(rsel))))
-        .collect();
-    ColsBatch {
-        columns,
-        sel: None,
-        physical_len: lsel.len(),
-        rows: None,
-    }
+#[inline]
+fn is_null(nulls: Option<&NullBitmap>, slot: usize) -> bool {
+    nulls.is_some_and(|b| b.is_null(slot))
 }
 
 // ---------------------------------------------------------------------------
@@ -316,21 +128,21 @@ fn gather_pair(left: &ColsBatch, right: &ColsBatch, lsel: &[u32], rsel: &[u32]) 
 // ---------------------------------------------------------------------------
 
 /// Refines a candidate list through a compiled predicate, one column-at-a-time pass per
-/// atomic comparison.  Candidates are physical indices in logical order; survivors keep that
+/// atomic comparison.  Candidates are logical rows of `view` in order; survivors keep that
 /// order.
-fn refine(predicate: &BoundPredicate, columns: &[Arc<Column>], candidates: Vec<u32>) -> Vec<u32> {
+fn refine(predicate: &BoundPredicate, view: &ColumnView, candidates: Vec<u32>) -> Vec<u32> {
     match predicate {
         BoundPredicate::Never => Vec::new(),
         BoundPredicate::And(parts) => parts
             .iter()
-            .fold(candidates, |cands, p| refine(p, columns, cands)),
-        BoundPredicate::Compare { pos, op, value } => match columns.get(*pos) {
+            .fold(candidates, |cands, p| refine(p, view, cands)),
+        BoundPredicate::Compare { pos, op, value } => match view.column(*pos) {
             Some(col) => compare_kernel(col, *op, value, &candidates),
             // A missing cell never satisfies a predicate (row path: `tuple.get` → `None`).
             None => Vec::new(),
         },
         BoundPredicate::ColumnEq { left, right } => {
-            match (columns.get(*left), columns.get(*right)) {
+            match (view.column(*left), view.column(*right)) {
                 (Some(a), Some(b)) => column_eq_kernel(a, b, &candidates),
                 _ => Vec::new(),
             }
@@ -352,21 +164,22 @@ fn accepts(op: CompareOp, ord: Ordering) -> bool {
     }
 }
 
-/// The shared survivor loop of the typed compare kernels: generic over the per-row verdict
+/// The shared survivor loop of the typed compare kernels: generic over the per-slot verdict
 /// so each typed instantiation monomorphises into a flat, inlinable loop (a `dyn` callback
 /// here costs an indirect call per candidate row — measurable on selection-heavy plans).
 #[inline]
 fn keep_valid<F: Fn(usize) -> bool>(
     cands: &[u32],
-    nulls: Option<&urm_storage::NullBitmap>,
+    col: ColumnRef<'_>,
+    nulls: Option<&NullBitmap>,
     decide: F,
 ) -> Vec<u32> {
     cands
         .iter()
         .copied()
-        .filter(|&i| {
-            let i = i as usize;
-            !nulls.is_some_and(|b| b.is_null(i)) && decide(i)
+        .filter(|&row| {
+            let i = col.slot(row as usize);
+            !is_null(nulls, i) && decide(i)
         })
         .collect()
 }
@@ -374,28 +187,32 @@ fn keep_valid<F: Fn(usize) -> bool>(
 /// `column op constant` over a candidate list.  Typed columns compare through flat vectors;
 /// comparisons whose outcome depends only on the variants (a text column against an int
 /// constant, say) are resolved once for the whole column via `Value`'s variant ranking.
-fn compare_kernel(col: &Column, op: CompareOp, constant: &Value, cands: &[u32]) -> Vec<u32> {
-    match (col, constant) {
+fn compare_kernel(col: ColumnRef<'_>, op: CompareOp, constant: &Value, cands: &[u32]) -> Vec<u32> {
+    match (col.column, constant) {
         (Column::Int { values, nulls }, Value::Int(c)) => {
-            keep_valid(cands, nulls.as_ref(), |i| accepts(op, values[i].cmp(c)))
+            keep_valid(cands, col, nulls.as_ref(), |i| {
+                accepts(op, values[i].cmp(c))
+            })
         }
         (Column::Int { values, nulls }, Value::Float(c)) => {
-            keep_valid(cands, nulls.as_ref(), |i| {
+            keep_valid(cands, col, nulls.as_ref(), |i| {
                 accepts(op, (values[i] as f64).total_cmp(c))
             })
         }
         (Column::Float { values, nulls }, Value::Float(c)) => {
-            keep_valid(cands, nulls.as_ref(), |i| {
+            keep_valid(cands, col, nulls.as_ref(), |i| {
                 accepts(op, values[i].total_cmp(c))
             })
         }
         (Column::Float { values, nulls }, Value::Int(c)) => {
-            keep_valid(cands, nulls.as_ref(), |i| {
+            keep_valid(cands, col, nulls.as_ref(), |i| {
                 accepts(op, values[i].total_cmp(&(*c as f64)))
             })
         }
         (Column::Bool { values, nulls }, Value::Bool(c)) => {
-            keep_valid(cands, nulls.as_ref(), |i| accepts(op, values[i].cmp(c)))
+            keep_valid(cands, col, nulls.as_ref(), |i| {
+                accepts(op, values[i].cmp(c))
+            })
         }
         (Column::Text { codes, dict, nulls }, Value::Text(s)) => {
             // One comparison per *distinct* string, then a table lookup per row.
@@ -404,30 +221,25 @@ fn compare_kernel(col: &Column, op: CompareOp, constant: &Value, cands: &[u32]) 
                 .iter()
                 .map(|e| accepts(op, e.as_ref().cmp(s.as_ref())))
                 .collect();
-            keep_valid(cands, nulls.as_ref(), |i| table[codes[i] as usize])
+            keep_valid(cands, col, nulls.as_ref(), |i| table[codes[i] as usize])
         }
-        (Column::Mixed(values), _) => cands
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let v = &values[i as usize];
-                !v.is_null() && op.eval(v, constant)
-            })
-            .collect(),
+        (Column::Mixed(values), _) => keep_valid(cands, col, None, |i| {
+            let v = &values[i];
+            !v.is_null() && op.eval(v, constant)
+        }),
         // Cross-variant (and null-constant) comparisons depend only on the variants, so the
         // verdict is one comparison for the whole column, applied to its non-null rows.
-        (col, constant) => {
-            let verdict = op.eval(&kind_representative(col), constant);
-            if !verdict {
+        (
+            Column::Int { nulls, .. }
+            | Column::Float { nulls, .. }
+            | Column::Bool { nulls, .. }
+            | Column::Text { nulls, .. },
+            constant,
+        ) => {
+            if !op.eval(&kind_representative(col.column), constant) {
                 return Vec::new();
             }
-            match col {
-                Column::Int { nulls, .. }
-                | Column::Float { nulls, .. }
-                | Column::Bool { nulls, .. }
-                | Column::Text { nulls, .. } => keep_valid(cands, nulls.as_ref(), |_| true),
-                Column::Mixed(_) => unreachable!("mixed columns matched above"),
-            }
+            keep_valid(cands, col, nulls.as_ref(), |_| true)
         }
     }
 }
@@ -444,39 +256,47 @@ fn kind_representative(col: &Column) -> Value {
     }
 }
 
-/// `input[left] = input[right]` over a candidate list.
-fn column_eq_kernel(a: &Column, b: &Column, cands: &[u32]) -> Vec<u32> {
+/// `input[left] = input[right]` over a candidate list.  The two columns may belong to
+/// different inputs of the view, so each is addressed through its own index vector.
+fn column_eq_kernel(a: ColumnRef<'_>, b: ColumnRef<'_>, cands: &[u32]) -> Vec<u32> {
     // Generic (monomorphised) survivor loop — see `keep_valid` for why not `dyn`.
     #[inline]
-    fn keep<F: Fn(usize) -> bool>(a: &Column, b: &Column, cands: &[u32], decide: F) -> Vec<u32> {
+    fn keep<F: Fn(usize, usize) -> bool>(
+        a: ColumnRef<'_>,
+        b: ColumnRef<'_>,
+        cands: &[u32],
+        decide: F,
+    ) -> Vec<u32> {
         cands
             .iter()
             .copied()
-            .filter(|&i| {
-                let i = i as usize;
-                !a.is_null(i) && !b.is_null(i) && decide(i)
+            .filter(|&row| {
+                let (i, j) = (a.slot(row as usize), b.slot(row as usize));
+                !a.column.is_null(i) && !b.column.is_null(j) && decide(i, j)
             })
             .collect()
     }
-    match (a, b) {
+    match (a.column, b.column) {
         (Column::Int { values: av, .. }, Column::Int { values: bv, .. }) => {
-            keep(a, b, cands, |i| av[i] == bv[i])
+            keep(a, b, cands, |i, j| av[i] == bv[j])
         }
         (Column::Float { values: av, .. }, Column::Float { values: bv, .. }) => {
-            keep(a, b, cands, |i| av[i].total_cmp(&bv[i]) == Ordering::Equal)
+            keep(a, b, cands, |i, j| {
+                av[i].total_cmp(&bv[j]) == Ordering::Equal
+            })
         }
         (Column::Int { values: av, .. }, Column::Float { values: bv, .. }) => {
-            keep(a, b, cands, |i| {
-                (av[i] as f64).total_cmp(&bv[i]) == Ordering::Equal
+            keep(a, b, cands, |i, j| {
+                (av[i] as f64).total_cmp(&bv[j]) == Ordering::Equal
             })
         }
         (Column::Float { values: av, .. }, Column::Int { values: bv, .. }) => {
-            keep(a, b, cands, |i| {
-                av[i].total_cmp(&(bv[i] as f64)) == Ordering::Equal
+            keep(a, b, cands, |i, j| {
+                av[i].total_cmp(&(bv[j] as f64)) == Ordering::Equal
             })
         }
         (Column::Bool { values: av, .. }, Column::Bool { values: bv, .. }) => {
-            keep(a, b, cands, |i| av[i] == bv[i])
+            keep(a, b, cands, |i, j| av[i] == bv[j])
         }
         (
             Column::Text {
@@ -491,16 +311,16 @@ fn column_eq_kernel(a: &Column, b: &Column, cands: &[u32]) -> Vec<u32> {
             },
         ) => {
             if Arc::ptr_eq(ad, bd) {
-                keep(a, b, cands, |i| ac[i] == bc[i])
+                keep(a, b, cands, |i, j| ac[i] == bc[j])
             } else {
-                keep(a, b, cands, |i| {
-                    ad.get(ac[i]).map(Arc::as_ref) == bd.get(bc[i]).map(Arc::as_ref)
+                keep(a, b, cands, |i, j| {
+                    ad.get(ac[i]).map(Arc::as_ref) == bd.get(bc[j]).map(Arc::as_ref)
                 })
             }
         }
-        (Column::Mixed(_), _) | (_, Column::Mixed(_)) => {
-            keep(a, b, cands, |i| a.value_at(i) == b.value_at(i))
-        }
+        (Column::Mixed(_), _) | (_, Column::Mixed(_)) => keep(a, b, cands, |i, j| {
+            a.column.value_at(i) == b.column.value_at(j)
+        }),
         // Remaining typed pairs are cross-variant and non-numeric: never equal.
         _ => Vec::new(),
     }
@@ -510,131 +330,139 @@ fn column_eq_kernel(a: &Column, b: &Column, cands: &[u32]) -> Vec<u32> {
 // Join kernels
 // ---------------------------------------------------------------------------
 
-/// Single-key hash join over typed key columns.  Emits paired physical gather lists in the
-/// row path's output order: probe (left) logical order, build (right) logical order within
-/// a key.
+/// Single-key hash join over typed key columns.  Emits paired lists of logical rows in the
+/// row path's output order: left logical order, right logical order within a key.
 fn join_single_key(
-    left: &ColsBatch,
-    right: &ColsBatch,
+    left: &ColumnView,
+    right: &ColumnView,
     lk: usize,
     rk: usize,
+    build_left: bool,
 ) -> (Vec<u32>, Vec<u32>) {
     let (Some(lcol), Some(rcol)) = (left.column(lk), right.column(rk)) else {
         return (Vec::new(), Vec::new());
     };
+    let (ln, rn) = (left.len(), right.len());
     // Typed fast paths keyed by raw column data.  `Value` equality makes Int/Int exact `i64`
     // equality but Int/Float (and Float/Float) *total-order* equality, which is f64 bit
     // equality — so numeric cross-type joins key by the bit pattern of the value as f64,
     // while Int/Int keys by the integer itself (2^53-safe).
-    match (lcol, rcol) {
+    match (lcol.column, rcol.column) {
         (
             Column::Int {
                 values: lv,
-                nulls: ln,
+                nulls: lnul,
             },
             Column::Int {
                 values: rv,
-                nulls: rn,
+                nulls: rnul,
             },
         ) => join_typed(
-            left,
-            right,
-            |i| key_of(lv, ln.as_ref(), i),
-            |i| key_of(rv, rn.as_ref(), i),
+            ln,
+            rn,
+            |row| key_of(lv, lnul.as_ref(), lcol.slot(row), |v| v),
+            |row| key_of(rv, rnul.as_ref(), rcol.slot(row), |v| v),
+            build_left,
         ),
         (
             Column::Float {
                 values: lv,
-                nulls: ln,
+                nulls: lnul,
             },
             Column::Float {
                 values: rv,
-                nulls: rn,
+                nulls: rnul,
             },
         ) => join_typed(
-            left,
-            right,
-            |i| key_of_map(lv, ln.as_ref(), i, |v| v.to_bits()),
-            |i| key_of_map(rv, rn.as_ref(), i, |v| v.to_bits()),
+            ln,
+            rn,
+            |row| key_of(lv, lnul.as_ref(), lcol.slot(row), f64::to_bits),
+            |row| key_of(rv, rnul.as_ref(), rcol.slot(row), f64::to_bits),
+            build_left,
         ),
         (
             Column::Int {
                 values: lv,
-                nulls: ln,
+                nulls: lnul,
             },
             Column::Float {
                 values: rv,
-                nulls: rn,
+                nulls: rnul,
             },
         ) => join_typed(
-            left,
-            right,
-            |i| key_of_map(lv, ln.as_ref(), i, |v| (v as f64).to_bits()),
-            |i| key_of_map(rv, rn.as_ref(), i, |v| v.to_bits()),
+            ln,
+            rn,
+            |row| key_of(lv, lnul.as_ref(), lcol.slot(row), |v| (v as f64).to_bits()),
+            |row| key_of(rv, rnul.as_ref(), rcol.slot(row), f64::to_bits),
+            build_left,
         ),
         (
             Column::Float {
                 values: lv,
-                nulls: ln,
+                nulls: lnul,
             },
             Column::Int {
                 values: rv,
-                nulls: rn,
+                nulls: rnul,
             },
         ) => join_typed(
-            left,
-            right,
-            |i| key_of_map(lv, ln.as_ref(), i, |v| v.to_bits()),
-            |i| key_of_map(rv, rn.as_ref(), i, |v| (v as f64).to_bits()),
+            ln,
+            rn,
+            |row| key_of(lv, lnul.as_ref(), lcol.slot(row), f64::to_bits),
+            |row| key_of(rv, rnul.as_ref(), rcol.slot(row), |v| (v as f64).to_bits()),
+            build_left,
         ),
         (
             Column::Bool {
                 values: lv,
-                nulls: ln,
+                nulls: lnul,
             },
             Column::Bool {
                 values: rv,
-                nulls: rn,
+                nulls: rnul,
             },
         ) => join_typed(
-            left,
-            right,
-            |i| key_of(lv, ln.as_ref(), i),
-            |i| key_of(rv, rn.as_ref(), i),
+            ln,
+            rn,
+            |row| key_of(lv, lnul.as_ref(), lcol.slot(row), |v| v),
+            |row| key_of(rv, rnul.as_ref(), rcol.slot(row), |v| v),
+            build_left,
         ),
         (
             Column::Text {
                 codes: lc,
                 dict: ld,
-                nulls: ln,
+                nulls: lnul,
             },
             Column::Text {
                 codes: rc,
                 dict: rd,
-                nulls: rn,
+                nulls: rnul,
             },
         ) => {
             if Arc::ptr_eq(ld, rd) {
                 join_typed(
-                    left,
-                    right,
-                    |i| key_of(lc, ln.as_ref(), i),
-                    |i| key_of(rc, rn.as_ref(), i),
+                    ln,
+                    rn,
+                    |row| key_of(lc, lnul.as_ref(), lcol.slot(row), |v| v),
+                    |row| key_of(rc, rnul.as_ref(), rcol.slot(row), |v| v),
+                    build_left,
                 )
             } else {
                 join_typed(
-                    left,
-                    right,
-                    |i| {
-                        (!ln.as_ref().is_some_and(|b| b.is_null(i)))
-                            .then(|| ld.get(lc[i]).map(Arc::as_ref))
+                    ln,
+                    rn,
+                    |row| {
+                        key_of(lc, lnul.as_ref(), lcol.slot(row), |c| ld.get(c))
                             .flatten()
+                            .map(Arc::as_ref)
                     },
-                    |i| {
-                        (!rn.as_ref().is_some_and(|b| b.is_null(i)))
-                            .then(|| rd.get(rc[i]).map(Arc::as_ref))
+                    |row| {
+                        key_of(rc, rnul.as_ref(), rcol.slot(row), |c| rd.get(c))
                             .flatten()
+                            .map(Arc::as_ref)
                     },
+                    build_left,
                 )
             }
         }
@@ -642,189 +470,259 @@ fn join_single_key(
         // `Value` keys (still column-at-a-time; `Value` Eq/Hash already encode the
         // cross-type rules).  Non-numeric cross-variant pairs can never match, but an empty
         // probe is cheap and keeps the kernel count small.
-        (lcol, rcol) => join_typed(
-            left,
-            right,
-            |i| {
-                let v = lcol.value_at(i);
-                (!v.is_null()).then_some(v)
-            },
-            |i| {
-                let v = rcol.value_at(i);
-                (!v.is_null()).then_some(v)
-            },
+        _ => join_typed(
+            ln,
+            rn,
+            |row| value_key(lcol, row),
+            |row| value_key(rcol, row),
+            build_left,
         ),
     }
 }
 
-/// Non-null key extraction from a flat vector (`None` masks a null slot).
+/// Non-null key extraction from a flat vector, mapped into its key form (float → bits);
+/// `None` masks a null slot.
 #[inline]
-fn key_of<T: Copy>(values: &[T], nulls: Option<&urm_storage::NullBitmap>, i: usize) -> Option<T> {
-    (!nulls.is_some_and(|b| b.is_null(i))).then(|| values[i])
-}
-
-/// Like [`key_of`], mapping the raw value into its key form (float → bits).
-#[inline]
-fn key_of_map<T: Copy, K>(
+fn key_of<T: Copy, K>(
     values: &[T],
-    nulls: Option<&urm_storage::NullBitmap>,
-    i: usize,
-    f: impl Fn(T) -> K,
+    nulls: Option<&NullBitmap>,
+    slot: usize,
+    key: impl Fn(T) -> K,
 ) -> Option<K> {
-    (!nulls.is_some_and(|b| b.is_null(i))).then(|| f(values[i]))
+    (!is_null(nulls, slot)).then(|| key(values[slot]))
 }
 
-/// The shared build/probe loop of the single-key kernels: build a table from the right
-/// batch's logical rows in order, probe the left batch's logical rows in order.
+/// The exact `Value` at a logical row as a join key (`None` for NULL, which never matches).
+fn value_key(col: ColumnRef<'_>, row: usize) -> Option<Value> {
+    let v = col.column.value_at(col.slot(row));
+    (!v.is_null()).then_some(v)
+}
+
+/// The shared build/probe loop of the join kernels over `ln` left and `rn` right logical
+/// rows.  The table is built from one side's rows in order and probed with the other's; a
+/// left build emits its pairs probe-(right-)major and sorts them back to `(left, right)`
+/// order — pairs are unique, so the unstable sort is deterministic.
 fn join_typed<K: std::hash::Hash + Eq>(
-    left: &ColsBatch,
-    right: &ColsBatch,
+    ln: usize,
+    rn: usize,
     lkey: impl Fn(usize) -> Option<K>,
     rkey: impl Fn(usize) -> Option<K>,
+    build_left: bool,
 ) -> (Vec<u32>, Vec<u32>) {
-    let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(right.len());
-    for ri in right.logical_indices() {
-        if let Some(k) = rkey(ri as usize) {
-            table.entry(k).or_default().push(ri);
+    if build_left {
+        let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(ln);
+        for l in 0..ln {
+            if let Some(k) = lkey(l) {
+                table.entry(k).or_default().push(l as u32);
+            }
+        }
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for r in 0..rn {
+            let Some(k) = rkey(r) else { continue };
+            if let Some(matches) = table.get(&k) {
+                pairs.extend(matches.iter().map(|&l| (l, r as u32)));
+            }
+        }
+        pairs.sort_unstable();
+        return pairs.into_iter().unzip();
+    }
+    let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(rn);
+    for r in 0..rn {
+        if let Some(k) = rkey(r) {
+            table.entry(k).or_default().push(r as u32);
         }
     }
-    let mut lsel = Vec::new();
-    let mut rsel = Vec::new();
-    for li in left.logical_indices() {
-        let Some(k) = lkey(li as usize) else { continue };
+    let mut lrows = Vec::new();
+    let mut rrows = Vec::new();
+    for l in 0..ln {
+        let Some(k) = lkey(l) else { continue };
         if let Some(matches) = table.get(&k) {
-            for &ri in matches {
-                lsel.push(li);
-                rsel.push(ri);
+            for &r in matches {
+                lrows.push(l as u32);
+                rrows.push(r);
             }
         }
     }
-    (lsel, rsel)
+    (lrows, rrows)
 }
 
 /// Composite-key join: exact `Value` keys reconstructed per component, rows with any null
 /// component dropped on both sides — the row path's labelled-continue semantics.
 fn join_multi_key(
-    left: &ColsBatch,
-    right: &ColsBatch,
+    left: &ColumnView,
+    right: &ColumnView,
     left_keys: &[usize],
     right_keys: &[usize],
+    build_left: bool,
 ) -> (Vec<u32>, Vec<u32>) {
-    let composite = |batch: &ColsBatch, keys: &[usize], i: usize| -> Option<Vec<Value>> {
-        let mut key = Vec::with_capacity(keys.len());
-        for &k in keys {
-            let v = batch.column(k)?.value_at(i);
-            if v.is_null() {
-                return None;
-            }
-            key.push(v);
-        }
-        Some(key)
+    fn key_columns<'a>(view: &'a ColumnView, keys: &[usize]) -> Option<Vec<ColumnRef<'a>>> {
+        keys.iter().map(|&k| view.column(k)).collect()
+    }
+    let (Some(lcols), Some(rcols)) = (key_columns(left, left_keys), key_columns(right, right_keys))
+    else {
+        return (Vec::new(), Vec::new());
+    };
+    let composite = |cols: &[ColumnRef<'_>], row: usize| -> Option<Vec<Value>> {
+        cols.iter().map(|&c| value_key(c, row)).collect()
     };
     join_typed(
-        left,
-        right,
-        |i| composite(left, left_keys, i),
-        |i| composite(right, right_keys, i),
+        left.len(),
+        right.len(),
+        |row| composite(&lcols, row),
+        |row| composite(&rcols, row),
+        build_left,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urm_storage::{Attribute, ColumnarRelation, DataType};
+    use urm_storage::{Attribute, ColumnarRelation, DataType, Relation, Schema, Tuple};
 
-    fn leaf(rows: Vec<Vec<Value>>) -> (Batch, Arc<Relation>) {
+    fn leaf(rows: Vec<Vec<Value>>) -> ColumnView {
         let arity = rows.first().map_or(0, Vec::len);
         let attrs = (0..arity)
             .map(|i| Attribute::new(format!("c{i}"), DataType::Null))
             .collect();
-        let rel = Arc::new(Relation::from_validated(
+        let rel = Relation::from_validated(
             Schema::new("T", attrs),
             rows.into_iter().map(Tuple::new).collect(),
-        ));
-        let conv = ColumnarRelation::from_relation(&rel);
-        (
-            Batch::from_leaf(conv.columns().to_vec(), Arc::clone(&rel)),
-            rel,
-        )
+        );
+        ColumnView::from_base(Arc::new(ColumnarRelation::from_relation(&rel)))
     }
 
-    fn cols(batch: &Batch) -> &ColsBatch {
-        match batch {
-            Batch::Cols(c) => c,
-            Batch::Rows(_) => panic!("expected a columnar batch"),
-        }
-    }
-
-    #[test]
-    fn unfiltered_leaf_materializes_to_the_shared_view() {
-        let (batch, rel) = leaf(vec![vec![Value::from(1i64)], vec![Value::from(2i64)]]);
-        let out = batch.materialize(rel.schema());
-        assert!(Arc::ptr_eq(&out, &rel));
+    fn first_column(view: &ColumnView) -> Vec<Value> {
+        view.materialize()
+            .iter()
+            .map(|t| t.get(0).cloned().unwrap())
+            .collect()
     }
 
     #[test]
     fn filter_refines_selection_and_preserves_order() {
-        let (batch, rel) = leaf(vec![
+        let view = leaf(vec![
             vec![Value::from(5i64)],
             vec![Value::Null],
             vec![Value::from(-1i64)],
             vec![Value::from(9i64)],
         ]);
-        let filtered = cols(&batch).filter(&BoundPredicate::Compare {
+        let positive = BoundPredicate::Compare {
             pos: 0,
             op: CompareOp::Gt,
             value: Value::from(0i64),
-        });
-        let out = Batch::Cols(filtered).materialize(rel.schema());
+        };
+        let filtered = filter(&view, &positive);
         assert_eq!(
-            out.rows()
-                .iter()
-                .map(|t| t.get(0).cloned().unwrap())
-                .collect::<Vec<_>>(),
+            first_column(&filtered),
             vec![Value::from(5i64), Value::from(9i64)]
+        );
+        // A second filter addresses the base through the first one's survivors.
+        let big = BoundPredicate::Compare {
+            pos: 0,
+            op: CompareOp::Gt,
+            value: Value::from(6i64),
+        };
+        assert_eq!(
+            first_column(&filter(&filtered, &big)),
+            vec![Value::from(9i64)]
         );
     }
 
     #[test]
     fn cross_variant_comparisons_resolve_by_rank() {
         // Int column vs text constant: Lt for every non-null row, Eq for none.
-        let (batch, _) = leaf(vec![vec![Value::from(4i64)], vec![Value::Null]]);
-        let lt = cols(&batch).filter(&BoundPredicate::Compare {
+        let view = leaf(vec![vec![Value::from(4i64)], vec![Value::Null]]);
+        let against = |op| BoundPredicate::Compare {
             pos: 0,
-            op: CompareOp::Lt,
+            op,
             value: Value::from("zz"),
-        });
-        assert_eq!(lt.len(), 1);
-        let eq = cols(&batch).filter(&BoundPredicate::Compare {
-            pos: 0,
-            op: CompareOp::Eq,
-            value: Value::from("zz"),
-        });
-        assert!(eq.is_empty());
+        };
+        assert_eq!(filter(&view, &against(CompareOp::Lt)).len(), 1);
+        assert!(filter(&view, &against(CompareOp::Eq)).is_empty());
     }
 
     #[test]
     fn int_float_join_matches_cross_type() {
-        let (l, _) = leaf(vec![vec![Value::from(1i64)], vec![Value::from(2i64)]]);
-        let (r, _) = leaf(vec![vec![Value::from(2.0)], vec![Value::from(2.5)]]);
-        let joined = cols(&l).hash_join(cols(&r), &[0], &[0]);
-        assert_eq!(joined.len(), 1);
-        assert_eq!(joined.columns[0].value_at(0), Value::from(2i64));
-        assert_eq!(joined.columns[1].value_at(0), Value::from(2.0));
+        let l = leaf(vec![vec![Value::from(1i64)], vec![Value::from(2i64)]]);
+        let r = leaf(vec![vec![Value::from(2.0)], vec![Value::from(2.5)]]);
+        let joined = hash_join(&l, &r, &[0], &[0], false);
+        assert_eq!(
+            joined.materialize().as_slice(),
+            [Tuple::new(vec![Value::from(2i64), Value::from(2.0)])]
+        );
+    }
+
+    #[test]
+    fn left_built_joins_emit_the_canonical_order() {
+        // Duplicate keys and null keys on both sides, over filtered (index-addressed) inputs:
+        // building on the left must reproduce the right-built output row for row.
+        let side = |n: i64, modulus: i64, null_every: i64| {
+            leaf(
+                (0..n)
+                    .map(|i| {
+                        let key = if i % null_every == 0 {
+                            Value::Null
+                        } else {
+                            Value::from(i % modulus)
+                        };
+                        vec![key, Value::from(format!("t{i}")), Value::from(i)]
+                    })
+                    .collect(),
+            )
+        };
+        let keep_odd_tags = BoundPredicate::Compare {
+            pos: 2,
+            op: CompareOp::Ne,
+            value: Value::from(4i64),
+        };
+        let l = filter(&side(40, 7, 11), &keep_odd_tags);
+        let r = filter(&side(30, 7, 13), &keep_odd_tags);
+        for (lk, rk) in [(vec![0], vec![0]), (vec![0, 1], vec![0, 1])] {
+            let canonical = hash_join(&l, &r, &lk, &rk, false);
+            let flipped = hash_join(&l, &r, &lk, &rk, true);
+            assert_eq!(canonical.materialize(), flipped.materialize());
+        }
+        assert!(hash_join(&l, &r, &[0], &[0], true).len() > 100);
+        // Empty probe side.
+        let none = filter(&r, &BoundPredicate::Never);
+        assert!(hash_join(&l, &none, &[0], &[0], true).is_empty());
+    }
+
+    #[test]
+    fn product_is_left_row_major() {
+        let l = leaf(vec![vec![Value::from(1i64)], vec![Value::from(2i64)]]);
+        let r = leaf(vec![vec![Value::from("a")], vec![Value::from("b")]]);
+        let rows = product(&l, &r).materialize();
+        let pairs: Vec<_> = rows
+            .iter()
+            .map(|t| {
+                (
+                    t.get(0).unwrap().as_i64().unwrap(),
+                    t.get(1).unwrap().clone(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            pairs,
+            vec![
+                (1, Value::from("a")),
+                (1, Value::from("b")),
+                (2, Value::from("a")),
+                (2, Value::from("b")),
+            ]
+        );
     }
 
     #[test]
     fn sum_skips_nulls_and_errors_on_text() {
-        let (batch, _) = leaf(vec![
+        let view = leaf(vec![
             vec![Value::from(1i64), Value::from("x")],
             vec![Value::Null, Value::Null],
             vec![Value::from(2i64), Value::from("y")],
         ]);
-        assert_eq!(cols(&batch).sum(0), Some(3.0));
-        assert_eq!(cols(&batch).sum(1), None);
+        assert_eq!(sum(&view, 0), Some(3.0));
+        assert_eq!(sum(&view, 1), None);
         // Position past the arity: every cell is "missing", the sum is empty.
-        assert_eq!(cols(&batch).sum(9), Some(0.0));
+        assert_eq!(sum(&view, 9), Some(0.0));
     }
 }

@@ -204,11 +204,9 @@ proptest! {
     }
 }
 
-/// The loop's point, deterministically: a join whose probe (left) side is tiny and whose build
-/// (right) side is big.  The canonical join builds on the right — the wrong side here — and
-/// one observed batch is enough for the feedback pass to flip it, byte-identically.
-#[test]
-fn mis_estimated_build_side_flips_after_one_observed_batch() {
+/// A join whose probe (left) side is tiny and whose build (right) side is big, with its
+/// reference answer.  The canonical join builds on the right — the wrong side here.
+fn mis_sized_join() -> (Catalog, Vec<(Plan, Relation)>) {
     let mut cat = Catalog::new();
     let small = Schema::new("S", vec![Attribute::new("k", DataType::Int)]);
     let small_rows = (0..3)
@@ -227,8 +225,8 @@ fn mis_estimated_build_side_flips_after_one_observed_batch() {
         .collect();
     cat.insert(Relation::new(big, big_rows).unwrap());
 
-    // Selections under the join keep both inputs off the columnar leaf fast path, so the warm
-    // batch genuinely runs the flipped row join rather than just deciding to.
+    // Selections under the join make both of its inputs intermediates (index-vector views),
+    // the shape every join of a reformulated query has.
     let plan = Plan::scan("S")
         .select(Predicate::compare("S.k", CompareOp::Ge, Value::from(0i64)))
         .hash_join(
@@ -237,8 +235,14 @@ fn mis_estimated_build_side_flips_after_one_observed_batch() {
         );
     let reference = ReferenceExecutor::new(&cat).run(&plan).unwrap();
     assert!(reference.len() >= 200, "the join must have real fan-out");
+    (cat, vec![(plan, reference)])
+}
 
-    let batch = vec![(plan, reference)];
+/// The loop's point, deterministically: one observed batch is enough for the feedback pass to
+/// flip the mis-sized build side, and the flipped join runs — byte-identically.
+#[test]
+fn mis_estimated_build_side_flips_after_one_observed_batch() {
+    let (cat, batch) = mis_sized_join();
     let mut exec = Executor::new(&cat);
     let mut epoch = EpochDag::with_pin_budget(1);
 
@@ -258,13 +262,38 @@ fn mis_estimated_build_side_flips_after_one_observed_batch() {
         warm.report.observed_nodes > 0,
         "warm batch ignored the store"
     );
-    assert!(
-        warm.report.reordered_joins >= 1,
+    assert_eq!(
+        warm.report.reordered_joins, 1,
         "one observed batch did not flip the mis-sized build side"
     );
+    assert_eq!(exec.stats().reordered_joins, 1);
     assert_eq!(
         warm.root_results[0].rows().to_vec(),
         cold_rows,
         "the flipped build side changed the answer bytes"
     );
+}
+
+/// `reordered_joins` counts joins that *ran* flipped, not joins a snapshot merely hinted: a
+/// batch answered entirely from pinned results still consults the store (its join is hinted)
+/// but executes nothing, so it must report no flip.
+#[test]
+fn fully_warm_batch_reports_no_reordered_joins() {
+    let (cat, batch) = mis_sized_join();
+    for workers in [1, 2] {
+        let mut exec = Executor::new(&cat);
+        let mut epoch = EpochDag::new(); // last-batch pinning: a repeat is answered from pins
+        run_round(&mut epoch, &mut exec, &batch, workers);
+        let warm = run_round(&mut epoch, &mut exec, &batch, workers);
+        assert_eq!(warm.report.nodes_executed, 0, "every node must be pinned");
+        assert!(
+            warm.report.observed_nodes > 0,
+            "the snapshot still consults the store"
+        );
+        assert_eq!(
+            warm.report.reordered_joins, 0,
+            "a join that never executed cannot have run flipped"
+        );
+        assert_eq!(warm.root_results[0].rows(), batch[0].1.rows());
+    }
 }

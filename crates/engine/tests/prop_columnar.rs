@@ -5,17 +5,20 @@
 //! operator trees including deliberately invalid column references — all three engines must
 //! either fail alike or produce byte-identical relations (schema, rows *and* row order) with
 //! identical operator accounting.  Deterministic tests pin the columnar edge cases: all-null
-//! columns, empty selections, dictionary overflow (Mixed fallback), and grace hash joins
-//! whose build side pages through spill segments while the columnar mode is on.
+//! columns, empty selections, dictionary overflow (Mixed fallback), grace hash joins whose
+//! build side pages through spill segments while the columnar mode is on, and what an interior
+//! join result of a wide multi-way join actually holds (index vectors, not cells).
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::sync::Arc;
 use urm_engine::{
-    AggFunc, Batch, ColsBatch, CompareOp, EpochDag, Executor, Plan, Predicate, ReferenceExecutor,
+    vectorized, AggFunc, CompareOp, DagResultCache, DagScheduler, EpochDag, Executor, OperatorDag,
+    Plan, Predicate, ReferenceExecutor,
 };
 use urm_storage::{
-    Attribute, Catalog, Column, ColumnarRelation, DataType, Relation, Schema, Tuple, Value,
+    Attribute, Catalog, Column, ColumnView, ColumnarRelation, DataType, Relation, Schema, Tuple,
+    Value,
 };
 
 /// The value domain is deliberately tiny so selections and joins actually hit; the null rate
@@ -296,7 +299,7 @@ proptest! {
         let conv = ColumnarRelation::from_relation_with_limit(&rel, 2);
         let distinct: std::collections::BTreeSet<&Tuple> = rel.rows().iter().collect();
         let _ = distinct; // silence when the assertion below is vacuous at tiny sizes
-        let batch = ColsBatch::from_leaf(conv.columns().to_vec(), Arc::clone(&rel));
+        let view = ColumnView::from_base(Arc::new(conv));
 
         // Filter on the (possibly Mixed) text column, then materialise.
         let predicate = urm_engine::physical::BoundPredicate::Compare {
@@ -304,7 +307,7 @@ proptest! {
             op: CompareOp::Ge,
             value: Value::from("s3"),
         };
-        let filtered = Batch::Cols(batch.filter(&predicate)).materialize(rel.schema());
+        let filtered = vectorized::filter(&view, &predicate).materialize();
         let expected: Vec<&Tuple> = rel
             .rows()
             .iter()
@@ -317,7 +320,7 @@ proptest! {
             filtered.len(),
             "overflowed filter changed the survivor count"
         );
-        for (want, got) in expected.iter().zip(filtered.rows()) {
+        for (want, got) in expected.iter().zip(filtered.iter()) {
             prop_assert_eq!(*want, got, "overflowed filter changed rows");
         }
     }
@@ -523,5 +526,97 @@ fn grace_join_over_spilled_columnar_build_side_is_byte_identical() {
     assert!(
         pool.stats().spill_reloads > 0,
         "the warm batch should reload from segments"
+    );
+}
+
+/// The shape of the paper's Q4 after reformulation: wide, text-heavy relations, each scanned
+/// under two aliases, joined four ways, with a two-column projection on top.  Every interior
+/// result must hold one `u32` index vector per contributing input — never the ~40 cells per
+/// row the row operators would build — and tuples must exist only for the projected root.
+#[test]
+fn interior_four_way_join_holds_index_vectors_not_cells() {
+    let wide = |name: &str, rows: usize, key_mod: usize| {
+        let mut attrs = vec![
+            Attribute::new("id", DataType::Int),
+            Attribute::new("ref", DataType::Int),
+        ];
+        attrs.extend((0..9).map(|i| Attribute::new(format!("c{i}"), DataType::Text)));
+        let tuples = (0..rows)
+            .map(|r| {
+                let mut values = vec![Value::from(r as i64), Value::from((r % key_mod) as i64)];
+                values.extend((0..9).map(|i| Value::from(format!("{name}-{i}-{}", r % 7))));
+                Tuple::new(values)
+            })
+            .collect();
+        Relation::new(Schema::new(name, attrs), tuples).unwrap()
+    };
+    let mut cat = Catalog::new();
+    cat.insert(wide("PO", 40, 8));
+    cat.insert(wide("Item", 160, 40));
+
+    let plan = Plan::scan_as("PO", "p1")
+        .hash_join(
+            Plan::scan_as("Item", "i1"),
+            vec![("p1.id".into(), "i1.ref".into())],
+        )
+        .hash_join(
+            Plan::scan_as("PO", "p2"),
+            vec![("p1.ref".into(), "p2.ref".into())],
+        )
+        .hash_join(
+            Plan::scan_as("Item", "i2"),
+            vec![("p2.id".into(), "i2.ref".into())],
+        )
+        .project(vec!["p1.c3".into(), "i2.c5".into()]);
+    let expected = ReferenceExecutor::new(&cat).run(&plan).unwrap();
+    assert!(expected.len() > 2_000, "the join must have real fan-out");
+
+    /// Answers nothing, keeps every node's result.
+    struct Capture(std::collections::HashMap<u64, Arc<Relation>>);
+    impl DagResultCache for Capture {
+        fn lookup(&mut self, _fingerprint: u64) -> Option<Arc<Relation>> {
+            None
+        }
+        fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>) {
+            self.0.insert(fingerprint, Arc::clone(result));
+        }
+    }
+    let mut exec = Executor::new(&cat);
+    let physical = exec.bind(&plan).unwrap();
+    let mut dag = OperatorDag::new();
+    let root = dag.add_plan(&physical);
+    let mut capture = Capture(std::collections::HashMap::new());
+    let run = DagScheduler::sequential()
+        .execute_roots(&dag, &[root], &mut exec, &mut capture)
+        .unwrap();
+
+    let join = physical.children().next().expect("the projection's input");
+    let interior = &capture.0[&join.fingerprint()];
+    let view = interior.view().expect("an interior join result is a view");
+    assert_eq!(interior.schema().arity(), 44);
+    assert_eq!(
+        view.group_count(),
+        4,
+        "one index vector per contributing input"
+    );
+    assert_eq!(interior.len(), expected.len());
+    let held = interior.estimated_bytes();
+    assert!(
+        held <= interior.len() * 4 * 4 + 44 * 8,
+        "a 4-input view of {} rows holds {held} bytes",
+        interior.len()
+    );
+    // What the same result weighs as the 44-column tuples the row join would have built.
+    let as_rows = Relation::from_shared(interior.schema().clone(), interior.shared_rows());
+    assert!(as_rows.estimated_bytes() > 20 * held);
+
+    // The root is real rows, narrow, and exactly the reference's.
+    let answer = &run.root_results[0];
+    assert_eq!(answer.schema().arity(), 2);
+    assert_eq!(answer.rows(), expected.rows());
+    assert_eq!(
+        exec.stats().columnar_rows + exec.stats().rows_shared,
+        exec.stats().tuples_output,
+        "every operator above the scans ran vectorized"
     );
 }

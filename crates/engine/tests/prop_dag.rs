@@ -7,15 +7,23 @@
 //! same schema, same rows, same row order.  Sequential and parallel scheduling must agree with
 //! each other *and* with the reference, and every distinct bound operator must execute exactly
 //! once no matter how many roots share it.
+//!
+//! The late-materialization suite at the bottom drives what flows *between* the nodes: generated
+//! product → join → select → project chains whose every interior result is an index-vector
+//! view over base columns (two views over one relation for self-joins, null keys, all-null and
+//! variant-mixed columns, empty selections, flipped join builds), held to the same identity —
+//! rows, row order, schema and operator accounting — across tree evaluation, sequential and
+//! parallel DAG scheduling, and cold, fed-back and warm epoch batches.
 
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::sync::Arc;
 use urm_engine::optimize::fingerprint;
 use urm_engine::{
-    AggFunc, CompareOp, DagScheduler, EpochDag, Executor, OperatorDag, Plan, Predicate,
-    ReferenceExecutor,
+    AggFunc, CompareOp, DagScheduler, EpochDag, ExecStats, Executor, JoinHint, OperatorDag,
+    PhysicalPlan, Plan, Predicate, ReferenceExecutor,
 };
-use urm_storage::{Attribute, Catalog, DataType, Relation, Schema, Tuple, Value};
+use urm_storage::{Attribute, Catalog, Column, DataType, Relation, Schema, Tuple, Value};
 
 /// The value domain is deliberately tiny so selections and joins actually hit.
 fn random_value(rng: &mut TestRng, dt: DataType) -> Value {
@@ -318,5 +326,351 @@ proptest! {
             DagScheduler::sequential().execute(&dag, &mut exec)
         });
         prop_assert!(outcome.is_err(), "DAG accepted a plan the reference rejects:\n{}", plan);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Late materialization: chains of operators over index-vector views
+// ---------------------------------------------------------------------------
+
+/// Three or four relations shaped to stress the views: a nullable Int key `k` (null keys never
+/// join), a small-domain Text column, a `Float` column holding both ints and floats (the
+/// converter cannot type it: `Column::Mixed`, the same fallback a dictionary overflow takes),
+/// and an all-null column.
+fn chain_catalog(rng: &mut TestRng) -> Catalog {
+    let mut cat = Catalog::new();
+    for r in 0..3 + rng.index(2) {
+        let schema = Schema::new(
+            format!("R{r}"),
+            vec![
+                Attribute::new("k", DataType::Int),
+                Attribute::new("t", DataType::Text),
+                Attribute::new("m", DataType::Float),
+                Attribute::new("dead", DataType::Text),
+            ],
+        );
+        let rows = (0..rng.index(11))
+            .map(|i| {
+                let mixed = match rng.index(3) {
+                    0 => Value::from(rng.index(3) as i64),
+                    1 => Value::from([0.0, 1.0, 2.5][rng.index(3)]),
+                    _ => Value::Null,
+                };
+                Tuple::new(vec![
+                    random_value(rng, DataType::Int),
+                    Value::from(["a", "b", "c"][(i + rng.index(2)) % 3]),
+                    mixed,
+                    Value::Null,
+                ])
+            })
+            .collect();
+        cat.insert(Relation::new(schema, rows).unwrap());
+    }
+    cat
+}
+
+/// A predicate over `schema` — now and then one nothing can satisfy (an empty selection).
+fn chain_predicate(rng: &mut TestRng, schema: &Schema) -> Predicate {
+    if rng.index(6) == 0 {
+        let column = random_column(rng, Some(schema));
+        return Predicate::compare(column, CompareOp::Gt, Value::from(1_000i64));
+    }
+    random_predicate(rng, Some(schema))
+}
+
+/// One batch of chains sharing a join prefix: `(σ? A1) × (σ? A2) ⋈ A3 [⋈ A4]`, with `A1` and
+/// `A2` scanning the *same* relation, then per root a selection and a projection.
+fn chain_batch(rng: &mut TestRng, catalog: &Catalog) -> Vec<Plan> {
+    let names: Vec<String> = catalog.relation_names().map(String::from).collect();
+    let twice = names[rng.index(names.len())].clone();
+    let mut alias = 0usize;
+    let mut leaf = |rng: &mut TestRng, relation: String| {
+        alias += 1;
+        let scan = Plan::scan_as(relation, format!("A{alias}"));
+        if rng.index(2) == 0 {
+            let schema = scan.output_schema(catalog).unwrap();
+            scan.select(chain_predicate(rng, &schema))
+        } else {
+            scan
+        }
+    };
+    let mut base = leaf(rng, twice.clone()).product(leaf(rng, twice));
+    for _ in 0..1 + rng.index(2) {
+        let relation = names[rng.index(names.len())].clone();
+        let right = leaf(rng, relation);
+        let (ls, rs) = (
+            base.output_schema(catalog).unwrap(),
+            right.output_schema(catalog).unwrap(),
+        );
+        let on = (0..1 + rng.index(2))
+            .map(|_| (random_column(rng, Some(&ls)), random_column(rng, Some(&rs))))
+            .collect();
+        base = base.hash_join(right, on);
+    }
+    let schema = base.output_schema(catalog).unwrap();
+    (0..2 + rng.index(2))
+        .map(|_| {
+            let mut columns: Vec<String> = Vec::new();
+            for _ in 0..1 + rng.index(3) {
+                let c = random_column(rng, Some(&schema));
+                if !columns.contains(&c) {
+                    columns.push(c);
+                }
+            }
+            base.clone()
+                .select(chain_predicate(rng, &schema))
+                .project(columns)
+        })
+        .collect()
+}
+
+/// The operator accounting every evaluation mode must agree on (the paper's Table IV metric).
+fn accounting(stats: &ExecStats) -> [u64; 4] {
+    [
+        stats.operators_executed,
+        stats.scans,
+        stats.tuples_read,
+        stats.tuples_output,
+    ]
+}
+
+/// Runs every hash join of a bound tree canonically and with its build side flipped, over the
+/// same (view) inputs; the two must agree row for row.  Returns how many joins it flipped.
+fn flipped_joins_agree(exec: &mut Executor<'_>, plan: &Arc<PhysicalPlan>) -> u64 {
+    let mut flipped = 0;
+    for child in plan.children_shared() {
+        flipped += flipped_joins_agree(exec, child);
+    }
+    if let PhysicalPlan::HashJoin { .. } = plan.as_ref() {
+        let inputs: Vec<_> = plan
+            .children_shared()
+            .map(|c| exec.execute(c).expect("join input evaluates"))
+            .collect();
+        let canonical = exec.execute_node(plan, &inputs).expect("join evaluates");
+        let before = exec.stats().reordered_joins;
+        let hint = JoinHint {
+            build_left: true,
+            build_bytes: None,
+        };
+        let flip = exec
+            .execute_node_hinted(plan, &inputs, Some(hint))
+            .expect("flipped join evaluates");
+        assert_eq!(
+            exec.stats().reordered_joins,
+            before + 1,
+            "the join ran flipped"
+        );
+        assert!(
+            flip.view().is_some(),
+            "an interior join result stays a view"
+        );
+        assert_eq!(canonical.schema(), flip.schema());
+        assert_eq!(
+            canonical.rows(),
+            flip.rows(),
+            "flipped build changed rows:\n{plan:?}"
+        );
+        flipped += 1;
+    }
+    flipped
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Tree evaluation ≡ sequential DAG ≡ parallel DAG ≡ cold / fed-back / warm epoch batches
+    /// ≡ the reference evaluator, over chains whose interior results are all views.
+    #[test]
+    fn late_materialized_chains_match_reference(seed in any::<u64>()) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let catalog = chain_catalog(&mut rng);
+        let plans = chain_batch(&mut rng, &catalog);
+
+        // The oracle, plan by plan — and tree evaluation against it, accounting included.
+        let mut expected: Vec<Relation> = Vec::new();
+        let mut reference_total = [0u64; 4];
+        for plan in &plans {
+            let mut reference = ReferenceExecutor::new(&catalog);
+            let want = reference.run(plan).expect("generated chains are valid");
+            let mut exec = Executor::new(&catalog);
+            let got = exec.run(plan).expect("tree evaluation");
+            prop_assert_eq!(want.schema(), got.schema(), "schema diverges:\n{}", plan);
+            prop_assert_eq!(want.rows(), got.rows(), "tree rows diverge:\n{}", plan);
+            prop_assert_eq!(
+                accounting(reference.stats()),
+                accounting(exec.stats()),
+                "tree accounting diverges:\n{}", plan
+            );
+            // Every operator above the scans ran through the vectorized kernels.
+            prop_assert_eq!(
+                exec.stats().columnar_rows + exec.stats().rows_shared,
+                exec.stats().tuples_output
+            );
+            for (i, v) in accounting(reference.stats()).iter().enumerate() {
+                reference_total[i] += v;
+            }
+            let bound = exec.bind(plan).expect("plan binds");
+            prop_assert!(flipped_joins_agree(&mut exec, &bound) >= 1);
+            expected.push(want);
+        }
+
+        // One merged DAG, sequential and parallel: same rows, same accounting as each other.
+        let mut dag_accounting = Vec::new();
+        for workers in [1usize, 3] {
+            let mut exec = Executor::new(&catalog);
+            let mut dag = OperatorDag::new();
+            for plan in &plans {
+                dag.add_root(&exec.bind(plan).expect("plan binds"));
+            }
+            let run = DagScheduler::with_workers(workers)
+                .execute(&dag, &mut exec)
+                .expect("batch executes");
+            for ((plan, want), got) in plans.iter().zip(&expected).zip(&run.root_results) {
+                prop_assert_eq!(want.schema(), got.schema());
+                prop_assert_eq!(want.rows(), got.rows(), "DAG rows diverge:\n{}", plan);
+            }
+            prop_assert_eq!(
+                exec.stats().operators_executed + exec.stats().scans,
+                dag.node_count() as u64
+            );
+            dag_accounting.push((accounting(exec.stats()), exec.stats().columnar_rows));
+        }
+        prop_assert_eq!(&dag_accounting[0], &dag_accounting[1], "sequential ≠ parallel");
+        // Sharing only ever removes work relative to evaluating each plan alone.
+        prop_assert!(dag_accounting[0].0[0] <= reference_total[0]);
+
+        // Epochs: a 1-byte pin budget re-executes every round on observed cardinalities
+        // (flipping whatever builds are mis-sized); last-batch pinning answers the repeat
+        // from the cold batch's results.
+        for workers in [1usize, 3] {
+            let mut exec = Executor::new(&catalog);
+            let mut fed_back = EpochDag::with_pin_budget(1);
+            let mut pinned = EpochDag::new();
+            let mut cold_roots: Vec<Arc<Relation>> = Vec::new();
+            for round in 0..3 {
+                for epoch in [&mut fed_back, &mut pinned] {
+                    for plan in &plans {
+                        epoch
+                            .submit_with(fingerprint(plan), || exec.bind(plan))
+                            .expect("plan binds");
+                    }
+                }
+                let flips_before = exec.stats().reordered_joins;
+                let adaptive = fed_back.execute_pending(&mut exec, workers).expect("fed-back round");
+                prop_assert_eq!(
+                    adaptive.report.reordered_joins,
+                    exec.stats().reordered_joins - flips_before
+                );
+                let warm = pinned.execute_pending(&mut exec, workers).expect("pinned round");
+                for ((plan, want), (a, w)) in plans
+                    .iter()
+                    .zip(&expected)
+                    .zip(adaptive.root_results.iter().zip(&warm.root_results))
+                {
+                    prop_assert_eq!(want.schema(), a.schema());
+                    prop_assert_eq!(want.rows(), a.rows(), "round {} fed-back:\n{}", round, plan);
+                    prop_assert_eq!(want.rows(), w.rows(), "round {} pinned:\n{}", round, plan);
+                }
+                if round == 0 {
+                    cold_roots = warm.root_results;
+                } else {
+                    prop_assert_eq!(warm.report.nodes_executed, 0, "warm round executed");
+                    prop_assert_eq!(warm.report.reordered_joins, 0);
+                    for (cold, again) in cold_roots.iter().zip(&warm.root_results) {
+                        prop_assert!(Arc::ptr_eq(cold, again), "warm root is not the cold one");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The columnar edge cases the chains lean on, pinned deterministically: the `Float` column
+/// of mixed ints and floats really converts to `Column::Mixed`, a column past the dictionary
+/// limit does too, and joins keyed on either (and on an all-null column) agree with the
+/// reference through a self-join of views.
+#[test]
+fn mixed_overflowed_and_all_null_columns_join_through_views() {
+    let mut rng = TestRng::seed_from_u64(7);
+    let mut catalog = chain_catalog(&mut rng);
+    // More distinct strings than the default dictionary holds: `Mixed` by overflow.
+    let wide = Schema::new(
+        "Wide",
+        vec![
+            Attribute::new("s", DataType::Text),
+            Attribute::new("k", DataType::Int),
+        ],
+    );
+    let distinct = urm_storage::DEFAULT_DICT_LIMIT + 8;
+    let rows = (0..distinct)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::from(format!("s{i}")),
+                Value::from((i % 5) as i64),
+            ])
+        })
+        .collect();
+    catalog.insert(Relation::new(wide, rows).unwrap());
+    let short = Schema::new("Short", vec![Attribute::new("s", DataType::Text)]);
+    let rows = [3usize, 70_000, 3, 1 << 20]
+        .iter()
+        .map(|i| Tuple::new(vec![Value::from(format!("s{i}"))]))
+        .collect();
+    catalog.insert(Relation::new(short, rows).unwrap());
+
+    let kinds = |name: &str| -> Vec<bool> {
+        let view = catalog.columnar_view(&catalog.get(name).unwrap());
+        view.columns()
+            .iter()
+            .map(|c| matches!(c.as_ref(), Column::Mixed(_)))
+            .collect()
+    };
+    assert_eq!(
+        kinds("Wide"),
+        vec![true, false],
+        "overflow must fall back to Mixed"
+    );
+    let populated = catalog
+        .iter()
+        .find(|(name, rel)| name.starts_with('R') && rel.len() >= 4)
+        .map(|(name, _)| name.to_string())
+        .expect("seed 7 generates a populated relation");
+    assert!(
+        kinds(&populated)[2],
+        "ints and floats under one Float column are Mixed"
+    );
+
+    let keep = |alias: &str| {
+        Plan::scan_as(populated.clone(), alias).select(Predicate::compare(
+            format!("{alias}.t"),
+            CompareOp::Ne,
+            Value::from("zz"),
+        ))
+    };
+    let plans = [
+        // Self-join of two filtered views on the variant-mixed column, then on the all-null one.
+        keep("X").hash_join(keep("Y"), vec![("X.m".into(), "Y.m".into())]),
+        keep("X").hash_join(keep("Y"), vec![("X.dead".into(), "Y.dead".into())]),
+        // Overflowed text keys against a typed dictionary column.
+        Plan::scan("Short")
+            .hash_join(
+                Plan::scan("Wide"),
+                vec![("Short.s".into(), "Wide.s".into())],
+            )
+            .select(Predicate::compare(
+                "Wide.k",
+                CompareOp::Le,
+                Value::from(3i64),
+            ))
+            .project(vec!["Wide.k".into(), "Short.s".into()]),
+    ];
+    for plan in &plans {
+        let want = ReferenceExecutor::new(&catalog).run(plan).unwrap();
+        let mut exec = Executor::new(&catalog);
+        let got = exec.run(plan).unwrap();
+        assert_eq!(want.rows(), got.rows(), "diverges: {plan}");
+        assert!(exec.stats().columnar_rows > 0 || got.is_empty());
+        let bound = exec.bind(plan).unwrap();
+        assert_eq!(flipped_joins_agree(&mut exec, &bound), 1);
     }
 }

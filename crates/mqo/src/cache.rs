@@ -61,9 +61,10 @@ impl SharedPlanCache {
         }
     }
 
-    /// Creates an empty cache bounded by *bytes of materialised rows* instead of entry count:
-    /// each published sub-plan result is weighted by its
-    /// [`estimated_bytes`](urm_storage::Relation::estimated_bytes), and least-recently-used
+    /// Creates an empty cache bounded by *bytes held* instead of entry count: each published
+    /// sub-plan result is weighted by its
+    /// [`estimated_bytes`](urm_storage::Relation::estimated_bytes) (rows for a row result,
+    /// index vectors for a late-materialized one), and least-recently-used
     /// results are evicted once the total exceeds `bytes` — the accounting a memory-budgeted
     /// deployment wants, since one join result can outweigh a thousand selections.
     #[must_use]
@@ -276,22 +277,28 @@ mod tests {
     #[test]
     fn byte_budgeted_cache_evicts_by_result_size() {
         let cat = catalog();
-        let scan_bytes = cat.get("R").unwrap().estimated_bytes();
-        // Room for the scan plus one selection result, nothing more.
-        let mut cache = SharedPlanCache::with_byte_budget(scan_bytes + scan_bytes / 2);
         let mut exec = Executor::new(&cat);
         let sel_x = Plan::scan("R").select(Predicate::eq("R.b", Value::from("x")));
         let sel_y = Plan::scan("R").select(Predicate::eq("R.b", Value::from("y")));
+        // Room for the scan plus one selection result (a late-materialized view, weighed at
+        // its index vector), nothing more: measured on an unconstrained cache first.
+        let budget = {
+            let mut roomy = SharedPlanCache::with_byte_budget(usize::MAX);
+            roomy.execute_shared(&sel_x, &mut exec).unwrap();
+            roomy.resident_weight()
+        };
+        assert!(budget > cat.get("R").unwrap().estimated_bytes());
+        let mut cache = SharedPlanCache::with_byte_budget(budget);
 
         let first = cache.execute_shared(&sel_x, &mut exec).unwrap();
-        assert!(cache.resident_weight() > 0);
-        assert!(cache.resident_weight() <= scan_bytes + scan_bytes / 2);
+        assert_eq!(cache.resident_weight(), budget);
+        assert_eq!(cache.evictions(), 0);
         cache.execute_shared(&sel_y, &mut exec).unwrap();
         assert!(
             cache.evictions() > 0,
             "the second selection must displace something by bytes"
         );
-        assert!(cache.resident_weight() <= scan_bytes + scan_bytes / 2);
+        assert!(cache.resident_weight() <= budget);
         // Evicted or not, recomputation reproduces identical rows.
         let again = cache.execute_shared(&sel_x, &mut exec).unwrap();
         assert_eq!(again.rows(), first.rows());

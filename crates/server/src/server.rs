@@ -15,7 +15,7 @@ use crate::json::Json;
 use crate::wire::{answer_json, parse_query_spec};
 use std::io::BufReader;
 use std::net::{IpAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -43,10 +43,40 @@ struct Shared {
     /// `urm_http_request_duration_ns` family on `GET /metrics`.
     endpoints: EndpointHistograms,
     stopping: AtomicBool,
-    /// Open connections, for the drain barrier.
-    connections: AtomicUsize,
-    drained: Condvar,
-    drain_lock: Mutex<()>,
+    drain: Arc<Drain>,
+}
+
+/// The drain barrier: how many connection threads are still open.
+///
+/// Kept apart from [`Shared`] so a connection thread can let go of the server state — the
+/// service, its epochs and their spill pools — *before* it reports itself closed.  Once
+/// [`wait`](Drain::wait) has seen zero, the `Arc<Shared>` of the [`UrmServer`] is the last one,
+/// so dropping the server tears the service down (joins its workers, removes its spill
+/// directories) on the caller's thread, not on a detached thread racing process exit.
+#[derive(Default)]
+struct Drain {
+    open: Mutex<usize>,
+    closed: Condvar,
+}
+
+impl Drain {
+    fn opened(&self) {
+        *self.open.lock().expect("drain counter poisoned") += 1;
+    }
+
+    fn closed(&self) {
+        *self.open.lock().expect("drain counter poisoned") -= 1;
+        self.closed.notify_all();
+    }
+
+    /// Waits until no connection is open, or `grace` has passed.
+    fn wait(&self, grace: Duration) {
+        let open = self.open.lock().expect("drain counter poisoned");
+        let _ = self
+            .closed
+            .wait_timeout_while(open, grace, |open| *open > 0)
+            .expect("drain counter poisoned");
+    }
 }
 
 /// Log-bucketed request-latency histograms, one per serving endpoint.  Lock-free to record
@@ -104,9 +134,7 @@ impl UrmServer {
             started: Instant::now(),
             endpoints: EndpointHistograms::default(),
             stopping: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
-            drained: Condvar::new(),
-            drain_lock: Mutex::new(()),
+            drain: Arc::default(),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -149,17 +177,7 @@ impl UrmServer {
         }
         // Drain: every connection opened before the listener closed gets to finish its
         // current request (keep-alive waits are cut short by the read timeout).
-        let deadline = Instant::now() + DRAIN_GRACE;
-        let mut guard = self.shared.drain_lock.lock().unwrap();
-        while self.shared.connections.load(Ordering::SeqCst) > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            let (g, _) = self.shared.drained.wait_timeout(guard, left).unwrap();
-            guard = g;
-        }
-        drop(guard);
+        self.shared.drain.wait(DRAIN_GRACE);
         self.shared.service.flush();
     }
 }
@@ -177,20 +195,19 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         let Ok(stream) = stream else { continue };
         let conn_shared = Arc::clone(shared);
-        shared.connections.fetch_add(1, Ordering::SeqCst);
+        let drain = Arc::clone(&shared.drain);
+        drain.opened();
         let result = std::thread::Builder::new()
             .name("urm-server-conn".into())
             .spawn(move || {
                 handle_connection(stream, &conn_shared);
-                let _guard = conn_shared.drain_lock.lock().unwrap();
-                conn_shared.connections.fetch_sub(1, Ordering::SeqCst);
-                conn_shared.drained.notify_all();
+                // Release the server state first, then report closed (see `Drain`).
+                drop(conn_shared);
+                drain.closed();
             });
         if result.is_err() {
             // Spawn failure: undo the increment or the drain barrier waits forever.
-            let _guard = shared.drain_lock.lock().unwrap();
-            shared.connections.fetch_sub(1, Ordering::SeqCst);
-            shared.drained.notify_all();
+            shared.drain.closed();
         }
     }
 }

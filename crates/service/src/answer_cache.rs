@@ -27,16 +27,20 @@ pub struct CachedAnswer {
 #[derive(Debug)]
 pub struct AnswerCache {
     entries: LruCache<(u64, String), CachedAnswer>,
+    /// Capacity 0: nothing is ever stored, so every lookup misses (and counts as one).
+    disabled: bool,
     hits: u64,
     misses: u64,
 }
 
 impl AnswerCache {
-    /// A cache holding at most `capacity` answers.
+    /// A cache holding at most `capacity` answers; a capacity of 0 disables caching — every
+    /// query is evaluated (or batch-deduplicated), none is served from here.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         AnswerCache {
             entries: LruCache::with_capacity(capacity),
+            disabled: capacity == 0,
             hits: 0,
             misses: 0,
         }
@@ -68,9 +72,11 @@ impl AnswerCache {
         found
     }
 
-    /// Inserts a freshly evaluated answer.
+    /// Inserts a freshly evaluated answer (a no-op on a disabled cache).
     pub fn insert(&mut self, epoch: EpochId, key: String, answer: CachedAnswer) {
-        self.entries.insert((epoch.raw(), key), answer);
+        if !self.disabled {
+            self.entries.insert((epoch.raw(), key), answer);
+        }
     }
 
     /// Number of lookups answered from the cache.
@@ -154,6 +160,18 @@ mod tests {
         cache.insert(epoch, "q0: π[a] (R)".to_string(), answer(0.5));
         assert!(cache.lookup(epoch, "q1: π[b] (R)").is_none());
         assert!(cache.lookup(epoch, "q0: π[a] (R)").is_some());
+    }
+
+    #[test]
+    fn capacity_zero_disables_the_cache() {
+        let mut cache = AnswerCache::with_capacity(0);
+        let epoch = EpochId::from_raw(1);
+        cache.insert(epoch, "q0".to_string(), answer(0.5));
+        assert!(cache.is_empty(), "a disabled cache stores nothing");
+        assert!(cache.lookup(epoch, "q0").is_none());
+        assert!(cache.recheck(epoch, "q0").is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!(cache.evictions(), 0);
     }
 
     #[test]

@@ -118,7 +118,7 @@ OPTIONS:
   --workers W         service worker threads (default 4)
   --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4)
   --batch-size B      max queries per batch (default 64)
-  --answer-cache N    service answer cache capacity (default 1024)
+  --answer-cache N    service answer cache capacity (default 1024; 0 disables it)
   --epoch-cache on|off
                       keep one persistent DAG per epoch across batches (bind cache + weakly
                       cached node results; default on) — 'off' rebuilds per batch for A/B runs

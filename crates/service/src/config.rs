@@ -14,7 +14,7 @@ pub struct ServiceConfig {
     /// shared-operator DAG whose independent ready nodes run on this many scoped threads
     /// (1 = sequential topological execution).
     pub dag_workers: usize,
-    /// Capacity of the service-wide answer cache (entries, LRU-evicted).
+    /// Capacity of the service-wide answer cache (entries, LRU-evicted); 0 disables it.
     pub answer_cache_capacity: usize,
     /// Whether each epoch keeps a persistent shared-operator DAG across its batches
     /// (bind cache + weakly cached node results, byte-budgeted LRU pinning), so a hot epoch's

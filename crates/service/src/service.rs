@@ -997,6 +997,24 @@ mod tests {
     }
 
     #[test]
+    fn answer_cache_capacity_zero_evaluates_every_repeat() {
+        let service = QueryService::new(ServiceConfig {
+            answer_cache_capacity: 0,
+            ..ServiceConfig::tiny()
+        });
+        let epoch = service.register_epoch(testkit::figure2_catalog(), testkit::figure3_mappings());
+        let first = service.execute_all(epoch, vec![testkit::q0()]).unwrap();
+        let second = service.execute_all(epoch, vec![testkit::q0()]).unwrap();
+        for response in first.iter().chain(&second) {
+            assert_eq!(response.served_from, ServedFrom::Evaluated);
+        }
+        assert_eq!(first[0].answer.sorted(), second[0].answer.sorted());
+        let metrics = service.metrics();
+        assert_eq!(metrics.queries_evaluated, 2);
+        assert_eq!(metrics.answer_cache_hits, 0);
+    }
+
+    #[test]
     fn epoch_dag_reuses_across_batches_of_one_epoch() {
         // q0 and q1 are different queries (so the answer cache stays out of the way) whose
         // reformulations overlap on scans/selections: the second batch must answer the shared

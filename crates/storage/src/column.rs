@@ -13,10 +13,12 @@
 //! [`Column::value_at`] is always *exactly* the original [`Value`] sequence, bit-for-bit
 //! (float NaN payloads and `-0.0` included).
 //!
-//! The row buffer stays the interchange format: a `ColumnarRelation` keeps a strong reference
-//! to the `Arc<Vec<Tuple>>` it was built from, so engines can hand out zero-copy row views of
-//! a scanned base relation while running the columnar kernels, and caches can key conversions
-//! by buffer identity.
+//! A `ColumnarRelation` keeps a strong reference to the `Arc<Vec<Tuple>>` it was built from, so
+//! engines can hand out zero-copy row views of a scanned base relation while running the
+//! columnar kernels, caches can key conversions by buffer identity, and a
+//! [`ColumnView`](crate::ColumnView) that is still a (filtered) whole base relation can hand
+//! back the original tuples instead of rebuilding them.  Operators never copy these columns:
+//! what flows between them is a `ColumnView` — index vectors over the columns built here.
 
 use crate::dictionary::{Dictionary, DEFAULT_DICT_LIMIT};
 use crate::{Relation, Tuple, Value};
@@ -306,46 +308,6 @@ impl Column {
             Column::Mixed(values) => values[i].clone(),
         }
     }
-
-    /// Builds a new column holding the slots at `sel`, in that order (join/select outputs).
-    /// Text columns share the dictionary of the source column.
-    #[must_use]
-    pub fn gather(&self, sel: &[u32]) -> Column {
-        fn gather_nulls(nulls: Option<&NullBitmap>, sel: &[u32]) -> Option<NullBitmap> {
-            let src = nulls?;
-            let mut out = NullBitmap::new(sel.len());
-            let mut any = false;
-            for (i, &s) in sel.iter().enumerate() {
-                if src.is_null(s as usize) {
-                    out.set_null(i);
-                    any = true;
-                }
-            }
-            any.then_some(out)
-        }
-        match self {
-            Column::Int { values, nulls } => Column::Int {
-                values: sel.iter().map(|&i| values[i as usize]).collect(),
-                nulls: gather_nulls(nulls.as_ref(), sel),
-            },
-            Column::Float { values, nulls } => Column::Float {
-                values: sel.iter().map(|&i| values[i as usize]).collect(),
-                nulls: gather_nulls(nulls.as_ref(), sel),
-            },
-            Column::Bool { values, nulls } => Column::Bool {
-                values: sel.iter().map(|&i| values[i as usize]).collect(),
-                nulls: gather_nulls(nulls.as_ref(), sel),
-            },
-            Column::Text { codes, dict, nulls } => Column::Text {
-                codes: sel.iter().map(|&i| codes[i as usize]).collect(),
-                dict: Arc::clone(dict),
-                nulls: gather_nulls(nulls.as_ref(), sel),
-            },
-            Column::Mixed(values) => {
-                Column::Mixed(sel.iter().map(|&i| values[i as usize].clone()).collect())
-            }
-        }
-    }
 }
 
 /// A row relation re-shaped into typed columns, pinned to the row buffer it was built from.
@@ -534,25 +496,6 @@ mod tests {
         let c = ColumnarRelation::from_relation_with_limit(&r, 64);
         assert!(matches!(&**c.column(0).unwrap(), Column::Text { .. }));
         assert_eq!(reconstruct(&c), rows);
-    }
-
-    #[test]
-    fn gather_reorders_and_masks_nulls() {
-        let r = rel(vec![
-            vec![Value::from(10i64)],
-            vec![Value::Null],
-            vec![Value::from(30i64)],
-        ]);
-        let c = ColumnarRelation::from_relation(&r);
-        let g = c.column(0).unwrap().gather(&[2, 1, 0, 2]);
-        assert_eq!(g.len(), 4);
-        assert_eq!(g.value_at(0), Value::from(30i64));
-        assert_eq!(g.value_at(1), Value::Null);
-        assert_eq!(g.value_at(2), Value::from(10i64));
-        assert_eq!(g.value_at(3), Value::from(30i64));
-        // Gathering only valid slots drops the bitmap.
-        let g = c.column(0).unwrap().gather(&[0, 2]);
-        assert!(matches!(g, Column::Int { nulls: None, .. }));
     }
 
     #[test]

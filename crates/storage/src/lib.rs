@@ -12,9 +12,12 @@
 //! algorithms are about *how many* source operators and queries are executed, not about disk
 //! layout — but the types are designed so the query engine built on top
 //! ([`urm-engine`](https://docs.rs/urm-engine)) can count and share work exactly the way the
-//! paper describes.  For workloads bigger than RAM, the [`spill`] module adds a byte-budgeted
-//! [`BufferPool`] that pages materialised relations to disk segments and reloads them
-//! transparently.
+//! paper describes.  The [`column`] and [`view`] modules are the engine's fast path: a base
+//! relation converts once into typed columns, and operators exchange [`ColumnView`]s — row-index
+//! vectors over those shared columns — which a [`Relation`] can carry in place of rows, building
+//! tuples only when something reads them.  For workloads bigger than RAM, the [`spill`] module
+//! adds a byte-budgeted [`BufferPool`] that pages materialised relations to disk segments and
+//! reloads them transparently.
 //!
 //! ## Quick example
 //!
@@ -65,6 +68,7 @@ pub mod spill;
 pub mod tuple;
 pub mod types;
 pub mod value;
+pub mod view;
 
 pub use catalog::Catalog;
 pub use column::{Column, ColumnarRelation, NullBitmap};
@@ -78,3 +82,4 @@ pub use spill::{BufferPool, SpillStats, SpillableRelation, DEFAULT_PAGE_BYTES};
 pub use tuple::Tuple;
 pub use types::DataType;
 pub use value::Value;
+pub use view::{ColumnRef, ColumnView};

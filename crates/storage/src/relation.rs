@@ -1,9 +1,9 @@
 //! Materialised relations (schema + rows).
 
-use crate::{Schema, StorageError, StorageResult, Tuple, Value};
+use crate::{ColumnView, Schema, StorageError, StorageResult, Tuple, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A materialised relation: a schema plus a bag (multiset) of tuples.
 ///
@@ -17,28 +17,45 @@ use std::sync::Arc;
 /// once before appending — so sharing is invisible to code that builds relations row by row.
 /// [`shares_rows_with`](Relation::shares_rows_with) exposes buffer identity for the zero-copy
 /// regression tests of the engine and cache layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A relation produced by a vectorized operator is *late-materialized*
+/// ([`from_view`](Relation::from_view)): it holds a [`ColumnView`] — index vectors over shared
+/// base columns — and builds its row buffer the first time something asks for rows
+/// ([`rows`](Relation::rows), [`iter`](Relation::iter), equality, …), at most once.  Operators
+/// that understand views read [`view`](Relation::view) instead and never trigger that.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
-    rows: Arc<Vec<Tuple>>,
+    rows: RowStore,
+}
+
+/// Where a relation's rows live.
+#[derive(Debug, Clone)]
+enum RowStore {
+    /// A materialised row buffer.
+    Rows(Arc<Vec<Tuple>>),
+    /// A columnar view whose row buffer is built on first use (shared by every clone).
+    Lazy(Arc<LazyRows>),
+}
+
+#[derive(Debug)]
+struct LazyRows {
+    view: ColumnView,
+    rows: OnceLock<Arc<Vec<Tuple>>>,
 }
 
 impl Relation {
     /// Creates an empty relation with the given schema.
     #[must_use]
     pub fn empty(schema: Schema) -> Self {
-        Relation {
-            schema,
-            rows: Arc::new(Vec::new()),
-        }
+        Relation::from_validated(schema, Vec::new())
     }
 
     /// Creates a relation from a schema and pre-built rows.
     ///
     /// Row arity is validated; value types are checked against the schema.
     pub fn new(schema: Schema, rows: Vec<Tuple>) -> StorageResult<Self> {
-        let mut rel = Relation::empty(schema);
-        Arc::make_mut(&mut rel.rows).reserve(rows.len());
+        let mut rel = Relation::from_validated(schema, Vec::with_capacity(rows.len()));
         for row in rows {
             rel.push(row)?;
         }
@@ -49,10 +66,7 @@ impl Relation {
     /// tuples are constructed from already-validated inputs).
     #[must_use]
     pub fn from_validated(schema: Schema, rows: Vec<Tuple>) -> Self {
-        Relation {
-            schema,
-            rows: Arc::new(rows),
-        }
+        Relation::from_shared(schema, Arc::new(rows))
     }
 
     /// Creates a relation over an already-shared row buffer without copying it.
@@ -62,13 +76,71 @@ impl Relation {
     /// instead of materialising per-operator copies.  Rows are not validated against the schema.
     #[must_use]
     pub fn from_shared(schema: Schema, rows: Arc<Vec<Tuple>>) -> Self {
-        Relation { schema, rows }
+        Relation {
+            schema,
+            rows: RowStore::Rows(rows),
+        }
+    }
+
+    /// Creates a late-materialized relation over a columnar view: no tuple exists until
+    /// something reads rows.  The view's arity must match the schema's.
+    #[must_use]
+    pub fn from_view(schema: Schema, view: ColumnView) -> Self {
+        debug_assert_eq!(schema.arity(), view.arity());
+        Relation {
+            schema,
+            rows: RowStore::Lazy(Arc::new(LazyRows {
+                view,
+                rows: OnceLock::new(),
+            })),
+        }
+    }
+
+    /// The columnar view behind a late-materialized relation (`None` for row relations).
+    #[must_use]
+    pub fn view(&self) -> Option<&ColumnView> {
+        match &self.rows {
+            RowStore::Rows(_) => None,
+            RowStore::Lazy(lazy) => Some(&lazy.view),
+        }
+    }
+
+    /// The row buffer, built from the view on first use.
+    fn buffer(&self) -> &Arc<Vec<Tuple>> {
+        match &self.rows {
+            RowStore::Rows(rows) => rows,
+            RowStore::Lazy(lazy) => lazy.rows.get_or_init(|| lazy.view.materialize()),
+        }
+    }
+
+    /// Mutable access to the row buffer (copy-on-write); a late-materialized relation becomes
+    /// a row relation first.
+    fn buffer_mut(&mut self) -> &mut Vec<Tuple> {
+        if let RowStore::Lazy(_) = self.rows {
+            let rows = self.shared_rows();
+            self.rows = RowStore::Rows(rows);
+        }
+        match &mut self.rows {
+            RowStore::Rows(rows) => Arc::make_mut(rows),
+            RowStore::Lazy(_) => unreachable!("converted above"),
+        }
     }
 
     /// The shared row buffer (a pointer bump, never a copy).
     #[must_use]
     pub fn shared_rows(&self) -> Arc<Vec<Tuple>> {
-        Arc::clone(&self.rows)
+        Arc::clone(self.buffer())
+    }
+
+    /// The identity of the relation's backing storage: equal exactly for relations sharing
+    /// one row buffer or one view (clones, renames).  Bound-plan fingerprints key leaves by
+    /// this, so fingerprinting a late-materialized relation never builds its rows.
+    #[must_use]
+    pub fn storage_id(&self) -> usize {
+        match &self.rows {
+            RowStore::Rows(rows) => Arc::as_ptr(rows) as *const () as usize,
+            RowStore::Lazy(lazy) => Arc::as_ptr(lazy) as *const () as usize,
+        }
     }
 
     /// Whether two relations share the same underlying row buffer.
@@ -77,7 +149,7 @@ impl Relation {
     /// hand out views rather than deep copies.
     #[must_use]
     pub fn shares_rows_with(&self, other: &Relation) -> bool {
-        Arc::ptr_eq(&self.rows, &other.rows)
+        Arc::ptr_eq(self.buffer(), other.buffer())
     }
 
     /// The relation's schema.
@@ -89,25 +161,30 @@ impl Relation {
     /// Number of rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        match &self.rows {
+            RowStore::Rows(rows) => rows.len(),
+            RowStore::Lazy(lazy) => lazy.view.len(),
+        }
     }
 
     /// Whether the relation has no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// The rows as a slice.
+    /// The rows as a slice (building them first if the relation is late-materialized).
     #[must_use]
     pub fn rows(&self) -> &[Tuple] {
-        &self.rows
+        self.buffer()
     }
 
     /// Consumes the relation, returning its rows (copied only if the buffer is shared).
     #[must_use]
     pub fn into_rows(self) -> Vec<Tuple> {
-        Arc::try_unwrap(self.rows).unwrap_or_else(|shared| (*shared).clone())
+        let rows = self.shared_rows();
+        drop(self);
+        Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Appends a tuple after validating arity and types.
@@ -129,25 +206,24 @@ impl Relation {
                 });
             }
         }
-        Arc::make_mut(&mut self.rows).push(tuple);
+        self.buffer_mut().push(tuple);
         Ok(())
     }
 
     /// Appends a tuple without validation (engine-internal fast path).
     pub fn push_unchecked(&mut self, tuple: Tuple) {
-        Arc::make_mut(&mut self.rows).push(tuple);
+        self.buffer_mut().push(tuple);
     }
 
     /// Iterates over the rows.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.iter()
+        self.buffer().iter()
     }
 
     /// Returns the column of values for an attribute.
     pub fn column(&self, attr: &str) -> StorageResult<Vec<Value>> {
         let pos = self.schema.require(attr)?;
         Ok(self
-            .rows
             .iter()
             .map(|t| t.get(pos).cloned().unwrap_or(Value::Null))
             .collect())
@@ -160,27 +236,44 @@ impl Relation {
     pub fn renamed(&self, name: impl Into<String>) -> Relation {
         Relation {
             schema: self.schema.renamed(name),
-            rows: Arc::clone(&self.rows),
+            rows: self.rows.clone(),
         }
     }
 
     /// An estimate of the in-memory footprint in bytes, used by the experiment harness to
-    /// report database sizes comparable to the paper's "database size (MB)" axis.
+    /// report database sizes comparable to the paper's "database size (MB)" axis and by the
+    /// pin and spill budgets.  A late-materialized relation is priced at what it actually
+    /// holds: its view's index vectors, plus its rows once they have been built.
     #[must_use]
     pub fn estimated_bytes(&self) -> usize {
-        let mut total = 0usize;
-        for row in self.rows.iter() {
-            for v in row.iter() {
-                total += match v {
-                    Value::Null => 1,
-                    Value::Int(_) => 8,
-                    Value::Float(_) => 8,
-                    Value::Bool(_) => 1,
-                    Value::Text(s) => s.len() + 8,
-                };
+        match &self.rows {
+            RowStore::Rows(rows) => row_bytes(rows),
+            RowStore::Lazy(lazy) => {
+                lazy.view.estimated_bytes() + lazy.rows.get().map_or(0, |rows| row_bytes(rows))
             }
         }
-        total
+    }
+}
+
+fn row_bytes(rows: &[Tuple]) -> usize {
+    let mut total = 0usize;
+    for row in rows {
+        for v in row.iter() {
+            total += match v {
+                Value::Null => 1,
+                Value::Int(_) => 8,
+                Value::Float(_) => 8,
+                Value::Bool(_) => 1,
+                Value::Text(s) => s.len() + 8,
+            };
+        }
+    }
+    total
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.rows() == other.rows()
     }
 }
 
@@ -192,14 +285,14 @@ impl Eq for Relation {}
 impl std::hash::Hash for Relation {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.schema.hash(state);
-        self.rows.hash(state);
+        self.rows().hash(state);
     }
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.schema)?;
-        for row in self.rows.iter() {
+        for row in self.iter() {
             writeln!(f, "  {row}")?;
         }
         Ok(())

@@ -85,10 +85,12 @@ impl fmt::Display for AttrRef {
 /// relations and query plans; attribute positions are resolved through an internal index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Schema {
-    name: String,
+    name: Arc<str>,
     attributes: Arc<[Attribute]>,
+    /// Attribute name → position; shared like the attribute list, so cloning a schema (every
+    /// operator output carries one) allocates nothing per attribute.
     #[serde(skip)]
-    index: HashMap<String, usize>,
+    index: Arc<HashMap<String, usize>>,
 }
 
 impl Schema {
@@ -113,9 +115,9 @@ impl Schema {
             }
         }
         Ok(Schema {
-            name,
+            name: name.into(),
             attributes: attributes.into(),
-            index,
+            index: Arc::new(index),
         })
     }
 
@@ -129,9 +131,9 @@ impl Schema {
     #[must_use]
     pub fn renamed(&self, name: impl Into<String>) -> Self {
         Schema {
-            name: name.into(),
+            name: name.into().into(),
             attributes: Arc::clone(&self.attributes),
-            index: self.index.clone(),
+            index: Arc::clone(&self.index),
         }
     }
 
@@ -157,7 +159,7 @@ impl Schema {
     pub fn require(&self, attr: &str) -> StorageResult<usize> {
         self.position(attr)
             .ok_or_else(|| StorageError::UnknownAttribute {
-                relation: self.name.clone(),
+                relation: self.name.to_string(),
                 attribute: attr.to_string(),
             })
     }
