@@ -142,10 +142,12 @@ fn measure(catalog: &Catalog, plan: &Plan, iters: usize, columnar: bool) -> Meas
     let start = Instant::now();
     let mut result = None;
     for _ in 0..iters {
-        result = Some(
-            exec.execute(&physical)
-                .expect("benchmark plan must execute"),
-        );
+        let out = exec
+            .execute(&physical)
+            .expect("benchmark plan must execute");
+        // Both modes are timed up to rows: a vectorized result builds them only when read.
+        std::hint::black_box(out.rows().len());
+        result = Some(out);
     }
     let total = start.elapsed();
     let stats = exec.stats();

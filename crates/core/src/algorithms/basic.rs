@@ -3,7 +3,7 @@
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{extract_answers, reformulate, Reformulated};
+use crate::reformulate::{aggregate, reformulate, Reformulated};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, Executor};
@@ -58,8 +58,7 @@ pub(crate) fn evaluate_weighted(
                 let result = exec.run(&plan)?;
 
                 let agg_start = Instant::now();
-                let tuples = extract_answers(&result, &sq.extraction);
-                answer.add_distinct(tuples, *probability);
+                aggregate(&mut answer, [&result], &sq.extraction, *probability);
                 metrics.aggregation_time += agg_start.elapsed();
             }
         }

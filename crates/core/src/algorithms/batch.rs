@@ -25,7 +25,7 @@
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{clustered_reformulations, extract_answers, Extraction};
+use crate::reformulate::{aggregate, clustered_reformulations, Extraction};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::optimize::{fingerprint, optimize};
@@ -396,8 +396,8 @@ pub fn execute_prepared_batch(
         let agg_start = Instant::now();
         let mut answer = ProbabilisticAnswer::new();
         for (root, probability, extraction) in &query.roots {
-            let result = &run.root_results[*root];
-            answer.add_distinct(extract_answers(result, extraction), *probability);
+            let result = &*run.root_results[*root];
+            aggregate(&mut answer, [result], extraction, *probability);
         }
         if query.empty_probability > 0.0 {
             answer.add_empty(query.empty_probability);

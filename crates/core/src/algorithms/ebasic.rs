@@ -4,7 +4,7 @@
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{clustered_reformulations, extract_answers};
+use crate::reformulate::{aggregate, clustered_reformulations};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, Executor};
@@ -40,7 +40,7 @@ pub fn evaluate(
         let result = exec.run(&plan)?;
 
         let agg_start = Instant::now();
-        answer.add_distinct(extract_answers(&result, &sq.extraction), probability);
+        aggregate(&mut answer, [&result], &sq.extraction, probability);
         metrics.aggregation_time += agg_start.elapsed();
     }
     if empty_probability > 0.0 {

@@ -4,7 +4,7 @@
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{clustered_reformulations, extract_answers};
+use crate::reformulate::{aggregate, clustered_reformulations};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, DagScheduler, Executor};
@@ -51,7 +51,7 @@ pub fn evaluate(
 
     let agg_start = Instant::now();
     for ((sq, probability), result) in ordered.iter().zip(results.iter()) {
-        answer.add_distinct(extract_answers(result, &sq.extraction), *probability);
+        aggregate(&mut answer, [&**result], &sq.extraction, *probability);
     }
     if empty_probability > 0.0 {
         answer.add_empty(empty_probability);

@@ -14,7 +14,7 @@ use crate::eunit::{Component, EUnit};
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::partition::{partition_by_attrs, partition_mappings, representatives};
 use crate::query::{QueryOutput, TargetOp, TargetPredicate, TargetQuery};
-use crate::reformulate::{extract_answers, scan_alias, source_column_for, Extraction};
+use crate::reformulate::{aggregate, scan_alias, source_column_for, Extraction};
 use crate::strategy::{select_operator, Strategy};
 use crate::{CoreError, CoreResult};
 use std::collections::BTreeSet;
@@ -29,9 +29,9 @@ use urm_storage::{AttrRef, Catalog, Relation, Schema, Tuple};
 /// The exact evaluation accumulates every leaf; the top-k algorithm maintains probability
 /// bounds and can ask the traversal to stop early by returning `true`.
 pub(crate) trait LeafSink {
-    /// Called with the (already extracted) answer tuples of a completed e-unit and the total
-    /// probability of its mappings.  Returns `true` to stop the traversal.
-    fn on_answers(&mut self, tuples: Vec<Tuple>, probability: f64) -> bool;
+    /// Called with the result of a completed e-unit, how its answer tuples are read out of it,
+    /// and the total probability of its mappings.  Returns `true` to stop the traversal.
+    fn on_answers(&mut self, result: &Relation, extraction: &Extraction, probability: f64) -> bool;
     /// Called when an e-unit can produce no answer tuples (empty intermediate result or an
     /// unmapped attribute).  Returns `true` to stop the traversal.
     fn on_empty(&mut self, probability: f64) -> bool;
@@ -43,8 +43,8 @@ pub(crate) struct ExactSink {
 }
 
 impl LeafSink for ExactSink {
-    fn on_answers(&mut self, tuples: Vec<Tuple>, probability: f64) -> bool {
-        self.answer.add_distinct(tuples, probability);
+    fn on_answers(&mut self, result: &Relation, extraction: &Extraction, probability: f64) -> bool {
+        aggregate(&mut self.answer, [result], extraction, probability);
         false
     }
     fn on_empty(&mut self, probability: f64) -> bool {
@@ -56,7 +56,7 @@ impl LeafSink for ExactSink {
 /// Outcome of executing one operator for one mapping partition.
 enum ChildOutcome {
     Child(EUnit),
-    Answers(Vec<Tuple>),
+    Answers(Arc<Relation>, Extraction),
     Empty,
 }
 
@@ -193,8 +193,8 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                         return Ok(true);
                     }
                 }
-                ChildOutcome::Answers(tuples) => {
-                    if self.sink.on_answers(tuples, probability) {
+                ChildOutcome::Answers(result, extraction) => {
+                    if self.sink.on_answers(&result, &extraction, probability) {
                         return Ok(true);
                     }
                 }
@@ -408,7 +408,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                     &Plan::values_shared(data).aggregate(AggFunc::Count),
                     &mut self.exec,
                 )?;
-                Ok(ChildOutcome::Answers(agg.rows().to_vec()))
+                Ok(ChildOutcome::Answers(agg, Extraction::Raw))
             }
             QueryOutput::Sum(attr) => {
                 let Some(col) = source_column_for(self.query, mapping, attr)? else {
@@ -427,7 +427,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                     &Plan::values_shared(data).aggregate(AggFunc::Sum(col)),
                     &mut self.exec,
                 )?;
-                Ok(ChildOutcome::Answers(agg.rows().to_vec()))
+                Ok(ChildOutcome::Answers(agg, Extraction::Raw))
             }
             QueryOutput::Tuples(attrs) => {
                 let mut cols: Vec<Option<String>> = Vec::with_capacity(attrs.len());
@@ -460,8 +460,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                 let projected = self
                     .dag
                     .run_shared(&Plan::values_shared(data).project(project), &mut self.exec)?;
-                let tuples = extract_answers(&projected, &Extraction::Columns(cols));
-                Ok(ChildOutcome::Answers(tuples))
+                Ok(ChildOutcome::Answers(projected, Extraction::Columns(cols)))
             }
         }
     }

@@ -15,7 +15,7 @@ use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::partition::{partition_mappings, representatives};
 use crate::query::TargetQuery;
-use crate::reformulate::{extract_answers, reformulate, Reformulated};
+use crate::reformulate::{aggregate, reformulate, Reformulated};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, DagExecutor, Executor};
@@ -65,8 +65,7 @@ pub fn evaluate(
                 exec.stats_mut().record_source_query();
 
                 let agg_start = Instant::now();
-                let tuples = extract_answers(&result, &sq.extraction);
-                answer.add_distinct(tuples, *probability);
+                aggregate(&mut answer, [&*result], &sq.extraction, *probability);
                 metrics.aggregation_time += agg_start.elapsed();
             }
         }

@@ -21,7 +21,7 @@
 //! own prepared batch through its own executor and spill pool).  The gather phase feeds each
 //! root's reassembled tuple set through the *same* probability aggregation as
 //! [`batch`](crate::algorithms::batch) — roots in the same clustered order, one
-//! `add_distinct` per root — so sharded answers are **byte-identical** to the single-node
+//! [`aggregate`] call per root — so sharded answers are **byte-identical** to the single-node
 //! service in canonical [`ProbabilisticAnswer::sorted`] order (property-tested for shard
 //! counts 1–4, with and without per-shard memory budgets).
 
@@ -29,7 +29,7 @@ use crate::algorithms::batch::{BatchEvaluation, BatchOptions};
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{clustered_reformulations, extract_answers, Extraction};
+use crate::reformulate::{aggregate, clustered_reformulations, Extraction};
 use crate::CoreResult;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -427,7 +427,7 @@ pub fn evaluate_batch_sharded(
     }
 
     // Gather phase: reassemble each root's tuple set and aggregate exactly as the unsharded
-    // batch does — same clustered root order, one `add_distinct` per root, empty mass last —
+    // batch does — same clustered root order, one `aggregate` per root, empty mass last —
     // so the per-tuple probability sums accumulate in the same order, bit for bit.
     let merge_start = Instant::now();
     let gather_span = options.tracer.span("gather");
@@ -438,15 +438,17 @@ pub fn evaluate_batch_sharded(
         for (route, probability, extraction) in &query.roots {
             match &routes[*route] {
                 RootRoute::Scatter { indices } => {
-                    let mut tuples = Vec::new();
-                    for (shard, index) in shards_done.iter().zip(indices) {
-                        tuples.extend(extract_answers(&shard.results[*index], extraction));
-                    }
-                    answer.add_distinct(tuples, *probability);
+                    // Each shard's slice is de-duplicated on its own; the slices' distinct
+                    // tuples are all that is concatenated.
+                    let slices = shards_done
+                        .iter()
+                        .zip(indices)
+                        .map(|(shard, index)| &*shard.results[*index]);
+                    aggregate(&mut answer, slices, extraction, *probability);
                 }
                 RootRoute::Single { shard, index } => {
-                    let tuples = extract_answers(&shards_done[*shard].results[*index], extraction);
-                    answer.add_distinct(tuples, *probability);
+                    let result = &*shards_done[*shard].results[*index];
+                    aggregate(&mut answer, [result], extraction, *probability);
                 }
             }
         }

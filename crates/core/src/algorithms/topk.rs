@@ -11,12 +11,13 @@ use crate::algorithms::osharing::{LeafSink, UTraceRunner};
 use crate::metrics::EvalMetrics;
 use crate::partition::{partition_mappings, representatives};
 use crate::query::TargetQuery;
+use crate::reformulate::{extract_answers, Extraction};
 use crate::strategy::Strategy;
 use crate::{CoreError, CoreResult};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 use urm_matching::MappingSet;
-use urm_storage::{Catalog, Tuple};
+use urm_storage::{Catalog, Relation, Tuple};
 
 /// One candidate answer of a top-k query, with its probability bounds.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,9 +97,8 @@ impl TopKSink {
 }
 
 impl LeafSink for TopKSink {
-    fn on_answers(&mut self, tuples: Vec<Tuple>, probability: f64) -> bool {
-        let distinct: HashSet<Tuple> = tuples.into_iter().collect();
-        for tuple in distinct {
+    fn on_answers(&mut self, result: &Relation, extraction: &Extraction, probability: f64) -> bool {
+        for tuple in extract_answers(result, extraction) {
             if let Some(entry) = self.candidates.get_mut(&tuple) {
                 entry.0 += probability;
             } else if self.ub_global > self.lb_global {

@@ -1,6 +1,7 @@
 //! Probabilistic query answers.
 
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use urm_storage::Tuple;
@@ -10,10 +11,20 @@ use urm_storage::Tuple;
 /// (Section III-B, the `aggregate` step).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ProbabilisticAnswer {
-    entries: HashMap<Tuple, f64>,
+    entries: HashMap<Tuple, Mass>,
+    /// Number of [`add_distinct`](ProbabilisticAnswer::add_distinct) calls so far: the stamp
+    /// the current call leaves on every tuple it has already counted.
+    distinct_calls: u64,
     /// Probability mass of mappings whose source query returned no tuples (the paper's null
     /// tuple `θ`).  Kept for diagnostics; not part of the reported answers.
     empty_probability: f64,
+}
+
+/// A tuple's probability mass, and the last `add_distinct` call that added to it.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct Mass {
+    probability: f64,
+    stamp: u64,
 }
 
 impl ProbabilisticAnswer {
@@ -28,7 +39,7 @@ impl ProbabilisticAnswer {
         if probability <= 0.0 {
             return;
         }
-        *self.entries.entry(tuple).or_insert(0.0) += probability;
+        self.entries.entry(tuple).or_default().probability += probability;
     }
 
     /// Adds every tuple of an iterator with the same probability.
@@ -43,12 +54,26 @@ impl ProbabilisticAnswer {
     /// Within a single mapping a tuple is either in the answer or not — producing it twice does
     /// not make it more likely — so duplicates inside one result contribute the mapping's
     /// probability only once (this mirrors the "remove duplicate tuples" step of the paper's
-    /// Algorithm 4).
+    /// Algorithm 4).  One hash probe per tuple: a tuple this call has already counted carries
+    /// the call's stamp.
     pub fn add_distinct<I: IntoIterator<Item = Tuple>>(&mut self, tuples: I, probability: f64) {
-        let mut seen = std::collections::HashSet::new();
-        for t in tuples {
-            if seen.insert(t.clone()) {
-                self.add(t, probability);
+        if probability <= 0.0 {
+            return;
+        }
+        self.distinct_calls += 1;
+        let stamp = self.distinct_calls;
+        for tuple in tuples {
+            match self.entries.entry(tuple) {
+                Entry::Occupied(mut seen) => {
+                    let mass = seen.get_mut();
+                    if mass.stamp != stamp {
+                        mass.probability += probability;
+                        mass.stamp = stamp;
+                    }
+                }
+                Entry::Vacant(new) => {
+                    new.insert(Mass { probability, stamp });
+                }
             }
         }
     }
@@ -60,8 +85,8 @@ impl ProbabilisticAnswer {
 
     /// Merges another answer into this one.
     pub fn merge(&mut self, other: &ProbabilisticAnswer) {
-        for (t, p) in &other.entries {
-            self.add(t.clone(), *p);
+        for (t, p) in other.iter() {
+            self.add(t.clone(), p);
         }
         self.empty_probability += other.empty_probability;
     }
@@ -69,7 +94,7 @@ impl ProbabilisticAnswer {
     /// The probability of a specific tuple (0 if absent).
     #[must_use]
     pub fn probability_of(&self, tuple: &Tuple) -> f64 {
-        self.entries.get(tuple).copied().unwrap_or(0.0)
+        self.entries.get(tuple).map_or(0.0, |m| m.probability)
     }
 
     /// Probability mass that produced no answer tuples.
@@ -94,7 +119,7 @@ impl ProbabilisticAnswer {
     /// is deterministic).
     #[must_use]
     pub fn sorted(&self) -> Vec<(Tuple, f64)> {
-        let mut v: Vec<(Tuple, f64)> = self.entries.iter().map(|(t, p)| (t.clone(), *p)).collect();
+        let mut v: Vec<(Tuple, f64)> = self.iter().map(|(t, p)| (t.clone(), p)).collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
     }
@@ -109,20 +134,20 @@ impl ProbabilisticAnswer {
 
     /// Iterates over `(tuple, probability)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, f64)> {
-        self.entries.iter().map(|(t, p)| (t, *p))
+        self.entries.iter().map(|(t, m)| (t, m.probability))
     }
 
     /// The maximum probability of any answer tuple.
     #[must_use]
     pub fn max_probability(&self) -> f64 {
-        self.entries.values().copied().fold(0.0, f64::max)
+        self.iter().map(|(_, p)| p).fold(0.0, f64::max)
     }
 
     /// Total probability mass assigned to answers (can exceed 1: a single mapping may produce
     /// many tuples, each inheriting the full mapping probability).
     #[must_use]
     pub fn total_mass(&self) -> f64 {
-        self.entries.values().sum()
+        self.iter().map(|(_, p)| p).sum()
     }
 
     /// Checks equality with another answer up to a probability tolerance; used by the tests
@@ -132,12 +157,11 @@ impl ProbabilisticAnswer {
         if self.entries.len() != other.entries.len() {
             return false;
         }
-        self.entries.iter().all(|(t, p)| {
+        self.iter().all(|(t, p)| {
             other
                 .entries
                 .get(t)
-                .map(|q| (p - q).abs() <= tolerance)
-                .unwrap_or(false)
+                .is_some_and(|q| (p - q.probability).abs() <= tolerance)
         })
     }
 }
@@ -175,6 +199,22 @@ mod tests {
         assert!((ans.probability_of(&t("123")) - 0.5).abs() < 1e-9);
         assert!((ans.probability_of(&t("456")) - 0.8).abs() < 1e-9);
         assert!((ans.probability_of(&t("789")) - 0.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn add_distinct_counts_each_calls_mass_once_per_call() {
+        let mut ans = ProbabilisticAnswer::new();
+        ans.add_distinct([t("a"), t("b"), t("a"), t("a")], 0.3);
+        ans.add_distinct([t("b"), t("c"), t("b")], 0.2);
+        ans.add_distinct([t("a"), t("a")], 0.0);
+        assert_eq!(ans.len(), 3);
+        assert_eq!(ans.probability_of(&t("a")), 0.3);
+        assert_eq!(ans.probability_of(&t("b")), 0.3 + 0.2);
+        assert_eq!(ans.probability_of(&t("c")), 0.2);
+        // Plain `add` is outside any call: the next call still counts the tuple once.
+        ans.add(t("c"), 0.1);
+        ans.add_distinct([t("c"), t("c")], 0.4);
+        assert_eq!(ans.probability_of(&t("c")), 0.2 + 0.1 + 0.4);
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! product); and the output clause determines how answer tuples are extracted so that answers
 //! produced under *different* mappings can be compared and aggregated.
 
+use crate::answer::ProbabilisticAnswer;
 use crate::query::{QueryOutput, TargetPredicate, TargetQuery};
 use crate::{CoreError, CoreResult};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use urm_engine::{AggFunc, Plan, Predicate};
 use urm_matching::Mapping;
 use urm_storage::{AttrRef, Catalog, Relation, Tuple, Value};
@@ -227,32 +230,114 @@ pub fn reformulate(
     Ok(Reformulated::Query(SourceQuery { plan, extraction }))
 }
 
-/// Extracts answer tuples from the materialised result of a source query.
+/// The *distinct* answer tuples of one source-query result, in order of first occurrence.
+///
+/// Within one mapping a tuple is either an answer or not, so the aggregate step needs each
+/// answer once (Algorithm 4's "remove duplicate tuples").  A late-materialized result decides
+/// distinctness on its column codes ([`ColumnView::distinct_rows`](urm_storage::ColumnView))
+/// and builds a [`Tuple`] per distinct row only; a row relation hashes the projected values
+/// where they lie.  The result itself is never changed — it stays the bag the engine caches.
 #[must_use]
 pub fn extract_answers(result: &Relation, extraction: &Extraction) -> Vec<Tuple> {
-    match extraction {
-        Extraction::Raw => result.rows().to_vec(),
-        Extraction::Columns(columns) => {
-            let positions: Vec<Option<usize>> = columns
+    let schema = result.schema();
+    let positions: Vec<Option<usize>> = match extraction {
+        Extraction::Raw => (0..schema.arity()).map(Some).collect(),
+        Extraction::Columns(columns) => columns
+            .iter()
+            .map(|column| {
+                // `None` is an output attribute the mapping does not cover: legitimately NULL.
+                // A *named* column is one reformulation projected, so the result must have it.
+                let name = column.as_ref()?;
+                let position = schema.position(name);
+                debug_assert!(
+                    position.is_some(),
+                    "extraction column {name} is missing from the result schema {schema}"
+                );
+                position
+            })
+            .collect(),
+    };
+    let covered: Vec<usize> = positions.iter().flatten().copied().collect();
+    match result.view() {
+        Some(view) => {
+            let columns: Vec<_> = positions
                 .iter()
-                .map(|c| c.as_ref().and_then(|name| result.schema().position(name)))
+                .map(|p| p.and_then(|pos| view.column(pos)))
                 .collect();
+            view.distinct_rows(&covered)
+                .into_iter()
+                .map(|row| {
+                    columns
+                        .iter()
+                        .map(|c| c.map_or(Value::Null, |c| c.column.value_at(c.slot(row as usize))))
+                        .collect()
+                })
+                .collect()
+        }
+        None => {
+            let mut seen = HashSet::new();
             result
                 .iter()
+                .filter(|row| {
+                    seen.insert(ProjectedRow {
+                        row,
+                        positions: &covered,
+                    })
+                })
                 .map(|row| {
-                    Tuple::new(
-                        positions
-                            .iter()
-                            .map(|p| match p {
-                                Some(i) => row.get(*i).cloned().unwrap_or(Value::Null),
-                                None => Value::Null,
-                            })
-                            .collect(),
-                    )
+                    positions
+                        .iter()
+                        .map(|p| p.and_then(|i| row.get(i)).cloned().unwrap_or(Value::Null))
+                        .collect()
                 })
                 .collect()
         }
     }
+}
+
+/// A row seen through a position list: equal and hashed by the projected values, borrowed.
+struct ProjectedRow<'a> {
+    row: &'a Tuple,
+    positions: &'a [usize],
+}
+
+impl ProjectedRow<'_> {
+    fn values(&self) -> impl Iterator<Item = &Value> {
+        static NULL: Value = Value::Null;
+        self.positions
+            .iter()
+            .map(|&i| self.row.get(i).unwrap_or(&NULL))
+    }
+}
+
+impl PartialEq for ProjectedRow<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for ProjectedRow<'_> {}
+
+impl Hash for ProjectedRow<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().for_each(|v| v.hash(state));
+    }
+}
+
+/// The `aggregate` step for one source query (Section III-B): every distinct answer tuple of
+/// its result gains the query's probability once.  `slices` are the parts of that one result
+/// — a single relation, or one per shard for a scattered root; a tuple several slices produce
+/// still counts once.  Every algorithm aggregates through here, so they cannot drift apart.
+pub fn aggregate<'r>(
+    answer: &mut ProbabilisticAnswer,
+    slices: impl IntoIterator<Item = &'r Relation>,
+    extraction: &Extraction,
+    probability: f64,
+) {
+    let tuples = slices
+        .into_iter()
+        .flat_map(|slice| extract_answers(slice, extraction));
+    answer.add_distinct(tuples, probability);
 }
 
 #[cfg(test)]
@@ -347,6 +432,46 @@ mod tests {
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].get(0), Some(&Value::from("aaa")));
         assert_eq!(answers[0].get(1), Some(&Value::Null));
+    }
+
+    fn customers() -> Relation {
+        Executor::new(&testkit::figure2_catalog())
+            .run(&Plan::scan("Customer").project(vec![
+                "Customer.oaddr".to_string(),
+                "Customer.cname".to_string(),
+            ]))
+            .unwrap()
+    }
+
+    #[test]
+    fn answers_are_distinct_and_uncovered_columns_are_null() {
+        let result = customers();
+        assert!(result.view().is_some(), "a projection is late-materialized");
+        let rows = Relation::from_validated(result.schema().clone(), result.rows().to_vec());
+        let extraction = Extraction::Columns(vec![
+            Some("Customer.oaddr".to_string()),
+            None,
+            Some("Customer.oaddr".to_string()),
+        ]);
+        let answers = extract_answers(&result, &extraction);
+        assert_eq!(answers, extract_answers(&rows, &extraction));
+        // Alice and Cindy share an office address: three rows, two answers, first seen first.
+        let answer = |addr: &str| Tuple::new(vec![addr.into(), Value::Null, addr.into()]);
+        assert_eq!(answers, vec![answer("aaa"), answer("bbb")]);
+        // `Raw` reads whole rows, and is distinct over them.
+        let twice: Vec<Tuple> = rows.iter().chain(rows.iter()).cloned().collect();
+        let twice = Relation::from_validated(rows.schema().clone(), twice);
+        assert_eq!(extract_answers(&twice, &Extraction::Raw), rows.rows());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "missing from the result schema")]
+    fn a_named_extraction_column_must_be_in_the_result() {
+        // "The mapping does not cover it" is spelled `None`; a name the result lacks is a bug
+        // in whoever built the plan, and must not read as NULL answers.
+        let extraction = Extraction::Columns(vec![Some("Customer.ophone".to_string())]);
+        let _ = extract_answers(&customers(), &extraction);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   (PhysicalPlan trees)          nodes deduplicated              every distinct node
 //!                                 by fingerprint;                 executed exactly once;
 //!                                 edges carry Arc<Relation>       fan-out is an Arc clone;
-//!                                 (late-materialized views)       rows are built at roots
+//!                                 (late-materialized views)       roots included
 //! ```
 //!
 //! * [`OperatorDag`] — the IR.  Nodes are bound physical operators, deduplicated by
@@ -26,7 +26,8 @@
 //!   as a shared `Arc<Relation>` — results are byte-identical regardless of mode or worker
 //!   count because every operator is a pure function of its children's batches.  What flows
 //!   along an interior edge is a late-materialized view (index vectors over base columns, see
-//!   [`Relation::view`]); the scheduler builds rows only for the roots it hands back.
+//!   [`Relation::view`]), and a root is handed back the same way: whoever reads its rows
+//!   builds them, and answer extraction reads its column codes instead.
 //! * [`DagExecutor`] — an incremental front-end for callers that discover operators one at a
 //!   time (the o-sharing u-trace, q-sharing's representative queries): each submitted plan is
 //!   merged into a growing DAG and only the nodes never executed before run.
@@ -345,14 +346,12 @@ impl OperatorDag {
     /// Executes one node through the driving executor, applying the node's feedback hint and —
     /// when a recorder is attached — timing the execution and recording the observed output.
     /// All scheduler paths (sequential, parallel workers, recursive resolve) funnel through
-    /// here so feedback sees every execution exactly once.  A `root`'s result is about to be
-    /// handed to the caller, so its rows are built here, on the worker that produced it.
+    /// here so feedback sees every execution exactly once.
     fn run_node(
         &self,
         node: usize,
         exec: &mut Executor<'_>,
         children: &[Arc<Relation>],
-        root: bool,
     ) -> EngineResult<Arc<Relation>> {
         let n = &self.nodes[node];
         let hint = self.hints.get(&node).copied();
@@ -364,9 +363,6 @@ impl OperatorDag {
         span.tag("shared_by", n.consumers.len().max(1) as u64);
         let started = Instant::now();
         let out = exec.execute_node_hinted(&n.plan, children, hint)?;
-        if root {
-            exec.materialize_root(&out);
-        }
         if let Some(store) = &self.recorder {
             store.record(
                 n.fingerprint,
@@ -416,7 +412,7 @@ impl OperatorDag {
         for &child in &self.nodes[node].children {
             children.push(self.resolve_node(child, exec, cache, memo)?);
         }
-        let result = self.run_node(node, exec, &children, false)?;
+        let result = self.run_node(node, exec, &children)?;
         cache.publish(self.nodes[node].fingerprint, &result);
         memo.insert(node, Arc::clone(&result));
         Ok(result)
@@ -454,7 +450,8 @@ pub struct DagRunReport {
 /// The outcome of executing a DAG: one result per registered root, plus accounting.
 #[derive(Debug)]
 pub struct DagRun {
-    /// Root results, in [`OperatorDag::add_root`] order, rows built.  Duplicate roots alias
+    /// Root results, in [`OperatorDag::add_root`] order, as their nodes produced them: a
+    /// late-materialized root builds rows only if someone reads them.  Duplicate roots alias
     /// one `Arc`.
     pub root_results: Vec<Arc<Relation>>,
     /// Work accounting.
@@ -557,11 +554,6 @@ impl DagScheduler {
             .iter()
             .map(|&r| Arc::clone(results[r].as_ref().expect("root result retained")))
             .collect();
-        // Executed roots built their rows on the worker that ran them; a root answered by the
-        // cache may still be the view an earlier batch only used as an interior node.
-        for root in &root_results {
-            exec.materialize_root(root);
-        }
         Ok(DagRun {
             root_results,
             report: DagRunReport {
@@ -589,7 +581,6 @@ impl DagScheduler {
         // result is dropped as soon as its last consumer has executed (roots are retained for
         // extraction), so peak memory tracks the live frontier, not the whole batch.
         let mut retain = retention(dag, needed, roots);
-        let is_root = root_mask(dag, roots);
         let mut results: Vec<Option<Arc<Relation>>> = vec![None; dag.nodes.len()];
         for (&i, seed) in seeds {
             results[i] = Some(Arc::clone(seed));
@@ -604,7 +595,7 @@ impl DagScheduler {
                 .iter()
                 .map(|&c| Arc::clone(results[c].as_ref().expect("child resolved")))
                 .collect();
-            let out = dag.run_node(i, exec, &children, is_root[i])?;
+            let out = dag.run_node(i, exec, &children)?;
             if publish {
                 cache.publish(node.fingerprint, &out);
             }
@@ -746,15 +737,6 @@ fn retention(dag: &OperatorDag, needed: &[bool], roots: &[usize]) -> Vec<usize> 
     retain
 }
 
-/// Which nodes are roots of the run (their results leave the scheduler as rows).
-fn root_mask(dag: &OperatorDag, roots: &[usize]) -> Vec<bool> {
-    let mut mask = vec![false; dag.nodes.len()];
-    for &r in roots {
-        mask[r] = true;
-    }
-    mask
-}
-
 /// A ready node in the parallel scheduler's queue, ordered by bind-time cost estimate.
 ///
 /// The queue is a max-heap: the most expensive ready node (a hash join over big captured row
@@ -787,8 +769,6 @@ struct SchedState {
     ready_cv: Condvar,
     /// Which nodes this run executes (immutable; seeded or unreachable nodes are skipped).
     needed: Vec<bool>,
-    /// Which nodes are roots of the run (immutable).
-    is_root: Vec<bool>,
 }
 
 struct SchedInner {
@@ -866,7 +846,6 @@ impl SchedState {
             }),
             ready_cv: Condvar::new(),
             needed: needed.to_vec(),
-            is_root: root_mask(dag, roots),
         }
     }
 
@@ -893,7 +872,7 @@ impl SchedState {
                 .collect();
             drop(guard);
 
-            let outcome = dag.run_node(node, exec, &children, self.is_root[node]);
+            let outcome = dag.run_node(node, exec, &children);
 
             guard = self.state.lock().unwrap();
             guard.in_flight -= 1;

@@ -9,9 +9,9 @@
 //! * cached sub-plan results flow into downstream operators without re-materialisation;
 //! * operators over converted inputs run as [`vectorized`] kernels and emit
 //!   *late-materialized* relations — index vectors over the shared base columns
-//!   ([`ColumnView`]) — so an interior operator never builds a tuple; rows are built once,
-//!   for the root of whatever is being evaluated, or where a result has to leave memory under
-//!   a byte budget (the inputs of a grace join, a result admitted to the spill pool);
+//!   ([`ColumnView`]) — so no operator builds a tuple; rows are built once, by whoever reads
+//!   a result's rows, or where a result has to leave memory under a byte budget (the inputs
+//!   of a grace join, a result admitted to the spill pool);
 //! * the row operators remain for inputs that have no columnar form (`columnar: false`,
 //!   ad-hoc `Values` buffers, aggregate outputs, results reloaded from spill segments).
 //!
@@ -141,7 +141,8 @@ impl<'a> Executor<'a> {
         bind(plan, self.catalog)
     }
 
-    /// Runs a plan to completion, returning the materialised result.
+    /// Runs a plan to completion.  The result may be late-materialized (see
+    /// [`Relation::view`]): its rows are built if and when they are read.
     ///
     /// Equivalent to [`bind`](Executor::bind) + [`execute`](Executor::execute); kept as the
     /// one-call entry point for callers that run a plan once.
@@ -170,7 +171,7 @@ impl<'a> Executor<'a> {
     /// Evaluates an already-bound physical plan (does not count a completed source query).
     pub fn execute(&mut self, plan: &PhysicalPlan) -> EngineResult<Arc<Relation>> {
         let start = Instant::now();
-        let result = self.eval_root(plan);
+        let result = self.eval_tree(plan);
         self.stats.exec_time += start.elapsed();
         result
     }
@@ -181,8 +182,7 @@ impl<'a> Executor<'a> {
     /// This is the entry point of the shared-plan cache: it resolves each child through the
     /// cache and hands the shared batches here, so a cache hit flows into its parent operator
     /// without any copy.  `children` must match the node's child count.  The result may be
-    /// late-materialized (see [`Relation::view`]); a caller for whom the node is a *root*
-    /// follows up with [`materialize_root`](Executor::materialize_root).
+    /// late-materialized (see [`Relation::view`]): its rows are built if and when read.
     pub fn execute_node(
         &mut self,
         node: &PhysicalPlan,
@@ -209,15 +209,6 @@ impl<'a> Executor<'a> {
         let result = self.eval_node(node, children, hint);
         self.stats.exec_time += start.elapsed();
         result
-    }
-
-    /// Builds the rows of a result that is about to leave the engine — the one place tuples
-    /// come into existence for a late-materialized relation — charging the time to this
-    /// executor.  A no-op for row relations and for rows already built.
-    pub fn materialize_root(&mut self, result: &Relation) {
-        let start = Instant::now();
-        let _ = result.rows();
-        self.stats.exec_time += start.elapsed();
     }
 
     /// The statistics accumulated so far.
@@ -249,19 +240,12 @@ impl<'a> Executor<'a> {
         let start = Instant::now();
         let result = self
             .bind(plan)
-            .and_then(|physical| self.eval_root(&physical));
+            .and_then(|physical| self.eval_tree(&physical));
         self.stats.exec_time += start.elapsed();
         if count_source_query && result.is_ok() {
             self.stats.record_source_query();
         }
         result
-    }
-
-    /// Evaluates a physical tree whose result leaves the engine: rows are built here, once.
-    fn eval_root(&mut self, plan: &PhysicalPlan) -> EngineResult<Arc<Relation>> {
-        let result = self.eval_tree(plan)?;
-        let _ = result.rows();
-        Ok(result)
     }
 
     /// Bottom-up evaluation of a physical tree.
@@ -1169,7 +1153,7 @@ mod tests {
     }
 
     #[test]
-    fn interior_results_are_views_and_roots_are_rows() {
+    fn operator_results_are_views_until_rows_are_read() {
         let cat = join_catalog();
         let plan = Plan::scan("L")
             .hash_join(Plan::scan("R"), vec![("L.lkey".into(), "R.rkey".into())])

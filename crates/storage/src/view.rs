@@ -14,9 +14,12 @@
 //!
 //! So the cost of an interior operator is proportional to `rows × contributing inputs`, not
 //! `rows × columns`, and [`Tuple`]s are built only by [`materialize`](ColumnView::materialize)
-//! — for the (already projected) columns of whoever finally reads rows.
+//! — for the (already projected) columns of whoever finally reads rows.  Answer extraction
+//! does not even do that: [`distinct_rows`](ColumnView::distinct_rows) names the rows that
+//! differ, by their column codes, and only those become tuples.
 
-use crate::{Column, ColumnarRelation, Tuple};
+use crate::{Column, ColumnarRelation, Tuple, Value};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// One contributing input of a [`ColumnView`]: a converted base relation and the index vector
@@ -227,6 +230,83 @@ impl ColumnView {
         )
     }
 
+    /// The logical rows holding the first occurrence of each distinct combination of values in
+    /// the output columns at `positions`, in row order — `DISTINCT` decided on column codes,
+    /// before any [`Tuple`](crate::Tuple) exists.
+    ///
+    /// Each key column contributes one machine word per row that is equal exactly when the
+    /// [`Value`]s are: an `i64`, the bit pattern of an `f64` (so `-0.0`, `0.0` and every NaN
+    /// payload stay apart, as `Value`'s total order keeps them), a bool, a dictionary code
+    /// (the conversions views are built over intern each string once), with nulls folded in;
+    /// a `Mixed` column interns its `Value`s, so cross-variant equality is `Value`'s own.
+    /// Repeated positions count once; with no key column every row is the same row.
+    #[must_use]
+    pub fn distinct_rows(&self, positions: &[usize]) -> Vec<u32> {
+        let mut keyed: Vec<usize> = Vec::with_capacity(positions.len());
+        for &pos in positions {
+            if !keyed.contains(&pos) {
+                keyed.push(pos);
+            }
+        }
+        let columns: Vec<ColumnRef<'_>> = keyed
+            .iter()
+            .map(|&pos| self.column(pos).expect("view column in range"))
+            .collect();
+        let width: usize = columns.iter().map(|c| key_words(c.column)).sum();
+        if self.len == 0 || width == 0 {
+            return Vec::from_iter((self.len > 0).then_some(0));
+        }
+        let rows = self.distinct_slot_rows(&keyed);
+        let mut keys = vec![0u64; rows.len() * width];
+        let mut offset = 0;
+        for column in &columns {
+            write_key_words(column, &rows, &mut keys[offset..], width);
+            offset += key_words(column.column);
+        }
+        let mut seen: HashSet<&[u64]> = HashSet::new();
+        rows.iter()
+            .zip(keys.chunks_exact(width))
+            .filter(|(_, key)| seen.insert(key))
+            .map(|(&row, _)| row)
+            .collect()
+    }
+
+    /// The logical rows that differ from every earlier row in the *slots* the columns at
+    /// `keyed` read.  Equal slots hold equal values, so these are the only rows
+    /// [`distinct_rows`](ColumnView::distinct_rows) has to compare by value — and a join or
+    /// product over small inputs repeats few slot combinations many times.  The combinations
+    /// are numbered in mixed radix over the bases' sizes and ticked off in a bitmap, while
+    /// that stays within a few bits per row; past it, every row is handed back.
+    fn distinct_slot_rows(&self, keyed: &[usize]) -> Vec<u32> {
+        let mut groups: Vec<&ViewGroup> = Vec::new();
+        for &pos in keyed {
+            let group = &self.groups[self.cols[pos].0 as usize];
+            if !groups.iter().any(|g| std::ptr::eq(*g, group)) {
+                groups.push(group);
+            }
+        }
+        let all = 0..self.len as u32;
+        let combinations = groups
+            .iter()
+            .try_fold(1usize, |n, g| n.checked_mul(g.base.len()))
+            .filter(|&n| n <= self.len.saturating_mul(64));
+        let Some(combinations) = combinations else {
+            return all.collect();
+        };
+        let mut seen = vec![0u64; combinations.div_ceil(64)];
+        all.filter(|&row| {
+            let combination = groups.iter().fold(0usize, |n, g| {
+                let slot = g.sel.as_ref().map_or(row, |sel| sel[row as usize]);
+                n * g.base.len() + slot as usize
+            });
+            let (word, bit) = (combination / 64, 1u64 << (combination % 64));
+            let fresh = seen[word] & bit == 0;
+            seen[word] |= bit;
+            fresh
+        })
+        .collect()
+    }
+
     /// Bytes the view itself holds: its index vectors and column list.  The base columns
     /// belong to the catalog's conversions and are not counted.
     #[must_use]
@@ -237,6 +317,56 @@ impl ColumnView {
             .map(|g| g.sel.as_ref().map_or(0, |s| s.len() * 4))
             .sum();
         indices + self.cols.len() * 8
+    }
+}
+
+/// Words a column contributes to a [`distinct_rows`](ColumnView::distinct_rows) key: one, or
+/// two for a nullable `i64`/`f64` column, whose values leave no spare pattern for NULL — a
+/// validity flag goes ahead of the value.
+fn key_words(column: &Column) -> usize {
+    match column {
+        Column::Int { nulls: Some(_), .. } | Column::Float { nulls: Some(_), .. } => 2,
+        _ => 1,
+    }
+}
+
+/// Writes one column's key words for the logical rows in `rows`: the `i`-th row's go to
+/// `out[i * stride..]`.
+fn write_key_words(col: &ColumnRef<'_>, rows: &[u32], out: &mut [u64], stride: usize) {
+    /// `word(slot)` for every row, `stride` apart; a null slot's word is 0.
+    fn fill(
+        col: &ColumnRef<'_>,
+        rows: &[u32],
+        out: &mut [u64],
+        stride: usize,
+        mut word: impl FnMut(usize) -> u64,
+    ) {
+        for (cell, &row) in out.iter_mut().step_by(stride).zip(rows) {
+            let slot = col.slot(row as usize);
+            *cell = if col.column.is_null(slot) {
+                0
+            } else {
+                word(slot)
+            };
+        }
+    }
+    let flag = key_words(col.column) - 1;
+    if flag == 1 {
+        fill(col, rows, out, stride, |_| 1);
+    }
+    let out = &mut out[flag..];
+    match col.column {
+        Column::Int { values, .. } => fill(col, rows, out, stride, |s| values[s] as u64),
+        Column::Float { values, .. } => fill(col, rows, out, stride, |s| values[s].to_bits()),
+        Column::Bool { values, .. } => fill(col, rows, out, stride, |s| 1 + u64::from(values[s])),
+        Column::Text { codes, .. } => fill(col, rows, out, stride, |s| 1 + u64::from(codes[s])),
+        Column::Mixed(values) => {
+            let mut ids: HashMap<&Value, u64> = HashMap::new();
+            fill(col, rows, out, stride, |s| {
+                let next = 1 + ids.len() as u64;
+                *ids.entry(&values[s]).or_insert(next)
+            });
+        }
     }
 }
 
@@ -337,6 +467,79 @@ mod tests {
         let reordered = joined.project(&[2, 0]);
         assert_eq!(reordered.group_count(), 2);
         assert_eq!(ints(&reordered.materialize()), vec![vec![Some(3), Some(1)]]);
+    }
+
+    #[test]
+    fn distinct_rows_compare_codes_exactly_as_values_compare() {
+        let nan = f64::NAN;
+        let (conv, rel) = base(
+            "T",
+            vec![
+                vec![Value::from(1i64), Value::Float(0.0), Value::from("a")],
+                vec![Value::Null, Value::Float(-0.0), Value::from("a")],
+                vec![Value::from(0i64), Value::Float(nan), Value::Null],
+                vec![Value::from(1i64), Value::Float(0.0), Value::from("a")],
+                vec![Value::Null, Value::Float(-0.0), Value::from("b")],
+                vec![Value::from(0i64), Value::Float(-nan), Value::Null],
+                vec![Value::from(0i64), Value::Float(nan), Value::Null],
+            ],
+        );
+        let view = ColumnView::from_base(conv);
+        // NULL is not 0, -0.0 is not 0.0, the two NaNs differ in their sign bit.
+        assert_eq!(view.distinct_rows(&[0, 1, 2]), vec![0, 1, 2, 4, 5]);
+        assert_eq!(view.distinct_rows(&[0]), vec![0, 1, 2]);
+        assert_eq!(view.distinct_rows(&[1]), vec![0, 1, 2, 5]);
+        assert_eq!(view.distinct_rows(&[2, 2]), vec![0, 2, 4]);
+        assert_eq!(view.distinct_rows(&[]), vec![0], "no key: one row");
+        // What the codes call distinct is what `Value` equality calls distinct.
+        let mut seen = std::collections::HashSet::new();
+        let by_value: Vec<u32> = (0..rel.len() as u32)
+            .filter(|&r| seen.insert(rel.rows()[r as usize].clone()))
+            .collect();
+        assert_eq!(view.distinct_rows(&[0, 1, 2]), by_value);
+
+        let none = view.select_rows(Vec::new());
+        assert!(none.distinct_rows(&[0, 1]).is_empty());
+        assert!(none.distinct_rows(&[]).is_empty());
+    }
+
+    #[test]
+    fn distinct_rows_follow_value_equality_through_mixed_columns() {
+        // Int 1 and Float 1.0 are one `Value`; the column holding both is `Mixed`.
+        let (conv, _) = base(
+            "T",
+            vec![
+                vec![Value::from(1i64)],
+                vec![Value::from("1")],
+                vec![Value::Float(1.0)],
+                vec![Value::Null],
+                vec![Value::from("1")],
+                vec![Value::Null],
+            ],
+        );
+        assert!(matches!(&**conv.column(0).unwrap(), Column::Mixed(_)));
+        let view = ColumnView::from_base(conv);
+        assert_eq!(view.distinct_rows(&[0]), vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn distinct_rows_skip_repeated_slots_of_a_product() {
+        let (l, _) = base("L", (0..3).map(|i| vec![Value::from(i % 2)]).collect());
+        let (r, _) = base("R", (0..4).map(|i| vec![Value::from(i % 2)]).collect());
+        let (left, right) = (ColumnView::from_base(l), ColumnView::from_base(r));
+        let pairs: Vec<(u32, u32)> = (0..3).flat_map(|l| (0..4).map(move |r| (l, r))).collect();
+        // The product twice over: every slot pair occurs twice, every value pair three times.
+        let (lrows, rrows): (Vec<u32>, Vec<u32>) = pairs.iter().chain(&pairs).copied().unzip();
+        let product = ColumnView::paired(&left, &right, lrows, rrows);
+        assert_eq!(product.distinct_slot_rows(&[0, 1]).len(), 12);
+        assert_eq!(product.distinct_rows(&[0, 1]), vec![0, 1, 4, 5]);
+        assert_eq!(product.distinct_rows(&[1]), vec![0, 1]);
+        // Too many slot combinations for the rows there are: every row is compared by value.
+        let (wide, _) = base("W", (0..200).map(|i| vec![Value::from(i % 2)]).collect());
+        let wide = ColumnView::from_base(wide);
+        let sparse = ColumnView::paired(&wide, &wide, vec![7, 7, 8], vec![9, 9, 10]);
+        assert_eq!(sparse.distinct_slot_rows(&[0, 1]), vec![0, 1, 2]);
+        assert_eq!(sparse.distinct_rows(&[0, 1]), vec![0, 2]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! The benchmark's `cold_batch` spec list runs (almost) entirely through the vectorized,
 //! late-materializing kernels: of every row the batch's operators produce, at least nine in
-//! ten come out of a columnar kernel — the rest are the base rows the scans hand out.
+//! ten come out of a columnar kernel — the rest are the base rows the scans hand out — and
+//! its answers are aggregated off the roots' views, without building the roots' rows.
 
-use urm::core::{evaluate_batch, BatchOptions};
+use urm::core::reformulate::{reformulate, Extraction, Reformulated};
+use urm::core::{evaluate_batch, evaluate_batch_epoch, BatchOptions, EpochDag};
 use urm::datagen::replay::parse_spec;
+use urm::engine::Executor;
 use urm::prelude::*;
 
 /// `benchmarks/e2e/src/workload.rs`, workload `cold_batch`.
@@ -12,13 +15,13 @@ const COLD_BATCH_SPECS: &[&str] = &[
     "join:2",
 ];
 
-#[test]
-fn cold_batch_specs_run_columnar() {
+/// The spec list's queries per target schema, each with a generated scenario to run them on.
+fn cold_batch() -> Vec<(Vec<TargetQuery>, Scenario)> {
     let entries: Vec<_> = COLD_BATCH_SPECS
         .iter()
         .map(|spec| parse_spec(spec).expect("benchmark spec parses"))
         .collect();
-    let (mut columnar, mut output) = (0u64, 0u64);
+    let mut batches = Vec::new();
     for target in [
         TargetSchemaKind::Excel,
         TargetSchemaKind::Noris,
@@ -39,6 +42,15 @@ fn cold_batch_specs_run_columnar() {
             seed: 42,
         })
         .expect("scenario generation");
+        batches.push((queries, scenario));
+    }
+    batches
+}
+
+#[test]
+fn cold_batch_specs_run_columnar() {
+    let (mut columnar, mut output) = (0u64, 0u64);
+    for (queries, scenario) in cold_batch() {
         for options in [BatchOptions::sequential(), BatchOptions::parallel(2)] {
             let batch = evaluate_batch(&queries, &scenario.mappings, &scenario.catalog, &options)
                 .expect("batch evaluates");
@@ -51,5 +63,62 @@ fn cold_batch_specs_run_columnar() {
     assert!(
         share >= 0.9,
         "only {share:.3} of the batch's {output} output rows came from columnar kernels"
+    );
+}
+
+/// After a cold batch, no tuple-producing root has built its row buffer — each still weighs
+/// what its view's index vectors weigh — and the answers aggregated off those views are
+/// o-sharing(SEF)'s, to the last bit.
+#[test]
+fn cold_batch_answers_come_off_unbuilt_roots() {
+    let (mut roots, mut root_rows, mut answers) = (0usize, 0usize, 0usize);
+    for (queries, scenario) in cold_batch() {
+        let (mappings, catalog) = (&scenario.mappings, &scenario.catalog);
+        let mut epoch = EpochDag::new();
+        let options = BatchOptions::parallel(2);
+        let batch = evaluate_batch_epoch(&queries, mappings, catalog, &options, &mut epoch)
+            .expect("batch evaluates");
+        for (query, evaluation) in queries.iter().zip(&batch.evaluations) {
+            let oracle = evaluate(query, mappings, catalog, Algorithm::OSharing(Strategy::Sef))
+                .expect("o-sharing evaluates");
+            let (got, want) = (evaluation.answer.sorted(), oracle.answer.sorted());
+            assert_eq!(got.len(), want.len(), "{}: cardinality", query.name());
+            for ((t, p), (u, q)) in got.iter().zip(&want) {
+                assert_eq!(t.to_string(), u.to_string(), "{}: tuples", query.name());
+                assert_eq!(p.to_bits(), q.to_bits(), "{}: {p} vs {q}", query.name());
+            }
+            answers += got.len();
+        }
+
+        // The batch's roots again, now answered by the epoch's pinned results: the very
+        // relations the batch aggregated.
+        let mut exec = Executor::new(catalog);
+        let mut tuple_roots = Vec::new();
+        for query in &queries {
+            for mapping in mappings.iter() {
+                if let Reformulated::Query(sq) = reformulate(query, mapping, catalog).unwrap() {
+                    epoch.submit(&sq.plan, &exec).expect("already bound");
+                    tuple_roots.push(matches!(sq.extraction, Extraction::Columns(_)));
+                }
+            }
+        }
+        let run = epoch.execute_pending(&mut exec, 1).expect("warm run");
+        assert_eq!(run.report.nodes_executed, 0, "the roots are pinned");
+        for (root, _) in run.root_results.iter().zip(tuple_roots).filter(|(_, t)| *t) {
+            let view = root.view().expect("tuple-producing roots are views");
+            assert_eq!(
+                root.estimated_bytes(),
+                view.estimated_bytes(),
+                "a {}-row root built its rows",
+                root.len()
+            );
+            roots += 1;
+            root_rows += root.len();
+        }
+    }
+    assert!(roots > 0 && answers > 0);
+    assert!(
+        root_rows > 4 * answers,
+        "{root_rows} root rows for {answers} answers: nothing to save"
     );
 }
