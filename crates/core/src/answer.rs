@@ -4,12 +4,13 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 use urm_storage::Tuple;
 
 /// The answer of a probabilistic query: a set of `(tuple, probability)` pairs, where duplicate
 /// tuples produced under different mappings have had their probabilities summed
 /// (Section III-B, the `aggregate` step).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Default, Serialize, Deserialize)]
 pub struct ProbabilisticAnswer {
     entries: HashMap<Tuple, Mass>,
     /// Number of [`add_distinct`](ProbabilisticAnswer::add_distinct) calls so far: the stamp
@@ -18,6 +19,32 @@ pub struct ProbabilisticAnswer {
     /// Probability mass of mappings whose source query returned no tuples (the paper's null
     /// tuple `θ`).  Kept for diagnostics; not part of the reported answers.
     empty_probability: f64,
+    /// The rendering [`rendered_with`](ProbabilisticAnswer::rendered_with) memoized: derived
+    /// state, filled at most once per content (every `&mut` method clears it), so it is left
+    /// out of `Clone`, `Debug` and serialization.
+    #[serde(skip)]
+    rendered: OnceLock<Box<str>>,
+}
+
+impl Clone for ProbabilisticAnswer {
+    fn clone(&self) -> Self {
+        ProbabilisticAnswer {
+            entries: self.entries.clone(),
+            distinct_calls: self.distinct_calls,
+            empty_probability: self.empty_probability,
+            rendered: OnceLock::new(),
+        }
+    }
+}
+
+impl fmt::Debug for ProbabilisticAnswer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProbabilisticAnswer")
+            .field("entries", &self.entries)
+            .field("distinct_calls", &self.distinct_calls)
+            .field("empty_probability", &self.empty_probability)
+            .finish()
+    }
 }
 
 /// A tuple's probability mass, and the last `add_distinct` call that added to it.
@@ -39,6 +66,7 @@ impl ProbabilisticAnswer {
         if probability <= 0.0 {
             return;
         }
+        self.rendered.take();
         self.entries.entry(tuple).or_default().probability += probability;
     }
 
@@ -60,6 +88,7 @@ impl ProbabilisticAnswer {
         if probability <= 0.0 {
             return;
         }
+        self.rendered.take();
         self.distinct_calls += 1;
         let stamp = self.distinct_calls;
         for tuple in tuples {
@@ -80,6 +109,7 @@ impl ProbabilisticAnswer {
 
     /// Records that a mapping group with total probability `probability` produced no tuples.
     pub fn add_empty(&mut self, probability: f64) {
+        self.rendered.take();
         self.empty_probability += probability.max(0.0);
     }
 
@@ -88,6 +118,7 @@ impl ProbabilisticAnswer {
         for (t, p) in other.iter() {
             self.add(t.clone(), p);
         }
+        self.rendered.take();
         self.empty_probability += other.empty_probability;
     }
 
@@ -115,21 +146,36 @@ impl ProbabilisticAnswer {
         self.entries.is_empty()
     }
 
-    /// The answers sorted by descending probability (ties broken by tuple order, so the result
-    /// is deterministic).
+    /// The answers by descending probability (ties broken by tuple order, so the result is
+    /// deterministic), borrowed: the one sort [`sorted`](ProbabilisticAnswer::sorted),
+    /// [`top_k`](ProbabilisticAnswer::top_k) and the wire renderer share.
+    #[must_use]
+    pub fn sorted_refs(&self) -> Vec<(&Tuple, f64)> {
+        let mut v: Vec<(&Tuple, f64)> = self.iter().collect();
+        // Tuples are distinct keys, so the order is total and an unstable sort is exact.
+        v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        v
+    }
+
+    /// [`sorted_refs`](ProbabilisticAnswer::sorted_refs), owned.
     #[must_use]
     pub fn sorted(&self) -> Vec<(Tuple, f64)> {
-        let mut v: Vec<(Tuple, f64)> = self.iter().map(|(t, p)| (t.clone(), p)).collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
+        self.top_k(usize::MAX)
     }
 
     /// The `k` most probable answers (exact semantics a top-k query must reproduce).
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<(Tuple, f64)> {
-        let mut v = self.sorted();
-        v.truncate(k);
-        v
+        let sorted = self.sorted_refs().into_iter().take(k);
+        sorted.map(|(t, p)| (t.clone(), p)).collect()
+    }
+
+    /// The answer's rendering, memoized: `render` runs on the first call after construction or
+    /// mutation, and every later call — from any holder of a shared `Arc` of this answer —
+    /// returns the same string.  One slot: every caller must pass the same pure function of
+    /// the answer's content (`urm-server`'s wire renderer is the one user).
+    pub fn rendered_with(&self, render: impl FnOnce(&ProbabilisticAnswer) -> String) -> &str {
+        self.rendered.get_or_init(|| render(self).into_boxed_str())
     }
 
     /// Iterates over `(tuple, probability)` pairs in arbitrary order.
@@ -169,7 +215,7 @@ impl ProbabilisticAnswer {
 impl fmt::Display for ProbabilisticAnswer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{} answer tuple(s):", self.len())?;
-        for (t, p) in self.sorted() {
+        for (t, p) in self.sorted_refs() {
             writeln!(f, "  {t}  (p = {p:.4})")?;
         }
         Ok(())
@@ -230,6 +276,47 @@ mod tests {
         assert_eq!(top2.len(), 2);
         assert_eq!(top2[1].0, t("c"));
         assert_eq!(ans.max_probability(), 0.5);
+    }
+
+    #[test]
+    fn top_k_is_a_prefix_of_sorted() {
+        let mut ans = ProbabilisticAnswer::new();
+        for (s, p) in [("d", 0.2), ("b", 0.5), ("a", 0.5), ("c", 0.2), ("e", 0.9)] {
+            ans.add(t(s), p);
+        }
+        let sorted = ans.sorted();
+        let order: Vec<&Tuple> = sorted.iter().map(|(t, _)| t).collect();
+        assert_eq!(order, [&t("e"), &t("a"), &t("b"), &t("c"), &t("d")]);
+        for k in [0, 1, 2, 3, 5, 6, usize::MAX] {
+            let mut prefix = sorted.clone();
+            prefix.truncate(k);
+            assert_eq!(ans.top_k(k), prefix, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn rendering_is_memoized_until_the_answer_changes() {
+        let render = |a: &ProbabilisticAnswer| format!("{} / {}", a.len(), a.empty_probability());
+        let never = |_: &ProbabilisticAnswer| unreachable!("already rendered");
+        let mut ans = ProbabilisticAnswer::new();
+        ans.add(t("a"), 0.5);
+        assert_eq!(ans.rendered_with(render), "1 / 0");
+        assert_eq!(ans.rendered_with(never), "1 / 0");
+        // A clone is a new answer about to diverge: it starts unrendered.
+        assert_eq!(ans.clone().rendered_with(|_| "fresh".into()), "fresh");
+        assert!(!format!("{ans:?}").contains("1 / 0"));
+
+        ans.add(t("b"), 0.25);
+        assert_eq!(ans.rendered_with(render), "2 / 0");
+        ans.add_distinct([t("c"), t("c")], 0.25);
+        assert_eq!(ans.rendered_with(render), "3 / 0");
+        ans.add_empty(0.5);
+        assert_eq!(ans.rendered_with(render), "3 / 0.5");
+        let mut other = ProbabilisticAnswer::new();
+        other.add(t("d"), 0.1);
+        ans.merge(&other);
+        assert_eq!(ans.rendered_with(render), "4 / 0.5");
+        assert_eq!(ans.rendered_with(never), "4 / 0.5");
     }
 
     #[test]

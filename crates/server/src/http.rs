@@ -5,7 +5,14 @@
 //! a read timeout enforced by the caller via `set_read_timeout`), and write fixed or
 //! **chunked** responses back.  Chunked transfer encoding is what lets `/batch` stream each
 //! answer as soon as its batch resolves instead of buffering the whole response.
+//!
+//! Responses leave through a per-connection [`ResponseWriter`]: head and body (or head, chunk
+//! framing and chunk) are assembled in one buffer that is reused across keep-alive requests
+//! and handed to the socket in **one** write — on a `TCP_NODELAY` socket every write is a
+//! segment and a wake-up of the peer, and a fresh buffer per response is memory the allocator
+//! trims and faults back in.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -20,6 +27,9 @@ pub struct Request {
     pub method: String,
     /// The request target (path + optional query string, verbatim).
     pub path: String,
+    /// Whether the request line said `HTTP/1.0`: such a peer cannot frame a chunked body and
+    /// expects the connection to close after the response.
+    pub http10: bool,
     /// Headers, lowercased names, in arrival order.
     pub headers: Vec<(String, String)>,
     /// The body (empty when no `Content-Length` was sent).
@@ -34,6 +44,17 @@ impl Request {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether the connection must close after this request's response: an HTTP/1.0 peer, or
+    /// a `connection: close` header.
+    #[must_use]
+    pub fn wants_close(&self) -> bool {
+        self.http10
+            || self.header("connection").is_some_and(|v| {
+                v.split(',')
+                    .any(|token| token.trim().eq_ignore_ascii_case("close"))
+            })
     }
 }
 
@@ -129,6 +150,7 @@ pub fn read_request(
     Ok(Request {
         method: method.to_string(),
         path: path.to_string(),
+        http10: version == "HTTP/1.0",
         headers,
         body,
     })
@@ -168,87 +190,278 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a fixed-length JSON response (the common case for errors and small documents).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    body: &str,
-) -> std::io::Result<()> {
-    write_response_typed(stream, status, "application/json", extra_headers, body)
+/// What a response says before its body; the framing headers are the writer's business.
+#[derive(Debug, Clone, Copy)]
+pub struct Head<'a> {
+    /// The status code.
+    pub status: u16,
+    /// The `content-type`.
+    pub content_type: &'a str,
+    /// Extra response headers (e.g. `retry-after`, the `x-trace-id` echo).
+    pub extra: &'a [(&'a str, String)],
 }
 
-/// [`write_response`] with an explicit `content-type` — the Prometheus exposition at
-/// `GET /metrics` is `text/plain`, everything else this server emits is JSON.
-pub fn write_response_typed(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &str,
-) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
-        reason(status),
-        body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// A chunked-transfer-encoding response body: each [`chunk`](ChunkedWriter::chunk) hits the
-/// wire immediately, so `/batch` clients see answers stream in as their batches resolve.
-/// Dropping the writer without [`finish`](ChunkedWriter::finish) leaves the chunk stream
-/// unterminated, which clients correctly treat as a truncated response.
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
-}
-
-impl<'a> ChunkedWriter<'a> {
-    /// Writes the response head and returns the body writer.
-    pub fn start(stream: &'a mut TcpStream, status: u16) -> std::io::Result<Self> {
-        ChunkedWriter::start_with_headers(stream, status, &[])
-    }
-
-    /// [`start`](ChunkedWriter::start) with extra response headers (e.g. the `x-trace-id`
-    /// echo on traced `/query` and `/batch` requests).
-    pub fn start_with_headers(
-        stream: &'a mut TcpStream,
-        status: u16,
-        extra_headers: &[(&str, String)],
-    ) -> std::io::Result<Self> {
-        let mut head = format!(
-            "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\n\
-             transfer-encoding: chunked\r\n",
-            reason(status)
-        );
-        for (name, value) in extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+impl<'a> Head<'a> {
+    /// A JSON response head — everything this server emits but the Prometheus exposition.
+    #[must_use]
+    pub fn json(status: u16, extra: &'a [(&'a str, String)]) -> Self {
+        Head {
+            status,
+            content_type: "application/json",
+            extra,
         }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        Ok(ChunkedWriter { stream })
     }
 
-    /// Writes one chunk (empty chunks are skipped: an empty chunk terminates the stream).
-    pub fn chunk(&mut self, data: &str) -> std::io::Result<()> {
-        if data.is_empty() {
+    /// Appends the head, framed by `content-length` (`Some`) or as chunked (`None`).
+    fn write(&self, out: &mut String, content_length: Option<usize>, close: bool) {
+        let infallible = "writing to a String cannot fail";
+        let (status, content_type) = (self.status, self.content_type);
+        write!(
+            out,
+            "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n",
+            reason(status)
+        )
+        .expect(infallible);
+        match content_length {
+            Some(length) => write!(out, "content-length: {length}\r\n").expect(infallible),
+            None => out.push_str("transfer-encoding: chunked\r\n"),
+        }
+        for (name, value) in self.extra {
+            write!(out, "{name}: {value}\r\n").expect(infallible);
+        }
+        if close {
+            out.push_str("connection: close\r\n");
+        }
+        out.push_str("\r\n");
+    }
+}
+
+/// The response half of one connection.
+///
+/// Owns the buffer every response of the connection is assembled in, so a keep-alive
+/// connection allocates for its largest response once, and each response (or each chunk of a
+/// streamed one) reaches the socket as a single `write_all`.  Generic over the sink so tests
+/// can count the writes.
+pub struct ResponseWriter<W: Write> {
+    stream: W,
+    /// The bytes of the next write: head, framing and body.
+    buf: String,
+    /// Scratch for what must go *in front of* a body whose length is only known once it is
+    /// built: the fixed-length head, a chunk's size line.
+    prefix: String,
+    close: bool,
+}
+
+impl<W: Write> ResponseWriter<W> {
+    /// A writer over `stream` (the write half of the connection).
+    pub fn new(stream: W) -> Self {
+        ResponseWriter {
+            stream,
+            buf: String::new(),
+            prefix: String::new(),
+            close: false,
+        }
+    }
+
+    /// Whether responses announce `connection: close` (the caller then closes after one).
+    pub fn set_close(&mut self, close: bool) {
+        self.close = close;
+    }
+
+    /// Whether the connection is to close after the current response.
+    #[must_use]
+    pub fn closing(&self) -> bool {
+        self.close
+    }
+
+    /// Sends a fixed-length JSON response (errors and small documents).
+    pub fn json(
+        &mut self,
+        status: u16,
+        extra: &[(&str, String)],
+        body: &str,
+    ) -> std::io::Result<()> {
+        self.send(Head::json(status, extra), |out| out.push_str(body))
+    }
+
+    /// Sends a fixed-length response whose body `fill` appends in place: one write.
+    pub fn send(&mut self, head: Head<'_>, fill: impl FnOnce(&mut String)) -> std::io::Result<()> {
+        self.begin(head, false).end(fill)
+    }
+
+    /// Starts a response whose body arrives in parts.  `chunked`: each part is sent as one
+    /// chunk the moment it is built (the head rides with the first, the terminator with the
+    /// last).  Otherwise the parts are gathered and sent fixed-length at
+    /// [`end`](Body::end) — the framing an HTTP/1.0 peer needs.
+    pub fn begin<'a>(&'a mut self, head: Head<'a>, chunked: bool) -> Body<'a, W> {
+        self.buf.clear();
+        if chunked {
+            head.write(&mut self.buf, None, self.close);
+        }
+        Body {
+            writer: self,
+            head,
+            chunked,
+        }
+    }
+
+    /// Puts `prefix` in front of `buf[at..]`.
+    fn prepend(&mut self, at: usize) {
+        self.buf.insert_str(at, &self.prefix);
+        self.prefix.clear();
+    }
+
+    fn flush_buf(&mut self) -> std::io::Result<()> {
+        self.stream.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
+        self.stream.flush()
+    }
+}
+
+/// A response body under construction (see [`ResponseWriter::begin`]).  Dropping a chunked
+/// body without [`end`](Body::end) leaves the chunk stream unterminated, which clients
+/// correctly treat as a truncated response.
+pub struct Body<'a, W: Write> {
+    writer: &'a mut ResponseWriter<W>,
+    head: Head<'a>,
+    chunked: bool,
+}
+
+impl<W: Write> Body<'_, W> {
+    /// Adds one part of the body; on a chunked response it is on the wire when this returns.
+    pub fn part(&mut self, fill: impl FnOnce(&mut String)) -> std::io::Result<()> {
+        if !self.chunked {
+            fill(&mut self.writer.buf);
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data.as_bytes())?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        if self.frame_chunk(fill) {
+            self.writer.flush_buf()?;
+        }
+        Ok(())
     }
 
-    /// Terminates the chunk stream.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+    /// Adds the last part and completes the response.
+    pub fn end(mut self, fill: impl FnOnce(&mut String)) -> std::io::Result<()> {
+        if self.chunked {
+            self.frame_chunk(fill);
+            self.writer.buf.push_str("0\r\n\r\n");
+        } else {
+            let writer = &mut *self.writer;
+            fill(&mut writer.buf);
+            self.head
+                .write(&mut writer.prefix, Some(writer.buf.len()), writer.close);
+            writer.prepend(0);
+        }
+        self.writer.flush_buf()
+    }
+
+    /// Appends `fill`'s output as one chunk (size line, data, CRLF); `false` if it was empty
+    /// — an empty chunk would terminate the stream, so none is framed.
+    fn frame_chunk(&mut self, fill: impl FnOnce(&mut String)) -> bool {
+        let writer = &mut *self.writer;
+        let at = writer.buf.len();
+        fill(&mut writer.buf);
+        let size = writer.buf.len() - at;
+        if size == 0 {
+            return false;
+        }
+        write!(writer.prefix, "{size:x}\r\n").expect("writing to a String cannot fail");
+        writer.prepend(at);
+        writer.buf.push_str("\r\n");
+        true
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// A sink that counts the `write` calls it receives and keeps their bytes.
+    #[derive(Default)]
+    pub(crate) struct CountingWrite {
+        pub(crate) writes: usize,
+        pub(crate) bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl CountingWrite {
+        /// Everything written since the last call, as text; resets the counters.
+        pub(crate) fn take(out: &mut ResponseWriter<CountingWrite>) -> (usize, String) {
+            let sink = std::mem::take(&mut out.stream);
+            (sink.writes, String::from_utf8(sink.bytes).unwrap())
+        }
+    }
+
+    #[test]
+    fn a_fixed_length_response_is_one_write_from_a_reused_buffer() {
+        let mut out = ResponseWriter::new(CountingWrite::default());
+        let big = "x".repeat(40_000);
+        out.json(200, &[], &big).unwrap();
+        let (writes, sent) = CountingWrite::take(&mut out);
+        assert_eq!(writes, 1);
+        assert!(sent.ends_with(&big) && sent.contains("content-length: 40000\r\n"));
+        let retained = out.buf.capacity();
+        assert!(retained >= 40_000);
+
+        // The next, smaller response starts from a clean buffer and does not reallocate it.
+        out.json(429, &[("retry-after", "3".to_string())], "{}")
+            .unwrap();
+        let (writes, sent) = CountingWrite::take(&mut out);
+        assert_eq!(writes, 1);
+        assert_eq!(
+            sent,
+            "HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+             content-length: 2\r\nretry-after: 3\r\n\r\n{}"
+        );
+        assert_eq!(out.buf.capacity(), retained);
+    }
+
+    #[test]
+    fn a_chunked_response_is_one_write_per_chunk() {
+        let mut out = ResponseWriter::new(CountingWrite::default());
+        let extra = [("x-trace-id", "t1".to_string())];
+        let mut body = out.begin(Head::json(200, &extra), true);
+        body.part(|b| b.push_str("{\"answers\":[1")).unwrap();
+        body.part(|_| ()).unwrap(); // nothing to say: no write, and no stream-ending empty chunk
+        body.part(|b| b.push_str(",2222222222222222")).unwrap();
+        body.end(|b| b.push_str(",3]}")).unwrap();
+        let (writes, sent) = CountingWrite::take(&mut out);
+        assert_eq!(writes, 3);
+        assert_eq!(
+            sent,
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+             transfer-encoding: chunked\r\nx-trace-id: t1\r\n\r\n\
+             d\r\n{\"answers\":[1\r\n\
+             11\r\n,2222222222222222\r\n\
+             4\r\n,3]}\r\n0\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn gathered_parts_and_the_close_header_share_the_single_write() {
+        let mut out = ResponseWriter::new(CountingWrite::default());
+        out.set_close(true);
+        let mut body = out.begin(Head::json(200, &[]), false);
+        body.part(|b| b.push_str("[1")).unwrap();
+        body.part(|b| b.push_str(",2")).unwrap();
+        body.end(|b| b.push(']')).unwrap();
+        let (writes, sent) = CountingWrite::take(&mut out);
+        assert_eq!(writes, 1);
+        assert_eq!(
+            sent,
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 5\r\n\
+             connection: close\r\n\r\n[1,2]"
+        );
     }
 }

@@ -1,13 +1,18 @@
 //! A minimal JSON value: parser and writer.
 //!
-//! The workspace has no registry access, so the wire format is handled by this ~200-line
-//! module instead of `serde_json`.  It covers exactly what the HTTP front door needs: parsing
-//! small request bodies and rendering response documents **deterministically** — objects keep
-//! insertion order (`Vec` of pairs, not a map), and numbers render via Rust's shortest
-//! round-trip `f64` formatting — so equal answers always produce byte-identical documents,
-//! which is what the `http_bench` byte-identity assertion relies on.
+//! The workspace has no registry access, so the wire format is handled by this module instead
+//! of `serde_json`.  It covers exactly what the HTTP front door needs: parsing small request
+//! bodies and rendering response documents **deterministically** — objects keep insertion
+//! order (`Vec` of pairs, not a map), and numbers render via Rust's shortest round-trip `f64`
+//! formatting — so equal answers always produce byte-identical documents, which is what the
+//! `http_bench` byte-identity assertion relies on.
+//!
+//! The two writing primitives — [`write_number`] and the run-wise string escaper behind
+//! [`write_string`] / [`Escaped`] — are shared by `Display for Json` and by the direct answer
+//! renderer in [`crate::wire`], which writes the large documents straight into a buffer
+//! without building a tree; [`Json::Raw`] carries such a pre-rendered fragment inside a tree.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +29,9 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; pairs keep insertion order for deterministic rendering.
     Obj(Vec<(String, Json)>),
+    /// An already rendered value, written verbatim (the producer vouches that it is one valid
+    /// JSON value).  Opaque to the accessors, and never produced by [`Json::parse`].
+    Raw(String),
 }
 
 impl Json {
@@ -89,11 +97,9 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            // `{:?}` is Rust's shortest-roundtrip float rendering; integral values still get
-            // a `.0` suffix, which keeps the format unambiguous and deterministic.
-            Json::Num(n) if n.is_finite() => write!(f, "{n:?}"),
-            Json::Num(_) => f.write_str("null"), // NaN/inf have no JSON form
-            Json::Str(s) => write_escaped(f, s),
+            Json::Num(n) => write_number(f, *n),
+            Json::Str(s) => write_string(f, s),
+            Json::Raw(rendered) => f.write_str(rendered),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -110,7 +116,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_string(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 f.write_str("}")
@@ -119,20 +125,52 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Writes a number: `{:?}` is Rust's shortest-round-trip float rendering (integral values
+/// still get a `.0` suffix, which keeps the format unambiguous and deterministic); NaN and the
+/// infinities have no JSON form and become `null`.
+pub fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
+    if n.is_finite() {
+        write!(out, "{n:?}")
+    } else {
+        out.write_str("null")
     }
-    f.write_str("\"")
+}
+
+/// Writes `s` as a quoted JSON string.
+pub fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    Escaped(&mut *out).write_str(s)?;
+    out.write_char('"')
+}
+
+/// A `fmt::Write` adaptor that JSON-escapes what passes through it, so a `Display` value can be
+/// written into a string literal without an intermediate `String`:
+/// `write!(Escaped(&mut out), "{tuple}")`.
+///
+/// Everything that needs escaping (`"`, `\`, controls below U+0020) is a single ASCII byte, so
+/// the scan runs over bytes and the stretches between escapes are copied as whole slices.
+pub struct Escaped<W>(pub W);
+
+impl<W: fmt::Write> fmt::Write for Escaped<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut clean_from = 0;
+        for (at, byte) in s.bytes().enumerate() {
+            if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+                continue;
+            }
+            self.0.write_str(&s[clean_from..at])?;
+            clean_from = at + 1;
+            match byte {
+                b'"' => self.0.write_str("\\\"")?,
+                b'\\' => self.0.write_str("\\\\")?,
+                b'\n' => self.0.write_str("\\n")?,
+                b'\r' => self.0.write_str("\\r")?,
+                b'\t' => self.0.write_str("\\t")?,
+                control => write!(self.0, "\\u{control:04x}")?,
+            }
+        }
+        self.0.write_str(&s[clean_from..])
+    }
 }
 
 struct Parser<'a> {
@@ -313,6 +351,22 @@ mod tests {
         let text = doc.to_string();
         assert_eq!(Json::parse(&text).unwrap(), doc);
         assert_eq!(text, Json::parse(&text).unwrap().to_string());
+    }
+
+    #[test]
+    fn escapes_between_runs_and_passes_multibyte_text_through() {
+        let text = "\"a\\\u{1}é\u{1f}\n\r\t✓\u{7f}\"";
+        let rendered = Json::Str(text.into()).to_string();
+        assert_eq!(rendered, "\"\\\"a\\\\\\u0001é\\u001f\\n\\r\\t✓\u{7f}\\\"\"");
+        assert_eq!(Json::parse(&rendered).unwrap().as_str(), Some(text));
+        assert_eq!(Json::Str(String::new()).to_string(), "\"\"");
+    }
+
+    #[test]
+    fn raw_fragments_render_verbatim_inside_a_tree() {
+        let doc = Json::obj([("a", Json::Raw("{\"k\":[1.5]}".into())), ("b", Json::Null)]);
+        assert_eq!(doc.to_string(), "{\"a\":{\"k\":[1.5]},\"b\":null}");
+        assert!(doc.get("a").unwrap().get("k").is_none());
     }
 
     #[test]

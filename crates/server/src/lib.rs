@@ -8,13 +8,19 @@
 //! Endpoints:
 //!
 //! * `POST /query` — `{"spec": "Q4"}`: one workload-spec query (`Q1`–`Q10`, `sel:N`, `prod:N`,
-//!   `join:N`, `scale:N`), answered with the canonical answer rendering plus how it was served;
+//!   `join:N`, `scale:N`), answered fixed-length, in one write, with the canonical answer
+//!   rendering plus how it was served — or with a 5xx if the query failed;
 //! * `POST /batch` — `{"specs": ["Q1", "join:3", …]}`: many queries in one request, submitted
 //!   as one service batch per target schema and **streamed** back with chunked transfer
-//!   encoding as the batches resolve;
-//! * `GET /metrics` — the [`ServiceMetrics`](urm_service::ServiceMetrics) snapshot (including
-//!   spill and epoch-reuse counters) as JSON;
+//!   encoding, one chunk per answer as the batches resolve;
+//! * `GET /metrics` (Prometheus text) and `GET /metrics.json` — the
+//!   [`ServiceMetrics`](urm_service::ServiceMetrics) snapshot (including spill and epoch-reuse
+//!   counters);
 //! * `GET /healthz` — liveness plus the served epochs.
+//!
+//! An answer's bytes are built by one renderer ([`wire::write_answer`]), once per answer — the
+//! rendering is memoized inside the shared [`ProbabilisticAnswer`](urm_core::ProbabilisticAnswer)
+//! the answer cache hands out — and sent from a per-connection buffer ([`http::ResponseWriter`]).
 //!
 //! In front of the service sits an [`admission`] layer: a bounded in-flight budget and
 //! per-client token buckets, both answering **429 + `Retry-After`** when closed, plus a body

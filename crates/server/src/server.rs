@@ -8,12 +8,10 @@
 //! returns — no accepted query is abandoned.
 
 use crate::admission::{AdmissionController, CostModel, Rejected};
-use crate::http::{
-    read_request, write_response, write_response_typed, ChunkedWriter, HttpError, Request,
-};
-use crate::json::Json;
-use crate::wire::{answer_json, parse_query_spec};
-use std::io::BufReader;
+use crate::http::{read_request, Head, HttpError, Request, ResponseWriter};
+use crate::json::{write_number, Json};
+use crate::wire::{parse_query_spec, write_answer};
+use std::io::{BufReader, Write};
 use std::net::{IpAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -21,8 +19,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use urm_datagen::scenario::TargetSchemaKind;
 use urm_service::{
-    EpochId, HistSnapshot, Histogram, MetricKind, PromWriter, QueryService, ServedFrom, Ticket,
-    Tracer,
+    EpochId, HistSnapshot, Histogram, MetricKind, PromWriter, QueryService, ServedFrom,
+    ServiceError, Ticket, Tracer,
 };
 
 /// How long [`UrmServer::shutdown`] waits for in-flight connections before giving up on them.
@@ -97,6 +95,23 @@ impl EndpointHistograms {
 }
 
 impl Shared {
+    fn new(
+        service: QueryService,
+        epochs: Vec<(TargetSchemaKind, EpochId)>,
+        admission: AdmissionController,
+    ) -> Self {
+        Shared {
+            service,
+            epochs,
+            admission,
+            cost_model: CostModel::new(),
+            started: Instant::now(),
+            endpoints: EndpointHistograms::default(),
+            stopping: AtomicBool::new(false),
+            drain: Arc::default(),
+        }
+    }
+
     fn epoch_for(&self, target: TargetSchemaKind) -> Option<EpochId> {
         self.epochs
             .iter()
@@ -126,16 +141,7 @@ impl UrmServer {
     ) -> std::io::Result<UrmServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            service,
-            epochs,
-            admission,
-            cost_model: CostModel::new(),
-            started: Instant::now(),
-            endpoints: EndpointHistograms::default(),
-            stopping: AtomicBool::new(false),
-            drain: Arc::default(),
-        });
+        let shared = Arc::new(Shared::new(service, epochs, admission));
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("urm-server-accept".into())
@@ -226,38 +232,43 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Ok(peer) => peer.ip(),
         Err(_) => return,
     };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
+    // The connection's one response buffer lives here, across its keep-alive requests.
+    let mut out = match stream.try_clone() {
+        Ok(w) => ResponseWriter::new(w),
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
 
-    // Keep-alive loop: serve requests until the peer hangs up, errors, or the server drains.
+    // Keep-alive loop: serve requests until the peer hangs up, errors, asks to close, or the
+    // server drains.
     loop {
         let request = match read_request(&mut reader, config.max_body_bytes) {
             Ok(request) => request,
-            Err(HttpError::Closed) => return,
-            Err(err) if err.is_timeout() => {
-                // Slow-loris (or an idle keep-alive connection during drain): tell the peer
-                // and hang up.  The write is best-effort — the peer may be gone.
-                let _ = write_response(&mut writer, 408, &[], &error_body("read timeout"));
+            Err(err) => {
+                // Tell the peer and hang up: after a slow-loris timeout (or an idle keep-alive
+                // connection during drain), a malformed head or an unread oversized body the
+                // framing is unrecoverable.  The write is best-effort — the peer may be gone.
+                let (status, msg) = match err {
+                    HttpError::Malformed(msg) => (400, msg),
+                    HttpError::BodyTooLarge { declared, limit } => (
+                        413,
+                        format!("body of {declared} bytes exceeds the {limit}-byte limit"),
+                    ),
+                    timeout if timeout.is_timeout() => (408, "read timeout".to_string()),
+                    HttpError::Closed | HttpError::Io(_) => return,
+                };
+                out.set_close(true);
+                let _ = out.json(status, &[], &error_body(&msg));
                 return;
             }
-            Err(HttpError::Io(_)) => return,
-            Err(HttpError::Malformed(msg)) => {
-                let _ = write_response(&mut writer, 400, &[], &error_body(&msg));
-                return; // framing is unrecoverable after a malformed head
-            }
-            Err(HttpError::BodyTooLarge { declared, limit }) => {
-                let msg = format!("body of {declared} bytes exceeds the {limit}-byte limit");
-                let _ = write_response(&mut writer, 413, &[], &error_body(&msg));
-                return; // the unread body still sits in the socket; drop the connection
-            }
         };
-        if respond(&mut writer, &request, client, shared).is_err() {
-            return;
-        }
-        if shared.stopping.load(Ordering::SeqCst) {
+        // An HTTP/1.0 peer, `connection: close`, or a draining server: this response is the
+        // connection's last, and says so.
+        out.set_close(request.wants_close() || shared.stopping.load(Ordering::SeqCst));
+        if respond(&mut out, &request, client, shared).is_err()
+            || out.closing()
+            || shared.stopping.load(Ordering::SeqCst)
+        {
             return; // drained: finish this request, take no more on this connection
         }
     }
@@ -267,37 +278,38 @@ fn error_body(message: &str) -> String {
     Json::obj([("error", Json::Str(message.to_string()))]).to_string()
 }
 
-fn respond(
-    writer: &mut TcpStream,
+fn respond<W: Write>(
+    out: &mut ResponseWriter<W>,
     request: &Request,
     client: IpAddr,
     shared: &Shared,
 ) -> std::io::Result<()> {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => write_response(writer, 200, &[], &healthz_body(shared)),
-        ("GET", "/metrics") => write_response_typed(
-            writer,
-            200,
-            "text/plain; version=0.0.4",
-            &[],
-            &prometheus_body(shared),
-        ),
-        ("GET", "/metrics.json") => write_response(writer, 200, &[], &metrics_body(shared)),
-        ("GET", "/debug/traces") => write_response(writer, 200, &[], &traces_body(shared)),
+        ("GET", "/healthz") => out.json(200, &[], &healthz_body(shared)),
+        ("GET", "/metrics") => {
+            let head = Head {
+                status: 200,
+                content_type: "text/plain; version=0.0.4",
+                extra: &[],
+            };
+            out.send(head, |body| body.push_str(&prometheus_body(shared)))
+        }
+        ("GET", "/metrics.json") => out.json(200, &[], &metrics_body(shared)),
+        ("GET", "/debug/traces") => out.json(200, &[], &traces_body(shared)),
         ("POST", "/query") => {
             let start = Instant::now();
-            let result = serve_queries(writer, request, client, shared, false);
+            let result = serve_queries(out, request, client, shared, false);
             shared.endpoints.query.record_duration(start.elapsed());
             result
         }
         ("POST", "/batch") => {
             let start = Instant::now();
-            let result = serve_queries(writer, request, client, shared, true);
+            let result = serve_queries(out, request, client, shared, true);
             shared.endpoints.batch.record_duration(start.elapsed());
             result
         }
-        ("GET" | "POST", _) => write_response(writer, 404, &[], &error_body("unknown path")),
-        _ => write_response(writer, 405, &[], &error_body("method not allowed")),
+        ("GET" | "POST", _) => out.json(404, &[], &error_body("unknown path")),
+        _ => out.json(405, &[], &error_body("method not allowed")),
     }
 }
 
@@ -427,10 +439,21 @@ fn traces_body(shared: &Shared) -> String {
     format!("{{\"traces\":[{}]}}", traces.join(","))
 }
 
-/// `/query` (single spec) and `/batch` (spec list): parse, admit, submit, stream answers back
-/// as chunks.  `batch: false` expects `{"spec": "Q1"}`, `batch: true` `{"specs": ["Q1", …]}`.
-fn serve_queries(
-    writer: &mut TcpStream,
+/// The status of a response that carries a [`ServiceError`]: a service that is shutting down is
+/// temporarily unavailable, anything else is this server's failure.
+fn error_status(err: &ServiceError) -> u16 {
+    match err {
+        ServiceError::Shutdown => 503,
+        ServiceError::UnknownEpoch(_) | ServiceError::Eval(_) => 500,
+    }
+}
+
+/// `/query` (single spec) and `/batch` (spec list): parse, admit, submit, answer.
+/// `batch: false` expects `{"spec": "Q1"}` and, having exactly one answer, waits for it and
+/// replies fixed-length in one write — or with the error's 5xx; `batch: true` expects
+/// `{"specs": ["Q1", …]}` and streams one chunk per answer as the batches resolve.
+fn serve_queries<W: Write>(
+    out: &mut ResponseWriter<W>,
     request: &Request,
     client: IpAddr,
     shared: &Shared,
@@ -438,10 +461,10 @@ fn serve_queries(
 ) -> std::io::Result<()> {
     let specs = match parse_body_specs(&request.body, batch) {
         Ok(specs) => specs,
-        Err(msg) => return write_response(writer, 400, &[], &error_body(&msg)),
+        Err(msg) => return out.json(400, &[], &error_body(&msg)),
     };
     if shared.stopping.load(Ordering::SeqCst) {
-        return write_response(writer, 503, &[], &error_body("server is draining"));
+        return out.json(503, &[], &error_body("server is draining"));
     }
 
     // An `X-Trace-Id` header force-traces the request (regardless of `--trace-sample`): the
@@ -453,7 +476,8 @@ fn serve_queries(
         None => Tracer::disabled(),
     };
 
-    // Admission: one permit covering the whole request, released when the responses are out.
+    // Admission: one permit covering the whole request, released when the responses are out
+    // (or the request has failed: every return below drops it).
     // Each query is charged its estimated evaluation cost — this spec's observed-latency EWMA
     // where the cost model has history, else the serving epoch's observed operators-per-query,
     // else a static plan-shape estimate — so the bounded queue meters admitted *work*, not
@@ -474,7 +498,7 @@ fn serve_queries(
     admission_span.tag("cost", cost);
     let admitted = shared.admission.admit(client, specs.len(), cost);
     drop(admission_span);
-    let permit = match admitted {
+    let _permit = match admitted {
         Ok(permit) => permit,
         Err(rejected) => {
             let retry = shared.admission.config().retry_after_secs;
@@ -482,12 +506,7 @@ fn serve_queries(
                 Rejected::QueueFull => "admission queue full",
                 Rejected::ClientThrottled => "client rate limit exceeded",
             };
-            return write_response(
-                writer,
-                429,
-                &[("retry-after", retry.to_string())],
-                &error_body(msg),
-            );
+            return out.json(429, &[("retry-after", retry.to_string())], &error_body(msg));
         }
     };
 
@@ -496,7 +515,7 @@ fn serve_queries(
     for entry in specs {
         let Some(epoch) = shared.epoch_for(entry.target) else {
             let msg = format!("target schema '{}' is not served", entry.target);
-            return write_response(writer, 400, &[], &error_body(&msg));
+            return out.json(400, &[], &error_body(&msg));
         };
         let static_cost = static_query_cost(&entry.query);
         match shared
@@ -504,61 +523,70 @@ fn serve_queries(
             .submit_traced(epoch, entry.query, tracer.clone())
         {
             Ok(ticket) => tickets.push((entry.label, static_cost, ticket)),
-            Err(err) => {
-                return write_response(writer, 500, &[], &error_body(&err.to_string()));
-            }
+            Err(err) => return out.json(error_status(&err), &[], &error_body(&err.to_string())),
         }
     }
     shared.service.flush();
 
-    // Stream the answers: each ticket's answer is rendered and written as its own chunk the
-    // moment its batch resolves (chunked transfer encoding — no whole-response buffering).
     let trace_echo: Vec<(&str, String)> = trace_id
         .as_ref()
         .map(|id| ("x-trace-id", id.clone()))
         .into_iter()
         .collect();
-    let mut out = ChunkedWriter::start_with_headers(writer, 200, &trace_echo)?;
+    let head = Head::json(200, &trace_echo);
+    let last = tickets.pop().expect("a request has at least one spec");
     if batch {
-        out.chunk("{\"answers\":[")?;
-        for (i, (label, static_cost, ticket)) in tickets.into_iter().enumerate() {
-            let rendered = match ticket.wait() {
-                Ok(response) => {
-                    observe_cost(shared, &label, &response, static_cost);
-                    answer_json(&label, &response.answer).to_string()
+        // Each ticket's answer is rendered and written as its own chunk the moment its batch
+        // resolves; a failed one becomes an error object in its place.  An HTTP/1.0 peer
+        // cannot frame chunks, so its answers are gathered and sent fixed-length.
+        let mut opened = false;
+        let mut answer =
+            |body: &mut String, (label, static_cost, ticket): (String, u64, Ticket)| {
+                body.push_str(if opened { "," } else { "{\"answers\":[" });
+                opened = true;
+                match ticket.wait() {
+                    Ok(response) => {
+                        observe_cost(shared, &label, &response, static_cost);
+                        write_answer(body, &label, &response.answer);
+                    }
+                    Err(err) => body.push_str(&error_body(&err.to_string())),
                 }
-                Err(err) => error_body(&err.to_string()),
             };
-            let prefix = if i > 0 { "," } else { "" };
-            out.chunk(&format!("{prefix}{rendered}"))?;
+        let mut body = out.begin(head, !request.http10);
+        for ticket in tickets {
+            body.part(|part| answer(part, ticket))?;
         }
-        out.chunk("]}")?;
+        body.end(|part| {
+            answer(part, last);
+            part.push_str("]}");
+        })
     } else {
-        let (label, static_cost, ticket) =
-            tickets.pop().expect("single-query request has one ticket");
+        let (label, static_cost, ticket) = last;
         match ticket.wait() {
             Ok(response) => {
                 observe_cost(shared, &label, &response, static_cost);
-                let served = match response.served_from {
-                    ServedFrom::Evaluated => "evaluated",
-                    ServedFrom::AnswerCache => "answer-cache",
-                    ServedFrom::BatchDedup => "batch-dedup",
-                };
-                out.chunk(
-                    &Json::obj([
-                        ("answer", answer_json(&label, &response.answer)),
-                        ("served_from", Json::Str(served.into())),
-                        ("batch", Json::Num(response.batch as f64)),
-                    ])
-                    .to_string(),
-                )?;
+                out.send(head, |body| write_query_body(body, &label, &response))
             }
-            Err(err) => out.chunk(&error_body(&err.to_string()))?,
+            Err(err) => out.json(
+                error_status(&err),
+                &trace_echo,
+                &error_body(&err.to_string()),
+            ),
         }
     }
-    out.finish()?;
-    drop(permit);
-    Ok(())
+}
+
+/// The `/query` document: `{"answer":…,"served_from":"…","batch":N}`.
+fn write_query_body(body: &mut String, label: &str, response: &urm_service::QueryResponse) {
+    body.push_str("{\"answer\":");
+    write_answer(body, label, &response.answer);
+    body.push_str(match response.served_from {
+        ServedFrom::Evaluated => ",\"served_from\":\"evaluated\",\"batch\":",
+        ServedFrom::AnswerCache => ",\"served_from\":\"answer-cache\",\"batch\":",
+        ServedFrom::BatchDedup => ",\"served_from\":\"batch-dedup\",\"batch\":",
+    });
+    write_number(body, response.batch as f64).expect("writing to a String cannot fail");
+    body.push('}');
 }
 
 /// Feeds one answered query back into the cost model.  Cache hits and in-batch duplicates
@@ -612,4 +640,79 @@ fn parse_body_specs(
         .into_iter()
         .map(|s| parse_query_spec(s).map_err(|e| format!("bad spec '{s}': {e}")))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::CountingWrite;
+    use crate::wire::answer_json;
+    use crate::AdmissionConfig;
+    use std::net::Ipv4Addr;
+    use urm_datagen::scenario::{Scenario, ScenarioConfig};
+
+    fn post(path: &str, body: &str) -> Request {
+        Request {
+            method: "POST".into(),
+            path: path.into(),
+            http10: false,
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    /// The server's request path — parse, admit, submit, wait, render, frame — over a sink that
+    /// counts writes: a `/query` response is one write, a `/batch` response one per answer.
+    #[test]
+    fn query_responses_are_one_write_and_batch_responses_one_per_chunk() {
+        let scenario = Scenario::generate(&ScenarioConfig {
+            target: TargetSchemaKind::Excel,
+            scale: 4,
+            mappings: 6,
+            seed: 7,
+        })
+        .expect("scenario generation");
+        let service = QueryService::new(urm_service::ServiceConfig::default());
+        let epoch = service.register_epoch(scenario.catalog, scenario.mappings);
+        let shared = Shared::new(
+            service,
+            vec![(TargetSchemaKind::Excel, epoch)],
+            AdmissionController::new(AdmissionConfig::default()),
+        );
+        let client = IpAddr::V4(Ipv4Addr::LOCALHOST);
+        let mut out = ResponseWriter::new(CountingWrite::default());
+
+        for served_from in ["evaluated", "answer-cache"] {
+            let request = post("/query", "{\"spec\": \"Q1\"}");
+            respond(&mut out, &request, client, &shared).unwrap();
+            let (writes, sent) = CountingWrite::take(&mut out);
+            assert_eq!(writes, 1, "{served_from}");
+            let (head, body) = sent.split_once("\r\n\r\n").unwrap();
+            assert!(head.ends_with(&format!("\r\ncontent-length: {}", body.len())));
+            // The hand-assembled envelope is exactly what the `Json` tree would print.
+            let response = shared
+                .service
+                .submit(epoch, parse_query_spec("Q1").unwrap().query)
+                .and_then(Ticket::wait)
+                .unwrap();
+            let tree = Json::obj([
+                ("answer", answer_json("Q1", &response.answer)),
+                ("served_from", Json::Str(served_from.into())),
+                ("batch", Json::Num(response.batch as f64)),
+            ]);
+            assert_eq!(body, tree.to_string());
+            assert_eq!(Json::parse(body).unwrap().to_string(), body);
+        }
+
+        let request = post(
+            "/batch",
+            "{\"specs\": [\"Q1\", \"Q2\", \"Q1\", \"join:2\"]}",
+        );
+        respond(&mut out, &request, client, &shared).unwrap();
+        let (writes, sent) = CountingWrite::take(&mut out);
+        assert_eq!(writes, 4);
+        assert!(sent.contains("transfer-encoding: chunked\r\n"));
+        assert!(sent.ends_with("]}\r\n0\r\n\r\n"));
+        assert_eq!(shared.admission.in_flight(), 0);
+    }
 }

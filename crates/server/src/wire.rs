@@ -3,12 +3,21 @@
 //! Queries arrive as the same spec strings the replayable workload files use (`Q1`–`Q10`,
 //! `sel:N`, `prod:N`, `join:N`, `scale:N` — see [`urm_datagen::replay`]), so a workload file
 //! replayed over HTTP and one replayed in-process by `urm-cli` are the *same* request stream.
-//! Answers render through one deterministic function ([`answer_json`]): tuples in
-//! [`ProbabilisticAnswer::sorted`] order, probabilities in shortest-round-trip form — two equal
-//! answers always produce byte-identical documents, which is what the `http_bench`
+//! Answers render through one deterministic function ([`write_answer`]): tuples in
+//! [`ProbabilisticAnswer::sorted_refs`] order, probabilities in shortest-round-trip form — two
+//! equal answers always produce byte-identical documents, which is what the `http_bench`
 //! HTTP-vs-in-process identity assertion compares.
+//!
+//! An epoch is immutable, so an answer's rendering is a pure function of the shared
+//! `Arc<ProbabilisticAnswer>` the answer cache, in-batch dedup and every response alias.  The
+//! label-independent part — everything but `"label":…` — is therefore rendered **once per
+//! answer** and kept in the answer's own memo slot ([`ProbabilisticAnswer::rendered_with`]):
+//! it lives exactly as long as the answer does, and a cache hit splices the label in front of
+//! bytes that already exist.
 
-use crate::json::Json;
+use crate::json::{write_number, write_string, Escaped, Json};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use urm_core::ProbabilisticAnswer;
 use urm_datagen::replay::{parse_spec, WorkloadEntry};
 
@@ -17,31 +26,59 @@ pub fn parse_query_spec(spec: &str) -> Result<WorkloadEntry, String> {
     parse_spec(spec).map_err(|e| e.to_string())
 }
 
-/// Renders one answer as a deterministic JSON object:
+/// Appends one answer to `out` as a deterministic JSON object:
 ///
 /// ```json
 /// {"label":"Q1","tuples":[["(123)",0.5],["(456)",0.3]],"empty_probability":0.2}
 /// ```
 ///
 /// Tuples are rendered with their `Display` form (probability-descending, ties broken by tuple
-/// order — [`ProbabilisticAnswer::sorted`]), so equal answers render byte-identically no matter
-/// which path produced them.
+/// order — [`ProbabilisticAnswer::sorted_refs`]), so equal answers render byte-identically no
+/// matter which path produced them.  Every answer byte the server, [`answer_json`] and the
+/// benches emit comes from here.
+pub fn write_answer(out: &mut String, label: &str, answer: &ProbabilisticAnswer) {
+    out.push_str("{\"label\":");
+    write_string(out, label).expect("writing to a String cannot fail");
+    out.push(',');
+    out.push_str(answer.rendered_with(render_unlabelled));
+    out.push('}');
+}
+
+/// [`write_answer`] as a [`Json`] value (a pre-rendered [`Json::Raw`] fragment), for callers
+/// that embed the answer in a larger tree or just want `.to_string()`.
 #[must_use]
 pub fn answer_json(label: &str, answer: &ProbabilisticAnswer) -> Json {
-    Json::obj([
-        ("label", Json::Str(label.to_string())),
-        (
-            "tuples",
-            Json::Arr(
-                answer
-                    .sorted()
-                    .into_iter()
-                    .map(|(tuple, p)| Json::Arr(vec![Json::Str(tuple.to_string()), Json::Num(p)]))
-                    .collect(),
-            ),
-        ),
-        ("empty_probability", Json::Num(answer.empty_probability())),
-    ])
+    let mut out = String::new();
+    write_answer(&mut out, label, answer);
+    Json::Raw(out)
+}
+
+/// How many times this process has rendered an answer in full — that is, missed the
+/// per-answer memo.  Repeats of an answer (cache hits, duplicate specs) must not move it.
+#[must_use]
+pub fn full_renders() -> u64 {
+    FULL_RENDERS.load(Ordering::Relaxed)
+}
+
+static FULL_RENDERS: AtomicU64 = AtomicU64::new(0);
+
+/// The memoized part of the document: `"tuples":[…],"empty_probability":…`, written straight
+/// into one buffer — sorted references, no `Tuple` clone, no per-tuple `String`, no tree.
+fn render_unlabelled(answer: &ProbabilisticAnswer) -> String {
+    FULL_RENDERS.fetch_add(1, Ordering::Relaxed);
+    let mut out = String::with_capacity(64 + 32 * answer.len());
+    let infallible = "writing to a String cannot fail";
+    out.push_str("\"tuples\":[");
+    for (i, (tuple, probability)) in answer.sorted_refs().into_iter().enumerate() {
+        out.push_str(if i > 0 { ",[\"" } else { "[\"" });
+        write!(Escaped(&mut out), "{tuple}").expect(infallible);
+        out.push_str("\",");
+        write_number(&mut out, probability).expect(infallible);
+        out.push(']');
+    }
+    out.push_str("],\"empty_probability\":");
+    write_number(&mut out, answer.empty_probability()).expect(infallible);
+    out
 }
 
 #[cfg(test)]

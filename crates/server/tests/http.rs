@@ -3,29 +3,47 @@
 //! Covers the front-door contract: happy paths for every endpoint, malformed request lines,
 //! oversized bodies, truncated JSON, slow-loris partial headers hitting the read timeout,
 //! concurrent clients receiving byte-identical answers, admission rejections (queue full and
-//! per-client throttle) and the draining shutdown.
+//! per-client throttle), failed queries as 5xx, HTTP/1.0 and `connection: close` peers, and the
+//! draining shutdown.
 
 use std::time::Duration;
+use urm_core::prelude::MappingSet;
 use urm_datagen::scenario::{Scenario, ScenarioConfig, TargetSchemaKind};
 use urm_server::{AdmissionConfig, AdmissionController, HttpClient, Json, UrmServer};
 use urm_service::{QueryService, ServiceConfig};
+use urm_storage::Catalog;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(20);
 
-/// A small Excel scenario served on an OS-assigned loopback port.
-fn start_server(admission: AdmissionConfig) -> UrmServer {
-    let scenario = Scenario::generate(&ScenarioConfig {
+fn scenario() -> Scenario {
+    Scenario::generate(&ScenarioConfig {
         target: TargetSchemaKind::Excel,
         scale: 4,
         mappings: 6,
         seed: 7,
     })
-    .expect("scenario generation");
+    .expect("scenario generation")
+}
+
+/// A small Excel scenario served on an OS-assigned loopback port.
+fn start_server(admission: AdmissionConfig) -> UrmServer {
+    let scenario = scenario();
+    serve(scenario.catalog, scenario.mappings, admission)
+}
+
+/// A server whose one epoch cannot evaluate anything: the scenario's mappings over an empty
+/// catalog, so every source query names a relation that is not there.
+fn start_broken_server() -> UrmServer {
+    let mappings = scenario().mappings;
+    serve(Catalog::new(), mappings, AdmissionConfig::default())
+}
+
+fn serve(catalog: Catalog, mappings: MappingSet, admission: AdmissionConfig) -> UrmServer {
     let service = QueryService::new(ServiceConfig {
         workers: 2,
         ..ServiceConfig::default()
     });
-    let epoch = service.register_epoch(scenario.catalog, scenario.mappings);
+    let epoch = service.register_epoch(catalog, mappings);
     UrmServer::start(
         "127.0.0.1:0",
         service,
@@ -55,6 +73,10 @@ fn healthz_metrics_query_and_batch_round_trip() {
         .request("POST", "/query", Some("{\"spec\": \"Q1\"}"))
         .unwrap();
     assert_eq!(one.status, 200);
+    // One answer, so one fixed-length response: no chunk framing.
+    let length = one.body.len().to_string();
+    assert_eq!(one.header("content-length"), Some(length.as_str()));
+    assert_eq!(one.header("transfer-encoding"), None);
     let doc = Json::parse(&one.body).unwrap();
     let answer = doc.get("answer").expect("answer object");
     assert_eq!(answer.get("label").and_then(Json::as_str), Some("Q1"));
@@ -183,6 +205,96 @@ fn truncated_and_invalid_json_bodies_get_400() {
         .request("POST", "/batch", Some("{\"specs\": []}"))
         .unwrap();
     assert_eq!(response.status, 400);
+    server.shutdown();
+}
+
+#[test]
+fn a_failed_query_is_a_5xx_and_releases_its_permit() {
+    let server = start_broken_server();
+    let mut client = connect(&server);
+    let failed = client
+        .request("POST", "/query", Some("{\"spec\": \"Q1\"}"))
+        .unwrap();
+    assert_eq!(failed.status, 500, "body: {}", failed.body);
+    let doc = Json::parse(&failed.body).unwrap();
+    assert!(doc.get("error").and_then(Json::as_str).is_some());
+    assert!(doc.get("answer").is_none());
+
+    // A batch still answers 200: each failed query is an error object in its answer's place.
+    let batch = client
+        .request("POST", "/batch", Some("{\"specs\": [\"Q1\", \"Q2\"]}"))
+        .unwrap();
+    assert_eq!(batch.status, 200);
+    let doc = Json::parse(&batch.body).unwrap();
+    let answers = doc.get("answers").and_then(Json::as_arr).unwrap();
+    assert_eq!(answers.len(), 2);
+    assert!(answers.iter().all(|a| a.get("error").is_some()));
+
+    // Both requests gave their admission units back; the connection is still usable.
+    let health = client.request("GET", "/healthz", None).unwrap();
+    let doc = Json::parse(&health.body).unwrap();
+    assert_eq!(doc.get("in_flight_units").and_then(Json::as_f64), Some(0.0));
+    drop(client); // or the drain waits out this idle connection's read timeout
+    server.shutdown();
+}
+
+fn raw_post(path: &str, version: &str, extra_header: &str, body: &str) -> Vec<u8> {
+    format!(
+        "POST {path} {version}\r\nhost: urm\r\n{extra_header}content-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+#[test]
+fn http10_peers_get_fixed_length_replies_and_a_closed_connection() {
+    let server = start_server(AdmissionConfig::default());
+    let specs = "{\"specs\": [\"Q1\", \"Q2\", \"join:2\"]}";
+    let chunked = connect(&server)
+        .request("POST", "/batch", Some(specs))
+        .unwrap();
+    assert_eq!(chunked.header("transfer-encoding"), Some("chunked"));
+
+    // The same batch from a 1.0 peer: gathered, framed by content-length, same bytes.
+    let mut client = connect(&server);
+    let gathered = client
+        .send_raw(&raw_post("/batch", "HTTP/1.0", "", specs))
+        .unwrap();
+    assert_eq!(gathered.status, 200);
+    assert_eq!(gathered.header("transfer-encoding"), None);
+    let length = gathered.body.len().to_string();
+    assert_eq!(gathered.header("content-length"), Some(length.as_str()));
+    assert_eq!(gathered.header("connection"), Some("close"));
+    assert_eq!(gathered.body, chunked.body);
+    // ... and the server hung up: the connection takes no second request.
+    assert!(client.request("GET", "/healthz", None).is_err());
+    server.shutdown();
+}
+
+#[test]
+fn connection_close_is_honoured_on_every_endpoint() {
+    let server = start_server(AdmissionConfig::default());
+    for (path, body) in [
+        ("/query", "{\"spec\": \"Q1\"}"),
+        ("/batch", "{\"specs\": [\"Q1\"]}"),
+        ("/nope", ""),
+    ] {
+        let mut client = connect(&server);
+        let response = client
+            .send_raw(&raw_post(path, "HTTP/1.1", "Connection: Close\r\n", body))
+            .unwrap();
+        assert_eq!(response.header("connection"), Some("close"), "{path}");
+        // A 1.1 peer can frame chunks, so `/batch` still streams — then the server hangs up.
+        let streamed = response.header("transfer-encoding") == Some("chunked");
+        assert_eq!(streamed, path == "/batch", "{path}");
+        assert!(client.request("GET", "/healthz", None).is_err(), "{path}");
+    }
+    // Without the header the connection stays open and says nothing about closing.
+    let mut client = connect(&server);
+    let kept = client.request("GET", "/healthz", None).unwrap();
+    assert_eq!(kept.header("connection"), None);
+    assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+    drop(client);
     server.shutdown();
 }
 
