@@ -28,7 +28,7 @@ use crate::query::TargetQuery;
 use crate::reformulate::{aggregate, clustered_reformulations, Extraction};
 use crate::CoreResult;
 use std::time::Instant;
-use urm_engine::optimize::{fingerprint, optimize};
+use urm_engine::optimize::optimize;
 use urm_engine::{EpochDag, ExecStats, Executor, PreparedBatch};
 use urm_matching::MappingSet;
 use urm_obs::Tracer;
@@ -192,13 +192,13 @@ fn submit_batch(
             let mut span = tracer.span("optimize_bind");
             span.tag("query", qi as u64);
             span.tag("source_queries", ordered.len() as u64);
-            for (sq, probability) in ordered {
-                let key = fingerprint(&sq.plan);
-                epoch.submit_with(key, || {
+            for cluster in ordered {
+                let sq = cluster.query;
+                epoch.submit_with(cluster.fingerprint, || {
                     let plan = optimize(&sq.plan, catalog)?;
                     exec.bind(&plan)
                 })?;
-                roots.push((next_root, probability, sq.extraction));
+                roots.push((next_root, cluster.probability, sq.extraction));
                 next_root += 1;
             }
         }

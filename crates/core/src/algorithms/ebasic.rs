@@ -32,7 +32,8 @@ pub fn evaluate(
 
     // Phase 2 (evaluation): run each distinct source query once.
     let mut exec = Executor::new(catalog);
-    for (sq, probability) in ordered {
+    for cluster in ordered {
+        let (sq, probability) = (cluster.query, cluster.probability);
         let plan_start = Instant::now();
         let plan = optimize(&sq.plan, catalog)?;
         metrics.plan_time += plan_start.elapsed();

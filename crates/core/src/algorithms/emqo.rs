@@ -36,7 +36,7 @@ pub fn evaluate(
     let plan_start = Instant::now();
     let optimized: Vec<_> = ordered
         .iter()
-        .map(|(sq, _)| optimize(&sq.plan, catalog))
+        .map(|cluster| optimize(&cluster.query.plan, catalog))
         .collect::<Result<_, _>>()?;
     let global = GlobalPlan::build(&optimized, catalog)?;
     metrics.plan_time = plan_start.elapsed();
@@ -50,8 +50,9 @@ pub fn evaluate(
     let results = run.root_results;
 
     let agg_start = Instant::now();
-    for ((sq, probability), result) in ordered.iter().zip(results.iter()) {
-        aggregate(&mut answer, [&**result], &sq.extraction, *probability);
+    for (cluster, result) in ordered.iter().zip(results.iter()) {
+        let extraction = &cluster.query.extraction;
+        aggregate(&mut answer, [&**result], extraction, cluster.probability);
     }
     if empty_probability > 0.0 {
         answer.add_empty(empty_probability);

@@ -11,8 +11,10 @@
 //!   largest base relation in the plan, deterministically chosen — is redirected to the shared
 //!   slice name, and the rewritten plan (identical on every shard, so fingerprints and the
 //!   per-shard bind caches line up) is submitted to **all** shards.  Each derivation of the
-//!   original plan consumes exactly one row of the sliced scan, so the per-shard result sets
-//!   partition the single-node result set; the gather phase concatenates them.
+//!   original plan consumes exactly one row of the sliced scan, so the union of the per-shard
+//!   result *sets* is the single-node result set (a tuple-producing plan is `Distinct`-rooted;
+//!   a tuple two shards both derive counts once in the gather phase).  The optimizer orders a
+//!   slice scan by its base relation's cardinality, so the plan has one shape on every shard.
 //! * **Singleton** (aggregate roots, [`Extraction::Raw`]): a COUNT/SUM result cannot be merged
 //!   from partial relations, so the *unmodified* plan runs on one shard (picked by plan
 //!   fingerprint) against that shard's full replicas — exactly the single-node execution.
@@ -41,15 +43,7 @@ use urm_matching::MappingSet;
 use urm_storage::shard::{partition, ShardScheme};
 use urm_storage::Catalog;
 
-/// The relation name shard catalogs register slice `i` of `base` under.
-///
-/// Deliberately shard-*independent*: the rewritten scatter plan is textually identical on
-/// every shard, so its fingerprint — and with it bind-cache hits and DAG node sharing — is
-/// too.  `::` cannot occur in generated relation names, so slices never collide with bases.
-#[must_use]
-pub fn slice_relation_name(base: &str) -> String {
-    format!("{base}::slice")
-}
+pub use urm_storage::shard::slice_relation_name;
 
 /// One shard's runtime: its catalog view (replicas + slices) and its private epoch DAG.
 #[derive(Debug)]
@@ -217,6 +211,7 @@ fn redirect_scan(plan: &Plan, target: usize, seen: &mut usize, slice: &str) -> P
             func: func.clone(),
             input: Box::new(redirect_scan(input, target, seen, slice)),
         },
+        Plan::Distinct { input } => redirect_scan(input, target, seen, slice).distinct(),
     }
 }
 
@@ -357,7 +352,8 @@ pub fn evaluate_batch_sharded(
 
         let plan_start = Instant::now();
         let mut roots = Vec::with_capacity(ordered.len());
-        for (sq, probability) in ordered {
+        for cluster in ordered {
+            let (sq, probability) = (cluster.query, cluster.probability);
             let scatterable = matches!(sq.extraction, Extraction::Columns(_));
             let route = match designate_slice_leaf(&sq.plan, catalog) {
                 Some((leaf, base)) if scatterable => {
@@ -376,7 +372,7 @@ pub fn evaluate_batch_sharded(
                 }
                 _ => {
                     // Aggregates (and scanless plans) run whole on one shard's full replicas.
-                    let key = fingerprint(&sq.plan);
+                    let key = cluster.fingerprint;
                     let shard = (key % shard_count as u64) as usize;
                     submissions[shard].push((key, sq.plan));
                     singleton_roots += 1;

@@ -6,12 +6,19 @@
 //! minimal set of source relations covering the mapped attributes (joined by a Cartesian
 //! product); and the output clause determines how answer tuples are extracted so that answers
 //! produced under *different* mappings can be compared and aggregated.
+//!
+//! The paper's answers are *sets* (Algorithm 4 removes duplicate tuples before aggregating), and
+//! a tuple-producing source query says so itself: its plan is `δ π_A σ* (R1 × … × Rn)`, rooted
+//! in a [`Plan::Distinct`].  The optimizer uses that to de-duplicate each factor of the product
+//! before multiplying it (see `urm_engine::optimize`); COUNT and SUM stay bag-semantic.  The
+//! plan built here is the literal, un-optimised one, and every algorithm hands it to the same
+//! `optimize` before running it.
 
 use crate::answer::ProbabilisticAnswer;
 use crate::query::{QueryOutput, TargetPredicate, TargetQuery};
 use crate::{CoreError, CoreResult};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use urm_engine::{AggFunc, Plan, Predicate};
 use urm_matching::Mapping;
@@ -33,7 +40,8 @@ pub enum Extraction {
 /// that equality is what e-basic deduplicates and what q-sharing's partitions guarantee.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SourceQuery {
-    /// The executable source plan (canonical, un-optimised form).
+    /// The executable source plan (literal, un-optimised form; `Distinct`-rooted when the
+    /// query returns tuples).
     pub plan: Plan,
     /// How to turn result rows into answer tuples.
     pub extraction: Extraction,
@@ -49,6 +57,18 @@ pub enum Reformulated {
     Empty,
 }
 
+/// One distinct source query of a target query: the mappings that reformulate onto it, summed.
+#[derive(Debug, Clone)]
+pub(crate) struct ClusteredQuery {
+    pub query: SourceQuery,
+    /// `query.plan.fingerprint()`, hashed once when the cluster was formed: the key the cluster
+    /// was found under, its rank among equally probable clusters, and the key its plan is
+    /// submitted to an epoch DAG under.
+    pub fingerprint: u64,
+    /// Total probability of the mappings in the cluster.
+    pub probability: f64,
+}
+
 /// Reformulates `query` through every mapping of the set, clustering identical source queries
 /// with their summed probabilities.  Returns the distinct source queries in deterministic order
 /// (descending probability, plan fingerprint as tie-break) plus the probability mass of
@@ -60,20 +80,35 @@ pub(crate) fn clustered_reformulations(
     query: &TargetQuery,
     mappings: &urm_matching::MappingSet,
     catalog: &Catalog,
-) -> CoreResult<(Vec<(SourceQuery, f64)>, f64)> {
-    let mut groups: std::collections::HashMap<SourceQuery, f64> = std::collections::HashMap::new();
+) -> CoreResult<(Vec<ClusteredQuery>, f64)> {
+    // Each reformulation's plan is hashed exactly once, here; a bucket holds more than one
+    // cluster only for equal plans read out differently (or a fingerprint collision).
+    let mut buckets: HashMap<u64, Vec<ClusteredQuery>> = HashMap::new();
     let mut empty_probability = 0.0;
     for mapping in mappings.iter() {
         match reformulate(query, mapping, catalog)? {
             Reformulated::Empty => empty_probability += mapping.probability(),
-            Reformulated::Query(sq) => *groups.entry(sq).or_insert(0.0) += mapping.probability(),
+            Reformulated::Query(sq) => {
+                let fingerprint = sq.plan.fingerprint();
+                let bucket = buckets.entry(fingerprint).or_default();
+                match bucket.iter_mut().find(|cluster| cluster.query == sq) {
+                    Some(cluster) => cluster.probability += mapping.probability(),
+                    None => bucket.push(ClusteredQuery {
+                        query: sq,
+                        fingerprint,
+                        probability: mapping.probability(),
+                    }),
+                }
+            }
         }
     }
-    let mut ordered: Vec<(SourceQuery, f64)> = groups.into_iter().collect();
-    // HashMap iteration order must not leak into answer aggregation: order deterministically.
+    let mut ordered: Vec<ClusteredQuery> = buckets.into_values().flatten().collect();
+    // HashMap iteration order must not leak into answer aggregation: order deterministically
+    // (the sort is stable, and a bucket's clusters are adjacent in mapping order).
     ordered.sort_by(|a, b| {
-        b.1.total_cmp(&a.1)
-            .then_with(|| a.0.plan.fingerprint().cmp(&b.0.plan.fingerprint()))
+        b.probability
+            .total_cmp(&a.probability)
+            .then_with(|| a.fingerprint.cmp(&b.fingerprint))
     });
     Ok((ordered, empty_probability))
 }
@@ -177,7 +212,6 @@ pub fn reformulate(
 
     // 3. Product of all scans, in deterministic order.
     let mut plan = scans
-        .clone()
         .into_iter()
         .reduce(Plan::product)
         .expect("at least one scan");
@@ -223,7 +257,11 @@ pub fn reformulate(
                 // No output attribute is covered by this mapping: nothing observable.
                 return Ok(Reformulated::Empty);
             }
-            (plan.project(project), Extraction::Columns(columns))
+            // Answers are sets: the duplicates the products multiply in are not answers.
+            (
+                plan.project(project).distinct(),
+                Extraction::Columns(columns),
+            )
         }
     };
 

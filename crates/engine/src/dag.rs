@@ -358,9 +358,13 @@ impl OperatorDag {
         // Per-node trace span (inert when tracing is off).  `shared_by` is the node's consumer
         // count — the explicit MQO cost attribution: a span with `shared_by: 3` was executed
         // once on behalf of three downstream operators/queries.
+        // `op` and `rows_in`/`rows` say what the node was and did, so a slow node can be named
+        // from the trace alone.
         let mut span = exec.tracer().span("node");
         span.tag("node", node as u64);
+        span.label("op", n.plan.op_name());
         span.tag("shared_by", n.consumers.len().max(1) as u64);
+        span.tag("rows_in", children.iter().map(|c| c.len() as u64).sum());
         let started = Instant::now();
         let out = exec.execute_node_hinted(&n.plan, children, hint)?;
         if let Some(store) = &self.recorder {

@@ -27,7 +27,7 @@ use crate::physical::{bind, BoundAggregate, PhysicalPlan};
 use crate::{vectorized, EngineError, EngineResult, ExecStats, Plan};
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
@@ -389,6 +389,31 @@ impl<'a> Executor<'a> {
                 self.stats
                     .record_operator((l.len() + r.len()) as u64, rows.len() as u64);
                 Ok(Arc::new(Relation::from_validated(schema.clone(), rows)))
+            }
+            PhysicalPlan::Distinct { .. } => {
+                let input = child(children, 0);
+                if let Some(view) = self.columnar_input(&input) {
+                    let every_column: Vec<usize> = (0..view.arity()).collect();
+                    let kept = view.distinct_rows(&every_column);
+                    let out = if kept.len() == view.len() {
+                        view.into_owned()
+                    } else {
+                        view.select_rows(kept)
+                    };
+                    return Ok(self.emit(plan.schema(), input.len(), out));
+                }
+                let mut seen = HashSet::new();
+                let rows: Vec<Tuple> = input
+                    .iter()
+                    .filter(|row| seen.insert(*row))
+                    .cloned()
+                    .collect();
+                self.stats
+                    .record_operator(input.len() as u64, rows.len() as u64);
+                Ok(Arc::new(Relation::from_validated(
+                    plan.schema().clone(),
+                    rows,
+                )))
             }
             PhysicalPlan::Aggregate { func, schema, .. } => {
                 let input = child(children, 0);
@@ -920,13 +945,49 @@ mod tests {
     }
 
     #[test]
-    fn empty_projection_fails() {
+    fn empty_projection_keeps_the_row_count_and_distinct_makes_it_existence() {
         let cat = figure2_catalog();
-        let plan = Plan::scan("Customer").project(vec![]);
-        assert!(matches!(
-            Executor::new(&cat).run(&plan),
-            Err(EngineError::InvalidPlan(_))
-        ));
+        let counted = Plan::scan("Customer").project(vec![]);
+        let nobody = Plan::scan("Customer")
+            .select(Predicate::eq("Customer.oaddr", Value::from("nowhere")))
+            .project(vec![]);
+        for columnar in [true, false] {
+            let mut exec = Executor::new(&cat).with_columnar(columnar);
+            let out = exec.run(&counted).unwrap();
+            assert_eq!((out.len(), out.schema().arity()), (3, 0));
+            assert_eq!(out.rows(), vec![Tuple::new(vec![]); 3]);
+            assert_eq!(exec.run(&counted.clone().distinct()).unwrap().len(), 1);
+            assert_eq!(exec.run(&nobody.clone().distinct()).unwrap().len(), 0);
+            // One existing row is the identity of the product, none annihilates it.
+            let orders = Plan::scan("C_Order");
+            let some = counted.clone().distinct().product(orders.clone());
+            assert_eq!(
+                exec.run(&some).unwrap().rows(),
+                exec.run(&orders).unwrap().rows()
+            );
+            assert!(exec
+                .run(&nobody.clone().distinct().product(orders))
+                .unwrap()
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn distinct_keeps_first_occurrences_in_input_order() {
+        let cat = figure2_catalog();
+        // Alice and Cindy share an office address and Bob and Alice a home address.
+        let plan = Plan::scan("Customer")
+            .project(vec!["Customer.oaddr".into()])
+            .distinct();
+        let expected = crate::ReferenceExecutor::new(&cat).run(&plan).unwrap();
+        assert_eq!(expected.len(), 2);
+        for columnar in [true, false] {
+            let mut exec = Executor::new(&cat).with_columnar(columnar);
+            let out = exec.run(&plan).unwrap();
+            assert_eq!(out.view().is_some(), columnar);
+            assert_eq!(out.rows(), expected.rows());
+            assert_eq!(out.schema(), expected.schema());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt;
 use urm_storage::{Tuple, Value};
 
 /// Comparison operators for attribute/constant predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CompareOp {
     /// Equality (`=`), the only operator the paper's workload uses, but the rest of the family
     /// is provided for the extension experiments.
@@ -62,7 +62,10 @@ impl fmt::Display for CompareOp {
 }
 
 /// A boolean predicate over the (qualified) columns of a plan's output schema.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Predicates are totally ordered (variant, then fields) so the optimizer can list a
+/// conjunction's parts in one canonical order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Predicate {
     /// `column op constant` — e.g. `σ_{telephone = '335-1736'}`.
     Compare {

@@ -38,8 +38,10 @@
 //!   and the baseline of the executor micro-benchmark;
 //! * [`ExecStats`] — counters for executed operators and produced tuples, the metric reported
 //!   in the paper's Table IV;
-//! * [`optimize`] — selection push-down and product→join rewrites used when lowering
-//!   reformulated queries, plus plan fingerprinting used by the MQO baseline.
+//! * [`optimize`] — the one rewrite every reformulated query goes through: a canonical
+//!   join-graph normal form (selections on their leaves, joins along equality edges,
+//!   products last and, under a `Distinct` root, de-duplicated factor by factor), plus the
+//!   plan fingerprinting the sharing layers key on.
 //!
 //! ```
 //! use urm_engine::{CompareOp, Executor, Plan, Predicate};

@@ -1,21 +1,65 @@
-//! Plan rewrites used when lowering reformulated source queries.
+//! The optimizer: one canonical join-graph normal form for reformulated source queries.
 //!
 //! Reformulation (Section VI-B of the paper) produces plans of the shape
-//! `π (σ … σ (R1 × R2 × …))`.  Executing such a plan literally would materialise the full
-//! Cartesian product before filtering, which is infeasible even at moderate scale factors and is
-//! not what any realistic engine (including the authors') does.  The rewrites here —
-//! selection push-down and conversion of products with equality conditions into hash joins —
-//! keep the *logical* operator structure that the paper's algorithms reason about while making
-//! all baselines executable.  The same rewritten plan is used for every algorithm, so relative
-//! comparisons are unaffected.
+//! `δ π (σ … σ (R1 × R2 × …))` (or an aggregate in place of `δ π`): a target relation becomes
+//! the *product* of the source relations covering its attributes, **with no predicate between
+//! them**.  Executing that literally materialises the full Cartesian product before filtering;
+//! even after selections are pushed down and equalities fused into joins, the relations no
+//! equality reaches remain pure multipliers of the row count.  They cannot be ordered away —
+//! the products are inherent to the reformulation — but under the paper's *set* semantics
+//! (Algorithm 4, "remove duplicate tuples") they factor:
+//!
+//! ```text
+//!   δ π_A (C1 × … × Ck)  =  δ π_A1 (C1) × … × δ π_Ak (Ck)        Ai = A ∩ columns(Ci)
+//! ```
+//!
+//! [`optimize`] therefore rewrites every `[head] σ* (leaf × … × leaf)` block into one normal
+//! form:
+//!
+//! 1. **Flatten** the block into leaves (scans, `Values`, and any other sub-plan, itself
+//!    optimised) and conjuncts (`HashJoin` conditions included).
+//! 2. **Push** each conjunct whose columns one leaf provides onto that leaf, as one selection
+//!    over the sorted conjunction.
+//! 3. Build the **join graph** — leaves are nodes, cross-leaf equalities are edges — and split
+//!    it into **connected components**.
+//! 4. Inside a component join **along edges only**: start from the leaf with the smallest
+//!    estimate and repeatedly hash-join the smallest leaf an edge connects, ties by leaf
+//!    fingerprint.
+//! 5. **Multiply components last**, smallest first.  Under a `δ π_A` head each component is
+//!    first reduced to `δ π_Ai (Ci)`; a component with no output column becomes an
+//!    *existence factor* `δ π_∅ (Ci)` of at most one row.  Under an aggregate, a bag
+//!    projection or no head the components are multiplied as they are.
+//!
+//! Components stay bag-semantic and output-agnostic inside, so one component node is shared
+//! by every mapping, query and output list (COUNT/SUM included) that contains it.
+//!
+//! **Canonical.**  Every choice above is a function of the *set* of leaves and conjuncts and
+//! of the catalog's base cardinalities — a shard slice orders as its base relation, and
+//! nothing observed at run time enters.  So a plan's optimised form (and fingerprint) does not
+//! depend on the order a mapping listed its relations or a query its predicates in, is stable
+//! for the lifetime of a catalog, and is the same on every shard.  Which side of a join the
+//! hash table is built on is not part of the plan: that stays the executor's decision.
+//!
+//! Column names must be unique across the leaves of a block — which [`Plan`]'s
+//! alias-qualified naming guarantees for every plan reformulation builds.
+//!
+//! The same rewritten plan is used for every algorithm, the batch path and the shards, so
+//! relative comparisons between them are unaffected.
 
-use crate::{EngineResult, Plan, Predicate};
+use crate::{CompareOp, EngineError, EngineResult, Plan, Predicate};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
+use urm_storage::shard::base_relation_name;
 use urm_storage::Catalog;
 
 /// A structural fingerprint of a plan, used to detect identical source queries (e-basic) and
 /// common sub-expressions (the MQO baseline).
+///
+/// It covers the whole tree — operators, relation names, aliases, predicates with their
+/// constants, column lists, the rows of a `Values` leaf — and nothing else: no cardinality,
+/// no catalog identity, nothing measured.
 #[must_use]
 pub fn fingerprint(plan: &Plan) -> u64 {
     let mut hasher = DefaultHasher::new();
@@ -23,104 +67,355 @@ pub fn fingerprint(plan: &Plan) -> u64 {
     hasher.finish()
 }
 
-/// Optimises a plan: pushes selections towards the leaves and converts Cartesian products whose
-/// conjuncts contain cross-side equality predicates into hash equi-joins.
+/// Rewrites a plan into the canonical join-graph normal form (see the [module docs](self)).
+///
+/// The result is equivalent to `plan`: the same set of rows under a [`Plan::Distinct`] root,
+/// the same bag (and the same output columns, in the same order) otherwise.
 pub fn optimize(plan: &Plan, catalog: &Catalog) -> EngineResult<Plan> {
     match plan {
-        Plan::Select { predicate, input } => {
-            let mut preds = predicate.clone().flatten();
-            let mut cur: &Plan = input;
-            while let Plan::Select { predicate, input } = cur {
-                preds.extend(predicate.clone().flatten());
-                cur = input;
-            }
-            let child = optimize(cur, catalog)?;
-            apply_predicates(child, preds, catalog)
-        }
-        Plan::Project { columns, input } => Ok(Plan::Project {
-            columns: columns.clone(),
-            input: Box::new(optimize(input, catalog)?),
-        }),
-        Plan::Product { left, right } => Ok(Plan::Product {
-            left: Box::new(optimize(left, catalog)?),
-            right: Box::new(optimize(right, catalog)?),
-        }),
-        Plan::HashJoin { left, right, on } => Ok(Plan::HashJoin {
-            left: Box::new(optimize(left, catalog)?),
-            right: Box::new(optimize(right, catalog)?),
-            on: on.clone(),
-        }),
-        Plan::Aggregate { func, input } => Ok(Plan::Aggregate {
-            func: func.clone(),
-            input: Box::new(optimize(input, catalog)?),
-        }),
         Plan::Scan { .. } | Plan::Values(_) => Ok(plan.clone()),
-    }
-}
-
-/// Pushes a set of conjunctive predicates into `child` as far as possible, converting products
-/// into hash joins when a cross-side equality predicate is available.
-fn apply_predicates(child: Plan, preds: Vec<Predicate>, catalog: &Catalog) -> EngineResult<Plan> {
-    if preds.is_empty() {
-        return Ok(child);
-    }
-    match child {
-        Plan::Product { left, right } => apply_to_binary(*left, *right, Vec::new(), preds, catalog),
-        Plan::HashJoin { left, right, on } => apply_to_binary(*left, *right, on, preds, catalog),
-        Plan::Select { predicate, input } => {
-            let mut all = predicate.flatten();
-            all.extend(preds);
-            apply_predicates(*input, all, catalog)
-        }
-        other => Ok(other.select(Predicate::conjunction(preds))),
-    }
-}
-
-/// Distributes predicates over a binary node (product or join), turning cross-side equality
-/// conjuncts into join keys.
-fn apply_to_binary(
-    left: Plan,
-    right: Plan,
-    existing_on: Vec<(String, String)>,
-    preds: Vec<Predicate>,
-    catalog: &Catalog,
-) -> EngineResult<Plan> {
-    let left_schema = left.output_schema(catalog)?;
-    let right_schema = right.output_schema(catalog)?;
-
-    let mut left_preds = Vec::new();
-    let mut right_preds = Vec::new();
-    let mut join_on = existing_on;
-    let mut residual = Vec::new();
-
-    for pred in preds {
-        let cols = pred.columns();
-        let all_left = cols.iter().all(|c| left_schema.contains(c));
-        let all_right = cols.iter().all(|c| right_schema.contains(c));
-        match (&pred, all_left, all_right) {
-            (_, true, _) => left_preds.push(pred),
-            (_, _, true) => right_preds.push(pred),
-            (Predicate::ColumnEq { left: l, right: r }, _, _)
-                if (left_schema.contains(l) && right_schema.contains(r))
-                    || (left_schema.contains(r) && right_schema.contains(l)) =>
-            {
-                join_on.push((l.clone(), r.clone()));
+        Plan::Distinct { input } => match input.as_ref() {
+            Plan::Project { columns, input } => {
+                let block = Block::of(input, catalog)?;
+                let wanted = block.columns_by_component(columns)?;
+                let factors = block
+                    .components
+                    .into_iter()
+                    .zip(wanted)
+                    .map(|(component, columns)| Component {
+                        rows: if columns.is_empty() {
+                            1
+                        } else {
+                            component.rows
+                        },
+                        plan: component.plan.project(columns.clone()).distinct(),
+                        columns,
+                    })
+                    .collect();
+                Ok(multiply(factors, Some(columns)))
             }
-            _ => residual.push(pred),
+            other => Ok(optimize(other, catalog)?.distinct()),
+        },
+        // These heads name the columns they read: the product's column order is free.
+        Plan::Project { columns, input } => {
+            let block = Block::of(input, catalog)?;
+            Ok(multiply(block.components, None).project(columns.clone()))
+        }
+        Plan::Aggregate { func, input } => {
+            let block = Block::of(input, catalog)?;
+            Ok(multiply(block.components, None).aggregate(func.clone()))
+        }
+        Plan::Select { .. } | Plan::Product { .. } | Plan::HashJoin { .. } => {
+            let block = Block::of(plan, catalog)?;
+            Ok(multiply(block.components, Some(&block.columns)))
         }
     }
+}
 
-    let new_left = apply_predicates(left, left_preds, catalog)?;
-    let new_right = apply_predicates(right, right_preds, catalog)?;
-    let joined = if join_on.is_empty() {
-        new_left.product(new_right)
-    } else {
-        new_left.hash_join(new_right, join_on)
-    };
-    if residual.is_empty() {
-        Ok(joined)
-    } else {
-        Ok(joined.select(Predicate::conjunction(residual)))
+/// The product of `factors`, smallest estimate first (ties by fingerprint) — followed, when the
+/// caller needs exactly `columns`, by a projection onto them unless the product already lists
+/// its columns that way.
+fn multiply(mut factors: Vec<Component>, columns: Option<&[String]>) -> Plan {
+    factors.sort_by_cached_key(|factor| (factor.rows, fingerprint(&factor.plan)));
+    let reorder = columns.filter(|columns| {
+        !factors
+            .iter()
+            .flat_map(|factor| &factor.columns)
+            .eq(columns.iter())
+    });
+    let product = factors
+        .into_iter()
+        .map(|factor| factor.plan)
+        .reduce(Plan::product)
+        .expect("a block has at least one leaf");
+    match reorder {
+        Some(columns) => product.project(columns.to_vec()),
+        None => product,
+    }
+}
+
+/// A connected component of a block's join graph (or, once reduced, a factor of its product).
+struct Component {
+    plan: Plan,
+    /// Estimated output rows.
+    rows: u64,
+    /// Output columns, in order.
+    columns: Vec<String>,
+}
+
+/// One conjunct of a block and the leaves below the selection (or join) it came from: only
+/// those can provide its columns.
+struct Conjunct {
+    predicate: Predicate,
+    scope: Range<usize>,
+}
+
+/// A cross-leaf equality: `leaves[a].a_column = leaves[b].b_column`.
+struct Edge {
+    a: usize,
+    a_column: String,
+    b: usize,
+    b_column: String,
+}
+
+/// A flattened `σ* (leaf × … × leaf)` block in normal form: its connected components, each
+/// joined along its edges.
+struct Block {
+    components: Vec<Component>,
+    /// The block's output columns in the order the un-optimised plan produces them.
+    columns: Vec<String>,
+}
+
+impl Block {
+    fn of(body: &Plan, catalog: &Catalog) -> EngineResult<Block> {
+        let mut plans = Vec::new();
+        let mut conjuncts = Vec::new();
+        flatten(body, catalog, &mut plans, &mut conjuncts)?;
+
+        let mut leaf_columns = Vec::with_capacity(plans.len());
+        let mut leaf_of: HashMap<String, usize> = HashMap::new();
+        for (index, leaf) in plans.iter().enumerate() {
+            let schema = leaf.output_schema(catalog)?;
+            let names: Vec<String> = schema.attribute_names().map(String::from).collect();
+            for name in &names {
+                leaf_of.entry(name.clone()).or_insert(index);
+            }
+            leaf_columns.push(names);
+        }
+
+        // Single-leaf conjuncts go onto their leaf, cross-leaf equalities become edges.  A
+        // conjunct naming a column nothing in its scope provides can never hold (missing
+        // predicate columns bind to `Never`): it goes onto a leaf that lacks the column.
+        let mut pushed: Vec<Vec<Predicate>> = vec![Vec::new(); plans.len()];
+        let mut edges = Vec::new();
+        for Conjunct { predicate, scope } in conjuncts {
+            let provider =
+                |column: &str| leaf_of.get(column).copied().filter(|l| scope.contains(l));
+            let providers: Option<Vec<usize>> =
+                predicate.columns().into_iter().map(provider).collect();
+            match (providers.as_deref(), predicate) {
+                (Some(&[a, b]), Predicate::ColumnEq { left, right }) if a != b => {
+                    edges.push(Edge {
+                        a,
+                        a_column: left,
+                        b,
+                        b_column: right,
+                    });
+                }
+                (Some(&[leaf, ..]), predicate) => pushed[leaf].push(predicate),
+                (_, predicate) => pushed[scope.start].push(predicate),
+            }
+        }
+
+        let columns = leaf_columns.concat();
+        let leaves: Vec<Leaf> = plans
+            .into_iter()
+            .zip(pushed)
+            .zip(leaf_columns)
+            .map(|((plan, mut conjuncts), columns)| {
+                let plan = if conjuncts.is_empty() {
+                    plan
+                } else {
+                    conjuncts.sort();
+                    conjuncts.dedup();
+                    plan.select(Predicate::conjunction(conjuncts))
+                };
+                Leaf {
+                    rows: estimated_rows(&plan, catalog),
+                    fingerprint: fingerprint(&plan),
+                    plan,
+                    columns,
+                }
+            })
+            .collect();
+
+        // Connected components of the join graph, each labelled by its smallest leaf index.
+        let mut component_of: Vec<usize> = (0..leaves.len()).collect();
+        loop {
+            let mut changed = false;
+            for edge in &edges {
+                let low = component_of[edge.a].min(component_of[edge.b]);
+                changed |= component_of[edge.a] != low || component_of[edge.b] != low;
+                component_of[edge.a] = low;
+                component_of[edge.b] = low;
+            }
+            if !changed {
+                break;
+            }
+        }
+        let components = (0..leaves.len())
+            .filter(|&label| component_of[label] == label)
+            .map(|label| {
+                let members = (label..leaves.len())
+                    .filter(|&leaf| component_of[leaf] == label)
+                    .collect();
+                join_component(members, &leaves, &edges)
+            })
+            .collect();
+        Ok(Block {
+            components,
+            columns,
+        })
+    }
+
+    /// Splits an output column list by the component providing each column (each column once,
+    /// in list order); a column no leaf provides is the error binding would report.
+    fn columns_by_component(&self, columns: &[String]) -> EngineResult<Vec<Vec<String>>> {
+        let mut wanted: Vec<Vec<String>> = vec![Vec::new(); self.components.len()];
+        for column in columns {
+            let component = self
+                .components
+                .iter()
+                .position(|component| component.columns.contains(column))
+                .ok_or_else(|| EngineError::UnknownColumn {
+                    column: column.clone(),
+                    schema: self.columns.join(", "),
+                })?;
+            if !wanted[component].contains(column) {
+                wanted[component].push(column.clone());
+            }
+        }
+        Ok(wanted)
+    }
+}
+
+/// A leaf of a block with its pushed-down selection, its output columns, and the two keys it
+/// is ordered by.
+struct Leaf {
+    plan: Plan,
+    columns: Vec<String>,
+    rows: u64,
+    fingerprint: u64,
+}
+
+/// Collects the leaves and conjuncts of the `σ* (… × …)` block rooted at `plan`.  Anything that
+/// is not a selection, product or join is a leaf, optimised on its own.
+fn flatten(
+    plan: &Plan,
+    catalog: &Catalog,
+    leaves: &mut Vec<Plan>,
+    conjuncts: &mut Vec<Conjunct>,
+) -> EngineResult<()> {
+    let first = leaves.len();
+    match plan {
+        Plan::Select { predicate, input } => {
+            flatten(input, catalog, leaves, conjuncts)?;
+            conjuncts.extend(predicate.clone().flatten().into_iter().map(|p| Conjunct {
+                predicate: normalized(p),
+                scope: first..leaves.len(),
+            }));
+        }
+        Plan::Product { left, right } => {
+            flatten(left, catalog, leaves, conjuncts)?;
+            flatten(right, catalog, leaves, conjuncts)?;
+        }
+        Plan::HashJoin { left, right, on } => {
+            flatten(left, catalog, leaves, conjuncts)?;
+            flatten(right, catalog, leaves, conjuncts)?;
+            conjuncts.extend(on.iter().map(|(l, r)| Conjunct {
+                predicate: normalized(Predicate::column_eq(l.clone(), r.clone())),
+                scope: first..leaves.len(),
+            }));
+        }
+        leaf => leaves.push(optimize(leaf, catalog)?),
+    }
+    Ok(())
+}
+
+/// `a = b` and `b = a` are one conjunct: the smaller column name goes left.
+fn normalized(predicate: Predicate) -> Predicate {
+    match predicate {
+        Predicate::ColumnEq { left, right } if right < left => Predicate::ColumnEq {
+            left: right,
+            right: left,
+        },
+        other => other,
+    }
+}
+
+/// Joins the leaves of one connected component along its edges: smallest leaf first, then
+/// always the smallest leaf an edge connects to what is already joined.
+fn join_component(mut members: Vec<usize>, leaves: &[Leaf], edges: &[Edge]) -> Component {
+    members.sort_by_key(|&leaf| (leaves[leaf].rows, leaves[leaf].fingerprint));
+    let first = members.remove(0);
+    let mut joined = vec![first];
+    let mut plan = leaves[first].plan.clone();
+    let mut rows = leaves[first].rows;
+    let mut columns = leaves[first].columns.clone();
+    while !members.is_empty() {
+        // `(column of what is joined, column of `leaf`)` for every edge between the two.
+        let conditions = |leaf: usize| -> Vec<(String, String)> {
+            let mut on: Vec<(String, String)> = edges
+                .iter()
+                .filter_map(|e| {
+                    if e.b == leaf && joined.contains(&e.a) {
+                        Some((e.a_column.clone(), e.b_column.clone()))
+                    } else if e.a == leaf && joined.contains(&e.b) {
+                        Some((e.b_column.clone(), e.a_column.clone()))
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            on.sort();
+            on.dedup();
+            on
+        };
+        let (position, on) = members
+            .iter()
+            .enumerate()
+            .map(|(position, &leaf)| (position, conditions(leaf)))
+            .find(|(_, on)| !on.is_empty())
+            .expect("a component is connected");
+        let next = members.remove(position);
+        plan = plan.hash_join(leaves[next].plan.clone(), on);
+        rows = rows.max(leaves[next].rows);
+        columns.extend(leaves[next].columns.iter().cloned());
+        joined.push(next);
+    }
+    Component {
+        plan,
+        rows,
+        columns,
+    }
+}
+
+/// A coarse, deterministic row estimate from the catalog's *base* cardinalities (a shard slice
+/// counts as its base relation), used only to order leaves and components.
+fn estimated_rows(plan: &Plan, catalog: &Catalog) -> u64 {
+    match plan {
+        Plan::Scan { relation, .. } => catalog
+            .get(base_relation_name(relation))
+            .or_else(|| catalog.get(relation))
+            .map_or(0, |base| base.len() as u64),
+        Plan::Values(rel) => rel.len() as u64,
+        Plan::Select { predicate, input } => {
+            (estimated_rows(input, catalog) / reduction(predicate)).max(1)
+        }
+        Plan::Project { input, .. } | Plan::Distinct { input } => estimated_rows(input, catalog),
+        Plan::Product { left, right } => {
+            estimated_rows(left, catalog).saturating_mul(estimated_rows(right, catalog))
+        }
+        // The common shape is a foreign-key join: output on the order of the larger side.
+        Plan::HashJoin { left, right, .. } => {
+            estimated_rows(left, catalog).max(estimated_rows(right, catalog))
+        }
+        Plan::Aggregate { .. } => 1,
+    }
+}
+
+/// The factor a selection is assumed to divide its input's rows by: 10 per equality, 3 per other
+/// comparison.
+fn reduction(predicate: &Predicate) -> u64 {
+    match predicate {
+        Predicate::Compare {
+            op: CompareOp::Eq, ..
+        }
+        | Predicate::ColumnEq { .. } => 10,
+        Predicate::Compare { .. } => 3,
+        Predicate::And(parts) => parts
+            .iter()
+            .fold(1, |all, part| all.saturating_mul(reduction(part))),
     }
 }
 
@@ -130,157 +425,272 @@ mod tests {
     use crate::{AggFunc, CompareOp, Executor};
     use urm_storage::{Attribute, DataType, Relation, Schema, Tuple, Value};
 
+    fn relation(name: &str, attrs: &[&str], rows: usize, distinct: usize) -> Relation {
+        Relation::new(
+            Schema::new(
+                name,
+                attrs
+                    .iter()
+                    .map(|a| Attribute::new(*a, DataType::Int))
+                    .collect(),
+            ),
+            (0..rows)
+                .map(|i| {
+                    Tuple::new(
+                        (0..attrs.len())
+                            .map(|c| Value::from(((i + c) % distinct) as i64))
+                            .collect(),
+                    )
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    /// Customer (20 rows) and Orders (30) join on `cid`; Item (40) and Note (5) are reached by
+    /// no equality.
     fn catalog() -> Catalog {
-        let customer = Relation::new(
-            Schema::new(
-                "Customer",
-                vec![
-                    Attribute::new("cid", DataType::Int),
-                    Attribute::new("city", DataType::Text),
-                ],
-            ),
-            (0..20)
-                .map(|i| {
-                    Tuple::new(vec![
-                        Value::from(i as i64),
-                        Value::from(if i % 2 == 0 { "hk" } else { "sz" }),
-                    ])
-                })
-                .collect(),
-        )
-        .unwrap();
-        let orders = Relation::new(
-            Schema::new(
-                "Orders",
-                vec![
-                    Attribute::new("oid", DataType::Int),
-                    Attribute::new("cid", DataType::Int),
-                    Attribute::new("total", DataType::Float),
-                ],
-            ),
-            (0..30)
-                .map(|i| {
-                    Tuple::new(vec![
-                        Value::from(1000 + i as i64),
-                        Value::from((i % 20) as i64),
-                        Value::from(i as f64 * 1.5),
-                    ])
-                })
-                .collect(),
-        )
-        .unwrap();
         let mut cat = Catalog::new();
-        cat.insert(customer);
-        cat.insert(orders);
+        cat.insert(relation("Customer", &["cid", "city"], 20, 20));
+        cat.insert(relation("Orders", &["oid", "cid", "total"], 30, 10));
+        cat.insert(relation("Item", &["iid", "kind"], 40, 4));
+        cat.insert(relation("Note", &["nid"], 5, 5));
         cat
     }
 
-    fn unoptimized_query() -> Plan {
+    fn join_query() -> Plan {
         Plan::scan("Customer")
             .product(Plan::scan("Orders"))
             .select(Predicate::column_eq("Customer.cid", "Orders.cid"))
-            .select(Predicate::eq("Customer.city", Value::from("hk")))
+            .select(Predicate::eq("Customer.city", Value::from(3i64)))
             .project(vec!["Orders.total".into()])
+    }
+
+    fn rows_of(plan: &Plan, cat: &Catalog) -> Vec<Tuple> {
+        let mut rows = Executor::new(cat).run(plan).unwrap().rows().to_vec();
+        rows.sort();
+        rows
     }
 
     #[test]
     fn fingerprint_is_deterministic_and_discriminating() {
-        let a = unoptimized_query();
-        let b = unoptimized_query();
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-        let c = Plan::scan("Customer");
-        assert_ne!(fingerprint(&a), fingerprint(&c));
+        assert_eq!(fingerprint(&join_query()), fingerprint(&join_query()));
+        assert_ne!(
+            fingerprint(&join_query()),
+            fingerprint(&Plan::scan("Customer"))
+        );
     }
 
     #[test]
-    fn optimize_converts_product_to_hash_join() {
+    fn equalities_become_joins_and_selections_reach_their_leaf() {
         let cat = catalog();
-        let opt = optimize(&unoptimized_query(), &cat).unwrap();
-        let has_join = opt
-            .subplans()
-            .iter()
-            .any(|p| matches!(p, Plan::HashJoin { .. }));
-        let has_product = opt
-            .subplans()
-            .iter()
-            .any(|p| matches!(p, Plan::Product { .. }));
-        assert!(has_join, "expected a hash join in:\n{opt}");
-        assert!(!has_product, "product should have been rewritten:\n{opt}");
-    }
-
-    #[test]
-    fn optimize_pushes_selection_below_join() {
-        let cat = catalog();
-        let opt = optimize(&unoptimized_query(), &cat).unwrap();
-        // The city selection must now sit directly on the Customer scan.
-        let pushed = opt.subplans().iter().any(|p| {
-            matches!(
-                p,
-                Plan::Select { predicate, input }
-                    if matches!(input.as_ref(), Plan::Scan { relation, .. } if relation == "Customer")
-                        && predicate.columns() == vec!["Customer.city"]
+        let opt = optimize(&join_query(), &cat).unwrap();
+        // The filtered Customer leaf is the smaller one, so it starts the join.
+        let expected = Plan::scan("Customer")
+            .select(Predicate::eq("Customer.city", Value::from(3i64)))
+            .hash_join(
+                Plan::scan("Orders"),
+                vec![("Customer.cid".into(), "Orders.cid".into())],
             )
-        });
-        assert!(pushed, "selection was not pushed down:\n{opt}");
+            .project(vec!["Orders.total".into()]);
+        assert_eq!(opt, expected, "\n{opt}");
+        assert_eq!(rows_of(&opt, &cat), rows_of(&join_query(), &cat));
+        assert!(!rows_of(&opt, &cat).is_empty());
     }
 
     #[test]
-    fn optimized_plan_produces_identical_results() {
+    fn a_set_root_factors_its_components_before_the_product() {
         let cat = catalog();
-        let plan = unoptimized_query();
-        let opt = optimize(&plan, &cat).unwrap();
-        let naive = Executor::new(&cat).run(&plan).unwrap();
-        let fast = Executor::new(&cat).run(&opt).unwrap();
-        use std::collections::HashMap;
-        let bag = |r: &Relation| {
-            let mut m: HashMap<Tuple, usize> = HashMap::new();
-            for t in r.iter() {
-                *m.entry(t.clone()).or_default() += 1;
-            }
-            m
-        };
-        assert_eq!(bag(&naive), bag(&fast));
-        assert!(!naive.is_empty());
-    }
-
-    #[test]
-    fn optimize_keeps_aggregates_and_projections() {
-        let cat = catalog();
-        let plan = Plan::scan("Orders")
+        // Item multiplies the output, Note only has to exist.
+        let plan = Plan::scan("Note")
+            .product(Plan::scan("Item"))
+            .product(Plan::scan("Customer"))
+            .product(Plan::scan("Orders"))
+            .select(Predicate::column_eq("Orders.cid", "Customer.cid"))
             .select(Predicate::compare(
-                "Orders.total",
-                CompareOp::Gt,
-                Value::from(10.0),
+                "Item.iid",
+                CompareOp::Lt,
+                Value::from(2i64),
             ))
-            .aggregate(AggFunc::Sum("Orders.total".into()));
+            .project(vec!["Item.kind".into(), "Orders.total".into()])
+            .distinct();
         let opt = optimize(&plan, &cat).unwrap();
-        let a = Executor::new(&cat).run(&plan).unwrap();
-        let b = Executor::new(&cat).run(&opt).unwrap();
-        assert_eq!(a.rows()[0], b.rows()[0]);
+        let exists = Plan::scan("Note").project(vec![]).distinct();
+        let kinds = Plan::scan("Item")
+            .select(Predicate::compare(
+                "Item.iid",
+                CompareOp::Lt,
+                Value::from(2i64),
+            ))
+            .project(vec!["Item.kind".into()])
+            .distinct();
+        let totals = Plan::scan("Customer")
+            .hash_join(
+                Plan::scan("Orders"),
+                vec![("Customer.cid".into(), "Orders.cid".into())],
+            )
+            .project(vec!["Orders.total".into()])
+            .distinct();
+        assert_eq!(opt, exists.product(kinds).product(totals), "\n{opt}");
+
+        let mut exec = Executor::new(&cat);
+        let out = exec.run(&opt).unwrap();
+        let literal = rows_of(&plan, &cat);
+        assert_eq!(out.len(), literal.len(), "no duplicate reaches the root");
+        let mut rows = out.rows().to_vec();
+        rows.sort();
+        assert_eq!(rows, literal);
+        // 40 × 5 × 30 joined rows never exist: the widest intermediate is the join itself.
+        assert!(exec.stats().tuples_output < 400, "{:?}", exec.stats());
+
+        // An empty existence factor empties the answer.
+        let none = Plan::scan("Note")
+            .select(Predicate::eq("Note.nid", Value::from(99i64)))
+            .product(Plan::scan("Item"))
+            .project(vec!["Item.kind".into()])
+            .distinct();
+        assert!(rows_of(&optimize(&none, &cat).unwrap(), &cat).is_empty());
     }
 
     #[test]
-    fn residual_cross_side_comparisons_stay_above_the_join() {
+    fn bag_roots_keep_every_duplicate_and_the_column_order() {
         let cat = catalog();
-        // A non-equality cross-side predicate cannot become a join key.
-        let plan = Plan::scan("Customer")
+        let body = Plan::scan("Orders")
+            .product(Plan::scan("Note"))
+            .product(Plan::scan("Customer"))
+            .select(Predicate::column_eq("Customer.cid", "Orders.cid"));
+        let opt = optimize(&body, &cat).unwrap();
+        // Components are multiplied smallest first, then put back in the original order.
+        let Plan::Project { columns, input } = &opt else {
+            panic!("expected a reordering projection:\n{opt}");
+        };
+        assert!(matches!(input.as_ref(), Plan::Product { left, .. }
+            if **left == Plan::scan("Note")));
+        assert_eq!(columns[0], "Orders.oid");
+        assert_eq!(rows_of(&opt, &cat), rows_of(&body, &cat));
+
+        for func in [AggFunc::Count, AggFunc::Sum("Orders.total".into())] {
+            let plan = body.clone().aggregate(func);
+            let opt = optimize(&plan, &cat).unwrap();
+            assert!(opt
+                .subplans()
+                .iter()
+                .all(|p| !matches!(p, Plan::Distinct { .. })));
+            assert_eq!(rows_of(&opt, &cat), rows_of(&plan, &cat));
+        }
+    }
+
+    #[test]
+    fn the_normal_form_ignores_scan_and_conjunct_order() {
+        let cat = catalog();
+        let conjuncts = [
+            Predicate::column_eq("Orders.cid", "Customer.cid"),
+            Predicate::eq("Customer.city", Value::from(3i64)),
+            Predicate::compare("Orders.total", CompareOp::Ge, Value::from(0i64)),
+        ];
+        let build = |scans: [&str; 3], order: [usize; 3], flip: bool| {
+            let mut plan = scans
+                .into_iter()
+                .map(Plan::scan)
+                .reduce(Plan::product)
+                .unwrap();
+            for i in order {
+                plan = plan.select(match (&conjuncts[i], flip) {
+                    (Predicate::ColumnEq { left, right }, true) => {
+                        Predicate::column_eq(right.clone(), left.clone())
+                    }
+                    (conjunct, _) => conjunct.clone(),
+                });
+            }
+            plan.project(vec!["Orders.oid".into(), "Item.kind".into()])
+                .distinct()
+        };
+        let reference = optimize(
+            &build(["Customer", "Orders", "Item"], [0, 1, 2], false),
+            &cat,
+        );
+        let reference = reference.unwrap();
+        for (scans, order, flip) in [
+            (["Item", "Orders", "Customer"], [2, 1, 0], true),
+            (["Orders", "Item", "Customer"], [1, 2, 0], false),
+        ] {
+            let permuted = optimize(&build(scans, order, flip), &cat).unwrap();
+            assert_eq!(permuted, reference);
+            assert_eq!(fingerprint(&permuted), fingerprint(&reference));
+        }
+    }
+
+    #[test]
+    fn a_shard_slice_orders_as_its_base() {
+        let mut cat = catalog();
+        let slice = urm_storage::shard::slice_relation_name("Orders");
+        cat.insert(relation(&slice, &["oid", "cid", "total"], 3, 3));
+        let plan = |orders: &str| {
+            Plan::scan("Customer")
+                .product(Plan::scan_as(orders, "Orders"))
+                .select(Predicate::column_eq("Customer.cid", "Orders.cid"))
+                .aggregate(AggFunc::Count)
+        };
+        let whole = optimize(&plan("Orders"), &cat).unwrap().to_string();
+        let sliced = optimize(&plan(&slice), &cat).unwrap().to_string();
+        // Three rows would start the join; thirty (the base's) keep Customer first.
+        assert_eq!(
+            sliced,
+            whole.replace("Scan Orders", &format!("Scan {slice} AS Orders"))
+        );
+    }
+
+    #[test]
+    fn unsatisfiable_and_out_of_scope_conjuncts_stay_unsatisfiable() {
+        let cat = catalog();
+        let ghost = Plan::scan("Customer")
+            .product(Plan::scan("Note"))
+            .select(Predicate::column_eq("Customer.cid", "Ghost.cid"));
+        assert!(rows_of(&optimize(&ghost, &cat).unwrap(), &cat).is_empty());
+        // The selection sits below the product: `Note.nid` is not in its scope.
+        let scoped = Plan::scan("Customer")
+            .select(Predicate::compare(
+                "Note.nid",
+                CompareOp::Ge,
+                Value::from(0i64),
+            ))
+            .product(Plan::scan("Note"));
+        assert!(rows_of(&scoped, &cat).is_empty());
+        assert!(rows_of(&optimize(&scoped, &cat).unwrap(), &cat).is_empty());
+    }
+
+    #[test]
+    fn nested_blocks_are_optimised_as_leaves() {
+        let cat = catalog();
+        let inner = Plan::scan("Customer")
+            .product(Plan::scan("Note"))
+            .project(vec!["Customer.cid".into()])
+            .distinct();
+        let plan = inner
             .product(Plan::scan("Orders"))
             .select(Predicate::column_eq("Customer.cid", "Orders.cid"))
-            .select(Predicate::compare(
-                "Orders.total",
-                CompareOp::Ge,
-                Value::from(0.0),
-            ));
+            .aggregate(AggFunc::Count);
         let opt = optimize(&plan, &cat).unwrap();
-        let a = Executor::new(&cat).run(&plan).unwrap();
-        let b = Executor::new(&cat).run(&opt).unwrap();
-        assert_eq!(a.len(), b.len());
+        assert!(
+            opt.to_string().contains("Project \n"),
+            "the inner block's Note is an existence factor:\n{opt}"
+        );
+        assert_eq!(rows_of(&opt, &cat), rows_of(&plan, &cat));
     }
 
     #[test]
-    fn optimize_without_predicates_is_identity_on_scans() {
+    fn unknown_output_columns_are_reported() {
         let cat = catalog();
-        let plan = Plan::scan("Customer");
-        assert_eq!(optimize(&plan, &cat).unwrap(), plan);
+        let plan = Plan::scan("Customer")
+            .project(vec!["Customer.ghost".into()])
+            .distinct();
+        assert!(matches!(
+            optimize(&plan, &cat),
+            Err(EngineError::UnknownColumn { .. })
+        ));
+        assert_eq!(
+            optimize(&Plan::scan("Customer"), &cat).unwrap(),
+            Plan::scan("Customer")
+        );
     }
 }

@@ -134,7 +134,7 @@ pub enum PhysicalPlan {
         /// Output schema (same attributes as the input).
         schema: Schema,
     },
-    /// Keep the columns at `positions`, in that order.
+    /// Keep the columns at `positions`, in that order (none: the row count alone).
     Project {
         /// Input positions of the output columns.
         positions: Vec<usize>,
@@ -174,6 +174,11 @@ pub enum PhysicalPlan {
         /// Output schema (one attribute).
         schema: Schema,
     },
+    /// Duplicate elimination over every input column; the output schema is the input's.
+    Distinct {
+        /// Input operator (shared).
+        input: Arc<PhysicalPlan>,
+    },
 }
 
 impl PhysicalPlan {
@@ -188,6 +193,22 @@ impl PhysicalPlan {
             | PhysicalPlan::Aggregate { schema, .. } => schema,
             PhysicalPlan::Scan { view, .. } => view.schema(),
             PhysicalPlan::Values { rel } => rel.schema(),
+            PhysicalPlan::Distinct { input } => input.schema(),
+        }
+    }
+
+    /// The operator's kind, as the `op` label of its `node` trace span.
+    #[must_use]
+    pub fn op_name(&self) -> &'static str {
+        match self {
+            PhysicalPlan::Scan { .. } => "scan",
+            PhysicalPlan::Values { .. } => "values",
+            PhysicalPlan::Select { .. } => "select",
+            PhysicalPlan::Project { .. } => "project",
+            PhysicalPlan::Product { .. } => "product",
+            PhysicalPlan::HashJoin { .. } => "join",
+            PhysicalPlan::Aggregate { .. } => "aggregate",
+            PhysicalPlan::Distinct { .. } => "distinct",
         }
     }
 
@@ -205,7 +226,8 @@ impl PhysicalPlan {
             PhysicalPlan::Scan { .. } | PhysicalPlan::Values { .. } => (None, None),
             PhysicalPlan::Select { input, .. }
             | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Aggregate { input, .. } => (Some(input), None),
+            | PhysicalPlan::Aggregate { input, .. }
+            | PhysicalPlan::Distinct { input } => (Some(input), None),
             PhysicalPlan::Product { left, right, .. }
             | PhysicalPlan::HashJoin { left, right, .. } => (Some(left), Some(right)),
         };
@@ -225,7 +247,7 @@ impl PhysicalPlan {
             // Equality-style filters are selective; keep a floor of 1 so chains of selections
             // never decay to "free".
             PhysicalPlan::Select { .. } => (child_rows[0] / 2).max(1),
-            PhysicalPlan::Project { .. } => child_rows[0],
+            PhysicalPlan::Project { .. } | PhysicalPlan::Distinct { .. } => child_rows[0],
             PhysicalPlan::Product { .. } => child_rows[0].saturating_mul(child_rows[1]).max(1),
             // The common shape is a foreign-key join: output on the order of the larger side.
             PhysicalPlan::HashJoin { .. } => child_rows[0].max(child_rows[1]).max(1),
@@ -303,6 +325,10 @@ impl PhysicalPlan {
             PhysicalPlan::Aggregate { func, input, .. } => {
                 6u8.hash(h);
                 func.hash(h);
+                input.hash_structure(h);
+            }
+            PhysicalPlan::Distinct { input } => {
+                7u8.hash(h);
                 input.hash_structure(h);
             }
         }
@@ -390,11 +416,6 @@ pub fn bind(plan: &Plan, catalog: &Catalog) -> EngineResult<Arc<PhysicalPlan>> {
         }
         Plan::Project { columns, input } => {
             let input = bind(input, catalog)?;
-            if columns.is_empty() {
-                return Err(EngineError::InvalidPlan(
-                    "projection must keep at least one column".into(),
-                ));
-            }
             let in_schema = input.schema();
             let mut positions = Vec::with_capacity(columns.len());
             let mut attrs = Vec::with_capacity(columns.len());
@@ -457,6 +478,9 @@ pub fn bind(plan: &Plan, catalog: &Catalog) -> EngineResult<Arc<PhysicalPlan>> {
                 schema,
             }))
         }
+        Plan::Distinct { input } => Ok(Arc::new(PhysicalPlan::Distinct {
+            input: bind(input, catalog)?,
+        })),
         Plan::Aggregate { func, input } => {
             let input = bind(input, catalog)?;
             let in_schema = input.schema();

@@ -34,7 +34,8 @@ pub enum Plan {
         /// Input plan.
         input: Box<Plan>,
     },
-    /// Projection onto a list of qualified columns.
+    /// Projection onto a list of qualified columns.  An empty list keeps the row count and
+    /// no column: under a [`Plan::Distinct`] that is the *existence* of an input row.
     Project {
         /// Output columns in order.
         columns: Vec<String>,
@@ -61,6 +62,14 @@ pub enum Plan {
     Aggregate {
         /// Aggregate function.
         func: AggFunc,
+        /// Input plan.
+        input: Box<Plan>,
+    },
+    /// Duplicate elimination over every input column (`δ`): the first occurrence of each
+    /// distinct row, in input order.  The root of every tuple-producing source query — the
+    /// paper's answers are sets (Algorithm 4, "remove duplicate tuples") — and what lets the
+    /// optimizer de-duplicate the factors of a product before multiplying them.
+    Distinct {
         /// Input plan.
         input: Box<Plan>,
     },
@@ -142,6 +151,14 @@ impl Plan {
         }
     }
 
+    /// Removes duplicate rows from this plan's output.
+    #[must_use]
+    pub fn distinct(self) -> Plan {
+        Plan::Distinct {
+            input: Box::new(self),
+        }
+    }
+
     /// The structural fingerprint of this plan (see [`crate::optimize::fingerprint`]).
     ///
     /// Identical plans — including plans built independently by different queries — share a
@@ -159,7 +176,8 @@ impl Plan {
             Plan::Scan { .. } | Plan::Values(_) => 0,
             Plan::Select { input, .. }
             | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. } => input.node_count(),
+            | Plan::Aggregate { input, .. }
+            | Plan::Distinct { input } => input.node_count(),
             Plan::Product { left, right } | Plan::HashJoin { left, right, .. } => {
                 left.node_count() + right.node_count()
             }
@@ -173,7 +191,8 @@ impl Plan {
             Plan::Scan { .. } | Plan::Values(_) => 0,
             Plan::Select { input, .. }
             | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. } => 1 + input.operator_count(),
+            | Plan::Aggregate { input, .. }
+            | Plan::Distinct { input } => 1 + input.operator_count(),
             Plan::Product { left, right } | Plan::HashJoin { left, right, .. } => {
                 1 + left.operator_count() + right.operator_count()
             }
@@ -187,7 +206,8 @@ impl Plan {
             Plan::Scan { .. } | Plan::Values(_) => Vec::new(),
             Plan::Select { input, .. }
             | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. } => vec![input],
+            | Plan::Aggregate { input, .. }
+            | Plan::Distinct { input } => vec![input],
             Plan::Product { left, right } | Plan::HashJoin { left, right, .. } => {
                 vec![left, right]
             }
@@ -229,7 +249,7 @@ impl Plan {
                 Ok(qualify_schema(base.schema(), alias))
             }
             Plan::Values(rel) => Ok(rel.schema().clone()),
-            Plan::Select { input, .. } => input.output_schema(catalog),
+            Plan::Select { input, .. } | Plan::Distinct { input } => input.output_schema(catalog),
             Plan::Project { columns, input } => {
                 let input_schema = input.output_schema(catalog)?;
                 let mut attrs = Vec::with_capacity(columns.len());
@@ -338,6 +358,10 @@ impl fmt::Display for Plan {
                 }
                 Plan::Aggregate { func, input } => {
                     writeln!(f, "{pad}Aggregate {func}")?;
+                    go(input, f, indent + 1)
+                }
+                Plan::Distinct { input } => {
+                    writeln!(f, "{pad}Distinct")?;
                     go(input, f, indent + 1)
                 }
             }
@@ -506,9 +530,10 @@ mod tests {
     fn display_renders_tree() {
         let plan = Plan::scan("Customer")
             .select(Predicate::eq("Customer.oaddr", Value::from("aaa")))
-            .project(vec!["Customer.cname".into()]);
+            .project(vec!["Customer.cname".into()])
+            .distinct();
         let s = plan.to_string();
-        assert!(s.contains("Project"));
+        assert!(s.starts_with("Distinct\n  Project"), "{s}");
         assert!(s.contains("Select"));
         assert!(s.contains("Scan Customer"));
     }

@@ -15,7 +15,7 @@
 
 use crate::plan::qualify_schema;
 use crate::{AggFunc, EngineError, EngineResult, ExecStats, Plan, Predicate};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use urm_storage::{Catalog, Relation, Schema, Tuple, Value};
 
@@ -107,6 +107,13 @@ impl<'a> ReferenceExecutor<'a> {
                     .record_operator(input_rel.len() as u64, out.len() as u64);
                 Ok(out)
             }
+            Plan::Distinct { input } => {
+                let input_rel = self.eval(input)?;
+                let out = apply_distinct(&input_rel);
+                self.stats
+                    .record_operator(input_rel.len() as u64, out.len() as u64);
+                Ok(out)
+            }
         }
     }
 }
@@ -126,11 +133,6 @@ pub fn apply_select(input: &Relation, predicate: &Predicate) -> Relation {
 
 /// Applies a projection to a materialised relation.
 pub fn apply_project(input: &Relation, columns: &[String]) -> EngineResult<Relation> {
-    if columns.is_empty() {
-        return Err(EngineError::InvalidPlan(
-            "projection must keep at least one column".into(),
-        ));
-    }
     let schema = input.schema();
     let mut positions = Vec::with_capacity(columns.len());
     let mut attrs = Vec::with_capacity(columns.len());
@@ -223,6 +225,18 @@ pub fn apply_hash_join(
         }
     }
     Ok(Relation::from_validated(schema, rows))
+}
+
+/// Removes duplicate rows, keeping each distinct row's first occurrence in input order.
+#[must_use]
+pub fn apply_distinct(input: &Relation) -> Relation {
+    let mut seen = HashSet::new();
+    let rows = input
+        .iter()
+        .filter(|row| seen.insert(*row))
+        .cloned()
+        .collect();
+    Relation::from_validated(input.schema().clone(), rows)
 }
 
 /// Applies an aggregate, producing a single-row relation.

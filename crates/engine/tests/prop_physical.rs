@@ -105,13 +105,14 @@ fn random_plan(rng: &mut TestRng, catalog: &Catalog, depth: usize, alias_seq: &m
             _ => Plan::scan(names[rng.index(names.len())].clone()),
         };
     }
-    match rng.index(6) {
+    match rng.index(7) {
         0 => {
             let input = random_plan(rng, catalog, depth - 1, alias_seq);
             let schema = input.output_schema(catalog).ok();
             let pred = random_predicate(rng, schema.as_ref(), 0);
             input.select(pred)
         }
+        6 => random_plan(rng, catalog, depth - 1, alias_seq).distinct(),
         1 => {
             let input = random_plan(rng, catalog, depth - 1, alias_seq);
             let schema = input.output_schema(catalog).ok();
@@ -124,7 +125,7 @@ fn random_plan(rng: &mut TestRng, catalog: &Catalog, depth: usize, alias_seq: &m
                     columns.push(c);
                 }
             }
-            input.project(columns) // occasionally empty → both sides must error identically
+            input.project(columns) // occasionally empty: the row count alone
         }
         2 => {
             let left = random_plan(rng, catalog, depth - 1, alias_seq);

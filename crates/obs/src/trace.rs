@@ -15,7 +15,8 @@
 //!   started on threads with an empty stack parent to the anchor instead of floating free.
 //!
 //! Spans carry integer tags (`shared_by`, shard/node indices, byte counts) attached via
-//! [`SpanGuard::tag`]; tag keys are `&'static str` so tagging never allocates either.
+//! [`SpanGuard::tag`] and name-valued labels (`op`) attached via [`SpanGuard::label`]; keys
+//! and label values are `&'static str` so tagging never allocates either.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,6 +51,8 @@ pub struct SpanRecord {
     pub tid: u64,
     /// Integer tags (`("shared_by", 3)`, `("shard", 1)`, …).
     pub tags: Vec<(&'static str, u64)>,
+    /// Name-valued tags (`("op", "join")`); exported beside the integer ones.
+    pub labels: Vec<(&'static str, &'static str)>,
 }
 
 struct TraceState {
@@ -133,6 +136,7 @@ impl Tracer {
                 start_ns: 0,
                 tid: 0,
                 tags: Vec::new(),
+                labels: Vec::new(),
             };
         };
         let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
@@ -156,6 +160,7 @@ impl Tracer {
             start_ns,
             tid,
             tags: Vec::new(),
+            labels: Vec::new(),
         }
     }
 
@@ -196,6 +201,7 @@ pub struct SpanGuard {
     start_ns: u64,
     tid: u64,
     tags: Vec<(&'static str, u64)>,
+    labels: Vec<(&'static str, &'static str)>,
 }
 
 impl SpanGuard {
@@ -210,6 +216,14 @@ impl SpanGuard {
     pub fn tag(&mut self, key: &'static str, value: u64) {
         if self.inner.is_some() {
             self.tags.push((key, value));
+        }
+    }
+
+    /// Attaches a name-valued tag, such as the kind of operator a `node` span ran (no-op when
+    /// disabled).  Values are program constants and are exported unescaped.
+    pub fn label(&mut self, key: &'static str, value: &'static str) {
+        if self.inner.is_some() {
+            self.labels.push((key, value));
         }
     }
 }
@@ -228,6 +242,7 @@ impl Drop for SpanGuard {
             dur_ns: end_ns.saturating_sub(self.start_ns),
             tid: self.tid,
             tags: std::mem::take(&mut self.tags),
+            labels: std::mem::take(&mut self.labels),
         };
         let mut state = inner.state.lock().unwrap();
         if let Some(stack) = state.stacks.get_mut(&self.tid) {
@@ -306,6 +321,9 @@ impl TraceReport {
             for (key, value) in &span.tags {
                 out.push_str(&format!(",\"{key}\":{value}"));
             }
+            for (key, value) in &span.labels {
+                out.push_str(&format!(",\"{key}\":\"{value}\""));
+            }
             out.push_str("}}");
         }
         out
@@ -350,12 +368,15 @@ impl TraceReport {
             span.id, span.parent, span.name, span.start_ns, span.dur_ns, span.tid
         );
         out.push_str(",\"tags\":{");
-        for (i, (key, value)) in span.tags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{key}\":{value}"));
-        }
+        let tags = span
+            .tags
+            .iter()
+            .map(|(key, value)| format!("\"{key}\":{value}"));
+        let labels = span
+            .labels
+            .iter()
+            .map(|(key, value)| format!("\"{key}\":\"{value}\""));
+        out.push_str(&tags.chain(labels).collect::<Vec<_>>().join(","));
         out.push_str("}}");
         out
     }
@@ -406,6 +427,7 @@ mod tests {
             {
                 let mut inner = tracer.span("rewrite");
                 inner.tag("queries", 3);
+                inner.label("op", "join");
                 assert_ne!(inner.id(), outer_id);
             }
             let _sibling = tracer.span("plan");
@@ -421,6 +443,12 @@ mod tests {
         assert_eq!(rewrite.parent, batch.id);
         assert_eq!(plan.parent, batch.id);
         assert_eq!(rewrite.tags, vec![("queries", 3)]);
+        assert_eq!(rewrite.labels, vec![("op", "join")]);
+        let tagged = "\"tags\":{\"queries\":3,\"op\":\"join\"}";
+        assert!(report.to_jsonl().contains(tagged), "{}", report.to_jsonl());
+        assert!(report
+            .to_chrome_json()
+            .contains("\"queries\":3,\"op\":\"join\"}"));
         assert!(batch.dur_ns >= rewrite.dur_ns);
     }
 

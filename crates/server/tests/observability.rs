@@ -296,12 +296,23 @@ fn traced_requests_echo_their_id_and_record_a_well_formed_span_tree() {
         nodes_executed,
         "every executed DAG node must be covered by a span"
     );
+    let mut ops = std::collections::HashSet::new();
     for span in &node_spans {
         let tags = span.get("tags").expect("node span tags");
         assert!(tags.get("node").and_then(Json::as_f64).is_some());
         assert!(tags.get("shared_by").and_then(Json::as_f64).unwrap() >= 1.0);
         assert!(field(span, "parent") != 0, "node spans must not be roots");
+        // What the node was, and what it read and wrote: a slow node is nameable from here.
+        let op = tags.get("op").and_then(Json::as_str).expect("node op");
+        let rows_in = tags.get("rows_in").and_then(Json::as_f64).expect("rows in");
+        assert!(tags.get("rows").and_then(Json::as_f64).is_some());
+        assert!(
+            op != "scan" || rows_in == 0.0,
+            "a leaf reads no operator's rows"
+        );
+        ops.insert(op);
     }
+    assert!(ops.contains("scan") && ops.contains("distinct"), "{ops:?}");
     // The admission wait was traced too.
     assert!(spans.iter().any(|s| name(s) == "admission"));
     server.shutdown();

@@ -11,6 +11,28 @@ use crate::{Relation, StorageError, StorageResult, Tuple, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Suffix of the relation name a shard catalog registers its slice of a base relation under.
+/// `::` cannot occur in generated relation names, so slices never collide with bases.
+const SLICE_SUFFIX: &str = "::slice";
+
+/// The relation name shard catalogs register slice `i` of `base` under.
+///
+/// Deliberately shard-*independent*: a plan rewritten to scan a slice is textually identical
+/// on every shard, so its fingerprint — and with it bind-cache hits and DAG node sharing — is
+/// too.
+#[must_use]
+pub fn slice_relation_name(base: &str) -> String {
+    format!("{base}{SLICE_SUFFIX}")
+}
+
+/// The base relation a (possibly slice) relation name refers to: the inverse of
+/// [`slice_relation_name`], and the identity on base names.  The optimizer orders a slice
+/// scan by its base's cardinality, so a plan has one shape on every shard.
+#[must_use]
+pub fn base_relation_name(name: &str) -> &str {
+    name.strip_suffix(SLICE_SUFFIX).unwrap_or(name)
+}
+
 /// How rows of a relation are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ShardScheme {
