@@ -391,13 +391,16 @@ pub fn execute_prepared_batch(
 
     // Per-query probabilistic aggregation, unchanged from e-basic.
     let mut evaluations = Vec::with_capacity(pending.len());
-    let agg_span = options.tracer.span("aggregate");
+    let mut agg_span = options.tracer.span("aggregate");
+    let (mut rows_probed, mut tuples_built) = (0, 0);
     for mut query in pending {
         let agg_start = Instant::now();
         let mut answer = ProbabilisticAnswer::new();
         for (root, probability, extraction) in &query.roots {
             let result = &*run.root_results[*root];
-            aggregate(&mut answer, [result], extraction, *probability);
+            let (rows, built) = aggregate(&mut answer, [result], extraction, *probability);
+            rows_probed += rows;
+            tuples_built += built;
         }
         if query.empty_probability > 0.0 {
             answer.add_empty(query.empty_probability);
@@ -411,6 +414,9 @@ pub fn execute_prepared_batch(
             metrics: query.metrics,
         });
     }
+    // What the step read against what it had to build: root rows in, answer tuples out.
+    agg_span.tag("rows", rows_probed as u64);
+    agg_span.tag("answers", tuples_built as u64);
     drop(agg_span);
 
     Ok(BatchEvaluation {
@@ -549,7 +555,15 @@ mod tests {
         let b = evaluate_batch(&queries, &mappings, &catalog, &BatchOptions::parallel(3)).unwrap();
         for (x, y) in a.evaluations.iter().zip(&b.evaluations) {
             assert_eq!(x.answer.sorted(), y.answer.sorted());
+            // Entries sit in insertion order, so what walks them unsorted repeats too: the
+            // float sum to its last bit, and the `Debug` form.
+            assert_eq!(
+                x.answer.total_mass().to_bits(),
+                y.answer.total_mass().to_bits()
+            );
+            assert_eq!(format!("{:?}", x.answer), format!("{:?}", y.answer));
         }
+        assert!(a.evaluations.iter().any(|e| e.answer.len() > 1));
     }
 
     #[test]

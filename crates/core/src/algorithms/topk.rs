@@ -98,7 +98,7 @@ impl TopKSink {
 
 impl LeafSink for TopKSink {
     fn on_answers(&mut self, result: &Relation, extraction: &Extraction, probability: f64) -> bool {
-        for tuple in extract_answers(result, extraction) {
+        for tuple in extract_answers(result, extraction).distinct_tuples() {
             if let Some(entry) = self.candidates.get_mut(&tuple) {
                 entry.0 += probability;
             } else if self.ub_global > self.lb_global {

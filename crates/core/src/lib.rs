@@ -69,7 +69,7 @@ pub use algorithms::sharded::{
     evaluate_batch_sharded, slice_relation_name, ShardSet, ShardStats, ShardedBatchEvaluation,
 };
 pub use algorithms::{evaluate, topk::top_k, topk::TopKEvaluation, Algorithm};
-pub use answer::ProbabilisticAnswer;
+pub use answer::{AnswerRows, ProbabilisticAnswer};
 pub use error::{CoreError, CoreResult};
 pub use metrics::{EvalMetrics, Evaluation};
 pub use query::{QueryOutput, TargetOp, TargetPredicate, TargetQuery};

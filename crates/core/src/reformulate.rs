@@ -13,16 +13,22 @@
 //! before multiplying it (see `urm_engine::optimize`); COUNT and SUM stay bag-semantic.  The
 //! plan built here is the literal, un-optimised one, and every algorithm hands it to the same
 //! `optimize` before running it.
+//!
+//! The last step is shared too.  [`extract_answers`] resolves an [`Extraction`] against a
+//! result and hands back its rows *unbuilt* ([`AnswerRows`]); [`aggregate`] probes a
+//! [`ProbabilisticAnswer`] with them, and a tuple is built only for a row the answer does not
+//! hold yet (see [`crate::answer`]).  No second de-duplication happens here: a root that is
+//! already a set, a bag-valued o-sharing leaf and the per-shard slices of a scattered root are
+//! all counted once per call by the answer's own stamp.
 
-use crate::answer::ProbabilisticAnswer;
+use crate::answer::{AnswerRows, ProbabilisticAnswer};
 use crate::query::{QueryOutput, TargetPredicate, TargetQuery};
 use crate::{CoreError, CoreResult};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use urm_engine::{AggFunc, Plan, Predicate};
 use urm_matching::Mapping;
-use urm_storage::{AttrRef, Catalog, Relation, Tuple, Value};
+use urm_storage::{AttrRef, Catalog, Relation};
 
 /// How answer tuples are read out of the result of a reformulated source query.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -268,15 +274,13 @@ pub fn reformulate(
     Ok(Reformulated::Query(SourceQuery { plan, extraction }))
 }
 
-/// The *distinct* answer tuples of one source-query result, in order of first occurrence.
-///
-/// Within one mapping a tuple is either an answer or not, so the aggregate step needs each
-/// answer once (Algorithm 4's "remove duplicate tuples").  A late-materialized result decides
-/// distinctness on its column codes ([`ColumnView::distinct_rows`](urm_storage::ColumnView))
-/// and builds a [`Tuple`] per distinct row only; a row relation hashes the projected values
-/// where they lie.  The result itself is never changed — it stays the bag the engine caches.
+/// The rows of one source-query result as answer tuples, resolved against the result's schema
+/// and *not built*: [`ProbabilisticAnswer::add_distinct`] probes with each row where it lies
+/// and builds a [`Tuple`](urm_storage::Tuple) only for a row no earlier source query produced
+/// (see [`crate::answer`]).  Nothing is de-duplicated here, and the result itself is never
+/// changed — it stays the relation the engine caches.
 #[must_use]
-pub fn extract_answers(result: &Relation, extraction: &Extraction) -> Vec<Tuple> {
+pub fn extract_answers<'r>(result: &'r Relation, extraction: &Extraction) -> AnswerRows<'r> {
     let schema = result.schema();
     let positions: Vec<Option<usize>> = match extraction {
         Extraction::Raw => (0..schema.arity()).map(Some).collect(),
@@ -295,87 +299,29 @@ pub fn extract_answers(result: &Relation, extraction: &Extraction) -> Vec<Tuple>
             })
             .collect(),
     };
-    let covered: Vec<usize> = positions.iter().flatten().copied().collect();
-    match result.view() {
-        Some(view) => {
-            let columns: Vec<_> = positions
-                .iter()
-                .map(|p| p.and_then(|pos| view.column(pos)))
-                .collect();
-            view.distinct_rows(&covered)
-                .into_iter()
-                .map(|row| {
-                    columns
-                        .iter()
-                        .map(|c| c.map_or(Value::Null, |c| c.column.value_at(c.slot(row as usize))))
-                        .collect()
-                })
-                .collect()
-        }
-        None => {
-            let mut seen = HashSet::new();
-            result
-                .iter()
-                .filter(|row| {
-                    seen.insert(ProjectedRow {
-                        row,
-                        positions: &covered,
-                    })
-                })
-                .map(|row| {
-                    positions
-                        .iter()
-                        .map(|p| p.and_then(|i| row.get(i)).cloned().unwrap_or(Value::Null))
-                        .collect()
-                })
-                .collect()
-        }
-    }
-}
-
-/// A row seen through a position list: equal and hashed by the projected values, borrowed.
-struct ProjectedRow<'a> {
-    row: &'a Tuple,
-    positions: &'a [usize],
-}
-
-impl ProjectedRow<'_> {
-    fn values(&self) -> impl Iterator<Item = &Value> {
-        static NULL: Value = Value::Null;
-        self.positions
-            .iter()
-            .map(|&i| self.row.get(i).unwrap_or(&NULL))
-    }
-}
-
-impl PartialEq for ProjectedRow<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.values().eq(other.values())
-    }
-}
-
-impl Eq for ProjectedRow<'_> {}
-
-impl Hash for ProjectedRow<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.values().for_each(|v| v.hash(state));
-    }
+    AnswerRows::new(result, positions)
 }
 
 /// The `aggregate` step for one source query (Section III-B): every distinct answer tuple of
 /// its result gains the query's probability once.  `slices` are the parts of that one result
 /// — a single relation, or one per shard for a scattered root; a tuple several slices produce
-/// still counts once.  Every algorithm aggregates through here, so they cannot drift apart.
+/// still counts once, because the slices are probed under one stamp.  Every algorithm
+/// aggregates through here, so they cannot drift apart.
+///
+/// Returns the rows probed and the tuples built (the rows that were new to `answer`).
 pub fn aggregate<'r>(
     answer: &mut ProbabilisticAnswer,
     slices: impl IntoIterator<Item = &'r Relation>,
     extraction: &Extraction,
     probability: f64,
-) {
-    let tuples = slices
-        .into_iter()
-        .flat_map(|slice| extract_answers(slice, extraction));
-    answer.add_distinct(tuples, probability);
+) -> (usize, usize) {
+    let mut rows = 0;
+    let slices = slices.into_iter().map(|slice| {
+        rows += slice.len();
+        extract_answers(slice, extraction)
+    });
+    let built = answer.add_distinct_slices(slices, probability);
+    (rows, built)
 }
 
 #[cfg(test)]
@@ -383,6 +329,7 @@ mod tests {
     use super::*;
     use crate::testkit;
     use urm_engine::Executor;
+    use urm_storage::{Tuple, Value};
 
     #[test]
     fn q0_reformulates_through_m1_like_the_paper() {
@@ -401,7 +348,7 @@ mod tests {
         assert!(rendered.contains("Customer.oaddr"), "{rendered}");
 
         let result = Executor::new(&catalog).run(&sq.plan).unwrap();
-        let answers = extract_answers(&result, &sq.extraction);
+        let answers = extract_answers(&result, &sq.extraction).distinct_tuples();
         assert_eq!(answers, vec![Tuple::new(vec![Value::from("aaa")])]);
     }
 
@@ -415,7 +362,7 @@ mod tests {
             panic!("expected a query");
         };
         let result = Executor::new(&catalog).run(&sq.plan).unwrap();
-        let answers = extract_answers(&result, &sq.extraction);
+        let answers = extract_answers(&result, &sq.extraction).distinct_tuples();
         // m4: phone→hphone, addr→haddr; hphone='123' matches Bob, whose haddr is 'hk'.
         assert_eq!(answers, vec![Tuple::new(vec![Value::from("hk")])]);
     }
@@ -466,7 +413,7 @@ mod tests {
             panic!("expected query");
         };
         let result = Executor::new(&catalog).run(&sq.plan).unwrap();
-        let answers = extract_answers(&result, &sq.extraction);
+        let answers = extract_answers(&result, &sq.extraction).distinct_tuples();
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].get(0), Some(&Value::from("aaa")));
         assert_eq!(answers[0].get(1), Some(&Value::Null));
@@ -491,15 +438,27 @@ mod tests {
             None,
             Some("Customer.oaddr".to_string()),
         ]);
-        let answers = extract_answers(&result, &extraction);
-        assert_eq!(answers, extract_answers(&rows, &extraction));
+        let unbuilt = extract_answers(&result, &extraction);
+        assert_eq!(unbuilt.len(), 3, "extraction resolves rows, it drops none");
+        let answers = unbuilt.distinct_tuples();
+        assert_eq!(
+            answers,
+            extract_answers(&rows, &extraction).distinct_tuples()
+        );
         // Alice and Cindy share an office address: three rows, two answers, first seen first.
         let answer = |addr: &str| Tuple::new(vec![addr.into(), Value::Null, addr.into()]);
         assert_eq!(answers, vec![answer("aaa"), answer("bbb")]);
+        // The aggregate step finds the same two, off the view and off the rows in one call.
+        let mut aggregated = ProbabilisticAnswer::new();
+        let probed = aggregate(&mut aggregated, [&result, &rows], &extraction, 0.5);
+        assert_eq!(probed, (6, 2), "six rows probed, two tuples built");
+        let got: Vec<(&Tuple, f64)> = aggregated.iter().collect();
+        assert_eq!(got, [(&answer("aaa"), 0.5), (&answer("bbb"), 0.5)]);
         // `Raw` reads whole rows, and is distinct over them.
         let twice: Vec<Tuple> = rows.iter().chain(rows.iter()).cloned().collect();
         let twice = Relation::from_validated(rows.schema().clone(), twice);
-        assert_eq!(extract_answers(&twice, &Extraction::Raw), rows.rows());
+        let raw = extract_answers(&twice, &Extraction::Raw);
+        assert_eq!(raw.distinct_tuples(), rows.rows());
     }
 
     #[test]

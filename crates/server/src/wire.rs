@@ -64,16 +64,24 @@ static FULL_RENDERS: AtomicU64 = AtomicU64::new(0);
 
 /// The memoized part of the document: `"tuples":[…],"empty_probability":…`, written straight
 /// into one buffer — sorted references, no `Tuple` clone, no per-tuple `String`, no tree.
+/// The tuples arrive sorted by probability and a probability is a sum over a handful of source
+/// queries, so it takes few distinct values in long runs: each run's number is formatted once.
 fn render_unlabelled(answer: &ProbabilisticAnswer) -> String {
     FULL_RENDERS.fetch_add(1, Ordering::Relaxed);
     let mut out = String::with_capacity(64 + 32 * answer.len());
     let infallible = "writing to a String cannot fail";
     out.push_str("\"tuples\":[");
+    let (mut run_bits, mut run_number) = (None, String::new());
     for (i, (tuple, probability)) in answer.sorted_refs().into_iter().enumerate() {
         out.push_str(if i > 0 { ",[\"" } else { "[\"" });
         write!(Escaped(&mut out), "{tuple}").expect(infallible);
         out.push_str("\",");
-        write_number(&mut out, probability).expect(infallible);
+        if run_bits != Some(probability.to_bits()) {
+            run_bits = Some(probability.to_bits());
+            run_number.clear();
+            write_number(&mut run_number, probability).expect(infallible);
+        }
+        out.push_str(&run_number);
         out.push(']');
     }
     out.push_str("],\"empty_probability\":");

@@ -313,6 +313,21 @@ fn traced_requests_echo_their_id_and_record_a_well_formed_span_tree() {
         ops.insert(op);
     }
     assert!(ops.contains("scan") && ops.contains("distinct"), "{ops:?}");
+    // What answer assembly cost is nameable too: root rows read, answer tuples built.
+    let aggregate = spans.iter().find(|s| name(s) == "aggregate").unwrap();
+    let tags = aggregate.get("tags").expect("aggregate span tags");
+    let rows = tags
+        .get("rows")
+        .and_then(Json::as_f64)
+        .expect("rows probed");
+    let answers = tags
+        .get("answers")
+        .and_then(Json::as_f64)
+        .expect("tuples built");
+    assert!(
+        answers >= 1.0 && rows >= answers,
+        "{rows} rows, {answers} answers"
+    );
     // The admission wait was traced too.
     assert!(spans.iter().any(|s| name(s) == "admission"));
     server.shutdown();

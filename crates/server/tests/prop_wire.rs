@@ -186,7 +186,9 @@ proptest! {
         let extra: Tuple = [Value::from("not generated")].into_iter().collect();
         match rng.index(4) {
             0 => answer.add(extra, 0.125),
-            1 => answer.add_distinct([extra.clone(), extra], 0.125),
+            1 => {
+                answer.add_distinct([extra.clone(), extra][..].into(), 0.125);
+            }
             2 => answer.add_empty(1e300), // large enough to show beside any generated mass
             _ => {
                 let mut other = ProbabilisticAnswer::new();

@@ -6,9 +6,18 @@
 //! comparisons into integer comparisons and shrink spilled segments.  A column whose distinct
 //! string count exceeds the builder's limit falls back to a plain (`Mixed`) value column
 //! instead of growing an unbounded dictionary.
+//!
+//! Codes are per column: two columns holding the same string give it different codes, so a
+//! code says nothing about equality *across* columns — and the answers of a probabilistic
+//! query are exactly that, rows read from the different source columns two mappings send one
+//! target attribute to.  What is comparable across columns is the string's
+//! [`value_hash`](crate::value_hash), a function of the bytes alone; a dictionary computes it
+//! once per entry, the first time anything asks ([`Dictionary::value_hashes`]), so hashing a
+//! text cell is a table lookup by code, and converting a relation never pays for it.
 
+use crate::{value_hash, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default bound on distinct strings per column dictionary; columns with more distinct values
 /// fall back to plain value storage.  Generous for the generated workloads (hundreds of
@@ -21,6 +30,9 @@ pub const DEFAULT_DICT_LIMIT: usize = 1 << 16;
 pub struct Dictionary {
     values: Vec<Arc<str>>,
     index: HashMap<Arc<str>, u32>,
+    /// `value_hash` of every entry, by code; filled on first use, dropped when an entry is
+    /// added.
+    hashes: OnceLock<Box<[u64]>>,
 }
 
 impl Dictionary {
@@ -40,7 +52,11 @@ impl Dictionary {
         for (i, s) in values.iter().enumerate() {
             index.entry(Arc::clone(s)).or_insert(i as u32);
         }
-        Dictionary { values, index }
+        Dictionary {
+            values,
+            index,
+            hashes: OnceLock::new(),
+        }
     }
 
     /// Interns a string, returning its code — or `None` when the string is new and the
@@ -56,6 +72,7 @@ impl Dictionary {
         let code = self.values.len() as u32;
         self.values.push(Arc::clone(s));
         self.index.insert(Arc::clone(s), code);
+        self.hashes.take();
         Some(code)
     }
 
@@ -88,6 +105,15 @@ impl Dictionary {
     pub fn entries(&self) -> &[Arc<str>] {
         &self.values
     }
+
+    /// [`value_hash`](crate::value_hash) of every entry as a `Value::Text`, by code: computed
+    /// on the first call, a slice borrow on every later one.
+    #[must_use]
+    pub fn value_hashes(&self) -> &[u64] {
+        let hash = |s: &Arc<str>| value_hash(&Value::Text(Arc::clone(s)));
+        self.hashes
+            .get_or_init(|| self.values.iter().map(hash).collect())
+    }
 }
 
 #[cfg(test)]
@@ -118,6 +144,25 @@ mod tests {
         // Existing entries still intern under a full dictionary.
         assert_eq!(d.intern_within(&arc("a"), 1), Some(0));
         assert_eq!(d.len(), 1);
+    }
+
+    #[test]
+    fn value_hashes_are_the_entries_value_hashes_and_follow_interning() {
+        let mut d = Dictionary::new();
+        d.intern_within(&arc("a"), 16).unwrap();
+        d.intern_within(&arc("b"), 16).unwrap();
+        let of = |s: &str| value_hash(&Value::from(s));
+        assert_eq!(d.value_hashes(), [of("a"), of("b")]);
+        // Another dictionary gives "b" another code and the same hash.
+        let mut other = Dictionary::new();
+        other.intern_within(&arc("b"), 16).unwrap();
+        assert_eq!(other.value_hashes(), [of("b")]);
+        // Re-interning keeps the table; a new entry extends it.
+        d.intern_within(&arc("a"), 16).unwrap();
+        assert_eq!(d.value_hashes().len(), 2);
+        d.intern_within(&arc("c"), 16).unwrap();
+        assert_eq!(d.value_hashes(), [of("a"), of("b"), of("c")]);
+        assert_eq!(d.clone().value_hashes(), d.value_hashes());
     }
 
     #[test]

@@ -58,21 +58,16 @@ impl Tuple {
     /// Builds a new tuple keeping only the values at `positions`, in that order.
     #[must_use]
     pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple::new(
-            positions
-                .iter()
-                .map(|&i| self.values.get(i).cloned().unwrap_or(Value::Null))
-                .collect(),
-        )
+        positions
+            .iter()
+            .map(|&i| self.values.get(i).cloned().unwrap_or(Value::Null))
+            .collect()
     }
 
     /// Concatenates two tuples (Cartesian product of rows).
     #[must_use]
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.arity() + other.arity());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple::new(values)
+        self.iter().chain(other.iter()).cloned().collect()
     }
 
     /// Iterates over the values.
@@ -100,9 +95,14 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+/// Collects straight into the shared slice: an iterator that knows its exact length (a map
+/// over a slice or a range, a chain of two) is written into the one allocation the tuple
+/// keeps, with no `Vec` in between.
 impl FromIterator<Value> for Tuple {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Tuple::new(iter.into_iter().collect())
+        Tuple {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -142,6 +142,41 @@ mod tests {
         let c = a.concat(&b);
         assert_eq!(c.arity(), 3);
         assert_eq!(c.get(2), Some(&Value::from(3i64)));
+    }
+
+    #[test]
+    fn collected_tuples_are_the_tuples_built_from_vectors() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |t: &Tuple| {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        };
+        let values = vec![
+            Value::from("b"),
+            Value::Null,
+            Value::from(2i64),
+            Value::from(0.5),
+        ];
+        let built = Tuple::new(values.clone());
+        // Exact-size (a slice map), unsized (a filter) and empty iterators alike.
+        let exact: Tuple = values.iter().cloned().collect();
+        let filtered: Tuple = values.iter().filter(|_| true).cloned().collect();
+        for collected in [&exact, &filtered] {
+            assert_eq!(collected.arity(), 4);
+            assert_eq!(collected.values(), values.as_slice(), "order");
+            assert_eq!(collected, &built);
+            assert_eq!(hash(collected), hash(&built));
+            assert_eq!(collected.cmp(&built), std::cmp::Ordering::Equal);
+        }
+        assert!(exact < Tuple::new(vec![Value::from("c")]));
+        assert_eq!(std::iter::empty().collect::<Tuple>(), Tuple::empty());
+        // `project` and `concat` collect the same way.
+        let projected = vec![values[2].clone(), Value::Null, values[0].clone()];
+        assert_eq!(built.project(&[2, 9, 0]), Tuple::new(projected));
+        assert_eq!(built.concat(&built).arity(), 8);
+        assert_eq!(built.concat(&Tuple::empty()), built);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use crate::DataType;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// A scalar value stored in a tuple.
 ///
@@ -179,6 +180,41 @@ impl Hash for Value {
     }
 }
 
+/// The keys every [`value_hash`] of this process is computed under.  Values are data — what a
+/// source relation holds is not the program's to choose — so the hash stays keyed, like a
+/// `HashMap`'s; one key set for the process, so that a hash computed for one column, relation
+/// or answer can be compared with one computed for another.
+fn hash_keys() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
+}
+
+/// The keyed hash of one value: [`Value`]'s own `Hash` (so an `Int` and a `Float` that compare
+/// equal hash equal) under the process-wide keys.  It depends on the value alone — not on the
+/// column, dictionary or relation the value was read from — and differs between processes.
+#[must_use]
+pub fn value_hash(value: &Value) -> u64 {
+    hash_keys().hash_one(value)
+}
+
+/// Mixes the next cell's [`value_hash`] into a row's hash.  Order matters: `(a, b)` and
+/// `(b, a)` are different rows.
+#[inline]
+pub(crate) fn mix_cell_hash(row: u64, cell: u64) -> u64 {
+    (row.rotate_left(5) ^ cell).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The keyed hash of a row of values: its cells' [`value_hash`]es, mixed in order.  Rows that
+/// are equal cell by cell hash equal wherever their cells lie — in tuples, or in the columns of
+/// different relations ([`ColumnView::row_hashes`](crate::ColumnView::row_hashes) computes the
+/// same number column-at-a-time).
+#[must_use]
+pub fn row_hash<'a>(cells: impl IntoIterator<Item = &'a Value>) -> u64 {
+    cells
+        .into_iter()
+        .fold(0, |row, cell| mix_cell_hash(row, value_hash(cell)))
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -294,6 +330,30 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(hash_of(&a), hash_of(&b));
         }
+    }
+
+    #[test]
+    fn value_hash_follows_value_equality_and_row_hash_follows_cell_order() {
+        assert_eq!(
+            value_hash(&Value::from(3i64)),
+            value_hash(&Value::from(3.0))
+        );
+        assert_eq!(
+            value_hash(&Value::Float(f64::NAN)),
+            value_hash(&Value::Float(-f64::NAN))
+        );
+        assert_ne!(value_hash(&Value::Null), value_hash(&Value::from(0i64)));
+        assert_ne!(
+            value_hash(&Value::from("1")),
+            value_hash(&Value::from(1i64))
+        );
+        let (a, b) = (Value::from("a"), Value::from(2i64));
+        assert_eq!(
+            row_hash([&a, &b]),
+            row_hash([&a.clone(), &Value::from(2.0)])
+        );
+        assert_ne!(row_hash([&a, &b]), row_hash([&b, &a]));
+        assert_ne!(row_hash([&a]), row_hash([&a, &Value::Null]));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The benchmark's `cold_batch` spec list runs (almost) entirely through the vectorized,
 //! late-materializing kernels: of every row the batch's operators produce, at least nine in
 //! ten come out of a columnar kernel — the rest are the base rows the scans hand out — and
-//! its answers are aggregated off the roots' views, without building the roots' rows.
+//! its answers are aggregated off the roots' views, without building the roots' rows — or a
+//! tuple for any root row an earlier source query's answer already covers.
 
 use urm::core::reformulate::{reformulate, Extraction, Reformulated};
 use urm::core::{evaluate_batch, evaluate_batch_epoch, BatchOptions, EpochDag};
 use urm::datagen::replay::parse_spec;
 use urm::engine::Executor;
 use urm::prelude::*;
+use urm::service::Tracer;
 
 /// `benchmarks/e2e/src/workload.rs`, workload `cold_batch`.
 const COLD_BATCH_SPECS: &[&str] = &[
@@ -67,17 +69,31 @@ fn cold_batch_specs_run_columnar() {
 }
 
 /// After a cold batch, no tuple-producing root has built its row buffer — each still weighs
-/// what its view's index vectors weigh — and the answers aggregated off those views are
-/// o-sharing(SEF)'s, to the last bit.
+/// what its view's index vectors weigh — the answers aggregated off those views are
+/// o-sharing(SEF)'s, to the last bit, and the `aggregate` span says the step built one tuple
+/// per answer however many root rows it read.
 #[test]
 fn cold_batch_answers_come_off_unbuilt_roots() {
     let (mut roots, mut root_rows, mut answers) = (0usize, 0usize, 0usize);
+    let (mut rows_probed, mut tuples_built) = (0u64, 0u64);
     for (queries, scenario) in cold_batch() {
         let (mappings, catalog) = (&scenario.mappings, &scenario.catalog);
         let mut epoch = EpochDag::new();
-        let options = BatchOptions::parallel(2);
+        let tracer = Tracer::enabled("cold-batch");
+        let options = BatchOptions::parallel(2).with_tracer(tracer.clone());
         let batch = evaluate_batch_epoch(&queries, mappings, catalog, &options, &mut epoch)
             .expect("batch evaluates");
+        let trace = tracer.finish().expect("an enabled tracer reports");
+        let aggregate = trace.spans().iter().find(|s| s.name == "aggregate");
+        let tag = |key: &str| {
+            let tags = &aggregate.expect("the batch traced its aggregate step").tags;
+            let found = tags.iter().find(|(k, _)| *k == key);
+            found
+                .unwrap_or_else(|| panic!("aggregate span without '{key}'"))
+                .1
+        };
+        rows_probed += tag("rows");
+        tuples_built += tag("answers");
         for (query, evaluation) in queries.iter().zip(&batch.evaluations) {
             let oracle = evaluate(query, mappings, catalog, Algorithm::OSharing(Strategy::Sef))
                 .expect("o-sharing evaluates");
@@ -121,4 +137,10 @@ fn cold_batch_answers_come_off_unbuilt_roots() {
         root_rows > 4 * answers,
         "{root_rows} root rows for {answers} answers: nothing to save"
     );
+    // A tuple exists once per answer, not once per root row of every source query.
+    assert_eq!(
+        tuples_built, answers as u64,
+        "{tuples_built} tuples built for {answers} answers off {rows_probed} root rows"
+    );
+    assert!(rows_probed > tuples_built);
 }

@@ -1,28 +1,43 @@
-//! Property tests: answer extraction de-duplicates on column codes exactly as it does on values.
+//! Property tests: answers accumulated by probing are the answers of "a tuple per row into a
+//! `HashMap`".
 //!
-//! For generated roots — joins, products and selections over relations with null keys, an
-//! all-null column, a variant-mixed column, signed zeros and two NaNs — the distinct answer
-//! tuples [`extract_answers`] reads off a late-materialized result (column codes, a tuple per
-//! distinct row) must be, tuple for tuple and in the same order, what it reads off the same
-//! result as rows (`columnar: false`), and what the old semantics gives on the
-//! [`ReferenceExecutor`]'s rows: build a tuple per row, keep the first of each in a `HashSet`.
-//! Extractions repeat columns, leave columns uncovered (`None`) and read whole rows (`Raw`).
+//! [`ProbabilisticAnswer::add_distinct`] hashes and compares the rows of a source-query result
+//! where their cells lie and builds a tuple only for a row that is new to the answer.  Its
+//! equality surface is therefore wider than one result: a row read from one mapping's source
+//! columns must find the tuple an earlier mapping built from *other* columns — another
+//! relation's dictionary holding the same strings under other codes, a `Float` or `Mixed`
+//! column holding the `1.0` an `Int` column holds as `1`, an all-null column against an output
+//! attribute the mapping does not cover.  The oracle here is the path the probe replaced, kept
+//! in this file: build a tuple per row of the [`ReferenceExecutor`]'s result, de-duplicate a
+//! call's tuples in a `HashSet`, and sum probabilities per tuple in a `HashMap` — compared
+//! tuple byte for tuple byte, probability bit for probability bit, in insertion order, for
+//! late-materialized results, row results and both mixed in one answer, and once more with
+//! every row hash forced equal.
+//!
+//! Generated roots are joins, products and selections over relations with null keys, an
+//! all-null column, a variant-mixed column, signed zeros and two NaNs; extractions repeat
+//! columns, leave columns uncovered (`None`) and read whole rows (`Raw`).  The second property
+//! holds [`AnswerRows::distinct_tuples`](urm::core::AnswerRows::distinct_tuples) — what the
+//! top-k bounds read — to the same oracle within one result.
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use urm::core::reformulate::{aggregate, extract_answers, Extraction};
 use urm::core::ProbabilisticAnswer;
 use urm::engine::{CompareOp, Executor, Plan, Predicate, ReferenceExecutor};
 use urm::storage::{
-    Attribute, Catalog, Column, DataType, Relation, Schema, Tuple, Value, DEFAULT_DICT_LIMIT,
+    row_hash, value_hash, Attribute, Catalog, Column, DataType, Relation, Schema, Tuple, Value,
+    DEFAULT_DICT_LIMIT,
 };
 
 const COLUMNS: [&str; 6] = ["k", "t", "f", "m", "dead", "b"];
 
 /// Two or three relations over tiny domains, so most rows repeat: a nullable Int key, a
-/// dictionary Text column, a Float column of `-0.0`/`0.0`/±NaN, a column mixing ints and
-/// floats (`Column::Mixed`), an all-null column and a nullable Bool.  Now and then one is empty.
+/// dictionary Text column (each relation interns `a` and `b` in the order its rows happen to
+/// hold them, so one string has different codes in different relations), a Float column of
+/// `-0.0`/`0.0`/`1.0`/±NaN, a column mixing ints and floats (`Column::Mixed`), an all-null
+/// column and a nullable Bool.  Now and then one is empty.
 fn catalog(rng: &mut TestRng) -> Catalog {
     let mut cat = Catalog::new();
     for r in 0..2 + rng.index(2) {
@@ -49,7 +64,7 @@ fn catalog(rng: &mut TestRng) -> Catalog {
                     }
                 };
                 let k = Value::from(rng.index(3) as i64);
-                let f = Value::Float([-0.0, 0.0, f64::NAN, -f64::NAN][rng.index(4)]);
+                let f = Value::Float([-0.0, 0.0, 1.0, f64::NAN, -f64::NAN][rng.index(5)]);
                 let m = match rng.index(3) {
                     0 => Value::from(rng.index(2) as i64),
                     1 => Value::Float([0.0, 1.0][rng.index(2)]),
@@ -100,22 +115,21 @@ fn root(rng: &mut TestRng, catalog: &Catalog) -> (Plan, Vec<String>) {
     (plan.project(projected.clone()), projected)
 }
 
-/// `Raw`, or up to five of the root's columns in any order, repeats and uncovered ones included.
-fn extraction(rng: &mut TestRng, projected: &[String]) -> Extraction {
-    if rng.index(5) == 0 {
+/// `Raw`, or `arity` of the root's columns in any order, repeats and uncovered ones included.
+fn extraction(rng: &mut TestRng, projected: &[String], arity: usize) -> Extraction {
+    if rng.index(6) == 0 {
         return Extraction::Raw;
     }
     Extraction::Columns(
-        (0..1 + rng.index(5))
+        (0..arity)
             .map(|_| (rng.index(4) > 0).then(|| projected[rng.index(projected.len())].clone()))
             .collect(),
     )
 }
 
-/// What `extract_answers` + `add_distinct` did before they looked at codes: a tuple per row,
-/// a `HashSet` of clones deciding which are new.
+/// A tuple per row of `result`, as `extraction` reads it.
 fn tuple_per_row(result: &Relation, extraction: &Extraction) -> Vec<Tuple> {
-    let tuples: Vec<Tuple> = match extraction {
+    match extraction {
         Extraction::Raw => result.rows().to_vec(),
         Extraction::Columns(columns) => {
             let positions: Vec<Option<usize>> = columns
@@ -132,12 +146,37 @@ fn tuple_per_row(result: &Relation, extraction: &Extraction) -> Vec<Tuple> {
                 })
                 .collect()
         }
-    };
+    }
+}
+
+/// The first of each distinct tuple, in order: a `HashSet` of clones deciding which are new.
+fn first_occurrences(tuples: Vec<Tuple>) -> Vec<Tuple> {
     let mut seen = HashSet::new();
     tuples
         .into_iter()
         .filter(|t| seen.insert(t.clone()))
         .collect()
+}
+
+/// The accumulator the probe replaced: probabilities summed per tuple in a `HashMap` (which
+/// keeps the first spelling of a key: `Int(1)` stays `Int(1)` when `Float(1.0)` finds it),
+/// with the order of first insertion beside it.
+#[derive(Default)]
+struct TuplePerRow {
+    mass: HashMap<Tuple, f64>,
+    order: Vec<Tuple>,
+}
+
+impl TuplePerRow {
+    /// One `aggregate` call: every distinct tuple among `tuples` gains `probability` once.
+    fn add_distinct(&mut self, tuples: Vec<Tuple>, probability: f64) {
+        for tuple in first_occurrences(tuples) {
+            if !self.mass.contains_key(&tuple) {
+                self.order.push(tuple.clone());
+            }
+            *self.mass.entry(tuple).or_insert(0.0) += probability;
+        }
+    }
 }
 
 /// The tuples byte for byte: `Value` equality calls `Int(1)` and `Float(1.0)` equal and prints
@@ -153,26 +192,99 @@ fn bytes(tuples: &[Tuple]) -> Vec<Vec<String>> {
         .collect()
 }
 
+/// `got` is `want`: the same tuples in the same order, byte for byte, with the same
+/// probability bits.
+fn assert_same_answer(got: &ProbabilisticAnswer, want: &TuplePerRow) {
+    let got_tuples: Vec<Tuple> = got.iter().map(|(t, _)| t.clone()).collect();
+    assert_eq!(bytes(&got_tuples), bytes(&want.order));
+    for (tuple, probability) in got.iter() {
+        assert_eq!(probability.to_bits(), want.mass[tuple].to_bits(), "{tuple}");
+        assert_eq!(got.probability_of(tuple).to_bits(), probability.to_bits());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn probing_is_a_tuple_per_row_into_a_map(seed in any::<u64>()) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let catalog = catalog(&mut rng);
+        let mut probed = ProbabilisticAnswer::new();
+        let mut one_chain = ProbabilisticAnswer::with_colliding_hashes();
+        let mut oracle = TuplePerRow::default();
+        // One arity per answer, so that what one source query reads from `A.k` another reads
+        // from `B.m`, `A.f` or nowhere — and finds, or does not find, by value.
+        let arity = 1 + rng.index(3);
+        let mut built = 0;
+        for _ in 0..4 {
+            let (plan, projected) = root(&mut rng, &catalog);
+            let extraction = extraction(&mut rng, &projected, arity);
+            let probability = [0.5, 0.3, 0.2][rng.index(3)];
+
+            let reference = ReferenceExecutor::new(&catalog).run(&plan).expect("valid root");
+            let view = Executor::new(&catalog).run(&plan).expect("columnar run");
+            prop_assert!(view.view().is_some(), "not late-materialized:\n{}", plan);
+            let rows = Executor::new(&catalog).with_columnar(false).run(&plan).expect("row run");
+            prop_assert!(rows.view().is_none());
+
+            // The hash of a row where it lies is the hash of the values it holds, cell by
+            // cell, whatever kind of column holds them.
+            let columns = view.view().unwrap();
+            for pos in 0..columns.arity() {
+                let column = columns.column(pos).unwrap();
+                let words = columns.row_hashes(&[Some(pos)]);
+                for (row, word) in words.into_iter().enumerate() {
+                    let value = column.column.value_at(column.slot(row));
+                    prop_assert_eq!(word, row_hash([&value]), "{:?} in\n{}", value, plan);
+                    prop_assert_eq!(value_hash(&value), value_hash(&reference.rows()[row].values()[pos]));
+                }
+            }
+
+            // The result off its view, off its rows, or in two slices of one call: a tuple a
+            // call meets again — in the same slice or the next — counts once.
+            let slices: &[&Relation] = match rng.index(4) {
+                0 => &[&view],
+                1 => &[&rows],
+                2 => &[&view, &rows],
+                _ => &[&rows, &view],
+            };
+            let per_slice = tuple_per_row(&reference, &extraction);
+            let tuples = slices.iter().flat_map(|_| per_slice.clone()).collect();
+            oracle.add_distinct(tuples, probability);
+            let (read, new) = aggregate(&mut probed, slices.iter().copied(), &extraction, probability);
+            prop_assert_eq!(read, slices.len() * reference.len());
+            built += new;
+            aggregate(&mut one_chain, slices.iter().copied(), &extraction, probability);
+
+            prop_assert_eq!(
+                view.estimated_bytes(),
+                view.view().unwrap().estimated_bytes(),
+                "probing built the root's rows:\n{}", plan
+            );
+        }
+        assert_same_answer(&probed, &oracle);
+        assert_same_answer(&one_chain, &oracle);
+        prop_assert_eq!(built, probed.len(), "a tuple is built once per answer");
+        prop_assert!(probed.approx_eq(&one_chain, 0.0) && one_chain.approx_eq(&probed, 0.0));
+        prop_assert_eq!(format!("{probed:?}"), format!("{one_chain:?}"));
+    }
 
     #[test]
     fn distinct_on_codes_is_distinct_on_values(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
         let catalog = catalog(&mut rng);
-        let mut by_codes = ProbabilisticAnswer::new();
-        let mut by_tuples = ProbabilisticAnswer::new();
         for _ in 0..3 {
             let (plan, projected) = root(&mut rng, &catalog);
-            let extraction = extraction(&mut rng, &projected);
-            let probability = [0.5, 0.3, 0.2][rng.index(3)];
+            let arity = 1 + rng.index(5);
+            let extraction = extraction(&mut rng, &projected, arity);
 
             let reference = ReferenceExecutor::new(&catalog).run(&plan).expect("valid root");
-            let want = tuple_per_row(&reference, &extraction);
+            let want = first_occurrences(tuple_per_row(&reference, &extraction));
 
             let view = Executor::new(&catalog).run(&plan).expect("columnar run");
             prop_assert!(view.view().is_some(), "not late-materialized:\n{}", plan);
-            let got = extract_answers(&view, &extraction);
+            let got = extract_answers(&view, &extraction).distinct_tuples();
             prop_assert_eq!(bytes(&got), bytes(&want), "codes diverge on {:?}:\n{}", extraction, plan);
             prop_assert_eq!(
                 view.estimated_bytes(),
@@ -184,20 +296,8 @@ proptest! {
 
             let rows = Executor::new(&catalog).with_columnar(false).run(&plan).expect("row run");
             prop_assert!(rows.view().is_none());
-            let got = extract_answers(&rows, &extraction);
+            let got = extract_answers(&rows, &extraction).distinct_tuples();
             prop_assert_eq!(bytes(&got), bytes(&want), "rows diverge on {:?}:\n{}", extraction, plan);
-
-            // The helper every algorithm aggregates through, against add-once-per-tuple.
-            aggregate(&mut by_codes, [&view, &rows], &extraction, probability);
-            for tuple in want {
-                by_tuples.add(tuple, probability);
-            }
-        }
-        let (got, want) = (by_codes.sorted(), by_tuples.sorted());
-        prop_assert_eq!(got.len(), want.len());
-        for ((t, p), (u, q)) in got.iter().zip(&want) {
-            prop_assert_eq!(bytes(std::slice::from_ref(t)), bytes(std::slice::from_ref(u)));
-            prop_assert_eq!(p.to_bits(), q.to_bits());
         }
     }
 }
@@ -224,11 +324,22 @@ fn overflowed_dictionaries_deduplicate_by_value() {
         .project(vec!["Wide.s".to_string(), "Pair.p".to_string()]);
     let extraction = Extraction::Columns(vec![Some("Pair.p".into()), Some("Wide.s".into())]);
     let reference = ReferenceExecutor::new(&catalog).run(&plan).unwrap();
-    let want = tuple_per_row(&reference, &extraction);
+    let want = first_occurrences(tuple_per_row(&reference, &extraction));
     assert_eq!(want.len(), distinct);
     let view = Executor::new(&catalog).run(&plan).unwrap();
     assert_eq!(view.len(), 2 * (distinct + 100));
-    assert_eq!(bytes(&extract_answers(&view, &extraction)), bytes(&want));
+    assert_eq!(
+        bytes(&extract_answers(&view, &extraction).distinct_tuples()),
+        bytes(&want)
+    );
+    // The probe finds the same answers, by the values' own hashes.
+    let mut probed = ProbabilisticAnswer::new();
+    assert_eq!(
+        aggregate(&mut probed, [&view], &extraction, 1.0),
+        (view.len(), distinct)
+    );
+    let got: Vec<Tuple> = probed.iter().map(|(t, _)| t.clone()).collect();
+    assert_eq!(bytes(&got), bytes(&want));
     assert_eq!(
         view.estimated_bytes(),
         view.view().unwrap().estimated_bytes()
