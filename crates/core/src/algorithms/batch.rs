@@ -12,9 +12,12 @@
 //! parallel worker threads when [`BatchOptions::workers`] ≥ 2 (independent operators of
 //! different queries run concurrently; results are byte-identical either way).
 //!
-//! Per-query aggregation is unchanged from `e-basic` — each query's answer is the
-//! probability-weighted union of its distinct reformulations — so batch answers agree with
-//! every sequential algorithm (the service integration tests verify this).
+//! A query's distinct source queries come from the partition-first rewrite
+//! ([`partitioned_reformulations`]): one `reformulate` per mapping *partition*, not per mapping
+//! — the clusters, their order and their probabilities are bit for bit those of e-basic's
+//! rewrite-every-mapping phase.  Per-query aggregation is unchanged from `e-basic` too — each
+//! query's answer is the probability-weighted union of its distinct reformulations — so batch
+//! answers agree with every sequential algorithm (the service integration tests verify this).
 //!
 //! Batches run on an [`EpochDag`]: [`evaluate_batch`] builds a throwaway one (the
 //! rebuild-every-batch shape), while the serving layer keeps one epoch DAG alive per
@@ -25,7 +28,7 @@
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, clustered_reformulations, Extraction};
+use crate::reformulate::{aggregate, partitioned_reformulations, Clustering, Extraction};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::optimize::optimize;
@@ -154,9 +157,10 @@ struct PendingQuery {
     started: Instant,
 }
 
-/// Phase 1 of a batch: rewrite every query through every mapping and submit the distinct
-/// source queries to the epoch DAG.  A plan this epoch has bound before is a bind-cache
-/// lookup; a new plan is optimised, bound and merged (sharing across queries is structural).
+/// Phase 1 of a batch: rewrite every query — one representative per mapping partition — and
+/// submit the distinct source queries to the epoch DAG.  A plan this epoch has bound before is
+/// a bind-cache lookup; a new plan is optimised, bound and merged (sharing across queries is
+/// structural).
 fn submit_batch(
     queries: &[TargetQuery],
     mappings: &MappingSet,
@@ -170,17 +174,25 @@ fn submit_batch(
     for (qi, query) in queries.iter().enumerate() {
         let started = Instant::now();
         let mut metrics = EvalMetrics::new("batch");
-        metrics.representative_mappings = mappings.len();
 
         let rewrite_start = Instant::now();
-        let (ordered, empty_probability) = {
+        let Clustering {
+            clusters: ordered,
+            empty_probability,
+            partitions,
+        } = {
             let mut span = tracer.span("rewrite");
             span.tag("query", qi as u64);
-            let out = clustered_reformulations(query, mappings, catalog)?;
-            span.tag("reformulations", out.0.len() as u64);
+            let out = partitioned_reformulations(query, mappings, catalog)?;
+            // reformulations ≤ partitions ≤ mappings: distinct source queries, rewrites made,
+            // rewrites e-basic would have made.
+            span.tag("mappings", mappings.len() as u64);
+            span.tag("partitions", out.partitions as u64);
+            span.tag("reformulations", out.clusters.len() as u64);
             out
         };
         metrics.rewrite_time = rewrite_start.elapsed();
+        metrics.representative_mappings = partitions;
         metrics.distinct_source_queries = ordered.len();
 
         let reused_before = epoch.dag().operators_reused();
@@ -258,8 +270,8 @@ pub fn evaluate_batch_epoch(
     execute_prepared_batch(prepared, catalog, options)
 }
 
-/// The closed bind stage of one batch: every query rewritten through every mapping, every
-/// distinct source query optimised, bound and merged into the epoch DAG, and the batch's
+/// The closed bind stage of one batch: every query rewritten through one representative per
+/// mapping partition, every distinct source query optimised, bound and merged into the epoch DAG, and the batch's
 /// subgraph snapshotted out of the epoch ([`EpochDag::prepare_pending`]).
 ///
 /// Self-contained: executing it no longer needs the [`EpochDag`] (executions of one epoch
@@ -437,7 +449,7 @@ pub fn execute_prepared_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{basic, Algorithm};
+    use crate::algorithms::{basic, ebasic, Algorithm};
     use crate::strategy::Strategy;
     use crate::testkit;
 
@@ -480,6 +492,41 @@ mod tests {
                 query.name()
             );
         }
+    }
+
+    #[test]
+    fn batch_rewrites_one_representative_per_partition() {
+        // q1 splits Figure 3's five mappings into {m1,m2}, {m3,m4}, {m5} (Section IV): three
+        // rewrites, two of them runnable, where e-basic makes five for the same clusters.
+        let catalog = testkit::figure2_catalog();
+        let mappings = testkit::figure3_mappings();
+        let query = testkit::q1();
+        let batch = evaluate_batch(
+            std::slice::from_ref(&query),
+            &mappings,
+            &catalog,
+            &BatchOptions::sequential(),
+        )
+        .unwrap();
+        let eval = &batch.evaluations[0];
+        assert_eq!(mappings.len(), 5);
+        assert_eq!(eval.metrics.representative_mappings, 3);
+        assert_eq!(eval.metrics.distinct_source_queries, 2);
+
+        let reference = ebasic::evaluate(&query, &mappings, &catalog).unwrap();
+        assert_eq!(reference.metrics.representative_mappings, 5);
+        assert_eq!(reference.metrics.distinct_source_queries, 2);
+        let (got, want) = (eval.answer.sorted(), reference.answer.sorted());
+        assert_eq!(got.len(), want.len());
+        for ((t1, p1), (t2, p2)) in got.iter().zip(&want) {
+            assert_eq!(t1, t2);
+            assert_eq!(p1.to_bits(), p2.to_bits());
+        }
+        assert_eq!(
+            eval.answer.empty_probability().to_bits(),
+            reference.answer.empty_probability().to_bits()
+        );
+        assert!(eval.answer.empty_probability() > 0.0, "m5 leaves q1 empty");
     }
 
     #[test]

@@ -4,12 +4,42 @@
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, clustered_reformulations};
+use crate::reformulate::{aggregate, reformulate, Clustering, Clusters, Reformulated};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, Executor};
 use urm_matching::MappingSet;
 use urm_storage::Catalog;
+
+/// e-basic's rewrite phase, literally: reformulate `query` through *every* mapping, then cluster
+/// the identical source queries with their summed probabilities.
+///
+/// This is the cost the paper's q-sharing removes, kept for the two baselines that are defined
+/// by it (e-basic and e-MQO) and as the reference the partition-first rewrite of every other
+/// path is compared against ([`crate::reformulate::partitioned_reformulations`],
+/// `tests/prop_partition.rs`).  Nothing else may call it.
+pub fn clustered_reformulations(
+    query: &TargetQuery,
+    mappings: &MappingSet,
+    catalog: &Catalog,
+) -> CoreResult<Clustering> {
+    let mut clusters = Clusters::default();
+    let mut empty_probability = 0.0;
+    for mapping in mappings.iter() {
+        match reformulate(query, mapping, catalog)? {
+            Reformulated::Empty => empty_probability += mapping.probability(),
+            Reformulated::Query(sq) => {
+                let slot = clusters.slot(sq);
+                clusters.add(slot, mapping.probability());
+            }
+        }
+    }
+    Ok(Clustering {
+        clusters: clusters.into_ordered(),
+        empty_probability,
+        partitions: mappings.len(),
+    })
+}
 
 /// Reformulates the query through every mapping (like `basic`), but clusters identical source
 /// queries and executes each distinct one exactly once with the summed probability.
@@ -26,7 +56,11 @@ pub fn evaluate(
     // Phase 1 (rewriting): a source query is still produced for every mapping — this is the
     // cost e-basic does NOT save, which is why q-sharing beats it.
     let rewrite_start = Instant::now();
-    let (ordered, empty_probability) = clustered_reformulations(query, mappings, catalog)?;
+    let Clustering {
+        clusters: ordered,
+        empty_probability,
+        ..
+    } = clustered_reformulations(query, mappings, catalog)?;
     metrics.rewrite_time = rewrite_start.elapsed();
     metrics.distinct_source_queries = ordered.len();
 

@@ -1,10 +1,11 @@
 //! The `e-MQO` algorithm: distinct source queries evaluated through a shared global plan built
 //! by a multi-query optimiser (Section III-B.3).
 
+use crate::algorithms::ebasic::clustered_reformulations;
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, clustered_reformulations};
+use crate::reformulate::{aggregate, Clustering};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, DagScheduler, Executor};
@@ -28,7 +29,11 @@ pub fn evaluate(
 
     // Phase 1: rewrite through every mapping and deduplicate (same as e-basic).
     let rewrite_start = Instant::now();
-    let (ordered, empty_probability) = clustered_reformulations(query, mappings, catalog)?;
+    let Clustering {
+        clusters: ordered,
+        empty_probability,
+        ..
+    } = clustered_reformulations(query, mappings, catalog)?;
     metrics.rewrite_time = rewrite_start.elapsed();
     metrics.distinct_source_queries = ordered.len();
 

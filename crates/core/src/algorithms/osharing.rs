@@ -64,7 +64,9 @@ enum ChildOutcome {
 /// (`run_qt_topk`).
 pub(crate) struct UTraceRunner<'a, S: LeafSink> {
     query: &'a TargetQuery,
-    reps: Vec<(Mapping, f64)>,
+    /// The representative mappings, borrowed from the mapping set, each with its partition's
+    /// probability.
+    reps: Vec<(&'a Mapping, f64)>,
     strategy: Strategy,
     rng: u64,
     exec: Executor<'a>,
@@ -82,7 +84,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
     pub(crate) fn new(
         query: &'a TargetQuery,
         catalog: &'a Catalog,
-        reps: Vec<(Mapping, f64)>,
+        reps: Vec<(&'a Mapping, f64)>,
         strategy: Strategy,
         sink: S,
     ) -> Self {
@@ -155,16 +157,12 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
 
         // Operator selection (Section VI-A): partition the e-unit's mappings with respect to
         // each candidate operator and let the strategy choose.
-        let weighted: Vec<(Mapping, f64)> = u
-            .mapping_indices
-            .iter()
-            .map(|&i| self.reps[i].clone())
-            .collect();
         let rewrite_start = Instant::now();
         let mut candidates = Vec::with_capacity(valid.len());
         for op in &valid {
             let attrs = u.used_attributes(self.query, op);
-            candidates.push(partition_by_attrs(self.query, &attrs, &weighted)?);
+            let weighted = u.mapping_indices.iter().map(|&i| self.reps[i]);
+            candidates.push(partition_by_attrs(self.query, &attrs, weighted)?);
         }
         let sizes: Vec<Vec<usize>> = candidates
             .iter()
@@ -186,8 +184,8 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                 .map(|&local| u.mapping_indices[local])
                 .collect();
             let probability = part.probability;
-            let mapping = self.reps[indices[0]].0.clone();
-            match self.execute_op(&u, &op, &mapping, indices, probability)? {
+            let mapping = self.reps[indices[0]].0;
+            match self.execute_op(&u, &op, mapping, indices, probability)? {
                 ChildOutcome::Child(child) => {
                     if self.run_qt(child)? {
                         return Ok(true);

@@ -44,7 +44,7 @@ pub fn evaluate(
     let mut exec = Executor::new(catalog);
     let mut dag = DagExecutor::new();
     let mut distinct = std::collections::HashSet::new();
-    for (mapping, probability) in &reps {
+    for (mapping, probability) in reps {
         let rewrite_start = Instant::now();
         let reformulated = reformulate(query, mapping, catalog)?;
         metrics.rewrite_time += rewrite_start.elapsed();
@@ -52,11 +52,10 @@ pub fn evaluate(
         match reformulated {
             Reformulated::Empty => {
                 let agg_start = Instant::now();
-                answer.add_empty(*probability);
+                answer.add_empty(probability);
                 metrics.aggregation_time += agg_start.elapsed();
             }
             Reformulated::Query(sq) => {
-                distinct.insert(sq.clone());
                 let plan_start = Instant::now();
                 let plan = optimize(&sq.plan, catalog)?;
                 metrics.plan_time += plan_start.elapsed();
@@ -65,8 +64,9 @@ pub fn evaluate(
                 exec.stats_mut().record_source_query();
 
                 let agg_start = Instant::now();
-                aggregate(&mut answer, [&*result], &sq.extraction, *probability);
+                aggregate(&mut answer, [&*result], &sq.extraction, probability);
                 metrics.aggregation_time += agg_start.elapsed();
+                distinct.insert(sq);
             }
         }
     }

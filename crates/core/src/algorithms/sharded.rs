@@ -31,7 +31,7 @@ use crate::algorithms::batch::{BatchEvaluation, BatchOptions};
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, clustered_reformulations, Extraction};
+use crate::reformulate::{aggregate, partitioned_reformulations, Clustering, Extraction};
 use crate::CoreResult;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -343,11 +343,15 @@ pub fn evaluate_batch_sharded(
     for query in queries {
         let started = Instant::now();
         let mut metrics = EvalMetrics::new("sharded-batch");
-        metrics.representative_mappings = mappings.len();
 
         let rewrite_start = Instant::now();
-        let (ordered, empty_probability) = clustered_reformulations(query, mappings, catalog)?;
+        let Clustering {
+            clusters: ordered,
+            empty_probability,
+            partitions,
+        } = partitioned_reformulations(query, mappings, catalog)?;
         metrics.rewrite_time = rewrite_start.elapsed();
+        metrics.representative_mappings = partitions;
         metrics.distinct_source_queries = ordered.len();
 
         let plan_start = Instant::now();

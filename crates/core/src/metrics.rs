@@ -27,7 +27,9 @@ pub struct EvalMetrics {
     pub exec: ExecStats,
     /// Number of distinct source queries that were executed.
     pub distinct_source_queries: usize,
-    /// Number of representative mappings (q-sharing / o-sharing) or mappings considered.
+    /// Number of mappings the query was rewritten through: one representative per mapping
+    /// partition (q-sharing, o-sharing, top-k, batch and sharded evaluation), or every mapping
+    /// (basic, e-basic, e-MQO).
     pub representative_mappings: usize,
     /// Number of e-units created (o-sharing and top-k only).
     pub eunits: usize,

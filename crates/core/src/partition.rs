@@ -1,139 +1,71 @@
-//! The partition tree (Section IV-A, Algorithm 3).
+//! Partitioning a mapping set by how it translates a query (Section IV-A, Algorithm 3).
 //!
-//! q-sharing groups the possible mappings so that every group translates the target query into
-//! the same source query.  Two mappings belong to the same group exactly when they map every
-//! *query attribute* to the same source attribute (or both leave it unmapped).  The partition
-//! tree realises that grouping level by level: level `k` branches on the source attribute that
-//! a mapping assigns to the `k`-th query attribute, and each leaf bucket is one partition.
+//! A query's source query depends only on the source attributes a mapping assigns to the target
+//! attributes the query mentions.  Two mappings belong to the same partition exactly when they
+//! map every one of those attributes to the same source attribute (or both leave it unmapped),
+//! so one *representative* per partition is all that has to be reformulated.  This is the first
+//! step of every rewrite but the paper's baselines: the service's batch path
+//! ([`crate::reformulate::partitioned_reformulations`]), q-sharing, o-sharing (once for the
+//! whole query, then once per candidate operator of every e-unit) and top-k.
+//!
+//! The paper's partition tree branches level by level on the source attribute assigned to the
+//! `k`-th query attribute; a root-to-leaf path is therefore a mapping's *signature* — the
+//! vector of those assignments — and each leaf bucket one partition.  The partitioner here keys
+//! a hash map by the signature directly, which is the tree with its interior nodes collapsed.
+//! Signatures borrow from the mappings (`Option<&AttrRef>`); no [`Mapping`] is cloned.
 
 use crate::query::TargetQuery;
 use crate::CoreResult;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use urm_matching::{Mapping, MappingSet};
 use urm_storage::AttrRef;
 
-/// One partition of the mapping set: the mappings that agree on every query attribute.
+/// One partition of a mapping list: the mappings (at least one) that agree on every
+/// partitioning attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MappingPartition {
-    /// For each query attribute (in [`TargetQuery::attributes_used`] order) the source attribute
-    /// the partition's mappings assign to it (`None` = unmapped).
-    pub signature: Vec<Option<AttrRef>>,
-    /// Indices into the mapping list this partition was built from.
+    /// Indices into the mapping list this partition was built from, ascending.
     pub mapping_indices: Vec<usize>,
-    /// Total probability of the partition's mappings.
+    /// Total weight of the partition's mappings, summed in index order.
     pub probability: f64,
 }
 
-/// A node of the partition tree.
-#[derive(Debug, Default)]
-struct Node {
-    /// Outgoing edges, labelled by the source attribute assigned to the current query attribute
-    /// (`None` = the mapping leaves it unmapped).
-    children: BTreeMap<Option<AttrRef>, usize>,
-    /// Mapping indices stored at this node when it is a leaf bucket.
-    bucket: Vec<usize>,
-}
-
-/// The partition tree of Algorithm 3.
-#[derive(Debug)]
-pub struct PartitionTree {
-    attrs: Vec<AttrRef>,
-    nodes: Vec<Node>,
-}
-
-impl PartitionTree {
-    /// Creates an empty partition tree over the given (schema-level) query attributes.
-    #[must_use]
-    pub fn new(attrs: Vec<AttrRef>) -> Self {
-        PartitionTree {
-            attrs,
-            nodes: vec![Node::default()],
-        }
-    }
-
-    /// Number of nodes currently in the tree (including the root and the leaf buckets).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Depth of the tree: one level per query attribute, plus the bucket level.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.attrs.len() + 1
-    }
-
-    /// Inserts a mapping (identified by `index`) into the tree — the `put` routine of
-    /// Algorithm 3.
-    pub fn insert(&mut self, index: usize, mapping: &Mapping) {
-        let mut node = 0usize;
-        for level in 0..self.attrs.len() {
-            let label = mapping.source_for(&self.attrs[level]).cloned();
-            let next = match self.nodes[node].children.get(&label) {
-                Some(&n) => n,
-                None => {
-                    let n = self.nodes.len();
-                    self.nodes.push(Node::default());
-                    self.nodes[node].children.insert(label, n);
-                    n
-                }
-            };
-            node = next;
-        }
-        self.nodes[node].bucket.push(index);
-    }
-
-    /// All leaf buckets with their signatures, in a deterministic order.
-    #[must_use]
-    pub fn buckets(&self) -> Vec<(Vec<Option<AttrRef>>, Vec<usize>)> {
-        let mut out = Vec::new();
-        let mut stack: Vec<(usize, Vec<Option<AttrRef>>)> = vec![(0, Vec::new())];
-        while let Some((node, signature)) = stack.pop() {
-            let n = &self.nodes[node];
-            if signature.len() == self.attrs.len() {
-                if !n.bucket.is_empty() {
-                    out.push((signature, n.bucket.clone()));
-                }
-                continue;
-            }
-            for (label, &child) in n.children.iter().rev() {
-                let mut sig = signature.clone();
-                sig.push(label.clone());
-                stack.push((child, sig));
-            }
-        }
-        out.sort_by(|a, b| a.1.cmp(&b.1));
-        out
-    }
-}
-
-/// Partitions `mappings` by how they translate the given query attributes (alias-qualified);
-/// the signature is built from the schema-level correspondences.
-pub fn partition_by_attrs(
+/// Partitions weighted mappings by how they translate the given query attributes
+/// (alias-qualified; the signature is built from the schema-level correspondences).
+///
+/// Partitions come in order of their first mapping, and each partition's indices (positions in
+/// `mappings`) ascend — so everything derived from the result is deterministic, and a weight
+/// summed over a partition is summed in mapping order.
+pub fn partition_by_attrs<'m>(
     query: &TargetQuery,
     attrs: &[AttrRef],
-    mappings: &[(Mapping, f64)],
+    mappings: impl IntoIterator<Item = (&'m Mapping, f64)>,
 ) -> CoreResult<Vec<MappingPartition>> {
     let schema_attrs: Vec<AttrRef> = attrs
         .iter()
         .map(|a| query.schema_attr(a))
         .collect::<CoreResult<_>>()?;
-    let mut tree = PartitionTree::new(schema_attrs);
-    for (i, (mapping, _)) in mappings.iter().enumerate() {
-        tree.insert(i, mapping);
-    }
-    Ok(tree
-        .buckets()
-        .into_iter()
-        .map(|(signature, mapping_indices)| {
-            let probability = mapping_indices.iter().map(|&i| mappings[i].1).sum();
-            MappingPartition {
-                signature,
-                mapping_indices,
-                probability,
+    let mut partitions: Vec<MappingPartition> = Vec::new();
+    let mut by_signature: HashMap<Vec<Option<&'m AttrRef>>, usize> = HashMap::new();
+    let mut signature: Vec<Option<&'m AttrRef>> = Vec::with_capacity(schema_attrs.len());
+    for (index, (mapping, weight)) in mappings.into_iter().enumerate() {
+        signature.clear();
+        signature.extend(schema_attrs.iter().map(|a| mapping.source_for(a)));
+        let slot = match by_signature.get(signature.as_slice()) {
+            Some(&slot) => slot,
+            None => {
+                by_signature.insert(signature.clone(), partitions.len());
+                partitions.push(MappingPartition {
+                    mapping_indices: Vec::new(),
+                    probability: 0.0,
+                });
+                partitions.len() - 1
             }
-        })
-        .collect())
+        };
+        partitions[slot].mapping_indices.push(index);
+        partitions[slot].probability += weight;
+    }
+    Ok(partitions)
 }
 
 /// Partitions a whole [`MappingSet`] on every attribute used by the query — the `partition`
@@ -142,27 +74,23 @@ pub fn partition_mappings(
     query: &TargetQuery,
     mappings: &MappingSet,
 ) -> CoreResult<Vec<MappingPartition>> {
-    let weighted: Vec<(Mapping, f64)> = mappings
-        .iter()
-        .map(|m| (m.clone(), m.probability()))
-        .collect();
-    partition_by_attrs(query, &query.attributes_used(), &weighted)
+    partition_by_attrs(
+        query,
+        &query.attributes_used(),
+        mappings.iter().map(|m| (m, m.probability())),
+    )
 }
 
-/// Selects one representative mapping per partition, carrying the partition's total
-/// probability — the `represent` routine of Algorithm 1.
+/// Selects one representative mapping per partition (its first), carrying the partition's
+/// total probability — the `represent` routine of Algorithm 1.
 #[must_use]
-pub fn representatives(
+pub fn representatives<'m>(
     partitions: &[MappingPartition],
-    mappings: &MappingSet,
-) -> Vec<(Mapping, f64)> {
+    mappings: &'m MappingSet,
+) -> Vec<(&'m Mapping, f64)> {
     partitions
         .iter()
-        .filter_map(|p| {
-            p.mapping_indices
-                .first()
-                .map(|&i| (mappings.mappings()[i].clone(), p.probability))
-        })
+        .map(|p| (&mappings.mappings()[p.mapping_indices[0]], p.probability))
         .collect()
 }
 
@@ -177,19 +105,23 @@ mod tests {
         let query = testkit::q1();
         let mappings = testkit::figure3_mappings();
         let partitions = partition_mappings(&query, &mappings).unwrap();
-        assert_eq!(partitions.len(), 3);
-        let mut groups: Vec<Vec<usize>> = partitions
+        let groups: Vec<&[usize]> = partitions
             .iter()
-            .map(|p| p.mapping_indices.clone())
+            .map(|p| p.mapping_indices.as_slice())
             .collect();
-        groups.sort();
-        assert_eq!(groups, vec![vec![0, 1], vec![2, 3], vec![4]]);
-        // Probabilities 0.5, 0.4, 0.1 (in the paper's order).
-        let mut probs: Vec<f64> = partitions.iter().map(|p| p.probability).collect();
-        probs.sort_by(f64::total_cmp);
-        assert!((probs[0] - 0.1).abs() < 1e-9);
-        assert!((probs[1] - 0.4).abs() < 1e-9);
-        assert!((probs[2] - 0.5).abs() < 1e-9);
+        // In order of each partition's first mapping, indices ascending.
+        assert_eq!(groups, [&[0, 1][..], &[2, 3], &[4]]);
+        // Probabilities 0.5, 0.4, 0.1 — each the in-order sum of its mappings', to the bit.
+        for p in &partitions {
+            let summed = p
+                .mapping_indices
+                .iter()
+                .fold(0.0, |sum, &i| sum + mappings.mappings()[i].probability());
+            assert_eq!(p.probability.to_bits(), summed.to_bits());
+        }
+        assert!((partitions[0].probability - 0.5).abs() < 1e-9);
+        assert!((partitions[1].probability - 0.4).abs() < 1e-9);
+        assert!((partitions[2].probability - 0.1).abs() < 1e-9);
     }
 
     #[test]
@@ -216,27 +148,22 @@ mod tests {
         assert_eq!(reps.len(), 3);
         let total: f64 = reps.iter().map(|(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-9);
+        // A representative is its partition's first mapping, borrowed from the set.
+        for ((rep, _), partition) in reps.iter().zip(&partitions) {
+            let first = &mappings.mappings()[partition.mapping_indices[0]];
+            assert!(std::ptr::eq(*rep, first));
+        }
     }
 
     #[test]
-    fn tree_structure_has_expected_shape() {
+    fn no_attributes_means_one_partition() {
+        // A query that mentions no attribute cannot tell any two mappings apart.
         let query = testkit::q1();
         let mappings = testkit::figure3_mappings();
-        let schema_attrs: Vec<AttrRef> = query
-            .attributes_used()
-            .iter()
-            .map(|a| query.schema_attr(a).unwrap())
-            .collect();
-        let mut tree = PartitionTree::new(schema_attrs);
-        for (i, m) in mappings.iter().enumerate() {
-            tree.insert(i, m);
-        }
-        // Depth = 2 attributes + bucket level.
-        assert_eq!(tree.depth(), 3);
-        // Root + 2 addr-level nodes + 3 buckets = 6 nodes (pname unmapped for m5 creates its own
-        // branch at the pname level).
-        assert!(tree.node_count() >= 5);
-        assert_eq!(tree.buckets().len(), 3);
+        let weighted = mappings.iter().map(|m| (m, m.probability()));
+        let partitions = partition_by_attrs(&query, &[], weighted).unwrap();
+        assert_eq!(partitions.len(), 1);
+        assert_eq!(partitions[0].mapping_indices, [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -245,11 +172,8 @@ mod tests {
         let mappings = testkit::figure3_mappings();
         // Partition only on Person.phone: m1,m2,m3,m5 map it to ophone; m4 to hphone.
         let attrs = vec![AttrRef::new("Person", "phone")];
-        let weighted: Vec<(Mapping, f64)> = mappings
-            .iter()
-            .map(|m| (m.clone(), m.probability()))
-            .collect();
-        let partitions = partition_by_attrs(&query, &attrs, &weighted).unwrap();
+        let weighted = mappings.iter().map(|m| (m, m.probability()));
+        let partitions = partition_by_attrs(&query, &attrs, weighted).unwrap();
         assert_eq!(partitions.len(), 2);
         let sizes: Vec<usize> = {
             let mut v: Vec<usize> = partitions.iter().map(|p| p.mapping_indices.len()).collect();

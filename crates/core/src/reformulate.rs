@@ -14,6 +14,16 @@
 //! plan built here is the literal, un-optimised one, and every algorithm hands it to the same
 //! `optimize` before running it.
 //!
+//! Rewriting a query through a whole *mapping set* comes in two shapes.  The one every service
+//! request takes is [`partitioned_reformulations`] — q-sharing's (Section IV): partition the
+//! mappings by what they assign to the attributes the query mentions
+//! ([`crate::partition`]), call [`reformulate`] once per partition, merge partitions that
+//! reformulate equal.  The other is the paper's baseline, one [`reformulate`] per mapping with
+//! the equal plans clustered afterwards; it belongs to e-basic and e-MQO and lives with them
+//! ([`crate::algorithms::ebasic::clustered_reformulations`]).  Both assemble their clusters
+//! through the same `Clusters` and add probabilities in mapping order, so they agree to the
+//! bit.
+//!
 //! The last step is shared too.  [`extract_answers`] resolves an [`Extraction`] against a
 //! result and hands back its rows *unbuilt* ([`AnswerRows`]); [`aggregate`] probes a
 //! [`ProbabilisticAnswer`] with them, and a tuple is built only for a row the answer does not
@@ -22,12 +32,13 @@
 //! all counted once per call by the answer's own stamp.
 
 use crate::answer::{AnswerRows, ProbabilisticAnswer};
+use crate::partition::partition_mappings;
 use crate::query::{QueryOutput, TargetPredicate, TargetQuery};
 use crate::{CoreError, CoreResult};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use urm_engine::{AggFunc, Plan, Predicate};
-use urm_matching::Mapping;
+use urm_matching::{Mapping, MappingSet};
 use urm_storage::{AttrRef, Catalog, Relation};
 
 /// How answer tuples are read out of the result of a reformulated source query.
@@ -65,58 +76,117 @@ pub enum Reformulated {
 
 /// One distinct source query of a target query: the mappings that reformulate onto it, summed.
 #[derive(Debug, Clone)]
-pub(crate) struct ClusteredQuery {
+pub struct ClusteredQuery {
+    /// The source query every mapping of the cluster reformulates onto.
     pub query: SourceQuery,
     /// `query.plan.fingerprint()`, hashed once when the cluster was formed: the key the cluster
     /// was found under, its rank among equally probable clusters, and the key its plan is
     /// submitted to an epoch DAG under.
     pub fingerprint: u64,
-    /// Total probability of the mappings in the cluster.
+    /// Total probability of the mappings in the cluster, summed in mapping order.
     pub probability: f64,
 }
 
-/// Reformulates `query` through every mapping of the set, clustering identical source queries
-/// with their summed probabilities.  Returns the distinct source queries in deterministic order
-/// (descending probability, plan fingerprint as tie-break) plus the probability mass of
-/// mappings the query cannot be reformulated through.
+/// A target query rewritten through a whole mapping set: its distinct source queries, the mass
+/// it cannot be rewritten through, and how many rewrites that took.
+#[derive(Debug, Clone)]
+pub struct Clustering {
+    /// The distinct source queries in deterministic order: descending probability, plan
+    /// fingerprint as tie-break (then order of first appearance among the mappings).
+    pub clusters: Vec<ClusteredQuery>,
+    /// Probability mass of the mappings the query cannot be reformulated through.
+    pub empty_probability: f64,
+    /// Calls to [`reformulate`] made: one per mapping partition on the partition-first path,
+    /// one per mapping on e-basic's.
+    pub partitions: usize,
+}
+
+/// The distinct source queries met so far, in order of first appearance.  A plan is hashed
+/// exactly once, when it is looked up; a fingerprint holds more than one cluster only for equal
+/// plans read out differently (or a fingerprint collision).
+#[derive(Default)]
+pub(crate) struct Clusters {
+    ordered: Vec<ClusteredQuery>,
+    by_fingerprint: HashMap<u64, Vec<usize>>,
+}
+
+impl Clusters {
+    /// The slot of the cluster equal to `sq`, opened with no mass if `sq` is new.
+    pub(crate) fn slot(&mut self, sq: SourceQuery) -> usize {
+        let fingerprint = sq.plan.fingerprint();
+        let slots = self.by_fingerprint.entry(fingerprint).or_default();
+        if let Some(&slot) = slots.iter().find(|&&slot| self.ordered[slot].query == sq) {
+            return slot;
+        }
+        slots.push(self.ordered.len());
+        self.ordered.push(ClusteredQuery {
+            query: sq,
+            fingerprint,
+            probability: 0.0,
+        });
+        self.ordered.len() - 1
+    }
+
+    /// Adds one mapping's probability to a cluster.  Callers add in mapping order: a cluster's
+    /// mass is a float sum, and every path must produce the same bits.
+    pub(crate) fn add(&mut self, slot: usize, probability: f64) {
+        self.ordered[slot].probability += probability;
+    }
+
+    /// The clusters in the order answers aggregate them in (see [`Clustering::clusters`]).
+    pub(crate) fn into_ordered(self) -> Vec<ClusteredQuery> {
+        let mut ordered = self.ordered;
+        // Stable, so clusters equal in probability and fingerprint keep first-appearance order.
+        ordered.sort_by(|a, b| {
+            b.probability
+                .total_cmp(&a.probability)
+                .then_with(|| a.fingerprint.cmp(&b.fingerprint))
+        });
+        ordered
+    }
+}
+
+/// Rewrites `query` through the mapping set the way the paper's q-sharing does (Section IV,
+/// Algorithms 1 and 3): partition the mappings by what they assign to the attributes the query
+/// mentions, [`reformulate`] one representative per partition, and merge partitions whose
+/// representatives reformulate equal.  This is the rewrite of batch and sharded evaluation —
+/// every request the service answers.
 ///
-/// This is the shared "rewrite and deduplicate" phase of `e-basic`, `e-MQO` and batch
-/// evaluation; only the execution step differs between them.
-pub(crate) fn clustered_reformulations(
+/// The result is, to the bit, what rewriting through every mapping and clustering the plans
+/// gives (e-basic's rewrite phase, [`crate::algorithms::ebasic::clustered_reformulations`];
+/// `tests/prop_partition.rs` compares the two): a mapping's source query is a function of its
+/// signature alone, and every probability — cluster masses and the empty mass — is accumulated
+/// in mapping order, not partition by partition.
+pub fn partitioned_reformulations(
     query: &TargetQuery,
-    mappings: &urm_matching::MappingSet,
+    mappings: &MappingSet,
     catalog: &Catalog,
-) -> CoreResult<(Vec<ClusteredQuery>, f64)> {
-    // Each reformulation's plan is hashed exactly once, here; a bucket holds more than one
-    // cluster only for equal plans read out differently (or a fingerprint collision).
-    let mut buckets: HashMap<u64, Vec<ClusteredQuery>> = HashMap::new();
-    let mut empty_probability = 0.0;
-    for mapping in mappings.iter() {
-        match reformulate(query, mapping, catalog)? {
-            Reformulated::Empty => empty_probability += mapping.probability(),
-            Reformulated::Query(sq) => {
-                let fingerprint = sq.plan.fingerprint();
-                let bucket = buckets.entry(fingerprint).or_default();
-                match bucket.iter_mut().find(|cluster| cluster.query == sq) {
-                    Some(cluster) => cluster.probability += mapping.probability(),
-                    None => bucket.push(ClusteredQuery {
-                        query: sq,
-                        fingerprint,
-                        probability: mapping.probability(),
-                    }),
-                }
+) -> CoreResult<Clustering> {
+    let partitions = partition_mappings(query, mappings)?;
+    let mut clusters = Clusters::default();
+    // Per mapping, the cluster its partition reformulates onto (`None`: onto nothing).
+    let mut slots: Vec<Option<usize>> = vec![None; mappings.len()];
+    for partition in &partitions {
+        let representative = &mappings.mappings()[partition.mapping_indices[0]];
+        if let Reformulated::Query(sq) = reformulate(query, representative, catalog)? {
+            let slot = clusters.slot(sq);
+            for &index in &partition.mapping_indices {
+                slots[index] = Some(slot);
             }
         }
     }
-    let mut ordered: Vec<ClusteredQuery> = buckets.into_values().flatten().collect();
-    // HashMap iteration order must not leak into answer aggregation: order deterministically
-    // (the sort is stable, and a bucket's clusters are adjacent in mapping order).
-    ordered.sort_by(|a, b| {
-        b.probability
-            .total_cmp(&a.probability)
-            .then_with(|| a.fingerprint.cmp(&b.fingerprint))
-    });
-    Ok((ordered, empty_probability))
+    let mut empty_probability = 0.0;
+    for (mapping, slot) in mappings.iter().zip(slots) {
+        match slot {
+            Some(slot) => clusters.add(slot, mapping.probability()),
+            None => empty_probability += mapping.probability(),
+        }
+    }
+    Ok(Clustering {
+        clusters: clusters.into_ordered(),
+        empty_probability,
+        partitions: partitions.len(),
+    })
 }
 
 /// The deterministic scan alias used when target alias `target_alias` pulls in source relation
@@ -140,24 +210,55 @@ pub fn source_column_for(
     let schema_attr = query.schema_attr(attr)?;
     Ok(mapping
         .source_for(&schema_attr)
-        .map(|src| format!("{}.{}", scan_alias(&attr.alias, &src.alias), src.attr)))
+        .map(|src| source_column(attr, src)))
 }
 
-/// The source relations (with their scan aliases) that cover the mapped attributes of one
-/// target alias — the "minimal set of source relations" of the Section VI-B rules.
-///
-/// Attribute names in the generated source schemas are unique to one relation, so the minimal
-/// cover is simply the set of relations owning the mapped attributes.
-pub fn covering_relations(
-    query: &TargetQuery,
-    mapping: &Mapping,
-    alias: &str,
-    catalog: &Catalog,
-) -> CoreResult<Vec<(String, String)>> {
-    let mut out: Vec<(String, String)> = Vec::new();
-    for attr in query.attributes_of_alias(alias) {
-        let schema_attr = query.schema_attr(&attr)?;
-        if let Some(src) = mapping.source_for(&schema_attr) {
+fn source_column(attr: &AttrRef, src: &AttrRef) -> String {
+    format!("{}.{}", scan_alias(&attr.alias, &src.alias), src.attr)
+}
+
+/// Every attribute a query uses, resolved through one mapping once: the source attribute it
+/// corresponds to and the qualified source column that names, or `None` where the mapping
+/// does not cover it.
+struct ResolvedAttrs<'m> {
+    /// [`TargetQuery::attributes_used`], in its order.
+    attrs: Vec<AttrRef>,
+    sources: Vec<Option<(&'m AttrRef, String)>>,
+}
+
+impl<'m> ResolvedAttrs<'m> {
+    fn new(query: &TargetQuery, mapping: &'m Mapping) -> CoreResult<Self> {
+        let attrs = query.attributes_used();
+        let mut sources = Vec::with_capacity(attrs.len());
+        for attr in &attrs {
+            let source = mapping.source_for(&query.schema_attr(attr)?);
+            sources.push(source.map(|src| (src, source_column(attr, src))));
+        }
+        Ok(ResolvedAttrs { attrs, sources })
+    }
+
+    /// The source column of one of the query's attributes.
+    fn column(&self, attr: &AttrRef) -> Option<&String> {
+        let position = self.attrs.iter().position(|a| a == attr)?;
+        self.sources[position].as_ref().map(|(_, column)| column)
+    }
+
+    /// The source relations (with their scan aliases) that cover the mapped attributes of one
+    /// target alias — the "minimal set of source relations" of the Section VI-B rules, sorted.
+    ///
+    /// Attribute names in the generated source schemas are unique to one relation, so the
+    /// minimal cover is simply the set of relations owning the mapped attributes.
+    fn covering_relations(
+        &self,
+        alias: &str,
+        catalog: &Catalog,
+    ) -> CoreResult<Vec<(String, String)>> {
+        let mut out: Vec<(String, String)> = Vec::new();
+        for (attr, source) in self.attrs.iter().zip(&self.sources) {
+            let Some((src, _)) = source else { continue };
+            if attr.alias != alias {
+                continue;
+            }
             let relation = catalog
                 .get(&src.alias)
                 .map(|_| src.alias.clone())
@@ -170,9 +271,9 @@ pub fn covering_relations(
                 out.push(pair);
             }
         }
+        out.sort();
+        Ok(out)
     }
-    out.sort();
-    Ok(out)
 }
 
 /// Reformulates a target query through a single mapping.
@@ -181,18 +282,28 @@ pub fn reformulate(
     mapping: &Mapping,
     catalog: &Catalog,
 ) -> CoreResult<Reformulated> {
+    let resolved = ResolvedAttrs::new(query, mapping)?;
+    let mapped = |attr: &AttrRef| -> String {
+        resolved
+            .column(attr)
+            .expect("predicate and SUM attributes are checked to be mapped first")
+            .clone()
+    };
+
     // 1. Every predicate attribute must be mapped, otherwise the predicate can never be
-    //    satisfied and the whole query is empty under this mapping.
-    for pred in query.predicates() {
-        for attr in pred.attributes() {
-            if source_column_for(query, mapping, attr)?.is_none() {
-                return Ok(Reformulated::Empty);
-            }
-        }
-    }
-    // A SUM over an unmapped attribute likewise cannot produce a value.
-    if let QueryOutput::Sum(attr) = query.output() {
-        if source_column_for(query, mapping, attr)?.is_none() {
+    //    satisfied and the whole query is empty under this mapping.  A SUM over an unmapped
+    //    attribute likewise cannot produce a value.
+    let sum_attr = match query.output() {
+        QueryOutput::Sum(attr) => Some(attr),
+        _ => None,
+    };
+    let required = query
+        .predicates()
+        .iter()
+        .flat_map(TargetPredicate::attributes)
+        .chain(sum_attr);
+    for attr in required {
+        if resolved.column(attr).is_none() {
             return Ok(Reformulated::Empty);
         }
     }
@@ -200,42 +311,28 @@ pub fn reformulate(
     // 2. Scans: for each alias, the covering source relations under this mapping.
     let mut scans: Vec<Plan> = Vec::new();
     for binding in query.relations() {
-        let cover = covering_relations(query, mapping, &binding.alias, catalog)?;
-        if cover.is_empty() {
-            // No attribute of this alias is mapped; the alias contributes nothing that any
-            // operator or the output can observe, so it is dropped from the product.  (The
-            // paper's partial mappings behave the same way: unmatched relations cannot be
-            // queried.)
-            continue;
-        }
-        for (alias, relation) in cover {
+        // An alias none of whose attributes is mapped has an empty cover: it contributes
+        // nothing that any operator or the output can observe, so it is dropped from the
+        // product.  (The paper's partial mappings behave the same way: unmatched relations
+        // cannot be queried.)
+        for (alias, relation) in resolved.covering_relations(&binding.alias, catalog)? {
             scans.push(Plan::scan_as(relation, alias));
         }
     }
-    if scans.is_empty() {
-        return Ok(Reformulated::Empty);
-    }
 
     // 3. Product of all scans, in deterministic order.
-    let mut plan = scans
-        .into_iter()
-        .reduce(Plan::product)
-        .expect("at least one scan");
+    let Some(mut plan) = scans.into_iter().reduce(Plan::product) else {
+        return Ok(Reformulated::Empty);
+    };
 
     // 4. Selections, in query order.
     for pred in query.predicates() {
         let engine_pred = match pred {
             TargetPredicate::Compare { attr, op, value } => {
-                let col = source_column_for(query, mapping, attr)?
-                    .expect("predicate attributes checked above");
-                Predicate::compare(col, *op, value.clone())
+                Predicate::compare(mapped(attr), *op, value.clone())
             }
             TargetPredicate::AttrEq { left, right } => {
-                let l = source_column_for(query, mapping, left)?
-                    .expect("predicate attributes checked above");
-                let r = source_column_for(query, mapping, right)?
-                    .expect("predicate attributes checked above");
-                Predicate::column_eq(l, r)
+                Predicate::column_eq(mapped(left), mapped(right))
             }
         };
         plan = plan.select(engine_pred);
@@ -244,15 +341,12 @@ pub fn reformulate(
     // 5. Output clause.
     let (plan, extraction) = match query.output() {
         QueryOutput::Count => (plan.aggregate(AggFunc::Count), Extraction::Raw),
-        QueryOutput::Sum(attr) => {
-            let col = source_column_for(query, mapping, attr)?.expect("checked above");
-            (plan.aggregate(AggFunc::Sum(col)), Extraction::Raw)
-        }
+        QueryOutput::Sum(attr) => (plan.aggregate(AggFunc::Sum(mapped(attr))), Extraction::Raw),
         QueryOutput::Tuples(attrs) => {
-            let mut columns: Vec<Option<String>> = Vec::with_capacity(attrs.len());
-            for attr in attrs {
-                columns.push(source_column_for(query, mapping, attr)?);
-            }
+            let columns: Vec<Option<String>> = attrs
+                .iter()
+                .map(|attr| resolved.column(attr).cloned())
+                .collect();
             let mut project: Vec<String> = Vec::new();
             for col in columns.iter().flatten() {
                 if !project.contains(col) {
@@ -513,8 +607,8 @@ mod tests {
         let catalog = testkit::figure2_catalog();
         let query = testkit::q0();
         let mappings = testkit::figure3_mappings();
-        let cover =
-            covering_relations(&query, &mappings.mappings()[0], "Person", &catalog).unwrap();
+        let resolved = ResolvedAttrs::new(&query, &mappings.mappings()[0]).unwrap();
+        let cover = resolved.covering_relations("Person", &catalog).unwrap();
         assert_eq!(cover.len(), 1);
         assert_eq!(cover[0].1, "Customer");
     }

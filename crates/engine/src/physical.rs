@@ -27,7 +27,6 @@
 //! queries that reformulate onto the same source sub-plan over the same row buffers share one
 //! fingerprint, which is what makes cross-query sub-plan reuse zero-copy end-to-end.
 
-use crate::plan::qualify_schema;
 use crate::{AggFunc, CompareOp, EngineError, EngineResult, Plan, Predicate};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -393,7 +392,7 @@ pub fn bind(plan: &Plan, catalog: &Catalog) -> EngineResult<Arc<PhysicalPlan>> {
             // Build the qualified view once; every execution of this scan is then a pure
             // `Arc` clone of it.
             let view = Arc::new(Relation::from_shared(
-                qualify_schema(base.schema(), alias),
+                catalog.scan_schema(relation, alias)?,
                 base.shared_rows(),
             ));
             Ok(Arc::new(PhysicalPlan::Scan {

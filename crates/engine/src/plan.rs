@@ -241,13 +241,11 @@ impl Plan {
     /// Infers the output schema of the plan against a catalog.
     ///
     /// The schema of a [`Plan::Scan`] is the base relation's schema with every attribute renamed
-    /// to `alias.attr` and the relation renamed to the alias.
+    /// to `alias.attr` and the relation renamed to the alias ([`Catalog::scan_schema`], built
+    /// once per (relation, alias) however many plans scan it).
     pub fn output_schema(&self, catalog: &Catalog) -> EngineResult<Schema> {
         match self {
-            Plan::Scan { relation, alias } => {
-                let base = catalog.require(relation)?;
-                Ok(qualify_schema(base.schema(), alias))
-            }
+            Plan::Scan { relation, alias } => Ok(catalog.scan_schema(relation, alias)?),
             Plan::Values(rel) => Ok(rel.schema().clone()),
             Plan::Select { input, .. } | Plan::Distinct { input } => input.output_schema(catalog),
             Plan::Project { columns, input } => {
@@ -304,17 +302,6 @@ impl Plan {
             _ => false,
         })
     }
-}
-
-/// Renames `schema` to `alias` and qualifies each attribute as `alias.attr`.
-#[must_use]
-pub fn qualify_schema(schema: &Schema, alias: &str) -> Schema {
-    let attrs = schema
-        .attributes()
-        .iter()
-        .map(|a| Attribute::new(format!("{alias}.{}", a.name), a.data_type))
-        .collect();
-    Schema::new(alias, attrs)
 }
 
 impl fmt::Display for Plan {

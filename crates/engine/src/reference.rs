@@ -13,7 +13,6 @@
 //! Production code paths never use this module; [`Executor`](crate::Executor) binds and
 //! executes physical plans.
 
-use crate::plan::qualify_schema;
 use crate::{AggFunc, EngineError, EngineResult, ExecStats, Plan, Predicate};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -59,7 +58,7 @@ impl<'a> ReferenceExecutor<'a> {
         match plan {
             Plan::Scan { relation, alias } => {
                 let base = self.catalog.require(relation)?;
-                let schema = qualify_schema(base.schema(), alias);
+                let schema = base.schema().qualified(alias);
                 // Deliberate copy: the pre-refactor scan materialised a private row vector.
                 let rows = base.rows().to_vec();
                 self.stats.record_scan(rows.len() as u64);

@@ -14,10 +14,26 @@ use std::sync::{Arc, Mutex};
 /// the same buffer scanned under different aliases shares one conversion, catalog clones (the
 /// per-worker executors of the DAG scheduler) share the cache, and an entry pins its source
 /// buffer alive — so a cache key can never be a dangling pointer reused by another allocation.
+///
+/// Beside it sit the *qualified scan schemas* ([`Catalog::scan_schema`]): a plan's scan of
+/// `relation AS alias` carries the base schema with every attribute renamed `alias.attr`, and
+/// schema inference, optimisation and binding each ask for it, per plan, for the same handful
+/// of (relation, alias) pairs.  Each is built once and handed out as a clone (three `Arc`
+/// bumps).
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     relations: BTreeMap<String, Arc<Relation>>,
     columnar: Arc<Mutex<HashMap<usize, Arc<ColumnarRelation>>>>,
+    scan_schemas: Arc<Mutex<HashMap<String, ScanSchemas>>>,
+}
+
+/// The qualified schemas built for one relation name, valid for the base schema they were built
+/// from: the cache is shared by catalog clones and survives [`Catalog::insert`], so an entry
+/// whose base is no longer the relation's schema is rebuilt, never served.
+#[derive(Debug)]
+struct ScanSchemas {
+    base: Schema,
+    by_alias: HashMap<String, Schema>,
 }
 
 impl Catalog {
@@ -59,6 +75,37 @@ impl Catalog {
     #[must_use]
     pub fn schema(&self, name: &str) -> Option<Schema> {
         self.relations.get(name).map(|r| r.schema().clone())
+    }
+
+    /// The schema of `relation` scanned as `alias` ([`Schema::qualified`]), built on first use
+    /// and memoised per (relation, alias).
+    pub fn scan_schema(&self, relation: &str, alias: &str) -> StorageResult<Schema> {
+        let base = self
+            .relations
+            .get(relation)
+            .ok_or_else(|| StorageError::UnknownRelation(relation.to_string()))?
+            .schema();
+        let mut cache = self
+            .scan_schemas
+            .lock()
+            .expect("the scan-schema cache lock is never held across a panic");
+        if !cache
+            .get(relation)
+            .is_some_and(|entry| entry.base.shares_attributes(base))
+        {
+            let fresh = ScanSchemas {
+                base: base.clone(),
+                by_alias: HashMap::new(),
+            };
+            cache.insert(relation.to_string(), fresh);
+        }
+        let entry = cache.get_mut(relation).expect("present or just inserted");
+        if let Some(found) = entry.by_alias.get(alias) {
+            return Ok(found.clone());
+        }
+        let qualified = base.qualified(alias);
+        entry.by_alias.insert(alias.to_string(), qualified.clone());
+        Ok(qualified)
     }
 
     /// Finds the relation (if any) that declares the given attribute.
@@ -231,6 +278,28 @@ mod tests {
         assert!(cat.cached_columnar(&other).is_none());
         let c = cat.columnar_view(&other);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn scan_schemas_are_built_once_per_relation_and_alias() {
+        let mut cat = Catalog::new();
+        cat.insert(rel("Customer", "cid", 5));
+        let base = cat.get("Customer").unwrap();
+        let a = cat.scan_schema("Customer", "PO__Customer").unwrap();
+        assert_eq!(a, base.schema().qualified("PO__Customer"));
+        assert_eq!(a.name(), "PO__Customer");
+        assert_eq!(a.position("PO__Customer.cid"), Some(0));
+        // The same pair again — from a clone too — is the same schema, not a rebuilt one.
+        assert!(a.shares_attributes(&cat.scan_schema("Customer", "PO__Customer").unwrap()));
+        assert!(a.shares_attributes(&cat.clone().scan_schema("Customer", "PO__Customer").unwrap()));
+        let other = cat.scan_schema("Customer", "Customer").unwrap();
+        assert_eq!(other.position("Customer.cid"), Some(0));
+        assert!(cat.scan_schema("Ghost", "G").is_err());
+        // A replaced relation is never answered from the schema it replaced.
+        cat.insert(rel("Customer", "custkey", 1));
+        let replaced = cat.scan_schema("Customer", "PO__Customer").unwrap();
+        assert_eq!(replaced.position("PO__Customer.custkey"), Some(0));
+        assert_eq!(replaced.position("PO__Customer.cid"), None);
     }
 
     #[test]

@@ -137,6 +137,25 @@ impl Schema {
         }
     }
 
+    /// The schema of this relation scanned as `alias`: renamed to the alias, every attribute
+    /// renamed `alias.attr`.
+    #[must_use]
+    pub fn qualified(&self, alias: &str) -> Self {
+        let attrs = self
+            .attributes
+            .iter()
+            .map(|a| Attribute::new(format!("{alias}.{}", a.name), a.data_type))
+            .collect();
+        Schema::new(alias, attrs)
+    }
+
+    /// Whether the two schemas share one attribute list (clones or renamings of one schema),
+    /// as opposed to merely equal ones.
+    #[must_use]
+    pub fn shares_attributes(&self, other: &Schema) -> bool {
+        Arc::ptr_eq(&self.attributes, &other.attributes)
+    }
+
     /// The ordered attribute list.
     #[must_use]
     pub fn attributes(&self) -> &[Attribute] {
