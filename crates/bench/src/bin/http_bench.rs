@@ -1,15 +1,12 @@
 //! Runs the open-loop HTTP latency harness (Poisson arrivals against a real `urm-server` on
-//! loopback, byte-identity check against an in-process replay, pipeline A/B) and writes
-//! `BENCH_http.json`.
+//! loopback, byte-identity check against an in-process replay) and writes `BENCH_http.json`.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p urm-bench --bin http_bench \
 //!     [--scale N] [--mappings H] [--seed S] [--requests N] [--rate R] [--clients C]
-//!     [--workers W] [--attach ADDR] [--no-verify]
-//!     [--ab-scale N] [--ab-mappings H] [--ab-batches B] [--ab-queries Q] [--ab-iters I]
-//!     [--json PATH]
+//!     [--workers W] [--attach ADDR] [--no-verify] [--json PATH]
 //! ```
 //!
 //! `--attach ADDR` drives an already-running server (started with the same
@@ -52,21 +49,6 @@ fn main() {
     if let Some(v) = parse("--workers") {
         config.workers = v;
     }
-    if let Some(v) = parse("--ab-scale") {
-        config.ab_scale = v;
-    }
-    if let Some(v) = parse("--ab-mappings") {
-        config.ab_mappings = v;
-    }
-    if let Some(v) = parse("--ab-batches") {
-        config.ab_batches = v;
-    }
-    if let Some(v) = parse("--ab-queries") {
-        config.ab_queries = v;
-    }
-    if let Some(v) = parse("--ab-iters") {
-        config.ab_iters = v;
-    }
     if let Some(addr) = value("--attach") {
         config.attach = Some(addr);
     }
@@ -86,7 +68,7 @@ fn main() {
 
     eprintln!(
         "http open-loop harness (scale={}, mappings={}, requests={}/phase, rate={}/s, \
-         clients={}, workers={}, verify={}, ab: scale={} mappings={} {}×{} iters={}) …",
+         clients={}, workers={}, verify={}) …",
         config.scale,
         config.mappings,
         config.requests,
@@ -94,11 +76,6 @@ fn main() {
         config.clients,
         config.workers,
         config.verify,
-        config.ab_scale,
-        config.ab_mappings,
-        config.ab_batches,
-        config.ab_queries,
-        config.ab_iters,
     );
     let rows = run(&config).unwrap_or_else(|err| {
         eprintln!("error: {err}");

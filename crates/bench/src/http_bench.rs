@@ -1,8 +1,7 @@
 //! The open-loop HTTP latency harness: drives a real `urm-server` over loopback with Poisson
-//! arrivals and reports per-phase tail latencies, plus an in-process A/B of the two-stage
-//! epoch-lock pipeline.
+//! arrivals and reports per-phase tail latencies.
 //!
-//! Three experiments, all rows written to `BENCH_http.json` by the `http_bench` binary:
+//! Two experiments, all rows written to `BENCH_http.json` by the `http_bench` binary:
 //!
 //! * **Open-loop phases** — a precomputed [`urm_datagen::openloop`] schedule (cold phase, then
 //!   a warm phase at double rate) is replayed against the server by one thread per simulated
@@ -14,18 +13,11 @@
 //!   answered by an in-process [`QueryService`] on an identically generated scenario, using
 //!   the shared [`urm_server::wire::answer_json`] rendering.  The HTTP front door may not
 //!   change a single answer byte.
-//! * **Pipeline A/B** — the same stream of structurally distinct batches is pushed through two
-//!   services, one with `pipeline: false` (epoch lock held across rewrite+optimise+bind *and*
-//!   execution, so batches fully serialise) and one with `pipeline: true` (lock held across
-//!   binding only; on a pool-free epoch the engine also executes outside its result lock, so
-//!   the workers run whole batches concurrently).  Reported as wall times plus a `speedup`
-//!   row that CI gates at ≥ 1.1× on multi-core hosts.
 
 use crate::experiments::{ExperimentRow, RowKind};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-use urm_core::{CoreResult, TargetQuery};
 use urm_datagen::openloop::{schedule, Arrival, OpenLoopConfig, PhaseSpec};
 use urm_datagen::scenario::{Scenario, ScenarioConfig, TargetSchemaKind};
 use urm_server::wire::answer_json;
@@ -55,17 +47,6 @@ pub struct HttpBenchConfig {
     pub attach: Option<String>,
     /// Check HTTP answers byte-for-byte against an in-process replay.
     pub verify: bool,
-    /// Pipeline A/B: batches per run.
-    pub ab_batches: usize,
-    /// Pipeline A/B: queries per batch (also the service's `batch_max`).
-    pub ab_queries: usize,
-    /// Pipeline A/B: scenario scale (heavier than the open-loop one — the A/B needs real
-    /// per-batch execution time to overlap).
-    pub ab_scale: usize,
-    /// Pipeline A/B: possible mappings (more mappings = heavier rewrite+bind stage).
-    pub ab_mappings: usize,
-    /// Pipeline A/B: timed runs per mode (best-of is reported, as in the other benches).
-    pub ab_iters: usize,
 }
 
 impl Default for HttpBenchConfig {
@@ -80,11 +61,6 @@ impl Default for HttpBenchConfig {
             workers: 2,
             attach: None,
             verify: true,
-            ab_batches: 8,
-            ab_queries: 2,
-            ab_scale: 60,
-            ab_mappings: 8,
-            ab_iters: 2,
         }
     }
 }
@@ -271,124 +247,7 @@ fn phase_rows(phases: &[PhaseSpec], samples: &[Sample], rows: &mut Vec<Experimen
     }
 }
 
-/// The Excel `PO` attributes the generated mappings reliably cover (the ones the paper's own
-/// workload touches) — the pool the A/B's structurally distinct queries draw from.
-const AB_ATTRS: [&str; 10] = [
-    "orderNum",
-    "orderDate",
-    "telephone",
-    "priority",
-    "invoiceTo",
-    "company",
-    "deliverToStreet",
-    "deliverToCity",
-    "status",
-    "totalPrice",
-];
-
-/// Structurally distinct query #`i`: an unfiltered `PO` self-join chain (1 or 2 joins) with a
-/// varying projection.  Distinct structure means no answer-cache hit, no in-batch dedup, no
-/// epoch result reuse — every batch really binds and really executes, which is what the
-/// pipeline A/B needs.  `2 × AB_ATTRS.len()` distinct shapes exist; beyond that they repeat.
-fn ab_query(i: usize) -> CoreResult<TargetQuery> {
-    let joins = 1 + (i % 2);
-    let attr = AB_ATTRS[(i / 2) % AB_ATTRS.len()];
-    let mut builder = TargetQuery::builder(format!("ab-{i}")).relation_as("PO", "PO1");
-    for j in 2..=(joins + 1) {
-        builder = builder
-            .relation_as("PO", format!("PO{j}"))
-            .join("PO1.orderNum", &format!("PO{j}.orderNum"));
-    }
-    builder
-        .returning(["PO1.orderNum", &format!("PO1.{attr}")])
-        .build()
-}
-
-/// One timed A/B run: `batches × per_batch` distinct queries through a fresh service.
-fn measure_mode(config: &HttpBenchConfig, pipeline: bool) -> Result<Duration, String> {
-    let scenario = Scenario::generate(&ScenarioConfig {
-        target: TargetSchemaKind::Excel,
-        scale: config.ab_scale,
-        mappings: config.ab_mappings,
-        seed: config.seed,
-    })
-    .map_err(|e| e.to_string())?;
-    // dag_workers is pinned to 1 so both modes schedule each batch identically: the A/B
-    // isolates the epoch-lock strategy (serialised batches vs pipelined bind + overlapped
-    // execution), not intra-batch DAG parallelism, which dag_bench already measures.
-    let service = QueryService::new(ServiceConfig {
-        workers: config.workers.max(2),
-        batch_max: config.ab_queries.max(1),
-        dag_workers: 1,
-        pipeline,
-        ..ServiceConfig::default()
-    });
-    let epoch = service.register_epoch(scenario.catalog, scenario.mappings);
-    let total = config.ab_batches.max(1) * config.ab_queries.max(1);
-    let queries: Vec<TargetQuery> = (0..total)
-        .map(ab_query)
-        .collect::<CoreResult<_>>()
-        .map_err(|e| e.to_string())?;
-
-    let start = Instant::now();
-    let tickets: Vec<_> = queries
-        .iter()
-        .map(|q| service.submit(epoch, q.clone()))
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?;
-    service.flush();
-    for ticket in tickets {
-        ticket.wait().map_err(|e| e.to_string())?;
-    }
-    let elapsed = start.elapsed();
-    service.shutdown();
-    Ok(elapsed)
-}
-
-fn ab_rows(config: &HttpBenchConfig, rows: &mut Vec<ExperimentRow>) -> Result<(), String> {
-    let iters = config.ab_iters.max(1);
-    let best = |pipeline: bool| -> Result<Duration, String> {
-        let mut best = Duration::MAX;
-        for _ in 0..iters {
-            best = best.min(measure_mode(config, pipeline)?);
-        }
-        Ok(best)
-    };
-    // Alternate would be fairer under thermal drift, but these runs are seconds long.
-    let serialized = best(false)?;
-    let pipelined = best(true)?;
-    let speedup = if pipelined.is_zero() {
-        f64::INFINITY
-    } else {
-        serialized.as_secs_f64() / pipelined.as_secs_f64()
-    };
-    let answers = config.ab_batches.max(1) * config.ab_queries.max(1);
-    for (series, time) in [("pipeline-off", serialized), ("pipeline-on", pipelined)] {
-        rows.push(ExperimentRow {
-            experiment: "http".into(),
-            series: series.into(),
-            x: "ab".into(),
-            kind: RowKind::Timing,
-            time,
-            source_operators: 0,
-            answers,
-            extra: None,
-        });
-    }
-    rows.push(ExperimentRow {
-        experiment: "http".into(),
-        series: "speedup-pipeline".into(),
-        x: "ab".into(),
-        kind: RowKind::Timing,
-        time: Duration::ZERO,
-        source_operators: 0,
-        answers: 0,
-        extra: Some(("speedup".into(), speedup)),
-    });
-    Ok(())
-}
-
-/// Runs the harness: open-loop phases (+ byte-identity check) and the pipeline A/B.
+/// Runs the harness: open-loop phases (+ byte-identity check).
 /// Returns `BENCH_http.json`-ready rows.
 pub fn run(config: &HttpBenchConfig) -> Result<Vec<ExperimentRow>, String> {
     let mut openloop = OpenLoopConfig::excel_default(config.requests.max(1), config.rate);
@@ -473,22 +332,6 @@ pub fn run(config: &HttpBenchConfig) -> Result<Vec<ExperimentRow>, String> {
         server.shutdown();
     }
 
-    ab_rows(config, &mut rows)?;
-    rows.push(ExperimentRow {
-        experiment: "http".into(),
-        series: "host-parallelism".into(),
-        x: "ab".into(),
-        kind: RowKind::Timing,
-        time: Duration::ZERO,
-        source_operators: 0,
-        answers: 0,
-        extra: Some((
-            "hardware-threads".into(),
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1) as f64,
-        )),
-    });
     Ok(rows)
 }
 
@@ -508,11 +351,6 @@ mod tests {
             workers: 2,
             attach: None,
             verify: true,
-            ab_batches: 2,
-            ab_queries: 2,
-            ab_scale: 12,
-            ab_mappings: 4,
-            ab_iters: 1,
         })
         .unwrap();
         let find = |series: &str, x: &str| {
@@ -525,24 +363,7 @@ mod tests {
         assert_eq!(find("warm", "span").answers, 8);
         assert!(find("cold", "p99").extra.as_ref().unwrap().1 >= 0.0);
         assert!(find("warm", "throughput").extra.as_ref().unwrap().1 > 0.0);
-        // … every answer was byte-identical to the in-process replay …
+        // … and every answer was byte-identical to the in-process replay.
         assert_eq!(find("identity", "verified").extra.as_ref().unwrap().1, 16.0);
-        // … and both pipeline modes ran the same work (no speedup asserted at toy scale).
-        assert_eq!(find("pipeline-off", "ab").answers, 4);
-        assert_eq!(find("pipeline-on", "ab").answers, 4);
-        assert!(find("speedup-pipeline", "ab").extra.as_ref().unwrap().1 > 0.0);
-    }
-
-    #[test]
-    fn ab_queries_are_structurally_distinct() {
-        // Normalise the per-query name out of the rendering: what must differ is the
-        // *structure* (join count × projection), because that is what the bind cache and the
-        // epoch result cache key on — a repeated structure would be served from cache and
-        // give the pipeline nothing to overlap.
-        let total = 2 * AB_ATTRS.len();
-        let rendered: std::collections::HashSet<String> = (0..total)
-            .map(|i| format!("{:?}", ab_query(i).unwrap()).replace(&format!("ab-{i}"), "ab"))
-            .collect();
-        assert_eq!(rendered.len(), total, "A/B queries must not repeat");
     }
 }

@@ -12,11 +12,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod adaptive_bench;
-pub mod columnar_bench;
-pub mod dag_bench;
-pub mod epoch_bench;
-pub mod executor_bench;
 pub mod experiments;
 pub mod http_bench;
 pub mod obs_bench;
@@ -24,11 +19,6 @@ pub mod report;
 pub mod shard_bench;
 pub mod spill_bench;
 
-pub use adaptive_bench::AdaptiveBenchConfig;
-pub use columnar_bench::ColumnarBenchConfig;
-pub use dag_bench::DagBenchConfig;
-pub use epoch_bench::EpochBenchConfig;
-pub use executor_bench::ExecutorBenchConfig;
 pub use experiments::{ExperimentRow, Harness, HarnessConfig, RowKind};
 pub use http_bench::HttpBenchConfig;
 pub use obs_bench::ObsBenchConfig;

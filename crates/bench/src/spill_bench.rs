@@ -1,13 +1,13 @@
 //! Spill micro-benchmark: in-memory vs. byte-budget-constrained execution of an oversized
 //! join-heavy batch.
 //!
-//! The batch joins the whole `LineItem` relation repeatedly (the join-heavy family of
-//! [`dag_bench`](crate::dag_bench) plus unfiltered `Orders ⋈ LineItem` fan-outs), so the bytes
+//! The batch joins the whole `LineItem` relation repeatedly (a join-heavy family of
+//! differently filtered joins plus unfiltered `Orders ⋈ LineItem` fan-outs), so the bytes
 //! it materialises are a multiple of the source instance — while the configured budget is a
 //! *fraction* of it (`database_bytes / budget_divisor`, default 4, i.e. the workload is ≥ 4×
 //! the budget).  Three measured modes:
 //!
-//! * **in-memory** — a fresh unbudgeted [`EpochDag`] per iteration: the pre-spill behaviour;
+//! * **in-memory** — a fresh unbudgeted [`EpochDag`] per iteration;
 //! * **budget-constrained** — a fresh [`EpochDag::with_memory_budget`] per iteration: hash
 //!   joins over the full `LineItem` build side take the grace (partitioned) path through the
 //!   spill pool, and pinned results page out to segments;
@@ -19,14 +19,13 @@
 //! (`BENCH_spill.json`) carry the spill counters CI gates on (`bytes_spilled > 0`, the grace
 //! path taken, budget compliance within one page).
 
-use crate::dag_bench::joinheavy_batch;
 use crate::experiments::{ExperimentRow, RowKind};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urm_core::CoreResult;
 use urm_datagen::source::generate_source;
-use urm_engine::{EpochDag, Executor, Plan};
-use urm_storage::{Catalog, Relation};
+use urm_engine::{CompareOp, EpochDag, Executor, Plan, Predicate};
+use urm_storage::{Catalog, Relation, Value};
 
 /// Configuration of one spill micro-benchmark run.
 #[derive(Debug, Clone, Copy)]
@@ -59,11 +58,38 @@ impl Default for SpillBenchConfig {
     }
 }
 
-/// The oversized batch: the shared join-heavy plans plus unfiltered `Orders ⋈ LineItem`
-/// fan-outs whose build side is the *whole* `LineItem` relation — guaranteed bigger than any
+/// The join-heavy batch: every query shares the `Orders`/`LineItem` scans and contributes one
+/// independent (differently filtered) hash join — maximal fan-out, independent heavy nodes.
+/// The per-query `clerk` predicate makes each join node distinct (the generated `Orders` data
+/// spreads clerks over `clerk0`–`clerk49`), so a batch of `n` queries has `n` independent
+/// joins to schedule while the two scans stay shared.
+fn joinheavy_batch(queries: usize) -> Vec<Plan> {
+    (0..queries)
+        .map(|i| {
+            Plan::scan("Orders")
+                .select(Predicate::compare(
+                    "Orders.clerk",
+                    CompareOp::Ne,
+                    Value::from(format!("clerk{}", i % 50)),
+                ))
+                .hash_join(
+                    Plan::scan("LineItem"),
+                    vec![("Orders.orderNum".into(), "LineItem.itemOrderNum".into())],
+                )
+                .select(Predicate::compare(
+                    "LineItem.quantity",
+                    CompareOp::Gt,
+                    Value::from((i % 7) as i64),
+                ))
+                .project(vec!["Orders.clerk".into(), "LineItem.extendedPrice".into()])
+        })
+        .collect()
+}
+
+/// The oversized batch: the join-heavy plans plus unfiltered `Orders ⋈ LineItem` fan-outs
+/// whose build side is the *whole* `LineItem` relation — guaranteed bigger than any
 /// fractional budget, so the grace path must engage.
-#[must_use]
-pub fn oversized_batch(queries: usize) -> Vec<Plan> {
+fn oversized_batch(queries: usize) -> Vec<Plan> {
     let mut plans = joinheavy_batch(queries);
     for i in 0..(queries / 2).max(1) {
         let alias = format!("LI{i}");

@@ -19,11 +19,13 @@
 //! query's answer is the probability-weighted union of its distinct reformulations — so batch
 //! answers agree with every sequential algorithm (the service integration tests verify this).
 //!
-//! Batches run on an [`EpochDag`]: [`evaluate_batch`] builds a throwaway one (the
-//! rebuild-every-batch shape), while the serving layer keeps one epoch DAG alive per
-//! registered epoch and calls [`evaluate_batch_epoch`], so a hot epoch's later batches skip
-//! re-optimising, rebinding and re-executing every source query the epoch has seen whose
-//! result is still materialised — byte-identical answers either way (property-tested).
+//! Batches run on an [`EpochDag`]: [`evaluate_batch`] builds a throwaway one (tests and the
+//! sequential comparisons), while the serving layer keeps one epoch DAG alive per registered
+//! epoch and calls [`prepare_batch_epoch`] under its bind lock, then
+//! [`execute_prepared_batch`] outside it ([`evaluate_batch_epoch`] composes the two), so a hot
+//! epoch's later batches skip re-optimising, rebinding and re-executing every source query the
+//! epoch has seen whose result is still materialised — byte-identical answers either way
+//! (property-tested).
 
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
@@ -42,16 +44,9 @@ use urm_storage::{BufferPool, Catalog};
 pub struct BatchOptions {
     /// Worker threads for the DAG scheduler (1 = sequential topological execution).
     pub workers: usize,
-    /// Whether executors evaluate through the vectorized columnar kernels (the default;
-    /// answers are byte-identical either way).
-    pub columnar: bool,
-    /// Whether the epoch's adaptive-execution loop is on (the default): observed cardinalities
-    /// feed back into scheduler priorities, hash-join build sides and grace-join sizing.
-    /// Answers are byte-identical either way.
-    pub adaptive: bool,
     /// Trace spans recorder (disabled by default — a disabled tracer costs nothing on the
     /// hot path).  Execution-side spans (`execute`, per-DAG-node `node`, spill I/O) hang off
-    /// this; the bind side takes it separately via [`prepare_batch_epoch_traced`].
+    /// this; the bind side takes it as [`prepare_batch_epoch`]'s own argument.
     pub tracer: Tracer,
 }
 
@@ -59,8 +54,6 @@ impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
             workers: 1,
-            columnar: true,
-            adaptive: true,
             tracer: Tracer::disabled(),
         }
     }
@@ -80,20 +73,6 @@ impl BatchOptions {
             workers: workers.max(1),
             ..BatchOptions::default()
         }
-    }
-
-    /// Builder-style toggle for the vectorized columnar path.
-    #[must_use]
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
-        self
-    }
-
-    /// Builder-style toggle for the adaptive-execution feedback loop.
-    #[must_use]
-    pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.adaptive = on;
-        self
     }
 
     /// Builder-style tracer attachment (disabled tracers are free — pass one unconditionally).
@@ -132,7 +111,7 @@ pub struct BatchEvaluation {
     /// — executions skipped, whole subgraphs pruned (0 for a cold batch).
     pub epoch_results_reused: u64,
     /// Nodes whose scheduling cost came from an observed cardinality instead of the static
-    /// estimate (0 for a cold batch or with the adaptive loop off).
+    /// estimate (0 for a cold batch).
     pub observed_nodes: u64,
     /// Hash joins whose build side was flipped by observed-cardinality feedback.
     pub reordered_joins: u64,
@@ -232,9 +211,9 @@ fn submit_batch(
 /// Evaluates every query of a batch against the same mapping set and catalog through one merged
 /// shared-operator DAG (see the module docs).
 ///
-/// The epoch DAG is built fresh per call — the rebuild-every-batch baseline.  A serving layer
-/// that keeps one [`EpochDag`] per epoch should call [`evaluate_batch_epoch`] instead and get
-/// cross-batch bind/result reuse for free.
+/// The epoch DAG is built fresh per call and dropped with it.  A caller that keeps one
+/// [`EpochDag`] per epoch calls [`evaluate_batch_epoch`] instead and gets cross-batch
+/// bind/result reuse for free.
 pub fn evaluate_batch(
     queries: &[TargetQuery],
     mappings: &MappingSet,
@@ -254,10 +233,10 @@ pub fn evaluate_batch(
 /// consumer's hands) is answered without executing — see
 /// [`EpochDag`] for the pinning policy.
 ///
-/// This is [`prepare_batch_epoch`] followed by [`execute_prepared_batch`] — the single-lock
-/// convenience path.  A serving layer that wants cross-batch pipelining splits the two: it
-/// holds its epoch lock only across `prepare_batch_epoch` (rewrite + optimise + bind), so the
-/// next batch's bind stage overlaps this batch's execution.
+/// This is [`prepare_batch_epoch`] followed by [`execute_prepared_batch`], for callers that
+/// own the epoch outright.  The serving layer splits the two: it holds its epoch lock only
+/// across `prepare_batch_epoch` (rewrite + optimise + bind), so the next batch's bind stage
+/// overlaps this batch's execution.
 pub fn evaluate_batch_epoch(
     queries: &[TargetQuery],
     mappings: &MappingSet,
@@ -265,8 +244,7 @@ pub fn evaluate_batch_epoch(
     options: &BatchOptions,
     epoch: &mut EpochDag,
 ) -> CoreResult<BatchEvaluation> {
-    epoch.set_adaptive(options.adaptive);
-    let prepared = prepare_batch_epoch_traced(queries, mappings, catalog, epoch, &options.tracer)?;
+    let prepared = prepare_batch_epoch(queries, mappings, catalog, epoch, &options.tracer)?;
     execute_prepared_batch(prepared, catalog, options)
 }
 
@@ -305,19 +283,9 @@ impl PreparedBatchEvaluation {
 /// Phase 1+: rewrite, optimise, bind and snapshot one batch on the caller's epoch DAG (the
 /// bind stage of [`evaluate_batch_epoch`]).  The caller's epoch lock is only needed for the
 /// duration of this call; the returned [`PreparedBatchEvaluation`] executes without it via
-/// [`execute_prepared_batch`].
+/// [`execute_prepared_batch`].  Per-query `rewrite` and `optimize_bind` spans are recorded on
+/// `tracer` (free when the tracer is disabled).
 pub fn prepare_batch_epoch(
-    queries: &[TargetQuery],
-    mappings: &MappingSet,
-    catalog: &Catalog,
-    epoch: &mut EpochDag,
-) -> CoreResult<PreparedBatchEvaluation> {
-    prepare_batch_epoch_traced(queries, mappings, catalog, epoch, &Tracer::disabled())
-}
-
-/// [`prepare_batch_epoch`] with trace spans: per-query `rewrite` and `optimize_bind` spans are
-/// recorded on `tracer` (free when the tracer is disabled — the untraced name delegates here).
-pub fn prepare_batch_epoch_traced(
     queries: &[TargetQuery],
     mappings: &MappingSet,
     catalog: &Catalog,
@@ -374,7 +342,6 @@ pub fn execute_prepared_batch(
         Some(pool) => Executor::with_pool(catalog, pool),
         None => Executor::new(catalog),
     }
-    .with_columnar(options.columnar)
     .with_tracer(options.tracer.clone());
     // A shared spill pool traces its writes/reloads under the same trace while this batch
     // executes (cleared below — the pool outlives the batch, the trace does not).
@@ -787,10 +754,13 @@ mod tests {
         .unwrap();
 
         let mut epoch = EpochDag::new();
-        let first = prepare_batch_epoch(&queries, &mappings, &catalog, &mut epoch).unwrap();
+        let untraced = Tracer::disabled();
+        let first =
+            prepare_batch_epoch(&queries, &mappings, &catalog, &mut epoch, &untraced).unwrap();
         assert_eq!(first.query_count(), queries.len());
         // Batch 2 binds entirely from the bind cache although batch 1 has not executed.
-        let second = prepare_batch_epoch(&queries, &mappings, &catalog, &mut epoch).unwrap();
+        let second =
+            prepare_batch_epoch(&queries, &mappings, &catalog, &mut epoch, &untraced).unwrap();
         let cold = execute_prepared_batch(first, &catalog, &BatchOptions::sequential()).unwrap();
         let warm = execute_prepared_batch(second, &catalog, &BatchOptions::parallel(2)).unwrap();
 

@@ -20,7 +20,7 @@ use crate::{CoreError, CoreResult};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use urm_engine::{AggFunc, DagExecutor, Executor, Plan, Predicate};
+use urm_engine::{AggFunc, EpochDag, Executor, Plan, Predicate};
 use urm_matching::{Mapping, MappingSet};
 use urm_storage::{AttrRef, Catalog, Relation, Schema, Tuple};
 
@@ -74,7 +74,7 @@ pub(crate) struct UTraceRunner<'a, S: LeafSink> {
     /// shared-operator DAG, so sibling e-units (and partitions that agree on an operator's
     /// correspondences) share a single execution of identical bound operators — scans
     /// included — no matter which order the strategy visits them in.
-    dag: DagExecutor,
+    dag: EpochDag,
     pub sink: S,
     pub eunits: usize,
     pub rewrite_time: Duration,
@@ -98,7 +98,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
             strategy,
             rng,
             exec: Executor::new(catalog),
-            dag: DagExecutor::new(),
+            dag: EpochDag::pinning_all(),
             sink,
             eunits: 0,
             rewrite_time: Duration::ZERO,
@@ -107,12 +107,12 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
 
     /// Operator requests answered by an already-executed DAG node (cross-e-unit sharing).
     pub(crate) fn shared_hits(&self) -> u64 {
-        self.dag.hits()
+        self.dag.result_hits()
     }
 
     /// Distinct operator nodes the u-trace executed (each exactly once).
     pub(crate) fn distinct_nodes(&self) -> u64 {
-        self.dag.executed()
+        self.dag.nodes_executed()
     }
 
     /// Number of representative mappings driving the u-trace.
@@ -275,7 +275,8 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
         // The DAG keeps the filtered batch behind an `Arc`, so feeding it into the child e-unit
         // (and every operator that later consumes it) is a pointer bump — and a sibling e-unit
         // that needs the *same* selection over the same batch reuses this node outright.
-        let filtered = self.dag.run_shared(
+        let filtered = run_shared(
+            &mut self.dag,
             &Plan::values_shared(data).select(engine_pred),
             &mut self.exec,
         )?;
@@ -377,7 +378,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
         } else {
             left_plan.hash_join(right_plan, on)
         };
-        let joined = self.dag.run_shared(&join_plan, &mut self.exec)?;
+        let joined = run_shared(&mut self.dag, &join_plan, &mut self.exec)?;
 
         let mut child = u.clone();
         child.mapping_indices = indices;
@@ -402,7 +403,8 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                     &mut self.dag,
                     &mut self.exec,
                 )?;
-                let agg = self.dag.run_shared(
+                let agg = run_shared(
+                    &mut self.dag,
                     &Plan::values_shared(data).aggregate(AggFunc::Count),
                     &mut self.exec,
                 )?;
@@ -421,7 +423,8 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                     &mut self.exec,
                 )?;
                 let data = data.expect("SUM attribute is mapped");
-                let agg = self.dag.run_shared(
+                let agg = run_shared(
+                    &mut self.dag,
                     &Plan::values_shared(data).aggregate(AggFunc::Sum(col)),
                     &mut self.exec,
                 )?;
@@ -455,9 +458,11 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                         project.push(c.clone());
                     }
                 }
-                let projected = self
-                    .dag
-                    .run_shared(&Plan::values_shared(data).project(project), &mut self.exec)?;
+                let projected = run_shared(
+                    &mut self.dag,
+                    &Plan::values_shared(data).project(project),
+                    &mut self.exec,
+                )?;
                 Ok(ChildOutcome::Answers(projected, Extraction::Columns(cols)))
             }
         }
@@ -473,6 +478,17 @@ fn unit_relation() -> Relation {
 /// The scans folded into a component so far: (scan alias, source relation) pairs.
 type ScanSet = BTreeSet<(String, String)>;
 
+/// Binds `plan` and resolves it on the u-trace's DAG: operators an earlier step executed are
+/// answered with their stored results, the rest run once and are kept.
+fn run_shared(
+    dag: &mut EpochDag,
+    plan: &Plan,
+    exec: &mut Executor<'_>,
+) -> CoreResult<Arc<Relation>> {
+    let physical = exec.bind(plan)?;
+    Ok(dag.resolve(&physical, exec)?)
+}
+
 /// Ensures the component's materialised data contains the source columns for the given target
 /// attributes (reformulation Cases 2/3 of Section VI-B): any covering source relation not yet
 /// folded into the component is scanned and multiplied in.
@@ -481,7 +497,7 @@ fn ensure_columns(
     mapping: &Mapping,
     component: &Component,
     attrs: &[AttrRef],
-    dag: &mut DagExecutor,
+    dag: &mut EpochDag,
     exec: &mut Executor<'_>,
 ) -> CoreResult<(Option<Arc<Relation>>, ScanSet)> {
     let mut scans = component.scans.clone();
@@ -497,10 +513,11 @@ fn ensure_columns(
         }
         // The scan is a zero-copy view of the base relation, and a DAG node: every e-unit of
         // the whole u-trace that pulls in the same (alias, relation) shares one scan execution.
-        let scanned = dag.run_shared(&Plan::scan_as(pair.1.clone(), pair.0.clone()), exec)?;
+        let scanned = run_shared(dag, &Plan::scan_as(pair.1.clone(), pair.0.clone()), exec)?;
         data = Some(match data {
             None => scanned,
-            Some(existing) => dag.run_shared(
+            Some(existing) => run_shared(
+                dag,
                 &Plan::values_shared(existing).product(Plan::values_shared(scanned)),
                 exec,
             )?,
@@ -517,7 +534,7 @@ fn materialize_component(
     query: &TargetQuery,
     mapping: &Mapping,
     component: &Component,
-    dag: &mut DagExecutor,
+    dag: &mut EpochDag,
     exec: &mut Executor<'_>,
 ) -> CoreResult<(Arc<Relation>, ScanSet)> {
     if let Some(data) = &component.data {

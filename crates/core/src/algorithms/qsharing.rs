@@ -7,7 +7,7 @@
 //! reformulated and executed, carrying the partition's total probability.
 //!
 //! Execution goes through the bound physical path: every representative's plan is bound and
-//! merged into one [`DagExecutor`] DAG, so representatives that still overlap structurally
+//! merged into one pin-everything [`EpochDag`], so representatives that still overlap structurally
 //! (shared scans, shared selection prefixes — sharing *below* query granularity, which the
 //! partition tree cannot see) execute each distinct bound operator once.
 
@@ -18,7 +18,7 @@ use crate::query::TargetQuery;
 use crate::reformulate::{aggregate, reformulate, Reformulated};
 use crate::CoreResult;
 use std::time::Instant;
-use urm_engine::{optimize::optimize, DagExecutor, Executor};
+use urm_engine::{optimize::optimize, EpochDag, Executor};
 use urm_matching::MappingSet;
 use urm_storage::Catalog;
 
@@ -42,7 +42,7 @@ pub fn evaluate(
     // one merged shared-operator DAG.
     let mut answer = ProbabilisticAnswer::new();
     let mut exec = Executor::new(catalog);
-    let mut dag = DagExecutor::new();
+    let mut dag = EpochDag::pinning_all();
     let mut distinct = std::collections::HashSet::new();
     for (mapping, probability) in reps {
         let rewrite_start = Instant::now();
@@ -60,7 +60,7 @@ pub fn evaluate(
                 let plan = optimize(&sq.plan, catalog)?;
                 metrics.plan_time += plan_start.elapsed();
 
-                let result = dag.run_shared(&plan, &mut exec)?;
+                let result = dag.resolve(&exec.bind(&plan)?, &mut exec)?;
                 exec.stats_mut().record_source_query();
 
                 let agg_start = Instant::now();
@@ -73,8 +73,8 @@ pub fn evaluate(
 
     metrics.exec = exec.into_stats();
     metrics.distinct_source_queries = distinct.len();
-    metrics.shared_plan_hits = dag.hits();
-    metrics.shared_plan_misses = dag.executed();
+    metrics.shared_plan_hits = dag.result_hits();
+    metrics.shared_plan_misses = dag.nodes_executed();
     metrics.total_time = total_start.elapsed();
     Ok(Evaluation { answer, metrics })
 }

@@ -264,7 +264,6 @@ fn run_shard(
     shard_span.tag("shard", index as u64);
     shard_span.tag("submissions", submissions.len() as u64);
     let mut dag = shard.dag.lock().unwrap();
-    dag.set_adaptive(options.adaptive);
     let bind_exec = Executor::new(&shard.catalog);
     let reused_before = dag.dag().operators_reused();
     let nodes_before = dag.dag().node_count();
@@ -287,7 +286,6 @@ fn run_shard(
         Some(pool) => Executor::with_pool(&shard.catalog, pool),
         None => Executor::new(&shard.catalog),
     }
-    .with_columnar(options.columnar)
     .with_tracer(options.tracer.clone());
     let run = prepared.execute(&mut exec, workers)?;
     for _ in 0..run.root_results.len() {

@@ -47,7 +47,7 @@ enum Cells<'r> {
         view: &'r ColumnView,
         columns: Vec<Option<ColumnRef<'r>>>,
     },
-    /// In the rows of a result that has them (`columnar: false`, budgeted pools, aggregates).
+    /// In the rows of a result that has them (`Values` buffers, budgeted pools, aggregates).
     Rows(&'r [Tuple]),
 }
 

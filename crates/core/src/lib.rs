@@ -63,7 +63,7 @@ pub mod testkit;
 
 pub use algorithms::batch::{
     evaluate_batch, evaluate_batch_epoch, execute_prepared_batch, prepare_batch_epoch,
-    prepare_batch_epoch_traced, BatchEvaluation, BatchOptions, PreparedBatchEvaluation,
+    BatchEvaluation, BatchOptions, PreparedBatchEvaluation,
 };
 pub use algorithms::sharded::{
     evaluate_batch_sharded, slice_relation_name, ShardSet, ShardStats, ShardedBatchEvaluation,

@@ -9,7 +9,7 @@
 //! A schedule is fully precomputed and deterministic ([`schedule`] is a pure function of its
 //! seeded config): the same config replayed twice — or replayed over HTTP and in-process —
 //! issues the *same* requests at the *same* offsets from the same simulated clients, which is
-//! what makes A/B comparisons and the byte-identity check of `http_bench` meaningful.
+//! what makes the byte-identity check of `http_bench` meaningful.
 //!
 //! Phases model warm/cold behaviour: a typical run is a **cold** phase (first touch of every
 //! query — cache misses, bind misses) followed by a **warm** phase at a higher rate (caches

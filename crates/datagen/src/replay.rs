@@ -150,8 +150,8 @@ pub fn oversized_workload(n: usize) -> Vec<WorkloadEntry> {
 /// family — `Item` self-joins on the Zipf-distributed `quantity` key — interleaved with the
 /// multi-join Table III queries.  The head rank of the skewed key carries ~22% of the rows, so
 /// static uniform cardinality estimates mis-size every chained intermediate; replayed twice
-/// against one epoch, the second pass is where the adaptive loop's observed cardinalities
-/// should pay off (`urm-cli --adaptive on|off` A/Bs the two).
+/// against one epoch, the second pass is the one scheduled on the adaptive loop's observed
+/// cardinalities.
 #[must_use]
 pub fn skewed_workload(n: usize) -> Vec<WorkloadEntry> {
     let specs = ["skew:2", "Q4", "skew:3", "skew:1", "Q3", "skew:2"];

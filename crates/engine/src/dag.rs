@@ -3,8 +3,7 @@
 //! Every sharing mechanism of the paper — e-MQO's global plans (§III-B.3), q-sharing's
 //! representative queries (§IV) and o-sharing's e-units (§V–VI) — bottoms out in the same
 //! observation: two queries (or two mapping partitions) that need the *same bound operator over
-//! the same inputs* should execute it once and share the result.  Before this module, each
-//! mechanism realised that observation with its own cache convention.  Here the observation is
+//! the same inputs* should execute it once and share the result.  Here the observation is
 //! the data structure:
 //!
 //! ```text
@@ -28,16 +27,12 @@
 //!   along an interior edge is a late-materialized view (index vectors over base columns, see
 //!   [`Relation::view`]), and a root is handed back the same way: whoever reads its rows
 //!   builds them, and answer extraction reads its column codes instead.
-//! * [`DagExecutor`] — an incremental front-end for callers that discover operators one at a
-//!   time (the o-sharing u-trace, q-sharing's representative queries): each submitted plan is
-//!   merged into a growing DAG and only the nodes never executed before run.
 //!
-//! External caches (the bounded LRU of [`SharedPlanCache`]) plug in through
-//! [`OperatorDag::resolve_root`], which consults a lookup closure before descending into a
-//! subgraph — a cache hit prunes the entire subtree below it, exactly as the recursive cache
-//! did, but the sharing structure itself now lives in one place.
-//!
-//! [`SharedPlanCache`]: ../../urm_mqo/struct.SharedPlanCache.html
+//! A DAG holds no results.  The one holder is [`EpochDag`](crate::EpochDag): its result cache
+//! plugs in as a [`DagResultCache`], consulted before the scheduler (or
+//! [`OperatorDag::resolve_root`], for callers that discover operators one at a time: the
+//! o-sharing u-trace, q-sharing's representative queries) descends into a subgraph — a hit
+//! prunes the entire subtree below it.
 
 use crate::executor::Executor;
 use crate::feedback::{CardinalityStore, FeedbackSummary, JoinHint};
@@ -366,7 +361,7 @@ impl OperatorDag {
         span.tag("shared_by", n.consumers.len().max(1) as u64);
         span.tag("rows_in", children.iter().map(|c| c.len() as u64).sum());
         let started = Instant::now();
-        let out = exec.execute_node_hinted(&n.plan, children, hint)?;
+        let out = exec.execute_node(&n.plan, children, hint)?;
         if let Some(store) = &self.recorder {
             store.record(
                 n.fingerprint,
@@ -423,11 +418,10 @@ impl OperatorDag {
     }
 }
 
-/// An external result store plugged into [`OperatorDag::resolve_root`].
-///
-/// The bounded LRU of the shared-plan cache and the unbounded memo of the incremental
-/// [`DagExecutor`] both implement this: `lookup` answers a node by fingerprint (pruning its
-/// whole subgraph), `publish` receives every freshly computed result exactly once.
+/// An external result store plugged into [`DagScheduler::execute_roots`] and
+/// [`OperatorDag::resolve_root`] (the per-epoch DAG's result cache): `lookup` answers a node by
+/// fingerprint (pruning its whole subgraph), `publish` receives every freshly computed result
+/// exactly once.
 pub trait DagResultCache {
     /// Returns the stored result for a fingerprint, if any.
     fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>>;
@@ -629,10 +623,8 @@ impl DagScheduler {
     ) -> EngineResult<(Vec<Option<Arc<Relation>>>, usize)> {
         let catalog = exec.catalog();
         // Workers inherit the driving executor's spill pool (one shared budget, not one per
-        // worker), so budgeted grace joins behave identically under parallel scheduling —
-        // and its columnar toggle, so one flag governs the whole batch.
+        // worker), so budgeted grace joins behave identically under parallel scheduling.
         let pool = exec.pool().cloned();
-        let columnar = exec.columnar_enabled();
         let tracer = exec.tracer().clone();
         let needed_count = needed.iter().filter(|&&n| n).count();
         // Publishing happens single-threaded after the run, so a cache-backed run must keep
@@ -653,7 +645,6 @@ impl DagScheduler {
                             Some(pool) => Executor::with_pool(catalog, pool),
                             None => Executor::new(catalog),
                         }
-                        .with_columnar(columnar)
                         .with_tracer(tracer);
                         shared.run_worker(dag, &mut worker_exec);
                         worker_exec.into_stats()
@@ -925,80 +916,6 @@ impl SchedState {
                 }
             }
         }
-    }
-}
-
-/// An incremental DAG executor: plans arrive one at a time, distinct operators execute once.
-///
-/// This is the front-end the o-sharing u-trace and q-sharing use.  Each submitted logical plan
-/// is bound, merged into a growing per-evaluation [`EpochDag`](crate::epoch::EpochDag) (pinning
-/// every result — the evaluation *is* the epoch), and resolved against the results of every
-/// earlier submission: an operator (or scan, or shared `Values` leaf) that any earlier step
-/// already executed is answered with the stored `Arc` — sharing across sibling e-units and
-/// across representative mappings falls out of the graph structure.
-#[derive(Debug)]
-pub struct DagExecutor {
-    epoch: crate::epoch::EpochDag,
-}
-
-impl Default for DagExecutor {
-    fn default() -> Self {
-        DagExecutor::new()
-    }
-}
-
-impl DagExecutor {
-    /// Creates an empty incremental executor.
-    #[must_use]
-    pub fn new() -> Self {
-        DagExecutor {
-            epoch: crate::epoch::EpochDag::pinning_all(),
-        }
-    }
-
-    /// Binds `plan`, merges it into the DAG, executes only the nodes never executed before, and
-    /// returns the (shared) root result.
-    pub fn run_shared(
-        &mut self,
-        plan: &crate::Plan,
-        exec: &mut Executor<'_>,
-    ) -> EngineResult<Arc<Relation>> {
-        let physical = exec.bind(plan)?;
-        self.run_physical(&physical, exec)
-    }
-
-    /// Like [`run_shared`](DagExecutor::run_shared) for an already-bound plan (merged by `Arc`
-    /// handle — no subtree is ever cloned).
-    pub fn run_physical(
-        &mut self,
-        physical: &Arc<PhysicalPlan>,
-        exec: &mut Executor<'_>,
-    ) -> EngineResult<Arc<Relation>> {
-        self.epoch.resolve(physical, exec)
-    }
-
-    /// Distinct operator nodes merged into the DAG so far.
-    #[must_use]
-    pub fn distinct_nodes(&self) -> usize {
-        self.epoch.node_count()
-    }
-
-    /// Resolutions answered from an earlier execution (shared work).
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.epoch.result_hits()
-    }
-
-    /// Nodes actually executed so far (each exactly once).
-    #[must_use]
-    pub fn executed(&self) -> u64 {
-        self.epoch.nodes_executed()
-    }
-
-    /// The underlying DAG (metrics, inspection).
-    #[must_use]
-    pub fn dag(&self) -> &OperatorDag {
-        self.epoch.dag()
     }
 }
 
@@ -1338,18 +1255,20 @@ mod tests {
     fn incremental_executor_shares_across_submissions() {
         let cat = catalog();
         let mut exec = Executor::new(&cat);
-        let mut dag = DagExecutor::new();
-        let base = Plan::scan("R").select(Predicate::eq("R.b", Value::from("x")));
-        let a = dag
-            .run_shared(&base.clone().project(vec!["R.a".into()]), &mut exec)
+        let mut epoch = crate::EpochDag::pinning_all();
+        let plan = Plan::scan("R")
+            .select(Predicate::eq("R.b", Value::from("x")))
+            .project(vec!["R.a".into()]);
+        let a = epoch
+            .resolve(&exec.bind(&plan).unwrap(), &mut exec)
             .unwrap();
-        let b = dag
-            .run_shared(&base.clone().project(vec!["R.a".into()]), &mut exec)
+        let b = epoch
+            .resolve(&exec.bind(&plan).unwrap(), &mut exec)
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(exec.stats().scans, 1);
-        assert!(dag.hits() > 0);
-        assert_eq!(dag.executed(), dag.distinct_nodes() as u64);
+        assert!(epoch.result_hits() > 0);
+        assert_eq!(epoch.nodes_executed(), epoch.node_count() as u64);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The per-epoch persistent DAG: cross-batch operator reuse as a cache layer.
 //!
-//! PR 3's batch runtime rebuilt its [`OperatorDag`] from scratch for every batch, even though
-//! bound-plan fingerprints are identity-safe for the whole life of an epoch (they hash the
+//! Bound-plan fingerprints are identity-safe for the whole life of an epoch (they hash the
 //! *pointers* of the captured row buffers, and an epoch's catalog is immutable).  This module
-//! keeps one DAG alive per (catalog, mapping set) epoch and layers two caches over it:
+//! keeps one [`OperatorDag`] alive per (catalog, mapping set) epoch and layers two caches over
+//! it — the only place in the workspace that holds a DAG together with its results:
 //!
 //! ```text
 //!              logical plan ──(logical fingerprint)──► bind cache ──► Arc<PhysicalPlan>, NodeId
@@ -67,7 +67,8 @@ pub const DEFAULT_PIN_BUDGET_BYTES: usize = 64 << 20;
 /// How an epoch decides which node results stay pinned (strongly held) between batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PinPolicy {
-    /// Pin exactly the results the most recent batch touched (the pre-spill service policy).
+    /// Pin exactly the results the most recent batch touched ([`EpochDag::new`]: a throwaway
+    /// or single-working-set epoch).
     #[default]
     LastBatch,
     /// Pin every result ever computed — the policy of short-lived users like the o-sharing
@@ -129,9 +130,6 @@ pub struct EpochDag {
     /// feedback store.  Survives bind-cache hits: a warm batch's snapshot re-derives its
     /// costs and join hints from everything every earlier batch observed.
     feedback: Arc<CardinalityStore>,
-    /// Whether prepared batches record observations and apply feedback (costs, build-side
-    /// hints, grace sizing).  Answers are byte-identical either way.
-    adaptive: bool,
     bind_hits: u64,
     bind_misses: u64,
     bind_hits_reported: u64,
@@ -147,7 +145,6 @@ impl Default for EpochDag {
             pool: None,
             pending: Vec::new(),
             feedback: Arc::new(CardinalityStore::new()),
-            adaptive: true,
             bind_hits: 0,
             bind_misses: 0,
             bind_hits_reported: 0,
@@ -198,7 +195,7 @@ pub struct EpochRunReport {
     /// Worker threads the run was scheduled on.
     pub workers: usize,
     /// Nodes in this batch's snapshot whose cost came from an *observed* cardinality rather
-    /// than the static estimate (0 when the adaptive loop is off or the epoch is cold).
+    /// than the static estimate (0 while the epoch is cold).
     pub observed_nodes: u64,
     /// Hash joins this batch *ran* with the build side flipped by observed-cardinality
     /// feedback (0 when every hinted join was answered from a cached result).
@@ -231,7 +228,7 @@ pub struct PreparedBatch {
     pool: Option<BufferPool>,
     bind_hits: u64,
     bind_misses: u64,
-    /// What the adaptive loop decided for this snapshot (zeros when the loop is off).
+    /// What the adaptive loop decided for this snapshot (zeros on a cold epoch).
     feedback: FeedbackSummary,
 }
 
@@ -364,7 +361,7 @@ impl DagResultCache for OverlayCache {
 }
 
 impl EpochDag {
-    /// An empty epoch DAG with the last-batch pinning policy (the serving layer's default).
+    /// An empty epoch DAG with the last-batch pinning policy.
     #[must_use]
     pub fn new() -> Self {
         EpochDag::default()
@@ -406,16 +403,10 @@ impl EpochDag {
     /// than RAM, so the warm history may exceed the resident budget.
     #[must_use]
     pub fn with_memory_budget(bytes: usize) -> Self {
-        EpochDag::with_pool(
-            BufferPool::with_budget(bytes),
+        EpochDag::with_parts(
             PinPolicy::Bytes(bytes.saturating_mul(4).max(DEFAULT_PIN_BUDGET_BYTES)),
+            Some(BufferPool::with_budget(bytes)),
         )
-    }
-
-    /// The general spill-aware constructor: an explicit pool and pin policy.
-    #[must_use]
-    pub fn with_pool(pool: BufferPool, policy: PinPolicy) -> Self {
-        EpochDag::with_parts(policy, Some(pool))
     }
 
     /// The epoch's spill pool, when it runs under a memory budget.  The batch layer builds its
@@ -425,26 +416,8 @@ impl EpochDag {
         self.pool.as_ref()
     }
 
-    /// The configured pin policy.
-    #[must_use]
-    pub fn pin_policy(&self) -> PinPolicy {
-        self.results.lock().unwrap().policy
-    }
-
-    /// Turns the adaptive-execution loop on or off (on by default).  Off, prepared batches
-    /// record nothing and run on static estimates only; answers are identical either way.
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
-    }
-
-    /// Whether the adaptive-execution loop is on (see [`set_adaptive`](EpochDag::set_adaptive)).
-    #[must_use]
-    pub fn adaptive(&self) -> bool {
-        self.adaptive
-    }
-
     /// The epoch's observed-cardinality store (metrics, inspection).  Populated by executed
-    /// batches while the adaptive loop is on; survives bind-cache hits for the epoch's life.
+    /// batches; survives bind-cache hits for the epoch's life.
     #[must_use]
     pub fn cardinalities(&self) -> &Arc<CardinalityStore> {
         &self.feedback
@@ -487,14 +460,6 @@ impl EpochDag {
         Ok(node)
     }
 
-    /// Submits an already-bound plan as a root of the current batch (no bind cache involved;
-    /// merging is a pointer walk thanks to `Arc`-shared children).
-    pub fn submit_bound(&mut self, physical: &Arc<PhysicalPlan>) -> NodeId {
-        let node = self.dag.add_plan(physical);
-        self.pending.push(node);
-        node
-    }
-
     /// Abandons the current batch: drops every root submitted since the last
     /// [`prepare_pending`](EpochDag::prepare_pending) and resynchronises the per-batch bind
     /// counters.  Callers **must** invoke this when batch assembly fails partway (a later
@@ -522,15 +487,10 @@ impl EpochDag {
             (OperatorDag::new(), Vec::new(), FeedbackSummary::default())
         } else {
             let (mut subdag, roots) = self.dag.subgraph(&pending);
-            let feedback = if self.adaptive {
-                // Re-derived on every snapshot, so a bind-cache hit still sees the newest
-                // observations; recording feeds the store the executions of this very batch.
-                let summary = subdag.apply_feedback(&self.feedback);
-                subdag.set_recorder(Arc::clone(&self.feedback));
-                summary
-            } else {
-                FeedbackSummary::default()
-            };
+            // Re-derived on every snapshot, so a bind-cache hit still sees the newest
+            // observations; recording feeds the store the executions of this very batch.
+            let feedback = subdag.apply_feedback(&self.feedback);
+            subdag.set_recorder(Arc::clone(&self.feedback));
             (subdag, roots, feedback)
         };
         PreparedBatch {
@@ -628,18 +588,6 @@ impl EpochDag {
     #[must_use]
     pub fn pinned_bytes(&self) -> usize {
         self.results.lock().unwrap().pinned_bytes
-    }
-
-    /// Results still alive in the weak cache (pinned here or held by any consumer).
-    #[must_use]
-    pub fn live_results(&self) -> usize {
-        self.results
-            .lock()
-            .unwrap()
-            .weak_results
-            .values()
-            .filter(|w| w.strong_count() > 0)
-            .count()
     }
 }
 
@@ -1312,7 +1260,6 @@ mod tests {
         let mut exec = Executor::new(&cat);
         // A generous in-memory byte budget: both working sets fit.
         let mut epoch = EpochDag::with_pin_budget(1 << 20);
-        assert_eq!(epoch.pin_policy(), PinPolicy::Bytes(1 << 20));
 
         let batch_a = || queries();
         let batch_b = || vec![Plan::scan("R").select(Predicate::eq("R.b", Value::from("y")))];
@@ -1355,20 +1302,5 @@ mod tests {
         assert!(warm.report.nodes_executed > 0);
         assert_eq!(warm.root_results.len(), queries().len());
         assert_eq!(warm.report.bind_hits, 3, "bind cache is unaffected by pins");
-    }
-
-    #[test]
-    fn submit_bound_roots_share_the_callers_tree() {
-        let cat = catalog();
-        let mut exec = Executor::new(&cat);
-        let mut epoch = EpochDag::new();
-        let physical = exec
-            .bind(&Plan::scan("R").select(Predicate::eq("R.b", Value::from("x"))))
-            .unwrap();
-        let node = epoch.submit_bound(&physical);
-        assert!(Arc::ptr_eq(epoch.dag().plan_shared(node), &physical));
-        let run = epoch.execute_pending(&mut exec, 1).unwrap();
-        assert_eq!(run.root_results.len(), 1);
-        assert_eq!(run.root_results[0].len(), 10);
     }
 }

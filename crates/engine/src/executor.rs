@@ -12,8 +12,8 @@
 //!   ([`ColumnView`]) — so no operator builds a tuple; rows are built once, by whoever reads
 //!   a result's rows, or where a result has to leave memory under a byte budget (the inputs
 //!   of a grace join, a result admitted to the spill pool);
-//! * the row operators remain for inputs that have no columnar form (`columnar: false`,
-//!   ad-hoc `Values` buffers, aggregate outputs, results reloaded from spill segments).
+//! * the row operators remain for inputs that have no columnar form (ad-hoc `Values`
+//!   buffers, aggregate outputs, results reloaded from spill segments).
 //!
 //! Two things matter for fidelity to the paper:
 //!
@@ -44,10 +44,6 @@ pub struct Executor<'a> {
     /// pool's budget fall back to the grace (partitioned) join, staging partitions through the
     /// pool.  `None` (the default) keeps the pre-spill all-in-memory behaviour byte for byte.
     pool: Option<BufferPool>,
-    /// Whether plans evaluate through the vectorized columnar kernels (the default).  The
-    /// columnar path is held to byte identity with the row path — same values, same row
-    /// order, same stats — so flipping this only changes *how fast* answers arrive.
-    columnar: bool,
     /// The trace-span recorder of the current batch (disabled by default: spans are free).
     /// The DAG scheduler reads it in `run_node` for per-node spans, and the grace join opens
     /// a `grace_join` span around its partition/stage/probe passes.
@@ -62,7 +58,6 @@ impl<'a> Executor<'a> {
             catalog,
             stats: ExecStats::new(),
             pool: None,
-            columnar: true,
             tracer: Tracer::disabled(),
         }
     }
@@ -77,29 +72,8 @@ impl<'a> Executor<'a> {
             catalog,
             stats: ExecStats::new(),
             pool: Some(pool),
-            columnar: true,
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Builder-style toggle for the vectorized columnar path (see [`Executor::set_columnar`]).
-    #[must_use]
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
-        self
-    }
-
-    /// Enables or disables the vectorized columnar path.  Off, every plan evaluates through
-    /// the original row-at-a-time operators; on (the default), operators over converted
-    /// inputs run as per-column kernels and exchange late-materialized views.
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on;
-    }
-
-    /// Whether the vectorized columnar path is enabled.
-    #[must_use]
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar
     }
 
     /// Builder-style tracer attachment (see [`Executor::set_tracer`]).
@@ -141,31 +115,20 @@ impl<'a> Executor<'a> {
         bind(plan, self.catalog)
     }
 
-    /// Runs a plan to completion.  The result may be late-materialized (see
-    /// [`Relation::view`]): its rows are built if and when they are read.
-    ///
-    /// Equivalent to [`bind`](Executor::bind) + [`execute`](Executor::execute); kept as the
-    /// one-call entry point for callers that run a plan once.
+    /// Runs a logical plan to completion — [`bind`](Executor::bind) +
+    /// [`execute`](Executor::execute) — and counts a completed source query.  The result may
+    /// be late-materialized (see [`Relation::view`]): its rows are built if and when they are
+    /// read.
     pub fn run(&mut self, plan: &Plan) -> EngineResult<Relation> {
-        self.run_shared(plan).map(unshare)
-    }
-
-    /// Like [`Executor::run`], but returns the result behind an `Arc` so callers can feed it
-    /// into further plans (via [`Plan::values_shared`]) without copying it.
-    pub fn run_shared(&mut self, plan: &Plan) -> EngineResult<Arc<Relation>> {
-        self.timed_eval(plan, true)
-    }
-
-    /// Runs a plan that represents a *single operator* application (o-sharing executes the
-    /// target query one operator at a time); identical to [`Executor::run`] except that it does
-    /// not count a completed source query.
-    pub fn run_operator(&mut self, plan: &Plan) -> EngineResult<Relation> {
-        self.run_operator_shared(plan).map(unshare)
-    }
-
-    /// Like [`Executor::run_operator`], returning a shared result.
-    pub fn run_operator_shared(&mut self, plan: &Plan) -> EngineResult<Arc<Relation>> {
-        self.timed_eval(plan, false)
+        let start = Instant::now();
+        let result = self
+            .bind(plan)
+            .and_then(|physical| self.eval_tree(&physical));
+        self.stats.exec_time += start.elapsed();
+        if result.is_ok() {
+            self.stats.record_source_query();
+        }
+        result.map(unshare)
     }
 
     /// Evaluates an already-bound physical plan (does not count a completed source query).
@@ -179,27 +142,18 @@ impl<'a> Executor<'a> {
     /// Evaluates a *single* physical operator over already-materialised child results, in the
     /// order [`PhysicalPlan::children`] lists them.
     ///
-    /// This is the entry point of the shared-plan cache: it resolves each child through the
+    /// This is the entry point of the DAG runtime: it resolves each child through its result
     /// cache and hands the shared batches here, so a cache hit flows into its parent operator
     /// without any copy.  `children` must match the node's child count.  The result may be
     /// late-materialized (see [`Relation::view`]): its rows are built if and when read.
-    pub fn execute_node(
-        &mut self,
-        node: &PhysicalPlan,
-        children: &[Arc<Relation>],
-    ) -> EngineResult<Arc<Relation>> {
-        self.execute_node_hinted(node, children, None)
-    }
-
-    /// Like [`execute_node`](Executor::execute_node), steered by an adaptive-execution hint.
     ///
-    /// Today a hint only affects hash joins: a `build_left` hint makes the vectorized join
-    /// kernel build its hash table on the observed-smaller left side (the output is restored to
-    /// the canonical order, so the answer is byte-identical either way; each join that runs
-    /// flipped counts in [`ExecStats::reordered_joins`]), and an observed build-bytes hint
-    /// sizes the grace join's partition fan-out.  Non-join nodes, and `hint: None`, behave
-    /// exactly like [`execute_node`](Executor::execute_node).
-    pub fn execute_node_hinted(
+    /// `hint` is the adaptive-execution steer, and today only affects hash joins: a
+    /// `build_left` hint makes the vectorized join kernel build its hash table on the
+    /// observed-smaller left side (the output is restored to the canonical order, so the
+    /// answer is byte-identical either way; each join that runs flipped counts in
+    /// [`ExecStats::reordered_joins`]), and an observed build-bytes hint sizes the grace
+    /// join's partition fan-out.
+    pub fn execute_node(
         &mut self,
         node: &PhysicalPlan,
         children: &[Arc<Relation>],
@@ -218,7 +172,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Mutable access to the statistics, for callers that drive execution operator by operator
-    /// (the shared-plan cache) yet still want completed source queries accounted for.
+    /// (the DAG runtime) yet still want completed source queries accounted for.
     pub fn stats_mut(&mut self) -> &mut ExecStats {
         &mut self.stats
     }
@@ -227,25 +181,6 @@ impl<'a> Executor<'a> {
     #[must_use]
     pub fn into_stats(self) -> ExecStats {
         self.stats
-    }
-
-    /// Resets the statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = ExecStats::new();
-    }
-
-    /// The single timing/accounting helper behind every `run*` entry point: bind, evaluate,
-    /// charge wall-clock time, and (for full source queries) count the completed query.
-    fn timed_eval(&mut self, plan: &Plan, count_source_query: bool) -> EngineResult<Arc<Relation>> {
-        let start = Instant::now();
-        let result = self
-            .bind(plan)
-            .and_then(|physical| self.eval_tree(&physical));
-        self.stats.exec_time += start.elapsed();
-        if count_source_query && result.is_ok() {
-            self.stats.record_source_query();
-        }
-        result
     }
 
     /// Bottom-up evaluation of a physical tree.
@@ -257,14 +192,11 @@ impl<'a> Executor<'a> {
         self.eval_node(plan, &children, None)
     }
 
-    /// The columnar form of an operator input, when the columnar path is on and the input has
-    /// one: the view of a late-materialized intermediate, or the catalog's memoised
+    /// The columnar form of an operator input, when it has one: the view of a
+    /// late-materialized intermediate, or the catalog's memoised
     /// conversion of a row buffer a scan converted.  Anything else (ad-hoc `Values` buffers,
     /// aggregate outputs, results reloaded from spill segments) stays on the row operators.
     fn columnar_input<'r>(&self, rel: &'r Relation) -> Option<Cow<'r, ColumnView>> {
-        if !self.columnar {
-            return None;
-        }
         match rel.view() {
             Some(view) => Some(Cow::Borrowed(view)),
             None => self
@@ -293,12 +225,10 @@ impl<'a> Executor<'a> {
             PhysicalPlan::Scan { view, .. } => {
                 self.stats.record_scan(view.len() as u64);
                 self.stats.rows_shared += view.len() as u64;
-                if self.columnar {
-                    // The scan hands out the base rows themselves; converting here (once per
-                    // buffer, memoised by the catalog) is what lets the operators over it
-                    // find its columnar form.
-                    let _ = self.catalog.columnar_view(view);
-                }
+                // The scan hands out the base rows themselves; converting here (once per
+                // buffer, memoised by the catalog) is what lets the operators over it find
+                // its columnar form.
+                let _ = self.catalog.columnar_view(view);
                 Ok(Arc::clone(view))
             }
             PhysicalPlan::Values { rel } => {
@@ -724,6 +654,7 @@ fn hash_join_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::off_catalog;
     use crate::{AggFunc, CompareOp, Predicate};
     use urm_storage::{Attribute, DataType, Schema};
 
@@ -951,15 +882,21 @@ mod tests {
         let nobody = Plan::scan("Customer")
             .select(Predicate::eq("Customer.oaddr", Value::from("nowhere")))
             .project(vec![]);
-        for columnar in [true, false] {
-            let mut exec = Executor::new(&cat).with_columnar(columnar);
+        // On columns (scans), then on rows (the same plans over buffers with no columnar form).
+        for on_rows in [false, true] {
+            let leaves = |plan: &Plan| match on_rows {
+                true => off_catalog(plan, &cat),
+                false => plan.clone(),
+            };
+            let (counted, nobody) = (leaves(&counted), leaves(&nobody));
+            let mut exec = Executor::new(&cat);
             let out = exec.run(&counted).unwrap();
             assert_eq!((out.len(), out.schema().arity()), (3, 0));
             assert_eq!(out.rows(), vec![Tuple::new(vec![]); 3]);
             assert_eq!(exec.run(&counted.clone().distinct()).unwrap().len(), 1);
             assert_eq!(exec.run(&nobody.clone().distinct()).unwrap().len(), 0);
             // One existing row is the identity of the product, none annihilates it.
-            let orders = Plan::scan("C_Order");
+            let orders = leaves(&Plan::scan("C_Order"));
             let some = counted.clone().distinct().product(orders.clone());
             assert_eq!(
                 exec.run(&some).unwrap().rows(),
@@ -981,22 +918,12 @@ mod tests {
             .distinct();
         let expected = crate::ReferenceExecutor::new(&cat).run(&plan).unwrap();
         assert_eq!(expected.len(), 2);
-        for columnar in [true, false] {
-            let mut exec = Executor::new(&cat).with_columnar(columnar);
-            let out = exec.run(&plan).unwrap();
+        for (plan, columnar) in [(plan.clone(), true), (off_catalog(&plan, &cat), false)] {
+            let out = Executor::new(&cat).run(&plan).unwrap();
             assert_eq!(out.view().is_some(), columnar);
             assert_eq!(out.rows(), expected.rows());
             assert_eq!(out.schema(), expected.schema());
         }
-    }
-
-    #[test]
-    fn run_operator_does_not_count_a_source_query() {
-        let cat = figure2_catalog();
-        let mut exec = Executor::new(&cat);
-        exec.run_operator(&Plan::scan("Customer")).unwrap();
-        assert_eq!(exec.stats().source_queries, 0);
-        assert_eq!(exec.stats().scans, 1);
     }
 
     #[test]
@@ -1007,8 +934,6 @@ mod tests {
         exec.run(&Plan::scan("C_Order")).unwrap();
         assert_eq!(exec.stats().source_queries, 2);
         assert_eq!(exec.stats().scans, 2);
-        exec.reset_stats();
-        assert_eq!(exec.stats().source_queries, 0);
     }
 
     #[test]
@@ -1038,9 +963,8 @@ mod tests {
         let cat = figure2_catalog();
         let base = cat.get("Customer").unwrap();
         let mut exec = Executor::new(&cat);
-        let out = exec
-            .run_operator_shared(&Plan::values_shared(Arc::clone(&base)))
-            .unwrap();
+        let leaf = exec.bind(&Plan::values_shared(Arc::clone(&base))).unwrap();
+        let out = exec.execute(&leaf).unwrap();
         assert!(
             Arc::ptr_eq(&out, &base),
             "a Values leaf must return the shared relation itself"
@@ -1190,24 +1114,29 @@ mod tests {
             .children()
             .map(|c| exec.execute(c).unwrap())
             .collect();
-        let reference = exec.execute_node(&physical, &children).unwrap();
+        let reference = exec.execute_node(&physical, &children, None).unwrap();
         assert!(reference.len() > 100, "join must produce real fan-out");
         assert_eq!(exec.stats().reordered_joins, 0);
         let hint = JoinHint {
             build_left: true,
             build_bytes: Some(1),
         };
-        let flipped = exec
-            .execute_node_hinted(&physical, &children, Some(hint))
-            .unwrap();
+        let flipped = exec.execute_node(&physical, &children, Some(hint)).unwrap();
         assert_eq!(exec.stats().reordered_joins, 1, "the join ran flipped");
         assert_eq!(flipped.schema(), reference.schema());
         assert_eq!(flipped.rows(), reference.rows());
 
-        // The row join has no flip: the hint is ignored, not miscounted.
-        let mut row_mode = Executor::new(&cat).with_columnar(false);
+        // The row join has no flip: over inputs with no columnar form the hint is ignored,
+        // not miscounted.
+        let mut row_mode = Executor::new(&cat);
+        let row_children: Vec<_> = row_mode
+            .bind(&off_catalog(&plan, &cat))
+            .unwrap()
+            .children()
+            .map(|c| row_mode.execute(c).unwrap())
+            .collect();
         let unflipped = row_mode
-            .execute_node_hinted(&physical, &children, Some(hint))
+            .execute_node(&physical, &row_children, Some(hint))
             .unwrap();
         assert_eq!(row_mode.stats().reordered_joins, 0);
         assert_eq!(unflipped.rows(), reference.rows());
@@ -1223,13 +1152,13 @@ mod tests {
         let physical = exec.bind(&plan).unwrap();
         let join = physical.children().next().unwrap();
         let inputs: Vec<_> = join.children().map(|c| exec.execute(c).unwrap()).collect();
-        let joined = exec.execute_node(join, &inputs).unwrap();
+        let joined = exec.execute_node(join, &inputs, None).unwrap();
         let view = joined.view().expect("a join over scans emits a view");
         assert_eq!(view.group_count(), 2);
         // Two index vectors of four bytes per row, whatever the five columns hold.
         assert!(joined.estimated_bytes() <= joined.len() * 2 * 4 + 64);
 
-        let projected = exec.execute_node(&physical, &[joined]).unwrap();
+        let projected = exec.execute_node(&physical, &[joined], None).unwrap();
         assert_eq!(projected.view().unwrap().arity(), 2);
         let expected = crate::ReferenceExecutor::new(&cat).run(&plan).unwrap();
         assert_eq!(projected.rows(), expected.rows());
@@ -1278,7 +1207,7 @@ mod tests {
             Plan::scan("Customer").select(Predicate::eq("Customer.oaddr", Value::from("aaa")));
         let physical = exec.bind(&plan).unwrap();
         let scan_out = exec.execute(physical.children().next().unwrap()).unwrap();
-        let out = exec.execute_node(&physical, &[scan_out]).unwrap();
+        let out = exec.execute_node(&physical, &[scan_out], None).unwrap();
         assert_eq!(out.len(), 2);
     }
 }

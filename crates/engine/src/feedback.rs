@@ -27,8 +27,8 @@
 //!
 //! Observations decay exponentially (EWMA, α = ½), so an epoch whose data characteristics
 //! drift between batches converges onto the recent truth instead of averaging over history.
-//! The whole loop is togglable (`ServiceConfig.adaptive`, `urm-cli --adaptive on|off`); with
-//! it off, nothing records and nothing is consulted — bit-for-bit the static behaviour.
+//! An empty store is the static schedule: a cold epoch's first batch has no hints and costs
+//! every node at its bind-time estimate.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

@@ -19,9 +19,9 @@
 //!   (`Arc`-backed) [`Relation`](urm_storage::Relation)s, with zero-copy scans and `Values`
 //!   leaves;
 //! * [`vectorized`] — columnar operator kernels over typed
-//!   [`Column`](urm_storage::Column) vectors driven by selection vectors; the executor's
-//!   default evaluation mode (toggle with [`Executor::with_columnar`]), byte-identical to
-//!   the row path;
+//!   [`Column`](urm_storage::Column) vectors driven by selection vectors; how the executor
+//!   evaluates every operator whose inputs have a columnar form, byte-identical to the row
+//!   operators that take the rest;
 //! * [`dag`] — the shared-operator DAG runtime: bound plans are merged into an
 //!   [`OperatorDag`] (nodes deduplicated by bound-plan fingerprint), which a [`DagScheduler`]
 //!   executes with every distinct operator running exactly once — sequentially or on parallel
@@ -33,9 +33,8 @@
 //! * [`feedback`] — the adaptive-execution loop: a per-epoch [`CardinalityStore`] records each
 //!   node's observed output (rows, bytes, time) as batches execute and feeds it back into
 //!   scheduler priorities, hash-join build sides and grace-join fan-out — never into answers,
-//!   which stay byte-identical with the loop on or off;
-//! * [`reference`] — the retained row-at-a-time evaluator, the oracle of the property tests
-//!   and the baseline of the executor micro-benchmark;
+//!   which are byte-identical whatever has been observed;
+//! * [`reference`] — the retained row-at-a-time evaluator, the oracle of the property tests;
 //! * [`ExecStats`] — counters for executed operators and produced tuples, the metric reported
 //!   in the paper's Table IV;
 //! * [`optimize`] — the one rewrite every reformulated query goes through: a canonical
@@ -92,9 +91,7 @@ pub mod reference;
 pub mod stats;
 pub mod vectorized;
 
-pub use dag::{
-    DagExecutor, DagResultCache, DagRun, DagRunReport, DagScheduler, NodeId, OperatorDag,
-};
+pub use dag::{DagResultCache, DagRun, DagRunReport, DagScheduler, NodeId, OperatorDag};
 pub use epoch::{
     EpochDag, EpochRun, EpochRunReport, PinPolicy, PreparedBatch, DEFAULT_PIN_BUDGET_BYTES,
 };

@@ -23,7 +23,7 @@
 //! concatenation).  Binding errors (unknown relation, unknown projection column, unresolvable
 //! join key) surface before any operator runs.
 //!
-//! [`PhysicalPlan::fingerprint`] identifies bound sub-plans for the shared-plan cache: two
+//! [`PhysicalPlan::fingerprint`] identifies bound sub-plans for the shared-operator DAG: two
 //! queries that reformulate onto the same source sub-plan over the same row buffers share one
 //! fingerprint, which is what makes cross-query sub-plan reuse zero-copy end-to-end.
 
@@ -103,9 +103,9 @@ pub enum BoundAggregate {
 /// row buffers captured.  Built by [`bind`]; evaluated by
 /// [`Executor`](crate::Executor) batch-at-a-time.
 ///
-/// Children are `Arc`-shared: handing a bound subtree to the shared-operator DAG, the
-/// shared-plan cache or the per-epoch DAG is a pointer bump, never a deep clone — the same
-/// zero-copy discipline [`Relation`] rows follow.
+/// Children are `Arc`-shared: handing a bound subtree to the shared-operator DAG or the
+/// per-epoch DAG is a pointer bump, never a deep clone — the same zero-copy discipline
+/// [`Relation`] rows follow.
 #[derive(Debug, Clone)]
 pub enum PhysicalPlan {
     /// Scan of a base relation: a zero-copy view of the captured row buffer under the
@@ -255,7 +255,7 @@ impl PhysicalPlan {
     }
 
     /// A structural fingerprint of the *bound* plan, the sharing key of the
-    /// [`SharedPlanCache`](../../urm_mqo/struct.SharedPlanCache.html).
+    /// [`OperatorDag`](crate::OperatorDag) and of the per-epoch result cache.
     ///
     /// Leaves hash by identity, not content: a scan hashes its relation name, alias and the
     /// *pointer* of the captured row buffer, and a `Values` leaf hashes its schema plus the
@@ -264,7 +264,7 @@ impl PhysicalPlan {
     /// instead of O(data size) and ties every fingerprint to a concrete catalog snapshot — two
     /// epochs' scans of a same-named relation no longer collide.  The trade-off is that a cache
     /// keyed on these fingerprints must not outlive the relations its plans were bound against
-    /// (the shared-plan cache is per batch/epoch, which guarantees exactly that).
+    /// (the result cache is dropped with its epoch, which guarantees exactly that).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut hasher = DefaultHasher::new();
@@ -378,7 +378,7 @@ fn bind_predicate(predicate: &Predicate, schema: &Schema) -> BoundPredicate {
 /// positions, predicates to [`BoundPredicate`]s, and precomputes every output schema.
 ///
 /// Every node of the returned tree is behind an `Arc` (see [`PhysicalPlan`]), so downstream
-/// layers — the shared-operator DAG, the shared-plan cache, the per-epoch DAG — take over
+/// layers — the shared-operator DAG, the per-epoch DAG — take over
 /// subtrees by pointer, never by deep clone.
 ///
 /// Errors that the row-at-a-time evaluator reported lazily (unknown relation, unknown

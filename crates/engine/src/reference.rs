@@ -3,12 +3,10 @@
 //! This module preserves the pre-physical-plan execution path **verbatim in behaviour and in
 //! cost**: every operator re-resolves column names against its input schema (per row, for
 //! selections), every scan copies the base rows into a fresh buffer, and every `Values` leaf is
-//! deep-copied into the next operator.  It exists for two reasons:
-//!
-//! * it is the *oracle* of the engine's property tests — the physical executor must produce
-//!   byte-identical relations (schema and row order included) for every plan; and
-//! * it is the *baseline* of the executor micro-benchmark (`urm-bench`), which tracks the
-//!   throughput of the bound physical path against the clone-heavy evaluation it replaced.
+//! deep-copied into the next operator.  It is the *oracle* of the property tests — the
+//! physical executor must produce byte-identical relations (schema and row order included)
+//! for every plan.  [`off_catalog`] is how the same tests put a plan on the executor's row
+//! operators.
 //!
 //! Production code paths never use this module; [`Executor`](crate::Executor) binds and
 //! executes physical plans.
@@ -17,6 +15,54 @@ use crate::{AggFunc, EngineError, EngineResult, ExecStats, Plan, Predicate};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use urm_storage::{Catalog, Relation, Schema, Tuple, Value};
+
+/// Rewrites every scan of `plan` into a [`Plan::Values`] leaf over a private copy of the
+/// scanned relation's rows, under the scan's qualified schema.
+///
+/// The copy's row buffer is not one `catalog` has converted, so it has no columnar form and
+/// [`Executor`](crate::Executor) evaluates every operator above it on the row operators — the
+/// way a spill reload or an ad-hoc buffer reaches them.  Rows and row order are the scan's;
+/// the leaves no longer count as scans in [`ExecStats`].  A scan of an unknown relation is
+/// left in place (it fails to bind either way).
+#[must_use]
+pub fn off_catalog(plan: &Plan, catalog: &Catalog) -> Plan {
+    let input = |p: &Plan| Box::new(off_catalog(p, catalog));
+    match plan {
+        Plan::Scan { relation, alias } => match catalog.get(relation) {
+            Some(base) => Plan::values(Relation::from_validated(
+                base.schema().qualified(alias),
+                base.rows().to_vec(),
+            )),
+            None => plan.clone(),
+        },
+        Plan::Values(_) => plan.clone(),
+        Plan::Select {
+            predicate,
+            input: i,
+        } => Plan::Select {
+            predicate: predicate.clone(),
+            input: input(i),
+        },
+        Plan::Project { columns, input: i } => Plan::Project {
+            columns: columns.clone(),
+            input: input(i),
+        },
+        Plan::Product { left, right } => Plan::Product {
+            left: input(left),
+            right: input(right),
+        },
+        Plan::HashJoin { left, right, on } => Plan::HashJoin {
+            left: input(left),
+            right: input(right),
+            on: on.clone(),
+        },
+        Plan::Aggregate { func, input: i } => Plan::Aggregate {
+            func: func.clone(),
+            input: input(i),
+        },
+        Plan::Distinct { input: i } => Plan::Distinct { input: input(i) },
+    }
+}
 
 /// Runs logical plans row-at-a-time with per-operator name resolution and per-leaf copies.
 ///

@@ -1,16 +1,15 @@
 //! Property tests: the adaptive feedback loop is invisible in answers.
 //!
 //! For randomly generated (catalog, join-heavy plan batch, worker count) triples, run the same
-//! batch for several rounds against two epochs — one with the observed-cardinality feedback
-//! loop on, one with it off — re-executing each round (a 1-byte pin budget keeps nothing warm
-//! except the epoch's `CardinalityStore`):
+//! batch for several rounds on one epoch, re-executing each round (a 1-byte pin budget keeps
+//! nothing warm except the epoch's `CardinalityStore`):
 //!
-//! * every round of the adaptive epoch returns, for every plan, exactly the rows of the
-//!   row-at-a-time [`ReferenceExecutor`] — same schema, same rows, same row order — and the
-//!   same bytes as the static epoch, no matter what the feedback reordered or re-prioritised;
-//! * the static epoch never consumes feedback (`observed_nodes` and `reordered_joins` stay 0),
-//!   and the adaptive epoch's *cold* round is bit-for-bit the static schedule (an empty store
-//!   must reproduce the optimizer's estimates exactly);
+//! * every round returns, for every plan, exactly the rows of the row-at-a-time
+//!   [`ReferenceExecutor`] — same schema, same rows, same row order — no matter what the
+//!   feedback reordered or re-prioritised;
+//! * the *cold* round is the static schedule (`observed_nodes` and `reordered_joins` are 0:
+//!   an empty store reproduces the optimizer's estimates exactly), so the fed-back rounds are
+//!   held to the static answer too;
 //! * a deterministic unit case holds the loop to its point: a hash join whose build side the
 //!   static plan mis-sizes flips to the smaller observed side after one batch of history,
 //!   without changing a byte of the answer.
@@ -145,8 +144,8 @@ fn run_round(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Adaptive rounds — cold and fed-back — are byte-identical to the static epoch and the
-    /// reference evaluator, for every plan, on 1–3 scheduler workers.
+    /// Every round — the cold one on static estimates, the fed-back ones after it — is
+    /// byte-identical to the reference evaluator, for every plan, on 1–3 scheduler workers.
     #[test]
     fn adaptive_execution_is_byte_identical_to_static_and_reference(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
@@ -160,40 +159,25 @@ proptest! {
         // A 1-byte pin budget: warm rounds re-execute (nothing worth pinning survives) while
         // the epoch-owned CardinalityStore persists — the shape the feedback loop feeds on.
         let mut adaptive_epoch = EpochDag::with_pin_budget(1);
-        prop_assert!(adaptive_epoch.adaptive(), "the loop must default on");
-        let mut static_epoch = EpochDag::with_pin_budget(1);
-        static_epoch.set_adaptive(false);
-
         let mut adaptive_exec = Executor::new(&catalog);
-        let mut static_exec = Executor::new(&catalog);
         for round in 0..3 {
             let a = run_round(&mut adaptive_epoch, &mut adaptive_exec, &batch, workers);
-            let s = run_round(&mut static_epoch, &mut static_exec, &batch, workers);
-            prop_assert_eq!(s.report.observed_nodes, 0, "static run consumed feedback");
-            prop_assert_eq!(s.report.reordered_joins, 0, "static run flipped a join");
             if round == 0 {
-                // Cold adaptive ≡ static: an empty store must reproduce the estimates.
+                // Cold ≡ static: an empty store must reproduce the estimates.
                 prop_assert_eq!(a.report.observed_nodes, 0, "cold round had observations");
                 prop_assert_eq!(a.report.reordered_joins, 0, "cold round flipped a join");
             } else if a.report.nodes_executed > 0 {
                 // Everything executed in round 0, so every re-executed node is observed.
                 prop_assert!(a.report.observed_nodes > 0, "warm round ignored the store");
             }
-            for (((plan, expected), got_a), got_s) in
-                batch.iter().zip(&a.root_results).zip(&s.root_results)
-            {
+            for ((plan, expected), got_a) in batch.iter().zip(&a.root_results) {
                 let want_cols: Vec<&str> = expected.schema().attribute_names().collect();
                 let got_cols: Vec<&str> = got_a.schema().attribute_names().collect();
                 prop_assert_eq!(want_cols, got_cols, "round {round} schemas diverge:\n{plan}");
                 prop_assert_eq!(
                     expected.rows(),
                     got_a.rows(),
-                    "round {round} adaptive diverged from reference:\n{plan}"
-                );
-                prop_assert_eq!(
-                    got_s.rows(),
-                    got_a.rows(),
-                    "round {round} adaptive diverged from static:\n{plan}"
+                    "round {round} diverged from reference:\n{plan}"
                 );
             }
         }

@@ -1,17 +1,21 @@
-//! Property tests: the vectorized columnar execution mode is observationally identical to
-//! both the row-mode physical executor and the row-at-a-time reference evaluator.
+//! Property tests: the vectorized columnar kernels are observationally identical to both the
+//! executor's row operators and the row-at-a-time reference evaluator.
 //!
 //! For every randomly generated (catalog, plan) pair — random schemas, random data, random
-//! operator trees including deliberately invalid column references — all three engines must
-//! either fail alike or produce byte-identical relations (schema, rows *and* row order) with
-//! identical operator accounting.  Deterministic tests pin the columnar edge cases: all-null
-//! columns, empty selections, dictionary overflow (Mixed fallback), grace hash joins whose
-//! build side pages through spill segments while the columnar mode is on, and what an interior
-//! join result of a wide multi-way join actually holds (index vectors, not cells).
+//! operator trees including deliberately invalid column references — the plan over scans
+//! (columnar kernels), the same plan over buffers the catalog never converted
+//! ([`off_catalog`]: no columnar form, so every operator stays on rows, as after a spill
+//! reload) and the reference must either fail alike or produce byte-identical relations
+//! (schema, rows *and* row order) with identical operator accounting.  Deterministic tests pin
+//! the columnar edge cases: all-null columns, empty selections, dictionary overflow (Mixed
+//! fallback), grace hash joins whose build side pages through spill segments beside the
+//! columnar kernels, and what an interior join result of a wide multi-way join actually holds
+//! (index vectors, not cells).
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::sync::Arc;
+use urm_engine::reference::off_catalog;
 use urm_engine::{
     vectorized, AggFunc, CompareOp, DagResultCache, DagScheduler, EpochDag, Executor, OperatorDag,
     Plan, Predicate, ReferenceExecutor,
@@ -214,9 +218,9 @@ fn assert_same_relation(want: &Relation, got: &Relation, plan: &Plan, label: &st
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Columnar mode ≡ row mode ≡ reference, including the operator accounting (the paper's
-    /// Table IV metric) — so the vectorized kernels can never silently change what a query
-    /// reports having done.
+    /// Columnar kernels ≡ row operators ≡ reference, including the operator accounting (the
+    /// paper's Table IV metric) — so the vectorized kernels can never silently change what a
+    /// query reports having done.
     #[test]
     fn columnar_mode_is_byte_identical_to_row_mode_and_reference(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
@@ -225,33 +229,39 @@ proptest! {
         let depth = 1 + rng.index(3);
         let plan = random_plan(&mut rng, &catalog, depth, &mut alias_seq);
 
+        // The row side runs the same plan over leaves with no columnar form; its accounting is
+        // held to the reference's over those same leaves (a `Values` leaf is not a scan).
+        let row_plan = off_catalog(&plan, &catalog);
         let mut reference = ReferenceExecutor::new(&catalog);
-        let mut columnar = Executor::new(&catalog); // columnar is the default
-        let mut row_mode = Executor::new(&catalog).with_columnar(false);
-        prop_assert!(columnar.columnar_enabled());
-        prop_assert!(!row_mode.columnar_enabled());
+        let mut row_reference = ReferenceExecutor::new(&catalog);
+        let mut columnar = Executor::new(&catalog);
+        let mut row_mode = Executor::new(&catalog);
 
         let expected = reference.run(&plan);
         let col = columnar.run(&plan);
-        let row = row_mode.run(&plan);
+        let row = row_mode.run(&row_plan);
 
         match (&expected, &col, &row) {
             (Ok(want), Ok(got_col), Ok(got_row)) => {
                 assert_same_relation(want, got_col, &plan, "columnar");
                 assert_same_relation(want, got_row, &plan, "row-mode");
-                for (stats, label) in [(columnar.stats(), "columnar"), (row_mode.stats(), "row")] {
+                row_reference.run(&row_plan).expect("the reference ran the plan over scans");
+                for (want, stats, label) in [
+                    (reference.stats(), columnar.stats(), "columnar"),
+                    (row_reference.stats(), row_mode.stats(), "row"),
+                ] {
                     prop_assert_eq!(
-                        reference.stats().operators_executed,
+                        want.operators_executed,
                         stats.operators_executed,
                         "{} operator count diverges for plan:\n{}", label, &plan
                     );
-                    prop_assert_eq!(reference.stats().scans, stats.scans);
-                    prop_assert_eq!(reference.stats().tuples_read, stats.tuples_read);
-                    prop_assert_eq!(reference.stats().tuples_output, stats.tuples_output);
+                    prop_assert_eq!(want.scans, stats.scans);
+                    prop_assert_eq!(want.tuples_read, stats.tuples_read);
+                    prop_assert_eq!(want.tuples_output, stats.tuples_output);
                 }
                 prop_assert_eq!(
                     row_mode.stats().columnar_rows, 0,
-                    "row mode must never touch the vectorized kernels"
+                    "rows with no columnar form must never touch the vectorized kernels"
                 );
             }
             (Err(_), Err(_), Err(_)) => {
@@ -357,11 +367,11 @@ fn edge_catalog() -> Catalog {
     cat
 }
 
-/// Runs a plan in both executor modes and against the reference, asserting byte-identity.
+/// Runs a plan on columns, on rows and against the reference, asserting byte-identity.
 fn assert_modes_agree(catalog: &Catalog, plan: &Plan) {
     let expected = ReferenceExecutor::new(catalog).run(plan);
     let col = Executor::new(catalog).run(plan);
-    let row = Executor::new(catalog).with_columnar(false).run(plan);
+    let row = Executor::new(catalog).run(&off_catalog(plan, catalog));
     match (expected, col, row) {
         (Ok(want), Ok(got_col), Ok(got_row)) => {
             assert_eq!(want.rows(), got_col.rows(), "columnar diverges: {plan}");
@@ -441,7 +451,7 @@ fn dictionary_overflow_produces_mixed_columns() {
 
 /// Satellite regression: a grace hash join whose build side both converts to columnar (the
 /// scan warms the catalog cache) and pages through spill segments must stay byte-identical
-/// with columnar mode on — cold and warm.
+/// beside the columnar kernels — cold and warm.
 #[test]
 fn grace_join_over_spilled_columnar_build_side_is_byte_identical() {
     let mut cat = Catalog::new();
@@ -491,11 +501,10 @@ fn grace_join_over_spilled_columnar_build_side_is_byte_identical() {
     let expected = ReferenceExecutor::new(&cat).run(&plan).unwrap();
 
     // Budget 0: every staged relation spills, and any non-empty build side exceeds
-    // budget/2 — the grace path is forced while columnar mode stays on (the default).
+    // budget/2 — the grace path is forced.
     let mut epoch = EpochDag::with_memory_budget(0);
     let pool = epoch.pool().unwrap().clone();
     let mut exec = Executor::with_pool(&cat, pool.clone());
-    assert!(exec.columnar_enabled());
     let run_once = |epoch: &mut EpochDag, exec: &mut Executor<'_>| {
         epoch.submit(&plan, exec).expect("plan submits");
         epoch

@@ -446,14 +446,16 @@ fn flipped_joins_agree(exec: &mut Executor<'_>, plan: &Arc<PhysicalPlan>) -> u64
             .children_shared()
             .map(|c| exec.execute(c).expect("join input evaluates"))
             .collect();
-        let canonical = exec.execute_node(plan, &inputs).expect("join evaluates");
+        let canonical = exec
+            .execute_node(plan, &inputs, None)
+            .expect("join evaluates");
         let before = exec.stats().reordered_joins;
         let hint = JoinHint {
             build_left: true,
             build_bytes: None,
         };
         let flip = exec
-            .execute_node_hinted(plan, &inputs, Some(hint))
+            .execute_node(plan, &inputs, Some(hint))
             .expect("flipped join evaluates");
         assert_eq!(
             exec.stats().reordered_joins,

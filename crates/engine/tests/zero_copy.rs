@@ -1,4 +1,4 @@
-//! Regression tests proving that the shared-plan cache hands out *views*, never copies.
+//! Regression tests proving that the per-epoch DAG hands out *views*, never copies.
 //!
 //! The paper's whole contribution is sharing work across the reformulated queries of an
 //! uncertain mapping; these tests pin down that the execution layer does not silently undo
@@ -6,8 +6,7 @@
 //! (`Arc::ptr_eq` / row-buffer identity), not on value equality.
 
 use std::sync::Arc;
-use urm_engine::{Executor, Plan, Predicate};
-use urm_mqo::SharedPlanCache;
+use urm_engine::{EngineResult, EpochDag, Executor, Plan, Predicate};
 use urm_storage::{Attribute, Catalog, DataType, Relation, Schema, Tuple, Value};
 
 fn catalog() -> Catalog {
@@ -53,10 +52,20 @@ fn catalog() -> Catalog {
     cat
 }
 
+/// Binds `plan` and resolves it on the epoch, as the o-sharing u-trace does at every step.
+fn resolve(
+    epoch: &mut EpochDag,
+    plan: &Plan,
+    exec: &mut Executor<'_>,
+) -> EngineResult<Arc<Relation>> {
+    let physical = exec.bind(plan)?;
+    epoch.resolve(&physical, exec)
+}
+
 #[test]
 fn cache_hits_are_pointer_identical_and_copy_nothing() {
     let cat = catalog();
-    let mut cache = SharedPlanCache::new();
+    let mut epoch = EpochDag::pinning_all();
     let mut exec = Executor::new(&cat);
 
     let plan = Plan::scan("Customer")
@@ -67,11 +76,11 @@ fn cache_hits_are_pointer_identical_and_copy_nothing() {
         )
         .project(vec!["Orders.oid".into()]);
 
-    let first = cache.execute_shared(&plan, &mut exec).unwrap();
+    let first = resolve(&mut epoch, &plan, &mut exec).unwrap();
     let scans_after_first = exec.stats().scans;
     let ops_after_first = exec.stats().operators_executed;
 
-    let second = cache.execute_shared(&plan, &mut exec).unwrap();
+    let second = resolve(&mut epoch, &plan, &mut exec).unwrap();
     // The hit is the stored allocation itself — not an equal copy.
     assert!(Arc::ptr_eq(&first, &second));
     assert!(first.shares_rows_with(&second));
@@ -83,12 +92,10 @@ fn cache_hits_are_pointer_identical_and_copy_nothing() {
 #[test]
 fn cached_scans_are_views_of_the_base_relation() {
     let cat = catalog();
-    let mut cache = SharedPlanCache::new();
+    let mut epoch = EpochDag::pinning_all();
     let mut exec = Executor::new(&cat);
 
-    let scan_result = cache
-        .execute_shared(&Plan::scan("Customer"), &mut exec)
-        .unwrap();
+    let scan_result = resolve(&mut epoch, &Plan::scan("Customer"), &mut exec).unwrap();
     assert!(
         scan_result.shares_rows_with(&cat.get("Customer").unwrap()),
         "a cached scan must share the base relation's row buffer"
@@ -96,9 +103,9 @@ fn cached_scans_are_views_of_the_base_relation() {
 
     // A second query whose prefix is the scan reuses the very same view.
     let sel = Plan::scan("Customer").select(Predicate::eq("Customer.city", Value::from("hk")));
-    cache.execute_shared(&sel, &mut exec).unwrap();
+    resolve(&mut epoch, &sel, &mut exec).unwrap();
     assert_eq!(exec.stats().scans, 1, "the scan must not re-execute");
-    assert!(cache.hits() >= 1);
+    assert!(epoch.result_hits() >= 1);
 }
 
 #[test]
@@ -106,29 +113,30 @@ fn shared_values_leaves_flow_through_without_materialising() {
     // o-sharing feeds intermediate results forward as shared `Values` leaves; a plan over such
     // a leaf must consume the buffer by reference.
     let cat = catalog();
-    let mut cache = SharedPlanCache::new();
+    let mut epoch = EpochDag::pinning_all();
     let mut exec = Executor::new(&cat);
 
-    let intermediate = exec
-        .run_operator_shared(
-            &Plan::scan("Customer").select(Predicate::eq("Customer.city", Value::from("hk"))),
-        )
-        .unwrap();
+    let intermediate = resolve(
+        &mut epoch,
+        &Plan::scan("Customer").select(Predicate::eq("Customer.city", Value::from("hk"))),
+        &mut exec,
+    )
+    .unwrap();
 
-    // Executing the bare leaf through the cache returns the shared relation itself.
+    // Resolving the bare leaf returns the shared relation itself.
     let leaf = Plan::values_shared(Arc::clone(&intermediate));
-    let out = cache.execute_shared(&leaf, &mut exec).unwrap();
+    let out = resolve(&mut epoch, &leaf, &mut exec).unwrap();
     assert!(Arc::ptr_eq(&out, &intermediate));
 
     // An operator over the leaf sees the same buffer as its input (rows_shared accounts it).
     let shared_before = exec.stats().rows_shared;
-    let filtered = cache
-        .execute_shared(
-            &Plan::values_shared(Arc::clone(&intermediate))
-                .select(Predicate::eq("Customer.city", Value::from("hk"))),
-            &mut exec,
-        )
-        .unwrap();
+    let filtered = resolve(
+        &mut epoch,
+        &Plan::values_shared(Arc::clone(&intermediate))
+            .select(Predicate::eq("Customer.city", Value::from("hk"))),
+        &mut exec,
+    )
+    .unwrap();
     assert_eq!(filtered.len(), intermediate.len());
     assert!(
         exec.stats().rows_shared >= shared_before,
@@ -139,11 +147,11 @@ fn shared_values_leaves_flow_through_without_materialising() {
 #[test]
 fn full_osharing_style_run_performs_zero_relation_deep_copies() {
     // Drive a whole batch of overlapping queries (the o-sharing execution shape: shared scan
-    // prefixes, selections, a join, projections) through one cache and prove the clone
+    // prefixes, selections, a join, projections) through one epoch and prove the clone
     // elimination end-to-end: every scanned row is accounted as shared, and repeated queries
     // return pointer-identical answers.
     let cat = catalog();
-    let mut cache = SharedPlanCache::new();
+    let mut epoch = EpochDag::pinning_all();
     let mut exec = Executor::new(&cat);
 
     let base = Plan::scan("Customer").select(Predicate::eq("Customer.city", Value::from("hk")));
@@ -159,7 +167,7 @@ fn full_osharing_style_run_performs_zero_relation_deep_copies() {
 
     let mut results = Vec::new();
     for q in &queries {
-        results.push(cache.execute_shared(q, &mut exec).unwrap());
+        results.push(resolve(&mut epoch, q, &mut exec).unwrap());
     }
 
     // The repeat is the same allocation as the first answer.

@@ -14,11 +14,13 @@
 //!    opportunities that it loses to plain e-basic end-to-end (Figures 10(b) and 10(c)).
 //!
 //! This crate reproduces both characteristics with a transparent design: every sub-plan of every
-//! query is fingerprinted and registered in a [`SharedPlanCache`]; a [`GlobalPlan`] evaluates
-//! sub-plans bottom-up, memoising each distinct sub-expression so it is executed exactly once;
-//! and [`GlobalPlan::build`] performs the (intentionally thorough, quadratic-in-candidates)
-//! covering analysis over all pairs of queries that a cost-based MQO search performs, which is
-//! what makes plan construction slow for hundreds of source queries.
+//! query is fingerprinted; a [`GlobalPlan`] lowers the queries onto one shared-operator DAG, so
+//! each distinct sub-expression is executed exactly once; and [`GlobalPlan::build`] performs
+//! the (intentionally thorough, quadratic-in-candidates) covering analysis over all pairs of
+//! queries that a cost-based MQO search performs, which is what makes plan construction slow
+//! for hundreds of source queries.
+//!
+//! [`LruCache`] is the bounded map behind the serving layer's answer cache.
 //!
 //! ```
 //! use urm_engine::{Executor, Plan, Predicate};
@@ -42,10 +44,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod cache;
 pub mod global;
 pub mod lru;
 
-pub use cache::SharedPlanCache;
 pub use global::GlobalPlan;
 pub use lru::LruCache;

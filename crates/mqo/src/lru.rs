@@ -1,10 +1,9 @@
 //! A small bounded map with least-recently-used eviction.
 //!
-//! Shared by the [`SharedPlanCache`](crate::SharedPlanCache) (materialised sub-plan results)
-//! and the service layer's answer cache.  Recency is tracked with a monotonic clock stamp per
-//! entry plus an ordered stamp → key index, so lookup refresh and eviction are both
-//! `O(log n)` and no operation deep-copies a key: the key is allocated once per entry and
-//! shared (`Arc`) between the slot table and the recency index.
+//! The map behind the service layer's answer cache.  Recency is tracked with a monotonic
+//! clock stamp per entry plus an ordered stamp → key index, so lookup refresh and eviction
+//! are both `O(log n)` and no operation deep-copies a key: the key is allocated once per
+//! entry and shared (`Arc`) between the slot table and the recency index.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -31,8 +31,6 @@ struct Args {
     workers: usize,
     dag_workers: usize,
     batch_size: usize,
-    pipeline: bool,
-    adaptive: bool,
     shards: usize,
     shard_scheme: ShardScheme,
     trace_sample: usize,
@@ -58,8 +56,6 @@ impl Default for Args {
             workers: 4,
             dag_workers: service.dag_workers,
             batch_size: 64,
-            pipeline: service.pipeline,
-            adaptive: service.adaptive,
             shards: service.shards,
             shard_scheme: service.shard_scheme,
             trace_sample: service.trace_sample,
@@ -90,8 +86,6 @@ OPTIONS:
   --workers W         service worker threads (default 4)
   --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4)
   --batch-size B      max queries per service batch (default 64)
-  --pipeline on|off   two-stage epoch lock (default on)
-  --adaptive on|off   observed-cardinality feedback loop (default on; answers identical)
   --shards N          scatter-gather each epoch across N partitioned shard runtimes (default 1
                       = single-node; answers are byte-identical, /metrics gains shard counters)
   --shard-scheme S    hash (default) or range partitioning of the source relations
@@ -146,20 +140,6 @@ fn parse_args() -> Result<Args, String> {
             "--write-timeout" => {
                 args.write_timeout_ms = parse_num(&value("--write-timeout")?)? as u64;
             }
-            "--pipeline" => {
-                args.pipeline = match value("--pipeline")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--pipeline expects on|off, got '{other}'")),
-                }
-            }
-            "--adaptive" => {
-                args.adaptive = match value("--adaptive")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--adaptive expects on|off, got '{other}'")),
-                }
-            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -187,8 +167,6 @@ fn main() -> ExitCode {
         workers: args.workers,
         batch_max: args.batch_size,
         dag_workers: args.dag_workers,
-        pipeline: args.pipeline,
-        adaptive: args.adaptive,
         shards: args.shards,
         shard_scheme: args.shard_scheme,
         trace_sample: args.trace_sample,

@@ -62,10 +62,6 @@ struct Args {
     dag_workers: usize,
     batch_size: usize,
     answer_cache: usize,
-    epoch_cache: bool,
-    pipeline: bool,
-    columnar: bool,
-    adaptive: bool,
     shards: usize,
     shard_scheme: ShardScheme,
     memory_budget: Option<usize>,
@@ -88,10 +84,6 @@ impl Default for Args {
             dag_workers: defaults.dag_workers,
             batch_size: 64,
             answer_cache: 1024,
-            epoch_cache: defaults.epoch_cache,
-            pipeline: defaults.pipeline,
-            columnar: defaults.columnar,
-            adaptive: defaults.adaptive,
             shards: defaults.shards,
             shard_scheme: defaults.shard_scheme,
             memory_budget: defaults.memory_budget,
@@ -119,20 +111,6 @@ OPTIONS:
   --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4)
   --batch-size B      max queries per batch (default 64)
   --answer-cache N    service answer cache capacity (default 1024; 0 disables it)
-  --epoch-cache on|off
-                      keep one persistent DAG per epoch across batches (bind cache + weakly
-                      cached node results; default on) — 'off' rebuilds per batch for A/B runs
-  --pipeline on|off   two-stage epoch lock (default on): bind the next batch while the current
-                      one executes — 'off' holds one lock across the whole batch for A/B runs
-  --columnar on|off   evaluate through the vectorized columnar kernels (default on): scanned
-                      relations convert once to typed column vectors and selections, joins and
-                      aggregates run column-at-a-time — 'off' row-at-a-time for A/B runs;
-                      answers are byte-identical either way
-  --adaptive on|off   observed-cardinality feedback loop (default on): each epoch records
-                      actual per-node output sizes and times, re-prioritises the DAG
-                      scheduler, flips hash-join build sides to the smaller observed side and
-                      sizes grace-join fan-out from observed bytes — 'off' runs on static
-                      estimates for A/B runs; answers are byte-identical either way
   --shards N          scatter-gather across N partitioned shard runtimes (default 1 = the
                       single-node path): each epoch's catalog is deterministically split so
                       shard i holds slice i of every source table, batches fan out to all
@@ -174,34 +152,6 @@ fn parse_args() -> Result<Args, String> {
             "--shard-scheme" => args.shard_scheme = value("--shard-scheme")?.parse()?,
             "--memory-budget" => args.memory_budget = Some(parse_num(&value("--memory-budget")?)?),
             "--trace" => args.trace = Some(value("--trace")?),
-            "--epoch-cache" => {
-                args.epoch_cache = match value("--epoch-cache")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--epoch-cache expects on|off, got '{other}'")),
-                }
-            }
-            "--pipeline" => {
-                args.pipeline = match value("--pipeline")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--pipeline expects on|off, got '{other}'")),
-                }
-            }
-            "--columnar" => {
-                args.columnar = match value("--columnar")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--columnar expects on|off, got '{other}'")),
-                }
-            }
-            "--adaptive" => {
-                args.adaptive = match value("--adaptive")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--adaptive expects on|off, got '{other}'")),
-                }
-            }
             "--verify" => args.verify = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -361,10 +311,6 @@ fn run_service(
         batch_max: args.batch_size,
         dag_workers: args.dag_workers,
         answer_cache_capacity: args.answer_cache,
-        epoch_cache: args.epoch_cache,
-        pipeline: args.pipeline,
-        columnar: args.columnar,
-        adaptive: args.adaptive,
         shards: args.shards,
         shard_scheme: args.shard_scheme,
         // --trace FILE traces every batch (sample rate 1); otherwise tracing stays off.
@@ -381,18 +327,13 @@ fn run_service(
 
     println!(
         "workload: {} queries over {} epoch(s); algorithm=service replays={} batch-size={} \
-         workers={} dag-workers={} epoch-cache={} pipeline={} columnar={} adaptive={} \
-         shards={} scheme={} memory-budget={}",
+         workers={} dag-workers={} shards={} scheme={} memory-budget={}",
         workload.len(),
         epochs.len(),
         args.replays,
         args.batch_size,
         args.workers,
         args.dag_workers,
-        if args.epoch_cache { "on" } else { "off" },
-        if args.pipeline { "on" } else { "off" },
-        if args.columnar { "on" } else { "off" },
-        if args.adaptive { "on" } else { "off" },
         args.shards,
         args.shard_scheme,
         args.memory_budget

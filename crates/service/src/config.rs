@@ -16,36 +16,6 @@ pub struct ServiceConfig {
     pub dag_workers: usize,
     /// Capacity of the service-wide answer cache (entries, LRU-evicted); 0 disables it.
     pub answer_cache_capacity: usize,
-    /// Whether each epoch keeps a persistent shared-operator DAG across its batches
-    /// (bind cache + weakly cached node results, byte-budgeted LRU pinning), so a hot epoch's
-    /// later batches skip rebinding and re-executing still-materialised operators.  `false`
-    /// rebuilds the DAG from scratch per batch (the pre-epoch behaviour; `urm-cli
-    /// --epoch-cache off` A/Bs the two).
-    pub epoch_cache: bool,
-    /// Whether batches of one epoch run through the two-stage bind/execute pipeline: the
-    /// epoch's bind lock is held only while a batch is rewritten, optimised and bound, so
-    /// batch N+1's bind stage overlaps batch N's execution (executions still serialise, on
-    /// the engine's internal result lock — answers are byte-identical either way).  `false`
-    /// holds one lock across the whole batch (the pre-pipeline behaviour; `http_bench` A/Bs
-    /// the two).  Only meaningful with [`epoch_cache`](ServiceConfig::epoch_cache) on and at
-    /// least two workers.
-    pub pipeline: bool,
-    /// Whether batch executors evaluate through the vectorized columnar kernels: scanned
-    /// base relations are converted once to typed per-column vectors (cached per catalog),
-    /// and selections, joins and aggregates over them run column-at-a-time driven by
-    /// selection vectors.  Answers are byte-identical either way — the toggle (`urm-cli
-    /// --columnar off`) exists for A/B timing and forensics.  Columnar work is reported in
-    /// [`ServiceMetrics::columnar_rows`](crate::ServiceMetrics).
-    pub columnar: bool,
-    /// Whether each epoch runs the adaptive-execution feedback loop: observed per-node output
-    /// cardinalities (and execution times) replace the optimizer's static estimates in the
-    /// DAG scheduler's priorities, pick the smaller observed side as each hash join's build
-    /// side, and size grace-join fan-out / admission from observed build-side bytes.  Answers
-    /// are byte-identical either way — the toggle (`urm-cli --adaptive off`) exists for A/B
-    /// timing.  Feedback work is reported in
-    /// [`ServiceMetrics::observed_nodes`](crate::ServiceMetrics) /
-    /// [`reordered_joins`](crate::ServiceMetrics).
-    pub adaptive: bool,
     /// Number of shards each epoch's catalog is partitioned into (1 = unsharded, the classic
     /// single-node path; the two are byte-identical).
     ///
@@ -55,7 +25,7 @@ pub struct ServiceConfig {
     /// non-sliced side of joins), and each batch is fanned out to all shards in parallel —
     /// per-shard answers are merged back into the canonical probability-descending order.
     /// Shard work is reported in [`ServiceMetrics::shard_fanouts`](crate::ServiceMetrics) /
-    /// [`shard_merge_time`](crate::ServiceMetrics) (`urm-cli --shards N` A/Bs the two paths).
+    /// [`shard_merge_time`](crate::ServiceMetrics) (`urm-cli --shards N`).
     pub shards: usize,
     /// How source relations are split across shards ([`Hash`](ShardScheme::Hash) on the key
     /// attribute, or contiguous [`Range`](ShardScheme::Range) chunks).  Ignored with
@@ -100,10 +70,6 @@ impl Default for ServiceConfig {
             batch_max: 64,
             dag_workers: default_dag_workers(),
             answer_cache_capacity: 1024,
-            epoch_cache: true,
-            pipeline: true,
-            columnar: true,
-            adaptive: true,
             shards: 1,
             shard_scheme: ShardScheme::Hash,
             trace_sample: 0,
@@ -121,14 +87,7 @@ impl ServiceConfig {
             batch_max: 8,
             dag_workers: 2,
             answer_cache_capacity: 32,
-            epoch_cache: true,
-            pipeline: true,
-            columnar: true,
-            adaptive: true,
-            shards: 1,
-            shard_scheme: ShardScheme::Hash,
-            trace_sample: 0,
-            memory_budget: None,
+            ..ServiceConfig::default()
         }
     }
 }

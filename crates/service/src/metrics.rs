@@ -58,8 +58,7 @@ pub struct ServiceMetrics {
     pub spill_reloads: u64,
     /// Partitions produced by grace hash joins (joins whose build side exceeded the budget).
     pub grace_partitions: u64,
-    /// Rows produced by the vectorized columnar kernels (0 with
-    /// [`ServiceConfig::columnar`](crate::ServiceConfig) off — `urm-cli --columnar off`).
+    /// Rows produced by the vectorized columnar kernels.
     pub columnar_rows: u64,
     /// Row-codec-equivalent bytes of the relations written to spill segments — the size the
     /// segments *would* have under the uncompressed row codec (0 without a memory budget).
@@ -68,8 +67,7 @@ pub struct ServiceMetrics {
     /// run-length encodings); compare against `segment_bytes_raw` for the compression ratio.
     pub segment_bytes_encoded: u64,
     /// DAG nodes scheduled on an *observed* cardinality instead of the static estimate, summed
-    /// across all batches (0 with [`ServiceConfig::adaptive`](crate::ServiceConfig) off, or
-    /// while every epoch is still cold).
+    /// across all batches (0 while every epoch is still cold).
     pub observed_nodes: u64,
     /// Hash joins whose build side was flipped by observed-cardinality feedback, summed across
     /// all batches.
@@ -114,7 +112,7 @@ impl ServiceMetrics {
     }
 
     /// Fraction of needed DAG nodes answered by a previous batch of the same epoch instead of
-    /// executing (0 when nothing executed, or when the epoch cache is off).
+    /// executing (0 when nothing executed).
     #[must_use]
     pub fn epoch_reuse_rate(&self) -> f64 {
         let total = self.epoch_results_reused + self.dag_nodes_executed;
@@ -232,7 +230,7 @@ impl ServiceMetrics {
 }
 
 /// Per-batch accounting, retained (bounded) for inspection by clients such as `urm-cli`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchReport {
     /// Monotonic batch id (1-based).
     pub id: u64,
@@ -274,7 +272,7 @@ pub struct BatchReport {
     /// Actual encoded bytes of the spill segments this batch wrote.
     pub segment_bytes_encoded: u64,
     /// DAG nodes this batch scheduled on an observed cardinality instead of the static
-    /// estimate (0 with the adaptive loop off or on a cold epoch).
+    /// estimate (0 on a cold epoch).
     pub observed_nodes: u64,
     /// Hash joins this batch flipped to the smaller observed build side.
     pub reordered_joins: u64,

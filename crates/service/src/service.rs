@@ -11,8 +11,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use urm_core::metrics::EvalMetrics;
 use urm_core::{
-    evaluate_batch, evaluate_batch_epoch, evaluate_batch_sharded, execute_prepared_batch,
-    prepare_batch_epoch_traced, BatchOptions, EpochDag, ShardSet, ShardStats,
+    evaluate_batch_sharded, execute_prepared_batch, prepare_batch_epoch, BatchOptions, EpochDag,
+    ShardSet, ShardStats,
 };
 use urm_core::{CoreError, ProbabilisticAnswer, TargetQuery};
 use urm_engine::CardinalityStore;
@@ -126,9 +126,9 @@ impl Ticket {
 struct Epoch {
     catalog: Catalog,
     mappings: MappingSet,
-    /// The epoch's persistent shared-operator DAG (bind cache + weak result cache).  Batches
-    /// of one epoch serialise on this lock while they execute — worker-pool parallelism comes
-    /// from batches of *different* epochs, DAG-scheduler parallelism from within the batch.
+    /// The epoch's persistent shared-operator DAG (bind cache + weak result cache).  This is
+    /// the epoch's *bind* lock: a batch holds it only while it is rewritten, optimised and
+    /// bound, so another worker binds the epoch's next batch while this one executes.
     /// Dropped with the epoch, which is what keeps identity-based fingerprints safe.
     dag: Mutex<EpochDag>,
     /// Exponentially-decayed average *source operators per evaluated query* observed on this
@@ -237,6 +237,29 @@ impl Inner {
         }));
     }
 
+    /// Answers the submissions the batch's answer-cache recheck resolved.
+    fn respond_from_cache(cached_hits: Vec<(Submission, CachedAnswer)>) {
+        for (submission, found) in cached_hits {
+            Inner::respond(
+                &submission,
+                found.answer,
+                EvalMetrics::new("answer-cache"),
+                ServedFrom::AnswerCache,
+                found.batch,
+            );
+        }
+    }
+
+    /// Appends to the bounded report ring (oldest dropped first).
+    fn retain_report(&self, report: BatchReport) {
+        let mut reports = self.reports.lock().unwrap();
+        reports.push(report);
+        if reports.len() > RETAINED_REPORTS {
+            let excess = reports.len() - RETAINED_REPORTS;
+            reports.drain(..excess);
+        }
+    }
+
     /// Executes one batch on a worker thread.
     fn process_batch(&self, batch: Batch) {
         let start = Instant::now();
@@ -292,86 +315,54 @@ impl Inner {
             .map(|key| groups[key][0].query.clone())
             .collect();
 
-        // Merge every distinct query's plans into the epoch's persistent DAG (or a throwaway
-        // one when the epoch cache is off) and execute each distinct operator this batch still
-        // needs exactly once, on the configured number of scheduler workers.
-        let options = BatchOptions::parallel(self.config.dag_workers)
-            .with_columnar(self.config.columnar)
-            .with_adaptive(self.config.adaptive)
-            .with_tracer(tracer.clone());
-        let outcome: Result<_, CoreError> = if let Some(set) = &batch.epoch.shard_set {
+        // Merge every distinct query's plans into the epoch's persistent DAG and execute each
+        // distinct operator this batch still needs exactly once, on the configured number of
+        // scheduler workers.
+        let options = BatchOptions::parallel(self.config.dag_workers).with_tracer(tracer.clone());
+        let (mappings, catalog) = (&batch.epoch.mappings, &batch.epoch.catalog);
+        let outcome: Result<_, CoreError> = match &batch.epoch.shard_set {
             // Scatter-gather: fan the distinct queries out to the epoch's shard runtimes in
-            // parallel and merge the per-shard answers back into the canonical order.  The
-            // shard DAGs *are* the epoch cache here (each shard keeps its own persistent DAG),
-            // so this branch supersedes the epoch_cache/pipeline toggles.
-            evaluate_batch_sharded(
-                &unique,
-                &batch.epoch.mappings,
-                &batch.epoch.catalog,
-                &options,
-                set,
-            )
-            .map(|sharded| (sharded.batch, Some(sharded.shards)))
-        } else if self.config.epoch_cache {
-            if self.config.pipeline {
-                // The two-stage pipeline: the epoch's bind lock is held only while this batch
-                // is rewritten, optimised and bound — so another worker can already bind the
-                // epoch's *next* batch while this one executes below.  Executions of one
-                // epoch still serialise, on the engine's internal result lock.
+            // parallel and merge the per-shard answers back into the canonical order.  Each
+            // shard keeps its own persistent DAG behind its own bind lock.
+            Some(set) => evaluate_batch_sharded(&unique, mappings, catalog, &options, set)
+                .map(|sharded| (sharded.batch, Some(sharded.shards))),
+            // The epoch's bind lock is held only while this batch is rewritten, optimised and
+            // bound — so another worker can already bind the epoch's *next* batch while this
+            // one executes below, on the engine's internal result lock alone.
+            None => {
                 let prepared = {
                     let mut epoch_dag = batch.epoch.dag.lock().unwrap();
-                    prepare_batch_epoch_traced(
-                        &unique,
-                        &batch.epoch.mappings,
-                        &batch.epoch.catalog,
-                        &mut epoch_dag,
-                        &tracer,
-                    )
+                    prepare_batch_epoch(&unique, mappings, catalog, &mut epoch_dag, &tracer)
                 };
                 prepared
-                    .and_then(|p| execute_prepared_batch(p, &batch.epoch.catalog, &options))
+                    .and_then(|p| execute_prepared_batch(p, catalog, &options))
                     .map(|o| (o, None))
-            } else {
-                let mut epoch_dag = batch.epoch.dag.lock().unwrap();
-                evaluate_batch_epoch(
-                    &unique,
-                    &batch.epoch.mappings,
-                    &batch.epoch.catalog,
-                    &options,
-                    &mut epoch_dag,
-                )
-                .map(|o| (o, None))
             }
-        } else if let Some(budget) = self.config.memory_budget {
-            // Rebuild-per-batch, but the byte budget still holds: a *throwaway* budgeted
-            // epoch gives this batch grace joins and spill-backed staging without any
-            // cross-batch caching.
-            let mut throwaway = EpochDag::with_memory_budget(budget);
-            evaluate_batch_epoch(
-                &unique,
-                &batch.epoch.mappings,
-                &batch.epoch.catalog,
-                &options,
-                &mut throwaway,
-            )
-            .map(|o| (o, None))
-        } else {
-            evaluate_batch(
-                &unique,
-                &batch.epoch.mappings,
-                &batch.epoch.catalog,
-                &options,
-            )
-            .map(|o| (o, None))
         };
         let (outcome, shard_stats): (_, Option<ShardStats>) = match outcome {
             Ok(pair) => pair,
             Err(err) => {
+                // The evaluation failed, the batch still ran: it is accounted, what the
+                // recheck found in the cache is answered from there, and only the groups
+                // that were evaluated get the error.
+                let latency = start.elapsed();
+                {
+                    let mut metrics = self.metrics.lock().unwrap();
+                    metrics.batches += 1;
+                    metrics.batch_time += latency;
+                }
+                self.retain_report(BatchReport {
+                    id: batch.id,
+                    epoch: batch.epoch_id.raw(),
+                    queries: total,
+                    served_from_cache,
+                    latency,
+                    ..BatchReport::default()
+                });
+                Inner::respond_from_cache(cached_hits);
                 let err = ServiceError::from(err);
-                for submissions in groups.values() {
-                    for submission in submissions {
-                        let _ = submission.responder.send(Err(err.clone()));
-                    }
+                for submission in groups.values().flatten() {
+                    let _ = submission.responder.send(Err(err.clone()));
                 }
                 return;
             }
@@ -507,14 +498,7 @@ impl Inner {
                 samples.drain(..excess);
             }
         }
-        {
-            let mut reports = self.reports.lock().unwrap();
-            reports.push(report);
-            if reports.len() > RETAINED_REPORTS {
-                let excess = reports.len() - RETAINED_REPORTS;
-                reports.drain(..excess);
-            }
-        }
+        self.retain_report(report);
         // Stage latencies feed the lock-free histograms on every batch, traced or not.
         for (m, _) in &shared {
             self.stages.rewrite.record_duration(m.rewrite_time);
@@ -535,15 +519,7 @@ impl Inner {
             traces.push_back(trace);
         }
 
-        for (submission, found) in cached_hits {
-            Inner::respond(
-                &submission,
-                found.answer,
-                EvalMetrics::new("answer-cache"),
-                ServedFrom::AnswerCache,
-                found.batch,
-            );
-        }
+        Inner::respond_from_cache(cached_hits);
         for (key, (eval_metrics, answer)) in order.iter().zip(&shared) {
             let mut submissions = groups.remove(key).expect("group exists").into_iter();
             let first = submissions.next().expect("non-empty group");
@@ -627,13 +603,10 @@ impl QueryService {
     /// pin policy, so alternating batch working sets keep each other warm.
     pub fn register_epoch(&self, catalog: Catalog, mappings: MappingSet) -> EpochId {
         let id = self.inner.epoch_counter.fetch_add(1, Ordering::Relaxed);
-        let mut dag = match self.inner.config.memory_budget {
+        let dag = match self.inner.config.memory_budget {
             Some(budget) => EpochDag::with_memory_budget(budget),
             None => EpochDag::with_pin_budget(urm_core::DEFAULT_PIN_BUDGET_BYTES),
         };
-        // The pipeline path prepares batches without BatchOptions in hand, so the adaptive
-        // toggle is fixed on the epoch at birth (evaluate_batch_epoch re-asserts it per call).
-        dag.set_adaptive(self.inner.config.adaptive);
         // Seed the fresh DAG (and every shard DAG) with the observations retired epochs left
         // behind: a re-registered catalog's first batch starts from learned cardinalities.
         let carried = self.inner.carryover.snapshot();
@@ -1031,20 +1004,6 @@ mod tests {
         let reports = service.reports();
         assert_eq!(reports[0].epoch_results_reused, 0, "first batch is cold");
         assert!(reports[1].epoch_results_reused > 0);
-
-        // The same workload with the epoch cache off: every batch rebuilds from scratch.
-        let service = QueryService::new(ServiceConfig {
-            epoch_cache: false,
-            ..ServiceConfig::tiny()
-        });
-        let epoch = service.register_epoch(testkit::figure2_catalog(), testkit::figure3_mappings());
-        let a = service.execute_all(epoch, vec![testkit::q0()]).unwrap();
-        let b = service.execute_all(epoch, vec![testkit::q1()]).unwrap();
-        let metrics = service.metrics();
-        assert_eq!(metrics.epoch_results_reused, 0);
-        assert_eq!(metrics.epoch_bind_hits, 0);
-        assert_eq!(metrics.epoch_reuse_rate(), 0.0);
-        assert!(!a[0].answer.is_empty() || !b[0].answer.is_empty());
     }
 
     #[test]
@@ -1061,9 +1020,7 @@ mod tests {
             .register_epoch(testkit::figure2_catalog(), testkit::figure3_mappings());
         // Two rounds with a fresh answer cache miss each time would need distinct queries;
         // instead replay the same round so the second one exercises the spilled-pin path too.
-        let first = budgeted_service
-            .execute_all(epoch, queries.clone())
-            .unwrap();
+        let first = budgeted_service.execute_all(epoch, queries).unwrap();
         for (a, b) in unbudgeted.iter().zip(&first) {
             assert_eq!(a.answer.sorted(), b.answer.sorted());
         }
@@ -1073,24 +1030,57 @@ mod tests {
         // exercised by the engine tests and the spill benchmark, not here.)
         let reports = budgeted_service.reports();
         assert!(reports.iter().any(|r| r.bytes_spilled > 0));
+    }
 
-        // The budget must hold with the epoch cache off too (throwaway budgeted epochs):
-        // identical answers, spilling still accounted.
-        let no_cache_service = QueryService::new(ServiceConfig {
-            memory_budget: Some(0),
-            epoch_cache: false,
-            ..ServiceConfig::tiny()
-        });
-        let epoch = no_cache_service
-            .register_epoch(testkit::figure2_catalog(), testkit::figure3_mappings());
-        let again = no_cache_service.execute_all(epoch, queries).unwrap();
-        for (a, b) in unbudgeted.iter().zip(&again) {
-            assert_eq!(a.answer.sorted(), b.answer.sorted());
-        }
-        assert!(
-            no_cache_service.metrics().bytes_spilled > 0,
-            "memory budget silently ignored when epoch_cache is off"
+    #[test]
+    fn failed_batch_still_answers_rechecked_cache_hits_and_is_accounted() {
+        // An epoch over an empty catalog: every evaluation fails.  X's answer reaches the cache
+        // after X was queued (another batch evaluated it), so the batch's recheck resolves X
+        // and only Y is evaluated.
+        let service = QueryService::new(ServiceConfig::tiny());
+        let epoch = service.register_epoch(Catalog::new(), testkit::figure3_mappings());
+        let submission = |query: TargetQuery| {
+            let (responder, rx) = mpsc::channel();
+            let submission = Submission {
+                key: format!("{query:?}"),
+                query,
+                responder,
+                tracer: Tracer::disabled(),
+            };
+            (submission, Ticket { rx })
+        };
+        let (x, x_ticket) = submission(testkit::q0());
+        let (y, y_ticket) = submission(testkit::q1());
+        let cached = Arc::new(ProbabilisticAnswer::new());
+        service.inner.answer_cache.lock().unwrap().insert(
+            epoch,
+            x.key.clone(),
+            CachedAnswer {
+                answer: Arc::clone(&cached),
+                batch: 7,
+            },
         );
+        let epoch_arc = Arc::clone(&service.inner.epochs.read().unwrap()[&epoch.raw()]);
+        service.inner.process_batch(Batch {
+            id: 9,
+            epoch_id: epoch,
+            epoch: epoch_arc,
+            submissions: vec![x, y],
+        });
+
+        let x_response = x_ticket.wait().expect("a cached answer was in hand");
+        assert_eq!(x_response.served_from, ServedFrom::AnswerCache);
+        assert_eq!(x_response.batch, 7);
+        assert!(Arc::ptr_eq(&x_response.answer, &cached));
+        assert!(matches!(y_ticket.wait(), Err(ServiceError::Eval(_))));
+        assert_eq!(service.metrics().batches, 1);
+        let reports = service.reports();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(
+            (reports[0].id, reports[0].queries, reports[0].evaluated),
+            (9, 2, 0)
+        );
+        assert_eq!(reports[0].served_from_cache, 1);
     }
 
     #[test]
@@ -1237,13 +1227,13 @@ mod tests {
 
     #[test]
     fn pipelined_and_serialised_locks_agree_under_concurrency() {
-        // Same concurrent workload, pipeline on vs off: every client must see the same answer
-        // either way, and the pipelined run's reports must account the same epoch reuse.
-        let run = |pipeline: bool| {
+        // Same concurrent workload on four workers (a batch binds under the epoch lock while
+        // the previous one still executes) and on one (batches strictly one after another):
+        // every client must see the same answer either way.
+        let run = |workers: usize| {
             let service = Arc::new(QueryService::new(ServiceConfig {
-                workers: 4,
+                workers,
                 batch_max: 2,
-                pipeline,
                 ..ServiceConfig::default()
             }));
             let epoch =
@@ -1271,10 +1261,10 @@ mod tests {
             let answers: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
             (answers, service.metrics())
         };
-        let (pipelined, pipelined_metrics) = run(true);
-        let (serialised, _) = run(false);
+        let (pipelined, pipelined_metrics) = run(4);
+        let (serialised, _) = run(1);
         for (a, b) in pipelined.iter().zip(&serialised) {
-            assert_eq!(a, b, "pipelined lock changed an answer");
+            assert_eq!(a, b, "overlapping bind and execute changed an answer");
         }
         assert_eq!(pipelined_metrics.queries_submitted, 16);
     }

@@ -162,7 +162,7 @@ impl Catalog {
     /// The memoised columnar conversion of a relation's row buffer, converting on first use.
     ///
     /// Conversions are shared across aliases of the same buffer and across catalog clones.
-    /// The executor calls this at scan time when the columnar path is enabled.
+    /// The executor calls this at scan time.
     #[must_use]
     pub fn columnar_view(&self, rel: &Relation) -> Arc<ColumnarRelation> {
         let key = Catalog::buffer_key(rel);

@@ -25,6 +25,7 @@ use proptest::TestRng;
 use std::collections::{HashMap, HashSet};
 use urm::core::reformulate::{aggregate, extract_answers, Extraction};
 use urm::core::ProbabilisticAnswer;
+use urm::engine::reference::off_catalog;
 use urm::engine::{CompareOp, Executor, Plan, Predicate, ReferenceExecutor};
 use urm::storage::{
     row_hash, value_hash, Attribute, Catalog, Column, DataType, Relation, Schema, Tuple, Value,
@@ -225,7 +226,7 @@ proptest! {
             let reference = ReferenceExecutor::new(&catalog).run(&plan).expect("valid root");
             let view = Executor::new(&catalog).run(&plan).expect("columnar run");
             prop_assert!(view.view().is_some(), "not late-materialized:\n{}", plan);
-            let rows = Executor::new(&catalog).with_columnar(false).run(&plan).expect("row run");
+            let rows = Executor::new(&catalog).run(&off_catalog(&plan, &catalog)).expect("row run");
             prop_assert!(rows.view().is_none());
 
             // The hash of a row where it lies is the hash of the values it holds, cell by
@@ -294,7 +295,7 @@ proptest! {
             // Extraction left the cached relation the bag it was.
             prop_assert_eq!(view.rows(), reference.rows());
 
-            let rows = Executor::new(&catalog).with_columnar(false).run(&plan).expect("row run");
+            let rows = Executor::new(&catalog).run(&off_catalog(&plan, &catalog)).expect("row run");
             prop_assert!(rows.view().is_none());
             let got = extract_answers(&rows, &extraction).distinct_tuples();
             prop_assert_eq!(bytes(&got), bytes(&want), "rows diverge on {:?}:\n{}", extraction, plan);
