@@ -371,15 +371,15 @@ pub fn execute_prepared_batch(
     // Per-query probabilistic aggregation, unchanged from e-basic.
     let mut evaluations = Vec::with_capacity(pending.len());
     let mut agg_span = options.tracer.span("aggregate");
-    let (mut rows_probed, mut tuples_built) = (0, 0);
+    let (mut rows_probed, mut answers_added) = (0, 0);
     for mut query in pending {
         let agg_start = Instant::now();
         let mut answer = ProbabilisticAnswer::new();
         for (root, probability, extraction) in &query.roots {
             let result = &*run.root_results[*root];
-            let (rows, built) = aggregate(&mut answer, [result], extraction, *probability);
+            let (rows, added) = aggregate(&mut answer, [result], extraction, *probability);
             rows_probed += rows;
-            tuples_built += built;
+            answers_added += added;
         }
         if query.empty_probability > 0.0 {
             answer.add_empty(query.empty_probability);
@@ -393,9 +393,9 @@ pub fn execute_prepared_batch(
             metrics: query.metrics,
         });
     }
-    // What the step read against what it had to build: root rows in, answer tuples out.
+    // What the step read against what it kept: root rows in, answer entries out.
     agg_span.tag("rows", rows_probed as u64);
-    agg_span.tag("answers", tuples_built as u64);
+    agg_span.tag("answers", answers_added as u64);
     drop(agg_span);
 
     Ok(BatchEvaluation {

@@ -1,32 +1,56 @@
-//! Probabilistic query answers, and the probe that accumulates them.
+//! Probabilistic query answers: code rows over a value pool, and the probe that accumulates
+//! them.
 //!
-//! The `aggregate` step (Section III-B; Algorithm 4's "remove duplicate tuples") needs a tuple
-//! once per *distinct answer of the target query* — not once per row of every source query's
-//! result, most of which repeat an answer an earlier source query already produced.  So a
-//! [`ProbabilisticAnswer`] accumulates by **probing first and building a tuple only on a
-//! miss**:
+//! The `aggregate` step (Section III-B; Algorithm 4's "remove duplicate tuples") decides, for
+//! every row of every source query's result, whether an earlier source query already produced
+//! that answer — and most rows repeat one.  A target query's answers draw on few distinct
+//! values (a cold benchmark batch: ~100 values under 22 k root rows), and those values sit
+//! dictionary-encoded under the roots.  So a [`ProbabilisticAnswer`] **interns before it
+//! probes** and keeps codes until its last consumer:
 //!
-//! * [`AnswerRows`] is a source-query result seen as answer rows, borrowed and unbuilt: the
-//!   output columns over the result's late-materialized view, or positions over its rows.
-//! * Every row is hashed where its cells lie ([`ColumnView::row_hashes`]: one looked-up word
-//!   per text cell — its dictionary caches [`value_hash`](urm_storage::value_hash) per entry —
-//!   one computed word per other cell).  The hash is a function of the *values*, so it is
-//!   comparable across the different source columns two mappings read one target attribute
-//!   from, which dictionary codes are not; and it is keyed per process, because what a source
-//!   relation holds is data.
-//! * The answer keeps its entries in first-insertion order plus an index from row hash to
-//!   entry.  A hit is compared cell by cell against the stored tuple (a text cell by
-//!   allocation, then bytes; anything else by [`Value`] equality) and
-//!   gains the call's probability unless it carries the call's stamp already — that stamp is
-//!   the *only* de-duplication on the aggregate path, whether the result was a set or a bag.
-//!   A miss builds the tuple, once.
+//! * The answer owns a *value pool*: every distinct [`Value`] it holds, once, found by
+//!   [`value_hash`] and [`Value`]'s own equality (so `Int 1` and `Float 1.0` are one pool
+//!   value, spelled the way the answer first read it).  An answer is a row of `u32` pool ids.
+//! * [`AnswerRows`] is a source-query result seen as answer rows, borrowed and unbuilt.
+//!   [`ProbabilisticAnswer::add_distinct`] turns it into pool ids a column at a time: a text
+//!   column interns each *dictionary entry* it meets once per call — with the hash word its
+//!   dictionary caches — and every later cell of that entry is a table lookup by code; other
+//!   cells intern by value.  Dictionary codes mean nothing across columns, pool ids do: two
+//!   mappings reading one target attribute from different source columns meet in the pool.
+//! * A row's probe is then a hash of a few integers and an integer comparison.  A hit gains
+//!   the call's probability unless it carries the call's stamp already — that stamp is the
+//!   *only* de-duplication on the aggregate path, whether the result was a set or a bag.  A
+//!   miss appends the row's ids.  Entries stay in first-insertion order.
+//! * Ordering **ranks once and sorts integers**: the pool's values are ranked by
+//!   [`Value`]'s order and entries sort by `(probability descending, rank row)` — the order
+//!   of `(probability, Tuple)` pairs, without comparing a value twice.  The wire renderer
+//!   ([`sorted_rows`](ProbabilisticAnswer::sorted_rows) over
+//!   [`values`](ProbabilisticAnswer::values)) escapes each pool value once and writes rows of
+//!   fragments.
+//! * [`Tuple`]s are built only for a caller that asks for them
+//!   ([`iter`](ProbabilisticAnswer::iter), [`sorted`](ProbabilisticAnswer::sorted),
+//!   [`top_k`](ProbabilisticAnswer::top_k), `Debug`): the oracle, the CLI, tests.  A served
+//!   request builds none between the DAG root and the socket, and
+//!   [`tuples_materialized`] says so.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
-use urm_storage::{row_hash, ColumnRef, ColumnView, Relation, Tuple, Value};
+use urm_storage::{value_hash, Column, ColumnRef, ColumnView, Relation, Tuple, Value};
+
+/// How many [`Tuple`]s this process has built out of [`ProbabilisticAnswer`]s — for `iter`,
+/// `sorted`, `top_k`, `Debug` and the like.  Accumulating, merging, comparing and rendering an
+/// answer must not move it.
+#[must_use]
+pub fn tuples_materialized() -> u64 {
+    TUPLES_MATERIALIZED.load(Relaxed)
+}
+
+static TUPLES_MATERIALIZED: AtomicU64 = AtomicU64::new(0);
 
 /// The rows of one source-query result as answer tuples — resolved, borrowed, not built.
 ///
@@ -51,12 +75,13 @@ enum Cells<'r> {
     Rows(&'r [Tuple]),
 }
 
+static NULL: Value = Value::Null;
+
 /// The cells of `row` at `positions`, borrowed; anything the row does not hold is NULL.
 fn projected<'a>(
     row: &'a Tuple,
     positions: &'a [Option<usize>],
 ) -> impl Iterator<Item = &'a Value> + 'a {
-    static NULL: Value = Value::Null;
     positions
         .iter()
         .map(move |p| p.and_then(|i| row.get(i)).unwrap_or(&NULL))
@@ -126,36 +151,6 @@ impl<'r> AnswerRows<'r> {
         }
     }
 
-    /// [`row_hash`] of every row's answer cells, without building them.
-    fn hashes(&self) -> Vec<u64> {
-        match &self.cells {
-            Cells::View { view, .. } => view.row_hashes(&self.positions),
-            Cells::Rows(rows) => rows
-                .iter()
-                .map(|row| row_hash(projected(row, &self.positions)))
-                .collect(),
-        }
-    }
-
-    /// Whether `row`'s answer cells equal `stored`'s values.
-    fn matches(&self, row: usize, stored: &Tuple) -> bool {
-        if stored.arity() != self.positions.len() {
-            return false;
-        }
-        match &self.cells {
-            Cells::View { columns, .. } => {
-                columns
-                    .iter()
-                    .zip(stored.iter())
-                    .all(|(column, value)| match column {
-                        Some(c) => c.column.value_eq(c.slot(row), value),
-                        None => value.is_null(),
-                    })
-            }
-            Cells::Rows(rows) => projected(&rows[row], &self.positions).eq(stored.iter()),
-        }
-    }
-
     /// Builds `row`'s answer tuple.
     fn tuple(&self, row: usize) -> Tuple {
         match &self.cells {
@@ -165,6 +160,67 @@ impl<'r> AnswerRows<'r> {
                 .collect(),
             Cells::Rows(rows) => projected(&rows[row], &self.positions).cloned().collect(),
         }
+    }
+
+    /// Every row's answer cells as ids of `pool`, written row after row into `ids`
+    /// (`len × arity` of them) — interned, not built.  The result is read a column at a time,
+    /// so `pool` meets the values in that order.
+    fn intern_into(&self, pool: &mut Pool, ids: &mut Vec<u32>) {
+        let arity = self.positions.len();
+        ids.clear();
+        ids.resize(self.len() * arity, 0);
+        for at in 0..arity {
+            let cells = ids.iter_mut().skip(at).step_by(arity);
+            match &self.cells {
+                Cells::View { columns, .. } => match &columns[at] {
+                    Some(column) => intern_column(column, pool, cells),
+                    None => {
+                        let null = pool.intern(&NULL);
+                        cells.for_each(|cell| *cell = null);
+                    }
+                },
+                Cells::Rows(rows) => {
+                    let position = self.positions[at];
+                    for (cell, row) in cells.zip(*rows) {
+                        *cell = pool.intern(position.and_then(|p| row.get(p)).unwrap_or(&NULL));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Writes the pool id of each of `column`'s cells, in row order, into `cells`.
+fn intern_column<'a>(
+    column: &ColumnRef<'_>,
+    pool: &mut Pool,
+    cells: impl Iterator<Item = &'a mut u32>,
+) {
+    let slots = cells
+        .enumerate()
+        .map(|(row, cell)| (column.slot(row), cell));
+    match column.column {
+        Column::Text { codes, dict, nulls } => {
+            // Dictionary code → pool id, filled as codes are met.  It holds for this column
+            // and this call only: another column's codes spell other strings.
+            let mut ids = vec![FREE; dict.len()];
+            let hashes = dict.value_hashes();
+            for (slot, cell) in slots {
+                *cell = if nulls.as_ref().is_some_and(|n| n.is_null(slot)) {
+                    pool.intern(&NULL)
+                } else {
+                    let code = codes[slot] as usize;
+                    if ids[code] == FREE {
+                        let entry = Value::Text(dict.entries()[code].clone());
+                        ids[code] = pool.intern_hashed(hashes[code], &entry);
+                    }
+                    ids[code]
+                };
+            }
+        }
+        Column::Mixed(values) => slots.for_each(|(slot, cell)| *cell = pool.intern(&values[slot])),
+        // Numbers, booleans and their NULLs are rebuilt for free.
+        typed => slots.for_each(|(slot, cell)| *cell = pool.intern(&typed.value_at(slot))),
     }
 }
 
@@ -200,9 +256,127 @@ impl Hash for ProjectedRow<'_> {
     }
 }
 
+/// A slot no item occupies, in a [`HashIndex`] or a code table.
+const FREE: u32 = u32::MAX;
+
+/// An open-addressed index from hash to position in a `Vec` kept beside it (the pool's values,
+/// the answer's entries), at most half full.  It stores positions only: the owner keeps each
+/// item's hash and says what matches.
+#[derive(Clone, Default)]
+struct HashIndex {
+    slots: Vec<u32>,
+}
+
+impl HashIndex {
+    /// Where an item with this hash is, or goes: `Ok(position)` of the item `is_match`
+    /// accepts, `Err(slot)` for the free slot that ends its chain.  An index nothing was
+    /// reserved in holds nothing.
+    fn probe(&self, hash: u64, is_match: impl Fn(usize) -> bool) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                FREE => return Err(slot),
+                item if is_match(item as usize) => return Ok(item as usize),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Keeps the index at most half full with one more item than the `len` it holds;
+    /// `hash_of` re-reads the hash of the item at a position when the table grows.
+    fn reserve_one(&mut self, len: usize, hash_of: impl Fn(usize) -> u64) {
+        if (len + 1) * 2 <= self.slots.len() {
+            return;
+        }
+        let mask = (self.slots.len() * 2).max(16) - 1;
+        self.slots.clear();
+        self.slots.resize(mask + 1, FREE);
+        for item in 0..len {
+            let mut slot = hash_of(item) as usize & mask;
+            while self.slots[slot] != FREE {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = item as u32; // `occupy` let no position past `u32`
+        }
+    }
+
+    /// Puts the item about to be pushed at position `len` into the free `slot` its probe
+    /// ended at, and returns the position as the item's id.
+    fn occupy(&mut self, slot: usize, len: usize) -> u32 {
+        let id = u32::try_from(len).ok().filter(|&id| id != FREE);
+        self.slots[slot] = id.expect("fewer than 2^32 - 1 items");
+        self.slots[slot]
+    }
+}
+
+/// The distinct values of one answer.  A value's id is its position; it is found by its
+/// (masked) [`value_hash`] and `Value`'s own equality, and keeps the spelling it came with.
+#[derive(Clone)]
+struct Pool {
+    values: Vec<Value>,
+    hashes: Vec<u64>,
+    index: HashIndex,
+    /// ANDed onto every hash: all ones, or zero to force every probe into one chain
+    /// ([`ProbabilisticAnswer::with_colliding_hashes`]).
+    hash_mask: u64,
+}
+
+impl Pool {
+    /// The id of `value`, interning it if it is new.
+    fn intern(&mut self, value: &Value) -> u32 {
+        self.intern_hashed(value_hash(value), value)
+    }
+
+    /// [`intern`](Pool::intern) for a caller that has `value_hash(value)` at hand.
+    fn intern_hashed(&mut self, hash: u64, value: &Value) -> u32 {
+        let hash = hash & self.hash_mask;
+        let (values, hashes) = (&mut self.values, &mut self.hashes);
+        self.index.reserve_one(values.len(), |id| hashes[id]);
+        match self
+            .index
+            .probe(hash, |id| hashes[id] == hash && values[id] == *value)
+        {
+            Ok(id) => id as u32,
+            Err(slot) => {
+                let id = self.index.occupy(slot, values.len());
+                values.push(value.clone());
+                hashes.push(hash);
+                id
+            }
+        }
+    }
+
+    /// The id of `value`, if the pool holds it.
+    fn find(&self, value: &Value) -> Option<u32> {
+        let hash = value_hash(value) & self.hash_mask;
+        let is_match = |id: usize| self.hashes[id] == hash && self.values[id] == *value;
+        self.index.probe(hash, is_match).ok().map(|id| id as u32)
+    }
+
+    /// Every value's rank in [`Value`]'s order, by id; values that compare equal share one.
+    fn ranks(&self) -> Vec<u32> {
+        let mut ordered: Vec<usize> = (0..self.values.len()).collect();
+        ordered.sort_unstable_by(|&a, &b| self.values[a].cmp(&self.values[b]));
+        let mut ranks = vec![0; ordered.len()];
+        let mut rank = 0;
+        for (at, &id) in ordered.iter().enumerate() {
+            if at > 0 && self.values[ordered[at - 1]] < self.values[id] {
+                rank += 1;
+            }
+            ranks[id] = rank;
+        }
+        ranks
+    }
+}
+
 /// The answer of a probabilistic query: a set of `(tuple, probability)` pairs, where duplicate
 /// tuples produced under different mappings have had their probabilities summed
-/// (Section III-B, the `aggregate` step).
+/// (Section III-B, the `aggregate` step) — held as rows of ids over the answer's own value
+/// pool (see the [module docs](self)).
 ///
 /// Entries are kept in the order their tuples were first added, and nothing observable depends
 /// on a hash: [`iter`](ProbabilisticAnswer::iter), [`total_mass`](ProbabilisticAnswer::total_mass)
@@ -211,60 +385,69 @@ impl Hash for ProjectedRow<'_> {
 #[derive(Serialize, Deserialize)]
 pub struct ProbabilisticAnswer {
     entries: Vec<Entry>,
+    /// Every entry's row of pool ids, one after the other.
+    ids: Vec<u32>,
+    pool: Pool,
     /// From row hash to entry: derived from `entries`, and — like the hashes — only meaningful
     /// in the process that built it.
     #[serde(skip)]
-    index: Vec<u32>,
-    /// ANDed onto every row hash: all ones, or zero to force every row into one chain
-    /// ([`with_colliding_hashes`](ProbabilisticAnswer::with_colliding_hashes)).
+    index: HashIndex,
+    /// What every row hash starts from: keyed per process, because which values share a row
+    /// is data.
     #[serde(skip)]
-    hash_mask: u64,
+    row_seed: u64,
     /// Number of [`add_distinct`](ProbabilisticAnswer::add_distinct) calls so far: the stamp
-    /// the current call leaves on every tuple it has already counted.
+    /// the current call leaves on every answer it has already counted.
     distinct_calls: u64,
     /// Probability mass of mappings whose source query returned no tuples (the paper's null
     /// tuple `θ`).  Kept for diagnostics; not part of the reported answers.
     empty_probability: f64,
-    /// The rendering [`rendered_with`](ProbabilisticAnswer::rendered_with) memoized: derived
-    /// state, filled at most once per content (every `&mut` method clears it), so it is left
-    /// out of `Clone`, `Debug` and serialization.
+    /// The entries' tuples, built when first asked for; and the rendering
+    /// [`rendered_with`](ProbabilisticAnswer::rendered_with) memoized.  Derived state, filled
+    /// at most once per content (every `&mut` method clears both), so they are left out of
+    /// `Clone` and serialization.
+    #[serde(skip)]
+    tuples: OnceLock<Box<[Tuple]>>,
     #[serde(skip)]
     rendered: OnceLock<Box<str>>,
 }
 
-/// One answer: its tuple, its probability mass, the last `add_distinct` call that added to it,
-/// and the tuple's (masked) [`row_hash`].
+/// One answer: where its row of pool ids lies in `ids`, its probability mass, the last
+/// `add_distinct` call that added to it, and the row's (masked) hash.
 #[derive(Clone, Serialize, Deserialize)]
 struct Entry {
-    tuple: Tuple,
+    start: u32,
+    arity: u32,
     probability: f64,
     stamp: u64,
     #[serde(skip)]
     hash: u64,
 }
 
-impl fmt::Debug for Entry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The hash is keyed per process: leaving it out keeps `Debug` repeatable.
-        f.debug_struct("Entry")
-            .field("tuple", &self.tuple)
-            .field("probability", &self.probability)
-            .field("stamp", &self.stamp)
-            .finish()
-    }
+/// An entry's place in the wire order: its probability, and the ranks of its row's first two
+/// cells packed into one integer.  Only rows that tie on both are compared cell by cell.
+struct SortKey {
+    probability: f64,
+    prefix: u64,
+    entry: u32,
 }
-
-/// An index slot no entry occupies.
-const FREE: u32 = u32::MAX;
 
 impl Default for ProbabilisticAnswer {
     fn default() -> Self {
         ProbabilisticAnswer {
             entries: Vec::new(),
-            index: Vec::new(),
-            hash_mask: u64::MAX,
+            ids: Vec::new(),
+            pool: Pool {
+                values: Vec::new(),
+                hashes: Vec::new(),
+                index: HashIndex::default(),
+                hash_mask: u64::MAX,
+            },
+            index: HashIndex::default(),
+            row_seed: value_hash(&NULL),
             distinct_calls: 0,
             empty_probability: 0.0,
+            tuples: OnceLock::new(),
             rendered: OnceLock::new(),
         }
     }
@@ -274,10 +457,13 @@ impl Clone for ProbabilisticAnswer {
     fn clone(&self) -> Self {
         ProbabilisticAnswer {
             entries: self.entries.clone(),
+            ids: self.ids.clone(),
+            pool: self.pool.clone(),
             index: self.index.clone(),
-            hash_mask: self.hash_mask,
+            row_seed: self.row_seed,
             distinct_calls: self.distinct_calls,
             empty_probability: self.empty_probability,
+            tuples: OnceLock::new(),
             rendered: OnceLock::new(),
         }
     }
@@ -285,8 +471,22 @@ impl Clone for ProbabilisticAnswer {
 
 impl fmt::Debug for ProbabilisticAnswer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// An entry as it reads: its tuple, not where its ids lie or what they hash to (the
+        /// hash is keyed per process — leaving it out keeps `Debug` repeatable).
+        struct Shown<'a>(&'a Tuple, &'a Entry);
+        impl fmt::Debug for Shown<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_struct("Entry")
+                    .field("tuple", self.0)
+                    .field("probability", &self.1.probability)
+                    .field("stamp", &self.1.stamp)
+                    .finish()
+            }
+        }
+        let entries = self.tuples().iter().zip(&self.entries);
+        let entries: Vec<Shown<'_>> = entries.map(|(t, e)| Shown(t, e)).collect();
         f.debug_struct("ProbabilisticAnswer")
-            .field("entries", &self.entries)
+            .field("entries", &entries)
             .field("distinct_calls", &self.distinct_calls)
             .field("empty_probability", &self.empty_probability)
             .finish()
@@ -300,71 +500,85 @@ impl ProbabilisticAnswer {
         ProbabilisticAnswer::default()
     }
 
-    /// An empty answer in which every row hashes alike, so every probe walks one chain and
-    /// only the cell-by-cell comparison tells answers apart.  For tests of that comparison.
+    /// An empty answer in which every value and every row hashes alike, so every probe walks
+    /// one chain and only the comparisons tell values and answers apart.  For tests of those
+    /// comparisons.
     #[doc(hidden)]
     #[must_use]
     pub fn with_colliding_hashes() -> Self {
-        ProbabilisticAnswer {
-            hash_mask: 0,
-            ..ProbabilisticAnswer::default()
-        }
+        let mut answer = ProbabilisticAnswer::default();
+        answer.pool.hash_mask = 0;
+        answer
     }
 
-    /// Where a row with this (masked) hash is, or goes: `Ok(entry)` for the entry `is_match`
-    /// accepts, `Err(slot)` for the free index slot that ends its chain.  The index must have
-    /// a free slot ([`reserve_one`](ProbabilisticAnswer::reserve_one)).
-    fn probe(&self, hash: u64, is_match: impl Fn(&Tuple) -> bool) -> Result<usize, usize> {
-        let mask = self.index.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.index[slot] {
-                FREE => return Err(slot),
-                entry => {
-                    let stored = &self.entries[entry as usize];
-                    if stored.hash == hash && is_match(&stored.tuple) {
-                        return Ok(entry as usize);
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
+    /// Forgets what was derived from the content that is about to change.
+    fn touch(&mut self) {
+        self.tuples.take();
+        self.rendered.take();
     }
 
-    /// Keeps the index at most half full with one more entry in it.
-    fn reserve_one(&mut self) {
-        if (self.entries.len() + 1) * 2 <= self.index.len() {
-            return;
-        }
-        let mask = (self.index.len() * 2).max(16) - 1;
-        self.index.clear();
-        self.index.resize(mask + 1, FREE);
-        for (entry, stored) in self.entries.iter().enumerate() {
-            let mut slot = stored.hash as usize & mask;
-            while self.index[slot] != FREE {
-                slot = (slot + 1) & mask;
-            }
-            self.index[slot] = entry as u32; // `push` let no entry past `u32`
-        }
+    /// The row of pool ids `entry` holds.
+    fn row(&self, entry: &Entry) -> &[u32] {
+        &self.ids[entry.start as usize..][..entry.arity as usize]
     }
 
-    /// Appends an entry whose probe ended at the free `slot`.
-    fn push(&mut self, slot: usize, entry: Entry) {
-        let at = u32::try_from(self.entries.len())
-            .ok()
-            .filter(|&at| at != FREE);
-        self.index[slot] = at.expect("fewer than 2^32 - 1 answers");
-        self.entries.push(entry);
+    /// The (masked) hash of a row of pool ids.
+    fn row_hash(&self, row: &[u32]) -> u64 {
+        let mix = |hash: u64, &id: &u32| {
+            (hash.rotate_left(5) ^ u64::from(id)).wrapping_mul(0x517c_c1b7_2722_0a95)
+        };
+        let hash = row.iter().fold(self.row_seed, mix);
+        // The index reads the low bits; the multiplications pushed the entropy up.
+        (hash ^ (hash >> 32)) & self.pool.hash_mask
     }
 
-    /// The entry holding `tuple`, if any.
-    fn entry_of(&self, tuple: &Tuple) -> Option<&Entry> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let hash = row_hash(tuple.iter()) & self.hash_mask;
-        let found = self.probe(hash, |stored| stored == tuple).ok()?;
+    /// Where `row` is among the entries — `Ok(entry)` — or the free index slot it goes to.
+    fn probe(&self, hash: u64, row: &[u32]) -> Result<usize, usize> {
+        let is_match = |entry: usize| {
+            let stored = &self.entries[entry];
+            stored.hash == hash && self.row(stored) == row
+        };
+        self.index.probe(hash, is_match)
+    }
+
+    /// [`probe`](ProbabilisticAnswer::probe) with room made for the entry a miss will push;
+    /// returns the row's hash too.
+    fn probe_to_add(&mut self, row: &[u32]) -> (u64, Result<usize, usize>) {
+        let entries = &self.entries;
+        self.index
+            .reserve_one(entries.len(), |entry| entries[entry].hash);
+        let hash = self.row_hash(row);
+        (hash, self.probe(hash, row))
+    }
+
+    /// Appends an entry for `row`, whose probe ended at the free `slot`.
+    fn push(&mut self, slot: usize, hash: u64, row: &[u32], probability: f64, stamp: u64) {
+        self.index.occupy(slot, self.entries.len());
+        let end = u32::try_from(self.ids.len() + row.len()).expect("fewer than 2^32 answer cells");
+        let arity = row.len() as u32; // no more than `end`
+        self.entries.push(Entry {
+            start: end - arity,
+            arity,
+            probability,
+            stamp,
+            hash,
+        });
+        self.ids.extend_from_slice(row);
+    }
+
+    /// The entry holding `row`, if any.
+    fn entry_of(&self, row: &[u32]) -> Option<&Entry> {
+        let found = self.probe(self.row_hash(row), row).ok()?;
         Some(&self.entries[found])
+    }
+
+    /// Adds `probability` to the entry holding `row`, or appends one — outside any
+    /// `add_distinct` call, so under no call's stamp.
+    fn add_row(&mut self, row: &[u32], probability: f64) {
+        match self.probe_to_add(row) {
+            (_, Ok(entry)) => self.entries[entry].probability += probability,
+            (hash, Err(slot)) => self.push(slot, hash, row, probability, 0),
+        }
     }
 
     /// Adds `probability` mass to a tuple (summing with any existing mass).
@@ -372,22 +586,9 @@ impl ProbabilisticAnswer {
         if probability <= 0.0 {
             return;
         }
-        self.rendered.take();
-        let hash = row_hash(tuple.iter()) & self.hash_mask;
-        self.reserve_one();
-        match self.probe(hash, |stored| *stored == tuple) {
-            Ok(entry) => self.entries[entry].probability += probability,
-            // Outside any `add_distinct` call: no call's stamp.
-            Err(slot) => self.push(
-                slot,
-                Entry {
-                    tuple,
-                    probability,
-                    stamp: 0,
-                    hash,
-                },
-            ),
-        }
+        self.touch();
+        let row: Vec<u32> = tuple.iter().map(|v| self.pool.intern(v)).collect();
+        self.add_row(&row, probability);
     }
 
     /// Adds every tuple of an iterator with the same probability.
@@ -398,12 +599,12 @@ impl ProbabilisticAnswer {
     }
 
     /// Adds the *distinct* answer tuples of one source-query result with the same probability,
-    /// and returns how many tuples it had to build: the rows no earlier call had produced.
+    /// and returns how many answers it added: the rows no earlier call had produced.
     ///
     /// Within a single mapping a tuple is either in the answer or not — producing it twice does
     /// not make it more likely — so duplicates inside one result contribute the mapping's
     /// probability only once (this mirrors the "remove duplicate tuples" step of the paper's
-    /// Algorithm 4).  One probe per row: a tuple this call has already counted carries the
+    /// Algorithm 4).  One probe per row: an answer this call has already counted carries the
     /// call's stamp.
     pub fn add_distinct(&mut self, rows: AnswerRows<'_>, probability: f64) -> usize {
         self.add_distinct_slices([rows], probability)
@@ -420,34 +621,25 @@ impl ProbabilisticAnswer {
         if probability <= 0.0 {
             return 0;
         }
-        self.rendered.take();
+        self.touch();
         self.distinct_calls += 1;
         let stamp = self.distinct_calls;
         let before = self.entries.len();
+        let mut ids = Vec::new();
         for rows in slices {
-            for (row, hash) in rows.hashes().into_iter().enumerate() {
-                let hash = hash & self.hash_mask;
-                self.reserve_one();
-                match self.probe(hash, |stored| rows.matches(row, stored)) {
-                    Ok(entry) => {
+            rows.intern_into(&mut self.pool, &mut ids);
+            let arity = rows.positions.len();
+            for row in 0..rows.len() {
+                let row = &ids[row * arity..][..arity];
+                match self.probe_to_add(row) {
+                    (_, Ok(entry)) => {
                         let seen = &mut self.entries[entry];
                         if seen.stamp != stamp {
                             seen.probability += probability;
                             seen.stamp = stamp;
                         }
                     }
-                    Err(slot) => {
-                        let tuple = rows.tuple(row);
-                        self.push(
-                            slot,
-                            Entry {
-                                tuple,
-                                probability,
-                                stamp,
-                                hash,
-                            },
-                        );
-                    }
+                    (hash, Err(slot)) => self.push(slot, hash, row, probability, stamp),
                 }
             }
         }
@@ -456,23 +648,30 @@ impl ProbabilisticAnswer {
 
     /// Records that a mapping group with total probability `probability` produced no tuples.
     pub fn add_empty(&mut self, probability: f64) {
-        self.rendered.take();
+        self.touch();
         self.empty_probability += probability.max(0.0);
     }
 
     /// Merges another answer into this one, in the other's insertion order.
     pub fn merge(&mut self, other: &ProbabilisticAnswer) {
-        for (t, p) in other.iter() {
-            self.add(t.clone(), p);
+        self.touch();
+        let pool = &mut self.pool;
+        let ours: Vec<u32> = other.pool.values.iter().map(|v| pool.intern(v)).collect();
+        let mut row = Vec::new();
+        for entry in &other.entries {
+            row.clear();
+            row.extend(other.row(entry).iter().map(|&id| ours[id as usize]));
+            self.add_row(&row, entry.probability);
         }
-        self.rendered.take();
         self.empty_probability += other.empty_probability;
     }
 
     /// The probability of a specific tuple (0 if absent).
     #[must_use]
     pub fn probability_of(&self, tuple: &Tuple) -> f64 {
-        self.entry_of(tuple).map_or(0.0, |e| e.probability)
+        let row: Option<Vec<u32>> = tuple.iter().map(|v| self.pool.find(v)).collect();
+        let entry = row.and_then(|row| self.entry_of(&row));
+        entry.map_or(0.0, |e| e.probability)
     }
 
     /// Probability mass that produced no answer tuples.
@@ -493,28 +692,100 @@ impl ProbabilisticAnswer {
         self.entries.is_empty()
     }
 
-    /// The answers by descending probability (ties broken by tuple order, so the result is
-    /// deterministic), borrowed: the one sort [`sorted`](ProbabilisticAnswer::sorted),
-    /// [`top_k`](ProbabilisticAnswer::top_k) and the wire renderer share.
-    #[must_use]
-    pub fn sorted_refs(&self) -> Vec<(&Tuple, f64)> {
-        let mut v: Vec<(&Tuple, f64)> = self.iter().collect();
-        // Tuples are distinct keys, so the order is total and an unstable sort is exact.
-        v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        v
+    /// The `k` first entries of the wire order — descending probability, ties broken by tuple
+    /// order, so the result is deterministic — by position.  The one order
+    /// [`sorted`](ProbabilisticAnswer::sorted), [`top_k`](ProbabilisticAnswer::top_k) and the
+    /// wire renderer share: the pool's values are ranked once, then integers are sorted; and
+    /// only the `k` best are sorted at all.
+    fn best(&self, k: usize) -> Vec<usize> {
+        let ranks = self.pool.ranks();
+        let rank_row = |entry: u32| {
+            let row = self.row(&self.entries[entry as usize]);
+            row.iter().map(|&id| ranks[id as usize])
+        };
+        let mut keys: Vec<SortKey> = (0u32..)
+            .zip(&self.entries)
+            .map(|(entry, stored)| {
+                // A cell's rank plus one, so that a missing cell sorts before any rank: a
+                // row that is a prefix of another comes first, as it does among tuples.
+                let mut prefix = rank_row(entry).map(|rank| u64::from(rank) + 1);
+                SortKey {
+                    probability: stored.probability,
+                    prefix: (prefix.next().unwrap_or(0) << 32) | prefix.next().unwrap_or(0),
+                    entry,
+                }
+            })
+            .collect();
+        // Rows are distinct keys, so the order is total and unstable sorting is exact.
+        let order = |a: &SortKey, b: &SortKey| -> Ordering {
+            (b.probability.total_cmp(&a.probability))
+                .then(a.prefix.cmp(&b.prefix))
+                .then_with(|| rank_row(a.entry).cmp(rank_row(b.entry)))
+                .then(a.entry.cmp(&b.entry))
+        };
+        if 0 < k && k < keys.len() {
+            keys.select_nth_unstable_by(k - 1, order);
+        }
+        keys.truncate(k);
+        keys.sort_unstable_by(order);
+        keys.into_iter().map(|key| key.entry as usize).collect()
     }
 
-    /// [`sorted_refs`](ProbabilisticAnswer::sorted_refs), owned.
+    /// The values the answer's rows are made of; a row's ids index this slice.
+    #[must_use]
+    pub fn values(&self) -> &[Value] {
+        &self.pool.values
+    }
+
+    /// The answers in wire order (descending probability, ties broken by tuple order) as rows
+    /// of ids into [`values`](ProbabilisticAnswer::values) — nothing built.
+    #[must_use]
+    pub fn sorted_rows(&self) -> Vec<(&[u32], f64)> {
+        let entries = self.best(usize::MAX).into_iter();
+        let entries = entries.map(|entry| &self.entries[entry]);
+        entries.map(|e| (self.row(e), e.probability)).collect()
+    }
+
+    /// Builds the tuple of the entry at `entry`.
+    fn tuple_at(&self, entry: usize) -> Tuple {
+        TUPLES_MATERIALIZED.fetch_add(1, Relaxed);
+        let row = self.row(&self.entries[entry]);
+        row.iter()
+            .map(|&id| self.pool.values[id as usize].clone())
+            .collect()
+    }
+
+    /// Every entry's tuple, in insertion order: built on the first call after construction or
+    /// mutation, borrowed on every later one.
+    fn tuples(&self) -> &[Tuple] {
+        self.tuples
+            .get_or_init(|| (0..self.entries.len()).map(|e| self.tuple_at(e)).collect())
+    }
+
+    /// [`sorted`](ProbabilisticAnswer::sorted), borrowed.
+    #[must_use]
+    pub fn sorted_refs(&self) -> Vec<(&Tuple, f64)> {
+        let tuples = self.tuples();
+        let entries = self.best(usize::MAX).into_iter();
+        entries
+            .map(|e| (&tuples[e], self.entries[e].probability))
+            .collect()
+    }
+
+    /// The answers by descending probability (ties broken by tuple order).
     #[must_use]
     pub fn sorted(&self) -> Vec<(Tuple, f64)> {
         self.top_k(usize::MAX)
     }
 
-    /// The `k` most probable answers (exact semantics a top-k query must reproduce).
+    /// The `k` most probable answers (exact semantics a top-k query must reproduce): `k`
+    /// entries selected and sorted, `k` tuples built.
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<(Tuple, f64)> {
-        let sorted = self.sorted_refs().into_iter().take(k);
-        sorted.map(|(t, p)| (t.clone(), p)).collect()
+        let entries = self.best(k).into_iter();
+        entries
+            .map(|e| (self.tuple_at(e), self.entries[e].probability))
+            .collect()
     }
 
     /// The answer's rendering, memoized: `render` runs on the first call after construction or
@@ -526,21 +797,24 @@ impl ProbabilisticAnswer {
     }
 
     /// Iterates over `(tuple, probability)` pairs in the order the tuples were first added.
+    /// The tuples are built on the first call (see the [module docs](self)).
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, f64)> {
-        self.entries.iter().map(|e| (&e.tuple, e.probability))
+        let probabilities = self.entries.iter().map(|e| e.probability);
+        self.tuples().iter().zip(probabilities)
     }
 
     /// The maximum probability of any answer tuple.
     #[must_use]
     pub fn max_probability(&self) -> f64 {
-        self.iter().map(|(_, p)| p).fold(0.0, f64::max)
+        let probabilities = self.entries.iter().map(|e| e.probability);
+        probabilities.fold(0.0, f64::max)
     }
 
     /// Total probability mass assigned to answers (can exceed 1: a single mapping may produce
     /// many tuples, each inheriting the full mapping probability), summed in insertion order.
     #[must_use]
     pub fn total_mass(&self) -> f64 {
-        self.iter().map(|(_, p)| p).sum()
+        self.entries.iter().map(|e| e.probability).sum()
     }
 
     /// Checks equality with another answer up to a probability tolerance; used by the tests
@@ -550,10 +824,13 @@ impl ProbabilisticAnswer {
         if self.entries.len() != other.entries.len() {
             return false;
         }
-        self.iter().all(|(t, p)| {
-            other
-                .entry_of(t)
-                .is_some_and(|q| (p - q.probability).abs() <= tolerance)
+        // Our pool ids as the other's, where it holds the value at all.
+        let theirs: Vec<Option<u32>> = self.values().iter().map(|v| other.pool.find(v)).collect();
+        self.entries.iter().all(|entry| {
+            let row = self.row(entry).iter().map(|&id| theirs[id as usize]);
+            let row: Option<Vec<u32>> = row.collect();
+            let found = row.and_then(|row| other.entry_of(&row));
+            found.is_some_and(|q| (entry.probability - q.probability).abs() <= tolerance)
         })
     }
 }
@@ -600,8 +877,8 @@ mod tests {
     #[test]
     fn add_distinct_counts_each_calls_mass_once_per_call() {
         let mut ans = ProbabilisticAnswer::new();
-        let built = ans.add_distinct(rows(&[t("a"), t("b"), t("a"), t("a")]), 0.3);
-        assert_eq!(built, 2, "a tuple is built on a miss only");
+        let added = ans.add_distinct(rows(&[t("a"), t("b"), t("a"), t("a")]), 0.3);
+        assert_eq!(added, 2, "an answer is added on a miss only");
         assert_eq!(ans.add_distinct(rows(&[t("b"), t("c"), t("b")]), 0.2), 1);
         assert_eq!(ans.add_distinct(rows(&[t("a"), t("a")]), 0.0), 0);
         assert_eq!(ans.len(), 3);
@@ -615,6 +892,48 @@ mod tests {
         // Insertion order, whatever the hashes were.
         let order: Vec<&Tuple> = ans.iter().map(|(t, _)| t).collect();
         assert_eq!(order, [&t("a"), &t("b"), &t("c")]);
+    }
+
+    #[test]
+    fn values_are_pooled_by_value_equality_across_cells_and_calls() {
+        let pair = |a: Value, b: Value| Tuple::new(vec![a, b]);
+        for mut ans in [
+            ProbabilisticAnswer::new(),
+            ProbabilisticAnswer::with_colliding_hashes(),
+        ] {
+            ans.add(pair(Value::from(1i64), Value::from("x")), 0.25);
+            // `Float 1.0` is the `Int 1` the pool holds; "1" and NULL are neither.
+            ans.add_distinct(
+                rows(&[
+                    pair(Value::Float(1.0), Value::from("x")),
+                    pair(Value::from("x"), Value::Float(1.0)),
+                    pair(Value::from("1"), Value::Null),
+                ]),
+                0.5,
+            );
+            assert_eq!(ans.len(), 3);
+            assert_eq!(
+                ans.values().len(),
+                4,
+                "1, x, \"1\", NULL: {:?}",
+                ans.values()
+            );
+            assert_eq!(
+                ans.probability_of(&pair(Value::from(1i64), Value::from("x"))),
+                0.75
+            );
+            // A value keeps the spelling the answer first read it with.
+            let second = ans.iter().nth(1).unwrap().0.clone();
+            assert!(matches!(second.values()[1], Value::Int(1)));
+            // Signed zeros and differently signed NaNs are different values, as in `Value`.
+            for f in [0.0, -0.0, f64::NAN, -f64::NAN] {
+                ans.add(pair(Value::Float(f), Value::Null), 0.5);
+            }
+            assert_eq!(ans.len(), 7);
+            let absent = pair(Value::from("y"), Value::from("x"));
+            assert_eq!(ans.probability_of(&absent), 0.0);
+            assert_eq!(ans.probability_of(&Tuple::new(vec![Value::from("x")])), 0.0);
+        }
     }
 
     #[test]
@@ -649,6 +968,69 @@ mod tests {
     }
 
     #[test]
+    fn the_order_is_that_of_probability_then_tuple_pairs() {
+        // Ties on probability at every arity, rows that are prefixes of other rows, values of
+        // every variant (ranked across variants), `Int`/`Float` twins, rows that tie on their
+        // first two cells.
+        let values = [
+            Value::Null,
+            Value::from(true),
+            Value::from(-2i64),
+            Value::Float(-0.0),
+            Value::Float(0.5),
+            Value::from(7i64),
+            Value::Float(7.0),
+            Value::Float(f64::NAN),
+            Value::from(""),
+            Value::from("a"),
+            Value::from("b"),
+        ];
+        let mut ans = ProbabilisticAnswer::new();
+        let mut pick = 0usize;
+        for n in 0..120usize {
+            let arity = n % 4;
+            let cells = (0..arity).map(|cell| {
+                pick = pick.wrapping_mul(31).wrapping_add(7 + cell + n);
+                // Long rows share their first two cells.
+                values[if arity == 3 && cell < 2 {
+                    cell
+                } else {
+                    pick % values.len()
+                }]
+                .clone()
+            });
+            ans.add(cells.collect(), [0.5, 0.25, 0.25, 1.0][n % 4]);
+        }
+        let mut want: Vec<(Tuple, f64)> = ans.iter().map(|(t, p)| (t.clone(), p)).collect();
+        want.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let len = want.len();
+        assert!(len > 40, "{len} distinct rows");
+        assert_eq!(ans.sorted(), want);
+        let refs: Vec<(Tuple, f64)> = ans
+            .sorted_refs()
+            .into_iter()
+            .map(|(t, p)| (t.clone(), p))
+            .collect();
+        assert_eq!(refs, want);
+        let rows: Vec<(Tuple, f64)> = ans
+            .sorted_rows()
+            .into_iter()
+            .map(|(row, p)| {
+                (
+                    row.iter()
+                        .map(|&id| ans.values()[id as usize].clone())
+                        .collect(),
+                    p,
+                )
+            })
+            .collect();
+        assert_eq!(rows, want);
+        for k in [0, 1, len / 2, len, len + 1] {
+            assert_eq!(ans.top_k(k), want[..k.min(len)], "k = {k}");
+        }
+    }
+
+    #[test]
     fn rendering_is_memoized_until_the_answer_changes() {
         let render = |a: &ProbabilisticAnswer| format!("{} / {}", a.len(), a.empty_probability());
         let never = |_: &ProbabilisticAnswer| unreachable!("already rendered");
@@ -671,6 +1053,31 @@ mod tests {
         ans.merge(&other);
         assert_eq!(ans.rendered_with(render), "4 / 0.5");
         assert_eq!(ans.rendered_with(never), "4 / 0.5");
+    }
+
+    #[test]
+    fn built_tuples_follow_the_answer_as_it_changes() {
+        let mut ans = ProbabilisticAnswer::new();
+        ans.add(t("a"), 0.5);
+        let first: Vec<Tuple> = ans.iter().map(|(t, _)| t.clone()).collect();
+        assert_eq!(first, [t("a")]);
+        // The same tuples on every call, until a `&mut` method changes the content.
+        assert!(std::ptr::eq(
+            ans.iter().next().unwrap().0,
+            ans.tuples().as_ptr()
+        ));
+        ans.add_distinct(rows(&[t("b")]), 0.25);
+        let mut other = ProbabilisticAnswer::new();
+        other.add(t("c"), 0.25);
+        other.add(t("a"), 0.25);
+        ans.merge(&other);
+        let then: Vec<(Tuple, f64)> = ans.iter().map(|(t, p)| (t.clone(), p)).collect();
+        assert_eq!(then, [(t("a"), 0.75), (t("b"), 0.25), (t("c"), 0.25)]);
+        let shown = format!("{:?}", ans.clone());
+        assert_eq!(shown, format!("{ans:?}"));
+        assert!(shown.contains(
+            "Entry { tuple: Tuple { values: [Text(\"b\")] }, probability: 0.25, stamp: 1 }"
+        ));
     }
 
     #[test]

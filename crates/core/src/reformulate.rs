@@ -25,11 +25,12 @@
 //! bit.
 //!
 //! The last step is shared too.  [`extract_answers`] resolves an [`Extraction`] against a
-//! result and hands back its rows *unbuilt* ([`AnswerRows`]); [`aggregate`] probes a
-//! [`ProbabilisticAnswer`] with them, and a tuple is built only for a row the answer does not
-//! hold yet (see [`crate::answer`]).  No second de-duplication happens here: a root that is
-//! already a set, a bag-valued o-sharing leaf and the per-shard slices of a scattered root are
-//! all counted once per call by the answer's own stamp.
+//! result and hands back its rows *unbuilt* ([`AnswerRows`]); [`aggregate`] interns their
+//! cells into the [`ProbabilisticAnswer`]'s own value pool and probes it with rows of pool
+//! ids — no tuple is built, then or when the answer is ranked and rendered (see
+//! [`crate::answer`]).  No second de-duplication happens here: a root that is already a set, a
+//! bag-valued o-sharing leaf and the per-shard slices of a scattered root are all counted once
+//! per call by the answer's own stamp.
 
 use crate::answer::{AnswerRows, ProbabilisticAnswer};
 use crate::partition::partition_mappings;
@@ -369,10 +370,10 @@ pub fn reformulate(
 }
 
 /// The rows of one source-query result as answer tuples, resolved against the result's schema
-/// and *not built*: [`ProbabilisticAnswer::add_distinct`] probes with each row where it lies
-/// and builds a [`Tuple`](urm_storage::Tuple) only for a row no earlier source query produced
-/// (see [`crate::answer`]).  Nothing is de-duplicated here, and the result itself is never
-/// changed — it stays the relation the engine caches.
+/// and *not built*: [`ProbabilisticAnswer::add_distinct`] reads each row's cells where they lie,
+/// as ids of the answer's value pool, and keeps the ids of a row no earlier source query
+/// produced (see [`crate::answer`]).  Nothing is de-duplicated here, and the result itself is
+/// never changed — it stays the relation the engine caches.
 #[must_use]
 pub fn extract_answers<'r>(result: &'r Relation, extraction: &Extraction) -> AnswerRows<'r> {
     let schema = result.schema();
@@ -402,7 +403,7 @@ pub fn extract_answers<'r>(result: &'r Relation, extraction: &Extraction) -> Ans
 /// still counts once, because the slices are probed under one stamp.  Every algorithm
 /// aggregates through here, so they cannot drift apart.
 ///
-/// Returns the rows probed and the tuples built (the rows that were new to `answer`).
+/// Returns the rows probed and the answers added (the rows that were new to `answer`).
 pub fn aggregate<'r>(
     answer: &mut ProbabilisticAnswer,
     slices: impl IntoIterator<Item = &'r Relation>,
@@ -414,8 +415,8 @@ pub fn aggregate<'r>(
         rows += slice.len();
         extract_answers(slice, extraction)
     });
-    let built = answer.add_distinct_slices(slices, probability);
-    (rows, built)
+    let added = answer.add_distinct_slices(slices, probability);
+    (rows, added)
 }
 
 #[cfg(test)]
@@ -545,7 +546,7 @@ mod tests {
         // The aggregate step finds the same two, off the view and off the rows in one call.
         let mut aggregated = ProbabilisticAnswer::new();
         let probed = aggregate(&mut aggregated, [&result, &rows], &extraction, 0.5);
-        assert_eq!(probed, (6, 2), "six rows probed, two tuples built");
+        assert_eq!(probed, (6, 2), "six rows probed, two answers added");
         let got: Vec<(&Tuple, f64)> = aggregated.iter().collect();
         assert_eq!(got, [(&answer("aaa"), 0.5), (&answer("bbb"), 0.5)]);
         // `Raw` reads whole rows, and is distinct over them.

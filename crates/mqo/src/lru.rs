@@ -14,24 +14,13 @@ use urm_storage::RecencyIndex;
 struct Slot<V> {
     value: V,
     last_used: u64,
-    /// The entry's eviction weight: 1 for count-capacity caches, a byte estimate for
-    /// byte-budgeted ones (see [`LruCache::with_byte_budget`]).
-    weight: usize,
 }
 
-/// A bounded `HashMap` that evicts the least-recently-used entry on overflow.
-///
-/// Two bounding modes: a count capacity (at most `capacity` entries) and a *weight* budget
-/// ([`with_byte_budget`](LruCache::with_byte_budget)) where each entry carries a caller-supplied
-/// weight — the byte accounting the spill-aware caches use.  A capacity of `None` with no
-/// budget means unbounded. [`get`](LruCache::get) counts as a use.
+/// A `HashMap` of at most `capacity` entries that evicts the least-recently-used one on
+/// overflow.  [`get`](LruCache::get) counts as a use.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    capacity: Option<usize>,
-    /// Maximum total entry weight (`None` = no weight bound).
-    weight_budget: Option<usize>,
-    /// Sum of resident entry weights.
-    total_weight: usize,
+    capacity: usize,
     slots: HashMap<Arc<K>, Slot<V>>,
     /// The shared LRU machinery ([`RecencyIndex`], also behind the spill pool and the epoch
     /// pin LRU); the key is `Arc`-shared with the slot table, so no operation deep-copies it.
@@ -42,28 +31,11 @@ pub struct LruCache<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// An unbounded cache (never evicts).
-    #[must_use]
-    pub fn unbounded() -> Self {
-        LruCache {
-            capacity: None,
-            weight_budget: None,
-            total_weight: 0,
-            slots: HashMap::new(),
-            recency: RecencyIndex::new(),
-            evictions: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
     /// A cache holding at most `capacity` entries (at least 1).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         LruCache {
-            capacity: Some(capacity.max(1)),
-            weight_budget: None,
-            total_weight: 0,
+            capacity: capacity.max(1),
             slots: HashMap::new(),
             recency: RecencyIndex::new(),
             evictions: 0,
@@ -72,34 +44,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// A cache bounded by total entry *weight* instead of entry count: insert with
-    /// [`insert_weighted`](LruCache::insert_weighted) (typically a byte estimate) and the
-    /// least-recently-used entries are evicted until the total weight fits `budget` again.
-    /// The spill-aware shared-plan cache sizes its materialised sub-plans this way.
+    /// The configured capacity.
     #[must_use]
-    pub fn with_byte_budget(budget: usize) -> Self {
-        LruCache {
-            weight_budget: Some(budget),
-            ..LruCache::unbounded()
-        }
-    }
-
-    /// The configured capacity (`None` when unbounded).
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
+    pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The configured weight budget (`None` when the cache is count-bounded or unbounded).
-    #[must_use]
-    pub fn weight_budget(&self) -> Option<usize> {
-        self.weight_budget
-    }
-
-    /// Sum of the weights of every resident entry (entry count for plain `insert`).
-    #[must_use]
-    pub fn total_weight(&self) -> usize {
-        self.total_weight
     }
 
     /// Number of resident entries.
@@ -169,65 +117,28 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some(&slot.value)
     }
 
-    /// Inserts `key → value` as the most recent entry (weight 1), evicting the
-    /// least-recently-used entry when that would exceed the capacity.  Returns the first
-    /// evicted key, if any.
+    /// Inserts `key → value` as the most recent entry, evicting the least-recently-used entry
+    /// when that would exceed the capacity.  Returns the evicted key, if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<K> {
-        self.insert_weighted(key, value, 1).into_iter().next()
-    }
-
-    /// Inserts `key → value` as the most recent entry carrying `weight`, evicting
-    /// least-recently-used entries while the count capacity or the weight budget is exceeded.
-    /// Returns every evicted key (a heavy insert into a byte-budgeted cache can displace
-    /// several light entries; an entry heavier than the whole budget is admitted and then
-    /// immediately evicted itself — the cache never rejects, it recomputes).
-    pub fn insert_weighted(&mut self, key: K, value: V, weight: usize) -> Vec<K> {
         if let Some(slot) = self.slots.get_mut(&key) {
-            // Overwrite in place: refresh recency and weight, then rebalance.
-            self.total_weight = self.total_weight - slot.weight + weight;
+            // Overwrite in place: nothing is added, so nothing is evicted.
             slot.value = value;
-            slot.weight = weight;
             self.recency.refresh(&mut slot.last_used);
-            return self.evict_to_bounds();
+            return None;
         }
-
         let shared = Arc::new(key);
         let last_used = self.recency.insert_fresh(Arc::clone(&shared));
-        self.slots.insert(
-            shared,
-            Slot {
-                value,
-                last_used,
-                weight,
-            },
-        );
-        self.total_weight += weight;
-        self.evict_to_bounds()
-    }
-
-    /// Evicts oldest-first until both the count capacity and the weight budget hold.
-    fn evict_to_bounds(&mut self) -> Vec<K> {
-        let mut evicted = Vec::new();
-        loop {
-            let over_capacity = matches!(self.capacity, Some(cap) if self.slots.len() > cap);
-            let over_weight =
-                matches!(self.weight_budget, Some(budget) if self.total_weight > budget);
-            if !over_capacity && !over_weight {
-                return evicted;
-            }
-            // Oldest stamp = least-recently-used; every indexed stamp is current here because
-            // the cache evicts stamps eagerly.  (With a weight budget the newest entry can
-            // itself be the last one standing and still overweight; it is evicted like any
-            // other, leaving the cache empty.)
-            let Some(victim) = self.recency.pop_oldest(|_, _| true) else {
-                return evicted;
-            };
-            let slot = self.slots.remove(&victim).expect("slot for recency entry");
-            self.total_weight -= slot.weight;
-            self.evictions += 1;
-            // Both owners (slot table + recency index) are gone, so this is a move, not a copy.
-            evicted.push(Arc::try_unwrap(victim).unwrap_or_else(|shared| (*shared).clone()));
+        self.slots.insert(shared, Slot { value, last_used });
+        if self.slots.len() <= self.capacity {
+            return None;
         }
+        // Oldest stamp = least-recently-used; every indexed stamp is current here because the
+        // cache evicts stamps eagerly.
+        let victim = self.recency.pop_oldest(|_, _| true)?;
+        self.slots.remove(&victim).expect("slot for recency entry");
+        self.evictions += 1;
+        // Both owners (slot table + recency index) are gone, so this is a move, not a copy.
+        Some(Arc::try_unwrap(victim).unwrap_or_else(|shared| (*shared).clone()))
     }
 }
 
@@ -238,7 +149,7 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut cache = LruCache::with_capacity(2);
-        assert_eq!(cache.capacity(), Some(2));
+        assert_eq!(cache.capacity(), 2);
         cache.insert("a", 1);
         cache.insert("b", 2);
         // Touch "a" so "b" becomes the LRU entry.
@@ -273,20 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_never_evicts() {
-        let mut cache = LruCache::unbounded();
-        for i in 0..1000 {
-            assert_eq!(cache.insert(i, i), None);
-        }
-        assert_eq!(cache.len(), 1000);
-        assert_eq!(cache.capacity(), None);
-        assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
     fn capacity_is_at_least_one() {
         let mut cache = LruCache::with_capacity(0);
-        assert_eq!(cache.capacity(), Some(1));
+        assert_eq!(cache.capacity(), 1);
         cache.insert(1, 1);
         cache.insert(2, 2);
         assert_eq!(cache.len(), 1);
@@ -339,7 +239,7 @@ mod tests {
     #[test]
     fn capacity_zero_clamps_to_one_and_still_counts() {
         let mut cache = LruCache::with_capacity(0);
-        assert_eq!(cache.capacity(), Some(1), "capacity 0 is clamped to 1");
+        assert_eq!(cache.capacity(), 1, "capacity 0 is clamped to 1");
         assert_eq!(cache.get(&"a"), None);
         cache.insert("a", 1);
         assert_eq!(cache.get(&"a"), Some(&1));
@@ -352,56 +252,6 @@ mod tests {
         // Overwriting the sole resident is still not an eviction.
         assert_eq!(cache.insert("c", 30), None);
         assert_eq!(cache.get(&"c"), Some(&30));
-    }
-
-    #[test]
-    fn weight_budget_evicts_by_bytes_not_count() {
-        let mut cache = LruCache::with_byte_budget(100);
-        assert_eq!(cache.weight_budget(), Some(100));
-        assert_eq!(cache.capacity(), None);
-        assert!(cache.insert_weighted("a", 1, 40).is_empty());
-        assert!(cache.insert_weighted("b", 2, 40).is_empty());
-        assert_eq!(cache.total_weight(), 80);
-        // 40 more bytes exceed the budget: the LRU entry goes, however many entries reside.
-        assert_eq!(cache.insert_weighted("c", 3, 40), vec!["a"]);
-        assert_eq!(cache.total_weight(), 80);
-        // A heavy insert displaces *several* light entries at once.
-        assert_eq!(cache.insert_weighted("d", 4, 90), vec!["b", "c"]);
-        assert_eq!(cache.total_weight(), 90);
-        assert_eq!(cache.evictions(), 3);
-    }
-
-    #[test]
-    fn entry_heavier_than_the_budget_is_evicted_immediately() {
-        let mut cache = LruCache::with_byte_budget(10);
-        let evicted = cache.insert_weighted("huge", 1, 1000);
-        assert_eq!(evicted, vec!["huge"]);
-        assert!(cache.is_empty());
-        assert_eq!(cache.total_weight(), 0);
-        // The cache still works for entries that do fit.
-        assert!(cache.insert_weighted("small", 2, 5).is_empty());
-        assert_eq!(cache.get(&"small"), Some(&2));
-    }
-
-    #[test]
-    fn weighted_overwrite_rebalances_weight() {
-        let mut cache = LruCache::with_byte_budget(100);
-        cache.insert_weighted("a", 1, 30);
-        cache.insert_weighted("b", 2, 30);
-        // Growing `a` past the budget evicts `b` (the LRU entry), not `a` itself.
-        assert_eq!(cache.insert_weighted("a", 10, 90), vec!["b"]);
-        assert_eq!(cache.get(&"a"), Some(&10));
-        assert_eq!(cache.total_weight(), 90);
-    }
-
-    #[test]
-    fn weighted_gets_refresh_recency_like_plain_ones() {
-        let mut cache = LruCache::with_byte_budget(100);
-        cache.insert_weighted("a", 1, 40);
-        cache.insert_weighted("b", 2, 40);
-        assert_eq!(cache.get(&"a"), Some(&1)); // b is now least recent
-        assert_eq!(cache.insert_weighted("c", 3, 40), vec!["b"]);
-        assert!(cache.contains(&"a") && cache.contains(&"c"));
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! `sel:N`, `prod:N`, `join:N`, `scale:N` — see [`urm_datagen::replay`]), so a workload file
 //! replayed over HTTP and one replayed in-process by `urm-cli` are the *same* request stream.
 //! Answers render through one deterministic function ([`write_answer`]): tuples in
-//! [`ProbabilisticAnswer::sorted_refs`] order, probabilities in shortest-round-trip form — two
+//! [`ProbabilisticAnswer::sorted_rows`] order, probabilities in shortest-round-trip form — two
 //! equal answers always produce byte-identical documents, which is what the `http_bench`
-//! HTTP-vs-in-process identity assertion compares.
+//! HTTP-vs-in-process identity assertion compares.  The renderer never sees a `Tuple`: an
+//! answer is rows of ids over its own pool of distinct values, so each *value* is formatted
+//! and escaped once, into a fragment, and a tuple is its fragments copied between `(`, `, `
+//! and `)`.
 //!
 //! An epoch is immutable, so an answer's rendering is a pure function of the shared
 //! `Arc<ProbabilisticAnswer>` the answer cache, in-batch dedup and every response alias.  The
@@ -16,7 +19,7 @@
 //! bytes that already exist.
 
 use crate::json::{write_number, write_string, Escaped, Json};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use urm_core::ProbabilisticAnswer;
 use urm_datagen::replay::{parse_spec, WorkloadEntry};
@@ -32,8 +35,8 @@ pub fn parse_query_spec(spec: &str) -> Result<WorkloadEntry, String> {
 /// {"label":"Q1","tuples":[["(123)",0.5],["(456)",0.3]],"empty_probability":0.2}
 /// ```
 ///
-/// Tuples are rendered with their `Display` form (probability-descending, ties broken by tuple
-/// order — [`ProbabilisticAnswer::sorted_refs`]), so equal answers render byte-identically no
+/// Tuples are rendered in their `Display` form (probability-descending, ties broken by tuple
+/// order — [`ProbabilisticAnswer::sorted_rows`]), so equal answers render byte-identically no
 /// matter which path produced them.  Every answer byte the server, [`answer_json`] and the
 /// benches emit comes from here.
 pub fn write_answer(out: &mut String, label: &str, answer: &ProbabilisticAnswer) {
@@ -62,31 +65,71 @@ pub fn full_renders() -> u64 {
 
 static FULL_RENDERS: AtomicU64 = AtomicU64::new(0);
 
-/// The memoized part of the document: `"tuples":[…],"empty_probability":…`, written straight
-/// into one buffer — sorted references, no `Tuple` clone, no per-tuple `String`, no tree.
-/// The tuples arrive sorted by probability and a probability is a sum over a handful of source
-/// queries, so it takes few distinct values in long runs: each run's number is formatted once.
+/// The memoized part of the document: `"tuples":[…],"empty_probability":…`, written from the
+/// answer's rows of value ids into one exactly-sized buffer — no `Tuple`, no per-tuple
+/// `String`, no tree.  Each of the answer's distinct values is formatted and escaped **once**,
+/// into a fragment; the document is written twice, first into a counter and then into the
+/// buffer that count allocates, so a full render makes one allocation however large it is.
 fn render_unlabelled(answer: &ProbabilisticAnswer) -> String {
     FULL_RENDERS.fetch_add(1, Ordering::Relaxed);
-    let mut out = String::with_capacity(64 + 32 * answer.len());
     let infallible = "writing to a String cannot fail";
-    out.push_str("\"tuples\":[");
+    // The fragment of value `id` is `fragments[bounds[id]..bounds[id + 1]]`.
+    let (mut fragments, mut bounds) = (String::new(), vec![0]);
+    for value in answer.values() {
+        write!(Escaped(&mut fragments), "{value}").expect(infallible);
+        bounds.push(fragments.len());
+    }
+    let fragment = |id: u32| &fragments[bounds[id as usize]..bounds[id as usize + 1]];
+    let rows = answer.sorted_rows();
+    let empty_probability = answer.empty_probability();
+    let mut len = Measure(0);
+    write_unlabelled(&mut len, &rows, fragment, empty_probability).expect(infallible);
+    let mut out = String::with_capacity(len.0);
+    write_unlabelled(&mut out, &rows, fragment, empty_probability).expect(infallible);
+    debug_assert_eq!(out.len(), len.0, "the one allocation was sized exactly");
+    out
+}
+
+/// Counts the bytes written to it.
+struct Measure(usize);
+
+impl fmt::Write for Measure {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// Writes sorted `rows` as `["(` fragments joined by `, ` `)",` probability `]`s.  The rows
+/// arrive sorted by probability and a probability is a sum over a handful of source queries,
+/// so it takes few distinct values in long runs: each run's number is formatted once.
+fn write_unlabelled<'f>(
+    out: &mut impl fmt::Write,
+    rows: &[(&[u32], f64)],
+    fragment: impl Fn(u32) -> &'f str,
+    empty_probability: f64,
+) -> fmt::Result {
+    out.write_str("\"tuples\":[")?;
     let (mut run_bits, mut run_number) = (None, String::new());
-    for (i, (tuple, probability)) in answer.sorted_refs().into_iter().enumerate() {
-        out.push_str(if i > 0 { ",[\"" } else { "[\"" });
-        write!(Escaped(&mut out), "{tuple}").expect(infallible);
-        out.push_str("\",");
+    for (i, (row, probability)) in rows.iter().enumerate() {
+        out.write_str(if i > 0 { ",[\"(" } else { "[\"(" })?;
+        for (cell, &id) in row.iter().enumerate() {
+            if cell > 0 {
+                out.write_str(", ")?;
+            }
+            out.write_str(fragment(id))?;
+        }
+        out.write_str(")\",")?;
         if run_bits != Some(probability.to_bits()) {
             run_bits = Some(probability.to_bits());
             run_number.clear();
-            write_number(&mut run_number, probability).expect(infallible);
+            write_number(&mut run_number, *probability)?;
         }
-        out.push_str(&run_number);
-        out.push(']');
+        out.write_str(&run_number)?;
+        out.write_str("]")?;
     }
-    out.push_str("],\"empty_probability\":");
-    write_number(&mut out, answer.empty_probability()).expect(infallible);
-    out
+    out.write_str("],\"empty_probability\":")?;
+    write_number(out, empty_probability)
 }
 
 #[cfg(test)]
@@ -99,6 +142,40 @@ mod tests {
         assert_eq!(parse_query_spec(" Q4 ").unwrap().label, "Q4");
         assert_eq!(parse_query_spec("sel:2").unwrap().label, "sel:2");
         assert!(parse_query_spec("Q99").is_err());
+    }
+
+    #[test]
+    fn a_large_answer_is_rendered_into_one_exactly_sized_allocation() {
+        // The benchmark's largest answers: a 40 × 60 product of short strings, two
+        // probabilities — plus values that need escaping, a NULL and a shorter row.
+        let mut answer = ProbabilisticAnswer::new();
+        for left in 0..40 {
+            for right in 0..60 {
+                let tuple = [format!("left \"{left:02}\\"), format!("right {right:03}\n")];
+                let probability = if (left + right) % 3 == 0 { 0.75 } else { 0.25 };
+                answer.add(tuple.into_iter().map(Value::from).collect(), probability);
+            }
+        }
+        answer.add(Tuple::new(vec![Value::Null]), 0.1 + 0.2);
+        answer.add(Tuple::empty(), 1e-7);
+        assert_eq!(answer.len(), 2402);
+        let rendered = render_unlabelled(&answer);
+        assert_eq!(
+            rendered.capacity(),
+            rendered.len(),
+            "reserved once, never grown"
+        );
+        // The same bytes the tuples' own `Display` gives, escaped whole.
+        let mut expected = String::from("\"tuples\":[");
+        for (i, (tuple, probability)) in answer.sorted().into_iter().enumerate() {
+            expected.push_str(if i > 0 { ",[" } else { "[" });
+            write_string(&mut expected, &tuple.to_string()).unwrap();
+            expected.push(',');
+            write_number(&mut expected, probability).unwrap();
+            expected.push(']');
+        }
+        expected.push_str("],\"empty_probability\":0.0");
+        assert_eq!(rendered, expected);
     }
 
     #[test]

@@ -1,19 +1,31 @@
 //! Property tests: the direct answer renderer against the tree-building one it replaced.
 //!
-//! [`write_answer`] writes an answer's document straight into a buffer — sorted references, an
-//! escaping `fmt::Write` adaptor, a memo for the label-independent part.  The reference here is
-//! the renderer the server used before: build a [`Json`] tree (one `String` per tuple, cloned
-//! and sorted by [`ProbabilisticAnswer::sorted`]) and print it character by character.  The
-//! two must agree byte for byte — the e2e benchmark and `http_bench` compare bytes — over text
-//! that needs every kind of escape, over probabilities in every `f64` shape, and over labels
-//! that need escaping themselves; and what is rendered must parse back to itself.
+//! [`write_answer`] writes an answer's document straight into a buffer — rows of value ids in
+//! rank order, one escaped fragment per distinct value, a memo for the label-independent part.
+//! The reference here is the renderer the server used before, and shares none of that: take
+//! the answer's `(tuple, probability)` pairs, sort them *here* by probability and then by the
+//! tuples' own order, build a [`Json`] tree (one `String` per tuple, through `Display`) and
+//! print it character by character.  The two must agree byte for byte — the e2e benchmark and
+//! `http_bench` compare bytes — over text that needs every kind of escape, over probabilities
+//! in every `f64` shape, and over labels that need escaping themselves; and what is rendered
+//! must parse back to itself.
+//!
+//! The answers are built the way the server's are — `add_distinct` over late-materialized
+//! results and over row results, each call reading its own base columns (its own
+//! dictionaries, its own codes) through its own extraction — and through plain `add`, mixed:
+//! `Int`/`Float` twins, `-0.0` and NaN, NULL cells and uncovered positions, rows of different
+//! arities in one answer; half of them with every hash forced equal.
 
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::sync::Arc;
+use urm_core::reformulate::{extract_answers, Extraction};
 use urm_core::ProbabilisticAnswer;
 use urm_server::wire::{answer_json, write_answer};
 use urm_server::Json;
-use urm_storage::{Tuple, Value};
+use urm_storage::{
+    Attribute, ColumnView, ColumnarRelation, DataType, Relation, Schema, Tuple, Value,
+};
 
 /// Text with quotes, backslashes, every control-character class, multi-byte UTF-8 (two, three
 /// and four bytes), DEL (not escaped), and nothing at all.
@@ -51,19 +63,54 @@ fn value(rng: &mut TestRng) -> Value {
     match rng.index(6) {
         0 => Value::Null,
         1 => Value::from(rng.index(5) as i64 - 2),
-        2 => Value::Float([-0.0, 0.5, f64::NAN, 1e21][rng.index(4)]),
+        // `1.0` and `-2.0` are the `Int`s of the arm above, spelled otherwise.
+        2 => Value::Float([-0.0, 0.5, f64::NAN, 1e21, 1.0, -2.0][rng.index(6)]),
         3 => Value::from(rng.index(2) == 0),
         _ => Value::from(TEXTS[rng.index(TEXTS.len())]),
     }
 }
 
-/// Up to a dozen tuples of up to three values (so tuples collide and probabilities add up),
-/// sometimes none at all, with or without empty mass — including a `-0.0` one.
+/// One source-query result of up to six rows over up to three columns, aggregated into
+/// `answer` through an extraction of its own — columns in any order, repeated, left uncovered,
+/// or the whole row — off a late-materialized view of it or off its rows.  Every call converts
+/// its own relation, so a string two calls share has two dictionaries and two codes.
+fn add_result(rng: &mut TestRng, answer: &mut ProbabilisticAnswer) {
+    let width = 1 + rng.index(3);
+    let attributes = (0..width).map(|c| Attribute::new(format!("c{c}"), DataType::Null));
+    let schema = Schema::new("R", attributes.collect());
+    let rows = (0..rng.index(7)).map(|_| (0..width).map(|_| value(rng)).collect());
+    let mut result = Relation::from_validated(schema.clone(), rows.collect());
+    if rng.index(2) == 0 {
+        let columns = ColumnarRelation::from_relation(&result);
+        result = Relation::from_view(schema, ColumnView::from_base(Arc::new(columns)));
+    }
+    let extraction = match rng.index(4) {
+        0 => Extraction::Raw,
+        _ => Extraction::Columns(
+            (0..rng.index(4))
+                .map(|_| (rng.index(4) > 0).then(|| format!("c{}", rng.index(width))))
+                .collect(),
+        ),
+    };
+    let probability = PROBABILITIES[rng.index(PROBABILITIES.len())];
+    answer.add_distinct(extract_answers(&result, &extraction), probability);
+}
+
+/// Up to a dozen additions — a tuple of up to three values, or a whole result — so that
+/// tuples collide and probabilities add up; sometimes none at all, with or without empty
+/// mass, including a `-0.0` one.
 fn answer(rng: &mut TestRng) -> ProbabilisticAnswer {
-    let mut answer = ProbabilisticAnswer::new();
+    let mut answer = match rng.index(2) {
+        0 => ProbabilisticAnswer::new(),
+        _ => ProbabilisticAnswer::with_colliding_hashes(),
+    };
     for _ in 0..rng.index(13) {
-        let tuple: Tuple = (0..rng.index(4)).map(|_| value(rng)).collect();
-        answer.add(tuple, PROBABILITIES[rng.index(PROBABILITIES.len())]);
+        if rng.index(2) == 0 {
+            add_result(rng, &mut answer);
+        } else {
+            let tuple: Tuple = (0..rng.index(4)).map(|_| value(rng)).collect();
+            answer.add(tuple, PROBABILITIES[rng.index(PROBABILITIES.len())]);
+        }
     }
     match rng.index(3) {
         0 => {}
@@ -73,6 +120,13 @@ fn answer(rng: &mut TestRng) -> ProbabilisticAnswer {
     answer
 }
 
+/// The answers in wire order, decided on the tuples themselves.
+fn sorted(answer: &ProbabilisticAnswer) -> Vec<(&Tuple, f64)> {
+    let mut pairs: Vec<(&Tuple, f64)> = answer.iter().collect();
+    pairs.sort_by(|a, b| (b.1.total_cmp(&a.1)).then(a.0.cmp(b.0)));
+    pairs
+}
+
 /// The tree the server used to build per response.
 fn reference_tree(label: &str, answer: &ProbabilisticAnswer) -> Json {
     Json::obj([
@@ -80,8 +134,7 @@ fn reference_tree(label: &str, answer: &ProbabilisticAnswer) -> Json {
         (
             "tuples",
             Json::Arr(
-                answer
-                    .sorted()
+                sorted(answer)
                     .into_iter()
                     .map(|(tuple, p)| Json::Arr(vec![Json::Str(tuple.to_string()), Json::Num(p)]))
                     .collect(),
@@ -171,7 +224,7 @@ proptest! {
         prop_assert_eq!(parsed.get("label").and_then(Json::as_str), Some(label));
         let tuples = parsed.get("tuples").and_then(Json::as_arr).unwrap();
         prop_assert_eq!(tuples.len(), answer.len());
-        for (rendered, (tuple, _)) in tuples.iter().zip(answer.sorted()) {
+        for (rendered, (tuple, _)) in tuples.iter().zip(sorted(&answer)) {
             let text = rendered.as_arr().unwrap()[0].as_str().unwrap();
             prop_assert_eq!(text, tuple.to_string());
         }

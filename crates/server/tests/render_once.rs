@@ -1,9 +1,13 @@
-//! An answer is rendered in full once, however often it is served.
+//! An answer is rendered in full once, however often it is served — and never built: between
+//! the DAG roots and the socket it is rows of value ids, ranked and rendered from per-value
+//! fragments.
 //!
-//! [`full_renders`] counts misses of the per-answer render memo process-wide, so this file
-//! holds a single test: nothing else in its process renders.
+//! [`full_renders`] counts misses of the per-answer render memo and [`tuples_materialized`]
+//! the `Tuple`s built out of answers, both process-wide, so this file holds a single test:
+//! nothing else in its process renders, or asks an answer for its tuples.
 
 use std::time::Duration;
+use urm_core::answer::tuples_materialized;
 use urm_datagen::scenario::{Scenario, ScenarioConfig, TargetSchemaKind};
 use urm_server::wire::full_renders;
 use urm_server::{AdmissionConfig, AdmissionController, HttpClient, Json, UrmServer};
@@ -33,7 +37,7 @@ fn repeats_of_an_answer_are_served_from_its_first_rendering() {
         assert_eq!(response.status, 200, "{}", response.body);
         Json::parse(&response.body).unwrap()
     };
-    let before = full_renders();
+    let (before, built) = (full_renders(), tuples_materialized());
 
     // evaluated → answer-cache → answer-cache: one rendering, three identical answers.
     let mut answers = Vec::new();
@@ -47,6 +51,7 @@ fn repeats_of_an_answer_are_served_from_its_first_rendering() {
     }
     assert_eq!(full_renders() - before, 1);
     assert!(answers.iter().all(|a| a == &answers[0]));
+    assert!(answers[0].contains("\"tuples\":[["), "{}", answers[0]);
 
     // A batch repeating a spec that is new to the server: evaluated once, its in-batch
     // duplicate aliases the same answer, so one more rendering for the two chunks.
@@ -61,6 +66,10 @@ fn repeats_of_an_answer_are_served_from_its_first_rendering() {
     assert_eq!(pair[0].to_string(), answers[0]);
     assert_eq!(pair[1].to_string(), answers[0]);
     assert_eq!(full_renders() - before, 2);
+
+    // Cold queries, a cold batch and their cache hits: answers aggregated, ranked and
+    // rendered, not one tuple built.
+    assert_eq!(tuples_materialized(), built);
 
     drop(client);
     server.shutdown();

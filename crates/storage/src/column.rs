@@ -308,22 +308,6 @@ impl Column {
             Column::Mixed(values) => values[i].clone(),
         }
     }
-
-    /// Whether `value_at(i) == *value`, without building the value: a text cell is compared
-    /// where it lies in the dictionary — the same allocation first, then the bytes — so no
-    /// reference count moves.
-    #[must_use]
-    pub fn value_eq(&self, i: usize, value: &Value) -> bool {
-        match self {
-            Column::Text { codes, dict, .. } if !self.is_null(i) => {
-                let entry = dict.get(codes[i]).expect("dictionary code in range");
-                matches!(value, Value::Text(s) if Arc::ptr_eq(s, entry) || **s == **entry)
-            }
-            Column::Mixed(values) => values[i] == *value,
-            // Numbers, booleans and NULL are rebuilt for free.
-            _ => self.value_at(i) == *value,
-        }
-    }
 }
 
 /// A row relation re-shaped into typed columns, pinned to the row buffer it was built from.
@@ -471,63 +455,6 @@ mod tests {
                 if let (Value::Float(a), Value::Float(b)) = (o, g) {
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn value_eq_is_equality_with_the_reconstructed_value() {
-        let rows = vec![
-            vec![
-                Value::from(1i64),
-                Value::Float(-0.0),
-                Value::from("x"),
-                Value::from(true),
-                Value::from(1i64),
-            ],
-            vec![
-                Value::Null,
-                Value::Float(f64::NAN),
-                Value::Null,
-                Value::Null,
-                Value::from("1"),
-            ],
-            vec![
-                Value::from(2i64),
-                Value::Float(1.0),
-                Value::from("y"),
-                Value::from(false),
-                Value::Float(2.0),
-            ],
-        ];
-        let c = ColumnarRelation::from_relation(&rel(rows.clone()));
-        assert!(matches!(&**c.column(4).unwrap(), Column::Mixed(_)));
-        let probes = [
-            Value::Null,
-            Value::from(1i64),
-            Value::Float(1.0),
-            Value::Float(2.0),
-            Value::Float(0.0),
-            Value::Float(-0.0),
-            Value::Float(f64::NAN),
-            Value::Float(-f64::NAN),
-            Value::from("x"),
-            Value::from("1"),
-            Value::from(true),
-            Value::from(false),
-        ];
-        for (slot, row) in rows.iter().enumerate() {
-            for (pos, held) in row.iter().enumerate() {
-                let column = c.column(pos).unwrap();
-                for probe in &probes {
-                    assert_eq!(
-                        column.value_eq(slot, probe),
-                        column.value_at(slot) == *probe,
-                        "column {pos}, slot {slot}, {probe:?}"
-                    );
-                }
-                // The very allocation the dictionary holds (the probes' "x" is another).
-                assert!(column.value_eq(slot, held));
             }
         }
     }

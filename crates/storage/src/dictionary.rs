@@ -12,8 +12,9 @@
 //! query are exactly that, rows read from the different source columns two mappings send one
 //! target attribute to.  What is comparable across columns is the string's
 //! [`value_hash`](crate::value_hash), a function of the bytes alone; a dictionary computes it
-//! once per entry, the first time anything asks ([`Dictionary::value_hashes`]), so hashing a
-//! text cell is a table lookup by code, and converting a relation never pays for it.
+//! once per entry, the first time anything asks ([`Dictionary::value_hashes`]), so an answer
+//! interns an entry into its own value pool without hashing a byte, and converting a relation
+//! never pays for it.
 
 use crate::{value_hash, Value};
 use std::collections::HashMap;

@@ -197,24 +197,6 @@ pub fn value_hash(value: &Value) -> u64 {
     hash_keys().hash_one(value)
 }
 
-/// Mixes the next cell's [`value_hash`] into a row's hash.  Order matters: `(a, b)` and
-/// `(b, a)` are different rows.
-#[inline]
-pub(crate) fn mix_cell_hash(row: u64, cell: u64) -> u64 {
-    (row.rotate_left(5) ^ cell).wrapping_mul(0x517c_c1b7_2722_0a95)
-}
-
-/// The keyed hash of a row of values: its cells' [`value_hash`]es, mixed in order.  Rows that
-/// are equal cell by cell hash equal wherever their cells lie — in tuples, or in the columns of
-/// different relations ([`ColumnView::row_hashes`](crate::ColumnView::row_hashes) computes the
-/// same number column-at-a-time).
-#[must_use]
-pub fn row_hash<'a>(cells: impl IntoIterator<Item = &'a Value>) -> u64 {
-    cells
-        .into_iter()
-        .fold(0, |row, cell| mix_cell_hash(row, value_hash(cell)))
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -333,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn value_hash_follows_value_equality_and_row_hash_follows_cell_order() {
+    fn value_hash_follows_value_equality() {
         assert_eq!(
             value_hash(&Value::from(3i64)),
             value_hash(&Value::from(3.0))
@@ -347,13 +329,6 @@ mod tests {
             value_hash(&Value::from("1")),
             value_hash(&Value::from(1i64))
         );
-        let (a, b) = (Value::from("a"), Value::from(2i64));
-        assert_eq!(
-            row_hash([&a, &b]),
-            row_hash([&a.clone(), &Value::from(2.0)])
-        );
-        assert_ne!(row_hash([&a, &b]), row_hash([&b, &a]));
-        assert_ne!(row_hash([&a]), row_hash([&a, &Value::Null]));
     }
 
     #[test]

@@ -15,12 +15,11 @@
 //! So the cost of an interior operator is proportional to `rows × contributing inputs`, not
 //! `rows × columns`, and [`Tuple`]s are built only by [`materialize`](ColumnView::materialize)
 //! — for the (already projected) columns of whoever finally reads rows.  Answer extraction
-//! does not even do that: [`row_hashes`](ColumnView::row_hashes) hashes every row where its
-//! cells lie, the accumulator probes with the hash, and only a row no earlier source query
-//! produced becomes a tuple.  The `Distinct` operator names the rows that differ by their
-//! column codes ([`distinct_rows`](ColumnView::distinct_rows)) and builds none at all.
+//! does not even do that: it reads the output columns where they lie ([`column`](ColumnView::column))
+//! and turns cells into ids of the answer's own value pool, a dictionary entry at a time.  The
+//! `Distinct` operator names the rows that differ by their column codes
+//! ([`distinct_rows`](ColumnView::distinct_rows)) and builds none at all.
 
-use crate::value::{mix_cell_hash, value_hash};
 use crate::{Column, ColumnarRelation, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -272,31 +271,6 @@ impl ColumnView {
             .collect()
     }
 
-    /// The keyed hash of every logical row as read through `positions` — output cell `i` is the
-    /// column at `positions[i]`, or NULL for `None`; positions may repeat — equal to
-    /// [`row_hash`](crate::row_hash) of the values the cells hold, computed column-at-a-time
-    /// without building one: a text cell contributes the word its dictionary keeps for its
-    /// code, every other cell its [`value_hash`].  Unlike the codes
-    /// [`distinct_rows`](ColumnView::distinct_rows) compares, these are comparable between
-    /// views over different base columns.
-    #[must_use]
-    pub fn row_hashes(&self, positions: &[Option<usize>]) -> Vec<u64> {
-        let mut hashes = vec![0u64; self.len];
-        let null = value_hash(&Value::Null);
-        for position in positions {
-            match position {
-                Some(pos) => {
-                    let column = self.column(*pos).expect("view column in range");
-                    mix_column_hashes(&column, null, &mut hashes);
-                }
-                None => hashes
-                    .iter_mut()
-                    .for_each(|hash| *hash = mix_cell_hash(*hash, null)),
-            }
-        }
-        hashes
-    }
-
     /// The logical rows that differ from every earlier row in the *slots* the columns at
     /// `keyed` read.  Equal slots hold equal values, so these are the only rows
     /// [`distinct_rows`](ColumnView::distinct_rows) has to compare by value — and a join or
@@ -393,32 +367,6 @@ fn write_key_words(col: &ColumnRef<'_>, rows: &[u32], out: &mut [u64], stride: u
                 *ids.entry(&values[s]).or_insert(next)
             });
         }
-    }
-}
-
-/// Mixes one column's cell hashes into the rows' hashes: `hashes[row]` takes the
-/// [`value_hash`] of the column's value at logical row `row`.
-fn mix_column_hashes(col: &ColumnRef<'_>, null: u64, hashes: &mut [u64]) {
-    /// `word(slot)` for every row; a null slot's word is NULL's.
-    fn fill(col: &ColumnRef<'_>, null: u64, hashes: &mut [u64], word: impl Fn(usize) -> u64) {
-        for (row, hash) in hashes.iter_mut().enumerate() {
-            let slot = col.slot(row);
-            let cell = if col.column.is_null(slot) {
-                null
-            } else {
-                word(slot)
-            };
-            *hash = mix_cell_hash(*hash, cell);
-        }
-    }
-    match col.column {
-        Column::Text { codes, dict, .. } => {
-            let words = dict.value_hashes();
-            fill(col, null, hashes, |s| words[codes[s] as usize]);
-        }
-        Column::Mixed(values) => fill(col, null, hashes, |s| value_hash(&values[s])),
-        // Numbers and booleans are rebuilt for free.
-        typed => fill(col, null, hashes, |s| value_hash(&typed.value_at(s))),
     }
 }
 
@@ -553,78 +501,6 @@ mod tests {
         let none = view.select_rows(Vec::new());
         assert!(none.distinct_rows(&[0, 1]).is_empty());
         assert!(none.distinct_rows(&[]).is_empty());
-    }
-
-    #[test]
-    fn row_hashes_are_the_row_hash_of_the_values_for_every_column_kind() {
-        use crate::row_hash;
-        // Int, Float, Bool and Text columns with nulls, a Mixed one, and an all-null one.
-        let (conv, _) = base(
-            "T",
-            vec![
-                vec![
-                    Value::from(1i64),
-                    Value::Float(-0.0),
-                    Value::from(true),
-                    Value::from("a"),
-                    Value::from(1i64),
-                    Value::Null,
-                ],
-                vec![
-                    Value::Null,
-                    Value::Float(f64::NAN),
-                    Value::Null,
-                    Value::Null,
-                    Value::Float(1.0),
-                    Value::Null,
-                ],
-                vec![
-                    Value::from(7i64),
-                    Value::Null,
-                    Value::from(false),
-                    Value::from("b"),
-                    Value::from("1"),
-                    Value::Null,
-                ],
-            ],
-        );
-        let kinds: Vec<_> = conv.columns().iter().map(|c| (**c).clone()).collect();
-        assert!(matches!(kinds[0], Column::Int { nulls: Some(_), .. }));
-        assert!(matches!(kinds[1], Column::Float { nulls: Some(_), .. }));
-        assert!(matches!(kinds[2], Column::Bool { nulls: Some(_), .. }));
-        assert!(matches!(kinds[3], Column::Text { nulls: Some(_), .. }));
-        assert!(matches!(kinds[4], Column::Mixed(_)));
-        let view = ColumnView::from_base(conv).select_rows(vec![2, 0, 1, 0]);
-        let rows = view.materialize();
-        for pos in 0..6 {
-            let got = view.row_hashes(&[Some(pos)]);
-            let want: Vec<u64> = rows.iter().map(|r| row_hash(r.get(pos))).collect();
-            assert_eq!(got, want, "column {pos}");
-        }
-        // Whole rows, a repeated column, an uncovered one: the cells in the order asked for.
-        let positions = [Some(3), None, Some(0), Some(3), Some(4)];
-        let want: Vec<u64> = rows
-            .iter()
-            .map(|r| {
-                row_hash([
-                    &r.values()[3],
-                    &Value::Null,
-                    &r.values()[0],
-                    &r.values()[3],
-                    &r.values()[4],
-                ])
-            })
-            .collect();
-        assert_eq!(view.row_hashes(&positions), want);
-        // Int 1 and Float 1.0 are one value: one hash, from a Mixed or a typed column.
-        let hashes = view.row_hashes(&[Some(4)]);
-        assert_eq!(hashes[1], hashes[2]);
-        assert_eq!(hashes[1], view.row_hashes(&[Some(0)])[1]);
-        assert_eq!(view.row_hashes(&[]), vec![0; 4]);
-        assert!(view
-            .select_rows(Vec::new())
-            .row_hashes(&positions)
-            .is_empty());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! late-materializing kernels: of every row the batch's operators produce, at least nine in
 //! ten come out of a columnar kernel — the rest are the base rows the scans hand out — and
 //! its answers are aggregated off the roots' views, without building the roots' rows — or a
-//! tuple for any root row an earlier source query's answer already covers.
+//! tuple at all: an answer is rows of ids over its own value pool until somebody asks it for
+//! tuples.
 
+use urm::core::answer::tuples_materialized;
 use urm::core::reformulate::{reformulate, Extraction, Reformulated};
 use urm::core::{evaluate_batch, evaluate_batch_epoch, BatchOptions, EpochDag};
 use urm::datagen::replay::parse_spec;
@@ -70,19 +72,23 @@ fn cold_batch_specs_run_columnar() {
 
 /// After a cold batch, no tuple-producing root has built its row buffer — each still weighs
 /// what its view's index vectors weigh — the answers aggregated off those views are
-/// o-sharing(SEF)'s, to the last bit, and the `aggregate` span says the step built one tuple
-/// per answer however many root rows it read.
+/// o-sharing(SEF)'s, to the last bit, the `aggregate` span says the step added one entry per
+/// answer however many root rows it read, and the batch built no tuple doing so.  (The
+/// counter is process-wide: the other test of this file evaluates batches too, and like this
+/// one asks no answer for its tuples while a batch is being evaluated.)
 #[test]
 fn cold_batch_answers_come_off_unbuilt_roots() {
     let (mut roots, mut root_rows, mut answers) = (0usize, 0usize, 0usize);
-    let (mut rows_probed, mut tuples_built) = (0u64, 0u64);
+    let (mut rows_probed, mut answers_added) = (0u64, 0u64);
     for (queries, scenario) in cold_batch() {
         let (mappings, catalog) = (&scenario.mappings, &scenario.catalog);
         let mut epoch = EpochDag::new();
         let tracer = Tracer::enabled("cold-batch");
         let options = BatchOptions::parallel(2).with_tracer(tracer.clone());
+        let built = tuples_materialized();
         let batch = evaluate_batch_epoch(&queries, mappings, catalog, &options, &mut epoch)
             .expect("batch evaluates");
+        assert_eq!(tuples_materialized(), built, "the batch built tuples");
         let trace = tracer.finish().expect("an enabled tracer reports");
         let aggregate = trace.spans().iter().find(|s| s.name == "aggregate");
         let tag = |key: &str| {
@@ -93,7 +99,7 @@ fn cold_batch_answers_come_off_unbuilt_roots() {
                 .1
         };
         rows_probed += tag("rows");
-        tuples_built += tag("answers");
+        answers_added += tag("answers");
         for (query, evaluation) in queries.iter().zip(&batch.evaluations) {
             let oracle = evaluate(query, mappings, catalog, Algorithm::OSharing(Strategy::Sef))
                 .expect("o-sharing evaluates");
@@ -137,10 +143,10 @@ fn cold_batch_answers_come_off_unbuilt_roots() {
         root_rows > 4 * answers,
         "{root_rows} root rows for {answers} answers: nothing to save"
     );
-    // A tuple exists once per answer, not once per root row of every source query.
+    // An entry exists once per answer, not once per root row of every source query.
     assert_eq!(
-        tuples_built, answers as u64,
-        "{tuples_built} tuples built for {answers} answers off {rows_probed} root rows"
+        answers_added, answers as u64,
+        "{answers_added} entries added for {answers} answers off {rows_probed} root rows"
     );
-    assert!(rows_probed > tuples_built);
+    assert!(rows_probed > answers_added);
 }
