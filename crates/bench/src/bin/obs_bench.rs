@@ -1,52 +1,44 @@
 //! Runs the observability-overhead micro-benchmark (tracing off / A-A / sampled 1-in-16 on
 //! the join-heavy batch) and writes `BENCH_obs.json`.
 //!
-//! Usage:
-//!
-//! ```text
-//! cargo run --release -p urm-bench --bin obs_bench \
-//!     [--scale N] [--mappings N] [--queries N] [--rounds N] [--json PATH]
-//! ```
-//!
 //! JSON goes to `BENCH_obs.json` by default (`--json -` disables it).  The run asserts that
 //! the sampled series actually recorded traces with non-empty span trees; the overhead gates
 //! (`ratio-off ≤ 1.03`, `ratio-sampled ≤ 1.10`) live in CI.
 
-use std::env;
+use urm_bench::cli::{self, Kind};
 use urm_bench::obs_bench::{run, ObsBenchConfig};
 use urm_bench::report;
 
+const USAGE: &str = "\
+usage: obs_bench [--scale N] [--mappings N] [--queries N] [--rounds N] [--json PATH]
+
+  --json PATH  where the report goes (default BENCH_obs.json; '-' writes none)";
+
 fn main() {
-    let args: Vec<String> = env::args().collect();
+    let args = cli::parse_or_exit(
+        USAGE,
+        &[
+            ("--scale", Kind::Number),
+            ("--mappings", Kind::Number),
+            ("--queries", Kind::Number),
+            ("--rounds", Kind::Number),
+            ("--json", Kind::Text),
+        ],
+    );
     let mut config = ObsBenchConfig::default();
-    let parse = |flag: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|pos| args.get(pos + 1))
-            .and_then(|s| s.parse().ok())
-    };
-    if let Some(v) = parse("--scale") {
+    if let Some(v) = args.number("--scale") {
         config.scale = v;
     }
-    if let Some(v) = parse("--mappings") {
+    if let Some(v) = args.number("--mappings") {
         config.mappings = v;
     }
-    if let Some(v) = parse("--queries") {
+    if let Some(v) = args.number("--queries") {
         config.queries = v;
     }
-    if let Some(v) = parse("--rounds") {
+    if let Some(v) = args.number("--rounds") {
         config.rounds = v;
     }
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(pos) => match args.get(pos + 1) {
-            Some(path) if !path.starts_with("--") => path.clone(),
-            _ => {
-                eprintln!("error: --json needs a path argument (use '--json -' to disable)");
-                std::process::exit(1);
-            }
-        },
-        None => "BENCH_obs.json".to_string(),
-    };
+    let json_path = args.text("--json").unwrap_or("BENCH_obs.json");
 
     eprintln!(
         "observability-overhead micro-benchmark (scale={}, mappings={}, queries={}, rounds={}, seed={}) …",
@@ -60,7 +52,7 @@ fn main() {
         }
     }
     if json_path != "-" {
-        std::fs::write(&json_path, report::render_json(&rows))
+        std::fs::write(json_path, report::render_json(&rows))
             .unwrap_or_else(|err| panic!("cannot write {json_path}: {err}"));
         eprintln!("wrote {json_path}");
     }

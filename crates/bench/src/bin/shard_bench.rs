@@ -1,54 +1,46 @@
 //! Runs the scatter-gather shard micro-benchmark (1 vs. 2 vs. 4 partitioned shard runtimes on
 //! the join-heavy and skewed workloads) and writes `BENCH_shard.json`.
 //!
-//! Usage:
-//!
-//! ```text
-//! cargo run --release -p urm-bench --bin shard_bench \
-//!     [--scale N] [--mappings N] [--queries N] [--iters N] [--json PATH]
-//! ```
-//!
 //! JSON goes to `BENCH_shard.json` by default (`--json -` disables it).  The run itself
 //! asserts that every sharded answer — each shard count, hash and range partitioning — is
 //! byte-identical to the unsharded batch *before* any timing; a violated gate panics, failing
 //! the CI step.  The timing gate (4-shard speedup ≥ 1.3× over 1 shard) lives in CI,
 //! conditional on multi-core hardware.
 
-use std::env;
+use urm_bench::cli::{self, Kind};
 use urm_bench::report;
 use urm_bench::shard_bench::{run, ShardBenchConfig};
 
+const USAGE: &str = "\
+usage: shard_bench [--scale N] [--mappings N] [--queries N] [--iters N] [--json PATH]
+
+  --json PATH  where the report goes (default BENCH_shard.json; '-' writes none)";
+
 fn main() {
-    let args: Vec<String> = env::args().collect();
+    let args = cli::parse_or_exit(
+        USAGE,
+        &[
+            ("--scale", Kind::Number),
+            ("--mappings", Kind::Number),
+            ("--queries", Kind::Number),
+            ("--iters", Kind::Number),
+            ("--json", Kind::Text),
+        ],
+    );
     let mut config = ShardBenchConfig::default();
-    let parse = |flag: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|pos| args.get(pos + 1))
-            .and_then(|s| s.parse().ok())
-    };
-    if let Some(v) = parse("--scale") {
+    if let Some(v) = args.number("--scale") {
         config.scale = v;
     }
-    if let Some(v) = parse("--mappings") {
+    if let Some(v) = args.number("--mappings") {
         config.mappings = v;
     }
-    if let Some(v) = parse("--queries") {
+    if let Some(v) = args.number("--queries") {
         config.queries = v;
     }
-    if let Some(v) = parse("--iters") {
+    if let Some(v) = args.number("--iters") {
         config.iters = v;
     }
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(pos) => match args.get(pos + 1) {
-            Some(path) if !path.starts_with("--") => path.clone(),
-            _ => {
-                eprintln!("error: --json needs a path argument (use '--json -' to disable)");
-                std::process::exit(1);
-            }
-        },
-        None => "BENCH_shard.json".to_string(),
-    };
+    let json_path = args.text("--json").unwrap_or("BENCH_shard.json");
 
     eprintln!(
         "shard micro-benchmark (scale={}, mappings={}, queries={}, iters={}, seed={}) …",
@@ -62,7 +54,7 @@ fn main() {
         }
     }
     if json_path != "-" {
-        std::fs::write(&json_path, report::render_json(&rows))
+        std::fs::write(json_path, report::render_json(&rows))
             .unwrap_or_else(|err| panic!("cannot write {json_path}: {err}"));
         eprintln!("wrote {json_path}");
     }

@@ -1,55 +1,50 @@
 //! Runs the spill micro-benchmark (in-memory vs. byte-budget-constrained execution of an
 //! oversized join-heavy batch) and writes `BENCH_spill.json`.
 //!
-//! Usage:
-//!
-//! ```text
-//! cargo run --release -p urm-bench --bin spill_bench \
-//!     [--scale N] [--queries N] [--iters N] [--budget-divisor N] [--workers N] [--json PATH]
-//! ```
-//!
 //! JSON goes to `BENCH_spill.json` by default (`--json -` disables it).  The run itself
 //! asserts that budget-constrained answers are byte-identical to in-memory ones and that the
 //! pool stayed under its budget — a violated gate panics, failing the CI step.
 
-use std::env;
+use urm_bench::cli::{self, Kind};
 use urm_bench::report;
 use urm_bench::spill_bench::{run, SpillBenchConfig};
 
+const USAGE: &str = "\
+usage: spill_bench [--scale N] [--queries N] [--iters N] [--budget-divisor N] [--workers N]
+                   [--json PATH]
+
+  --budget-divisor N  the memory budget is 1/N of the generated database
+  --json PATH         where the report goes (default BENCH_spill.json; '-' writes none)";
+
 fn main() {
-    let args: Vec<String> = env::args().collect();
+    let args = cli::parse_or_exit(
+        USAGE,
+        &[
+            ("--scale", Kind::Number),
+            ("--queries", Kind::Number),
+            ("--iters", Kind::Number),
+            ("--budget-divisor", Kind::Number),
+            ("--workers", Kind::Number),
+            ("--json", Kind::Text),
+        ],
+    );
     let mut config = SpillBenchConfig::default();
-    let parse = |flag: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|pos| args.get(pos + 1))
-            .and_then(|s| s.parse().ok())
-    };
-    if let Some(v) = parse("--scale") {
+    if let Some(v) = args.number("--scale") {
         config.scale = v;
     }
-    if let Some(v) = parse("--queries") {
+    if let Some(v) = args.number("--queries") {
         config.queries = v;
     }
-    if let Some(v) = parse("--iters") {
+    if let Some(v) = args.number("--iters") {
         config.iters = v;
     }
-    if let Some(v) = parse("--budget-divisor") {
+    if let Some(v) = args.number("--budget-divisor") {
         config.budget_divisor = v;
     }
-    if let Some(v) = parse("--workers") {
+    if let Some(v) = args.number("--workers") {
         config.workers = v;
     }
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(pos) => match args.get(pos + 1) {
-            Some(path) if !path.starts_with("--") => path.clone(),
-            _ => {
-                eprintln!("error: --json needs a path argument (use '--json -' to disable)");
-                std::process::exit(1);
-            }
-        },
-        None => "BENCH_spill.json".to_string(),
-    };
+    let json_path = args.text("--json").unwrap_or("BENCH_spill.json");
 
     eprintln!(
         "spill micro-benchmark (scale={}, queries={}, iters={}, budget=1/{} of data, \
@@ -69,7 +64,7 @@ fn main() {
         }
     }
     if json_path != "-" {
-        std::fs::write(&json_path, report::render_json(&rows))
+        std::fs::write(json_path, report::render_json(&rows))
             .unwrap_or_else(|err| panic!("cannot write {json_path}: {err}"));
         eprintln!("wrote {json_path}");
     }

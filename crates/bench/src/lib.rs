@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod cli;
 pub mod experiments;
 pub mod http_bench;
 pub mod obs_bench;

@@ -110,11 +110,6 @@ pub struct BatchEvaluation {
     /// DAG nodes answered by a still-materialised result of an earlier batch of the same epoch
     /// — executions skipped, whole subgraphs pruned (0 for a cold batch).
     pub epoch_results_reused: u64,
-    /// Nodes whose scheduling cost came from an observed cardinality instead of the static
-    /// estimate (0 for a cold batch).
-    pub observed_nodes: u64,
-    /// Hash joins whose build side was flipped by observed-cardinality feedback.
-    pub reordered_joins: u64,
 }
 
 impl BatchEvaluation {
@@ -408,8 +403,6 @@ pub fn execute_prepared_batch(
         workers: run.report.workers,
         epoch_bind_hits: run.report.bind_hits,
         epoch_results_reused: run.report.results_reused,
-        observed_nodes: run.report.observed_nodes,
-        reordered_joins: run.report.reordered_joins,
     })
 }
 

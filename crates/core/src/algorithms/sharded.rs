@@ -36,9 +36,7 @@ use crate::CoreResult;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use urm_engine::optimize::{fingerprint, optimize};
-use urm_engine::{
-    CardinalityStore, EpochDag, ExecStats, Executor, Observed, Plan, DEFAULT_PIN_BUDGET_BYTES,
-};
+use urm_engine::{EpochDag, ExecStats, Executor, Plan, DEFAULT_PIN_BUDGET_BYTES};
 use urm_matching::MappingSet;
 use urm_storage::shard::{partition, ShardScheme};
 use urm_storage::Catalog;
@@ -112,24 +110,6 @@ impl ShardSet {
     #[must_use]
     pub fn scheme(&self) -> ShardScheme {
         self.scheme
-    }
-
-    /// Seeds every shard's cardinality store with carried-over observations (see
-    /// [`CardinalityStore::absorb`]); fingerprints a shard never binds are harmless no-ops.
-    pub fn seed_cardinalities(&self, entries: &[(u64, Observed)]) {
-        for shard in &self.shards {
-            shard.dag.lock().unwrap().cardinalities().absorb(entries);
-        }
-    }
-
-    /// Every shard's observations folded into one snapshot, for carry-over past retirement.
-    #[must_use]
-    pub fn snapshot_cardinalities(&self) -> Vec<(u64, Observed)> {
-        let folded = CardinalityStore::new();
-        for shard in &self.shards {
-            folded.absorb(&shard.dag.lock().unwrap().cardinalities().snapshot());
-        }
-        folded.snapshot()
     }
 }
 
@@ -244,8 +224,6 @@ struct ShardOutcome {
     peak_parallelism: usize,
     epoch_bind_hits: u64,
     epoch_results_reused: u64,
-    observed_nodes: u64,
-    reordered_joins: u64,
     elapsed: Duration,
 }
 
@@ -300,8 +278,6 @@ fn run_shard(
         peak_parallelism: run.report.peak_parallelism,
         epoch_bind_hits: run.report.bind_hits,
         epoch_results_reused: run.report.results_reused,
-        observed_nodes: run.report.observed_nodes,
-        reordered_joins: run.report.reordered_joins,
         elapsed: start.elapsed(),
     })
 }
@@ -479,8 +455,6 @@ pub fn evaluate_batch_sharded(
         workers: options.workers.max(1),
         epoch_bind_hits: shards_done.iter().map(|s| s.epoch_bind_hits).sum(),
         epoch_results_reused: shards_done.iter().map(|s| s.epoch_results_reused).sum(),
-        observed_nodes: shards_done.iter().map(|s| s.observed_nodes).sum(),
-        reordered_joins: shards_done.iter().map(|s| s.reordered_joins).sum(),
     };
     Ok(ShardedBatchEvaluation {
         batch,
@@ -648,27 +622,6 @@ mod tests {
         assert!(aggregates.shards.singleton_roots > 0);
         assert_eq!(aggregates.shards.scatter_roots, 0);
         assert_eq!(aggregates.shards.shard_times.len(), 4);
-    }
-
-    #[test]
-    fn cardinality_seed_and_snapshot_round_trip() {
-        let catalog = testkit::figure2_catalog();
-        let set = ShardSet::new(&catalog, 2, ShardScheme::Hash, None);
-        assert!(set.snapshot_cardinalities().is_empty());
-        let seed = vec![(
-            7u64,
-            Observed {
-                rows: 10.0,
-                bytes: 100.0,
-                nanos: 1000.0,
-                samples: 1,
-            },
-        )];
-        set.seed_cardinalities(&seed);
-        let snap = set.snapshot_cardinalities();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].0, 7);
-        assert!(snap[0].1.samples >= 1);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use error::{CoreError, CoreResult};
 pub use metrics::{EvalMetrics, Evaluation};
 pub use query::{QueryOutput, TargetOp, TargetPredicate, TargetQuery};
 pub use strategy::Strategy;
-pub use urm_engine::{EpochDag, PinPolicy, DEFAULT_PIN_BUDGET_BYTES};
+pub use urm_engine::{EpochDag, DEFAULT_PIN_BUDGET_BYTES};
 
 /// Convenience re-exports for downstream code and examples.
 pub mod prelude {

@@ -13,7 +13,7 @@
 //! prod:2      # product-sweep query with 2 products (Figure 11(e))
 //! join:3      # join-heavy query fanning 3 Item joins out of one PO scan
 //! scale:2     # oversized query: 2 unfiltered PO self-joins (spill/memory-budget workloads)
-//! skew:2      # 2 Item self-joins on the Zipf-skewed quantity key (adaptive-loop workloads)
+//! skew:2      # 2 Item self-joins on the Zipf-skewed quantity key (mis-estimated intermediates)
 //! ```
 
 use crate::scenario::TargetSchemaKind;
@@ -150,8 +150,7 @@ pub fn oversized_workload(n: usize) -> Vec<WorkloadEntry> {
 /// family — `Item` self-joins on the Zipf-distributed `quantity` key — interleaved with the
 /// multi-join Table III queries.  The head rank of the skewed key carries ~22% of the rows, so
 /// static uniform cardinality estimates mis-size every chained intermediate; replayed twice
-/// against one epoch, the second pass is the one scheduled on the adaptive loop's observed
-/// cardinalities.
+/// against one epoch, the second pass is answered from the epoch's pinned results.
 #[must_use]
 pub fn skewed_workload(n: usize) -> Vec<WorkloadEntry> {
     let specs = ["skew:2", "Q4", "skew:3", "skew:1", "Q3", "skew:2"];

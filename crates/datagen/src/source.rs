@@ -112,8 +112,7 @@ fn order_number(i: usize) -> String {
 /// Deterministic Zipf(s=1) rank in `1..=n` for row `i` — the source of the *skewed* join keys
 /// (`LineItem.quantity`) the `skew:N` workload family joins on.  Rank `r` receives probability
 /// mass proportional to `1/r`, so rank 1 alone carries ~22% of the rows at `n = 50`: exactly
-/// the head-heavy key distribution that makes a static uniform cardinality estimate pick the
-/// wrong hash-join build side, which the adaptive feedback loop then corrects.
+/// the head-heavy key distribution a static uniform cardinality estimate mis-sizes.
 ///
 /// The row index is mixed with a fixed 64-bit finalizer instead of drawing from the generator's
 /// `StdRng` so the change is invisible to every *other* column: the RNG consumption sequence —

@@ -247,9 +247,8 @@ pub fn oversized_sweep(n: usize) -> CoreResult<TargetQuery> {
 /// `quantity` attribute.  Unlike the `orderNum` joins of the other families, `quantity`'s
 /// generated values follow Zipf(s=1) over 50 ranks (rank 1 alone holds ~22% of the rows), so a
 /// uniform static cardinality estimate mis-sizes every intermediate: the chained self-joins
-/// blow up on the head rank while the estimator predicts uniform fan-out.  This is the workload
-/// the adaptive loop's observed-cardinality feedback (build-side flips, observed-cost
-/// scheduling) exists to fix; one selective anchor predicate keeps the result bounded.
+/// blow up on the head rank while the estimator predicts uniform fan-out.  One selective
+/// anchor predicate keeps the result bounded.
 pub fn skewed_sweep(n: usize) -> CoreResult<TargetQuery> {
     let n = n.clamp(1, 3);
     let mut builder = TargetQuery::builder(format!("skew-{n}"))

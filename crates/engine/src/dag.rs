@@ -35,12 +35,10 @@
 //! prunes the entire subtree below it.
 
 use crate::executor::Executor;
-use crate::feedback::{CardinalityStore, FeedbackSummary, JoinHint};
 use crate::physical::PhysicalPlan;
 use crate::{EngineError, EngineResult};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 use urm_storage::Relation;
 
 /// Identifier of a node in an [`OperatorDag`].
@@ -90,13 +88,6 @@ pub struct OperatorDag {
     roots: Vec<usize>,
     offered: u64,
     reused: u64,
-    /// Feedback-computed execution hints by node index (today: hash-join build sides), set by
-    /// [`apply_feedback`](OperatorDag::apply_feedback).  Empty on a DAG that never consulted a
-    /// [`CardinalityStore`] — execution then follows the static plan exactly.
-    hints: HashMap<usize, JoinHint>,
-    /// When set, every node executed by a scheduler run over this DAG records its observed
-    /// output (rows, bytes, wall-clock time) here under its fingerprint.
-    recorder: Option<Arc<CardinalityStore>>,
 }
 
 impl OperatorDag {
@@ -195,12 +186,6 @@ impl OperatorDag {
         self.nodes[id.0].consumers.len()
     }
 
-    /// The bound plan rooted at a node.
-    #[must_use]
-    pub fn plan_of(&self, id: NodeId) -> &PhysicalPlan {
-        &self.nodes[id.0].plan
-    }
-
     /// The shared handle of the bound plan rooted at a node — pointer-identical to the tree the
     /// node was inserted from (the zero-clone invariant of [`add_plan`](OperatorDag::add_plan)).
     #[must_use]
@@ -263,85 +248,8 @@ impl OperatorDag {
         (sub, roots)
     }
 
-    /// Attaches the epoch's [`CardinalityStore`]: every node a scheduler run executes over this
-    /// DAG records its observed output (rows, bytes, execution time) under its fingerprint.
-    pub fn set_recorder(&mut self, store: Arc<CardinalityStore>) {
-        self.recorder = Some(store);
-    }
-
-    /// The feedback-computed execution hint of a node, if
-    /// [`apply_feedback`](OperatorDag::apply_feedback) produced one.
-    #[must_use]
-    pub fn hint_of(&self, id: NodeId) -> Option<JoinHint> {
-        self.hints.get(&id.0).copied()
-    }
-
-    /// Re-costs the DAG from observed cardinalities and computes per-join execution hints.
-    ///
-    /// One topological pass replaces each node's scheduling cost with its *effective* row
-    /// count — the store's decayed observation where one exists, otherwise the static estimate
-    /// recomputed over the children's effective counts (so a single observed child corrects
-    /// every unobserved ancestor above it).  Hash joins with at least one observed side whose
-    /// effective left side is strictly smaller than the right get a build-side flip hint; any
-    /// join with an observed build side additionally carries its observed bytes for grace-join
-    /// sizing.  With an empty store this is the identity: effective counts reproduce the
-    /// bind-time estimates bit-for-bit, no hints are emitted, and scheduling order is exactly
-    /// the static order — cold adaptive execution ≡ static execution.
-    ///
-    /// Semantics never change: hints steer build sides and fan-out, the flipped join restores
-    /// canonical output order, and answers stay byte-identical (see `prop_adaptive.rs`).
-    pub fn apply_feedback(&mut self, store: &CardinalityStore) -> FeedbackSummary {
-        let mut summary = FeedbackSummary::default();
-        let mut effective: Vec<u64> = Vec::with_capacity(self.nodes.len());
-        let mut observed: Vec<Option<crate::feedback::Observed>> =
-            Vec::with_capacity(self.nodes.len());
-        let mut hints: HashMap<usize, JoinHint> = HashMap::new();
-        for i in 0..self.nodes.len() {
-            let obs = store.get(self.nodes[i].fingerprint);
-            let child_rows: Vec<u64> = self.nodes[i]
-                .children
-                .iter()
-                .map(|&c| effective[c])
-                .collect();
-            let rows = match &obs {
-                Some(o) => {
-                    summary.observed_nodes += 1;
-                    o.rows_estimate()
-                }
-                None => self.nodes[i].plan.estimate_from(&child_rows),
-            };
-            self.nodes[i].cost = child_rows.iter().sum::<u64>() + rows;
-            if let PhysicalPlan::HashJoin { .. } = *self.nodes[i].plan {
-                let (l, r) = (self.nodes[i].children[0], self.nodes[i].children[1]);
-                if (observed[l].is_some() || observed[r].is_some()) && effective[l] < effective[r] {
-                    hints.insert(
-                        i,
-                        JoinHint {
-                            build_left: true,
-                            build_bytes: observed[l].map(|o| o.bytes_estimate()),
-                        },
-                    );
-                } else if observed[r].is_some() {
-                    hints.insert(
-                        i,
-                        JoinHint {
-                            build_left: false,
-                            build_bytes: observed[r].map(|o| o.bytes_estimate()),
-                        },
-                    );
-                }
-            }
-            effective.push(rows);
-            observed.push(obs);
-        }
-        self.hints = hints;
-        summary
-    }
-
-    /// Executes one node through the driving executor, applying the node's feedback hint and —
-    /// when a recorder is attached — timing the execution and recording the observed output.
-    /// All scheduler paths (sequential, parallel workers, recursive resolve) funnel through
-    /// here so feedback sees every execution exactly once.
+    /// Executes one node through the driving executor under a per-node trace span.  All
+    /// scheduler paths (sequential, parallel workers, recursive resolve) funnel through here.
     fn run_node(
         &self,
         node: usize,
@@ -349,7 +257,6 @@ impl OperatorDag {
         children: &[Arc<Relation>],
     ) -> EngineResult<Arc<Relation>> {
         let n = &self.nodes[node];
-        let hint = self.hints.get(&node).copied();
         // Per-node trace span (inert when tracing is off).  `shared_by` is the node's consumer
         // count — the explicit MQO cost attribution: a span with `shared_by: 3` was executed
         // once on behalf of three downstream operators/queries.
@@ -360,16 +267,7 @@ impl OperatorDag {
         span.label("op", n.plan.op_name());
         span.tag("shared_by", n.consumers.len().max(1) as u64);
         span.tag("rows_in", children.iter().map(|c| c.len() as u64).sum());
-        let started = Instant::now();
-        let out = exec.execute_node(&n.plan, children, hint)?;
-        if let Some(store) = &self.recorder {
-            store.record(
-                n.fingerprint,
-                out.len() as u64,
-                out.estimated_bytes() as u64,
-                started.elapsed().as_nanos() as u64,
-            );
-        }
+        let out = exec.execute_node(&n.plan, children)?;
         span.tag("rows", out.len() as u64);
         Ok(out)
     }

@@ -20,11 +20,12 @@
 //! * **Weak result cache** — bound fingerprint → [`Weak`]`<Relation>`.  Node results are
 //!   remembered as long as *someone* still holds them; the cache itself never forces an
 //!   epoch's whole history to stay resident.
-//! * **Pinning** — what keeps warm batches warm, governed by a [`PinPolicy`]: last-batch
-//!   (strong references to exactly the results the most recent batch touched), pin-all
-//!   ([`EpochDag::pinning_all`], the u-trace front-end whose lifetime is one evaluation), or a
-//!   size-budgeted LRU ([`PinPolicy::Bytes`], the serving layer's policy) that keeps
-//!   alternating batch working sets warm up to a byte budget.  Under a memory budget
+//! * **Pinning** — what keeps warm batches warm: a size-budgeted LRU of strong references.
+//!   Recently touched results stay pinned until their cumulative estimated bytes exceed the
+//!   epoch's one pin budget ([`EpochDag::with_pin_budget`]; [`EpochDag::new`] takes
+//!   [`DEFAULT_PIN_BUDGET_BYTES`], [`EpochDag::pinning_all`] has no bound — the u-trace
+//!   front-end whose lifetime is one evaluation), then the least recently used are evicted, so
+//!   alternating batch working sets stay warm as long as both fit.  Under a memory budget
 //!   ([`EpochDag::with_memory_budget`]) pins are *spill-backed*: a completed node's result is
 //!   paged out to a disk segment once its last consumer finishes — instead of only dropped —
 //!   and streams back in transparently when a later batch needs it.
@@ -36,7 +37,7 @@
 //!
 //! * the *bind stage* — the growing [`OperatorDag`], the bind cache and the pending roots —
 //!   lives in [`EpochDag`] itself, behind whatever lock the caller wraps it in;
-//! * the *execute stage* — pinned/weak results, the pin policy and the result counters —
+//! * the *execute stage* — pinned/weak results, the pin budget and the result counters —
 //!   lives behind an internal mutex shared by every [`PreparedBatch`].
 //!
 //! [`EpochDag::prepare_pending`] closes the bind stage of a batch: it snapshots the pending
@@ -51,37 +52,17 @@
 
 use crate::dag::{DagResultCache, DagScheduler, NodeId, OperatorDag};
 use crate::executor::Executor;
-use crate::feedback::{CardinalityStore, FeedbackSummary};
 use crate::optimize::{fingerprint, optimize};
 use crate::physical::PhysicalPlan;
 use crate::{EngineResult, Plan};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Weak};
 use urm_storage::{BufferPool, RecencyIndex, Relation, SpillableRelation};
 
-/// Default byte budget of the size-budgeted pin policy when no explicit budget is configured
-/// (64 MiB): generous enough that alternating A/B/A/B batch workloads stay warm, bounded
-/// enough that a long-lived epoch cannot pin its whole history.
+/// Default pin budget when no explicit budget is configured (64 MiB): generous enough that
+/// alternating A/B/A/B batch workloads stay warm, bounded enough that a long-lived epoch
+/// cannot pin its whole history.
 pub const DEFAULT_PIN_BUDGET_BYTES: usize = 64 << 20;
-
-/// How an epoch decides which node results stay pinned (strongly held) between batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PinPolicy {
-    /// Pin exactly the results the most recent batch touched ([`EpochDag::new`]: a throwaway
-    /// or single-working-set epoch).
-    #[default]
-    LastBatch,
-    /// Pin every result ever computed — the policy of short-lived users like the o-sharing
-    /// u-trace, where the "epoch" is one evaluation.
-    All,
-    /// Pin a size-budgeted LRU over results: recently touched results stay pinned until their
-    /// cumulative estimated bytes exceed the budget, then the least-recently-used are evicted.
-    /// Unlike [`LastBatch`](PinPolicy::LastBatch), alternating A/B/A/B batch workloads stay
-    /// warm as long as both working sets fit the budget.  When the epoch has a
-    /// [`BufferPool`], pinned results are spill-backed (disk, not RAM), so the budget bounds
-    /// the warm history's footprint rather than resident memory.
-    Bytes(usize),
-}
 
 /// One pinned result: resident, or a spill-pool handle that pages back in on demand.
 #[derive(Debug)]
@@ -93,7 +74,7 @@ enum PinnedData {
 #[derive(Debug)]
 struct PinnedResult {
     data: PinnedData,
-    /// Estimated in-memory footprint (the [`PinPolicy::Bytes`] accounting unit).
+    /// Estimated in-memory footprint (the pin budget's accounting unit).
     bytes: usize,
     /// Recency stamp for LRU eviction.
     last_used: u64,
@@ -126,10 +107,6 @@ pub struct EpochDag {
     /// Roots submitted since the last [`prepare_pending`](EpochDag::prepare_pending) (or
     /// [`execute_pending`](EpochDag::execute_pending), which composes it).
     pending: Vec<NodeId>,
-    /// Observed per-node cardinalities, keyed by bound fingerprint — the adaptive-execution
-    /// feedback store.  Survives bind-cache hits: a warm batch's snapshot re-derives its
-    /// costs and join hints from everything every earlier batch observed.
-    feedback: Arc<CardinalityStore>,
     bind_hits: u64,
     bind_misses: u64,
     bind_hits_reported: u64,
@@ -138,22 +115,11 @@ pub struct EpochDag {
 
 impl Default for EpochDag {
     fn default() -> Self {
-        EpochDag {
-            dag: OperatorDag::new(),
-            bind_cache: HashMap::new(),
-            results: Arc::new(Mutex::new(EpochResults::default())),
-            pool: None,
-            pending: Vec::new(),
-            feedback: Arc::new(CardinalityStore::new()),
-            bind_hits: 0,
-            bind_misses: 0,
-            bind_hits_reported: 0,
-            bind_misses_reported: 0,
-        }
+        EpochDag::new()
     }
 }
 
-/// The execute stage of an epoch: result caches, pin policy and result counters.  Lives behind
+/// The execute stage of an epoch: result caches, pin budget and result counters.  Lives behind
 /// the [`EpochDag`]'s internal mutex, independent of the caller's bind lock.  Pool-free
 /// batches hold the mutex only to snapshot live results and to commit a finished run (their
 /// operator work overlaps); spill-budgeted batches hold it across the whole execution so the
@@ -162,15 +128,15 @@ impl Default for EpochDag {
 struct EpochResults {
     /// Bound fingerprint → weakly held result: live results answer future batches.
     weak_results: HashMap<u64, Weak<Relation>>,
-    /// Strongly held results (the pin policy decides which, and for how long).
+    /// Strongly held results (the pin budget decides which, and for how long).
     pinned: HashMap<u64, PinnedResult>,
     /// Sum of the estimated bytes of everything in `pinned`.
     pinned_bytes: usize,
-    /// O(log n) LRU victim selection for the byte-budgeted pin policy; stale stamps are
-    /// validated against `PinnedResult::last_used` when popped (see [`RecencyIndex`]).
+    /// O(log n) LRU victim selection under the pin budget; stale stamps are validated
+    /// against `PinnedResult::last_used` when popped (see [`RecencyIndex`]).
     pin_recency: RecencyIndex<u64>,
-    /// Which results stay pinned between batches.
-    policy: PinPolicy,
+    /// Estimated bytes the pin set may hold; the least recently used pins go past it.
+    pin_budget: usize,
     /// The epoch's spill pool (a shared handle of [`EpochDag::pool`]), so pinning can spill
     /// and the spill-counter delta of one execution is absorbed exactly once, under the lock.
     pool: Option<BufferPool>,
@@ -194,12 +160,6 @@ pub struct EpochRunReport {
     pub peak_parallelism: usize,
     /// Worker threads the run was scheduled on.
     pub workers: usize,
-    /// Nodes in this batch's snapshot whose cost came from an *observed* cardinality rather
-    /// than the static estimate (0 while the epoch is cold).
-    pub observed_nodes: u64,
-    /// Hash joins this batch *ran* with the build side flipped by observed-cardinality
-    /// feedback (0 when every hinted join was answered from a cached result).
-    pub reordered_joins: u64,
 }
 
 /// The outcome of one batch on the epoch DAG: root results in submission order plus accounting.
@@ -228,8 +188,6 @@ pub struct PreparedBatch {
     pool: Option<BufferPool>,
     bind_hits: u64,
     bind_misses: u64,
-    /// What the adaptive loop decided for this snapshot (zeros on a cold epoch).
-    feedback: FeedbackSummary,
 }
 
 impl PreparedBatch {
@@ -254,7 +212,8 @@ impl PreparedBatch {
 
     /// Executes the prepared batch: only the nodes the roots need and no live cached result
     /// answers are run (on `workers` threads when > 1), results come back in submission order,
-    /// and the pin policy rotates to this batch's working set.  The bind stage is untouched.
+    /// and this batch's working set moves to the front of the pin set.  The bind stage is
+    /// untouched.
     ///
     /// On a pool-free epoch, the operator work itself runs **outside** the epoch's result
     /// lock: the lock is held only to snapshot the live cached results before the run and to
@@ -274,7 +233,6 @@ impl PreparedBatch {
                 workers,
                 self.bind_hits,
                 self.bind_misses,
-                self.feedback,
             );
         }
         if self.roots.is_empty() {
@@ -288,14 +246,13 @@ impl PreparedBatch {
         };
         // Stage 2 — execute (no lock): the scheduler runs against a local overlay cache.
         let mut overlay = OverlayCache::new(snapshot);
-        let flips_before = exec.stats().reordered_joins;
         let run = DagScheduler::with_workers(workers).execute_roots(
             &self.subdag,
             &self.roots,
             exec,
             &mut overlay,
         )?;
-        // Stage 3 — commit (short lock): counters, fresh results, pin rotation.
+        // Stage 3 — commit (short lock): counters, fresh results, pins.
         let mut results = self.results.lock().unwrap();
         results.commit_run(overlay);
         Ok(EpochRun {
@@ -307,8 +264,6 @@ impl PreparedBatch {
                 bind_misses: self.bind_misses,
                 peak_parallelism: run.report.peak_parallelism,
                 workers: run.report.workers,
-                observed_nodes: self.feedback.observed_nodes,
-                reordered_joins: exec.stats().reordered_joins - flips_before,
             },
         })
     }
@@ -321,7 +276,7 @@ impl PreparedBatch {
 struct OverlayCache {
     /// Live cached results at batch start, by fingerprint.
     snapshot: HashMap<u64, Arc<Relation>>,
-    /// Everything this run used — snapshot hits and fresh results — for pin rotation.
+    /// Everything this run used — snapshot hits and fresh results — to pin at commit.
     touched: HashMap<u64, Arc<Relation>>,
     /// Results computed by this run, in publish order — for the weak cache.
     fresh: Vec<(u64, Arc<Relation>)>,
@@ -361,50 +316,55 @@ impl DagResultCache for OverlayCache {
 }
 
 impl EpochDag {
-    /// An empty epoch DAG with the last-batch pinning policy.
+    /// An empty epoch DAG pinning up to [`DEFAULT_PIN_BUDGET_BYTES`] of results.
     #[must_use]
     pub fn new() -> Self {
-        EpochDag::default()
+        EpochDag::with_pin_budget(DEFAULT_PIN_BUDGET_BYTES)
     }
 
-    /// The general constructor behind the policy-specific ones.
-    fn with_parts(policy: PinPolicy, pool: Option<BufferPool>) -> Self {
+    /// The general constructor behind the public ones.
+    fn with_parts(pin_budget: usize, pool: Option<BufferPool>) -> Self {
         EpochDag {
+            dag: OperatorDag::new(),
+            bind_cache: HashMap::new(),
             results: Arc::new(Mutex::new(EpochResults {
-                policy,
+                pin_budget,
                 pool: pool.clone(),
                 ..EpochResults::default()
             })),
             pool,
-            ..EpochDag::default()
+            pending: Vec::new(),
+            bind_hits: 0,
+            bind_misses: 0,
+            bind_hits_reported: 0,
+            bind_misses_reported: 0,
         }
     }
 
-    /// An empty epoch DAG that pins every result for its whole lifetime — the policy of
-    /// short-lived users like the o-sharing u-trace, where the "epoch" is one evaluation.
+    /// An empty epoch DAG that pins every result for its whole lifetime — for short-lived
+    /// users like the o-sharing u-trace, where the "epoch" is one evaluation.
     #[must_use]
     pub fn pinning_all() -> Self {
-        EpochDag::with_parts(PinPolicy::All, None)
+        EpochDag::with_pin_budget(usize::MAX)
     }
 
-    /// An epoch DAG with the size-budgeted LRU pin policy ([`PinPolicy::Bytes`]) and no spill
-    /// pool: recently touched results stay resident up to `bytes`, so alternating batch
-    /// working sets keep each other warm instead of being rotated out at every batch boundary.
+    /// An epoch DAG with no spill pool whose pins stay resident up to `bytes`: alternating
+    /// batch working sets keep each other warm as long as both fit.
     #[must_use]
     pub fn with_pin_budget(bytes: usize) -> Self {
-        EpochDag::with_parts(PinPolicy::Bytes(bytes), None)
+        EpochDag::with_parts(bytes, None)
     }
 
     /// An epoch DAG for running under a memory budget of `bytes`: a [`BufferPool`] with that
     /// budget backs every pinned result (results spill to disk segments under pressure and
     /// page back in on access), and executors created via this epoch's pool route oversized
-    /// hash joins through the grace path.  The pin policy is [`PinPolicy::Bytes`] over the
-    /// spill-backed history: `max(4 × bytes, DEFAULT_PIN_BUDGET_BYTES)` — disk is cheaper
-    /// than RAM, so the warm history may exceed the resident budget.
+    /// hash joins through the grace path.  The pin budget over the spill-backed history is
+    /// `max(4 × bytes, DEFAULT_PIN_BUDGET_BYTES)` — disk is cheaper than RAM, so the warm
+    /// history may exceed the resident budget.
     #[must_use]
     pub fn with_memory_budget(bytes: usize) -> Self {
         EpochDag::with_parts(
-            PinPolicy::Bytes(bytes.saturating_mul(4).max(DEFAULT_PIN_BUDGET_BYTES)),
+            bytes.saturating_mul(4).max(DEFAULT_PIN_BUDGET_BYTES),
             Some(BufferPool::with_budget(bytes)),
         )
     }
@@ -414,13 +374,6 @@ impl EpochDag {
     #[must_use]
     pub fn pool(&self) -> Option<&BufferPool> {
         self.pool.as_ref()
-    }
-
-    /// The epoch's observed-cardinality store (metrics, inspection).  Populated by executed
-    /// batches; survives bind-cache hits for the epoch's life.
-    #[must_use]
-    pub fn cardinalities(&self) -> &Arc<CardinalityStore> {
-        &self.feedback
     }
 
     /// Submits a logical plan as a root of the current batch: optimised, bound and merged into
@@ -483,16 +436,7 @@ impl EpochDag {
         let bind_misses = self.bind_misses - self.bind_misses_reported;
         self.bind_hits_reported = self.bind_hits;
         self.bind_misses_reported = self.bind_misses;
-        let (subdag, roots, feedback) = if pending.is_empty() {
-            (OperatorDag::new(), Vec::new(), FeedbackSummary::default())
-        } else {
-            let (mut subdag, roots) = self.dag.subgraph(&pending);
-            // Re-derived on every snapshot, so a bind-cache hit still sees the newest
-            // observations; recording feeds the store the executions of this very batch.
-            let feedback = subdag.apply_feedback(&self.feedback);
-            subdag.set_recorder(Arc::clone(&self.feedback));
-            (subdag, roots, feedback)
-        };
+        let (subdag, roots) = self.dag.subgraph(&pending);
         PreparedBatch {
             subdag,
             roots,
@@ -500,13 +444,12 @@ impl EpochDag {
             pool: self.pool.clone(),
             bind_hits,
             bind_misses,
-            feedback,
         }
     }
 
     /// Executes the batch submitted since the last call: only the nodes the batch's roots need
     /// and no live cached result answers are run (on `workers` threads when > 1), results come
-    /// back in submission order, and the pin policy rotates to this batch's working set.
+    /// back in submission order, and the batch's working set is pinned.
     ///
     /// This is [`prepare_pending`](EpochDag::prepare_pending) followed by
     /// [`PreparedBatch::execute`] — the single-lock convenience path.  Pipelining callers
@@ -521,8 +464,7 @@ impl EpochDag {
 
     /// Resolves one bound plan immediately (the incremental front-end of the u-trace): the plan
     /// is merged into the DAG and only the nodes without a live cached result execute.  Results
-    /// are pinned like any batch result; rotation still happens at
-    /// [`execute_pending`](EpochDag::execute_pending) (never called in pin-all mode).
+    /// are pinned like any batch result.
     pub fn resolve(
         &mut self,
         physical: &Arc<PhysicalPlan>,
@@ -576,15 +518,14 @@ impl EpochDag {
         self.results.lock().unwrap().batches
     }
 
-    /// Results currently held by the pin policy (resident or spill-backed).
+    /// Results currently pinned (resident or spill-backed).
     #[must_use]
     pub fn pinned_results(&self) -> usize {
         self.results.lock().unwrap().pinned.len()
     }
 
-    /// Estimated bytes of everything the pin policy currently holds (the
-    /// [`PinPolicy::Bytes`] accounting; spill-backed pins count their in-memory estimate even
-    /// while paged out).
+    /// Estimated bytes of everything currently pinned (what the pin budget bounds;
+    /// spill-backed pins count their in-memory estimate even while paged out).
     #[must_use]
     pub fn pinned_bytes(&self) -> usize {
         self.results.lock().unwrap().pinned_bytes
@@ -603,7 +544,6 @@ impl EpochResults {
         workers: usize,
         bind_hits: u64,
         bind_misses: u64,
-        feedback: FeedbackSummary,
     ) -> EngineResult<EpochRun> {
         if roots.is_empty() {
             return Ok(self.empty_run(workers, bind_hits, bind_misses));
@@ -614,7 +554,6 @@ impl EpochResults {
         let mut touched: HashMap<u64, Arc<Relation>> = HashMap::new();
         let mut hits = 0u64;
         let mut executed = 0u64;
-        let flips_before = exec.stats().reordered_joins;
         let run = {
             let mut cache = EpochResultCache {
                 weak: &mut self.weak_results,
@@ -630,8 +569,8 @@ impl EpochResults {
         self.result_hits += hits;
         self.nodes_executed += executed;
         self.batches += 1;
-        let touched_fps = self.pin_touched(touched);
-        self.trim_pins(Some(&touched_fps));
+        self.pin_touched(touched);
+        self.trim_pins();
         // Drop dead weak entries so the map tracks live results, not the epoch's history.
         self.weak_results.retain(|_, w| w.strong_count() > 0);
         if let (Some(before), Some(pool)) = (&spill_before, &self.pool) {
@@ -647,15 +586,11 @@ impl EpochResults {
                 bind_misses,
                 peak_parallelism: run.report.peak_parallelism,
                 workers: run.report.workers,
-                observed_nodes: feedback.observed_nodes,
-                reordered_joins: exec.stats().reordered_joins - flips_before,
             },
         })
     }
 
-    /// The outcome of a batch with no roots.  An empty batch must not rotate the pin set —
-    /// it would silently flush the warm working set a heartbeat-style flush has no business
-    /// touching.
+    /// The outcome of a batch with no roots: counted, nothing touched.
     fn empty_run(&mut self, workers: usize, bind_hits: u64, bind_misses: u64) -> EpochRun {
         self.batches += 1;
         EpochRun {
@@ -667,8 +602,6 @@ impl EpochResults {
                 bind_misses,
                 peak_parallelism: 0,
                 workers: workers.max(1),
-                observed_nodes: 0,
-                reordered_joins: 0,
             },
         }
     }
@@ -692,8 +625,8 @@ impl EpochResults {
     }
 
     /// Folds a lock-free run back into the epoch: counters, weak entries for the fresh
-    /// results, and the same pin rotation an exclusive run performs.  Called under the
-    /// result lock.
+    /// results, and the same pinning an exclusive run performs.  Called under the result
+    /// lock.
     fn commit_run(&mut self, overlay: OverlayCache) {
         let OverlayCache {
             touched,
@@ -709,8 +642,8 @@ impl EpochResults {
             self.weak_results
                 .insert(*fingerprint, Arc::downgrade(result));
         }
-        let touched_fps = self.pin_touched(touched);
-        self.trim_pins(Some(&touched_fps));
+        self.pin_touched(touched);
+        self.trim_pins();
         self.weak_results.retain(|_, w| w.strong_count() > 0);
     }
 
@@ -739,17 +672,14 @@ impl EpochResults {
         self.result_hits += hits;
         self.nodes_executed += executed;
         self.pin_touched(touched);
-        // `resolve` is not a batch boundary: only the byte budget (if any) trims here.
-        self.trim_pins(None);
+        self.trim_pins();
         Ok(result)
     }
 
     /// Upserts every touched result into the pin set (spill-backed when a pool is attached),
-    /// refreshing recency; returns the touched fingerprints for batch-boundary trimming.
-    fn pin_touched(&mut self, touched: HashMap<u64, Arc<Relation>>) -> HashSet<u64> {
-        let mut fps = HashSet::with_capacity(touched.len());
+    /// refreshing recency.
+    fn pin_touched(&mut self, touched: HashMap<u64, Arc<Relation>>) {
         for (fp, rel) in touched {
-            fps.insert(fp);
             if let Some(entry) = self.pinned.get_mut(&fp) {
                 // Fingerprint-identical results have identical content (operators are pure
                 // functions of immutable inputs), so the existing pin stays; only recency moves.
@@ -784,48 +714,26 @@ impl EpochResults {
             );
             self.pinned_bytes += bytes;
         }
-        fps
     }
 
-    /// Applies the pin policy: `last_batch` carries the batch's touched set at batch
-    /// boundaries ([`PinPolicy::LastBatch`] drops everything else); the byte budget evicts
-    /// least-recently-used pins whenever it is exceeded.
-    fn trim_pins(&mut self, last_batch: Option<&HashSet<u64>>) {
-        match self.policy {
-            PinPolicy::All => {}
-            PinPolicy::LastBatch => {
-                if let Some(keep) = last_batch {
-                    let bytes = &mut self.pinned_bytes;
-                    let recency = &mut self.pin_recency;
-                    self.pinned.retain(|fp, entry| {
-                        let stays = keep.contains(fp);
-                        if !stays {
-                            *bytes -= entry.bytes;
-                            recency.forget(entry.last_used);
-                        }
-                        stays
-                    });
-                }
-            }
-            PinPolicy::Bytes(budget) => {
-                while self.pinned_bytes > budget {
-                    // Pop oldest-first, discarding stale stamps, until a live victim surfaces.
-                    let pinned = &self.pinned;
-                    let victim = self.pin_recency.pop_oldest(|fp, stamp| {
-                        pinned.get(fp).is_some_and(|e| e.last_used == stamp)
-                    });
-                    let Some(fp) = victim else { break };
-                    let entry = self.pinned.remove(&fp).expect("victim pinned");
-                    self.pinned_bytes -= entry.bytes;
-                }
-            }
+    /// Evicts least-recently-used pins while the pin set exceeds its byte budget.
+    fn trim_pins(&mut self) {
+        while self.pinned_bytes > self.pin_budget {
+            // Pop oldest-first, discarding stale stamps, until a live victim surfaces.
+            let pinned = &self.pinned;
+            let victim = self
+                .pin_recency
+                .pop_oldest(|fp, stamp| pinned.get(fp).is_some_and(|e| e.last_used == stamp));
+            let Some(fp) = victim else { break };
+            let entry = self.pinned.remove(&fp).expect("victim pinned");
+            self.pinned_bytes -= entry.bytes;
         }
     }
 }
 
 /// The [`DagResultCache`] adapter of one epoch run: answers lookups from this run's results,
 /// the pinned set (transparently reloading spilled pins from their segments), then the weak
-/// cache; collects everything it touches for pin rotation.
+/// cache; collects everything it touches for pinning.
 struct EpochResultCache<'a> {
     weak: &'a mut HashMap<u64, Weak<Relation>>,
     pinned: &'a mut HashMap<u64, PinnedResult>,
@@ -1093,44 +1001,11 @@ mod tests {
     }
 
     #[test]
-    fn pin_rotation_keeps_only_the_last_batch_resident() {
-        let cat = catalog();
-        let mut exec = Executor::new(&cat);
-        let mut epoch = EpochDag::new();
-
-        run_batch(&mut epoch, &mut exec, 1);
-        let pinned_after_first = epoch.pinned_results();
-        assert!(pinned_after_first > 0);
-
-        // A disjoint second batch: the first batch's results must be unpinned (and, with no
-        // other holders, dead in the weak cache), so a third batch re-executes them.
-        epoch
-            .submit(
-                &Plan::scan("R").select(Predicate::eq("R.b", Value::from("y"))),
-                &exec,
-            )
-            .unwrap();
-        epoch.execute_pending(&mut exec, 1).unwrap();
-        for q in queries() {
-            epoch.submit(&q, &exec).unwrap();
-        }
-        let third = epoch.execute_pending(&mut exec, 1).unwrap();
-        assert!(
-            third.report.nodes_executed > 0,
-            "rotated-out results must be recomputed once they died"
-        );
-        // The shared scan survived inside the second batch's pins, so part of the work is
-        // still answered from cache.
-        assert!(third.report.results_reused > 0);
-        // Rebinding was never repeated, dead or alive.
-        assert_eq!(third.report.bind_hits, 3);
-    }
-
-    #[test]
     fn live_external_results_answer_even_rotated_nodes() {
         let cat = catalog();
         let mut exec = Executor::new(&cat);
-        let mut epoch = EpochDag::new();
+        // One byte of budget: at most one pin survives a batch.
+        let mut epoch = EpochDag::with_pin_budget(1);
 
         // Hold the cold batch's results alive externally across an unrelated batch.
         let cold = run_batch(&mut epoch, &mut exec, 1);
@@ -1142,7 +1017,7 @@ mod tests {
             .unwrap();
         epoch.execute_pending(&mut exec, 1).unwrap();
 
-        // Although the pins rotated, the weak cache upgrades the externally held Arcs.
+        // Although the pins were evicted, the weak cache upgrades the externally held Arcs.
         let warm = run_batch(&mut epoch, &mut exec, 1);
         assert_eq!(warm.report.nodes_executed, 0);
         for (a, b) in cold.root_results.iter().zip(&warm.root_results) {
@@ -1167,25 +1042,6 @@ mod tests {
         assert!(epoch.pinned_results() > first_pins, "pins must accumulate");
         let warm = run_batch(&mut epoch, &mut exec, 1);
         assert_eq!(warm.report.nodes_executed, 0);
-    }
-
-    #[test]
-    fn empty_batch_does_not_flush_the_pin_set() {
-        let cat = catalog();
-        let mut exec = Executor::new(&cat);
-        let mut epoch = EpochDag::new();
-        run_batch(&mut epoch, &mut exec, 1);
-        let pins = epoch.pinned_results();
-        assert!(pins > 0);
-
-        // A heartbeat-style flush with nothing pending must not rotate the pins away.
-        let empty = epoch.execute_pending(&mut exec, 1).unwrap();
-        assert!(empty.root_results.is_empty());
-        assert_eq!(empty.report.nodes_executed, 0);
-        assert_eq!(epoch.pinned_results(), pins, "empty batch flushed the pins");
-
-        let warm = run_batch(&mut epoch, &mut exec, 1);
-        assert_eq!(warm.report.nodes_executed, 0, "epoch went cold");
     }
 
     #[test]
@@ -1273,9 +1129,7 @@ mod tests {
         epoch.execute_pending(&mut exec, 1).unwrap();
         assert!(epoch.pinned_bytes() > 0);
 
-        // A again, then B again: with last-batch pinning both would recompute (the existing
-        // `pin_rotation_keeps_only_the_last_batch_resident` test proves it); the byte budget
-        // keeps both warm.
+        // A again, then B again: both working sets fit the budget, so both stay warm.
         for plan in batch_a() {
             epoch.submit(&plan, &exec).unwrap();
         }

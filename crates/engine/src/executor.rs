@@ -22,7 +22,6 @@
 //! * equi-joins use a hash table so that even strategies that evaluate products early (the
 //!   Random strategy of Section VI-A) remain feasible on the benchmark instances.
 
-use crate::feedback::JoinHint;
 use crate::physical::{bind, BoundAggregate, PhysicalPlan};
 use crate::{vectorized, EngineError, EngineResult, ExecStats, Plan};
 use std::borrow::Cow;
@@ -146,21 +145,13 @@ impl<'a> Executor<'a> {
     /// cache and hands the shared batches here, so a cache hit flows into its parent operator
     /// without any copy.  `children` must match the node's child count.  The result may be
     /// late-materialized (see [`Relation::view`]): its rows are built if and when read.
-    ///
-    /// `hint` is the adaptive-execution steer, and today only affects hash joins: a
-    /// `build_left` hint makes the vectorized join kernel build its hash table on the
-    /// observed-smaller left side (the output is restored to the canonical order, so the
-    /// answer is byte-identical either way; each join that runs flipped counts in
-    /// [`ExecStats::reordered_joins`]), and an observed build-bytes hint sizes the grace
-    /// join's partition fan-out.
     pub fn execute_node(
         &mut self,
         node: &PhysicalPlan,
         children: &[Arc<Relation>],
-        hint: Option<JoinHint>,
     ) -> EngineResult<Arc<Relation>> {
         let start = Instant::now();
-        let result = self.eval_node(node, children, hint);
+        let result = self.eval_node(node, children);
         self.stats.exec_time += start.elapsed();
         result
     }
@@ -189,7 +180,7 @@ impl<'a> Executor<'a> {
         for child in plan.children() {
             children.push(self.eval_tree(child)?);
         }
-        self.eval_node(plan, &children, None)
+        self.eval_node(plan, &children)
     }
 
     /// The columnar form of an operator input, when it has one: the view of a
@@ -213,13 +204,11 @@ impl<'a> Executor<'a> {
         Arc::new(Relation::from_view(schema.clone(), out))
     }
 
-    /// Evaluates one physical operator over its children's batches, steered by an optional
-    /// adaptive hint (hash joins only).
+    /// Evaluates one physical operator over its children's batches.
     fn eval_node(
         &mut self,
         plan: &PhysicalPlan,
         children: &[Arc<Relation>],
-        hint: Option<JoinHint>,
     ) -> EngineResult<Arc<Relation>> {
         match plan {
             PhysicalPlan::Scan { view, .. } => {
@@ -289,31 +278,18 @@ impl<'a> Executor<'a> {
             } => {
                 let l = child(children, 0);
                 let r = child(children, 1);
-                let build_left = hint.is_some_and(|h| h.build_left);
-                // Observed bytes only size the grace build (the right side); a flip hint's
-                // bytes describe the *left* side and must not leak into that sizing.
-                let observed_build = hint.and_then(|h| h.build_bytes).filter(|_| !build_left);
-                let grace = self.grace_partition_count(&r, observed_build);
+                let grace = self.grace_partition_count(&r);
                 if grace.is_none() {
                     if let (Some(lv), Some(rv)) = (self.columnar_input(&l), self.columnar_input(&r))
                     {
-                        // The one place a build-side flip runs (the grace path already bounds
-                        // its build side; the row join has no index form to sort back).
-                        self.stats.reordered_joins += u64::from(build_left);
-                        let out =
-                            vectorized::hash_join(&lv, &rv, left_keys, right_keys, build_left);
+                        let out = vectorized::hash_join(&lv, &rv, left_keys, right_keys);
                         return Ok(self.emit(schema, l.len() + r.len(), out));
                     }
                 }
                 let rows = match grace {
-                    Some(partitions) => self.grace_hash_join_rows(
-                        &l,
-                        &r,
-                        left_keys,
-                        right_keys,
-                        partitions,
-                        observed_build,
-                    )?,
+                    Some(partitions) => {
+                        self.grace_hash_join_rows(&l, &r, left_keys, right_keys, partitions)?
+                    }
                     None => hash_join_rows(&l, &r, left_keys, right_keys),
                 };
                 self.stats
@@ -389,25 +365,14 @@ impl Executor<'_> {
     /// budgeted pool, and only when the build (right) side exceeds half the budget — the
     /// in-memory join needs the build rows *and* their hash table resident at once.  Returns
     /// the partition fan-out, sized so each build partition targets a quarter of the budget.
-    ///
-    /// The *trigger* always uses the instantaneous build bytes — admission safety is not a
-    /// place for stale observations — but the fan-out is sized from `observed_bytes` (the
-    /// adaptive loop's decayed measurement of the build side) when available, so a build side
-    /// the static estimator mis-sizes neither over-partitions (per-partition overhead) nor
-    /// under-partitions (partitions that blow the budget).
-    fn grace_partition_count(
-        &self,
-        build: &Relation,
-        observed_bytes: Option<u64>,
-    ) -> Option<usize> {
+    fn grace_partition_count(&self, build: &Relation) -> Option<usize> {
         let budget = self.pool.as_ref()?.budget()?;
         let build_bytes = build.estimated_bytes();
         if build_bytes <= budget / 2 {
             return None;
         }
-        let sizing = observed_bytes.map_or(build_bytes, |b| (b as usize).max(1));
         let target = (budget / 4).max(1);
-        Some(sizing.div_ceil(target).clamp(2, 64))
+        Some(build_bytes.div_ceil(target).clamp(2, 64))
     }
 
     /// The grace hash join: both sides are hash-partitioned on the join key into spill-pool
@@ -423,7 +388,6 @@ impl Executor<'_> {
         left_keys: &[usize],
         right_keys: &[usize],
         partitions: usize,
-        observed_build_bytes: Option<u64>,
     ) -> EngineResult<Vec<Tuple>> {
         let pool = self.pool.clone().expect("grace join runs under a pool");
         let mut grace_span = self.tracer.span("grace_join");
@@ -431,14 +395,11 @@ impl Executor<'_> {
         grace_span.tag("build_rows", right.len() as u64);
         grace_span.tag("probe_rows", left.len() as u64);
         self.stats.grace_partitions += partitions as u64;
-        // Admission sizing: reserve room for one build partition up front — observed build
-        // bytes when the adaptive loop has them, the instantaneous estimate otherwise — so
-        // staging evicts unrelated pool entries in one planned sweep instead of a cascade of
-        // per-admit evictions.  Best effort: a failed reservation write surfaces on the
-        // staging admit that actually needs the room.
-        let build_bytes =
-            observed_build_bytes.map_or_else(|| right.estimated_bytes(), |b| b as usize);
-        let _ = pool.reserve(build_bytes.div_ceil(partitions.max(1)));
+        // Admission sizing: reserve room for one build partition up front, so staging evicts
+        // unrelated pool entries in one planned sweep instead of a cascade of per-admit
+        // evictions.  Best effort: a failed reservation write surfaces on the staging admit
+        // that actually needs the room.
+        let _ = pool.reserve(right.estimated_bytes().div_ceil(partitions.max(1)));
 
         // One pass per side computes, per partition, the list of row indices it owns (rows
         // with a null key component can never match and are dropped here, exactly as the
@@ -1102,47 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn build_side_hint_flips_without_changing_the_answer() {
-        // Duplicate keys (17 distinct values across 120/90 rows) and null keys on both sides:
-        // the flipped build must reproduce the canonical output *order* exactly.
-        let cat = join_catalog();
-        let plan =
-            Plan::scan("L").hash_join(Plan::scan("R"), vec![("L.lkey".into(), "R.rkey".into())]);
-        let mut exec = Executor::new(&cat);
-        let physical = exec.bind(&plan).unwrap();
-        let children: Vec<_> = physical
-            .children()
-            .map(|c| exec.execute(c).unwrap())
-            .collect();
-        let reference = exec.execute_node(&physical, &children, None).unwrap();
-        assert!(reference.len() > 100, "join must produce real fan-out");
-        assert_eq!(exec.stats().reordered_joins, 0);
-        let hint = JoinHint {
-            build_left: true,
-            build_bytes: Some(1),
-        };
-        let flipped = exec.execute_node(&physical, &children, Some(hint)).unwrap();
-        assert_eq!(exec.stats().reordered_joins, 1, "the join ran flipped");
-        assert_eq!(flipped.schema(), reference.schema());
-        assert_eq!(flipped.rows(), reference.rows());
-
-        // The row join has no flip: over inputs with no columnar form the hint is ignored,
-        // not miscounted.
-        let mut row_mode = Executor::new(&cat);
-        let row_children: Vec<_> = row_mode
-            .bind(&off_catalog(&plan, &cat))
-            .unwrap()
-            .children()
-            .map(|c| row_mode.execute(c).unwrap())
-            .collect();
-        let unflipped = row_mode
-            .execute_node(&physical, &row_children, Some(hint))
-            .unwrap();
-        assert_eq!(row_mode.stats().reordered_joins, 0);
-        assert_eq!(unflipped.rows(), reference.rows());
-    }
-
-    #[test]
     fn operator_results_are_views_until_rows_are_read() {
         let cat = join_catalog();
         let plan = Plan::scan("L")
@@ -1152,13 +1072,13 @@ mod tests {
         let physical = exec.bind(&plan).unwrap();
         let join = physical.children().next().unwrap();
         let inputs: Vec<_> = join.children().map(|c| exec.execute(c).unwrap()).collect();
-        let joined = exec.execute_node(join, &inputs, None).unwrap();
+        let joined = exec.execute_node(join, &inputs).unwrap();
         let view = joined.view().expect("a join over scans emits a view");
         assert_eq!(view.group_count(), 2);
         // Two index vectors of four bytes per row, whatever the five columns hold.
         assert!(joined.estimated_bytes() <= joined.len() * 2 * 4 + 64);
 
-        let projected = exec.execute_node(&physical, &[joined], None).unwrap();
+        let projected = exec.execute_node(&physical, &[joined]).unwrap();
         assert_eq!(projected.view().unwrap().arity(), 2);
         let expected = crate::ReferenceExecutor::new(&cat).run(&plan).unwrap();
         assert_eq!(projected.rows(), expected.rows());
@@ -1207,7 +1127,7 @@ mod tests {
             Plan::scan("Customer").select(Predicate::eq("Customer.oaddr", Value::from("aaa")));
         let physical = exec.bind(&plan).unwrap();
         let scan_out = exec.execute(physical.children().next().unwrap()).unwrap();
-        let out = exec.execute_node(&physical, &[scan_out], None).unwrap();
+        let out = exec.execute_node(&physical, &[scan_out]).unwrap();
         assert_eq!(out.len(), 2);
     }
 }

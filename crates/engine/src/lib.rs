@@ -30,10 +30,6 @@
 //! * [`epoch`] — the per-epoch persistent DAG: one [`EpochDag`] per (catalog, mapping set)
 //!   epoch caches bindings by logical fingerprint and node results weakly, so a hot epoch's
 //!   later batches skip rebinding and re-executing everything still materialised;
-//! * [`feedback`] — the adaptive-execution loop: a per-epoch [`CardinalityStore`] records each
-//!   node's observed output (rows, bytes, time) as batches execute and feeds it back into
-//!   scheduler priorities, hash-join build sides and grace-join fan-out — never into answers,
-//!   which are byte-identical whatever has been observed;
 //! * [`reference`] — the retained row-at-a-time evaluator, the oracle of the property tests;
 //! * [`ExecStats`] — counters for executed operators and produced tuples, the metric reported
 //!   in the paper's Table IV;
@@ -83,7 +79,6 @@ pub mod epoch;
 pub mod error;
 pub mod executor;
 pub mod expr;
-pub mod feedback;
 pub mod optimize;
 pub mod physical;
 pub mod plan;
@@ -92,13 +87,10 @@ pub mod stats;
 pub mod vectorized;
 
 pub use dag::{DagResultCache, DagRun, DagRunReport, DagScheduler, NodeId, OperatorDag};
-pub use epoch::{
-    EpochDag, EpochRun, EpochRunReport, PinPolicy, PreparedBatch, DEFAULT_PIN_BUDGET_BYTES,
-};
+pub use epoch::{EpochDag, EpochRun, EpochRunReport, PreparedBatch, DEFAULT_PIN_BUDGET_BYTES};
 pub use error::{EngineError, EngineResult};
 pub use executor::Executor;
 pub use expr::{AggFunc, CompareOp, Predicate};
-pub use feedback::{CardinalityStore, FeedbackSummary, JoinHint, Observed};
 pub use physical::{BoundAggregate, BoundPredicate, PhysicalPlan};
 pub use plan::Plan;
 pub use reference::ReferenceExecutor;

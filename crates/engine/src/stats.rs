@@ -40,10 +40,6 @@ pub struct ExecStats {
     /// produced by the row-at-a-time fallback path are not counted, so the ratio of this to
     /// `tuples_output` shows how much of a workload ran columnar.
     pub columnar_rows: u64,
-    /// Hash joins that *ran* with their build side flipped onto the left input by an
-    /// observed-cardinality hint (a hint on a join that does not execute — answered from a
-    /// cached result, or routed to the grace or row join — flips nothing and counts nothing).
-    pub reordered_joins: u64,
     /// Row-codec-equivalent bytes of the relations written to spill segments — what the
     /// segments *would* have cost under the legacy row codec (copied in from the owning
     /// [`BufferPool`](urm_storage::BufferPool), like [`bytes_spilled`](Self::bytes_spilled)).
@@ -93,7 +89,6 @@ impl ExecStats {
         self.spill_reloads += other.spill_reloads;
         self.grace_partitions += other.grace_partitions;
         self.columnar_rows += other.columnar_rows;
-        self.reordered_joins += other.reordered_joins;
         self.segment_bytes_raw += other.segment_bytes_raw;
         self.segment_bytes_encoded += other.segment_bytes_encoded;
         self.exec_time += other.exec_time;

@@ -26,7 +26,7 @@
 //! * SUM folds `f64`s in logical row order — float addition is not associative, and the row
 //!   path defines the order.
 //! * Join outputs are emitted left-row-major (left order, then right order within a key),
-//!   matching the row hash join — whichever side the hash table was built on.
+//!   matching the row hash join.
 
 use crate::physical::BoundPredicate;
 use crate::CompareOp;
@@ -60,21 +60,18 @@ pub fn product(left: &ColumnView, right: &ColumnView) -> ColumnView {
 
 /// Hash equi-join on positional key pairs.  Output rows come in left order (then right order
 /// within a key) with null keys dropped, exactly like the row hash join.  The hash table is
-/// built on the right input, or — `build_left`, the adaptive loop's answer to a right side
-/// observed to be the big one — on the left, in which case the emitted pairs are sorted back
-/// into that same order, so the flip is invisible in the answer.
+/// built on the right input.
 #[must_use]
 pub fn hash_join(
     left: &ColumnView,
     right: &ColumnView,
     left_keys: &[usize],
     right_keys: &[usize],
-    build_left: bool,
 ) -> ColumnView {
     let (lrows, rrows) = if left_keys.len() == 1 {
-        join_single_key(left, right, left_keys[0], right_keys[0], build_left)
+        join_single_key(left, right, left_keys[0], right_keys[0])
     } else {
-        join_multi_key(left, right, left_keys, right_keys, build_left)
+        join_multi_key(left, right, left_keys, right_keys)
     };
     ColumnView::paired(left, right, lrows, rrows)
 }
@@ -337,7 +334,6 @@ fn join_single_key(
     right: &ColumnView,
     lk: usize,
     rk: usize,
-    build_left: bool,
 ) -> (Vec<u32>, Vec<u32>) {
     let (Some(lcol), Some(rcol)) = (left.column(lk), right.column(rk)) else {
         return (Vec::new(), Vec::new());
@@ -362,7 +358,6 @@ fn join_single_key(
             rn,
             |row| key_of(lv, lnul.as_ref(), lcol.slot(row), |v| v),
             |row| key_of(rv, rnul.as_ref(), rcol.slot(row), |v| v),
-            build_left,
         ),
         (
             Column::Float {
@@ -378,7 +373,6 @@ fn join_single_key(
             rn,
             |row| key_of(lv, lnul.as_ref(), lcol.slot(row), f64::to_bits),
             |row| key_of(rv, rnul.as_ref(), rcol.slot(row), f64::to_bits),
-            build_left,
         ),
         (
             Column::Int {
@@ -394,7 +388,6 @@ fn join_single_key(
             rn,
             |row| key_of(lv, lnul.as_ref(), lcol.slot(row), |v| (v as f64).to_bits()),
             |row| key_of(rv, rnul.as_ref(), rcol.slot(row), f64::to_bits),
-            build_left,
         ),
         (
             Column::Float {
@@ -410,7 +403,6 @@ fn join_single_key(
             rn,
             |row| key_of(lv, lnul.as_ref(), lcol.slot(row), f64::to_bits),
             |row| key_of(rv, rnul.as_ref(), rcol.slot(row), |v| (v as f64).to_bits()),
-            build_left,
         ),
         (
             Column::Bool {
@@ -426,7 +418,6 @@ fn join_single_key(
             rn,
             |row| key_of(lv, lnul.as_ref(), lcol.slot(row), |v| v),
             |row| key_of(rv, rnul.as_ref(), rcol.slot(row), |v| v),
-            build_left,
         ),
         (
             Column::Text {
@@ -446,7 +437,6 @@ fn join_single_key(
                     rn,
                     |row| key_of(lc, lnul.as_ref(), lcol.slot(row), |v| v),
                     |row| key_of(rc, rnul.as_ref(), rcol.slot(row), |v| v),
-                    build_left,
                 )
             } else {
                 join_typed(
@@ -462,7 +452,6 @@ fn join_single_key(
                             .flatten()
                             .map(Arc::as_ref)
                     },
-                    build_left,
                 )
             }
         }
@@ -475,7 +464,6 @@ fn join_single_key(
             rn,
             |row| value_key(lcol, row),
             |row| value_key(rcol, row),
-            build_left,
         ),
     }
 }
@@ -499,33 +487,14 @@ fn value_key(col: ColumnRef<'_>, row: usize) -> Option<Value> {
 }
 
 /// The shared build/probe loop of the join kernels over `ln` left and `rn` right logical
-/// rows.  The table is built from one side's rows in order and probed with the other's; a
-/// left build emits its pairs probe-(right-)major and sorts them back to `(left, right)`
-/// order — pairs are unique, so the unstable sort is deterministic.
+/// rows: the table is built from the right rows in order and probed with the left rows in
+/// order.
 fn join_typed<K: std::hash::Hash + Eq>(
     ln: usize,
     rn: usize,
     lkey: impl Fn(usize) -> Option<K>,
     rkey: impl Fn(usize) -> Option<K>,
-    build_left: bool,
 ) -> (Vec<u32>, Vec<u32>) {
-    if build_left {
-        let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(ln);
-        for l in 0..ln {
-            if let Some(k) = lkey(l) {
-                table.entry(k).or_default().push(l as u32);
-            }
-        }
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for r in 0..rn {
-            let Some(k) = rkey(r) else { continue };
-            if let Some(matches) = table.get(&k) {
-                pairs.extend(matches.iter().map(|&l| (l, r as u32)));
-            }
-        }
-        pairs.sort_unstable();
-        return pairs.into_iter().unzip();
-    }
     let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(rn);
     for r in 0..rn {
         if let Some(k) = rkey(r) {
@@ -553,7 +522,6 @@ fn join_multi_key(
     right: &ColumnView,
     left_keys: &[usize],
     right_keys: &[usize],
-    build_left: bool,
 ) -> (Vec<u32>, Vec<u32>) {
     fn key_columns<'a>(view: &'a ColumnView, keys: &[usize]) -> Option<Vec<ColumnRef<'a>>> {
         keys.iter().map(|&k| view.column(k)).collect()
@@ -570,7 +538,6 @@ fn join_multi_key(
         right.len(),
         |row| composite(&lcols, row),
         |row| composite(&rcols, row),
-        build_left,
     )
 }
 
@@ -645,47 +612,11 @@ mod tests {
     fn int_float_join_matches_cross_type() {
         let l = leaf(vec![vec![Value::from(1i64)], vec![Value::from(2i64)]]);
         let r = leaf(vec![vec![Value::from(2.0)], vec![Value::from(2.5)]]);
-        let joined = hash_join(&l, &r, &[0], &[0], false);
+        let joined = hash_join(&l, &r, &[0], &[0]);
         assert_eq!(
             joined.materialize().as_slice(),
             [Tuple::new(vec![Value::from(2i64), Value::from(2.0)])]
         );
-    }
-
-    #[test]
-    fn left_built_joins_emit_the_canonical_order() {
-        // Duplicate keys and null keys on both sides, over filtered (index-addressed) inputs:
-        // building on the left must reproduce the right-built output row for row.
-        let side = |n: i64, modulus: i64, null_every: i64| {
-            leaf(
-                (0..n)
-                    .map(|i| {
-                        let key = if i % null_every == 0 {
-                            Value::Null
-                        } else {
-                            Value::from(i % modulus)
-                        };
-                        vec![key, Value::from(format!("t{i}")), Value::from(i)]
-                    })
-                    .collect(),
-            )
-        };
-        let keep_odd_tags = BoundPredicate::Compare {
-            pos: 2,
-            op: CompareOp::Ne,
-            value: Value::from(4i64),
-        };
-        let l = filter(&side(40, 7, 11), &keep_odd_tags);
-        let r = filter(&side(30, 7, 13), &keep_odd_tags);
-        for (lk, rk) in [(vec![0], vec![0]), (vec![0, 1], vec![0, 1])] {
-            let canonical = hash_join(&l, &r, &lk, &rk, false);
-            let flipped = hash_join(&l, &r, &lk, &rk, true);
-            assert_eq!(canonical.materialize(), flipped.materialize());
-        }
-        assert!(hash_join(&l, &r, &[0], &[0], true).len() > 100);
-        // Empty probe side.
-        let none = filter(&r, &BoundPredicate::Never);
-        assert!(hash_join(&l, &none, &[0], &[0], true).is_empty());
     }
 
     #[test]

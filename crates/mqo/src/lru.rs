@@ -26,8 +26,6 @@ pub struct LruCache<K, V> {
     /// pin LRU); the key is `Arc`-shared with the slot table, so no operation deep-copies it.
     recency: RecencyIndex<Arc<K>>,
     evictions: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -39,15 +37,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             slots: HashMap::new(),
             recency: RecencyIndex::new(),
             evictions: 0,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of resident entries.
@@ -68,49 +58,15 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.evictions
     }
 
-    /// Number of [`get`](LruCache::get) calls answered by a resident entry.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of [`get`](LruCache::get) calls that found nothing.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Fraction of lookups answered by the cache (0 before any lookup).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Whether `key` is resident (does not refresh recency).
     #[must_use]
     pub fn contains(&self, key: &K) -> bool {
         self.slots.contains_key(key)
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.  Hits and misses are counted
-    /// ([`hits`](LruCache::hits) / [`misses`](LruCache::misses)); [`contains`](LruCache::contains)
-    /// counts nothing.
+    /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        let slot = match self.slots.get_mut(key) {
-            None => {
-                self.misses += 1;
-                return None;
-            }
-            Some(slot) => {
-                self.hits += 1;
-                slot
-            }
-        };
+        let slot = self.slots.get_mut(key)?;
         // The index recovers the shared key from the old stamp itself (every resident slot
         // is indexed, so this is never the stale-stamp no-op).
         self.recency.refresh(&mut slot.last_used);
@@ -149,7 +105,6 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut cache = LruCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
         cache.insert("a", 1);
         cache.insert("b", 2);
         // Touch "a" so "b" becomes the LRU entry.
@@ -186,35 +141,10 @@ mod tests {
     #[test]
     fn capacity_is_at_least_one() {
         let mut cache = LruCache::with_capacity(0);
-        assert_eq!(cache.capacity(), 1);
         cache.insert(1, 1);
         cache.insert(2, 2);
         assert_eq!(cache.len(), 1);
         assert!(cache.contains(&2));
-    }
-
-    #[test]
-    fn hit_rate_accounting_tracks_gets_only() {
-        let mut cache = LruCache::with_capacity(2);
-        assert_eq!(cache.hit_rate(), 0.0, "no lookups yet");
-        cache.insert("a", 1);
-        // contains() is a probe, not a use: it must not move the needle.
-        assert!(cache.contains(&"a"));
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-
-        assert_eq!(cache.get(&"a"), Some(&1)); // hit
-        assert_eq!(cache.get(&"b"), None); // miss
-        assert_eq!(cache.get(&"a"), Some(&1)); // hit
-        assert_eq!((cache.hits(), cache.misses()), (2, 1));
-        assert!((cache.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-
-        // An evicted key counts as a miss like any other absent key.
-        cache.insert("b", 2);
-        assert_eq!(cache.get(&"a"), Some(&1)); // hit; "b" is now least recent
-        cache.insert("c", 3); // evicts "b"
-        assert_eq!(cache.get(&"b"), None);
-        assert_eq!((cache.hits(), cache.misses()), (3, 2));
-        assert_eq!(cache.hit_rate(), 0.6);
     }
 
     #[test]
@@ -239,7 +169,6 @@ mod tests {
     #[test]
     fn capacity_zero_clamps_to_one_and_still_counts() {
         let mut cache = LruCache::with_capacity(0);
-        assert_eq!(cache.capacity(), 1, "capacity 0 is clamped to 1");
         assert_eq!(cache.get(&"a"), None);
         cache.insert("a", 1);
         assert_eq!(cache.get(&"a"), Some(&1));
@@ -248,7 +177,6 @@ mod tests {
         assert_eq!(cache.insert("c", 3), Some("b"));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 2);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Overwriting the sole resident is still not an eviction.
         assert_eq!(cache.insert("c", 30), None);
         assert_eq!(cache.get(&"c"), Some(&30));

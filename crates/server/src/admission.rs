@@ -151,8 +151,7 @@ impl AdmissionController {
     }
 }
 
-/// Exponential-decay weight of the newest cost observation (matches the engine's
-/// cardinality-feedback α, so both arms of the adaptive loop converge at the same rate).
+/// Exponential-decay weight of the newest cost observation.
 const COST_ALPHA: f64 = 0.5;
 
 /// Distinct query specs the cost model tracks; further specs fall back to the static

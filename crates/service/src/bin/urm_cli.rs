@@ -458,10 +458,6 @@ fn run_service(
         "columnar: {} rows produced by vectorized kernels",
         metrics.columnar_rows,
     );
-    println!(
-        "adaptive: {} nodes scheduled on observed cardinalities, {} join build sides flipped",
-        metrics.observed_nodes, metrics.reordered_joins,
-    );
     // Mirror the spill/single-thread convention: an unsharded run prints n/a, never a
     // misleading 0 that reads as "sharded but idle".
     if args.shards > 1 {

@@ -66,12 +66,6 @@ pub struct ServiceMetrics {
     /// Actual encoded bytes of the spill segments written (per-column dictionary / delta /
     /// run-length encodings); compare against `segment_bytes_raw` for the compression ratio.
     pub segment_bytes_encoded: u64,
-    /// DAG nodes scheduled on an *observed* cardinality instead of the static estimate, summed
-    /// across all batches (0 while every epoch is still cold).
-    pub observed_nodes: u64,
-    /// Hash joins whose build side was flipped by observed-cardinality feedback, summed across
-    /// all batches.
-    pub reordered_joins: u64,
     /// Batches executed through the scatter-gather shard path (0 with
     /// [`ServiceConfig::shards`](crate::ServiceConfig) = 1).
     pub shard_batches: u64,
@@ -196,8 +190,6 @@ impl ServiceMetrics {
                 Counter,
                 self.segment_bytes_encoded as f64,
             ),
-            ("observed_nodes", Counter, self.observed_nodes as f64),
-            ("reordered_joins", Counter, self.reordered_joins as f64),
             ("shard_batches", Counter, self.shard_batches as f64),
             ("shard_fanouts", Counter, self.shard_fanouts as f64),
             (
@@ -271,11 +263,6 @@ pub struct BatchReport {
     pub segment_bytes_raw: u64,
     /// Actual encoded bytes of the spill segments this batch wrote.
     pub segment_bytes_encoded: u64,
-    /// DAG nodes this batch scheduled on an observed cardinality instead of the static
-    /// estimate (0 on a cold epoch).
-    pub observed_nodes: u64,
-    /// Hash joins this batch flipped to the smaller observed build side.
-    pub reordered_joins: u64,
     /// Shards the batch was fanned out to (0 = the single-node path; sharded batches report
     /// the epoch's shard count even when every root was routed to one shard).
     pub shards: usize,

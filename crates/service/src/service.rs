@@ -15,7 +15,6 @@ use urm_core::{
     ShardSet, ShardStats,
 };
 use urm_core::{CoreError, ProbabilisticAnswer, TargetQuery};
-use urm_engine::CardinalityStore;
 use urm_matching::MappingSet;
 use urm_obs::{HistSnapshot, Histogram, TraceReport, Tracer};
 use urm_storage::Catalog;
@@ -133,8 +132,7 @@ struct Epoch {
     dag: Mutex<EpochDag>,
     /// Exponentially-decayed average *source operators per evaluated query* observed on this
     /// epoch (0 = nothing evaluated yet).  The admission layer charges requests against this
-    /// instead of a flat per-query unit once the epoch has history — the serving-side arm of
-    /// the adaptive feedback loop.
+    /// instead of a flat per-query unit once the epoch has history.
     observed_cost: AtomicU64,
     /// The epoch's scatter-gather runtime when the service runs sharded
     /// ([`ServiceConfig::shards`] > 1): N shard catalogs (full replicas + per-shard slices)
@@ -171,12 +169,6 @@ struct Inner {
     /// The running counters; the answer-cache fields are filled in at snapshot time.
     metrics: Mutex<ServiceMetrics>,
     reports: Mutex<Vec<BatchReport>>,
-    /// Observed cardinalities carried across epoch retirement, keyed by plan fingerprint:
-    /// [`drop_epoch`](QueryService::drop_epoch) folds the retired epoch's store in here, and
-    /// [`register_epoch`](QueryService::register_epoch) seeds each fresh DAG from it — so a
-    /// cold-after-retirement batch over the same catalog reorders joins immediately instead of
-    /// re-learning from static estimates.
-    carryover: CardinalityStore,
     /// Bounded per-shard execution-time samples (one per shard per sharded batch), feeding the
     /// service-wide [`ServiceMetrics::shard_latency`] percentiles at snapshot time.
     shard_samples: Mutex<Vec<Duration>>,
@@ -448,8 +440,6 @@ impl Inner {
             columnar_rows: outcome.exec.columnar_rows,
             segment_bytes_raw: outcome.exec.segment_bytes_raw,
             segment_bytes_encoded: outcome.exec.segment_bytes_encoded,
-            observed_nodes: outcome.observed_nodes,
-            reordered_joins: outcome.reordered_joins,
             shards,
             shard_fanouts,
             shard_merge_time,
@@ -481,8 +471,6 @@ impl Inner {
             metrics.columnar_rows += report.columnar_rows;
             metrics.segment_bytes_raw += report.segment_bytes_raw;
             metrics.segment_bytes_encoded += report.segment_bytes_encoded;
-            metrics.observed_nodes += report.observed_nodes;
-            metrics.reordered_joins += report.reordered_joins;
             if shard_stats.is_some() {
                 metrics.shard_batches += 1;
             }
@@ -564,7 +552,6 @@ impl QueryService {
             pending: Mutex::new(HashMap::new()),
             metrics: Mutex::new(ServiceMetrics::default()),
             reports: Mutex::new(Vec::new()),
-            carryover: CardinalityStore::new(),
             shard_samples: Mutex::new(Vec::new()),
             stages: StageHistograms::default(),
             traces: Mutex::new(VecDeque::new()),
@@ -599,29 +586,21 @@ impl QueryService {
     ///
     /// With [`ServiceConfig::memory_budget`] set, the epoch's DAG runs over a spill
     /// [`BufferPool`](urm_storage::BufferPool) of that budget (grace hash joins, spill-backed
-    /// pins); without one, pinned results are resident and bounded by the byte-budgeted LRU
-    /// pin policy, so alternating batch working sets keep each other warm.
+    /// pins); without one, pinned results are resident up to the default pin budget, so
+    /// alternating batch working sets keep each other warm.
     pub fn register_epoch(&self, catalog: Catalog, mappings: MappingSet) -> EpochId {
         let id = self.inner.epoch_counter.fetch_add(1, Ordering::Relaxed);
         let dag = match self.inner.config.memory_budget {
             Some(budget) => EpochDag::with_memory_budget(budget),
             None => EpochDag::with_pin_budget(urm_core::DEFAULT_PIN_BUDGET_BYTES),
         };
-        // Seed the fresh DAG (and every shard DAG) with the observations retired epochs left
-        // behind: a re-registered catalog's first batch starts from learned cardinalities.
-        let carried = self.inner.carryover.snapshot();
-        if !carried.is_empty() {
-            dag.cardinalities().absorb(&carried);
-        }
         let shard_set = (self.inner.config.shards > 1).then(|| {
-            let set = ShardSet::new(
+            ShardSet::new(
                 &catalog,
                 self.inner.config.shards,
                 self.inner.config.shard_scheme,
                 self.inner.config.memory_budget,
-            );
-            set.seed_cardinalities(&carried);
-            set
+            )
         });
         self.inner.epochs.write().unwrap().insert(
             id,
@@ -644,19 +623,13 @@ impl QueryService {
     /// the answer cache until evicted by LRU pressure, but are unreachable (submissions against
     /// the retired id fail before the cache is consulted).
     pub fn drop_epoch(&self, epoch: EpochId) -> bool {
-        let removed = self.inner.epochs.write().unwrap().remove(&epoch.raw());
-        if let Some(retired) = &removed {
-            // Persist what the epoch learned: fold its observed cardinalities (and its
-            // shards', when sharded) into the service-level carry-over store, so the next
-            // epoch registered over the same catalog starts warm.
-            self.inner
-                .carryover
-                .absorb(&retired.dag.lock().unwrap().cardinalities().snapshot());
-            if let Some(set) = &retired.shard_set {
-                self.inner.carryover.absorb(&set.snapshot_cardinalities());
-            }
-        }
-        let removed = removed.is_some();
+        let removed = self
+            .inner
+            .epochs
+            .write()
+            .unwrap()
+            .remove(&epoch.raw())
+            .is_some();
         // Reject anything still pending against the retired epoch.
         if let Some(submissions) = self.inner.pending.lock().unwrap().remove(&epoch.raw()) {
             for submission in submissions {
@@ -1109,59 +1082,38 @@ mod tests {
     }
 
     #[test]
-    fn retired_epoch_observations_seed_the_next_registration() {
-        // Warm an epoch (batch 1 records, batch 2 applies), retire it, re-register the *same*
-        // catalog clone (bound-plan fingerprints hash the shared row buffers, so they line up)
-        // and run the same query again: the fresh epoch's very first batch must already
-        // schedule on observed cardinalities instead of re-learning from static estimates.
+    fn retirement_leaves_nothing_behind_that_changes_the_next_epoch() {
+        // Clones of one catalog share row buffers, so bound fingerprints line up from one
+        // registration to the next: anything a retired epoch left behind would show up here.
         let catalog = testkit::figure2_catalog();
-        let service = QueryService::new(ServiceConfig::tiny());
-        let epoch = service.register_epoch(catalog.clone(), testkit::figure3_mappings());
-        service.execute_all(epoch, vec![testkit::q0()]).unwrap();
-        service.execute_all(epoch, vec![testkit::q1()]).unwrap();
-        assert!(service.drop_epoch(epoch));
-
-        let fresh = service.register_epoch(catalog, testkit::figure3_mappings());
-        service.execute_all(fresh, vec![testkit::q0()]).unwrap();
-        let reports = service.reports();
-        let cold = reports.last().unwrap();
-        assert_eq!(cold.epoch, fresh.raw());
-        assert!(
-            cold.observed_nodes > 0,
-            "carried-over cardinalities were not applied by the fresh epoch's first batch"
-        );
-    }
-
-    #[test]
-    fn sharded_epochs_fold_shard_observations_into_the_carryover() {
-        let catalog = testkit::figure2_catalog();
-        let service = QueryService::new(ServiceConfig {
-            shards: 2,
-            ..ServiceConfig::tiny()
-        });
-        let epoch = service.register_epoch(catalog.clone(), testkit::figure3_mappings());
-        service
-            .execute_all(epoch, vec![testkit::q0(), testkit::count_query()])
-            .unwrap();
-        let metrics = service.metrics();
-        assert_eq!(metrics.shard_batches, 1);
-        assert!(metrics.shard_fanouts > 0);
-        assert!(service.drop_epoch(epoch));
-
-        // Scatter roots bind against per-ShardSet slice buffers (rebuilt at registration, so
-        // their fingerprints rotate), but singleton roots bind the shared full replicas: the
-        // count query's observations must line up on the fresh epoch's very first batch.
-        let fresh = service.register_epoch(catalog, testkit::figure3_mappings());
-        service
-            .execute_all(fresh, vec![testkit::count_query()])
-            .unwrap();
-        let reports = service.reports();
-        let cold = reports.last().unwrap();
-        assert_eq!(cold.shards, 2);
-        assert!(
-            cold.observed_nodes > 0,
-            "shard observations did not survive retirement"
-        );
+        let queries = || vec![testkit::q0(), testkit::q1(), testkit::count_query()];
+        for shards in [1usize, 2] {
+            let service = QueryService::new(ServiceConfig {
+                shards,
+                ..ServiceConfig::tiny()
+            });
+            let rounds: Vec<_> = (0..3)
+                .map(|_| {
+                    let epoch =
+                        service.register_epoch(catalog.clone(), testkit::figure3_mappings());
+                    let answers: Vec<Vec<(urm_storage::Tuple, u64)>> = service
+                        .execute_all(epoch, queries())
+                        .unwrap()
+                        .iter()
+                        .map(|response| {
+                            let sorted = response.answer.sorted();
+                            sorted.into_iter().map(|(t, p)| (t, p.to_bits())).collect()
+                        })
+                        .collect();
+                    let report = service.reports().last().cloned().unwrap();
+                    assert_eq!(report.epoch, epoch.raw());
+                    assert!(service.drop_epoch(epoch));
+                    (answers, report.dag_nodes, report.epoch_results_reused)
+                })
+                .collect();
+            assert_eq!(rounds[1], rounds[0], "{shards} shard(s), round 2");
+            assert_eq!(rounds[2], rounds[0], "{shards} shard(s), round 3");
+        }
     }
 
     #[test]

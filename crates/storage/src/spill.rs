@@ -407,10 +407,10 @@ impl BufferPool {
     /// Pre-trims the pool so `bytes` of upcoming admissions fit without mid-operation
     /// evictions: least-recently-used entries spill until `cached_bytes + bytes ≤ budget`.
     ///
-    /// This is the adaptive grace join's admission sizing: sized from *observed* build-side
-    /// bytes, the reservation makes room for the partitions about to be staged in one planned
-    /// sweep instead of a cascade of per-admit evictions.  Best effort — a reservation larger
-    /// than the budget trims everything trimmable — and a no-op on unbounded pools.
+    /// This is the grace join's admission sizing: sized from the build side's bytes, the
+    /// reservation makes room for the partitions about to be staged in one planned sweep
+    /// instead of a cascade of per-admit evictions.  Best effort — a reservation larger than
+    /// the budget trims everything trimmable — and a no-op on unbounded pools.
     pub fn reserve(&self, bytes: usize) -> StorageResult<()> {
         trim_with(&self.inner, |inner| {
             let Some(budget) = inner.budget else {
@@ -525,18 +525,6 @@ impl BufferPool {
     #[must_use]
     pub fn cached_bytes(&self) -> usize {
         self.inner.lock().unwrap().cached_bytes
-    }
-
-    /// Number of tracked relations whose segment file has been written.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap()
-            .entries
-            .values()
-            .filter(|e| e.segment.is_some())
-            .count()
     }
 
     /// The pool's spill directory (only exists on disk once something spilled).
