@@ -1,6 +1,11 @@
 //! A minimal blocking HTTP/1.1 client for the server's own tests, the open-loop benchmark and
 //! the CI smoke script.  Speaks exactly the dialect the server emits: fixed-length *and*
 //! chunked response bodies, keep-alive connections.
+//!
+//! A request leaves the way a response does (see [`crate::http`]): head and body are
+//! assembled in one buffer the connection keeps, and reach the `TCP_NODELAY` socket in **one**
+//! write — one segment, one wake-up of the server.  A response body is read straight into the
+//! buffer that is returned, chunk by chunk.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -28,10 +33,42 @@ impl HttpResponse {
     }
 }
 
+/// The request half of one connection: owns the buffer every request is assembled in, and
+/// hands each to the sink as a single `write_all`.  Generic over the sink so tests can count
+/// the writes.
+struct RequestWriter<W: Write> {
+    stream: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> RequestWriter<W> {
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        extra_headers: &[(&str, &str)],
+        body: &str,
+    ) -> std::io::Result<()> {
+        self.buf.clear();
+        write!(
+            self.buf,
+            "{method} {path} HTTP/1.1\r\nhost: urm\r\ncontent-length: {}\r\n",
+            body.len()
+        )?;
+        for (name, value) in extra_headers {
+            write!(self.buf, "{name}: {value}\r\n")?;
+        }
+        self.buf.extend_from_slice(b"\r\n");
+        self.buf.extend_from_slice(body.as_bytes());
+        self.stream.write_all(&self.buf)?;
+        self.stream.flush()
+    }
+}
+
 /// A keep-alive connection to the server.
 pub struct HttpClient {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    writer: RequestWriter<TcpStream>,
 }
 
 impl HttpClient {
@@ -41,7 +78,10 @@ impl HttpClient {
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
+        let writer = RequestWriter {
+            stream: stream.try_clone()?,
+            buf: Vec::new(),
+        };
         Ok(HttpClient {
             reader: BufReader::new(stream),
             writer,
@@ -66,28 +106,19 @@ impl HttpClient {
         extra_headers: &[(&str, &str)],
         body: Option<&str>,
     ) -> std::io::Result<HttpResponse> {
-        let body = body.unwrap_or("");
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: urm\r\ncontent-length: {}\r\n",
-            body.len()
-        );
-        for (name, value) in extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body.as_bytes())?;
-        self.writer.flush()?;
+        self.writer
+            .send(method, path, extra_headers, body.unwrap_or(""))?;
         self.read_response()
     }
 
     /// Sends raw bytes verbatim (malformed-request tests) and reads whatever comes back.
     pub fn send_raw(&mut self, raw: &[u8]) -> std::io::Result<HttpResponse> {
-        self.writer.write_all(raw)?;
-        self.writer.flush()?;
+        self.writer.stream.write_all(raw)?;
+        self.writer.stream.flush()?;
         self.read_response()
     }
 
+    /// Reads one line, without its terminator.
     fn read_line(&mut self) -> std::io::Result<String> {
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
@@ -96,7 +127,22 @@ impl HttpClient {
                 "connection closed",
             ));
         }
-        Ok(line.trim_end_matches(['\r', '\n']).to_string())
+        line.truncate(line.trim_end_matches(['\r', '\n']).len());
+        Ok(line)
+    }
+
+    /// Appends the next `len` bytes off the socket to `body`, reading them into its tail.
+    fn read_into(&mut self, body: &mut Vec<u8>, len: usize) -> std::io::Result<()> {
+        body.try_reserve(len)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let got = self.reader.by_ref().take(len as u64).read_to_end(body)?;
+        if got < len {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed mid-body",
+            ));
+        }
+        Ok(())
     }
 
     fn read_response(&mut self) -> std::io::Result<HttpResponse> {
@@ -107,48 +153,43 @@ impl HttpClient {
             .nth(1)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad(&format!("bad status line '{status_line}'")))?;
-        let mut headers = Vec::new();
+        let mut response = HttpResponse {
+            status,
+            headers: Vec::new(),
+            body: String::new(),
+        };
         loop {
             let line = self.read_line()?;
             if line.is_empty() {
                 break;
             }
             let (name, value) = line.split_once(':').ok_or_else(|| bad("bad header"))?;
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+            response
+                .headers
+                .push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
 
-        let find = |name: &str| {
-            headers
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone())
-        };
         let mut body = Vec::new();
-        if find("transfer-encoding").as_deref() == Some("chunked") {
+        if response.header("transfer-encoding") == Some("chunked") {
             loop {
                 let size_line = self.read_line()?;
                 let size = usize::from_str_radix(size_line.trim(), 16)
                     .map_err(|_| bad(&format!("bad chunk size '{size_line}'")))?;
-                let mut chunk = vec![0u8; size + 2]; // chunk + trailing CRLF
-                self.reader.read_exact(&mut chunk)?;
+                self.read_into(&mut body, size)?;
+                self.reader.read_exact(&mut [0u8; 2])?; // the chunk's trailing CRLF
                 if size == 0 {
                     break;
                 }
-                chunk.truncate(size);
-                body.extend_from_slice(&chunk);
             }
         } else {
-            let length: usize = find("content-length")
+            let length = response
+                .header("content-length")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0);
-            body.resize(length, 0);
-            self.reader.read_exact(&mut body)?;
+            self.read_into(&mut body, length)?;
         }
-        Ok(HttpResponse {
-            status,
-            headers,
-            body: String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?,
-        })
+        response.body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?;
+        Ok(response)
     }
 }
 
@@ -161,4 +202,36 @@ pub fn request_once(
     body: Option<&str>,
 ) -> std::io::Result<HttpResponse> {
     HttpClient::connect(addr, timeout)?.request(method, path, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::CountingWrite;
+
+    #[test]
+    fn a_request_is_one_write_from_a_reused_buffer() {
+        let mut writer = RequestWriter {
+            stream: CountingWrite::default(),
+            buf: Vec::new(),
+        };
+        let headers = [("x-trace-id", "t1"), ("connection", "close")];
+        let body = "{\"spec\": \"Q1\"}";
+        writer.send("POST", "/query", &headers, body).unwrap();
+        let sent = std::mem::take(&mut writer.stream);
+        assert_eq!(sent.writes, 1);
+        assert_eq!(
+            String::from_utf8(sent.bytes).unwrap(),
+            "POST /query HTTP/1.1\r\nhost: urm\r\ncontent-length: 14\r\n\
+             x-trace-id: t1\r\nconnection: close\r\n\r\n{\"spec\": \"Q1\"}"
+        );
+
+        // The next request starts from a clean buffer; one without a body is one write too.
+        writer.send("GET", "/healthz", &[], "").unwrap();
+        assert_eq!(writer.stream.writes, 1);
+        assert_eq!(
+            writer.stream.bytes,
+            b"GET /healthz HTTP/1.1\r\nhost: urm\r\ncontent-length: 0\r\n\r\n"
+        );
+    }
 }

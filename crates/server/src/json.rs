@@ -1,11 +1,15 @@
 //! A minimal JSON value: parser and writer.
 //!
 //! The workspace has no registry access, so the wire format is handled by this module instead
-//! of `serde_json`.  It covers exactly what the HTTP front door needs: parsing small request
-//! bodies and rendering response documents **deterministically** — objects keep insertion
-//! order (`Vec` of pairs, not a map), and numbers render via Rust's shortest round-trip `f64`
+//! of `serde_json`.  It covers exactly what the HTTP front door needs: parsing request bodies
+//! and rendering response documents **deterministically** — objects keep insertion order
+//! (`Vec` of pairs, not a map), and numbers render via Rust's shortest round-trip `f64`
 //! formatting — so equal answers always produce byte-identical documents, which is what the
 //! `http_bench` byte-identity assertion relies on.
+//!
+//! The reader sits on the request path, in front of admission, so its cost is bounded by its
+//! input: one pass over the bytes — a string is copied a run at a time, each run validated
+//! once — and at most [`MAX_DEPTH`] containers open at once, whatever the document says.
 //!
 //! The two writing primitives — [`write_number`] and the run-wise string escaper behind
 //! [`write_string`] / [`Escaped`] — are shared by `Display for Json` and by the direct answer
@@ -76,11 +80,13 @@ impl Json {
         }
     }
 
-    /// Parses a complete JSON document (trailing garbage is an error).
+    /// Parses a complete JSON document in one pass (trailing garbage is an error, and so is
+    /// nesting arrays and objects deeper than [`MAX_DEPTH`]).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -173,9 +179,16 @@ impl<W: fmt::Write> fmt::Write for Escaped<W> {
     }
 }
 
+/// How many arrays and objects [`Json::parse`] lets a document open inside one another.  The
+/// reader descends one call per container, so this bounds its stack; nothing the server
+/// accepts or emits nests deeper than 8.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The containers open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -213,61 +226,79 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
     }
 
+    /// Reads one array or object, refusing the one that would be open inside [`MAX_DEPTH`]
+    /// others.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
+    }
+
+    /// Reads a string literal.  A `\u` surrogate pair decodes to the one scalar it denotes; a
+    /// surrogate without its partner decodes to U+FFFD.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by this wire format; map lone
-                            // surrogates to the replacement character instead of erroring.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            // A run of ordinary characters ends at the next `"` or `\`.  Both are ASCII, so the
+            // run is whole characters of the input and is validated and copied once, as a whole.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&byte| byte == b'"' || byte == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let mut code = self.hex4(self.pos)?;
+                    self.pos += 4;
+                    let high = (0xd800..=0xdbff).contains(&code);
+                    if high && self.bytes[self.pos..].starts_with(b"\\u") {
+                        if let Ok(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 2) {
+                            code = 0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                            self.pos += 6;
                         }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
                     }
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the body was validated as UTF-8 upstream).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(format!("bad escape '\\{}'", other as char)),
             }
         }
+    }
+
+    /// The value of the four hex digits at `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+        u32::from_str_radix(hex, 16).map_err(|e| e.to_string())
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -391,6 +422,50 @@ mod tests {
         let v = Json::parse(r#"{"s":"a\tbA","n":-1.5e2}"#).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some("a\tbA"));
         assert_eq!(v.get("n").unwrap().as_f64(), Some(-150.0));
+    }
+
+    #[test]
+    fn a_surrogate_pair_is_one_scalar_and_a_lone_surrogate_is_the_replacement_character() {
+        let parsed = |text: &str| Json::parse(text).unwrap();
+        assert_eq!(parsed(r#""\ud83d\ude00""#).as_str(), Some("\u{1f600}"));
+        assert_eq!(parsed(r#""a\uD834\uDD1Eb""#).as_str(), Some("a𝄞b"));
+        // Halves that do not meet: each is U+FFFD, and what follows a high one is kept.
+        assert_eq!(parsed(r#""\ud83d""#).as_str(), Some("\u{fffd}"));
+        assert_eq!(
+            parsed(r#""\ude00\ud83d""#).as_str(),
+            Some("\u{fffd}\u{fffd}")
+        );
+        assert_eq!(parsed(r#""\ud83dA""#).as_str(), Some("\u{fffd}A"));
+        assert_eq!(parsed(r#""\ud83d\n""#).as_str(), Some("\u{fffd}\n"));
+        assert_eq!(
+            parsed(r#""\ud83d\ud83d\ude00""#).as_str(),
+            Some("\u{fffd}\u{1f600}")
+        );
+        assert!(Json::parse(r#""\ud83d\uZZZZ""#).is_err());
+        assert!(Json::parse(r#""\ud83d\ude0""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_64_containers() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&nested(MAX_DEPTH + 1)),
+            Err("nesting deeper than 64 at byte 64".into())
+        );
+        // Unclosed, unbalanced, or a hundred thousand deep: refused at the 65th, not descended.
+        assert_eq!(
+            Json::parse(&"[".repeat(100_000)),
+            Err("nesting deeper than 64 at byte 64".into())
+        );
+        let objects = "{\"k\":".repeat(100_000);
+        assert_eq!(
+            Json::parse(&objects),
+            Err(format!("nesting deeper than 64 at byte {}", 64 * 5))
+        );
+        // Depth counts what is open, not what has been seen.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 200].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

@@ -614,6 +614,9 @@ fn static_query_cost(query: &urm_core::TargetQuery) -> u64 {
     1 + query.predicates().len() as u64 + relations * relations
 }
 
+/// The specs of a `/query` (`batch: false`) or `/batch` body, or the message of the 400 that
+/// refuses it: not UTF-8, not JSON (or nested beyond [`crate::json::MAX_DEPTH`]), not the
+/// expected shape, or naming a spec that does not parse.
 fn parse_body_specs(
     body: &[u8],
     batch: bool,
@@ -638,8 +641,23 @@ fn parse_body_specs(
     }
     specs
         .into_iter()
-        .map(|s| parse_query_spec(s).map_err(|e| format!("bad spec '{s}': {e}")))
+        .map(|s| parse_query_spec(s).map_err(|e| bad_spec(s, &e)))
         .collect()
+}
+
+/// How many bytes of a rejected spec an error reply quotes.
+const MAX_SPEC_ECHO: usize = 64;
+
+/// The 400 message for a spec that does not parse.  A request body may be a megabyte of
+/// spec, and the reply must not be: at most [`MAX_SPEC_ECHO`] bytes of it are quoted back, and
+/// `why` — which quotes the whole spec again — is given only for a spec quoted in full.
+fn bad_spec(spec: &str, why: &str) -> String {
+    let cut = spec.floor_char_boundary(MAX_SPEC_ECHO);
+    if cut == spec.len() {
+        format!("bad spec '{spec}': {why}")
+    } else {
+        format!("bad spec '{}…'", &spec[..cut])
+    }
 }
 
 #[cfg(test)]
@@ -659,6 +677,24 @@ mod tests {
             headers: Vec::new(),
             body: body.as_bytes().to_vec(),
         }
+    }
+
+    #[test]
+    fn a_rejected_spec_is_quoted_in_full_only_when_short() {
+        let message = |body: &str| parse_body_specs(body.as_bytes(), false).unwrap_err();
+        assert_eq!(
+            message("{\"spec\": \"Q99\"}"),
+            "bad spec 'Q99': invalid target query: unknown workload spec 'Q99' \
+             (expected Q1–Q10, sel:N, prod:N, join:N, scale:N or skew:N)"
+        );
+        // 63 ASCII bytes, then two-byte characters: the cut falls back to the boundary at 63.
+        let long = format!("{}{}", "a".repeat(63), "é".repeat(500_000));
+        assert_eq!(
+            message(&format!("{{\"spec\": \"{long}\"}}")),
+            format!("bad spec '{}…'", "a".repeat(63))
+        );
+        let nested = message(&"[".repeat(10_000));
+        assert_eq!(nested, "bad JSON body: nesting deeper than 64 at byte 64");
     }
 
     /// The server's request path — parse, admit, submit, wait, render, frame — over a sink that

@@ -4,7 +4,7 @@
 //! oversized bodies, truncated JSON, slow-loris partial headers hitting the read timeout,
 //! concurrent clients receiving byte-identical answers, admission rejections (queue full and
 //! per-client throttle), failed queries as 5xx, HTTP/1.0 and `connection: close` peers, and the
-//! draining shutdown.
+//! draining shutdown; and bodies built to cost the JSON reader more than they weigh.
 
 use std::time::Duration;
 use urm_core::prelude::MappingSet;
@@ -203,6 +203,58 @@ fn truncated_and_invalid_json_bodies_get_400() {
         .request("POST", "/batch", Some("{\"specs\": []}"))
         .unwrap();
     assert_eq!(response.status, 400);
+    server.shutdown();
+}
+
+/// Two bodies that cost the reader nothing it was not sent: ten thousand unclosed arrays are
+/// refused at the 65th, and a megabyte of one string is read in one pass and quoted back in
+/// 64 bytes.  The process is there afterwards, with nothing in flight.
+#[test]
+fn deeply_nested_and_megabyte_bodies_get_400_and_the_server_keeps_serving() {
+    let server = start_server(AdmissionConfig::default());
+    let expected = connect(&server)
+        .request("POST", "/query", Some("{\"spec\": \"Q1\"}"))
+        .unwrap();
+    assert_eq!(expected.status, 200);
+
+    let nested = connect(&server)
+        .request("POST", "/query", Some(&"[".repeat(10_000)))
+        .unwrap();
+    assert_eq!(nested.status, 400);
+    assert!(nested.body.contains("nesting deeper than 64"), "{nested:?}");
+
+    let spec = "a".repeat(AdmissionConfig::default().max_body_bytes - 16);
+    let started = std::time::Instant::now();
+    let megabyte = connect(&server)
+        .request("POST", "/query", Some(&format!("{{\"spec\": \"{spec}\"}}")))
+        .unwrap();
+    assert_eq!(megabyte.status, 400);
+    assert!(megabyte.body.len() < 200, "{} bytes", megabyte.body.len());
+    assert!(megabyte.body.contains(&format!("'{}…'", &spec[..64])));
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "a 1 MiB body held its connection for {:?}",
+        started.elapsed()
+    );
+
+    // A new connection is served the same answer as before, from the cache.
+    let mut client = connect(&server);
+    let again = client
+        .request("POST", "/query", Some("{\"spec\": \"Q1\"}"))
+        .unwrap();
+    assert_eq!(again.status, 200);
+    let answer = |body: &str| {
+        Json::parse(body)
+            .unwrap()
+            .get("answer")
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(answer(&again.body), answer(&expected.body));
+    let health = client.request("GET", "/healthz", None).unwrap();
+    let doc = Json::parse(&health.body).unwrap();
+    assert_eq!(doc.get("in_flight_units").and_then(Json::as_f64), Some(0.0));
+    drop(client);
     server.shutdown();
 }
 
