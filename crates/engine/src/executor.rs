@@ -7,13 +7,13 @@
 //!
 //! * scans and `Values` leaves hand out shared views of existing row buffers (zero copies);
 //! * cached sub-plan results flow into downstream operators without re-materialisation;
-//! * operators over converted inputs run as [`vectorized`] kernels and emit
-//!   *late-materialized* relations — index vectors over the shared base columns
-//!   ([`ColumnView`]) — so no operator builds a tuple; rows are built once, by whoever reads
-//!   a result's rows, or where a result has to leave memory under a byte budget (the inputs
-//!   of a grace join, a result admitted to the spill pool);
-//! * the row operators remain for inputs that have no columnar form (ad-hoc `Values`
-//!   buffers, aggregate outputs, results reloaded from spill segments).
+//! * every operator reads its inputs as [`ColumnView`]s, runs as a [`vectorized`] kernel and
+//!   emits a *late-materialized* relation — index vectors over the shared base columns — so
+//!   no operator builds a tuple; rows are built once, by whoever reads a result's rows (a
+//!   plan or DAG root, a result admitted to a byte-budgeted pool);
+//! * an input that arrives as rows — a scanned buffer, an ad-hoc `Values` buffer, an
+//!   aggregate's one-row output, a pin reloaded from a spill segment — is converted to
+//!   columns where it is consumed (scanned buffers once, memoised by the catalog).
 //!
 //! Two things matter for fidelity to the paper:
 //!
@@ -25,27 +25,24 @@
 use crate::physical::{bind, BoundAggregate, PhysicalPlan};
 use crate::{vectorized, EngineError, EngineResult, ExecStats, Plan};
 use std::borrow::Cow;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 use urm_obs::Tracer;
 use urm_storage::{
-    Attribute, BufferPool, Catalog, ColumnView, DataType, Relation, Schema, Tuple, Value,
+    BufferPool, Catalog, ColumnView, ColumnarRelation, Relation, Schema, Tuple, Value,
 };
 
 /// Executes [`Plan`]s against a [`Catalog`], accumulating [`ExecStats`].
 pub struct Executor<'a> {
     catalog: &'a Catalog,
     stats: ExecStats,
-    /// The spill pool of a byte-budgeted execution: hash joins whose build side exceeds the
-    /// pool's budget fall back to the grace (partitioned) join, staging partitions through the
-    /// pool.  `None` (the default) keeps the pre-spill all-in-memory behaviour byte for byte.
+    /// The spill pool of a byte-budgeted execution: its budget is what a hash join's build
+    /// side is sized against (see [`Executor::with_pool`]).  `None` (the default) joins
+    /// everything in one pass.
     pool: Option<BufferPool>,
     /// The trace-span recorder of the current batch (disabled by default: spans are free).
-    /// The DAG scheduler reads it in `run_node` for per-node spans, and the grace join opens
-    /// a `grace_join` span around its partition/stage/probe passes.
+    /// The DAG scheduler reads it in `run_node` for per-node spans, and a partitioned join
+    /// opens a `grace_join` span around its passes.
     tracer: Tracer,
 }
 
@@ -62,9 +59,10 @@ impl<'a> Executor<'a> {
     }
 
     /// Creates an executor whose hash joins respect `pool`'s byte budget: a build side bigger
-    /// than half the budget takes the grace (partitioned) path, spilling its partitions
-    /// through the pool and joining them pair by pair.  Results are byte-identical to the
-    /// in-memory path, row order included.
+    /// than half the budget is joined one hash partition at a time
+    /// ([`vectorized::grace_hash_join`]), so only one partition's hash table is alive at once.
+    /// Results are byte-identical to the one-pass join, row order included.  The pool itself
+    /// is only handed on ([`Executor::pool`]) to whoever admits results to it.
     #[must_use]
     pub fn with_pool(catalog: &'a Catalog, pool: BufferPool) -> Self {
         Executor {
@@ -183,21 +181,25 @@ impl<'a> Executor<'a> {
         self.eval_node(plan, &children)
     }
 
-    /// The columnar form of an operator input, when it has one: the view of a
-    /// late-materialized intermediate, or the catalog's memoised
-    /// conversion of a row buffer a scan converted.  Anything else (ad-hoc `Values` buffers,
-    /// aggregate outputs, results reloaded from spill segments) stays on the row operators.
-    fn columnar_input<'r>(&self, rel: &'r Relation) -> Option<Cow<'r, ColumnView>> {
+    /// The columnar form of an operator input: the view of a late-materialized intermediate,
+    /// else the catalog's memoised conversion of a row buffer a scan converted, else — for
+    /// any other row relation (an ad-hoc `Values` buffer, an aggregate's output, a pin
+    /// reloaded from a spill segment) — a conversion made here, for this consumer.  The
+    /// catalog's memo pins what it indexes, so only scanned buffers go there.
+    fn input_view<'r>(&self, rel: &'r Relation) -> Cow<'r, ColumnView> {
         match rel.view() {
-            Some(view) => Some(Cow::Borrowed(view)),
-            None => self
-                .catalog
-                .cached_columnar(rel)
-                .map(|base| Cow::Owned(ColumnView::from_base(base))),
+            Some(view) => Cow::Borrowed(view),
+            None => {
+                let base = self
+                    .catalog
+                    .cached_columnar(rel)
+                    .unwrap_or_else(|| Arc::new(ColumnarRelation::from_relation(rel)));
+                Cow::Owned(ColumnView::from_base(base))
+            }
         }
     }
 
-    /// Accounts for and wraps the output of a vectorized operator that read `read` rows.
+    /// Accounts for and wraps the output of an operator that read `read` rows.
     fn emit(&mut self, schema: &Schema, read: usize, out: ColumnView) -> Arc<Relation> {
         self.stats.record_operator(read as u64, out.len() as u64);
         self.stats.columnar_rows += out.len() as u64;
@@ -215,8 +217,7 @@ impl<'a> Executor<'a> {
                 self.stats.record_scan(view.len() as u64);
                 self.stats.rows_shared += view.len() as u64;
                 // The scan hands out the base rows themselves; converting here (once per
-                // buffer, memoised by the catalog) is what lets the operators over it find
-                // its columnar form.
+                // buffer, memoised by the catalog) is what the operators over it read.
                 let _ = self.catalog.columnar_view(view);
                 Ok(Arc::clone(view))
             }
@@ -228,47 +229,20 @@ impl<'a> Executor<'a> {
                 predicate, schema, ..
             } => {
                 let input = child(children, 0);
-                if let Some(view) = self.columnar_input(&input) {
-                    let out = vectorized::filter(&view, predicate);
-                    return Ok(self.emit(schema, input.len(), out));
-                }
-                let rows: Vec<Tuple> = input
-                    .iter()
-                    .filter(|t| predicate.matches(t))
-                    .cloned()
-                    .collect();
-                self.stats
-                    .record_operator(input.len() as u64, rows.len() as u64);
-                Ok(Arc::new(Relation::from_validated(schema.clone(), rows)))
+                let out = vectorized::filter(&self.input_view(input), predicate);
+                Ok(self.emit(schema, input.len(), out))
             }
             PhysicalPlan::Project {
                 positions, schema, ..
             } => {
                 let input = child(children, 0);
-                if let Some(view) = self.columnar_input(&input) {
-                    return Ok(self.emit(schema, input.len(), view.project(positions)));
-                }
-                let rows: Vec<Tuple> = input.iter().map(|t| t.project(positions)).collect();
-                self.stats
-                    .record_operator(input.len() as u64, rows.len() as u64);
-                Ok(Arc::new(Relation::from_validated(schema.clone(), rows)))
+                let out = self.input_view(input).project(positions);
+                Ok(self.emit(schema, input.len(), out))
             }
             PhysicalPlan::Product { schema, .. } => {
-                let l = child(children, 0);
-                let r = child(children, 1);
-                if let (Some(lv), Some(rv)) = (self.columnar_input(&l), self.columnar_input(&r)) {
-                    let out = vectorized::product(&lv, &rv);
-                    return Ok(self.emit(schema, l.len() + r.len(), out));
-                }
-                let mut rows = Vec::with_capacity(l.len().saturating_mul(r.len()));
-                for lt in l.iter() {
-                    for rt in r.iter() {
-                        rows.push(lt.concat(rt));
-                    }
-                }
-                self.stats
-                    .record_operator((l.len() + r.len()) as u64, rows.len() as u64);
-                Ok(Arc::new(Relation::from_validated(schema.clone(), rows)))
+                let (l, r) = (child(children, 0), child(children, 1));
+                let out = vectorized::product(&self.input_view(l), &self.input_view(r));
+                Ok(self.emit(schema, l.len() + r.len(), out))
             }
             PhysicalPlan::HashJoin {
                 left_keys,
@@ -276,61 +250,39 @@ impl<'a> Executor<'a> {
                 schema,
                 ..
             } => {
-                let l = child(children, 0);
-                let r = child(children, 1);
-                let grace = self.grace_partition_count(&r);
-                if grace.is_none() {
-                    if let (Some(lv), Some(rv)) = (self.columnar_input(&l), self.columnar_input(&r))
-                    {
-                        let out = vectorized::hash_join(&lv, &rv, left_keys, right_keys);
-                        return Ok(self.emit(schema, l.len() + r.len(), out));
-                    }
-                }
-                let rows = match grace {
+                let (l, r) = (child(children, 0), child(children, 1));
+                let (lv, rv) = (self.input_view(l), self.input_view(r));
+                let out = match self.grace_partition_count(r) {
                     Some(partitions) => {
-                        self.grace_hash_join_rows(&l, &r, left_keys, right_keys, partitions)?
+                        let mut span = self.tracer.span("grace_join");
+                        span.tag("partitions", partitions as u64);
+                        span.tag("build_rows", r.len() as u64);
+                        span.tag("probe_rows", l.len() as u64);
+                        self.stats.grace_partitions += partitions as u64;
+                        vectorized::grace_hash_join(&lv, &rv, left_keys, right_keys, partitions)
                     }
-                    None => hash_join_rows(&l, &r, left_keys, right_keys),
+                    None => vectorized::hash_join(&lv, &rv, left_keys, right_keys),
                 };
-                self.stats
-                    .record_operator((l.len() + r.len()) as u64, rows.len() as u64);
-                Ok(Arc::new(Relation::from_validated(schema.clone(), rows)))
+                Ok(self.emit(schema, l.len() + r.len(), out))
             }
             PhysicalPlan::Distinct { .. } => {
                 let input = child(children, 0);
-                if let Some(view) = self.columnar_input(&input) {
-                    let every_column: Vec<usize> = (0..view.arity()).collect();
-                    let kept = view.distinct_rows(&every_column);
-                    let out = if kept.len() == view.len() {
-                        view.into_owned()
-                    } else {
-                        view.select_rows(kept)
-                    };
-                    return Ok(self.emit(plan.schema(), input.len(), out));
-                }
-                let mut seen = HashSet::new();
-                let rows: Vec<Tuple> = input
-                    .iter()
-                    .filter(|row| seen.insert(*row))
-                    .cloned()
-                    .collect();
-                self.stats
-                    .record_operator(input.len() as u64, rows.len() as u64);
-                Ok(Arc::new(Relation::from_validated(
-                    plan.schema().clone(),
-                    rows,
-                )))
+                let view = self.input_view(input);
+                let every_column: Vec<usize> = (0..view.arity()).collect();
+                let kept = view.distinct_rows(&every_column);
+                let out = if kept.len() == view.len() {
+                    view.into_owned()
+                } else {
+                    view.select_rows(kept)
+                };
+                Ok(self.emit(plan.schema(), input.len(), out))
             }
             PhysicalPlan::Aggregate { func, schema, .. } => {
                 let input = child(children, 0);
-                let view = self.columnar_input(&input);
                 let value = match func {
                     BoundAggregate::Count => Value::from(input.len() as i64),
                     BoundAggregate::Sum { pos, column } => {
-                        let sum = match &view {
-                            Some(view) => vectorized::sum(view, *pos),
-                            None => sum_rows(&input, *pos),
-                        };
+                        let sum = vectorized::sum(&self.input_view(input), *pos);
                         Value::from(sum.ok_or_else(|| EngineError::InvalidAggregate {
                             func: "SUM",
                             column: column.clone(),
@@ -338,7 +290,7 @@ impl<'a> Executor<'a> {
                     }
                 };
                 self.stats.record_operator(input.len() as u64, 1);
-                self.stats.columnar_rows += u64::from(view.is_some());
+                self.stats.columnar_rows += 1;
                 Ok(Arc::new(Relation::from_validated(
                     schema.clone(),
                     vec![Tuple::new(vec![value])],
@@ -346,25 +298,11 @@ impl<'a> Executor<'a> {
             }
         }
     }
-}
 
-/// SUM over column `pos` of a row relation, in row order; nulls and missing cells are
-/// skipped, a non-numeric value yields `None`.
-fn sum_rows(input: &Relation, pos: usize) -> Option<f64> {
-    let mut sum = 0.0f64;
-    for v in input.iter().filter_map(|t| t.get(pos)) {
-        if !v.is_null() {
-            sum += v.as_f64()?;
-        }
-    }
-    Some(sum)
-}
-
-impl Executor<'_> {
-    /// Decides whether a hash join must take the grace (partitioned) path: only under a
-    /// budgeted pool, and only when the build (right) side exceeds half the budget — the
-    /// in-memory join needs the build rows *and* their hash table resident at once.  Returns
-    /// the partition fan-out, sized so each build partition targets a quarter of the budget.
+    /// Decides whether a hash join is partitioned: only under a budgeted pool, and only when
+    /// the build (right) side exceeds half the budget — the one-pass join needs the build
+    /// side *and* its whole hash table resident at once.  Returns the partition fan-out,
+    /// sized so each build partition targets a quarter of the budget.
     fn grace_partition_count(&self, build: &Relation) -> Option<usize> {
         let budget = self.pool.as_ref()?.budget()?;
         let build_bytes = build.estimated_bytes();
@@ -374,242 +312,19 @@ impl Executor<'_> {
         let target = (budget / 4).max(1);
         Some(build_bytes.div_ceil(target).clamp(2, 64))
     }
-
-    /// The grace hash join: both sides are hash-partitioned on the join key into spill-pool
-    /// relations (so the pool can page them out under budget pressure), then each partition
-    /// pair is loaded and joined one at a time.  Probe rows carry their original index in an
-    /// extra column, and the concatenated per-partition outputs are stably re-sorted on it —
-    /// a key's rows all land in one partition, so this reproduces the in-memory join's output
-    /// *exactly*, row order included (the property tests hold it to that).
-    fn grace_hash_join_rows(
-        &mut self,
-        left: &Relation,
-        right: &Relation,
-        left_keys: &[usize],
-        right_keys: &[usize],
-        partitions: usize,
-    ) -> EngineResult<Vec<Tuple>> {
-        let pool = self.pool.clone().expect("grace join runs under a pool");
-        let mut grace_span = self.tracer.span("grace_join");
-        grace_span.tag("partitions", partitions as u64);
-        grace_span.tag("build_rows", right.len() as u64);
-        grace_span.tag("probe_rows", left.len() as u64);
-        self.stats.grace_partitions += partitions as u64;
-        // Admission sizing: reserve room for one build partition up front, so staging evicts
-        // unrelated pool entries in one planned sweep instead of a cascade of per-admit
-        // evictions.  Best effort: a failed reservation write surfaces on the staging admit
-        // that actually needs the room.
-        let _ = pool.reserve(right.estimated_bytes().div_ceil(partitions.max(1)));
-
-        // One pass per side computes, per partition, the list of row indices it owns (rows
-        // with a null key component can never match and are dropped here, exactly as the
-        // in-memory build loop does).  The partitions are then *staged one at a time* from
-        // those index lists: materialise partition p, admit it (the pool may page it straight
-        // out), drop the local buffer, move to p+1.  Peak transient memory is one partition
-        // plus the 4-bytes-per-row index lists, not a full deep copy of the side — the inputs
-        // themselves are already materialised `Arc`s owned by the scheduler, which is the
-        // floor this path cannot go below.  Empty partitions never touch the pool (no segment
-        // I/O) and empty *pairs* skip the join outright.
-        let partition_rows = |rel: &Relation, keys: &[usize]| -> Vec<Vec<u32>> {
-            let mut ids: Vec<Vec<u32>> = vec![Vec::new(); partitions];
-            for (idx, row) in rel.iter().enumerate() {
-                if let Some(p) = key_partition(row, keys, partitions) {
-                    ids[p].push(idx as u32);
-                }
-            }
-            ids
-        };
-        // Materialises one partition's rows straight from the (still-resident) input; used to
-        // stage partitions into the pool *and* to rebuild a partition whose staged segment
-        // later fails to read back.
-        let materialize_partition =
-            |schema: &Schema, rel: &Relation, indices: &[u32], tag: bool| -> Relation {
-                let all_rows = rel.rows();
-                let rows: Vec<Tuple> = indices
-                    .iter()
-                    .map(|&idx| {
-                        let row = &all_rows[idx as usize];
-                        if tag {
-                            row.concat(&Tuple::new(vec![Value::from(i64::from(idx))]))
-                        } else {
-                            row.clone()
-                        }
-                    })
-                    .collect();
-                Relation::from_validated(schema.clone(), rows)
-            };
-        let stage = |schema: &Schema,
-                     rel: &Relation,
-                     ids: &[Vec<u32>],
-                     tag: bool|
-         -> EngineResult<Vec<Option<urm_storage::SpillableRelation>>> {
-            let mut handles = Vec::with_capacity(partitions);
-            for indices in ids {
-                if indices.is_empty() {
-                    handles.push(None);
-                    continue;
-                }
-                handles.push(Some(
-                    pool.admit(materialize_partition(schema, rel, indices, tag))?,
-                ));
-            }
-            Ok(handles)
-        };
-
-        // Build (right) side, then the probe (left) side — probe rows additionally carry their
-        // original row index as a tag column so the final merge can restore probe order.  The
-        // per-partition index lists are kept for the lifetime of the join: they are the
-        // recovery path when a staged segment fails to read back.
-        let right_ids = partition_rows(right, right_keys);
-        let right_handles = stage(right.schema(), right, &right_ids, false)?;
-        let left_arity = left.schema().arity();
-        let mut tagged_attrs = left.schema().attributes().to_vec();
-        tagged_attrs.push(Attribute::new(GRACE_INDEX_COLUMN, DataType::Int));
-        let tagged_schema = Schema::new(format!("grace({})", left.schema().name()), tagged_attrs);
-        let left_ids = partition_rows(left, left_keys);
-        let left_handles = stage(&tagged_schema, left, &left_ids, true)?;
-
-        // Join partition pairs one at a time; only the current pair needs to be resident.
-        // A failed segment read (torn file, reaped tmpdir) is retried by re-materialising the
-        // partition from its index list over the still-resident input — never by re-admitting
-        // it through the pool, so the retry adds nothing to the spill counters and
-        // `absorb_spill_delta`'s totals stay exact.
-        // Output tuples strip the tag column back out: positions 0..left_arity then the right
-        // side after the tag.
-        let keep: Vec<usize> = (0..left_arity)
-            .chain(left_arity + 1..left_arity + 1 + right.schema().arity())
-            .collect();
-        let mut out: Vec<(usize, Tuple)> = Vec::new();
-        for (p, (lh, rh)) in left_handles.iter().zip(&right_handles).enumerate() {
-            let (Some(lh), Some(rh)) = (lh, rh) else {
-                continue; // one side empty: the pair can produce nothing
-            };
-            let lp = match lh.load() {
-                Ok(rel) => rel,
-                Err(_) => Arc::new(materialize_partition(
-                    &tagged_schema,
-                    left,
-                    &left_ids[p],
-                    true,
-                )),
-            };
-            let rp = match rh.load() {
-                Ok(rel) => rel,
-                Err(_) => Arc::new(materialize_partition(
-                    right.schema(),
-                    right,
-                    &right_ids[p],
-                    false,
-                )),
-            };
-            for row in hash_join_rows(&lp, &rp, left_keys, right_keys) {
-                let idx = row
-                    .get(left_arity)
-                    .and_then(Value::as_i64)
-                    .expect("grace tag column is an index") as usize;
-                out.push((idx, row.project(&keep)));
-            }
-        }
-        // Stable: within one probe index all matches come from a single partition, already in
-        // build order, so this restores the in-memory output order exactly.
-        out.sort_by_key(|(idx, _)| *idx);
-        Ok(out.into_iter().map(|(_, row)| row).collect())
-    }
-}
-
-/// Name of the probe-order tag column the grace join appends while partitioning (qualified
-/// engine columns are `alias.attr`, so this can never collide with a real attribute).
-const GRACE_INDEX_COLUMN: &str = "⟨grace-idx⟩";
-
-/// The partition a row's join key hashes to, or `None` when a key component is null (null keys
-/// never match, as in SQL — the row can be dropped before it ever reaches a partition).
-/// Equal keys hash equally on both sides, so a key's matches always meet in one partition.
-fn key_partition(row: &Tuple, keys: &[usize], partitions: usize) -> Option<usize> {
-    let mut hasher = DefaultHasher::new();
-    for &k in keys {
-        match row.get(k) {
-            Some(v) if !v.is_null() => v.hash(&mut hasher),
-            _ => return None,
-        }
-    }
-    Some((hasher.finish() % partitions as u64) as usize)
 }
 
 /// Fetches a child batch, panicking on a caller bug (wrong arity) rather than misevaluating.
-fn child(children: &[Arc<Relation>], i: usize) -> Arc<Relation> {
-    Arc::clone(
-        children
-            .get(i)
-            .expect("physical operator invoked with too few child batches"),
-    )
+fn child(children: &[Arc<Relation>], i: usize) -> &Relation {
+    children
+        .get(i)
+        .expect("physical operator invoked with too few child batches")
 }
 
 /// Unwraps a shared result, copying only the schema handle when the batch is still referenced
 /// elsewhere (the row buffer itself is shared either way).
 fn unshare(rel: Arc<Relation>) -> Relation {
     Arc::try_unwrap(rel).unwrap_or_else(|shared| (*shared).clone())
-}
-
-/// Probe-side hash join over positional keys.
-///
-/// Keys are *borrowed* from the input tuples — no per-row key cloning — and the single-key
-/// case (the overwhelmingly common one in the paper's workload) skips the composite-key
-/// allocation entirely.  Null keys never match, as in SQL.
-fn hash_join_rows(
-    left: &Relation,
-    right: &Relation,
-    left_keys: &[usize],
-    right_keys: &[usize],
-) -> Vec<Tuple> {
-    let mut rows = Vec::new();
-    if left_keys.len() == 1 {
-        let (lk, rk) = (left_keys[0], right_keys[0]);
-        let mut table: HashMap<&Value, Vec<&Tuple>> = HashMap::with_capacity(right.len());
-        for t in right.iter() {
-            match t.get(rk) {
-                Some(v) if !v.is_null() => table.entry(v).or_default().push(t),
-                _ => {}
-            }
-        }
-        for l in left.iter() {
-            let Some(v) = l.get(lk) else { continue };
-            if v.is_null() {
-                continue;
-            }
-            if let Some(matches) = table.get(v) {
-                for r in matches {
-                    rows.push(l.concat(r));
-                }
-            }
-        }
-    } else {
-        let mut table: HashMap<Vec<&Value>, Vec<&Tuple>> = HashMap::with_capacity(right.len());
-        'right: for t in right.iter() {
-            let mut key = Vec::with_capacity(right_keys.len());
-            for &i in right_keys {
-                match t.get(i) {
-                    Some(v) if !v.is_null() => key.push(v),
-                    _ => continue 'right,
-                }
-            }
-            table.entry(key).or_default().push(t);
-        }
-        'left: for l in left.iter() {
-            let mut key = Vec::with_capacity(left_keys.len());
-            for &i in left_keys {
-                match l.get(i) {
-                    Some(v) if !v.is_null() => key.push(v),
-                    _ => continue 'left,
-                }
-            }
-            if let Some(matches) = table.get(&key) {
-                for r in matches {
-                    rows.push(l.concat(r));
-                }
-            }
-        }
-    }
-    rows
 }
 
 #[cfg(test)]
@@ -843,9 +558,9 @@ mod tests {
         let nobody = Plan::scan("Customer")
             .select(Predicate::eq("Customer.oaddr", Value::from("nowhere")))
             .project(vec![]);
-        // On columns (scans), then on rows (the same plans over buffers with no columnar form).
-        for on_rows in [false, true] {
-            let leaves = |plan: &Plan| match on_rows {
+        // Over scans, then over `Values` buffers that are converted where they are consumed.
+        for off in [false, true] {
+            let leaves = |plan: &Plan| match off {
                 true => off_catalog(plan, &cat),
                 false => plan.clone(),
             };
@@ -879,9 +594,8 @@ mod tests {
             .distinct();
         let expected = crate::ReferenceExecutor::new(&cat).run(&plan).unwrap();
         assert_eq!(expected.len(), 2);
-        for (plan, columnar) in [(plan.clone(), true), (off_catalog(&plan, &cat), false)] {
+        for plan in [plan.clone(), off_catalog(&plan, &cat)] {
             let out = Executor::new(&cat).run(&plan).unwrap();
-            assert_eq!(out.view().is_some(), columnar);
             assert_eq!(out.rows(), expected.rows());
             assert_eq!(out.schema(), expected.schema());
         }
@@ -1016,7 +730,11 @@ mod tests {
                 exec.stats().grace_partitions >= 2,
                 "budget {budget} did not take the grace path"
             );
-            assert!(pool.stats().bytes_spilled > 0 || budget >= 512);
+            assert_eq!(
+                pool.stats().segments_written,
+                0,
+                "index vectors are not staged"
+            );
         }
     }
 
@@ -1083,40 +801,6 @@ mod tests {
         let expected = crate::ReferenceExecutor::new(&cat).run(&plan).unwrap();
         assert_eq!(projected.rows(), expected.rows());
         assert_eq!(exec.run(&plan).unwrap().rows(), expected.rows());
-    }
-
-    #[test]
-    fn grace_retry_after_failed_segment_reads_is_exact() {
-        let cat = join_catalog();
-        let plan =
-            Plan::scan("L").hash_join(Plan::scan("R"), vec![("L.lkey".into(), "R.rkey".into())]);
-        let reference = Executor::new(&cat).run(&plan).unwrap();
-
-        // Clean grace run: the spill-accounting baseline.
-        let clean_pool = urm_storage::BufferPool::with_budget(0);
-        let mut clean = Executor::with_pool(&cat, clean_pool.clone());
-        assert_eq!(clean.run(&plan).unwrap().rows(), reference.rows());
-        let baseline = clean_pool.stats();
-        assert!(baseline.segments_written > 0);
-
-        // Same join with the first cold segment reads failing: the retry re-materialises the
-        // partitions from the still-resident inputs instead of re-admitting them through the
-        // pool, so the answer stays byte-identical and nothing is spilled (or counted) twice.
-        let pool = urm_storage::BufferPool::with_budget(0);
-        let mut exec = Executor::with_pool(&cat, pool.clone());
-        pool.fail_next_loads(3);
-        let out = exec.run(&plan).unwrap();
-        assert_eq!(out.rows(), reference.rows());
-        let stats = pool.stats();
-        assert_eq!(
-            stats.bytes_spilled, baseline.bytes_spilled,
-            "a read retry must not re-spill"
-        );
-        assert_eq!(stats.segments_written, baseline.segments_written);
-        assert_eq!(
-            exec.stats().grace_partitions,
-            clean.stats().grace_partitions
-        );
     }
 
     #[test]

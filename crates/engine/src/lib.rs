@@ -18,10 +18,9 @@
 //! * [`Executor`] — binds and evaluates physical operators batch-at-a-time over shared
 //!   (`Arc`-backed) [`Relation`](urm_storage::Relation)s, with zero-copy scans and `Values`
 //!   leaves;
-//! * [`vectorized`] — columnar operator kernels over typed
-//!   [`Column`](urm_storage::Column) vectors driven by selection vectors; how the executor
-//!   evaluates every operator whose inputs have a columnar form, byte-identical to the row
-//!   operators that take the rest;
+//! * [`vectorized`] — the operator kernels over typed [`Column`](urm_storage::Column)
+//!   vectors driven by selection vectors: how the executor evaluates every operator,
+//!   byte-identical to the [`reference`] evaluator;
 //! * [`dag`] — the shared-operator DAG runtime: bound plans are merged into an
 //!   [`OperatorDag`] (nodes deduplicated by bound-plan fingerprint), which a [`DagScheduler`]
 //!   executes with every distinct operator running exactly once — sequentially or on parallel

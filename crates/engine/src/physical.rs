@@ -6,9 +6,9 @@
 //! that resolution exactly once:
 //!
 //! ```text
-//!   logical Plan  ──bind()──►  PhysicalPlan  ──execute──►  row batches (Arc<Relation>)
+//!   logical Plan  ──bind()──►  PhysicalPlan  ──execute──►  batches (Arc<Relation>)
 //!   columns by name            columns by index            shared, never cloned
-//!   relations by name          row buffers captured        one Vec<Tuple> per operator
+//!   relations by name          row buffers captured        one columnar view per operator
 //! ```
 //!
 //! * every column reference becomes a positional index into the input batch;
@@ -18,10 +18,9 @@
 //! * every node carries its output [`Schema`], computed once.
 //!
 //! The executor then evaluates physical operators batch-at-a-time: each operator consumes its
-//! children's output batches and produces one output batch, with tuple copies limited to the
-//! places where new rows genuinely come into existence (projection narrowing, join
-//! concatenation).  Binding errors (unknown relation, unknown projection column, unresolvable
-//! join key) surface before any operator runs.
+//! children's output batches and produces one output batch — index vectors over the inputs'
+//! base columns, never tuples.  Binding errors (unknown relation, unknown projection column,
+//! unresolvable join key) surface before any operator runs.
 //!
 //! [`PhysicalPlan::fingerprint`] identifies bound sub-plans for the shared-operator DAG: two
 //! queries that reformulate onto the same source sub-plan over the same row buffers share one
@@ -31,14 +30,15 @@ use crate::{AggFunc, CompareOp, EngineError, EngineResult, Plan, Predicate};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use urm_storage::{Catalog, Relation, Schema, Tuple, Value};
+use urm_storage::{Catalog, Relation, Schema, Value};
 
 /// A predicate with every column reference resolved to a positional index.
 ///
-/// Compiled once at bind time; evaluated per row with no name lookups.  A reference to a column
-/// the input schema does not provide compiles to [`BoundPredicate::Never`]: a reformulated
-/// predicate over an attribute a partial mapping did not cover can never be satisfied, matching
-/// the by-name evaluation semantics of [`Predicate::eval`].
+/// Compiled once at bind time; evaluated column-at-a-time, with no name lookups, by
+/// [`vectorized::filter`](crate::vectorized::filter).  A reference to a column the input schema
+/// does not provide compiles to [`BoundPredicate::Never`]: a reformulated predicate over an
+/// attribute a partial mapping did not cover can never be satisfied, matching the by-name
+/// evaluation semantics of [`Predicate::eval`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BoundPredicate {
     /// `input[pos] op constant`.
@@ -61,28 +61,6 @@ pub enum BoundPredicate {
     And(Vec<BoundPredicate>),
     /// A predicate that referenced a missing column: satisfied by no row.
     Never,
-}
-
-impl BoundPredicate {
-    /// Evaluates the predicate against a tuple of the batch it was bound for.
-    #[inline]
-    #[must_use]
-    pub fn matches(&self, tuple: &Tuple) -> bool {
-        match self {
-            BoundPredicate::Compare { pos, op, value } => tuple
-                .get(*pos)
-                .map(|v| !v.is_null() && op.eval(v, value))
-                .unwrap_or(false),
-            BoundPredicate::ColumnEq { left, right } => {
-                match (tuple.get(*left), tuple.get(*right)) {
-                    (Some(a), Some(b)) => !a.is_null() && !b.is_null() && a == b,
-                    _ => false,
-                }
-            }
-            BoundPredicate::And(parts) => parts.iter().all(|p| p.matches(tuple)),
-            BoundPredicate::Never => false,
-        }
-    }
 }
 
 /// An aggregate with its input column resolved to a position.
@@ -534,7 +512,7 @@ fn product_node(left: Arc<PhysicalPlan>, right: Arc<PhysicalPlan>) -> Arc<Physic
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urm_storage::{Attribute, DataType};
+    use urm_storage::{Attribute, DataType, Tuple};
 
     fn catalog() -> Catalog {
         let schema = Schema::new(

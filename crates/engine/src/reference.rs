@@ -5,8 +5,8 @@
 //! selections), every scan copies the base rows into a fresh buffer, and every `Values` leaf is
 //! deep-copied into the next operator.  It is the *oracle* of the property tests — the
 //! physical executor must produce byte-identical relations (schema and row order included)
-//! for every plan.  [`off_catalog`] is how the same tests put a plan on the executor's row
-//! operators.
+//! for every plan.  [`off_catalog`] is how the same tests hand the executor leaves it has to
+//! convert to columns where it consumes them.
 //!
 //! Production code paths never use this module; [`Executor`](crate::Executor) binds and
 //! executes physical plans.
@@ -19,11 +19,11 @@ use urm_storage::{Catalog, Relation, Schema, Tuple, Value};
 /// Rewrites every scan of `plan` into a [`Plan::Values`] leaf over a private copy of the
 /// scanned relation's rows, under the scan's qualified schema.
 ///
-/// The copy's row buffer is not one `catalog` has converted, so it has no columnar form and
-/// [`Executor`](crate::Executor) evaluates every operator above it on the row operators — the
-/// way a spill reload or an ad-hoc buffer reaches them.  Rows and row order are the scan's;
-/// the leaves no longer count as scans in [`ExecStats`].  A scan of an unknown relation is
-/// left in place (it fails to bind either way).
+/// The copy's row buffer is not one `catalog` has converted, so
+/// [`Executor`](crate::Executor) converts it where each operator above it consumes it — the
+/// way a spill reload or an ad-hoc buffer reaches the kernels.  Rows and row order are the
+/// scan's; the leaves no longer count as scans in [`ExecStats`].  A scan of an unknown
+/// relation is left in place (it fails to bind either way).
 #[must_use]
 pub fn off_catalog(plan: &Plan, catalog: &Catalog) -> Plan {
     let input = |p: &Plan| Box::new(off_catalog(p, catalog));

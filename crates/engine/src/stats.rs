@@ -33,12 +33,11 @@ pub struct ExecStats {
     pub bytes_spilled: u64,
     /// Spilled relations read back from their segments on access.
     pub spill_reloads: u64,
-    /// Partitions produced by grace hash joins — joins whose build side exceeded the memory
-    /// budget and fell back to partitioned build/probe over spill segments.
+    /// Partitions produced by grace hash joins — joins whose build side exceeded half the
+    /// memory budget and were built and probed one hash partition at a time.
     pub grace_partitions: u64,
-    /// Rows produced by vectorized (columnar, selection-vector-driven) operator kernels.  Rows
-    /// produced by the row-at-a-time fallback path are not counted, so the ratio of this to
-    /// `tuples_output` shows how much of a workload ran columnar.
+    /// Rows produced by the operator kernels (every operator's output; scans and `Values`
+    /// leaves hand out existing rows and count under [`rows_shared`](Self::rows_shared)).
     pub columnar_rows: u64,
     /// Row-codec-equivalent bytes of the relations written to spill segments — what the
     /// segments *would* have cost under the legacy row codec (copied in from the owning
@@ -97,10 +96,9 @@ impl ExecStats {
     /// Folds a buffer pool's counter *delta* (after minus before a run) into these statistics.
     /// Called once per batch by whichever layer owns the pool, never per worker.
     ///
-    /// Deltas saturate at zero component-wise: snapshots taken around a run that recovered
-    /// from a failed segment read (the grace join's retry-from-source path) or that raced a
-    /// concurrent batch on the shared pool must never wrap a counter into a huge bogus total —
-    /// `/metrics` sums these verbatim, so an exact-or-under delta beats a wrapped one.
+    /// Deltas saturate at zero component-wise: snapshots that raced a concurrent batch on the
+    /// shared pool must never wrap a counter into a huge bogus total — `/metrics` sums these
+    /// verbatim, so an exact-or-under delta beats a wrapped one.
     pub fn absorb_spill_delta(
         &mut self,
         before: &urm_storage::SpillStats,

@@ -1,37 +1,38 @@
-//! Vectorized operator kernels over late-materialized columnar views.
+//! The operator kernels: every relational operator over late-materialized columnar views.
 //!
-//! The row executor evaluates every operator tuple-at-a-time, matching on the
-//! [`Value`](urm_storage::Value) enum once per cell and building a full-width tuple per output
-//! row.  The kernels here work on [`ColumnView`]s instead: shared base columns addressed
-//! through one row-index vector per contributing input.  Predicates evaluate column-at-a-time
-//! into a survivor list that *refines* the index vectors; hash joins build and probe raw key
-//! columns (`i64`, `f64` bits, dictionary codes) and emit a pair of match lists that
-//! *compose* them; products enumerate pairs; aggregates fold flat vectors.  No operator here
-//! reads or writes a cell it does not need, and none builds a tuple — that happens once, where
-//! a result leaves the columnar pipeline (a plan or DAG root, or a memory-budgeted boundary).
+//! The kernels work on [`ColumnView`]s: shared base columns addressed through one row-index
+//! vector per contributing input.  Predicates evaluate column-at-a-time into a survivor list
+//! that *refines* the index vectors; hash joins build and probe raw key columns (`i64`, `f64`
+//! bits, dictionary codes) and emit a pair of match lists that *compose* them — all at once
+//! ([`hash_join`]) or one hash partition at a time ([`grace_hash_join`]); products enumerate
+//! pairs; aggregates fold flat vectors.  No operator here reads or writes a cell it does not
+//! need, and none builds a tuple — that happens once, where something reads a result's rows
+//! (a plan or DAG root, a result admitted to a byte-budgeted pool).
 //!
 //! ## Fidelity
 //!
-//! Everything here is held to *byte identity* with the row path — same output values, same
-//! row order, same error behaviour, same [`ExecStats`](crate::ExecStats) accounting — which
-//! pins down several subtleties:
+//! Everything here is held to *byte identity* with the row-at-a-time
+//! [`reference`](crate::reference) evaluator — same output values, same row order, same error
+//! behaviour, same [`ExecStats`](crate::ExecStats) accounting — which pins down several
+//! subtleties:
 //!
 //! * `Value` comparison semantics are reproduced exactly: `Int`/`Int` compares as `i64`,
 //!   `Float` (and `Int`/`Float`) through `f64::total_cmp` — under which equality is bit
 //!   equality, so float join keys can be hashed by bit pattern — and cross-variant
 //!   comparisons through the variant rank, which the kernels resolve once per column, not
 //!   once per row.
-//! * Null join keys and null predicate operands never match, exactly as the row operators
-//!   drop them.
-//! * SUM folds `f64`s in logical row order — float addition is not associative, and the row
-//!   path defines the order.
+//! * Null join keys and null predicate operands never match.
+//! * SUM folds `f64`s in logical row order — float addition is not associative, and the
+//!   reference defines the order.
 //! * Join outputs are emitted left-row-major (left order, then right order within a key),
-//!   matching the row hash join.
+//!   whatever the partition fan-out.
 
 use crate::physical::BoundPredicate;
 use crate::CompareOp;
 use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use urm_storage::{Column, ColumnRef, ColumnView, NullBitmap, Value};
 
@@ -42,8 +43,8 @@ pub fn filter(view: &ColumnView, predicate: &BoundPredicate) -> ColumnView {
     view.select_rows(refine(predicate, view, all))
 }
 
-/// Cartesian product: every left row paired with every right row, left row major — the row
-/// path's nested-loop order.
+/// Cartesian product: every left row paired with every right row, left row major — the
+/// reference's nested-loop order.
 #[must_use]
 pub fn product(left: &ColumnView, right: &ColumnView) -> ColumnView {
     let (ln, rn) = (left.len() as u32, right.len() as u32);
@@ -59,8 +60,7 @@ pub fn product(left: &ColumnView, right: &ColumnView) -> ColumnView {
 }
 
 /// Hash equi-join on positional key pairs.  Output rows come in left order (then right order
-/// within a key) with null keys dropped, exactly like the row hash join.  The hash table is
-/// built on the right input.
+/// within a key) with null keys dropped.  The hash table is built on the right input.
 #[must_use]
 pub fn hash_join(
     left: &ColumnView,
@@ -68,17 +68,53 @@ pub fn hash_join(
     left_keys: &[usize],
     right_keys: &[usize],
 ) -> ColumnView {
-    let (lrows, rrows) = if left_keys.len() == 1 {
-        join_single_key(left, right, left_keys[0], right_keys[0])
-    } else {
-        join_multi_key(left, right, left_keys, right_keys)
-    };
+    let (lrows, rrows) = join_rows(left, right, left_keys, right_keys);
+    ColumnView::paired(left, right, lrows, rrows)
+}
+
+/// [`hash_join`] with one partition's hash table alive at a time: both sides' logical rows
+/// are hash-partitioned on the join key `partitions` ways (a row with a NULL key component
+/// can match nothing and lands in no partition), each non-empty pair of partitions is joined
+/// by the same kernels over [`select_rows`](ColumnView::select_rows) sub-views, and the
+/// matches are mapped back to the inputs' rows.  A key's rows all meet in one partition, in
+/// input order, so a stable sort on the left row restores [`hash_join`]'s output exactly, row
+/// order included.  Nothing is copied or staged: the partitions are index lists over base
+/// columns that are already resident.
+#[must_use]
+pub fn grace_hash_join(
+    left: &ColumnView,
+    right: &ColumnView,
+    left_keys: &[usize],
+    right_keys: &[usize],
+    partitions: usize,
+) -> ColumnView {
+    let lparts = partition_rows(left, left_keys, partitions);
+    let rparts = partition_rows(right, right_keys, partitions);
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for (lids, rids) in lparts.into_iter().zip(rparts) {
+        if lids.is_empty() || rids.is_empty() {
+            continue;
+        }
+        let (lsub, rsub) = (
+            left.select_rows(lids.clone()),
+            right.select_rows(rids.clone()),
+        );
+        let (lrows, rrows) = join_rows(&lsub, &rsub, left_keys, right_keys);
+        pairs.extend(
+            lrows
+                .iter()
+                .zip(&rrows)
+                .map(|(&l, &r)| (lids[l as usize], rids[r as usize])),
+        );
+    }
+    pairs.sort_by_key(|&(l, _)| l);
+    let (lrows, rrows) = pairs.into_iter().unzip();
     ColumnView::paired(left, right, lrows, rrows)
 }
 
 /// SUM over column `pos`, folding in logical row order (float addition is order-sensitive;
-/// the row path defines the order).  Nulls and missing cells are skipped; a non-numeric value
-/// aborts with `None`, reported by the caller as the row path's `InvalidAggregate`.
+/// the reference defines the order).  Nulls and missing cells are skipped; a non-numeric
+/// value aborts with `None`, reported by the caller as `InvalidAggregate`.
 #[must_use]
 pub fn sum(view: &ColumnView, pos: usize) -> Option<f64> {
     let Some(col) = view.column(pos) else {
@@ -98,7 +134,7 @@ pub fn sum(view: &ColumnView, pos: usize) -> Option<f64> {
             }
         }
         Column::Bool { nulls, .. } | Column::Text { nulls, .. } => {
-            // Any logically-present non-null value is non-numeric: the row path errors.
+            // Any logically-present non-null value is non-numeric: an error.
             if slots.into_iter().any(|i| !is_null(nulls.as_ref(), i)) {
                 return None;
             }
@@ -135,7 +171,7 @@ fn refine(predicate: &BoundPredicate, view: &ColumnView, candidates: Vec<u32>) -
             .fold(candidates, |cands, p| refine(p, view, cands)),
         BoundPredicate::Compare { pos, op, value } => match view.column(*pos) {
             Some(col) => compare_kernel(col, *op, value, &candidates),
-            // A missing cell never satisfies a predicate (row path: `tuple.get` → `None`).
+            // A missing cell never satisfies a predicate.
             None => Vec::new(),
         },
         BoundPredicate::ColumnEq { left, right } => {
@@ -327,8 +363,46 @@ fn column_eq_kernel(a: ColumnRef<'_>, b: ColumnRef<'_>, cands: &[u32]) -> Vec<u3
 // Join kernels
 // ---------------------------------------------------------------------------
 
-/// Single-key hash join over typed key columns.  Emits paired lists of logical rows in the
-/// row path's output order: left logical order, right logical order within a key.
+/// The match lists of an equi-join: `(left_rows[i], right_rows[i])` are the logical rows of
+/// the `i`-th output row, in left order, then right order within a key.
+fn join_rows(
+    left: &ColumnView,
+    right: &ColumnView,
+    left_keys: &[usize],
+    right_keys: &[usize],
+) -> (Vec<u32>, Vec<u32>) {
+    if left_keys.len() == 1 {
+        join_single_key(left, right, left_keys[0], right_keys[0])
+    } else {
+        join_multi_key(left, right, left_keys, right_keys)
+    }
+}
+
+/// The logical rows of `view` split `partitions` ways by the hash of their key columns, each
+/// list in row order; a row with a NULL (or missing) key component is in none.  The hash is
+/// [`Value`]'s own, which is equal wherever the join kernels call two keys equal — an `Int`
+/// and the `Float` it widens to, one string under two dictionaries — so a key's matches
+/// always meet in one partition.
+fn partition_rows(view: &ColumnView, keys: &[usize], partitions: usize) -> Vec<Vec<u32>> {
+    let mut parts: Vec<Vec<u32>> = vec![Vec::new(); partitions];
+    let Some(cols) = key_columns(view, keys) else {
+        return parts;
+    };
+    'rows: for row in 0..view.len() {
+        let mut hasher = DefaultHasher::new();
+        for &col in &cols {
+            match value_key(col, row) {
+                Some(v) => v.hash(&mut hasher),
+                None => continue 'rows,
+            }
+        }
+        parts[(hasher.finish() % partitions as u64) as usize].push(row as u32);
+    }
+    parts
+}
+
+/// Single-key hash join over typed key columns.  Emits paired lists of logical rows: left
+/// logical order, right logical order within a key.
 fn join_single_key(
     left: &ColumnView,
     right: &ColumnView,
@@ -480,6 +554,11 @@ fn key_of<T: Copy, K>(
     (!is_null(nulls, slot)).then(|| key(values[slot]))
 }
 
+/// The key columns of a join input, `None` when the view is too narrow for one of them.
+fn key_columns<'a>(view: &'a ColumnView, keys: &[usize]) -> Option<Vec<ColumnRef<'a>>> {
+    keys.iter().map(|&k| view.column(k)).collect()
+}
+
 /// The exact `Value` at a logical row as a join key (`None` for NULL, which never matches).
 fn value_key(col: ColumnRef<'_>, row: usize) -> Option<Value> {
     let v = col.column.value_at(col.slot(row));
@@ -516,16 +595,13 @@ fn join_typed<K: std::hash::Hash + Eq>(
 }
 
 /// Composite-key join: exact `Value` keys reconstructed per component, rows with any null
-/// component dropped on both sides — the row path's labelled-continue semantics.
+/// component dropped on both sides.
 fn join_multi_key(
     left: &ColumnView,
     right: &ColumnView,
     left_keys: &[usize],
     right_keys: &[usize],
 ) -> (Vec<u32>, Vec<u32>) {
-    fn key_columns<'a>(view: &'a ColumnView, keys: &[usize]) -> Option<Vec<ColumnRef<'a>>> {
-        keys.iter().map(|&k| view.column(k)).collect()
-    }
     let (Some(lcols), Some(rcols)) = (key_columns(left, left_keys), key_columns(right, right_keys))
     else {
         return (Vec::new(), Vec::new());

@@ -1,16 +1,17 @@
-//! Property tests: the vectorized columnar kernels are observationally identical to both the
-//! executor's row operators and the row-at-a-time reference evaluator.
+//! Property tests: the operator kernels are observationally identical to the row-at-a-time
+//! reference evaluator, whatever form their inputs arrive in.
 //!
 //! For every randomly generated (catalog, plan) pair — random schemas, random data, random
 //! operator trees including deliberately invalid column references — the plan over scans
-//! (columnar kernels), the same plan over buffers the catalog never converted
-//! ([`off_catalog`]: no columnar form, so every operator stays on rows, as after a spill
+//! (conversions memoised by the catalog), the same plan over buffers the catalog never
+//! converted ([`off_catalog`]: converted where each operator consumes them, as after a spill
 //! reload) and the reference must either fail alike or produce byte-identical relations
-//! (schema, rows *and* row order) with identical operator accounting.  Deterministic tests pin
-//! the columnar edge cases: all-null columns, empty selections, dictionary overflow (Mixed
-//! fallback), grace hash joins whose build side pages through spill segments beside the
-//! columnar kernels, and what an interior join result of a wide multi-way join actually holds
-//! (index vectors, not cells).
+//! (schema, rows *and* row order) with identical operator accounting.  A second property holds
+//! the partitioned join to the one-pass join at every fan-out.  Deterministic tests pin the
+//! edge cases: all-null columns, empty selections, dictionary overflow (Mixed fallback),
+//! aggregate outputs and reloaded pins as operator inputs, grace hash joins under a budget
+//! whose pins spill, and what an interior join result of a wide multi-way join actually
+//! holds (index vectors, not cells).
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -218,9 +219,9 @@ fn assert_same_relation(want: &Relation, got: &Relation, plan: &Plan, label: &st
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Columnar kernels ≡ row operators ≡ reference, including the operator accounting (the
-    /// paper's Table IV metric) — so the vectorized kernels can never silently change what a
-    /// query reports having done.
+    /// Kernels over scans ≡ kernels over unconverted buffers ≡ reference, including the
+    /// operator accounting (the paper's Table IV metric) — so the kernels can never silently
+    /// change what a query reports having done.
     #[test]
     fn columnar_mode_is_byte_identical_to_row_mode_and_reference(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
@@ -229,8 +230,9 @@ proptest! {
         let depth = 1 + rng.index(3);
         let plan = random_plan(&mut rng, &catalog, depth, &mut alias_seq);
 
-        // The row side runs the same plan over leaves with no columnar form; its accounting is
-        // held to the reference's over those same leaves (a `Values` leaf is not a scan).
+        // The row side runs the same plan over leaves the catalog never converted; its
+        // accounting is held to the reference's over those same leaves (a `Values` leaf is not
+        // a scan).
         let row_plan = off_catalog(&plan, &catalog);
         let mut reference = ReferenceExecutor::new(&catalog);
         let mut row_reference = ReferenceExecutor::new(&catalog);
@@ -259,10 +261,6 @@ proptest! {
                     prop_assert_eq!(want.tuples_read, stats.tuples_read);
                     prop_assert_eq!(want.tuples_output, stats.tuples_output);
                 }
-                prop_assert_eq!(
-                    row_mode.stats().columnar_rows, 0,
-                    "rows with no columnar form must never touch the vectorized kernels"
-                );
             }
             (Err(_), Err(_), Err(_)) => {
                 // All three reject the plan (error classes may differ — see prop_physical).
@@ -280,7 +278,7 @@ proptest! {
 
     /// Dictionary overflow: a text column with more distinct strings than the dictionary
     /// limit converts to the generic `Mixed` fallback — and the vectorized kernels over it
-    /// still agree with the row path, row for row.
+    /// still agree with a filter over the rows, row for row.
     #[test]
     fn dictionary_overflow_falls_back_without_changing_answers(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
@@ -334,6 +332,115 @@ proptest! {
             prop_assert_eq!(*want, got, "overflowed filter changed rows");
         }
     }
+
+    /// The partitioned join is the one-pass join at every fan-out: same pairs (each side
+    /// carries a unique id), same order — over NULL keys, `Int` against `Float` keys,
+    /// composite keys, text keys under two dictionaries, `Mixed` columns, repeated probe keys,
+    /// empty sides and inputs that are already selections.
+    #[test]
+    fn grace_join_equals_the_one_pass_join_at_every_fan_out(seed in any::<u64>()) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let composite = rng.index(3) == 0;
+        let key_types: Vec<(usize, usize)> = (0..1 + usize::from(composite))
+            .map(|_| (rng.index(4), rng.index(4)))
+            .collect();
+        let left = join_side(&mut rng, &key_types.iter().map(|t| t.0).collect::<Vec<_>>());
+        let right = join_side(&mut rng, &key_types.iter().map(|t| t.1).collect::<Vec<_>>());
+        let keys: Vec<usize> = (1..=key_types.len()).collect();
+        let expected = vectorized::hash_join(&left, &right, &keys, &keys).materialize();
+        for partitions in 2..=64 {
+            let got = vectorized::grace_hash_join(&left, &right, &keys, &keys, partitions);
+            prop_assert_eq!(
+                &expected, &got.materialize(),
+                "{} partitions, key kinds {:?}", partitions, &key_types
+            );
+        }
+    }
+}
+
+/// One input of the grace-join property: a unique id, then one key column per entry of
+/// `kinds` (0 `Int`, 1 `Float`, 2 `Text`, 3 a mix of variants — a `Mixed` column) over tiny
+/// domains so keys repeat, one cell in five NULL; converted on its own (its own
+/// dictionaries), sometimes empty, sometimes seen through a selection.
+fn join_side(rng: &mut TestRng, kinds: &[usize]) -> ColumnView {
+    let key = |rng: &mut TestRng, kind: usize| -> Value {
+        if rng.index(5) == 0 {
+            return Value::Null;
+        }
+        match kind {
+            0 => Value::from(rng.index(4) as i64),
+            1 => Value::from([0.0, 1.0, 2.0, 2.5][rng.index(4)]),
+            2 => Value::from(["0", "1", "x"][rng.index(3)]),
+            _ => [Value::from(1i64), Value::from(1.0), Value::from("1")][rng.index(3)].clone(),
+        }
+    };
+    let nrows = if rng.index(8) == 0 { 0 } else { rng.index(14) };
+    let rows: Vec<Tuple> = (0..nrows)
+        .map(|id| {
+            let mut values = vec![Value::from(id as i64)];
+            values.extend(kinds.iter().map(|&kind| key(rng, kind)));
+            Tuple::new(values)
+        })
+        .collect();
+    let attrs = (0..=kinds.len())
+        .map(|i| Attribute::new(format!("c{i}"), DataType::Null))
+        .collect();
+    let rel = Relation::from_validated(Schema::new("J", attrs), rows);
+    let view = ColumnView::from_base(Arc::new(ColumnarRelation::from_relation(&rel)));
+    if rng.index(2) == 0 {
+        return view;
+    }
+    let picks = (0..nrows as u32).filter(|_| rng.index(3) != 0).collect();
+    view.select_rows(picks)
+}
+
+/// Operator inputs that arrive as rows the catalog never converted — `Values` leaves, an
+/// aggregate's one-row output, a pin reloaded from a spill segment — are converted where
+/// they are consumed: value for value the reference's answer, with its operator accounting.
+#[test]
+fn inputs_converted_where_consumed_match_the_reference() {
+    let catalog = edge_catalog();
+    let join = Plan::scan("N")
+        .hash_join(Plan::scan("M"), vec![("N.k".into(), "M.k".into())])
+        .project(vec!["M.v".into(), "N.k".into()])
+        .distinct();
+    let count_times_rows = Plan::scan("M")
+        .aggregate(AggFunc::Count)
+        .product(Plan::scan("N").select(Predicate::eq("N.k", Value::from(1i64))));
+    let sum_of_sum = Plan::scan("M")
+        .aggregate(AggFunc::Sum("M.v".into()))
+        .aggregate(AggFunc::Sum("sum(M.v)".into()));
+
+    // A pin as the epoch holds it under a budget: admitted, spilled, read back from its
+    // segment — plain rows that neither carry a view nor are known to the catalog.
+    let pool = urm_storage::BufferPool::with_budget(0);
+    let pinned = Executor::new(&catalog).run(&join).unwrap();
+    let reloaded = pool.admit(pinned).unwrap().load().unwrap();
+    assert_eq!(pool.stats().spill_reloads, 1);
+    assert!(reloaded.view().is_none());
+    let over_reload = Plan::values_shared(reloaded)
+        .select(Predicate::compare("M.v", CompareOp::Ge, Value::from(0.5)))
+        .hash_join(Plan::scan("M"), vec![("N.k".into(), "M.k".into())])
+        .aggregate(AggFunc::Sum("M.v".into()));
+
+    for plan in [
+        off_catalog(&join, &catalog),
+        off_catalog(&count_times_rows, &catalog),
+        count_times_rows,
+        sum_of_sum,
+        over_reload,
+    ] {
+        let mut reference = ReferenceExecutor::new(&catalog);
+        let mut exec = Executor::new(&catalog);
+        let want = reference.run(&plan).unwrap();
+        let got = exec.run(&plan).unwrap();
+        assert_same_relation(&want, &got, &plan, "converted inputs");
+        let (want, got) = (reference.stats(), exec.stats());
+        assert_eq!(want.operators_executed, got.operators_executed, "{plan}");
+        assert_eq!(want.scans, got.scans, "{plan}");
+        assert_eq!(want.tuples_read, got.tuples_read, "{plan}");
+        assert_eq!(want.tuples_output, got.tuples_output, "{plan}");
+    }
 }
 
 /// A catalog whose relations force the columnar edge cases deterministically.
@@ -367,7 +474,8 @@ fn edge_catalog() -> Catalog {
     cat
 }
 
-/// Runs a plan on columns, on rows and against the reference, asserting byte-identity.
+/// Runs a plan over scans, over unconverted buffers and against the reference, asserting
+/// byte-identity.
 fn assert_modes_agree(catalog: &Catalog, plan: &Plan) {
     let expected = ReferenceExecutor::new(catalog).run(plan);
     let col = Executor::new(catalog).run(plan);
@@ -449,9 +557,9 @@ fn dictionary_overflow_produces_mixed_columns() {
     }
 }
 
-/// Satellite regression: a grace hash join whose build side both converts to columnar (the
-/// scan warms the catalog cache) and pages through spill segments must stay byte-identical
-/// beside the columnar kernels — cold and warm.
+/// A grace hash join under a zero-byte budget — every pin the epoch admits spills, the join
+/// itself partitions index vectors and writes nothing — must stay byte-identical, cold and
+/// warm (the warm batch answers from the reloaded pins).
 #[test]
 fn grace_join_over_spilled_columnar_build_side_is_byte_identical() {
     let mut cat = Catalog::new();
@@ -500,8 +608,8 @@ fn grace_join_over_spilled_columnar_build_side_is_byte_identical() {
         );
     let expected = ReferenceExecutor::new(&cat).run(&plan).unwrap();
 
-    // Budget 0: every staged relation spills, and any non-empty build side exceeds
-    // budget/2 — the grace path is forced.
+    // Budget 0: every admitted pin spills, and any non-empty build side exceeds budget/2 —
+    // the grace path is forced.
     let mut epoch = EpochDag::with_memory_budget(0);
     let pool = epoch.pool().unwrap().clone();
     let mut exec = Executor::with_pool(&cat, pool.clone());
@@ -541,7 +649,7 @@ fn grace_join_over_spilled_columnar_build_side_is_byte_identical() {
 /// The shape of the paper's Q4 after reformulation: wide, text-heavy relations, each scanned
 /// under two aliases, joined four ways, with a two-column projection on top.  Every interior
 /// result must hold one `u32` index vector per contributing input — never the ~40 cells per
-/// row the row operators would build — and tuples must exist only for the projected root.
+/// row a tuple-at-a-time join would build — and tuples must exist only for the projected root.
 #[test]
 fn interior_four_way_join_holds_index_vectors_not_cells() {
     let wide = |name: &str, rows: usize, key_mod: usize| {
@@ -615,7 +723,7 @@ fn interior_four_way_join_holds_index_vectors_not_cells() {
         "a 4-input view of {} rows holds {held} bytes",
         interior.len()
     );
-    // What the same result weighs as the 44-column tuples the row join would have built.
+    // What the same result weighs as 44-column tuples.
     let as_rows = Relation::from_shared(interior.schema().clone(), interior.shared_rows());
     assert!(as_rows.estimated_bytes() > 20 * held);
 

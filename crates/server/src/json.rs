@@ -184,6 +184,10 @@ impl<W: fmt::Write> fmt::Write for Escaped<W> {
 /// accepts or emits nests deeper than 8.
 pub const MAX_DEPTH: usize = 64;
 
+/// How many bytes of an unparsable digit run an error quotes back: the run can be as long
+/// as the body, and the reply to a refused request must not be.
+const MAX_NUMBER_ECHO: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -310,9 +314,14 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}'"))
+        // The run is ASCII, so any byte offset cuts it on a character boundary.
+        text.parse::<f64>().map(Json::Num).map_err(|_| {
+            let (head, more) = match text.get(..MAX_NUMBER_ECHO) {
+                Some(head) if head.len() < text.len() => (head, "…"),
+                _ => (text, ""),
+            };
+            format!("bad number '{head}{more}' at byte {start}")
+        })
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -466,6 +475,22 @@ mod tests {
         // Depth counts what is open, not what has been seen.
         let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 200].join(","));
         assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn an_unparsable_digit_run_is_quoted_in_part_with_its_offset() {
+        assert_eq!(
+            Json::parse("[1, 1-1]"),
+            Err("bad number '1-1' at byte 4".into())
+        );
+        // A body of digits and signs is refused in a line, not echoed back whole.
+        let run = "1-".repeat(50_000);
+        let message = Json::parse(&format!("{{\"n\":{run}}}")).unwrap_err();
+        assert_eq!(
+            message,
+            format!("bad number '{}…' at byte 5", &run[..MAX_NUMBER_ECHO])
+        );
+        assert!(message.len() < 200);
     }
 
     #[test]

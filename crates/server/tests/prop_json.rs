@@ -169,6 +169,12 @@ proptest! {
             })
             .collect();
         let _ = Json::parse(&soup);
+
+        // A digit run nothing parses, as long as it likes: refused in a line with its offset.
+        let run = ["1-", "-", "1e", "5.", "0+"][rng.index(5)].repeat(2 + rng.index(3_000));
+        let refusal = Json::parse(&format!("[{run}]")).unwrap_err();
+        prop_assert!(refusal.starts_with("bad number '") && refusal.ends_with("at byte 1"));
+        prop_assert!(refusal.len() < 200, "{} bytes for a {}-byte run", refusal.len(), run.len());
     }
 }
 

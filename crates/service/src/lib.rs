@@ -20,10 +20,10 @@
 //! * a bounded **answer cache** keyed by the query's canonical rendering + epoch lets repeated
 //!   queries skip evaluation entirely — within a batch, duplicate submissions are deduplicated
 //!   before evaluation;
-//! * with [`ServiceConfig::shards`] > 1 (or the [`ShardedService`] façade), each registered
-//!   epoch's catalog is deterministically partitioned across N **shard runtimes** and every
-//!   batch is fanned out to all shards in parallel, the per-shard answers merged back into the
-//!   canonical order — byte-identical to the single-node service.
+//! * with [`ServiceConfig::shards`] > 1, each registered epoch's catalog is deterministically
+//!   partitioned across N **shard runtimes** and every batch is fanned out to all shards in
+//!   parallel, the per-shard answers merged back into the canonical order — byte-identical
+//!   to the single-node service.
 //!
 //! Answers are identical to sequential evaluation (the integration tests compare against
 //! `Algorithm::OSharing(Strategy::Sef)` tuple-for-tuple); only the work accounting differs.
@@ -50,7 +50,6 @@ pub mod answer_cache;
 pub mod config;
 pub mod metrics;
 pub mod service;
-pub mod sharded;
 
 pub use answer_cache::AnswerCache;
 pub use config::ServiceConfig;
@@ -58,7 +57,6 @@ pub use metrics::{percentile, BatchReport, LatencySummary, ServiceMetrics};
 pub use service::{
     EpochId, QueryResponse, QueryService, ServedFrom, ServiceError, ServiceResult, Ticket,
 };
-pub use sharded::ShardedService;
 // Observability primitives, re-exported so the server/CLI/bench layers need no direct
 // `urm-obs` edge for the common cases (tracing a request, scraping histograms).
 pub use urm_obs::{

@@ -1,7 +1,7 @@
 //! Property tests: the scatter-gather sharded service is invisible in answers.
 //!
 //! For randomly generated (scenario, batch, shard count, partition scheme, per-shard memory
-//! budget) tuples, a [`ShardedService`] and a single-node [`QueryService`] answer the same
+//! budget) tuples, a sharded and a single-node [`QueryService`] answer the same
 //! batch over the same epoch — and every answer must match **byte for byte**: same tuples in
 //! canonical sorted order, same probabilities to the last bit.  Shard counts 1–4 are drawn
 //! (1 exercises the degenerate single-shard runtime), both hash and range cuts, with and
@@ -12,7 +12,7 @@ use proptest::TestRng;
 use urm_core::TargetQuery;
 use urm_datagen::replay::parse_spec;
 use urm_datagen::scenario::{Scenario, ScenarioConfig, TargetSchemaKind};
-use urm_service::{QueryService, ServiceConfig, ShardedService};
+use urm_service::{QueryService, ServiceConfig};
 use urm_storage::ShardScheme;
 
 /// The Excel-target workload specs random batches are drawn from: every Table III Excel query
@@ -62,7 +62,7 @@ proptest! {
             ..ServiceConfig::tiny()
         };
         let single = QueryService::new(config.clone());
-        let sharded = ShardedService::new(config, shards, scheme);
+        let sharded = QueryService::new(ServiceConfig { shards, shard_scheme: scheme, ..config });
         let single_epoch =
             single.register_epoch(scenario.catalog.clone(), scenario.mappings.clone());
         let sharded_epoch =

@@ -1,9 +1,9 @@
-//! Compact binary encoding of tuples and relations.
+//! Compact binary encoding of values and of relations as columnar spill segments.
 //!
-//! The experiment harness snapshots generated source instances so that repeated benchmark runs
-//! (different algorithms over the same data) do not re-generate data, and so that intermediate
-//! e-unit results can be spilled if a sweep materialises many of them.  The format is a simple
-//! length-prefixed row encoding built on [`bytes`].
+//! A [`BufferPool`](crate::BufferPool) writes the relations it pages out as segments
+//! ([`encode_segment`] / [`decode_segment`]): this process's own temporary files, one typed
+//! encoding per column, with the tagged per-value encoding ([`encode_value`] /
+//! [`decode_value`]) for columns that mix variants.  Built on [`bytes`].
 
 use crate::column::{Column, NullBitmap};
 use crate::dictionary::Dictionary;
@@ -87,77 +87,6 @@ fn ensure_remaining(buf: &Bytes, needed: usize) -> StorageResult<()> {
     }
 }
 
-/// Encodes a tuple as `arity` followed by its values.
-pub fn encode_tuple(buf: &mut BytesMut, tuple: &Tuple) {
-    buf.put_u32_le(tuple.arity() as u32);
-    for v in tuple.iter() {
-        encode_value(buf, v);
-    }
-}
-
-/// Decodes a tuple.
-///
-/// Corrupt input yields a typed [`StorageError::Codec`], never a panic or a pathological
-/// allocation: a declared arity larger than the remaining payload (every encoded value takes
-/// at least one byte) is rejected *before* any buffer is sized from it.
-pub fn decode_tuple(buf: &mut Bytes) -> StorageResult<Tuple> {
-    ensure_remaining(buf, 4)?;
-    let arity = buf.get_u32_le() as usize;
-    if arity > buf.remaining() {
-        return Err(StorageError::Codec(format!(
-            "declared tuple arity {arity} exceeds the {} remaining payload bytes",
-            buf.remaining()
-        )));
-    }
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(decode_value(buf)?);
-    }
-    Ok(Tuple::new(values))
-}
-
-/// Encodes the rows of a relation (the schema is written separately, via serde, because it is
-/// tiny compared to the data).
-#[must_use]
-pub fn encode_rows(relation: &Relation) -> Bytes {
-    let mut buf = BytesMut::with_capacity(relation.estimated_bytes() + 16);
-    buf.put_u64_le(relation.len() as u64);
-    for row in relation.iter() {
-        encode_tuple(&mut buf, row);
-    }
-    buf.freeze()
-}
-
-/// Decodes rows previously produced by [`encode_rows`] into a relation with the given schema.
-///
-/// Decoding is fully validating and never panics on hostile input: truncated or corrupt
-/// payloads are typed [`StorageError::Codec`] errors (a declared row count that could not
-/// possibly fit the remaining bytes is rejected up front — every encoded tuple takes at least
-/// four bytes), and a payload whose tuples do not fit `schema` surfaces the same typed
-/// [`StorageError::ArityMismatch`] / [`StorageError::TypeMismatch`] errors as
-/// [`Relation::push`].
-pub fn decode_rows(schema: Schema, mut bytes: Bytes) -> StorageResult<Relation> {
-    ensure_remaining(&bytes, 8)?;
-    let n = bytes.get_u64_le() as usize;
-    if n.saturating_mul(4) > bytes.remaining() {
-        return Err(StorageError::Codec(format!(
-            "declared row count {n} exceeds the {} remaining payload bytes",
-            bytes.remaining()
-        )));
-    }
-    let mut rel = Relation::empty(schema);
-    for _ in 0..n {
-        let tuple = decode_tuple(&mut bytes)?;
-        rel.push(tuple)?;
-    }
-    Ok(rel)
-}
-
-/// Convenience: checks that every value in a relation round-trips through the codec.
-pub fn roundtrip(relation: &Relation) -> StorageResult<Relation> {
-    decode_rows(relation.schema().clone(), encode_rows(relation))
-}
-
 /// Expected [`DataType`] for an encoded tag, used by schema-validation tooling.
 #[must_use]
 pub fn tag_data_type(tag: u8) -> Option<DataType> {
@@ -176,16 +105,13 @@ pub fn tag_data_type(tag: u8) -> Option<DataType> {
 //
 // Spilled relations are written column-at-a-time with per-column encodings — delta-of-int
 // varints, bit-exact raw floats, run-length booleans, dictionary-coded text — falling back to
-// the per-value row codec for columns that mix variants.  Decoding is fully validating (every
+// the per-value codec for columns that mix variants.  Decoding is fully validating (every
 // declared count is checked against the remaining payload before anything is allocated from
 // it) and reconstruction is exact: `decode_segment(encode_segment(r))` equals `r` including
 // float bit patterns and row order.
 
 /// Version byte of the columnar segment container.
 const SEGMENT_COLUMNAR: u8 = 1;
-/// Version byte marking a legacy row-codec payload (accepted by [`decode_segment`], never
-/// produced by [`encode_segment`]).
-const SEGMENT_ROWS: u8 = 0;
 
 const COL_INT: u8 = 0;
 const COL_FLOAT: u8 = 1;
@@ -480,7 +406,7 @@ fn decode_column(buf: &mut Bytes, rows: usize) -> StorageResult<Column> {
 }
 
 /// Encodes a relation as a columnar spill segment (see the module docs for the per-column
-/// encodings).  The schema is written separately, like [`encode_rows`].
+/// encodings).  The schema is not written: the pool keeps it resident.
 #[must_use]
 pub fn encode_segment(relation: &Relation) -> Bytes {
     let columnar = ColumnarRelation::from_relation(relation);
@@ -494,18 +420,17 @@ pub fn encode_segment(relation: &Relation) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a spill segment produced by [`encode_segment`] (or a legacy [`encode_rows`]
-/// payload behind version byte 0) into a relation with the given schema.
+/// Decodes a spill segment produced by [`encode_segment`] into a relation with the given
+/// schema.
 ///
-/// Decoding is fully validating: truncated or corrupt payloads surface as typed
-/// [`StorageError::Codec`] errors, and decoded rows are type-checked against `schema` exactly
-/// like [`decode_rows`].
+/// Decoding is fully validating and never panics on hostile input: truncated or corrupt
+/// payloads (an unknown version byte included) surface as typed [`StorageError::Codec`]
+/// errors, and decoded rows that do not fit `schema` as the same typed
+/// [`StorageError::ArityMismatch`] / [`StorageError::TypeMismatch`] errors as
+/// [`Relation::push`].
 pub fn decode_segment(schema: Schema, mut bytes: Bytes) -> StorageResult<Relation> {
     ensure_remaining(&bytes, 1)?;
     let version = bytes.get_u8();
-    if version == SEGMENT_ROWS {
-        return decode_rows(schema, bytes);
-    }
     if version != SEGMENT_COLUMNAR {
         return Err(StorageError::Codec(format!(
             "unknown segment version {version}"
@@ -531,9 +456,11 @@ pub fn decode_segment(schema: Schema, mut bytes: Bytes) -> StorageResult<Relatio
     Relation::new(schema, tuples)
 }
 
-/// The exact byte length [`encode_rows`] would produce for this relation, computed
-/// arithmetically (no encoding pass).  The spill path reports it as the "raw" size a segment
-/// would have had under the row codec, against the columnar segment's actual size.
+/// The "raw" size of a relation, which the spill path reports beside a columnar segment's
+/// actual size: what writing it row by row, value by value would take.  Defined
+/// arithmetically — 8 bytes for the row count, then per row 4 bytes for the arity and per
+/// value what [`encode_value`] writes (1 for NULL, 9 for an `Int` or `Float`, 2 for a `Bool`,
+/// 5 plus its UTF-8 length for a `Text`).
 #[must_use]
 pub fn encoded_rows_len(relation: &Relation) -> usize {
     let mut total = 8; // row-count header
@@ -613,27 +540,12 @@ mod tests {
     }
 
     #[test]
-    fn tuple_roundtrip() {
-        let t = Tuple::new(vec![Value::from(7i64), Value::from("x"), Value::Null]);
-        let mut buf = BytesMut::new();
-        encode_tuple(&mut buf, &t);
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_tuple(&mut bytes).unwrap(), t);
-    }
-
-    #[test]
-    fn relation_roundtrip() {
-        let rel = sample_relation();
-        let back = roundtrip(&rel).unwrap();
-        assert_eq!(back, rel);
-    }
-
-    #[test]
     fn truncated_buffer_is_an_error() {
-        let rel = sample_relation();
-        let bytes = encode_rows(&rel);
-        let truncated = bytes.slice(0..bytes.len() - 3);
-        let err = decode_rows(rel.schema().clone(), truncated).unwrap_err();
+        let mut buf = BytesMut::new();
+        encode_value(&mut buf, &Value::from("backorder"));
+        let bytes = buf.freeze();
+        let mut truncated = bytes.slice(0..bytes.len() - 3);
+        let err = decode_value(&mut truncated).unwrap_err();
         assert!(matches!(err, StorageError::Codec(_)));
     }
 
@@ -652,11 +564,7 @@ mod tests {
     fn zero_length_input_is_an_error_everywhere() {
         let rel = sample_relation();
         assert!(matches!(
-            decode_rows(rel.schema().clone(), Bytes::from(Vec::new())),
-            Err(StorageError::Codec(_))
-        ));
-        assert!(matches!(
-            decode_tuple(&mut Bytes::from(Vec::new())),
+            decode_segment(rel.schema().clone(), Bytes::from(Vec::new())),
             Err(StorageError::Codec(_))
         ));
         assert!(matches!(
@@ -667,13 +575,12 @@ mod tests {
 
     #[test]
     fn mid_value_truncation_is_an_error() {
-        // Cut inside the second row's text payload: the row-count header is intact, the first
-        // row decodes, the truncation surfaces as a typed codec error (never a panic).
-        let rel = sample_relation();
-        let bytes = encode_rows(&rel);
-        for cut in [bytes.len() - 1, bytes.len() - 5, bytes.len() / 2, 9, 12] {
-            let truncated = bytes.slice(0..cut);
-            let err = decode_rows(rel.schema().clone(), truncated).unwrap_err();
+        // A column that mixes variants is written value by value: wherever the segment is
+        // cut — inside a tag, a length, a text payload — decoding is a typed codec error.
+        let rel = mixed_relation();
+        let bytes = encode_segment(&rel);
+        for cut in 0..bytes.len() {
+            let err = decode_segment(rel.schema().clone(), bytes.slice(0..cut)).unwrap_err();
             assert!(
                 matches!(err, StorageError::Codec(_)),
                 "cut at {cut} gave {err:?}"
@@ -684,11 +591,11 @@ mod tests {
     #[test]
     fn wrong_schema_payloads_are_typed_errors() {
         let rel = sample_relation();
-        let bytes = encode_rows(&rel);
+        let bytes = encode_segment(&rel);
         // Fewer attributes than the payload's tuples: arity mismatch.
         let narrow = Schema::new("Narrow", vec![Attribute::new("id", DataType::Int)]);
         assert!(matches!(
-            decode_rows(narrow, bytes.clone()),
+            decode_segment(narrow, bytes.clone()),
             Err(StorageError::ArityMismatch { .. })
         ));
         // Same arity, incompatible attribute type: type mismatch.
@@ -703,27 +610,20 @@ mod tests {
             ],
         );
         assert!(matches!(
-            decode_rows(wrong_type, bytes),
+            decode_segment(wrong_type, bytes),
             Err(StorageError::TypeMismatch { .. })
         ));
     }
 
     #[test]
     fn absurd_declared_counts_are_rejected_before_allocating() {
-        // A row count far beyond the payload must fail fast instead of looping or reserving.
+        // A text length far beyond the payload must fail fast instead of reserving.
         let mut buf = BytesMut::new();
-        buf.put_u64_le(u64::MAX);
-        let rel = sample_relation();
-        assert!(matches!(
-            decode_rows(rel.schema().clone(), buf.freeze()),
-            Err(StorageError::Codec(_))
-        ));
-        // Same for a tuple whose declared arity exceeds the remaining bytes.
-        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_TEXT);
         buf.put_u32_le(u32::MAX);
-        buf.put_u8(TAG_NULL);
+        buf.put_u8(b'x');
         assert!(matches!(
-            decode_tuple(&mut buf.freeze()),
+            decode_value(&mut buf.freeze()),
             Err(StorageError::Codec(_))
         ));
     }
@@ -847,8 +747,7 @@ mod tests {
         assert_eq!(segment_roundtrip(&rel), rel);
     }
 
-    #[test]
-    fn segment_round_trips_mixed_columns_via_row_fallback() {
+    fn mixed_relation() -> Relation {
         let schema = Schema::new("Mix", vec![Attribute::new("v", DataType::Null)]);
         let rows = vec![
             Tuple::new(vec![Value::from(1i64)]),
@@ -856,7 +755,12 @@ mod tests {
             Tuple::new(vec![Value::from(2.5)]),
             Tuple::new(vec![Value::Null]),
         ];
-        let rel = Relation::from_validated(schema, rows);
+        Relation::from_validated(schema, rows)
+    }
+
+    #[test]
+    fn segment_round_trips_mixed_columns_via_row_fallback() {
+        let rel = mixed_relation();
         assert_eq!(segment_roundtrip(&rel), rel);
     }
 
@@ -920,35 +824,30 @@ mod tests {
             decode_segment(schema, buf.freeze()),
             Err(StorageError::Codec(_))
         ));
-        // Unknown version byte.
-        assert!(matches!(
-            decode_segment(
-                Schema::new("H", vec![]),
-                Bytes::from(vec![9u8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])
-            ),
-            Err(StorageError::Codec(_))
-        ));
-    }
-
-    #[test]
-    fn legacy_row_payload_behind_version_zero_decodes() {
-        let rel = sample_relation();
-        let mut buf = BytesMut::new();
-        buf.put_u8(0);
-        buf.put_slice(&encode_rows(&rel));
-        assert_eq!(
-            decode_segment(rel.schema().clone(), buf.freeze()).unwrap(),
-            rel
-        );
+        // Unknown version bytes: anything but the one `encode_segment` writes.
+        for version in [0u8, 9] {
+            assert!(matches!(
+                decode_segment(
+                    Schema::new("H", vec![]),
+                    Bytes::from(vec![version, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+                ),
+                Err(StorageError::Codec(_))
+            ));
+        }
     }
 
     #[test]
     fn encoded_rows_len_matches_the_row_codec_exactly() {
+        // The documented sum, with each value priced by what `encode_value` really writes.
         for rel in [
             sample_relation(),
             Relation::empty(sample_relation().schema().clone()),
         ] {
-            assert_eq!(encoded_rows_len(&rel), encode_rows(&rel).len());
+            let mut values = BytesMut::new();
+            for v in rel.iter().flat_map(Tuple::iter) {
+                encode_value(&mut values, v);
+            }
+            assert_eq!(encoded_rows_len(&rel), 8 + 4 * rel.len() + values.len());
         }
     }
 

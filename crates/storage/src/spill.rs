@@ -6,7 +6,7 @@
 //! [`BufferPool`] tracks materialised relations under a configurable **byte budget**, writes
 //! the least-recently-used ones to per-relation segment files (via the
 //! [`codec`](crate::codec)'s columnar segment encoding — dictionary/delta/RLE per column,
-//! falling back to the row codec for mixed columns) when the budget overflows, and reloads
+//! value by value for mixed columns) when the budget overflows, and reloads
 //! them transparently on the next access.  Callers hold a [`SpillableRelation`] handle wherever they
 //! previously held an always-resident `Arc<Relation>`:
 //!
@@ -63,8 +63,9 @@ pub struct SpillStats {
     pub spill_reloads: u64,
     /// Segment files written so far.
     pub segments_written: u64,
-    /// Bytes the written segments would have taken under the plain row codec (the "raw" size
-    /// the columnar compression is measured against).
+    /// Bytes the written segments would have taken value by value
+    /// ([`codec::encoded_rows_len`]: the "raw" size the columnar compression is measured
+    /// against).
     pub segment_bytes_raw: u64,
     /// Actual encoded bytes of the written segments (same total as `bytes_spilled`; kept as
     /// its own counter so raw/encoded always pair up in reports).
@@ -127,7 +128,7 @@ struct PoolInner {
     /// Test hook: number of upcoming cold segment reads to fail with an injected I/O error.
     fail_loads: u64,
     /// The tracer spill I/O reports to ([`BufferPool::set_tracer`]); disabled by default, so
-    /// the spans in [`trim_with`] and [`SpillableRelation::load`] are free when tracing is off.
+    /// the spans in [`trim_to_budget`] and [`SpillableRelation::load`] are free when tracing is off.
     tracer: Tracer,
 }
 
@@ -169,14 +170,7 @@ impl PoolInner {
             self.note_peaks();
             return None;
         };
-        self.plan_spill_to(budget)
-    }
-
-    /// Like [`plan_spill`](PoolInner::plan_spill) towards an explicit byte target —
-    /// reservations ([`BufferPool::reserve`]) trim *below* the budget to make room for bytes
-    /// that are about to be admitted.
-    fn plan_spill_to(&mut self, target: usize) -> Option<SpillJob> {
-        while self.cached_bytes.saturating_sub(self.pending_spill_bytes) > target {
+        while self.cached_bytes.saturating_sub(self.pending_spill_bytes) > budget {
             // Pop oldest-first; stale stamps (removed entries, already-spilled entries, stamps
             // superseded by a later touch, or entries mid-write) are discarded until a cached
             // victim surfaces.
@@ -255,8 +249,8 @@ impl PoolInner {
     }
 }
 
-/// Byte sizes of one written segment: the actual encoded length and the length the row codec
-/// would have produced (for compression accounting).
+/// Byte sizes of one written segment: the actual encoded length and the "raw" length
+/// [`codec::encoded_rows_len`] defines (for compression accounting).
 struct SegmentSizes {
     encoded: usize,
     raw: usize,
@@ -285,19 +279,10 @@ struct SpillJob {
 /// A failed write (full disk, unreachable directory) leaves its victim resident and loadable —
 /// the error surfaces to the caller, never as data loss.
 fn trim_to_budget(pool: &Mutex<PoolInner>) -> StorageResult<()> {
-    trim_with(pool, PoolInner::plan_spill)
-}
-
-/// The spill loop of [`trim_to_budget`] with a pluggable victim planner (reservations plan
-/// towards a below-budget target; the plain trim towards the budget itself).
-fn trim_with(
-    pool: &Mutex<PoolInner>,
-    mut plan: impl FnMut(&mut PoolInner) -> Option<SpillJob>,
-) -> StorageResult<()> {
     loop {
         let (job, tracer) = {
             let mut inner = pool.lock().unwrap();
-            match plan(&mut inner) {
+            match inner.plan_spill() {
                 Some(job) => {
                     let tracer = inner.tracer.clone();
                     (job, tracer)
@@ -402,23 +387,6 @@ impl BufferPool {
     #[must_use]
     pub fn budget(&self) -> Option<usize> {
         self.inner.lock().unwrap().budget
-    }
-
-    /// Pre-trims the pool so `bytes` of upcoming admissions fit without mid-operation
-    /// evictions: least-recently-used entries spill until `cached_bytes + bytes ≤ budget`.
-    ///
-    /// This is the grace join's admission sizing: sized from the build side's bytes, the
-    /// reservation makes room for the partitions about to be staged in one planned sweep
-    /// instead of a cascade of per-admit evictions.  Best effort — a reservation larger than
-    /// the budget trims everything trimmable — and a no-op on unbounded pools.
-    pub fn reserve(&self, bytes: usize) -> StorageResult<()> {
-        trim_with(&self.inner, |inner| {
-            let Some(budget) = inner.budget else {
-                inner.note_peaks();
-                return None;
-            };
-            inner.plan_spill_to(budget.saturating_sub(bytes))
-        })
     }
 
     /// Test hook: fails the next `n` *cold* segment reads with an injected I/O error
@@ -744,25 +712,6 @@ mod tests {
         // The pool's own copy was trimmed straight back out, but the caller's Arc stays valid.
         assert_eq!(pool.cached_bytes(), 0);
         assert_eq!(loaded.len(), 40);
-    }
-
-    #[test]
-    fn reserve_pre_trims_lru_entries_to_make_room() {
-        let one = relation("R", 60, 0).estimated_bytes();
-        let pool = BufferPool::with_budget(one * 2);
-        let a = pool.admit(relation("R", 60, 1)).unwrap();
-        let b = pool.admit(relation("R", 60, 2)).unwrap();
-        assert!(a.is_cached() && b.is_cached());
-        // Reserving one relation's worth spills the LRU entry now, not mid-admission.
-        pool.reserve(one).unwrap();
-        assert!(!a.is_cached(), "reserve must trim the LRU entry");
-        assert!(b.is_cached());
-        assert!(pool.cached_bytes() + one <= one * 2);
-        // Unbounded pools ignore reservations entirely.
-        let unbounded = BufferPool::unbounded();
-        let _h = unbounded.admit(relation("R", 60, 3)).unwrap();
-        unbounded.reserve(usize::MAX).unwrap();
-        assert_eq!(unbounded.stats().segments_written, 0);
     }
 
     #[test]

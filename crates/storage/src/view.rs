@@ -195,7 +195,7 @@ impl ColumnView {
     /// Builds the view's rows.  A view that is still a whole base relation hands back the
     /// base's own row buffer; a filtered one clones the surviving base tuples (pointer
     /// bumps); anything else reconstructs each tuple from its output columns.  All three are
-    /// value-for-value what the row operators produce.
+    /// value-for-value what the row-at-a-time reference evaluator produces.
     #[must_use]
     pub fn materialize(&self) -> Arc<Vec<Tuple>> {
         if let [group] = self.groups.as_slice() {

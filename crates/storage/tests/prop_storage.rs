@@ -31,15 +31,6 @@ proptest! {
     }
 
     #[test]
-    fn tuple_codec_roundtrip(t in arb_tuple(8)) {
-        let mut buf = bytes::BytesMut::new();
-        codec::encode_tuple(&mut buf, &t);
-        let mut bytes = buf.freeze();
-        let decoded = codec::decode_tuple(&mut bytes).unwrap();
-        prop_assert_eq!(decoded, t);
-    }
-
-    #[test]
     fn value_equality_implies_hash_equality(a in arb_value(), b in arb_value()) {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -105,7 +96,7 @@ proptest! {
             .map(|(a, b, c)| Tuple::new(vec![Value::from(a), Value::from(b.as_str()), Value::from(c)]))
             .collect();
         let rel = Relation::new(schema, tuples).unwrap();
-        let back = codec::roundtrip(&rel).unwrap();
-        prop_assert_eq!(back, rel);
+        let back = codec::decode_segment(rel.schema().clone(), codec::encode_segment(&rel));
+        prop_assert_eq!(back.unwrap(), rel);
     }
 }
