@@ -29,7 +29,7 @@ pub(crate) fn evaluate_weighted(
     query: &TargetQuery,
     mappings: &[(Mapping, f64)],
     catalog: &Catalog,
-    algorithm: &str,
+    algorithm: &'static str,
 ) -> CoreResult<Evaluation> {
     let total_start = Instant::now();
     let mut metrics = EvalMetrics::new(algorithm);

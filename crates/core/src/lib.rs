@@ -72,7 +72,7 @@ pub use algorithms::{evaluate, topk::top_k, topk::TopKEvaluation, Algorithm};
 pub use answer::{AnswerRows, ProbabilisticAnswer};
 pub use error::{CoreError, CoreResult};
 pub use metrics::{EvalMetrics, Evaluation};
-pub use query::{QueryOutput, TargetOp, TargetPredicate, TargetQuery};
+pub use query::{QueryKey, QueryOutput, TargetOp, TargetPredicate, TargetQuery};
 pub use strategy::Strategy;
 pub use urm_engine::{EpochDag, DEFAULT_PIN_BUDGET_BYTES};
 

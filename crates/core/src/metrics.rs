@@ -13,7 +13,7 @@ use urm_engine::ExecStats;
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EvalMetrics {
     /// Name of the algorithm that produced the metrics (`basic`, `e-basic`, …).
-    pub algorithm: String,
+    pub algorithm: &'static str,
     /// Time spent reformulating target queries / operators into source form.
     #[serde(skip)]
     pub rewrite_time: Duration,
@@ -45,9 +45,9 @@ pub struct EvalMetrics {
 impl EvalMetrics {
     /// Creates zeroed metrics for an algorithm.
     #[must_use]
-    pub fn new(algorithm: &str) -> Self {
+    pub fn new(algorithm: &'static str) -> Self {
         EvalMetrics {
-            algorithm: algorithm.to_string(),
+            algorithm,
             ..EvalMetrics::default()
         }
     }

@@ -10,8 +10,10 @@
 use crate::{CoreError, CoreResult};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::Arc;
 use urm_engine::CompareOp;
-use urm_storage::{AttrRef, Value};
+use urm_storage::{hash_keys, AttrRef, Value};
 
 /// Binding of an alias to a target relation (`PO1 → PurchaseOrder`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -70,7 +72,7 @@ impl fmt::Display for TargetPredicate {
 }
 
 /// What the query returns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum QueryOutput {
     /// The listed target attributes of every qualifying tuple (an explicit projection; the
     /// normalized model requires `SELECT *` queries to spell out the attributes of interest).
@@ -341,6 +343,81 @@ impl fmt::Display for TargetQuery {
             })
             .collect();
         write!(f, "({})", rels.join(" × "))
+    }
+}
+
+/// A query as an exact map key: the query behind an `Arc` (a clone is a pointer bump) and a
+/// structural hash computed once, without allocating, under [`urm_storage::hash_keys`] — the
+/// constants are a client's to choose and must not steer collisions.
+///
+/// Two keys are equal exactly when the two queries' `Debug` renderings are: name, bindings,
+/// predicates in order and output, each constant by variant and payload, floats by bit pattern
+/// — so `Int(1)`, `Float(1.0)` and `Text("1")` are three keys.  That is **not** the derived
+/// `TargetQuery: PartialEq`, which compares constants as a join does (`Int(1) == Float(1.0)`)
+/// and would serve one query the other's answer.  Finer than `Debug` in one place: NaNs of
+/// different sign or payload all print `NaN` and stay apart here, as in `Value::eq`.
+#[derive(Debug, Clone)]
+pub struct QueryKey {
+    query: Arc<TargetQuery>,
+    hash: u64,
+}
+
+/// A predicate with its constant told apart by variant and bits: `Eq` and `Hash` of this are
+/// the key's, so the two cannot disagree.
+fn exact(p: &TargetPredicate) -> (&AttrRef, Option<CompareOp>, Option<&AttrRef>, u8, u64, &str) {
+    match p {
+        TargetPredicate::AttrEq { left, right } => (left, None, Some(right), 0, 0, ""),
+        TargetPredicate::Compare { attr, op, value } => {
+            let (variant, bits, text) = match value {
+                Value::Null => (0, 0, ""),
+                Value::Bool(b) => (1, u64::from(*b), ""),
+                Value::Int(i) => (2, i.cast_unsigned(), ""),
+                Value::Float(x) => (3, x.to_bits(), ""),
+                Value::Text(s) => (4, 0, &**s),
+            };
+            (attr, Some(*op), None, variant, bits, text)
+        }
+    }
+}
+
+impl QueryKey {
+    /// Takes the query over and hashes it.
+    #[must_use]
+    pub fn new(query: TargetQuery) -> Self {
+        let mut hasher = hash_keys().build_hasher();
+        (&query.name, &query.relations, &query.output).hash(&mut hasher);
+        query
+            .predicates
+            .iter()
+            .for_each(|p| exact(p).hash(&mut hasher));
+        let (hash, query) = (hasher.finish(), Arc::new(query));
+        QueryKey { query, hash }
+    }
+
+    /// The query this is the key of.
+    #[must_use]
+    pub fn query(&self) -> &TargetQuery {
+        &self.query
+    }
+}
+
+impl PartialEq for QueryKey {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.query, &*other.query);
+        self.hash == other.hash
+            && (&a.name, &a.relations, &a.output) == (&b.name, &b.relations, &b.output)
+            && a.predicates
+                .iter()
+                .map(exact)
+                .eq(b.predicates.iter().map(exact))
+    }
+}
+
+impl Eq for QueryKey {}
+
+impl Hash for QueryKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 

@@ -6,14 +6,16 @@
 //! **chunked** responses back.  Chunked transfer encoding is what lets `/batch` stream each
 //! answer as soon as its batch resolves instead of buffering the whole response.
 //!
-//! Responses leave through a per-connection [`ResponseWriter`]: head and body (or head, chunk
-//! framing and chunk) are assembled in one buffer that is reused across keep-alive requests
-//! and handed to the socket in **one** write — on a `TCP_NODELAY` socket every write is a
-//! segment and a wake-up of the peer, and a fresh buffer per response is memory the allocator
-//! trims and faults back in.
+//! Responses leave through a per-connection [`ResponseWriter`]: the head (or head and chunk
+//! framing) and the body's own text are built in two buffers reused across keep-alive
+//! requests, and go to the socket — with whatever slice the body [lent](Part::lend), from
+//! where it lies — in **one** `write_vectored` (continued after a partial write, retried when
+//! interrupted).  On a `TCP_NODELAY` socket every write is a segment and a wake-up of the
+//! peer; a fresh buffer per response is memory the allocator trims and faults back in; and an
+//! answer's memoised rendering is 91 KB that nothing needs to copy before the kernel does.
 
-use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::fmt::{self, Write as _};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 
 /// Hard cap on the request head (request line + headers) — generous for curl and the bench
@@ -238,18 +240,66 @@ impl<'a> Head<'a> {
 
 /// The response half of one connection.
 ///
-/// Owns the buffer every response of the connection is assembled in, so a keep-alive
-/// connection allocates for its largest response once, and each response (or each chunk of a
-/// streamed one) reaches the socket as a single `write_all`.  Generic over the sink so tests
-/// can count the writes.
+/// Owns the two buffers every response of the connection is assembled in — what goes in front
+/// (the head, a chunk's size line) and the body's own text — so a keep-alive connection
+/// allocates for its largest response once.  Each response (or each chunk of a streamed one)
+/// reaches the socket as a single vectored write of those and, between them, whatever slice
+/// the body [lent](Part::lend).  Generic over the sink so tests can count the writes.
 pub struct ResponseWriter<W: Write> {
     stream: W,
-    /// The bytes of the next write: head, framing and body.
+    /// What precedes the body in the next write: the response head and/or a chunk's size line,
+    /// both of which state a length only known once the body is built.
+    front: String,
+    /// The owned text of the next write's body.
     buf: String,
-    /// Scratch for what must go *in front of* a body whose length is only known once it is
-    /// built: the fixed-length head, a chunk's size line.
-    prefix: String,
     close: bool,
+}
+
+/// A slice a body part lent, and where in the part's own text it belongs.
+type Lent<'a> = Option<(usize, &'a str)>;
+
+/// One part of a body under construction: text appended to the connection's buffer and, at
+/// most once, a slice that is *lent* — sent from where it lies, never copied in user space.
+pub struct Part<'w, 'a> {
+    text: &'w mut String,
+    lent: Lent<'a>,
+}
+
+impl<'w, 'a> Part<'w, 'a> {
+    /// A part that copies everything into `text` — its one loan is spent, on nothing: the
+    /// one-`String` rendering of whatever writes itself through a `Part`.
+    pub fn copying(text: &'w mut String) -> Self {
+        Part {
+            text,
+            lent: Some((0, "")),
+        }
+    }
+
+    /// Appends `text`.
+    pub fn push_str(&mut self, text: &str) {
+        self.text.push_str(text);
+    }
+
+    /// Appends `c`.
+    pub fn push(&mut self, c: char) {
+        self.text.push(c);
+    }
+
+    /// Appends `slice`, which outlives the write, without copying it — once per part; a
+    /// second slice, or one into a part gathered for a later write, is copied.
+    pub fn lend(&mut self, slice: &'a str) {
+        match self.lent {
+            Some(_) => self.text.push_str(slice),
+            None => self.lent = Some((self.text.len(), slice)),
+        }
+    }
+}
+
+impl fmt::Write for Part<'_, '_> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.text.push_str(text);
+        Ok(())
+    }
 }
 
 impl<W: Write> ResponseWriter<W> {
@@ -257,8 +307,8 @@ impl<W: Write> ResponseWriter<W> {
     pub fn new(stream: W) -> Self {
         ResponseWriter {
             stream,
+            front: String::new(),
             buf: String::new(),
-            prefix: String::new(),
             close: false,
         }
     }
@@ -284,8 +334,12 @@ impl<W: Write> ResponseWriter<W> {
         self.send(Head::json(status, extra), |out| out.push_str(body))
     }
 
-    /// Sends a fixed-length response whose body `fill` appends in place: one write.
-    pub fn send(&mut self, head: Head<'_>, fill: impl FnOnce(&mut String)) -> std::io::Result<()> {
+    /// Sends a fixed-length response whose body `fill` builds: one write.
+    pub fn send<'a>(
+        &mut self,
+        head: Head<'_>,
+        fill: impl FnOnce(&mut Part<'_, 'a>),
+    ) -> std::io::Result<()> {
         self.begin(head, false).end(fill)
     }
 
@@ -293,10 +347,11 @@ impl<W: Write> ResponseWriter<W> {
     /// chunk the moment it is built (the head rides with the first, the terminator with the
     /// last).  Otherwise the parts are gathered and sent fixed-length at
     /// [`end`](Body::end) — the framing an HTTP/1.0 peer needs.
-    pub fn begin<'a>(&'a mut self, head: Head<'a>, chunked: bool) -> Body<'a, W> {
+    pub fn begin<'h>(&'h mut self, head: Head<'h>, chunked: bool) -> Body<'h, W> {
+        self.front.clear();
         self.buf.clear();
         if chunked {
-            head.write(&mut self.buf, None, self.close);
+            head.write(&mut self.front, None, self.close);
         }
         Body {
             writer: self,
@@ -305,14 +360,37 @@ impl<W: Write> ResponseWriter<W> {
         }
     }
 
-    /// Puts `prefix` in front of `buf[at..]`.
-    fn prepend(&mut self, at: usize) {
-        self.buf.insert_str(at, &self.prefix);
-        self.prefix.clear();
+    /// Runs `fill` over the body buffer: the slice it lent, and the body's length with it.
+    fn fill<'a>(&mut self, fill: impl FnOnce(&mut Part<'_, 'a>)) -> (Lent<'a>, usize) {
+        let mut part = Part {
+            text: &mut self.buf,
+            lent: None,
+        };
+        fill(&mut part);
+        let lent = part.lent;
+        (
+            lent,
+            self.buf.len() + lent.map_or(0, |(_, slice)| slice.len()),
+        )
     }
 
-    fn flush_buf(&mut self) -> std::io::Result<()> {
-        self.stream.write_all(self.buf.as_bytes())?;
+    /// Hands `front`, then `buf` with `lent` spliced in, to the socket as one vectored write
+    /// (carrying on after a partial one), and empties both buffers.
+    fn flush(&mut self, lent: Lent<'_>) -> std::io::Result<()> {
+        let (at, lent) = lent.unwrap_or((self.buf.len(), ""));
+        let (before, after) = self.buf.as_bytes().split_at(at);
+        let mut slices = [self.front.as_bytes(), before, lent.as_bytes(), after].map(IoSlice::new);
+        let mut left = &mut slices[..];
+        IoSlice::advance_slices(&mut left, 0); // drops leading empty slices: nothing to send
+        while !left.is_empty() {
+            match self.stream.write_vectored(left) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(written) => IoSlice::advance_slices(&mut left, written),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.front.clear();
         self.buf.clear();
         self.stream.flush()
     }
@@ -321,54 +399,51 @@ impl<W: Write> ResponseWriter<W> {
 /// A response body under construction (see [`ResponseWriter::begin`]).  Dropping a chunked
 /// body without [`end`](Body::end) leaves the chunk stream unterminated, which clients
 /// correctly treat as a truncated response.
-pub struct Body<'a, W: Write> {
-    writer: &'a mut ResponseWriter<W>,
-    head: Head<'a>,
+pub struct Body<'h, W: Write> {
+    writer: &'h mut ResponseWriter<W>,
+    head: Head<'h>,
     chunked: bool,
 }
 
 impl<W: Write> Body<'_, W> {
     /// Adds one part of the body; on a chunked response it is on the wire when this returns.
-    pub fn part(&mut self, fill: impl FnOnce(&mut String)) -> std::io::Result<()> {
+    pub fn part<'a>(&mut self, fill: impl FnOnce(&mut Part<'_, 'a>)) -> std::io::Result<()> {
         if !self.chunked {
-            fill(&mut self.writer.buf);
+            // Gathered for the write `end` makes, by when a lent slice may be gone: copied.
+            fill(&mut Part::copying(&mut self.writer.buf));
             return Ok(());
         }
-        if self.frame_chunk(fill) {
-            self.writer.flush_buf()?;
+        match self.frame_chunk(fill) {
+            (lent, true) => self.writer.flush(lent),
+            (_, false) => Ok(()),
         }
-        Ok(())
     }
 
     /// Adds the last part and completes the response.
-    pub fn end(mut self, fill: impl FnOnce(&mut String)) -> std::io::Result<()> {
-        if self.chunked {
-            self.frame_chunk(fill);
+    pub fn end<'a>(mut self, fill: impl FnOnce(&mut Part<'_, 'a>)) -> std::io::Result<()> {
+        let lent = if self.chunked {
+            let (lent, _) = self.frame_chunk(fill);
             self.writer.buf.push_str("0\r\n\r\n");
+            lent
         } else {
+            let (lent, length) = self.writer.fill(fill);
             let writer = &mut *self.writer;
-            fill(&mut writer.buf);
             self.head
-                .write(&mut writer.prefix, Some(writer.buf.len()), writer.close);
-            writer.prepend(0);
-        }
-        self.writer.flush_buf()
+                .write(&mut writer.front, Some(length), writer.close);
+            lent
+        };
+        self.writer.flush(lent)
     }
 
-    /// Appends `fill`'s output as one chunk (size line, data, CRLF); `false` if it was empty
-    /// — an empty chunk would terminate the stream, so none is framed.
-    fn frame_chunk(&mut self, fill: impl FnOnce(&mut String)) -> bool {
-        let writer = &mut *self.writer;
-        let at = writer.buf.len();
-        fill(&mut writer.buf);
-        let size = writer.buf.len() - at;
-        if size == 0 {
-            return false;
+    /// Builds `fill`'s output as one chunk — size line in front, CRLF behind — and says
+    /// whether there is one: an empty chunk would terminate the stream, so none is framed.
+    fn frame_chunk<'a>(&mut self, fill: impl FnOnce(&mut Part<'_, 'a>)) -> (Lent<'a>, bool) {
+        let (lent, size) = self.writer.fill(fill);
+        if size > 0 {
+            write!(self.writer.front, "{size:x}\r\n").expect("writing to a String cannot fail");
+            self.writer.buf.push_str("\r\n");
         }
-        write!(writer.prefix, "{size:x}\r\n").expect("writing to a String cannot fail");
-        writer.prepend(at);
-        writer.buf.push_str("\r\n");
-        true
+        (lent, size > 0)
     }
 }
 
@@ -376,18 +451,33 @@ impl<W: Write> Body<'_, W> {
 pub(crate) mod tests {
     use super::*;
 
-    /// A sink that counts the `write` calls it receives and keeps their bytes.
+    /// A sink that counts the write calls it receives — a vectored one is one call, as it is
+    /// one `writev` — and keeps their bytes.  With a `limit`, it accepts at most that many
+    /// bytes per call and is interrupted before every other one.
     #[derive(Default)]
     pub(crate) struct CountingWrite {
         pub(crate) writes: usize,
         pub(crate) bytes: Vec<u8>,
+        limit: Option<usize>,
     }
 
     impl Write for CountingWrite {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
             self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
+            if self.limit.is_some() && self.writes % 2 == 1 {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut room = self.limit.unwrap_or(usize::MAX);
+            for buf in bufs {
+                let taken = &buf[..buf.len().min(room)];
+                self.bytes.extend_from_slice(taken);
+                room -= taken.len();
+            }
+            Ok(self.limit.unwrap_or(usize::MAX) - room)
         }
 
         fn flush(&mut self) -> std::io::Result<()> {
@@ -446,6 +536,64 @@ pub(crate) mod tests {
              11\r\n,2222222222222222\r\n\
              4\r\n,3]}\r\n0\r\n\r\n"
         );
+    }
+
+    /// A fixed-length response, a chunked one and one that lends a 100 000-byte slice, as
+    /// the sink receives them.
+    fn three_responses(sink: CountingWrite) -> Vec<u8> {
+        let lent = "0123456789".repeat(10_000);
+        let mut out = ResponseWriter::new(sink);
+        out.json(
+            429,
+            &[("retry-after", "3".to_string())],
+            "{\"error\":\"slow down\"}",
+        )
+        .unwrap();
+        let mut body = out.begin(Head::json(200, &[]), true);
+        body.part(|b| b.push_str("{\"answers\":[1")).unwrap();
+        body.part(|b| {
+            b.push(',');
+            b.lend(&lent[..70_000]);
+            b.lend("(a second slice is copied)");
+        })
+        .unwrap();
+        body.end(|b| b.push_str("]}")).unwrap();
+        out.send(Head::json(200, &[]), |b| {
+            b.push_str("{\"answer\":\"");
+            b.lend(&lent);
+            b.push_str("\"}");
+        })
+        .unwrap();
+        assert!(out.front.is_empty() && out.buf.is_empty());
+        out.stream.bytes
+    }
+
+    #[test]
+    fn a_sink_that_takes_a_few_bytes_at_a_time_receives_the_same_bytes() {
+        let whole = three_responses(CountingWrite::default());
+        let text = std::str::from_utf8(&whole).unwrap();
+        assert!(text.contains("content-length: 100013\r\n\r\n{\"answer\":\"0123456789"));
+        assert!(text.contains("\r\n1118b\r\n,0123456789")); // 1 + 70 000 + 26 bytes
+        assert!(text.ends_with("0123456789\"}"));
+        for limit in [1, 7, 4096] {
+            let limit = Some(limit);
+            let sink = CountingWrite {
+                limit,
+                ..CountingWrite::default()
+            };
+            assert!(three_responses(sink) == whole, "{limit:?} bytes per write");
+        }
+    }
+
+    #[test]
+    fn a_sink_that_takes_nothing_is_an_error_not_a_spin() {
+        let limit = Some(0);
+        let mut out = ResponseWriter::new(CountingWrite {
+            limit,
+            ..CountingWrite::default()
+        });
+        let err = out.json(200, &[], "{}").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }
 
     #[test]

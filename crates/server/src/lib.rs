@@ -20,7 +20,8 @@
 //!
 //! An answer's bytes are built by one renderer ([`wire::write_answer`]), once per answer — the
 //! rendering is memoized inside the shared [`ProbabilisticAnswer`](urm_core::ProbabilisticAnswer)
-//! the answer cache hands out — and sent from a per-connection buffer ([`http::ResponseWriter`]).
+//! the answer cache hands out — and sent from there: a response (or a chunk) is one vectored
+//! write of the connection's own head and framing around the memo ([`http::ResponseWriter`]).
 //!
 //! In front of the service sits an [`admission`] layer: a bounded in-flight budget and
 //! per-client token buckets, both answering **429 + `Retry-After`** when closed, plus a body

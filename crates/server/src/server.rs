@@ -8,9 +8,9 @@
 //! returns — no accepted query is abandoned.
 
 use crate::admission::{AdmissionController, CostModel, Rejected};
-use crate::http::{read_request, Head, HttpError, Request, ResponseWriter};
+use crate::http::{read_request, Head, HttpError, Part, Request, ResponseWriter};
 use crate::json::{write_number, Json};
-use crate::wire::{parse_query_spec, write_answer};
+use crate::wire::{parse_query_spec, splice_answer};
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,8 +19,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use urm_datagen::scenario::TargetSchemaKind;
 use urm_service::{
-    EpochId, HistSnapshot, Histogram, MetricKind, PromWriter, QueryService, ServedFrom,
-    ServiceError, Ticket, Tracer,
+    EpochId, HistSnapshot, Histogram, MetricKind, PromWriter, QueryResponse, QueryService,
+    ServedFrom, ServiceError, ServiceResult, Ticket, Tracer,
 };
 
 /// How long [`UrmServer::shutdown`] waits for in-flight connections before giving up on them.
@@ -510,7 +510,8 @@ fn serve_queries<W: Write>(
         }
     };
 
-    // Submit everything, then flush once: one service batch per target schema touched.
+    // Submit everything, then flush once — if anything missed the answer cache: one service
+    // batch per target schema touched.
     let mut tickets: Vec<(String, u64, Ticket)> = Vec::with_capacity(specs.len());
     for entry in specs {
         let Some(epoch) = shared.epoch_for(entry.target) else {
@@ -526,7 +527,9 @@ fn serve_queries<W: Write>(
             Err(err) => return out.json(error_status(&err), &[], &error_body(&err.to_string())),
         }
     }
-    shared.service.flush();
+    if !tickets.iter().all(|(_, _, ticket)| ticket.is_ready()) {
+        shared.service.flush();
+    }
 
     let trace_echo: Vec<(&str, String)> = trace_id
         .as_ref()
@@ -535,39 +538,38 @@ fn serve_queries<W: Write>(
         .collect();
     let head = Head::json(200, &trace_echo);
     let last = tickets.pop().expect("a request has at least one spec");
-    if batch {
-        // Each ticket's answer is rendered and written as its own chunk the moment its batch
-        // resolves; a failed one becomes an error object in its place.  An HTTP/1.0 peer
-        // cannot frame chunks, so its answers are gathered and sent fixed-length.
-        let mut opened = false;
-        let mut answer =
-            |body: &mut String, (label, static_cost, ticket): (String, u64, Ticket)| {
-                body.push_str(if opened { "," } else { "{\"answers\":[" });
-                opened = true;
-                match ticket.wait() {
-                    Ok(response) => {
-                        observe_cost(shared, &label, &response, static_cost);
-                        write_answer(body, &label, &response.answer);
-                    }
-                    Err(err) => body.push_str(&error_body(&err.to_string())),
-                }
-            };
-        let mut body = out.begin(head, !request.http10);
-        for ticket in tickets {
-            body.part(|part| answer(part, ticket))?;
+    // A response is held across the write that sends it: its answer's rendering is lent to
+    // that write, not copied into it.
+    let wait = |(label, static_cost, ticket): (String, u64, Ticket)| {
+        let result = ticket.wait();
+        if let Ok(response) = &result {
+            observe_cost(shared, &label, response, static_cost);
         }
+        (label, result)
+    };
+    if batch {
+        // Each ticket's answer is written as its own chunk the moment its batch resolves; a
+        // failed one becomes an error object in its place.  An HTTP/1.0 peer cannot frame
+        // chunks, so its answers are gathered and sent fixed-length.
+        let mut body = out.begin(head, !request.http10);
+        let mut first = true;
+        for ticket in tickets {
+            let (label, result) = wait(ticket);
+            body.part(|part| {
+                write_batch_element(part, std::mem::take(&mut first), &label, &result)
+            })?;
+        }
+        let (label, result) = wait(last);
         body.end(|part| {
-            answer(part, last);
+            write_batch_element(part, first, &label, &result);
             part.push_str("]}");
         })
     } else {
-        let (label, static_cost, ticket) = last;
-        match ticket.wait() {
-            Ok(response) => {
-                observe_cost(shared, &label, &response, static_cost);
+        match wait(last) {
+            (label, Ok(response)) => {
                 out.send(head, |body| write_query_body(body, &label, &response))
             }
-            Err(err) => out.json(
+            (_, Err(err)) => out.json(
                 error_status(&err),
                 &trace_echo,
                 &error_body(&err.to_string()),
@@ -576,10 +578,24 @@ fn serve_queries<W: Write>(
     }
 }
 
+/// One element of the `/batch` document's `{"answers":[…` array, with what precedes it.
+fn write_batch_element<'a>(
+    part: &mut Part<'_, 'a>,
+    first: bool,
+    label: &str,
+    result: &'a ServiceResult<QueryResponse>,
+) {
+    part.push_str(if first { "{\"answers\":[" } else { "," });
+    match result {
+        Ok(response) => splice_answer(part, label, &response.answer),
+        Err(err) => part.push_str(&error_body(&err.to_string())),
+    }
+}
+
 /// The `/query` document: `{"answer":…,"served_from":"…","batch":N}`.
-fn write_query_body(body: &mut String, label: &str, response: &urm_service::QueryResponse) {
+fn write_query_body<'a>(body: &mut Part<'_, 'a>, label: &str, response: &'a QueryResponse) {
     body.push_str("{\"answer\":");
-    write_answer(body, label, &response.answer);
+    splice_answer(body, label, &response.answer);
     body.push_str(match response.served_from {
         ServedFrom::Evaluated => ",\"served_from\":\"evaluated\",\"batch\":",
         ServedFrom::AnswerCache => ",\"served_from\":\"answer-cache\",\"batch\":",
@@ -592,12 +608,7 @@ fn write_query_body(body: &mut String, label: &str, response: &urm_service::Quer
 /// Feeds one answered query back into the cost model.  Cache hits and in-batch duplicates
 /// record no evaluation time; folding their zero latency in would teach the model that the
 /// spec is free, so only evaluated responses observe.
-fn observe_cost(
-    shared: &Shared,
-    label: &str,
-    response: &urm_service::QueryResponse,
-    static_cost: u64,
-) {
+fn observe_cost(shared: &Shared, label: &str, response: &QueryResponse, static_cost: u64) {
     if response.served_from == ServedFrom::Evaluated && !response.metrics.total_time.is_zero() {
         shared
             .cost_model

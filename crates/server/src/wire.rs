@@ -16,8 +16,11 @@
 //! label-independent part — everything but `"label":…` — is therefore rendered **once per
 //! answer** and kept in the answer's own memo slot ([`ProbabilisticAnswer::rendered_with`]):
 //! it lives exactly as long as the answer does, and a cache hit splices the label in front of
-//! bytes that already exist.
+//! bytes that already exist — [`splice_answer`] lends them to the response's write, so between
+//! the memo and the socket nothing copies them; [`write_answer`] and [`answer_json`] are the
+//! same pieces put into one `String`.
 
+use crate::http::Part;
 use crate::json::{write_number, write_string, Escaped, Json};
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,12 +41,19 @@ pub fn parse_query_spec(spec: &str) -> Result<WorkloadEntry, String> {
 /// Tuples are rendered in their `Display` form (probability-descending, ties broken by tuple
 /// order — [`ProbabilisticAnswer::sorted_rows`]), so equal answers render byte-identically no
 /// matter which path produced them.  Every answer byte the server, [`answer_json`] and the
-/// benches emit comes from here.
+/// benches emit is put together by [`splice_answer`]; this is its output in one `String`.
 pub fn write_answer(out: &mut String, label: &str, answer: &ProbabilisticAnswer) {
+    splice_answer(&mut Part::copying(out), label, answer);
+}
+
+/// [`write_answer`] into a part of a response body: the label and the braces are written, the
+/// memoised rendering is *lent* — it goes to the socket from the answer's own memo slot.  The
+/// one place the document's pieces are put together, so the two cannot diverge.
+pub fn splice_answer<'a>(out: &mut Part<'_, 'a>, label: &str, answer: &'a ProbabilisticAnswer) {
     out.push_str("{\"label\":");
     write_string(out, label).expect("writing to a String cannot fail");
     out.push(',');
-    out.push_str(answer.rendered_with(render_unlabelled));
+    out.lend(answer.rendered_with(render_unlabelled));
     out.push('}');
 }
 

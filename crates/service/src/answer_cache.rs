@@ -1,9 +1,9 @@
-//! The bounded answer cache: completed probabilistic answers keyed by the query's canonical
-//! rendering.
+//! The bounded answer cache: completed probabilistic answers keyed by the query itself.
 
 use crate::service::EpochId;
+use std::hash::Hash;
 use std::sync::Arc;
-use urm_core::ProbabilisticAnswer;
+use urm_core::{ProbabilisticAnswer, QueryKey};
 use urm_mqo::LruCache;
 
 /// A cached answer plus the batch that produced it.
@@ -16,24 +16,25 @@ pub struct CachedAnswer {
     pub batch: u64,
 }
 
-/// A bounded LRU cache of completed answers, keyed by `(epoch, canonical query)`.
+/// A bounded LRU cache of completed answers, keyed by `(epoch, query)`.
 ///
-/// The key is the query's canonical `Debug` rendering — exact and injective (unlike `Display`,
-/// which erases value type tags), so two different queries can never collide — rather than a
-/// hash of it.  Epochs are immutable — a
+/// The service's key is a [`QueryKey`]: the query with a hash computed once, compared field by
+/// field when the hashes agree — exact (value type tags are never erased, an answer is never
+/// served on hash equality alone) and nothing is rendered to probe.  Any other exact key type
+/// will do (`String`: a canonical rendering).  Epochs are immutable — a
 /// registered (catalog, mapping set) pair never changes, and new data or mapping versions get a
 /// fresh [`EpochId`] — so a cached answer can never go stale: it is correct for as long as its
 /// epoch is addressable.
 #[derive(Debug)]
-pub struct AnswerCache {
-    entries: LruCache<(u64, String), CachedAnswer>,
+pub struct AnswerCache<K = QueryKey> {
+    entries: LruCache<(u64, K), CachedAnswer>,
     /// Capacity 0: nothing is ever stored, so every lookup misses (and counts as one).
     disabled: bool,
     hits: u64,
     misses: u64,
 }
 
-impl AnswerCache {
+impl<K: Eq + Hash + Clone> AnswerCache<K> {
     /// A cache holding at most `capacity` answers; a capacity of 0 disables caching — every
     /// query is evaluated (or batch-deduplicated), none is served from here.
     #[must_use]
@@ -46,26 +47,18 @@ impl AnswerCache {
         }
     }
 
-    /// Looks up the answer for canonical query `key` under `epoch`, counting a hit or miss.
-    pub fn lookup(&mut self, epoch: EpochId, key: &str) -> Option<CachedAnswer> {
-        let found = self.entries.get(&(epoch.raw(), key.to_string())).cloned();
-        match found {
-            Some(found) => {
-                self.hits += 1;
-                Some(found)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// Looks up the answer for query `key` under `epoch`, counting a hit or miss.
+    pub fn lookup(&mut self, epoch: EpochId, key: &K) -> Option<CachedAnswer> {
+        let found = self.recheck(epoch, key);
+        self.misses += u64::from(found.is_none());
+        found
     }
 
     /// Like [`lookup`](AnswerCache::lookup) but does not count a miss — used for the batch-time
     /// re-check of submissions that already recorded their miss at submit time (a hit is still
     /// counted: the query really was served from the cache).
-    pub fn recheck(&mut self, epoch: EpochId, key: &str) -> Option<CachedAnswer> {
-        let found = self.entries.get(&(epoch.raw(), key.to_string())).cloned();
+    pub fn recheck(&mut self, epoch: EpochId, key: &K) -> Option<CachedAnswer> {
+        let found = self.entries.get(&(epoch.raw(), key.clone())).cloned();
         if found.is_some() {
             self.hits += 1;
         }
@@ -73,7 +66,7 @@ impl AnswerCache {
     }
 
     /// Inserts a freshly evaluated answer (a no-op on a disabled cache).
-    pub fn insert(&mut self, epoch: EpochId, key: String, answer: CachedAnswer) {
+    pub fn insert(&mut self, epoch: EpochId, key: K, answer: CachedAnswer) {
         if !self.disabled {
             self.entries.insert((epoch.raw(), key), answer);
         }
@@ -128,9 +121,9 @@ mod tests {
     fn hit_and_miss_accounting() {
         let mut cache = AnswerCache::with_capacity(4);
         let epoch = EpochId::from_raw(1);
-        assert!(cache.lookup(epoch, "q0").is_none());
-        cache.insert(epoch, "q0".to_string(), answer(0.5));
-        let hit = cache.lookup(epoch, "q0").unwrap();
+        assert!(cache.lookup(epoch, &"q0").is_none());
+        cache.insert(epoch, "q0", answer(0.5));
+        let hit = cache.lookup(epoch, &"q0").unwrap();
         assert!((hit.answer.max_probability() - 0.5).abs() < 1e-12);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
@@ -139,37 +132,37 @@ mod tests {
     fn recheck_counts_hits_but_not_misses() {
         let mut cache = AnswerCache::with_capacity(4);
         let epoch = EpochId::from_raw(1);
-        assert!(cache.recheck(epoch, "q0").is_none());
+        assert!(cache.recheck(epoch, &"q0").is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        cache.insert(epoch, "q0".to_string(), answer(0.5));
-        assert!(cache.recheck(epoch, "q0").is_some());
+        cache.insert(epoch, "q0", answer(0.5));
+        assert!(cache.recheck(epoch, &"q0").is_some());
         assert_eq!((cache.hits(), cache.misses()), (1, 0));
     }
 
     #[test]
     fn epochs_do_not_collide() {
         let mut cache = AnswerCache::with_capacity(4);
-        cache.insert(EpochId::from_raw(1), "q0".to_string(), answer(0.5));
-        assert!(cache.lookup(EpochId::from_raw(2), "q0").is_none());
+        cache.insert(EpochId::from_raw(1), "q0", answer(0.5));
+        assert!(cache.lookup(EpochId::from_raw(2), &"q0").is_none());
     }
 
     #[test]
     fn distinct_queries_never_collide() {
         let mut cache = AnswerCache::with_capacity(4);
         let epoch = EpochId::from_raw(1);
-        cache.insert(epoch, "q0: π[a] (R)".to_string(), answer(0.5));
-        assert!(cache.lookup(epoch, "q1: π[b] (R)").is_none());
-        assert!(cache.lookup(epoch, "q0: π[a] (R)").is_some());
+        cache.insert(epoch, "q0: π[a] (R)", answer(0.5));
+        assert!(cache.lookup(epoch, &"q1: π[b] (R)").is_none());
+        assert!(cache.lookup(epoch, &"q0: π[a] (R)").is_some());
     }
 
     #[test]
     fn capacity_zero_disables_the_cache() {
         let mut cache = AnswerCache::with_capacity(0);
         let epoch = EpochId::from_raw(1);
-        cache.insert(epoch, "q0".to_string(), answer(0.5));
+        cache.insert(epoch, "q0", answer(0.5));
         assert!(cache.is_empty(), "a disabled cache stores nothing");
-        assert!(cache.lookup(epoch, "q0").is_none());
-        assert!(cache.recheck(epoch, "q0").is_none());
+        assert!(cache.lookup(epoch, &"q0").is_none());
+        assert!(cache.recheck(epoch, &"q0").is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         assert_eq!(cache.evictions(), 0);
     }

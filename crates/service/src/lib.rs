@@ -17,9 +17,11 @@
 //!   [`ServiceConfig::dag_workers`] scoped threads (intra-batch parallelism);
 //! * batches run on a fixed **worker pool**, so independent batches (and epochs) evaluate in
 //!   parallel while each batch stays deterministic;
-//! * a bounded **answer cache** keyed by the query's canonical rendering + epoch lets repeated
-//!   queries skip evaluation entirely — within a batch, duplicate submissions are deduplicated
-//!   before evaluation;
+//! * a bounded **answer cache** keyed by epoch + the query itself (a
+//!   [`QueryKey`](urm_core::QueryKey): hashed once, compared exactly, nothing rendered) lets
+//!   repeated queries skip evaluation entirely — a hit is one probe at submit time, and its
+//!   [`Ticket`] already holds the response; within a batch, duplicate submissions are
+//!   deduplicated by the same key before evaluation;
 //! * with [`ServiceConfig::shards`] > 1, each registered epoch's catalog is deterministically
 //!   partitioned across N **shard runtimes** and every batch is fanned out to all shards in
 //!   parallel, the per-shard answers merged back into the canonical order — byte-identical

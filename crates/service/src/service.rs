@@ -14,7 +14,7 @@ use urm_core::{
     evaluate_batch_sharded, execute_prepared_batch, prepare_batch_epoch, BatchOptions, EpochDag,
     ShardSet, ShardStats,
 };
-use urm_core::{CoreError, ProbabilisticAnswer, TargetQuery};
+use urm_core::{CoreError, ProbabilisticAnswer, QueryKey, TargetQuery};
 use urm_matching::MappingSet;
 use urm_obs::{HistSnapshot, Histogram, TraceReport, Tracer};
 use urm_storage::Catalog;
@@ -109,16 +109,23 @@ pub struct QueryResponse {
     pub batch: u64,
 }
 
-/// A claim on a submitted query's future response.
+/// A claim on a submitted query's response: `Ok`, already in hand (an answer-cache hit at
+/// submit time — no channel, no batch), or `Err`, pending on the batch the query joined.
 #[derive(Debug)]
-pub struct Ticket {
-    rx: mpsc::Receiver<ServiceResult<QueryResponse>>,
-}
+pub struct Ticket(Result<QueryResponse, mpsc::Receiver<ServiceResult<QueryResponse>>>);
 
 impl Ticket {
+    /// Whether the response is already in hand: [`wait`](Ticket::wait) will not block, and
+    /// needs no [`flush`](QueryService::flush) to make progress.
+    #[must_use]
+    pub fn is_ready(&self) -> bool {
+        self.0.is_ok()
+    }
+
     /// Blocks until the response is available.
     pub fn wait(self) -> ServiceResult<QueryResponse> {
-        self.rx.recv().unwrap_or(Err(ServiceError::Shutdown))
+        self.0
+            .or_else(|rx| rx.recv().unwrap_or(Err(ServiceError::Shutdown)))
     }
 }
 
@@ -140,12 +147,11 @@ struct Epoch {
     shard_set: Option<ShardSet>,
 }
 
+/// A query that missed the answer cache at submit time, waiting for its batch.
 struct Submission {
-    query: TargetQuery,
-    /// The query's canonical `Debug` rendering: the exact dedup and cache key.  `Debug` (not
-    /// `Display`) because `Display` erases value type tags — `Int(1)` and `Text("1")` both
-    /// render as `1` — while the derived `Debug` output is injective.
-    key: String,
+    /// The query, as the exact dedup and cache key ([`QueryKey`]: equal exactly when the two
+    /// queries' `Debug` renderings are, so value type tags are never erased).
+    key: QueryKey,
     responder: mpsc::Sender<ServiceResult<QueryResponse>>,
     /// Per-request tracer (disabled unless the submission came in with a trace id, e.g. via
     /// the HTTP layer's `X-Trace-Id`).  The batch adopts the first enabled one it finds.
@@ -166,7 +172,9 @@ struct Inner {
     epochs: RwLock<HashMap<u64, Arc<Epoch>>>,
     pending: Mutex<HashMap<u64, Vec<Submission>>>,
     answer_cache: Mutex<AnswerCache>,
-    /// The running counters; the answer-cache fields are filled in at snapshot time.
+    /// [`ServiceMetrics::queries_submitted`]: atomic, so a hit takes the cache lock and no other.
+    queries_submitted: AtomicU64,
+    /// The other running counters; the answer-cache fields are filled in at snapshot time.
     metrics: Mutex<ServiceMetrics>,
     reports: Mutex<Vec<BatchReport>>,
     /// Bounded per-shard execution-time samples (one per shard per sharded batch), feeding the
@@ -291,20 +299,22 @@ impl Inner {
         }
         let served_from_cache = cached_hits.len();
 
-        // Deduplicate within the batch: identical queries (by canonical rendering, an exact
-        // comparison) share one evaluation, in first-submission order.
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, Vec<Submission>> = HashMap::new();
+        // Deduplicate within the batch: identical queries (by key, an exact comparison) share
+        // one evaluation, in first-submission order.
+        let mut groups: Vec<Vec<Submission>> = Vec::new();
+        let mut group_of: HashMap<QueryKey, usize> = HashMap::new();
         for submission in remaining {
-            let entry = groups.entry(submission.key.clone()).or_default();
-            if entry.is_empty() {
-                order.push(submission.key.clone());
+            let at = *group_of
+                .entry(submission.key.clone())
+                .or_insert(groups.len());
+            if at == groups.len() {
+                groups.push(Vec::new());
             }
-            entry.push(submission);
+            groups[at].push(submission);
         }
-        let unique: Vec<TargetQuery> = order
+        let unique: Vec<TargetQuery> = groups
             .iter()
-            .map(|key| groups[key][0].query.clone())
+            .map(|group| group[0].key.query().clone())
             .collect();
 
         // Merge every distinct query's plans into the epoch's persistent DAG and execute each
@@ -353,7 +363,7 @@ impl Inner {
                 });
                 Inner::respond_from_cache(cached_hits);
                 let err = ServiceError::from(err);
-                for submission in groups.values().flatten() {
+                for submission in groups.iter().flatten() {
                     let _ = submission.responder.send(Err(err.clone()));
                 }
                 return;
@@ -391,10 +401,10 @@ impl Inner {
         // Publish answers to the cache.
         {
             let mut cache = self.answer_cache.lock().unwrap();
-            for (key, (_, answer)) in order.iter().zip(&shared) {
+            for (group, (_, answer)) in groups.iter().zip(&shared) {
                 cache.insert(
                     batch.epoch_id,
-                    key.clone(),
+                    group[0].key.clone(),
                     CachedAnswer {
                         answer: Arc::clone(answer),
                         batch: batch.id,
@@ -405,7 +415,7 @@ impl Inner {
         // Account for the batch *before* releasing the tickets, so a client that observed its
         // response always finds the batch reflected in `metrics()` / `reports()`.
         let deduped: u64 = groups
-            .values()
+            .iter()
             .map(|submissions| submissions.len().saturating_sub(1) as u64)
             .sum();
         let latency = start.elapsed();
@@ -508,8 +518,8 @@ impl Inner {
         }
 
         Inner::respond_from_cache(cached_hits);
-        for (key, (eval_metrics, answer)) in order.iter().zip(&shared) {
-            let mut submissions = groups.remove(key).expect("group exists").into_iter();
+        for (group, (eval_metrics, answer)) in groups.into_iter().zip(&shared) {
+            let mut submissions = group.into_iter();
             let first = submissions.next().expect("non-empty group");
             Inner::respond(
                 &first,
@@ -550,6 +560,7 @@ impl QueryService {
             batch_counter: AtomicU64::new(1),
             epochs: RwLock::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
+            queries_submitted: AtomicU64::new(0),
             metrics: Mutex::new(ServiceMetrics::default()),
             reports: Mutex::new(Vec::new()),
             shard_samples: Mutex::new(Vec::new()),
@@ -643,9 +654,10 @@ impl QueryService {
 
     /// Submits a query against an epoch.
     ///
-    /// Returns immediately with a [`Ticket`]; the query is answered from the answer cache when
-    /// possible, otherwise it joins the epoch's pending batch, which is dispatched when it
-    /// reaches [`ServiceConfig::batch_max`] or on [`flush`](QueryService::flush).
+    /// Returns immediately with a [`Ticket`]: one that already holds the response when the
+    /// answer cache has the query; otherwise the query joins the epoch's pending batch, which
+    /// is dispatched when it reaches [`ServiceConfig::batch_max`] or on
+    /// [`flush`](QueryService::flush).
     pub fn submit(&self, epoch: EpochId, query: TargetQuery) -> ServiceResult<Ticket> {
         self.submit_traced(epoch, query, Tracer::disabled())
     }
@@ -653,63 +665,59 @@ impl QueryService {
     /// [`submit`](QueryService::submit) with a request-scoped tracer: when `tracer` is
     /// enabled, the batch this query lands in records a full span tree under its trace id
     /// (retrievable from [`finished_traces`](QueryService::finished_traces) once answered).
-    /// Cache hits at submit time short-circuit before any batch runs and record no spans.
+    ///
+    /// A hit costs what a hit is: the epoch check (a retired epoch is refused *before* the
+    /// probe, even for an answer the cache still holds), one [`QueryKey`] — a hash of the query
+    /// as it stands, nothing rendered — and one probe under the cache lock.  It records no
+    /// spans; the channel, the [`Submission`] and the pending-queue lock exist only on a miss.
     pub fn submit_traced(
         &self,
         epoch: EpochId,
         query: TargetQuery,
         tracer: Tracer,
     ) -> ServiceResult<Ticket> {
-        let epoch_arc = self
-            .inner
-            .epochs
-            .read()
-            .unwrap()
-            .get(&epoch.raw())
-            .cloned()
-            .ok_or(ServiceError::UnknownEpoch(epoch))?;
-        self.inner.metrics.lock().unwrap().queries_submitted += 1;
+        let inner = &self.inner;
+        if !inner.epochs.read().unwrap().contains_key(&epoch.raw()) {
+            return Err(ServiceError::UnknownEpoch(epoch));
+        }
+        inner.queries_submitted.fetch_add(1, Ordering::Relaxed);
 
-        let key = format!("{query:?}");
-        let (tx, rx) = mpsc::channel();
-        let ticket = Ticket { rx };
-
-        if let Some(found) = self.inner.answer_cache.lock().unwrap().lookup(epoch, &key) {
-            let _ = tx.send(Ok(QueryResponse {
+        let key = QueryKey::new(query);
+        if let Some(found) = inner.answer_cache.lock().unwrap().lookup(epoch, &key) {
+            return Ok(Ticket(Ok(QueryResponse {
                 answer: found.answer,
                 metrics: EvalMetrics::new("answer-cache"),
                 served_from: ServedFrom::AnswerCache,
                 batch: found.batch,
-            }));
-            return Ok(ticket);
+            })));
         }
 
+        let (responder, rx) = mpsc::channel();
         let submission = Submission {
-            query,
             key,
-            responder: tx,
+            responder,
             tracer,
         };
         let ready = {
-            let mut pending = self.inner.pending.lock().unwrap();
-            // Re-check under the pending lock: a concurrent `drop_epoch` drains this queue
-            // only while holding it, so a submission enqueued after the epoch check above
-            // could otherwise be stranded (never dispatched, never rejected).
-            if !self.inner.epochs.read().unwrap().contains_key(&epoch.raw()) {
+            let mut pending = inner.pending.lock().unwrap();
+            // Look the epoch up again under the pending lock: a concurrent `drop_epoch` drains
+            // this queue only while holding it, so a submission enqueued after the epoch check
+            // above could otherwise be stranded (never dispatched, never rejected).
+            let Some(epoch_arc) = inner.epochs.read().unwrap().get(&epoch.raw()).cloned() else {
                 return Err(ServiceError::UnknownEpoch(epoch));
-            }
+            };
             let queue = pending.entry(epoch.raw()).or_default();
             queue.push(submission);
-            if queue.len() >= self.inner.config.batch_max {
-                pending.remove(&epoch.raw())
+            if queue.len() >= inner.config.batch_max {
+                pending.remove(&epoch.raw()).map(|full| (epoch_arc, full))
             } else {
                 None
             }
         };
-        if let Some(submissions) = ready {
+        if let Some((epoch_arc, submissions)) = ready {
             self.dispatch(epoch, epoch_arc, submissions);
         }
-        Ok(ticket)
+        Ok(Ticket(Err(rx)))
     }
 
     /// Dispatches every pending submission as batches, across all epochs.
@@ -794,6 +802,7 @@ impl QueryService {
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
         let mut snapshot = self.inner.metrics.lock().unwrap().clone();
+        snapshot.queries_submitted = self.inner.queries_submitted.load(Ordering::Relaxed);
         snapshot.shard_latency =
             LatencySummary::from_samples(self.inner.shard_samples.lock().unwrap().clone());
         let cache = self.inner.answer_cache.lock().unwrap();
@@ -849,6 +858,7 @@ impl Drop for QueryService {
 mod tests {
     use super::*;
     use urm_core::testkit;
+    use urm_storage::Value;
 
     fn service() -> (QueryService, EpochId) {
         let service = QueryService::new(ServiceConfig::tiny());
@@ -858,33 +868,46 @@ mod tests {
 
     #[test]
     fn queries_differing_only_in_value_type_are_not_conflated() {
-        // `Display` renders Int(123) and Text("123") identically; the cache/dedup key must
-        // not, or one query would be served the other's answer.
+        // `Display` renders Int(123) and Text("123") identically, and `Value`'s `==` calls
+        // Int(123) and Float(123.0) equal; the cache/dedup key must do neither, or one query
+        // would be served another's answer.
         let (service, epoch) = service();
-        let text_query = TargetQuery::builder("q")
-            .relation("Person")
-            .filter_eq("Person.phone", "123")
-            .returning(["Person.addr"])
-            .build()
-            .unwrap();
-        let int_query = TargetQuery::builder("q")
-            .relation("Person")
-            .filter_eq("Person.phone", 123i64)
-            .returning(["Person.addr"])
-            .build()
-            .unwrap();
-        let responses = service
-            .execute_all(epoch, vec![text_query, int_query])
-            .unwrap();
-        assert_eq!(responses[0].served_from, ServedFrom::Evaluated);
-        assert_eq!(
-            responses[1].served_from,
-            ServedFrom::Evaluated,
-            "typed variant was wrongly deduplicated against the text variant"
-        );
-        // Figure 2's phone column is Text: the Text predicate matches, the Int one cannot.
+        let phone_is = |value: Value| {
+            TargetQuery::builder("q")
+                .relation("Person")
+                .filter_eq("Person.phone", value)
+                .returning(["Person.addr"])
+                .build()
+                .unwrap()
+        };
+        let variants = || {
+            vec![
+                phone_is(Value::from("123")),
+                phone_is(Value::Int(123)),
+                phone_is(Value::Float(123.0)),
+            ]
+        };
+        assert_eq!(variants()[1], variants()[2], "the derived `==` conflates");
+        let responses = service.execute_all(epoch, variants()).unwrap();
+        for response in &responses {
+            assert_eq!(
+                response.served_from,
+                ServedFrom::Evaluated,
+                "a typed variant was wrongly deduplicated against another"
+            );
+        }
+        // Figure 2's phone column is Text: the Text predicate matches, the numeric ones cannot.
         assert_eq!(responses[0].answer.len(), 2);
         assert_eq!(responses[1].answer.len(), 0);
+        assert_eq!(responses[2].answer.len(), 0);
+        // Each is cached under its own entry and served its own answer.
+        assert_eq!(service.inner.answer_cache.lock().unwrap().len(), 3);
+        let again = service.execute_all(epoch, variants()).unwrap();
+        for (hit, evaluated) in again.iter().zip(&responses) {
+            assert_eq!(hit.served_from, ServedFrom::AnswerCache);
+            assert!(Arc::ptr_eq(&hit.answer, &evaluated.answer));
+        }
+        assert_eq!(service.metrics().queries_evaluated, 3);
     }
 
     #[test]
@@ -1015,12 +1038,11 @@ mod tests {
         let submission = |query: TargetQuery| {
             let (responder, rx) = mpsc::channel();
             let submission = Submission {
-                key: format!("{query:?}"),
-                query,
+                key: QueryKey::new(query),
                 responder,
                 tracer: Tracer::disabled(),
             };
-            (submission, Ticket { rx })
+            (submission, Ticket(Err(rx)))
         };
         let (x, x_ticket) = submission(testkit::q0());
         let (y, y_ticket) = submission(testkit::q1());

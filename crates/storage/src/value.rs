@@ -183,8 +183,10 @@ impl Hash for Value {
 /// The keys every [`value_hash`] of this process is computed under.  Values are data — what a
 /// source relation holds is not the program's to choose — so the hash stays keyed, like a
 /// `HashMap`'s; one key set for the process, so that a hash computed for one column, relation
-/// or answer can be compared with one computed for another.
-fn hash_keys() -> &'static RandomState {
+/// or answer can be compared with one computed for another.  A query's constants are a client's
+/// to choose, so `urm-core`'s `QueryKey` hashes under these keys too.
+#[must_use]
+pub fn hash_keys() -> &'static RandomState {
     static KEYS: OnceLock<RandomState> = OnceLock::new();
     KEYS.get_or_init(RandomState::new)
 }
