@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 use urm_core::CoreResult;
-use urm_core::{evaluate, top_k, Algorithm, Strategy, TargetQuery};
+use urm_core::{evaluate, top_k, Algorithm, Evaluation, Strategy, TargetQuery};
 use urm_datagen::scenario::{Scenario, ScenarioConfig, TargetSchemaKind};
 use urm_datagen::workload::{self, QueryId};
 
@@ -53,6 +53,15 @@ impl ExperimentRow {
             answers: 0,
             extra: None,
         }
+    }
+
+    /// A timed row of one evaluation: its total time, source operators and answers.
+    fn timed(experiment: &str, series: &str, x: impl ToString, eval: &Evaluation) -> Self {
+        let mut row = ExperimentRow::new(experiment, series, x);
+        row.time = eval.metrics.total_time;
+        row.source_operators = eval.metrics.source_operators();
+        row.answers = eval.answer.len();
+        row
     }
 
     /// A first-class counter row: one named scalar, no timing fields.  Rendered as
@@ -171,10 +180,24 @@ impl Harness {
         algorithm: Algorithm,
     ) -> CoreResult<ExperimentRow> {
         let eval = evaluate(query, &scenario.mappings, &scenario.catalog, algorithm)?;
-        let mut row = ExperimentRow::new(experiment, series, x);
-        row.time = eval.metrics.total_time;
-        row.source_operators = eval.metrics.source_operators();
-        row.answers = eval.answer.len();
+        Ok(ExperimentRow::timed(experiment, series, x, &eval))
+    }
+
+    /// An o-sharing strategy's row on the Excel scenario, carrying the paper's Table IV unit —
+    /// the target operators the u-trace executed — beside the source operators.
+    fn run_strategy(
+        &self,
+        experiment: &str,
+        series: &str,
+        x: impl ToString,
+        query: &TargetQuery,
+        strategy: Strategy,
+    ) -> CoreResult<ExperimentRow> {
+        let (mappings, catalog) = (&self.excel.mappings, &self.excel.catalog);
+        let eval = evaluate(query, mappings, catalog, Algorithm::OSharing(strategy))?;
+        let mut row = ExperimentRow::timed(experiment, series, x, &eval);
+        let target_operators = eval.metrics.target_operators as f64;
+        row.extra = Some(("target_operators".to_string(), target_operators));
         Ok(row)
     }
 
@@ -362,31 +385,26 @@ impl Harness {
         Ok(rows)
     }
 
-    /// Figure 11(f) and Table IV: operator-selection strategies (Random / SNF / SEF), including
-    /// the number of source operators executed, with e-MQO's operator count as the yardstick.
+    /// Figure 11(f) and Table IV: operator-selection strategies (Random / SNF / SEF), each with
+    /// the target operators it executed (the paper's unit, in `extra`) beside its source
+    /// operators, with e-MQO's source operator count as the yardstick.
     pub fn fig11f_table4_strategies(&self) -> CoreResult<Vec<ExperimentRow>> {
         let mut rows = Vec::new();
         let strategies = [
-            ("Random", Algorithm::OSharing(Strategy::Random { seed: 11 })),
-            ("SNF", Algorithm::OSharing(Strategy::Snf)),
-            ("SEF", Algorithm::OSharing(Strategy::Sef)),
+            ("Random", Strategy::Random { seed: 11 }),
+            ("SNF", Strategy::Snf),
+            ("SEF", Strategy::Sef),
         ];
         for (id, query) in workload::queries_for(TargetSchemaKind::Excel) {
-            for (name, algorithm) in strategies {
-                rows.push(self.run_algorithm(
-                    "fig11f",
-                    name,
-                    format!("Q{}", id.number()),
-                    &query,
-                    &self.excel,
-                    algorithm,
-                )?);
+            for (name, strategy) in strategies {
+                let x = format!("Q{}", id.number());
+                rows.push(self.run_strategy("fig11f", name, x, &query, strategy)?);
             }
         }
         // Table IV: Q4 only, including e-MQO for the operator-count comparison.
         let q4 = workload::query(QueryId::Q4);
-        for (name, algorithm) in strategies {
-            rows.push(self.run_algorithm("table4", name, "Q4", &q4, &self.excel, algorithm)?);
+        for (name, strategy) in strategies {
+            rows.push(self.run_strategy("table4", name, "Q4", &q4, strategy)?);
         }
         rows.push(self.run_algorithm(
             "table4",

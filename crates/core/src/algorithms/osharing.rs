@@ -4,25 +4,39 @@
 //! o-sharing interleaves query rewriting and execution.  Starting from one e-unit containing
 //! all representative mappings, it repeatedly: picks the next target operator with the
 //! configured strategy (Random / SNF / SEF), partitions the e-unit's mappings by the
-//! correspondences that operator needs, reformulates and executes the operator once per
-//! partition, and recurses into the resulting child e-units.  Mappings that agree on an
-//! operator's correspondences therefore share a single execution of that operator, even when
-//! they disagree elsewhere — the sharing q-sharing cannot provide.
+//! correspondences that operator needs, reformulates the operator once per partition, and
+//! recurses into the resulting child e-units.  Mappings that agree on an operator's
+//! correspondences therefore share a single step, even when they disagree elsewhere — the
+//! sharing q-sharing cannot provide.
+//!
+//! An e-unit's state is a *logical* plan per component ([`crate::eunit`]): a step only extends
+//! it — a predicate wraps a `σ`, covering an attribute multiplies in the scan `reformulate`'s
+//! covering rule names, a product multiplies two components under their spanning join
+//! predicates.  A step is then a *probe*: each factor of the plan's join-graph normal form
+//! ([`urm_engine::optimize::factors`]) is resolved on the u-trace's DAG, and an empty factor
+//! prunes the e-unit (the paper's Case 2, for queries that return tuples; an aggregate over
+//! nothing still has an answer).  A leaf — the output operator for one partition — is the
+//! reformulated source query of its representative, optimised and resolved on the same DAG:
+//! the leaf's mappings agree on every attribute the query uses, so that query is the leaf's
+//! answer, and it is the very node q-sharing runs.  The factors the steps probed are the ones
+//! its optimised plan reuses.
 
 use crate::answer::ProbabilisticAnswer;
-use crate::eunit::{Component, EUnit};
+use crate::eunit::EUnit;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::partition::{partition_by_attrs, partition_mappings, representatives};
-use crate::query::{QueryOutput, TargetOp, TargetPredicate, TargetQuery};
-use crate::reformulate::{aggregate, scan_alias, source_column_for, Extraction};
+use crate::query::{TargetOp, TargetPredicate, TargetQuery};
+use crate::reformulate::{
+    aggregate, covering_scan, reformulate, source_column_for, Extraction, Reformulated,
+};
 use crate::strategy::{select_operator, Strategy};
 use crate::{CoreError, CoreResult};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use urm_engine::{AggFunc, EpochDag, Executor, Plan, Predicate};
+use urm_engine::optimize::{factors, optimize};
+use urm_engine::{EpochDag, Executor, Plan, Predicate};
 use urm_matching::{Mapping, MappingSet};
-use urm_storage::{AttrRef, Catalog, Relation, Schema, Tuple};
+use urm_storage::{AttrRef, Catalog, Relation};
 
 /// Receives the answers produced at the leaves of the u-trace.
 ///
@@ -70,14 +84,16 @@ pub(crate) struct UTraceRunner<'a, S: LeafSink> {
     strategy: Strategy,
     rng: u64,
     exec: Executor<'a>,
-    /// The merged per-step DAG: every operator any e-unit executes is merged into one growing
-    /// shared-operator DAG, so sibling e-units (and partitions that agree on an operator's
-    /// correspondences) share a single execution of identical bound operators — scans
-    /// included — no matter which order the strategy visits them in.
+    /// The merged per-step DAG: every factor a step probes and every leaf's source query is
+    /// merged into one growing shared-operator DAG, so sibling e-units (and partitions that
+    /// agree on an operator's correspondences) share a single execution of identical bound
+    /// operators — scans included — no matter which order the strategy visits them in.
     dag: EpochDag,
-    pub sink: S,
-    pub eunits: usize,
-    pub rewrite_time: Duration,
+    sink: S,
+    eunits: usize,
+    /// Operator steps taken: one per operator per mapping partition.
+    target_operators: u64,
+    rewrite_time: Duration,
 }
 
 impl<'a, S: LeafSink> UTraceRunner<'a, S> {
@@ -101,18 +117,9 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
             dag: EpochDag::pinning_all(),
             sink,
             eunits: 0,
+            target_operators: 0,
             rewrite_time: Duration::ZERO,
         }
-    }
-
-    /// Operator requests answered by an already-executed DAG node (cross-e-unit sharing).
-    pub(crate) fn shared_hits(&self) -> u64 {
-        self.dag.result_hits()
-    }
-
-    /// Distinct operator nodes the u-trace executed (each exactly once).
-    pub(crate) fn distinct_nodes(&self) -> u64 {
-        self.dag.nodes_executed()
     }
 
     /// Number of representative mappings driving the u-trace.
@@ -129,25 +136,20 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
         Ok(())
     }
 
-    /// Consumes the runner, returning the executor statistics.
-    pub(crate) fn into_parts(self) -> (S, urm_engine::ExecStats, usize, Duration) {
-        (
-            self.sink,
-            self.exec.into_stats(),
-            self.eunits,
-            self.rewrite_time,
-        )
+    /// Consumes the runner, recording its work in `metrics` and returning the sink.
+    pub(crate) fn finish(self, metrics: &mut EvalMetrics) -> S {
+        metrics.shared_plan_hits = self.dag.result_hits();
+        metrics.shared_plan_misses = self.dag.nodes_executed();
+        metrics.exec = self.exec.into_stats();
+        metrics.eunits = self.eunits;
+        metrics.target_operators = self.target_operators;
+        metrics.rewrite_time += self.rewrite_time;
+        self.sink
     }
 
     /// The recursive evaluation of an e-unit.  Returns `true` if the sink asked to stop.
     fn run_qt(&mut self, u: EUnit) -> CoreResult<bool> {
         self.eunits += 1;
-
-        // Case 2: an empty intermediate relation can never contribute answer tuples; for
-        // aggregates we must keep going (COUNT over an empty input is still the answer 0).
-        if u.has_empty_component() && !self.query.output().is_aggregate() {
-            return Ok(self.sink.on_empty(u.probability));
-        }
 
         let valid = u.valid_operators(self.query);
         if valid.is_empty() {
@@ -158,11 +160,13 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
         // Operator selection (Section VI-A): partition the e-unit's mappings with respect to
         // each candidate operator and let the strategy choose.
         let rewrite_start = Instant::now();
+        let mut used = Vec::with_capacity(valid.len());
         let mut candidates = Vec::with_capacity(valid.len());
         for op in &valid {
             let attrs = u.used_attributes(self.query, op);
             let weighted = u.mapping_indices.iter().map(|&i| self.reps[i]);
             candidates.push(partition_by_attrs(self.query, &attrs, weighted)?);
+            used.push(attrs);
         }
         let sizes: Vec<Vec<usize>> = candidates
             .iter()
@@ -171,7 +175,8 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
         let choice = select_operator(self.strategy, &mut self.rng, &sizes);
         self.rewrite_time += rewrite_start.elapsed();
 
-        let op = valid[choice].clone();
+        let op = &valid[choice];
+        let attrs = &used[choice];
         let mut parts = candidates.swap_remove(choice);
         // Visit high-probability partitions first: harmless for the exact evaluation, crucial
         // for top-k early termination (the paper's Table II walks u2 before u6/u7).
@@ -185,368 +190,129 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                 .collect();
             let probability = part.probability;
             let mapping = self.reps[indices[0]].0;
-            match self.execute_op(&u, &op, mapping, indices, probability)? {
-                ChildOutcome::Child(child) => {
-                    if self.run_qt(child)? {
-                        return Ok(true);
-                    }
+            self.target_operators += 1;
+            let stop = match self.execute_op(&u, op, attrs, mapping)? {
+                ChildOutcome::Child(mut child) => {
+                    child.mapping_indices = indices;
+                    child.probability = probability;
+                    self.run_qt(child)?
                 }
                 ChildOutcome::Answers(result, extraction) => {
-                    if self.sink.on_answers(&result, &extraction, probability) {
-                        return Ok(true);
-                    }
+                    self.sink.on_answers(&result, &extraction, probability)
                 }
-                ChildOutcome::Empty => {
-                    if self.sink.on_empty(probability) {
-                        return Ok(true);
-                    }
-                }
+                ChildOutcome::Empty => self.sink.on_empty(probability),
+            };
+            if stop {
+                return Ok(true);
             }
         }
         Ok(false)
     }
 
-    /// Reformulates and executes one target operator for one mapping partition
-    /// (`reformulate_op` + `run_qs` + `create_qtree` of Algorithm 2).
+    /// Reformulates one target operator for one mapping partition and probes the result
+    /// (`reformulate_op` + `run_qs` + `create_qtree` of Algorithm 2).  `attrs` are the
+    /// attributes the partition agrees on: each mapped one's covering scan joins its component.
     fn execute_op(
         &mut self,
         u: &EUnit,
         op: &TargetOp,
+        attrs: &[AttrRef],
         mapping: &Mapping,
-        indices: Vec<usize>,
-        probability: f64,
     ) -> CoreResult<ChildOutcome> {
-        match op {
-            TargetOp::Predicate(i) => self.execute_predicate(u, *i, mapping, indices, probability),
+        let catalog = self.exec.catalog();
+        if *op == TargetOp::Output {
+            return Ok(match reformulate(self.query, mapping, catalog)? {
+                Reformulated::Empty => ChildOutcome::Empty,
+                Reformulated::Query(sq) => {
+                    let result = self.resolve(&optimize(&sq.plan, catalog)?)?;
+                    ChildOutcome::Answers(result, sq.extraction)
+                }
+            });
+        }
+
+        let mut child = u.clone();
+        for attr in attrs {
+            let Some(src) = mapping.source_for(&self.query.schema_attr(attr)?) else {
+                continue;
+            };
+            let (alias, relation) = covering_scan(&attr.alias, src, catalog)?;
+            let ci = component_of(&child, &attr.alias)?;
+            child.components[ci].cover(relation, alias);
+        }
+        let ci = match op {
+            TargetOp::Predicate(index) => {
+                let Some(predicate) = self.source_predicate(*index, mapping)? else {
+                    return Ok(ChildOutcome::Empty);
+                };
+                let anchor = &self.query.predicates()[*index].attributes()[0].alias;
+                let ci = component_of(&child, anchor)?;
+                child.components[ci].select(predicate);
+                child.mark_predicate(*index);
+                ci
+            }
             TargetOp::Product {
                 left_alias,
                 right_alias,
-            } => self.execute_product(u, left_alias, right_alias, mapping, indices, probability),
-            TargetOp::Output => self.execute_output(u, mapping),
+            } => {
+                // Pending join predicates that connect the two components are folded into the
+                // product (the paper's `reorder_op` rearrangement), which the normal form turns
+                // into a join: every operator ordering stays feasible, self-joins included.
+                let join_preds = u.spanning_join_predicates(self.query, left_alias, right_alias);
+                let li = component_of(&child, left_alias)?;
+                let ri = component_of(&child, right_alias)?;
+                let ci = child.merge_components(li, ri);
+                for index in join_preds {
+                    let Some(predicate) = self.source_predicate(index, mapping)? else {
+                        return Ok(ChildOutcome::Empty);
+                    };
+                    child.components[ci].select(predicate);
+                    child.mark_predicate(index);
+                }
+                ci
+            }
+            TargetOp::Output => unreachable!("the output operator returned above"),
+        };
+
+        // Case 2: an empty intermediate relation can never contribute answer tuples; for
+        // aggregates we must keep going (COUNT over an empty input is still the answer 0).
+        if !self.query.output().is_aggregate() {
+            if let Some(plan) = &child.components[ci].plan {
+                for factor in factors(plan, catalog)? {
+                    if self.resolve(&factor)?.is_empty() {
+                        return Ok(ChildOutcome::Empty);
+                    }
+                }
+            }
         }
+        Ok(ChildOutcome::Child(child))
     }
 
-    fn execute_predicate(
-        &mut self,
-        u: &EUnit,
-        index: usize,
-        mapping: &Mapping,
-        indices: Vec<usize>,
-        probability: f64,
-    ) -> CoreResult<ChildOutcome> {
-        let predicate = &self.query.predicates()[index];
-        let (attrs, engine_pred, anchor_alias) = match predicate {
+    /// The query's `index`-th predicate over the mapping's source columns, or `None` when the
+    /// mapping leaves one of its attributes uncovered (the predicate can never hold).
+    fn source_predicate(&self, index: usize, mapping: &Mapping) -> CoreResult<Option<Predicate>> {
+        let column = |attr| source_column_for(self.query, mapping, attr);
+        Ok(match &self.query.predicates()[index] {
             TargetPredicate::Compare { attr, op, value } => {
-                let Some(col) = source_column_for(self.query, mapping, attr)? else {
-                    return Ok(ChildOutcome::Empty);
-                };
-                (
-                    vec![attr.clone()],
-                    Predicate::compare(col, *op, value.clone()),
-                    attr.alias.clone(),
-                )
+                column(attr)?.map(|col| Predicate::compare(col, *op, value.clone()))
             }
-            TargetPredicate::AttrEq { left, right } => {
-                let (Some(lcol), Some(rcol)) = (
-                    source_column_for(self.query, mapping, left)?,
-                    source_column_for(self.query, mapping, right)?,
-                ) else {
-                    return Ok(ChildOutcome::Empty);
-                };
-                (
-                    vec![left.clone(), right.clone()],
-                    Predicate::column_eq(lcol, rcol),
-                    left.alias.clone(),
-                )
-            }
-        };
-        let ci = u
-            .component_of(&anchor_alias)
-            .ok_or_else(|| CoreError::InvalidQuery(format!("unbound alias '{anchor_alias}'")))?;
-        let (data, scans) = ensure_columns(
-            self.query,
-            mapping,
-            &u.components[ci],
-            &attrs,
-            &mut self.dag,
-            &mut self.exec,
-        )?;
-        let data = data.expect("predicate attributes are mapped, so at least one scan exists");
-        // The DAG keeps the filtered batch behind an `Arc`, so feeding it into the child e-unit
-        // (and every operator that later consumes it) is a pointer bump — and a sibling e-unit
-        // that needs the *same* selection over the same batch reuses this node outright.
-        let filtered = run_shared(
-            &mut self.dag,
-            &Plan::values_shared(data).select(engine_pred),
-            &mut self.exec,
-        )?;
-
-        let mut child = u.clone();
-        child.mapping_indices = indices;
-        child.probability = probability;
-        child.components[ci].data = Some(filtered);
-        child.components[ci].scans = scans;
-        child.mark_predicate(index);
-        Ok(ChildOutcome::Child(child))
+            TargetPredicate::AttrEq { left, right } => match (column(left)?, column(right)?) {
+                (Some(l), Some(r)) => Some(Predicate::column_eq(l, r)),
+                _ => None,
+            },
+        })
     }
 
-    fn execute_product(
-        &mut self,
-        u: &EUnit,
-        left_alias: &str,
-        right_alias: &str,
-        mapping: &Mapping,
-        indices: Vec<usize>,
-        probability: f64,
-    ) -> CoreResult<ChildOutcome> {
-        let li = u
-            .component_of(left_alias)
-            .ok_or_else(|| CoreError::InvalidQuery(format!("unbound alias '{left_alias}'")))?;
-        let ri = u
-            .component_of(right_alias)
-            .ok_or_else(|| CoreError::InvalidQuery(format!("unbound alias '{right_alias}'")))?;
-
-        // Pending join predicates that connect the two components are folded into the product
-        // (the paper's `reorder_op` rearrangement): the product is then executed as a hash
-        // equi-join, which keeps every operator ordering feasible even for self-join queries.
-        let join_preds = u.spanning_join_predicates(self.query, left_alias, right_alias);
-        let mut on: Vec<(String, String)> = Vec::with_capacity(join_preds.len());
-        for &pi in &join_preds {
-            if let TargetPredicate::AttrEq { left, right } = &self.query.predicates()[pi] {
-                let (Some(lcol), Some(rcol)) = (
-                    source_column_for(self.query, mapping, left)?,
-                    source_column_for(self.query, mapping, right)?,
-                ) else {
-                    return Ok(ChildOutcome::Empty);
-                };
-                on.push((lcol, rcol));
-            }
-        }
-
-        // Each side must expose the join columns that live in it: materialise unmaterialised
-        // sides and extend already-materialised ones with the covering relations of the join
-        // attributes (reformulation Case 2).
-        let side_attrs = |component_index: usize| -> Vec<AttrRef> {
-            let comp = &u.components[component_index];
-            let mut attrs: Vec<AttrRef> = if comp.data.is_none() {
-                comp.aliases
-                    .iter()
-                    .flat_map(|a| self.query.attributes_of_alias(a))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for &pi in &join_preds {
-                if let TargetPredicate::AttrEq { left, right } = &self.query.predicates()[pi] {
-                    for a in [left, right] {
-                        if comp.aliases.contains(&a.alias) && !attrs.contains(a) {
-                            attrs.push(a.clone());
-                        }
-                    }
-                }
-            }
-            attrs
-        };
-        let (ldata, lscans) = {
-            let attrs = side_attrs(li);
-            let (data, scans) = ensure_columns(
-                self.query,
-                mapping,
-                &u.components[li],
-                &attrs,
-                &mut self.dag,
-                &mut self.exec,
-            )?;
-            (data.unwrap_or_else(|| Arc::new(unit_relation())), scans)
-        };
-        let (rdata, rscans) = {
-            let attrs = side_attrs(ri);
-            let (data, scans) = ensure_columns(
-                self.query,
-                mapping,
-                &u.components[ri],
-                &attrs,
-                &mut self.dag,
-                &mut self.exec,
-            )?;
-            (data.unwrap_or_else(|| Arc::new(unit_relation())), scans)
-        };
-        let left_plan = Plan::values_shared(ldata);
-        let right_plan = Plan::values_shared(rdata);
-        let join_plan = if on.is_empty() {
-            left_plan.product(right_plan)
-        } else {
-            left_plan.hash_join(right_plan, on)
-        };
-        let joined = run_shared(&mut self.dag, &join_plan, &mut self.exec)?;
-
-        let mut child = u.clone();
-        child.mapping_indices = indices;
-        child.probability = probability;
-        child.components[li].scans = lscans;
-        child.components[ri].scans = rscans;
-        child.merge_components(li, ri, joined);
-        for pi in join_preds {
-            child.mark_predicate(pi);
-        }
-        Ok(ChildOutcome::Child(child))
-    }
-
-    fn execute_output(&mut self, u: &EUnit, mapping: &Mapping) -> CoreResult<ChildOutcome> {
-        let component = &u.components[0];
-        match self.query.output() {
-            QueryOutput::Count => {
-                let (data, _) = materialize_component(
-                    self.query,
-                    mapping,
-                    component,
-                    &mut self.dag,
-                    &mut self.exec,
-                )?;
-                let agg = run_shared(
-                    &mut self.dag,
-                    &Plan::values_shared(data).aggregate(AggFunc::Count),
-                    &mut self.exec,
-                )?;
-                Ok(ChildOutcome::Answers(agg, Extraction::Raw))
-            }
-            QueryOutput::Sum(attr) => {
-                let Some(col) = source_column_for(self.query, mapping, attr)? else {
-                    return Ok(ChildOutcome::Empty);
-                };
-                let (data, _) = ensure_columns(
-                    self.query,
-                    mapping,
-                    component,
-                    std::slice::from_ref(attr),
-                    &mut self.dag,
-                    &mut self.exec,
-                )?;
-                let data = data.expect("SUM attribute is mapped");
-                let agg = run_shared(
-                    &mut self.dag,
-                    &Plan::values_shared(data).aggregate(AggFunc::Sum(col)),
-                    &mut self.exec,
-                )?;
-                Ok(ChildOutcome::Answers(agg, Extraction::Raw))
-            }
-            QueryOutput::Tuples(attrs) => {
-                let mut cols: Vec<Option<String>> = Vec::with_capacity(attrs.len());
-                for attr in attrs {
-                    cols.push(source_column_for(self.query, mapping, attr)?);
-                }
-                let mapped: Vec<AttrRef> = attrs
-                    .iter()
-                    .zip(&cols)
-                    .filter_map(|(a, c)| c.as_ref().map(|_| a.clone()))
-                    .collect();
-                if mapped.is_empty() {
-                    return Ok(ChildOutcome::Empty);
-                }
-                let (data, _) = ensure_columns(
-                    self.query,
-                    mapping,
-                    component,
-                    &mapped,
-                    &mut self.dag,
-                    &mut self.exec,
-                )?;
-                let data = data.expect("at least one output attribute is mapped");
-                let mut project: Vec<String> = Vec::new();
-                for c in cols.iter().flatten() {
-                    if !project.contains(c) {
-                        project.push(c.clone());
-                    }
-                }
-                let projected = run_shared(
-                    &mut self.dag,
-                    &Plan::values_shared(data).project(project),
-                    &mut self.exec,
-                )?;
-                Ok(ChildOutcome::Answers(projected, Extraction::Columns(cols)))
-            }
-        }
+    /// Binds `plan` and resolves it on the u-trace's DAG: operators an earlier step executed are
+    /// answered with their stored results, the rest run once and are kept.
+    fn resolve(&mut self, plan: &Plan) -> CoreResult<Arc<Relation>> {
+        let physical = self.exec.bind(plan)?;
+        Ok(self.dag.resolve(&physical, &mut self.exec)?)
     }
 }
 
-/// A zero-column, single-row relation: the identity element of the Cartesian product, used when
-/// a component has no mapped attributes to materialise.
-fn unit_relation() -> Relation {
-    Relation::from_validated(Schema::new("unit", Vec::new()), vec![Tuple::empty()])
-}
-
-/// The scans folded into a component so far: (scan alias, source relation) pairs.
-type ScanSet = BTreeSet<(String, String)>;
-
-/// Binds `plan` and resolves it on the u-trace's DAG: operators an earlier step executed are
-/// answered with their stored results, the rest run once and are kept.
-fn run_shared(
-    dag: &mut EpochDag,
-    plan: &Plan,
-    exec: &mut Executor<'_>,
-) -> CoreResult<Arc<Relation>> {
-    let physical = exec.bind(plan)?;
-    Ok(dag.resolve(&physical, exec)?)
-}
-
-/// Ensures the component's materialised data contains the source columns for the given target
-/// attributes (reformulation Cases 2/3 of Section VI-B): any covering source relation not yet
-/// folded into the component is scanned and multiplied in.
-fn ensure_columns(
-    query: &TargetQuery,
-    mapping: &Mapping,
-    component: &Component,
-    attrs: &[AttrRef],
-    dag: &mut EpochDag,
-    exec: &mut Executor<'_>,
-) -> CoreResult<(Option<Arc<Relation>>, ScanSet)> {
-    let mut scans = component.scans.clone();
-    let mut data = component.data.clone();
-    for attr in attrs {
-        let schema_attr = query.schema_attr(attr)?;
-        let Some(src) = mapping.source_for(&schema_attr) else {
-            continue;
-        };
-        let pair = (scan_alias(&attr.alias, &src.alias), src.alias.clone());
-        if scans.contains(&pair) {
-            continue;
-        }
-        // The scan is a zero-copy view of the base relation, and a DAG node: every e-unit of
-        // the whole u-trace that pulls in the same (alias, relation) shares one scan execution.
-        let scanned = run_shared(dag, &Plan::scan_as(pair.1.clone(), pair.0.clone()), exec)?;
-        data = Some(match data {
-            None => scanned,
-            Some(existing) => run_shared(
-                dag,
-                &Plan::values_shared(existing).product(Plan::values_shared(scanned)),
-                exec,
-            )?,
-        });
-        scans.insert(pair);
-    }
-    Ok((data, scans))
-}
-
-/// Materialises a component if it has no data yet, folding in the covering relations of every
-/// query attribute of its aliases (the operator that pulls a fresh target relation into the
-/// execution, e.g. the `Order` side of the paper's Figure 5 product).
-fn materialize_component(
-    query: &TargetQuery,
-    mapping: &Mapping,
-    component: &Component,
-    dag: &mut EpochDag,
-    exec: &mut Executor<'_>,
-) -> CoreResult<(Arc<Relation>, ScanSet)> {
-    if let Some(data) = &component.data {
-        return Ok((Arc::clone(data), component.scans.clone()));
-    }
-    let attrs: Vec<AttrRef> = component
-        .aliases
-        .iter()
-        .flat_map(|a| query.attributes_of_alias(a))
-        .collect();
-    let (data, scans) = ensure_columns(query, mapping, component, &attrs, dag, exec)?;
-    Ok((data.unwrap_or_else(|| Arc::new(unit_relation())), scans))
+fn component_of(u: &EUnit, alias: &str) -> CoreResult<usize> {
+    u.component_of(alias)
+        .ok_or_else(|| CoreError::InvalidQuery(format!("unbound alias '{alias}'")))
 }
 
 /// Evaluates the query with operator-level sharing using the given strategy.
@@ -576,13 +342,7 @@ pub fn evaluate(
     let mut runner = UTraceRunner::new(query, catalog, reps, strategy, sink);
     runner.run()?;
     metrics.distinct_source_queries = runner.representative_count();
-    metrics.shared_plan_hits = runner.shared_hits();
-    metrics.shared_plan_misses = runner.distinct_nodes();
-    let (sink, exec_stats, eunits, rewrite_time) = runner.into_parts();
-
-    metrics.exec = exec_stats;
-    metrics.eunits = eunits;
-    metrics.rewrite_time += rewrite_time;
+    let sink = runner.finish(&mut metrics);
     metrics.total_time = total_start.elapsed();
     Ok(Evaluation {
         answer: sink.answer,
@@ -595,7 +355,7 @@ mod tests {
     use super::*;
     use crate::algorithms::{basic, qsharing};
     use crate::testkit;
-    use urm_storage::Value;
+    use urm_storage::{Tuple, Value};
 
     fn all_strategies() -> Vec<Strategy> {
         vec![Strategy::Sef, Strategy::Snf, Strategy::Random { seed: 7 }]
@@ -612,6 +372,12 @@ mod tests {
             testkit::q2_product(),
             testkit::count_query(),
             testkit::sum_query(),
+            // A COUNT reading no attribute covers no source relation: its mass is empty.
+            TargetQuery::builder("count-nothing")
+                .relation("Person")
+                .count()
+                .build()
+                .unwrap(),
         ] {
             let reference = basic::evaluate(&query, &mappings, &catalog).unwrap();
             for strategy in all_strategies() {

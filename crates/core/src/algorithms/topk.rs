@@ -6,6 +6,11 @@
 //! global bounds: `LB`, the lower bound of the current k-th best candidate, and `UB`, the
 //! probability mass of the e-units not yet visited.  As soon as every non-top candidate's upper
 //! bound falls below `LB` and `UB ≤ LB`, the traversal stops.
+//!
+//! The u-trace is o-sharing's own ([`crate::algorithms::osharing`]): an e-unit holds a logical
+//! plan, a step probes that plan's factors for emptiness, and a leaf is its representative's
+//! reformulated source query — so the candidates a leaf adds are exactly the answers every other
+//! algorithm reads for those mappings.
 
 use crate::algorithms::osharing::{LeafSink, UTraceRunner};
 use crate::metrics::EvalMetrics;
@@ -144,13 +149,7 @@ pub fn top_k(
     let sink = TopKSink::new(k);
     let mut runner = UTraceRunner::new(query, catalog, reps, strategy, sink);
     runner.run()?;
-    metrics.shared_plan_hits = runner.shared_hits();
-    metrics.shared_plan_misses = runner.distinct_nodes();
-    let (sink, exec_stats, eunits, rewrite_time) = runner.into_parts();
-
-    metrics.exec = exec_stats;
-    metrics.eunits = eunits;
-    metrics.rewrite_time += rewrite_time;
+    let sink = runner.finish(&mut metrics);
     metrics.total_time = total_start.elapsed();
 
     let entries = sink
@@ -281,5 +280,16 @@ mod tests {
         // Counts 1 and 2 both have probability 0.5; the top-1 is one of them.
         let v = result.entries[0].tuple.get(0).unwrap().as_i64().unwrap();
         assert!(v == 1 || v == 2);
+
+        // A COUNT reading no attribute covers no source relation, so no answer has any mass.
+        let nothing = TargetQuery::builder("count-nothing")
+            .relation("Person")
+            .count()
+            .build()
+            .unwrap();
+        let exact = basic::evaluate(&nothing, &mappings, &catalog).unwrap();
+        assert!(exact.answer.is_empty());
+        let result = top_k(&nothing, &mappings, &catalog, 1, Strategy::Sef).unwrap();
+        assert!(result.entries.is_empty(), "{:?}", result.entries);
     }
 }

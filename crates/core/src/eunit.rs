@@ -1,40 +1,49 @@
 //! Execution units (e-units) — the state of a partially executed target query (Section V).
 //!
-//! An e-unit captures: which target operators have already been executed, the materialised
-//! intermediate source relations they produced, and the set of mappings that share the
-//! correspondences those operators used.  The u-trace of the paper is the tree of e-units that
-//! the recursive evaluation (`run_qt`) produces; in this implementation the tree is implicit in
-//! the recursion of [`crate::algorithms::osharing`], and `EUnit` is the node payload.
+//! An e-unit captures: which target operators have already been executed, the set of mappings
+//! that share the correspondences those operators used, and — per connected group of target
+//! aliases — the *logical* source plan those operators built: the covering scans pulled in so
+//! far, multiplied, under the selections executed on them.  No executed relation is stored here:
+//! the u-trace runner ([`crate::algorithms::osharing`]) probes a plan's factors on its DAG and
+//! answers a leaf with the reformulated source query.  The u-trace of the paper is the tree of
+//! e-units that the recursive evaluation (`run_qt`) produces; in this implementation the tree is
+//! implicit in that recursion, and `EUnit` is the node payload.
 
 use crate::query::{QueryOutput, TargetOp, TargetPredicate, TargetQuery};
 use std::collections::BTreeSet;
-use std::sync::Arc;
-use urm_storage::{AttrRef, Relation};
+use urm_engine::{Plan, Predicate};
+use urm_storage::AttrRef;
 
-/// One connected group of target aliases whose (partial) result has been materialised together.
+/// One connected group of target aliases and the source plan built for it so far.
 #[derive(Debug, Clone)]
 pub struct Component {
     /// The target aliases folded into this component.
     pub aliases: BTreeSet<String>,
-    /// The materialised intermediate relation, if any operator has touched the component yet.
-    pub data: Option<Arc<Relation>>,
-    /// The `(target alias, source relation)` scans already folded into `data`.
-    pub scans: BTreeSet<(String, String)>,
+    /// The logical plan over scans built for the component, if any operator has touched it yet.
+    pub plan: Option<Plan>,
 }
 
 impl Component {
     fn single(alias: &str) -> Self {
         Component {
             aliases: std::iter::once(alias.to_string()).collect(),
-            data: None,
-            scans: BTreeSet::new(),
+            plan: None,
         }
     }
 
-    /// Whether the component has been materialised to an empty relation.
-    #[must_use]
-    pub fn is_materialised_empty(&self) -> bool {
-        self.data.as_ref().map(|d| d.is_empty()).unwrap_or(false)
+    /// Multiplies the scan of `relation` as `alias` into the plan, unless it is already there.
+    pub(crate) fn cover(&mut self, relation: String, alias: String) {
+        let scan = Plan::scan_as(relation, alias);
+        self.plan = Some(match self.plan.take() {
+            None => scan,
+            Some(plan) if plan.subplans().contains(&&scan) => plan,
+            Some(plan) => plan.product(scan),
+        });
+    }
+
+    /// Applies a selection to the plan (whose scans cover the predicate's columns).
+    pub(crate) fn select(&mut self, predicate: Predicate) {
+        self.plan = self.plan.take().map(|plan| plan.select(predicate));
     }
 }
 
@@ -88,13 +97,6 @@ impl EUnit {
     #[must_use]
     pub fn is_complete(&self, query: &TargetQuery) -> bool {
         self.predicates_done(query) && self.output_done
-    }
-
-    /// Whether any component has been materialised to an empty relation (the pruning condition
-    /// of `run_qt` Case 2).
-    #[must_use]
-    pub fn has_empty_component(&self) -> bool {
-        self.components.iter().any(Component::is_materialised_empty)
     }
 
     /// The target operators that may legally be executed next (`next()`'s correctness filter,
@@ -156,8 +158,8 @@ impl EUnit {
     /// The target attributes whose correspondences are needed to execute `op` — the attributes
     /// the mapping set is partitioned on before the operator is reformulated.
     ///
-    /// A product only needs correspondences for the side(s) that have not been materialised yet
-    /// (Case 1 of the binary reformulation rule needs none at all).
+    /// A product only needs correspondences for the side(s) that have no plan yet (Case 1 of the
+    /// binary reformulation rule needs none at all).
     #[must_use]
     pub fn used_attributes(&self, query: &TargetQuery, op: &TargetOp) -> Vec<AttrRef> {
         match op {
@@ -174,7 +176,7 @@ impl EUnit {
                 for alias in [left_alias, right_alias] {
                     if let Some(ci) = self.component_of(alias) {
                         let comp = &self.components[ci];
-                        if comp.data.is_none() {
+                        if comp.plan.is_none() {
                             for a in &comp.aliases {
                                 attrs.extend(query.attributes_of_alias(a));
                             }
@@ -259,15 +261,19 @@ impl EUnit {
         self.executed_predicates.insert(index);
     }
 
-    /// Merges component `b` into component `a`, replacing the data with `data`.
-    pub fn merge_components(&mut self, a: usize, b: usize, data: Arc<Relation>) {
+    /// Merges components `a` and `b` into one whose plan is the product of theirs, returning its
+    /// index.
+    pub fn merge_components(&mut self, a: usize, b: usize) -> usize {
         assert_ne!(a, b, "cannot merge a component with itself");
         let (keep, remove) = if a < b { (a, b) } else { (b, a) };
         let removed = self.components.remove(remove);
         let target = &mut self.components[keep];
         target.aliases.extend(removed.aliases);
-        target.scans.extend(removed.scans);
-        target.data = Some(data);
+        target.plan = match (target.plan.take(), removed.plan) {
+            (Some(left), Some(right)) => Some(left.product(right)),
+            (one, other) => one.or(other),
+        };
+        keep
     }
 }
 
@@ -275,14 +281,6 @@ impl EUnit {
 mod tests {
     use super::*;
     use crate::testkit;
-    use urm_storage::{Attribute, DataType, Schema};
-
-    fn empty_relation() -> Arc<Relation> {
-        Arc::new(Relation::empty(Schema::new(
-            "tmp",
-            vec![Attribute::new("x", DataType::Int)],
-        )))
-    }
 
     #[test]
     fn initial_state_has_one_component_per_alias() {
@@ -293,7 +291,6 @@ mod tests {
         assert_eq!(u.component_of("Order"), Some(1));
         assert_eq!(u.component_of("Ghost"), None);
         assert!(!u.is_complete(&q));
-        assert!(!u.has_empty_component());
     }
 
     #[test]
@@ -316,12 +313,10 @@ mod tests {
         assert!(u.predicates_done(&q));
         // Still two components → output not valid yet.
         assert!(!u.valid_operators(&q).contains(&TargetOp::Output));
-        u.merge_components(0, 1, empty_relation());
+        u.merge_components(0, 1);
         assert_eq!(u.components.len(), 1);
         let ops = u.valid_operators(&q);
         assert!(ops.contains(&TargetOp::Output));
-        // The merged-in empty data is detected.
-        assert!(u.has_empty_component());
     }
 
     #[test]
@@ -336,7 +331,7 @@ mod tests {
         let mut u = EUnit::initial(&q, vec![0], 1.0);
         // Before the product, the join predicate is not a valid operator.
         assert!(!u.valid_operators(&q).contains(&TargetOp::Predicate(0)));
-        u.merge_components(0, 1, empty_relation());
+        u.merge_components(0, 1);
         assert!(u.valid_operators(&q).contains(&TargetOp::Predicate(0)));
     }
 
@@ -368,7 +363,7 @@ mod tests {
     fn product_with_materialised_side_needs_no_attributes_for_it() {
         let q = testkit::q2_product();
         let mut u = EUnit::initial(&q, vec![0], 1.0);
-        u.components[0].data = Some(empty_relation());
+        u.components[0].plan = Some(Plan::scan("Customer"));
         let product = TargetOp::Product {
             left_alias: "Person".into(),
             right_alias: "Order".into(),

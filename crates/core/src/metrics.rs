@@ -8,8 +8,8 @@ use urm_engine::ExecStats;
 /// Work and time accounting for one probabilistic-query evaluation.
 ///
 /// The paper reports wall-clock query time (`t_q`), its breakdown into query evaluation and
-/// answer aggregation (Figure 10(a)), and the number of source operators executed (Table IV);
-/// all of those are derivable from this struct.
+/// answer aggregation (Figure 10(a)), and the number of operators executed (Table IV); all of
+/// those are derivable from this struct.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EvalMetrics {
     /// Name of the algorithm that produced the metrics (`basic`, `e-basic`, …).
@@ -33,6 +33,9 @@ pub struct EvalMetrics {
     pub representative_mappings: usize,
     /// Number of e-units created (o-sharing and top-k only).
     pub eunits: usize,
+    /// Target operators executed by the u-trace, one per operator per mapping partition — the
+    /// unit of the paper's Table IV (o-sharing and top-k only; 0 for whole-query algorithms).
+    pub target_operators: u64,
     /// Sub-plan cache hits observed while evaluating this query (batch evaluation only).
     pub shared_plan_hits: u64,
     /// Sub-plan cache misses observed while evaluating this query (batch evaluation only).
@@ -52,7 +55,7 @@ impl EvalMetrics {
         }
     }
 
-    /// Number of source operators executed (the Table IV metric).
+    /// Number of source operators executed, scans included.
     #[must_use]
     pub fn source_operators(&self) -> u64 {
         self.exec.operators_executed + self.exec.scans

@@ -28,9 +28,9 @@
 //! result and hands back its rows *unbuilt* ([`AnswerRows`]); [`aggregate`] interns their
 //! cells into the [`ProbabilisticAnswer`]'s own value pool and probes it with rows of pool
 //! ids — no tuple is built, then or when the answer is ranked and rendered (see
-//! [`crate::answer`]).  No second de-duplication happens here: a root that is already a set, a
-//! bag-valued o-sharing leaf and the per-shard slices of a scattered root are all counted once
-//! per call by the answer's own stamp.
+//! [`crate::answer`]).  No second de-duplication happens here: a root that is already a set and
+//! the per-shard slices of a scattered root are both counted once per call by the answer's own
+//! stamp.
 
 use crate::answer::{AnswerRows, ProbabilisticAnswer};
 use crate::partition::partition_mappings;
@@ -260,14 +260,7 @@ impl<'m> ResolvedAttrs<'m> {
             if attr.alias != alias {
                 continue;
             }
-            let relation = catalog
-                .get(&src.alias)
-                .map(|_| src.alias.clone())
-                .or_else(|| catalog.relation_of_attribute(&src.attr).map(String::from))
-                .ok_or_else(|| CoreError::UnknownSourceAttribute {
-                    attribute: src.qualified(),
-                })?;
-            let pair = (scan_alias(alias, &relation), relation);
+            let pair = covering_scan(alias, src, catalog)?;
             if !out.contains(&pair) {
                 out.push(pair);
             }
@@ -275,6 +268,23 @@ impl<'m> ResolvedAttrs<'m> {
         out.sort();
         Ok(out)
     }
+}
+
+/// The `(scan alias, source relation)` that covers source attribute `src` when target alias
+/// `alias` reads it: the relation `src` names, or else the one relation that owns the attribute.
+pub(crate) fn covering_scan(
+    alias: &str,
+    src: &AttrRef,
+    catalog: &Catalog,
+) -> CoreResult<(String, String)> {
+    let relation = catalog
+        .get(&src.alias)
+        .map(|_| src.alias.clone())
+        .or_else(|| catalog.relation_of_attribute(&src.attr).map(String::from))
+        .ok_or_else(|| CoreError::UnknownSourceAttribute {
+            attribute: src.qualified(),
+        })?;
+    Ok((scan_alias(alias, &relation), relation))
 }
 
 /// Reformulates a target query through a single mapping.

@@ -44,7 +44,8 @@
 //! alias-qualified naming guarantees for every plan reformulation builds.
 //!
 //! The same rewritten plan is used for every algorithm, the batch path and the shards, so
-//! relative comparisons between them are unaffected.
+//! relative comparisons between them are unaffected.  o-sharing's partial plans are probed
+//! through [`factors`], the components of step 3 before step 5 multiplies them.
 
 use crate::{CompareOp, EngineError, EngineResult, Plan, Predicate};
 use std::collections::hash_map::DefaultHasher;
@@ -110,6 +111,15 @@ pub fn optimize(plan: &Plan, catalog: &Catalog) -> EngineResult<Plan> {
             Ok(multiply(block.components, Some(&block.columns)))
         }
     }
+}
+
+/// The factors of a `σ* (leaf × … × leaf)` block: its join-graph components, each joined along
+/// its edges, exactly as [`optimize`] builds them before multiplying.  The block is empty if and
+/// only if one of them is, so emptiness can be learned without building the product, and a
+/// factor resolved on a DAG is the node any optimised plan with the same component reuses.
+pub fn factors(plan: &Plan, catalog: &Catalog) -> EngineResult<Vec<Plan>> {
+    let block = Block::of(plan, catalog)?;
+    Ok(block.components.into_iter().map(|c| c.plan).collect())
 }
 
 /// The product of `factors`, smallest estimate first (ties by fingerprint) — followed, when the
@@ -577,6 +587,21 @@ mod tests {
                 .iter()
                 .all(|p| !matches!(p, Plan::Distinct { .. })));
             assert_eq!(rows_of(&opt, &cat), rows_of(&plan, &cat));
+        }
+    }
+
+    #[test]
+    fn factors_are_the_components_the_optimised_plan_multiplies() {
+        let cat = catalog();
+        let body = Plan::scan("Note")
+            .product(Plan::scan("Customer"))
+            .product(Plan::scan("Orders"))
+            .select(Predicate::column_eq("Orders.cid", "Customer.cid"));
+        let factors = factors(&body, &cat).unwrap();
+        assert_eq!(factors.len(), 2, "Note, and Customer joined with Orders");
+        let optimised = optimize(&body.aggregate(AggFunc::Count), &cat).unwrap();
+        for factor in &factors {
+            assert!(optimised.subplans().contains(&factor), "{factor}");
         }
     }
 

@@ -25,7 +25,7 @@ pub enum Plan {
         /// Alias used to qualify the output columns (defaults to the relation name).
         alias: String,
     },
-    /// An already-materialised relation (intermediate o-sharing results, e-unit inputs).
+    /// An already-materialised relation.
     Values(Arc<Relation>),
     /// Selection.
     Select {
@@ -290,18 +290,6 @@ impl Plan {
             }
         }
     }
-
-    /// Whether any leaf of the plan is an empty materialised relation.
-    ///
-    /// o-sharing prunes e-units whose plan contains an empty intermediate relation (Case 2 of
-    /// `run_qt`): the final result is necessarily empty.
-    #[must_use]
-    pub fn contains_empty_relation(&self) -> bool {
-        self.subplans().into_iter().any(|p| match p {
-            Plan::Values(rel) => rel.is_empty(),
-            _ => false,
-        })
-    }
 }
 
 impl fmt::Display for Plan {
@@ -503,14 +491,6 @@ mod tests {
         assert_eq!(set.len(), 1);
         set.insert(Plan::scan("Customer"));
         assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn contains_empty_relation_detects_empty_leaves() {
-        let empty = Relation::empty(Schema::new("R", vec![Attribute::new("a", DataType::Int)]));
-        let plan = Plan::values(empty).product(Plan::scan("Customer"));
-        assert!(plan.contains_empty_relation());
-        assert!(!Plan::scan("Customer").contains_empty_relation());
     }
 
     #[test]

@@ -86,7 +86,8 @@ fn sharing_reduces_source_queries_on_the_default_query() {
 
 #[test]
 fn strategy_quality_ordering_holds_on_generated_data() {
-    // Table IV's qualitative result: SNF and SEF execute far fewer source operators than Random.
+    // Table IV's qualitative result, in the paper's unit: SNF and SEF execute far fewer target
+    // operators than Random.
     let scenario = scenario(TargetSchemaKind::Excel);
     let q4 = workload::query(QueryId::Q4);
     let ops = |strategy| {
@@ -98,13 +99,67 @@ fn strategy_quality_ordering_holds_on_generated_data() {
         )
         .unwrap()
         .metrics
-        .source_operators()
+        .target_operators
     };
     let random = ops(Strategy::Random { seed: 17 });
     let snf = ops(Strategy::Snf);
     let sef = ops(Strategy::Sef);
     assert!(sef <= random, "SEF {sef} vs Random {random}");
     assert!(snf <= random, "SNF {snf} vs Random {random}");
+}
+
+#[test]
+fn osharing_and_top_k_do_query_sharing_work_on_join_heavy_queries() {
+    // The specs whose e-unit products once grew to millions of rows: o-sharing and top-k agree
+    // with basic, and o-sharing emits at most half again as many rows as q-sharing.
+    let scenario = Scenario::generate(&ScenarioConfig {
+        target: TargetSchemaKind::Excel,
+        scale: 20,
+        mappings: 30,
+        seed: 42,
+    })
+    .unwrap();
+    let (mappings, catalog) = (&scenario.mappings, &scenario.catalog);
+    for spec in ["Q1", "Q3", "Q4", "join:2", "join:3"] {
+        let query = urm::datagen::replay::parse_spec(spec).unwrap().query;
+        let reference = evaluate(&query, mappings, catalog, Algorithm::Basic).unwrap();
+        let qsharing = evaluate(&query, mappings, catalog, Algorithm::QSharing).unwrap();
+        for strategy in [Strategy::Sef, Strategy::Snf, Strategy::Random { seed: 5 }] {
+            let eval = evaluate(&query, mappings, catalog, Algorithm::OSharing(strategy)).unwrap();
+            assert!(
+                reference.answer.approx_eq(&eval.answer, 1e-9),
+                "o-sharing({strategy}) disagrees with basic on {spec}"
+            );
+            let (o, q) = (
+                eval.metrics.exec.tuples_output,
+                qsharing.metrics.exec.tuples_output,
+            );
+            assert!(
+                2 * o <= 3 * q,
+                "o-sharing({strategy}) emitted {o} rows on {spec}, q-sharing {q}"
+            );
+        }
+        let exact = reference.answer.sorted();
+        for k in [1usize, 5] {
+            let topk = top_k(&query, mappings, catalog, k, Strategy::Sef).unwrap();
+            assert!(topk.entries.len() <= k);
+            for entry in &topk.entries {
+                let p = reference.answer.probability_of(&entry.tuple);
+                assert!(entry.lower_bound <= p + 1e-9, "{spec}: {entry:?} above {p}");
+                assert!(entry.upper_bound + 1e-9 >= p, "{spec}: {entry:?} below {p}");
+            }
+            if !topk.stopped_early {
+                assert_eq!(topk.entries.len(), k.min(exact.len()), "{spec}, k = {k}");
+            }
+            if let (1, Some(best)) = (k, topk.entries.first()) {
+                let got = reference.answer.probability_of(&best.tuple);
+                assert!(
+                    (exact[0].1 - got).abs() < 1e-9,
+                    "{spec}: top-1 is not an argmax"
+                );
+            }
+        }
+    }
 }
 
 #[test]
