@@ -8,9 +8,9 @@
 //! sub-plans.  [`evaluate_batch`] therefore binds the distinct source queries of *every* query
 //! in the batch and merges them into one [`OperatorDag`]: each distinct bound operator
 //! (deduplicated by bound-plan fingerprint) becomes one node, shared sub-plans become fan-out
-//! edges, and the [`DagScheduler`] executes every node **exactly once** — sequentially, or on
-//! parallel worker threads when [`BatchOptions::workers`] ≥ 2 (independent operators of
-//! different queries run concurrently; results are byte-identical either way).
+//! edges, and the [`DagScheduler`] executes every node **exactly once** — on the calling
+//! thread, joined by helper threads when [`BatchOptions::workers`] ≥ 2 (independent operators
+//! of different queries run concurrently; results are byte-identical either way).
 //!
 //! A query's distinct source queries come from the partition-first rewrite
 //! ([`partitioned_reformulations`]): one `reformulate` per mapping *partition*, not per mapping
@@ -42,7 +42,7 @@ use urm_storage::{BufferPool, Catalog};
 /// Tuning knobs of one batch evaluation.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Worker threads for the DAG scheduler (1 = sequential topological execution).
+    /// Worker threads for the DAG scheduler (1 = the calling thread alone).
     pub workers: usize,
     /// Trace spans recorder (disabled by default — a disabled tracer costs nothing on the
     /// hot path).  Execution-side spans (`execute`, per-DAG-node `node`, spill I/O) hang off
@@ -60,13 +60,13 @@ impl Default for BatchOptions {
 }
 
 impl BatchOptions {
-    /// Sequential execution (the scheduler walks the topological order on the calling thread).
+    /// One-worker execution (the scheduler's worker loop runs on the calling thread alone).
     #[must_use]
     pub fn sequential() -> Self {
         BatchOptions::default()
     }
 
-    /// Parallel execution over `workers` scoped threads (clamped to at least 1).
+    /// Parallel execution on up to `workers` threads (clamped to at least 1).
     #[must_use]
     pub fn parallel(workers: usize) -> Self {
         BatchOptions {
@@ -102,7 +102,8 @@ pub struct BatchEvaluation {
     pub dag_nodes: usize,
     /// Maximum number of DAG nodes in flight at once (1 for sequential runs).
     pub peak_parallelism: usize,
-    /// Worker threads the DAG was scheduled on.
+    /// Threads the DAG ran on: at most the configured workers, and no more than it had nodes
+    /// to execute.
     pub workers: usize,
     /// Source-query submissions answered by the epoch DAG's bind cache — optimise, bind and
     /// DAG-merge skipped entirely (0 for a cold batch).
@@ -247,9 +248,9 @@ pub fn evaluate_batch_epoch(
 /// mapping partition, every distinct source query optimised, bound and merged into the epoch DAG, and the batch's
 /// subgraph snapshotted out of the epoch ([`EpochDag::prepare_pending`]).
 ///
-/// Self-contained: executing it no longer needs the [`EpochDag`] (executions of one epoch
-/// serialise on the epoch's internal result lock instead), which is what lets a serving layer
-/// bind batch N+1 while batch N executes.
+/// Self-contained: executing it no longer needs the [`EpochDag`] (it reaches the epoch's
+/// results through their own internal lock instead), which is what lets a serving layer bind
+/// batch N+1 while batch N executes.
 #[derive(Debug)]
 pub struct PreparedBatchEvaluation {
     pending: Vec<PendingQuery>,
@@ -316,8 +317,9 @@ pub fn prepare_batch_epoch(
 
 /// Phases 2–3: execute a prepared batch and aggregate per-query probabilistic answers (the
 /// execute stage of [`evaluate_batch_epoch`]).  `catalog` must be the one the batch was
-/// prepared against.  Executions of one epoch serialise on the epoch's internal result lock;
-/// the epoch itself is free to bind the next batch concurrently.
+/// prepared against.  Executions of one epoch overlap — the epoch's internal result lock is
+/// taken only to look nodes up and to commit — and the epoch itself is free to bind the next
+/// batch concurrently.
 pub fn execute_prepared_batch(
     batch: PreparedBatchEvaluation,
     catalog: &Catalog,
@@ -330,9 +332,9 @@ pub fn execute_prepared_batch(
         dag_plan_misses,
     } = batch;
     // A memory-budgeted epoch carries a spill pool: the batch executor shares it, so grace
-    // hash joins and spilled-pin reloads draw on one budget.  The pool's counter delta over
-    // the execution is folded into `ExecStats` inside the engine, under the epoch's result
-    // lock, so deltas of pipelined batches never interleave.
+    // hash joins and spilled-pin reloads draw on one budget.  The pool-counter deltas this
+    // batch causes are folded into `ExecStats` inside the engine, each under the epoch's
+    // result lock, so deltas of overlapping batches never interleave.
     let mut exec = match prepared.pool().cloned() {
         Some(pool) => Executor::with_pool(catalog, pool),
         None => Executor::new(catalog),

@@ -8,7 +8,7 @@ use crate::query::TargetQuery;
 use crate::reformulate::{aggregate, Clustering};
 use crate::CoreResult;
 use std::time::Instant;
-use urm_engine::{optimize::optimize, DagScheduler, Executor};
+use urm_engine::{optimize::optimize, EpochDag, Executor};
 use urm_matching::MappingSet;
 use urm_mqo::GlobalPlan;
 use urm_storage::Catalog;
@@ -43,19 +43,24 @@ pub fn evaluate(
         .iter()
         .map(|cluster| optimize(&cluster.query.plan, catalog))
         .collect::<Result<_, _>>()?;
-    let global = GlobalPlan::build(&optimized, catalog)?;
+    // The search is what e-MQO pays for; the sharing it finds is realised by the DAG below.
+    GlobalPlan::build(&optimized, catalog)?;
     metrics.plan_time = plan_start.elapsed();
 
-    // Phase 3: lower the global plan onto one merged shared-operator DAG and execute it; each
-    // distinct operator runs exactly once (the node-dedup report makes that observable).
+    // Phase 3: lower the global plan onto one throwaway epoch DAG and execute it; each distinct
+    // operator runs exactly once.  Every plan is keyed by its own cluster's fingerprint, so the
+    // sharing is `add_plan`'s node dedup, which the DAG reports as reuse.
     let mut exec = Executor::new(catalog);
-    let run = global.execute_dag(&mut exec, DagScheduler::sequential())?;
-    metrics.shared_plan_hits = run.report.operators_reused;
+    let mut epoch = EpochDag::new();
+    for (cluster, plan) in ordered.iter().zip(&optimized) {
+        epoch.submit_with(cluster.fingerprint, || exec.bind(plan))?;
+    }
+    let run = epoch.execute_pending(&mut exec, 1)?;
+    metrics.shared_plan_hits = epoch.dag().operators_reused();
     metrics.shared_plan_misses = run.report.nodes_executed;
-    let results = run.root_results;
 
     let agg_start = Instant::now();
-    for (cluster, result) in ordered.iter().zip(results.iter()) {
+    for (cluster, result) in ordered.iter().zip(&run.root_results) {
         let extraction = &cluster.query.extraction;
         aggregate(&mut answer, [&**result], extraction, cluster.probability);
     }

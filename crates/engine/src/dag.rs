@@ -7,8 +7,8 @@
 //! the data structure:
 //!
 //! ```text
-//!   bound plans  ──add_root()──►  OperatorDag  ──DagScheduler──►  root results
-//!   (PhysicalPlan trees)          nodes deduplicated              every distinct node
+//!   bound plans  ──add_plan()──►  OperatorDag  ──DagScheduler──►  root results
+//!   (PhysicalPlan trees)          nodes deduplicated              every needed node
 //!                                 by fingerprint;                 executed exactly once;
 //!                                 edges carry Arc<Relation>       fan-out is an Arc clone;
 //!                                 (late-materialized views)       roots included
@@ -18,21 +18,21 @@
 //!   [`PhysicalPlan::fingerprint`]; an operator shared by `n` consumers is one node with `n`
 //!   incoming edges.  Because children are inserted before parents, the node vector is a
 //!   topological order by construction.
-//! * [`DagScheduler`] — executes a DAG bottom-up.  The sequential mode walks the topological
-//!   order; the parallel mode runs independent *ready* nodes on scoped worker threads (each
-//!   with its own [`Executor`] over the shared catalog), merging statistics afterwards.  Both
-//!   modes execute every distinct node **exactly once** and hand each result to all consumers
-//!   as a shared `Arc<Relation>` — results are byte-identical regardless of mode or worker
-//!   count because every operator is a pure function of its children's batches.  What flows
-//!   along an interior edge is a late-materialized view (index vectors over base columns, see
-//!   [`Relation::view`]), and a root is handed back the same way: whoever reads its rows
-//!   builds them, and answer extraction reads its column codes instead.
+//! * [`DagScheduler`] — executes what a set of roots needs, bottom-up, in one worker loop:
+//!   take the most expensive *ready* node, run it, release its consumers.  One worker runs the
+//!   loop on the calling thread; more add scoped helper threads (each with its own
+//!   [`Executor`] over the shared catalog) to the same loop, merging statistics afterwards.
+//!   Every needed node executes **exactly once** and hands its result to all consumers as a
+//!   shared `Arc<Relation>` — results are byte-identical for any worker count because every
+//!   operator is a pure function of its children's batches.  What flows along an interior edge
+//!   is a late-materialized view (index vectors over base columns, see [`Relation::view`]),
+//!   and a root is handed back the same way: whoever reads its rows builds them, and answer
+//!   extraction reads its column codes instead.
 //!
 //! A DAG holds no results.  The one holder is [`EpochDag`](crate::EpochDag): its result cache
-//! plugs in as a [`DagResultCache`], consulted before the scheduler (or
-//! [`OperatorDag::resolve_root`], for callers that discover operators one at a time: the
-//! o-sharing u-trace, q-sharing's representative queries) descends into a subgraph — a hit
-//! prunes the entire subtree below it.
+//! plugs in as a [`DagResultCache`], consulted before the scheduler descends into a subgraph — a
+//! hit prunes the entire subtree below it — and handed every fresh result.  A served batch, a
+//! u-trace or q-sharing step and e-MQO's global plan all run this one way.
 
 use crate::executor::Executor;
 use crate::physical::PhysicalPlan;
@@ -71,13 +71,13 @@ struct DagNode {
     /// Estimated output rows (bind-time, from captured row-buffer sizes).
     est_rows: u64,
     /// Estimated work to execute the node (input rows consumed + output rows produced); the
-    /// parallel scheduler's ready queue is a max-heap over this.
+    /// scheduler's ready queue is a max-heap over this.
     cost: u64,
 }
 
 /// A shared-operator DAG over bound physical plans.
 ///
-/// Insert whole plans with [`add_root`](OperatorDag::add_root); every sub-plan is deduplicated
+/// Insert whole plans with [`add_plan`](OperatorDag::add_plan); every sub-plan is deduplicated
 /// against everything inserted so far, so the DAG of a query batch contains each distinct bound
 /// operator once, with fan-out edges to every consumer.  See the [module docs](self) for the
 /// execution model and the sharing guarantees.
@@ -85,7 +85,6 @@ struct DagNode {
 pub struct OperatorDag {
     nodes: Vec<DagNode>,
     index: HashMap<u64, usize>,
-    roots: Vec<usize>,
     offered: u64,
     reused: u64,
 }
@@ -97,7 +96,9 @@ impl OperatorDag {
         OperatorDag::default()
     }
 
-    /// Merges a bound plan into the DAG, returning the node its root deduplicated onto.
+    /// Merges a bound plan into the DAG, returning the node its root deduplicated onto.  The
+    /// same node may be asked for many times — duplicate queries in a batch share one execution
+    /// and one result.
     ///
     /// Children are inserted before parents, so node indices are a topological order.  The
     /// plan's nodes are taken over by `Arc` handle — zero subtree clones on this path; the DAG
@@ -130,25 +131,10 @@ impl OperatorDag {
         NodeId(id)
     }
 
-    /// Like [`add_plan`](OperatorDag::add_plan), additionally recording the node as a *root*
-    /// whose result [`DagScheduler::execute`] returns (in insertion order).  The same node may
-    /// be a root many times — duplicate queries in a batch share one execution and one result.
-    pub fn add_root(&mut self, plan: &Arc<PhysicalPlan>) -> NodeId {
-        let id = self.add_plan(plan);
-        self.roots.push(id.0);
-        id
-    }
-
     /// Number of distinct operator nodes (scans and `Values` leaves included).
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of roots registered via [`add_root`](OperatorDag::add_root).
-    #[must_use]
-    pub fn root_count(&self) -> usize {
-        self.roots.len()
     }
 
     /// Whether the DAG has no nodes.
@@ -175,11 +161,6 @@ impl OperatorDag {
         self.nodes[id.0].fingerprint
     }
 
-    /// The sharing keys of every node, in topological node order.
-    pub fn fingerprints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.nodes.iter().map(|node| node.fingerprint)
-    }
-
     /// Number of incoming edges (consumers) of a node — its fan-out degree.
     #[must_use]
     pub fn consumer_count(&self, id: NodeId) -> usize {
@@ -194,7 +175,7 @@ impl OperatorDag {
     }
 
     /// The bind-time cost estimate of a node (input rows consumed + estimated output rows).
-    /// The parallel scheduler starts expensive ready nodes — joins over big buffers — first.
+    /// The scheduler starts expensive ready nodes — joins over big buffers — first.
     #[must_use]
     pub fn cost_of(&self, id: NodeId) -> u64 {
         self.nodes[id.0].cost
@@ -248,8 +229,7 @@ impl OperatorDag {
         (sub, roots)
     }
 
-    /// Executes one node through the driving executor under a per-node trace span.  All
-    /// scheduler paths (sequential, parallel workers, recursive resolve) funnel through here.
+    /// Executes one node through a worker's executor under a per-node trace span.
     fn run_node(
         &self,
         node: usize,
@@ -271,56 +251,13 @@ impl OperatorDag {
         span.tag("rows", out.len() as u64);
         Ok(out)
     }
-
-    /// Resolves a single root bottom-up through an external result cache.
-    ///
-    /// [`DagResultCache::lookup`] is consulted *before* descending into a node's children: a
-    /// hit prunes the whole subgraph below it (and is the cache's to count).  Every computed
-    /// result is handed to [`DagResultCache::publish`] exactly once.  Within one call, nodes
-    /// reached through several consumers are resolved once (an internal memo, not a `lookup`
-    /// hit).  The incremental front-ends feed a result straight back in as the next step's
-    /// input, so it is returned as it was produced: a late-materialized result builds its rows
-    /// when (and if) the caller reads them.
-    pub fn resolve_root(
-        &self,
-        root: NodeId,
-        exec: &mut Executor<'_>,
-        cache: &mut dyn DagResultCache,
-    ) -> EngineResult<Arc<Relation>> {
-        let mut memo: HashMap<usize, Arc<Relation>> = HashMap::new();
-        self.resolve_node(root.0, exec, cache, &mut memo)
-    }
-
-    fn resolve_node(
-        &self,
-        node: usize,
-        exec: &mut Executor<'_>,
-        cache: &mut dyn DagResultCache,
-        memo: &mut HashMap<usize, Arc<Relation>>,
-    ) -> EngineResult<Arc<Relation>> {
-        if let Some(done) = memo.get(&node) {
-            return Ok(Arc::clone(done));
-        }
-        if let Some(hit) = cache.lookup(self.nodes[node].fingerprint) {
-            memo.insert(node, Arc::clone(&hit));
-            return Ok(hit);
-        }
-        let mut children = Vec::with_capacity(self.nodes[node].children.len());
-        for &child in &self.nodes[node].children {
-            children.push(self.resolve_node(child, exec, cache, memo)?);
-        }
-        let result = self.run_node(node, exec, &children)?;
-        cache.publish(self.nodes[node].fingerprint, &result);
-        memo.insert(node, Arc::clone(&result));
-        Ok(result)
-    }
 }
 
-/// An external result store plugged into [`DagScheduler::execute_roots`] and
-/// [`OperatorDag::resolve_root`] (the per-epoch DAG's result cache): `lookup` answers a node by
-/// fingerprint (pruning its whole subgraph), `publish` receives every freshly computed result
-/// exactly once.
-pub trait DagResultCache {
+/// An external result store plugged into [`DagScheduler::execute_roots`] (the per-epoch DAG's
+/// result cache): `lookup` answers a node by fingerprint before the run starts (pruning its
+/// whole subgraph), `publish` receives every freshly computed result exactly once, from
+/// whichever worker computed it.
+pub trait DagResultCache: Send {
     /// Returns the stored result for a fingerprint, if any.
     fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>>;
     /// Stores a freshly computed result.
@@ -332,21 +269,20 @@ pub trait DagResultCache {
 pub struct DagRunReport {
     /// Nodes actually executed (each exactly once).
     pub nodes_executed: u64,
-    /// Operator insertions the DAG answered with an existing node — work *not* done.
-    pub operators_reused: u64,
     /// Nodes answered by the external result cache instead of executing (the whole subgraph
-    /// below each of them was pruned too).  Always 0 for plain [`DagScheduler::execute`].
+    /// below each of them was pruned too).
     pub results_reused: u64,
-    /// Worker threads the run was scheduled on (1 = sequential).
+    /// Threads the run executed on: the calling thread plus the helpers it spawned,
+    /// `min(workers, nodes_executed)` and at least 1.
     pub workers: usize,
-    /// Maximum number of nodes in flight at once (1 for sequential runs).
+    /// Maximum number of nodes in flight at once (1 for a one-thread run that executed any).
     pub peak_parallelism: usize,
 }
 
-/// The outcome of executing a DAG: one result per registered root, plus accounting.
+/// The outcome of executing a DAG: one result per requested root, plus accounting.
 #[derive(Debug)]
 pub struct DagRun {
-    /// Root results, in [`OperatorDag::add_root`] order, as their nodes produced them: a
+    /// Root results, in the order the roots were requested, as their nodes produced them: a
     /// late-materialized root builds rows only if someone reads them.  Duplicate roots alias
     /// one `Arc`.
     pub root_results: Vec<Arc<Relation>>,
@@ -354,20 +290,16 @@ pub struct DagRun {
     pub report: DagRunReport,
 }
 
-/// Executes [`OperatorDag`]s: sequential topological walk, or parallel over scoped workers.
+/// Executes [`OperatorDag`]s in one ready-queue worker loop, on the calling thread and up to
+/// `workers − 1` scoped helpers.
 #[derive(Debug, Clone, Copy)]
 pub struct DagScheduler {
     workers: usize,
 }
 
 impl DagScheduler {
-    /// A scheduler that executes nodes one at a time in topological order.
-    #[must_use]
-    pub fn sequential() -> Self {
-        DagScheduler { workers: 1 }
-    }
-
-    /// A scheduler running independent ready nodes on `workers` scoped threads (1 = sequential).
+    /// A scheduler running independent ready nodes on up to `workers` threads (1 = the calling
+    /// thread alone).
     #[must_use]
     pub fn with_workers(workers: usize) -> Self {
         DagScheduler {
@@ -381,34 +313,19 @@ impl DagScheduler {
         self.workers
     }
 
-    /// Executes every distinct node of the DAG exactly once, bottom-up, and returns the root
-    /// results in registration order.
-    ///
-    /// Statistics (operators, scans, tuples, time) are charged to `exec`; in parallel mode each
-    /// worker accumulates into a private [`Executor`] over the same catalog and the totals are
-    /// merged into `exec` when the run completes, so counter totals are mode-independent.
-    pub fn execute(&self, dag: &OperatorDag, exec: &mut Executor<'_>) -> EngineResult<DagRun> {
-        let needed = vec![true; dag.nodes.len()];
-        let roots = dag.roots.clone();
-        self.run_nodes(
-            dag,
-            &roots,
-            needed,
-            HashMap::new(),
-            exec,
-            &mut NoCache,
-            false,
-        )
-    }
-
     /// Executes only what the given roots need, answering nodes from an external result cache.
     ///
-    /// This is the entry point of the per-epoch DAG: `cache.lookup` is consulted once per
-    /// distinct node reachable from `roots`, a hit prunes the node's whole subgraph, and every
-    /// freshly computed node result is handed to `cache.publish` exactly once.  Nodes of the
-    /// DAG that no root reaches are not touched at all — a persistent DAG can therefore hold an
-    /// epoch's whole operator history while each batch pays only for its own frontier.  Root
-    /// results come back in `roots` order; duplicate roots alias one `Arc`.
+    /// `cache.lookup` is consulted once per distinct node reachable from `roots`, before any
+    /// node runs; a hit prunes the node's whole subgraph.  Every freshly computed result is
+    /// handed to `cache.publish` exactly once.  Nodes of the DAG that no root reaches are not
+    /// touched at all — a persistent DAG can therefore hold an epoch's whole operator history
+    /// while each run pays only for its own frontier.  Root results come back in `roots`
+    /// order; duplicate roots alias one `Arc`.
+    ///
+    /// Statistics (operators, scans, tuples, time) are charged to `exec`: the calling thread
+    /// runs the worker loop with it, each helper thread accumulates into a private
+    /// [`Executor`] over the same catalog (and spill pool), and the helpers' totals are merged
+    /// into `exec` when the run completes, so counter totals do not depend on the worker count.
     pub fn execute_roots(
         &self,
         dag: &OperatorDag,
@@ -418,169 +335,54 @@ impl DagScheduler {
     ) -> EngineResult<DagRun> {
         let roots: Vec<usize> = roots.iter().map(|r| r.0).collect();
         let (needed, seeds) = plan_nodes(dag, &roots, cache);
-        self.run_nodes(dag, &roots, needed, seeds, exec, cache, true)
-    }
-
-    /// The shared engine behind [`execute`](DagScheduler::execute) and
-    /// [`execute_roots`](DagScheduler::execute_roots): runs the `needed` nodes (sequentially or
-    /// on workers), seeds child batches from `seeds`, and — when `publish` is set — hands every
-    /// fresh result to `cache`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_nodes(
-        &self,
-        dag: &OperatorDag,
-        roots: &[usize],
-        needed: Vec<bool>,
-        seeds: HashMap<usize, Arc<Relation>>,
-        exec: &mut Executor<'_>,
-        cache: &mut dyn DagResultCache,
-        publish: bool,
-    ) -> EngineResult<DagRun> {
-        let needed_count = needed.iter().filter(|&&n| n).count();
         let results_reused = seeds.len() as u64;
-        let (results, peak_parallelism) = if self.workers <= 1 || needed_count <= 1 {
-            (
-                self.run_sequential(dag, roots, &needed, &seeds, exec, cache, publish)?,
-                usize::from(needed_count > 0),
-            )
-        } else {
-            self.run_parallel(dag, roots, &needed, &seeds, exec, cache, publish)?
-        };
-        let root_results: Vec<Arc<Relation>> = roots
+        let needed_count = needed.iter().filter(|&&n| n).count();
+        let threads = self.workers.min(needed_count).max(1);
+        let shared = SchedState::new(dag, &roots, needed, seeds, cache);
+        let catalog = exec.catalog();
+        // Helpers inherit the driving executor's spill pool (one shared budget, not one per
+        // worker), so budgeted grace joins behave identically on any thread.
+        let pool = exec.pool().cloned();
+        let tracer = exec.tracer().clone();
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads)
+                .map(|_| {
+                    let (shared, pool, tracer) = (&shared, pool.clone(), tracer.clone());
+                    scope.spawn(move || {
+                        let mut helper = match pool {
+                            Some(pool) => Executor::with_pool(catalog, pool),
+                            None => Executor::new(catalog),
+                        }
+                        .with_tracer(tracer);
+                        shared.run_worker(dag, &mut helper);
+                        helper.into_stats()
+                    })
+                })
+                .collect();
+            shared.run_worker(dag, exec);
+            for helper in helpers {
+                let stats = helper.join().expect("DAG worker panicked");
+                exec.stats_mut().merge(&stats);
+            }
+        });
+        let state = shared.state.into_inner().unwrap();
+        if let Some(err) = state.error {
+            return Err(err);
+        }
+        let root_results = roots
             .iter()
-            .map(|&r| Arc::clone(results[r].as_ref().expect("root result retained")))
+            .map(|&r| Arc::clone(state.results[r].as_ref().expect("root result retained")))
             .collect();
         Ok(DagRun {
             root_results,
             report: DagRunReport {
                 nodes_executed: needed_count as u64,
-                operators_reused: dag.operators_reused(),
                 results_reused,
-                workers: self.workers,
-                peak_parallelism,
+                workers: threads,
+                peak_parallelism: state.peak_parallel,
             },
         })
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_sequential(
-        &self,
-        dag: &OperatorDag,
-        roots: &[usize],
-        needed: &[bool],
-        seeds: &HashMap<usize, Arc<Relation>>,
-        exec: &mut Executor<'_>,
-        cache: &mut dyn DagResultCache,
-        publish: bool,
-    ) -> EngineResult<Vec<Option<Arc<Relation>>>> {
-        // Node indices are topological by construction: children precede parents.  A node's
-        // result is dropped as soon as its last consumer has executed (roots are retained for
-        // extraction), so peak memory tracks the live frontier, not the whole batch.
-        let mut retain = retention(dag, needed, roots);
-        let mut results: Vec<Option<Arc<Relation>>> = vec![None; dag.nodes.len()];
-        for (&i, seed) in seeds {
-            results[i] = Some(Arc::clone(seed));
-        }
-        for i in 0..dag.nodes.len() {
-            if !needed[i] {
-                continue;
-            }
-            let node = &dag.nodes[i];
-            let children: Vec<Arc<Relation>> = node
-                .children
-                .iter()
-                .map(|&c| Arc::clone(results[c].as_ref().expect("child resolved")))
-                .collect();
-            let out = dag.run_node(i, exec, &children)?;
-            if publish {
-                cache.publish(node.fingerprint, &out);
-            }
-            if retain[i] > 0 {
-                results[i] = Some(out);
-            }
-            for &c in &node.children {
-                retain[c] -= 1;
-                if retain[c] == 0 {
-                    results[c] = None;
-                }
-            }
-        }
-        Ok(results)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel(
-        &self,
-        dag: &OperatorDag,
-        roots: &[usize],
-        needed: &[bool],
-        seeds: &HashMap<usize, Arc<Relation>>,
-        exec: &mut Executor<'_>,
-        cache: &mut dyn DagResultCache,
-        publish: bool,
-    ) -> EngineResult<(Vec<Option<Arc<Relation>>>, usize)> {
-        let catalog = exec.catalog();
-        // Workers inherit the driving executor's spill pool (one shared budget, not one per
-        // worker), so budgeted grace joins behave identically under parallel scheduling.
-        let pool = exec.pool().cloned();
-        let tracer = exec.tracer().clone();
-        let needed_count = needed.iter().filter(|&&n| n).count();
-        // Publishing happens single-threaded after the run, so a cache-backed run must keep
-        // every fresh result alive until then (the cache wants all of them anyway — that is
-        // what makes the next batch warm).
-        let keep_all = publish;
-        let shared = SchedState::new(dag, roots, needed, seeds, keep_all);
-        let worker_count = self.workers.min(needed_count.max(1));
-        let mut stats_parts = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..worker_count)
-                .map(|_| {
-                    let shared = &shared;
-                    let pool = pool.clone();
-                    let tracer = tracer.clone();
-                    scope.spawn(move || {
-                        let mut worker_exec = match pool {
-                            Some(pool) => Executor::with_pool(catalog, pool),
-                            None => Executor::new(catalog),
-                        }
-                        .with_tracer(tracer);
-                        shared.run_worker(dag, &mut worker_exec);
-                        worker_exec.into_stats()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                stats_parts.push(handle.join().expect("DAG worker panicked"));
-            }
-        });
-        for part in &stats_parts {
-            exec.stats_mut().merge(part);
-        }
-        let state = shared.state.into_inner().unwrap();
-        if let Some(err) = state.error {
-            return Err(err);
-        }
-        if publish {
-            for (i, node) in dag.nodes.iter().enumerate() {
-                if !needed[i] {
-                    continue;
-                }
-                let result = state.results[i].as_ref().expect("fresh result retained");
-                cache.publish(node.fingerprint, result);
-            }
-        }
-        Ok((state.results, state.peak_parallel))
-    }
-}
-
-/// The cache of a plain [`DagScheduler::execute`] run: answers nothing, records nothing.
-struct NoCache;
-
-impl DagResultCache for NoCache {
-    fn lookup(&mut self, _fingerprint: u64) -> Option<Arc<Relation>> {
-        None
-    }
-    fn publish(&mut self, _fingerprint: u64, _result: &Arc<Relation>) {}
 }
 
 /// Walks the DAG from `roots`, consulting the cache once per distinct node: a hit seeds the
@@ -590,10 +392,10 @@ fn plan_nodes(
     dag: &OperatorDag,
     roots: &[usize],
     cache: &mut dyn DagResultCache,
-) -> (Vec<bool>, HashMap<usize, Arc<Relation>>) {
+) -> (Vec<bool>, Vec<(usize, Arc<Relation>)>) {
     let mut needed = vec![false; dag.nodes.len()];
     let mut visited = vec![false; dag.nodes.len()];
-    let mut seeds: HashMap<usize, Arc<Relation>> = HashMap::new();
+    let mut seeds = Vec::new();
     let mut stack: Vec<usize> = roots.to_vec();
     while let Some(node) = stack.pop() {
         if visited[node] {
@@ -601,7 +403,7 @@ fn plan_nodes(
         }
         visited[node] = true;
         if let Some(hit) = cache.lookup(dag.nodes[node].fingerprint) {
-            seeds.insert(node, hit);
+            seeds.push((node, hit));
             continue;
         }
         needed[node] = true;
@@ -610,27 +412,7 @@ fn plan_nodes(
     (needed, seeds)
 }
 
-/// How many times each node's result is still needed during a run: once per consuming edge of
-/// an executing node plus once per root registration.  The scheduler drops a node's
-/// materialised result as soon as this count drains, bounding peak memory to the *live*
-/// frontier of the DAG instead of every intermediate of the whole batch.
-fn retention(dag: &OperatorDag, needed: &[bool], roots: &[usize]) -> Vec<usize> {
-    let mut retain = vec![0usize; dag.nodes.len()];
-    for (i, node) in dag.nodes.iter().enumerate() {
-        if !needed[i] {
-            continue;
-        }
-        for &c in &node.children {
-            retain[c] += 1;
-        }
-    }
-    for &r in roots {
-        retain[r] += 1;
-    }
-    retain
-}
-
-/// A ready node in the parallel scheduler's queue, ordered by bind-time cost estimate.
+/// A ready node in the scheduler's queue, ordered by bind-time cost estimate.
 ///
 /// The queue is a max-heap: the most expensive ready node (a hash join over big captured row
 /// buffers rather than a cheap selection) is started first, which shortens the critical path
@@ -656,15 +438,15 @@ impl PartialOrd for ReadyNode {
     }
 }
 
-/// Shared scheduling state of one parallel run.
-struct SchedState {
-    state: Mutex<SchedInner>,
+/// Shared scheduling state of one run.
+struct SchedState<'c> {
+    state: Mutex<SchedInner<'c>>,
     ready_cv: Condvar,
     /// Which nodes this run executes (immutable; seeded or unreachable nodes are skipped).
     needed: Vec<bool>,
 }
 
-struct SchedInner {
+struct SchedInner<'c> {
     /// Nodes whose children are all resolved, awaiting a worker — max-heap by cost estimate,
     /// so expensive joins start before cheap selections.
     ready: BinaryHeap<ReadyNode>,
@@ -683,48 +465,45 @@ struct SchedInner {
     peak_parallel: usize,
     /// First error raised by any worker (fails the whole run).
     error: Option<EngineError>,
+    /// Where every fresh result is published, by the worker that computed it.
+    cache: &'c mut dyn DagResultCache,
 }
 
-impl SchedState {
+impl<'c> SchedState<'c> {
     fn new(
         dag: &OperatorDag,
         roots: &[usize],
-        needed: &[bool],
-        seeds: &HashMap<usize, Arc<Relation>>,
-        keep_all: bool,
+        needed: Vec<bool>,
+        seeds: Vec<(usize, Arc<Relation>)>,
+        cache: &'c mut dyn DagResultCache,
     ) -> Self {
-        let pending: Vec<usize> = dag
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                if needed[i] {
-                    n.children.iter().filter(|&&c| needed[c]).count()
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let ready: BinaryHeap<ReadyNode> = pending
-            .iter()
-            .enumerate()
-            .filter(|&(i, &p)| needed[i] && p == 0)
-            .map(|(i, _)| ReadyNode {
-                cost: dag.nodes[i].cost,
-                node: i,
-            })
-            .collect();
-        let mut results: Vec<Option<Arc<Relation>>> = vec![None; dag.nodes.len()];
-        for (&i, seed) in seeds {
-            results[i] = Some(Arc::clone(seed));
-        }
-        let mut retain = retention(dag, needed, roots);
-        if keep_all {
-            for (i, r) in retain.iter_mut().enumerate() {
-                if needed[i] {
-                    *r += 1;
-                }
+        let mut pending = vec![0usize; dag.nodes.len()];
+        // How many times each node's result is still needed: once per consuming edge of an
+        // executing node plus once per root registration.  A result is dropped as soon as this
+        // drains, bounding peak memory to the *live* frontier instead of every intermediate.
+        let mut retain = vec![0usize; dag.nodes.len()];
+        let mut ready = BinaryHeap::new();
+        for (i, node) in dag.nodes.iter().enumerate() {
+            if !needed[i] {
+                continue;
             }
+            for &c in &node.children {
+                retain[c] += 1;
+                pending[i] += usize::from(needed[c]);
+            }
+            if pending[i] == 0 {
+                ready.push(ReadyNode {
+                    cost: node.cost,
+                    node: i,
+                });
+            }
+        }
+        for &r in roots {
+            retain[r] += 1;
+        }
+        let mut results: Vec<Option<Arc<Relation>>> = vec![None; dag.nodes.len()];
+        for (i, seed) in seeds {
+            results[i] = Some(seed);
         }
         SchedState {
             state: Mutex::new(SchedInner {
@@ -736,12 +515,15 @@ impl SchedState {
                 in_flight: 0,
                 peak_parallel: 0,
                 error: None,
+                cache,
             }),
             ready_cv: Condvar::new(),
-            needed: needed.to_vec(),
+            needed,
         }
     }
 
+    /// The worker loop: every thread of a run — the calling one included — executes ready
+    /// nodes here until the run completes or fails.
     fn run_worker(&self, dag: &OperatorDag, exec: &mut Executor<'_>) {
         let mut guard = self.state.lock().unwrap();
         loop {
@@ -771,13 +553,14 @@ impl SchedState {
             guard.in_flight -= 1;
             match outcome {
                 Ok(result) => {
+                    guard.cache.publish(dag.nodes[node].fingerprint, &result);
                     if guard.retain[node] > 0 {
                         guard.results[node] = Some(result);
                     }
                     guard.remaining -= 1;
                     // This node is done with its inputs: release each child edge, dropping a
-                    // child's materialised result once its last use drains (roots keep one
-                    // registration alive for extraction).
+                    // child's result once its last use drains (roots keep one registration
+                    // alive for the caller).
                     for &c in &dag.nodes[node].children {
                         guard.retain[c] -= 1;
                         if guard.retain[c] == 0 {
@@ -854,23 +637,47 @@ mod tests {
         ]
     }
 
-    fn build_dag(exec: &Executor<'_>) -> OperatorDag {
-        let mut dag = OperatorDag::new();
-        for q in queries() {
-            let physical = exec.bind(&q).unwrap();
-            dag.add_root(&physical);
+    /// A result store outside any epoch: answers what was published to it.
+    #[derive(Default)]
+    struct Memo(HashMap<u64, Arc<Relation>>);
+
+    impl DagResultCache for Memo {
+        fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>> {
+            self.0.get(&fingerprint).cloned()
         }
-        dag
+        fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>) {
+            self.0.insert(fingerprint, Arc::clone(result));
+        }
+    }
+
+    fn build_dag(exec: &Executor<'_>) -> (OperatorDag, Vec<NodeId>) {
+        let mut dag = OperatorDag::new();
+        let roots = queries()
+            .iter()
+            .map(|q| dag.add_plan(&exec.bind(q).unwrap()))
+            .collect();
+        (dag, roots)
+    }
+
+    /// Runs `roots` from scratch: an empty memo answers nothing, so every node they reach
+    /// executes.
+    fn run(
+        dag: &OperatorDag,
+        roots: &[NodeId],
+        exec: &mut Executor<'_>,
+        workers: usize,
+    ) -> EngineResult<DagRun> {
+        DagScheduler::with_workers(workers).execute_roots(dag, roots, exec, &mut Memo::default())
     }
 
     #[test]
     fn merged_dag_deduplicates_shared_operators() {
         let cat = catalog();
         let exec = Executor::new(&cat);
-        let dag = build_dag(&exec);
+        let (dag, roots) = build_dag(&exec);
         // Distinct nodes: scan, select-x, project-a, project-b, select-y = 5.
         assert_eq!(dag.node_count(), 5);
-        assert_eq!(dag.root_count(), 4);
+        assert_eq!(roots.len(), 4);
         assert!(dag.operators_reused() > 0);
         assert_eq!(
             dag.operators_offered(),
@@ -882,8 +689,8 @@ mod tests {
     fn every_distinct_node_executes_exactly_once() {
         let cat = catalog();
         let mut exec = Executor::new(&cat);
-        let dag = build_dag(&exec);
-        let run = DagScheduler::sequential().execute(&dag, &mut exec).unwrap();
+        let (dag, roots) = build_dag(&exec);
+        let run = run(&dag, &roots, &mut exec, 1).unwrap();
         assert_eq!(run.report.nodes_executed, dag.node_count() as u64);
         // The executor's own counters agree: one scan + one execution per operator node.
         assert_eq!(
@@ -899,16 +706,12 @@ mod tests {
     fn parallel_execution_is_byte_identical_to_sequential() {
         let cat = catalog();
         let mut seq_exec = Executor::new(&cat);
-        let dag = build_dag(&seq_exec);
-        let seq = DagScheduler::sequential()
-            .execute(&dag, &mut seq_exec)
-            .unwrap();
+        let (dag, roots) = build_dag(&seq_exec);
+        let seq = run(&dag, &roots, &mut seq_exec, 1).unwrap();
         for workers in [2, 4, 8] {
             let mut par_exec = Executor::new(&cat);
-            let dag = build_dag(&par_exec);
-            let par = DagScheduler::with_workers(workers)
-                .execute(&dag, &mut par_exec)
-                .unwrap();
+            let (dag, roots) = build_dag(&par_exec);
+            let par = run(&dag, &roots, &mut par_exec, workers).unwrap();
             assert_eq!(par.root_results.len(), seq.root_results.len());
             for (a, b) in par.root_results.iter().zip(&seq.root_results) {
                 assert_eq!(a.rows(), b.rows());
@@ -920,9 +723,38 @@ mod tests {
                 par_exec.stats().operators_executed,
                 seq_exec.stats().operators_executed
             );
-            assert_eq!(par.report.workers, workers);
+            // No more threads than nodes to run: eight workers over five nodes use five.
+            assert_eq!(par.report.workers, workers.min(dag.node_count()));
             assert!(par.report.peak_parallelism >= 1);
         }
+    }
+
+    #[test]
+    fn report_counts_the_threads_a_run_used() {
+        let cat = catalog();
+        let mut exec = Executor::new(&cat);
+        let mut dag = OperatorDag::new();
+        let scan = dag.add_plan(&exec.bind(&Plan::scan("R")).unwrap());
+        let one = run(&dag, &[scan], &mut exec, 4).unwrap();
+        assert_eq!(one.report.nodes_executed, 1);
+        assert_eq!(
+            one.report.workers, 1,
+            "a one-node run stays on the calling thread"
+        );
+
+        let (dag, roots) = build_dag(&exec);
+        let wide = run(&dag, &roots, &mut exec, 4).unwrap();
+        assert_eq!(wide.report.nodes_executed, 5);
+        assert_eq!(
+            wide.report.workers, 4,
+            "min(4, needed) with five nodes needed"
+        );
+        let narrow = run(&dag, &roots[..1], &mut exec, 4).unwrap();
+        assert_eq!(narrow.report.nodes_executed, 3);
+        assert_eq!(
+            narrow.report.workers, 3,
+            "min(4, needed) with three nodes needed"
+        );
     }
 
     #[test]
@@ -931,14 +763,13 @@ mod tests {
         let mut exec = Executor::new(&cat);
         // SUM over a text column fails at execution time (not at bind time).
         let plan = Plan::scan("R").aggregate(crate::AggFunc::Sum("R.b".into()));
-        let physical = exec.bind(&plan).unwrap();
         let mut dag = OperatorDag::new();
-        dag.add_root(&physical);
+        let mut roots = vec![dag.add_plan(&exec.bind(&plan).unwrap())];
         // Pad with healthy work so the scheduler genuinely runs multi-node.
         for q in queries() {
-            dag.add_root(&exec.bind(&q).unwrap());
+            roots.push(dag.add_plan(&exec.bind(&q).unwrap()));
         }
-        let err = DagScheduler::with_workers(4).execute(&dag, &mut exec);
+        let err = run(&dag, &roots, &mut exec, 4);
         assert!(matches!(err, Err(EngineError::InvalidAggregate { .. })));
     }
 
@@ -947,9 +778,7 @@ mod tests {
         let cat = catalog();
         let mut exec = Executor::new(&cat);
         let dag = OperatorDag::new();
-        let run = DagScheduler::with_workers(4)
-            .execute(&dag, &mut exec)
-            .unwrap();
+        let run = run(&dag, &[], &mut exec, 4).unwrap();
         assert!(run.root_results.is_empty());
         assert_eq!(run.report.nodes_executed, 0);
         assert_eq!(run.report.peak_parallelism, 0);
@@ -970,7 +799,7 @@ mod tests {
             )
             .unwrap();
         let mut dag = OperatorDag::new();
-        let root = dag.add_root(&physical);
+        let root = dag.add_plan(&physical);
         assert!(
             Arc::ptr_eq(dag.plan_shared(root), &physical),
             "root node must hold the bound tree itself"
@@ -995,12 +824,12 @@ mod tests {
         let cat = catalog();
         let exec = Executor::new(&cat);
         let mut dag = OperatorDag::new();
-        let select = dag.add_root(
+        let select = dag.add_plan(
             &exec
                 .bind(&Plan::scan("R").select(Predicate::eq("R.b", Value::from("x"))))
                 .unwrap(),
         );
-        let join = dag.add_root(
+        let join = dag.add_plan(
             &exec
                 .bind(
                     &Plan::scan("R")
@@ -1008,7 +837,7 @@ mod tests {
                 )
                 .unwrap(),
         );
-        let product = dag.add_root(
+        let product = dag.add_plan(
             &exec
                 .bind(&Plan::scan("R").product(Plan::scan_as("R", "P")))
                 .unwrap(),
@@ -1041,16 +870,7 @@ mod tests {
                 .unwrap(),
         );
 
-        struct Memo(HashMap<u64, Arc<Relation>>);
-        impl DagResultCache for Memo {
-            fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>> {
-                self.0.get(&fingerprint).cloned()
-            }
-            fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>) {
-                self.0.insert(fingerprint, Arc::clone(result));
-            }
-        }
-        let mut memo = Memo(HashMap::new());
+        let mut memo = Memo::default();
         for workers in [1usize, 3] {
             let cold = DagScheduler::with_workers(workers)
                 .execute_roots(&dag, &[wanted], &mut exec, &mut memo)
@@ -1107,21 +927,8 @@ mod tests {
             );
         }
 
-        let mut memo: HashMap<u64, Arc<Relation>> = HashMap::new();
-        struct Memo<'m>(&'m mut HashMap<u64, Arc<Relation>>);
-        impl DagResultCache for Memo<'_> {
-            fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>> {
-                self.0.get(&fingerprint).cloned()
-            }
-            fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>) {
-                self.0.insert(fingerprint, Arc::clone(result));
-            }
-        }
         for workers in [1usize, 3] {
-            memo.clear();
-            let run = DagScheduler::with_workers(workers)
-                .execute_roots(&sub, &roots, &mut exec, &mut Memo(&mut memo))
-                .unwrap();
+            let run = run(&sub, &roots, &mut exec, workers).unwrap();
             assert_eq!(run.report.nodes_executed, 4);
             assert_eq!(run.root_results.len(), 3);
             assert_eq!(run.root_results[0].len(), 10);
@@ -1135,13 +942,13 @@ mod tests {
         let exec = Executor::new(&cat);
         let mut dag = OperatorDag::new();
         let base = Plan::scan("R").select(Predicate::eq("R.b", Value::from("x")));
-        let select = dag.add_root(&exec.bind(&base).unwrap());
-        dag.add_root(
+        let select = dag.add_plan(&exec.bind(&base).unwrap());
+        dag.add_plan(
             &exec
                 .bind(&base.clone().project(vec!["R.a".into()]))
                 .unwrap(),
         );
-        dag.add_root(
+        dag.add_plan(
             &exec
                 .bind(&base.clone().project(vec!["R.b".into()]))
                 .unwrap(),
@@ -1167,57 +974,5 @@ mod tests {
         assert_eq!(exec.stats().scans, 1);
         assert!(epoch.result_hits() > 0);
         assert_eq!(epoch.nodes_executed(), epoch.node_count() as u64);
-    }
-
-    #[test]
-    fn resolve_root_consults_the_external_cache_before_descending() {
-        let cat = catalog();
-        let mut exec = Executor::new(&cat);
-        let plan = Plan::scan("R")
-            .select(Predicate::eq("R.b", Value::from("x")))
-            .project(vec!["R.a".into()]);
-        let physical = exec.bind(&plan).unwrap();
-        let mut dag = OperatorDag::new();
-        let root = dag.add_root(&physical);
-
-        // Prime an external store with the run's results; the second resolve must answer the
-        // root from it without touching any node.
-        struct Probe {
-            store: HashMap<u64, Arc<Relation>>,
-            lookups: u64,
-            consult: bool,
-            forbid_publish: bool,
-        }
-        impl DagResultCache for Probe {
-            fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>> {
-                if !self.consult {
-                    return None;
-                }
-                self.lookups += 1;
-                self.store.get(&fingerprint).cloned()
-            }
-            fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>) {
-                assert!(!self.forbid_publish, "nothing new should be published");
-                self.store.insert(fingerprint, Arc::clone(result));
-            }
-        }
-
-        let mut probe = Probe {
-            store: HashMap::new(),
-            lookups: 0,
-            consult: false,
-            forbid_publish: false,
-        };
-        let first = dag.resolve_root(root, &mut exec, &mut probe).unwrap();
-        let ops_before = exec.stats().operators_executed + exec.stats().scans;
-        probe.consult = true;
-        probe.forbid_publish = true;
-        let again = dag.resolve_root(root, &mut exec, &mut probe).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(probe.lookups, 1, "a root hit must prune the whole subgraph");
-        assert_eq!(
-            exec.stats().operators_executed + exec.stats().scans,
-            ops_before
-        );
     }
 }

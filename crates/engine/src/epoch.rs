@@ -43,18 +43,22 @@
 //! [`EpochDag::prepare_pending`] closes the bind stage of a batch: it snapshots the pending
 //! roots' subgraph ([`OperatorDag::subgraph`] — `Arc` handles and copied fingerprints, no
 //! re-hashing) into a self-contained [`PreparedBatch`].  The caller can then release its bind
-//! lock and call [`PreparedBatch::execute`], which serialises with other executions on the
-//! internal result lock only.  [`EpochDag::execute_pending`] composes the two for
-//! single-threaded callers — answers are byte-identical either way.
+//! lock and call [`PreparedBatch::execute`].  [`EpochDag::execute_pending`] composes the two
+//! for single-threaded callers — answers are byte-identical either way.
+//!
+//! Every run of an epoch — a prepared batch with or without a memory budget, and each
+//! [`EpochDag::resolve`] step — is one [`DagScheduler::execute_roots`] call against one
+//! result-cache adapter.  The adapter takes the result lock only to look a node up and to
+//! commit the run; no operator ever runs under it, so executions of pipelined batches overlap.
 //!
 //! The epoch DAG is dropped with its epoch, which is what makes the identity-based
 //! fingerprints safe: no cache entry can outlive the row buffers its key points to.
 
-use crate::dag::{DagResultCache, DagScheduler, NodeId, OperatorDag};
+use crate::dag::{DagResultCache, DagRun, DagScheduler, NodeId, OperatorDag};
 use crate::executor::Executor;
 use crate::optimize::{fingerprint, optimize};
 use crate::physical::PhysicalPlan;
-use crate::{EngineResult, Plan};
+use crate::{EngineResult, ExecStats, Plan};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Weak};
 use urm_storage::{BufferPool, RecencyIndex, Relation, SpillableRelation};
@@ -78,16 +82,6 @@ struct PinnedResult {
     bytes: usize,
     /// Recency stamp for LRU eviction.
     last_used: u64,
-}
-
-impl PinnedResult {
-    fn load(&self) -> Option<Arc<Relation>> {
-        match &self.data {
-            PinnedData::Mem(rel) => Some(Arc::clone(rel)),
-            // A failed segment read degrades to a recompute, never an error.
-            PinnedData::Spilled(handle) => handle.load().ok(),
-        }
-    }
 }
 
 /// A persistent per-epoch [`OperatorDag`] with bind and result caching (see the module docs).
@@ -120,10 +114,8 @@ impl Default for EpochDag {
 }
 
 /// The execute stage of an epoch: result caches, pin budget and result counters.  Lives behind
-/// the [`EpochDag`]'s internal mutex, independent of the caller's bind lock.  Pool-free
-/// batches hold the mutex only to snapshot live results and to commit a finished run (their
-/// operator work overlaps); spill-budgeted batches hold it across the whole execution so the
-/// pool-counter delta stays exactly attributed.
+/// the [`EpochDag`]'s internal mutex, independent of the caller's bind lock; a run reaches it
+/// only through its [`EpochCache`].
 #[derive(Debug, Default)]
 struct EpochResults {
     /// Bound fingerprint → weakly held result: live results answer future batches.
@@ -137,8 +129,9 @@ struct EpochResults {
     pin_recency: RecencyIndex<u64>,
     /// Estimated bytes the pin set may hold; the least recently used pins go past it.
     pin_budget: usize,
-    /// The epoch's spill pool (a shared handle of [`EpochDag::pool`]), so pinning can spill
-    /// and the spill-counter delta of one execution is absorbed exactly once, under the lock.
+    /// The epoch's spill pool (a shared handle of [`EpochDag::pool`]), so pinning can spill.
+    /// Every operation on it happens under the result lock, which is what makes each locked
+    /// section's spill-counter delta exact.
     pool: Option<BufferPool>,
     result_hits: u64,
     nodes_executed: u64,
@@ -156,9 +149,9 @@ pub struct EpochRunReport {
     pub bind_hits: u64,
     /// Submissions that had to be optimised, bound and merged into the DAG.
     pub bind_misses: u64,
-    /// Maximum nodes in flight at once (1 for sequential runs).
+    /// Maximum nodes in flight at once (1 for one-thread runs that executed any).
     pub peak_parallelism: usize,
-    /// Worker threads the run was scheduled on.
+    /// Threads the run executed on (see [`DagRunReport::workers`](crate::DagRunReport)).
     pub workers: usize,
 }
 
@@ -177,9 +170,9 @@ pub struct EpochRun {
 /// Produced by [`EpochDag::prepare_pending`].  The snapshot shares bound plans by `Arc` and
 /// carries fingerprints verbatim ([`OperatorDag::subgraph`]), so preparing a warm batch costs
 /// a pointer walk.  A serving layer holds its bind lock only across `prepare_pending`,
-/// letting batch N+1 rewrite and bind while batch N executes; on a pool-free epoch,
-/// [`execute`](PreparedBatch::execute) touches the epoch's internal result lock only to
-/// snapshot and commit, so the executions themselves overlap too.
+/// letting batch N+1 rewrite and bind while batch N executes; [`execute`](PreparedBatch::execute)
+/// touches the epoch's internal result lock only to look nodes up and to commit, so the
+/// executions themselves overlap too.
 #[derive(Debug)]
 pub struct PreparedBatch {
     subdag: OperatorDag,
@@ -215,46 +208,13 @@ impl PreparedBatch {
     /// and this batch's working set moves to the front of the pin set.  The bind stage is
     /// untouched.
     ///
-    /// On a pool-free epoch, the operator work itself runs **outside** the epoch's result
-    /// lock: the lock is held only to snapshot the live cached results before the run and to
-    /// commit the run's working set after it, so executions of pipelined batches overlap on
-    /// multi-core hosts.  Two overlapping batches that both miss the same node each compute
-    /// it (deterministically, so answers stay byte-identical); the commit folds both copies
-    /// onto one cache entry.  A spill-budgeted epoch keeps the exclusive path instead — its
-    /// pool-counter delta must be attributed to exactly one batch, and concurrent executions
-    /// would interleave their deltas while fighting over a single memory budget.
+    /// The operator work runs **outside** the epoch's result lock, with or without a memory
+    /// budget (see [`EpochCache`]), so executions of pipelined batches overlap on multi-core
+    /// hosts.  Two overlapping batches that both miss the same node each compute it
+    /// (deterministically, so answers stay byte-identical); the commit folds both copies onto
+    /// one cache entry.
     pub fn execute(self, exec: &mut Executor<'_>, workers: usize) -> EngineResult<EpochRun> {
-        if self.pool.is_some() {
-            let mut results = self.results.lock().unwrap();
-            return results.execute_run(
-                &self.subdag,
-                &self.roots,
-                exec,
-                workers,
-                self.bind_hits,
-                self.bind_misses,
-            );
-        }
-        if self.roots.is_empty() {
-            let mut results = self.results.lock().unwrap();
-            return Ok(results.empty_run(workers, self.bind_hits, self.bind_misses));
-        }
-        // Stage 1 — snapshot (short lock): every live cached result this subdag could use.
-        let snapshot = {
-            let results = self.results.lock().unwrap();
-            results.snapshot_live(&self.subdag)
-        };
-        // Stage 2 — execute (no lock): the scheduler runs against a local overlay cache.
-        let mut overlay = OverlayCache::new(snapshot);
-        let run = DagScheduler::with_workers(workers).execute_roots(
-            &self.subdag,
-            &self.roots,
-            exec,
-            &mut overlay,
-        )?;
-        // Stage 3 — commit (short lock): counters, fresh results, pins.
-        let mut results = self.results.lock().unwrap();
-        results.commit_run(overlay);
+        let run = run_on(&self.results, &self.subdag, &self.roots, exec, workers)?;
         Ok(EpochRun {
             root_results: run.root_results,
             report: EpochRunReport {
@@ -269,50 +229,102 @@ impl PreparedBatch {
     }
 }
 
-/// The lock-free execute-stage cache of one pool-free batch: lookups answer from a snapshot
-/// of the epoch's live results taken under the result lock, fresh results collect locally,
-/// and the whole working set commits back under the lock once the run is over (see
-/// [`PreparedBatch::execute`]).
-struct OverlayCache {
-    /// Live cached results at batch start, by fingerprint.
-    snapshot: HashMap<u64, Arc<Relation>>,
-    /// Everything this run used — snapshot hits and fresh results — to pin at commit.
-    touched: HashMap<u64, Arc<Relation>>,
-    /// Results computed by this run, in publish order — for the weak cache.
-    fresh: Vec<(u64, Arc<Relation>)>,
-    hits: u64,
-    executed: u64,
+/// Runs `roots` of `dag` on `workers` threads against an epoch's results and commits the run,
+/// failed or not (what a failed run did compute is valid, and its spill counters are owed):
+/// the one way every batch and every [`EpochDag::resolve`] step executes.
+fn run_on(
+    results: &Mutex<EpochResults>,
+    dag: &OperatorDag,
+    roots: &[NodeId],
+    exec: &mut Executor<'_>,
+    workers: usize,
+) -> EngineResult<DagRun> {
+    let mut cache = EpochCache {
+        results,
+        touched: HashMap::new(),
+        fresh: Vec::new(),
+        hits: 0,
+        spill: ExecStats::default(),
+    };
+    let run = DagScheduler::with_workers(workers).execute_roots(dag, roots, exec, &mut cache);
+    cache.commit(exec.stats_mut());
+    run
 }
 
-impl OverlayCache {
-    fn new(snapshot: HashMap<u64, Arc<Relation>>) -> Self {
-        OverlayCache {
-            snapshot,
-            touched: HashMap::new(),
-            fresh: Vec::new(),
-            hits: 0,
-            executed: 0,
+/// The [`DagResultCache`] adapter of one run over an epoch's results.  It takes the epoch's
+/// result lock in exactly two places, and no operator runs under it:
+///
+/// 1. [`lookup`](DagResultCache::lookup) — a pinned result (a spilled pin reloads from its
+///    segment), else a live weak one;
+/// 2. [`commit`](EpochCache::commit) — counters, weak entries for the fresh results, pins
+///    and the pin trim.
+///
+/// Fresh results collect here, off the lock, as the scheduler's workers publish them.  Every
+/// operation on an epoch's spill pool happens inside one of these two sections, and each folds
+/// the pool-counter delta it caused into the run's [`ExecStats`] — so the counters stay
+/// exactly attributed even when runs overlap.
+struct EpochCache<'a> {
+    results: &'a Mutex<EpochResults>,
+    /// Everything this run used — hits and fresh results — to pin at commit.
+    touched: HashMap<u64, Arc<Relation>>,
+    /// Fingerprints of the results this run computed, for the weak cache.
+    fresh: Vec<u64>,
+    hits: u64,
+    /// The spill-counter deltas of this run's lookups, folded into the executor at commit.
+    spill: ExecStats,
+}
+
+impl EpochCache<'_> {
+    /// Folds the run into the epoch (the second locked section): counters, weak entries for
+    /// the fresh results, pins refreshed or admitted (spill-backed under a budget) and the pin
+    /// trim; the spill-counter deltas of the whole run land in `stats`.
+    fn commit(self, stats: &mut ExecStats) {
+        let mut results = self.results.lock().expect("epoch result lock poisoned");
+        results.result_hits += self.hits;
+        results.nodes_executed += self.fresh.len() as u64;
+        results.batches += 1;
+        for fingerprint in &self.fresh {
+            let fresh = Arc::downgrade(&self.touched[fingerprint]);
+            results.weak_results.insert(*fingerprint, fresh);
         }
+        let pool = results.pool.clone();
+        with_spill_delta(pool.as_ref(), stats, || results.pin_touched(self.touched));
+        results.trim_pins();
+        // Drop dead weak entries so the map tracks live results, not the epoch's history.
+        results.weak_results.retain(|_, w| w.strong_count() > 0);
+        stats.merge(&self.spill);
     }
 }
 
-impl DagResultCache for OverlayCache {
+impl DagResultCache for EpochCache<'_> {
     fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>> {
         let hit = self
-            .touched
-            .get(&fingerprint)
-            .cloned()
-            .or_else(|| self.snapshot.get(&fingerprint).cloned())?;
+            .results
+            .lock()
+            .expect("epoch result lock poisoned")
+            .lookup(fingerprint, &mut self.spill)?;
         self.hits += 1;
         self.touched.insert(fingerprint, Arc::clone(&hit));
         Some(hit)
     }
 
     fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>) {
-        self.executed += 1;
-        self.fresh.push((fingerprint, Arc::clone(result)));
+        self.fresh.push(fingerprint);
         self.touched.insert(fingerprint, Arc::clone(result));
     }
+}
+
+/// Runs `f`, adding the spill-pool counter delta it causes to `stats` (just `f` without a pool).
+fn with_spill_delta<R>(
+    pool: Option<&BufferPool>,
+    stats: &mut ExecStats,
+    f: impl FnOnce() -> R,
+) -> R {
+    let Some(pool) = pool else { return f() };
+    let before = pool.stats();
+    let out = f();
+    stats.absorb_spill_delta(&before, &pool.stats());
+    out
 }
 
 impl EpochDag {
@@ -462,17 +474,22 @@ impl EpochDag {
         self.prepare_pending().execute(exec, workers)
     }
 
-    /// Resolves one bound plan immediately (the incremental front-end of the u-trace): the plan
-    /// is merged into the DAG and only the nodes without a live cached result execute.  Results
-    /// are pinned like any batch result.
+    /// Resolves one bound plan immediately (the incremental front-end of the u-trace and of
+    /// q-sharing): the plan is merged into the DAG and run as a batch of one root on the calling
+    /// thread — only the nodes without a live cached result execute, and the results are pinned
+    /// like any batch's.
     pub fn resolve(
         &mut self,
         physical: &Arc<PhysicalPlan>,
         exec: &mut Executor<'_>,
     ) -> EngineResult<Arc<Relation>> {
         let root = self.dag.add_plan(physical);
-        let mut results = self.results.lock().unwrap();
-        results.resolve_on(&self.dag, root, exec)
+        let run = run_on(&self.results, &self.dag, &[root], exec, 1)?;
+        Ok(run
+            .root_results
+            .into_iter()
+            .next()
+            .expect("one root, one result"))
     }
 
     /// The underlying shared-operator DAG (metrics, inspection).
@@ -511,8 +528,8 @@ impl EpochDag {
         self.results.lock().unwrap().nodes_executed
     }
 
-    /// Batches executed via [`execute_pending`](EpochDag::execute_pending) (or prepared and
-    /// executed through the pipeline).
+    /// Runs executed: batches (via [`execute_pending`](EpochDag::execute_pending), or prepared
+    /// and executed through the pipeline) and [`resolve`](EpochDag::resolve) steps.
     #[must_use]
     pub fn batches(&self) -> u64 {
         self.results.lock().unwrap().batches
@@ -533,147 +550,29 @@ impl EpochDag {
 }
 
 impl EpochResults {
-    /// The execute stage of one batch (see [`PreparedBatch::execute`]).  Runs under the result
-    /// lock: executions of one epoch serialise with each other, never with binding.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_run(
-        &mut self,
-        dag: &OperatorDag,
-        roots: &[NodeId],
-        exec: &mut Executor<'_>,
-        workers: usize,
-        bind_hits: u64,
-        bind_misses: u64,
-    ) -> EngineResult<EpochRun> {
-        if roots.is_empty() {
-            return Ok(self.empty_run(workers, bind_hits, bind_misses));
-        }
-        // The pool's counter delta over this execution is folded into the executor's stats
-        // below, under the result lock — executions never interleave, so the delta is exact.
-        let spill_before = self.pool.as_ref().map(|pool| pool.stats());
-        let mut touched: HashMap<u64, Arc<Relation>> = HashMap::new();
-        let mut hits = 0u64;
-        let mut executed = 0u64;
-        let run = {
-            let mut cache = EpochResultCache {
-                weak: &mut self.weak_results,
-                pinned: &mut self.pinned,
-                pinned_bytes: &mut self.pinned_bytes,
-                pin_recency: &mut self.pin_recency,
-                touched: &mut touched,
-                hits: &mut hits,
-                executed: &mut executed,
+    /// Answers one node (the first locked section of a run): from the pin set, refreshing its
+    /// recency — a spilled pin reloads from its segment, the pool-counter delta going to
+    /// `spill` — else from a live weak entry.  A pin whose segment cannot be read any more is
+    /// dropped, and the node simply recomputes.
+    fn lookup(&mut self, fingerprint: u64, spill: &mut ExecStats) -> Option<Arc<Relation>> {
+        if let Some(entry) = self.pinned.get_mut(&fingerprint) {
+            self.pin_recency.touch(fingerprint, &mut entry.last_used);
+            let loaded = match &entry.data {
+                PinnedData::Mem(rel) => Some(Arc::clone(rel)),
+                // `load` fails only when this pin's own segment is unreadable (pool-rebalancing
+                // errors are swallowed inside the pool), so dropping the pin below is correct.
+                PinnedData::Spilled(handle) => {
+                    with_spill_delta(self.pool.as_ref(), spill, || handle.load().ok())
+                }
             };
-            DagScheduler::with_workers(workers).execute_roots(dag, roots, exec, &mut cache)?
-        };
-        self.result_hits += hits;
-        self.nodes_executed += executed;
-        self.batches += 1;
-        self.pin_touched(touched);
-        self.trim_pins();
-        // Drop dead weak entries so the map tracks live results, not the epoch's history.
-        self.weak_results.retain(|_, w| w.strong_count() > 0);
-        if let (Some(before), Some(pool)) = (&spill_before, &self.pool) {
-            exec.stats_mut().absorb_spill_delta(before, &pool.stats());
-        }
-
-        Ok(EpochRun {
-            root_results: run.root_results,
-            report: EpochRunReport {
-                nodes_executed: run.report.nodes_executed,
-                results_reused: run.report.results_reused,
-                bind_hits,
-                bind_misses,
-                peak_parallelism: run.report.peak_parallelism,
-                workers: run.report.workers,
-            },
-        })
-    }
-
-    /// The outcome of a batch with no roots: counted, nothing touched.
-    fn empty_run(&mut self, workers: usize, bind_hits: u64, bind_misses: u64) -> EpochRun {
-        self.batches += 1;
-        EpochRun {
-            root_results: Vec::new(),
-            report: EpochRunReport {
-                nodes_executed: 0,
-                results_reused: 0,
-                bind_hits,
-                bind_misses,
-                peak_parallelism: 0,
-                workers: workers.max(1),
-            },
-        }
-    }
-
-    /// Every live cached result a run over `dag` could consume, read without mutating
-    /// recency — the commit stage refreshes recency for whatever the run actually touched.
-    /// Called under the result lock; the returned map is the lock-free run's read view.
-    fn snapshot_live(&self, dag: &OperatorDag) -> HashMap<u64, Arc<Relation>> {
-        let mut live = HashMap::new();
-        for fingerprint in dag.fingerprints() {
-            let hit = self
-                .pinned
-                .get(&fingerprint)
-                .and_then(PinnedResult::load)
-                .or_else(|| self.weak_results.get(&fingerprint).and_then(Weak::upgrade));
-            if let Some(rel) = hit {
-                live.insert(fingerprint, rel);
+            if loaded.is_some() {
+                return loaded;
             }
+            let entry = self.pinned.remove(&fingerprint).expect("entry looked up");
+            self.pin_recency.forget(entry.last_used);
+            self.pinned_bytes -= entry.bytes;
         }
-        live
-    }
-
-    /// Folds a lock-free run back into the epoch: counters, weak entries for the fresh
-    /// results, and the same pinning an exclusive run performs.  Called under the result
-    /// lock.
-    fn commit_run(&mut self, overlay: OverlayCache) {
-        let OverlayCache {
-            touched,
-            fresh,
-            hits,
-            executed,
-            ..
-        } = overlay;
-        self.result_hits += hits;
-        self.nodes_executed += executed;
-        self.batches += 1;
-        for (fingerprint, result) in &fresh {
-            self.weak_results
-                .insert(*fingerprint, Arc::downgrade(result));
-        }
-        self.pin_touched(touched);
-        self.trim_pins();
-        self.weak_results.retain(|_, w| w.strong_count() > 0);
-    }
-
-    /// The incremental resolve path (see [`EpochDag::resolve`]).
-    fn resolve_on(
-        &mut self,
-        dag: &OperatorDag,
-        root: NodeId,
-        exec: &mut Executor<'_>,
-    ) -> EngineResult<Arc<Relation>> {
-        let mut touched: HashMap<u64, Arc<Relation>> = HashMap::new();
-        let mut hits = 0u64;
-        let mut executed = 0u64;
-        let result = {
-            let mut cache = EpochResultCache {
-                weak: &mut self.weak_results,
-                pinned: &mut self.pinned,
-                pinned_bytes: &mut self.pinned_bytes,
-                pin_recency: &mut self.pin_recency,
-                touched: &mut touched,
-                hits: &mut hits,
-                executed: &mut executed,
-            };
-            dag.resolve_root(root, exec, &mut cache)?
-        };
-        self.result_hits += hits;
-        self.nodes_executed += executed;
-        self.pin_touched(touched);
-        self.trim_pins();
-        Ok(result)
+        self.weak_results.get(&fingerprint).and_then(Weak::upgrade)
     }
 
     /// Upserts every touched result into the pin set (spill-backed when a pool is attached),
@@ -728,59 +627,6 @@ impl EpochResults {
             let entry = self.pinned.remove(&fp).expect("victim pinned");
             self.pinned_bytes -= entry.bytes;
         }
-    }
-}
-
-/// The [`DagResultCache`] adapter of one epoch run: answers lookups from this run's results,
-/// the pinned set (transparently reloading spilled pins from their segments), then the weak
-/// cache; collects everything it touches for pinning.
-struct EpochResultCache<'a> {
-    weak: &'a mut HashMap<u64, Weak<Relation>>,
-    pinned: &'a mut HashMap<u64, PinnedResult>,
-    pinned_bytes: &'a mut usize,
-    pin_recency: &'a mut RecencyIndex<u64>,
-    touched: &'a mut HashMap<u64, Arc<Relation>>,
-    hits: &'a mut u64,
-    executed: &'a mut u64,
-}
-
-impl EpochResultCache<'_> {
-    /// Answers a lookup from the pin set, refreshing recency; a pin whose segment cannot be
-    /// read any more is dropped (the node simply recomputes).
-    fn lookup_pinned(&mut self, fingerprint: u64) -> Option<Arc<Relation>> {
-        let entry = self.pinned.get_mut(&fingerprint)?;
-        self.pin_recency.touch(fingerprint, &mut entry.last_used);
-        match entry.load() {
-            // `load` fails only when this pin's own segment is unreadable (pool-rebalancing
-            // errors are swallowed inside the pool), so dropping the pin here is correct.
-            Some(rel) => Some(rel),
-            None => {
-                let entry = self.pinned.remove(&fingerprint).expect("entry looked up");
-                self.pin_recency.forget(entry.last_used);
-                *self.pinned_bytes -= entry.bytes;
-                None
-            }
-        }
-    }
-}
-
-impl DagResultCache for EpochResultCache<'_> {
-    fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>> {
-        let hit = self
-            .touched
-            .get(&fingerprint)
-            .cloned()
-            .or_else(|| self.lookup_pinned(fingerprint))
-            .or_else(|| self.weak.get(&fingerprint).and_then(Weak::upgrade))?;
-        *self.hits += 1;
-        self.touched.insert(fingerprint, Arc::clone(&hit));
-        Some(hit)
-    }
-
-    fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>) {
-        *self.executed += 1;
-        self.weak.insert(fingerprint, Arc::downgrade(result));
-        self.touched.insert(fingerprint, Arc::clone(result));
     }
 }
 
@@ -954,50 +800,64 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_executions_of_a_pool_free_epoch_stay_byte_identical() {
-        // Two batches prepared back-to-back execute at the same time on two threads: neither
-        // holds the result lock across its operator work, both commit, answers match the
-        // rebuild-every-batch baseline row for row, and the epoch ends up warm.
+    fn concurrent_executions_of_an_epoch_stay_byte_identical() {
+        // Two batches prepared back-to-back execute at the same time on two threads — on a
+        // pool-free epoch and on one whose memory budget spills every pin.  Neither holds the
+        // result lock across its operator work, both commit, answers match the
+        // rebuild-every-batch baseline row for row, each run's spill counters are exactly its
+        // share of the pool's totals, and the epoch ends up warm.
         let cat = catalog();
-        let exec = Executor::new(&cat);
-        let mut epoch = EpochDag::new();
-        for q in queries() {
-            epoch.submit(&q, &exec).unwrap();
-        }
-        let first = epoch.prepare_pending();
-        for q in queries() {
-            epoch.submit(&q, &exec).unwrap();
-        }
-        let second = epoch.prepare_pending();
-
-        let (run1, run2) = std::thread::scope(|scope| {
-            let a = scope.spawn(|| {
-                let mut exec = Executor::new(&cat);
-                first.execute(&mut exec, 2)
-            });
-            let b = scope.spawn(|| {
-                let mut exec = Executor::new(&cat);
-                second.execute(&mut exec, 2)
-            });
-            (a.join().expect("batch 1"), b.join().expect("batch 2"))
-        });
-        let (run1, run2) = (run1.unwrap(), run2.unwrap());
-
         let mut exec = Executor::new(&cat);
-        let mut fresh = EpochDag::new();
-        let baseline = run_batch(&mut fresh, &mut exec, 1);
-        for run in [&run1, &run2] {
-            assert_eq!(run.root_results.len(), baseline.root_results.len());
-            for (got, want) in run.root_results.iter().zip(&baseline.root_results) {
-                assert_eq!(got.schema(), want.schema());
-                assert_eq!(got.rows(), want.rows());
+        let baseline = run_batch(&mut EpochDag::new(), &mut exec, 1);
+        let execute = |batch: PreparedBatch| {
+            let mut exec = match batch.pool().cloned() {
+                Some(pool) => Executor::with_pool(&cat, pool),
+                None => Executor::new(&cat),
+            };
+            let run = batch.execute(&mut exec, 2);
+            (run, exec.into_stats())
+        };
+        for mut epoch in [EpochDag::new(), EpochDag::with_memory_budget(0)] {
+            for q in queries() {
+                epoch.submit(&q, &exec).unwrap();
             }
+            let first = epoch.prepare_pending();
+            for q in queries() {
+                epoch.submit(&q, &exec).unwrap();
+            }
+            let second = epoch.prepare_pending();
+
+            let ((run1, stats1), (run2, stats2)) = std::thread::scope(|scope| {
+                let a = scope.spawn(move || execute(first));
+                let b = scope.spawn(move || execute(second));
+                (a.join().expect("batch 1"), b.join().expect("batch 2"))
+            });
+            let (run1, run2) = (run1.unwrap(), run2.unwrap());
+            for run in [&run1, &run2] {
+                assert_eq!(run.root_results.len(), baseline.root_results.len());
+                for (got, want) in run.root_results.iter().zip(&baseline.root_results) {
+                    assert_eq!(got.schema(), want.schema());
+                    assert_eq!(got.rows(), want.rows());
+                }
+            }
+            if let Some(pool) = epoch.pool() {
+                let total = pool.stats();
+                assert!(total.bytes_spilled > 0, "budget 0 must spill every pin");
+                let sum = |f: fn(&ExecStats) -> u64| f(&stats1) + f(&stats2);
+                assert_eq!(sum(|s| s.bytes_spilled), total.bytes_spilled);
+                assert_eq!(sum(|s| s.spill_reloads), total.spill_reloads);
+                assert_eq!(sum(|s| s.segment_bytes_raw), total.segment_bytes_raw);
+                assert_eq!(
+                    sum(|s| s.segment_bytes_encoded),
+                    total.segment_bytes_encoded
+                );
+            }
+            assert_eq!(epoch.batches(), 2);
+            // Both commits landed: a third batch is answered without executing a node.
+            let warm = run_batch(&mut epoch, &mut exec, 1);
+            assert_eq!(warm.report.nodes_executed, 0);
+            assert_eq!(warm.report.results_reused, 3);
         }
-        assert_eq!(epoch.batches(), 2);
-        // Both commits landed: a third batch is answered without executing a node.
-        let warm = run_batch(&mut epoch, &mut exec, 1);
-        assert_eq!(warm.report.nodes_executed, 0);
-        assert_eq!(warm.report.results_reused, 3);
     }
 
     #[test]

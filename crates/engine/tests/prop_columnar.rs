@@ -703,7 +703,7 @@ fn interior_four_way_join_holds_index_vectors_not_cells() {
     let mut dag = OperatorDag::new();
     let root = dag.add_plan(&physical);
     let mut capture = Capture(std::collections::HashMap::new());
-    let run = DagScheduler::sequential()
+    let run = DagScheduler::with_workers(1)
         .execute_roots(&dag, &[root], &mut exec, &mut capture)
         .unwrap();
 

@@ -17,13 +17,48 @@
 
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::collections::HashMap;
 use std::sync::Arc;
 use urm_engine::optimize::fingerprint;
 use urm_engine::{
-    AggFunc, CompareOp, DagScheduler, EpochDag, ExecStats, Executor, OperatorDag, Plan, Predicate,
-    ReferenceExecutor,
+    AggFunc, CompareOp, DagResultCache, DagRun, DagScheduler, EngineResult, EpochDag, ExecStats,
+    Executor, OperatorDag, Plan, Predicate, ReferenceExecutor,
 };
 use urm_storage::{Attribute, Catalog, Column, DataType, Relation, Schema, Tuple, Value};
+
+/// A result store outside any epoch: answers what was published to it.
+#[derive(Default)]
+struct Memo(HashMap<u64, Arc<Relation>>);
+
+impl DagResultCache for Memo {
+    fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>> {
+        self.0.get(&fingerprint).cloned()
+    }
+    fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>) {
+        self.0.insert(fingerprint, Arc::clone(result));
+    }
+}
+
+/// Binds `plans` into one merged DAG and runs every one of them from scratch (an empty memo
+/// answers nothing) on `workers` threads.
+fn run_merged<'p>(
+    plans: impl IntoIterator<Item = &'p Plan>,
+    exec: &mut Executor<'_>,
+    workers: usize,
+) -> EngineResult<(OperatorDag, DagRun)> {
+    let mut dag = OperatorDag::new();
+    let mut roots = Vec::new();
+    for plan in plans {
+        roots.push(dag.add_plan(&exec.bind(plan)?));
+    }
+    let run = DagScheduler::with_workers(workers).execute_roots(
+        &dag,
+        &roots,
+        exec,
+        &mut Memo::default(),
+    )?;
+    Ok((dag, run))
+}
 
 /// The value domain is deliberately tiny so selections and joins actually hit.
 fn random_value(rng: &mut TestRng, dt: DataType) -> Value {
@@ -211,14 +246,8 @@ proptest! {
 
         for workers in [1usize, 3] {
             let mut exec = Executor::new(&catalog);
-            let mut dag = OperatorDag::new();
-            for (plan, _) in &batch {
-                let physical = exec.bind(plan).expect("reference-accepted plan binds");
-                dag.add_root(&physical);
-            }
-            let run = DagScheduler::with_workers(workers)
-                .execute(&dag, &mut exec)
-                .expect("batch executes");
+            let (dag, run) = run_merged(batch.iter().map(|(plan, _)| plan), &mut exec, workers)
+                .expect("reference-accepted batch binds and executes");
             prop_assert_eq!(run.root_results.len(), batch.len());
             for ((plan, expected), got) in batch.iter().zip(&run.root_results) {
                 let want_cols: Vec<&str> = expected.schema().attribute_names().collect();
@@ -292,13 +321,9 @@ proptest! {
 
             // The rebuild-every-batch path over the same plans agrees bit-for-bit.
             let mut rebuild_exec = Executor::new(&catalog);
-            let mut dag = OperatorDag::new();
-            for (plan, _) in &batch {
-                dag.add_root(&rebuild_exec.bind(plan).expect("plan binds"));
-            }
-            let rebuilt = DagScheduler::with_workers(workers)
-                .execute(&dag, &mut rebuild_exec)
-                .expect("rebuild batch executes");
+            let (_, rebuilt) =
+                run_merged(batch.iter().map(|(plan, _)| plan), &mut rebuild_exec, workers)
+                    .expect("rebuild batch executes");
             for ((plan, expected), got) in batch.iter().zip(&rebuilt.root_results) {
                 prop_assert_eq!(expected.rows(), got.rows(), "rebuild diverges for plan:\n{}", plan);
             }
@@ -320,11 +345,7 @@ proptest! {
             return;
         }
         let mut exec = Executor::new(&catalog);
-        let outcome = exec.bind(&plan).and_then(|physical| {
-            let mut dag = OperatorDag::new();
-            dag.add_root(&physical);
-            DagScheduler::sequential().execute(&dag, &mut exec)
-        });
+        let outcome = run_merged([&plan], &mut exec, 1);
         prop_assert!(outcome.is_err(), "DAG accepted a plan the reference rejects:\n{}", plan);
     }
 }
@@ -475,13 +496,7 @@ proptest! {
         let mut dag_accounting = Vec::new();
         for workers in [1usize, 3] {
             let mut exec = Executor::new(&catalog);
-            let mut dag = OperatorDag::new();
-            for plan in &plans {
-                dag.add_root(&exec.bind(plan).expect("plan binds"));
-            }
-            let run = DagScheduler::with_workers(workers)
-                .execute(&dag, &mut exec)
-                .expect("batch executes");
+            let (dag, run) = run_merged(&plans, &mut exec, workers).expect("batch executes");
             for ((plan, want), got) in plans.iter().zip(&expected).zip(&run.root_results) {
                 prop_assert_eq!(want.schema(), got.schema());
                 prop_assert_eq!(want.rows(), got.rows(), "DAG rows diverge:\n{}", plan);

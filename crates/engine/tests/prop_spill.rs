@@ -7,17 +7,33 @@
 //!   exactly the rows of the row-at-a-time [`ReferenceExecutor`] — same schema, same rows,
 //!   same row order;
 //! * an [`EpochDag`] under a memory budget (spill-backed pins) answers warm batches with the
-//!   same bytes the cold batch produced, without re-executing a node;
+//!   same bytes the cold batch produced, without re-executing a node, on one worker or three;
 //! * an *unbounded* pool is the never-spill fast path: zero segment files, zero reloads, zero
 //!   grace partitions.
 
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::collections::HashMap;
+use std::sync::Arc;
 use urm_engine::optimize::fingerprint;
 use urm_engine::{
-    CompareOp, DagScheduler, EpochDag, Executor, OperatorDag, Plan, Predicate, ReferenceExecutor,
+    CompareOp, DagResultCache, DagScheduler, EpochDag, Executor, OperatorDag, Plan, Predicate,
+    ReferenceExecutor,
 };
 use urm_storage::{Attribute, BufferPool, Catalog, DataType, Relation, Schema, Tuple, Value};
+
+/// A result store outside any epoch: answers what was published to it.
+#[derive(Default)]
+struct Memo(HashMap<u64, Arc<Relation>>);
+
+impl DagResultCache for Memo {
+    fn lookup(&mut self, fingerprint: u64) -> Option<Arc<Relation>> {
+        self.0.get(&fingerprint).cloned()
+    }
+    fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>) {
+        self.0.insert(fingerprint, Arc::clone(result));
+    }
+}
 
 /// A tiny value domain so joins and selections actually hit; nulls included so null-key
 /// handling is exercised on the grace path.
@@ -131,11 +147,12 @@ proptest! {
             };
             let mut exec = Executor::with_pool(&catalog, pool.clone());
             let mut dag = OperatorDag::new();
-            for (plan, _) in &batch {
-                dag.add_root(&exec.bind(plan).expect("reference-accepted plan binds"));
-            }
-            let run = DagScheduler::sequential()
-                .execute(&dag, &mut exec)
+            let roots: Vec<_> = batch
+                .iter()
+                .map(|(plan, _)| dag.add_plan(&exec.bind(plan).expect("reference-accepted plan binds")))
+                .collect();
+            let run = DagScheduler::with_workers(1)
+                .execute_roots(&dag, &roots, &mut exec, &mut Memo::default())
                 .expect("budgeted batch executes");
             for ((plan, expected), got) in batch.iter().zip(&run.root_results) {
                 let want_cols: Vec<&str> = expected.schema().attribute_names().collect();
@@ -163,7 +180,7 @@ proptest! {
     }
 
     /// An epoch under a memory budget answers warm batches from spill-backed pins with the
-    /// cold batch's exact bytes, executing nothing.
+    /// cold batch's exact bytes, executing nothing — on one worker or three.
     #[test]
     fn budgeted_epoch_warm_batches_are_byte_identical(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
@@ -172,31 +189,34 @@ proptest! {
         if batch.is_empty() {
             return;
         }
-        let mut exec = Executor::new(&catalog);
-        let mut epoch = EpochDag::with_memory_budget(rng.index(2048));
-        let run_once = |epoch: &mut EpochDag, exec: &mut Executor<'_>| {
-            for (plan, _) in &batch {
-                epoch
-                    .submit_with(fingerprint(plan), || exec.bind(plan))
-                    .expect("plan binds");
+        let budget = rng.index(2048);
+        for workers in [1usize, 3] {
+            let mut exec = Executor::new(&catalog);
+            let mut epoch = EpochDag::with_memory_budget(budget);
+            let mut run_once = |epoch: &mut EpochDag| {
+                for (plan, _) in &batch {
+                    epoch
+                        .submit_with(fingerprint(plan), || exec.bind(plan))
+                        .expect("plan binds");
+                }
+                epoch.execute_pending(&mut exec, workers).expect("batch executes")
+            };
+            let cold = run_once(&mut epoch);
+            let cold_rows: Vec<Vec<Tuple>> = cold
+                .root_results
+                .iter()
+                .map(|r| r.rows().to_vec())
+                .collect();
+            for ((_, expected), got) in batch.iter().zip(&cold.root_results) {
+                prop_assert_eq!(expected.rows(), got.rows());
             }
-            epoch.execute_pending(exec, 1).expect("batch executes")
-        };
-        let cold = run_once(&mut epoch, &mut exec);
-        let cold_rows: Vec<Vec<Tuple>> = cold
-            .root_results
-            .iter()
-            .map(|r| r.rows().to_vec())
-            .collect();
-        for ((_, expected), got) in batch.iter().zip(&cold.root_results) {
-            prop_assert_eq!(expected.rows(), got.rows());
-        }
-        drop(cold); // drop every external Arc so warm answers must come through the pin set
+            drop(cold); // drop every external Arc so warm answers must come through the pin set
 
-        let warm = run_once(&mut epoch, &mut exec);
-        prop_assert_eq!(warm.report.nodes_executed, 0, "warm batch re-executed");
-        for (want, got) in cold_rows.iter().zip(&warm.root_results) {
-            prop_assert_eq!(want, &got.rows().to_vec(), "warm reload changed rows");
+            let warm = run_once(&mut epoch);
+            prop_assert_eq!(warm.report.nodes_executed, 0, "warm batch re-executed");
+            for (want, got) in cold_rows.iter().zip(&warm.root_results) {
+                prop_assert_eq!(want, &got.rows().to_vec(), "warm reload changed rows");
+            }
         }
     }
 }

@@ -1,11 +1,10 @@
 //! Global shared plans over a batch of source queries.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use urm_engine::optimize::fingerprint;
-use urm_engine::{DagRun, DagScheduler, EngineResult, Executor, OperatorDag, Plan};
-use urm_storage::{Catalog, Relation};
+use urm_engine::{EngineResult, Plan};
+use urm_storage::Catalog;
 
 /// A global plan for a batch of source queries with common sub-expressions identified.
 ///
@@ -13,11 +12,12 @@ use urm_storage::{Catalog, Relation};
 /// sub-plan of every query is a sharing candidate, and the optimiser scores every candidate
 /// against every *pair* of queries to decide which materialisation points pay off.  This search
 /// is what makes e-MQO expensive when hundreds of source queries are generated from a large
-/// mapping set (the effect shown in Figures 10(b) and 10(c) of the paper); the execution itself
-/// then runs the minimal set of distinct operators.
+/// mapping set (the effect shown in Figures 10(b) and 10(c) of the paper).  Execution is not
+/// this type's: e-MQO lowers the same queries onto one epoch DAG, whose node dedup runs the
+/// minimal set of distinct operators.
 #[derive(Debug)]
 pub struct GlobalPlan {
-    queries: Vec<Plan>,
+    query_count: usize,
     /// fingerprint → number of queries containing that sub-expression.
     sharing: HashMap<u64, usize>,
     distinct_operators: usize,
@@ -78,7 +78,7 @@ impl GlobalPlan {
 
         let shared_subexpressions = sub_of_any.values().filter(|&&n| n > 1).count();
         Ok(GlobalPlan {
-            queries: queries.to_vec(),
+            query_count: queries.len(),
             sharing: sub_of_any,
             distinct_operators: distinct_ops.len(),
             shared_subexpressions: shared_subexpressions.max(pairwise_benefit.min(1)),
@@ -89,7 +89,7 @@ impl GlobalPlan {
     /// Number of queries covered by the global plan.
     #[must_use]
     pub fn query_count(&self) -> usize {
-        self.queries.len()
+        self.query_count
     }
 
     /// Number of distinct operator nodes that will be executed (the paper's Table IV metric for
@@ -116,39 +116,13 @@ impl GlobalPlan {
     pub fn build_time(&self) -> Duration {
         self.build_time
     }
-
-    /// Executes every query through one merged shared-operator DAG, returning the results in
-    /// the order the queries were supplied to [`GlobalPlan::build`].
-    ///
-    /// Every query is bound and merged into a single [`OperatorDag`]; the scheduler then runs
-    /// each distinct operator exactly once — the defining property of the e-MQO global plan.
-    pub fn execute(&self, exec: &mut Executor<'_>) -> EngineResult<Vec<Arc<Relation>>> {
-        Ok(self
-            .execute_dag(exec, DagScheduler::sequential())?
-            .root_results)
-    }
-
-    /// Like [`execute`](GlobalPlan::execute) with an explicit scheduler (e.g. parallel
-    /// workers), returning the full [`DagRun`] including the node-dedup report.
-    pub fn execute_dag(
-        &self,
-        exec: &mut Executor<'_>,
-        scheduler: DagScheduler,
-    ) -> EngineResult<DagRun> {
-        let mut dag = OperatorDag::new();
-        for q in &self.queries {
-            let physical = exec.bind(q)?;
-            dag.add_root(&physical);
-        }
-        scheduler.execute(&dag, exec)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urm_engine::Predicate;
-    use urm_storage::{Attribute, DataType, Schema, Tuple, Value};
+    use urm_engine::{EpochDag, EpochRun, Executor, Predicate};
+    use urm_storage::{Attribute, DataType, Relation, Schema, Tuple, Value};
 
     fn catalog() -> Catalog {
         let schema = Schema::new(
@@ -175,6 +149,17 @@ mod tests {
         Plan::scan("R").select(Predicate::eq("R.b", Value::from(value)))
     }
 
+    /// Executes the queries as e-MQO does: each submitted to one throwaway epoch DAG under its
+    /// own fingerprint, then run on `workers` threads.
+    fn execute(queries: &[Plan], exec: &mut Executor<'_>, workers: usize) -> (EpochDag, EpochRun) {
+        let mut epoch = EpochDag::new();
+        for q in queries {
+            epoch.submit_with(fingerprint(q), || exec.bind(q)).unwrap();
+        }
+        let run = epoch.execute_pending(exec, workers).unwrap();
+        (epoch, run)
+    }
+
     #[test]
     fn build_counts_distinct_operators() {
         let cat = catalog();
@@ -199,9 +184,8 @@ mod tests {
             select_b("hit").project(vec!["R.b".into()]),
             select_b("hit").project(vec!["R.a".into()]), // duplicate of the first
         ];
-        let global = GlobalPlan::build(&queries, &cat).unwrap();
         let mut exec = Executor::new(&cat);
-        let results = global.execute(&mut exec).unwrap();
+        let results = execute(&queries, &mut exec, 1).1.root_results;
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].rows(), results[2].rows());
         // One scan, one selection, two projections executed in total.
@@ -217,9 +201,8 @@ mod tests {
             select_b("miss"),
             select_b("hit").project(vec!["R.a".into()]),
         ];
-        let global = GlobalPlan::build(&queries, &cat).unwrap();
         let mut exec = Executor::new(&cat);
-        let shared = global.execute(&mut exec).unwrap();
+        let shared = execute(&queries, &mut exec, 1).1.root_results;
         for (plan, result) in queries.iter().zip(&shared) {
             let direct = Executor::new(&cat).run(plan).unwrap();
             assert_eq!(direct.rows(), result.rows());
@@ -248,13 +231,10 @@ mod tests {
             select_b("miss").project(vec!["R.a".into()]),
             select_b("hit"),
         ];
-        let global = GlobalPlan::build(&queries, &cat).unwrap();
         let mut seq_exec = Executor::new(&cat);
-        let sequential = global.execute(&mut seq_exec).unwrap();
+        let sequential = execute(&queries, &mut seq_exec, 1).1.root_results;
         let mut par_exec = Executor::new(&cat);
-        let parallel = global
-            .execute_dag(&mut par_exec, DagScheduler::with_workers(3))
-            .unwrap();
+        let (epoch, parallel) = execute(&queries, &mut par_exec, 3);
         for (a, b) in sequential.iter().zip(&parallel.root_results) {
             assert_eq!(a.rows(), b.rows());
         }
@@ -264,7 +244,7 @@ mod tests {
             par_exec.stats().operators_executed,
             seq_exec.stats().operators_executed
         );
-        assert!(parallel.report.operators_reused > 0);
+        assert!(epoch.dag().operators_reused() > 0);
         assert_eq!(parallel.report.workers, 3);
     }
 
@@ -282,6 +262,6 @@ mod tests {
         assert_eq!(global.query_count(), 0);
         assert_eq!(global.distinct_operator_count(), 0);
         let mut exec = Executor::new(&cat);
-        assert!(global.execute(&mut exec).unwrap().is_empty());
+        assert!(execute(&[], &mut exec, 1).1.root_results.is_empty());
     }
 }

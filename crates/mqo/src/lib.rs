@@ -14,16 +14,17 @@
 //!    opportunities that it loses to plain e-basic end-to-end (Figures 10(b) and 10(c)).
 //!
 //! This crate reproduces both characteristics with a transparent design: every sub-plan of every
-//! query is fingerprinted; a [`GlobalPlan`] lowers the queries onto one shared-operator DAG, so
-//! each distinct sub-expression is executed exactly once; and [`GlobalPlan::build`] performs
-//! the (intentionally thorough, quadratic-in-candidates) covering analysis over all pairs of
-//! queries that a cost-based MQO search performs, which is what makes plan construction slow
-//! for hundreds of source queries.
+//! query is fingerprinted, and [`GlobalPlan::build`] performs the (intentionally thorough,
+//! quadratic-in-candidates) covering analysis over all pairs of queries that a cost-based MQO
+//! search performs, which is what makes plan construction slow for hundreds of source queries.
+//! Execution is the engine's one way to run a DAG: e-MQO submits the same queries to a
+//! throwaway `urm_engine::EpochDag`, whose node dedup executes each distinct sub-expression
+//! exactly once.
 //!
 //! [`LruCache`] is the bounded map behind the serving layer's answer cache.
 //!
 //! ```
-//! use urm_engine::{Executor, Plan, Predicate};
+//! use urm_engine::{Plan, Predicate};
 //! use urm_mqo::GlobalPlan;
 //! use urm_storage::{Attribute, Catalog, DataType, Relation, Schema, Tuple, Value};
 //!
@@ -36,9 +37,6 @@
 //! let q2 = Plan::scan("R").select(Predicate::eq("R.a", Value::from(1i64)));
 //! let global = GlobalPlan::build(&[q1, q2], &catalog).unwrap();
 //! assert_eq!(global.distinct_operator_count(), 1); // the one selection is shared by both queries
-//! let mut exec = Executor::new(&catalog);
-//! let results = global.execute(&mut exec).unwrap();
-//! assert_eq!(results.len(), 2);
 //! ```
 
 #![warn(missing_docs)]

@@ -297,7 +297,7 @@ fn main() -> ExitCode {
 
     match args.algorithm {
         Mode::Service => run_service(&args, &workload, &scenarios),
-        Mode::Sequential(algorithm) => run_sequential(&args, algorithm, &workload, &scenarios),
+        Mode::Sequential(algorithm) => run_algorithm(&args, algorithm, &workload, &scenarios),
     }
 }
 
@@ -508,7 +508,7 @@ fn run_service(
     ExitCode::SUCCESS
 }
 
-fn run_sequential(
+fn run_algorithm(
     args: &Args,
     algorithm: Algorithm,
     workload: &[WorkloadEntry],

@@ -11,8 +11,8 @@ pub struct ServiceConfig {
     /// this size (or when [`flush`](crate::QueryService::flush) is called).
     pub batch_max: usize,
     /// Worker threads of the intra-batch DAG scheduler: each batch is merged into one
-    /// shared-operator DAG whose independent ready nodes run on this many scoped threads
-    /// (1 = sequential topological execution).
+    /// shared-operator DAG whose independent ready nodes run on up to this many threads — the
+    /// batch's own plus scoped helpers (1 = the batch's own thread alone).
     pub dag_workers: usize,
     /// Capacity of the service-wide answer cache (entries, LRU-evicted); 0 disables it.
     pub answer_cache_capacity: usize,

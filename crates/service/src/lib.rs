@@ -13,8 +13,9 @@
 //! * each batch is lowered onto **one merged shared-operator DAG**
 //!   ([`urm_engine::dag`](urm_engine::dag)): the bound plans of every query in the batch are
 //!   deduplicated by fingerprint, every distinct operator executes exactly once, and the
-//!   [`DagScheduler`](urm_engine::DagScheduler) runs independent ready nodes on
-//!   [`ServiceConfig::dag_workers`] scoped threads (intra-batch parallelism);
+//!   [`DagScheduler`](urm_engine::DagScheduler)'s one worker loop runs independent ready nodes
+//!   on up to [`ServiceConfig::dag_workers`] threads — the batch's own and scoped helpers
+//!   (intra-batch parallelism) — with or without a memory budget;
 //! * batches run on a fixed **worker pool**, so independent batches (and epochs) evaluate in
 //!   parallel while each batch stays deterministic;
 //! * a bounded **answer cache** keyed by epoch + the query itself (a

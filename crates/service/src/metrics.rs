@@ -247,7 +247,8 @@ pub struct BatchReport {
     pub epoch_results_reused: u64,
     /// Maximum number of DAG nodes in flight at once while this batch executed.
     pub peak_parallelism: usize,
-    /// Worker threads the batch DAG was scheduled on.
+    /// Threads the batch DAG ran on (at most `ServiceConfig::dag_workers`, and no more than
+    /// it had nodes to execute).
     pub dag_workers: usize,
     /// Source operators executed by this batch.
     pub source_operators: u64,

@@ -330,7 +330,8 @@ impl Inner {
                 .map(|sharded| (sharded.batch, Some(sharded.shards))),
             // The epoch's bind lock is held only while this batch is rewritten, optimised and
             // bound — so another worker can already bind the epoch's *next* batch while this
-            // one executes below, on the engine's internal result lock alone.
+            // one executes below; the engine's internal result lock is taken only to look
+            // nodes up and to commit, never across an operator.
             None => {
                 let prepared = {
                     let mut epoch_dag = batch.epoch.dag.lock().unwrap();
