@@ -509,7 +509,7 @@ impl Harness {
                 .map_err(|e| urm_core::CoreError::InvalidQuery(e.to_string()))?;
             row.time = start.elapsed();
             let metrics = service.metrics();
-            row.source_operators = metrics.source_operators;
+            row.source_operators = metrics.exec.source_operators();
             row.answers = responses.iter().map(|r| r.answer.len()).sum();
             rows.push(row);
 

@@ -34,7 +34,7 @@ use crate::reformulate::{aggregate, partitioned_reformulations, Clustering, Extr
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::optimize::optimize;
-use urm_engine::{EpochDag, ExecStats, Executor, PreparedBatch};
+use urm_engine::{EpochDag, ExecStats, Executor, PreparedBatch, RunReport};
 use urm_matching::MappingSet;
 use urm_obs::Tracer;
 use urm_storage::{BufferPool, Catalog};
@@ -90,34 +90,18 @@ pub struct BatchEvaluation {
     /// shared DAG nodes belong to several queries at once, so executor work is accounted
     /// batch-wide in [`exec`](BatchEvaluation::exec) instead.
     pub evaluations: Vec<Evaluation>,
-    /// Source-query submissions this batch answered without new plan work: operator insertions
-    /// deduplicated onto existing DAG nodes plus whole plans answered by the epoch bind cache.
-    pub plan_hits: u64,
-    /// Distinct operator nodes this batch added to the DAG (a cold batch executes exactly
-    /// these; a warm batch can add none and still answer everything).
-    pub plan_misses: u64,
-    /// Batch-wide executor statistics (operators, scans, tuples, time).
+    /// Batch-wide executor statistics (operators, scans, tuples, spill, time).
     pub exec: ExecStats,
-    /// DAG nodes actually executed by this batch (each exactly once).
-    pub dag_nodes: usize,
-    /// Maximum number of DAG nodes in flight at once (1 for sequential runs).
-    pub peak_parallelism: usize,
-    /// Threads the DAG ran on: at most the configured workers, and no more than it had nodes
-    /// to execute.
-    pub workers: usize,
-    /// Source-query submissions answered by the epoch DAG's bind cache — optimise, bind and
-    /// DAG-merge skipped entirely (0 for a cold batch).
-    pub epoch_bind_hits: u64,
-    /// DAG nodes answered by a still-materialised result of an earlier batch of the same epoch
-    /// — executions skipped, whole subgraphs pruned (0 for a cold batch).
-    pub epoch_results_reused: u64,
+    /// The batch's bind stage and DAG run: bind-cache hits, DAG-merge dedup, nodes executed
+    /// and answered by an earlier batch's results, parallelism and threads.
+    pub run: RunReport,
 }
 
 impl BatchEvaluation {
     /// Total source operators executed across the batch (the paper's Table IV metric).
     #[must_use]
     pub fn source_operators(&self) -> u64 {
-        self.exec.operators_executed + self.exec.scans
+        self.exec.source_operators()
     }
 }
 
@@ -255,10 +239,6 @@ pub fn evaluate_batch_epoch(
 pub struct PreparedBatchEvaluation {
     pending: Vec<PendingQuery>,
     prepared: PreparedBatch,
-    /// Operator insertions deduplicated onto existing DAG nodes during this batch's submission.
-    dag_plan_hits: u64,
-    /// Distinct operator nodes this batch added to the DAG.
-    dag_plan_misses: u64,
 }
 
 impl PreparedBatchEvaluation {
@@ -291,8 +271,6 @@ pub fn prepare_batch_epoch(
     // Binding needs only the catalog; the spill pool matters to execution, so the bind-stage
     // executor is deliberately pool-free (and cheap to construct).
     let exec = Executor::new(catalog);
-    let batch_reused_before = epoch.dag().operators_reused();
-    let batch_nodes_before = epoch.dag().node_count();
 
     // Rewrite and submit.  On any failure the half-assembled batch must be aborted, or its
     // stale roots would prepend themselves to the epoch's *next* batch and misalign every one
@@ -304,14 +282,9 @@ pub fn prepare_batch_epoch(
             return Err(err);
         }
     };
-    let dag_plan_hits = epoch.dag().operators_reused() - batch_reused_before;
-    let dag_plan_misses = (epoch.dag().node_count() - batch_nodes_before) as u64;
-
     Ok(PreparedBatchEvaluation {
         pending,
         prepared: epoch.prepare_pending(),
-        dag_plan_hits,
-        dag_plan_misses,
     })
 }
 
@@ -325,12 +298,7 @@ pub fn execute_prepared_batch(
     catalog: &Catalog,
     options: &BatchOptions,
 ) -> CoreResult<BatchEvaluation> {
-    let PreparedBatchEvaluation {
-        pending,
-        prepared,
-        dag_plan_hits,
-        dag_plan_misses,
-    } = batch;
+    let PreparedBatchEvaluation { pending, prepared } = batch;
     // A memory-budgeted epoch carries a spill pool: the batch executor shares it, so grace
     // hash joins and spilled-pin reloads draw on one budget.  The pool-counter deltas this
     // batch causes are folded into `ExecStats` inside the engine, each under the epoch's
@@ -397,14 +365,8 @@ pub fn execute_prepared_batch(
 
     Ok(BatchEvaluation {
         evaluations,
-        plan_hits: dag_plan_hits + run.report.bind_hits,
-        plan_misses: dag_plan_misses,
         exec: exec.into_stats(),
-        dag_nodes: run.report.nodes_executed as usize,
-        peak_parallelism: run.report.peak_parallelism,
-        workers: run.report.workers,
-        epoch_bind_hits: run.report.bind_hits,
-        epoch_results_reused: run.report.results_reused,
+        run: run.report,
     })
 }
 
@@ -517,8 +479,8 @@ mod tests {
             }
             // Work totals are mode-independent; only the wall-clock layout differs.
             assert_eq!(parallel.source_operators(), sequential.source_operators());
-            assert_eq!(parallel.dag_nodes, sequential.dag_nodes);
-            assert_eq!(parallel.workers, workers);
+            assert_eq!(parallel.run.nodes_executed, sequential.run.nodes_executed);
+            assert_eq!(parallel.run.workers, workers);
         }
     }
 
@@ -533,11 +495,11 @@ mod tests {
             evaluate_batch(&queries, &mappings, &catalog, &BatchOptions::sequential()).unwrap();
         assert_eq!(
             batch.exec.operators_executed + batch.exec.scans,
-            batch.dag_nodes as u64,
+            batch.run.nodes_executed,
             "every distinct bound operator must execute exactly once"
         );
-        assert_eq!(batch.plan_misses, batch.dag_nodes as u64);
-        assert!(batch.plan_hits > 0, "no cross-query operator sharing");
+        assert_eq!(batch.run.nodes_added, batch.run.nodes_executed);
+        assert!(batch.run.plan_hits() > 0, "no cross-query operator sharing");
     }
 
     #[test]
@@ -548,7 +510,7 @@ mod tests {
         let queries = vec![testkit::q0(), testkit::q1(), testkit::q0()];
         let batch =
             evaluate_batch(&queries, &mappings, &catalog, &BatchOptions::sequential()).unwrap();
-        assert!(batch.plan_hits > 0, "no cross-query sub-plan sharing");
+        assert!(batch.run.plan_hits() > 0, "no cross-query sub-plan sharing");
         // The duplicated q0 contributes *no* new node to the merged DAG.
         let repeat = &batch.evaluations[2].metrics;
         assert_eq!(repeat.shared_plan_misses, 0);
@@ -590,9 +552,9 @@ mod tests {
             &mut epoch,
         )
         .unwrap();
-        assert_eq!(cold.epoch_bind_hits, 0);
-        assert_eq!(cold.epoch_results_reused, 0);
-        assert!(cold.dag_nodes > 0);
+        assert_eq!(cold.run.bind_hits, 0);
+        assert_eq!(cold.run.results_reused, 0);
+        assert!(cold.run.nodes_executed > 0);
 
         let warm = evaluate_batch_epoch(
             &queries,
@@ -602,10 +564,13 @@ mod tests {
             &mut epoch,
         )
         .unwrap();
-        assert!(warm.epoch_bind_hits > 0, "warm batch must skip rebinding");
-        assert_eq!(warm.dag_nodes, 0, "warm batch must execute no DAG node");
-        assert!(warm.epoch_results_reused > 0);
-        assert_eq!(warm.plan_misses, 0, "warm batch adds no DAG nodes");
+        assert!(warm.run.bind_hits > 0, "warm batch must skip rebinding");
+        assert_eq!(
+            warm.run.nodes_executed, 0,
+            "warm batch must execute no DAG node"
+        );
+        assert!(warm.run.results_reused > 0);
+        assert_eq!(warm.run.nodes_added, 0, "warm batch adds no DAG nodes");
         assert_eq!(
             warm.exec.operators_executed + warm.exec.scans,
             0,
@@ -655,9 +620,12 @@ mod tests {
             &mut epoch,
         )
         .unwrap();
-        assert!(second.epoch_bind_hits > 0);
-        assert!(second.epoch_results_reused > 0);
-        assert!(second.dag_nodes > 0, "the new query still has to run");
+        assert!(second.run.bind_hits > 0);
+        assert!(second.run.results_reused > 0);
+        assert!(
+            second.run.nodes_executed > 0,
+            "the new query still has to run"
+        );
         // The repeated queries' answers agree with the sequential reference.
         for (query, eval) in [testkit::q0(), testkit::q1(), testkit::q2_product()]
             .iter()
@@ -699,7 +667,10 @@ mod tests {
             &mut epoch,
         )
         .unwrap();
-        assert_eq!(warm.dag_nodes, 0, "warm batch re-executed under budget");
+        assert_eq!(
+            warm.run.nodes_executed, 0,
+            "warm batch re-executed under budget"
+        );
         assert!(
             warm.exec.spill_reloads > 0,
             "warm batch must reload spilled pins"
@@ -759,12 +730,15 @@ mod tests {
         let cold = execute_prepared_batch(first, &catalog, &BatchOptions::sequential()).unwrap();
         let warm = execute_prepared_batch(second, &catalog, &BatchOptions::parallel(2)).unwrap();
 
-        assert_eq!(cold.dag_nodes, serial_cold.dag_nodes);
-        assert_eq!(cold.plan_hits, serial_cold.plan_hits);
-        assert_eq!(cold.plan_misses, serial_cold.plan_misses);
-        assert!(warm.epoch_bind_hits > 0, "batch 2 must bind from the cache");
-        assert_eq!(warm.dag_nodes, 0, "batch 2 must reuse batch 1's results");
-        assert_eq!(warm.epoch_results_reused, serial_warm.epoch_results_reused);
+        assert_eq!(cold.run.nodes_executed, serial_cold.run.nodes_executed);
+        assert_eq!(cold.run.plan_hits(), serial_cold.run.plan_hits());
+        assert_eq!(cold.run.nodes_added, serial_cold.run.nodes_added);
+        assert!(warm.run.bind_hits > 0, "batch 2 must bind from the cache");
+        assert_eq!(
+            warm.run.nodes_executed, 0,
+            "batch 2 must reuse batch 1's results"
+        );
+        assert_eq!(warm.run.results_reused, serial_warm.run.results_reused);
         for ((a, b), (c, d)) in cold
             .evaluations
             .iter()
@@ -787,8 +761,8 @@ mod tests {
         let mappings = testkit::figure3_mappings();
         let batch = evaluate_batch(&[], &mappings, &catalog, &BatchOptions::parallel(4)).unwrap();
         assert!(batch.evaluations.is_empty());
-        assert_eq!(batch.plan_hits + batch.plan_misses, 0);
+        assert_eq!(batch.run.plan_hits() + batch.run.nodes_added, 0);
         assert_eq!(batch.source_operators(), 0);
-        assert_eq!(batch.dag_nodes, 0);
+        assert_eq!(batch.run.nodes_executed, 0);
     }
 }

@@ -56,7 +56,7 @@ pub fn evaluate(
         epoch.submit_with(cluster.fingerprint, || exec.bind(plan))?;
     }
     let run = epoch.execute_pending(&mut exec, 1)?;
-    metrics.shared_plan_hits = epoch.dag().operators_reused();
+    metrics.shared_plan_hits = run.report.operators_deduped;
     metrics.shared_plan_misses = run.report.nodes_executed;
 
     let agg_start = Instant::now();

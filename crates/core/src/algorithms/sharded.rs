@@ -36,7 +36,7 @@ use crate::CoreResult;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use urm_engine::optimize::{fingerprint, optimize};
-use urm_engine::{EpochDag, ExecStats, Executor, Plan, DEFAULT_PIN_BUDGET_BYTES};
+use urm_engine::{EpochDag, ExecStats, Executor, Plan, RunReport, DEFAULT_PIN_BUDGET_BYTES};
 use urm_matching::MappingSet;
 use urm_storage::shard::{partition, ShardScheme};
 use urm_storage::Catalog;
@@ -218,12 +218,7 @@ fn designate_slice_leaf(plan: &Plan, catalog: &Catalog) -> Option<(usize, String
 struct ShardOutcome {
     results: Vec<std::sync::Arc<urm_storage::Relation>>,
     exec: ExecStats,
-    plan_hits: u64,
-    plan_misses: u64,
-    dag_nodes: u64,
-    peak_parallelism: usize,
-    epoch_bind_hits: u64,
-    epoch_results_reused: u64,
+    run: RunReport,
     elapsed: Duration,
 }
 
@@ -243,8 +238,6 @@ fn run_shard(
     shard_span.tag("submissions", submissions.len() as u64);
     let mut dag = shard.dag.lock().unwrap();
     let bind_exec = Executor::new(&shard.catalog);
-    let reused_before = dag.dag().operators_reused();
-    let nodes_before = dag.dag().node_count();
     for (key, plan) in submissions {
         let submitted = dag.submit_with(*key, || {
             let optimized = optimize(plan, &shard.catalog)?;
@@ -255,8 +248,6 @@ fn run_shard(
             return Err(err.into());
         }
     }
-    let plan_hits = dag.dag().operators_reused() - reused_before;
-    let plan_misses = (dag.dag().node_count() - nodes_before) as u64;
     let prepared = dag.prepare_pending();
     drop(dag);
 
@@ -272,12 +263,7 @@ fn run_shard(
     Ok(ShardOutcome {
         results: run.root_results,
         exec: exec.into_stats(),
-        plan_hits: plan_hits + run.report.bind_hits,
-        plan_misses,
-        dag_nodes: run.report.nodes_executed,
-        peak_parallelism: run.report.peak_parallelism,
-        epoch_bind_hits: run.report.bind_hits,
-        epoch_results_reused: run.report.results_reused,
+        run: run.report,
         elapsed: start.elapsed(),
     })
 }
@@ -296,8 +282,9 @@ struct PendingQuery {
 ///
 /// `catalog` must be the coordinator catalog the set was built from (reformulation and slice
 /// designation read it; shards read their own views).  `options.workers` is split across the
-/// shards — each shard's DAG scheduler gets `max(1, workers / shards)` threads, so a sharded
-/// batch never oversubscribes relative to its unsharded twin.
+/// shards — each shard's DAG scheduler gets `max(1, workers / shards)` threads, so a batch
+/// over more shards than workers still runs one thread per shard.  The batch's
+/// [`RunReport::workers`] is the sum of the threads its shards ran on.
 pub fn evaluate_batch_sharded(
     queries: &[TargetQuery],
     mappings: &MappingSet,
@@ -439,22 +426,16 @@ pub fn evaluate_batch_sharded(
     drop(gather_span);
     let merge_time = merge_start.elapsed();
 
-    // Aggregate the per-shard work counters; shards ran concurrently, so peak parallelism
-    // sums across them.
-    let mut exec = ExecStats::new();
+    // The shards ran side by side: their work, peaks and threads add up.
+    let (mut exec, mut run) = (ExecStats::new(), RunReport::default());
     for shard in &shards_done {
         exec.merge(&shard.exec);
+        run.merge(&shard.run);
     }
     let batch = BatchEvaluation {
         evaluations,
-        plan_hits: shards_done.iter().map(|s| s.plan_hits).sum(),
-        plan_misses: shards_done.iter().map(|s| s.plan_misses).sum(),
         exec,
-        dag_nodes: shards_done.iter().map(|s| s.dag_nodes).sum::<u64>() as usize,
-        peak_parallelism: shards_done.iter().map(|s| s.peak_parallelism).sum(),
-        workers: options.workers.max(1),
-        epoch_bind_hits: shards_done.iter().map(|s| s.epoch_bind_hits).sum(),
-        epoch_results_reused: shards_done.iter().map(|s| s.epoch_results_reused).sum(),
+        run,
     };
     Ok(ShardedBatchEvaluation {
         batch,
@@ -540,8 +521,8 @@ mod tests {
         let options = BatchOptions::parallel(3);
         let cold = evaluate_batch_sharded(&queries, &mappings, &catalog, &options, &set).unwrap();
         let warm = evaluate_batch_sharded(&queries, &mappings, &catalog, &options, &set).unwrap();
-        assert!(warm.batch.epoch_bind_hits > 0, "warm batch must hit caches");
-        assert!(warm.batch.epoch_results_reused > 0);
+        assert!(warm.batch.run.bind_hits > 0, "warm batch must hit caches");
+        assert!(warm.batch.run.results_reused > 0);
         for (a, b) in cold
             .batch
             .evaluations

@@ -58,7 +58,7 @@ impl EvalMetrics {
     /// Number of source operators executed, scans included.
     #[must_use]
     pub fn source_operators(&self) -> u64 {
-        self.exec.operators_executed + self.exec.scans
+        self.exec.source_operators()
     }
 
     /// Time spent evaluating source queries (the "evaluation" slice of Figure 10(a)).

@@ -36,7 +36,7 @@
 
 use crate::executor::Executor;
 use crate::physical::PhysicalPlan;
-use crate::{EngineError, EngineResult};
+use crate::{EngineError, EngineResult, RunReport};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 use urm_storage::Relation;
@@ -264,21 +264,6 @@ pub trait DagResultCache: Send {
     fn publish(&mut self, fingerprint: u64, result: &Arc<Relation>);
 }
 
-/// Work accounting for one DAG run.
-#[derive(Debug, Clone, Default)]
-pub struct DagRunReport {
-    /// Nodes actually executed (each exactly once).
-    pub nodes_executed: u64,
-    /// Nodes answered by the external result cache instead of executing (the whole subgraph
-    /// below each of them was pruned too).
-    pub results_reused: u64,
-    /// Threads the run executed on: the calling thread plus the helpers it spawned,
-    /// `min(workers, nodes_executed)` and at least 1.
-    pub workers: usize,
-    /// Maximum number of nodes in flight at once (1 for a one-thread run that executed any).
-    pub peak_parallelism: usize,
-}
-
 /// The outcome of executing a DAG: one result per requested root, plus accounting.
 #[derive(Debug)]
 pub struct DagRun {
@@ -286,8 +271,8 @@ pub struct DagRun {
     /// late-materialized root builds rows only if someone reads them.  Duplicate roots alias
     /// one `Arc`.
     pub root_results: Vec<Arc<Relation>>,
-    /// Work accounting.
-    pub report: DagRunReport,
+    /// Work accounting: the run's part (nodes executed and reused, parallelism, threads).
+    pub report: RunReport,
 }
 
 /// Executes [`OperatorDag`]s in one ready-queue worker loop, on the calling thread and up to
@@ -375,11 +360,12 @@ impl DagScheduler {
             .collect();
         Ok(DagRun {
             root_results,
-            report: DagRunReport {
+            report: RunReport {
                 nodes_executed: needed_count as u64,
                 results_reused,
                 workers: threads,
                 peak_parallelism: state.peak_parallel,
+                ..RunReport::default()
             },
         })
     }

@@ -58,7 +58,7 @@ use crate::dag::{DagResultCache, DagRun, DagScheduler, NodeId, OperatorDag};
 use crate::executor::Executor;
 use crate::optimize::{fingerprint, optimize};
 use crate::physical::PhysicalPlan;
-use crate::{EngineResult, ExecStats, Plan};
+use crate::{EngineResult, ExecStats, Plan, RunReport};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Weak};
 use urm_storage::{BufferPool, RecencyIndex, Relation, SpillableRelation};
@@ -103,8 +103,9 @@ pub struct EpochDag {
     pending: Vec<NodeId>,
     bind_hits: u64,
     bind_misses: u64,
-    bind_hits_reported: u64,
-    bind_misses_reported: u64,
+    /// The bind stage of the batch being assembled: its bind-cache hits and misses, and what
+    /// its DAG merges deduplicated and added.  Handed over by `prepare_pending`.
+    bound: RunReport,
 }
 
 impl Default for EpochDag {
@@ -138,30 +139,13 @@ struct EpochResults {
     batches: u64,
 }
 
-/// Accounting for one epoch batch execution.
-#[derive(Debug, Clone, Default)]
-pub struct EpochRunReport {
-    /// DAG nodes actually executed by this batch (each exactly once).
-    pub nodes_executed: u64,
-    /// DAG nodes answered by a live cached result — executions skipped, subgraphs pruned.
-    pub results_reused: u64,
-    /// Submissions answered by the bind cache — optimise/bind/merge work skipped.
-    pub bind_hits: u64,
-    /// Submissions that had to be optimised, bound and merged into the DAG.
-    pub bind_misses: u64,
-    /// Maximum nodes in flight at once (1 for one-thread runs that executed any).
-    pub peak_parallelism: usize,
-    /// Threads the run executed on (see [`DagRunReport::workers`](crate::DagRunReport)).
-    pub workers: usize,
-}
-
 /// The outcome of one batch on the epoch DAG: root results in submission order plus accounting.
 #[derive(Debug)]
 pub struct EpochRun {
     /// One result per submitted root, in submission order; duplicate roots alias one `Arc`.
     pub root_results: Vec<Arc<Relation>>,
-    /// Work accounting for the run.
-    pub report: EpochRunReport,
+    /// Work accounting: the run's and, for a prepared batch, its bind stage's.
+    pub report: RunReport,
 }
 
 /// The closed bind stage of one batch: a self-contained snapshot of the pending roots'
@@ -179,8 +163,8 @@ pub struct PreparedBatch {
     roots: Vec<NodeId>,
     results: Arc<Mutex<EpochResults>>,
     pool: Option<BufferPool>,
-    bind_hits: u64,
-    bind_misses: u64,
+    /// The batch's bind stage, as [`EpochDag::prepare_pending`] closed it.
+    bound: RunReport,
 }
 
 impl PreparedBatch {
@@ -214,17 +198,11 @@ impl PreparedBatch {
     /// (deterministically, so answers stay byte-identical); the commit folds both copies onto
     /// one cache entry.
     pub fn execute(self, exec: &mut Executor<'_>, workers: usize) -> EngineResult<EpochRun> {
-        let run = run_on(&self.results, &self.subdag, &self.roots, exec, workers)?;
+        let mut run = run_on(&self.results, &self.subdag, &self.roots, exec, workers)?;
+        run.report.merge(&self.bound);
         Ok(EpochRun {
             root_results: run.root_results,
-            report: EpochRunReport {
-                nodes_executed: run.report.nodes_executed,
-                results_reused: run.report.results_reused,
-                bind_hits: self.bind_hits,
-                bind_misses: self.bind_misses,
-                peak_parallelism: run.report.peak_parallelism,
-                workers: run.report.workers,
-            },
+            report: run.report,
         })
     }
 }
@@ -348,8 +326,7 @@ impl EpochDag {
             pending: Vec::new(),
             bind_hits: 0,
             bind_misses: 0,
-            bind_hits_reported: 0,
-            bind_misses_reported: 0,
+            bound: RunReport::default(),
         }
     }
 
@@ -411,12 +388,17 @@ impl EpochDag {
         let node = match self.bind_cache.get(&key) {
             Some(&(_, node)) => {
                 self.bind_hits += 1;
+                self.bound.bind_hits += 1;
                 node
             }
             None => {
                 self.bind_misses += 1;
+                self.bound.bind_misses += 1;
                 let physical = bind()?;
+                let (reused, nodes) = (self.dag.operators_reused(), self.dag.node_count());
                 let node = self.dag.add_plan(&physical);
+                self.bound.operators_deduped += self.dag.operators_reused() - reused;
+                self.bound.nodes_added += (self.dag.node_count() - nodes) as u64;
                 self.bind_cache.insert(key, (physical, node));
                 node
             }
@@ -426,36 +408,30 @@ impl EpochDag {
     }
 
     /// Abandons the current batch: drops every root submitted since the last
-    /// [`prepare_pending`](EpochDag::prepare_pending) and resynchronises the per-batch bind
-    /// counters.  Callers **must** invoke this when batch assembly fails partway (a later
+    /// [`prepare_pending`](EpochDag::prepare_pending) and resets the batch's bind-stage
+    /// accounting.  Callers **must** invoke this when batch assembly fails partway (a later
     /// query failed to reformulate or bind), or the stale roots would silently prepend
     /// themselves to the next batch's results.  Returns how many roots were dropped.
     pub fn abort_pending(&mut self) -> usize {
         let dropped = self.pending.len();
         self.pending.clear();
-        self.bind_hits_reported = self.bind_hits;
-        self.bind_misses_reported = self.bind_misses;
+        self.bound = RunReport::default();
         dropped
     }
 
     /// Closes the bind stage of the current batch: takes the roots submitted since the last
-    /// call, snapshots their subgraph and the per-batch bind counters into a self-contained
-    /// [`PreparedBatch`], and leaves the epoch ready to bind the *next* batch immediately.
-    /// See the module docs for the pipeline this enables.
+    /// call, snapshots their subgraph and the batch's bind-stage accounting into a
+    /// self-contained [`PreparedBatch`], and leaves the epoch ready to bind the *next* batch
+    /// immediately.  See the module docs for the pipeline this enables.
     pub fn prepare_pending(&mut self) -> PreparedBatch {
         let pending = std::mem::take(&mut self.pending);
-        let bind_hits = self.bind_hits - self.bind_hits_reported;
-        let bind_misses = self.bind_misses - self.bind_misses_reported;
-        self.bind_hits_reported = self.bind_hits;
-        self.bind_misses_reported = self.bind_misses;
         let (subdag, roots) = self.dag.subgraph(&pending);
         PreparedBatch {
             subdag,
             roots,
             results: Arc::clone(&self.results),
             pool: self.pool.clone(),
-            bind_hits,
-            bind_misses,
+            bound: std::mem::take(&mut self.bound),
         }
     }
 
@@ -745,7 +721,7 @@ mod tests {
         }
         let first = epoch.prepare_pending();
         assert_eq!(first.root_count(), 3);
-        assert_eq!(first.bind_misses, 3);
+        assert_eq!(first.bound.bind_misses, 3);
 
         // Bind stage of batch 2 proceeds although batch 1 never executed: the bind cache
         // answers every submission.
@@ -753,8 +729,8 @@ mod tests {
             epoch.submit(&q, &exec).unwrap();
         }
         let second = epoch.prepare_pending();
-        assert_eq!(second.bind_hits, 3, "bind cache must answer batch 2");
-        assert_eq!(second.bind_misses, 0);
+        assert_eq!(second.bound.bind_hits, 3, "bind cache must answer batch 2");
+        assert_eq!(second.bound.bind_misses, 0);
 
         let run1 = first.execute(&mut exec, 2).unwrap();
         assert!(run1.report.nodes_executed > 0);

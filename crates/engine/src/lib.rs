@@ -30,8 +30,9 @@
 //!   epoch caches bindings by logical fingerprint and node results weakly, so a hot epoch's
 //!   later batches skip rebinding and re-executing everything still materialised;
 //! * [`reference`] — the retained row-at-a-time evaluator, the oracle of the property tests;
-//! * [`ExecStats`] — counters for executed operators and produced tuples, the metric reported
-//!   in the paper's Table IV;
+//! * [`ExecStats`] and [`RunReport`] — the one account of the work: counters for executed
+//!   operators and produced tuples (the metric reported in the paper's Table IV), and what
+//!   each DAG run's merge, caches and scheduler did;
 //! * [`optimize`] — the one rewrite every reformulated query goes through: a canonical
 //!   join-graph normal form (selections on their leaves, joins along equality edges,
 //!   products last and, under a `Distinct` root, de-duplicated factor by factor), plus the
@@ -85,12 +86,12 @@ pub mod reference;
 pub mod stats;
 pub mod vectorized;
 
-pub use dag::{DagResultCache, DagRun, DagRunReport, DagScheduler, NodeId, OperatorDag};
-pub use epoch::{EpochDag, EpochRun, EpochRunReport, PreparedBatch, DEFAULT_PIN_BUDGET_BYTES};
+pub use dag::{DagResultCache, DagRun, DagScheduler, NodeId, OperatorDag};
+pub use epoch::{EpochDag, EpochRun, PreparedBatch, DEFAULT_PIN_BUDGET_BYTES};
 pub use error::{EngineError, EngineResult};
 pub use executor::Executor;
 pub use expr::{AggFunc, CompareOp, Predicate};
 pub use physical::{BoundAggregate, BoundPredicate, PhysicalPlan};
 pub use plan::Plan;
 pub use reference::ReferenceExecutor;
-pub use stats::ExecStats;
+pub use stats::{ExecStats, RunReport};

@@ -1,13 +1,15 @@
-//! Execution statistics.
+//! Execution statistics: the one account of the engine's work.
 //!
 //! The paper evaluates its algorithms by wall-clock time and by the *number of source query
-//! operators executed* (Table IV).  Every operator the executor runs increments these counters,
-//! and the probabilistic-query algorithms in `urm-core` add their own counters (source queries
-//! issued, reformulations performed) on top.
+//! operators executed* (Table IV).  Every operator the executor runs increments the counters of
+//! [`ExecStats`]; every DAG run reports what its merge, its caches and its scheduler did in a
+//! [`RunReport`].  A batch's work is one of each, carried unchanged from the executor to the
+//! service's totals and `/metrics` — each counter is declared here and nowhere else.
 
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 use std::time::Duration;
+use urm_obs::MetricKind;
 
 /// Counters describing the work performed by one or more plan executions.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -76,6 +78,34 @@ impl ExecStats {
         self.source_queries += 1;
     }
 
+    /// Source operators executed, scans included (the paper's Table IV metric).
+    #[must_use]
+    pub fn source_operators(&self) -> u64 {
+        self.operators_executed + self.scans
+    }
+
+    /// The executor counters under their exposition names, as `(name, kind, value)` — the one
+    /// list every surface reads (`/metrics`, `/metrics.json`, the benchmark's layer pass), so a
+    /// counter added to this struct and to this list reaches all of them.
+    #[must_use]
+    pub fn fields(&self) -> Vec<(&'static str, MetricKind, f64)> {
+        [
+            ("source_operators", self.source_operators()),
+            ("tuples_read", self.tuples_read),
+            ("tuples_output", self.tuples_output),
+            ("rows_shared", self.rows_shared),
+            ("bytes_spilled", self.bytes_spilled),
+            ("spill_reloads", self.spill_reloads),
+            ("grace_partitions", self.grace_partitions),
+            ("columnar_rows", self.columnar_rows),
+            ("segment_bytes_raw", self.segment_bytes_raw),
+            ("segment_bytes_encoded", self.segment_bytes_encoded),
+        ]
+        .into_iter()
+        .map(|(name, value)| (name, MetricKind::Counter, value as f64))
+        .collect()
+    }
+
     /// Merges another set of statistics into this one.
     pub fn merge(&mut self, other: &ExecStats) {
         self.operators_executed += other.operators_executed;
@@ -121,6 +151,54 @@ impl AddAssign<&ExecStats> for ExecStats {
     }
 }
 
+/// What a DAG run did besides executing operators: its bind stage (bind cache, DAG merge),
+/// its result cache and its scheduler.  [`DagScheduler`](crate::DagScheduler) fills in the
+/// run, [`EpochDag::prepare_pending`](crate::EpochDag::prepare_pending) the bind stage of the
+/// batch it closes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunReport {
+    /// DAG nodes actually executed (each exactly once).
+    pub nodes_executed: u64,
+    /// DAG nodes answered by a live cached result instead of executing (the whole subgraph
+    /// below each of them was pruned too).
+    pub results_reused: u64,
+    /// Submissions answered by the epoch's bind cache — optimise, bind and merge skipped.
+    pub bind_hits: u64,
+    /// Submissions that were optimised, bound and merged into the DAG.
+    pub bind_misses: u64,
+    /// Operator insertions the DAG merge deduplicated onto an existing node.
+    pub operators_deduped: u64,
+    /// Distinct operator nodes the DAG merge added (a cold batch executes exactly these).
+    pub nodes_added: u64,
+    /// Maximum nodes in flight at once (1 for a one-thread run that executed any).
+    pub peak_parallelism: usize,
+    /// Threads the run executed on: the calling thread plus the helpers it spawned,
+    /// `min(workers, nodes_executed)` and at least 1.
+    pub workers: usize,
+}
+
+impl RunReport {
+    /// Submissions answered without new plan work: operator insertions deduplicated onto an
+    /// existing DAG node plus whole plans answered by the bind cache.
+    #[must_use]
+    pub fn plan_hits(&self) -> u64 {
+        self.operators_deduped + self.bind_hits
+    }
+
+    /// Adds another report to this one, field by field.  Merged runs are taken to have run
+    /// side by side (the shards of one batch), so their peaks and their threads add up too.
+    pub fn merge(&mut self, other: &RunReport) {
+        self.nodes_executed += other.nodes_executed;
+        self.results_reused += other.results_reused;
+        self.bind_hits += other.bind_hits;
+        self.bind_misses += other.bind_misses;
+        self.operators_deduped += other.operators_deduped;
+        self.nodes_added += other.nodes_added;
+        self.peak_parallelism += other.peak_parallelism;
+        self.workers += other.workers;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,5 +238,22 @@ mod tests {
         assert_eq!(a.tuples_output, 13);
         assert_eq!(a.source_queries, 1);
         assert_eq!(a.exec_time, Duration::from_millis(12));
+    }
+
+    #[test]
+    fn run_reports_merge_as_runs_side_by_side() {
+        let shard = RunReport {
+            nodes_executed: 3,
+            bind_hits: 1,
+            operators_deduped: 2,
+            peak_parallelism: 1,
+            workers: 1,
+            ..RunReport::default()
+        };
+        let mut batch = shard.clone();
+        batch.merge(&shard);
+        assert_eq!(batch.nodes_executed, 6);
+        assert_eq!(batch.plan_hits(), 6);
+        assert_eq!((batch.peak_parallelism, batch.workers), (2, 2));
     }
 }

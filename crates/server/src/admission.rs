@@ -151,89 +151,6 @@ impl AdmissionController {
     }
 }
 
-/// Exponential-decay weight of the newest cost observation.
-const COST_ALPHA: f64 = 0.5;
-
-/// Distinct query specs the cost model tracks; further specs fall back to the static
-/// estimate (an unbounded client vocabulary must not grow server memory without bound).
-const COST_MODEL_CAPACITY: usize = 4096;
-
-/// Per-spec observed-latency cost model: the admission layer's adaptive arm.
-///
-/// The in-flight queue is denominated in *cost units* (the static plan-shape estimate:
-/// `1 + predicates + relations²`).  Static estimates mis-rank real workloads — a three-way
-/// join over tiny slices is charged more than a scan that dominates wall-clock.  This model
-/// learns per *query spec* (keyed by the query's canonical rendering) an EWMA of observed
-/// evaluation latency, plus one global EWMA of nanoseconds-per-static-unit to convert
-/// latencies back into queue units.  [`estimate`](CostModel::estimate) then charges a spec
-/// what it has actually been costing, and specs never observed (or beyond the capacity cap)
-/// fall back to the static estimate.
-#[derive(Default)]
-pub struct CostModel {
-    inner: Mutex<CostState>,
-}
-
-#[derive(Default)]
-struct CostState {
-    /// Spec key → decayed observed latency (ns).
-    specs: HashMap<String, f64>,
-    /// Decayed nanoseconds per static cost unit across all observations (0 = no history).
-    ns_per_unit: f64,
-}
-
-impl CostModel {
-    /// An empty model (every estimate falls back to the caller's static estimate).
-    #[must_use]
-    pub fn new() -> Self {
-        CostModel::default()
-    }
-
-    /// Folds one observed evaluation of `key`: its wall-clock `latency` and the static
-    /// plan-shape `static_cost` the fallback would have charged.  Zero latencies (answer-cache
-    /// hits record no evaluation time) should be skipped by the caller — they would teach the
-    /// model that evaluation is free.
-    pub fn observe(&self, key: &str, latency: Duration, static_cost: u64) {
-        let nanos = latency.as_nanos() as f64;
-        let mut state = self.inner.lock().unwrap();
-        let per_unit = nanos / static_cost.max(1) as f64;
-        state.ns_per_unit = if state.ns_per_unit == 0.0 {
-            per_unit
-        } else {
-            (1.0 - COST_ALPHA) * state.ns_per_unit + COST_ALPHA * per_unit
-        };
-        let room = state.specs.len() < COST_MODEL_CAPACITY;
-        match state.specs.entry(key.to_string()) {
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
-                let observed = entry.get_mut();
-                *observed = (1.0 - COST_ALPHA) * *observed + COST_ALPHA * nanos;
-            }
-            std::collections::hash_map::Entry::Vacant(entry) if room => {
-                entry.insert(nanos);
-            }
-            std::collections::hash_map::Entry::Vacant(_) => {}
-        }
-    }
-
-    /// The spec's estimated cost in queue units — its decayed observed latency divided by the
-    /// global ns-per-unit rate (always at least 1) — or `None` while the spec (or the rate)
-    /// has no history, in which case the caller charges its static estimate.
-    #[must_use]
-    pub fn estimate(&self, key: &str) -> Option<u64> {
-        let state = self.inner.lock().unwrap();
-        if state.ns_per_unit == 0.0 {
-            return None;
-        }
-        let observed = *state.specs.get(key)?;
-        Some((observed / state.ns_per_unit).round().max(1.0) as u64)
-    }
-
-    /// Distinct query specs with observed history.
-    #[must_use]
-    pub fn observed_specs(&self) -> usize {
-        self.inner.lock().unwrap().specs.len()
-    }
-}
-
 /// An admitted batch's claim on the in-flight budget; dropping it releases the units.
 pub struct Permit {
     state: Arc<Mutex<State>>,
@@ -327,24 +244,6 @@ mod tests {
         let _c = ctl.admit(client(2), 2, 2).unwrap();
         // A throttled request consumed no queue units.
         assert_eq!(ctl.in_flight(), 20);
-    }
-
-    #[test]
-    fn cost_model_learns_per_spec_latency_and_stays_cold_for_unknown_specs() {
-        let model = CostModel::new();
-        assert_eq!(model.estimate("q"), None, "no history yet");
-        // 1000 ns at static cost 10 → 100 ns/unit: the spec is charged its static 10 units.
-        model.observe("q", Duration::from_nanos(1000), 10);
-        assert_eq!(model.estimate("q"), Some(10));
-        assert_eq!(model.estimate("other"), None, "unknown specs stay static");
-        assert_eq!(model.observed_specs(), 1);
-        // The EWMA tracks drift without forgetting: both the spec latency and the global rate
-        // halve towards the new observation.
-        model.observe("q", Duration::from_nanos(3000), 10);
-        assert_eq!(model.estimate("q"), Some(10));
-        // A spec observed far slower than its plan shape suggests is charged far more.
-        model.observe("heavy", Duration::from_nanos(20_000), 10);
-        assert!(model.estimate("heavy").unwrap() > model.estimate("q").unwrap());
     }
 
     #[test]

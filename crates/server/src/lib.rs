@@ -43,7 +43,7 @@ pub mod json;
 pub mod server;
 pub mod wire;
 
-pub use admission::{AdmissionConfig, AdmissionController, CostModel, Permit, Rejected};
+pub use admission::{AdmissionConfig, AdmissionController, Permit, Rejected};
 pub use client::{request_once, HttpClient, HttpResponse};
 pub use json::Json;
 pub use server::{UrmServer, DRAIN_GRACE};

@@ -7,7 +7,7 @@
 //! in-flight connections get [`DRAIN_GRACE`] to finish their current request before the server
 //! returns — no accepted query is abandoned.
 
-use crate::admission::{AdmissionController, CostModel, Rejected};
+use crate::admission::{AdmissionController, Rejected};
 use crate::http::{read_request, Head, HttpError, Part, Request, ResponseWriter};
 use crate::json::{write_number, Json};
 use crate::wire::{parse_query_spec, splice_answer};
@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use urm_datagen::replay::WorkloadEntry;
 use urm_datagen::scenario::TargetSchemaKind;
 use urm_service::{
     EpochId, HistSnapshot, Histogram, MetricKind, PromWriter, QueryResponse, QueryService,
@@ -31,10 +32,6 @@ struct Shared {
     /// The epoch serving each target schema (registered by the caller before start).
     epochs: Vec<(TargetSchemaKind, EpochId)>,
     admission: AdmissionController,
-    /// Per-spec observed-latency cost model: admission charges what a spec has actually been
-    /// costing, falling back to the epoch's observed operators-per-query, then to the static
-    /// plan-shape estimate.
-    cost_model: CostModel,
     /// When the server started — `/healthz` reports the uptime.
     started: Instant,
     /// Per-endpoint wall-clock latency histograms (admission to last byte), exposed as the
@@ -104,7 +101,6 @@ impl Shared {
             service,
             epochs,
             admission,
-            cost_model: CostModel::new(),
             started: Instant::now(),
             endpoints: EndpointHistograms::default(),
             stopping: AtomicBool::new(false),
@@ -117,6 +113,14 @@ impl Shared {
             .iter()
             .find(|(kind, _)| *kind == target)
             .map(|(_, id)| *id)
+    }
+
+    /// What admission charges one query: its serving epoch's observed source operators per
+    /// evaluated query once the epoch has history, else the static plan-shape estimate.
+    fn query_cost(&self, entry: &WorkloadEntry) -> u64 {
+        self.epoch_for(entry.target)
+            .and_then(|epoch| self.service.observed_query_cost(epoch))
+            .unwrap_or_else(|| static_query_cost(&entry.query))
     }
 }
 
@@ -345,45 +349,26 @@ fn healthz_body(shared: &Shared) -> String {
     .to_string()
 }
 
-/// The JSON metrics snapshot (`GET /metrics.json`; `GET /metrics` until this release — the
-/// Prometheus exposition took over that path).  Every [`ServiceMetrics::fields`] entry is
-/// emitted under its canonical name — durations as integer `*_ns` — followed by the legacy
-/// millisecond duplicates (`*_ms`, kept for pre-existing dashboards) and the two server-side
-/// gauges the service snapshot does not carry.
+/// The JSON metrics snapshot (`GET /metrics.json`): every [`ServiceMetrics::fields`] entry
+/// under its canonical name — durations as integer `*_ns` — and the server-side gauge the
+/// service snapshot does not carry.
 fn metrics_body(shared: &Shared) -> String {
-    let m = shared.service.metrics();
-    let mut entries: Vec<(&str, Json)> = m
+    let mut entries: Vec<(&str, Json)> = shared
+        .service
+        .metrics()
         .fields()
         .into_iter()
         .map(|(name, _, value)| (name, Json::Num(value)))
         .collect();
-    entries.extend([
-        (
-            "shard_merge_time_ms",
-            Json::Num(m.shard_merge_time.as_secs_f64() * 1000.0),
-        ),
-        (
-            "shard_p95_ms",
-            Json::Num(m.shard_latency.p95.as_secs_f64() * 1000.0),
-        ),
-        (
-            "batch_time_ms",
-            Json::Num(m.batch_time.as_secs_f64() * 1000.0),
-        ),
-        (
-            "cost_model_specs",
-            Json::Num(shared.cost_model.observed_specs() as f64),
-        ),
-        (
-            "in_flight_units",
-            Json::Num(shared.admission.in_flight() as f64),
-        ),
-    ]);
+    entries.push((
+        "in_flight_units",
+        Json::Num(shared.admission.in_flight() as f64),
+    ));
     Json::obj(entries).to_string()
 }
 
 /// The Prometheus text exposition (`GET /metrics`): every [`ServiceMetrics::fields`] entry
-/// as `urm_<name>`, the two server-side gauges, and the stage / endpoint latency histogram
+/// as `urm_<name>`, the server-side gauge, and the stage / endpoint latency histogram
 /// families (log-bucketed, nanosecond units).
 fn prometheus_body(shared: &Shared) -> String {
     let m = shared.service.metrics();
@@ -396,12 +381,6 @@ fn prometheus_body(shared: &Shared) -> String {
             value,
         );
     }
-    w.metric(
-        "urm_cost_model_specs",
-        MetricKind::Gauge,
-        "Distinct query specs with an observed-latency admission cost",
-        shared.cost_model.observed_specs() as f64,
-    );
     w.metric(
         "urm_in_flight_units",
         MetricKind::Gauge,
@@ -477,22 +456,10 @@ fn serve_queries<W: Write>(
     };
 
     // Admission: one permit covering the whole request, released when the responses are out
-    // (or the request has failed: every return below drops it).
-    // Each query is charged its estimated evaluation cost — this spec's observed-latency EWMA
-    // where the cost model has history, else the serving epoch's observed operators-per-query,
-    // else a static plan-shape estimate — so the bounded queue meters admitted *work*, not
-    // request count.
-    let cost: u64 = specs
-        .iter()
-        .map(|entry| {
-            shared.cost_model.estimate(&entry.label).unwrap_or_else(|| {
-                shared
-                    .epoch_for(entry.target)
-                    .and_then(|epoch| shared.service.observed_query_cost(epoch))
-                    .unwrap_or_else(|| static_query_cost(&entry.query))
-            })
-        })
-        .sum();
+    // (or the request has failed: every return below drops it).  Each query is charged its
+    // estimated evaluation cost (`Shared::query_cost`), so the bounded queue meters admitted
+    // *work*, not request count.
+    let cost: u64 = specs.iter().map(|entry| shared.query_cost(entry)).sum();
     let mut admission_span = tracer.span("admission");
     admission_span.tag("queries", specs.len() as u64);
     admission_span.tag("cost", cost);
@@ -512,22 +479,21 @@ fn serve_queries<W: Write>(
 
     // Submit everything, then flush once — if anything missed the answer cache: one service
     // batch per target schema touched.
-    let mut tickets: Vec<(String, u64, Ticket)> = Vec::with_capacity(specs.len());
+    let mut tickets: Vec<(String, Ticket)> = Vec::with_capacity(specs.len());
     for entry in specs {
         let Some(epoch) = shared.epoch_for(entry.target) else {
             let msg = format!("target schema '{}' is not served", entry.target);
             return out.json(400, &[], &error_body(&msg));
         };
-        let static_cost = static_query_cost(&entry.query);
         match shared
             .service
             .submit_traced(epoch, entry.query, tracer.clone())
         {
-            Ok(ticket) => tickets.push((entry.label, static_cost, ticket)),
+            Ok(ticket) => tickets.push((entry.label, ticket)),
             Err(err) => return out.json(error_status(&err), &[], &error_body(&err.to_string())),
         }
     }
-    if !tickets.iter().all(|(_, _, ticket)| ticket.is_ready()) {
+    if !tickets.iter().all(|(_, ticket)| ticket.is_ready()) {
         shared.service.flush();
     }
 
@@ -540,13 +506,7 @@ fn serve_queries<W: Write>(
     let last = tickets.pop().expect("a request has at least one spec");
     // A response is held across the write that sends it: its answer's rendering is lent to
     // that write, not copied into it.
-    let wait = |(label, static_cost, ticket): (String, u64, Ticket)| {
-        let result = ticket.wait();
-        if let Ok(response) = &result {
-            observe_cost(shared, &label, response, static_cost);
-        }
-        (label, result)
-    };
+    let wait = |(label, ticket): (String, Ticket)| (label, ticket.wait());
     if batch {
         // Each ticket's answer is written as its own chunk the moment its batch resolves; a
         // failed one becomes an error object in its place.  An HTTP/1.0 peer cannot frame
@@ -605,17 +565,6 @@ fn write_query_body<'a>(body: &mut Part<'_, 'a>, label: &str, response: &'a Quer
     body.push('}');
 }
 
-/// Feeds one answered query back into the cost model.  Cache hits and in-batch duplicates
-/// record no evaluation time; folding their zero latency in would teach the model that the
-/// spec is free, so only evaluated responses observe.
-fn observe_cost(shared: &Shared, label: &str, response: &QueryResponse, static_cost: u64) {
-    if response.served_from == ServedFrom::Evaluated && !response.metrics.total_time.is_zero() {
-        shared
-            .cost_model
-            .observe(label, response.metrics.total_time, static_cost);
-    }
-}
-
 /// Static admission-cost estimate for a query on an epoch with no observed history yet: joins
 /// dominate evaluation, so the relation count enters squared; predicates add linear work.  The
 /// scale matches [`QueryService::observed_query_cost`] (source operators per query), so warm
@@ -628,10 +577,7 @@ fn static_query_cost(query: &urm_core::TargetQuery) -> u64 {
 /// The specs of a `/query` (`batch: false`) or `/batch` body, or the message of the 400 that
 /// refuses it: not UTF-8, not JSON (or nested beyond [`crate::json::MAX_DEPTH`]), not the
 /// expected shape, or naming a spec that does not parse.
-fn parse_body_specs(
-    body: &[u8],
-    batch: bool,
-) -> Result<Vec<urm_datagen::replay::WorkloadEntry>, String> {
+fn parse_body_specs(body: &[u8], batch: bool) -> Result<Vec<WorkloadEntry>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let doc = Json::parse(text).map_err(|e| format!("bad JSON body: {e}"))?;
     let specs: Vec<&str> = if batch {
@@ -680,6 +626,25 @@ mod tests {
     use std::net::Ipv4Addr;
     use urm_datagen::scenario::{Scenario, ScenarioConfig};
 
+    /// A server state over one small Excel epoch, as `UrmServer::start` would build it.
+    fn excel_server() -> (Shared, EpochId) {
+        let scenario = Scenario::generate(&ScenarioConfig {
+            target: TargetSchemaKind::Excel,
+            scale: 4,
+            mappings: 6,
+            seed: 7,
+        })
+        .expect("scenario generation");
+        let service = QueryService::new(urm_service::ServiceConfig::default());
+        let epoch = service.register_epoch(scenario.catalog, scenario.mappings);
+        let shared = Shared::new(
+            service,
+            vec![(TargetSchemaKind::Excel, epoch)],
+            AdmissionController::new(AdmissionConfig::default()),
+        );
+        (shared, epoch)
+    }
+
     fn post(path: &str, body: &str) -> Request {
         Request {
             method: "POST".into(),
@@ -708,24 +673,34 @@ mod tests {
         assert_eq!(nested, "bad JSON body: nesting deeper than 64 at byte 64");
     }
 
+    #[test]
+    fn admission_charges_the_static_estimate_cold_and_the_observed_cost_warm() {
+        let (shared, epoch) = excel_server();
+        let entry = parse_query_spec("join:2").unwrap();
+        let static_cost = static_query_cost(&entry.query);
+        assert_eq!(shared.service.observed_query_cost(epoch), None);
+        assert_eq!(shared.query_cost(&entry), static_cost, "a cold epoch");
+
+        shared
+            .service
+            .execute_all(epoch, vec![entry.query.clone()])
+            .unwrap();
+        let observed = shared.service.observed_query_cost(epoch).unwrap();
+        assert_ne!(observed, static_cost);
+        assert_eq!(shared.query_cost(&entry), observed, "after one batch");
+        // A query no served epoch answers has no history to charge.
+        let unserved = parse_query_spec("Q6").unwrap();
+        assert_eq!(
+            shared.query_cost(&unserved),
+            static_query_cost(&unserved.query)
+        );
+    }
+
     /// The server's request path — parse, admit, submit, wait, render, frame — over a sink that
     /// counts writes: a `/query` response is one write, a `/batch` response one per answer.
     #[test]
     fn query_responses_are_one_write_and_batch_responses_one_per_chunk() {
-        let scenario = Scenario::generate(&ScenarioConfig {
-            target: TargetSchemaKind::Excel,
-            scale: 4,
-            mappings: 6,
-            seed: 7,
-        })
-        .expect("scenario generation");
-        let service = QueryService::new(urm_service::ServiceConfig::default());
-        let epoch = service.register_epoch(scenario.catalog, scenario.mappings);
-        let shared = Shared::new(
-            service,
-            vec![(TargetSchemaKind::Excel, epoch)],
-            AdmissionController::new(AdmissionConfig::default()),
-        );
+        let (shared, epoch) = excel_server();
         let client = IpAddr::V4(Ipv4Addr::LOCALHOST);
         let mut out = ResponseWriter::new(CountingWrite::default());
 

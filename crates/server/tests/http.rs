@@ -125,8 +125,11 @@ fn healthz_metrics_query_and_batch_round_trip() {
     assert!(doc.get("queries_submitted").and_then(Json::as_f64).unwrap() >= 5.0);
     assert!(doc.get("answer_cache_hits").and_then(Json::as_f64).unwrap() >= 1.0);
     assert_eq!(doc.get("in_flight_units").and_then(Json::as_f64), Some(0.0));
-    // Legacy millisecond keys survive alongside the normalised *_ns fields.
-    assert!(doc.get("batch_time_ms").and_then(Json::as_f64).is_some());
+    // Durations are normalised *_ns fields; the legacy millisecond duplicates are gone.
+    let Json::Obj(entries) = &doc else {
+        panic!("/metrics.json is not an object")
+    };
+    assert!(!entries.iter().any(|(key, _)| key.ends_with("_ms")));
     assert!(doc.get("batch_time_ns").and_then(Json::as_f64).is_some());
     server.shutdown();
 }

@@ -142,6 +142,14 @@ fn every_service_metric_reaches_both_surfaces() {
     assert_eq!(response.status, 200);
 
     let fields = ServiceMetrics::default().fields();
+    // The executor's counters are declared once, in `ExecStats::fields`, and reach both
+    // surfaces through the service's list with no edit of their own.
+    for (name, _, _) in ServiceMetrics::default().exec.fields() {
+        assert!(
+            fields.iter().any(|(n, _, _)| *n == name),
+            "{name} is missing from ServiceMetrics::fields"
+        );
+    }
 
     // JSON surface: every canonical field name is a key.
     let json = client.request("GET", "/metrics.json", None).unwrap();

@@ -382,12 +382,12 @@ fn run_service(
                 report.queries,
                 report.evaluated,
                 report.served_from_cache,
-                report.dag_nodes,
-                report.plan_hits,
-                report.epoch_results_reused,
-                report.epoch_bind_hits,
-                report.peak_parallelism,
-                report.source_operators,
+                report.run.nodes_executed,
+                report.run.plan_hits(),
+                report.run.results_reused,
+                report.run.bind_hits,
+                report.run.peak_parallelism,
+                report.exec.source_operators(),
                 report.latency.as_secs_f64() * 1000.0,
                 p.p50.as_secs_f64() * 1000.0,
                 p.p95.as_secs_f64() * 1000.0,
@@ -414,7 +414,7 @@ fn run_service(
             after.answer_cache_hits - before.answer_cache_hits,
             after.queries_evaluated - before.queries_evaluated,
             after.plan_cache_hits - before.plan_cache_hits,
-            after.source_operators - before.source_operators,
+            after.exec.source_operators() - before.exec.source_operators(),
         );
 
         if args.verify {
@@ -437,11 +437,11 @@ fn run_service(
         metrics.batch_deduped,
         metrics.answer_hit_rate() * 100.0,
         metrics.plan_hit_rate() * 100.0,
-        metrics.source_operators,
+        metrics.exec.source_operators(),
     );
     println!(
         "dag: {} distinct nodes executed, {} operator insertions deduplicated, peak parallelism {}",
-        metrics.dag_nodes_executed, metrics.dag_operators_deduped, metrics.dag_peak_parallelism,
+        metrics.dag_nodes_executed, metrics.plan_cache_hits, metrics.dag_peak_parallelism,
     );
     println!(
         "epoch-dag: {} node executions skipped ({:.0}% reuse rate), {} rebinds skipped",
@@ -452,11 +452,11 @@ fn run_service(
     println!(
         "executor: {:.0} rows/sec, {} rows served zero-copy (shared views)",
         metrics.rows_per_second(),
-        metrics.rows_shared,
+        metrics.exec.rows_shared,
     );
     println!(
         "columnar: {} rows produced by vectorized kernels",
-        metrics.columnar_rows,
+        metrics.exec.columnar_rows,
     );
     // Mirror the spill/single-thread convention: an unsharded run prints n/a, never a
     // misleading 0 that reads as "sharded but idle".
@@ -477,11 +477,11 @@ fn run_service(
         Some(budget) => println!(
             "spill: budget={budget} bytes, {} bytes spilled ({} raw → {} encoded segment bytes), \
              {} reloads, {} grace partitions",
-            metrics.bytes_spilled,
-            metrics.segment_bytes_raw,
-            metrics.segment_bytes_encoded,
-            metrics.spill_reloads,
-            metrics.grace_partitions,
+            metrics.exec.bytes_spilled,
+            metrics.exec.segment_bytes_raw,
+            metrics.exec.segment_bytes_encoded,
+            metrics.exec.spill_reloads,
+            metrics.exec.grace_partitions,
         ),
         None => println!("spill: n/a (no --memory-budget)"),
     }

@@ -45,9 +45,8 @@ pub struct ServiceConfig {
     /// node results are spill-backed (paged out to disk segments under pressure, reloaded
     /// transparently), and hash joins whose build side exceeds *half* the budget take the
     /// grace (partitioned) path — so workloads bigger than RAM complete instead of OOMing,
-    /// with byte-identical answers.  Spill work is reported in
-    /// [`ServiceMetrics`](crate::ServiceMetrics) (`bytes_spilled`, `spill_reloads`,
-    /// `grace_partitions`).
+    /// with byte-identical answers.  Spill work is counted by the executor
+    /// ([`ExecStats`](urm_engine::ExecStats)) and reported with the rest of its counters.
     pub memory_budget: Option<usize>,
 }
 

@@ -1,13 +1,22 @@
 //! Service-level work accounting.
+//!
+//! A batch's work is the engine's one account of it — an [`ExecStats`] and a [`RunReport`] —
+//! kept whole in its [`BatchReport`] and merged into the service's [`ServiceMetrics`].  The
+//! executor counters are named once, by [`ExecStats::fields`], which [`ServiceMetrics::fields`]
+//! splices into the list behind `/metrics` and `/metrics.json`.
 
+use std::ops::Deref;
 use std::time::Duration;
+use urm_engine::{ExecStats, RunReport};
+use urm_obs::MetricKind;
 // The percentile machinery (nearest-rank `percentile`, `LatencySummary`) lives in `urm-obs`
 // now — one implementation shared by the service, the CLI, the benches and the server.  The
 // re-export keeps `urm_service::{percentile, LatencySummary}` working unchanged.
-use urm_obs::MetricKind;
 pub use urm_obs::{percentile, LatencySummary};
 
-/// A snapshot of the service-wide counters.
+/// A snapshot of the service-wide counters.  The executor's counters live in
+/// [`exec`](ServiceMetrics::exec) and also read as the snapshot's own (`metrics.bytes_spilled`,
+/// as the e2e benchmark's cold-iteration check reads it).
 #[derive(Debug, Clone, Default)]
 pub struct ServiceMetrics {
     /// Queries submitted (including ones answered from the cache).
@@ -24,16 +33,15 @@ pub struct ServiceMetrics {
     pub batches: u64,
     /// Queries evaluated (after caching and deduplication).
     pub queries_evaluated: u64,
-    /// Bound-operator insertions the batch DAGs answered with an existing node (cross-query
-    /// sub-plan sharing) across all batches.
+    /// Source-query submissions answered without new plan work across all batches: operator
+    /// insertions the batch DAGs deduplicated onto an existing node plus plans answered by an
+    /// epoch's bind cache ([`RunReport::plan_hits`]).  Also exposed as
+    /// `dag_operators_deduped`, the DAG's name for it.
     pub plan_cache_hits: u64,
     /// Distinct bound operators materialised (one DAG node each) across all batches.
     pub plan_cache_misses: u64,
     /// Distinct DAG nodes executed across all batches (each exactly once within its batch).
     pub dag_nodes_executed: u64,
-    /// Operator insertions deduplicated by the batch DAGs (same counter as `plan_cache_hits`,
-    /// kept under the DAG's name for dashboards that track node-dedup explicitly).
-    pub dag_operators_deduped: u64,
     /// Highest number of DAG nodes observed in flight at once in any batch.
     pub dag_peak_parallelism: u64,
     /// Source-query submissions answered by an epoch DAG's bind cache — plan optimisation,
@@ -42,30 +50,8 @@ pub struct ServiceMetrics {
     /// DAG nodes answered by a still-materialised result of an earlier batch of the same epoch
     /// — node executions skipped, whole subgraphs pruned.
     pub epoch_results_reused: u64,
-    /// Source operators executed across all batches.
-    pub source_operators: u64,
-    /// Tuples read by operators across all batches.
-    pub tuples_read: u64,
-    /// Tuples produced by operators across all batches.
-    pub tuples_output: u64,
-    /// Rows handed to operators as shared views instead of copies (the physical executor's
-    /// clone-elimination counter, summed across all batches).
-    pub rows_shared: u64,
-    /// Bytes of materialised relations written to spill segments under the epochs' memory
-    /// budgets (0 when [`ServiceConfig::memory_budget`](crate::ServiceConfig) is off).
-    pub bytes_spilled: u64,
-    /// Spilled relations transparently reloaded from their segments.
-    pub spill_reloads: u64,
-    /// Partitions produced by grace hash joins (joins whose build side exceeded the budget).
-    pub grace_partitions: u64,
-    /// Rows produced by the vectorized columnar kernels.
-    pub columnar_rows: u64,
-    /// Row-codec-equivalent bytes of the relations written to spill segments — the size the
-    /// segments *would* have under the uncompressed row codec (0 without a memory budget).
-    pub segment_bytes_raw: u64,
-    /// Actual encoded bytes of the spill segments written (per-column dictionary / delta /
-    /// run-length encodings); compare against `segment_bytes_raw` for the compression ratio.
-    pub segment_bytes_encoded: u64,
+    /// The executor's counters, merged across all batches.
+    pub exec: ExecStats,
     /// Batches executed through the scatter-gather shard path (0 with
     /// [`ServiceConfig::shards`](crate::ServiceConfig) = 1).
     pub shard_batches: u64,
@@ -125,19 +111,19 @@ impl ServiceMetrics {
         if secs == 0.0 {
             0.0
         } else {
-            (self.tuples_read + self.tuples_output) as f64 / secs
+            (self.exec.tuples_read + self.exec.tuples_output) as f64 / secs
         }
     }
 
     /// Every field of the snapshot as `(name, kind, value)` triples — the **single** canonical
     /// enumeration that drives the Prometheus exposition (`GET /metrics`), the JSON snapshot
     /// (`GET /metrics.json`) and the coverage integration test, so the three surfaces cannot
-    /// drift apart.  Durations are normalised to integer-nanosecond `*_ns` fields; derived
-    /// rates come last, as gauges.
+    /// drift apart.  The executor counters are [`ExecStats::fields`]; durations are normalised
+    /// to integer-nanosecond `*_ns` fields; derived rates come last, as gauges.
     #[must_use]
     pub fn fields(&self) -> Vec<(&'static str, MetricKind, f64)> {
         use MetricKind::{Counter, Gauge};
-        vec![
+        let mut fields = vec![
             ("queries_submitted", Counter, self.queries_submitted as f64),
             ("answer_cache_hits", Counter, self.answer_cache_hits as f64),
             (
@@ -163,7 +149,7 @@ impl ServiceMetrics {
             (
                 "dag_operators_deduped",
                 Counter,
-                self.dag_operators_deduped as f64,
+                self.plan_cache_hits as f64,
             ),
             (
                 "dag_peak_parallelism",
@@ -176,20 +162,9 @@ impl ServiceMetrics {
                 Counter,
                 self.epoch_results_reused as f64,
             ),
-            ("source_operators", Counter, self.source_operators as f64),
-            ("tuples_read", Counter, self.tuples_read as f64),
-            ("tuples_output", Counter, self.tuples_output as f64),
-            ("rows_shared", Counter, self.rows_shared as f64),
-            ("bytes_spilled", Counter, self.bytes_spilled as f64),
-            ("spill_reloads", Counter, self.spill_reloads as f64),
-            ("grace_partitions", Counter, self.grace_partitions as f64),
-            ("columnar_rows", Counter, self.columnar_rows as f64),
-            ("segment_bytes_raw", Counter, self.segment_bytes_raw as f64),
-            (
-                "segment_bytes_encoded",
-                Counter,
-                self.segment_bytes_encoded as f64,
-            ),
+        ];
+        fields.extend(self.exec.fields());
+        fields.extend([
             ("shard_batches", Counter, self.shard_batches as f64),
             ("shard_fanouts", Counter, self.shard_fanouts as f64),
             (
@@ -217,7 +192,36 @@ impl ServiceMetrics {
             ("plan_hit_rate", Gauge, self.plan_hit_rate()),
             ("epoch_reuse_rate", Gauge, self.epoch_reuse_rate()),
             ("rows_per_second", Gauge, self.rows_per_second()),
-        ]
+        ]);
+        fields
+    }
+
+    /// Folds one batch's accounting into the service totals (peak parallelism is the highest
+    /// any batch reached).
+    pub(crate) fn absorb(&mut self, report: &BatchReport) {
+        self.batches += 1;
+        self.queries_evaluated += report.evaluated as u64;
+        self.plan_cache_hits += report.run.plan_hits();
+        self.plan_cache_misses += report.run.nodes_added;
+        self.dag_nodes_executed += report.run.nodes_executed;
+        self.dag_peak_parallelism = self
+            .dag_peak_parallelism
+            .max(report.run.peak_parallelism as u64);
+        self.epoch_bind_hits += report.run.bind_hits;
+        self.epoch_results_reused += report.run.results_reused;
+        self.exec.merge(&report.exec);
+        self.shard_batches += u64::from(report.shards > 0);
+        self.shard_fanouts += report.shard_fanouts;
+        self.shard_merge_time += report.shard_merge_time;
+        self.batch_time += report.latency;
+    }
+}
+
+impl Deref for ServiceMetrics {
+    type Target = ExecStats;
+
+    fn deref(&self) -> &ExecStats {
+        &self.exec
     }
 }
 
@@ -234,36 +238,12 @@ pub struct BatchReport {
     pub evaluated: usize,
     /// Submissions answered from the answer cache while the batch was being assembled.
     pub served_from_cache: usize,
-    /// Operator insertions the batch DAG answered with an existing node (sub-plan sharing).
-    pub plan_hits: u64,
-    /// Distinct bound operators of the batch DAG (each executed exactly once).
-    pub plan_misses: u64,
-    /// Distinct DAG nodes executed by this batch (for a cold batch this equals `plan_misses`;
-    /// a warm batch on a hot epoch can execute none at all).
-    pub dag_nodes: usize,
-    /// Source-query submissions this batch answered from the epoch's bind cache.
-    pub epoch_bind_hits: u64,
-    /// DAG nodes this batch answered from a previous batch's still-materialised results.
-    pub epoch_results_reused: u64,
-    /// Maximum number of DAG nodes in flight at once while this batch executed.
-    pub peak_parallelism: usize,
-    /// Threads the batch DAG ran on (at most `ServiceConfig::dag_workers`, and no more than
-    /// it had nodes to execute).
-    pub dag_workers: usize,
-    /// Source operators executed by this batch.
-    pub source_operators: u64,
-    /// Bytes this batch spilled to disk segments (0 without a memory budget).
-    pub bytes_spilled: u64,
-    /// Spilled relations this batch reloaded from disk.
-    pub spill_reloads: u64,
-    /// Grace-hash-join partitions this batch produced.
-    pub grace_partitions: u64,
-    /// Rows this batch's vectorized columnar kernels produced.
-    pub columnar_rows: u64,
-    /// Row-codec-equivalent bytes of the relations this batch spilled.
-    pub segment_bytes_raw: u64,
-    /// Actual encoded bytes of the spill segments this batch wrote.
-    pub segment_bytes_encoded: u64,
+    /// The batch's executor counters (zeros for a batch whose evaluation failed).
+    pub exec: ExecStats,
+    /// The batch's bind stage and DAG run.  `run.workers` is the threads its DAG ran on: at
+    /// most `ServiceConfig::dag_workers` on the single-node path; a sharded batch sums its
+    /// shards' threads, at least one per shard.
+    pub run: RunReport,
     /// Shards the batch was fanned out to (0 = the single-node path; sharded batches report
     /// the epoch's shard count even when every root was routed to one shard).
     pub shards: usize,
@@ -297,8 +277,11 @@ mod tests {
         // A sub-millisecond smoke run can legitimately observe `batch_time == 0` (and tuples
         // processed > 0): the division must degrade to 0.0, never inf/NaN in a JSON report.
         let m = ServiceMetrics {
-            tuples_read: 1000,
-            tuples_output: 500,
+            exec: ExecStats {
+                tuples_read: 1000,
+                tuples_output: 500,
+                ..ExecStats::default()
+            },
             batch_time: Duration::ZERO,
             ..ServiceMetrics::default()
         };

@@ -348,20 +348,16 @@ impl Inner {
                 // The evaluation failed, the batch still ran: it is accounted, what the
                 // recheck found in the cache is answered from there, and only the groups
                 // that were evaluated get the error.
-                let latency = start.elapsed();
-                {
-                    let mut metrics = self.metrics.lock().unwrap();
-                    metrics.batches += 1;
-                    metrics.batch_time += latency;
-                }
-                self.retain_report(BatchReport {
+                let report = BatchReport {
                     id: batch.id,
                     epoch: batch.epoch_id.raw(),
                     queries: total,
                     served_from_cache,
-                    latency,
+                    latency: start.elapsed(),
                     ..BatchReport::default()
-                });
+                };
+                self.metrics.lock().unwrap().absorb(&report);
+                self.retain_report(report);
                 Inner::respond_from_cache(cached_hits);
                 let err = ServiceError::from(err);
                 for submission in groups.iter().flatten() {
@@ -374,11 +370,10 @@ impl Inner {
         // Each unique answer is allocated once and shared by the cache entry and every
         // responding ticket.
         let evaluated = outcome.evaluations.len();
-        let source_operators = outcome.source_operators();
         if evaluated > 0 {
             // Fold this batch's per-query operator cost into the epoch's observed average
             // (EWMA, α = ½) — the admission layer's cost unit for future requests.
-            let per_query = (source_operators / evaluated as u64).max(1);
+            let per_query = (outcome.source_operators() / evaluated as u64).max(1);
             let prev = batch.epoch.observed_cost.load(Ordering::Relaxed);
             let next = if prev == 0 {
                 per_query
@@ -387,11 +382,6 @@ impl Inner {
             };
             batch.epoch.observed_cost.store(next, Ordering::Relaxed);
         }
-        let (tuples_read, tuples_output, rows_shared) = (
-            outcome.exec.tuples_read,
-            outcome.exec.tuples_output,
-            outcome.exec.rows_shared,
-        );
         let exec_time = outcome.exec.exec_time;
         let shared: Vec<(EvalMetrics, Arc<ProbabilisticAnswer>)> = outcome
             .evaluations
@@ -437,20 +427,8 @@ impl Inner {
             queries: total,
             evaluated,
             served_from_cache,
-            plan_hits: outcome.plan_hits,
-            plan_misses: outcome.plan_misses,
-            dag_nodes: outcome.dag_nodes,
-            epoch_bind_hits: outcome.epoch_bind_hits,
-            epoch_results_reused: outcome.epoch_results_reused,
-            peak_parallelism: outcome.peak_parallelism,
-            dag_workers: outcome.workers,
-            source_operators,
-            bytes_spilled: outcome.exec.bytes_spilled,
-            spill_reloads: outcome.exec.spill_reloads,
-            grace_partitions: outcome.exec.grace_partitions,
-            columnar_rows: outcome.exec.columnar_rows,
-            segment_bytes_raw: outcome.exec.segment_bytes_raw,
-            segment_bytes_encoded: outcome.exec.segment_bytes_encoded,
+            exec: outcome.exec,
+            run: outcome.run,
             shards,
             shard_fanouts,
             shard_merge_time,
@@ -460,34 +438,8 @@ impl Inner {
         };
         {
             let mut metrics = self.metrics.lock().unwrap();
-            metrics.batches += 1;
             metrics.batch_deduped += deduped;
-            metrics.queries_evaluated += evaluated as u64;
-            metrics.plan_cache_hits += outcome.plan_hits;
-            metrics.plan_cache_misses += outcome.plan_misses;
-            metrics.dag_nodes_executed += outcome.dag_nodes as u64;
-            metrics.dag_operators_deduped += outcome.plan_hits;
-            metrics.dag_peak_parallelism = metrics
-                .dag_peak_parallelism
-                .max(outcome.peak_parallelism as u64);
-            metrics.epoch_bind_hits += outcome.epoch_bind_hits;
-            metrics.epoch_results_reused += outcome.epoch_results_reused;
-            metrics.source_operators += source_operators;
-            metrics.tuples_read += tuples_read;
-            metrics.tuples_output += tuples_output;
-            metrics.rows_shared += rows_shared;
-            metrics.bytes_spilled += report.bytes_spilled;
-            metrics.spill_reloads += report.spill_reloads;
-            metrics.grace_partitions += report.grace_partitions;
-            metrics.columnar_rows += report.columnar_rows;
-            metrics.segment_bytes_raw += report.segment_bytes_raw;
-            metrics.segment_bytes_encoded += report.segment_bytes_encoded;
-            if shard_stats.is_some() {
-                metrics.shard_batches += 1;
-            }
-            metrics.shard_fanouts += report.shard_fanouts;
-            metrics.shard_merge_time += report.shard_merge_time;
-            metrics.batch_time += latency;
+            metrics.absorb(&report);
         }
         if let Some(stats) = &shard_stats {
             let mut samples = self.shard_samples.lock().unwrap();
@@ -999,8 +951,8 @@ mod tests {
         );
         assert!(metrics.epoch_reuse_rate() > 0.0);
         let reports = service.reports();
-        assert_eq!(reports[0].epoch_results_reused, 0, "first batch is cold");
-        assert!(reports[1].epoch_results_reused > 0);
+        assert_eq!(reports[0].run.results_reused, 0, "first batch is cold");
+        assert!(reports[1].run.results_reused > 0);
     }
 
     #[test]
@@ -1022,11 +974,11 @@ mod tests {
             assert_eq!(a.answer.sorted(), b.answer.sorted());
         }
         let metrics = budgeted_service.metrics();
-        assert!(metrics.bytes_spilled > 0, "budget 0 must spill pins");
+        assert!(metrics.exec.bytes_spilled > 0, "budget 0 must spill pins");
         // (The worked-example queries reformulate onto products, so the grace *join* path is
         // exercised by the engine tests and the spill benchmark, not here.)
         let reports = budgeted_service.reports();
-        assert!(reports.iter().any(|r| r.bytes_spilled > 0));
+        assert!(reports.iter().any(|r| r.exec.bytes_spilled > 0));
     }
 
     #[test]
@@ -1099,7 +1051,7 @@ mod tests {
         let reports = service.reports();
         assert_eq!(reports.len(), 3);
         assert!(
-            reports[2].epoch_results_reused > 0,
+            reports[2].run.results_reused > 0,
             "older batches' pins were rotated out despite fitting the byte budget"
         );
     }
@@ -1131,7 +1083,11 @@ mod tests {
                     let report = service.reports().last().cloned().unwrap();
                     assert_eq!(report.epoch, epoch.raw());
                     assert!(service.drop_epoch(epoch));
-                    (answers, report.dag_nodes, report.epoch_results_reused)
+                    (
+                        answers,
+                        report.run.nodes_executed,
+                        report.run.results_reused,
+                    )
                 })
                 .collect();
             assert_eq!(rounds[1], rounds[0], "{shards} shard(s), round 2");
@@ -1261,6 +1217,53 @@ mod tests {
     }
 
     #[test]
+    fn service_totals_are_the_sum_of_the_batch_reports() {
+        // A counter the accumulation missed would leave the totals short of the reports' sum.
+        let configs = [
+            ServiceConfig::tiny(),
+            ServiceConfig {
+                memory_budget: Some(0),
+                ..ServiceConfig::tiny()
+            },
+            ServiceConfig {
+                shards: 2,
+                ..ServiceConfig::tiny()
+            },
+        ];
+        for config in configs {
+            let label = format!(
+                "budget {:?}, {} shard(s)",
+                config.memory_budget, config.shards
+            );
+            let service = QueryService::new(config);
+            let epoch =
+                service.register_epoch(testkit::figure2_catalog(), testkit::figure3_mappings());
+            for batch in [
+                vec![testkit::q0(), testkit::q1()],
+                vec![testkit::q2_product(), testkit::count_query()],
+                vec![testkit::sum_query(), testkit::basic_example_query()],
+            ] {
+                service.execute_all(epoch, batch).unwrap();
+            }
+            let (metrics, reports) = (service.metrics(), service.reports());
+            assert_eq!(reports.len(), 3, "{label}");
+            let mut exec = urm_engine::ExecStats::default();
+            let mut run = urm_engine::RunReport::default();
+            for report in &reports {
+                exec.merge(&report.exec);
+                run.merge(&report.run);
+            }
+            assert!(exec.source_operators() > 0, "{label}");
+            assert_eq!(metrics.exec, exec, "{label}");
+            assert_eq!(metrics.dag_nodes_executed, run.nodes_executed, "{label}");
+            assert_eq!(metrics.epoch_results_reused, run.results_reused, "{label}");
+            assert_eq!(metrics.epoch_bind_hits, run.bind_hits, "{label}");
+            assert_eq!(metrics.plan_cache_hits, run.plan_hits(), "{label}");
+            assert_eq!(metrics.plan_cache_misses, run.nodes_added, "{label}");
+        }
+    }
+
+    #[test]
     fn batch_reports_account_for_the_work() {
         let (service, epoch) = service();
         service
@@ -1271,7 +1274,7 @@ mod tests {
         let report = &reports[0];
         assert_eq!(report.queries, 3);
         assert_eq!(report.evaluated, 2);
-        assert!(report.plan_misses > 0);
-        assert!(report.source_operators > 0);
+        assert!(report.run.nodes_added > 0);
+        assert!(report.exec.source_operators() > 0);
     }
 }

@@ -34,6 +34,32 @@ fn random_batch(rng: &mut TestRng) -> Vec<TargetQuery> {
         .collect()
 }
 
+/// A sharded batch reports the threads its shards' DAGs ran on, not the configured DAG
+/// workers: four shards at two DAG workers run one thread each.
+#[test]
+fn sharded_batches_report_the_threads_their_shards_used() {
+    let scenario = Scenario::generate(&ScenarioConfig {
+        target: TargetSchemaKind::Excel,
+        scale: 4,
+        mappings: 6,
+        seed: 7,
+    })
+    .expect("scenario generates");
+    let service = QueryService::new(ServiceConfig {
+        shards: 4,
+        dag_workers: 2,
+        ..ServiceConfig::tiny()
+    });
+    let epoch = service.register_epoch(scenario.catalog, scenario.mappings);
+    let queries = ["Q1", "join:2"].map(|spec| parse_spec(spec).unwrap().query);
+    service.execute_all(epoch, queries.to_vec()).unwrap();
+    let reports = service.reports();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].shards, 4);
+    assert!(reports[0].run.nodes_executed > 0, "the batch is cold");
+    assert_eq!(reports[0].run.workers, 4, "one DAG thread per shard");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -147,7 +147,7 @@ proptest! {
             }
             prop_assert_eq!(
                 batch.exec.operators_executed + batch.exec.scans,
-                batch.dag_nodes as u64,
+                batch.run.nodes_executed,
                 "a distinct bound operator executed more than once"
             );
         }
