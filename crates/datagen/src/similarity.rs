@@ -91,33 +91,58 @@ fn dice<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
     2.0 * inter / (a.len() + b.len()) as f64
 }
 
+/// An attribute name prepared once for scoring against many others.
+struct PreparedName<'a> {
+    name: &'a str,
+    tokens: BTreeSet<String>,
+    trigrams: BTreeSet<String>,
+}
+
+impl<'a> PreparedName<'a> {
+    fn new(name: &'a str) -> Self {
+        PreparedName {
+            name,
+            tokens: token_set(name),
+            trigrams: trigrams(name),
+        }
+    }
+
+    /// Similarity to another prepared name, in `[0, 1]`.
+    fn similarity(&self, other: &PreparedName<'_>) -> f64 {
+        if self.name.eq_ignore_ascii_case(other.name) {
+            return 1.0;
+        }
+        let token_score = jaccard(&self.tokens, &other.tokens);
+        let trigram_score = dice(&self.trigrams, &other.trigrams);
+        0.65 * token_score + 0.35 * trigram_score
+    }
+}
+
 /// Similarity between two attribute names, in `[0, 1]`.
 #[must_use]
 pub fn name_similarity(source: &str, target: &str) -> f64 {
-    if source.eq_ignore_ascii_case(target) {
-        return 1.0;
-    }
-    let token_score = jaccard(&token_set(source), &token_set(target));
-    let trigram_score = dice(&trigrams(source), &trigrams(target));
-    0.65 * token_score + 0.35 * trigram_score
+    PreparedName::new(source).similarity(&PreparedName::new(target))
 }
 
 /// Default minimum similarity for a correspondence to be reported (the matcher's cut-off).
 pub const DEFAULT_THRESHOLD: f64 = 0.30;
 
 /// Builds the full similarity matrix between a source and a target schema, keeping only pairs
-/// scoring at least `threshold`.
+/// scoring at least `threshold`.  Each attribute name is prepared once, not once per pair.
 pub fn score_schemas(
     source: &SchemaDef,
     target: &SchemaDef,
     threshold: f64,
 ) -> MatchingResult<SimilarityMatrix> {
     let mut sim = SimilarityMatrix::new(source, target);
+    let targets = target.all_attributes();
+    let prepared: Vec<PreparedName> = targets.iter().map(|t| PreparedName::new(&t.attr)).collect();
     for s in source.all_attributes() {
-        for t in target.all_attributes() {
-            let score = name_similarity(&s.attr, &t.attr);
+        let s_name = PreparedName::new(&s.attr);
+        for (t, t_name) in targets.iter().zip(&prepared) {
+            let score = s_name.similarity(t_name);
             if score >= threshold {
-                sim.try_set(&s, &t, score)?;
+                sim.try_set(&s, t, score)?;
             }
         }
     }
@@ -128,6 +153,7 @@ pub fn score_schemas(
 mod tests {
     use super::*;
     use crate::{source::source_schema_def, targets};
+    use urm_matching::MappingSet;
     use urm_storage::AttrRef;
 
     #[test]
@@ -183,6 +209,72 @@ mod tests {
             candidates >= 2,
             "telephone needs ambiguity, got {candidates}"
         );
+    }
+
+    fn shipped_similarities() -> Vec<(&'static str, SimilarityMatrix)> {
+        [
+            ("Excel", targets::excel()),
+            ("Noris", targets::noris()),
+            ("Paragon", targets::paragon()),
+        ]
+        .into_iter()
+        .map(|(name, target)| {
+            let sim = score_schemas(&source_schema_def(), &target, DEFAULT_THRESHOLD).unwrap();
+            (name, sim)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn score_schemas_equals_name_similarity_bit_for_bit() {
+        let source = source_schema_def();
+        for target in [targets::excel(), targets::noris(), targets::paragon()] {
+            let sim = score_schemas(&source, &target, 0.0).unwrap();
+            for s in sim.source_attrs() {
+                for t in sim.target_attrs() {
+                    let cell = sim.get(s, t).unwrap();
+                    let pair = name_similarity(&s.attr, &t.attr);
+                    assert_eq!(cell.to_bits(), pair.to_bits(), "{s} ↔ {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_h_ranking_never_increases_on_the_shipped_schemas() {
+        for (name, sim) in shipped_similarities() {
+            for h in [30, 60] {
+                let set = MappingSet::top_h(&sim, h).unwrap();
+                assert_eq!(set.len(), h);
+                for w in set.mappings().windows(2) {
+                    assert!(w[0].score() >= w[1].score(), "{name}, h = {h}: {w:?}");
+                    assert!(w[0].probability() >= w[1].probability(), "{name}, h = {h}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_h_is_prefix_stable_on_the_shipped_schemas() {
+        for (name, sim) in shipped_similarities() {
+            let short = MappingSet::top_h(&sim, 30).unwrap();
+            let long = MappingSet::top_h(&sim, 60).unwrap();
+            for (a, b) in short.iter().zip(long.iter()) {
+                assert_eq!(a.id(), b.id(), "{name}");
+                assert_eq!(
+                    a.correspondences(),
+                    b.correspondences(),
+                    "{name}, m{}",
+                    a.id()
+                );
+                assert_eq!(
+                    a.score().to_bits(),
+                    b.score().to_bits(),
+                    "{name}, m{}",
+                    a.id()
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! * [`SchemaDef`] — a lightweight description of a schema's relations and attributes;
 //! * [`Correspondence`] / [`SimilarityMatrix`] — scored attribute pairs;
-//! * [`hungarian`] — maximum-weight bipartite assignment (the single best mapping);
-//! * [`murty`] — enumeration of the `h` highest-scoring one-to-one partial mappings
-//!   (Murty's k-best assignment algorithm driven by the Hungarian solver);
+//! * [`murty`] — enumeration of the `h` highest-scoring one-to-one partial mappings: Murty's
+//!   k-best partition over a sparse successive-shortest-path solver on exact integer weights,
+//!   ranked by total score descending, ties by sorted pair list ascending;
 //! * [`Mapping`] / [`MappingSet`] — possible mappings with normalised probabilities, plus the
 //!   **o-ratio** overlap statistic of Section VIII-B.1.
 //!
@@ -39,7 +39,6 @@
 
 pub mod correspondence;
 pub mod error;
-pub mod hungarian;
 pub mod mapping;
 pub mod mapping_set;
 pub mod murty;

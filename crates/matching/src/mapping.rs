@@ -1,5 +1,6 @@
 //! Possible mappings.
 
+use crate::murty::{score_units, UNITS_PER_SCORE};
 use crate::Correspondence;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,15 +27,15 @@ impl Mapping {
     #[must_use]
     pub fn new(id: usize, correspondences: Vec<Correspondence>, probability: f64) -> Self {
         let mut by_target = BTreeMap::new();
-        let mut score = 0.0;
+        let mut units = 0;
         for c in correspondences {
-            score += c.score;
+            units += score_units(c.score);
             by_target.insert(c.target, (c.source, c.score));
         }
         Mapping {
             id,
             by_target,
-            score,
+            score: units as f64 / UNITS_PER_SCORE,
             probability,
         }
     }
@@ -45,7 +46,8 @@ impl Mapping {
         self.id
     }
 
-    /// The mapping's total similarity score.
+    /// The mapping's total similarity score, summed exactly in the integer units of
+    /// [`crate::murty`] so that it does not depend on the order of the correspondences.
     #[must_use]
     pub fn score(&self) -> f64 {
         self.score

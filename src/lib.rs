@@ -9,7 +9,7 @@
 //!
 //! * [`storage`] — in-memory relational storage (the source instance `D`);
 //! * [`engine`] — relational-algebra plans and the executor;
-//! * [`matching`] — correspondences, possible mappings, Hungarian/Murty top-h enumeration;
+//! * [`matching`] — correspondences, possible mappings, Murty top-h enumeration;
 //! * [`datagen`] — synthetic schemas, data and the paper's workload (Table III);
 //! * [`mqo`] — the multi-query-optimization baseline used by e-MQO;
 //! * [`core`] — the paper's algorithms: basic, e-basic, e-MQO, q-sharing, o-sharing
