@@ -95,7 +95,10 @@ fn oversized_batch(queries: usize) -> Vec<Plan> {
         let alias = format!("LI{i}");
         plans.push(Plan::scan("Orders").hash_join(
             Plan::scan_as("LineItem", alias.clone()),
-            vec![("Orders.orderNum".into(), format!("{alias}.itemOrderNum"))],
+            vec![(
+                "Orders.orderNum".into(),
+                format!("{alias}.itemOrderNum").into(),
+            )],
         ));
     }
     plans

@@ -3,11 +3,11 @@
 use crate::answer::ProbabilisticAnswer;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, reformulate, Reformulated};
+use crate::reformulate::{aggregate, reformulate, Clusters, Reformulated};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, Executor};
-use urm_matching::{Mapping, MappingSet};
+use urm_matching::MappingSet;
 use urm_storage::Catalog;
 
 /// Evaluates the query by reformulating and executing it once for every mapping in `mappings`.
@@ -16,29 +16,15 @@ pub fn evaluate(
     mappings: &MappingSet,
     catalog: &Catalog,
 ) -> CoreResult<Evaluation> {
-    let weighted: Vec<(Mapping, f64)> = mappings
-        .iter()
-        .map(|m| (m.clone(), m.probability()))
-        .collect();
-    evaluate_weighted(query, &weighted, catalog, "basic")
-}
-
-/// The work-horse shared with q-sharing: evaluates the query once per `(mapping, probability)`
-/// pair and aggregates duplicate answers.
-pub(crate) fn evaluate_weighted(
-    query: &TargetQuery,
-    mappings: &[(Mapping, f64)],
-    catalog: &Catalog,
-    algorithm: &'static str,
-) -> CoreResult<Evaluation> {
     let total_start = Instant::now();
-    let mut metrics = EvalMetrics::new(algorithm);
+    let mut metrics = EvalMetrics::new("basic");
     metrics.representative_mappings = mappings.len();
     let mut answer = ProbabilisticAnswer::new();
     let mut exec = Executor::new(catalog);
-    let mut distinct = std::collections::HashSet::new();
+    // Counts the distinct source queries; nothing is shared between the mappings' runs.
+    let mut distinct = Clusters::default();
 
-    for (mapping, probability) in mappings {
+    for mapping in mappings.iter() {
         let rewrite_start = Instant::now();
         let reformulated = reformulate(query, mapping, catalog)?;
         metrics.rewrite_time += rewrite_start.elapsed();
@@ -46,11 +32,12 @@ pub(crate) fn evaluate_weighted(
         match reformulated {
             Reformulated::Empty => {
                 let agg_start = Instant::now();
-                answer.add_empty(*probability);
+                answer.add_empty(mapping.probability());
                 metrics.aggregation_time += agg_start.elapsed();
             }
             Reformulated::Query(sq) => {
-                distinct.insert(sq.clone());
+                let slot = distinct.slot(sq);
+                let sq = distinct.query(slot);
                 let plan_start = Instant::now();
                 let plan = optimize(&sq.plan, catalog)?;
                 metrics.plan_time += plan_start.elapsed();
@@ -58,7 +45,12 @@ pub(crate) fn evaluate_weighted(
                 let result = exec.run(&plan)?;
 
                 let agg_start = Instant::now();
-                aggregate(&mut answer, [&result], &sq.extraction, *probability);
+                aggregate(
+                    &mut answer,
+                    [&result],
+                    &sq.extraction,
+                    mapping.probability(),
+                );
                 metrics.aggregation_time += agg_start.elapsed();
             }
         }

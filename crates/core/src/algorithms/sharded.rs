@@ -39,7 +39,7 @@ use urm_engine::optimize::{fingerprint, optimize};
 use urm_engine::{EpochDag, ExecStats, Executor, Plan, RunReport, DEFAULT_PIN_BUDGET_BYTES};
 use urm_matching::MappingSet;
 use urm_storage::shard::{partition, ShardScheme};
-use urm_storage::Catalog;
+use urm_storage::{Catalog, Name};
 
 pub use urm_storage::shard::slice_relation_name;
 
@@ -148,7 +148,7 @@ enum RootRoute {
 }
 
 /// Scan leaves of a plan in deterministic (depth-first, left-to-right) traversal order.
-fn scan_leaves(plan: &Plan, out: &mut Vec<(String, String)>) {
+fn scan_leaves(plan: &Plan, out: &mut Vec<(Name, Name)>) {
     if let Plan::Scan { relation, alias } = plan {
         out.push((relation.clone(), alias.clone()));
     }
@@ -198,10 +198,10 @@ fn redirect_scan(plan: &Plan, target: usize, seen: &mut usize, slice: &str) -> P
 /// Picks the scan leaf to slice: the one over the largest base relation (coordinator row
 /// counts; ties broken by traversal order, so the choice — and with it the rewritten plan —
 /// is identical on every shard and across runs).  `None` when the plan scans nothing.
-fn designate_slice_leaf(plan: &Plan, catalog: &Catalog) -> Option<(usize, String)> {
+fn designate_slice_leaf(plan: &Plan, catalog: &Catalog) -> Option<(usize, Name)> {
     let mut leaves = Vec::new();
     scan_leaves(plan, &mut leaves);
-    let mut best: Option<(usize, String, usize)> = None;
+    let mut best: Option<(usize, Name, usize)> = None;
     for (index, (relation, _)) in leaves.iter().enumerate() {
         let Some(rel) = catalog.get(relation) else {
             continue;

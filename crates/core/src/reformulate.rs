@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use urm_engine::{AggFunc, Plan, Predicate};
 use urm_matching::{Mapping, MappingSet};
-use urm_storage::{AttrRef, Catalog, Relation};
+use urm_storage::{AttrRef, Catalog, Name, Relation};
 
 /// How answer tuples are read out of the result of a reformulated source query.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,7 +49,7 @@ pub enum Extraction {
     Raw,
     /// Build each answer tuple from the named columns of the result, in this order; `None`
     /// entries become `NULL` (an output attribute the mapping does not cover).
-    Columns(Vec<Option<String>>),
+    Columns(Vec<Option<Name>>),
 }
 
 /// A reformulated source query: an executable plan plus the answer-extraction rule.
@@ -126,6 +126,16 @@ impl Clusters {
             probability: 0.0,
         });
         self.ordered.len() - 1
+    }
+
+    /// The source query of a cluster.
+    pub(crate) fn query(&self, slot: usize) -> &SourceQuery {
+        &self.ordered[slot].query
+    }
+
+    /// The number of distinct source queries met so far.
+    pub(crate) fn len(&self) -> usize {
+        self.ordered.len()
     }
 
     /// Adds one mapping's probability to a cluster.  Callers add in mapping order: a cluster's
@@ -207,15 +217,15 @@ pub fn source_column_for(
     query: &TargetQuery,
     mapping: &Mapping,
     attr: &AttrRef,
-) -> CoreResult<Option<String>> {
+) -> CoreResult<Option<Name>> {
     let schema_attr = query.schema_attr(attr)?;
     Ok(mapping
         .source_for(&schema_attr)
         .map(|src| source_column(attr, src)))
 }
 
-fn source_column(attr: &AttrRef, src: &AttrRef) -> String {
-    format!("{}.{}", scan_alias(&attr.alias, &src.alias), src.attr)
+fn source_column(attr: &AttrRef, src: &AttrRef) -> Name {
+    format!("{}.{}", scan_alias(&attr.alias, &src.alias), src.attr).into()
 }
 
 /// Every attribute a query uses, resolved through one mapping once: the source attribute it
@@ -224,7 +234,7 @@ fn source_column(attr: &AttrRef, src: &AttrRef) -> String {
 struct ResolvedAttrs<'m> {
     /// [`TargetQuery::attributes_used`], in its order.
     attrs: Vec<AttrRef>,
-    sources: Vec<Option<(&'m AttrRef, String)>>,
+    sources: Vec<Option<(&'m AttrRef, Name)>>,
 }
 
 impl<'m> ResolvedAttrs<'m> {
@@ -239,7 +249,7 @@ impl<'m> ResolvedAttrs<'m> {
     }
 
     /// The source column of one of the query's attributes.
-    fn column(&self, attr: &AttrRef) -> Option<&String> {
+    fn column(&self, attr: &AttrRef) -> Option<&Name> {
         let position = self.attrs.iter().position(|a| a == attr)?;
         self.sources[position].as_ref().map(|(_, column)| column)
     }
@@ -294,11 +304,12 @@ pub fn reformulate(
     catalog: &Catalog,
 ) -> CoreResult<Reformulated> {
     let resolved = ResolvedAttrs::new(query, mapping)?;
-    let mapped = |attr: &AttrRef| -> String {
-        resolved
-            .column(attr)
-            .expect("predicate and SUM attributes are checked to be mapped first")
-            .clone()
+    let mapped = |attr: &AttrRef| -> Name {
+        Name::clone(
+            resolved
+                .column(attr)
+                .expect("predicate and SUM attributes are checked to be mapped first"),
+        )
     };
 
     // 1. Every predicate attribute must be mapped, otherwise the predicate can never be
@@ -354,14 +365,14 @@ pub fn reformulate(
         QueryOutput::Count => (plan.aggregate(AggFunc::Count), Extraction::Raw),
         QueryOutput::Sum(attr) => (plan.aggregate(AggFunc::Sum(mapped(attr))), Extraction::Raw),
         QueryOutput::Tuples(attrs) => {
-            let columns: Vec<Option<String>> = attrs
+            let columns: Vec<Option<Name>> = attrs
                 .iter()
                 .map(|attr| resolved.column(attr).cloned())
                 .collect();
-            let mut project: Vec<String> = Vec::new();
+            let mut project: Vec<Name> = Vec::new();
             for col in columns.iter().flatten() {
                 if !project.contains(col) {
-                    project.push(col.clone());
+                    project.push(Name::clone(col));
                 }
             }
             if project.is_empty() {
@@ -526,10 +537,10 @@ mod tests {
 
     fn customers() -> Relation {
         Executor::new(&testkit::figure2_catalog())
-            .run(&Plan::scan("Customer").project(vec![
-                "Customer.oaddr".to_string(),
-                "Customer.cname".to_string(),
-            ]))
+            .run(
+                &Plan::scan("Customer")
+                    .project(vec!["Customer.oaddr".into(), "Customer.cname".into()]),
+            )
             .unwrap()
     }
 
@@ -539,9 +550,9 @@ mod tests {
         assert!(result.view().is_some(), "a projection is late-materialized");
         let rows = Relation::from_validated(result.schema().clone(), result.rows().to_vec());
         let extraction = Extraction::Columns(vec![
-            Some("Customer.oaddr".to_string()),
+            Some("Customer.oaddr".into()),
             None,
-            Some("Customer.oaddr".to_string()),
+            Some("Customer.oaddr".into()),
         ]);
         let unbuilt = extract_answers(&result, &extraction);
         assert_eq!(unbuilt.len(), 3, "extraction resolves rows, it drops none");
@@ -572,7 +583,7 @@ mod tests {
     fn a_named_extraction_column_must_be_in_the_result() {
         // "The mapping does not cover it" is spelled `None`; a name the result lacks is a bug
         // in whoever built the plan, and must not read as NULL answers.
-        let extraction = Extraction::Columns(vec![Some("Customer.ophone".to_string())]);
+        let extraction = Extraction::Columns(vec![Some("Customer.ophone".into())]);
         let _ = extract_answers(&customers(), &extraction);
     }
 

@@ -285,7 +285,7 @@ impl<'a> Executor<'a> {
                         let sum = vectorized::sum(&self.input_view(input), *pos);
                         Value::from(sum.ok_or_else(|| EngineError::InvalidAggregate {
                             func: "SUM",
-                            column: column.clone(),
+                            column: column.to_string(),
                         })?)
                     }
                 };

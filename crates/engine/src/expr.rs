@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use urm_storage::{Tuple, Value};
+use urm_storage::{Name, Tuple, Value};
 
 /// Comparison operators for attribute/constant predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -70,7 +70,7 @@ pub enum Predicate {
     /// `column op constant` — e.g. `σ_{telephone = '335-1736'}`.
     Compare {
         /// Qualified column name (`alias.attr`).
-        column: String,
+        column: Name,
         /// Comparison operator.
         op: CompareOp,
         /// Constant to compare against.
@@ -79,9 +79,9 @@ pub enum Predicate {
     /// `left = right` between two columns — the join conditions of Q3/Q4.
     ColumnEq {
         /// Left qualified column.
-        left: String,
+        left: Name,
         /// Right qualified column.
-        right: String,
+        right: Name,
     },
     /// Conjunction of predicates.
     And(Vec<Predicate>),
@@ -89,7 +89,7 @@ pub enum Predicate {
 
 impl Predicate {
     /// Convenience constructor for a `column op constant` predicate.
-    pub fn compare(column: impl Into<String>, op: CompareOp, value: Value) -> Self {
+    pub fn compare(column: impl Into<Name>, op: CompareOp, value: Value) -> Self {
         Predicate::Compare {
             column: column.into(),
             op,
@@ -98,12 +98,12 @@ impl Predicate {
     }
 
     /// Convenience constructor for an equality predicate (`column = constant`).
-    pub fn eq(column: impl Into<String>, value: Value) -> Self {
+    pub fn eq(column: impl Into<Name>, value: Value) -> Self {
         Predicate::compare(column, CompareOp::Eq, value)
     }
 
     /// Convenience constructor for a column equality (join) predicate.
-    pub fn column_eq(left: impl Into<String>, right: impl Into<String>) -> Self {
+    pub fn column_eq(left: impl Into<Name>, right: impl Into<Name>) -> Self {
         Predicate::ColumnEq {
             left: left.into(),
             right: right.into(),
@@ -157,12 +157,12 @@ impl Predicate {
         }
     }
 
-    /// Flattens nested conjunctions into a list of atomic predicates.
+    /// The atomic predicates of nested conjunctions, in order.
     #[must_use]
-    pub fn flatten(self) -> Vec<Predicate> {
+    pub fn flatten(&self) -> Vec<&Predicate> {
         match self {
-            Predicate::And(parts) => parts.into_iter().flat_map(Predicate::flatten).collect(),
-            other => vec![other],
+            Predicate::And(parts) => parts.iter().flat_map(Predicate::flatten).collect(),
+            atom => vec![atom],
         }
     }
 
@@ -201,7 +201,7 @@ pub enum AggFunc {
     /// `COUNT(*)` over the input relation.
     Count,
     /// `SUM(column)` over the input relation.
-    Sum(String),
+    Sum(Name),
 }
 
 impl AggFunc {
@@ -317,7 +317,7 @@ mod tests {
         ]);
         let flat = p.flatten();
         assert_eq!(flat.len(), 3);
-        let rebuilt = Predicate::conjunction(flat);
+        let rebuilt = Predicate::conjunction(flat.into_iter().cloned().collect());
         assert!(matches!(rebuilt, Predicate::And(ref v) if v.len() == 3));
         let single = Predicate::conjunction(vec![Predicate::eq("x", Value::from(0i64))]);
         assert!(matches!(single, Predicate::Compare { .. }));

@@ -41,7 +41,11 @@
 //! hash table is built on is not part of the plan: that stays the executor's decision.
 //!
 //! Column names must be unique across the leaves of a block — which [`Plan`]'s
-//! alias-qualified naming guarantees for every plan reformulation builds.
+//! alias-qualified naming guarantees for every plan reformulation builds.  A name is a shared
+//! [`Name`]: a leaf's columns are read off its schema (a scan's is the catalog's memoised one),
+//! a column is mapped to its leaf by scanning the leaves' schemas, and the rewritten plan holds
+//! the input plan's names — the optimizer allocates per plan node and column list, and copies
+//! no string.
 //!
 //! The same rewritten plan is used for every algorithm, the batch path and the shards, so
 //! relative comparisons between them are unaffected.  o-sharing's partial plans are probed
@@ -49,11 +53,10 @@
 
 use crate::{CompareOp, EngineError, EngineResult, Plan, Predicate};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use urm_storage::shard::base_relation_name;
-use urm_storage::Catalog;
+use urm_storage::{Catalog, Name, Schema};
 
 /// A structural fingerprint of a plan, used to detect identical source queries (e-basic) and
 /// common sub-expressions (the MQO baseline).
@@ -108,7 +111,8 @@ pub fn optimize(plan: &Plan, catalog: &Catalog) -> EngineResult<Plan> {
         }
         Plan::Select { .. } | Plan::Product { .. } | Plan::HashJoin { .. } => {
             let block = Block::of(plan, catalog)?;
-            Ok(multiply(block.components, Some(&block.columns)))
+            let columns = block.columns();
+            Ok(multiply(block.components, Some(&columns)))
         }
     }
 }
@@ -125,7 +129,7 @@ pub fn factors(plan: &Plan, catalog: &Catalog) -> EngineResult<Vec<Plan>> {
 /// The product of `factors`, smallest estimate first (ties by fingerprint) — followed, when the
 /// caller needs exactly `columns`, by a projection onto them unless the product already lists
 /// its columns that way.
-fn multiply(mut factors: Vec<Component>, columns: Option<&[String]>) -> Plan {
+fn multiply(mut factors: Vec<Component>, columns: Option<&[Name]>) -> Plan {
     factors.sort_by_cached_key(|factor| (factor.rows, fingerprint(&factor.plan)));
     let reorder = columns.filter(|columns| {
         !factors
@@ -150,7 +154,7 @@ struct Component {
     /// Estimated output rows.
     rows: u64,
     /// Output columns, in order.
-    columns: Vec<String>,
+    columns: Vec<Name>,
 }
 
 /// One conjunct of a block and the leaves below the selection (or join) it came from: only
@@ -163,17 +167,31 @@ struct Conjunct {
 /// A cross-leaf equality: `leaves[a].a_column = leaves[b].b_column`.
 struct Edge {
     a: usize,
-    a_column: String,
+    a_column: Name,
     b: usize,
-    b_column: String,
+    b_column: Name,
+}
+
+impl Edge {
+    /// The edge's columns as `(column of a joined leaf, column of leaf)` when it connects `leaf`
+    /// to one of the leaves in `joined`.
+    fn joining(&self, leaf: usize, joined: &[usize]) -> Option<(&Name, &Name)> {
+        if self.b == leaf && joined.contains(&self.a) {
+            Some((&self.a_column, &self.b_column))
+        } else if self.a == leaf && joined.contains(&self.b) {
+            Some((&self.b_column, &self.a_column))
+        } else {
+            None
+        }
+    }
 }
 
 /// A flattened `σ* (leaf × … × leaf)` block in normal form: its connected components, each
-/// joined along its edges.
+/// joined along its edges, and the schemas of its leaves in the order the un-optimised plan
+/// lists them.
 struct Block {
     components: Vec<Component>,
-    /// The block's output columns in the order the un-optimised plan produces them.
-    columns: Vec<String>,
+    schemas: Vec<Schema>,
 }
 
 impl Block {
@@ -181,17 +199,11 @@ impl Block {
         let mut plans = Vec::new();
         let mut conjuncts = Vec::new();
         flatten(body, catalog, &mut plans, &mut conjuncts)?;
-
-        let mut leaf_columns = Vec::with_capacity(plans.len());
-        let mut leaf_of: HashMap<String, usize> = HashMap::new();
-        for (index, leaf) in plans.iter().enumerate() {
-            let schema = leaf.output_schema(catalog)?;
-            let names: Vec<String> = schema.attribute_names().map(String::from).collect();
-            for name in &names {
-                leaf_of.entry(name.clone()).or_insert(index);
-            }
-            leaf_columns.push(names);
-        }
+        // A scan's schema is the catalog's memoised one: reading a leaf's columns copies none.
+        let schemas = plans
+            .iter()
+            .map(|leaf| leaf.output_schema(catalog))
+            .collect::<EngineResult<Vec<Schema>>>()?;
 
         // Single-leaf conjuncts go onto their leaf, cross-leaf equalities become edges.  A
         // conjunct naming a column nothing in its scope provides can never hold (missing
@@ -199,12 +211,23 @@ impl Block {
         let mut pushed: Vec<Vec<Predicate>> = vec![Vec::new(); plans.len()];
         let mut edges = Vec::new();
         for Conjunct { predicate, scope } in conjuncts {
-            let provider =
-                |column: &str| leaf_of.get(column).copied().filter(|l| scope.contains(l));
-            let providers: Option<Vec<usize>> =
-                predicate.columns().into_iter().map(provider).collect();
-            match (providers.as_deref(), predicate) {
-                (Some(&[a, b]), Predicate::ColumnEq { left, right }) if a != b => {
+            let provider = |column: &str| {
+                schemas
+                    .iter()
+                    .position(|schema| schema.contains(column))
+                    .filter(|leaf| scope.contains(leaf))
+            };
+            // The leaf providing the (first) column, and the other column's: `None` when a
+            // column has no provider.  `flatten` leaves no conjunction among the conjuncts.
+            let providers = match &predicate {
+                Predicate::Compare { column, .. } => provider(column).map(|leaf| (leaf, None)),
+                Predicate::ColumnEq { left, right } => provider(left)
+                    .zip(provider(right))
+                    .map(|(a, b)| (a, Some(b))),
+                Predicate::And(_) => None,
+            };
+            match (providers, predicate) {
+                (Some((a, Some(b))), Predicate::ColumnEq { left, right }) if a != b => {
                     edges.push(Edge {
                         a,
                         a_column: left,
@@ -212,17 +235,15 @@ impl Block {
                         b_column: right,
                     });
                 }
-                (Some(&[leaf, ..]), predicate) => pushed[leaf].push(predicate),
-                (_, predicate) => pushed[scope.start].push(predicate),
+                (Some((leaf, _)), predicate) => pushed[leaf].push(predicate),
+                (None, predicate) => pushed[scope.start].push(predicate),
             }
         }
 
-        let columns = leaf_columns.concat();
-        let leaves: Vec<Leaf> = plans
+        let mut leaves: Vec<Leaf> = plans
             .into_iter()
             .zip(pushed)
-            .zip(leaf_columns)
-            .map(|((plan, mut conjuncts), columns)| {
+            .map(|(plan, mut conjuncts)| {
                 let plan = if conjuncts.is_empty() {
                     plan
                 } else {
@@ -233,8 +254,7 @@ impl Block {
                 Leaf {
                     rows: estimated_rows(&plan, catalog),
                     fingerprint: fingerprint(&plan),
-                    plan,
-                    columns,
+                    plan: Some(plan),
                 }
             })
             .collect();
@@ -256,46 +276,61 @@ impl Block {
         let components = (0..leaves.len())
             .filter(|&label| component_of[label] == label)
             .map(|label| {
-                let members = (label..leaves.len())
+                let members = (label..component_of.len())
                     .filter(|&leaf| component_of[leaf] == label)
                     .collect();
-                join_component(members, &leaves, &edges)
+                join_component(members, &mut leaves, &schemas, &edges)
             })
             .collect();
         Ok(Block {
             components,
-            columns,
+            schemas,
         })
+    }
+
+    /// The block's output columns in the order the un-optimised plan produces them.
+    fn columns(&self) -> Vec<Name> {
+        self.schemas
+            .iter()
+            .flat_map(|schema| schema.attributes().iter().map(|a| Name::clone(&a.name)))
+            .collect()
     }
 
     /// Splits an output column list by the component providing each column (each column once,
     /// in list order); a column no leaf provides is the error binding would report.
-    fn columns_by_component(&self, columns: &[String]) -> EngineResult<Vec<Vec<String>>> {
-        let mut wanted: Vec<Vec<String>> = vec![Vec::new(); self.components.len()];
+    fn columns_by_component(&self, columns: &[Name]) -> EngineResult<Vec<Vec<Name>>> {
+        let mut wanted: Vec<Vec<Name>> = vec![Vec::new(); self.components.len()];
         for column in columns {
             let component = self
                 .components
                 .iter()
                 .position(|component| component.columns.contains(column))
                 .ok_or_else(|| EngineError::UnknownColumn {
-                    column: column.clone(),
-                    schema: self.columns.join(", "),
+                    column: column.to_string(),
+                    schema: self.columns().join(", "),
                 })?;
             if !wanted[component].contains(column) {
-                wanted[component].push(column.clone());
+                wanted[component].push(Name::clone(column));
             }
         }
         Ok(wanted)
     }
 }
 
-/// A leaf of a block with its pushed-down selection, its output columns, and the two keys it
-/// is ordered by.
+/// A leaf of a block with its pushed-down selection and the two keys it is ordered by.  Its
+/// plan moves into the one component that joins it.
 struct Leaf {
-    plan: Plan,
-    columns: Vec<String>,
+    plan: Option<Plan>,
     rows: u64,
     fingerprint: u64,
+}
+
+impl Leaf {
+    fn take_plan(&mut self) -> Plan {
+        self.plan
+            .take()
+            .expect("a leaf is joined into one component, once")
+    }
 }
 
 /// Collects the leaves and conjuncts of the `σ* (… × …)` block rooted at `plan`.  Anything that
@@ -310,8 +345,8 @@ fn flatten(
     match plan {
         Plan::Select { predicate, input } => {
             flatten(input, catalog, leaves, conjuncts)?;
-            conjuncts.extend(predicate.clone().flatten().into_iter().map(|p| Conjunct {
-                predicate: normalized(p),
+            conjuncts.extend(predicate.flatten().into_iter().map(|p| Conjunct {
+                predicate: normalized(p.clone()),
                 scope: first..leaves.len(),
             }));
         }
@@ -323,7 +358,7 @@ fn flatten(
             flatten(left, catalog, leaves, conjuncts)?;
             flatten(right, catalog, leaves, conjuncts)?;
             conjuncts.extend(on.iter().map(|(l, r)| Conjunct {
-                predicate: normalized(Predicate::column_eq(l.clone(), r.clone())),
+                predicate: normalized(Predicate::column_eq(Name::clone(l), Name::clone(r))),
                 scope: first..leaves.len(),
             }));
         }
@@ -345,44 +380,39 @@ fn normalized(predicate: Predicate) -> Predicate {
 
 /// Joins the leaves of one connected component along its edges: smallest leaf first, then
 /// always the smallest leaf an edge connects to what is already joined.
-fn join_component(mut members: Vec<usize>, leaves: &[Leaf], edges: &[Edge]) -> Component {
+fn join_component(
+    mut members: Vec<usize>,
+    leaves: &mut [Leaf],
+    schemas: &[Schema],
+    edges: &[Edge],
+) -> Component {
     members.sort_by_key(|&leaf| (leaves[leaf].rows, leaves[leaf].fingerprint));
     let first = members.remove(0);
     let mut joined = vec![first];
-    let mut plan = leaves[first].plan.clone();
+    let mut plan = leaves[first].take_plan();
     let mut rows = leaves[first].rows;
-    let mut columns = leaves[first].columns.clone();
     while !members.is_empty() {
-        // `(column of what is joined, column of `leaf`)` for every edge between the two.
-        let conditions = |leaf: usize| -> Vec<(String, String)> {
-            let mut on: Vec<(String, String)> = edges
-                .iter()
-                .filter_map(|e| {
-                    if e.b == leaf && joined.contains(&e.a) {
-                        Some((e.a_column.clone(), e.b_column.clone()))
-                    } else if e.a == leaf && joined.contains(&e.b) {
-                        Some((e.b_column.clone(), e.a_column.clone()))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            on.sort();
-            on.dedup();
-            on
-        };
-        let (position, on) = members
+        let position = members
             .iter()
-            .enumerate()
-            .map(|(position, &leaf)| (position, conditions(leaf)))
-            .find(|(_, on)| !on.is_empty())
+            .position(|&leaf| edges.iter().any(|e| e.joining(leaf, &joined).is_some()))
             .expect("a component is connected");
         let next = members.remove(position);
-        plan = plan.hash_join(leaves[next].plan.clone(), on);
+        let mut on: Vec<(Name, Name)> = edges
+            .iter()
+            .filter_map(|e| e.joining(next, &joined))
+            .map(|(joined, next)| (Name::clone(joined), Name::clone(next)))
+            .collect();
+        on.sort();
+        on.dedup();
+        plan = plan.hash_join(leaves[next].take_plan(), on);
         rows = rows.max(leaves[next].rows);
-        columns.extend(leaves[next].columns.iter().cloned());
         joined.push(next);
     }
+    let columns = joined
+        .iter()
+        .flat_map(|&leaf| schemas[leaf].attributes())
+        .map(|a| Name::clone(&a.name))
+        .collect();
     Component {
         plan,
         rows,
@@ -576,7 +606,7 @@ mod tests {
         };
         assert!(matches!(input.as_ref(), Plan::Product { left, .. }
             if **left == Plan::scan("Note")));
-        assert_eq!(columns[0], "Orders.oid");
+        assert_eq!(&*columns[0], "Orders.oid");
         assert_eq!(rows_of(&opt, &cat), rows_of(&body, &cat));
 
         for func in [AggFunc::Count, AggFunc::Sum("Orders.total".into())] {

@@ -1,9 +1,9 @@
 //! The bound physical-plan layer: logical [`Plan`]s compiled against a catalog.
 //!
-//! The logical [`Plan`] tree names columns by string (`alias.attr`) and names base relations by
-//! catalog key.  Executing it directly means re-resolving every column name per operator — and,
-//! before this layer existed, per *row* — and deep-copying every `Values` leaf.  Binding runs
-//! that resolution exactly once:
+//! The logical [`Plan`] tree names columns by shared [`Name`] (`alias.attr`) and names base
+//! relations by catalog key.  Executing it directly means re-resolving every column name per
+//! operator — and, before this layer existed, per *row* — and deep-copying every `Values` leaf.
+//! Binding runs that resolution exactly once:
 //!
 //! ```text
 //!   logical Plan  ──bind()──►  PhysicalPlan  ──execute──►  batches (Arc<Relation>)
@@ -15,7 +15,8 @@
 //! * every predicate is compiled to a [`BoundPredicate`] evaluated without name lookups;
 //! * every scan captures the base relation's shared row buffer (`Arc<Vec<Tuple>>`), so
 //!   executing a scan or a `Values` leaf hands out a *view* of existing rows, not a copy;
-//! * every node carries its output [`Schema`], computed once.
+//! * every node carries its output [`Schema`], computed once from its inputs' schemas and
+//!   sharing their attribute names: binding allocates per node, never per column name.
 //!
 //! The executor then evaluates physical operators batch-at-a-time: each operator consumes its
 //! children's output batches and produces one output batch — index vectors over the inputs'
@@ -26,11 +27,12 @@
 //! queries that reformulate onto the same source sub-plan over the same row buffers share one
 //! fingerprint, which is what makes cross-query sub-plan reuse zero-copy end-to-end.
 
+use crate::plan::{aggregate_schema, position, positions};
 use crate::{AggFunc, CompareOp, EngineError, EngineResult, Plan, Predicate};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use urm_storage::{Catalog, Relation, Schema, Value};
+use urm_storage::{Catalog, Name, Relation, Schema, Value};
 
 /// A predicate with every column reference resolved to a positional index.
 ///
@@ -73,7 +75,7 @@ pub enum BoundAggregate {
         /// Position of the summed column.
         pos: usize,
         /// Qualified name of the summed column (diagnostics only).
-        column: String,
+        column: Name,
     },
 }
 
@@ -90,9 +92,9 @@ pub enum PhysicalPlan {
     /// alias-qualified schema, built once at bind time so execution is a pure `Arc` clone.
     Scan {
         /// Catalog relation name (fingerprinting / display).
-        relation: String,
+        relation: Name,
         /// Scan alias (fingerprinting / display).
-        alias: String,
+        alias: Name,
         /// The base relation's row buffer under the qualified schema, sharing the catalog
         /// relation's storage.
         view: Arc<Relation>,
@@ -393,23 +395,10 @@ pub fn bind(plan: &Plan, catalog: &Catalog) -> EngineResult<Arc<PhysicalPlan>> {
         }
         Plan::Project { columns, input } => {
             let input = bind(input, catalog)?;
-            let in_schema = input.schema();
-            let mut positions = Vec::with_capacity(columns.len());
-            let mut attrs = Vec::with_capacity(columns.len());
-            for c in columns {
-                let pos = in_schema
-                    .position(c)
-                    .ok_or_else(|| EngineError::UnknownColumn {
-                        column: c.clone(),
-                        schema: in_schema.to_string(),
-                    })?;
-                positions.push(pos);
-                attrs.push(in_schema.attributes()[pos].clone());
-            }
-            let schema = Schema::new(format!("π({})", in_schema.name()), attrs);
+            let positions = positions(input.schema(), columns)?;
             Ok(Arc::new(PhysicalPlan::Project {
+                schema: input.schema().projected(&positions),
                 positions,
-                schema,
                 input,
             }))
         }
@@ -422,8 +411,7 @@ pub fn bind(plan: &Plan, catalog: &Catalog) -> EngineResult<Arc<PhysicalPlan>> {
             let left = bind(left, catalog)?;
             let right = bind(right, catalog)?;
             if on.is_empty() {
-                // Mirrors the by-name evaluator: a join with no conditions *is* the product,
-                // down to the output schema name.
+                // Mirrors the by-name evaluator: a join with no conditions *is* the product.
                 return Ok(product_node(left, right));
             }
             let ls = left.schema();
@@ -433,26 +421,23 @@ pub fn bind(plan: &Plan, catalog: &Catalog) -> EngineResult<Arc<PhysicalPlan>> {
             for (l, r) in on {
                 // Join columns may arrive in either order; resolve each against the side that
                 // has it.
-                let (lcol, rcol) = if ls.contains(l) && rs.contains(r) {
-                    (l, r)
-                } else if ls.contains(r) && rs.contains(l) {
-                    (r, l)
-                } else {
-                    return Err(EngineError::UnknownColumn {
+                let (lpos, rpos) = ls
+                    .position(l)
+                    .zip(rs.position(r))
+                    .or_else(|| ls.position(r).zip(rs.position(l)))
+                    .ok_or_else(|| EngineError::UnknownColumn {
                         column: format!("{l} / {r}"),
                         schema: format!("{ls} ⋈ {rs}"),
-                    });
-                };
-                left_keys.push(ls.require(lcol).map_err(EngineError::from)?);
-                right_keys.push(rs.require(rcol).map_err(EngineError::from)?);
+                    })?;
+                left_keys.push(lpos);
+                right_keys.push(rpos);
             }
-            let schema = ls.product(rs, format!("{}⋈{}", ls.name(), rs.name()));
             Ok(Arc::new(PhysicalPlan::HashJoin {
+                schema: ls.product(rs),
                 left,
                 right,
                 left_keys,
                 right_keys,
-                schema,
             }))
         }
         Plan::Distinct { input } => Ok(Arc::new(PhysicalPlan::Distinct {
@@ -460,33 +445,14 @@ pub fn bind(plan: &Plan, catalog: &Catalog) -> EngineResult<Arc<PhysicalPlan>> {
         })),
         Plan::Aggregate { func, input } => {
             let input = bind(input, catalog)?;
-            let in_schema = input.schema();
-            let (func, attr) = match func {
-                AggFunc::Count => (
-                    BoundAggregate::Count,
-                    urm_storage::Attribute::new("count", urm_storage::DataType::Int),
-                ),
-                AggFunc::Sum(col) => {
-                    let pos =
-                        in_schema
-                            .position(col)
-                            .ok_or_else(|| EngineError::UnknownColumn {
-                                column: col.clone(),
-                                schema: in_schema.to_string(),
-                            })?;
-                    (
-                        BoundAggregate::Sum {
-                            pos,
-                            column: col.clone(),
-                        },
-                        urm_storage::Attribute::new(
-                            format!("sum({col})"),
-                            urm_storage::DataType::Float,
-                        ),
-                    )
-                }
+            let schema = aggregate_schema(func, input.schema())?;
+            let func = match func {
+                AggFunc::Count => BoundAggregate::Count,
+                AggFunc::Sum(column) => BoundAggregate::Sum {
+                    pos: position(input.schema(), column)?,
+                    column: Name::clone(column),
+                },
             };
-            let schema = Schema::new(format!("agg({})", in_schema.name()), vec![attr]);
             Ok(Arc::new(PhysicalPlan::Aggregate {
                 func,
                 schema,
@@ -498,10 +464,7 @@ pub fn bind(plan: &Plan, catalog: &Catalog) -> EngineResult<Arc<PhysicalPlan>> {
 
 /// Builds a product node over two bound inputs (shared by `Product` and key-less `HashJoin`).
 fn product_node(left: Arc<PhysicalPlan>, right: Arc<PhysicalPlan>) -> Arc<PhysicalPlan> {
-    let schema = left.schema().product(
-        right.schema(),
-        format!("{}×{}", left.schema().name(), right.schema().name()),
-    );
+    let schema = left.schema().product(right.schema());
     Arc::new(PhysicalPlan::Product {
         left,
         right,
@@ -609,7 +572,11 @@ mod tests {
         let plan = Plan::scan("R").hash_join(Plan::scan_as("R", "S"), vec![]);
         let phys = bind(&plan, &cat).unwrap();
         assert!(matches!(phys.as_ref(), PhysicalPlan::Product { .. }));
-        assert!(phys.schema().name().contains('×'));
+        assert_eq!(
+            phys.schema().name(),
+            "R",
+            "a product takes its left input's name"
+        );
     }
 
     #[test]

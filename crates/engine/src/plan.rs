@@ -4,7 +4,7 @@ use crate::{AggFunc, EngineError, EngineResult, Predicate};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
-use urm_storage::{Attribute, Catalog, DataType, Relation, Schema};
+use urm_storage::{Attribute, Catalog, DataType, Name, Relation, Schema};
 
 /// A relational algebra plan over the source instance.
 ///
@@ -15,15 +15,16 @@ use urm_storage::{Attribute, Catalog, DataType, Relation, Schema};
 ///
 /// All column names in predicates, projections and aggregates are *qualified* (`alias.attr`):
 /// [`Plan::Scan`] renames every attribute of the base relation to `alias.attr`, so products never
-/// produce ambiguous columns, even for the self-joins of the paper's Q3/Q4.
+/// produce ambiguous columns, even for the self-joins of the paper's Q3/Q4.  Every name is a
+/// shared [`Name`]: cloning a plan copies its nodes, never a string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Plan {
     /// Scan of a base relation under an alias.
     Scan {
         /// Catalog relation name.
-        relation: String,
+        relation: Name,
         /// Alias used to qualify the output columns (defaults to the relation name).
-        alias: String,
+        alias: Name,
     },
     /// An already-materialised relation.
     Values(Arc<Relation>),
@@ -38,7 +39,7 @@ pub enum Plan {
     /// no column: under a [`Plan::Distinct`] that is the *existence* of an input row.
     Project {
         /// Output columns in order.
-        columns: Vec<String>,
+        columns: Vec<Name>,
         /// Input plan.
         input: Box<Plan>,
     },
@@ -56,7 +57,7 @@ pub enum Plan {
         /// Right input.
         right: Box<Plan>,
         /// Pairs of (left column, right column) that must be equal.
-        on: Vec<(String, String)>,
+        on: Vec<(Name, Name)>,
     },
     /// Aggregation producing a single-row relation.
     Aggregate {
@@ -77,7 +78,7 @@ pub enum Plan {
 
 impl Plan {
     /// Scans a base relation using its own name as the alias.
-    pub fn scan(relation: impl Into<String>) -> Plan {
+    pub fn scan(relation: impl Into<Name>) -> Plan {
         let relation = relation.into();
         Plan::Scan {
             alias: relation.clone(),
@@ -86,7 +87,7 @@ impl Plan {
     }
 
     /// Scans a base relation under an explicit alias (self-joins).
-    pub fn scan_as(relation: impl Into<String>, alias: impl Into<String>) -> Plan {
+    pub fn scan_as(relation: impl Into<Name>, alias: impl Into<Name>) -> Plan {
         Plan::Scan {
             relation: relation.into(),
             alias: alias.into(),
@@ -116,7 +117,7 @@ impl Plan {
 
     /// Applies a projection on top of this plan.
     #[must_use]
-    pub fn project(self, columns: Vec<String>) -> Plan {
+    pub fn project(self, columns: Vec<Name>) -> Plan {
         Plan::Project {
             columns,
             input: Box::new(self),
@@ -134,7 +135,7 @@ impl Plan {
 
     /// Builds a hash equi-join of this plan with another.
     #[must_use]
-    pub fn hash_join(self, other: Plan, on: Vec<(String, String)>) -> Plan {
+    pub fn hash_join(self, other: Plan, on: Vec<(Name, Name)>) -> Plan {
         Plan::HashJoin {
             left: Box::new(self),
             right: Box::new(other),
@@ -232,7 +233,7 @@ impl Plan {
         self.subplans()
             .into_iter()
             .filter_map(|p| match p {
-                Plan::Scan { relation, .. } => Some(relation.as_str()),
+                Plan::Scan { relation, .. } => Some(&**relation),
                 _ => None,
             })
             .collect()
@@ -242,7 +243,8 @@ impl Plan {
     ///
     /// The schema of a [`Plan::Scan`] is the base relation's schema with every attribute renamed
     /// to `alias.attr` and the relation renamed to the alias ([`Catalog::scan_schema`], built
-    /// once per (relation, alias) however many plans scan it).
+    /// once per (relation, alias) however many plans scan it).  Every other schema shares its
+    /// input's names ([`Schema::projected`], [`Schema::product`]).
     pub fn output_schema(&self, catalog: &Catalog) -> EngineResult<Schema> {
         match self {
             Plan::Scan { relation, alias } => Ok(catalog.scan_schema(relation, alias)?),
@@ -250,46 +252,47 @@ impl Plan {
             Plan::Select { input, .. } | Plan::Distinct { input } => input.output_schema(catalog),
             Plan::Project { columns, input } => {
                 let input_schema = input.output_schema(catalog)?;
-                let mut attrs = Vec::with_capacity(columns.len());
-                for c in columns {
-                    let pos =
-                        input_schema
-                            .position(c)
-                            .ok_or_else(|| EngineError::UnknownColumn {
-                                column: c.clone(),
-                                schema: input_schema.to_string(),
-                            })?;
-                    attrs.push(input_schema.attributes()[pos].clone());
-                }
-                Ok(Schema::new(format!("π({})", input_schema.name()), attrs))
+                let positions = positions(&input_schema, columns)?;
+                Ok(input_schema.projected(&positions))
             }
             Plan::Product { left, right } | Plan::HashJoin { left, right, .. } => {
                 let ls = left.output_schema(catalog)?;
-                let rs = right.output_schema(catalog)?;
-                let name = format!("{}×{}", ls.name(), rs.name());
-                Ok(ls.product(&rs, name))
+                Ok(ls.product(&right.output_schema(catalog)?))
             }
             Plan::Aggregate { func, input } => {
                 let input_schema = input.output_schema(catalog)?;
-                if let Some(col) = func.column() {
-                    if input_schema.position(col).is_none() {
-                        return Err(EngineError::UnknownColumn {
-                            column: col.to_string(),
-                            schema: input_schema.to_string(),
-                        });
-                    }
-                }
-                let attr = match func {
-                    AggFunc::Count => Attribute::new("count", DataType::Int),
-                    AggFunc::Sum(c) => Attribute::new(format!("sum({c})"), DataType::Float),
-                };
-                Ok(Schema::new(
-                    format!("agg({})", input_schema.name()),
-                    vec![attr],
-                ))
+                aggregate_schema(func, &input_schema)
             }
         }
     }
+}
+
+/// The position of `column` in `schema`; a column the schema lacks is an error.
+pub(crate) fn position(schema: &Schema, column: &str) -> EngineResult<usize> {
+    schema
+        .position(column)
+        .ok_or_else(|| EngineError::UnknownColumn {
+            column: column.to_string(),
+            schema: schema.to_string(),
+        })
+}
+
+/// The positions of `columns` in `schema`, in order.
+pub(crate) fn positions(schema: &Schema, columns: &[Name]) -> EngineResult<Vec<usize>> {
+    columns.iter().map(|c| position(schema, c)).collect()
+}
+
+/// The one-attribute schema of `func` over `input`, under the input's name; a SUM over a column
+/// the input lacks is an error.
+pub(crate) fn aggregate_schema(func: &AggFunc, input: &Schema) -> EngineResult<Schema> {
+    let attr = match func {
+        AggFunc::Count => Attribute::new("count", DataType::Int),
+        AggFunc::Sum(c) => {
+            position(input, c)?;
+            Attribute::new(format!("sum({c})"), DataType::Float)
+        }
+    };
+    Ok(Schema::new(input.name(), vec![attr]))
 }
 
 impl fmt::Display for Plan {

@@ -11,10 +11,11 @@
 //! Production code paths never use this module; [`Executor`](crate::Executor) binds and
 //! executes physical plans.
 
+use crate::plan::{aggregate_schema, position, positions};
 use crate::{AggFunc, EngineError, EngineResult, ExecStats, Plan, Predicate};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-use urm_storage::{Catalog, Relation, Schema, Tuple, Value};
+use urm_storage::{Catalog, Name, Relation, Tuple, Value};
 
 /// Rewrites every scan of `plan` into a [`Plan::Values`] leaf over a private copy of the
 /// scanned relation's rows, under the scan's qualified schema.
@@ -177,32 +178,19 @@ pub fn apply_select(input: &Relation, predicate: &Predicate) -> Relation {
 }
 
 /// Applies a projection to a materialised relation.
-pub fn apply_project(input: &Relation, columns: &[String]) -> EngineResult<Relation> {
-    let schema = input.schema();
-    let mut positions = Vec::with_capacity(columns.len());
-    let mut attrs = Vec::with_capacity(columns.len());
-    for c in columns {
-        let pos = schema
-            .position(c)
-            .ok_or_else(|| EngineError::UnknownColumn {
-                column: c.clone(),
-                schema: schema.to_string(),
-            })?;
-        positions.push(pos);
-        attrs.push(schema.attributes()[pos].clone());
-    }
-    let out_schema = Schema::new(format!("π({})", schema.name()), attrs);
+pub fn apply_project(input: &Relation, columns: &[Name]) -> EngineResult<Relation> {
+    let positions = positions(input.schema(), columns)?;
     let rows = input.iter().map(|t| t.project(&positions)).collect();
-    Ok(Relation::from_validated(out_schema, rows))
+    Ok(Relation::from_validated(
+        input.schema().projected(&positions),
+        rows,
+    ))
 }
 
 /// Applies a Cartesian product to two materialised relations.
 #[must_use]
 pub fn apply_product(left: &Relation, right: &Relation) -> Relation {
-    let schema = left.schema().product(
-        right.schema(),
-        format!("{}×{}", left.schema().name(), right.schema().name()),
-    );
+    let schema = left.schema().product(right.schema());
     let mut rows = Vec::with_capacity(left.len().saturating_mul(right.len()));
     for l in left.iter() {
         for r in right.iter() {
@@ -216,7 +204,7 @@ pub fn apply_product(left: &Relation, right: &Relation) -> Relation {
 pub fn apply_hash_join(
     left: &Relation,
     right: &Relation,
-    on: &[(String, String)],
+    on: &[(Name, Name)],
 ) -> EngineResult<Relation> {
     if on.is_empty() {
         return Ok(apply_product(left, right));
@@ -253,7 +241,7 @@ pub fn apply_hash_join(
         table.entry(key).or_default().push(t);
     }
 
-    let schema = ls.product(rs, format!("{}⋈{}", ls.name(), rs.name()));
+    let schema = ls.product(rs);
     let mut rows = Vec::new();
     for l in left.iter() {
         let key: Vec<Value> = left_keys
@@ -286,26 +274,11 @@ pub fn apply_distinct(input: &Relation) -> Relation {
 
 /// Applies an aggregate, producing a single-row relation.
 pub fn apply_aggregate(input: &Relation, func: &AggFunc) -> EngineResult<Relation> {
-    let schema = input.schema();
-    match func {
-        AggFunc::Count => {
-            let out_schema = Schema::new(
-                format!("agg({})", schema.name()),
-                vec![urm_storage::Attribute::new(
-                    "count",
-                    urm_storage::DataType::Int,
-                )],
-            );
-            let row = Tuple::new(vec![Value::from(input.len() as i64)]);
-            Ok(Relation::from_validated(out_schema, vec![row]))
-        }
+    let schema = aggregate_schema(func, input.schema())?;
+    let value = match func {
+        AggFunc::Count => Value::from(input.len() as i64),
         AggFunc::Sum(col) => {
-            let pos = schema
-                .position(col)
-                .ok_or_else(|| EngineError::UnknownColumn {
-                    column: col.clone(),
-                    schema: schema.to_string(),
-                })?;
+            let pos = position(input.schema(), col)?;
             let mut sum = 0.0f64;
             for t in input.iter() {
                 match t.get(pos) {
@@ -313,29 +286,25 @@ pub fn apply_aggregate(input: &Relation, func: &AggFunc) -> EngineResult<Relatio
                     Some(v) => {
                         sum += v.as_f64().ok_or_else(|| EngineError::InvalidAggregate {
                             func: "SUM",
-                            column: col.clone(),
+                            column: col.to_string(),
                         })?;
                     }
                     None => {}
                 }
             }
-            let out_schema = Schema::new(
-                format!("agg({})", schema.name()),
-                vec![urm_storage::Attribute::new(
-                    format!("sum({col})"),
-                    urm_storage::DataType::Float,
-                )],
-            );
-            let row = Tuple::new(vec![Value::from(sum)]);
-            Ok(Relation::from_validated(out_schema, vec![row]))
+            Value::from(sum)
         }
-    }
+    };
+    Ok(Relation::from_validated(
+        schema,
+        vec![Tuple::new(vec![value])],
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urm_storage::{Attribute, DataType};
+    use urm_storage::{Attribute, DataType, Schema};
 
     fn catalog() -> Catalog {
         let schema = Schema::new(

@@ -565,37 +565,47 @@ fn value_key(col: ColumnRef<'_>, row: usize) -> Option<Value> {
     (!v.is_null()).then_some(v)
 }
 
+/// The end of a chain of right rows in [`join_typed`]'s build table.
+const CHAIN_END: u32 = u32::MAX;
+
 /// The shared build/probe loop of the join kernels over `ln` left and `rn` right logical
-/// rows: the table is built from the right rows in order and probed with the left rows in
-/// order.
+/// rows: the table is built from the right rows and probed with the left rows in order.
+///
+/// The table holds one chain of right rows per key: `heads` maps the key to its first row and
+/// `next[r]` is the row after `r`.  It is built back to front, so every chain runs in right-row
+/// order, and it allocates two buffers, not one per key.
 fn join_typed<K: std::hash::Hash + Eq>(
     ln: usize,
     rn: usize,
     lkey: impl Fn(usize) -> Option<K>,
     rkey: impl Fn(usize) -> Option<K>,
 ) -> (Vec<u32>, Vec<u32>) {
-    let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(rn);
-    for r in 0..rn {
+    let mut heads: HashMap<K, u32> = HashMap::with_capacity(rn);
+    let mut next = vec![CHAIN_END; rn];
+    for r in (0..rn).rev() {
         if let Some(k) = rkey(r) {
-            table.entry(k).or_default().push(r as u32);
+            if let Some(head) = heads.insert(k, r as u32) {
+                next[r] = head;
+            }
         }
     }
     let mut lrows = Vec::new();
     let mut rrows = Vec::new();
     for l in 0..ln {
         let Some(k) = lkey(l) else { continue };
-        if let Some(matches) = table.get(&k) {
-            for &r in matches {
-                lrows.push(l as u32);
-                rrows.push(r);
-            }
+        let mut r = heads.get(&k).copied().unwrap_or(CHAIN_END);
+        while r != CHAIN_END {
+            lrows.push(l as u32);
+            rrows.push(r);
+            r = next[r as usize];
         }
     }
     (lrows, rrows)
 }
 
-/// Composite-key join: exact `Value` keys reconstructed per component, rows with any null
-/// component dropped on both sides.
+/// Composite-key join, rows with any null component dropped on both sides.  Rows meet on the
+/// hash of their components' exact `Value`s (no key is built per row); a chain may hold keys
+/// that merely hash alike, so a pair is kept only where every component is equal.
 fn join_multi_key(
     left: &ColumnView,
     right: &ColumnView,
@@ -606,15 +616,35 @@ fn join_multi_key(
     else {
         return (Vec::new(), Vec::new());
     };
-    let composite = |cols: &[ColumnRef<'_>], row: usize| -> Option<Vec<Value>> {
-        cols.iter().map(|&c| value_key(c, row)).collect()
+    let composite_hash = |cols: &[ColumnRef<'_>], row: usize| -> Option<u64> {
+        let mut hasher = DefaultHasher::new();
+        for &col in cols {
+            value_key(col, row)?.hash(&mut hasher);
+        }
+        Some(hasher.finish())
     };
-    join_typed(
+    let (mut lrows, mut rrows) = join_typed(
         left.len(),
         right.len(),
-        |row| composite(&lcols, row),
-        |row| composite(&rcols, row),
-    )
+        |row| composite_hash(&lcols, row),
+        |row| composite_hash(&rcols, row),
+    );
+    let mut kept = 0;
+    for i in 0..lrows.len() {
+        let (l, r) = (lrows[i] as usize, rrows[i] as usize);
+        if lcols
+            .iter()
+            .zip(&rcols)
+            .all(|(&a, &b)| value_key(a, l) == value_key(b, r))
+        {
+            lrows[kept] = lrows[i];
+            rrows[kept] = rrows[i];
+            kept += 1;
+        }
+    }
+    lrows.truncate(kept);
+    rrows.truncate(kept);
+    (lrows, rrows)
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@ use urm_engine::{
     Plan, Predicate, ReferenceExecutor,
 };
 use urm_storage::{
-    Attribute, Catalog, Column, ColumnView, ColumnarRelation, DataType, Relation, Schema, Tuple,
-    Value,
+    Attribute, Catalog, Column, ColumnView, ColumnarRelation, DataType, Name, Relation, Schema,
+    Tuple, Value,
 };
 
 /// The value domain is deliberately tiny so selections and joins actually hit; the null rate
@@ -76,14 +76,14 @@ fn random_catalog(rng: &mut TestRng) -> Catalog {
 }
 
 /// A column name from the plan's output schema — or, rarely, a bogus one.
-fn random_column(rng: &mut TestRng, schema: Option<&Schema>) -> String {
+fn random_column(rng: &mut TestRng, schema: Option<&Schema>) -> Name {
     if let Some(schema) = schema {
         if schema.arity() > 0 && rng.index(8) != 0 {
             let names: Vec<&str> = schema.attribute_names().collect();
-            return names[rng.index(names.len())].to_string();
+            return names[rng.index(names.len())].into();
         }
     }
-    "ghost.column".to_string()
+    "ghost.column".into()
 }
 
 fn random_plan(rng: &mut TestRng, catalog: &Catalog, depth: usize, alias_seq: &mut usize) -> Plan {
@@ -130,7 +130,7 @@ fn random_plan(rng: &mut TestRng, catalog: &Catalog, depth: usize, alias_seq: &m
         1 => {
             let input = random_plan(rng, catalog, depth - 1, alias_seq);
             let schema = input.output_schema(catalog).ok();
-            let mut columns: Vec<String> = Vec::new();
+            let mut columns: Vec<Name> = Vec::new();
             for _ in 0..rng.index(3) + usize::from(rng.index(10) != 0) {
                 let c = random_column(rng, schema.as_ref());
                 if !columns.contains(&c) {

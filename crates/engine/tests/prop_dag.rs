@@ -24,7 +24,7 @@ use urm_engine::{
     AggFunc, CompareOp, DagResultCache, DagRun, DagScheduler, EngineResult, EpochDag, ExecStats,
     Executor, OperatorDag, Plan, Predicate, ReferenceExecutor,
 };
-use urm_storage::{Attribute, Catalog, Column, DataType, Relation, Schema, Tuple, Value};
+use urm_storage::{Attribute, Catalog, Column, DataType, Name, Relation, Schema, Tuple, Value};
 
 /// A result store outside any epoch: answers what was published to it.
 #[derive(Default)]
@@ -108,14 +108,14 @@ fn random_catalog(rng: &mut TestRng) -> Catalog {
     cat
 }
 
-fn random_column(rng: &mut TestRng, schema: Option<&Schema>) -> String {
+fn random_column(rng: &mut TestRng, schema: Option<&Schema>) -> Name {
     if let Some(schema) = schema {
         if schema.arity() > 0 {
             let names: Vec<&str> = schema.attribute_names().collect();
-            return names[rng.index(names.len())].to_string();
+            return names[rng.index(names.len())].into();
         }
     }
-    "ghost.column".to_string()
+    "ghost.column".into()
 }
 
 fn random_predicate(rng: &mut TestRng, schema: Option<&Schema>) -> Predicate {
@@ -171,7 +171,7 @@ fn random_plan(
                 let Some(schema) = schema.as_ref().filter(|s| s.arity() > 0) else {
                     continue;
                 };
-                let mut columns: Vec<String> = Vec::new();
+                let mut columns: Vec<Name> = Vec::new();
                 for _ in 0..1 + rng.index(2) {
                     let c = random_column(rng, Some(schema));
                     if !columns.contains(&c) {
@@ -431,7 +431,7 @@ fn chain_batch(rng: &mut TestRng, catalog: &Catalog) -> Vec<Plan> {
     let schema = base.output_schema(catalog).unwrap();
     (0..2 + rng.index(2))
         .map(|_| {
-            let mut columns: Vec<String> = Vec::new();
+            let mut columns: Vec<Name> = Vec::new();
             for _ in 0..1 + rng.index(3) {
                 let c = random_column(rng, Some(&schema));
                 if !columns.contains(&c) {

@@ -24,7 +24,7 @@ use proptest::TestRng;
 use std::collections::HashSet;
 use urm_engine::optimize::{fingerprint, optimize};
 use urm_engine::{AggFunc, CompareOp, Executor, Plan, Predicate, ReferenceExecutor};
-use urm_storage::{Attribute, Catalog, DataType, Relation, Schema, Tuple, Value};
+use urm_storage::{Attribute, Catalog, DataType, Name, Relation, Schema, Tuple, Value};
 
 const TYPES: [DataType; 3] = [DataType::Int, DataType::Float, DataType::Text];
 
@@ -73,7 +73,7 @@ fn shuffle<T>(rng: &mut TestRng, items: &mut [T]) {
 #[derive(Clone)]
 struct Leaf {
     plan: Plan,
-    columns: Vec<(String, DataType)>,
+    columns: Vec<(Name, DataType)>,
 }
 
 fn scan_leaf(rng: &mut TestRng, catalog: &Catalog, aliases: &mut usize) -> Leaf {
@@ -87,7 +87,7 @@ fn scan_leaf(rng: &mut TestRng, catalog: &Catalog, aliases: &mut usize) -> Leaf 
         .schema()
         .attributes()
         .iter()
-        .map(|a| (format!("{alias}.{}", a.name), a.data_type))
+        .map(|a| (format!("{alias}.{}", a.name).into(), a.data_type))
         .collect();
     Leaf {
         plan: Plan::scan_as(relation, alias),
@@ -102,12 +102,12 @@ struct Block {
 }
 
 impl Block {
-    fn columns(&self) -> Vec<(String, DataType)> {
+    fn columns(&self) -> Vec<(Name, DataType)> {
         self.leaves.iter().flat_map(|l| l.columns.clone()).collect()
     }
 }
 
-fn random_conjunct(rng: &mut TestRng, columns: &[(String, DataType)]) -> Predicate {
+fn random_conjunct(rng: &mut TestRng, columns: &[(Name, DataType)]) -> Predicate {
     let (column, dt) = columns[rng.index(columns.len())].clone();
     if rng.index(2) == 0 {
         // Often a cross-leaf equality (a join edge), sometimes one inside a leaf.
@@ -146,9 +146,9 @@ fn random_block(rng: &mut TestRng, catalog: &Catalog, aliases: &mut usize, nest:
 /// A random sub-list of `columns`, each at most once, in random order.
 fn random_columns(
     rng: &mut TestRng,
-    columns: &[(String, DataType)],
+    columns: &[(Name, DataType)],
     may_be_empty: bool,
-) -> Vec<(String, DataType)> {
+) -> Vec<(Name, DataType)> {
     let mut picked = columns.to_vec();
     shuffle(rng, &mut picked);
     let least = usize::from(!may_be_empty || rng.index(5) != 0).min(picked.len());
@@ -156,7 +156,7 @@ fn random_columns(
     picked
 }
 
-fn names(columns: &[(String, DataType)]) -> Vec<String> {
+fn names(columns: &[(Name, DataType)]) -> Vec<Name> {
     columns.iter().map(|(name, _)| name.clone()).collect()
 }
 
@@ -176,7 +176,7 @@ fn literal(rng: &mut TestRng, block: &Block) -> Plan {
 fn provides(leaves: &[&Leaf], column: &str) -> bool {
     leaves
         .iter()
-        .any(|l| l.columns.iter().any(|(name, _)| name == column))
+        .any(|l| l.columns.iter().any(|(name, _)| **name == *column))
 }
 
 fn flipped(rng: &mut TestRng, predicate: Predicate) -> Predicate {
@@ -247,15 +247,15 @@ fn literal_tree(
 #[derive(Clone)]
 enum Head {
     None,
-    Project(Vec<String>),
-    SetOf(Vec<String>),
+    Project(Vec<Name>),
+    SetOf(Vec<Name>),
     Distinct,
     Count,
-    Sum(String),
+    Sum(Name),
 }
 
-fn random_head(rng: &mut TestRng, columns: &[(String, DataType)]) -> Head {
-    let numeric: Vec<&String> = columns
+fn random_head(rng: &mut TestRng, columns: &[(Name, DataType)]) -> Head {
+    let numeric: Vec<&Name> = columns
         .iter()
         .filter(|(_, dt)| *dt != DataType::Text)
         .map(|(name, _)| name)
@@ -283,10 +283,10 @@ fn with_head(plan: Plan, head: &Head) -> Plan {
 
 /// Buries a conjunct that can never hold — over a column that does not exist, or one that
 /// exists only outside the selection's scope — in the literal plan.
-fn poisoned(rng: &mut TestRng, plan: Plan, columns: &[(String, DataType)]) -> Plan {
+fn poisoned(rng: &mut TestRng, plan: Plan, columns: &[(Name, DataType)]) -> Plan {
     let stranger = match (rng.index(2), columns.first()) {
         (0, Some((name, _))) => name.clone(),
-        _ => "ghost.column".to_string(),
+        _ => "ghost.column".into(),
     };
     let never = |plan: Plan, rng: &mut TestRng| {
         plan.select(if rng.index(2) == 0 {

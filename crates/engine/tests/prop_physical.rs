@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use urm_engine::{AggFunc, CompareOp, Executor, Plan, Predicate, ReferenceExecutor};
-use urm_storage::{Attribute, Catalog, DataType, Relation, Schema, Tuple, Value};
+use urm_storage::{Attribute, Catalog, DataType, Name, Relation, Schema, Tuple, Value};
 
 /// The value domain is deliberately tiny so selections and joins actually hit.
 fn random_value(rng: &mut TestRng, dt: DataType) -> Value {
@@ -60,14 +60,14 @@ fn random_catalog(rng: &mut TestRng) -> Catalog {
 }
 
 /// A column name from the plan's output schema — or, rarely, a bogus one.
-fn random_column(rng: &mut TestRng, schema: Option<&Schema>) -> String {
+fn random_column(rng: &mut TestRng, schema: Option<&Schema>) -> Name {
     if let Some(schema) = schema {
         if schema.arity() > 0 && rng.index(8) != 0 {
             let names: Vec<&str> = schema.attribute_names().collect();
-            return names[rng.index(names.len())].to_string();
+            return names[rng.index(names.len())].into();
         }
     }
-    "ghost.column".to_string()
+    "ghost.column".into()
 }
 
 fn random_plan(rng: &mut TestRng, catalog: &Catalog, depth: usize, alias_seq: &mut usize) -> Plan {
@@ -116,7 +116,7 @@ fn random_plan(rng: &mut TestRng, catalog: &Catalog, depth: usize, alias_seq: &m
         1 => {
             let input = random_plan(rng, catalog, depth - 1, alias_seq);
             let schema = input.output_schema(catalog).ok();
-            let mut columns: Vec<String> = Vec::new();
+            let mut columns: Vec<Name> = Vec::new();
             for _ in 0..rng.index(3) + usize::from(rng.index(10) != 0) {
                 let c = random_column(rng, schema.as_ref());
                 // Duplicate projection columns would panic at schema construction (in both

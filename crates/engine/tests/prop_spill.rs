@@ -20,7 +20,7 @@ use urm_engine::{
     CompareOp, DagResultCache, DagScheduler, EpochDag, Executor, OperatorDag, Plan, Predicate,
     ReferenceExecutor,
 };
-use urm_storage::{Attribute, BufferPool, Catalog, DataType, Relation, Schema, Tuple, Value};
+use urm_storage::{Attribute, BufferPool, Catalog, DataType, Name, Relation, Schema, Tuple, Value};
 
 /// A result store outside any epoch: answers what was published to it.
 #[derive(Default)]
@@ -74,9 +74,9 @@ fn random_catalog(rng: &mut TestRng) -> Catalog {
     cat
 }
 
-fn random_column(rng: &mut TestRng, schema: &Schema) -> String {
+fn random_column(rng: &mut TestRng, schema: &Schema) -> Name {
     let names: Vec<&str> = schema.attribute_names().collect();
-    names[rng.index(names.len())].to_string()
+    names[rng.index(names.len())].into()
 }
 
 /// A join-heavy plan: two uniquely aliased scans (optionally pre-filtered) joined on random

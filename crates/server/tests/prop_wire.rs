@@ -88,7 +88,7 @@ fn add_result(rng: &mut TestRng, answer: &mut ProbabilisticAnswer) {
         0 => Extraction::Raw,
         _ => Extraction::Columns(
             (0..rng.index(4))
-                .map(|_| (rng.index(4) > 0).then(|| format!("c{}", rng.index(width))))
+                .map(|_| (rng.index(4) > 0).then(|| format!("c{}", rng.index(width)).into()))
                 .collect(),
         ),
     };

@@ -76,7 +76,7 @@ pub use dictionary::{Dictionary, DEFAULT_DICT_LIMIT};
 pub use error::{StorageError, StorageResult};
 pub use recency::RecencyIndex;
 pub use relation::Relation;
-pub use schema::{AttrRef, Attribute, Schema};
+pub use schema::{AttrRef, Attribute, Name, Schema};
 pub use shard::{ShardScheme, ShardSpec};
 pub use spill::{BufferPool, SpillStats, SpillableRelation, DEFAULT_PAGE_BYTES};
 pub use tuple::Tuple;

@@ -1,6 +1,6 @@
 //! Materialised relations (schema + rows).
 
-use crate::{ColumnView, Schema, StorageError, StorageResult, Tuple, Value};
+use crate::{ColumnView, Name, Schema, StorageError, StorageResult, Tuple, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -200,7 +200,7 @@ impl Relation {
             if !attr.data_type.accepts(value.data_type()) {
                 return Err(StorageError::TypeMismatch {
                     relation: self.schema.name().to_string(),
-                    attribute: attr.name.clone(),
+                    attribute: attr.name.to_string(),
                     expected: attr.data_type,
                     actual: value.data_type(),
                 });
@@ -233,7 +233,7 @@ impl Relation {
     ///
     /// The rows are shared, not copied.
     #[must_use]
-    pub fn renamed(&self, name: impl Into<String>) -> Relation {
+    pub fn renamed(&self, name: impl Into<Name>) -> Relation {
         Relation {
             schema: self.schema.renamed(name),
             rows: self.rows.clone(),

@@ -2,22 +2,26 @@
 
 use crate::{DataType, StorageError, StorageResult};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+
+/// A column or relation name: immutable and shared.  Cloning a schema, or a plan or predicate
+/// that names columns, bumps reference counts and copies no string; a `Name` hashes, compares
+/// and orders exactly as the `str` it holds (and as the `String` it replaced).
+pub type Name = Arc<str>;
 
 /// A single attribute (column) declaration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Attribute {
     /// Attribute name, unique within its relation.
-    pub name: String,
+    pub name: Name,
     /// Declared data type.
     pub data_type: DataType,
 }
 
 impl Attribute {
     /// Creates a new attribute.
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn new(name: impl Into<Name>, data_type: DataType) -> Self {
         Attribute {
             name: name.into(),
             data_type,
@@ -82,15 +86,15 @@ impl fmt::Display for AttrRef {
 /// The schema of a relation: a name plus an ordered list of attributes.
 ///
 /// Schemas are immutable once built and shared via [`Arc`] between the catalog, materialised
-/// relations and query plans; attribute positions are resolved through an internal index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// relations and query plans.  A schema derived from others — a product, a join, a projection
+/// — shares their attributes' names and takes its (left) input's name, so building one copies
+/// no string.  Positions are found by scanning the attribute list: relations here have at most
+/// a few dozen attributes, and a scan over them costs less than building a hash index for
+/// every derived schema (a bound plan builds one schema per operator).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Schema {
-    name: Arc<str>,
+    name: Name,
     attributes: Arc<[Attribute]>,
-    /// Attribute name → position; shared like the attribute list, so cloning a schema (every
-    /// operator output carries one) allocates nothing per attribute.
-    #[serde(skip)]
-    index: Arc<HashMap<String, usize>>,
 }
 
 impl Schema {
@@ -98,27 +102,25 @@ impl Schema {
     ///
     /// # Panics
     /// Panics if two attributes share a name; use [`Schema::try_new`] for a fallible variant.
-    pub fn new(name: impl Into<String>, attributes: Vec<Attribute>) -> Self {
+    pub fn new(name: impl Into<Name>, attributes: Vec<Attribute>) -> Self {
         Self::try_new(name, attributes).expect("duplicate attribute in schema")
     }
 
     /// Fallible constructor that rejects duplicate attribute names.
-    pub fn try_new(name: impl Into<String>, attributes: Vec<Attribute>) -> StorageResult<Self> {
-        let name = name.into();
-        let mut index = HashMap::with_capacity(attributes.len());
+    pub fn try_new(name: impl Into<Name>, attributes: Vec<Attribute>) -> StorageResult<Self> {
+        Self::build(name.into(), attributes.into())
+    }
+
+    fn build(name: Name, attributes: Arc<[Attribute]>) -> StorageResult<Self> {
         for (i, attr) in attributes.iter().enumerate() {
-            if index.insert(attr.name.clone(), i).is_some() {
+            if attributes[..i].iter().any(|a| a.name == attr.name) {
                 return Err(StorageError::DuplicateAttribute {
-                    relation: name,
-                    attribute: attr.name.clone(),
+                    relation: name.to_string(),
+                    attribute: attr.name.to_string(),
                 });
             }
         }
-        Ok(Schema {
-            name: name.into(),
-            attributes: attributes.into(),
-            index: Arc::new(index),
-        })
+        Ok(Schema { name, attributes })
     }
 
     /// The relation name.
@@ -129,11 +131,10 @@ impl Schema {
 
     /// Returns a copy of this schema under a different relation name (used for aliased scans).
     #[must_use]
-    pub fn renamed(&self, name: impl Into<String>) -> Self {
+    pub fn renamed(&self, name: impl Into<Name>) -> Self {
         Schema {
-            name: name.into().into(),
+            name: name.into(),
             attributes: Arc::clone(&self.attributes),
-            index: Arc::clone(&self.index),
         }
     }
 
@@ -171,7 +172,7 @@ impl Schema {
     /// Position of an attribute by name.
     #[must_use]
     pub fn position(&self, attr: &str) -> Option<usize> {
-        self.index.get(attr).copied()
+        self.attributes.iter().position(|a| *a.name == *attr)
     }
 
     /// Position of an attribute, as an error-carrying lookup.
@@ -186,50 +187,41 @@ impl Schema {
     /// Whether the schema declares the given attribute.
     #[must_use]
     pub fn contains(&self, attr: &str) -> bool {
-        self.index.contains_key(attr)
+        self.position(attr).is_some()
     }
 
     /// Attribute names in declaration order.
     pub fn attribute_names(&self) -> impl Iterator<Item = &str> {
-        self.attributes.iter().map(|a| a.name.as_str())
+        self.attributes.iter().map(|a| &*a.name)
     }
 
-    /// Builds the schema of the concatenation of two schemas (Cartesian product / join output).
+    /// The schema of a projection onto the attributes at `positions`, in that order, under
+    /// this schema's name.
     ///
-    /// Output attribute names are qualified with the source relation name when the plain name
-    /// would collide.
+    /// # Panics
+    /// Panics if a position is out of range or listed twice.
     #[must_use]
-    pub fn product(&self, other: &Schema, name: impl Into<String>) -> Schema {
-        let mut attrs = Vec::with_capacity(self.arity() + other.arity());
-        for a in self.attributes.iter() {
-            attrs.push(a.clone());
-        }
-        for a in other.attributes.iter() {
+    pub fn projected(&self, positions: &[usize]) -> Schema {
+        let attrs = positions.iter().map(|&p| self.attributes[p].clone());
+        Schema::build(Arc::clone(&self.name), attrs.collect()).expect("duplicate projected column")
+    }
+
+    /// The schema of the concatenation of two schemas (Cartesian product / join output), under
+    /// this schema's name.
+    ///
+    /// An attribute of `other` whose plain name this schema already has is qualified with
+    /// `other`'s relation name.
+    #[must_use]
+    pub fn product(&self, other: &Schema) -> Schema {
+        let right = other.attributes.iter().map(|a| {
             if self.contains(&a.name) {
-                attrs.push(Attribute::new(
-                    format!("{}.{}", other.name, a.name),
-                    a.data_type,
-                ));
+                Attribute::new(format!("{}.{}", other.name, a.name), a.data_type)
             } else {
-                attrs.push(a.clone());
+                a.clone()
             }
-        }
-        Schema::new(name, attrs)
-    }
-}
-
-impl PartialEq for Schema {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.attributes == other.attributes
-    }
-}
-
-impl Eq for Schema {}
-
-impl std::hash::Hash for Schema {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name.hash(state);
-        self.attributes.hash(state);
+        });
+        let attrs = self.attributes.iter().cloned().chain(right).collect();
+        Schema::build(Arc::clone(&self.name), attrs).expect("duplicate attribute in product")
     }
 }
 
@@ -323,9 +315,20 @@ mod tests {
                 Attribute::new("y", DataType::Text),
             ],
         );
-        let p = a.product(&b, "AxB");
+        let p = a.product(&b);
         let names: Vec<_> = p.attribute_names().collect();
         assert_eq!(names, vec!["id", "x", "B.id", "y"]);
+        assert_eq!(p.name(), "A");
+        assert!(Arc::ptr_eq(
+            &p.attributes()[1].name,
+            &a.attributes()[1].name
+        ));
+        let projected = p.projected(&[3, 0]);
+        assert_eq!(projected.attribute_names().collect::<Vec<_>>(), ["y", "id"]);
+        assert!(Arc::ptr_eq(
+            &projected.attributes()[0].name,
+            &b.attributes()[1].name
+        ));
     }
 
     #[test]

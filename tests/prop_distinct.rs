@@ -33,7 +33,7 @@ use urm::core::ProbabilisticAnswer;
 use urm::engine::reference::off_catalog;
 use urm::engine::{CompareOp, Executor, Plan, Predicate, ReferenceExecutor};
 use urm::storage::{
-    Attribute, Catalog, Column, DataType, Relation, Schema, Tuple, Value, DEFAULT_DICT_LIMIT,
+    Attribute, Catalog, Column, DataType, Name, Relation, Schema, Tuple, Value, DEFAULT_DICT_LIMIT,
 };
 
 const COLUMNS: [&str; 6] = ["k", "t", "f", "m", "dead", "b"];
@@ -93,7 +93,7 @@ fn catalog(rng: &mut TestRng) -> Catalog {
 
 /// A product or join of two aliased scans (a self-join when the names coincide), sometimes
 /// under a selection, projected onto a few of its columns — plus those columns' names.
-fn root(rng: &mut TestRng, catalog: &Catalog) -> (Plan, Vec<String>) {
+fn root(rng: &mut TestRng, catalog: &Catalog) -> (Plan, Vec<Name>) {
     let names: Vec<&str> = catalog.iter().map(|(name, _)| name).collect();
     let scan = |rng: &mut TestRng, alias: &str| Plan::scan_as(names[rng.index(names.len())], alias);
     let (left, right) = (scan(rng, "A"), scan(rng, "B"));
@@ -110,9 +110,9 @@ fn root(rng: &mut TestRng, catalog: &Catalog) -> (Plan, Vec<String>) {
         }
         _ => {}
     }
-    let mut projected: Vec<String> = Vec::new();
+    let mut projected: Vec<Name> = Vec::new();
     for _ in 0..1 + rng.index(4) {
-        let column = format!("{}.{}", ["A", "B"][rng.index(2)], COLUMNS[rng.index(6)]);
+        let column: Name = format!("{}.{}", ["A", "B"][rng.index(2)], COLUMNS[rng.index(6)]).into();
         if !projected.contains(&column) {
             projected.push(column);
         }
@@ -121,7 +121,7 @@ fn root(rng: &mut TestRng, catalog: &Catalog) -> (Plan, Vec<String>) {
 }
 
 /// `Raw`, or `arity` of the root's columns in any order, repeats and uncovered ones included.
-fn extraction(rng: &mut TestRng, projected: &[String], arity: usize) -> Extraction {
+fn extraction(rng: &mut TestRng, projected: &[Name], arity: usize) -> Extraction {
     if rng.index(6) == 0 {
         return Extraction::Raw;
     }
@@ -334,7 +334,7 @@ fn overflowed_dictionaries_deduplicate_by_value() {
 
     let plan = Plan::scan("Wide")
         .product(Plan::scan("Pair"))
-        .project(vec!["Wide.s".to_string(), "Pair.p".to_string()]);
+        .project(vec!["Wide.s".into(), "Pair.p".into()]);
     let extraction = Extraction::Columns(vec![Some("Pair.p".into()), Some("Wide.s".into())]);
     let reference = ReferenceExecutor::new(&catalog).run(&plan).unwrap();
     let want = first_occurrences(tuple_per_row(&reference, &extraction));
