@@ -1,9 +1,9 @@
 //! The `basic` algorithm: one source query per possible mapping (Section III-B.1).
 
-use crate::answer::ProbabilisticAnswer;
+use crate::answer::{aggregate, Cluster};
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, reformulate, Clusters, Reformulated};
+use crate::reformulate::{reformulate, Clusters, Reformulated};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, Executor};
@@ -19,10 +19,12 @@ pub fn evaluate(
     let total_start = Instant::now();
     let mut metrics = EvalMetrics::new("basic");
     metrics.representative_mappings = mappings.len();
-    let mut answer = ProbabilisticAnswer::new();
     let mut exec = Executor::new(catalog);
     // Counts the distinct source queries; nothing is shared between the mappings' runs.
     let mut distinct = Clusters::default();
+    // Per mapping with a source query: its result, probability and cluster slot.
+    let mut results = Vec::with_capacity(mappings.len());
+    let mut empty_probability = 0.0;
 
     for mapping in mappings.iter() {
         let rewrite_start = Instant::now();
@@ -30,31 +32,28 @@ pub fn evaluate(
         metrics.rewrite_time += rewrite_start.elapsed();
 
         match reformulated {
-            Reformulated::Empty => {
-                let agg_start = Instant::now();
-                answer.add_empty(mapping.probability());
-                metrics.aggregation_time += agg_start.elapsed();
-            }
+            Reformulated::Empty => empty_probability += mapping.probability().max(0.0),
             Reformulated::Query(sq) => {
                 let slot = distinct.slot(sq);
-                let sq = distinct.query(slot);
                 let plan_start = Instant::now();
-                let plan = optimize(&sq.plan, catalog)?;
+                let plan = optimize(&distinct.query(slot).plan, catalog)?;
                 metrics.plan_time += plan_start.elapsed();
 
-                let result = exec.run(&plan)?;
-
-                let agg_start = Instant::now();
-                aggregate(
-                    &mut answer,
-                    [&result],
-                    &sq.extraction,
-                    mapping.probability(),
-                );
-                metrics.aggregation_time += agg_start.elapsed();
+                results.push((exec.run(&plan)?, mapping.probability(), slot));
             }
         }
     }
+
+    // Every mapping is a cluster of its own, in mapping order.
+    let agg_start = Instant::now();
+    let clusters: Vec<Cluster<'_>> = results
+        .iter()
+        .map(|(result, probability, slot)| {
+            Cluster::single(*probability, &distinct.query(*slot).extraction, result)
+        })
+        .collect();
+    let (answer, _) = aggregate(&clusters, empty_probability);
+    metrics.aggregation_time = agg_start.elapsed();
 
     metrics.exec = exec.into_stats();
     metrics.distinct_source_queries = distinct.len();

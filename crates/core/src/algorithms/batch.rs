@@ -15,9 +15,20 @@
 //! A query's distinct source queries come from the partition-first rewrite
 //! ([`partitioned_reformulations`]): one `reformulate` per mapping *partition*, not per mapping
 //! — the clusters, their order and their probabilities are bit for bit those of e-basic's
-//! rewrite-every-mapping phase.  Per-query aggregation is unchanged from `e-basic` too — each
-//! query's answer is the probability-weighted union of its distinct reformulations — so batch
-//! answers agree with every sequential algorithm (the service integration tests verify this).
+//! rewrite-every-mapping phase.
+//!
+//! **A product is submitted as its factors.**  The optimised form of a tuple-producing source
+//! query is a product of distinct factors `δπ(C1) × … × δπ(Ck)`, under a projection when the
+//! product's columns need reordering (see `urm_engine::optimize`).  The batch submits each
+//! factor as a DAG root of its own, under its own fingerprint (the epoch remembers the split,
+//! [`EpochDag::record_split`]), so the product and its projection are never bound, executed or
+//! pinned, and the source queries of a batch that share a factor share its root.  The answer
+//! is built from the factors by the one aggregation every algorithm uses
+//! ([`aggregate`](crate::answer::aggregate)): answer columns resolve by name in the factors'
+//! schemas, clusters whose factors hold equal rows are enumerated once, and each answer's
+//! probability is the sum of the clusters producing it in cluster order — so batch answers are
+//! e-basic's to the bit, and agree with every sequential algorithm (the service integration
+//! tests verify this).
 //!
 //! Batches run on an [`EpochDag`]: [`evaluate_batch`] builds a throwaway one (tests and the
 //! sequential comparisons), while the serving layer keeps one epoch DAG alive per registered
@@ -27,14 +38,18 @@
 //! epoch has seen whose result is still materialised — byte-identical answers either way
 //! (property-tested).
 
-use crate::answer::ProbabilisticAnswer;
+use crate::answer::{aggregate, Cluster};
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, partitioned_reformulations, Clustering, Extraction};
+use crate::reformulate::{partitioned_reformulations, Clustering, Extraction};
 use crate::CoreResult;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
-use urm_engine::optimize::optimize;
-use urm_engine::{EpochDag, ExecStats, Executor, PreparedBatch, RunReport};
+use urm_engine::optimize::{fingerprint, optimize};
+use urm_engine::{
+    EngineResult, EpochDag, ExecStats, Executor, PhysicalPlan, Plan, PreparedBatch, RunReport,
+};
 use urm_matching::MappingSet;
 use urm_obs::Tracer;
 use urm_storage::{BufferPool, Catalog};
@@ -108,18 +123,79 @@ impl BatchEvaluation {
 /// Per-query bookkeeping between the DAG-build and aggregation phases.
 #[derive(Debug)]
 struct PendingQuery {
-    /// (index into the DAG's root results, probability, extraction rule) per distinct
-    /// reformulation.
-    roots: Vec<(usize, f64, Extraction)>,
+    /// One per distinct reformulation, in cluster order.
+    clusters: Vec<PendingCluster>,
     empty_probability: f64,
     metrics: EvalMetrics,
     started: Instant,
 }
 
+/// One distinct reformulation of a pending query: its probability, extraction rule, and the
+/// DAG roots of its factors.
+#[derive(Debug)]
+struct PendingCluster {
+    probability: f64,
+    extraction: Extraction,
+    /// Indices into the batch's root results, one per factor.
+    roots: Vec<usize>,
+}
+
+/// The roots a batch has submitted, by key: a plan several source queries of the batch share
+/// — a factor, most often — is one root, submitted once.
+#[derive(Default)]
+struct BatchRoots {
+    by_key: HashMap<u64, usize>,
+    /// Submissions answered by a root the batch already had.
+    reused: u64,
+}
+
+impl BatchRoots {
+    /// The root index of the plan known as `key`, submitted to `epoch` with `bind` if this
+    /// batch has not submitted it yet.
+    fn submit(
+        &mut self,
+        epoch: &mut EpochDag,
+        key: u64,
+        bind: impl FnOnce() -> EngineResult<Arc<PhysicalPlan>>,
+    ) -> CoreResult<usize> {
+        if let Some(&root) = self.by_key.get(&key) {
+            self.reused += 1;
+            return Ok(root);
+        }
+        epoch.submit_with(key, bind)?;
+        let root = self.by_key.len();
+        self.by_key.insert(key, root);
+        Ok(root)
+    }
+}
+
+/// The factors whose product `plan` is: the product chain under the reordering projection
+/// `optimize` may put above it, or `plan` itself when it is not a product.  Only for a plan
+/// whose answers are read by column name ([`Extraction::Columns`]), which no reordering moves.
+pub(crate) fn product_factors(plan: Plan) -> Vec<Plan> {
+    fn flatten(plan: Plan, factors: &mut Vec<Plan>) {
+        match plan {
+            Plan::Product { left, right } => {
+                flatten(*left, factors);
+                flatten(*right, factors);
+            }
+            factor => factors.push(factor),
+        }
+    }
+    let product = match plan {
+        Plan::Project { input, .. } if matches!(*input, Plan::Product { .. }) => *input,
+        plan => plan,
+    };
+    let mut factors = Vec::new();
+    flatten(product, &mut factors);
+    factors
+}
+
 /// Phase 1 of a batch: rewrite every query — one representative per mapping partition — and
-/// submit the distinct source queries to the epoch DAG.  A plan this epoch has bound before is
-/// a bind-cache lookup; a new plan is optimised, bound and merged (sharing across queries is
-/// structural).
+/// submit the distinct source queries to the epoch DAG, a tuple-producing one as the factors
+/// of its optimised product.  A source query this epoch has split before is a bind-cache
+/// lookup per factor; a new one is optimised, split, and each factor not bound before is bound
+/// and merged (sharing across queries is structural).
 fn submit_batch(
     queries: &[TargetQuery],
     mappings: &MappingSet,
@@ -129,7 +205,7 @@ fn submit_batch(
     tracer: &Tracer,
 ) -> CoreResult<Vec<PendingQuery>> {
     let mut pending: Vec<PendingQuery> = Vec::with_capacity(queries.len());
-    let mut next_root = 0usize;
+    let mut roots = BatchRoots::default();
     for (qi, query) in queries.iter().enumerate() {
         let started = Instant::now();
         let mut metrics = EvalMetrics::new("batch");
@@ -157,7 +233,8 @@ fn submit_batch(
         let reused_before = epoch.dag().operators_reused();
         let nodes_before = epoch.dag().node_count();
         let bind_hits_before = epoch.bind_hits();
-        let mut roots = Vec::with_capacity(ordered.len());
+        let reused_roots_before = roots.reused;
+        let mut clusters = Vec::with_capacity(ordered.len());
         let plan_start = Instant::now();
         {
             let mut span = tracer.span("optimize_bind");
@@ -165,21 +242,48 @@ fn submit_batch(
             span.tag("source_queries", ordered.len() as u64);
             for cluster in ordered {
                 let sq = cluster.query;
-                epoch.submit_with(cluster.fingerprint, || {
-                    let plan = optimize(&sq.plan, catalog)?;
-                    exec.bind(&plan)
-                })?;
-                roots.push((next_root, cluster.probability, sq.extraction));
-                next_root += 1;
+                let optimized = || optimize(&sq.plan, catalog);
+                let roots = if let Extraction::Raw = sq.extraction {
+                    let bind = || exec.bind(&optimized()?);
+                    vec![roots.submit(epoch, cluster.fingerprint, bind)?]
+                } else {
+                    // A split this epoch recorded names factors it has bound; a new one is
+                    // recorded once its factors are.
+                    let (keys, factors) = match epoch.split(cluster.fingerprint) {
+                        Some(keys) => (keys.to_vec(), None),
+                        None => {
+                            let factors = product_factors(optimized()?);
+                            (factors.iter().map(fingerprint).collect(), Some(factors))
+                        }
+                    };
+                    let mut factor_roots = Vec::with_capacity(keys.len());
+                    for (at, &key) in keys.iter().enumerate() {
+                        let bind = || match &factors {
+                            Some(factors) => exec.bind(&factors[at]),
+                            None => exec.bind(&product_factors(optimized()?)[at]),
+                        };
+                        factor_roots.push(roots.submit(epoch, key, bind)?);
+                    }
+                    if factors.is_some() {
+                        epoch.record_split(cluster.fingerprint, &keys);
+                    }
+                    factor_roots
+                };
+                clusters.push(PendingCluster {
+                    probability: cluster.probability,
+                    extraction: sq.extraction,
+                    roots,
+                });
             }
         }
         metrics.plan_time = plan_start.elapsed();
         metrics.shared_plan_hits = (epoch.dag().operators_reused() - reused_before)
-            + (epoch.bind_hits() - bind_hits_before);
+            + (epoch.bind_hits() - bind_hits_before)
+            + (roots.reused - reused_roots_before);
         metrics.shared_plan_misses = (epoch.dag().node_count() - nodes_before) as u64;
 
         pending.push(PendingQuery {
-            roots,
+            clusters,
             empty_probability,
             metrics,
             started,
@@ -329,26 +433,31 @@ pub fn execute_prepared_batch(
         pool.set_tracer(Tracer::disabled());
     }
     let run = run?;
-    for _ in 0..run.root_results.len() {
+    for _ in pending.iter().flat_map(|query| &query.clusters) {
         exec.stats_mut().record_source_query();
     }
 
-    // Per-query probabilistic aggregation, unchanged from e-basic.
+    // Per-query probabilistic aggregation, from each cluster's factors.
     let mut evaluations = Vec::with_capacity(pending.len());
     let mut agg_span = options.tracer.span("aggregate");
-    let (mut rows_probed, mut answers_added) = (0, 0);
+    let (mut factor_rows, mut rows, mut answers) = (0, 0, 0);
     for mut query in pending {
         let agg_start = Instant::now();
-        let mut answer = ProbabilisticAnswer::new();
-        for (root, probability, extraction) in &query.roots {
-            let result = &*run.root_results[*root];
-            let (rows, added) = aggregate(&mut answer, [result], extraction, *probability);
-            rows_probed += rows;
-            answers_added += added;
-        }
-        if query.empty_probability > 0.0 {
-            answer.add_empty(query.empty_probability);
-        }
+        let clusters: Vec<Cluster<'_>> = query
+            .clusters
+            .iter()
+            .map(|cluster| Cluster {
+                probability: cluster.probability,
+                extraction: &cluster.extraction,
+                factors: (cluster.roots.iter())
+                    .map(|&root| vec![&*run.root_results[root]])
+                    .collect(),
+            })
+            .collect();
+        let (answer, work) = aggregate(&clusters, query.empty_probability);
+        factor_rows += work.factor_rows;
+        rows += work.rows;
+        answers += answer.len();
         query.metrics.aggregation_time = agg_start.elapsed();
         // Wall-clock spans submission to aggregation; the execution slice in the middle is
         // indivisible across queries (shared nodes), so executor time is reported batch-wide.
@@ -358,9 +467,11 @@ pub fn execute_prepared_batch(
             metrics: query.metrics,
         });
     }
-    // What the step read against what it kept: root rows in, answer entries out.
-    agg_span.tag("rows", rows_probed as u64);
-    agg_span.tag("answers", answers_added as u64);
+    // What the step read against what it kept: factor rows in, answer rows enumerated from
+    // them, answer entries out.
+    agg_span.tag("factor_rows", factor_rows as u64);
+    agg_span.tag("rows", rows as u64);
+    agg_span.tag("answers", answers as u64);
     drop(agg_span);
 
     Ok(BatchEvaluation {

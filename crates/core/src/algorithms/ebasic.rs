@@ -1,10 +1,10 @@
 //! The `e-basic` algorithm: deduplicate identical source queries before executing them
 //! (Section III-B.2).
 
-use crate::answer::ProbabilisticAnswer;
+use crate::answer::{aggregate, Cluster};
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, reformulate, Clustering, Clusters, Reformulated};
+use crate::reformulate::{reformulate, Clustering, Clusters, Reformulated};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, Executor};
@@ -51,7 +51,6 @@ pub fn evaluate(
     let total_start = Instant::now();
     let mut metrics = EvalMetrics::new("e-basic");
     metrics.representative_mappings = mappings.len();
-    let mut answer = ProbabilisticAnswer::new();
 
     // Phase 1 (rewriting): a source query is still produced for every mapping — this is the
     // cost e-basic does NOT save, which is why q-sharing beats it.
@@ -66,21 +65,24 @@ pub fn evaluate(
 
     // Phase 2 (evaluation): run each distinct source query once.
     let mut exec = Executor::new(catalog);
-    for cluster in ordered {
-        let (sq, probability) = (cluster.query, cluster.probability);
+    let mut results = Vec::with_capacity(ordered.len());
+    for cluster in &ordered {
         let plan_start = Instant::now();
-        let plan = optimize(&sq.plan, catalog)?;
+        let plan = optimize(&cluster.query.plan, catalog)?;
         metrics.plan_time += plan_start.elapsed();
-
-        let result = exec.run(&plan)?;
-
-        let agg_start = Instant::now();
-        aggregate(&mut answer, [&result], &sq.extraction, probability);
-        metrics.aggregation_time += agg_start.elapsed();
+        results.push(exec.run(&plan)?);
     }
-    if empty_probability > 0.0 {
-        answer.add_empty(empty_probability);
-    }
+
+    let agg_start = Instant::now();
+    let clusters: Vec<Cluster<'_>> = ordered
+        .iter()
+        .zip(&results)
+        .map(|(cluster, result)| {
+            Cluster::single(cluster.probability, &cluster.query.extraction, result)
+        })
+        .collect();
+    let (answer, _) = aggregate(&clusters, empty_probability);
+    metrics.aggregation_time = agg_start.elapsed();
 
     metrics.exec = exec.into_stats();
     metrics.total_time = total_start.elapsed();

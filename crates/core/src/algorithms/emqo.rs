@@ -2,10 +2,10 @@
 //! by a multi-query optimiser (Section III-B.3).
 
 use crate::algorithms::ebasic::clustered_reformulations;
-use crate::answer::ProbabilisticAnswer;
+use crate::answer::{aggregate, Cluster};
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, Clustering};
+use crate::reformulate::Clustering;
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, EpochDag, Executor};
@@ -25,7 +25,6 @@ pub fn evaluate(
     let total_start = Instant::now();
     let mut metrics = EvalMetrics::new("e-MQO");
     metrics.representative_mappings = mappings.len();
-    let mut answer = ProbabilisticAnswer::new();
 
     // Phase 1: rewrite through every mapping and deduplicate (same as e-basic).
     let rewrite_start = Instant::now();
@@ -60,13 +59,14 @@ pub fn evaluate(
     metrics.shared_plan_misses = run.report.nodes_executed;
 
     let agg_start = Instant::now();
-    for (cluster, result) in ordered.iter().zip(&run.root_results) {
-        let extraction = &cluster.query.extraction;
-        aggregate(&mut answer, [&**result], extraction, cluster.probability);
-    }
-    if empty_probability > 0.0 {
-        answer.add_empty(empty_probability);
-    }
+    let clusters: Vec<Cluster<'_>> = ordered
+        .iter()
+        .zip(&run.root_results)
+        .map(|(cluster, result)| {
+            Cluster::single(cluster.probability, &cluster.query.extraction, result)
+        })
+        .collect();
+    let (answer, _) = aggregate(&clusters, empty_probability);
     metrics.aggregation_time = agg_start.elapsed();
 
     metrics.exec = exec.into_stats();

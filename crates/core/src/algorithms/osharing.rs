@@ -21,14 +21,12 @@
 //! answer, and it is the very node q-sharing runs.  The factors the steps probed are the ones
 //! its optimised plan reuses.
 
-use crate::answer::ProbabilisticAnswer;
+use crate::answer::{aggregate, Cluster, ProbabilisticAnswer};
 use crate::eunit::EUnit;
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::partition::{partition_by_attrs, partition_mappings, representatives};
 use crate::query::{TargetOp, TargetPredicate, TargetQuery};
-use crate::reformulate::{
-    aggregate, covering_scan, reformulate, source_column_for, Extraction, Reformulated,
-};
+use crate::reformulate::{covering_scan, reformulate, source_column_for, Extraction, Reformulated};
 use crate::strategy::{select_operator, Strategy};
 use crate::{CoreError, CoreResult};
 use std::sync::Arc;
@@ -45,24 +43,51 @@ use urm_storage::{AttrRef, Catalog, Relation};
 pub(crate) trait LeafSink {
     /// Called with the result of a completed e-unit, how its answer tuples are read out of it,
     /// and the total probability of its mappings.  Returns `true` to stop the traversal.
-    fn on_answers(&mut self, result: &Relation, extraction: &Extraction, probability: f64) -> bool;
+    fn on_answers(
+        &mut self,
+        result: Arc<Relation>,
+        extraction: Extraction,
+        probability: f64,
+    ) -> bool;
     /// Called when an e-unit can produce no answer tuples (empty intermediate result or an
     /// unmapped attribute).  Returns `true` to stop the traversal.
     fn on_empty(&mut self, probability: f64) -> bool;
 }
 
-/// A [`LeafSink`] that simply aggregates every answer (exact evaluation).
+/// A [`LeafSink`] that keeps every leaf and aggregates them all at the end (exact evaluation).
+#[derive(Default)]
 pub(crate) struct ExactSink {
-    pub answer: ProbabilisticAnswer,
+    /// Each leaf's result, extraction and probability, in traversal order.
+    leaves: Vec<(Arc<Relation>, Extraction, f64)>,
+    empty_probability: f64,
+}
+
+impl ExactSink {
+    /// The answer: every leaf a one-factor cluster, in traversal order.
+    fn answer(&self) -> ProbabilisticAnswer {
+        let clusters: Vec<Cluster<'_>> = self
+            .leaves
+            .iter()
+            .map(|(result, extraction, probability)| {
+                Cluster::single(*probability, extraction, result)
+            })
+            .collect();
+        aggregate(&clusters, self.empty_probability).0
+    }
 }
 
 impl LeafSink for ExactSink {
-    fn on_answers(&mut self, result: &Relation, extraction: &Extraction, probability: f64) -> bool {
-        aggregate(&mut self.answer, [result], extraction, probability);
+    fn on_answers(
+        &mut self,
+        result: Arc<Relation>,
+        extraction: Extraction,
+        probability: f64,
+    ) -> bool {
+        self.leaves.push((result, extraction, probability));
         false
     }
     fn on_empty(&mut self, probability: f64) -> bool {
-        self.answer.add_empty(probability);
+        self.empty_probability += probability.max(0.0);
         false
     }
 }
@@ -198,7 +223,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                     self.run_qt(child)?
                 }
                 ChildOutcome::Answers(result, extraction) => {
-                    self.sink.on_answers(&result, &extraction, probability)
+                    self.sink.on_answers(result, extraction, probability)
                 }
                 ChildOutcome::Empty => self.sink.on_empty(probability),
             };
@@ -336,18 +361,15 @@ pub fn evaluate(
     metrics.rewrite_time += rewrite_start.elapsed();
     metrics.representative_mappings = reps.len();
 
-    let sink = ExactSink {
-        answer: ProbabilisticAnswer::new(),
-    };
-    let mut runner = UTraceRunner::new(query, catalog, reps, strategy, sink);
+    let mut runner = UTraceRunner::new(query, catalog, reps, strategy, ExactSink::default());
     runner.run()?;
     metrics.distinct_source_queries = runner.representative_count();
     let sink = runner.finish(&mut metrics);
+    let agg_start = Instant::now();
+    let answer = sink.answer();
+    metrics.aggregation_time = agg_start.elapsed();
     metrics.total_time = total_start.elapsed();
-    Ok(Evaluation {
-        answer: sink.answer,
-        metrics,
-    })
+    Ok(Evaluation { answer, metrics })
 }
 
 #[cfg(test)]

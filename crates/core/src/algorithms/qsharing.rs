@@ -11,11 +11,11 @@
 //! (shared scans, shared selection prefixes — sharing *below* query granularity, which the
 //! partition tree cannot see) execute each distinct bound operator once.
 
-use crate::answer::ProbabilisticAnswer;
+use crate::answer::{aggregate, Cluster};
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::partition::{partition_mappings, representatives};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, reformulate, Reformulated};
+use crate::reformulate::{reformulate, Reformulated};
 use crate::CoreResult;
 use std::time::Instant;
 use urm_engine::{optimize::optimize, EpochDag, Executor};
@@ -40,21 +40,19 @@ pub fn evaluate(
 
     // Step 3: reformulate and execute one source query per representative, all lowered onto
     // one merged shared-operator DAG.
-    let mut answer = ProbabilisticAnswer::new();
     let mut exec = Executor::new(catalog);
     let mut dag = EpochDag::pinning_all();
     let mut distinct = std::collections::HashSet::new();
+    // Per representative with a source query: its result, probability and extraction.
+    let mut results = Vec::with_capacity(reps.len());
+    let mut empty_probability = 0.0;
     for (mapping, probability) in reps {
         let rewrite_start = Instant::now();
         let reformulated = reformulate(query, mapping, catalog)?;
         metrics.rewrite_time += rewrite_start.elapsed();
 
         match reformulated {
-            Reformulated::Empty => {
-                let agg_start = Instant::now();
-                answer.add_empty(probability);
-                metrics.aggregation_time += agg_start.elapsed();
-            }
+            Reformulated::Empty => empty_probability += probability.max(0.0),
             Reformulated::Query(sq) => {
                 let plan_start = Instant::now();
                 let plan = optimize(&sq.plan, catalog)?;
@@ -62,14 +60,19 @@ pub fn evaluate(
 
                 let result = dag.resolve(&exec.bind(&plan)?, &mut exec)?;
                 exec.stats_mut().record_source_query();
-
-                let agg_start = Instant::now();
-                aggregate(&mut answer, [&*result], &sq.extraction, probability);
-                metrics.aggregation_time += agg_start.elapsed();
+                results.push((result, probability, sq.extraction.clone()));
                 distinct.insert(sq);
             }
         }
     }
+
+    let agg_start = Instant::now();
+    let clusters: Vec<Cluster<'_>> = results
+        .iter()
+        .map(|(result, probability, extraction)| Cluster::single(*probability, extraction, result))
+        .collect();
+    let (answer, _) = aggregate(&clusters, empty_probability);
+    metrics.aggregation_time = agg_start.elapsed();
 
     metrics.exec = exec.into_stats();
     metrics.distinct_source_queries = distinct.len();

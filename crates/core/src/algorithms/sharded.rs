@@ -4,36 +4,44 @@
 //! scatter-gather dimension on top.  A [`ShardSet`] holds N shard runtimes, each owning a
 //! private [`EpochDag`] over a *shard catalog*: an `Arc`-shared replica of every base relation
 //! (a catalog clone — zero copy) **plus** shard `i`'s slice of every base relation under a
-//! `{name}::slice` alias (see [`urm_storage::shard`]).  [`evaluate_batch_sharded`] then routes
-//! each distinct reformulation root one of two ways:
+//! `{name}::slice` alias (see [`urm_storage::shard`]).  [`evaluate_batch_sharded`] then
+//! splits each distinct reformulation into the factors its optimised form multiplies (as the
+//! unsharded batch does, see [`batch`](crate::algorithms::batch)) and routes each factor one of
+//! two ways:
 //!
-//! * **Scatter** (tuple-producing roots, [`Extraction::Columns`]): exactly one scan leaf — the
-//!   largest base relation in the plan, deterministically chosen — is redirected to the shared
-//!   slice name, and the rewritten plan (identical on every shard, so fingerprints and the
-//!   per-shard bind caches line up) is submitted to **all** shards.  Each derivation of the
-//!   original plan consumes exactly one row of the sliced scan, so the union of the per-shard
-//!   result *sets* is the single-node result set (a tuple-producing plan is `Distinct`-rooted;
-//!   a tuple two shards both derive counts once in the gather phase).  The optimizer orders a
-//!   slice scan by its base relation's cardinality, so the plan has one shape on every shard.
-//! * **Singleton** (aggregate roots, [`Extraction::Raw`]): a COUNT/SUM result cannot be merged
-//!   from partial relations, so the *unmodified* plan runs on one shard (picked by plan
-//!   fingerprint) against that shard's full replicas — exactly the single-node execution.
+//! * **Scatter** (the factor holding the sliced scan): for a tuple-producing source query
+//!   ([`Extraction::Columns`]) exactly one scan leaf — the largest base relation in the plan,
+//!   deterministically chosen — is redirected to the shared slice name before optimising.  The
+//!   factor that scan lands in (identical on every shard, so fingerprints and the per-shard
+//!   bind caches line up) is submitted to **all** shards.  Each derivation of the factor
+//!   consumes exactly one row of the sliced scan, so the union of the per-shard result *sets*
+//!   is the single-node factor (a tuple two shards both derive counts once in the gather
+//!   phase).  The optimizer orders a slice scan by its base relation's cardinality, so the
+//!   plan has one shape on every shard.
+//! * **Singleton** (every other factor, and aggregate roots, [`Extraction::Raw`]: a COUNT/SUM
+//!   result cannot be merged from partial relations): the factor runs on one shard (picked by
+//!   its fingerprint) against that shard's full replicas — exactly the single-node execution.
+//!
+//! The coordinator optimises and splits a source query once per shard set and remembers the
+//! split, so a warm batch reaches the shards' bind caches without optimising again.
 //!
 //! Shards bind and execute **in parallel** (one scoped thread each, every shard running its
-//! own prepared batch through its own executor and spill pool).  The gather phase feeds each
-//! root's reassembled tuple set through the *same* probability aggregation as
-//! [`batch`](crate::algorithms::batch) — roots in the same clustered order, one
-//! [`aggregate`] call per root — so sharded answers are **byte-identical** to the single-node
-//! service in canonical [`ProbabilisticAnswer::sorted`] order (property-tested for shard
-//! counts 1–4, with and without per-shard memory budgets).
+//! own prepared batch through its own executor and spill pool).  The gather phase hands each
+//! query's clusters, in the same clustered order, to the *same* aggregation as
+//! [`batch`](crate::algorithms::batch) — a scattered factor as the union of its per-shard
+//! slices — so sharded answers are **byte-identical** to the single-node service in canonical
+//! [`sorted`](crate::ProbabilisticAnswer::sorted) order (property-tested for shard counts 1–4,
+//! with and without per-shard memory budgets).
 
-use crate::algorithms::batch::{BatchEvaluation, BatchOptions};
-use crate::answer::ProbabilisticAnswer;
+use crate::algorithms::batch::{product_factors, BatchEvaluation, BatchOptions};
+use crate::answer::{aggregate, Cluster};
 use crate::metrics::{EvalMetrics, Evaluation};
 use crate::query::TargetQuery;
-use crate::reformulate::{aggregate, partitioned_reformulations, Clustering, Extraction};
+use crate::reformulate::{partitioned_reformulations, Clustering, Extraction, SourceQuery};
 use crate::CoreResult;
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use urm_engine::optimize::{fingerprint, optimize};
 use urm_engine::{EpochDag, ExecStats, Executor, Plan, RunReport, DEFAULT_PIN_BUDGET_BYTES};
@@ -55,6 +63,19 @@ struct ShardRuntime {
 pub struct ShardSet {
     shards: Vec<ShardRuntime>,
     scheme: ShardScheme,
+    /// Source-query fingerprint → the optimised factors it splits into, routed.
+    splits: Mutex<HashMap<u64, Arc<[ShardFactor]>>>,
+}
+
+/// One factor of an optimised source query, as the shards run it.
+#[derive(Debug)]
+struct ShardFactor {
+    /// The factor's fingerprint: its key in every shard's bind cache.
+    key: u64,
+    /// The optimised factor plan.
+    plan: Plan,
+    /// Whether the factor holds the sliced scan (it runs on every shard).
+    scatter: bool,
 }
 
 impl ShardSet {
@@ -91,6 +112,7 @@ impl ShardSet {
                 })
                 .collect(),
             scheme,
+            splits: Mutex::new(HashMap::new()),
         }
     }
 
@@ -120,9 +142,9 @@ pub struct ShardStats {
     pub shards: usize,
     /// Per-shard work dispatches: scatter roots count once per shard, singletons once.
     pub fanouts: u64,
-    /// Roots fanned out to every shard (tuple-producing plans with a sliced scan).
+    /// Distinct factor roots fanned out to every shard (those holding a sliced scan).
     pub scatter_roots: u64,
-    /// Roots routed whole to a single shard (aggregates).
+    /// Distinct factor roots routed whole to a single shard (the others, and aggregates).
     pub singleton_roots: u64,
     /// Per-shard wall clock (bind + execute), index = shard index.
     pub shard_times: Vec<Duration>,
@@ -139,11 +161,11 @@ pub struct ShardedBatchEvaluation {
     pub shards: ShardStats,
 }
 
-/// How one reformulation root reaches the shards.
+/// How one factor root reaches the shards.
 enum RootRoute {
     /// Submitted to every shard; `indices[s]` is the root's slot in shard `s`'s results.
     Scatter { indices: Vec<usize> },
-    /// Submitted unmodified to one shard.
+    /// Submitted to one shard.
     Single { shard: usize, index: usize },
 }
 
@@ -214,6 +236,47 @@ fn designate_slice_leaf(plan: &Plan, catalog: &Catalog) -> Option<(usize, Name)>
     best.map(|(index, relation, _)| (index, relation))
 }
 
+/// The optimised factors of `sq` as the shards run them: a tuple-producing source query has one
+/// scan leaf redirected to its slice ([`designate_slice_leaf`]) and is split into the factors
+/// of its product; an aggregate runs whole.  `shard_catalog` is any shard's: the optimised
+/// plan is the same on every shard.
+fn shard_factors(
+    sq: &SourceQuery,
+    catalog: &Catalog,
+    shard_catalog: &Catalog,
+) -> CoreResult<Vec<ShardFactor>> {
+    let tuples = matches!(sq.extraction, Extraction::Columns(_));
+    let sliced = designate_slice_leaf(&sq.plan, catalog).filter(|_| tuples);
+    let (plan, slice) = match sliced {
+        Some((leaf, base)) => {
+            let slice = slice_relation_name(&base);
+            (redirect_scan(&sq.plan, leaf, &mut 0, &slice), Some(slice))
+        }
+        None => (sq.plan.clone(), None),
+    };
+    let optimized = optimize(&plan, shard_catalog)?;
+    let factors = if tuples {
+        product_factors(optimized)
+    } else {
+        vec![optimized]
+    };
+    Ok(factors
+        .into_iter()
+        .map(|plan| {
+            let mut leaves = Vec::new();
+            scan_leaves(&plan, &mut leaves);
+            let scatter = slice
+                .as_ref()
+                .is_some_and(|slice| leaves.iter().any(|(relation, _)| **relation == **slice));
+            ShardFactor {
+                key: fingerprint(&plan),
+                plan,
+                scatter,
+            }
+        })
+        .collect())
+}
+
 /// One shard's execution outcome, gathered by the coordinator.
 struct ShardOutcome {
     results: Vec<std::sync::Arc<urm_storage::Relation>>,
@@ -226,7 +289,7 @@ struct ShardOutcome {
 fn run_shard(
     shard: &ShardRuntime,
     index: usize,
-    submissions: &[(u64, Plan)],
+    submissions: &[&ShardFactor],
     options: &BatchOptions,
     workers: usize,
 ) -> CoreResult<ShardOutcome> {
@@ -238,11 +301,8 @@ fn run_shard(
     shard_span.tag("submissions", submissions.len() as u64);
     let mut dag = shard.dag.lock().unwrap();
     let bind_exec = Executor::new(&shard.catalog);
-    for (key, plan) in submissions {
-        let submitted = dag.submit_with(*key, || {
-            let optimized = optimize(plan, &shard.catalog)?;
-            bind_exec.bind(&optimized)
-        });
+    for factor in submissions {
+        let submitted = dag.submit_with(factor.key, || bind_exec.bind(&factor.plan));
         if let Err(err) = submitted {
             dag.abort_pending();
             return Err(err.into());
@@ -257,9 +317,6 @@ fn run_shard(
     }
     .with_tracer(options.tracer.clone());
     let run = prepared.execute(&mut exec, workers)?;
-    for _ in 0..run.root_results.len() {
-        exec.stats_mut().record_source_query();
-    }
     Ok(ShardOutcome {
         results: run.root_results,
         exec: exec.into_stats(),
@@ -270,8 +327,9 @@ fn run_shard(
 
 /// Per-query bookkeeping between routing and gather.
 struct PendingQuery {
-    /// (route index, probability, extraction) per distinct reformulation, clustered order.
-    roots: Vec<(usize, f64, Extraction)>,
+    /// (probability, extraction, the routes of its factors) per distinct reformulation, in
+    /// clustered order.
+    clusters: Vec<(f64, Extraction, Range<usize>)>,
     empty_probability: f64,
     metrics: EvalMetrics,
     started: Instant,
@@ -299,7 +357,10 @@ pub fn evaluate_batch_sharded(
     // submission lists.  No shard locks are held yet.
     let mut pending: Vec<PendingQuery> = Vec::with_capacity(queries.len());
     let mut routes: Vec<RootRoute> = Vec::new();
-    let mut submissions: Vec<Vec<(u64, Plan)>> = vec![Vec::new(); shard_count];
+    let mut splits: Vec<Arc<[ShardFactor]>> = Vec::new();
+    // Per shard, (split, factor) of each submission, and each submitted factor's index.
+    let mut submitted: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shard_count];
+    let mut shard_keys: Vec<HashMap<u64, usize>> = vec![HashMap::new(); shard_count];
     let (mut scatter_roots, mut singleton_roots) = (0u64, 0u64);
     for query in queries {
         let started = Instant::now();
@@ -316,44 +377,54 @@ pub fn evaluate_batch_sharded(
         metrics.distinct_source_queries = ordered.len();
 
         let plan_start = Instant::now();
-        let mut roots = Vec::with_capacity(ordered.len());
+        let mut clusters = Vec::with_capacity(ordered.len());
         for cluster in ordered {
-            let (sq, probability) = (cluster.query, cluster.probability);
-            let scatterable = matches!(sq.extraction, Extraction::Columns(_));
-            let route = match designate_slice_leaf(&sq.plan, catalog) {
-                Some((leaf, base)) if scatterable => {
-                    let slice = slice_relation_name(&base);
-                    let rewritten = redirect_scan(&sq.plan, leaf, &mut 0, &slice);
-                    let key = fingerprint(&rewritten);
-                    let indices = submissions
-                        .iter_mut()
-                        .map(|subs| {
-                            subs.push((key, rewritten.clone()));
-                            subs.len() - 1
-                        })
-                        .collect();
-                    scatter_roots += 1;
-                    RootRoute::Scatter { indices }
-                }
-                _ => {
-                    // Aggregates (and scanless plans) run whole on one shard's full replicas.
-                    let key = cluster.fingerprint;
-                    let shard = (key % shard_count as u64) as usize;
-                    submissions[shard].push((key, sq.plan));
-                    singleton_roots += 1;
-                    RootRoute::Single {
-                        shard,
-                        index: submissions[shard].len() - 1,
-                    }
+            let known = set
+                .splits
+                .lock()
+                .unwrap()
+                .get(&cluster.fingerprint)
+                .cloned();
+            let factors = match known {
+                Some(factors) => factors,
+                None => {
+                    let factors: Arc<[ShardFactor]> =
+                        shard_factors(&cluster.query, catalog, &set.shards[0].catalog)?.into();
+                    let mut known = set.splits.lock().unwrap();
+                    Arc::clone(known.entry(cluster.fingerprint).or_insert(factors))
                 }
             };
-            roots.push((routes.len(), probability, sq.extraction));
-            routes.push(route);
+            let first = routes.len();
+            for (at, factor) in factors.iter().enumerate() {
+                // A factor this batch already submitted to a shard is that submission again.
+                let mut submit = |shard: usize| {
+                    let index = submitted[shard].len();
+                    let known = *shard_keys[shard].entry(factor.key).or_insert(index);
+                    if known == index {
+                        submitted[shard].push((splits.len(), at));
+                    }
+                    (known, known == index)
+                };
+                routes.push(if factor.scatter {
+                    let indices: Vec<(usize, bool)> = (0..shard_count).map(&mut submit).collect();
+                    scatter_roots += u64::from(indices[0].1);
+                    let indices = indices.into_iter().map(|(index, _)| index).collect();
+                    RootRoute::Scatter { indices }
+                } else {
+                    let shard = (factor.key % shard_count as u64) as usize;
+                    let (index, new) = submit(shard);
+                    singleton_roots += u64::from(new);
+                    RootRoute::Single { shard, index }
+                });
+            }
+            splits.push(factors);
+            let (probability, extraction) = (cluster.probability, cluster.query.extraction);
+            clusters.push((probability, extraction, first..routes.len()));
         }
         metrics.plan_time = plan_start.elapsed();
 
         pending.push(PendingQuery {
-            roots,
+            clusters,
             empty_probability,
             metrics,
             started,
@@ -368,6 +439,10 @@ pub fn evaluate_batch_sharded(
     scatter_span.tag("scatter_roots", scatter_roots);
     scatter_span.tag("singleton_roots", singleton_roots);
     options.tracer.set_anchor(scatter_span.id());
+    let submissions: Vec<Vec<&ShardFactor>> = submitted
+        .iter()
+        .map(|subs| subs.iter().map(|&(split, at)| &splits[split][at]).collect())
+        .collect();
     let outcomes: Vec<CoreResult<ShardOutcome>> = std::thread::scope(|scope| {
         let handles: Vec<_> = set
             .shards
@@ -387,35 +462,32 @@ pub fn evaluate_batch_sharded(
         shards_done.push(outcome?);
     }
 
-    // Gather phase: reassemble each root's tuple set and aggregate exactly as the unsharded
-    // batch does — same clustered root order, one `aggregate` per root, empty mass last —
-    // so the per-tuple probability sums accumulate in the same order, bit for bit.
+    // Gather phase: aggregate each query's clusters exactly as the unsharded batch does —
+    // same clustered order, a scattered factor as the union of its per-shard slices — so the
+    // per-tuple probability sums accumulate in the same order, bit for bit.
     let merge_start = Instant::now();
     let gather_span = options.tracer.span("gather");
     let mut evaluations = Vec::with_capacity(pending.len());
+    let factor = |route: &RootRoute| match route {
+        RootRoute::Scatter { indices } => shards_done
+            .iter()
+            .zip(indices)
+            .map(|(shard, index)| &*shard.results[*index])
+            .collect(),
+        RootRoute::Single { shard, index } => vec![&*shards_done[*shard].results[*index]],
+    };
     for mut query in pending {
         let agg_start = Instant::now();
-        let mut answer = ProbabilisticAnswer::new();
-        for (route, probability, extraction) in &query.roots {
-            match &routes[*route] {
-                RootRoute::Scatter { indices } => {
-                    // Each shard's slice is de-duplicated on its own; the slices' distinct
-                    // tuples are all that is concatenated.
-                    let slices = shards_done
-                        .iter()
-                        .zip(indices)
-                        .map(|(shard, index)| &*shard.results[*index]);
-                    aggregate(&mut answer, slices, extraction, *probability);
-                }
-                RootRoute::Single { shard, index } => {
-                    let result = &*shards_done[*shard].results[*index];
-                    aggregate(&mut answer, [result], extraction, *probability);
-                }
-            }
-        }
-        if query.empty_probability > 0.0 {
-            answer.add_empty(query.empty_probability);
-        }
+        let clusters: Vec<Cluster<'_>> = query
+            .clusters
+            .iter()
+            .map(|(probability, extraction, routed)| Cluster {
+                probability: *probability,
+                extraction,
+                factors: routes[routed.clone()].iter().map(factor).collect(),
+            })
+            .collect();
+        let (answer, _) = aggregate(&clusters, query.empty_probability);
         query.metrics.aggregation_time = agg_start.elapsed();
         query.metrics.total_time = query.started.elapsed();
         evaluations.push(Evaluation {
@@ -431,6 +503,9 @@ pub fn evaluate_batch_sharded(
     for shard in &shards_done {
         exec.merge(&shard.exec);
         run.merge(&shard.run);
+    }
+    for _ in &splits {
+        exec.record_source_query();
     }
     let batch = BatchEvaluation {
         evaluations,
@@ -455,6 +530,7 @@ mod tests {
     use super::*;
     use crate::algorithms::batch::evaluate_batch;
     use crate::testkit;
+    use crate::ProbabilisticAnswer;
 
     fn paper_queries() -> Vec<TargetQuery> {
         vec![

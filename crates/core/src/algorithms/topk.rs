@@ -20,6 +20,7 @@ use crate::reformulate::{extract_answers, Extraction};
 use crate::strategy::Strategy;
 use crate::{CoreError, CoreResult};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 use urm_matching::MappingSet;
 use urm_storage::{Catalog, Relation, Tuple};
@@ -49,7 +50,9 @@ pub struct TopKEvaluation {
 /// The heap + bound bookkeeping of Algorithm 4 (`decide_result`).
 struct TopKSink {
     k: usize,
-    candidates: HashMap<Tuple, (f64, f64)>,
+    /// Every candidate's lower bound: the mass of the visited e-units that produced it.  Its
+    /// upper bound is that plus the mass not yet visited, [`ub_global`](TopKSink::ub_global).
+    candidates: HashMap<Tuple, f64>,
     /// Maximum probability any *new* tuple could still reach (mass of unvisited e-units).
     ub_global: f64,
     /// Lower bound of the k-th best candidate.
@@ -68,11 +71,22 @@ impl TopKSink {
         }
     }
 
+    /// The mass of the e-units not yet visited; what float subtraction leaves of a fully
+    /// visited trace (within the decision rule's 1e-12) is none.
+    fn unvisited(&self) -> f64 {
+        if self.ub_global > 1e-12 {
+            self.ub_global
+        } else {
+            0.0
+        }
+    }
+
+    /// The candidates by descending lower bound, with their live bounds.
     fn ranked(&self) -> Vec<(Tuple, f64, f64)> {
         let mut v: Vec<(Tuple, f64, f64)> = self
             .candidates
             .iter()
-            .map(|(t, (lb, ub))| (t.clone(), *lb, *ub))
+            .map(|(t, lb)| (t.clone(), *lb, *lb + self.unvisited()))
             .collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
@@ -102,14 +116,19 @@ impl TopKSink {
 }
 
 impl LeafSink for TopKSink {
-    fn on_answers(&mut self, result: &Relation, extraction: &Extraction, probability: f64) -> bool {
-        for tuple in extract_answers(result, extraction).distinct_tuples() {
-            if let Some(entry) = self.candidates.get_mut(&tuple) {
-                entry.0 += probability;
+    fn on_answers(
+        &mut self,
+        result: Arc<Relation>,
+        extraction: Extraction,
+        probability: f64,
+    ) -> bool {
+        for tuple in extract_answers(&result, &extraction).distinct_tuples() {
+            if let Some(lower_bound) = self.candidates.get_mut(&tuple) {
+                *lower_bound += probability;
             } else if self.ub_global > self.lb_global {
                 // A new candidate: it has `probability` for sure, and could at most also gain
-                // every not-yet-visited e-unit's mass (which is still included in ub_global).
-                self.candidates.insert(tuple, (probability, self.ub_global));
+                // every not-yet-visited e-unit's mass.
+                self.candidates.insert(tuple, probability);
             }
         }
         self.ub_global -= probability;
@@ -261,6 +280,22 @@ mod tests {
                 (e.lower_bound - p).abs() < 1e-9,
                 "lb should be exact when the whole trace is visited"
             );
+        }
+    }
+
+    #[test]
+    fn a_full_traversal_reports_exact_bounds() {
+        // k = 10 of 3 answers is decided only once every e-unit is visited: nothing is left
+        // unvisited, so each upper bound is its lower bound — and that is the exact mass.
+        let catalog = testkit::figure2_catalog();
+        let mappings = testkit::figure3_mappings();
+        let query = testkit::basic_example_query();
+        let result = top_k(&query, &mappings, &catalog, 10, Strategy::Sef).unwrap();
+        assert_eq!(result.entries.len(), 3);
+        let exact = basic::evaluate(&query, &mappings, &catalog).unwrap();
+        for e in &result.entries {
+            assert_eq!(e.upper_bound, e.lower_bound, "{:?}", e.tuple);
+            assert!((e.lower_bound - exact.answer.probability_of(&e.tuple)).abs() < 1e-9);
         }
     }
 

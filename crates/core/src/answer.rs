@@ -1,30 +1,37 @@
-//! Probabilistic query answers: code rows over a value pool, and the probe that accumulates
-//! them.
+//! Probabilistic query answers: code rows over a value pool, built from the factors of each
+//! source query.
 //!
-//! The `aggregate` step (Section III-B; Algorithm 4's "remove duplicate tuples") decides, for
-//! every row of every source query's result, whether an earlier source query already produced
-//! that answer — and most rows repeat one.  A target query's answers draw on few distinct
-//! values (a cold benchmark batch: ~100 values under 22 k root rows), and those values sit
-//! dictionary-encoded under the roots.  So a [`ProbabilisticAnswer`] **interns before it
-//! probes** and keeps codes until its last consumer:
+//! The `aggregate` step (Section III-B; Algorithm 4's "remove duplicate tuples") gives each
+//! answer tuple the summed probability of the source queries that return it.  A tuple-producing
+//! source query's result is a product of distinct factors `δπ(C1) × … × δπ(Ck)` (see
+//! `urm_engine::optimize`), and a target query's answers draw on few distinct values, which sit
+//! dictionary-encoded in those factors.  So [`aggregate`] **never multiplies a product out
+//! before it counts it**, and a [`ProbabilisticAnswer`] keeps codes until its last consumer:
 //!
 //! * The answer owns a *value pool*: every distinct [`Value`] it holds, once, found by
 //!   [`value_hash`] and [`Value`]'s own equality (so `Int 1` and `Float 1.0` are one pool
 //!   value, spelled the way the answer first read it).  An answer is a row of `u32` pool ids.
-//! * [`AnswerRows`] is a source-query result seen as answer rows, borrowed and unbuilt.
-//!   [`ProbabilisticAnswer::add_distinct`] turns it into pool ids a column at a time: a text
-//!   column interns each *dictionary entry* it meets once per call — with the hash word its
-//!   dictionary caches — and every later cell of that entry is a table lookup by code; other
-//!   cells intern by value.  Dictionary codes mean nothing across columns, pool ids do: two
-//!   mappings reading one target attribute from different source columns meet in the pool.
-//! * A row's probe is then a hash of a few integers and an integer comparison.  A hit gains
-//!   the call's probability unless it carries the call's stamp already — that stamp is the
-//!   *only* de-duplication on the aggregate path, whether the result was a set or a bag.  A
-//!   miss appends the row's ids.  Entries stay in first-insertion order.
-//! * Ordering **ranks once and sorts integers**: the pool's values are ranked by
-//!   [`Value`]'s order and entries sort by `(probability descending, rank row)` — the order
-//!   of `(probability, Tuple)` pairs, without comparing a value twice.  The wire renderer
-//!   ([`sorted_rows`](ProbabilisticAnswer::sorted_rows) over
+//! * A factor is read into pool ids a column at a time, once however many source queries
+//!   share it: a text column interns each *dictionary entry* it meets once — with the hash
+//!   word its dictionary caches — and every later cell of that entry is a table lookup by
+//!   code; other cells intern by value.  Dictionary codes mean nothing across columns, pool
+//!   ids do: two mappings reading one target attribute from different source columns meet in
+//!   the pool.
+//! * Source queries whose factors hold the same rows under one column layout produce equal
+//!   answers: they fold into one group, whose product is enumerated once.  A row is probed —
+//!   a hash of a few integers and an integer comparison — only when another group can also
+//!   produce it, and each entry's probability is the sum over the source queries that produce
+//!   it, in their order.  Entries are kept group by group, in enumeration order.
+//! * [`AnswerRows`] is one result seen as answer rows, borrowed and unbuilt, for a caller that
+//!   holds one result at a time: [`ProbabilisticAnswer::add_distinct`] adds it to an existing
+//!   answer, probing every row, and appends the rows no earlier call added.
+//! * The index the probes and lookups use is built on the first lookup, so an answer that is
+//!   only ranked and rendered — a served one — never builds it.
+//! * Ordering **ranks once and sorts integers**: the pool's values are ranked by [`Value`]'s
+//!   order, and entries sort on one integer key — the probability's bits in
+//!   [`f64::total_cmp`]'s order, above the ranks of the row's first two cells — the order of
+//!   `(probability, Tuple)` pairs, without comparing a float or a value twice.  The wire
+//!   renderer ([`sorted_rows`](ProbabilisticAnswer::sorted_rows) over
 //!   [`values`](ProbabilisticAnswer::values)) escapes each pool value once and writes rows of
 //!   fragments.
 //! * [`Tuple`]s are built only for a caller that asks for them
@@ -33,9 +40,10 @@
 //!   request builds none between the DAG root and the socket, and
 //!   [`tuples_materialized`] says so.
 
+use crate::reformulate::Extraction;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -286,13 +294,14 @@ impl HashIndex {
         }
     }
 
-    /// Keeps the index at most half full with one more item than the `len` it holds;
-    /// `hash_of` re-reads the hash of the item at a position when the table grows.
-    fn reserve_one(&mut self, len: usize, hash_of: impl Fn(usize) -> u64) {
-        if (len + 1) * 2 <= self.slots.len() {
+    /// Keeps the index at most half full with `additional` more items than the `len` it
+    /// holds; `hash_of` re-reads the hash of the item at a position when the table grows.
+    fn reserve(&mut self, len: usize, additional: usize, hash_of: impl Fn(usize) -> u64) {
+        let needed = (len + additional) * 2;
+        if needed <= self.slots.len() {
             return;
         }
-        let mask = (self.slots.len() * 2).max(16) - 1;
+        let mask = needed.next_power_of_two().max(16) - 1;
         self.slots.clear();
         self.slots.resize(mask + 1, FREE);
         for item in 0..len {
@@ -335,7 +344,7 @@ impl Pool {
     fn intern_hashed(&mut self, hash: u64, value: &Value) -> u32 {
         let hash = hash & self.hash_mask;
         let (values, hashes) = (&mut self.values, &mut self.hashes);
-        self.index.reserve_one(values.len(), |id| hashes[id]);
+        self.index.reserve(values.len(), 1, |id| hashes[id]);
         match self
             .index
             .probe(hash, |id| hashes[id] == hash && values[id] == *value)
@@ -378,9 +387,10 @@ impl Pool {
 /// (Section III-B, the `aggregate` step) — held as rows of ids over the answer's own value
 /// pool (see the [module docs](self)).
 ///
-/// Entries are kept in the order their tuples were first added, and nothing observable depends
-/// on a hash: [`iter`](ProbabilisticAnswer::iter), [`total_mass`](ProbabilisticAnswer::total_mass)
-/// (a float sum, so order matters to its last bit), `Debug`, serialization and
+/// Entries are kept in the order their tuples were first added ([`aggregate`] adds them group
+/// by group, in enumeration order), and nothing observable depends on a hash:
+/// [`iter`](ProbabilisticAnswer::iter), [`total_mass`](ProbabilisticAnswer::total_mass) (a
+/// float sum, so order matters to its last bit), `Debug`, serialization and
 /// [`merge`](ProbabilisticAnswer::merge) are deterministic for a given evaluation.
 #[derive(Serialize, Deserialize)]
 pub struct ProbabilisticAnswer {
@@ -388,10 +398,11 @@ pub struct ProbabilisticAnswer {
     /// Every entry's row of pool ids, one after the other.
     ids: Vec<u32>,
     pool: Pool,
-    /// From row hash to entry: derived from `entries`, and — like the hashes — only meaningful
+    /// From row hash to entry: derived from `entries` on the first lookup (an answer
+    /// [`aggregate`] built is rendered without one), and — like the hashes — only meaningful
     /// in the process that built it.
     #[serde(skip)]
-    index: HashIndex,
+    index: OnceLock<RowIndex>,
     /// What every row hash starts from: keyed per process, because which values share a row
     /// is data.
     #[serde(skip)]
@@ -412,24 +423,54 @@ pub struct ProbabilisticAnswer {
     rendered: OnceLock<Box<str>>,
 }
 
-/// One answer: where its row of pool ids lies in `ids`, its probability mass, the last
-/// `add_distinct` call that added to it, and the row's (masked) hash.
+/// One answer: where its row of pool ids lies in `ids`, its probability mass, and the last
+/// `add_distinct` call that added to it.
 #[derive(Clone, Serialize, Deserialize)]
 struct Entry {
     start: u32,
     arity: u32,
     probability: f64,
     stamp: u64,
-    #[serde(skip)]
-    hash: u64,
 }
 
-/// An entry's place in the wire order: its probability, and the ranks of its row's first two
-/// cells packed into one integer.  Only rows that tie on both are compared cell by cell.
+/// The row of pool ids `entry` holds in `ids`.
+fn row_of<'a>(ids: &'a [u32], entry: &Entry) -> &'a [u32] {
+    &ids[entry.start as usize..][..entry.arity as usize]
+}
+
+/// The (masked) hash of a row of pool ids, from `seed`.
+fn hash_row(seed: u64, mask: u64, row: &[u32]) -> u64 {
+    let mix = |hash: u64, &id: &u32| {
+        (hash.rotate_left(5) ^ u64::from(id)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    };
+    let hash = row.iter().fold(seed, mix);
+    // The index reads the low bits; the multiplications pushed the entropy up.
+    (hash ^ (hash >> 32)) & mask
+}
+
+/// The index of an answer's rows: the hash table, and every entry's (masked) row hash.
+#[derive(Clone, Default)]
+struct RowIndex {
+    slots: HashIndex,
+    hashes: Vec<u64>,
+}
+
+/// An entry's place in the wire order as one integer — its probability's position in `f64`'s
+/// total order, reversed, above the ranks of its row's first two cells — and the entry.  Only
+/// rows that tie on all of it are compared cell by cell: no float is compared.
 struct SortKey {
-    probability: f64,
-    prefix: u64,
+    key: u128,
     entry: u32,
+}
+
+/// `value`'s bits as an unsigned integer in the order of [`f64::total_cmp`].
+fn total_order_bits(value: f64) -> u64 {
+    let bits = value.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 impl Default for ProbabilisticAnswer {
@@ -443,7 +484,7 @@ impl Default for ProbabilisticAnswer {
                 index: HashIndex::default(),
                 hash_mask: u64::MAX,
             },
-            index: HashIndex::default(),
+            index: OnceLock::new(),
             row_seed: value_hash(&NULL),
             distinct_calls: 0,
             empty_probability: 0.0,
@@ -519,41 +560,64 @@ impl ProbabilisticAnswer {
 
     /// The row of pool ids `entry` holds.
     fn row(&self, entry: &Entry) -> &[u32] {
-        &self.ids[entry.start as usize..][..entry.arity as usize]
+        row_of(&self.ids, entry)
     }
 
     /// The (masked) hash of a row of pool ids.
     fn row_hash(&self, row: &[u32]) -> u64 {
-        let mix = |hash: u64, &id: &u32| {
-            (hash.rotate_left(5) ^ u64::from(id)).wrapping_mul(0x517c_c1b7_2722_0a95)
-        };
-        let hash = row.iter().fold(self.row_seed, mix);
-        // The index reads the low bits; the multiplications pushed the entropy up.
-        (hash ^ (hash >> 32)) & self.pool.hash_mask
+        hash_row(self.row_seed, self.pool.hash_mask, row)
+    }
+
+    /// The row index, built on first use.
+    fn index(&self) -> &RowIndex {
+        self.index.get_or_init(|| {
+            let hashes: Vec<u64> = self
+                .entries
+                .iter()
+                .map(|entry| self.row_hash(self.row(entry)))
+                .collect();
+            let mut slots = HashIndex::default();
+            slots.reserve(0, hashes.len(), |_| 0);
+            for (entry, &hash) in hashes.iter().enumerate() {
+                // Rows are distinct: every probe ends at a free slot.
+                if let Err(slot) = slots.probe(hash, |_| false) {
+                    slots.occupy(slot, entry);
+                }
+            }
+            RowIndex { slots, hashes }
+        })
     }
 
     /// Where `row` is among the entries — `Ok(entry)` — or the free index slot it goes to.
     fn probe(&self, hash: u64, row: &[u32]) -> Result<usize, usize> {
-        let is_match = |entry: usize| {
-            let stored = &self.entries[entry];
-            stored.hash == hash && self.row(stored) == row
-        };
-        self.index.probe(hash, is_match)
+        let index = self.index();
+        let is_match =
+            |entry: usize| index.hashes[entry] == hash && self.row(&self.entries[entry]) == row;
+        index.slots.probe(hash, is_match)
     }
 
     /// [`probe`](ProbabilisticAnswer::probe) with room made for the entry a miss will push;
     /// returns the row's hash too.
     fn probe_to_add(&mut self, row: &[u32]) -> (u64, Result<usize, usize>) {
-        let entries = &self.entries;
-        self.index
-            .reserve_one(entries.len(), |entry| entries[entry].hash);
-        let hash = self.row_hash(row);
-        (hash, self.probe(hash, row))
+        self.index();
+        let RowIndex { slots, hashes } = self.index.get_mut().expect("built above");
+        slots.reserve(self.entries.len(), 1, |entry| hashes[entry]);
+        let hash = hash_row(self.row_seed, self.pool.hash_mask, row);
+        let (entries, ids) = (&self.entries, &self.ids);
+        let is_match = |entry: usize| hashes[entry] == hash && row_of(ids, &entries[entry]) == row;
+        (hash, slots.probe(hash, is_match))
     }
 
     /// Appends an entry for `row`, whose probe ended at the free `slot`.
     fn push(&mut self, slot: usize, hash: u64, row: &[u32], probability: f64, stamp: u64) {
-        self.index.occupy(slot, self.entries.len());
+        let index = self.index.get_mut().expect("a probe built the index");
+        index.slots.occupy(slot, self.entries.len());
+        index.hashes.push(hash);
+        self.push_row(row, probability, stamp);
+    }
+
+    /// Appends an entry for `row` and its ids, leaving the index to whoever keeps it.
+    fn push_row(&mut self, row: &[u32], probability: f64, stamp: u64) {
         let end = u32::try_from(self.ids.len() + row.len()).expect("fewer than 2^32 answer cells");
         let arity = row.len() as u32; // no more than `end`
         self.entries.push(Entry {
@@ -561,7 +625,6 @@ impl ProbabilisticAnswer {
             arity,
             probability,
             stamp,
-            hash,
         });
         self.ids.extend_from_slice(row);
     }
@@ -605,19 +668,9 @@ impl ProbabilisticAnswer {
     /// not make it more likely — so duplicates inside one result contribute the mapping's
     /// probability only once (this mirrors the "remove duplicate tuples" step of the paper's
     /// Algorithm 4).  One probe per row: an answer this call has already counted carries the
-    /// call's stamp.
+    /// call's stamp.  The evaluation algorithms build their answers with [`aggregate`]
+    /// instead; this is the incremental form, for a caller that holds one result at a time.
     pub fn add_distinct(&mut self, rows: AnswerRows<'_>, probability: f64) -> usize {
-        self.add_distinct_slices([rows], probability)
-    }
-
-    /// [`add_distinct`](ProbabilisticAnswer::add_distinct) for a result that comes in several
-    /// slices (one per shard): one call, one stamp, so a tuple several slices produce still
-    /// counts once.
-    pub(crate) fn add_distinct_slices<'r>(
-        &mut self,
-        slices: impl IntoIterator<Item = AnswerRows<'r>>,
-        probability: f64,
-    ) -> usize {
         if probability <= 0.0 {
             return 0;
         }
@@ -626,21 +679,19 @@ impl ProbabilisticAnswer {
         let stamp = self.distinct_calls;
         let before = self.entries.len();
         let mut ids = Vec::new();
-        for rows in slices {
-            rows.intern_into(&mut self.pool, &mut ids);
-            let arity = rows.positions.len();
-            for row in 0..rows.len() {
-                let row = &ids[row * arity..][..arity];
-                match self.probe_to_add(row) {
-                    (_, Ok(entry)) => {
-                        let seen = &mut self.entries[entry];
-                        if seen.stamp != stamp {
-                            seen.probability += probability;
-                            seen.stamp = stamp;
-                        }
+        rows.intern_into(&mut self.pool, &mut ids);
+        let arity = rows.positions.len();
+        for row in 0..rows.len() {
+            let row = &ids[row * arity..][..arity];
+            match self.probe_to_add(row) {
+                (_, Ok(entry)) => {
+                    let seen = &mut self.entries[entry];
+                    if seen.stamp != stamp {
+                        seen.probability += probability;
+                        seen.stamp = stamp;
                     }
-                    (hash, Err(slot)) => self.push(slot, hash, row, probability, stamp),
                 }
+                (hash, Err(slot)) => self.push(slot, hash, row, probability, stamp),
             }
         }
         self.entries.len() - before
@@ -709,17 +760,18 @@ impl ProbabilisticAnswer {
                 // A cell's rank plus one, so that a missing cell sorts before any rank: a
                 // row that is a prefix of another comes first, as it does among tuples.
                 let mut prefix = rank_row(entry).map(|rank| u64::from(rank) + 1);
+                let prefix = (prefix.next().unwrap_or(0) << 32) | prefix.next().unwrap_or(0);
+                let probability = !total_order_bits(stored.probability);
                 SortKey {
-                    probability: stored.probability,
-                    prefix: (prefix.next().unwrap_or(0) << 32) | prefix.next().unwrap_or(0),
+                    key: u128::from(probability) << 64 | u128::from(prefix),
                     entry,
                 }
             })
             .collect();
         // Rows are distinct keys, so the order is total and unstable sorting is exact.
         let order = |a: &SortKey, b: &SortKey| -> Ordering {
-            (b.probability.total_cmp(&a.probability))
-                .then(a.prefix.cmp(&b.prefix))
+            a.key
+                .cmp(&b.key)
                 .then_with(|| rank_row(a.entry).cmp(rank_row(b.entry)))
                 .then(a.entry.cmp(&b.entry))
         };
@@ -835,6 +887,513 @@ impl ProbabilisticAnswer {
     }
 }
 
+/// One distinct source query of a target query, as [`aggregate`] reads it: the summed
+/// probability of its mappings, how its answer tuples are read, and its result given as the
+/// factors whose product it is.
+pub struct Cluster<'r> {
+    /// The summed probability of the mappings that reformulate onto this source query.
+    pub probability: f64,
+    /// How answer tuples are read: each [`Extraction::Columns`] name resolves in the schema of
+    /// the factor that holds it, and [`Extraction::Raw`] reads every column of every factor.
+    pub extraction: &'r Extraction,
+    /// The results whose product is the source query's result, each as the slices whose union
+    /// it is (one relation, or one per shard).  A factor that supplies no answer column is an
+    /// existence guard: the cluster produces nothing if it is empty.
+    pub factors: Vec<Vec<&'r Relation>>,
+}
+
+impl<'r> Cluster<'r> {
+    /// A cluster whose result is one relation.
+    #[must_use]
+    pub fn single(probability: f64, extraction: &'r Extraction, result: &'r Relation) -> Self {
+        Cluster {
+            probability,
+            extraction,
+            factors: vec![vec![result]],
+        }
+    }
+}
+
+/// What one [`aggregate`] call read and enumerated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AggregateWork {
+    /// Factor rows interned: the rows of every distinct factor result, once.
+    pub factor_rows: usize,
+    /// Answer rows enumerated from the folded groups' products; the answer's entries are the
+    /// distinct ones among them.
+    pub rows: usize,
+}
+
+/// The `aggregate` step (Section III-B) for one target query: every distinct answer tuple gains
+/// the probability of each cluster that produces it, summed in cluster order — to the bit the
+/// sum of adding the clusters' distinct tuples one cluster after the other.  Every algorithm
+/// builds its answers here, so they cannot drift apart.
+///
+/// A cluster's result is never multiplied out before it is needed:
+///
+/// * Each factor's answer cells are interned once per factor row (a factor several clusters
+///   share, once for all of them), and its rows of pool ids are matched to a table of distinct
+///   rows: an earlier factor's with the same rows, or a table of its own.
+/// * Clusters with one column layout whose factors hold the same rows, in the same order,
+///   produce equal answers, so they fold into one *group*, whose product is enumerated once by
+///   nested loops; factors are put in one order first, so a product listed in another order
+///   folds too.
+/// * A row is probed against the others only when another group can also produce it — when,
+///   at every answer column, its value is one another group has there too.  The others are
+///   appended unprobed; the answer's row index is built on its first lookup.
+/// * Each entry carries the set of groups that produced it.  Its probability is the sum over
+///   the set's clusters in cluster order, computed once per distinct set.
+///
+/// Entries are kept group by group, in enumeration order.  `empty_probability` is the mass
+/// of the mappings the query cannot be reformulated through.
+#[must_use]
+pub fn aggregate(
+    clusters: &[Cluster<'_>],
+    empty_probability: f64,
+) -> (ProbabilisticAnswer, AggregateWork) {
+    aggregate_into(ProbabilisticAnswer::new(), clusters, empty_probability)
+}
+
+/// [`aggregate`] into an answer whose values and rows all hash alike
+/// ([`ProbabilisticAnswer::with_colliding_hashes`]), so every probe walks one chain and only
+/// the comparisons tell rows apart.  For tests of those comparisons.
+#[doc(hidden)]
+#[must_use]
+pub fn aggregate_with_colliding_hashes(
+    clusters: &[Cluster<'_>],
+    empty_probability: f64,
+) -> (ProbabilisticAnswer, AggregateWork) {
+    let answer = ProbabilisticAnswer::with_colliding_hashes();
+    aggregate_into(answer, clusters, empty_probability)
+}
+
+/// [`aggregate`] into the empty `answer`.
+fn aggregate_into(
+    mut answer: ProbabilisticAnswer,
+    clusters: &[Cluster<'_>],
+    empty_probability: f64,
+) -> (ProbabilisticAnswer, AggregateWork) {
+    let mut work = AggregateWork::default();
+    let (seed, mask) = (answer.row_seed, answer.pool.hash_mask);
+    let hash = |row: &[u32]| hash_row(seed, mask, row);
+    // Every factor result met, and one table per class of factors with the same rows.
+    let mut interned: Vec<InternedFactor<'_>> = Vec::new();
+    let mut tables: Vec<FactorRows> = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut scratch = Vec::new();
+    let mut null = None;
+    for (at, cluster) in clusters.iter().enumerate() {
+        // An empty factor makes the product empty.
+        let empty = |factor: &Vec<&Relation>| factor.iter().all(|slice| slice.is_empty());
+        if cluster.probability <= 0.0 || cluster.factors.is_empty() {
+            continue;
+        }
+        if cluster.factors.iter().any(empty) {
+            continue;
+        }
+        let (mut layout, used) = resolve_layout(cluster);
+        if layout.contains(&Slot::Null) {
+            null.get_or_insert_with(|| answer.pool.intern(&NULL));
+        }
+        let mut classes = Vec::with_capacity(used.len());
+        for (slices, used) in cluster.factors.iter().zip(used) {
+            if let Some(known) = interned.iter().find(|f| f.is(slices, &used)) {
+                classes.push(known.class);
+                continue;
+            }
+            let width = used.len();
+            let rows = intern_rows(slices, &used, &mut answer.pool, &mut scratch);
+            work.factor_rows += rows;
+            let class = match class_of(&tables, width, rows, &scratch) {
+                Some(class) => class,
+                None => {
+                    // Not a known table as it comes (it may repeat a row): made distinct, it
+                    // may be.
+                    let table = FactorRows::distinct(width, rows, &scratch, hash);
+                    match class_of(&tables, width, table.len, &table.ids) {
+                        Some(class) => class,
+                        None => {
+                            tables.push(table);
+                            tables.len() - 1
+                        }
+                    }
+                }
+            };
+            interned.push(InternedFactor {
+                slices,
+                used,
+                class,
+            });
+            classes.push(class);
+        }
+        // The factors in class order, so that one product listed in another order folds too.
+        let mut order: Vec<usize> = (0..classes.len()).collect();
+        order.sort_by_key(|&f| classes[f]);
+        let mut rank = vec![0; order.len()];
+        for (r, &f) in order.iter().enumerate() {
+            rank[f] = r;
+        }
+        for slot in &mut layout {
+            if let Slot::Cell { factor, .. } = slot {
+                *factor = rank[*factor];
+            }
+        }
+        classes.sort_unstable();
+        match groups
+            .iter_mut()
+            .find(|g| g.layout == layout && g.classes == classes)
+        {
+            Some(group) => group.clusters.push(at),
+            None => groups.push(Group {
+                layout,
+                classes,
+                clusters: vec![at],
+            }),
+        }
+    }
+
+    let null = null.unwrap_or(FREE);
+    let cover = Cover::of(&groups, &tables, null, answer.pool.values.len());
+    let mut sets = GroupSets::new(groups.len());
+    // Per entry, the set of groups that produced it.
+    let mut produced_by: Vec<u32> = Vec::new();
+    // The entries another group may produce again, and an index over them alone.
+    let (mut shared, mut shared_entries, mut shared_hashes) =
+        (HashIndex::default(), Vec::<u32>::new(), Vec::<u64>::new());
+    let mut row = Vec::new();
+    for (g, group) in groups.iter().enumerate() {
+        let factors: Vec<&FactorRows> = group.classes.iter().map(|&c| &tables[c]).collect();
+        let mut at = vec![0usize; factors.len()];
+        'product: loop {
+            row.clear();
+            row.extend(group.layout.iter().map(|slot| match *slot {
+                Slot::Null => null,
+                Slot::Cell { factor, column } => factors[factor].cell(at[factor], column),
+            }));
+            work.rows += 1;
+            if cover.is_exclusive(&row) {
+                produced_by.push(g as u32);
+                answer.push_row(&row, 0.0, 0);
+            } else {
+                let hash = hash(&row);
+                shared.reserve(shared_entries.len(), 1, |i| shared_hashes[i]);
+                let (entries, ids) = (&answer.entries, &answer.ids);
+                let is_match = |i: usize| {
+                    let entry = &entries[shared_entries[i] as usize];
+                    shared_hashes[i] == hash && row_of(ids, entry) == row.as_slice()
+                };
+                match shared.probe(hash, is_match) {
+                    Ok(i) => {
+                        let entry = shared_entries[i] as usize;
+                        produced_by[entry] = sets.with(produced_by[entry], g);
+                    }
+                    Err(slot) => {
+                        shared.occupy(slot, shared_entries.len());
+                        shared_entries.push(answer.entries.len() as u32);
+                        shared_hashes.push(hash);
+                        produced_by.push(g as u32);
+                        answer.push_row(&row, 0.0, 0);
+                    }
+                }
+            }
+            // The next row of the product: the last factor turns fastest.
+            let mut f = factors.len();
+            loop {
+                if f == 0 {
+                    break 'product;
+                }
+                f -= 1;
+                at[f] += 1;
+                if at[f] < factors[f].len {
+                    break;
+                }
+                at[f] = 0;
+            }
+        }
+    }
+
+    let probabilities = sets.probabilities(&groups, clusters);
+    for (entry, set) in answer.entries.iter_mut().zip(produced_by) {
+        entry.probability = probabilities[set as usize];
+    }
+    if empty_probability > 0.0 {
+        answer.add_empty(empty_probability);
+    }
+    (answer, work)
+}
+
+/// Where an answer cell comes from: NULL (an output attribute the mapping does not cover), or
+/// column `column` of the columns the cluster reads from its factor `factor`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Null,
+    Cell { factor: usize, column: usize },
+}
+
+/// A cluster's answer layout, and for each of its factors the schema positions it reads.
+fn resolve_layout(cluster: &Cluster<'_>) -> (Vec<Slot>, Vec<Vec<usize>>) {
+    let schemas: Vec<_> = cluster.factors.iter().map(|f| f[0].schema()).collect();
+    let mut used: Vec<Vec<usize>> = vec![Vec::new(); schemas.len()];
+    let mut cell = |factor: usize, position: usize| {
+        let known = used[factor].iter().position(|&p| p == position);
+        let column = known.unwrap_or_else(|| {
+            used[factor].push(position);
+            used[factor].len() - 1
+        });
+        Slot::Cell { factor, column }
+    };
+    let layout = match cluster.extraction {
+        Extraction::Raw => schemas
+            .iter()
+            .enumerate()
+            .flat_map(|(factor, schema)| (0..schema.arity()).map(move |p| (factor, p)))
+            .map(|(factor, position)| cell(factor, position))
+            .collect(),
+        Extraction::Columns(columns) => columns
+            .iter()
+            .map(|column| {
+                // `None` is an output attribute the mapping does not cover: legitimately NULL.
+                // A *named* column is one the source query projected, so a factor has it.
+                let Some(name) = column else {
+                    return Slot::Null;
+                };
+                let found = schemas
+                    .iter()
+                    .enumerate()
+                    .find_map(|(factor, schema)| Some((factor, schema.position(name)?)));
+                debug_assert!(
+                    found.is_some(),
+                    "extraction column {name} is in no factor's schema"
+                );
+                found.map_or(Slot::Null, |(factor, position)| cell(factor, position))
+            })
+            .collect(),
+    };
+    (layout, used)
+}
+
+/// Interns the `used` columns of the union of `slices` into `ids`, row after row, and returns
+/// the number of rows.
+fn intern_rows(slices: &[&Relation], used: &[usize], pool: &mut Pool, ids: &mut Vec<u32>) -> usize {
+    let positions: Vec<Option<usize>> = used.iter().copied().map(Some).collect();
+    let (mut rows, mut slice_ids) = (0, Vec::new());
+    ids.clear();
+    for slice in slices {
+        let cells = AnswerRows::new(slice, positions.clone());
+        cells.intern_into(pool, &mut slice_ids);
+        ids.extend_from_slice(&slice_ids);
+        rows += cells.len();
+    }
+    rows
+}
+
+/// The table whose rows are the `rows` rows of `width` ids in `ids`, in their order.
+fn class_of(tables: &[FactorRows], width: usize, rows: usize, ids: &[u32]) -> Option<usize> {
+    let rows = if width == 0 { rows.min(1) } else { rows };
+    (tables.iter()).position(|table| (table.width, table.len) == (width, rows) && table.ids == ids)
+}
+
+/// The distinct rows of a class of factors over the columns their clusters read, as rows of
+/// pool ids in order of first occurrence.
+struct FactorRows {
+    width: usize,
+    len: usize,
+    ids: Vec<u32>,
+}
+
+impl FactorRows {
+    /// The distinct rows among the `rows` rows of `width` ids in `ids`.
+    fn distinct(width: usize, rows: usize, ids: &[u32], hash: impl Fn(&[u32]) -> u64) -> Self {
+        if width == 0 {
+            // An existence guard: one empty row if it has a row.
+            let len = rows.min(1);
+            return FactorRows {
+                width,
+                len,
+                ids: Vec::new(),
+            };
+        }
+        let (mut index, mut hashes, mut distinct) = (HashIndex::default(), Vec::new(), Vec::new());
+        index.reserve(0, rows, |_| 0);
+        for row in ids.chunks_exact(width) {
+            let hash = hash(row);
+            let is_match =
+                |at: usize| hashes[at] == hash && distinct[at * width..][..width] == *row;
+            if let Err(slot) = index.probe(hash, is_match) {
+                index.occupy(slot, hashes.len());
+                hashes.push(hash);
+                distinct.extend_from_slice(row);
+            }
+        }
+        FactorRows {
+            width,
+            len: hashes.len(),
+            ids: distinct,
+        }
+    }
+
+    /// The pool id at column `column` of row `row`.
+    fn cell(&self, row: usize, column: usize) -> u32 {
+        self.ids[row * self.width + column]
+    }
+
+    /// Every row, in order of first occurrence.
+    fn rows(&self) -> impl Iterator<Item = &[u32]> {
+        // A width-0 factor's rows are empty slices, `len` of them.
+        (0..self.len).map(|row| &self.ids[row * self.width..][..self.width])
+    }
+}
+
+/// A factor result met by one [`aggregate`] call: which slices and columns it is, and its
+/// class — the table holding its rows.
+struct InternedFactor<'r> {
+    slices: &'r [&'r Relation],
+    used: Vec<usize>,
+    class: usize,
+}
+
+impl InternedFactor<'_> {
+    /// Whether this is the factor of `slices` read at `used`.
+    fn is(&self, slices: &[&Relation], used: &[usize]) -> bool {
+        self.used == used
+            && self.slices.len() == slices.len()
+            && self
+                .slices
+                .iter()
+                .zip(slices)
+                .all(|(a, b)| std::ptr::eq(*a, *b))
+    }
+}
+
+/// Clusters that produce the same answers: one column layout over factors of the same
+/// classes, in class order.  Entries are added group by group; within a group, in the order of
+/// its tables' rows, so a one-factor cluster adds its answers in the order its result holds
+/// them.
+struct Group {
+    layout: Vec<Slot>,
+    classes: Vec<usize>,
+    /// The member clusters, ascending.
+    clusters: Vec<usize>,
+}
+
+/// For each answer column and pool id, how many groups can produce the id there: a row with
+/// a value only its own group has at some column cannot come from another group.
+struct Cover {
+    pool_len: usize,
+    /// `None` when there is one group: every row is its own.
+    counts: Option<Vec<u32>>,
+}
+
+impl Cover {
+    fn of(groups: &[Group], tables: &[FactorRows], null: u32, pool_len: usize) -> Cover {
+        if groups.len() < 2 {
+            return Cover {
+                pool_len,
+                counts: None,
+            };
+        }
+        let arity = groups.iter().map(|g| g.layout.len()).max().unwrap_or(0);
+        let mut counts = vec![0u32; arity * pool_len];
+        // The last group (plus one) that counted each cell, so a group counts a value once.
+        let mut counted_by = vec![0u32; arity * pool_len];
+        for (g, group) in (1u32..).zip(groups) {
+            let mut count = |column: usize, id: u32| {
+                let at = column * pool_len + id as usize;
+                if counted_by[at] != g {
+                    counted_by[at] = g;
+                    counts[at] += 1;
+                }
+            };
+            for (column, slot) in group.layout.iter().enumerate() {
+                match *slot {
+                    Slot::Null => count(column, null),
+                    Slot::Cell { factor, column: at } => {
+                        let rows = &tables[group.classes[factor]];
+                        rows.rows().for_each(|row| count(column, row[at]));
+                    }
+                }
+            }
+        }
+        Cover {
+            pool_len,
+            counts: Some(counts),
+        }
+    }
+
+    /// Whether no other group can produce `row`: at some column, its value is one only its
+    /// own group has there.
+    fn is_exclusive(&self, row: &[u32]) -> bool {
+        let Some(counts) = &self.counts else {
+            return true;
+        };
+        let count = |(column, &id): (usize, &u32)| counts[column * self.pool_len + id as usize];
+        row.iter().enumerate().any(|cell| count(cell) == 1)
+    }
+}
+
+/// Sets of groups, interned as a trie: set `g < groups` is `{g}`, and every later set is an
+/// earlier one plus a group above all of its members (groups are enumerated in order).
+struct GroupSets {
+    groups: usize,
+    /// Per set past the singletons: the set it extends and the group it adds.
+    extends: Vec<(u32, u32)>,
+    children: HashMap<(u32, u32), u32>,
+    /// The last step taken: the rows of a group mostly extend one set.
+    last: Option<((u32, u32), u32)>,
+}
+
+impl GroupSets {
+    fn new(groups: usize) -> Self {
+        GroupSets {
+            groups,
+            extends: Vec::new(),
+            children: HashMap::new(),
+            last: None,
+        }
+    }
+
+    /// The set `set ∪ {group}`, where `group` is above every member of `set`.
+    fn with(&mut self, set: u32, group: usize) -> u32 {
+        let step = (set, group as u32);
+        match self.last {
+            Some((last, to)) if last == step => to,
+            _ => {
+                let next = (self.groups + self.extends.len()) as u32;
+                let extends = &mut self.extends;
+                let to = *self.children.entry(step).or_insert_with(|| {
+                    extends.push(step);
+                    next
+                });
+                self.last = Some((step, to));
+                to
+            }
+        }
+    }
+
+    /// Every set's probability: the sum of its clusters' probabilities in cluster order.
+    fn probabilities(&self, groups: &[Group], clusters: &[Cluster<'_>]) -> Vec<f64> {
+        let sum = |members: &[usize]| {
+            let mut members = members.iter().map(|&c| clusters[c].probability);
+            let first = members.next().unwrap_or(0.0);
+            members.fold(first, |sum, p| sum + p)
+        };
+        let mut probabilities: Vec<f64> = groups.iter().map(|g| sum(&g.clusters)).collect();
+        for set in 0..self.extends.len() {
+            let mut members = Vec::new();
+            let mut at = (self.groups + set) as u32;
+            while at as usize >= self.groups {
+                let (parent, group) = self.extends[at as usize - self.groups];
+                members.extend_from_slice(&groups[group as usize].clusters);
+                at = parent;
+            }
+            members.extend_from_slice(&groups[at as usize].clusters);
+            members.sort_unstable();
+            probabilities.push(sum(&members));
+        }
+        probabilities
+    }
+}
+
 impl fmt::Display for ProbabilisticAnswer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{} answer tuple(s):", self.len())?;
@@ -848,7 +1407,7 @@ impl fmt::Display for ProbabilisticAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urm_storage::Value;
+    use urm_storage::{Name, Value};
 
     fn t(s: &str) -> Tuple {
         Tuple::new(vec![Value::from(s)])
@@ -1125,6 +1684,152 @@ mod tests {
         ans.add(t("a"), 0.5);
         let sorted = ans.sorted();
         assert_eq!(sorted[0].0, t("a"));
+    }
+
+    /// A pool of one- and two-column factor relations over a few values: some empty, some
+    /// with equal rows under other names, so that clusters fold, overlap and guard.
+    fn factor_pool() -> Vec<Relation> {
+        use urm_storage::{Attribute, DataType, Schema};
+        let value = |v: usize| {
+            if v.is_multiple_of(3) {
+                Value::from(v as i64)
+            } else {
+                Value::from(format!("v{v}"))
+            }
+        };
+        let mut pool = Vec::new();
+        let mut pick = 7usize;
+        for at in 0..12 {
+            let width = 1 + at % 2;
+            let rows: Vec<Tuple> = if at % 5 == 4 {
+                Vec::new()
+            } else {
+                (0..1 + at % 4)
+                    .map(|row| {
+                        (0..width)
+                            .map(|_| {
+                                pick = pick.wrapping_mul(31).wrapping_add(row + 3);
+                                value(pick % 5)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            };
+            for copy in 0..2 {
+                // Each factor twice, under two names: equal rows, different relations.
+                let name = format!("F{at}x{copy}");
+                let attrs = (0..width)
+                    .map(|c| Attribute::new(format!("{name}.c{c}"), DataType::Text))
+                    .collect();
+                pool.push(Relation::from_validated(
+                    Schema::new(name, attrs),
+                    rows.clone(),
+                ));
+            }
+        }
+        pool
+    }
+
+    #[test]
+    fn aggregating_factors_is_adding_each_product_distinctly() {
+        let pool = factor_pool();
+        let mut pick = 11usize;
+        let mut next = |n: usize| {
+            pick = pick
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (pick >> 33) % n
+        };
+        // 80 clusters of one to three distinct factors, read through 1–4 answer columns: a
+        // name of some factor (repeats allowed), or NULL; a factor nobody reads is a guard.
+        let mut specs = Vec::new();
+        for _ in 0..80 {
+            let mut factors: Vec<usize> = Vec::new();
+            while factors.len() < 1 + next(3) {
+                let f = next(pool.len());
+                // Two copies of one factor share their column names: take one of them.
+                if !factors.iter().any(|&g| g / 2 == f / 2) {
+                    factors.push(f);
+                }
+            }
+            let names: Vec<Name> = factors
+                .iter()
+                .flat_map(|&f| pool[f].schema().attributes().iter().map(|a| a.name.clone()))
+                .collect();
+            let columns: Vec<Option<Name>> = (0..1 + next(4))
+                .map(|_| (next(5) > 0).then(|| names[next(names.len())].clone()))
+                .collect();
+            let probability = [0.5, 0.25, 0.125, 0.1, 0.3][next(5)];
+            specs.push((factors, Extraction::Columns(columns), probability));
+        }
+        let clusters: Vec<Cluster<'_>> = specs
+            .iter()
+            .map(|(factors, extraction, probability)| Cluster {
+                probability: *probability,
+                extraction,
+                factors: factors.iter().map(|&f| vec![&pool[f]]).collect(),
+            })
+            .collect();
+        let (got, work) = aggregate(&clusters, 0.25);
+
+        // The reference multiplies each cluster out and adds its distinct tuples.
+        let mut want = ProbabilisticAnswer::new();
+        for (factors, extraction, probability) in &specs {
+            let mut products: Vec<Vec<&Tuple>> = vec![Vec::new()];
+            for &f in factors {
+                products = products
+                    .iter()
+                    .flat_map(|prefix| {
+                        pool[f].rows().iter().map(move |row| {
+                            let mut next = prefix.clone();
+                            next.push(row);
+                            next
+                        })
+                    })
+                    .collect();
+            }
+            let Extraction::Columns(columns) = extraction else {
+                unreachable!()
+            };
+            let cell = |combo: &[&Tuple], name: &Name| {
+                factors.iter().zip(combo).find_map(|(&f, row)| {
+                    let at = pool[f].schema().position(name)?;
+                    Some(row.values()[at].clone())
+                })
+            };
+            let tuples: Vec<Tuple> = products
+                .iter()
+                .map(|combo| {
+                    columns
+                        .iter()
+                        .map(|c| {
+                            c.as_ref()
+                                .and_then(|name| cell(combo, name))
+                                .unwrap_or(Value::Null)
+                        })
+                        .collect()
+                })
+                .collect();
+            want.add_distinct(rows(&tuples), *probability);
+        }
+        want.add_empty(0.25);
+
+        assert!(
+            work.rows >= got.len() && got.len() > 40,
+            "{work:?}, {} answers",
+            got.len()
+        );
+        let (sorted, expected) = (got.sorted(), want.sorted());
+        assert_eq!(sorted.len(), expected.len());
+        for ((t, p), (u, q)) in sorted.iter().zip(&expected) {
+            assert_eq!(t, u);
+            assert_eq!(p.to_bits(), q.to_bits(), "{t}");
+        }
+        assert_eq!(got.empty_probability(), 0.25);
+        // Lookups build the index an aggregated answer is born without.
+        assert!(got.approx_eq(&want, 0.0) && want.approx_eq(&got, 0.0));
+        let (colliding, _) = aggregate_with_colliding_hashes(&clusters, 0.25);
+        assert_eq!(format!("{colliding:?}"), format!("{got:?}"));
     }
 
     #[test]

@@ -24,15 +24,15 @@
 //! through the same `Clusters` and add probabilities in mapping order, so they agree to the
 //! bit.
 //!
-//! The last step is shared too.  [`extract_answers`] resolves an [`Extraction`] against a
-//! result and hands back its rows *unbuilt* ([`AnswerRows`]); [`aggregate`] interns their
-//! cells into the [`ProbabilisticAnswer`]'s own value pool and probes it with rows of pool
-//! ids — no tuple is built, then or when the answer is ranked and rendered (see
-//! [`crate::answer`]).  No second de-duplication happens here: a root that is already a set and
-//! the per-shard slices of a scattered root are both counted once per call by the answer's own
-//! stamp.
+//! The last step is shared too.  [`extract_answers`] resolves an [`Extraction`] against one
+//! result and hands back its rows *unbuilt* ([`AnswerRows`]), for a caller that adds one result
+//! at a time ([`add_distinct`](crate::ProbabilisticAnswer::add_distinct)) or counts one result's tuples (top-k).
+//! Every algorithm builds its answers with [`crate::answer::aggregate`], which takes a query's
+//! clusters whole — each as the factors whose product is its result — and resolves the same
+//! extraction by name in the factors' schemas; no tuple is built, then or when the answer is
+//! ranked and rendered (see [`crate::answer`]).
 
-use crate::answer::{AnswerRows, ProbabilisticAnswer};
+use crate::answer::AnswerRows;
 use crate::partition::partition_mappings;
 use crate::query::{QueryOutput, TargetPredicate, TargetQuery};
 use crate::{CoreError, CoreResult};
@@ -391,9 +391,9 @@ pub fn reformulate(
 }
 
 /// The rows of one source-query result as answer tuples, resolved against the result's schema
-/// and *not built*: [`ProbabilisticAnswer::add_distinct`] reads each row's cells where they lie,
-/// as ids of the answer's value pool, and keeps the ids of a row no earlier source query
-/// produced (see [`crate::answer`]).  Nothing is de-duplicated here, and the result itself is
+/// and *not built*: [`add_distinct`](crate::ProbabilisticAnswer::add_distinct) reads each
+/// row's cells where they lie, as ids of the answer's value pool, and keeps the ids of a row no
+/// earlier source query produced (see [`crate::answer`]).  Nothing is de-duplicated here, and the result itself is
 /// never changed — it stays the relation the engine caches.
 #[must_use]
 pub fn extract_answers<'r>(result: &'r Relation, extraction: &Extraction) -> AnswerRows<'r> {
@@ -418,31 +418,10 @@ pub fn extract_answers<'r>(result: &'r Relation, extraction: &Extraction) -> Ans
     AnswerRows::new(result, positions)
 }
 
-/// The `aggregate` step for one source query (Section III-B): every distinct answer tuple of
-/// its result gains the query's probability once.  `slices` are the parts of that one result
-/// — a single relation, or one per shard for a scattered root; a tuple several slices produce
-/// still counts once, because the slices are probed under one stamp.  Every algorithm
-/// aggregates through here, so they cannot drift apart.
-///
-/// Returns the rows probed and the answers added (the rows that were new to `answer`).
-pub fn aggregate<'r>(
-    answer: &mut ProbabilisticAnswer,
-    slices: impl IntoIterator<Item = &'r Relation>,
-    extraction: &Extraction,
-    probability: f64,
-) -> (usize, usize) {
-    let mut rows = 0;
-    let slices = slices.into_iter().map(|slice| {
-        rows += slice.len();
-        extract_answers(slice, extraction)
-    });
-    let added = answer.add_distinct_slices(slices, probability);
-    (rows, added)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answer::{aggregate, Cluster};
     use crate::testkit;
     use urm_engine::Executor;
     use urm_storage::{Tuple, Value};
@@ -564,10 +543,15 @@ mod tests {
         // Alice and Cindy share an office address: three rows, two answers, first seen first.
         let answer = |addr: &str| Tuple::new(vec![addr.into(), Value::Null, addr.into()]);
         assert_eq!(answers, vec![answer("aaa"), answer("bbb")]);
-        // The aggregate step finds the same two, off the view and off the rows in one call.
-        let mut aggregated = ProbabilisticAnswer::new();
-        let probed = aggregate(&mut aggregated, [&result, &rows], &extraction, 0.5);
-        assert_eq!(probed, (6, 2), "six rows probed, two answers added");
+        // The aggregate step finds the same two, off the view and off the rows as one factor.
+        let cluster = Cluster {
+            probability: 0.5,
+            extraction: &extraction,
+            factors: vec![vec![&result, &rows]],
+        };
+        let (aggregated, work) = aggregate(&[cluster], 0.0);
+        assert_eq!(work.factor_rows, 6, "six rows interned");
+        assert_eq!(work.rows, 2, "two distinct rows enumerated");
         let got: Vec<(&Tuple, f64)> = aggregated.iter().collect();
         assert_eq!(got, [(&answer("aaa"), 0.5), (&answer("bbb"), 0.5)]);
         // `Raw` reads whole rows, and is distinct over them.

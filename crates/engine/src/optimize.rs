@@ -27,8 +27,12 @@
 //!    fingerprint.
 //! 5. **Multiply components last**, smallest first.  Under a `δ π_A` head each component is
 //!    first reduced to `δ π_Ai (Ci)`; a component with no output column becomes an
-//!    *existence factor* `δ π_∅ (Ci)` of at most one row.  Under an aggregate, a bag
-//!    projection or no head the components are multiplied as they are.
+//!    *existence factor* `δ π_∅ (Ci)` of at most one row; a projection above the product puts
+//!    its columns in `A`'s order when the factors' order differs.  Under an aggregate, a bag
+//!    projection or no head the components are multiplied as they are.  A `δ π_A` product is
+//!    a plan anyone can run, but the batch does not run it: it submits the factors under the
+//!    reordering projection as roots of their own and counts the answers from them
+//!    (`urm_core::answer::aggregate`), so the product is never built.
 //!
 //! Components stay bag-semantic and output-agnostic inside, so one component node is shared
 //! by every mapping, query and output list (COUNT/SUM included) that contains it.

@@ -22,7 +22,7 @@
 
 use crate::http::Part;
 use crate::json::{write_number, write_string, Escaped, Json};
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use urm_core::ProbabilisticAnswer;
 use urm_datagen::replay::{parse_spec, WorkloadEntry};
@@ -78,68 +78,67 @@ static FULL_RENDERS: AtomicU64 = AtomicU64::new(0);
 /// The memoized part of the document: `"tuples":[…],"empty_probability":…`, written from the
 /// answer's rows of value ids into one exactly-sized buffer — no `Tuple`, no per-tuple
 /// `String`, no tree.  Each of the answer's distinct values is formatted and escaped **once**,
-/// into a fragment; the document is written twice, first into a counter and then into the
-/// buffer that count allocates, so a full render makes one allocation however large it is.
+/// into a fragment; the rows arrive sorted by probability and a probability is a sum over a
+/// handful of source queries, so it takes few distinct values in long runs, and each run's
+/// number is formatted once too.  The document's length is then a sum of fragment and number
+/// lengths, so a full render makes one allocation however large it is, and writes each byte
+/// once.
 fn render_unlabelled(answer: &ProbabilisticAnswer) -> String {
     FULL_RENDERS.fetch_add(1, Ordering::Relaxed);
     let infallible = "writing to a String cannot fail";
-    // The fragment of value `id` is `fragments[bounds[id]..bounds[id + 1]]`.
-    let (mut fragments, mut bounds) = (String::new(), vec![0]);
+    // Value `id`'s fragment is `fragments[id]`, a slice of `text`.
+    let (mut text, mut bounds) = (String::new(), vec![0]);
     for value in answer.values() {
-        write!(Escaped(&mut fragments), "{value}").expect(infallible);
-        bounds.push(fragments.len());
+        write!(Escaped(&mut text), "{value}").expect(infallible);
+        bounds.push(text.len());
     }
-    let fragment = |id: u32| &fragments[bounds[id as usize]..bounds[id as usize + 1]];
+    let fragments: Vec<&str> = bounds.windows(2).map(|at| &text[at[0]..at[1]]).collect();
     let rows = answer.sorted_rows();
-    let empty_probability = answer.empty_probability();
-    let mut len = Measure(0);
-    write_unlabelled(&mut len, &rows, fragment, empty_probability).expect(infallible);
-    let mut out = String::with_capacity(len.0);
-    write_unlabelled(&mut out, &rows, fragment, empty_probability).expect(infallible);
-    debug_assert_eq!(out.len(), len.0, "the one allocation was sized exactly");
-    out
-}
 
-/// Counts the bytes written to it.
-struct Measure(usize);
-
-impl fmt::Write for Measure {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len();
-        Ok(())
-    }
-}
-
-/// Writes sorted `rows` as `["(` fragments joined by `, ` `)",` probability `]`s.  The rows
-/// arrive sorted by probability and a probability is a sum over a handful of source queries,
-/// so it takes few distinct values in long runs: each run's number is formatted once.
-fn write_unlabelled<'f>(
-    out: &mut impl fmt::Write,
-    rows: &[(&[u32], f64)],
-    fragment: impl Fn(u32) -> &'f str,
-    empty_probability: f64,
-) -> fmt::Result {
-    out.write_str("\"tuples\":[")?;
-    let (mut run_bits, mut run_number) = (None, String::new());
+    // Each run's number, and the document's length.
+    let (tuples, empty) = ("\"tuples\":[", "],\"empty_probability\":");
+    let mut len = tuples.len() + empty.len();
+    let (mut numbers, mut run_bits) = (Vec::<String>::new(), None);
     for (i, (row, probability)) in rows.iter().enumerate() {
-        out.write_str(if i > 0 { ",[\"(" } else { "[\"(" })?;
-        for (cell, &id) in row.iter().enumerate() {
-            if cell > 0 {
-                out.write_str(", ")?;
-            }
-            out.write_str(fragment(id))?;
-        }
-        out.write_str(")\",")?;
         if run_bits != Some(probability.to_bits()) {
             run_bits = Some(probability.to_bits());
-            run_number.clear();
-            write_number(&mut run_number, *probability)?;
+            let mut number = String::new();
+            write_number(&mut number, *probability).expect(infallible);
+            numbers.push(number);
         }
-        out.write_str(&run_number)?;
-        out.write_str("]")?;
+        let cells: usize = row.iter().map(|&id| fragments[id as usize].len()).sum();
+        let separators = 2 * row.len().saturating_sub(1);
+        let number = numbers.last().map_or(0, String::len);
+        // `,` between rows, then `["(` cells `)",` number `]`.
+        len += usize::from(i > 0) + 3 + cells + separators + 3 + number + 1;
     }
-    out.write_str("],\"empty_probability\":")?;
-    write_number(out, empty_probability)
+    let mut empty_probability = String::new();
+    write_number(&mut empty_probability, answer.empty_probability()).expect(infallible);
+    len += empty_probability.len();
+
+    let mut out = String::with_capacity(len);
+    out.push_str(tuples);
+    let (mut runs, mut number, mut run_bits) = (numbers.iter(), "", None);
+    for (i, (row, probability)) in rows.iter().enumerate() {
+        out.push_str(if i > 0 { ",[\"(" } else { "[\"(" });
+        for (cell, &id) in row.iter().enumerate() {
+            if cell > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(fragments[id as usize]);
+        }
+        out.push_str(")\",");
+        if run_bits != Some(probability.to_bits()) {
+            run_bits = Some(probability.to_bits());
+            number = runs.next().expect("one number per run");
+        }
+        out.push_str(number);
+        out.push(']');
+    }
+    out.push_str(empty);
+    out.push_str(&empty_probability);
+    debug_assert_eq!(out.len(), len, "the one allocation was sized exactly");
+    out
 }
 
 #[cfg(test)]

@@ -1,16 +1,15 @@
 //! Property tests: answers accumulated as id rows over a value pool are the answers of "a
 //! tuple per row into a `HashMap`".
 //!
-//! [`ProbabilisticAnswer::add_distinct`] never builds the rows of a source-query result: it
-//! interns their cells into the answer's own pool of distinct values — a text column one
-//! *dictionary entry* at a time, through a per-call table from code to pool id — and probes
-//! with rows of pool ids.  Its equality surface is therefore wider than one result: a row read
+//! [`aggregate`] never builds the rows of a source-query result: it interns their cells into
+//! the answer's own pool of distinct values — a text column one *dictionary entry* at a time,
+//! through a per-factor table from code to pool id — and compares rows of pool ids.  Its equality surface is therefore wider than one result: a row read
 //! from one mapping's source columns must find the answer an earlier mapping added from
 //! *other* columns — another relation's dictionary holding the same strings under other codes,
 //! a `Float` or `Mixed` column holding the `1.0` an `Int` column holds as `1`, an all-null
 //! column against an output attribute the mapping does not cover.  The oracle here is the
 //! path the probe replaced, kept in this file: build a tuple per row of the
-//! [`ReferenceExecutor`]'s result, de-duplicate a call's tuples in a `HashSet`, and sum
+//! [`ReferenceExecutor`]'s result, de-duplicate a source query's tuples in a `HashSet`, and sum
 //! probabilities per tuple in a `HashMap` — compared tuple byte for tuple byte, probability bit
 //! for probability bit, in insertion order, for late-materialized results, row results and both
 //! mixed in one answer, and once more with every value hash and row hash forced equal.  (One
@@ -28,7 +27,8 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::collections::{HashMap, HashSet};
-use urm::core::reformulate::{aggregate, extract_answers, Extraction};
+use urm::core::answer::{aggregate, aggregate_with_colliding_hashes, Cluster};
+use urm::core::reformulate::{extract_answers, Extraction};
 use urm::core::ProbabilisticAnswer;
 use urm::engine::reference::off_catalog;
 use urm::engine::{CompareOp, Executor, Plan, Predicate, ReferenceExecutor};
@@ -174,8 +174,8 @@ struct TuplePerRow {
 }
 
 impl TuplePerRow {
-    /// One `aggregate` call over a result that comes in `slices`: every distinct tuple among
-    /// them gains `probability` once.
+    /// One source query whose result comes in `slices`: every distinct tuple among them gains
+    /// `probability` once.
     fn add_distinct(&mut self, slices: &[Vec<Tuple>], probability: f64) {
         for slice in slices {
             for column in 0..slice.first().map_or(0, Tuple::arity) {
@@ -239,13 +239,11 @@ proptest! {
     fn probing_is_a_tuple_per_row_into_a_map(seed in any::<u64>()) {
         let mut rng = TestRng::seed_from_u64(seed);
         let catalog = catalog(&mut rng);
-        let mut probed = ProbabilisticAnswer::new();
-        let mut one_chain = ProbabilisticAnswer::with_colliding_hashes();
         let mut oracle = TuplePerRow::default();
         // One arity per answer, so that what one source query reads from `A.k` another reads
         // from `B.m`, `A.f` or nowhere — and finds, or does not find, by value.
         let arity = 1 + rng.index(3);
-        let mut built = 0;
+        let (mut results, mut sources) = (Vec::new(), Vec::new());
         for _ in 0..4 {
             let (plan, projected) = root(&mut rng, &catalog);
             let extraction = extraction(&mut rng, &projected, arity);
@@ -255,31 +253,42 @@ proptest! {
             let view = Executor::new(&catalog).run(&plan).expect("columnar run");
             prop_assert!(view.view().is_some(), "not late-materialized:\n{}", plan);
             let rows = as_rows(Executor::new(&catalog).run(&off_catalog(&plan, &catalog)).expect("row run"));
-
-            // The result off its view, off its rows, or in two slices of one call: a tuple a
-            // call meets again — in the same slice or the next — counts once.
-            let slices: &[&Relation] = match rng.index(4) {
-                0 => &[&view],
-                1 => &[&rows],
-                2 => &[&view, &rows],
-                _ => &[&rows, &view],
+            // The result off its view, off its rows, or in two slices of one factor: a tuple
+            // a source query meets again — in the same slice or the next — counts once.
+            let slices: &[usize] = match rng.index(4) {
+                0 => &[0],
+                1 => &[1],
+                2 => &[0, 1],
+                _ => &[1, 0],
             };
             let per_slice = tuple_per_row(&reference, &extraction);
             oracle.add_distinct(&vec![per_slice; slices.len()], probability);
-            let (read, new) = aggregate(&mut probed, slices.iter().copied(), &extraction, probability);
-            prop_assert_eq!(read, slices.len() * reference.len());
-            built += new;
-            aggregate(&mut one_chain, slices.iter().copied(), &extraction, probability);
-
+            sources.push((slices, extraction, probability, plan, reference.len()));
+            results.push([view, rows]);
+        }
+        let clusters: Vec<Cluster<'_>> = sources
+            .iter()
+            .zip(&results)
+            .map(|((slices, extraction, probability, ..), results)| Cluster {
+                probability: *probability,
+                extraction,
+                factors: vec![slices.iter().map(|&s| &results[s]).collect()],
+            })
+            .collect();
+        let (probed, work) = aggregate(&clusters, 0.0);
+        let (one_chain, _) = aggregate_with_colliding_hashes(&clusters, 0.0);
+        let read: usize = sources.iter().map(|(slices, .., len)| slices.len() * len).sum();
+        prop_assert_eq!(work.factor_rows, read);
+        prop_assert!(probed.len() <= work.rows);
+        for ((.., plan, _), [view, _]) in sources.iter().zip(&results) {
             prop_assert_eq!(
                 view.estimated_bytes(),
                 view.view().unwrap().estimated_bytes(),
-                "probing built the root's rows:\n{}", plan
+                "aggregating built the root's rows:\n{}", plan
             );
         }
         assert_same_answer(&probed, &oracle);
         assert_same_answer(&one_chain, &oracle);
-        prop_assert_eq!(built, probed.len(), "a call adds the rows that are new, once");
         prop_assert!(probed.approx_eq(&one_chain, 0.0) && one_chain.approx_eq(&probed, 0.0));
         prop_assert_eq!(format!("{probed:?}"), format!("{one_chain:?}"));
     }
@@ -345,12 +354,9 @@ fn overflowed_dictionaries_deduplicate_by_value() {
         bytes(&extract_answers(&view, &extraction).distinct_tuples()),
         bytes(&want)
     );
-    // The probe finds the same answers, interning the values by their own hashes.
-    let mut probed = ProbabilisticAnswer::new();
-    assert_eq!(
-        aggregate(&mut probed, [&view], &extraction, 1.0),
-        (view.len(), distinct)
-    );
+    // The aggregation finds the same answers, interning the values by their own hashes.
+    let (probed, work) = aggregate(&[Cluster::single(1.0, &extraction, &view)], 0.0);
+    assert_eq!((work.factor_rows, probed.len()), (view.len(), distinct));
     let got: Vec<Tuple> = probed.iter().map(|(t, _)| t.clone()).collect();
     assert_eq!(bytes(&got), bytes(&want));
     assert_eq!(

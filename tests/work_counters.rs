@@ -7,6 +7,10 @@
 //! over the `cold_batch` spec list, and for four sequential algorithms per query.  The
 //! fingerprint of one reformulated plan is pinned too: it keys every cluster, DAG node and
 //! answer-cache entry, and hashes the plan's names byte for byte.
+//!
+//! A change that means to do less work re-records the rows it changes, and says so: the batch
+//! rows fell when a batch began submitting each product as its factors (Excel's operators,
+//! tuples read and tuples output went from 127 / 8 964 / 28 754 to 86 / 4 757 / 3 989).
 
 mod cold_batch;
 
@@ -31,9 +35,9 @@ type Counters = [u64; 4];
 
 /// One `evaluate_batch` per target schema over its share of [`SPECS`].
 const BATCH: [(TargetSchemaKind, Counters); 3] = [
-    (TargetSchemaKind::Excel, [127, 8_964, 28_754, 29]),
-    (TargetSchemaKind::Noris, [34, 912, 870, 6]),
-    (TargetSchemaKind::Paragon, [24, 1_315, 1_201, 5]),
+    (TargetSchemaKind::Excel, [86, 4_757, 3_989, 29]),
+    (TargetSchemaKind::Noris, [24, 644, 610, 6]),
+    (TargetSchemaKind::Paragon, [20, 1_273, 1_201, 5]),
 ];
 
 /// Per distinct spec, one row per algorithm of [`ALGORITHMS`].
