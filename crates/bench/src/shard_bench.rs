@@ -9,8 +9,9 @@
 //! so every shard executes on exactly one thread: the measured speedup is pure scatter-gather
 //! parallelism, not intra-shard scheduling.
 //!
-//! * **byte identity first**: before any timing, every workload runs once unsharded and once
-//!   per shard count × partition scheme (hash and range), and the answers are compared bit for
+//! * **byte identity first**: before any timing, every query of every workload is answered by
+//!   sequential e-basic — an evaluation that shares no code with the batch coordinator — and
+//!   every shard count × partition scheme (hash and range) must reproduce those answers bit for
 //!   bit in canonical sorted order; a single diverging row panics, failing the CI step.
 //! * the emitted rows (`BENCH_shard.json`) carry the per-shard-count timings plus `fanouts`,
 //!   `merge-time-ms`, `speedup-2`/`speedup-4` and `hardware-threads`; CI gates
@@ -19,8 +20,8 @@
 use crate::experiments::{ExperimentRow, RowKind};
 use std::time::{Duration, Instant};
 use urm_core::{
-    evaluate_batch, evaluate_batch_sharded, BatchOptions, CoreResult, ProbabilisticAnswer,
-    ShardSet, TargetQuery,
+    evaluate, evaluate_batch, evaluate_batch_sharded, Algorithm, BatchOptions, CoreResult,
+    ProbabilisticAnswer, ShardSet, TargetQuery,
 };
 use urm_datagen::replay::{join_heavy_workload, skewed_workload};
 use urm_datagen::scenario::{Scenario, ScenarioConfig, TargetSchemaKind};
@@ -85,8 +86,8 @@ fn counter_row(series: &str, workload: &str, name: &str, value: f64) -> Experime
 /// Runs the micro-benchmark, returning `BENCH_shard.json`-ready rows.
 ///
 /// # Panics
-/// Panics (failing the CI step) when a sharded answer — any workload, shard count or partition
-/// scheme — diverges from the unsharded answer by a single row or probability bit, or when a
+/// Panics (failing the CI step) when a batch answer — any workload, shard count or partition
+/// scheme — diverges from sequential e-basic's by a single row or probability bit, or when a
 /// timed sharded batch dispatched no work to its shards.
 pub fn run(config: &ShardBenchConfig) -> CoreResult<Vec<ExperimentRow>> {
     let scenario = Scenario::generate(&ScenarioConfig {
@@ -109,9 +110,11 @@ pub fn run(config: &ShardBenchConfig) -> CoreResult<Vec<ExperimentRow>> {
     for (workload, entries) in &workloads {
         let queries: Vec<TargetQuery> = entries.iter().map(|e| e.query.clone()).collect();
 
-        // Correctness first: the unsharded batch is the reference; every shard count and both
+        // Correctness first: sequential e-basic is the reference; every shard count and both
         // partition schemes must reproduce it bit for bit before any timing happens.
-        let single = evaluate_batch(&queries, mappings, catalog, &BatchOptions::sequential())?;
+        let reference = (queries.iter())
+            .map(|query| Ok(evaluate(query, mappings, catalog, Algorithm::EBasic)?.answer))
+            .collect::<CoreResult<Vec<ProbabilisticAnswer>>>()?;
         for shards in SHARD_COUNTS {
             for scheme in [ShardScheme::Hash, ShardScheme::Range] {
                 let set = ShardSet::new(catalog, shards, scheme, None);
@@ -122,13 +125,9 @@ pub fn run(config: &ShardBenchConfig) -> CoreResult<Vec<ExperimentRow>> {
                     &BatchOptions::parallel(shards),
                     &set,
                 )?;
-                for ((query, a), b) in queries
-                    .iter()
-                    .zip(&single.evaluations)
-                    .zip(&sharded.batch.evaluations)
-                {
+                for ((query, a), b) in queries.iter().zip(&reference).zip(&sharded.evaluations) {
                     assert_bit_identical(
-                        &a.answer,
+                        a,
                         &b.answer,
                         &format!("{workload}: {} × {shards} {scheme} shards", query.name()),
                     );
@@ -136,10 +135,10 @@ pub fn run(config: &ShardBenchConfig) -> CoreResult<Vec<ExperimentRow>> {
                 identity_rounds += 1;
             }
         }
-        let answers: usize = single.evaluations.iter().map(|e| e.answer.len()).sum();
+        let answers: usize = reference.iter().map(ProbabilisticAnswer::len).sum();
 
-        // Timed: the unsharded reference path, then each shard count cold — a fresh hash-cut
-        // ShardSet per iteration, one scheduler worker per shard.
+        // Timed: the unsharded batch, then each shard count cold — a fresh hash-cut ShardSet
+        // per iteration, one scheduler worker per shard.
         let start = Instant::now();
         for _ in 0..iters {
             evaluate_batch(&queries, mappings, catalog, &BatchOptions::sequential())?;
@@ -229,7 +228,7 @@ mod tests {
             assert_eq!(row.kind, RowKind::Counter, "{series}/{name}");
             row.extra.as_ref().unwrap().1
         };
-        // run() itself bit-compares every sharded answer against the unsharded reference; here
+        // run() itself bit-compares every batch answer against sequential e-basic; here
         // we check the emitted counters carry that evidence (speedup ratios are
         // host-dependent and gated in CI instead).
         let expected_rounds = (2 * SHARD_COUNTS.len() * 2) as f64;

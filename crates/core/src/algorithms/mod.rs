@@ -10,10 +10,8 @@
 //!   whenever mappings agree on the correspondences an operator needs (Sections V–VI);
 //! * [`topk`] — the probabilistic top-k algorithm built on the o-sharing u-trace (Section VII);
 //! * [`batch`] — batch evaluation of many queries over one mapping set, lowered onto one
-//!   merged shared-operator DAG with optional parallel scheduling (the entry point of the
-//!   `urm-service` serving layer);
-//! * [`sharded`] — scatter-gather batch evaluation over N partitioned shard runtimes, with
-//!   answers byte-identical to the single-node batch path.
+//!   merged shared-operator DAG per shard of a shard set (one shard for an unsharded epoch),
+//!   with optional parallel scheduling — the entry point of the `urm-service` serving layer.
 
 pub mod basic;
 pub mod batch;
@@ -21,8 +19,10 @@ pub mod ebasic;
 pub mod emqo;
 pub mod osharing;
 pub mod qsharing;
-pub mod sharded;
 pub mod topk;
+
+#[cfg(test)]
+mod sharded;
 
 use crate::metrics::Evaluation;
 use crate::query::TargetQuery;

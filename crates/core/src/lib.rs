@@ -62,11 +62,8 @@ pub mod strategy;
 pub mod testkit;
 
 pub use algorithms::batch::{
-    evaluate_batch, evaluate_batch_epoch, execute_prepared_batch, prepare_batch_epoch,
-    BatchEvaluation, BatchOptions, PreparedBatchEvaluation,
-};
-pub use algorithms::sharded::{
-    evaluate_batch_sharded, slice_relation_name, ShardSet, ShardStats, ShardedBatchEvaluation,
+    evaluate_batch, evaluate_batch_sharded, slice_relation_name, BatchEvaluation, BatchOptions,
+    ShardSet, ShardStats,
 };
 pub use algorithms::{evaluate, topk::top_k, topk::TopKEvaluation, Algorithm};
 pub use answer::{AnswerRows, ProbabilisticAnswer};

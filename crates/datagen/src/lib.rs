@@ -46,7 +46,6 @@
 pub mod openloop;
 pub mod replay;
 pub mod scenario;
-pub mod shard;
 pub mod similarity;
 pub mod source;
 pub mod targets;
@@ -55,4 +54,3 @@ pub mod workload;
 pub use openloop::{schedule, Arrival, OpenLoopConfig, PhaseSpec};
 pub use replay::{parse_workload, synthetic_workload, WorkloadEntry};
 pub use scenario::{Scenario, ScenarioConfig, TargetSchemaKind};
-pub use shard::{merge_catalog, partition_catalog, shard_catalog, sharded_source};

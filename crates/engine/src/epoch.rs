@@ -90,10 +90,6 @@ pub struct EpochDag {
     dag: OperatorDag,
     /// Logical-plan fingerprint → (bound root, its DAG node): the rebind-skipping cache.
     bind_cache: HashMap<u64, (Arc<PhysicalPlan>, NodeId)>,
-    /// Logical-plan fingerprint → the range of `split_keys` holding the keys of the parts it
-    /// was submitted as ([`record_split`](EpochDag::record_split)).
-    splits: HashMap<u64, std::ops::Range<usize>>,
-    split_keys: Vec<u64>,
     /// The execute-stage state, shared with every in-flight [`PreparedBatch`].  Internally
     /// locked so binding the next batch never waits on the current batch's execution.
     results: Arc<Mutex<EpochResults>>,
@@ -321,8 +317,6 @@ impl EpochDag {
         EpochDag {
             dag: OperatorDag::new(),
             bind_cache: HashMap::new(),
-            splits: HashMap::new(),
-            split_keys: Vec::new(),
             results: Arc::new(Mutex::new(EpochResults {
                 pin_budget,
                 pool: pool.clone(),
@@ -411,22 +405,6 @@ impl EpochDag {
         };
         self.pending.push(node);
         Ok(node)
-    }
-
-    /// The keys of the parts the plan known as `key` was submitted as, when it was split (a
-    /// product as its factors) and the split recorded ([`record_split`](EpochDag::record_split)).
-    #[must_use]
-    pub fn split(&self, key: u64) -> Option<&[u64]> {
-        let parts = self.splits.get(&key)?;
-        Some(&self.split_keys[parts.clone()])
-    }
-
-    /// Records that the plan known as `key` is submitted as the parts bound under `parts`, so
-    /// a later batch finds them by [`split`](EpochDag::split) without splitting it again.
-    pub fn record_split(&mut self, key: u64, parts: &[u64]) {
-        let start = self.split_keys.len();
-        self.split_keys.extend_from_slice(parts);
-        self.splits.insert(key, start..self.split_keys.len());
     }
 
     /// Abandons the current batch: drops every root submitted since the last

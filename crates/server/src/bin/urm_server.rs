@@ -87,10 +87,9 @@ OPTIONS:
   --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4)
   --batch-size B      max queries per service batch (default 64)
   --shards N          scatter-gather each epoch across N partitioned shard runtimes (default 1
-                      = single-node; answers are byte-identical, /metrics gains shard counters)
+                      = one unsliced shard; answers are byte-identical at every count)
   --shard-scheme S    hash (default) or range partitioning of the source relations
-  --memory-budget B   per-epoch byte budget for materialised relations (per shard with
-                      --shards; default: unbudgeted)
+  --memory-budget B   per-shard byte budget for materialised relations (default: unbudgeted)
   --trace-sample N    trace every Nth batch (default 0 = off; requests carrying an
                       X-Trace-Id header are always traced — see GET /debug/traces)
   --queue-capacity N  max admitted-but-unanswered *cost units*, service-wide (default 8192;

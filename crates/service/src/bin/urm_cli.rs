@@ -111,15 +111,15 @@ OPTIONS:
   --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4)
   --batch-size B      max queries per batch (default 64)
   --answer-cache N    service answer cache capacity (default 1024; 0 disables it)
-  --shards N          scatter-gather across N partitioned shard runtimes (default 1 = the
-                      single-node path): each epoch's catalog is deterministically split so
+  --shards N          scatter-gather across N partitioned shard runtimes (default 1 = one
+                      unsliced shard): each epoch's catalog is deterministically split so
                       shard i holds slice i of every source table, batches fan out to all
                       shards in parallel and the per-shard answers merge back byte-identically
   --shard-scheme S    how relations are split across shards: hash (FNV-1a of the key column,
                       default) or range (contiguous row chunks); answers are byte-identical
                       under either scheme
-  --memory-budget B   byte budget for materialised relations, per epoch (per shard with
-                      --shards; default: unbudgeted); under a budget, pinned results spill to
+  --memory-budget B   byte budget for materialised relations, per shard of each epoch
+                      (default: unbudgeted); under a budget, pinned results spill to
                       disk segments and oversized hash joins take the grace (partitioned)
                       path — answers are byte-identical
   --trace FILE        trace every batch and write the merged span trees to FILE as Chrome

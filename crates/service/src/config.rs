@@ -16,15 +16,16 @@ pub struct ServiceConfig {
     pub dag_workers: usize,
     /// Capacity of the service-wide answer cache (entries, LRU-evicted); 0 disables it.
     pub answer_cache_capacity: usize,
-    /// Number of shards each epoch's catalog is partitioned into (1 = unsharded, the classic
-    /// single-node path; the two are byte-identical).
+    /// Number of shards each epoch's catalog is partitioned into (1 = unsharded; answers are
+    /// byte-identical at every count).
     ///
-    /// With `shards > 1`, every registered epoch carries a scatter-gather runtime
-    /// ([`ShardSet`](urm_core::ShardSet)): source relations are deterministically partitioned
+    /// Every registered epoch runs its batches over a [`ShardSet`](urm_core::ShardSet) of this
+    /// many shards, through one coordinator.  One shard runs on the epoch's own catalog and
+    /// slices nothing.  With `shards > 1`, source relations are deterministically partitioned
     /// by key so shard *i* holds slice *i* of every table (plus a full replica for the
-    /// non-sliced side of joins), and each batch is fanned out to all shards in parallel —
-    /// per-shard answers are merged back into the canonical probability-descending order.
-    /// Shard work is reported in [`ServiceMetrics::shard_fanouts`](crate::ServiceMetrics) /
+    /// non-sliced side of joins), each batch is fanned out to all shards in parallel, and the
+    /// per-shard results are gathered into each query's answer.  Shard work is reported in
+    /// [`ServiceMetrics::shard_fanouts`](crate::ServiceMetrics) /
     /// [`shard_merge_time`](crate::ServiceMetrics) (`urm-cli --shards N`).
     pub shards: usize,
     /// How source relations are split across shards ([`Hash`](ShardScheme::Hash) on the key
@@ -33,15 +34,16 @@ pub struct ServiceConfig {
     pub shard_scheme: ShardScheme,
     /// Trace-sampling rate for batches: 0 = off (the default — a disabled tracer is a no-op
     /// on every hot path), N ≥ 1 = every Nth batch records a full span tree (`batch` →
-    /// `rewrite`/`optimize_bind`/`execute`/`aggregate` → per-DAG-node `node` spans, plus spill
-    /// and shard spans).  Finished traces land in the service's bounded recent-traces ring
+    /// `rewrite`/`optimize_bind`/`bind`/`execute`/`aggregate` → per-DAG-node `node` spans, plus
+    /// spill spans).  Finished traces land in the service's bounded recent-traces ring
     /// ([`finished_traces`](crate::QueryService::finished_traces)); the HTTP layer also
     /// force-traces any request carrying an `X-Trace-Id` header regardless of this knob
     /// (`urm-server --trace-sample N`, `urm-cli --trace out.json`).
     pub trace_sample: usize,
-    /// Byte budget for materialised relations, per epoch (`None` = unbudgeted, all in memory).
+    /// Byte budget for materialised relations, per shard of each epoch (`None` = unbudgeted,
+    /// all in memory); an epoch of N shards may hold N times the budget.
     ///
-    /// With a budget, each epoch owns a spill [`BufferPool`](urm_storage::BufferPool): pinned
+    /// With a budget, each shard owns a spill [`BufferPool`](urm_storage::BufferPool): pinned
     /// node results are spill-backed (paged out to disk segments under pressure, reloaded
     /// transparently), and hash joins whose build side exceeds *half* the budget take the
     /// grace (partitioned) path — so workloads bigger than RAM complete instead of OOMing,

@@ -10,7 +10,7 @@
 //! * [`QueryService`] accepts [`TargetQuery`](urm_core::TargetQuery) submissions from many
 //!   concurrent clients and groups them into **batches** per registered *epoch* — an immutable
 //!   (catalog, mapping set) pair identified by an [`EpochId`];
-//! * each batch is lowered onto **one merged shared-operator DAG**
+//! * each batch is lowered onto **one merged shared-operator DAG** per shard
 //!   ([`urm_engine::dag`](urm_engine::dag)): the bound plans of every query in the batch are
 //!   deduplicated by fingerprint, every distinct operator executes exactly once, and the
 //!   [`DagScheduler`](urm_engine::DagScheduler)'s one worker loop runs independent ready nodes
@@ -23,10 +23,10 @@
 //!   repeated queries skip evaluation entirely — a hit is one probe at submit time, and its
 //!   [`Ticket`] already holds the response; within a batch, duplicate submissions are
 //!   deduplicated by the same key before evaluation;
-//! * with [`ServiceConfig::shards`] > 1, each registered epoch's catalog is deterministically
-//!   partitioned across N **shard runtimes** and every batch is fanned out to all shards in
-//!   parallel, the per-shard answers merged back into the canonical order — byte-identical
-//!   to the single-node service.
+//! * every batch runs over its epoch's **shard runtimes** through one coordinator: one shard
+//!   for an unsharded epoch, or with [`ServiceConfig::shards`] > 1 the epoch's catalog
+//!   deterministically partitioned across N shards, every batch fanned out to all of them in
+//!   parallel and the per-shard results gathered — answers byte-identical at every count.
 //!
 //! Answers are identical to sequential evaluation (the integration tests compare against
 //! `Algorithm::OSharing(Strategy::Sef)` tuple-for-tuple); only the work accounting differs.

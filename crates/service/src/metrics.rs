@@ -52,17 +52,17 @@ pub struct ServiceMetrics {
     pub epoch_results_reused: u64,
     /// The executor's counters, merged across all batches.
     pub exec: ExecStats,
-    /// Batches executed through the scatter-gather shard path (0 with
-    /// [`ServiceConfig::shards`](crate::ServiceConfig) = 1).
+    /// Batches that ran over their epoch's shards: every evaluated batch, an unsharded epoch's
+    /// over its one shard (a batch whose evaluation failed does not count).
     pub shard_batches: u64,
-    /// Per-shard root submissions fanned out by sharded batches (a root scattered to all N
-    /// shards counts N; a singleton root routed to one shard counts 1).
+    /// Per-shard root submissions of all batches (a root scattered to all N shards counts N,
+    /// a root routed to one shard counts 1; over one shard, every distinct root counts 1).
     pub shard_fanouts: u64,
-    /// Total wall-clock time sharded batches spent gathering and merging per-shard answers
-    /// back into the canonical order.
+    /// Total wall-clock time batches spent gathering: aggregating each query's answer from
+    /// its factors' per-shard results.
     pub shard_merge_time: Duration,
-    /// p50/p95/p99 over the *per-shard* execution times of all sharded batches (each shard of
-    /// each batch contributes one sample; zeros when unsharded).
+    /// p50/p95/p99 over the *per-shard* bind + execution times of all batches (each shard of
+    /// each batch contributes one sample; over one shard, the batch's bind and execution).
     pub shard_latency: LatencySummary,
     /// Total wall-clock time spent executing batches.
     pub batch_time: Duration,
@@ -240,18 +240,19 @@ pub struct BatchReport {
     pub served_from_cache: usize,
     /// The batch's executor counters (zeros for a batch whose evaluation failed).
     pub exec: ExecStats,
-    /// The batch's bind stage and DAG run.  `run.workers` is the threads its DAG ran on: at
-    /// most `ServiceConfig::dag_workers` on the single-node path; a sharded batch sums its
-    /// shards' threads, at least one per shard.
+    /// The batch's bind stage and DAG runs.  `run.workers` is the sum of the threads its
+    /// shards' DAGs ran on, at least one per shard: at most `ServiceConfig::dag_workers` over
+    /// one shard.
     pub run: RunReport,
-    /// Shards the batch was fanned out to (0 = the single-node path; sharded batches report
-    /// the epoch's shard count even when every root was routed to one shard).
+    /// Shards the batch ran over: the epoch's shard count, 1 for an unsharded epoch, even
+    /// when every root was routed to one shard (0 for a batch whose evaluation failed).
     pub shards: usize,
-    /// Per-shard root submissions this batch fanned out (0 on the single-node path).
+    /// Per-shard root submissions of this batch (over one shard: its distinct roots).
     pub shard_fanouts: u64,
-    /// Wall-clock time this batch spent merging per-shard answers (zero unsharded).
+    /// Wall-clock time this batch spent gathering its answers from the shards' results.
     pub shard_merge_time: Duration,
-    /// p50/p95/p99 over this batch's per-shard execution times (zeros unsharded).
+    /// p50/p95/p99 over this batch's per-shard bind + execution times (over one shard, all
+    /// three are that shard's).
     pub shard_latency: LatencySummary,
     /// Wall-clock latency of the batch.
     pub latency: Duration,

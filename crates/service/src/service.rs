@@ -10,10 +10,7 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use urm_core::metrics::EvalMetrics;
-use urm_core::{
-    evaluate_batch_sharded, execute_prepared_batch, prepare_batch_epoch, BatchOptions, EpochDag,
-    ShardSet, ShardStats,
-};
+use urm_core::{evaluate_batch_sharded, BatchOptions, ShardSet};
 use urm_core::{CoreError, ProbabilisticAnswer, QueryKey, TargetQuery};
 use urm_matching::MappingSet;
 use urm_obs::{HistSnapshot, Histogram, TraceReport, Tracer};
@@ -132,19 +129,16 @@ impl Ticket {
 struct Epoch {
     catalog: Catalog,
     mappings: MappingSet,
-    /// The epoch's persistent shared-operator DAG (bind cache + weak result cache).  This is
-    /// the epoch's *bind* lock: a batch holds it only while it is rewritten, optimised and
-    /// bound, so another worker binds the epoch's next batch while this one executes.
-    /// Dropped with the epoch, which is what keeps identity-based fingerprints safe.
-    dag: Mutex<EpochDag>,
     /// Exponentially-decayed average *source operators per evaluated query* observed on this
     /// epoch (0 = nothing evaluated yet).  The admission layer charges requests against this
     /// instead of a flat per-query unit once the epoch has history.
     observed_cost: AtomicU64,
-    /// The epoch's scatter-gather runtime when the service runs sharded
-    /// ([`ServiceConfig::shards`] > 1): N shard catalogs (full replicas + per-shard slices)
-    /// each with its own persistent DAG.  `None` on the classic single-node path.
-    shard_set: Option<ShardSet>,
+    /// The runtimes every batch of the epoch runs over: [`ServiceConfig::shards`] shards, one
+    /// for an unsharded epoch, each with its own persistent shared-operator DAG (bind cache +
+    /// weak result cache) behind its own bind lock — a batch holds it only while it binds, so
+    /// another worker binds the epoch's next batch while this one executes.  Dropped with the
+    /// epoch, which is what keeps identity-based fingerprints safe.
+    shards: ShardSet,
 }
 
 /// A query that missed the answer cache at submit time, waiting for its batch.
@@ -177,7 +171,7 @@ struct Inner {
     /// The other running counters; the answer-cache fields are filled in at snapshot time.
     metrics: Mutex<ServiceMetrics>,
     reports: Mutex<Vec<BatchReport>>,
-    /// Bounded per-shard execution-time samples (one per shard per sharded batch), feeding the
+    /// Bounded per-shard bind + execution-time samples (one per shard per batch), feeding the
     /// service-wide [`ServiceMetrics::shard_latency`] percentiles at snapshot time.
     shard_samples: Mutex<Vec<Duration>>,
     /// Lock-free per-stage latency histograms (log-bucketed, ≤12.5% relative error) — recorded
@@ -317,33 +311,18 @@ impl Inner {
             .map(|group| group[0].key.query().clone())
             .collect();
 
-        // Merge every distinct query's plans into the epoch's persistent DAG and execute each
-        // distinct operator this batch still needs exactly once, on the configured number of
-        // scheduler workers.
+        // Merge every distinct query's plans into the persistent DAGs of the epoch's shards and
+        // execute each distinct operator this batch still needs exactly once, on the configured
+        // number of scheduler workers.  A shard's bind lock is held only while the batch binds
+        // there, so another worker can already bind the epoch's *next* batch while this one
+        // executes; the engine's internal result lock is taken only to look nodes up and to
+        // commit, never across an operator.
         let options = BatchOptions::parallel(self.config.dag_workers).with_tracer(tracer.clone());
-        let (mappings, catalog) = (&batch.epoch.mappings, &batch.epoch.catalog);
-        let outcome: Result<_, CoreError> = match &batch.epoch.shard_set {
-            // Scatter-gather: fan the distinct queries out to the epoch's shard runtimes in
-            // parallel and merge the per-shard answers back into the canonical order.  Each
-            // shard keeps its own persistent DAG behind its own bind lock.
-            Some(set) => evaluate_batch_sharded(&unique, mappings, catalog, &options, set)
-                .map(|sharded| (sharded.batch, Some(sharded.shards))),
-            // The epoch's bind lock is held only while this batch is rewritten, optimised and
-            // bound — so another worker can already bind the epoch's *next* batch while this
-            // one executes below; the engine's internal result lock is taken only to look
-            // nodes up and to commit, never across an operator.
-            None => {
-                let prepared = {
-                    let mut epoch_dag = batch.epoch.dag.lock().unwrap();
-                    prepare_batch_epoch(&unique, mappings, catalog, &mut epoch_dag, &tracer)
-                };
-                prepared
-                    .and_then(|p| execute_prepared_batch(p, catalog, &options))
-                    .map(|o| (o, None))
-            }
-        };
-        let (outcome, shard_stats): (_, Option<ShardStats>) = match outcome {
-            Ok(pair) => pair,
+        let epoch = &batch.epoch;
+        let (mappings, catalog) = (&epoch.mappings, &epoch.catalog);
+        let outcome = evaluate_batch_sharded(&unique, mappings, catalog, &options, &epoch.shards);
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
             Err(err) => {
                 // The evaluation failed, the batch still ran: it is accounted, what the
                 // recheck found in the cache is answered from there, and only the groups
@@ -412,15 +391,7 @@ impl Inner {
         let latency = start.elapsed();
         let latency_percentiles =
             LatencySummary::from_samples(shared.iter().map(|(m, _)| m.total_time).collect());
-        let (shards, shard_fanouts, shard_merge_time, shard_latency) = match &shard_stats {
-            Some(stats) => (
-                stats.shards,
-                stats.fanouts,
-                stats.merge_time,
-                LatencySummary::from_samples(stats.shard_times.clone()),
-            ),
-            None => (0, 0, Duration::ZERO, LatencySummary::default()),
-        };
+        let shard_stats = outcome.shards;
         let report = BatchReport {
             id: batch.id,
             epoch: batch.epoch_id.raw(),
@@ -429,10 +400,10 @@ impl Inner {
             served_from_cache,
             exec: outcome.exec,
             run: outcome.run,
-            shards,
-            shard_fanouts,
-            shard_merge_time,
-            shard_latency,
+            shards: shard_stats.shards,
+            shard_fanouts: shard_stats.fanouts,
+            shard_merge_time: shard_stats.merge_time,
+            shard_latency: LatencySummary::from_samples(shard_stats.shard_times.clone()),
             latency,
             latency_percentiles,
         };
@@ -441,9 +412,9 @@ impl Inner {
             metrics.batch_deduped += deduped;
             metrics.absorb(&report);
         }
-        if let Some(stats) = &shard_stats {
+        {
             let mut samples = self.shard_samples.lock().unwrap();
-            samples.extend(stats.shard_times.iter().copied());
+            samples.extend(shard_stats.shard_times);
             if samples.len() > RETAINED_REPORTS {
                 let excess = samples.len() - RETAINED_REPORTS;
                 samples.drain(..excess);
@@ -546,34 +517,30 @@ impl QueryService {
     }
 
     /// Registers an immutable (catalog, mapping set) pair, returning its epoch id.  The epoch
-    /// is born with an empty persistent DAG; its first batch is the cold one.
+    /// is born with [`ServiceConfig::shards`] shards (see [`ShardSet::new`]) and an empty
+    /// persistent DAG on each; its first batch is the cold one.  A single shard runs on the
+    /// epoch's own catalog: registering copies no row.
     ///
-    /// With [`ServiceConfig::memory_budget`] set, the epoch's DAG runs over a spill
+    /// With [`ServiceConfig::memory_budget`] set, each shard's DAG runs over a spill
     /// [`BufferPool`](urm_storage::BufferPool) of that budget (grace hash joins, spill-backed
     /// pins); without one, pinned results are resident up to the default pin budget, so
     /// alternating batch working sets keep each other warm.
     pub fn register_epoch(&self, catalog: Catalog, mappings: MappingSet) -> EpochId {
         let id = self.inner.epoch_counter.fetch_add(1, Ordering::Relaxed);
-        let dag = match self.inner.config.memory_budget {
-            Some(budget) => EpochDag::with_memory_budget(budget),
-            None => EpochDag::with_pin_budget(urm_core::DEFAULT_PIN_BUDGET_BYTES),
-        };
-        let shard_set = (self.inner.config.shards > 1).then(|| {
-            ShardSet::new(
-                &catalog,
-                self.inner.config.shards,
-                self.inner.config.shard_scheme,
-                self.inner.config.memory_budget,
-            )
-        });
+        let config = &self.inner.config;
+        let shards = ShardSet::new(
+            &catalog,
+            config.shards,
+            config.shard_scheme,
+            config.memory_budget,
+        );
         self.inner.epochs.write().unwrap().insert(
             id,
             Arc::new(Epoch {
                 catalog,
                 mappings,
-                dag: Mutex::new(dag),
                 observed_cost: AtomicU64::new(0),
-                shard_set,
+                shards,
             }),
         );
         EpochId(id)

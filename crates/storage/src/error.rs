@@ -46,22 +46,6 @@ pub enum StorageError {
         /// The duplicated attribute name.
         attribute: String,
     },
-    /// A shard spec was out of bounds (`shards == 0` or `index ≥ shards`).
-    InvalidShardSpec {
-        /// Declared shard count.
-        shards: usize,
-        /// Offending shard index.
-        index: usize,
-    },
-    /// Shard slices being merged do not line up with the row→shard assignment.
-    ShardMergeMismatch {
-        /// Relation being merged.
-        relation: String,
-        /// Rows the assignment expects.
-        expected: usize,
-        /// Rows the slices supplied.
-        actual: usize,
-    },
     /// A serialised tuple could not be decoded.
     Codec(String),
     /// An I/O operation on a spill segment (or other storage file) failed.
@@ -104,17 +88,6 @@ impl fmt::Display for StorageError {
             } => write!(
                 f,
                 "relation '{relation}' declares attribute '{attribute}' more than once"
-            ),
-            StorageError::InvalidShardSpec { shards, index } => {
-                write!(f, "invalid shard spec: index {index} of {shards} shards")
-            }
-            StorageError::ShardMergeMismatch {
-                relation,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "shard merge of '{relation}': assignment covers {expected} rows, slices hold {actual}"
             ),
             StorageError::Codec(msg) => write!(f, "codec error: {msg}"),
             StorageError::Io(msg) => write!(f, "io error: {msg}"),

@@ -77,7 +77,7 @@ pub use error::{StorageError, StorageResult};
 pub use recency::RecencyIndex;
 pub use relation::Relation;
 pub use schema::{AttrRef, Attribute, Name, Schema};
-pub use shard::{ShardScheme, ShardSpec};
+pub use shard::ShardScheme;
 pub use spill::{BufferPool, SpillStats, SpillableRelation, DEFAULT_PAGE_BYTES};
 pub use tuple::Tuple;
 pub use types::DataType;

@@ -1,13 +1,12 @@
 //! Deterministic catalog partitioning for scatter-gather sharding.
 //!
-//! A [`ShardSpec`] describes one shard's view of a partitioned source instance: shard `i` of
-//! `n` holds slice `i` of every source relation, cut by a [`ShardScheme`].  Partitioning is
+//! A batch over N > 1 shards gives shard `i` slice `i` of every source relation, cut by a
+//! [`ShardScheme`] and registered under [`slice_relation_name`].  Partitioning is
 //! **deterministic** (FNV-1a over the key column, or contiguous row ranges — never a seeded
-//! std hasher) and **lossless**: [`merge`] reconstructs the exact original relation, row order
-//! included, from the slices plus the row→shard assignment, so a sharded deployment can always
-//! be byte-compared against the single-node catalog it was cut from.
+//! std hasher) and covers every row exactly once, in its original relative order within its
+//! slice.
 
-use crate::{Relation, StorageError, StorageResult, Tuple, Value};
+use crate::{Relation, Tuple, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -63,48 +62,6 @@ impl std::str::FromStr for ShardScheme {
             "range" => Ok(ShardScheme::Range),
             other => Err(format!("unknown shard scheme '{other}' (hash|range)")),
         }
-    }
-}
-
-/// One shard's identity within a partitioned deployment: `index` of `shards` total, cut by
-/// `scheme`.  Merging slice `0..shards` of every relation reproduces the exact single-node
-/// catalog the spec partitioned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ShardSpec {
-    /// Total number of shards in the deployment.
-    pub shards: usize,
-    /// This shard's index in `0..shards`.
-    pub index: usize,
-    /// The partitioning scheme every relation is cut with.
-    pub scheme: ShardScheme,
-}
-
-impl ShardSpec {
-    /// Creates a validated spec (`shards ≥ 1`, `index < shards`).
-    pub fn new(shards: usize, index: usize, scheme: ShardScheme) -> StorageResult<ShardSpec> {
-        if shards == 0 || index >= shards {
-            return Err(StorageError::InvalidShardSpec { shards, index });
-        }
-        Ok(ShardSpec {
-            shards,
-            index,
-            scheme,
-        })
-    }
-
-    /// This shard's slice of a relation (relative row order preserved).
-    #[must_use]
-    pub fn slice(&self, relation: &Relation) -> Relation {
-        partition(relation, self.shards, self.scheme)
-            .into_iter()
-            .nth(self.index)
-            .expect("index < shards by construction")
-    }
-}
-
-impl fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "shard {}/{} ({})", self.index, self.shards, self.scheme)
     }
 }
 
@@ -183,46 +140,6 @@ pub fn partition(relation: &Relation, shards: usize, scheme: ShardScheme) -> Vec
         .collect()
 }
 
-/// Reassembles the original relation from its slices and the row→shard assignment that
-/// [`partition`] used (recompute it with [`row_shards`]).  The result is byte-identical to
-/// the partitioned relation — schema, rows *and row order*.
-pub fn merge(slices: &[Relation], assignment: &[usize]) -> StorageResult<Relation> {
-    let Some(first) = slices.first() else {
-        return Err(StorageError::InvalidShardSpec {
-            shards: 0,
-            index: 0,
-        });
-    };
-    let total: usize = slices.iter().map(Relation::len).sum();
-    if assignment.len() != total {
-        return Err(StorageError::ShardMergeMismatch {
-            relation: first.schema().name().to_string(),
-            expected: assignment.len(),
-            actual: total,
-        });
-    }
-    let mut cursors = vec![0usize; slices.len()];
-    let mut rows = Vec::with_capacity(total);
-    for &shard in assignment {
-        let slice = slices.get(shard).ok_or(StorageError::InvalidShardSpec {
-            shards: slices.len(),
-            index: shard,
-        })?;
-        let row =
-            slice
-                .rows()
-                .get(cursors[shard])
-                .ok_or_else(|| StorageError::ShardMergeMismatch {
-                    relation: first.schema().name().to_string(),
-                    expected: assignment.len(),
-                    actual: total,
-                })?;
-        cursors[shard] += 1;
-        rows.push(row.clone());
-    }
-    Ok(Relation::from_validated(first.schema().clone(), rows))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,13 +162,6 @@ mod tests {
             })
             .collect();
         Relation::new(schema, rows).unwrap()
-    }
-
-    #[test]
-    fn spec_validates_bounds() {
-        assert!(ShardSpec::new(0, 0, ShardScheme::Hash).is_err());
-        assert!(ShardSpec::new(2, 2, ShardScheme::Hash).is_err());
-        assert!(ShardSpec::new(2, 1, ShardScheme::Range).is_ok());
     }
 
     #[test]
@@ -309,34 +219,27 @@ mod tests {
 
     #[test]
     fn merge_reproduces_the_exact_relation() {
+        // Taking each row from the next unread row of its assigned slice rebuilds the input:
+        // every row lands in exactly one slice, in its original relative order.
         let rel = sample(97);
         for scheme in [ShardScheme::Hash, ShardScheme::Range] {
             for shards in 1..=4 {
                 let slices = partition(&rel, shards, scheme);
-                let assignment = row_shards(&rel, shards, scheme);
-                let merged = merge(&slices, &assignment).unwrap();
+                let mut cursors = vec![0; shards];
+                let rows: Vec<Tuple> = row_shards(&rel, shards, scheme)
+                    .into_iter()
+                    .map(|shard| {
+                        cursors[shard] += 1;
+                        slices[shard].rows()[cursors[shard] - 1].clone()
+                    })
+                    .collect();
+                let lens: Vec<usize> = slices.iter().map(Relation::len).collect();
+                assert_eq!(cursors, lens, "{scheme} × {shards}: rows left unmerged");
+                let merged = Relation::new(slices[0].schema().clone(), rows).unwrap();
                 assert_eq!(merged.schema(), rel.schema());
                 assert_eq!(merged.rows(), rel.rows(), "{scheme} × {shards}");
             }
         }
-    }
-
-    #[test]
-    fn spec_slice_matches_partition() {
-        let rel = sample(50);
-        let slices = partition(&rel, 3, ShardScheme::Hash);
-        for (index, slice) in slices.iter().enumerate() {
-            let spec = ShardSpec::new(3, index, ShardScheme::Hash).unwrap();
-            assert_eq!(spec.slice(&rel).rows(), slice.rows());
-        }
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_assignment() {
-        let rel = sample(10);
-        let slices = partition(&rel, 2, ShardScheme::Hash);
-        assert!(merge(&slices, &[0, 1]).is_err());
-        assert!(merge(&[], &[]).is_err());
     }
 
     #[test]
@@ -346,8 +249,6 @@ mod tests {
             let slices = partition(&rel, 4, scheme);
             assert_eq!(slices.len(), 4);
             assert!(slices.iter().all(Relation::is_empty));
-            let merged = merge(&slices, &[]).unwrap();
-            assert!(merged.is_empty());
         }
     }
 }

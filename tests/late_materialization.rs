@@ -6,11 +6,12 @@
 
 use urm::core::answer::tuples_materialized;
 use urm::core::reformulate::{reformulate, Extraction, Reformulated};
-use urm::core::{evaluate_batch, evaluate_batch_epoch, BatchOptions, EpochDag};
+use urm::core::{evaluate_batch, evaluate_batch_sharded, BatchOptions, ShardSet};
 use urm::datagen::replay::parse_spec;
 use urm::engine::Executor;
 use urm::prelude::*;
 use urm::service::Tracer;
+use urm::storage::ShardScheme;
 
 /// `benchmarks/e2e/src/workload.rs`, workload `cold_batch`.
 const COLD_BATCH_SPECS: &[&str] = &[
@@ -83,11 +84,11 @@ fn cold_batch_answers_come_off_unbuilt_roots() {
     let (mut factor_rows, mut rows_probed, mut answers_added) = (0u64, 0u64, 0u64);
     for (queries, scenario) in cold_batch() {
         let (mappings, catalog) = (&scenario.mappings, &scenario.catalog);
-        let mut epoch = EpochDag::new();
+        let set = ShardSet::new(catalog, 1, ShardScheme::Hash, None);
         let tracer = Tracer::enabled("cold-batch");
         let options = BatchOptions::parallel(2).with_tracer(tracer.clone());
         let built = tuples_materialized();
-        let batch = evaluate_batch_epoch(&queries, mappings, catalog, &options, &mut epoch)
+        let batch = evaluate_batch_sharded(&queries, mappings, catalog, &options, &set)
             .expect("batch evaluates");
         assert_eq!(tuples_materialized(), built, "the batch built tuples");
         let trace = tracer.finish().expect("an enabled tracer reports");
@@ -117,24 +118,21 @@ fn cold_batch_answers_come_off_unbuilt_roots() {
         // The batch's roots again, now answered by the epoch's pinned results: the very
         // relations the batch aggregated.
         let mut exec = Executor::new(catalog);
+        let mut epoch = set.dag(0);
         let mut tuple_roots = Vec::new();
         for query in &queries {
             for mapping in mappings.iter() {
                 let Reformulated::Query(sq) = reformulate(query, mapping, catalog).unwrap() else {
                     continue;
                 };
-                if let Extraction::Columns(_) = sq.extraction {
-                    // A tuple-producing source query was submitted as its factors.
-                    let factors = epoch.split(sq.plan.fingerprint()).expect("split").to_vec();
-                    for factor in factors {
-                        epoch
-                            .submit_with(factor, || unreachable!("already bound"))
-                            .expect("already bound");
-                        tuple_roots.push(true);
-                    }
-                } else {
-                    epoch.submit(&sq.plan, &exec).expect("already bound");
-                    tuple_roots.push(false);
+                // A tuple-producing source query was submitted as its factors.
+                let tuples = matches!(sq.extraction, Extraction::Columns(_));
+                let factors = set.factor_keys(sq.plan.fingerprint()).expect("split");
+                for factor in factors {
+                    epoch
+                        .submit_with(factor, || unreachable!("already bound"))
+                        .expect("already bound");
+                    tuple_roots.push(tuples);
                 }
             }
         }

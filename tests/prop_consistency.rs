@@ -159,15 +159,15 @@ proptest! {
         // byte-identically to the rebuild-every-batch path, whatever the worker count.
         let catalog = testkit::figure2_catalog();
         for workers in [1usize, 3] {
-            let mut epoch = urm::core::EpochDag::new();
+            let set = urm::core::ShardSet::new(&catalog, 1, urm::storage::ShardScheme::Hash, None);
             let batches = [
                 vec![query.clone()],
                 vec![query.clone(), query.clone()], // warm repeat with an in-batch duplicate
             ];
             for batch in &batches {
                 let options = urm::core::BatchOptions::parallel(workers);
-                let warm = urm::core::evaluate_batch_epoch(
-                    batch, &mappings, &catalog, &options, &mut epoch,
+                let warm = urm::core::evaluate_batch_sharded(
+                    batch, &mappings, &catalog, &options, &set,
                 ).unwrap();
                 let rebuilt = urm::core::evaluate_batch(batch, &mappings, &catalog, &options).unwrap();
                 for (a, b) in warm.evaluations.iter().zip(&rebuilt.evaluations) {
@@ -182,6 +182,7 @@ proptest! {
             // If the query produced any source queries at all, the second batch was warm:
             // every submission was answered by the bind cache.  (A query may reformulate to
             // nothing when no mapping covers its attributes.)
+            let epoch = set.dag(0);
             if epoch.bind_misses() > 0 {
                 prop_assert!(epoch.bind_hits() > 0);
             }

@@ -19,11 +19,13 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::collections::HashMap;
-use urm::core::algorithms::sharded::{evaluate_batch_sharded, ShardSet};
 use urm::core::reformulate::{
     extract_answers, partitioned_reformulations, reformulate, Reformulated, SourceQuery,
 };
-use urm::core::{evaluate, evaluate_batch, Algorithm, BatchOptions, ProbabilisticAnswer};
+use urm::core::{
+    evaluate, evaluate_batch, evaluate_batch_sharded, Algorithm, BatchOptions, ProbabilisticAnswer,
+    ShardSet,
+};
 use urm::datagen::replay::parse_spec;
 use urm::datagen::source::planted;
 use urm::engine::optimize::optimize;
@@ -171,7 +173,7 @@ proptest! {
             let name = query.name();
             assert_reference(&batch.evaluations[at].answer, &want, &format!("{name} batch"));
             for (shards, run) in &sharded {
-                let got = &run.batch.evaluations[at].answer;
+                let got = &run.evaluations[at].answer;
                 assert_reference(got, &want, &format!("{name} over {shards} shards"));
             }
 
