@@ -1,25 +1,30 @@
 //! Probabilistic top-k queries (Section VII, Algorithm 4).
 //!
 //! A top-k query returns the `k` answer tuples with the highest probabilities without computing
-//! exact probabilities for every tuple.  The algorithm walks the same u-trace as o-sharing but
-//! maintains, for every candidate tuple, a lower and an upper bound on its probability, plus two
-//! global bounds: `LB`, the lower bound of the current k-th best candidate, and `UB`, the
-//! probability mass of the e-units not yet visited.  As soon as every non-top candidate's upper
-//! bound falls below `LB` and `UB ≤ LB`, the traversal stops.
+//! exact probabilities for every tuple.  It walks the same u-trace as o-sharing
+//! ([`crate::algorithms::osharing`]): an e-unit holds a logical plan, a step probes that plan's
+//! factors for emptiness, and a leaf is its representative's reformulated source query.  Each
+//! leaf's answers go into one [`ProbabilisticAnswer`] through
+//! [`add_distinct`](ProbabilisticAnswer::add_distinct), as pool-id rows — the answer o-sharing
+//! builds, grown leaf by leaf.  An entry's probability so far is its *lower bound*; the mass
+//! `U` of the e-units not yet visited is what any answer, seen or not, can still gain, so its
+//! upper bound is the lower bound plus `U`.
 //!
-//! The u-trace is o-sharing's own ([`crate::algorithms::osharing`]): an e-unit holds a logical
-//! plan, a step probes that plan's factors for emptiness, and a leaf is its representative's
-//! reformulated source query — so the candidates a leaf adds are exactly the answers every other
-//! algorithm reads for those mappings.
+//! The traversal stops by Fagin, Lotem & Naor's threshold rule (PODS 2001): with `lb_i` the
+//! `i`-th largest lower bound (0 past the last answer), the top k are decided once
+//! `lb_(k+1) + U ≤ lb_k` — no answer outside them can overtake the k-th — and `U ≤ lb_k` — nor
+//! can an unseen one.  The test reads two order statistics of the answer's probabilities, found
+//! by selection; and the result is the answer's own [`top_k`](ProbabilisticAnswer::top_k), in
+//! the order every algorithm and the wire share.
 
 use crate::algorithms::osharing::{LeafSink, UTraceRunner};
+use crate::answer::ProbabilisticAnswer;
 use crate::metrics::EvalMetrics;
 use crate::partition::{partition_mappings, representatives};
 use crate::query::TargetQuery;
 use crate::reformulate::{extract_answers, Extraction};
 use crate::strategy::Strategy;
 use crate::{CoreError, CoreResult};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use urm_matching::MappingSet;
@@ -47,71 +52,44 @@ pub struct TopKEvaluation {
     pub stopped_early: bool,
 }
 
-/// The heap + bound bookkeeping of Algorithm 4 (`decide_result`).
+/// Algorithm 4's `decide_result`: the answer so far and the mass not yet visited.
 struct TopKSink {
     k: usize,
-    /// Every candidate's lower bound: the mass of the visited e-units that produced it.  Its
-    /// upper bound is that plus the mass not yet visited, [`ub_global`](TopKSink::ub_global).
-    candidates: HashMap<Tuple, f64>,
-    /// Maximum probability any *new* tuple could still reach (mass of unvisited e-units).
-    ub_global: f64,
-    /// Lower bound of the k-th best candidate.
-    lb_global: f64,
-    decided: bool,
+    /// Every answer met so far; an entry's probability is its lower bound.
+    answer: ProbabilisticAnswer,
+    /// The probability mass of the e-units not yet visited.
+    remaining: f64,
 }
 
 impl TopKSink {
-    fn new(k: usize) -> Self {
-        TopKSink {
-            k,
-            candidates: HashMap::new(),
-            ub_global: 1.0,
-            lb_global: 0.0,
-            decided: false,
-        }
-    }
-
     /// The mass of the e-units not yet visited; what float subtraction leaves of a fully
     /// visited trace (within the decision rule's 1e-12) is none.
     fn unvisited(&self) -> f64 {
-        if self.ub_global > 1e-12 {
-            self.ub_global
+        if self.remaining > 1e-12 {
+            self.remaining
         } else {
             0.0
         }
     }
 
-    /// The candidates by descending lower bound, with their live bounds.
-    fn ranked(&self) -> Vec<(Tuple, f64, f64)> {
-        let mut v: Vec<(Tuple, f64, f64)> = self
-            .candidates
-            .iter()
-            .map(|(t, lb)| (t.clone(), *lb, *lb + self.unvisited()))
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    }
-
-    fn update_bounds_and_check(&mut self) -> bool {
-        let ranked = self.ranked();
-        // While fewer than k candidates exist, any new tuple could still enter the top-k, so LB
-        // must stay at 0 (otherwise genuine answers could be rejected at insertion time).
-        self.lb_global = if ranked.len() < self.k {
-            0.0
+    /// Marks `probability` more mass visited, and says whether the top k are decided: the
+    /// threshold rule of the [module docs](self).  Since `lb_(k+1) ≥ 0`, its first condition
+    /// implies the second.
+    fn visit(&mut self, probability: f64) -> bool {
+        self.remaining -= probability;
+        let mut lower: Vec<f64> = self.answer.probabilities().collect();
+        let mut next = 0.0;
+        if lower.len() > self.k {
+            let (_, at_k, _) = lower.select_nth_unstable_by(self.k, |a, b| b.total_cmp(a));
+            next = *at_k;
+            lower.truncate(self.k);
+        }
+        let kth = if lower.len() == self.k {
+            lower.into_iter().fold(f64::INFINITY, f64::min)
         } else {
-            ranked[self.k - 1].1
+            0.0
         };
-        // Condition 1: every candidate ranked below k cannot overtake the k-th best.
-        let losers_decided = ranked
-            .iter()
-            .skip(self.k)
-            .all(|(_, _, ub)| *ub <= self.lb_global + 1e-12);
-        // Condition 2: no unseen tuple can overtake it either.
-        let unseen_decided = self.ub_global <= self.lb_global + 1e-12;
-        // We also need at least one candidate before declaring victory (k-th best of an empty
-        // heap is meaningless).
-        self.decided = !ranked.is_empty() && losers_decided && unseen_decided;
-        self.decided
+        next + self.unvisited() <= kth + 1e-12
     }
 }
 
@@ -122,22 +100,13 @@ impl LeafSink for TopKSink {
         extraction: Extraction,
         probability: f64,
     ) -> bool {
-        for tuple in extract_answers(&result, &extraction).distinct_tuples() {
-            if let Some(lower_bound) = self.candidates.get_mut(&tuple) {
-                *lower_bound += probability;
-            } else if self.ub_global > self.lb_global {
-                // A new candidate: it has `probability` for sure, and could at most also gain
-                // every not-yet-visited e-unit's mass.
-                self.candidates.insert(tuple, probability);
-            }
-        }
-        self.ub_global -= probability;
-        self.update_bounds_and_check()
+        let rows = extract_answers(&result, &extraction);
+        self.answer.add_distinct(rows, probability);
+        self.visit(probability)
     }
 
     fn on_empty(&mut self, probability: f64) -> bool {
-        self.ub_global -= probability;
-        self.update_bounds_and_check()
+        self.visit(probability)
     }
 }
 
@@ -165,33 +134,38 @@ pub fn top_k(
     metrics.rewrite_time += rewrite_start.elapsed();
     metrics.representative_mappings = reps.len();
 
-    let sink = TopKSink::new(k);
+    let sink = TopKSink {
+        k,
+        answer: ProbabilisticAnswer::new(),
+        remaining: reps.iter().map(|(_, p)| p).sum(),
+    };
     let mut runner = UTraceRunner::new(query, catalog, reps, strategy, sink);
     runner.run()?;
     let sink = runner.finish(&mut metrics);
     metrics.total_time = total_start.elapsed();
 
+    let unvisited = sink.unvisited();
     let entries = sink
-        .ranked()
+        .answer
+        .top_k(k)
         .into_iter()
-        .take(k)
-        .map(|(tuple, lower_bound, upper_bound)| TopKEntry {
+        .map(|(tuple, lower_bound)| TopKEntry {
             tuple,
             lower_bound,
-            upper_bound,
+            upper_bound: lower_bound + unvisited,
         })
         .collect();
     Ok(TopKEvaluation {
         entries,
         metrics,
-        stopped_early: sink.decided,
+        stopped_early: unvisited > 0.0,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::basic;
+    use crate::algorithms::{basic, osharing};
     use crate::testkit;
     use urm_storage::Value;
 
@@ -297,6 +271,23 @@ mod tests {
             assert_eq!(e.upper_bound, e.lower_bound, "{:?}", e.tuple);
             assert!((e.lower_bound - exact.answer.probability_of(&e.tuple)).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn only_an_unvisited_e_unit_is_an_early_stop() {
+        let catalog = testkit::figure2_catalog();
+        let mappings = testkit::figure3_mappings();
+        let query = testkit::basic_example_query();
+        let exact = osharing::evaluate(&query, &mappings, &catalog, Strategy::Sef).unwrap();
+        let every_leaf = exact.metrics.source_operators();
+        // k = 3 of 3 answers is decided at the last leaf: the whole trace was visited.
+        let full = top_k(&query, &mappings, &catalog, 3, Strategy::Sef).unwrap();
+        assert_eq!(full.metrics.source_operators(), every_leaf);
+        assert!(!full.stopped_early);
+        // The top-1 is decided with e-units left: fewer source operators than o-sharing's.
+        let early = top_k(&query, &mappings, &catalog, 1, Strategy::Sef).unwrap();
+        assert!(early.stopped_early);
+        assert!(early.metrics.source_operators() < every_leaf, "{early:?}");
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!   it, in their order.  Entries are kept group by group, in enumeration order.
 //! * [`AnswerRows`] is one result seen as answer rows, borrowed and unbuilt, for a caller that
 //!   holds one result at a time: [`ProbabilisticAnswer::add_distinct`] adds it to an existing
-//!   answer, probing every row, and appends the rows no earlier call added.
+//!   answer, probing every row, and appends the rows no earlier call added.  It is the
+//!   incremental form top-k grows its answer with, one u-trace leaf at a time
+//!   ([`crate::algorithms::topk`]).
 //! * The index the probes and lookups use is built on the first lookup, so an answer that is
 //!   only ranked and rendered — a served one — never builds it.
 //! * Ordering **ranks once and sorts integers**: the pool's values are ranked by [`Value`]'s
@@ -43,9 +45,8 @@
 use crate::reformulate::Extraction;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 use urm_storage::{value_hash, Column, ColumnRef, ColumnView, Relation, Tuple, Value};
@@ -85,16 +86,6 @@ enum Cells<'r> {
 
 static NULL: Value = Value::Null;
 
-/// The cells of `row` at `positions`, borrowed; anything the row does not hold is NULL.
-fn projected<'a>(
-    row: &'a Tuple,
-    positions: &'a [Option<usize>],
-) -> impl Iterator<Item = &'a Value> + 'a {
-    positions
-        .iter()
-        .map(move |p| p.and_then(|i| row.get(i)).unwrap_or(&NULL))
-}
-
 impl<'r> AnswerRows<'r> {
     /// The rows of `result` read through `positions`.
     pub(crate) fn new(result: &'r Relation, mut positions: Vec<Option<usize>>) -> Self {
@@ -128,46 +119,6 @@ impl<'r> AnswerRows<'r> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The *distinct* answer tuples, built, in order of first occurrence — for a caller that
-    /// counts each tuple of a result once without accumulating into a
-    /// [`ProbabilisticAnswer`] (the top-k bounds).  A view decides distinctness on its column
-    /// codes ([`ColumnView::distinct_rows`]) and builds a tuple per distinct row only; rows
-    /// are hashed by the projected values where they lie.
-    #[must_use]
-    pub fn distinct_tuples(&self) -> Vec<Tuple> {
-        match &self.cells {
-            Cells::View { view, .. } => {
-                let covered: Vec<usize> = self.positions.iter().flatten().copied().collect();
-                let distinct = view.distinct_rows(&covered).into_iter();
-                distinct.map(|row| self.tuple(row as usize)).collect()
-            }
-            Cells::Rows(rows) => {
-                let mut seen = HashSet::new();
-                let positions = &self.positions;
-                (0..rows.len())
-                    .filter(|&row| {
-                        seen.insert(ProjectedRow {
-                            row: &rows[row],
-                            positions,
-                        })
-                    })
-                    .map(|row| self.tuple(row))
-                    .collect()
-            }
-        }
-    }
-
-    /// Builds `row`'s answer tuple.
-    fn tuple(&self, row: usize) -> Tuple {
-        match &self.cells {
-            Cells::View { columns, .. } => columns
-                .iter()
-                .map(|c| c.map_or(Value::Null, |c| c.column.value_at(c.slot(row))))
-                .collect(),
-            Cells::Rows(rows) => projected(&rows[row], &self.positions).cloned().collect(),
-        }
     }
 
     /// Every row's answer cells as ids of `pool`, written row after row into `ids`
@@ -241,26 +192,6 @@ impl<'r> From<&'r [Tuple]> for AnswerRows<'r> {
             positions: (0..arity).map(Some).collect(),
             cells: Cells::Rows(rows),
         }
-    }
-}
-
-/// A row seen through a position list: equal and hashed by the projected values, borrowed.
-struct ProjectedRow<'a> {
-    row: &'a Tuple,
-    positions: &'a [Option<usize>],
-}
-
-impl PartialEq for ProjectedRow<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        projected(self.row, self.positions).eq(projected(other.row, other.positions))
-    }
-}
-
-impl Eq for ProjectedRow<'_> {}
-
-impl Hash for ProjectedRow<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        projected(self.row, self.positions).for_each(|v| v.hash(state));
     }
 }
 
@@ -669,7 +600,7 @@ impl ProbabilisticAnswer {
     /// probability only once (this mirrors the "remove duplicate tuples" step of the paper's
     /// Algorithm 4).  One probe per row: an answer this call has already counted carries the
     /// call's stamp.  The evaluation algorithms build their answers with [`aggregate`]
-    /// instead; this is the incremental form, for a caller that holds one result at a time.
+    /// instead; this is the incremental form, which top-k calls once per u-trace leaf.
     pub fn add_distinct(&mut self, rows: AnswerRows<'_>, probability: f64) -> usize {
         if probability <= 0.0 {
             return 0;
@@ -851,22 +782,25 @@ impl ProbabilisticAnswer {
     /// Iterates over `(tuple, probability)` pairs in the order the tuples were first added.
     /// The tuples are built on the first call (see the [module docs](self)).
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, f64)> {
-        let probabilities = self.entries.iter().map(|e| e.probability);
-        self.tuples().iter().zip(probabilities)
+        self.tuples().iter().zip(self.probabilities())
+    }
+
+    /// Every answer's probability, in insertion order.
+    pub(crate) fn probabilities(&self) -> impl Iterator<Item = f64> + '_ {
+        self.entries.iter().map(|e| e.probability)
     }
 
     /// The maximum probability of any answer tuple.
     #[must_use]
     pub fn max_probability(&self) -> f64 {
-        let probabilities = self.entries.iter().map(|e| e.probability);
-        probabilities.fold(0.0, f64::max)
+        self.probabilities().fold(0.0, f64::max)
     }
 
     /// Total probability mass assigned to answers (can exceed 1: a single mapping may produce
     /// many tuples, each inheriting the full mapping probability), summed in insertion order.
     #[must_use]
     pub fn total_mass(&self) -> f64 {
-        self.entries.iter().map(|e| e.probability).sum()
+        self.probabilities().sum()
     }
 
     /// Checks equality with another answer up to a probability tolerance; used by the tests

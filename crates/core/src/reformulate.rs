@@ -26,11 +26,12 @@
 //!
 //! The last step is shared too.  [`extract_answers`] resolves an [`Extraction`] against one
 //! result and hands back its rows *unbuilt* ([`AnswerRows`]), for a caller that adds one result
-//! at a time ([`add_distinct`](crate::ProbabilisticAnswer::add_distinct)) or counts one result's tuples (top-k).
-//! Every algorithm builds its answers with [`crate::answer::aggregate`], which takes a query's
-//! clusters whole — each as the factors whose product is its result — and resolves the same
-//! extraction by name in the factors' schemas; no tuple is built, then or when the answer is
-//! ranked and rendered (see [`crate::answer`]).
+//! at a time with [`add_distinct`](crate::ProbabilisticAnswer::add_distinct): top-k, one
+//! u-trace leaf after another.  Every other algorithm builds its answers with
+//! [`crate::answer::aggregate`], which takes a query's clusters whole — each as the factors
+//! whose product is its result — and resolves the same extraction by name in the factors'
+//! schemas; no tuple is built, then or when the answer is ranked and rendered (see
+//! [`crate::answer`]).
 
 use crate::answer::AnswerRows;
 use crate::partition::partition_mappings;
@@ -423,8 +424,16 @@ mod tests {
     use super::*;
     use crate::answer::{aggregate, Cluster};
     use crate::testkit;
+    use crate::ProbabilisticAnswer;
     use urm_engine::Executor;
     use urm_storage::{Tuple, Value};
+
+    /// The distinct answers among `rows`, first seen first.
+    fn distinct(rows: AnswerRows<'_>) -> Vec<Tuple> {
+        let mut answer = ProbabilisticAnswer::new();
+        answer.add_distinct(rows, 1.0);
+        answer.iter().map(|(tuple, _)| tuple.clone()).collect()
+    }
 
     #[test]
     fn q0_reformulates_through_m1_like_the_paper() {
@@ -443,7 +452,7 @@ mod tests {
         assert!(rendered.contains("Customer.oaddr"), "{rendered}");
 
         let result = Executor::new(&catalog).run(&sq.plan).unwrap();
-        let answers = extract_answers(&result, &sq.extraction).distinct_tuples();
+        let answers = distinct(extract_answers(&result, &sq.extraction));
         assert_eq!(answers, vec![Tuple::new(vec![Value::from("aaa")])]);
     }
 
@@ -457,7 +466,7 @@ mod tests {
             panic!("expected a query");
         };
         let result = Executor::new(&catalog).run(&sq.plan).unwrap();
-        let answers = extract_answers(&result, &sq.extraction).distinct_tuples();
+        let answers = distinct(extract_answers(&result, &sq.extraction));
         // m4: phone→hphone, addr→haddr; hphone='123' matches Bob, whose haddr is 'hk'.
         assert_eq!(answers, vec![Tuple::new(vec![Value::from("hk")])]);
     }
@@ -508,7 +517,7 @@ mod tests {
             panic!("expected query");
         };
         let result = Executor::new(&catalog).run(&sq.plan).unwrap();
-        let answers = extract_answers(&result, &sq.extraction).distinct_tuples();
+        let answers = distinct(extract_answers(&result, &sq.extraction));
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].get(0), Some(&Value::from("aaa")));
         assert_eq!(answers[0].get(1), Some(&Value::Null));
@@ -535,11 +544,8 @@ mod tests {
         ]);
         let unbuilt = extract_answers(&result, &extraction);
         assert_eq!(unbuilt.len(), 3, "extraction resolves rows, it drops none");
-        let answers = unbuilt.distinct_tuples();
-        assert_eq!(
-            answers,
-            extract_answers(&rows, &extraction).distinct_tuples()
-        );
+        let answers = distinct(unbuilt);
+        assert_eq!(answers, distinct(extract_answers(&rows, &extraction)));
         // Alice and Cindy share an office address: three rows, two answers, first seen first.
         let answer = |addr: &str| Tuple::new(vec![addr.into(), Value::Null, addr.into()]);
         assert_eq!(answers, vec![answer("aaa"), answer("bbb")]);
@@ -558,7 +564,7 @@ mod tests {
         let twice: Vec<Tuple> = rows.iter().chain(rows.iter()).cloned().collect();
         let twice = Relation::from_validated(rows.schema().clone(), twice);
         let raw = extract_answers(&twice, &Extraction::Raw);
-        assert_eq!(raw.distinct_tuples(), rows.rows());
+        assert_eq!(distinct(raw), rows.rows());
     }
 
     #[test]

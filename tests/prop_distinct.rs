@@ -21,8 +21,8 @@
 //! Generated roots are joins, products and selections over relations with null keys, an
 //! all-null column, a variant-mixed column, signed zeros and two NaNs; extractions repeat
 //! columns, leave columns uncovered (`None`) and read whole rows (`Raw`).  The second property
-//! holds [`AnswerRows::distinct_tuples`](urm::core::AnswerRows::distinct_tuples) — what the
-//! top-k bounds read — to the same oracle within one result.
+//! holds [`ProbabilisticAnswer::add_distinct`] — how top-k adds each u-trace leaf's result —
+//! to the same oracle within one result.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -303,12 +303,18 @@ proptest! {
             let extraction = extraction(&mut rng, &projected, arity);
 
             let reference = ReferenceExecutor::new(&catalog).run(&plan).expect("valid root");
-            let want = first_occurrences(tuple_per_row(&reference, &extraction));
+            let mut want = TuplePerRow::default();
+            want.add_distinct(&[tuple_per_row(&reference, &extraction)], 0.5);
+            let distinct = |result: &Relation| {
+                let mut answer = ProbabilisticAnswer::new();
+                let added = answer.add_distinct(extract_answers(result, &extraction), 0.5);
+                assert_eq!(added, answer.len());
+                answer
+            };
 
             let view = Executor::new(&catalog).run(&plan).expect("columnar run");
             prop_assert!(view.view().is_some(), "not late-materialized:\n{}", plan);
-            let got = extract_answers(&view, &extraction).distinct_tuples();
-            prop_assert_eq!(bytes(&got), bytes(&want), "codes diverge on {:?}:\n{}", extraction, plan);
+            assert_same_answer(&distinct(&view), &want);
             prop_assert_eq!(
                 view.estimated_bytes(),
                 view.view().unwrap().estimated_bytes(),
@@ -318,8 +324,7 @@ proptest! {
             prop_assert_eq!(view.rows(), reference.rows());
 
             let rows = as_rows(Executor::new(&catalog).run(&off_catalog(&plan, &catalog)).expect("row run"));
-            let got = extract_answers(&rows, &extraction).distinct_tuples();
-            prop_assert_eq!(bytes(&got), bytes(&want), "rows diverge on {:?}:\n{}", extraction, plan);
+            assert_same_answer(&distinct(&rows), &want);
         }
     }
 }
@@ -350,10 +355,10 @@ fn overflowed_dictionaries_deduplicate_by_value() {
     assert_eq!(want.len(), distinct);
     let view = Executor::new(&catalog).run(&plan).unwrap();
     assert_eq!(view.len(), 2 * (distinct + 100));
-    assert_eq!(
-        bytes(&extract_answers(&view, &extraction).distinct_tuples()),
-        bytes(&want)
-    );
+    let mut added = ProbabilisticAnswer::new();
+    added.add_distinct(extract_answers(&view, &extraction), 1.0);
+    let got: Vec<Tuple> = added.iter().map(|(t, _)| t.clone()).collect();
+    assert_eq!(bytes(&got), bytes(&want));
     // The aggregation finds the same answers, interning the values by their own hashes.
     let (probed, work) = aggregate(&[Cluster::single(1.0, &extraction, &view)], 0.0);
     assert_eq!((work.factor_rows, probed.len()), (view.len(), distinct));

@@ -18,9 +18,9 @@
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use urm::core::reformulate::{
-    extract_answers, partitioned_reformulations, reformulate, Reformulated, SourceQuery,
+    extract_answers, partitioned_reformulations, reformulate, Extraction, Reformulated, SourceQuery,
 };
 use urm::core::{
     evaluate, evaluate_batch, evaluate_batch_sharded, Algorithm, BatchOptions, ProbabilisticAnswer,
@@ -82,7 +82,8 @@ fn queries(target: TargetSchemaKind) -> Vec<TargetQuery> {
 }
 
 /// The reference answer of source queries taken in order, each with its probability: every
-/// un-factored optimised plan run whole, its distinct tuples' probabilities summed per tuple.
+/// un-factored optimised plan run whole, a tuple built from each of its rows, and its distinct
+/// tuples' probabilities summed per tuple.
 /// Returned sorted — descending probability, then tuple — and as an answer of the incremental
 /// `add_distinct`, for its rendering.
 fn reference(
@@ -95,8 +96,26 @@ fn reference(
     for (sq, probability) in clusters {
         let plan = optimize(&sq.plan, catalog).expect("optimises");
         let result = Executor::new(catalog).run(&plan).expect("runs");
-        for tuple in extract_answers(&result, &sq.extraction).distinct_tuples() {
-            *mass.entry(tuple).or_insert(0.0) += probability;
+        let schema = result.schema();
+        let positions: Vec<Option<usize>> = match &sq.extraction {
+            Extraction::Raw => (0..schema.arity()).map(Some).collect(),
+            Extraction::Columns(columns) => columns
+                .iter()
+                .map(|c| {
+                    c.as_ref()
+                        .map(|n| schema.position(n).expect("in the result"))
+                })
+                .collect(),
+        };
+        let mut seen = HashSet::new();
+        for row in result.rows() {
+            let tuple: Tuple = positions
+                .iter()
+                .map(|p| p.map_or(Value::Null, |i| row.values()[i].clone()))
+                .collect();
+            if seen.insert(tuple.clone()) {
+                *mass.entry(tuple).or_insert(0.0) += probability;
+            }
         }
         answer.add_distinct(extract_answers(&result, &sq.extraction), *probability);
     }
