@@ -24,7 +24,7 @@
 use crate::answer::{aggregate, Cluster, ProbabilisticAnswer};
 use crate::eunit::EUnit;
 use crate::metrics::{EvalMetrics, Evaluation};
-use crate::partition::{partition_by_attrs, partition_mappings, representatives};
+use crate::partition::{partition_mappings, partition_on_attrs, representatives, Representative};
 use crate::query::{TargetOp, TargetPredicate, TargetQuery};
 use crate::reformulate::{covering_scan, reformulate, source_column_for, Extraction, Reformulated};
 use crate::strategy::{select_operator, Strategy};
@@ -103,9 +103,11 @@ enum ChildOutcome {
 /// (`run_qt_topk`).
 pub(crate) struct UTraceRunner<'a, S: LeafSink> {
     query: &'a TargetQuery,
+    /// The mapping set, whose source-id matrix every e-unit's partition reads.
+    mappings: &'a MappingSet,
     /// The representative mappings, borrowed from the mapping set, each with its partition's
     /// probability.
-    reps: Vec<(&'a Mapping, f64)>,
+    reps: Vec<Representative<'a>>,
     strategy: Strategy,
     rng: u64,
     exec: Executor<'a>,
@@ -125,7 +127,8 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
     pub(crate) fn new(
         query: &'a TargetQuery,
         catalog: &'a Catalog,
-        reps: Vec<(&'a Mapping, f64)>,
+        mappings: &'a MappingSet,
+        reps: Vec<Representative<'a>>,
         strategy: Strategy,
         sink: S,
     ) -> Self {
@@ -135,6 +138,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
         };
         UTraceRunner {
             query,
+            mappings,
             reps,
             strategy,
             rng,
@@ -155,7 +159,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
     /// Runs the whole u-trace starting from the initial e-unit.
     pub(crate) fn run(&mut self) -> CoreResult<()> {
         let indices: Vec<usize> = (0..self.reps.len()).collect();
-        let probability: f64 = self.reps.iter().map(|(_, p)| *p).sum();
+        let probability: f64 = self.reps.iter().map(|rep| rep.probability).sum();
         let root = EUnit::initial(self.query, indices, probability);
         self.run_qt(root)?;
         Ok(())
@@ -189,8 +193,10 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
         let mut candidates = Vec::with_capacity(valid.len());
         for op in &valid {
             let attrs = u.used_attributes(self.query, op);
-            let weighted = u.mapping_indices.iter().map(|&i| self.reps[i]);
-            candidates.push(partition_by_attrs(self.query, &attrs, weighted)?);
+            let reps = u.mapping_indices.iter().map(|&i| &self.reps[i]);
+            let members = reps.map(|rep| (rep.index, rep.probability));
+            let partitions = partition_on_attrs(self.query, &attrs, self.mappings, members)?;
+            candidates.push(partitions);
             used.push(attrs);
         }
         let sizes: Vec<Vec<usize>> = candidates
@@ -214,7 +220,7 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                 .map(|&local| u.mapping_indices[local])
                 .collect();
             let probability = part.probability;
-            let mapping = self.reps[indices[0]].0;
+            let mapping = self.reps[indices[0]].mapping;
             self.target_operators += 1;
             let stop = match self.execute_op(&u, op, attrs, mapping)? {
                 ChildOutcome::Child(mut child) => {
@@ -361,7 +367,8 @@ pub fn evaluate(
     metrics.rewrite_time += rewrite_start.elapsed();
     metrics.representative_mappings = reps.len();
 
-    let mut runner = UTraceRunner::new(query, catalog, reps, strategy, ExactSink::default());
+    let sink = ExactSink::default();
+    let mut runner = UTraceRunner::new(query, catalog, mappings, reps, strategy, sink);
     runner.run()?;
     metrics.distinct_source_queries = runner.representative_count();
     let sink = runner.finish(&mut metrics);

@@ -46,7 +46,8 @@ pub fn evaluate(
     // Per representative with a source query: its result, probability and extraction.
     let mut results = Vec::with_capacity(reps.len());
     let mut empty_probability = 0.0;
-    for (mapping, probability) in reps {
+    for rep in reps {
+        let (mapping, probability) = (rep.mapping, rep.probability);
         let rewrite_start = Instant::now();
         let reformulated = reformulate(query, mapping, catalog)?;
         metrics.rewrite_time += rewrite_start.elapsed();

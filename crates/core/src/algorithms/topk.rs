@@ -137,9 +137,9 @@ pub fn top_k(
     let sink = TopKSink {
         k,
         answer: ProbabilisticAnswer::new(),
-        remaining: reps.iter().map(|(_, p)| p).sum(),
+        remaining: reps.iter().map(|rep| rep.probability).sum(),
     };
-    let mut runner = UTraceRunner::new(query, catalog, reps, strategy, sink);
+    let mut runner = UTraceRunner::new(query, catalog, mappings, reps, strategy, sink);
     runner.run()?;
     let sink = runner.finish(&mut metrics);
     metrics.total_time = total_start.elapsed();

@@ -31,8 +31,10 @@
 //!   only ranked and rendered — a served one — never builds it.
 //! * Ordering **ranks once and sorts integers**: the pool's values are ranked by [`Value`]'s
 //!   order, and entries sort on one integer key — the probability's bits in
-//!   [`f64::total_cmp`]'s order, above the ranks of the row's first two cells — the order of
-//!   `(probability, Tuple)` pairs, without comparing a float or a value twice.  The wire
+//!   [`f64::total_cmp`]'s order, above the row's ranks packed in as few bits as the pool
+//!   needs — the order of `(probability, Tuple)` pairs, without comparing a float or a value
+//!   twice.  When every row fits 64 bits of ranks the keys alone decide; longer rows are
+//!   compared past their keys only where the keys tie.  The wire
 //!   renderer ([`sorted_rows`](ProbabilisticAnswer::sorted_rows) over
 //!   [`values`](ProbabilisticAnswer::values)) escapes each pool value once and writes rows of
 //!   fragments.
@@ -387,8 +389,10 @@ struct RowIndex {
 }
 
 /// An entry's place in the wire order as one integer — its probability's position in `f64`'s
-/// total order, reversed, above the ranks of its row's first two cells — and the entry.  Only
-/// rows that tie on all of it are compared cell by cell: no float is compared.
+/// total order, reversed, above its row's value ranks, packed in as few bits as the pool
+/// needs (the whole row when it fits 64 bits, else its first cells) — and the entry.  Only
+/// rows longer than their key that tie on all of it are compared cell by cell: no float is
+/// compared.
 struct SortKey {
     key: u128,
     entry: u32,
@@ -547,6 +551,15 @@ impl ProbabilisticAnswer {
         self.push_row(row, probability, stamp);
     }
 
+    /// Makes room for `rows` more entries of `arity` cells where the allocator grants it;
+    /// where it does not, the answer grows as rows come.
+    fn reserve_rows(&mut self, rows: usize, arity: usize) {
+        let _ = self.entries.try_reserve(rows);
+        if let Some(cells) = rows.checked_mul(arity) {
+            let _ = self.ids.try_reserve(cells);
+        }
+    }
+
     /// Appends an entry for `row` and its ids, leaving the index to whoever keeps it.
     fn push_row(&mut self, row: &[u32], probability: f64, stamp: u64) {
         let end = u32::try_from(self.ids.len() + row.len()).expect("fewer than 2^32 answer cells");
@@ -685,32 +698,48 @@ impl ProbabilisticAnswer {
             let row = self.row(&self.entries[entry as usize]);
             row.iter().map(|&id| ranks[id as usize])
         };
+        // A cell's rank plus one, so that a missing cell (0) sorts before any rank: a row that
+        // is a prefix of another comes first, as it does among tuples.  `width` bits hold one;
+        // a key holds the first `cells` cells of a row.
+        let most = ranks.iter().max().map_or(0, |&rank| u64::from(rank) + 1);
+        let width = (u64::BITS - most.leading_zeros()).max(1);
+        let cells = (u64::BITS / width) as usize;
         let mut keys: Vec<SortKey> = (0u32..)
             .zip(&self.entries)
             .map(|(entry, stored)| {
-                // A cell's rank plus one, so that a missing cell sorts before any rank: a
-                // row that is a prefix of another comes first, as it does among tuples.
-                let mut prefix = rank_row(entry).map(|rank| u64::from(rank) + 1);
-                let prefix = (prefix.next().unwrap_or(0) << 32) | prefix.next().unwrap_or(0);
+                let packed = rank_row(entry)
+                    .take(cells)
+                    .fold(0u128, |key, rank| key << width | (u128::from(rank) + 1));
+                let missing = cells.saturating_sub(stored.arity as usize) as u32;
                 let probability = !total_order_bits(stored.probability);
                 SortKey {
-                    key: u128::from(probability) << 64 | u128::from(prefix),
+                    key: u128::from(probability) << 64 | packed << (width * missing),
                     entry,
                 }
             })
             .collect();
-        // Rows are distinct keys, so the order is total and unstable sorting is exact.
-        let order = |a: &SortKey, b: &SortKey| -> Ordering {
-            a.key
-                .cmp(&b.key)
-                .then_with(|| rank_row(a.entry).cmp(rank_row(b.entry)))
-                .then(a.entry.cmp(&b.entry))
-        };
-        if 0 < k && k < keys.len() {
-            keys.select_nth_unstable_by(k - 1, order);
+        if self.entries.iter().all(|e| e.arity as usize <= cells) {
+            // Every row lies whole in its key: keys tie only on rows that rank alike.
+            let order = |key: &SortKey| (key.key, key.entry);
+            if 0 < k && k < keys.len() {
+                keys.select_nth_unstable_by_key(k - 1, order);
+            }
+            keys.truncate(k);
+            keys.sort_unstable_by_key(order);
+        } else {
+            // Rows longer than a key are compared past it when their keys tie.
+            let order = |a: &SortKey, b: &SortKey| -> Ordering {
+                a.key
+                    .cmp(&b.key)
+                    .then_with(|| rank_row(a.entry).cmp(rank_row(b.entry)))
+                    .then(a.entry.cmp(&b.entry))
+            };
+            if 0 < k && k < keys.len() {
+                keys.select_nth_unstable_by(k - 1, order);
+            }
+            keys.truncate(k);
+            keys.sort_unstable_by(order);
         }
-        keys.truncate(k);
-        keys.sort_unstable_by(order);
         keys.into_iter().map(|key| key.entry as usize).collect()
     }
 
@@ -997,13 +1026,26 @@ fn aggregate_into(
     let mut row = Vec::new();
     for (g, group) in groups.iter().enumerate() {
         let factors: Vec<&FactorRows> = group.classes.iter().map(|&c| &tables[c]).collect();
+        // The product's first row, and the `(cell, column)`s each factor fills in it.
+        let mut fills: Vec<Vec<(usize, usize)>> = vec![Vec::new(); factors.len()];
+        row.clear();
+        for (cell, slot) in group.layout.iter().enumerate() {
+            row.push(match *slot {
+                Slot::Null => null,
+                Slot::Cell { factor, column } => {
+                    fills[factor].push((cell, column));
+                    factors[factor].cell(0, column)
+                }
+            });
+        }
+        // Room for every row of the product, where the allocator grants it.
+        let product = factors.iter().try_fold(1usize, |n, f| n.checked_mul(f.len));
+        if let Some(product) = product {
+            let _ = produced_by.try_reserve(product);
+            answer.reserve_rows(product, row.len());
+        }
         let mut at = vec![0usize; factors.len()];
         'product: loop {
-            row.clear();
-            row.extend(group.layout.iter().map(|slot| match *slot {
-                Slot::Null => null,
-                Slot::Cell { factor, column } => factors[factor].cell(at[factor], column),
-            }));
             work.rows += 1;
             if cover.is_exclusive(&row) {
                 produced_by.push(g as u32);
@@ -1030,7 +1072,8 @@ fn aggregate_into(
                     }
                 }
             }
-            // The next row of the product: the last factor turns fastest.
+            // The next row of the product: the last factor turns fastest, and only the cells
+            // of the factors that moved are read again.
             let mut f = factors.len();
             loop {
                 if f == 0 {
@@ -1042,6 +1085,11 @@ fn aggregate_into(
                     break;
                 }
                 at[f] = 0;
+            }
+            for moved in f..factors.len() {
+                for &(cell, column) in &fills[moved] {
+                    row[cell] = factors[moved].cell(at[moved], column);
+                }
             }
         }
     }
@@ -1460,11 +1508,44 @@ mod tests {
         }
     }
 
+    /// Holds every ranked view of `ans` to the oracle order — descending probability, then
+    /// ascending tuple — and returns the number of distinct rows.
+    fn assert_wire_order(ans: &ProbabilisticAnswer) -> usize {
+        let mut want: Vec<(Tuple, f64)> = ans.iter().map(|(t, p)| (t.clone(), p)).collect();
+        want.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let len = want.len();
+        assert_eq!(ans.sorted(), want);
+        let refs: Vec<(Tuple, f64)> = ans
+            .sorted_refs()
+            .into_iter()
+            .map(|(t, p)| (t.clone(), p))
+            .collect();
+        assert_eq!(refs, want);
+        let rows: Vec<(Tuple, f64)> = ans
+            .sorted_rows()
+            .into_iter()
+            .map(|(row, p)| {
+                (
+                    row.iter()
+                        .map(|&id| ans.values()[id as usize].clone())
+                        .collect(),
+                    p,
+                )
+            })
+            .collect();
+        assert_eq!(rows, want);
+        for k in [0, 1, len / 2, len, len + 1] {
+            assert_eq!(ans.top_k(k), want[..k.min(len)], "k = {k}");
+        }
+        len
+    }
+
     #[test]
     fn the_order_is_that_of_probability_then_tuple_pairs() {
         // Ties on probability at every arity, rows that are prefixes of other rows, values of
         // every variant (ranked across variants), `Int`/`Float` twins, rows that tie on their
-        // first two cells.
+        // first two cells.  Eleven values rank in four bits, so every row lies whole in its
+        // sort key.
         let values = [
             Value::Null,
             Value::from(true),
@@ -1494,33 +1575,42 @@ mod tests {
             });
             ans.add(cells.collect(), [0.5, 0.25, 0.25, 1.0][n % 4]);
         }
-        let mut want: Vec<(Tuple, f64)> = ans.iter().map(|(t, p)| (t.clone(), p)).collect();
-        want.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let len = want.len();
+        let len = assert_wire_order(&ans);
         assert!(len > 40, "{len} distinct rows");
-        assert_eq!(ans.sorted(), want);
-        let refs: Vec<(Tuple, f64)> = ans
-            .sorted_refs()
-            .into_iter()
-            .map(|(t, p)| (t.clone(), p))
-            .collect();
-        assert_eq!(refs, want);
-        let rows: Vec<(Tuple, f64)> = ans
-            .sorted_rows()
-            .into_iter()
-            .map(|(row, p)| {
-                (
-                    row.iter()
-                        .map(|&id| ans.values()[id as usize].clone())
-                        .collect(),
-                    p,
-                )
+    }
+
+    #[test]
+    fn rows_longer_than_a_sort_key_are_compared_past_it() {
+        // Twenty values rank in five bits, so a 64-bit key holds twelve cells of a row and
+        // these rows, up to twenty cells long, do not fit: rows that tie on probability and on
+        // their first fourteen cells are told apart by the comparison past the key.  Shorter
+        // rows are prefixes of longer ones.
+        let values: Vec<Value> = (0..20i64)
+            .map(|v| {
+                if v % 2 == 0 {
+                    Value::from(v)
+                } else {
+                    Value::from(format!("v{v}"))
+                }
             })
             .collect();
-        assert_eq!(rows, want);
-        for k in [0, 1, len / 2, len, len + 1] {
-            assert_eq!(ans.top_k(k), want[..k.min(len)], "k = {k}");
+        let mut ans = ProbabilisticAnswer::new();
+        let mut pick = 0usize;
+        for n in 0..90usize {
+            let arity = [20, 13, 17, 20, 12][n % 5];
+            let cells = (0..arity).map(|cell| {
+                pick = pick.wrapping_mul(31).wrapping_add(7 + cell + n);
+                let at = if cell < 14 {
+                    (n % 3 + cell) % 20
+                } else {
+                    pick % 20
+                };
+                values[at].clone()
+            });
+            ans.add(cells.collect(), [0.5, 0.25][n % 2]);
         }
+        let len = assert_wire_order(&ans);
+        assert!(len > 30, "{len} distinct rows");
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //!
 //! The paper's partition tree branches level by level on the source attribute assigned to the
 //! `k`-th query attribute; a root-to-leaf path is therefore a mapping's *signature* — the
-//! vector of those assignments — and each leaf bucket one partition.  The partitioner here keys
-//! a hash map by the signature directly, which is the tree with its interior nodes collapsed.
-//! Signatures borrow from the mappings (`Option<&AttrRef>`); no [`Mapping`] is cloned.
+//! vector of those assignments — and each leaf bucket one partition.  [`MappingSet`] holds
+//! every signature already, as integers: its `h × targets` matrix of source ids (0 for
+//! unmatched).  The partitioner resolves the query's attributes to matrix columns once, reads
+//! each mapping's ids at those columns, and sorts the mappings by them — the tree's leaves in
+//! order — stably, so each partition keeps its mappings in order.  No attribute name is
+//! compared or hashed per mapping, and no [`Mapping`] is cloned.
 
 use crate::query::TargetQuery;
 use crate::CoreResult;
-use std::collections::HashMap;
 use urm_matching::{Mapping, MappingSet};
 use urm_storage::AttrRef;
 
@@ -30,41 +32,50 @@ pub struct MappingPartition {
     pub probability: f64,
 }
 
-/// Partitions weighted mappings by how they translate the given query attributes
-/// (alias-qualified; the signature is built from the schema-level correspondences).
+/// Partitions some of a set's mappings by how they translate the given query attributes
+/// (alias-qualified; the set's matrix is indexed by the schema-level attributes).
 ///
-/// Partitions come in order of their first mapping, and each partition's indices (positions in
-/// `mappings`) ascend — so everything derived from the result is deterministic, and a weight
-/// summed over a partition is summed in mapping order.
-pub fn partition_by_attrs<'m>(
+/// `members` lists the mappings to partition as `(position in mappings, weight)`; a
+/// partition's indices are positions in `members`.  Partitions come in order of their first
+/// member, and each partition's indices ascend — so everything derived from the result is
+/// deterministic, and a weight summed over a partition is summed in member order.
+pub fn partition_on_attrs(
     query: &TargetQuery,
     attrs: &[AttrRef],
-    mappings: impl IntoIterator<Item = (&'m Mapping, f64)>,
+    mappings: &MappingSet,
+    members: impl IntoIterator<Item = (usize, f64)>,
 ) -> CoreResult<Vec<MappingPartition>> {
-    let schema_attrs: Vec<AttrRef> = attrs
-        .iter()
-        .map(|a| query.schema_attr(a))
-        .collect::<CoreResult<_>>()?;
-    let mut partitions: Vec<MappingPartition> = Vec::new();
-    let mut by_signature: HashMap<Vec<Option<&'m AttrRef>>, usize> = HashMap::new();
-    let mut signature: Vec<Option<&'m AttrRef>> = Vec::with_capacity(schema_attrs.len());
-    for (index, (mapping, weight)) in mappings.into_iter().enumerate() {
-        signature.clear();
-        signature.extend(schema_attrs.iter().map(|a| mapping.source_for(a)));
-        let slot = match by_signature.get(signature.as_slice()) {
-            Some(&slot) => slot,
-            None => {
-                by_signature.insert(signature.clone(), partitions.len());
-                partitions.push(MappingPartition {
-                    mapping_indices: Vec::new(),
-                    probability: 0.0,
-                });
-                partitions.len() - 1
-            }
-        };
-        partitions[slot].mapping_indices.push(index);
-        partitions[slot].probability += weight;
+    // An attribute no mapping covers is unmatched under all of them: it tells none apart.
+    let mut columns = Vec::with_capacity(attrs.len());
+    for attr in attrs {
+        if let Some(column) = mappings.target_column(&query.schema_attr(attr)?) {
+            columns.push(column);
+        }
     }
+    let width = columns.len();
+    let (mut weights, mut signatures) = (Vec::new(), Vec::new());
+    for (index, weight) in members {
+        let row = mappings.source_row(index);
+        signatures.extend(columns.iter().map(|&column| row[column]));
+        weights.push(weight);
+    }
+    let signature = |member: usize| &signatures[member * width..][..width];
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    // Stable: equal signatures keep member order.
+    order.sort_by(|&a, &b| signature(a).cmp(signature(b)));
+    let mut partitions: Vec<MappingPartition> = Vec::new();
+    for (at, &member) in order.iter().enumerate() {
+        if at == 0 || signature(order[at - 1]) != signature(member) {
+            partitions.push(MappingPartition {
+                mapping_indices: Vec::new(),
+                probability: 0.0,
+            });
+        }
+        let partition = partitions.last_mut().expect("pushed above");
+        partition.mapping_indices.push(member);
+        partition.probability += weights[member];
+    }
+    partitions.sort_unstable_by_key(|p| p.mapping_indices[0]);
     Ok(partitions)
 }
 
@@ -74,23 +85,36 @@ pub fn partition_mappings(
     query: &TargetQuery,
     mappings: &MappingSet,
 ) -> CoreResult<Vec<MappingPartition>> {
-    partition_by_attrs(
-        query,
-        &query.attributes_used(),
-        mappings.iter().map(|m| (m, m.probability())),
-    )
+    let members = mappings.iter().map(Mapping::probability).enumerate();
+    partition_on_attrs(query, &query.attributes_used(), mappings, members)
 }
 
-/// Selects one representative mapping per partition (its first), carrying the partition's
-/// total probability — the `represent` routine of Algorithm 1.
+/// A partition's representative mapping (its first), borrowed from the set, with its position
+/// there and the partition's total probability.
+#[derive(Debug, Clone, Copy)]
+pub struct Representative<'m> {
+    /// The mapping's position in its [`MappingSet`]: its row of the source-id matrix.
+    pub index: usize,
+    /// The mapping.
+    pub mapping: &'m Mapping,
+    /// The partition's total probability.
+    pub probability: f64,
+}
+
+/// Selects one representative mapping per partition of the whole set (its first), carrying
+/// the partition's total probability — the `represent` routine of Algorithm 1.
 #[must_use]
 pub fn representatives<'m>(
     partitions: &[MappingPartition],
     mappings: &'m MappingSet,
-) -> Vec<(&'m Mapping, f64)> {
+) -> Vec<Representative<'m>> {
     partitions
         .iter()
-        .map(|p| (&mappings.mappings()[p.mapping_indices[0]], p.probability))
+        .map(|p| Representative {
+            index: p.mapping_indices[0],
+            mapping: &mappings.mappings()[p.mapping_indices[0]],
+            probability: p.probability,
+        })
         .collect()
 }
 
@@ -146,12 +170,12 @@ mod tests {
         let partitions = partition_mappings(&query, &mappings).unwrap();
         let reps = representatives(&partitions, &mappings);
         assert_eq!(reps.len(), 3);
-        let total: f64 = reps.iter().map(|(_, p)| p).sum();
+        let total: f64 = reps.iter().map(|rep| rep.probability).sum();
         assert!((total - 1.0).abs() < 1e-9);
         // A representative is its partition's first mapping, borrowed from the set.
-        for ((rep, _), partition) in reps.iter().zip(&partitions) {
-            let first = &mappings.mappings()[partition.mapping_indices[0]];
-            assert!(std::ptr::eq(*rep, first));
+        for (rep, partition) in reps.iter().zip(&partitions) {
+            assert_eq!(rep.index, partition.mapping_indices[0]);
+            assert!(std::ptr::eq(rep.mapping, &mappings.mappings()[rep.index]));
         }
     }
 
@@ -160,8 +184,8 @@ mod tests {
         // A query that mentions no attribute cannot tell any two mappings apart.
         let query = testkit::q1();
         let mappings = testkit::figure3_mappings();
-        let weighted = mappings.iter().map(|m| (m, m.probability()));
-        let partitions = partition_by_attrs(&query, &[], weighted).unwrap();
+        let weighted = mappings.iter().map(|m| m.probability()).enumerate();
+        let partitions = partition_on_attrs(&query, &[], &mappings, weighted).unwrap();
         assert_eq!(partitions.len(), 1);
         assert_eq!(partitions[0].mapping_indices, [0, 1, 2, 3, 4]);
     }
@@ -172,8 +196,8 @@ mod tests {
         let mappings = testkit::figure3_mappings();
         // Partition only on Person.phone: m1,m2,m3,m5 map it to ophone; m4 to hphone.
         let attrs = vec![AttrRef::new("Person", "phone")];
-        let weighted = mappings.iter().map(|m| (m, m.probability()));
-        let partitions = partition_by_attrs(&query, &attrs, weighted).unwrap();
+        let weighted = mappings.iter().map(|m| m.probability()).enumerate();
+        let partitions = partition_on_attrs(&query, &attrs, &mappings, weighted).unwrap();
         assert_eq!(partitions.len(), 2);
         let sizes: Vec<usize> = {
             let mut v: Vec<usize> = partitions.iter().map(|p| p.mapping_indices.len()).collect();

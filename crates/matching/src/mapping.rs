@@ -110,9 +110,9 @@ impl Mapping {
             .collect()
     }
 
-    /// The target attributes covered by this mapping.
-    pub fn target_attributes(&self) -> impl Iterator<Item = &AttrRef> {
-        self.by_target.keys()
+    /// The `(target, source)` attribute pairs of this mapping, sorted by target attribute.
+    pub fn pairs(&self) -> impl Iterator<Item = (&AttrRef, &AttrRef)> {
+        self.by_target.iter().map(|(t, (s, _))| (t, s))
     }
 
     /// Verifies the one-to-one property: no source attribute is matched to two target

@@ -3,14 +3,32 @@
 use crate::murty::k_best_assignments;
 use crate::{Correspondence, Mapping, MatchingError, MatchingResult, SimilarityMatrix};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 use urm_storage::AttrRef;
 
 /// The uncertain matching `M = {m_1, …, m_h}`: mutually exclusive possible mappings whose
 /// probabilities sum to one.
+///
+/// Beside the mappings the set keeps the paper's partition input as integers: it numbers the
+/// target attributes its mappings cover (sorted) and the distinct source attributes they use
+/// (from 1, in order of first appearance), and holds an `h × targets` matrix whose cell
+/// `(i, j)` is the id of the source attribute mapping `i` assigns to target attribute `j` — 0
+/// where `m_i` leaves it unmatched.  Two mappings translate a set of target attributes alike
+/// exactly when their rows agree at those columns, so partitioning
+/// ([`source_row`](MappingSet::source_row)) compares `u16`s, not attribute names.  Every
+/// constructor builds the matrix, and no method mutates the mappings, so it always describes
+/// them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MappingSet {
     mappings: Vec<Mapping>,
+    /// The target attributes some mapping covers, sorted: the matrix's columns.
+    targets: Vec<AttrRef>,
+    /// The source attributes some mapping uses, in order of first appearance: id `i + 1` is
+    /// `sources[i]`.
+    sources: Vec<AttrRef>,
+    /// The matrix, row by row: `targets.len()` source ids per mapping.
+    source_ids: Vec<u16>,
 }
 
 impl MappingSet {
@@ -40,7 +58,7 @@ impl MappingSet {
                 m.set_probability(p);
             }
         }
-        MappingSet { mappings }
+        MappingSet::indexed(mappings)
     }
 
     /// Builds a mapping set directly from explicit `(mapping, probability)` data without
@@ -51,7 +69,59 @@ impl MappingSet {
         if (sum - 1.0).abs() > 1e-6 {
             return Err(MatchingError::InvalidDistribution { sum });
         }
-        Ok(MappingSet { mappings })
+        Ok(MappingSet::indexed(mappings))
+    }
+
+    /// Wraps `mappings` as they are, numbering their attributes and filling the source-id
+    /// matrix.
+    ///
+    /// # Panics
+    ///
+    /// If the mappings use more than `u16::MAX` distinct source attributes.
+    fn indexed(mappings: Vec<Mapping>) -> Self {
+        let mut targets: Vec<&AttrRef> = Vec::new();
+        let mut columns: HashMap<&AttrRef, usize> = HashMap::new();
+        let mut sources: Vec<&AttrRef> = Vec::new();
+        let mut ids: HashMap<&AttrRef, u16> = HashMap::new();
+        // Per pair in mapping order: its column in order of first appearance, and its id.
+        let mut cells: Vec<(usize, u16)> = Vec::new();
+        for (target, source) in mappings.iter().flat_map(Mapping::pairs) {
+            let column = *columns.entry(target).or_insert_with(|| {
+                targets.push(target);
+                targets.len() - 1
+            });
+            let id = *ids.entry(source).or_insert_with(|| {
+                sources.push(source);
+                u16::try_from(sources.len()).expect("at most u16::MAX distinct source attributes")
+            });
+            cells.push((column, id));
+        }
+        // Columns in target order.
+        let mut order: Vec<usize> = (0..targets.len()).collect();
+        order.sort_unstable_by_key(|&column| targets[column]);
+        let mut sorted_column = vec![0; order.len()];
+        for (at, &column) in order.iter().enumerate() {
+            sorted_column[column] = at;
+        }
+        let width = targets.len();
+        let mut source_ids = vec![0u16; mappings.len() * width];
+        let mut cells = cells.into_iter();
+        for (index, mapping) in mappings.iter().enumerate() {
+            for (column, id) in cells.by_ref().take(mapping.len()) {
+                source_ids[index * width + sorted_column[column]] = id;
+            }
+        }
+        let targets = order
+            .iter()
+            .map(|&column| targets[column].clone())
+            .collect();
+        let sources = sources.into_iter().cloned().collect();
+        MappingSet {
+            mappings,
+            targets,
+            sources,
+            source_ids,
+        }
     }
 
     /// Generates the `h` highest-scoring possible mappings from a similarity matrix, with
@@ -165,16 +235,42 @@ impl MappingSet {
         MappingSet::new(self.mappings.iter().take(n).cloned().collect())
     }
 
-    /// All target attributes covered by at least one mapping.
+    /// All target attributes covered by at least one mapping, sorted: the columns of the
+    /// source-id matrix.
     #[must_use]
-    pub fn covered_target_attributes(&self) -> Vec<AttrRef> {
-        let mut set = std::collections::BTreeSet::new();
-        for m in &self.mappings {
-            for t in m.target_attributes() {
-                set.insert(t.clone());
-            }
-        }
-        set.into_iter().collect()
+    pub fn covered_target_attributes(&self) -> &[AttrRef] {
+        &self.targets
+    }
+
+    /// The source attributes the mappings use, in order of first appearance (mapping by
+    /// mapping, each by target attribute): source id `i + 1` names `source_attributes()[i]`.
+    #[must_use]
+    pub fn source_attributes(&self) -> &[AttrRef] {
+        &self.sources
+    }
+
+    /// The matrix column of a target attribute, or `None` when no mapping covers it.
+    #[must_use]
+    pub fn target_column(&self, target: &AttrRef) -> Option<usize> {
+        self.targets.binary_search(target).ok()
+    }
+
+    /// Mapping `index`'s row of the source-id matrix: per covered target attribute, in
+    /// [`covered_target_attributes`](MappingSet::covered_target_attributes) order, the id of
+    /// the source attribute the mapping assigns to it, or 0 if it leaves it unmatched.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not a mapping's position.
+    #[must_use]
+    pub fn source_row(&self, index: usize) -> &[u16] {
+        assert!(
+            index < self.mappings.len(),
+            "mapping {index} of {}",
+            self.mappings.len()
+        );
+        let width = self.targets.len();
+        &self.source_ids[index * width..][..width]
     }
 }
 
@@ -333,6 +429,30 @@ mod tests {
         let covered = set.covered_target_attributes();
         assert!(covered.contains(&AttrRef::new("Person", "phone")));
         assert!(covered.contains(&AttrRef::new("Person", "addr")));
+    }
+
+    #[test]
+    fn the_matrix_numbers_targets_and_sources_and_holds_each_assignment() {
+        let set = MappingSet::top_h(&paper_similarity(), 5).unwrap();
+        let targets: Vec<String> = set
+            .covered_target_attributes()
+            .iter()
+            .map(AttrRef::qualified)
+            .collect();
+        assert_eq!(targets, ["Person.addr", "Person.phone", "Person.pname"]);
+        let sources = set.source_attributes();
+        let first = set.mappings()[0].pairs().map(|(_, source)| source);
+        assert!(first.eq(&sources[..set.mappings()[0].len()]));
+        assert_eq!(set.target_column(&AttrRef::new("Person", "phone")), Some(1));
+        assert_eq!(set.target_column(&AttrRef::new("Person", "gender")), None);
+        for (index, mapping) in set.iter().enumerate() {
+            let row = set.source_row(index);
+            assert_eq!(row.len(), 3);
+            for (target, &id) in set.covered_target_attributes().iter().zip(row) {
+                let source = (id > 0).then(|| &sources[usize::from(id) - 1]);
+                assert_eq!(source, mapping.source_for(target));
+            }
+        }
     }
 
     #[test]

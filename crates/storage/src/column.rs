@@ -5,13 +5,15 @@
 //! [`ColumnarRelation`] re-shapes a row [`Relation`] into per-column typed vectors — `i64`,
 //! `f64` and `bool` columns as flat vectors plus null bitmaps, text columns
 //! dictionary-encoded as `u32` codes — so those operators can run as tight per-column loops
-//! driven by selection vectors.  Columns are classified by the *values actually present*
-//! (not the declared schema type): a column whose non-null values are all `Int` becomes an
-//! [`Column::Int`] vector even if the schema declares `Float` (which accepts ints).  Columns
-//! mixing variants, and text columns whose distinct-string count overflows the dictionary
-//! limit, fall back to [`Column::Mixed`] plain value storage — so reconstruction via
-//! [`Column::value_at`] is always *exactly* the original [`Value`] sequence, bit-for-bit
-//! (float NaN payloads and `-0.0` included).
+//! driven by selection vectors.  The conversion borrows the rows' cells: a column is built
+//! from references into the row buffer, a string is shared into its dictionary the first time
+//! it is met, and only a [`Column::Mixed`] fallback copies values.  Columns are classified by
+//! the *values actually present* (not the declared schema type): a column whose non-null
+//! values are all `Int` becomes an [`Column::Int`] vector even if the schema declares `Float`
+//! (which accepts ints).  Columns mixing variants, and text columns whose distinct-string
+//! count overflows the dictionary limit, fall back to [`Column::Mixed`] plain value storage —
+//! so reconstruction via [`Column::value_at`] is always *exactly* the original [`Value`]
+//! sequence, bit-for-bit (float NaN payloads and `-0.0` included).
 //!
 //! A `ColumnarRelation` keeps a strong reference to the `Arc<Vec<Tuple>>` it was built from, so
 //! engines can hand out zero-copy row views of a scanned base relation while running the
@@ -133,11 +135,15 @@ pub enum Column {
 }
 
 impl Column {
-    /// Builds a column from a materialised value vector, classifying by the variants actually
-    /// present.  `dict_limit` bounds the text dictionary; overflow falls back to
-    /// [`Column::Mixed`].
+    /// Builds a column from its cells, read by reference, classifying by the variants actually
+    /// present.  `dict_limit` bounds the text dictionary (sized up front for the smaller of
+    /// the row count and the limit); overflow falls back to [`Column::Mixed`] — the one kind
+    /// of column that clones its cells.
     #[must_use]
-    pub fn from_values(values: Vec<Value>, dict_limit: usize) -> Column {
+    pub fn from_cells<'a, I>(cells: I, dict_limit: usize) -> Column
+    where
+        I: ExactSizeIterator<Item = &'a Value> + Clone,
+    {
         #[derive(PartialEq, Clone, Copy)]
         enum Kind {
             Unknown,
@@ -148,7 +154,7 @@ impl Column {
         }
         let mut kind = Kind::Unknown;
         let mut has_null = false;
-        for v in &values {
+        for v in cells.clone() {
             let this = match v {
                 Value::Null => {
                     has_null = true;
@@ -162,10 +168,10 @@ impl Column {
             if kind == Kind::Unknown {
                 kind = this;
             } else if kind != this {
-                return Column::Mixed(values);
+                return Column::Mixed(cells.cloned().collect());
             }
         }
-        let n = values.len();
+        let n = cells.len();
         let mut nulls = if has_null {
             Some(NullBitmap::new(n))
         } else {
@@ -180,7 +186,7 @@ impl Column {
             // An all-null column is a degenerate int column under a full mask.
             Kind::Unknown | Kind::Int => {
                 let mut out = Vec::with_capacity(n);
-                for (i, v) in values.iter().enumerate() {
+                for (i, v) in cells.enumerate() {
                     match v {
                         Value::Int(x) => out.push(*x),
                         _ => {
@@ -193,7 +199,7 @@ impl Column {
             }
             Kind::Float => {
                 let mut out = Vec::with_capacity(n);
-                for (i, v) in values.iter().enumerate() {
+                for (i, v) in cells.enumerate() {
                     match v {
                         Value::Float(x) => out.push(*x),
                         _ => {
@@ -206,7 +212,7 @@ impl Column {
             }
             Kind::Bool => {
                 let mut out = Vec::with_capacity(n);
-                for (i, v) in values.iter().enumerate() {
+                for (i, v) in cells.enumerate() {
                     match v {
                         Value::Bool(x) => out.push(*x),
                         _ => {
@@ -218,13 +224,13 @@ impl Column {
                 Column::Bool { values: out, nulls }
             }
             Kind::Text => {
-                let mut dict = Dictionary::new();
+                let mut dict = Dictionary::with_capacity(n.min(dict_limit));
                 let mut codes = Vec::with_capacity(n);
-                for (i, v) in values.iter().enumerate() {
+                for (i, v) in cells.clone().enumerate() {
                     match v {
                         Value::Text(s) => match dict.intern_within(s, dict_limit) {
                             Some(code) => codes.push(code),
-                            None => return Column::Mixed(values),
+                            None => return Column::Mixed(cells.cloned().collect()),
                         },
                         _ => {
                             codes.push(0);
@@ -329,17 +335,19 @@ impl ColumnarRelation {
 
     /// Converts a relation, bounding each text column's dictionary at `dict_limit` distinct
     /// strings (overflowing columns stay as plain values).
+    ///
+    /// Each column's cells are read in place, by reference ([`Column::from_cells`]); a text
+    /// cell's string is shared into the dictionary the first time it is met, and only a
+    /// [`Column::Mixed`] column copies its cells.  A cell past a row's end reads NULL.
     #[must_use]
     pub fn from_relation_with_limit(rel: &Relation, dict_limit: usize) -> Self {
+        static NULL: Value = Value::Null;
         let arity = rel.schema().arity();
         let source = rel.shared_rows();
         let columns = (0..arity)
             .map(|pos| {
-                let values: Vec<Value> = source
-                    .iter()
-                    .map(|t| t.get(pos).cloned().unwrap_or(Value::Null))
-                    .collect();
-                Arc::new(Column::from_values(values, dict_limit))
+                let cells = source.iter().map(move |t| t.get(pos).unwrap_or(&NULL));
+                Arc::new(Column::from_cells(cells, dict_limit))
             })
             .collect();
         ColumnarRelation { source, columns }

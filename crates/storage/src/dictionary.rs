@@ -11,13 +11,13 @@
 //! code says nothing about equality *across* columns — and the answers of a probabilistic
 //! query are exactly that, rows read from the different source columns two mappings send one
 //! target attribute to.  What is comparable across columns is the string's
-//! [`value_hash`](crate::value_hash), a function of the bytes alone; a dictionary computes it
-//! once per entry, the first time anything asks ([`Dictionary::value_hashes`]), so an answer
-//! interns an entry into its own value pool without hashing a byte, and converting a relation
-//! never pays for it.
+//! [`value_hash`](crate::value_hash), a function of the bytes alone.  A dictionary finds its
+//! entries by that very hash ([`text_hash`]): a string is hashed once per lookup, not once
+//! more when it is new, and each entry keeps the hash it was interned under beside its code.
+//! [`Dictionary::value_hashes`] gathers them by code the first time anything asks, so an
+//! answer interns an entry into its own value pool without hashing a byte.
 
-use crate::{value_hash, Value};
-use std::collections::HashMap;
+use crate::text_hash;
 use std::sync::{Arc, OnceLock};
 
 /// Default bound on distinct strings per column dictionary; columns with more distinct values
@@ -25,13 +25,24 @@ use std::sync::{Arc, OnceLock};
 /// distinct strings) while bounding worst-case dictionary memory.
 pub const DEFAULT_DICT_LIMIT: usize = 1 << 16;
 
+/// A slot of a dictionary's index: an entry's code and hash, or no entry (`code == FREE`).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    code: u32,
+    hash: u64,
+}
+
+const FREE: u32 = u32::MAX;
+
 /// An order-of-first-appearance string dictionary: code `i` is the `i`-th distinct string
 /// interned.  Codes are dense (`0..len`).
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
-    /// `value_hash` of every entry, by code; filled on first use, dropped when an entry is
+    /// Open-addressed table of every entry's code and [`text_hash`], at most half full (empty
+    /// until the first entry).
+    slots: Vec<Slot>,
+    /// The hashes by code; gathered from the slots on first use, dropped when an entry is
     /// added.
     hashes: OnceLock<Box<[u64]>>,
 }
@@ -43,38 +54,113 @@ impl Dictionary {
         Dictionary::default()
     }
 
+    /// An empty dictionary with room for `capacity` entries: filling it to that allocates
+    /// nothing more.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        let mut dict = Dictionary {
+            values: Vec::with_capacity(capacity),
+            ..Dictionary::default()
+        };
+        dict.reserve_slots(capacity);
+        dict
+    }
+
     /// Rebuilds a dictionary from its dense code table (decoded spill segments).
     ///
     /// Entry `i` becomes code `i`; duplicate entries keep the first code, which preserves
     /// lookups even for degenerate tables.
     #[must_use]
     pub fn from_values(values: Vec<Arc<str>>) -> Self {
-        let mut index = HashMap::with_capacity(values.len());
-        for (i, s) in values.iter().enumerate() {
-            index.entry(Arc::clone(s)).or_insert(i as u32);
+        let mut dict = Dictionary::with_capacity(values.len());
+        for s in values {
+            let hash = text_hash(&s);
+            // A repeat goes to the end of its chain, behind the first.
+            let slot = match dict.probe(hash, &s) {
+                Ok(_) => dict.free_slot(hash),
+                Err(slot) => slot,
+            };
+            dict.push(slot, hash, s);
         }
-        Dictionary {
-            values,
-            index,
-            hashes: OnceLock::new(),
-        }
+        dict
     }
 
     /// Interns a string, returning its code — or `None` when the string is new and the
     /// dictionary already holds `limit` distinct entries (the caller falls back to a plain
-    /// column).
+    /// column).  The string is hashed once, and its `Arc` cloned only if it is new.
     pub fn intern_within(&mut self, s: &Arc<str>, limit: usize) -> Option<u32> {
-        if let Some(&code) = self.index.get(s) {
-            return Some(code);
-        }
+        let hash = text_hash(s);
+        let mut slot = match self.probe(hash, s) {
+            Ok(code) => return Some(code),
+            Err(slot) => slot,
+        };
         if self.values.len() >= limit {
             return None;
         }
-        let code = self.values.len() as u32;
-        self.values.push(Arc::clone(s));
-        self.index.insert(Arc::clone(s), code);
+        if self.slots.len() < (self.values.len() + 1) * 2 {
+            self.reserve_slots(self.values.len() + 1);
+            slot = self.free_slot(hash);
+        }
+        Some(self.push(slot, hash, Arc::clone(s)))
+    }
+
+    /// `Ok(code)` of `s`, or `Err(slot)`: the free slot that ends its chain.
+    fn probe(&self, hash: u64, s: &str) -> Result<u32, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot.code == FREE {
+                return Err(at);
+            }
+            if slot.hash == hash && *self.values[slot.code as usize] == *s {
+                return Ok(slot.code);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The free slot at the end of `hash`'s chain.
+    fn free_slot(&self, hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.slots[at].code != FREE {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Appends `s` as the next code, at the free `slot`.
+    fn push(&mut self, slot: usize, hash: u64, s: Arc<str>) -> u32 {
+        let code = u32::try_from(self.values.len())
+            .ok()
+            .filter(|&code| code != FREE)
+            .expect("fewer than 2^32 - 1 dictionary entries");
+        self.slots[slot] = Slot { code, hash };
+        self.values.push(s);
         self.hashes.take();
-        Some(code)
+        code
+    }
+
+    /// Grows the index to hold `entries` entries at most half full, re-placing the current
+    /// ones by their kept hashes.
+    fn reserve_slots(&mut self, entries: usize) {
+        let needed = (entries * 2).next_power_of_two().max(16);
+        if needed <= self.slots.len() {
+            return;
+        }
+        let free = Slot {
+            code: FREE,
+            hash: 0,
+        };
+        let old = std::mem::replace(&mut self.slots, vec![free; needed]);
+        for slot in old.into_iter().filter(|slot| slot.code != FREE) {
+            let at = self.free_slot(slot.hash);
+            self.slots[at] = slot;
+        }
     }
 
     /// The string for a code, if in range.
@@ -86,7 +172,7 @@ impl Dictionary {
     /// Looks up the code of a string already interned.
     #[must_use]
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
+        self.probe(text_hash(s), s).ok()
     }
 
     /// Number of distinct entries.
@@ -107,19 +193,24 @@ impl Dictionary {
         &self.values
     }
 
-    /// [`value_hash`](crate::value_hash) of every entry as a `Value::Text`, by code: computed
-    /// on the first call, a slice borrow on every later one.
+    /// [`value_hash`](crate::value_hash) of every entry as a `Value::Text`, by code: gathered
+    /// from the index on the first call, a slice borrow on every later one.
     #[must_use]
     pub fn value_hashes(&self) -> &[u64] {
-        let hash = |s: &Arc<str>| value_hash(&Value::Text(Arc::clone(s)));
-        self.hashes
-            .get_or_init(|| self.values.iter().map(hash).collect())
+        self.hashes.get_or_init(|| {
+            let mut hashes = vec![0; self.values.len()].into_boxed_slice();
+            for slot in self.slots.iter().filter(|slot| slot.code != FREE) {
+                hashes[slot.code as usize] = slot.hash;
+            }
+            hashes
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{value_hash, Value};
 
     fn arc(s: &str) -> Arc<str> {
         Arc::from(s)
@@ -164,6 +255,29 @@ mod tests {
         d.intern_within(&arc("c"), 16).unwrap();
         assert_eq!(d.value_hashes(), [of("a"), of("b"), of("c")]);
         assert_eq!(d.clone().value_hashes(), d.value_hashes());
+    }
+
+    #[test]
+    fn growing_past_the_reserved_room_keeps_every_code() {
+        for mut d in [Dictionary::new(), Dictionary::with_capacity(3)] {
+            let strings: Vec<Arc<str>> = (0..100).map(|i| arc(&format!("s{i}"))).collect();
+            for (code, s) in strings.iter().enumerate() {
+                assert_eq!(d.intern_within(s, 1000), Some(code as u32));
+            }
+            for (code, s) in strings.iter().enumerate() {
+                assert_eq!(d.intern_within(s, 0), Some(code as u32));
+                assert_eq!(d.code_of(s), Some(code as u32));
+            }
+            assert_eq!(d.len(), 100);
+        }
+    }
+
+    #[test]
+    fn from_values_keeps_the_first_code_of_a_repeated_entry() {
+        let d = Dictionary::from_values(vec![arc("a"), arc("b"), arc("a")]);
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.code_of("a"), Some(0));
+        assert_eq!(d.get(2).map(|s| &**s), Some("a"));
     }
 
     #[test]

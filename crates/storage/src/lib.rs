@@ -81,5 +81,5 @@ pub use shard::ShardScheme;
 pub use spill::{BufferPool, SpillStats, SpillableRelation, DEFAULT_PAGE_BYTES};
 pub use tuple::Tuple;
 pub use types::DataType;
-pub use value::{hash_keys, value_hash, Value};
+pub use value::{hash_keys, text_hash, value_hash, Value};
 pub use view::{ColumnRef, ColumnView};

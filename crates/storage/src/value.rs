@@ -172,6 +172,7 @@ impl Hash for Value {
                     f.to_bits().hash(state);
                 }
             }
+            // As `text_hash` spells it.
             Value::Text(s) => {
                 state.write_u8(4);
                 s.hash(state);
@@ -197,6 +198,15 @@ pub fn hash_keys() -> &'static RandomState {
 #[must_use]
 pub fn value_hash(value: &Value) -> u64 {
     hash_keys().hash_one(value)
+}
+
+/// [`value_hash`] of `Value::Text(s)`, hashed from the borrowed string.
+#[must_use]
+pub fn text_hash(s: &str) -> u64 {
+    let mut state = hash_keys().build_hasher();
+    state.write_u8(4);
+    s.hash(&mut state);
+    state.finish()
 }
 
 impl fmt::Display for Value {
@@ -331,6 +341,9 @@ mod tests {
             value_hash(&Value::from("1")),
             value_hash(&Value::from(1i64))
         );
+        for s in ["", "a", "ab\u{e9}"] {
+            assert_eq!(text_hash(s), value_hash(&Value::from(s)));
+        }
     }
 
     #[test]
