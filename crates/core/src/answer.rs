@@ -33,8 +33,8 @@
 //!   order, and entries sort on one integer key — the probability's bits in
 //!   [`f64::total_cmp`]'s order, above the row's ranks packed in as few bits as the pool
 //!   needs — the order of `(probability, Tuple)` pairs, without comparing a float or a value
-//!   twice.  When every row fits 64 bits of ranks the keys alone decide; longer rows are
-//!   compared past their keys only where the keys tie.  The wire
+//!   twice.  Rows are compared cell by cell only where their keys tie: a row that fits 64
+//!   bits of ranks lies whole in its key, and a longer one is compared past it.  The wire
 //!   renderer ([`sorted_rows`](ProbabilisticAnswer::sorted_rows) over
 //!   [`values`](ProbabilisticAnswer::values)) escapes each pool value once and writes rows of
 //!   fragments.
@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
-use urm_storage::{value_hash, Column, ColumnRef, ColumnView, Relation, Tuple, Value};
+use urm_storage::{value_hash, Column, ColumnRef, ColumnView, HashIndex, Relation, Tuple, Value};
 
 /// How many [`Tuple`]s this process has built out of [`ProbabilisticAnswer`]s — for `iter`,
 /// `sorted`, `top_k`, `Debug` and the like.  Accumulating, merging, comparing and rendering an
@@ -197,63 +197,8 @@ impl<'r> From<&'r [Tuple]> for AnswerRows<'r> {
     }
 }
 
-/// A slot no item occupies, in a [`HashIndex`] or a code table.
+/// A pool id no value holds: a code table's mark for a code not met yet.
 const FREE: u32 = u32::MAX;
-
-/// An open-addressed index from hash to position in a `Vec` kept beside it (the pool's values,
-/// the answer's entries), at most half full.  It stores positions only: the owner keeps each
-/// item's hash and says what matches.
-#[derive(Clone, Default)]
-struct HashIndex {
-    slots: Vec<u32>,
-}
-
-impl HashIndex {
-    /// Where an item with this hash is, or goes: `Ok(position)` of the item `is_match`
-    /// accepts, `Err(slot)` for the free slot that ends its chain.  An index nothing was
-    /// reserved in holds nothing.
-    fn probe(&self, hash: u64, is_match: impl Fn(usize) -> bool) -> Result<usize, usize> {
-        if self.slots.is_empty() {
-            return Err(0);
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.slots[slot] {
-                FREE => return Err(slot),
-                item if is_match(item as usize) => return Ok(item as usize),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// Keeps the index at most half full with `additional` more items than the `len` it
-    /// holds; `hash_of` re-reads the hash of the item at a position when the table grows.
-    fn reserve(&mut self, len: usize, additional: usize, hash_of: impl Fn(usize) -> u64) {
-        let needed = (len + additional) * 2;
-        if needed <= self.slots.len() {
-            return;
-        }
-        let mask = needed.next_power_of_two().max(16) - 1;
-        self.slots.clear();
-        self.slots.resize(mask + 1, FREE);
-        for item in 0..len {
-            let mut slot = hash_of(item) as usize & mask;
-            while self.slots[slot] != FREE {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = item as u32; // `occupy` let no position past `u32`
-        }
-    }
-
-    /// Puts the item about to be pushed at position `len` into the free `slot` its probe
-    /// ended at, and returns the position as the item's id.
-    fn occupy(&mut self, slot: usize, len: usize) -> u32 {
-        let id = u32::try_from(len).ok().filter(|&id| id != FREE);
-        self.slots[slot] = id.expect("fewer than 2^32 - 1 items");
-        self.slots[slot]
-    }
-}
 
 /// The distinct values of one answer.  A value's id is its position; it is found by its
 /// (masked) [`value_hash`] and `Value`'s own equality, and keeps the spelling it came with.
@@ -391,8 +336,7 @@ struct RowIndex {
 /// An entry's place in the wire order as one integer — its probability's position in `f64`'s
 /// total order, reversed, above its row's value ranks, packed in as few bits as the pool
 /// needs (the whole row when it fits 64 bits, else its first cells) — and the entry.  Only
-/// rows longer than their key that tie on all of it are compared cell by cell: no float is
-/// compared.
+/// rows that tie on all of it are compared cell by cell: no float is compared.
 struct SortKey {
     key: u128,
     entry: u32,
@@ -718,28 +662,20 @@ impl ProbabilisticAnswer {
                 }
             })
             .collect();
-        if self.entries.iter().all(|e| e.arity as usize <= cells) {
-            // Every row lies whole in its key: keys tie only on rows that rank alike.
-            let order = |key: &SortKey| (key.key, key.entry);
-            if 0 < k && k < keys.len() {
-                keys.select_nth_unstable_by_key(k - 1, order);
-            }
-            keys.truncate(k);
-            keys.sort_unstable_by_key(order);
-        } else {
-            // Rows longer than a key are compared past it when their keys tie.
-            let order = |a: &SortKey, b: &SortKey| -> Ordering {
-                a.key
-                    .cmp(&b.key)
-                    .then_with(|| rank_row(a.entry).cmp(rank_row(b.entry)))
-                    .then(a.entry.cmp(&b.entry))
-            };
-            if 0 < k && k < keys.len() {
-                keys.select_nth_unstable_by(k - 1, order);
-            }
-            keys.truncate(k);
-            keys.sort_unstable_by(order);
+        // Keys tie only on rows that rank alike as far as the key reaches: rows longer than a
+        // key are compared past it.  Rows are distinct, so the order is total and unstable
+        // sorting is exact.
+        let order = |a: &SortKey, b: &SortKey| -> Ordering {
+            a.key
+                .cmp(&b.key)
+                .then_with(|| rank_row(a.entry).cmp(rank_row(b.entry)))
+                .then(a.entry.cmp(&b.entry))
+        };
+        if 0 < k && k < keys.len() {
+            keys.select_nth_unstable_by(k - 1, order);
         }
+        keys.truncate(k);
+        keys.sort_unstable_by(order);
         keys.into_iter().map(|key| key.entry as usize).collect()
     }
 
@@ -1038,9 +974,11 @@ fn aggregate_into(
                 }
             });
         }
-        // Room for every row of the product, where the allocator grants it.
+        // The first group's rows are all new entries (its factors' rows are distinct, and no
+        // entry came before them): room for every one, where the allocator grants it.  A later
+        // group may meet its rows again, so its entries grow as they come.
         let product = factors.iter().try_fold(1usize, |n, f| n.checked_mul(f.len));
-        if let Some(product) = product {
+        if let (0, Some(product)) = (g, product) {
             let _ = produced_by.try_reserve(product);
             answer.reserve_rows(product, row.len());
         }
@@ -1854,6 +1792,37 @@ mod tests {
         assert!(got.approx_eq(&want, 0.0) && want.approx_eq(&got, 0.0));
         let (colliding, _) = aggregate_with_colliding_hashes(&clusters, 0.25);
         assert_eq!(format!("{colliding:?}"), format!("{got:?}"));
+    }
+
+    #[test]
+    fn only_rows_sure_to_be_new_are_reserved_for() {
+        use urm_storage::{Attribute, DataType, Schema};
+        // Two factors of the same thirty values, read as (a, b) by one cluster and as (b, a)
+        // by another: the second group meets all 900 rows of the first again.
+        let factor = |name: &str| {
+            let attrs = vec![Attribute::new(format!("{name}.c"), DataType::Int)];
+            let rows = (0..30i64)
+                .map(|v| Tuple::new(vec![Value::from(v)]))
+                .collect();
+            Relation::from_validated(Schema::new(name, attrs), rows)
+        };
+        let (a, b) = (factor("A"), factor("B"));
+        let name = |r: &Relation| Some(r.schema().attributes()[0].name.clone());
+        let ab = Extraction::Columns(vec![name(&a), name(&b)]);
+        let ba = Extraction::Columns(vec![name(&b), name(&a)]);
+        let clusters: Vec<Cluster<'_>> = [(&ab, 0.75), (&ba, 0.25)]
+            .into_iter()
+            .map(|(extraction, probability)| Cluster {
+                probability,
+                extraction,
+                factors: vec![vec![&a], vec![&b]],
+            })
+            .collect();
+        let (got, work) = aggregate(&clusters, 0.0);
+        assert_eq!((work.rows, got.len()), (1800, 900));
+        assert!(got.iter().all(|(_, p)| p == 1.0));
+        let room = (got.entries.capacity(), got.ids.capacity());
+        assert!(room.0 < 2 * 900 && room.1 < 2 * 1800, "{room:?}");
     }
 
     #[test]

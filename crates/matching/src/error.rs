@@ -34,6 +34,11 @@ pub enum MatchingError {
     },
     /// The similarity matrix has no positive entries, so no mapping can be generated.
     EmptySimilarity,
+    /// The mappings use more distinct source attributes than a mapping set numbers.
+    TooManySourceAttributes {
+        /// The most distinct source attributes a mapping set holds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for MatchingError {
@@ -53,6 +58,12 @@ impl fmt::Display for MatchingError {
             }
             MatchingError::EmptySimilarity => {
                 write!(f, "similarity matrix has no positive entries")
+            }
+            MatchingError::TooManySourceAttributes { limit } => {
+                write!(
+                    f,
+                    "mappings use more than {limit} distinct source attributes"
+                )
             }
         }
     }
@@ -89,5 +100,8 @@ mod tests {
         }
         .to_string()
         .contains("h must be positive"));
+        assert!(MatchingError::TooManySourceAttributes { limit: 65_535 }
+            .to_string()
+            .contains("65535"));
     }
 }

@@ -3,6 +3,7 @@
 use crate::murty::k_best_assignments;
 use crate::{Correspondence, Mapping, MatchingError, MatchingResult, SimilarityMatrix};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use urm_storage::AttrRef;
@@ -38,8 +39,20 @@ impl MappingSet {
     /// the total score of the `h` retained mappings.  If every probability is zero the mappings
     /// are weighted by score instead; if scores are also all zero a uniform distribution is
     /// used.
+    ///
+    /// # Panics
+    ///
+    /// If the mappings use more than `u16::MAX` distinct source attributes (the matrix's ids
+    /// are `u16`s); [`top_h`](MappingSet::top_h) and
+    /// [`from_explicit`](MappingSet::from_explicit) return
+    /// [`MatchingError::TooManySourceAttributes`] instead.
     #[must_use]
-    pub fn new(mut mappings: Vec<Mapping>) -> Self {
+    pub fn new(mappings: Vec<Mapping>) -> Self {
+        MappingSet::normalised(mappings).expect("at most u16::MAX distinct source attributes")
+    }
+
+    /// [`new`](MappingSet::new), or the error of a set too wide for the matrix.
+    fn normalised(mut mappings: Vec<Mapping>) -> MatchingResult<Self> {
         let prob_sum: f64 = mappings.iter().map(Mapping::probability).sum();
         if prob_sum > 0.0 {
             for m in &mut mappings {
@@ -69,16 +82,12 @@ impl MappingSet {
         if (sum - 1.0).abs() > 1e-6 {
             return Err(MatchingError::InvalidDistribution { sum });
         }
-        Ok(MappingSet::indexed(mappings))
+        MappingSet::indexed(mappings)
     }
 
     /// Wraps `mappings` as they are, numbering their attributes and filling the source-id
-    /// matrix.
-    ///
-    /// # Panics
-    ///
-    /// If the mappings use more than `u16::MAX` distinct source attributes.
-    fn indexed(mappings: Vec<Mapping>) -> Self {
+    /// matrix — or fails if they use more than `u16::MAX` distinct source attributes.
+    fn indexed(mappings: Vec<Mapping>) -> MatchingResult<Self> {
         let mut targets: Vec<&AttrRef> = Vec::new();
         let mut columns: HashMap<&AttrRef, usize> = HashMap::new();
         let mut sources: Vec<&AttrRef> = Vec::new();
@@ -90,10 +99,18 @@ impl MappingSet {
                 targets.push(target);
                 targets.len() - 1
             });
-            let id = *ids.entry(source).or_insert_with(|| {
-                sources.push(source);
-                u16::try_from(sources.len()).expect("at most u16::MAX distinct source attributes")
-            });
+            let id = match ids.entry(source) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(new) => {
+                    sources.push(source);
+                    let id = u16::try_from(sources.len()).map_err(|_| {
+                        MatchingError::TooManySourceAttributes {
+                            limit: usize::from(u16::MAX),
+                        }
+                    })?;
+                    *new.insert(id)
+                }
+            };
             cells.push((column, id));
         }
         // Columns in target order.
@@ -116,12 +133,12 @@ impl MappingSet {
             .map(|&column| targets[column].clone())
             .collect();
         let sources = sources.into_iter().cloned().collect();
-        MappingSet {
+        Ok(MappingSet {
             mappings,
             targets,
             sources,
             source_ids,
-        }
+        })
     }
 
     /// Generates the `h` highest-scoring possible mappings from a similarity matrix, with
@@ -163,7 +180,7 @@ impl MappingSet {
                 Mapping::new(i + 1, correspondences, ranked.total_weight)
             })
             .collect();
-        Ok(MappingSet::new(mappings))
+        MappingSet::normalised(mappings)
     }
 
     /// Number of mappings.
@@ -410,6 +427,33 @@ mod tests {
         assert!(matches!(
             bad,
             Err(MatchingError::InvalidDistribution { .. })
+        ));
+    }
+
+    #[test]
+    fn more_source_attributes_than_ids_is_an_error() {
+        use crate::mapping::Mapping;
+        // 2^16 one-pair mappings of probability 2^-16: source `i` of mapping `i`, except that
+        // with `repeat` the last mapping reuses the first source.
+        let set = |repeat: bool| {
+            let mappings = (0..=usize::from(u16::MAX)).map(|i| {
+                let source = if repeat && i == usize::from(u16::MAX) {
+                    0
+                } else {
+                    i
+                };
+                let source = format!("s{source}");
+                let pair = Correspondence::from_parts(("C", source.as_str()), ("T", "x"), 0.5);
+                Mapping::new(i + 1, vec![pair], 1.0 / 65_536.0)
+            });
+            MappingSet::from_explicit(mappings.collect())
+        };
+        let widest = set(true).unwrap();
+        assert_eq!(widest.source_attributes().len(), usize::from(u16::MAX));
+        assert_eq!(widest.source_row(usize::from(u16::MAX)), [1]);
+        assert!(matches!(
+            set(false),
+            Err(MatchingError::TooManySourceAttributes { limit: 65_535 })
         ));
     }
 

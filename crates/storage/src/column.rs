@@ -137,8 +137,8 @@ pub enum Column {
 impl Column {
     /// Builds a column from its cells, read by reference, classifying by the variants actually
     /// present.  `dict_limit` bounds the text dictionary (sized up front for the smaller of
-    /// the row count and the limit); overflow falls back to [`Column::Mixed`] — the one kind
-    /// of column that clones its cells.
+    /// the row count and the limit, then shrunk to the strings it holds); overflow falls back
+    /// to [`Column::Mixed`] — the one kind of column that clones its cells.
     #[must_use]
     pub fn from_cells<'a, I>(cells: I, dict_limit: usize) -> Column
     where
@@ -238,6 +238,7 @@ impl Column {
                         }
                     }
                 }
+                dict.shrink_to_fit();
                 Column::Text {
                     codes,
                     dict: Arc::new(dict),

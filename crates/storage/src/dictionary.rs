@@ -12,39 +12,28 @@
 //! query are exactly that, rows read from the different source columns two mappings send one
 //! target attribute to.  What is comparable across columns is the string's
 //! [`value_hash`](crate::value_hash), a function of the bytes alone.  A dictionary finds its
-//! entries by that very hash ([`text_hash`]): a string is hashed once per lookup, not once
-//! more when it is new, and each entry keeps the hash it was interned under beside its code.
-//! [`Dictionary::value_hashes`] gathers them by code the first time anything asks, so an
-//! answer interns an entry into its own value pool without hashing a byte.
+//! entries by that very hash ([`text_hash`]) through a [`HashIndex`]: a string is hashed once
+//! per lookup, not once more when it is new, and each entry keeps the hash it was interned
+//! under beside it ([`Dictionary::value_hashes`]), so an answer interns an entry into its own
+//! value pool without hashing a byte.
 
-use crate::text_hash;
-use std::sync::{Arc, OnceLock};
+use crate::{text_hash, HashIndex};
+use std::sync::Arc;
 
 /// Default bound on distinct strings per column dictionary; columns with more distinct values
 /// fall back to plain value storage.  Generous for the generated workloads (hundreds of
 /// distinct strings) while bounding worst-case dictionary memory.
 pub const DEFAULT_DICT_LIMIT: usize = 1 << 16;
 
-/// A slot of a dictionary's index: an entry's code and hash, or no entry (`code == FREE`).
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    code: u32,
-    hash: u64,
-}
-
-const FREE: u32 = u32::MAX;
-
 /// An order-of-first-appearance string dictionary: code `i` is the `i`-th distinct string
 /// interned.  Codes are dense (`0..len`).
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<Arc<str>>,
-    /// Open-addressed table of every entry's code and [`text_hash`], at most half full (empty
-    /// until the first entry).
-    slots: Vec<Slot>,
-    /// The hashes by code; gathered from the slots on first use, dropped when an entry is
-    /// added.
-    hashes: OnceLock<Box<[u64]>>,
+    /// The [`text_hash`] of every entry, by code.
+    hashes: Vec<u64>,
+    /// Finds an entry's code by its hash.
+    index: HashIndex,
 }
 
 impl Dictionary {
@@ -58,12 +47,15 @@ impl Dictionary {
     /// nothing more.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut dict = Dictionary {
+        let mut index = HashIndex::default();
+        index.reserve(0, capacity, |_| {
+            unreachable!("an empty index re-reads no hash")
+        });
+        Dictionary {
             values: Vec::with_capacity(capacity),
-            ..Dictionary::default()
-        };
-        dict.reserve_slots(capacity);
-        dict
+            hashes: Vec::with_capacity(capacity),
+            index,
+        }
     }
 
     /// Rebuilds a dictionary from its dense code table (decoded spill segments).
@@ -72,17 +64,15 @@ impl Dictionary {
     /// lookups even for degenerate tables.
     #[must_use]
     pub fn from_values(values: Vec<Arc<str>>) -> Self {
-        let mut dict = Dictionary::with_capacity(values.len());
-        for s in values {
-            let hash = text_hash(&s);
-            // A repeat goes to the end of its chain, behind the first.
-            let slot = match dict.probe(hash, &s) {
-                Ok(_) => dict.free_slot(hash),
-                Err(slot) => slot,
-            };
-            dict.push(slot, hash, s);
+        let hashes: Vec<u64> = values.iter().map(|s| text_hash(s)).collect();
+        let mut index = HashIndex::default();
+        // Entries are placed in code order, so a repeat sits behind the first in its chain.
+        index.reserve(values.len(), 0, |code| hashes[code]);
+        Dictionary {
+            values,
+            hashes,
+            index,
         }
-        dict
     }
 
     /// Interns a string, returning its code — or `None` when the string is new and the
@@ -91,76 +81,36 @@ impl Dictionary {
     pub fn intern_within(&mut self, s: &Arc<str>, limit: usize) -> Option<u32> {
         let hash = text_hash(s);
         let mut slot = match self.probe(hash, s) {
-            Ok(code) => return Some(code),
+            Ok(code) => return Some(code as u32),
             Err(slot) => slot,
         };
-        if self.values.len() >= limit {
+        let len = self.values.len();
+        if len >= limit {
             return None;
         }
-        if self.slots.len() < (self.values.len() + 1) * 2 {
-            self.reserve_slots(self.values.len() + 1);
-            slot = self.free_slot(hash);
+        let hashes = &self.hashes;
+        if self.index.reserve(len, 1, |code| hashes[code]) {
+            slot = self.probe(hash, s).expect_err("a new string");
         }
-        Some(self.push(slot, hash, Arc::clone(s)))
+        let code = self.index.occupy(slot, len);
+        self.values.push(Arc::clone(s));
+        self.hashes.push(hash);
+        Some(code)
     }
 
     /// `Ok(code)` of `s`, or `Err(slot)`: the free slot that ends its chain.
-    fn probe(&self, hash: u64, s: &str) -> Result<u32, usize> {
-        if self.slots.is_empty() {
-            return Err(0);
-        }
-        let mask = self.slots.len() - 1;
-        let mut at = hash as usize & mask;
-        loop {
-            let slot = self.slots[at];
-            if slot.code == FREE {
-                return Err(at);
-            }
-            if slot.hash == hash && *self.values[slot.code as usize] == *s {
-                return Ok(slot.code);
-            }
-            at = (at + 1) & mask;
-        }
+    fn probe(&self, hash: u64, s: &str) -> Result<usize, usize> {
+        let (values, hashes) = (&self.values, &self.hashes);
+        let is_match = |code: usize| hashes[code] == hash && *values[code] == *s;
+        self.index.probe(hash, is_match)
     }
 
-    /// The free slot at the end of `hash`'s chain.
-    fn free_slot(&self, hash: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut at = hash as usize & mask;
-        while self.slots[at].code != FREE {
-            at = (at + 1) & mask;
-        }
-        at
-    }
-
-    /// Appends `s` as the next code, at the free `slot`.
-    fn push(&mut self, slot: usize, hash: u64, s: Arc<str>) -> u32 {
-        let code = u32::try_from(self.values.len())
-            .ok()
-            .filter(|&code| code != FREE)
-            .expect("fewer than 2^32 - 1 dictionary entries");
-        self.slots[slot] = Slot { code, hash };
-        self.values.push(s);
-        self.hashes.take();
-        code
-    }
-
-    /// Grows the index to hold `entries` entries at most half full, re-placing the current
-    /// ones by their kept hashes.
-    fn reserve_slots(&mut self, entries: usize) {
-        let needed = (entries * 2).next_power_of_two().max(16);
-        if needed <= self.slots.len() {
-            return;
-        }
-        let free = Slot {
-            code: FREE,
-            hash: 0,
-        };
-        let old = std::mem::replace(&mut self.slots, vec![free; needed]);
-        for slot in old.into_iter().filter(|slot| slot.code != FREE) {
-            let at = self.free_slot(slot.hash);
-            self.slots[at] = slot;
-        }
+    /// Gives back the room reserved for entries that never came.
+    pub fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
+        self.hashes.shrink_to_fit();
+        let hashes = &self.hashes;
+        self.index.shrink_to_fit(hashes.len(), |code| hashes[code]);
     }
 
     /// The string for a code, if in range.
@@ -172,7 +122,7 @@ impl Dictionary {
     /// Looks up the code of a string already interned.
     #[must_use]
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.probe(text_hash(s), s).ok()
+        self.probe(text_hash(s), s).ok().map(|code| code as u32)
     }
 
     /// Number of distinct entries.
@@ -193,17 +143,10 @@ impl Dictionary {
         &self.values
     }
 
-    /// [`value_hash`](crate::value_hash) of every entry as a `Value::Text`, by code: gathered
-    /// from the index on the first call, a slice borrow on every later one.
+    /// [`value_hash`](crate::value_hash) of every entry as a `Value::Text`, by code.
     #[must_use]
     pub fn value_hashes(&self) -> &[u64] {
-        self.hashes.get_or_init(|| {
-            let mut hashes = vec![0; self.values.len()].into_boxed_slice();
-            for slot in self.slots.iter().filter(|slot| slot.code != FREE) {
-                hashes[slot.code as usize] = slot.hash;
-            }
-            hashes
-        })
+        &self.hashes
     }
 }
 
@@ -270,6 +213,26 @@ mod tests {
             }
             assert_eq!(d.len(), 100);
         }
+    }
+
+    #[test]
+    fn a_column_of_few_strings_keeps_a_dictionary_of_few_entries() {
+        use crate::Column;
+        let strings: Vec<Value> = (0..10).map(|i| Value::from(format!("s{i}"))).collect();
+        let cells = (0..DEFAULT_DICT_LIMIT).map(|row| &strings[row % 10]);
+        let Column::Text { codes, dict, .. } = Column::from_cells(cells, DEFAULT_DICT_LIMIT) else {
+            panic!("a text column");
+        };
+        assert_eq!((codes.len(), codes[13]), (DEFAULT_DICT_LIMIT, 3));
+        // Room for a code per row was reserved while the column was read, and given back.
+        assert_eq!(dict.len(), 10);
+        assert!(dict.values.capacity() <= 10 && dict.hashes.capacity() <= 10);
+        assert_eq!(
+            dict.index.capacity(),
+            16,
+            "the smallest index over ten entries"
+        );
+        assert_eq!(dict.code_of("s7"), Some(7));
     }
 
     #[test]

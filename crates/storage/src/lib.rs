@@ -60,6 +60,7 @@ pub mod codec;
 pub mod column;
 pub mod dictionary;
 pub mod error;
+pub mod hash_index;
 pub mod recency;
 pub mod relation;
 pub mod schema;
@@ -74,6 +75,7 @@ pub use catalog::Catalog;
 pub use column::{Column, ColumnarRelation, NullBitmap};
 pub use dictionary::{Dictionary, DEFAULT_DICT_LIMIT};
 pub use error::{StorageError, StorageResult};
+pub use hash_index::HashIndex;
 pub use recency::RecencyIndex;
 pub use relation::Relation;
 pub use schema::{AttrRef, Attribute, Name, Schema};

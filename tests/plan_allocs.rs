@@ -135,9 +135,11 @@ fn a_basic_pass_over_the_cold_batch_stays_within_its_budget() {
 /// Allocations allowed per column for converting a base relation of the cold batch to columns.
 ///
 /// Converting every relation of the three fresh catalogs (24 relations, 138 columns, 111 of
-/// them text) takes 633 allocations; when each column's cells were first copied into a vector
-/// of values and each dictionary grew from empty, it took 1 422.
-const CONVERT_BUDGET_PER_COLUMN: usize = 5;
+/// them text) takes 888 allocations: a text dictionary is sized for every row at once, then
+/// shrunk to its distinct strings (a shrunk vector or index is one allocation more).  When
+/// each column's cells were first copied into a vector of values and each dictionary grew from
+/// empty, it took 1 422; growing from empty without the copy takes 1 617.
+const CONVERT_BUDGET_PER_COLUMN: usize = 7;
 
 #[test]
 fn converting_the_cold_batch_catalogs_allocates_per_column() {
