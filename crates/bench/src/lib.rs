@@ -17,12 +17,10 @@ pub mod experiments;
 pub mod http_bench;
 pub mod obs_bench;
 pub mod report;
-pub mod shard_bench;
 pub mod spill_bench;
 
 pub use experiments::{ExperimentRow, Harness, HarnessConfig, RowKind};
 pub use http_bench::HttpBenchConfig;
 pub use obs_bench::ObsBenchConfig;
 pub use report::{render_json, render_table};
-pub use shard_bench::ShardBenchConfig;
 pub use spill_bench::SpillBenchConfig;

@@ -1,47 +1,38 @@
-//! Batch evaluation: many probabilistic queries over one mapping set, run over a set of shards.
+//! Batch evaluation: many probabilistic queries over one mapping set, run over one epoch DAG.
 //!
 //! The paper evaluates sharing *within* one probabilistic query (its `h` reformulations).  A
 //! serving layer gets a second amortisation axis: independent queries submitted together
 //! against the same (catalog, mapping set) epoch overlap heavily — they scan the same source
 //! relations and, with ambiguous matchings, often reformulate onto identical source sub-plans.
 //! A batch therefore merges the distinct source queries of *every* query into one
-//! shared-operator DAG per shard: each distinct bound operator (deduplicated by bound-plan
-//! fingerprint) is one node, shared sub-plans are fan-out edges, and every node executes
-//! **exactly once** — on the calling thread, joined by helper threads when
-//! [`BatchOptions::workers`] ≥ 2 (results are byte-identical either way).
+//! shared-operator DAG: each distinct bound operator (deduplicated by bound-plan fingerprint)
+//! is one node, shared sub-plans are fan-out edges, and every node executes **exactly once** —
+//! on the calling thread, joined by helper threads when [`BatchOptions::workers`] ≥ 2 (results
+//! are byte-identical either way).
 //!
-//! A batch always runs over a [`ShardSet`]: N shard runtimes, each with its own catalog view and
-//! its own persistent [`EpochDag`].  An unsharded epoch is a set of one shard, whose catalog is
-//! the epoch's own; [`evaluate_batch`] runs over a throwaway one.  [`evaluate_batch_sharded`],
-//! the one coordinator, takes each query through three steps:
+//! A batch always runs over a [`BatchEpoch`]: the epoch's persistent [`EpochDag`] and the
+//! factors its source queries split into.  [`evaluate_batch`] runs over a throwaway one.
+//! [`evaluate_batch_on`], the one coordinator, takes each query through three steps:
 //!
 //! 1. **Rewrite**, one representative per mapping *partition*
 //!    ([`partitioned_reformulations`]): the clusters — distinct source queries with their
 //!    summed mapping probabilities — their order and probabilities are bit for bit those of
 //!    e-basic's rewrite-every-mapping phase.
-//! 2. **Split**, once per set: the optimised form of a tuple-producing source query is a
+//! 2. **Split**, once per epoch: the optimised form of a tuple-producing source query is a
 //!    product of distinct factors `δπ(C1) × … × δπ(Ck)`, under a projection when the product's
 //!    columns need reordering (see `urm_engine::optimize`).  Each factor becomes a DAG root of
 //!    its own, under its own fingerprint, so the product and its projection are never bound,
 //!    executed or pinned, and the source queries that share a factor share its root.  An
-//!    aggregate is one factor.  The set remembers each cluster's factors, so a warm batch
+//!    aggregate is one factor.  The epoch remembers each cluster's factors, so a warm batch
 //!    neither optimises nor splits again.
-//! 3. **Route**: over N > 1 shards one scan leaf of a tuple-producing source query — the one
-//!    over the largest base relation — reads the shard's slice of that relation instead
-//!    (`{name}::slice`, see [`urm_storage::shard`]).  The factor holding it goes to **every**
-//!    shard; any other factor, and every aggregate, goes to shard `key % N`, which runs it
-//!    against its full replicas.  A set of one shard slices nothing.
+//! 3. **Bind**, under the DAG's lock: each distinct factor once (a bind-cache lookup for a
+//!    factor bound before), closed into a [`PreparedBatch`].  The lock is released before
+//!    execution, so the next batch binds while this one executes.
 //!
-//! Rewrite, split and route hold no shard lock.  Each shard then binds its submissions under its
-//! DAG's lock (a bind-cache lookup for a factor it has bound before), closes them into a
-//! [`PreparedBatch`] and releases the lock, so the next batch binds while this one executes.
-//! The shards execute side by side — shard 0 on the calling thread, the others on scoped
-//! threads — and a node whose result is still materialised from an earlier batch is answered
-//! without executing.  The gather hands each query's clusters, in cluster order, to the one
-//! aggregation every algorithm uses ([`aggregate`]), a scattered factor as the union of its
-//! per-shard slices: each derivation of it consumes one row of the sliced scan, so the union of
-//! the slices' result sets is the whole factor.  Answers are e-basic's to the bit at every shard
-//! count, warm or cold, with or without a memory budget (property-tested).
+//! Rewrite and split hold no lock.  A node whose result is still materialised from an earlier
+//! batch is answered without executing.  Each query's clusters, in cluster order, then go to
+//! the one aggregation every algorithm uses ([`aggregate`]).  Answers are e-basic's to the bit,
+//! warm or cold, with or without a memory budget (property-tested).
 
 use crate::answer::{aggregate, Cluster};
 use crate::metrics::{EvalMetrics, Evaluation};
@@ -51,28 +42,24 @@ use crate::CoreResult;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use urm_engine::optimize::{fingerprint, optimize};
 use urm_engine::{
     EpochDag, ExecStats, Executor, Plan, PreparedBatch, RunReport, DEFAULT_PIN_BUDGET_BYTES,
 };
 use urm_matching::MappingSet;
 use urm_obs::Tracer;
-use urm_storage::shard::{partition, ShardScheme};
-use urm_storage::{Catalog, Name, Relation};
-
-pub use urm_storage::shard::slice_relation_name;
+use urm_storage::Catalog;
 
 /// Tuning knobs of one batch evaluation.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Worker threads for the DAG schedulers, split evenly across the shards (at least one
-    /// each; 1 = the calling thread alone over one shard).
+    /// Worker threads for the DAG scheduler (1 = the calling thread alone).
     pub workers: usize,
     /// Trace spans recorder (disabled by default — a disabled tracer costs nothing on the
     /// hot path).  Every stage of the batch records under it: per-query `rewrite` and
-    /// `optimize_bind`, per-shard `bind`, `execute` (with a `node` span per executed DAG node
-    /// and spill I/O) and `aggregate`.
+    /// `optimize_bind`, then `bind`, `execute` (with a `node` span per executed DAG node and
+    /// spill I/O) and `aggregate`.
     pub tracer: Tracer,
 }
 
@@ -116,15 +103,11 @@ pub struct BatchEvaluation {
     /// shared DAG nodes belong to several queries at once, so executor work is accounted
     /// batch-wide in [`exec`](BatchEvaluation::exec) instead.
     pub evaluations: Vec<Evaluation>,
-    /// Batch-wide executor statistics (operators, scans, tuples, spill, time), summed over
-    /// the shards.
+    /// Batch-wide executor statistics (operators, scans, tuples, spill, time).
     pub exec: ExecStats,
-    /// The batch's bind stage and DAG runs, merged over the shards: bind-cache hits, DAG-merge
-    /// dedup, nodes executed and answered by an earlier batch's results, parallelism and the
-    /// threads the shards ran on (the shards ran side by side, so these add up).
+    /// The batch's bind stage and DAG run: bind-cache hits, DAG-merge dedup, nodes executed
+    /// and answered by an earlier batch's results, parallelism and the threads it ran on.
     pub run: RunReport,
-    /// How the batch was spread over its shard set.
-    pub shards: ShardStats,
 }
 
 impl BatchEvaluation {
@@ -135,137 +118,55 @@ impl BatchEvaluation {
     }
 }
 
-/// How one batch was spread over its shard set.
-#[derive(Debug, Clone)]
-pub struct ShardStats {
-    /// Number of shards the batch ran over (1 for an unsharded epoch).
-    pub shards: usize,
-    /// Per-shard root submissions: a scattered root counts once per shard, any other once —
-    /// over one shard, the batch's distinct roots.
-    pub fanouts: u64,
-    /// Distinct factor roots run on every shard, those holding a sliced scan (0 over one
-    /// shard, which slices nothing).
-    pub scatter_roots: u64,
-    /// Distinct factor roots run on one shard: the others, and aggregates.
-    pub singleton_roots: u64,
-    /// Per shard, the wall clock of its bind and its execution; index = shard index.
-    pub shard_times: Vec<Duration>,
-    /// Time spent gathering: aggregating each query's answer from its factors' results.
-    pub merge_time: Duration,
-}
-
-/// One shard's runtime: its catalog view and its persistent epoch DAG.
+/// The state every batch of one epoch shares (see the module docs).
 #[derive(Debug)]
-struct Shard {
-    catalog: Catalog,
-    /// The shard's bind lock: a batch holds it only while it binds its submissions.
+pub struct BatchEpoch {
+    /// The epoch's DAG behind its bind lock: a batch holds it only while it binds its roots.
     dag: Mutex<EpochDag>,
-}
-
-/// The shard runtimes an epoch's batches run over (see the module docs).
-#[derive(Debug)]
-pub struct ShardSet {
-    shards: Vec<Shard>,
-    scheme: ShardScheme,
-    /// Source-query fingerprint → the optimised factors it splits into, routed.
+    /// Source-query fingerprint → the optimised factors it splits into.
     factors: Mutex<HashMap<u64, Arc<[Factor]>>>,
 }
 
-/// One factor of an optimised source query, as the shards run it.
+/// One factor of an optimised source query: a DAG root.
 #[derive(Debug)]
 struct Factor {
-    /// The factor's fingerprint: its key in every shard's bind cache.
+    /// The factor's fingerprint: its key in the bind cache.
     key: u64,
     /// The optimised factor plan.
     plan: Plan,
-    /// Whether the factor holds the sliced scan (it runs on every shard).
-    scatter: bool,
 }
 
-impl ShardSet {
-    /// Builds `shards` runtimes (at least one) over `catalog`.
-    ///
-    /// Every shard catalog is a clone of `catalog`, which shares its row buffers by `Arc`, so
-    /// no row is copied.  Over more than one shard each also registers its slice of every
-    /// relation ([`slice_relation_name`]), cut by `scheme`; a set of one shard adds nothing, and
-    /// its catalog is the epoch's own.  `memory_budget` (bytes, **per shard**) puts each
-    /// shard's DAG under its own spill pool; without one, each shard's pinned results stay
-    /// resident up to [`DEFAULT_PIN_BUDGET_BYTES`].
+impl BatchEpoch {
+    /// An epoch with an empty DAG.  `memory_budget` (bytes, per epoch) puts the DAG under a
+    /// spill pool; without one, its pinned results stay resident up to
+    /// [`DEFAULT_PIN_BUDGET_BYTES`].
     #[must_use]
-    pub fn new(
-        catalog: &Catalog,
-        shards: usize,
-        scheme: ShardScheme,
-        memory_budget: Option<usize>,
-    ) -> ShardSet {
-        let shards = shards.max(1);
-        let mut catalogs: Vec<Catalog> = (0..shards).map(|_| catalog.clone()).collect();
-        if shards > 1 {
-            for (name, relation) in catalog.iter() {
-                let slice_name = slice_relation_name(name);
-                for (view, slice) in catalogs.iter_mut().zip(partition(relation, shards, scheme)) {
-                    view.insert(slice.renamed(slice_name.clone()));
-                }
-            }
-        }
-        ShardSet {
-            shards: catalogs
-                .into_iter()
-                .map(|catalog| Shard {
-                    catalog,
-                    dag: Mutex::new(match memory_budget {
-                        Some(bytes) => EpochDag::with_memory_budget(bytes),
-                        None => EpochDag::with_pin_budget(DEFAULT_PIN_BUDGET_BYTES),
-                    }),
-                })
-                .collect(),
-            scheme,
+    pub fn new(memory_budget: Option<usize>) -> BatchEpoch {
+        BatchEpoch {
+            dag: Mutex::new(match memory_budget {
+                Some(bytes) => EpochDag::with_memory_budget(bytes),
+                None => EpochDag::with_pin_budget(DEFAULT_PIN_BUDGET_BYTES),
+            }),
             factors: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the set holds no shards (never true: construction clamps to ≥ 1).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// The partitioning scheme the shard catalogs were cut with.
-    #[must_use]
-    pub fn scheme(&self) -> ShardScheme {
-        self.scheme
-    }
-
-    /// Shard `index`'s catalog view.
-    #[cfg(test)]
-    pub(crate) fn catalog(&self, index: usize) -> &Catalog {
-        &self.shards[index].catalog
-    }
-
-    /// Shard `index`'s epoch DAG, locked: its bind and result counters and its pinned results.
-    ///
-    /// # Panics
-    /// Panics when `index` is not below [`len`](ShardSet::len).
-    pub fn dag(&self, index: usize) -> MutexGuard<'_, EpochDag> {
-        self.shards[index].dag.lock().unwrap()
+    /// The epoch DAG, locked: its bind and result counters and its pinned results.
+    pub fn dag(&self) -> MutexGuard<'_, EpochDag> {
+        self.dag.lock().unwrap()
     }
 
     /// The bind-cache keys of the factors the source query with fingerprint `key` was split
-    /// into, once a batch over this set has split it.
+    /// into, once a batch over this epoch has split it.
     #[must_use]
     pub fn factor_keys(&self, key: u64) -> Option<Vec<u64>> {
         let factors = self.factors.lock().unwrap();
         Some(factors.get(&key)?.iter().map(|factor| factor.key).collect())
     }
 
-    /// The routed factors of the source query `sq`, whose fingerprint is `key`: split on first
-    /// sight, remembered after.  `catalog` is the coordinator's (it sizes the slice candidates).
+    /// The factors of the source query `sq`, whose fingerprint is `key`: split on first sight,
+    /// remembered after.  A tuple-producing source query is split into the factors of its
+    /// optimised product; an aggregate runs whole.
     fn factors_of(
         &self,
         key: u64,
@@ -275,42 +176,20 @@ impl ShardSet {
         if let Some(known) = self.factors.lock().unwrap().get(&key) {
             return Ok(Arc::clone(known));
         }
-        let factors: Arc<[Factor]> = self.split(sq, catalog)?.into();
-        let mut known = self.factors.lock().unwrap();
-        Ok(Arc::clone(known.entry(key).or_insert(factors)))
-    }
-
-    /// The optimised factors of `sq` as the shards run them.  A tuple-producing source query is
-    /// split into the factors of its product, after — over more than one shard — one scan leaf
-    /// is redirected to its slice ([`designate_slice_leaf`]); an aggregate runs whole.
-    /// Optimised against shard 0's catalog: the plan is the same on every shard.
-    fn split(&self, sq: &SourceQuery, catalog: &Catalog) -> CoreResult<Vec<Factor>> {
-        let tuples = matches!(sq.extraction, Extraction::Columns(_));
-        let sliced = if tuples && self.len() > 1 {
-            designate_slice_leaf(&sq.plan, catalog).map(|(leaf, base)| {
-                let slice = slice_relation_name(&base);
-                (redirect_scan(&sq.plan, leaf, &mut 0, &slice), slice)
-            })
-        } else {
-            None
-        };
-        let plan = sliced.as_ref().map_or(&sq.plan, |(plan, _)| plan);
-        let optimized = optimize(plan, &self.shards[0].catalog)?;
-        let factors = if tuples {
+        let optimized = optimize(&sq.plan, catalog)?;
+        let plans = if matches!(sq.extraction, Extraction::Columns(_)) {
             product_factors(optimized)
         } else {
             vec![optimized]
         };
-        Ok(factors
-            .into_iter()
+        let factors: Arc<[Factor]> = (plans.into_iter())
             .map(|plan| Factor {
                 key: fingerprint(&plan),
-                scatter: sliced
-                    .as_ref()
-                    .is_some_and(|(_, slice)| scans(&plan, slice)),
                 plan,
             })
-            .collect())
+            .collect();
+        let mut known = self.factors.lock().unwrap();
+        Ok(Arc::clone(known.entry(key).or_insert(factors)))
     }
 }
 
@@ -336,104 +215,17 @@ fn product_factors(plan: Plan) -> Vec<Plan> {
     factors
 }
 
-/// The relations a plan's scan leaves read, in depth-first, left-to-right order.
-fn scan_leaves(plan: &Plan, out: &mut Vec<Name>) {
-    if let Plan::Scan { relation, .. } = plan {
-        out.push(relation.clone());
-    }
-    for child in plan.children() {
-        scan_leaves(child, out);
-    }
-}
-
-/// Whether `plan` scans `relation`.
-fn scans(plan: &Plan, relation: &str) -> bool {
-    match plan {
-        Plan::Scan {
-            relation: scanned, ..
-        } => **scanned == *relation,
-        plan => plan
-            .children()
-            .into_iter()
-            .any(|child| scans(child, relation)),
-    }
-}
-
-/// Rebuilds `plan` with its `target`-th scan leaf (traversal order) redirected to `slice`.
-fn redirect_scan(plan: &Plan, target: usize, seen: &mut usize, slice: &str) -> Plan {
-    match plan {
-        Plan::Scan { relation, alias } => {
-            let here = *seen;
-            *seen += 1;
-            if here == target {
-                Plan::scan_as(slice, alias.clone())
-            } else {
-                Plan::scan_as(relation.clone(), alias.clone())
-            }
-        }
-        Plan::Values(rel) => Plan::Values(rel.clone()),
-        Plan::Select { predicate, input } => Plan::Select {
-            predicate: predicate.clone(),
-            input: Box::new(redirect_scan(input, target, seen, slice)),
-        },
-        Plan::Project { columns, input } => Plan::Project {
-            columns: columns.clone(),
-            input: Box::new(redirect_scan(input, target, seen, slice)),
-        },
-        Plan::Product { left, right } => Plan::Product {
-            left: Box::new(redirect_scan(left, target, seen, slice)),
-            right: Box::new(redirect_scan(right, target, seen, slice)),
-        },
-        Plan::HashJoin { left, right, on } => Plan::HashJoin {
-            left: Box::new(redirect_scan(left, target, seen, slice)),
-            right: Box::new(redirect_scan(right, target, seen, slice)),
-            on: on.clone(),
-        },
-        Plan::Aggregate { func, input } => Plan::Aggregate {
-            func: func.clone(),
-            input: Box::new(redirect_scan(input, target, seen, slice)),
-        },
-        Plan::Distinct { input } => redirect_scan(input, target, seen, slice).distinct(),
-    }
-}
-
-/// Picks the scan leaf to slice: the one over the largest base relation (coordinator row
-/// counts; ties broken by traversal order, so the choice — and with it the rewritten plan —
-/// is identical on every shard and across runs).  `None` when the plan scans nothing.
-fn designate_slice_leaf(plan: &Plan, catalog: &Catalog) -> Option<(usize, Name)> {
-    let mut leaves = Vec::new();
-    scan_leaves(plan, &mut leaves);
-    let mut best: Option<(usize, usize)> = None;
-    for (index, relation) in leaves.iter().enumerate() {
-        let Some(rows) = catalog.get(relation).map(|rel| rel.len()) else {
-            continue;
-        };
-        if best.is_none_or(|(_, top)| rows > top) {
-            best = Some((index, rows));
-        }
-    }
-    best.map(|(index, _)| (index, leaves.swap_remove(index)))
-}
-
-/// A query between routing and the gather.
+/// A query between its split and the aggregation.
 struct PendingQuery {
     /// Per cluster, in cluster order: its probability, its extraction rule and the range of
-    /// the batch's routes holding its factors.
+    /// the batch's factor slots holding its factors.
     clusters: Vec<(f64, Extraction, Range<usize>)>,
     empty_probability: f64,
     metrics: EvalMetrics,
     started: Instant,
 }
 
-/// Where a factor's result is found among the shards' root results.
-enum Route {
-    /// On every shard; `slots[s]` is the factor's root on shard `s`.
-    Scatter(Vec<usize>),
-    /// On one shard.
-    Single { shard: usize, slot: usize },
-}
-
-/// One shard's submissions in a batch: each distinct factor once, in routing order.
+/// A batch's DAG roots: each distinct factor once, in submission order.
 #[derive(Default)]
 struct Submissions {
     /// (cluster in the batch, factor within it, query) of each root, the query being the first
@@ -444,8 +236,8 @@ struct Submissions {
 }
 
 impl Submissions {
-    /// The root of the factor known as `key`, added for `root` unless this batch already sent
-    /// the shard that factor; and whether it was added.
+    /// The root of the factor known as `key`, added for `root` unless this batch already
+    /// submitted that factor; and whether it was added.
     fn slot(&mut self, key: u64, root: (usize, usize, usize)) -> (usize, bool) {
         let next = self.roots.len();
         let slot = *self.slots.entry(key).or_insert(next);
@@ -456,87 +248,40 @@ impl Submissions {
     }
 }
 
-/// One shard's executed batch, gathered by the coordinator.
-struct ShardRun {
-    results: Vec<Arc<Relation>>,
-    exec: ExecStats,
-    run: RunReport,
-    elapsed: Duration,
-}
-
-/// Executes one shard's prepared batch on the calling thread (joined by its DAG helpers).
-fn run_shard(
-    shard: &Shard,
-    prepared: PreparedBatch,
-    options: &BatchOptions,
-    workers: usize,
-) -> CoreResult<ShardRun> {
-    let start = Instant::now();
-    // A memory-budgeted shard carries a spill pool: the executor shares it, so grace hash
-    // joins and spilled-pin reloads draw on one budget, and the pool traces its writes and
-    // reloads under this batch's trace while the batch runs.  The pool-counter deltas the batch
-    // causes are folded into `ExecStats` inside the engine, under the shard's result lock.
-    let mut exec = match prepared.pool().cloned() {
-        Some(pool) => Executor::with_pool(&shard.catalog, pool),
-        None => Executor::new(&shard.catalog),
-    }
-    .with_tracer(options.tracer.clone());
-    if let Some(pool) = exec.pool() {
-        pool.set_tracer(options.tracer.clone());
-    }
-    let run = prepared.execute(&mut exec, workers);
-    if let Some(pool) = exec.pool() {
-        pool.set_tracer(Tracer::disabled());
-    }
-    let run = run?;
-    Ok(ShardRun {
-        results: run.root_results,
-        exec: exec.into_stats(),
-        run: run.report,
-        elapsed: start.elapsed(),
-    })
-}
-
 /// Evaluates every query of a batch against one mapping set and catalog through one merged
-/// shared-operator DAG, over a throwaway [`ShardSet`] of one shard (see the module docs).
-/// A caller that keeps a set per epoch calls [`evaluate_batch_sharded`] instead and gets
-/// cross-batch bind and result reuse.
+/// shared-operator DAG, over a throwaway [`BatchEpoch`] (see the module docs).  A caller that
+/// keeps one per epoch calls [`evaluate_batch_on`] instead and gets cross-batch bind and
+/// result reuse.
 pub fn evaluate_batch(
     queries: &[TargetQuery],
     mappings: &MappingSet,
     catalog: &Catalog,
     options: &BatchOptions,
 ) -> CoreResult<BatchEvaluation> {
-    let set = ShardSet::new(catalog, 1, ShardScheme::Hash, None);
-    evaluate_batch_sharded(queries, mappings, catalog, options, &set)
+    evaluate_batch_on(queries, mappings, catalog, options, &BatchEpoch::new(None))
 }
 
-/// Evaluates a batch over `set`: rewrite, split and route every query, bind each shard's
-/// submissions under its lock, execute the shards side by side, gather the answers (module
-/// docs).
+/// Evaluates a batch over `epoch`: rewrite and split every query, bind its roots under the
+/// DAG's lock, execute on the calling thread with `options.workers` DAG workers, aggregate the
+/// answers (module docs).
 ///
-/// `catalog` must be the one the set was built from, and the set must be used with it alone:
-/// rewriting and slice choice read it, and bound fingerprints are identity-based, so a set must
-/// not outlive or migrate between catalogs.  `options.workers` is split across the shards —
-/// each shard's DAG scheduler gets `max(1, workers / shards)` threads — and the batch's
-/// [`RunReport::workers`] is the sum of the threads its shards ran on.
-pub fn evaluate_batch_sharded(
+/// `epoch` must be used with `catalog` alone: rewriting, optimisation and execution read it,
+/// and bound fingerprints are identity-based, so an epoch must not outlive or migrate between
+/// catalogs.
+pub fn evaluate_batch_on(
     queries: &[TargetQuery],
     mappings: &MappingSet,
     catalog: &Catalog,
     options: &BatchOptions,
-    set: &ShardSet,
+    epoch: &BatchEpoch,
 ) -> CoreResult<BatchEvaluation> {
     let tracer = &options.tracer;
-    let shard_count = set.len();
 
-    // Rewrite, split and route every query, with no shard lock held.
+    // Rewrite and split every query, with no lock held.
     let mut pending: Vec<PendingQuery> = Vec::with_capacity(queries.len());
-    let mut routes: Vec<Route> = Vec::new();
+    let mut slots: Vec<usize> = Vec::new();
     let mut cluster_factors: Vec<Arc<[Factor]>> = Vec::new();
-    let mut submissions: Vec<Submissions> =
-        (0..shard_count).map(|_| Submissions::default()).collect();
-    let (mut scatter_roots, mut singleton_roots) = (0u64, 0u64);
+    let mut submissions = Submissions::default();
     for (qi, query) in queries.iter().enumerate() {
         let started = Instant::now();
         let mut metrics = EvalMetrics::new("batch");
@@ -567,30 +312,17 @@ pub fn evaluate_batch_sharded(
         span.tag("source_queries", ordered.len() as u64);
         let mut query_clusters = Vec::with_capacity(ordered.len());
         for cluster in ordered {
-            let factors = set.factors_of(cluster.fingerprint, &cluster.query, catalog)?;
-            let first = routes.len();
+            let factors = epoch.factors_of(cluster.fingerprint, &cluster.query, catalog)?;
+            let first = slots.len();
             for (at, factor) in factors.iter().enumerate() {
-                let root = (cluster_factors.len(), at, qi);
-                // A factor this batch already sent a shard is that root again.
-                let mut submit = |shard: usize| {
-                    let (slot, added) = submissions[shard].slot(factor.key, root);
-                    metrics.shared_plan_hits += u64::from(!added);
-                    (slot, added)
-                };
-                routes.push(if factor.scatter {
-                    let slots: Vec<(usize, bool)> = (0..shard_count).map(&mut submit).collect();
-                    scatter_roots += u64::from(slots[0].1);
-                    Route::Scatter(slots.into_iter().map(|(slot, _)| slot).collect())
-                } else {
-                    let shard = (factor.key % shard_count as u64) as usize;
-                    let (slot, added) = submit(shard);
-                    singleton_roots += u64::from(added);
-                    Route::Single { shard, slot }
-                });
+                // A factor this batch already submitted is that root again.
+                let (slot, added) = submissions.slot(factor.key, (cluster_factors.len(), at, qi));
+                metrics.shared_plan_hits += u64::from(!added);
+                slots.push(slot);
             }
             cluster_factors.push(factors);
             let (probability, extraction) = (cluster.probability, cluster.query.extraction);
-            query_clusters.push((probability, extraction, first..routes.len()));
+            query_clusters.push((probability, extraction, first..slots.len()));
         }
         drop(span);
         metrics.plan_time = plan_start.elapsed();
@@ -603,19 +335,15 @@ pub fn evaluate_batch_sharded(
         });
     }
 
-    // Bind: each shard, under its lock, binds its roots — a bind-cache lookup for a factor it
-    // has bound before — and closes them into a prepared batch.  A root's bind work and its
-    // DAG sharing count towards the query that first asked for it.
-    let mut prepared = Vec::with_capacity(shard_count);
-    let mut bind_times = Vec::with_capacity(shard_count);
-    for (index, (shard, subs)) in set.shards.iter().zip(&submissions).enumerate() {
-        let start = Instant::now();
+    // Bind, under the DAG's lock, every root — a bind-cache lookup for a factor bound before —
+    // and close them into a prepared batch.  A root's bind work and its DAG sharing count
+    // towards the query that first asked for it.
+    let prepared: PreparedBatch = {
         let mut span = tracer.span("bind");
-        span.tag("shard", index as u64);
-        span.tag("roots", subs.roots.len() as u64);
-        let binder = Executor::new(&shard.catalog);
-        let mut dag = shard.dag.lock().unwrap();
-        for &(cluster, at, query) in &subs.roots {
+        span.tag("roots", submissions.roots.len() as u64);
+        let binder = Executor::new(catalog);
+        let mut dag = epoch.dag();
+        for &(cluster, at, query) in &submissions.roots {
             let factor = &cluster_factors[cluster][at];
             let submitted = Instant::now();
             let before = (
@@ -624,7 +352,7 @@ pub fn evaluate_batch_sharded(
                 dag.node_count(),
             );
             if let Err(err) = dag.submit_with(factor.key, || binder.bind(&factor.plan)) {
-                // A half-bound batch must not prepend its roots to the shard's next batch.
+                // A half-bound batch must not prepend its roots to the epoch's next batch.
                 dag.abort_pending();
                 return Err(err.into());
             }
@@ -634,57 +362,48 @@ pub fn evaluate_batch_sharded(
             metrics.shared_plan_misses += (dag.node_count() - before.2) as u64;
             metrics.plan_time += submitted.elapsed();
         }
-        prepared.push(dag.prepare_pending());
-        drop(dag);
-        bind_times.push(start.elapsed());
+        dag.prepare_pending()
+    };
+
+    // Execute: every distinct operator not answered by a live cached result runs exactly once.
+    // A memory-budgeted epoch carries a spill pool: the executor shares it, so grace hash joins
+    // and spilled-pin reloads draw on one budget, and the pool traces its writes and reloads
+    // under this batch's trace while the batch runs.  The pool-counter deltas the batch causes
+    // are folded into `ExecStats` inside the engine, under the epoch's result lock.  The DAG
+    // workers start with empty span stacks, so anchor them under the execute span.
+    let mut exec = match prepared.pool().cloned() {
+        Some(pool) => Executor::with_pool(catalog, pool),
+        None => Executor::new(catalog),
     }
-
-    // Execute: every distinct operator not answered by a live cached result runs exactly once
-    // per shard that needs it.  The helper threads (and every shard's DAG workers) start with
-    // empty span stacks, so anchor them under the execute span.
-    let workers = (options.workers / shard_count).max(1);
-    let runs: Vec<CoreResult<ShardRun>> = {
-        let mut span = tracer.span("execute");
-        span.tag("shards", shard_count as u64);
-        span.tag("scatter_roots", scatter_roots);
-        span.tag("singleton_roots", singleton_roots);
+    .with_tracer(tracer.clone());
+    let run = {
+        let span = tracer.span("execute");
         tracer.set_anchor(span.id());
-        let runs = std::thread::scope(|scope| {
-            let mut shards = set.shards.iter().zip(prepared);
-            let (first, first_batch) = shards.next().expect("a shard set has a shard");
-            let helpers: Vec<_> = shards
-                .map(|(shard, batch)| {
-                    scope.spawn(move || run_shard(shard, batch, options, workers))
-                })
-                .collect();
-            let mut runs = vec![run_shard(first, first_batch, options, workers)];
-            runs.extend(helpers.into_iter().map(|helper| helper.join().unwrap()));
-            runs
-        });
+        if let Some(pool) = exec.pool() {
+            pool.set_tracer(tracer.clone());
+        }
+        let run = prepared.execute(&mut exec, options.workers);
+        if let Some(pool) = exec.pool() {
+            pool.set_tracer(Tracer::disabled());
+        }
         tracer.clear_anchor();
-        runs
+        run?
     };
-    let runs: Vec<ShardRun> = runs.into_iter().collect::<CoreResult<_>>()?;
+    let results = run.root_results;
 
-    // Gather: each query's answer from its clusters' factors, in cluster order, a scattered
-    // factor as the union of its per-shard slices.
-    let gather_start = Instant::now();
+    // Aggregate each query's answer from its clusters' factors, in cluster order.
     let mut agg_span = tracer.span("aggregate");
-    let factor = |route: &Route| match route {
-        Route::Scatter(slots) => (runs.iter().zip(slots))
-            .map(|(run, &slot)| &*run.results[slot])
-            .collect(),
-        Route::Single { shard, slot } => vec![&*runs[*shard].results[*slot]],
-    };
     let mut evaluations = Vec::with_capacity(pending.len());
     let (mut factor_rows, mut rows, mut answers) = (0, 0, 0);
     for mut query in pending {
         let agg_start = Instant::now();
         let clusters: Vec<Cluster<'_>> = (query.clusters.iter())
-            .map(|(probability, extraction, routed)| Cluster {
+            .map(|(probability, extraction, factors)| Cluster {
                 probability: *probability,
                 extraction,
-                factors: routes[routed.clone()].iter().map(factor).collect(),
+                factors: (slots[factors.clone()].iter())
+                    .map(|&slot| vec![&*results[slot]])
+                    .collect(),
             })
             .collect();
         let (answer, work) = aggregate(&clusters, query.empty_probability);
@@ -706,43 +425,27 @@ pub fn evaluate_batch_sharded(
     agg_span.tag("rows", rows as u64);
     agg_span.tag("answers", answers as u64);
     drop(agg_span);
-    let merge_time = gather_start.elapsed();
 
-    // The shards ran side by side: their work, peaks and threads add up.
-    let (mut exec, mut run) = (ExecStats::new(), RunReport::default());
-    for shard in &runs {
-        exec.merge(&shard.exec);
-        run.merge(&shard.run);
-    }
+    let mut exec = exec.into_stats();
     for _ in &cluster_factors {
         exec.record_source_query();
     }
     Ok(BatchEvaluation {
         evaluations,
         exec,
-        run,
-        shards: ShardStats {
-            shards: shard_count,
-            fanouts: submissions.iter().map(|subs| subs.roots.len() as u64).sum(),
-            scatter_roots,
-            singleton_roots,
-            shard_times: (bind_times.iter().zip(&runs))
-                .map(|(bind, shard)| *bind + shard.elapsed)
-                .collect(),
-            merge_time,
-        },
+        run: run.report,
     })
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::algorithms::{basic, ebasic, Algorithm};
     use crate::strategy::Strategy;
     use crate::testkit;
     use crate::ProbabilisticAnswer;
 
-    pub(crate) fn paper_queries() -> Vec<TargetQuery> {
+    fn paper_queries() -> Vec<TargetQuery> {
         vec![
             testkit::q0(),
             testkit::q1(),
@@ -753,11 +456,7 @@ pub(crate) mod tests {
         ]
     }
 
-    pub(crate) fn assert_bit_identical(
-        a: &ProbabilisticAnswer,
-        b: &ProbabilisticAnswer,
-        context: &str,
-    ) {
+    fn assert_bit_identical(a: &ProbabilisticAnswer, b: &ProbabilisticAnswer, context: &str) {
         let (sa, sb) = (a.sorted(), b.sorted());
         assert_eq!(sa.len(), sb.len(), "{context}: answer cardinality");
         for ((t1, p1), (t2, p2)) in sa.iter().zip(&sb) {
@@ -771,48 +470,32 @@ pub(crate) mod tests {
         );
     }
 
-    /// A fresh unbudgeted set of `shards` over Figure 2's catalog.
-    pub(crate) fn set(catalog: &Catalog, shards: usize) -> ShardSet {
-        ShardSet::new(catalog, shards, ShardScheme::Hash, None)
-    }
-
-    /// Runs the paper queries on a fresh set of `shards` and checks every answer against
-    /// e-basic's to the bit and against basic and o-sharing(SEF).
-    pub(crate) fn assert_matches_sequential(
-        shards: usize,
-        scheme: ShardScheme,
-        workers: usize,
-    ) -> BatchEvaluation {
+    #[test]
+    fn batch_matches_sequential_on_every_paper_query() {
+        // Every answer against e-basic's to the bit and against basic and o-sharing(SEF), on
+        // one and several workers.
         let catalog = testkit::figure2_catalog();
         let mappings = testkit::figure3_mappings();
         let queries = paper_queries();
-        let set = ShardSet::new(&catalog, shards, scheme, None);
-        let options = BatchOptions::parallel(workers);
-        let batch = evaluate_batch_sharded(&queries, &mappings, &catalog, &options, &set).unwrap();
-        assert_eq!(batch.evaluations.len(), queries.len());
-        for (query, eval) in queries.iter().zip(&batch.evaluations) {
-            let context = format!("{} × {shards} {scheme} shards × {workers}", query.name());
-            let exact = ebasic::evaluate(query, &mappings, &catalog).unwrap();
-            assert_bit_identical(&eval.answer, &exact.answer, &context);
-            let reference = basic::evaluate(query, &mappings, &catalog).unwrap();
-            assert!(reference.answer.approx_eq(&eval.answer, 1e-9), "{context}");
-            let sef = crate::evaluate(
-                query,
-                &mappings,
-                &catalog,
-                Algorithm::OSharing(Strategy::Sef),
-            )
-            .unwrap();
-            assert!(sef.answer.approx_eq(&eval.answer, 1e-9), "{context}");
-        }
-        batch
-    }
-
-    #[test]
-    fn batch_matches_sequential_on_every_paper_query() {
-        // One shard, one and several workers; `sharded::tests` runs the same table at 2–4.
         for workers in [1, 4] {
-            assert_matches_sequential(1, ShardScheme::Hash, workers);
+            let options = BatchOptions::parallel(workers);
+            let batch = evaluate_batch(&queries, &mappings, &catalog, &options).unwrap();
+            assert_eq!(batch.evaluations.len(), queries.len());
+            for (query, eval) in queries.iter().zip(&batch.evaluations) {
+                let context = format!("{} × {workers}", query.name());
+                let exact = ebasic::evaluate(query, &mappings, &catalog).unwrap();
+                assert_bit_identical(&eval.answer, &exact.answer, &context);
+                let reference = basic::evaluate(query, &mappings, &catalog).unwrap();
+                assert!(reference.answer.approx_eq(&eval.answer, 1e-9), "{context}");
+                let sef = crate::evaluate(
+                    query,
+                    &mappings,
+                    &catalog,
+                    Algorithm::OSharing(Strategy::Sef),
+                )
+                .unwrap();
+                assert!(sef.answer.approx_eq(&eval.answer, 1e-9), "{context}");
+            }
         }
     }
 
@@ -920,22 +603,23 @@ pub(crate) mod tests {
         assert!(a.evaluations.iter().any(|e| e.answer.len() > 1));
     }
 
-    /// Runs the paper queries twice on one set of `shards`: the warm batch binds nothing anew
-    /// and executes no node, and both batches answer as the rebuild-every-batch path does.
-    pub(crate) fn assert_warm_batch_reuses_results(shards: usize) {
+    #[test]
+    fn warm_epoch_batch_skips_rebinding_and_execution_with_identical_answers() {
+        // Twice on one epoch: the warm batch binds nothing anew and executes no node, and both
+        // batches answer as the rebuild-every-batch path does.
         let catalog = testkit::figure2_catalog();
         let mappings = testkit::figure3_mappings();
         let queries = paper_queries();
         let rebuilt =
             evaluate_batch(&queries, &mappings, &catalog, &BatchOptions::sequential()).unwrap();
-        let set = set(&catalog, shards);
-        let options = BatchOptions::parallel(shards);
-        let cold = evaluate_batch_sharded(&queries, &mappings, &catalog, &options, &set).unwrap();
+        let epoch = BatchEpoch::new(None);
+        let options = BatchOptions::sequential();
+        let cold = evaluate_batch_on(&queries, &mappings, &catalog, &options, &epoch).unwrap();
         assert_eq!(cold.run.bind_hits, 0);
         assert_eq!(cold.run.results_reused, 0);
         assert!(cold.run.nodes_executed > 0);
 
-        let warm = evaluate_batch_sharded(&queries, &mappings, &catalog, &options, &set).unwrap();
+        let warm = evaluate_batch_on(&queries, &mappings, &catalog, &options, &epoch).unwrap();
         assert!(warm.run.bind_hits > 0, "warm batch must skip rebinding");
         assert_eq!(
             warm.run.nodes_executed, 0,
@@ -954,14 +638,9 @@ pub(crate) mod tests {
             .zip(&warm.evaluations)
             .zip(&rebuilt.evaluations)
         {
-            assert_bit_identical(&a.answer, &c.answer, &format!("cold × {shards}"));
-            assert_bit_identical(&b.answer, &c.answer, &format!("warm × {shards}"));
+            assert_bit_identical(&a.answer, &c.answer, "cold");
+            assert_bit_identical(&b.answer, &c.answer, "warm");
         }
-    }
-
-    #[test]
-    fn warm_epoch_batch_skips_rebinding_and_execution_with_identical_answers() {
-        assert_warm_batch_reuses_results(1);
     }
 
     #[test]
@@ -970,12 +649,12 @@ pub(crate) mod tests {
         // query's frontier executes.
         let catalog = testkit::figure2_catalog();
         let mappings = testkit::figure3_mappings();
-        let set = set(&catalog, 1);
+        let epoch = BatchEpoch::new(None);
         let options = BatchOptions::sequential();
         let first = [testkit::q0(), testkit::q1()];
-        evaluate_batch_sharded(&first, &mappings, &catalog, &options, &set).unwrap();
+        evaluate_batch_on(&first, &mappings, &catalog, &options, &epoch).unwrap();
         let queries = [testkit::q0(), testkit::q1(), testkit::q2_product()];
-        let second = evaluate_batch_sharded(&queries, &mappings, &catalog, &options, &set).unwrap();
+        let second = evaluate_batch_on(&queries, &mappings, &catalog, &options, &epoch).unwrap();
         assert!(second.run.bind_hits > 0);
         assert!(second.run.results_reused > 0);
         assert!(
@@ -993,19 +672,20 @@ pub(crate) mod tests {
         }
     }
 
-    /// Runs the paper queries twice on a set of `shards` with a budget of 0 per shard: every
-    /// pinned result spills and reloads, and no answer changes by a bit.
-    pub(crate) fn assert_budget_zero_matches_unconstrained(shards: usize) {
+    #[test]
+    fn memory_budgeted_epoch_matches_unconstrained_and_counts_spills() {
+        // Twice on an epoch with a budget of 0: every pinned result spills and reloads, and no
+        // answer changes by a bit.
         let catalog = testkit::figure2_catalog();
         let mappings = testkit::figure3_mappings();
         let queries = paper_queries();
         let unconstrained =
             evaluate_batch(&queries, &mappings, &catalog, &BatchOptions::sequential()).unwrap();
-        let set = ShardSet::new(&catalog, shards, ShardScheme::Hash, Some(0));
+        let epoch = BatchEpoch::new(Some(0));
         let options = BatchOptions::sequential();
-        let cold = evaluate_batch_sharded(&queries, &mappings, &catalog, &options, &set).unwrap();
+        let cold = evaluate_batch_on(&queries, &mappings, &catalog, &options, &epoch).unwrap();
         assert!(cold.exec.bytes_spilled > 0, "budget 0 must spill pins");
-        let warm = evaluate_batch_sharded(&queries, &mappings, &catalog, &options, &set).unwrap();
+        let warm = evaluate_batch_on(&queries, &mappings, &catalog, &options, &epoch).unwrap();
         assert_eq!(
             warm.run.nodes_executed, 0,
             "warm batch re-executed under budget"
@@ -1018,54 +698,48 @@ pub(crate) mod tests {
             .zip(&cold.evaluations)
             .zip(&warm.evaluations)
         {
-            assert_bit_identical(&b.answer, &a.answer, &format!("cold × {shards}"));
-            assert_bit_identical(&c.answer, &a.answer, &format!("warm × {shards}"));
+            assert_bit_identical(&b.answer, &a.answer, "cold");
+            assert_bit_identical(&c.answer, &a.answer, "warm");
         }
     }
 
     #[test]
-    fn memory_budgeted_epoch_matches_unconstrained_and_counts_spills() {
-        assert_budget_zero_matches_unconstrained(1);
-    }
-
-    #[test]
     fn pipelined_prepare_execute_matches_the_serialised_path() {
-        // The serving layer's pipeline shape: batches of one set run concurrently, so one binds
-        // under a shard's lock while another executes — each answer must be the serialised
-        // batches' to the bit.
+        // The serving layer's pipeline shape: batches of one epoch run concurrently, so one
+        // binds under the DAG's lock while another executes — each answer must be the
+        // serialised batches' to the bit.
         let catalog = testkit::figure2_catalog();
         let mappings = testkit::figure3_mappings();
         let queries = paper_queries();
         let serial =
             evaluate_batch(&queries, &mappings, &catalog, &BatchOptions::sequential()).unwrap();
-        for shards in [1, 2] {
-            let set = set(&catalog, shards);
-            let batches: Vec<BatchEvaluation> = std::thread::scope(|scope| {
-                let runs: Vec<_> = (0..4)
-                    .map(|i| {
-                        let (queries, mappings, catalog, set) =
-                            (&queries, &mappings, &catalog, &set);
-                        scope.spawn(move || {
-                            let options = BatchOptions::parallel(1 + i % 2);
-                            evaluate_batch_sharded(queries, mappings, catalog, &options, set)
-                        })
+        let epoch = BatchEpoch::new(None);
+        let batches: Vec<BatchEvaluation> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..4)
+                .map(|i| {
+                    let (queries, mappings, catalog, epoch) =
+                        (&queries, &mappings, &catalog, &epoch);
+                    scope.spawn(move || {
+                        let options = BatchOptions::parallel(1 + i % 2);
+                        evaluate_batch_on(queries, mappings, catalog, &options, epoch)
                     })
-                    .collect();
-                runs.into_iter()
-                    .map(|run| run.join().unwrap().unwrap())
-                    .collect()
-            });
-            for batch in &batches {
-                for (a, b) in batch.evaluations.iter().zip(&serial.evaluations) {
-                    assert_bit_identical(&a.answer, &b.answer, &format!("{shards} shards"));
-                }
+                })
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().unwrap().unwrap())
+                .collect()
+        });
+        for batch in &batches {
+            for (a, b) in batch.evaluations.iter().zip(&serial.evaluations) {
+                assert_bit_identical(&a.answer, &b.answer, "pipelined");
             }
-            // Together the four batches bound every root once and hit the bind cache after.
-            let misses: u64 = batches.iter().map(|b| b.run.bind_misses).sum();
-            let hits: u64 = batches.iter().map(|b| b.run.bind_hits).sum();
-            assert_eq!(misses + hits, 4 * batches[0].shards.fanouts);
-            assert_eq!(misses, batches[0].shards.fanouts);
         }
+        // Together the four batches bound every root once and hit the bind cache after.
+        let roots = serial.run.bind_misses;
+        let misses: u64 = batches.iter().map(|b| b.run.bind_misses).sum();
+        let hits: u64 = batches.iter().map(|b| b.run.bind_hits).sum();
+        assert_eq!(misses + hits, 4 * roots);
+        assert_eq!(misses, roots);
     }
 
     #[test]
@@ -1077,33 +751,6 @@ pub(crate) mod tests {
         assert_eq!(batch.run.plan_hits() + batch.run.nodes_added, 0);
         assert_eq!(batch.source_operators(), 0);
         assert_eq!(batch.run.nodes_executed, 0);
-        assert_eq!(batch.shards.fanouts, 0);
-    }
-
-    #[test]
-    fn a_set_of_one_shard_routes_every_root_once() {
-        // One shard slices nothing: every root is a singleton, dispatched once.
-        let catalog = testkit::figure2_catalog();
-        let mappings = testkit::figure3_mappings();
-        let options = BatchOptions::sequential();
-        let one = evaluate_batch(&paper_queries(), &mappings, &catalog, &options).unwrap();
-        assert_eq!(one.shards.shards, 1);
-        assert_eq!(one.shards.scatter_roots, 0);
-        assert!(one.shards.singleton_roots > 0);
-        assert_eq!(one.shards.fanouts, one.shards.singleton_roots);
-        assert_eq!(one.shards.shard_times.len(), 1);
-    }
-
-    #[test]
-    fn a_set_of_one_shard_runs_on_the_epoch_catalog() {
-        // No slice, and no row copied: every relation of the shard is the epoch's own.
-        let catalog = testkit::figure2_catalog();
-        let set = set(&catalog, 1);
-        let shard = &set.shards[0].catalog;
-        assert_eq!(shard.len(), catalog.len());
-        for (name, relation) in shard.iter() {
-            assert!(!name.ends_with("::slice"), "{name}");
-            assert!(Arc::ptr_eq(relation, &catalog.get(name).unwrap()), "{name}");
-        }
+        assert_eq!(batch.run.bind_misses, 0);
     }
 }

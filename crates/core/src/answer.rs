@@ -796,7 +796,7 @@ pub struct Cluster<'r> {
     /// the factor that holds it, and [`Extraction::Raw`] reads every column of every factor.
     pub extraction: &'r Extraction,
     /// The results whose product is the source query's result, each as the slices whose union
-    /// it is (one relation, or one per shard).  A factor that supplies no answer column is an
+    /// it is (the batch passes one relation).  A factor that supplies no answer column is an
     /// existence guard: the cluster produces nothing if it is empty.
     pub factors: Vec<Vec<&'r Relation>>,
 }

@@ -62,8 +62,7 @@ pub mod strategy;
 pub mod testkit;
 
 pub use algorithms::batch::{
-    evaluate_batch, evaluate_batch_sharded, slice_relation_name, BatchEvaluation, BatchOptions,
-    ShardSet, ShardStats,
+    evaluate_batch, evaluate_batch_on, BatchEpoch, BatchEvaluation, BatchOptions,
 };
 pub use algorithms::{evaluate, topk::top_k, topk::TopKEvaluation, Algorithm};
 pub use answer::{AnswerRows, ProbabilisticAnswer};

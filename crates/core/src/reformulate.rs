@@ -161,7 +161,7 @@ impl Clusters {
 /// Rewrites `query` through the mapping set the way the paper's q-sharing does (Section IV,
 /// Algorithms 1 and 3): partition the mappings by what they assign to the attributes the query
 /// mentions, [`reformulate`] one representative per partition, and merge partitions whose
-/// representatives reformulate equal.  This is the rewrite of batch and sharded evaluation —
+/// representatives reformulate equal.  This is the rewrite of batch evaluation —
 /// every request the service answers.
 ///
 /// The result is, to the bit, what rewriting through every mapping and clustering the plans

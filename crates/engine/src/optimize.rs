@@ -38,11 +38,11 @@
 //! by every mapping, query and output list (COUNT/SUM included) that contains it.
 //!
 //! **Canonical.**  Every choice above is a function of the *set* of leaves and conjuncts and
-//! of the catalog's base cardinalities — a shard slice orders as its base relation, and
-//! nothing observed at run time enters.  So a plan's optimised form (and fingerprint) does not
-//! depend on the order a mapping listed its relations or a query its predicates in, is stable
-//! for the lifetime of a catalog, and is the same on every shard.  Which side of a join the
-//! hash table is built on is not part of the plan: that stays the executor's decision.
+//! of the catalog's base cardinalities — nothing observed at run time enters.  So a plan's
+//! optimised form (and fingerprint) does not depend on the order a mapping listed its
+//! relations or a query its predicates in, and is stable for the lifetime of a catalog.  Which
+//! side of a join the hash table is built on is not part of the plan: that stays the
+//! executor's decision.
 //!
 //! Column names must be unique across the leaves of a block — which [`Plan`]'s
 //! alias-qualified naming guarantees for every plan reformulation builds.  A name is a shared
@@ -51,15 +51,14 @@
 //! the input plan's names — the optimizer allocates per plan node and column list, and copies
 //! no string.
 //!
-//! The same rewritten plan is used for every algorithm, the batch path and the shards, so
-//! relative comparisons between them are unaffected.  o-sharing's partial plans are probed
+//! The same rewritten plan is used for every algorithm and the batch path, so relative
+//! comparisons between them are unaffected.  o-sharing's partial plans are probed
 //! through [`factors`], the components of step 3 before step 5 multiplies them.
 
 use crate::{CompareOp, EngineError, EngineResult, Plan, Predicate};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use urm_storage::shard::base_relation_name;
 use urm_storage::{Catalog, Name, Schema};
 
 /// A structural fingerprint of a plan, used to detect identical source queries (e-basic) and
@@ -424,14 +423,11 @@ fn join_component(
     }
 }
 
-/// A coarse, deterministic row estimate from the catalog's *base* cardinalities (a shard slice
-/// counts as its base relation), used only to order leaves and components.
+/// A coarse, deterministic row estimate from the catalog's base cardinalities, used only to
+/// order leaves and components.
 fn estimated_rows(plan: &Plan, catalog: &Catalog) -> u64 {
     match plan {
-        Plan::Scan { relation, .. } => catalog
-            .get(base_relation_name(relation))
-            .or_else(|| catalog.get(relation))
-            .map_or(0, |base| base.len() as u64),
+        Plan::Scan { relation, .. } => catalog.get(relation).map_or(0, |base| base.len() as u64),
         Plan::Values(rel) => rel.len() as u64,
         Plan::Select { predicate, input } => {
             (estimated_rows(input, catalog) / reduction(predicate)).max(1)
@@ -677,26 +673,6 @@ mod tests {
             assert_eq!(permuted, reference);
             assert_eq!(fingerprint(&permuted), fingerprint(&reference));
         }
-    }
-
-    #[test]
-    fn a_shard_slice_orders_as_its_base() {
-        let mut cat = catalog();
-        let slice = urm_storage::shard::slice_relation_name("Orders");
-        cat.insert(relation(&slice, &["oid", "cid", "total"], 3, 3));
-        let plan = |orders: &str| {
-            Plan::scan("Customer")
-                .product(Plan::scan_as(orders, "Orders"))
-                .select(Predicate::column_eq("Customer.cid", "Orders.cid"))
-                .aggregate(AggFunc::Count)
-        };
-        let whole = optimize(&plan("Orders"), &cat).unwrap().to_string();
-        let sliced = optimize(&plan(&slice), &cat).unwrap().to_string();
-        // Three rows would start the join; thirty (the base's) keep Customer first.
-        assert_eq!(
-            sliced,
-            whole.replace("Scan Orders", &format!("Scan {slice} AS Orders"))
-        );
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl RunReport {
     }
 
     /// Adds another report to this one, field by field.  Merged runs are taken to have run
-    /// side by side (the shards of one batch), so their peaks and their threads add up too.
+    /// side by side, so their peaks and their threads add up too.
     pub fn merge(&mut self, other: &RunReport) {
         self.nodes_executed += other.nodes_executed;
         self.results_reused += other.results_reused;
@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn run_reports_merge_as_runs_side_by_side() {
-        let shard = RunReport {
+        let part = RunReport {
             nodes_executed: 3,
             bind_hits: 1,
             operators_deduped: 2,
@@ -250,8 +250,8 @@ mod tests {
             workers: 1,
             ..RunReport::default()
         };
-        let mut batch = shard.clone();
-        batch.merge(&shard);
+        let mut batch = part.clone();
+        batch.merge(&part);
         assert_eq!(batch.nodes_executed, 6);
         assert_eq!(batch.plan_hits(), 6);
         assert_eq!((batch.peak_parallelism, batch.workers), (2, 2));

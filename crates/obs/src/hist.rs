@@ -5,7 +5,7 @@
 //! recorded value lands in a bucket whose upper bound is at most 12.5% above it.  Recording is
 //! one atomic increment plus two atomic adds — no locks, no allocation — so histograms can sit
 //! on hot paths and be shared freely across worker threads.  Snapshots are plain vectors that
-//! [merge](HistSnapshot::merge) bucket-wise, which is how per-shard and per-worker histograms
+//! [merge](HistSnapshot::merge) bucket-wise, which is how per-worker histograms
 //! roll up into one service-wide distribution.
 //!
 //! The sort-based [`LatencySummary`]/[`percentile`] pair (exact nearest-rank percentiles over
@@ -112,7 +112,7 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`], mergeable across shards and workers.
+/// A point-in-time copy of a [`Histogram`], mergeable across workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     buckets: Vec<u64>,
@@ -151,7 +151,7 @@ impl HistSnapshot {
         self.max
     }
 
-    /// Folds another snapshot in bucket-wise (shard/worker roll-up).
+    /// Folds another snapshot in bucket-wise (worker roll-up).
     pub fn merge(&mut self, other: &HistSnapshot) {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;

@@ -6,12 +6,12 @@
 //!
 //! * [`trace`] — structured trace spans: a cheaply cloneable [`Tracer`] records nested,
 //!   cross-thread spans (batch → rewrite/plan → per-DAG-node execute, spill I/O, grace
-//!   partitioning, shard scatter/execute/gather, admission) and exports them as Chrome
+//!   partitioning, bind/execute/aggregate, admission) and exports them as Chrome
 //!   trace-event JSON or JSONL.  A disabled tracer is a no-op: no allocation, no lock, no
 //!   clock read on the hot path — `obs_bench` holds the overhead to that.
 //! * [`hist`] — HDR-style log-bucketed [`Histogram`]s (fixed bucket array, lock-free atomic
 //!   increments, ≤ 12.5% relative error) for per-stage and per-endpoint latency, merged
-//!   across shards and workers via [`HistSnapshot::merge`]; plus the exact sort-based
+//!   across workers via [`HistSnapshot::merge`]; plus the exact sort-based
 //!   [`LatencySummary`]/[`percentile`] pair for bounded sample sets.
 //! * [`prom`] — Prometheus text-exposition rendering ([`PromWriter`]): counters, gauges and
 //!   histogram `_bucket`/`_sum`/`_count` series for `GET /metrics`.

@@ -14,7 +14,7 @@
 //!   scheduler that fans work out to workers first [sets an anchor](Tracer::set_anchor): spans
 //!   started on threads with an empty stack parent to the anchor instead of floating free.
 //!
-//! Spans carry integer tags (`shared_by`, shard/node indices, byte counts) attached via
+//! Spans carry integer tags (`shared_by`, node indices, byte counts) attached via
 //! [`SpanGuard::tag`] and name-valued labels (`op`) attached via [`SpanGuard::label`]; keys
 //! and label values are `&'static str` so tagging never allocates either.
 
@@ -49,7 +49,7 @@ pub struct SpanRecord {
     pub dur_ns: u64,
     /// The recording thread's process-wide tag.
     pub tid: u64,
-    /// Integer tags (`("shared_by", 3)`, `("shard", 1)`, …).
+    /// Integer tags (`("shared_by", 3)`, `("node", 1)`, …).
     pub tags: Vec<(&'static str, u64)>,
     /// Name-valued tags (`("op", "join")`); exported beside the integer ones.
     pub labels: Vec<(&'static str, &'static str)>,

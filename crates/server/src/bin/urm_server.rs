@@ -20,7 +20,6 @@ use std::time::Duration;
 use urm_datagen::scenario::{Scenario, ScenarioConfig, TargetSchemaKind};
 use urm_server::{AdmissionConfig, AdmissionController, UrmServer};
 use urm_service::{QueryService, ServiceConfig};
-use urm_storage::ShardScheme;
 
 struct Args {
     addr: String,
@@ -31,8 +30,6 @@ struct Args {
     workers: usize,
     dag_workers: usize,
     batch_size: usize,
-    shards: usize,
-    shard_scheme: ShardScheme,
     trace_sample: usize,
     memory_budget: Option<usize>,
     queue_capacity: usize,
@@ -56,8 +53,6 @@ impl Default for Args {
             workers: 4,
             dag_workers: service.dag_workers,
             batch_size: 64,
-            shards: service.shards,
-            shard_scheme: service.shard_scheme,
             trace_sample: service.trace_sample,
             memory_budget: service.memory_budget,
             queue_capacity: admission.queue_capacity,
@@ -86,10 +81,7 @@ OPTIONS:
   --workers W         service worker threads (default 4)
   --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4)
   --batch-size B      max queries per service batch (default 64)
-  --shards N          scatter-gather each epoch across N partitioned shard runtimes (default 1
-                      = one unsliced shard; answers are byte-identical at every count)
-  --shard-scheme S    hash (default) or range partitioning of the source relations
-  --memory-budget B   per-shard byte budget for materialised relations (default: unbudgeted)
+  --memory-budget B   per-epoch byte budget for materialised relations (default: unbudgeted)
   --trace-sample N    trace every Nth batch (default 0 = off; requests carrying an
                       X-Trace-Id header are always traced — see GET /debug/traces)
   --queue-capacity N  max admitted-but-unanswered *cost units*, service-wide (default 8192;
@@ -127,8 +119,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.workers = parse_num(&value("--workers")?)?,
             "--dag-workers" => args.dag_workers = parse_num(&value("--dag-workers")?)?,
             "--batch-size" => args.batch_size = parse_num(&value("--batch-size")?)?,
-            "--shards" => args.shards = parse_num(&value("--shards")?)?.max(1),
-            "--shard-scheme" => args.shard_scheme = value("--shard-scheme")?.parse()?,
             "--memory-budget" => args.memory_budget = Some(parse_num(&value("--memory-budget")?)?),
             "--trace-sample" => args.trace_sample = parse_num(&value("--trace-sample")?)?,
             "--queue-capacity" => args.queue_capacity = parse_num(&value("--queue-capacity")?)?,
@@ -166,8 +156,6 @@ fn main() -> ExitCode {
         workers: args.workers,
         batch_max: args.batch_size,
         dag_workers: args.dag_workers,
-        shards: args.shards,
-        shard_scheme: args.shard_scheme,
         trace_sample: args.trace_sample,
         memory_budget: args.memory_budget,
         ..ServiceConfig::default()

@@ -324,7 +324,6 @@ fn healthz_body(shared: &Shared) -> String {
             "uptime_seconds",
             Json::Num(shared.started.elapsed().as_secs() as f64),
         ),
-        ("shards", Json::Num(shared.service.config().shards as f64)),
         ("epoch_count", Json::Num(shared.epochs.len() as f64)),
         (
             "in_flight_units",

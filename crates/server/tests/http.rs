@@ -67,6 +67,10 @@ fn healthz_metrics_query_and_batch_round_trip() {
     let doc = Json::parse(&health.body).unwrap();
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
     assert_eq!(doc.get("epochs").and_then(Json::as_arr).unwrap().len(), 1);
+    assert!(
+        doc.get("shards").is_none(),
+        "an epoch runs on one DAG: no shard count"
+    );
 
     // One query, on the same keep-alive connection.
     let one = client

@@ -22,7 +22,6 @@ use urm_core::{evaluate, Algorithm, Strategy};
 use urm_datagen::replay::{parse_workload, synthetic_workload, WorkloadEntry};
 use urm_datagen::scenario::{Scenario, ScenarioConfig, TargetSchemaKind};
 use urm_service::{EpochId, QueryService, ServiceConfig, Ticket};
-use urm_storage::ShardScheme;
 
 /// What executes the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +61,6 @@ struct Args {
     dag_workers: usize,
     batch_size: usize,
     answer_cache: usize,
-    shards: usize,
-    shard_scheme: ShardScheme,
     memory_budget: Option<usize>,
     trace: Option<String>,
     verify: bool,
@@ -84,8 +81,6 @@ impl Default for Args {
             dag_workers: defaults.dag_workers,
             batch_size: 64,
             answer_cache: 1024,
-            shards: defaults.shards,
-            shard_scheme: defaults.shard_scheme,
             memory_budget: defaults.memory_budget,
             trace: None,
             verify: false,
@@ -111,15 +106,8 @@ OPTIONS:
   --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4)
   --batch-size B      max queries per batch (default 64)
   --answer-cache N    service answer cache capacity (default 1024; 0 disables it)
-  --shards N          scatter-gather across N partitioned shard runtimes (default 1 = one
-                      unsliced shard): each epoch's catalog is deterministically split so
-                      shard i holds slice i of every source table, batches fan out to all
-                      shards in parallel and the per-shard answers merge back byte-identically
-  --shard-scheme S    how relations are split across shards: hash (FNV-1a of the key column,
-                      default) or range (contiguous row chunks); answers are byte-identical
-                      under either scheme
-  --memory-budget B   byte budget for materialised relations, per shard of each epoch
-                      (default: unbudgeted); under a budget, pinned results spill to
+  --memory-budget B   byte budget for materialised relations, per epoch (default:
+                      unbudgeted); under a budget, pinned results spill to
                       disk segments and oversized hash joins take the grace (partitioned)
                       path — answers are byte-identical
   --trace FILE        trace every batch and write the merged span trees to FILE as Chrome
@@ -148,8 +136,6 @@ fn parse_args() -> Result<Args, String> {
             "--dag-workers" => args.dag_workers = parse_num(&value("--dag-workers")?)?,
             "--batch-size" => args.batch_size = parse_num(&value("--batch-size")?)?,
             "--answer-cache" => args.answer_cache = parse_num(&value("--answer-cache")?)?,
-            "--shards" => args.shards = parse_num(&value("--shards")?)?.max(1),
-            "--shard-scheme" => args.shard_scheme = value("--shard-scheme")?.parse()?,
             "--memory-budget" => args.memory_budget = Some(parse_num(&value("--memory-budget")?)?),
             "--trace" => args.trace = Some(value("--trace")?),
             "--verify" => args.verify = true,
@@ -311,11 +297,10 @@ fn run_service(
         batch_max: args.batch_size,
         dag_workers: args.dag_workers,
         answer_cache_capacity: args.answer_cache,
-        shards: args.shards,
-        shard_scheme: args.shard_scheme,
         // --trace FILE traces every batch (sample rate 1); otherwise tracing stays off.
         trace_sample: usize::from(args.trace.is_some()),
         memory_budget: args.memory_budget,
+        ..ServiceConfig::default()
     });
     let epochs: BTreeMap<String, EpochId> = scenarios
         .iter()
@@ -327,15 +312,13 @@ fn run_service(
 
     println!(
         "workload: {} queries over {} epoch(s); algorithm=service replays={} batch-size={} \
-         workers={} dag-workers={} shards={} scheme={} memory-budget={}",
+         workers={} dag-workers={} memory-budget={}",
         workload.len(),
         epochs.len(),
         args.replays,
         args.batch_size,
         args.workers,
         args.dag_workers,
-        args.shards,
-        args.shard_scheme,
         args.memory_budget
             .map_or_else(|| "off".to_string(), |b| format!("{b}B")),
     );
@@ -458,21 +441,6 @@ fn run_service(
         "columnar: {} rows produced by vectorized kernels",
         metrics.exec.columnar_rows,
     );
-    // Mirror the spill/single-thread convention: an unsharded run prints n/a, never a
-    // misleading 0 that reads as "sharded but idle".
-    if args.shards > 1 {
-        println!(
-            "shard: {} batches fanned out across {} shards ({} root fan-outs), per-shard \
-             p95={:.2}ms, merge time={:.2}ms",
-            metrics.shard_batches,
-            args.shards,
-            metrics.shard_fanouts,
-            metrics.shard_latency.p95.as_secs_f64() * 1000.0,
-            metrics.shard_merge_time.as_secs_f64() * 1000.0,
-        );
-    } else {
-        println!("shard: n/a (run with --shards N)");
-    }
     match args.memory_budget {
         Some(budget) => println!(
             "spill: budget={budget} bytes, {} bytes spilled ({} raw → {} encoded segment bytes), \

@@ -1,7 +1,5 @@
 //! Service tuning knobs.
 
-use urm_storage::ShardScheme;
-
 /// Configuration of a [`QueryService`](crate::QueryService).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -16,22 +14,10 @@ pub struct ServiceConfig {
     pub dag_workers: usize,
     /// Capacity of the service-wide answer cache (entries, LRU-evicted); 0 disables it.
     pub answer_cache_capacity: usize,
-    /// Number of shards each epoch's catalog is partitioned into (1 = unsharded; answers are
-    /// byte-identical at every count).
-    ///
-    /// Every registered epoch runs its batches over a [`ShardSet`](urm_core::ShardSet) of this
-    /// many shards, through one coordinator.  One shard runs on the epoch's own catalog and
-    /// slices nothing.  With `shards > 1`, source relations are deterministically partitioned
-    /// by key so shard *i* holds slice *i* of every table (plus a full replica for the
-    /// non-sliced side of joins), each batch is fanned out to all shards in parallel, and the
-    /// per-shard results are gathered into each query's answer.  Shard work is reported in
-    /// [`ServiceMetrics::shard_fanouts`](crate::ServiceMetrics) /
-    /// [`shard_merge_time`](crate::ServiceMetrics) (`urm-cli --shards N`).
+    /// Unused: every epoch runs its batches on one epoch DAG.  The field stays only because
+    /// the end-to-end benchmark's report prints it; the next benchmark change (ROADMAP item
+    /// 2) drops it from the report, and then the field.
     pub shards: usize,
-    /// How source relations are split across shards ([`Hash`](ShardScheme::Hash) on the key
-    /// attribute, or contiguous [`Range`](ShardScheme::Range) chunks).  Ignored with
-    /// [`shards`](ServiceConfig::shards) = 1.  Answers are byte-identical under either scheme.
-    pub shard_scheme: ShardScheme,
     /// Trace-sampling rate for batches: 0 = off (the default — a disabled tracer is a no-op
     /// on every hot path), N ≥ 1 = every Nth batch records a full span tree (`batch` →
     /// `rewrite`/`optimize_bind`/`bind`/`execute`/`aggregate` → per-DAG-node `node` spans, plus
@@ -40,10 +26,10 @@ pub struct ServiceConfig {
     /// force-traces any request carrying an `X-Trace-Id` header regardless of this knob
     /// (`urm-server --trace-sample N`, `urm-cli --trace out.json`).
     pub trace_sample: usize,
-    /// Byte budget for materialised relations, per shard of each epoch (`None` = unbudgeted,
-    /// all in memory); an epoch of N shards may hold N times the budget.
+    /// Byte budget for materialised relations, per epoch (`None` = unbudgeted, all in
+    /// memory).
     ///
-    /// With a budget, each shard owns a spill [`BufferPool`](urm_storage::BufferPool): pinned
+    /// With a budget, each epoch owns a spill [`BufferPool`](urm_storage::BufferPool): pinned
     /// node results are spill-backed (paged out to disk segments under pressure, reloaded
     /// transparently), and hash joins whose build side exceeds *half* the budget take the
     /// grace (partitioned) path — so workloads bigger than RAM complete instead of OOMing,
@@ -72,7 +58,6 @@ impl Default for ServiceConfig {
             dag_workers: default_dag_workers(),
             answer_cache_capacity: 1024,
             shards: 1,
-            shard_scheme: ShardScheme::Hash,
             trace_sample: 0,
             memory_budget: None,
         }
@@ -104,7 +89,5 @@ mod tests {
         assert!(c.batch_max >= 1);
         assert!((1..=4).contains(&c.dag_workers));
         assert!(c.answer_cache_capacity >= 1);
-        assert_eq!(c.shards, 1, "sharding must be opt-in");
-        assert_eq!(c.shard_scheme, ShardScheme::Hash);
     }
 }

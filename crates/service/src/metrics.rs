@@ -52,18 +52,6 @@ pub struct ServiceMetrics {
     pub epoch_results_reused: u64,
     /// The executor's counters, merged across all batches.
     pub exec: ExecStats,
-    /// Batches that ran over their epoch's shards: every evaluated batch, an unsharded epoch's
-    /// over its one shard (a batch whose evaluation failed does not count).
-    pub shard_batches: u64,
-    /// Per-shard root submissions of all batches (a root scattered to all N shards counts N,
-    /// a root routed to one shard counts 1; over one shard, every distinct root counts 1).
-    pub shard_fanouts: u64,
-    /// Total wall-clock time batches spent gathering: aggregating each query's answer from
-    /// its factors' per-shard results.
-    pub shard_merge_time: Duration,
-    /// p50/p95/p99 over the *per-shard* bind + execution times of all batches (each shard of
-    /// each batch contributes one sample; over one shard, the batch's bind and execution).
-    pub shard_latency: LatencySummary,
     /// Total wall-clock time spent executing batches.
     pub batch_time: Duration,
 }
@@ -165,28 +153,6 @@ impl ServiceMetrics {
         ];
         fields.extend(self.exec.fields());
         fields.extend([
-            ("shard_batches", Counter, self.shard_batches as f64),
-            ("shard_fanouts", Counter, self.shard_fanouts as f64),
-            (
-                "shard_merge_time_ns",
-                Counter,
-                self.shard_merge_time.as_nanos() as f64,
-            ),
-            (
-                "shard_latency_p50_ns",
-                Gauge,
-                self.shard_latency.p50.as_nanos() as f64,
-            ),
-            (
-                "shard_latency_p95_ns",
-                Gauge,
-                self.shard_latency.p95.as_nanos() as f64,
-            ),
-            (
-                "shard_latency_p99_ns",
-                Gauge,
-                self.shard_latency.p99.as_nanos() as f64,
-            ),
             ("batch_time_ns", Counter, self.batch_time.as_nanos() as f64),
             ("answer_hit_rate", Gauge, self.answer_hit_rate()),
             ("plan_hit_rate", Gauge, self.plan_hit_rate()),
@@ -210,9 +176,6 @@ impl ServiceMetrics {
         self.epoch_bind_hits += report.run.bind_hits;
         self.epoch_results_reused += report.run.results_reused;
         self.exec.merge(&report.exec);
-        self.shard_batches += u64::from(report.shards > 0);
-        self.shard_fanouts += report.shard_fanouts;
-        self.shard_merge_time += report.shard_merge_time;
         self.batch_time += report.latency;
     }
 }
@@ -240,20 +203,9 @@ pub struct BatchReport {
     pub served_from_cache: usize,
     /// The batch's executor counters (zeros for a batch whose evaluation failed).
     pub exec: ExecStats,
-    /// The batch's bind stage and DAG runs.  `run.workers` is the sum of the threads its
-    /// shards' DAGs ran on, at least one per shard: at most `ServiceConfig::dag_workers` over
-    /// one shard.
+    /// The batch's bind stage and DAG run.  `run.workers` is the threads its DAG ran on: at
+    /// most `ServiceConfig::dag_workers`.
     pub run: RunReport,
-    /// Shards the batch ran over: the epoch's shard count, 1 for an unsharded epoch, even
-    /// when every root was routed to one shard (0 for a batch whose evaluation failed).
-    pub shards: usize,
-    /// Per-shard root submissions of this batch (over one shard: its distinct roots).
-    pub shard_fanouts: u64,
-    /// Wall-clock time this batch spent gathering its answers from the shards' results.
-    pub shard_merge_time: Duration,
-    /// p50/p95/p99 over this batch's per-shard bind + execution times (over one shard, all
-    /// three are that shard's).
-    pub shard_latency: LatencySummary,
     /// Wall-clock latency of the batch.
     pub latency: Duration,
     /// p50/p95/p99 over the *per-query* wall-clock latencies of the batch's evaluated queries
@@ -301,7 +253,6 @@ mod tests {
         let m = ServiceMetrics {
             batches: 3,
             batch_time: Duration::from_micros(1500),
-            shard_merge_time: Duration::from_nanos(42),
             ..ServiceMetrics::default()
         };
         let fields = m.fields();
@@ -317,7 +268,6 @@ mod tests {
         };
         assert_eq!(get("batches").2, 3.0);
         assert_eq!(get("batch_time_ns").2, 1_500_000.0);
-        assert_eq!(get("shard_merge_time_ns").2, 42.0);
         assert!(matches!(get("queries_submitted").1, MetricKind::Counter));
         assert!(matches!(get("answer_hit_rate").1, MetricKind::Gauge));
         assert!(

@@ -8,9 +8,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use urm_core::metrics::EvalMetrics;
-use urm_core::{evaluate_batch_sharded, BatchOptions, ShardSet};
+use urm_core::{evaluate_batch_on, BatchEpoch, BatchOptions};
 use urm_core::{CoreError, ProbabilisticAnswer, QueryKey, TargetQuery};
 use urm_matching::MappingSet;
 use urm_obs::{HistSnapshot, Histogram, TraceReport, Tracer};
@@ -133,12 +133,12 @@ struct Epoch {
     /// epoch (0 = nothing evaluated yet).  The admission layer charges requests against this
     /// instead of a flat per-query unit once the epoch has history.
     observed_cost: AtomicU64,
-    /// The runtimes every batch of the epoch runs over: [`ServiceConfig::shards`] shards, one
-    /// for an unsharded epoch, each with its own persistent shared-operator DAG (bind cache +
-    /// weak result cache) behind its own bind lock — a batch holds it only while it binds, so
-    /// another worker binds the epoch's next batch while this one executes.  Dropped with the
-    /// epoch, which is what keeps identity-based fingerprints safe.
-    shards: ShardSet,
+    /// The state every batch of the epoch runs over: its persistent shared-operator DAG (bind
+    /// cache + weak result cache) behind its bind lock — a batch holds it only while it binds,
+    /// so another worker binds the epoch's next batch while this one executes — and the
+    /// factors each source query splits into.  Dropped with the epoch, which is what keeps
+    /// identity-based fingerprints safe.
+    state: BatchEpoch,
 }
 
 /// A query that missed the answer cache at submit time, waiting for its batch.
@@ -171,9 +171,6 @@ struct Inner {
     /// The other running counters; the answer-cache fields are filled in at snapshot time.
     metrics: Mutex<ServiceMetrics>,
     reports: Mutex<Vec<BatchReport>>,
-    /// Bounded per-shard bind + execution-time samples (one per shard per batch), feeding the
-    /// service-wide [`ServiceMetrics::shard_latency`] percentiles at snapshot time.
-    shard_samples: Mutex<Vec<Duration>>,
     /// Lock-free per-stage latency histograms (log-bucketed, ≤12.5% relative error) — recorded
     /// on every batch regardless of tracing, snapshotted by
     /// [`stage_histograms`](QueryService::stage_histograms) for the Prometheus exposition.
@@ -311,16 +308,15 @@ impl Inner {
             .map(|group| group[0].key.query().clone())
             .collect();
 
-        // Merge every distinct query's plans into the persistent DAGs of the epoch's shards and
-        // execute each distinct operator this batch still needs exactly once, on the configured
-        // number of scheduler workers.  A shard's bind lock is held only while the batch binds
-        // there, so another worker can already bind the epoch's *next* batch while this one
-        // executes; the engine's internal result lock is taken only to look nodes up and to
+        // Merge every distinct query's plans into the epoch's persistent DAG and execute each
+        // distinct operator this batch still needs exactly once, on the configured number of
+        // scheduler workers.  The DAG's bind lock is held only while the batch binds, so
+        // another worker can already bind the epoch's *next* batch while this one executes; the engine's internal result lock is taken only to look nodes up and to
         // commit, never across an operator.
         let options = BatchOptions::parallel(self.config.dag_workers).with_tracer(tracer.clone());
         let epoch = &batch.epoch;
         let (mappings, catalog) = (&epoch.mappings, &epoch.catalog);
-        let outcome = evaluate_batch_sharded(&unique, mappings, catalog, &options, &epoch.shards);
+        let outcome = evaluate_batch_on(&unique, mappings, catalog, &options, &epoch.state);
         let outcome = match outcome {
             Ok(outcome) => outcome,
             Err(err) => {
@@ -391,7 +387,6 @@ impl Inner {
         let latency = start.elapsed();
         let latency_percentiles =
             LatencySummary::from_samples(shared.iter().map(|(m, _)| m.total_time).collect());
-        let shard_stats = outcome.shards;
         let report = BatchReport {
             id: batch.id,
             epoch: batch.epoch_id.raw(),
@@ -400,10 +395,6 @@ impl Inner {
             served_from_cache,
             exec: outcome.exec,
             run: outcome.run,
-            shards: shard_stats.shards,
-            shard_fanouts: shard_stats.fanouts,
-            shard_merge_time: shard_stats.merge_time,
-            shard_latency: LatencySummary::from_samples(shard_stats.shard_times.clone()),
             latency,
             latency_percentiles,
         };
@@ -411,14 +402,6 @@ impl Inner {
             let mut metrics = self.metrics.lock().unwrap();
             metrics.batch_deduped += deduped;
             metrics.absorb(&report);
-        }
-        {
-            let mut samples = self.shard_samples.lock().unwrap();
-            samples.extend(shard_stats.shard_times);
-            if samples.len() > RETAINED_REPORTS {
-                let excess = samples.len() - RETAINED_REPORTS;
-                samples.drain(..excess);
-            }
         }
         self.retain_report(report);
         // Stage latencies feed the lock-free histograms on every batch, traced or not.
@@ -487,7 +470,6 @@ impl QueryService {
             queries_submitted: AtomicU64::new(0),
             metrics: Mutex::new(ServiceMetrics::default()),
             reports: Mutex::new(Vec::new()),
-            shard_samples: Mutex::new(Vec::new()),
             stages: StageHistograms::default(),
             traces: Mutex::new(VecDeque::new()),
         });
@@ -517,30 +499,23 @@ impl QueryService {
     }
 
     /// Registers an immutable (catalog, mapping set) pair, returning its epoch id.  The epoch
-    /// is born with [`ServiceConfig::shards`] shards (see [`ShardSet::new`]) and an empty
-    /// persistent DAG on each; its first batch is the cold one.  A single shard runs on the
-    /// epoch's own catalog: registering copies no row.
+    /// is born with an empty persistent DAG (see [`BatchEpoch::new`]); its first batch is the
+    /// cold one.  Registering copies no row.
     ///
-    /// With [`ServiceConfig::memory_budget`] set, each shard's DAG runs over a spill
+    /// With [`ServiceConfig::memory_budget`] set, the epoch's DAG runs over a spill
     /// [`BufferPool`](urm_storage::BufferPool) of that budget (grace hash joins, spill-backed
     /// pins); without one, pinned results are resident up to the default pin budget, so
     /// alternating batch working sets keep each other warm.
     pub fn register_epoch(&self, catalog: Catalog, mappings: MappingSet) -> EpochId {
         let id = self.inner.epoch_counter.fetch_add(1, Ordering::Relaxed);
-        let config = &self.inner.config;
-        let shards = ShardSet::new(
-            &catalog,
-            config.shards,
-            config.shard_scheme,
-            config.memory_budget,
-        );
+        let state = BatchEpoch::new(self.inner.config.memory_budget);
         self.inner.epochs.write().unwrap().insert(
             id,
             Arc::new(Epoch {
                 catalog,
                 mappings,
                 observed_cost: AtomicU64::new(0),
-                shards,
+                state,
             }),
         );
         EpochId(id)
@@ -723,8 +698,6 @@ impl QueryService {
     pub fn metrics(&self) -> ServiceMetrics {
         let mut snapshot = self.inner.metrics.lock().unwrap().clone();
         snapshot.queries_submitted = self.inner.queries_submitted.load(Ordering::Relaxed);
-        snapshot.shard_latency =
-            LatencySummary::from_samples(self.inner.shard_samples.lock().unwrap().clone());
         let cache = self.inner.answer_cache.lock().unwrap();
         snapshot.answer_cache_hits = cache.hits();
         snapshot.answer_cache_misses = cache.misses();
@@ -1029,37 +1002,31 @@ mod tests {
         // registration to the next: anything a retired epoch left behind would show up here.
         let catalog = testkit::figure2_catalog();
         let queries = || vec![testkit::q0(), testkit::q1(), testkit::count_query()];
-        for shards in [1usize, 2] {
-            let service = QueryService::new(ServiceConfig {
-                shards,
-                ..ServiceConfig::tiny()
-            });
-            let rounds: Vec<_> = (0..3)
-                .map(|_| {
-                    let epoch =
-                        service.register_epoch(catalog.clone(), testkit::figure3_mappings());
-                    let answers: Vec<Vec<(urm_storage::Tuple, u64)>> = service
-                        .execute_all(epoch, queries())
-                        .unwrap()
-                        .iter()
-                        .map(|response| {
-                            let sorted = response.answer.sorted();
-                            sorted.into_iter().map(|(t, p)| (t, p.to_bits())).collect()
-                        })
-                        .collect();
-                    let report = service.reports().last().cloned().unwrap();
-                    assert_eq!(report.epoch, epoch.raw());
-                    assert!(service.drop_epoch(epoch));
-                    (
-                        answers,
-                        report.run.nodes_executed,
-                        report.run.results_reused,
-                    )
-                })
-                .collect();
-            assert_eq!(rounds[1], rounds[0], "{shards} shard(s), round 2");
-            assert_eq!(rounds[2], rounds[0], "{shards} shard(s), round 3");
-        }
+        let service = QueryService::new(ServiceConfig::tiny());
+        let rounds: Vec<_> = (0..3)
+            .map(|_| {
+                let epoch = service.register_epoch(catalog.clone(), testkit::figure3_mappings());
+                let answers: Vec<Vec<(urm_storage::Tuple, u64)>> = service
+                    .execute_all(epoch, queries())
+                    .unwrap()
+                    .iter()
+                    .map(|response| {
+                        let sorted = response.answer.sorted();
+                        sorted.into_iter().map(|(t, p)| (t, p.to_bits())).collect()
+                    })
+                    .collect();
+                let report = service.reports().last().cloned().unwrap();
+                assert_eq!(report.epoch, epoch.raw());
+                assert!(service.drop_epoch(epoch));
+                (
+                    answers,
+                    report.run.nodes_executed,
+                    report.run.results_reused,
+                )
+            })
+            .collect();
+        assert_eq!(rounds[1], rounds[0], "round 2");
+        assert_eq!(rounds[2], rounds[0], "round 3");
     }
 
     #[test]
@@ -1192,16 +1159,9 @@ mod tests {
                 memory_budget: Some(0),
                 ..ServiceConfig::tiny()
             },
-            ServiceConfig {
-                shards: 2,
-                ..ServiceConfig::tiny()
-            },
         ];
         for config in configs {
-            let label = format!(
-                "budget {:?}, {} shard(s)",
-                config.memory_budget, config.shards
-            );
+            let label = format!("budget {:?}", config.memory_budget);
             let service = QueryService::new(config);
             let epoch =
                 service.register_epoch(testkit::figure2_catalog(), testkit::figure3_mappings());

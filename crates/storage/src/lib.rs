@@ -64,7 +64,6 @@ pub mod hash_index;
 pub mod recency;
 pub mod relation;
 pub mod schema;
-pub mod shard;
 pub mod spill;
 pub mod tuple;
 pub mod types;
@@ -79,7 +78,6 @@ pub use hash_index::HashIndex;
 pub use recency::RecencyIndex;
 pub use relation::Relation;
 pub use schema::{AttrRef, Attribute, Name, Schema};
-pub use shard::ShardScheme;
 pub use spill::{BufferPool, SpillStats, SpillableRelation, DEFAULT_PAGE_BYTES};
 pub use tuple::Tuple;
 pub use types::DataType;

@@ -6,12 +6,11 @@
 
 use urm::core::answer::tuples_materialized;
 use urm::core::reformulate::{reformulate, Extraction, Reformulated};
-use urm::core::{evaluate_batch, evaluate_batch_sharded, BatchOptions, ShardSet};
+use urm::core::{evaluate_batch, evaluate_batch_on, BatchEpoch, BatchOptions};
 use urm::datagen::replay::parse_spec;
 use urm::engine::Executor;
 use urm::prelude::*;
 use urm::service::Tracer;
-use urm::storage::ShardScheme;
 
 /// `benchmarks/e2e/src/workload.rs`, workload `cold_batch`.
 const COLD_BATCH_SPECS: &[&str] = &[
@@ -84,11 +83,11 @@ fn cold_batch_answers_come_off_unbuilt_roots() {
     let (mut factor_rows, mut rows_probed, mut answers_added) = (0u64, 0u64, 0u64);
     for (queries, scenario) in cold_batch() {
         let (mappings, catalog) = (&scenario.mappings, &scenario.catalog);
-        let set = ShardSet::new(catalog, 1, ShardScheme::Hash, None);
+        let set = BatchEpoch::new(None);
         let tracer = Tracer::enabled("cold-batch");
         let options = BatchOptions::parallel(2).with_tracer(tracer.clone());
         let built = tuples_materialized();
-        let batch = evaluate_batch_sharded(&queries, mappings, catalog, &options, &set)
+        let batch = evaluate_batch_on(&queries, mappings, catalog, &options, &set)
             .expect("batch evaluates");
         assert_eq!(tuples_materialized(), built, "the batch built tuples");
         let trace = tracer.finish().expect("an enabled tracer reports");
@@ -118,7 +117,7 @@ fn cold_batch_answers_come_off_unbuilt_roots() {
         // The batch's roots again, now answered by the epoch's pinned results: the very
         // relations the batch aggregated.
         let mut exec = Executor::new(catalog);
-        let mut epoch = set.dag(0);
+        let mut epoch = set.dag();
         let mut tuple_roots = Vec::new();
         for query in &queries {
             for mapping in mappings.iter() {

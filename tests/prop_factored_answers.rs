@@ -11,8 +11,8 @@
 //! probability bit for probability bit, and render to the same `answer_json` bytes.
 //!
 //! Covered: random scenarios and mapping sets (h from 2 to 100, so `basic`'s one cluster per
-//! mapping passes more than 64 clusters); the batch, and sharded batches over 1, 2 and 4
-//! shards; existence guards (a relation reached only by predicates), answer columns a mapping
+//! mapping passes more than 64 clusters); the batch, and a cold then a warm batch over one
+//! persistent epoch; existence guards (a relation reached only by predicates), answer columns a mapping
 //! leaves NULL, answer columns repeated; clusters with equal factors folded among others that
 //! produce some of the same answers.
 
@@ -23,15 +23,14 @@ use urm::core::reformulate::{
     extract_answers, partitioned_reformulations, reformulate, Extraction, Reformulated, SourceQuery,
 };
 use urm::core::{
-    evaluate, evaluate_batch, evaluate_batch_sharded, Algorithm, BatchOptions, ProbabilisticAnswer,
-    ShardSet,
+    evaluate, evaluate_batch, evaluate_batch_on, Algorithm, BatchEpoch, BatchOptions,
+    ProbabilisticAnswer,
 };
 use urm::datagen::replay::parse_spec;
 use urm::datagen::source::planted;
 use urm::engine::optimize::optimize;
 use urm::engine::Executor;
 use urm::prelude::*;
-use urm::storage::shard::ShardScheme;
 use urm_server::answer_json;
 
 /// Each schema's specs, and for Excel three queries of its own: an existence guard (`PO` is
@@ -172,13 +171,14 @@ proptest! {
 
         let batch = evaluate_batch(&queries, mappings, catalog, &BatchOptions::sequential())
             .expect("batch evaluates");
-        let sharded: Vec<_> = [1, 2, 4]
+        // The service's path: one epoch state, a cold batch and then a warm one over it.
+        let epoch = BatchEpoch::new(None);
+        let options = BatchOptions::parallel(2);
+        let on_epoch: Vec<_> = ["cold", "warm"]
             .into_iter()
-            .map(|shards| {
-                let set = ShardSet::new(catalog, shards, ShardScheme::Hash, None);
-                let options = BatchOptions::parallel(2);
-                let run = evaluate_batch_sharded(&queries, mappings, catalog, &options, &set);
-                (shards, run.expect("sharded batch evaluates"))
+            .map(|label| {
+                let run = evaluate_batch_on(&queries, mappings, catalog, &options, &epoch);
+                (label, run.expect("epoch batch evaluates"))
             })
             .collect();
         for (at, query) in queries.iter().enumerate() {
@@ -191,9 +191,9 @@ proptest! {
             let want = reference(&clusters, clustering.empty_probability, catalog);
             let name = query.name();
             assert_reference(&batch.evaluations[at].answer, &want, &format!("{name} batch"));
-            for (shards, run) in &sharded {
+            for (label, run) in &on_epoch {
                 let got = &run.evaluations[at].answer;
-                assert_reference(got, &want, &format!("{name} over {shards} shards"));
+                assert_reference(got, &want, &format!("{name} {label} batch"));
             }
 
             // `basic`: one cluster per mapping, in mapping order.
