@@ -402,7 +402,7 @@ pub fn evaluate_batch_on(
                 probability: *probability,
                 extraction,
                 factors: (slots[factors.clone()].iter())
-                    .map(|&slot| vec![&*results[slot]])
+                    .map(|&slot| &*results[slot])
                     .collect(),
             })
             .collect();

@@ -795,10 +795,9 @@ pub struct Cluster<'r> {
     /// How answer tuples are read: each [`Extraction::Columns`] name resolves in the schema of
     /// the factor that holds it, and [`Extraction::Raw`] reads every column of every factor.
     pub extraction: &'r Extraction,
-    /// The results whose product is the source query's result, each as the slices whose union
-    /// it is (the batch passes one relation).  A factor that supplies no answer column is an
-    /// existence guard: the cluster produces nothing if it is empty.
-    pub factors: Vec<Vec<&'r Relation>>,
+    /// The results whose product is the source query's result.  A factor that supplies no
+    /// answer column is an existence guard: the cluster produces nothing if it is empty.
+    pub factors: Vec<&'r Relation>,
 }
 
 impl<'r> Cluster<'r> {
@@ -808,7 +807,7 @@ impl<'r> Cluster<'r> {
         Cluster {
             probability,
             extraction,
-            factors: vec![vec![result]],
+            factors: vec![result],
         }
     }
 }
@@ -883,11 +882,10 @@ fn aggregate_into(
     let mut null = None;
     for (at, cluster) in clusters.iter().enumerate() {
         // An empty factor makes the product empty.
-        let empty = |factor: &Vec<&Relation>| factor.iter().all(|slice| slice.is_empty());
         if cluster.probability <= 0.0 || cluster.factors.is_empty() {
             continue;
         }
-        if cluster.factors.iter().any(empty) {
+        if cluster.factors.iter().any(|factor| factor.is_empty()) {
             continue;
         }
         let (mut layout, used) = resolve_layout(cluster);
@@ -895,13 +893,13 @@ fn aggregate_into(
             null.get_or_insert_with(|| answer.pool.intern(&NULL));
         }
         let mut classes = Vec::with_capacity(used.len());
-        for (slices, used) in cluster.factors.iter().zip(used) {
-            if let Some(known) = interned.iter().find(|f| f.is(slices, &used)) {
+        for (&factor, used) in cluster.factors.iter().zip(used) {
+            if let Some(known) = interned.iter().find(|f| f.is(factor, &used)) {
                 classes.push(known.class);
                 continue;
             }
             let width = used.len();
-            let rows = intern_rows(slices, &used, &mut answer.pool, &mut scratch);
+            let rows = intern_rows(factor, &used, &mut answer.pool, &mut scratch);
             work.factor_rows += rows;
             let class = match class_of(&tables, width, rows, &scratch) {
                 Some(class) => class,
@@ -919,7 +917,7 @@ fn aggregate_into(
                 }
             };
             interned.push(InternedFactor {
-                slices,
+                factor,
                 used,
                 class,
             });
@@ -1052,7 +1050,7 @@ enum Slot {
 
 /// A cluster's answer layout, and for each of its factors the schema positions it reads.
 fn resolve_layout(cluster: &Cluster<'_>) -> (Vec<Slot>, Vec<Vec<usize>>) {
-    let schemas: Vec<_> = cluster.factors.iter().map(|f| f[0].schema()).collect();
+    let schemas: Vec<_> = cluster.factors.iter().map(|f| f.schema()).collect();
     let mut used: Vec<Vec<usize>> = vec![Vec::new(); schemas.len()];
     let mut cell = |factor: usize, position: usize| {
         let known = used[factor].iter().position(|&p| p == position);
@@ -1092,19 +1090,12 @@ fn resolve_layout(cluster: &Cluster<'_>) -> (Vec<Slot>, Vec<Vec<usize>>) {
     (layout, used)
 }
 
-/// Interns the `used` columns of the union of `slices` into `ids`, row after row, and returns
-/// the number of rows.
-fn intern_rows(slices: &[&Relation], used: &[usize], pool: &mut Pool, ids: &mut Vec<u32>) -> usize {
-    let positions: Vec<Option<usize>> = used.iter().copied().map(Some).collect();
-    let (mut rows, mut slice_ids) = (0, Vec::new());
-    ids.clear();
-    for slice in slices {
-        let cells = AnswerRows::new(slice, positions.clone());
-        cells.intern_into(pool, &mut slice_ids);
-        ids.extend_from_slice(&slice_ids);
-        rows += cells.len();
-    }
-    rows
+/// Interns the `used` columns of `factor` into `ids`, row after row, and returns the number of
+/// rows.
+fn intern_rows(factor: &Relation, used: &[usize], pool: &mut Pool, ids: &mut Vec<u32>) -> usize {
+    let cells = AnswerRows::new(factor, used.iter().copied().map(Some).collect());
+    cells.intern_into(pool, ids);
+    cells.len()
 }
 
 /// The table whose rows are the `rows` rows of `width` ids in `ids`, in their order.
@@ -1164,24 +1155,18 @@ impl FactorRows {
     }
 }
 
-/// A factor result met by one [`aggregate`] call: which slices and columns it is, and its
+/// A factor result met by one [`aggregate`] call: which result and columns it is, and its
 /// class — the table holding its rows.
 struct InternedFactor<'r> {
-    slices: &'r [&'r Relation],
+    factor: &'r Relation,
     used: Vec<usize>,
     class: usize,
 }
 
 impl InternedFactor<'_> {
-    /// Whether this is the factor of `slices` read at `used`.
-    fn is(&self, slices: &[&Relation], used: &[usize]) -> bool {
-        self.used == used
-            && self.slices.len() == slices.len()
-            && self
-                .slices
-                .iter()
-                .zip(slices)
-                .all(|(a, b)| std::ptr::eq(*a, *b))
+    /// Whether this is `factor` read at `used`.
+    fn is(&self, factor: &Relation, used: &[usize]) -> bool {
+        std::ptr::eq(self.factor, factor) && self.used == used
     }
 }
 
@@ -1729,7 +1714,7 @@ mod tests {
             .map(|(factors, extraction, probability)| Cluster {
                 probability: *probability,
                 extraction,
-                factors: factors.iter().map(|&f| vec![&pool[f]]).collect(),
+                factors: factors.iter().map(|&f| &pool[f]).collect(),
             })
             .collect();
         let (got, work) = aggregate(&clusters, 0.25);
@@ -1815,7 +1800,7 @@ mod tests {
             .map(|(extraction, probability)| Cluster {
                 probability,
                 extraction,
-                factors: vec![vec![&a], vec![&b]],
+                factors: vec![&a, &b],
             })
             .collect();
         let (got, work) = aggregate(&clusters, 0.0);

@@ -549,13 +549,10 @@ mod tests {
         // Alice and Cindy share an office address: three rows, two answers, first seen first.
         let answer = |addr: &str| Tuple::new(vec![addr.into(), Value::Null, addr.into()]);
         assert_eq!(answers, vec![answer("aaa"), answer("bbb")]);
-        // The aggregate step finds the same two, off the view and off the rows as one factor.
-        let cluster = Cluster {
-            probability: 0.5,
-            extraction: &extraction,
-            factors: vec![vec![&result, &rows]],
-        };
-        let (aggregated, work) = aggregate(&[cluster], 0.0);
+        // The aggregate step finds the same two, off the view and off the rows: the two
+        // clusters' factors hold the same rows, so they fold and are enumerated once.
+        let clusters = [&result, &rows].map(|factor| Cluster::single(0.25, &extraction, factor));
+        let (aggregated, work) = aggregate(&clusters, 0.0);
         assert_eq!(work.factor_rows, 6, "six rows interned");
         assert_eq!(work.rows, 2, "two distinct rows enumerated");
         let got: Vec<(&Tuple, f64)> = aggregated.iter().collect();

@@ -68,7 +68,7 @@ struct DagNode {
     consumers: Vec<usize>,
     /// The node's sharing key.
     fingerprint: u64,
-    /// Estimated output rows (bind-time, from captured row-buffer sizes).
+    /// Estimated output rows (bind-time, from the captured relations' sizes).
     est_rows: u64,
     /// Estimated work to execute the node (input rows consumed + output rows produced); the
     /// scheduler's ready queue is a max-heap over this.

@@ -1,7 +1,7 @@
 //! The per-epoch persistent DAG: cross-batch operator reuse as a cache layer.
 //!
 //! Bound-plan fingerprints are identity-safe for the whole life of an epoch (they hash the
-//! *pointers* of the captured row buffers, and an epoch's catalog is immutable).  This module
+//! *identities* of the captured base relations, and an epoch's catalog is immutable).  This module
 //! keeps one [`OperatorDag`] alive per (catalog, mapping set) epoch and layers two caches over
 //! it — the only place in the workspace that holds a DAG together with its results:
 //!
@@ -52,7 +52,7 @@
 //! commit the run; no operator ever runs under it, so executions of pipelined batches overlap.
 //!
 //! The epoch DAG is dropped with its epoch, which is what makes the identity-based
-//! fingerprints safe: no cache entry can outlive the row buffers its key points to.
+//! fingerprints safe: no cache entry can outlive the relations its key points to.
 
 use crate::dag::{DagResultCache, DagRun, DagScheduler, NodeId, OperatorDag};
 use crate::executor::Executor;

@@ -1,19 +1,20 @@
 //! The plan executor: binds logical plans and evaluates physical operators batch-at-a-time.
 //!
 //! [`Executor::run`] is a thin wrapper over the two-phase pipeline — [`bind`] the logical plan
-//! into a [`PhysicalPlan`] (columns positional, predicates compiled, base row buffers
+//! into a [`PhysicalPlan`] (columns positional, predicates compiled, base relations
 //! captured), then evaluate the physical operators bottom-up.  Every operator consumes its
 //! children's output batches and produces one output batch behind an `Arc`, so:
 //!
-//! * scans and `Values` leaves hand out shared views of existing row buffers (zero copies);
+//! * scans and `Values` leaves hand out the storage they were bound to (zero copies): a scan,
+//!   the base relation's columns the catalog converted when it was inserted;
 //! * cached sub-plan results flow into downstream operators without re-materialisation;
 //! * every operator reads its inputs as [`ColumnView`]s, runs as a [`vectorized`] kernel and
 //!   emits a *late-materialized* relation — index vectors over the shared base columns — so
 //!   no operator builds a tuple; rows are built once, by whoever reads a result's rows (a
 //!   plan or DAG root, a result admitted to a byte-budgeted pool);
-//! * an input that arrives as rows — a scanned buffer, an ad-hoc `Values` buffer, an
-//!   aggregate's one-row output, a pin reloaded from a spill segment — is converted to
-//!   columns where it is consumed (scanned buffers once, memoised by the catalog).
+//! * an input that arrives as rows — an ad-hoc `Values` buffer, an aggregate's one-row
+//!   output, a pin reloaded from a spill segment — is converted to columns where it is
+//!   consumed.
 //!
 //! Two things matter for fidelity to the paper:
 //!
@@ -181,21 +182,16 @@ impl<'a> Executor<'a> {
         self.eval_node(plan, &children)
     }
 
-    /// The columnar form of an operator input: the view of a late-materialized intermediate,
-    /// else the catalog's memoised conversion of a row buffer a scan converted, else — for
-    /// any other row relation (an ad-hoc `Values` buffer, an aggregate's output, a pin
-    /// reloaded from a spill segment) — a conversion made here, for this consumer.  The
-    /// catalog's memo pins what it indexes, so only scanned buffers go there.
+    /// The columnar form of an operator input: the view of a base relation or a
+    /// late-materialized intermediate, else — for a row relation (an ad-hoc `Values` buffer,
+    /// an aggregate's output, a pin reloaded from a spill segment) — a conversion made here,
+    /// for this consumer.
     fn input_view<'r>(&self, rel: &'r Relation) -> Cow<'r, ColumnView> {
         match rel.view() {
             Some(view) => Cow::Borrowed(view),
-            None => {
-                let base = self
-                    .catalog
-                    .cached_columnar(rel)
-                    .unwrap_or_else(|| Arc::new(ColumnarRelation::from_relation(rel)));
-                Cow::Owned(ColumnView::from_base(base))
-            }
+            None => Cow::Owned(ColumnView::from_base(Arc::new(
+                ColumnarRelation::from_relation(rel),
+            ))),
         }
     }
 
@@ -216,9 +212,6 @@ impl<'a> Executor<'a> {
             PhysicalPlan::Scan { view, .. } => {
                 self.stats.record_scan(view.len() as u64);
                 self.stats.rows_shared += view.len() as u64;
-                // The scan hands out the base rows themselves; converting here (once per
-                // buffer, memoised by the catalog) is what the operators over it read.
-                let _ = self.catalog.columnar_view(view);
                 Ok(Arc::clone(view))
             }
             PhysicalPlan::Values { rel } => {
@@ -626,9 +619,10 @@ mod tests {
         let cat = figure2_catalog();
         let mut exec = Executor::new(&cat);
         let out = exec.run(&Plan::scan("Customer")).unwrap();
-        assert!(
-            out.shares_rows_with(&cat.get("Customer").unwrap()),
-            "scan output must be a view of the base relation, not a copy"
+        assert_eq!(
+            out.storage_id(),
+            cat.get("Customer").unwrap().storage_id(),
+            "scan output must share the base relation's storage, not copy it"
         );
         assert_eq!(exec.stats().rows_shared, 3);
     }

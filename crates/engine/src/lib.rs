@@ -14,7 +14,7 @@
 //! * [`Predicate`] / [`AggFunc`] — the predicate and aggregate language of Table III;
 //! * [`physical`] — the bound physical-plan layer: [`physical::bind`] compiles a logical plan
 //!   against a catalog (columns → positions, predicates → [`physical::BoundPredicate`], base
-//!   row buffers captured) into a [`PhysicalPlan`];
+//!   relations captured) into a [`PhysicalPlan`];
 //! * [`Executor`] — binds and evaluates physical operators batch-at-a-time over shared
 //!   (`Arc`-backed) [`Relation`](urm_storage::Relation)s, with zero-copy scans and `Values`
 //!   leaves;

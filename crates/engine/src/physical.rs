@@ -8,13 +8,14 @@
 //! ```text
 //!   logical Plan  ──bind()──►  PhysicalPlan  ──execute──►  batches (Arc<Relation>)
 //!   columns by name            columns by index            shared, never cloned
-//!   relations by name          row buffers captured        one columnar view per operator
+//!   relations by name          base storage captured       one columnar view per operator
 //! ```
 //!
 //! * every column reference becomes a positional index into the input batch;
 //! * every predicate is compiled to a [`BoundPredicate`] evaluated without name lookups;
-//! * every scan captures the base relation's shared row buffer (`Arc<Vec<Tuple>>`), so
-//!   executing a scan or a `Values` leaf hands out a *view* of existing rows, not a copy;
+//! * every scan captures the base relation's shared storage (the columns the catalog
+//!   converted it to), so executing a scan or a `Values` leaf hands out existing data, not a
+//!   copy;
 //! * every node carries its output [`Schema`], computed once from its inputs' schemas and
 //!   sharing their attribute names: binding allocates per node, never per column name.
 //!
@@ -24,7 +25,7 @@
 //! unresolvable join key) surface before any operator runs.
 //!
 //! [`PhysicalPlan::fingerprint`] identifies bound sub-plans for the shared-operator DAG: two
-//! queries that reformulate onto the same source sub-plan over the same row buffers share one
+//! queries that reformulate onto the same source sub-plan over the same base relations share one
 //! fingerprint, which is what makes cross-query sub-plan reuse zero-copy end-to-end.
 
 use crate::plan::{aggregate_schema, position, positions};
@@ -80,7 +81,7 @@ pub enum BoundAggregate {
 }
 
 /// A bound, executable plan: columns positional, predicates compiled, schemas precomputed, base
-/// row buffers captured.  Built by [`bind`]; evaluated by
+/// relations captured.  Built by [`bind`]; evaluated by
 /// [`Executor`](crate::Executor) batch-at-a-time.
 ///
 /// Children are `Arc`-shared: handing a bound subtree to the shared-operator DAG or the
@@ -88,15 +89,15 @@ pub enum BoundAggregate {
 /// [`Relation`] rows follow.
 #[derive(Debug, Clone)]
 pub enum PhysicalPlan {
-    /// Scan of a base relation: a zero-copy view of the captured row buffer under the
-    /// alias-qualified schema, built once at bind time so execution is a pure `Arc` clone.
+    /// Scan of a base relation: its captured storage under the alias-qualified schema, built
+    /// once at bind time so execution is a pure `Arc` clone.
     Scan {
         /// Catalog relation name (fingerprinting / display).
         relation: Name,
         /// Scan alias (fingerprinting / display).
         alias: Name,
-        /// The base relation's row buffer under the qualified schema, sharing the catalog
-        /// relation's storage.
+        /// The base relation under the qualified schema, sharing the catalog relation's
+        /// storage.
         view: Arc<Relation>,
     },
     /// An already-materialised relation, handed out as a shared view.
@@ -214,7 +215,7 @@ impl PhysicalPlan {
     }
 
     /// The number of rows this operator is estimated to produce, given its children's
-    /// estimates — from the row buffers captured at bind time (leaves are exact; operators use
+    /// estimates — from the relations captured at bind time (leaves are exact; operators use
     /// coarse selectivity rules).  This is the cost signal the parallel DAG scheduler orders
     /// its ready queue by; the DAG supplies the child estimates so each node's estimate is
     /// computed exactly once even when subtrees are shared.
@@ -238,11 +239,12 @@ impl PhysicalPlan {
     /// [`OperatorDag`](crate::OperatorDag) and of the per-epoch result cache.
     ///
     /// Leaves hash by identity, not content: a scan hashes its relation name, alias and the
-    /// *pointer* of the captured row buffer, and a `Values` leaf hashes its schema plus the
-    /// identity of its shared storage ([`Relation::storage_id`] — the row buffer, or the view
-    /// of a late-materialized intermediate, whose rows fingerprinting therefore never builds).  Identity hashing makes fingerprints O(plan size)
-    /// instead of O(data size) and ties every fingerprint to a concrete catalog snapshot — two
-    /// epochs' scans of a same-named relation no longer collide.  The trade-off is that a cache
+    /// identity of the captured storage ([`Relation::storage_id`]), and a `Values` leaf
+    /// hashes its schema plus the identity of its storage — the row buffer, or the view of a
+    /// late-materialized relation, whose rows fingerprinting therefore never builds.
+    /// Identity hashing makes fingerprints O(plan size) instead of O(data size) and ties
+    /// every fingerprint to a concrete catalog snapshot — two epochs' scans of a same-named
+    /// relation no longer collide.  The trade-off is that a cache
     /// keyed on these fingerprints must not outlive the relations its plans were bound against
     /// (the result cache is dropped with its epoch, which guarantees exactly that).
     #[must_use]
@@ -354,7 +356,7 @@ fn bind_predicate(predicate: &Predicate, schema: &Schema) -> BoundPredicate {
     }
 }
 
-/// Binds a logical plan against a catalog: resolves relations to row buffers, columns to
+/// Binds a logical plan against a catalog: resolves relations to their storage, columns to
 /// positions, predicates to [`BoundPredicate`]s, and precomputes every output schema.
 ///
 /// Every node of the returned tree is behind an `Arc` (see [`PhysicalPlan`]), so downstream
@@ -369,12 +371,9 @@ pub fn bind(plan: &Plan, catalog: &Catalog) -> EngineResult<Arc<PhysicalPlan>> {
     match plan {
         Plan::Scan { relation, alias } => {
             let base = catalog.require(relation)?;
-            // Build the qualified view once; every execution of this scan is then a pure
-            // `Arc` clone of it.
-            let view = Arc::new(Relation::from_shared(
-                catalog.scan_schema(relation, alias)?,
-                base.shared_rows(),
-            ));
+            // The base's own storage under the qualified schema, built once; every execution
+            // of this scan is then a pure `Arc` clone of it.
+            let view = Arc::new(base.with_schema(catalog.scan_schema(relation, alias)?));
             Ok(Arc::new(PhysicalPlan::Scan {
                 relation: relation.clone(),
                 alias: alias.clone(),
@@ -532,7 +531,7 @@ mod tests {
         let PhysicalPlan::Scan { view, .. } = phys.as_ref() else {
             panic!("expected a scan");
         };
-        assert!(view.shares_rows_with(&cat.get("R").unwrap()));
+        assert_eq!(view.storage_id(), cat.get("R").unwrap().storage_id());
     }
 
     #[test]

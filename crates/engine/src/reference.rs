@@ -20,7 +20,7 @@ use urm_storage::{Catalog, Name, Relation, Tuple, Value};
 /// Rewrites every scan of `plan` into a [`Plan::Values`] leaf over a private copy of the
 /// scanned relation's rows, under the scan's qualified schema.
 ///
-/// The copy's row buffer is not one `catalog` has converted, so
+/// The copy is a row buffer, not the columns `catalog` holds, so
 /// [`Executor`](crate::Executor) converts it where each operator above it consumes it — the
 /// way a spill reload or an ad-hoc buffer reaches the kernels.  Rows and row order are the
 /// scan's; the leaves no longer count as scans in [`ExecStats`].  A scan of an unknown
@@ -332,7 +332,7 @@ mod tests {
         let cat = catalog();
         let mut exec = ReferenceExecutor::new(&cat);
         let out = exec.run(&Plan::scan("R")).unwrap();
-        assert!(!out.shares_rows_with(&cat.get("R").unwrap()));
+        assert_ne!(out.storage_id(), cat.get("R").unwrap().storage_id());
         assert_eq!(out.len(), 6);
         assert_eq!(exec.stats().scans, 1);
         assert_eq!(exec.stats().source_queries, 1);
@@ -346,7 +346,7 @@ mod tests {
         let out = exec
             .run(&Plan::values_shared(std::sync::Arc::clone(&base)))
             .unwrap();
-        assert!(!out.shares_rows_with(&base));
+        assert_ne!(out.storage_id(), base.storage_id());
         assert_eq!(out.rows(), base.rows());
     }
 }

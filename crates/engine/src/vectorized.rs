@@ -343,7 +343,7 @@ fn column_eq_kernel(a: ColumnRef<'_>, b: ColumnRef<'_>, cands: &[u32]) -> Vec<u3
                 ..
             },
         ) => {
-            if Arc::ptr_eq(ad, bd) {
+            if std::ptr::eq(ad, bd) {
                 keep(a, b, cands, |i, j| ac[i] == bc[j])
             } else {
                 keep(a, b, cands, |i, j| {
@@ -505,7 +505,7 @@ fn join_single_key(
                 nulls: rnul,
             },
         ) => {
-            if Arc::ptr_eq(ld, rd) {
+            if std::ptr::eq(ld, rd) {
                 join_typed(
                     ln,
                     rn,

@@ -3,8 +3,8 @@
 //!
 //! For every randomly generated (catalog, plan) pair — random schemas, random data, random
 //! operator trees including deliberately invalid column references — the plan over scans
-//! (conversions memoised by the catalog), the same plan over buffers the catalog never
-//! converted ([`off_catalog`]: converted where each operator consumes them, as after a spill
+//! (the columns the catalog converted at insert), the same plan over row buffers the catalog
+//! never converted ([`off_catalog`]: converted where each operator consumes them, as after a spill
 //! reload) and the reference must either fail alike or produce byte-identical relations
 //! (schema, rows *and* row order) with identical operator accounting.  A second property holds
 //! the partitioned join to the one-pass join at every fan-out.  Deterministic tests pin the

@@ -584,10 +584,10 @@ fn mixed_overflowed_and_all_null_columns_join_through_views() {
     catalog.insert(Relation::new(short, rows).unwrap());
 
     let kinds = |name: &str| -> Vec<bool> {
-        let view = catalog.columnar_view(&catalog.get(name).unwrap());
-        view.columns()
-            .iter()
-            .map(|c| matches!(c.as_ref(), Column::Mixed(_)))
+        let base = catalog.get(name).unwrap();
+        let view = base.view().unwrap();
+        (0..view.arity())
+            .map(|pos| matches!(view.column(pos).unwrap().column, Column::Mixed(_)))
             .collect()
     };
     assert_eq!(

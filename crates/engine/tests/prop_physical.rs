@@ -253,6 +253,6 @@ proptest! {
         let name = names[rng.index(names.len())].clone();
         let mut exec = Executor::new(&catalog);
         let out = exec.run(&Plan::scan(name.clone())).unwrap();
-        prop_assert!(out.shares_rows_with(&catalog.get(&name).unwrap()));
+        prop_assert_eq!(out.storage_id(), catalog.get(&name).unwrap().storage_id());
     }
 }

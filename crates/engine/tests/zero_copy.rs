@@ -83,7 +83,7 @@ fn cache_hits_are_pointer_identical_and_copy_nothing() {
     let second = resolve(&mut epoch, &plan, &mut exec).unwrap();
     // The hit is the stored allocation itself — not an equal copy.
     assert!(Arc::ptr_eq(&first, &second));
-    assert!(first.shares_rows_with(&second));
+    assert_eq!(first.storage_id(), second.storage_id());
     // And it cost zero additional executor work.
     assert_eq!(exec.stats().scans, scans_after_first);
     assert_eq!(exec.stats().operators_executed, ops_after_first);
@@ -96,9 +96,10 @@ fn cached_scans_are_views_of_the_base_relation() {
     let mut exec = Executor::new(&cat);
 
     let scan_result = resolve(&mut epoch, &Plan::scan("Customer"), &mut exec).unwrap();
-    assert!(
-        scan_result.shares_rows_with(&cat.get("Customer").unwrap()),
-        "a cached scan must share the base relation's row buffer"
+    assert_eq!(
+        scan_result.storage_id(),
+        cat.get("Customer").unwrap().storage_id(),
+        "a cached scan must share the base relation's storage"
     );
 
     // A second query whose prefix is the scan reuses the very same view.

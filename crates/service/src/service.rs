@@ -998,7 +998,7 @@ mod tests {
 
     #[test]
     fn retirement_leaves_nothing_behind_that_changes_the_next_epoch() {
-        // Clones of one catalog share row buffers, so bound fingerprints line up from one
+        // Clones of one catalog share their relations, so bound fingerprints line up from one
         // registration to the next: anything a retired epoch left behind would show up here.
         let catalog = testkit::figure2_catalog();
         let queries = || vec![testkit::q0(), testkit::q1(), testkit::count_query()];

@@ -1,21 +1,20 @@
 //! The catalog: the source instance `D`, a named collection of relations.
 
-use crate::{ColumnarRelation, Relation, Schema, StorageError, StorageResult};
+use crate::{ColumnView, ColumnarRelation, Relation, Schema, StorageError, StorageResult};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// A named collection of materialised relations — the paper's *source instance* `D`.
+/// A named collection of relations — the paper's *source instance* `D`.
 ///
 /// Relations are held behind [`Arc`] so the many source queries generated from a mapping set can
-/// scan the same base data without copying it.
+/// scan the same base data without copying it.  They are held *columnar at rest*: inserting a
+/// row relation converts it once into a [`ColumnarRelation`] and keeps only that, as the whole
+/// [`ColumnView`] of its columns ([`Relation::from_view`]), so a scan reads the columns as they
+/// lie.  Rows of a base relation are built only for whoever asks for them
+/// ([`Relation::rows`]), and are then held beside the columns.
 ///
-/// The catalog also memoises [`ColumnarRelation`] conversions, keyed by *row-buffer identity*:
-/// the same buffer scanned under different aliases shares one conversion, catalog clones (the
-/// per-worker executors of the DAG scheduler) share the cache, and an entry pins its source
-/// buffer alive — so a cache key can never be a dangling pointer reused by another allocation.
-///
-/// Beside it sit the *qualified scan schemas* ([`Catalog::scan_schema`]): a plan's scan of
+/// Beside them sit the *qualified scan schemas* ([`Catalog::scan_schema`]): a plan's scan of
 /// `relation AS alias` carries the base schema with every attribute renamed `alias.attr`, and
 /// schema inference, optimisation and binding each ask for it, per plan, for the same handful
 /// of (relation, alias) pairs.  Each is built once and handed out as a clone (three `Arc`
@@ -23,7 +22,6 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     relations: BTreeMap<String, Arc<Relation>>,
-    columnar: Arc<Mutex<HashMap<usize, Arc<ColumnarRelation>>>>,
     scan_schemas: Arc<Mutex<HashMap<String, ScanSchemas>>>,
 }
 
@@ -46,7 +44,7 @@ impl Catalog {
     /// Registers a relation under its schema name, replacing any existing relation of that name.
     pub fn insert(&mut self, relation: Relation) {
         self.relations
-            .insert(relation.schema().name().to_string(), Arc::new(relation));
+            .insert(relation.schema().name().to_string(), at_rest(relation));
     }
 
     /// Registers a relation, failing if one with the same name already exists.
@@ -55,7 +53,7 @@ impl Catalog {
         if self.relations.contains_key(&name) {
             return Err(StorageError::DuplicateRelation(name));
         }
-        self.relations.insert(name, Arc::new(relation));
+        self.relations.insert(name, at_rest(relation));
         Ok(())
     }
 
@@ -149,47 +147,25 @@ impl Catalog {
         self.relations.values().map(|r| r.len()).sum()
     }
 
-    /// Estimated total size in bytes (see [`Relation::estimated_bytes`]).
+    /// Estimated total size in bytes of what the relations hold: their columns, and rows
+    /// where something built them (see [`Relation::estimated_bytes`]).
     #[must_use]
     pub fn estimated_bytes(&self) -> usize {
         self.relations.values().map(|r| r.estimated_bytes()).sum()
     }
+}
 
-    fn buffer_key(rel: &Relation) -> usize {
-        Arc::as_ptr(&rel.shared_rows()) as *const () as usize
+/// A relation as the catalog holds it: a relation that already has a view is kept as it is (a
+/// relation taken from another catalog is not converted again); a row relation is converted to
+/// columns, and its rows are dropped.
+fn at_rest(relation: Relation) -> Arc<Relation> {
+    if relation.view().is_some() {
+        return Arc::new(relation);
     }
-
-    /// The memoised columnar conversion of a relation's row buffer, converting on first use.
-    ///
-    /// Conversions are shared across aliases of the same buffer and across catalog clones.
-    /// The executor calls this at scan time.
-    #[must_use]
-    pub fn columnar_view(&self, rel: &Relation) -> Arc<ColumnarRelation> {
-        let key = Catalog::buffer_key(rel);
-        let mut cache = self.columnar.lock().unwrap();
-        if let Some(found) = cache.get(&key) {
-            // An entry pins its source buffer, so a matching key is almost certainly the same
-            // allocation — but verify identity anyway: the map survives relations it indexed.
-            if found.matches_buffer(rel) {
-                return Arc::clone(found);
-            }
-        }
-        let converted = Arc::new(ColumnarRelation::from_relation(rel));
-        cache.insert(key, Arc::clone(&converted));
-        converted
-    }
-
-    /// The memoised columnar conversion of a relation's row buffer, if one exists (no
-    /// conversion is performed).  Used by per-node execution paths that only want the
-    /// columnar kernels for buffers a scan already converted.
-    #[must_use]
-    pub fn cached_columnar(&self, rel: &Relation) -> Option<Arc<ColumnarRelation>> {
-        let cache = self.columnar.lock().unwrap();
-        cache
-            .get(&Catalog::buffer_key(rel))
-            .filter(|c| c.matches_buffer(rel))
-            .map(Arc::clone)
-    }
+    let columns = ColumnarRelation::from_relation(&relation);
+    let view = ColumnView::from_base(Arc::new(columns));
+    let schema = relation.schema().clone();
+    Arc::new(Relation::from_view(schema, view))
 }
 
 impl fmt::Display for Catalog {
@@ -261,23 +237,25 @@ mod tests {
     }
 
     #[test]
-    fn columnar_views_are_memoised_by_buffer_identity() {
+    fn relations_are_held_as_columns_and_converted_once() {
         let mut cat = Catalog::new();
         cat.insert(rel("Customer", "cid", 5));
         let base = cat.get("Customer").unwrap();
-        let a = cat.columnar_view(&base);
-        // Aliased scan of the same buffer: same conversion.
-        let b = cat.columnar_view(&base.renamed("C1"));
-        assert!(Arc::ptr_eq(&a, &b));
-        // Catalog clones share the cache.
-        let clone = cat.clone();
-        assert!(Arc::ptr_eq(&a, &clone.columnar_view(&base)));
-        assert!(clone.cached_columnar(&base).is_some());
-        // A different buffer with equal contents is a different conversion.
-        let other = rel("Customer", "cid", 5);
-        assert!(cat.cached_columnar(&other).is_none());
-        let c = cat.columnar_view(&other);
-        assert!(!Arc::ptr_eq(&a, &c));
+        let columns = base.view().and_then(ColumnView::as_base).unwrap();
+        assert_eq!((columns.len(), columns.arity()), (5, 1));
+        assert_eq!(
+            cat.estimated_bytes(),
+            5 * 8,
+            "five integers and nothing else"
+        );
+        // Inserted into another catalog, the relation keeps its storage.
+        let mut other = Catalog::new();
+        other.insert(base.as_ref().clone());
+        let again = other.get("Customer").unwrap();
+        assert_eq!(again.storage_id(), base.storage_id());
+        // Rows are built only on request, and then counted beside the columns.
+        assert_eq!(base.rows()[4], Tuple::new(vec![Value::from(4i64)]));
+        assert!(cat.estimated_bytes() > columns.estimated_bytes());
     }
 
     #[test]

@@ -214,13 +214,7 @@ fn encode_column(buf: &mut BytesMut, col: &Column) {
         Column::Bool { values, nulls } => {
             buf.put_u8(COL_BOOL);
             put_nulls(buf, nulls.as_ref());
-            let mut runs: Vec<(bool, u64)> = Vec::new();
-            for &v in values {
-                match runs.last_mut() {
-                    Some((value, len)) if *value == v => *len += 1,
-                    _ => runs.push((v, 1)),
-                }
-            }
+            let runs = runs(values);
             put_varint(buf, runs.len() as u64);
             for (value, len) in runs {
                 buf.put_u8(u8::from(value));
@@ -235,13 +229,7 @@ fn encode_column(buf: &mut BytesMut, col: &Column) {
                 put_varint(buf, entry.len() as u64);
                 buf.put_slice(entry.as_bytes());
             }
-            let mut runs: Vec<(u32, u64)> = Vec::new();
-            for &code in codes {
-                match runs.last_mut() {
-                    Some((value, len)) if *value == code => *len += 1,
-                    _ => runs.push((code, 1)),
-                }
-            }
+            let runs = runs(codes);
             // Each RLE run costs at least two varints; prefer it only when runs are long
             // enough that it beats one varint per row.
             if runs.len() * 2 <= codes.len() {
@@ -265,6 +253,51 @@ fn encode_column(buf: &mut BytesMut, col: &Column) {
             }
         }
     }
+}
+
+/// `values` as (value, run length) pairs.
+fn runs<T: Copy + PartialEq>(values: &[T]) -> Vec<(T, u64)> {
+    let mut runs: Vec<(T, u64)> = Vec::new();
+    for &v in values {
+        match runs.last_mut() {
+            Some((value, len)) if *value == v => *len += 1,
+            _ => runs.push((v, 1)),
+        }
+    }
+    runs
+}
+
+/// The `rows` values of a `kind` column written as [`runs`], each run's value read by `value`.
+fn get_runs<T: Clone>(
+    buf: &mut Bytes,
+    rows: usize,
+    kind: &str,
+    value: impl Fn(&mut Bytes) -> StorageResult<T>,
+) -> StorageResult<Vec<T>> {
+    let run_count = get_varint(buf)? as usize;
+    if run_count > rows {
+        return Err(StorageError::Codec(format!(
+            "{kind} column declares {run_count} runs for {rows} rows"
+        )));
+    }
+    let mut values = Vec::with_capacity(rows.min(MAX_PREALLOC));
+    for _ in 0..run_count {
+        let value = value(buf)?;
+        let len = get_varint(buf)? as usize;
+        if len > rows - values.len() {
+            return Err(StorageError::Codec(format!(
+                "{kind} column runs exceed the declared row count"
+            )));
+        }
+        values.resize(values.len() + len, value);
+    }
+    if values.len() != rows {
+        return Err(StorageError::Codec(format!(
+            "{kind} column runs cover {} of {rows} rows",
+            values.len()
+        )));
+    }
+    Ok(values)
 }
 
 fn decode_column(buf: &mut Bytes, rows: usize) -> StorageResult<Column> {
@@ -293,30 +326,10 @@ fn decode_column(buf: &mut Bytes, rows: usize) -> StorageResult<Column> {
         }
         COL_BOOL => {
             let nulls = get_nulls(buf, rows)?;
-            let run_count = get_varint(buf)? as usize;
-            if run_count > rows {
-                return Err(StorageError::Codec(format!(
-                    "bool column declares {run_count} runs for {rows} rows"
-                )));
-            }
-            let mut values = Vec::with_capacity(rows.min(MAX_PREALLOC));
-            for _ in 0..run_count {
+            let values = get_runs(buf, rows, "bool", |buf| {
                 ensure_remaining(buf, 1)?;
-                let value = buf.get_u8() != 0;
-                let len = get_varint(buf)? as usize;
-                if values.len() + len > rows {
-                    return Err(StorageError::Codec(
-                        "bool column runs exceed the declared row count".into(),
-                    ));
-                }
-                values.resize(values.len() + len, value);
-            }
-            if values.len() != rows {
-                return Err(StorageError::Codec(format!(
-                    "bool column runs cover {} of {rows} rows",
-                    values.len()
-                )));
-            }
+                Ok(buf.get_u8() != 0)
+            })?;
             Ok(Column::Bool { values, nulls })
         }
         COL_TEXT => {
@@ -349,49 +362,22 @@ fn decode_column(buf: &mut Bytes, rows: usize) -> StorageResult<Column> {
                 }
             };
             ensure_remaining(buf, 1)?;
-            let mode = buf.get_u8();
-            let mut codes = Vec::with_capacity(rows.min(MAX_PREALLOC));
-            match mode {
+            let codes = match buf.get_u8() {
                 TEXT_PLAIN => {
+                    let mut codes = Vec::with_capacity(rows.min(MAX_PREALLOC));
                     for _ in 0..rows {
                         codes.push(check(get_varint(buf)?)?);
                     }
+                    codes
                 }
-                TEXT_RLE => {
-                    let run_count = get_varint(buf)? as usize;
-                    if run_count > rows {
-                        return Err(StorageError::Codec(format!(
-                            "text column declares {run_count} runs for {rows} rows"
-                        )));
-                    }
-                    for _ in 0..run_count {
-                        let code = check(get_varint(buf)?)?;
-                        let len = get_varint(buf)? as usize;
-                        if codes.len() + len > rows {
-                            return Err(StorageError::Codec(
-                                "text column runs exceed the declared row count".into(),
-                            ));
-                        }
-                        codes.resize(codes.len() + len, code);
-                    }
-                    if codes.len() != rows {
-                        return Err(StorageError::Codec(format!(
-                            "text column runs cover {} of {rows} rows",
-                            codes.len()
-                        )));
-                    }
-                }
+                TEXT_RLE => get_runs(buf, rows, "text", |buf| check(get_varint(buf)?))?,
                 other => {
                     return Err(StorageError::Codec(format!(
                         "unknown text code encoding {other}"
                     )))
                 }
-            }
-            Ok(Column::Text {
-                codes,
-                dict: Arc::new(dict),
-                nulls,
-            })
+            };
+            Ok(Column::Text { codes, dict, nulls })
         }
         COL_MIXED => {
             ensure_remaining(buf, rows)?; // every encoded value takes at least one byte

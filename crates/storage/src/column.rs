@@ -15,15 +15,13 @@
 //! so reconstruction via [`Column::value_at`] is always *exactly* the original [`Value`]
 //! sequence, bit-for-bit (float NaN payloads and `-0.0` included).
 //!
-//! A `ColumnarRelation` keeps a strong reference to the `Arc<Vec<Tuple>>` it was built from, so
-//! engines can hand out zero-copy row views of a scanned base relation while running the
-//! columnar kernels, caches can key conversions by buffer identity, and a
-//! [`ColumnView`](crate::ColumnView) that is still a (filtered) whole base relation can hand
-//! back the original tuples instead of rebuilding them.  Operators never copy these columns:
-//! what flows between them is a `ColumnView` — index vectors over the columns built here.
+//! A `ColumnarRelation` is how the [`Catalog`](crate::Catalog) holds a base relation at rest:
+//! converted once, when the relation is inserted, and the only copy of its data from then on.
+//! Operators never copy these columns: what flows between them is a
+//! [`ColumnView`](crate::ColumnView) — index vectors over the columns built here.
 
-use crate::dictionary::{Dictionary, DEFAULT_DICT_LIMIT};
-use crate::{Relation, Tuple, Value};
+use crate::dictionary::{text_bytes, Dictionary, DEFAULT_DICT_LIMIT};
+use crate::{ColumnView, Relation, Value};
 use std::sync::Arc;
 
 /// A fixed-length bitmap marking null slots of a column (bit set = NULL).
@@ -70,18 +68,6 @@ impl NullBitmap {
             .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
     }
 
-    /// Number of slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the bitmap covers zero slots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of null slots.
     #[must_use]
     pub fn count_nulls(&self) -> usize {
@@ -125,8 +111,8 @@ pub enum Column {
     Text {
         /// Per-row dictionary codes (placeholder `0` in null slots).
         codes: Vec<u32>,
-        /// The column's dictionary (shared between gathered views of the column).
-        dict: Arc<Dictionary>,
+        /// The column's dictionary.
+        dict: Dictionary,
         /// Null mask, if the column has any nulls.
         nulls: Option<NullBitmap>,
     },
@@ -177,52 +163,36 @@ impl Column {
         } else {
             None
         };
-        let mark = |nulls: &mut Option<NullBitmap>, i: usize| {
-            if let Some(b) = nulls.as_mut() {
-                b.set_null(i);
-            }
-        };
+        /// A typed column's values: `value` of each cell, or a placeholder marked null.
+        fn typed<'a, T: Default>(
+            cells: impl Iterator<Item = &'a Value>,
+            nulls: &mut Option<NullBitmap>,
+            value: impl Fn(&Value) -> Option<T>,
+        ) -> Vec<T> {
+            let cell = |(i, v)| {
+                value(v).unwrap_or_else(|| {
+                    if let Some(b) = nulls.as_mut() {
+                        b.set_null(i);
+                    }
+                    T::default()
+                })
+            };
+            cells.enumerate().map(cell).collect()
+        }
         match kind {
             // An all-null column is a degenerate int column under a full mask.
-            Kind::Unknown | Kind::Int => {
-                let mut out = Vec::with_capacity(n);
-                for (i, v) in cells.enumerate() {
-                    match v {
-                        Value::Int(x) => out.push(*x),
-                        _ => {
-                            out.push(0);
-                            mark(&mut nulls, i);
-                        }
-                    }
-                }
-                Column::Int { values: out, nulls }
-            }
-            Kind::Float => {
-                let mut out = Vec::with_capacity(n);
-                for (i, v) in cells.enumerate() {
-                    match v {
-                        Value::Float(x) => out.push(*x),
-                        _ => {
-                            out.push(0.0);
-                            mark(&mut nulls, i);
-                        }
-                    }
-                }
-                Column::Float { values: out, nulls }
-            }
-            Kind::Bool => {
-                let mut out = Vec::with_capacity(n);
-                for (i, v) in cells.enumerate() {
-                    match v {
-                        Value::Bool(x) => out.push(*x),
-                        _ => {
-                            out.push(false);
-                            mark(&mut nulls, i);
-                        }
-                    }
-                }
-                Column::Bool { values: out, nulls }
-            }
+            Kind::Unknown | Kind::Int => Column::Int {
+                values: typed(cells, &mut nulls, Value::as_i64),
+                nulls,
+            },
+            Kind::Float => Column::Float {
+                values: typed(cells, &mut nulls, Value::as_f64),
+                nulls,
+            },
+            Kind::Bool => Column::Bool {
+                values: typed(cells, &mut nulls, Value::as_bool),
+                nulls,
+            },
             Kind::Text => {
                 let mut dict = Dictionary::with_capacity(n.min(dict_limit));
                 let mut codes = Vec::with_capacity(n);
@@ -234,36 +204,16 @@ impl Column {
                         },
                         _ => {
                             codes.push(0);
-                            mark(&mut nulls, i);
+                            if let Some(b) = nulls.as_mut() {
+                                b.set_null(i);
+                            }
                         }
                     }
                 }
                 dict.shrink_to_fit();
-                Column::Text {
-                    codes,
-                    dict: Arc::new(dict),
-                    nulls,
-                }
+                Column::Text { codes, dict, nulls }
             }
         }
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Column::Int { values, .. } => values.len(),
-            Column::Float { values, .. } => values.len(),
-            Column::Bool { values, .. } => values.len(),
-            Column::Text { codes, .. } => codes.len(),
-            Column::Mixed(values) => values.len(),
-        }
-    }
-
-    /// Whether the column has zero rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Whether slot `i` is null.
@@ -282,60 +232,63 @@ impl Column {
     #[must_use]
     pub fn value_at(&self, i: usize) -> Value {
         match self {
-            Column::Int { values, nulls } => {
-                if nulls.as_ref().is_some_and(|b| b.is_null(i)) {
-                    Value::Null
-                } else {
-                    Value::Int(values[i])
-                }
-            }
-            Column::Float { values, nulls } => {
-                if nulls.as_ref().is_some_and(|b| b.is_null(i)) {
-                    Value::Null
-                } else {
-                    Value::Float(values[i])
-                }
-            }
-            Column::Bool { values, nulls } => {
-                if nulls.as_ref().is_some_and(|b| b.is_null(i)) {
-                    Value::Null
-                } else {
-                    Value::Bool(values[i])
-                }
-            }
-            Column::Text { codes, dict, nulls } => {
-                if nulls.as_ref().is_some_and(|b| b.is_null(i)) {
-                    Value::Null
-                } else {
-                    Value::Text(Arc::clone(
-                        dict.get(codes[i]).expect("dictionary code in range"),
-                    ))
-                }
-            }
             Column::Mixed(values) => values[i].clone(),
+            _ if self.is_null(i) => Value::Null,
+            Column::Int { values, .. } => Value::Int(values[i]),
+            Column::Float { values, .. } => Value::Float(values[i]),
+            Column::Bool { values, .. } => Value::Bool(values[i]),
+            Column::Text { codes, dict, .. } => Value::Text(Arc::clone(
+                dict.get(codes[i]).expect("dictionary code in range"),
+            )),
+        }
+    }
+
+    /// Bytes the column holds on the heap (see [`ColumnarRelation::estimated_bytes`]).
+    #[must_use]
+    pub(crate) fn estimated_bytes(&self) -> usize {
+        fn vec<T>(values: &[T], nulls: &Option<NullBitmap>) -> usize {
+            size_of_val(values) + nulls.as_ref().map_or(0, |b| size_of_val(b.words()))
+        }
+        match self {
+            Column::Int { values, nulls } => vec(values, nulls),
+            Column::Float { values, nulls } => vec(values, nulls),
+            Column::Bool { values, nulls } => vec(values, nulls),
+            Column::Text { codes, dict, nulls } => vec(codes, nulls) + dict.estimated_bytes(),
+            Column::Mixed(values) => {
+                size_of_val(values.as_slice())
+                    + (values.iter())
+                        .map(|v| v.as_str().map_or(0, text_bytes))
+                        .sum::<usize>()
+            }
         }
     }
 }
 
-/// A row relation re-shaped into typed columns, pinned to the row buffer it was built from.
+/// A relation re-shaped into typed columns.
 ///
-/// Columns are positional and carry no attribute names: the same buffer scanned under
-/// different aliases (renamed schemas) shares one columnar conversion.
+/// Columns are positional and carry no attribute names: the same relation scanned under
+/// different aliases (renamed schemas) reads one set of columns.  The row count is kept
+/// beside them, since a relation of no columns still has rows.
 #[derive(Debug, Clone)]
 pub struct ColumnarRelation {
-    source: Arc<Vec<Tuple>>,
+    len: usize,
     columns: Vec<Arc<Column>>,
 }
 
 impl ColumnarRelation {
-    /// Converts a relation using the default dictionary limit.
+    /// The columns of a relation under the default dictionary limit: a relation that is a
+    /// whole converted base hands back that base's columns (an `Arc` clone per column) and
+    /// builds no rows; any other is converted from its rows.
     #[must_use]
     pub fn from_relation(rel: &Relation) -> Self {
-        ColumnarRelation::from_relation_with_limit(rel, DEFAULT_DICT_LIMIT)
+        match rel.view().and_then(ColumnView::as_base) {
+            Some(base) => (**base).clone(),
+            None => ColumnarRelation::from_relation_with_limit(rel, DEFAULT_DICT_LIMIT),
+        }
     }
 
-    /// Converts a relation, bounding each text column's dictionary at `dict_limit` distinct
-    /// strings (overflowing columns stay as plain values).
+    /// Converts a relation's rows, bounding each text column's dictionary at `dict_limit`
+    /// distinct strings (overflowing columns stay as plain values).
     ///
     /// Each column's cells are read in place, by reference ([`Column::from_cells`]); a text
     /// cell's string is shared into the dictionary the first time it is met, and only a
@@ -343,27 +296,29 @@ impl ColumnarRelation {
     #[must_use]
     pub fn from_relation_with_limit(rel: &Relation, dict_limit: usize) -> Self {
         static NULL: Value = Value::Null;
-        let arity = rel.schema().arity();
-        let source = rel.shared_rows();
-        let columns = (0..arity)
+        let rows = rel.rows();
+        let columns = (0..rel.schema().arity())
             .map(|pos| {
-                let cells = source.iter().map(move |t| t.get(pos).unwrap_or(&NULL));
+                let cells = rows.iter().map(move |t| t.get(pos).unwrap_or(&NULL));
                 Arc::new(Column::from_cells(cells, dict_limit))
             })
             .collect();
-        ColumnarRelation { source, columns }
+        ColumnarRelation {
+            len: rows.len(),
+            columns,
+        }
     }
 
     /// Number of rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.source.len()
+        self.len
     }
 
     /// Whether the relation has no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.source.is_empty()
+        self.len == 0
     }
 
     /// Number of columns.
@@ -384,23 +339,18 @@ impl ColumnarRelation {
         &self.columns
     }
 
-    /// The row buffer this conversion was built from (a pointer bump).
+    /// Bytes the columns hold on the heap: value vectors, null bitmaps, dictionaries (strings,
+    /// hashes and index) and the cells of `Mixed` columns.
     #[must_use]
-    pub fn source(&self) -> Arc<Vec<Tuple>> {
-        Arc::clone(&self.source)
-    }
-
-    /// Whether this conversion was built from the given relation's row buffer.
-    #[must_use]
-    pub fn matches_buffer(&self, rel: &Relation) -> bool {
-        Arc::ptr_eq(&self.source, &rel.shared_rows())
+    pub fn estimated_bytes(&self) -> usize {
+        self.columns.iter().map(|c| c.estimated_bytes()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Attribute, DataType, Schema};
+    use crate::{Attribute, DataType, Schema, Tuple};
 
     fn rel(rows: Vec<Vec<Value>>) -> Relation {
         let arity = rows.first().map_or(0, Vec::len);
@@ -508,13 +458,23 @@ mod tests {
     }
 
     #[test]
-    fn conversion_pins_the_source_buffer() {
-        let r = rel(vec![vec![Value::from(1i64)]]);
+    fn a_whole_base_is_handed_back_without_building_rows() {
+        let r = rel(vec![vec![Value::from(1i64), Value::from("a")]; 3]);
+        let base = Arc::new(ColumnarRelation::from_relation(&r));
+        let at_rest = Relation::from_view(r.schema().clone(), ColumnView::from_base(base));
+        let before = at_rest.estimated_bytes();
+        let again = ColumnarRelation::from_relation(&at_rest.with_schema(r.schema().renamed("A")));
+        let base = at_rest.view().and_then(ColumnView::as_base).unwrap();
+        assert!(Arc::ptr_eq(&again.columns()[1], &base.columns()[1]));
+        assert_eq!(at_rest.estimated_bytes(), before, "no rows were built");
+        assert_eq!(before, base.estimated_bytes());
+    }
+
+    #[test]
+    fn zero_column_relations_keep_their_rows() {
+        let r = Relation::from_validated(Schema::new("T", vec![]), vec![Tuple::new(vec![]); 4]);
         let c = ColumnarRelation::from_relation(&r);
-        assert!(c.matches_buffer(&r));
-        assert!(c.matches_buffer(&r.renamed("Alias")));
-        let other = rel(vec![vec![Value::from(1i64)]]);
-        assert!(!c.matches_buffer(&other));
+        assert_eq!((c.len(), c.arity(), c.estimated_bytes()), (4, 0, 0));
     }
 
     #[test]

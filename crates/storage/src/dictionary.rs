@@ -148,6 +148,21 @@ impl Dictionary {
     pub fn value_hashes(&self) -> &[u64] {
         &self.hashes
     }
+
+    /// Bytes the dictionary holds on the heap: its strings, their hashes and its index.
+    #[must_use]
+    pub(crate) fn estimated_bytes(&self) -> usize {
+        let strings: usize = self.values.iter().map(|s| text_bytes(s)).sum();
+        size_of_val(self.values.as_slice())
+            + strings
+            + size_of_val(self.hashes.as_slice())
+            + self.index.estimated_bytes()
+    }
+}
+
+/// Heap bytes of one `Arc<str>`: the two reference counts and the string.
+pub(crate) fn text_bytes(s: &str) -> usize {
+    2 * size_of::<usize>() + s.len()
 }
 
 #[cfg(test)]

@@ -53,6 +53,12 @@ impl HashIndex {
         true
     }
 
+    /// Bytes the index holds on the heap.
+    #[must_use]
+    pub(crate) fn estimated_bytes(&self) -> usize {
+        size_of_val(self.slots.as_slice())
+    }
+
     /// How many items the index holds before it grows.
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {

@@ -8,14 +8,14 @@
 //! source instance: typed [`Value`]s, [`Tuple`]s, relation [`Schema`]s, materialised
 //! [`Relation`]s and a [`Catalog`] mapping relation names to relations.
 //!
-//! The storage layer is deliberately simple (row-oriented, memory-first) — the paper's
-//! algorithms are about *how many* source operators and queries are executed, not about disk
-//! layout — but the types are designed so the query engine built on top
-//! ([`urm-engine`](https://docs.rs/urm-engine)) can count and share work exactly the way the
-//! paper describes.  The [`column`] and [`view`] modules are the engine's fast path: a base
-//! relation converts once into typed columns, and operators exchange [`ColumnView`]s — row-index
-//! vectors over those shared columns — which a [`Relation`] can carry in place of rows, building
-//! tuples only when something reads them.  For workloads bigger than RAM, the [`spill`] module
+//! The storage layer is deliberately simple (memory-first) — the paper's algorithms are about
+//! *how many* source operators and queries are executed, not about disk layout — but the types
+//! are designed so the query engine built on top ([`urm-engine`](https://docs.rs/urm-engine))
+//! can count and share work exactly the way the paper describes.  Relations are built as rows;
+//! the [`Catalog`] converts each one it is given, once, into typed columns ([`column`]) and
+//! keeps only those, and operators exchange [`ColumnView`]s ([`view`]) — row-index vectors over
+//! those shared columns — which a [`Relation`] carries in place of rows, building tuples only
+//! when something reads them.  For workloads bigger than RAM, the [`spill`] module
 //! adds a byte-budgeted [`BufferPool`] that pages materialised relations to disk segments and
 //! reloads them transparently.
 //!

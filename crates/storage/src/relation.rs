@@ -11,18 +11,20 @@ use std::sync::{Arc, OnceLock};
 /// final probabilistic aggregation step (or not at all, if the caller asks for bag semantics),
 /// so the storage layer never deduplicates.
 ///
-/// The row storage is `Arc`-backed: cloning a relation, renaming it (aliased scans) or handing
-/// it to another operator shares the underlying row buffer instead of copying it.  Mutation
-/// ([`push`](Relation::push)) is copy-on-write — a relation whose rows are shared copies them
-/// once before appending — so sharing is invisible to code that builds relations row by row.
-/// [`shares_rows_with`](Relation::shares_rows_with) exposes buffer identity for the zero-copy
-/// regression tests of the engine and cache layers.
+/// The storage is `Arc`-backed: cloning a relation, renaming it (aliased scans) or handing it to
+/// another operator shares it instead of copying it.  Mutation ([`push`](Relation::push)) is
+/// copy-on-write — a relation whose rows are shared copies them once before appending — so
+/// sharing is invisible to code that builds relations row by row.
+/// [`storage_id`](Relation::storage_id) exposes that identity: bound-plan fingerprints key
+/// leaves by it, and the zero-copy tests of the engine and cache layers compare it.
 ///
-/// A relation produced by a vectorized operator is *late-materialized*
-/// ([`from_view`](Relation::from_view)): it holds a [`ColumnView`] — index vectors over shared
-/// base columns — and builds its row buffer the first time something asks for rows
-/// ([`rows`](Relation::rows), [`iter`](Relation::iter), equality, …), at most once.  Operators
-/// that understand views read [`view`](Relation::view) instead and never trigger that.
+/// A relation can also be *late-materialized* ([`from_view`](Relation::from_view)): it holds a
+/// [`ColumnView`] — index vectors over shared columns — and builds its row buffer the first
+/// time something asks for rows ([`rows`](Relation::rows), [`iter`](Relation::iter),
+/// equality, …), at most once.  Every base relation of a [`Catalog`](crate::Catalog) is held
+/// this way, as the whole view of its columns, and so is every vectorized operator's output.
+/// Operators that understand views read [`view`](Relation::view) instead and never trigger
+/// that.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
@@ -143,15 +145,6 @@ impl Relation {
         }
     }
 
-    /// Whether two relations share the same underlying row buffer.
-    ///
-    /// Used by regression tests to prove that scans, `Values` plans and sub-plan cache hits
-    /// hand out views rather than deep copies.
-    #[must_use]
-    pub fn shares_rows_with(&self, other: &Relation) -> bool {
-        Arc::ptr_eq(self.buffer(), other.buffer())
-    }
-
     /// The relation's schema.
     #[must_use]
     pub fn schema(&self) -> &Schema {
@@ -229,13 +222,19 @@ impl Relation {
             .collect())
     }
 
-    /// Returns a relation with the same rows but a renamed schema (aliased scan).
-    ///
-    /// The rows are shared, not copied.
+    /// Returns a relation with the same storage but a renamed schema (aliased scan).
     #[must_use]
     pub fn renamed(&self, name: impl Into<Name>) -> Relation {
+        self.with_schema(self.schema.renamed(name))
+    }
+
+    /// The same storage under another schema of the same arity (a scan's qualified schema):
+    /// nothing is copied, and no row is built.
+    #[must_use]
+    pub fn with_schema(&self, schema: Schema) -> Relation {
+        debug_assert_eq!(schema.arity(), self.schema.arity());
         Relation {
-            schema: self.schema.renamed(name),
+            schema,
             rows: self.rows.clone(),
         }
     }
@@ -243,13 +242,17 @@ impl Relation {
     /// An estimate of the in-memory footprint in bytes, used by the experiment harness to
     /// report database sizes comparable to the paper's "database size (MB)" axis and by the
     /// pin and spill budgets.  A late-materialized relation is priced at what it actually
-    /// holds: its view's index vectors, plus its rows once they have been built.
+    /// holds: the columns of a whole base, or else its view's index vectors, plus its rows
+    /// once they have been built.
     #[must_use]
     pub fn estimated_bytes(&self) -> usize {
         match &self.rows {
             RowStore::Rows(rows) => row_bytes(rows),
             RowStore::Lazy(lazy) => {
-                lazy.view.estimated_bytes() + lazy.rows.get().map_or(0, |rows| row_bytes(rows))
+                let view = &lazy.view;
+                view.as_base()
+                    .map_or_else(|| view.estimated_bytes(), |b| b.estimated_bytes())
+                    + lazy.rows.get().map_or(0, |rows| row_bytes(rows))
             }
         }
     }
@@ -382,11 +385,11 @@ mod tests {
         )
         .unwrap();
         let cloned = rel.clone();
-        assert!(rel.shares_rows_with(&cloned));
+        assert_eq!(rel.storage_id(), cloned.storage_id());
         let aliased = rel.renamed("C1");
-        assert!(rel.shares_rows_with(&aliased));
+        assert_eq!(rel.storage_id(), aliased.storage_id());
         let shared = Relation::from_shared(rel.schema().clone(), rel.shared_rows());
-        assert!(rel.shares_rows_with(&shared));
+        assert_eq!(rel.storage_id(), shared.storage_id());
     }
 
     #[test]
@@ -400,7 +403,7 @@ mod tests {
         rel.push(Tuple::new(vec![Value::from(2i64), Value::from("Bob")]))
             .unwrap();
         // The writer got a private buffer; the shared view is untouched.
-        assert!(!rel.shares_rows_with(&view));
+        assert_ne!(rel.storage_id(), view.storage_id());
         assert_eq!(rel.len(), 2);
         assert_eq!(view.len(), 1);
     }

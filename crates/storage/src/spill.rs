@@ -405,16 +405,17 @@ impl BufferPool {
     /// Like [`admit`](BufferPool::admit) for an already-shared relation (no row copy).
     ///
     /// A budgeted pool pages *rows*: a late-materialized relation builds its rows here (outside
-    /// the pool lock) and is tracked, weighed and spilled as those rows — this is where a
-    /// result "leaves memory".  An unbounded pool never spills and keeps the view as it is.
+    /// the pool lock) into a buffer of the pool's own — never into the row cache the relation
+    /// shares with its clones, such as a base relation's with every scan of it — and is
+    /// tracked, weighed and spilled as those rows.  This is where a result "leaves memory".
+    /// An unbounded pool never spills and keeps the view as it is.
     pub fn admit_shared(&self, relation: Arc<Relation>) -> StorageResult<SpillableRelation> {
-        let relation = if relation.view().is_some() && self.budget().is_some() {
-            Arc::new(Relation::from_shared(
+        let relation = match relation.view() {
+            Some(view) if self.budget().is_some() => Arc::new(Relation::from_shared(
                 relation.schema().clone(),
-                relation.shared_rows(),
-            ))
-        } else {
-            relation
+                view.materialize(),
+            )),
+            _ => relation,
         };
         let mut inner = self.inner.lock().unwrap();
         let id = inner.next_id;

@@ -90,6 +90,21 @@ impl ColumnView {
         }
     }
 
+    /// The converted relation this view is the whole of — every row, every column, in
+    /// order — if it is one.
+    #[must_use]
+    pub fn as_base(&self) -> Option<&Arc<ColumnarRelation>> {
+        let [ViewGroup { base, sel: None }] = self.groups.as_slice() else {
+            return None;
+        };
+        let identity = self
+            .cols
+            .iter()
+            .enumerate()
+            .all(|(i, &(_, c))| c as usize == i);
+        (identity && self.cols.len() == base.arity()).then_some(base)
+    }
+
     /// Number of logical rows.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -192,29 +207,10 @@ impl ColumnView {
         }
     }
 
-    /// Builds the view's rows.  A view that is still a whole base relation hands back the
-    /// base's own row buffer; a filtered one clones the surviving base tuples (pointer
-    /// bumps); anything else reconstructs each tuple from its output columns.  All three are
-    /// value-for-value what the row-at-a-time reference evaluator produces.
+    /// Builds the view's rows, each tuple reconstructed from the output columns — value for
+    /// value what the row-at-a-time reference evaluator produces.
     #[must_use]
     pub fn materialize(&self) -> Arc<Vec<Tuple>> {
-        if let [group] = self.groups.as_slice() {
-            let whole = self.cols.len() == group.base.arity()
-                && self
-                    .cols
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &(_, c))| c as usize == i);
-            if whole {
-                let source = group.base.source();
-                return match &group.sel {
-                    None => source,
-                    Some(sel) => {
-                        Arc::new(sel.iter().map(|&i| source[i as usize].clone()).collect())
-                    }
-                };
-            }
-        }
         let columns: Vec<ColumnRef<'_>> = (0..self.cols.len())
             .map(|pos| self.column(pos).expect("view column in range"))
             .collect();
@@ -308,7 +304,7 @@ impl ColumnView {
     }
 
     /// Bytes the view itself holds: its index vectors and column list.  The base columns
-    /// belong to the catalog's conversions and are not counted.
+    /// belong to the catalog's relations and are not counted.
     #[must_use]
     pub fn estimated_bytes(&self) -> usize {
         let indices: usize = self
@@ -394,10 +390,13 @@ mod tests {
     }
 
     #[test]
-    fn whole_base_views_hand_back_the_shared_row_buffer() {
+    fn whole_base_views_hold_no_indices() {
         let (conv, rel) = base("T", vec![vec![Value::from(1i64)], vec![Value::from(2i64)]]);
-        let view = ColumnView::from_base(conv);
-        assert!(Arc::ptr_eq(&view.materialize(), &rel.shared_rows()));
+        let view = ColumnView::from_base(Arc::clone(&conv));
+        assert!(Arc::ptr_eq(view.as_base().unwrap(), &conv));
+        assert_eq!(*view.materialize(), rel.rows());
+        assert!(view.select_rows(vec![0, 1]).as_base().is_none());
+        assert!(view.project(&[0, 0]).as_base().is_none());
         assert_eq!(
             view.estimated_bytes(),
             8,

@@ -162,3 +162,19 @@ fn cold_batch_answers_come_off_unbuilt_roots() {
         "{factor_rows} factor rows read for {answers_added} answers"
     );
 }
+
+/// A cold batch reads the catalog's columns and builds no base relation's rows behind its
+/// back — neither unbudgeted nor under a memory budget, whose pool pages the results it pins
+/// as rows of their own — so the catalog weighs what it weighed before.
+#[test]
+fn cold_batches_leave_the_catalog_as_they_found_it() {
+    for (queries, scenario) in cold_batch() {
+        let (mappings, catalog) = (&scenario.mappings, &scenario.catalog);
+        let before = catalog.estimated_bytes();
+        for budget in [None, Some(before / 4)] {
+            let (options, epoch) = (BatchOptions::sequential(), BatchEpoch::new(budget));
+            evaluate_batch_on(&queries, mappings, catalog, &options, &epoch).expect("evaluates");
+            assert_eq!(catalog.estimated_bytes(), before, "budget {budget:?}");
+        }
+    }
+}

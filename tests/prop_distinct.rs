@@ -16,7 +16,7 @@
 //! difference is by design: the map kept the first spelling of a *tuple*, the pool keeps the
 //! first spelling of a *value* — `Int(1)` stays `Int(1)` in every later tuple that brings
 //! `Float(1.0)` — so the oracle spells its tuples through the values in the order an answer
-//! reads them, slice by slice and column by column.)
+//! reads them, column by column.)
 //!
 //! Generated roots are joins, products and selections over relations with null keys, an
 //! all-null column, a variant-mixed column, signed zeros and two NaNs; extractions repeat
@@ -174,19 +174,17 @@ struct TuplePerRow {
 }
 
 impl TuplePerRow {
-    /// One source query whose result comes in `slices`: every distinct tuple among them gains
+    /// One source query whose result is `tuples`: every distinct tuple among them gains
     /// `probability` once.
-    fn add_distinct(&mut self, slices: &[Vec<Tuple>], probability: f64) {
-        for slice in slices {
-            for column in 0..slice.first().map_or(0, Tuple::arity) {
-                for value in slice.iter().map(|row| &row.values()[column]) {
-                    if !self.spellings.contains(value) {
-                        self.spellings.push(value.clone());
-                    }
+    fn add_distinct(&mut self, tuples: Vec<Tuple>, probability: f64) {
+        for column in 0..tuples.first().map_or(0, Tuple::arity) {
+            for value in tuples.iter().map(|row| &row.values()[column]) {
+                if !self.spellings.contains(value) {
+                    self.spellings.push(value.clone());
                 }
             }
         }
-        for tuple in first_occurrences(slices.concat()) {
+        for tuple in first_occurrences(tuples) {
             if !self.mass.contains_key(&tuple) {
                 self.order.push(tuple.clone());
             }
@@ -253,34 +251,35 @@ proptest! {
             let view = Executor::new(&catalog).run(&plan).expect("columnar run");
             prop_assert!(view.view().is_some(), "not late-materialized:\n{}", plan);
             let rows = as_rows(Executor::new(&catalog).run(&off_catalog(&plan, &catalog)).expect("row run"));
-            // The result off its view, off its rows, or in two slices of one factor: a tuple
-            // a source query meets again — in the same slice or the next — counts once.
-            let slices: &[usize] = match rng.index(4) {
-                0 => &[0],
-                1 => &[1],
-                2 => &[0, 1],
-                _ => &[1, 0],
-            };
-            let per_slice = tuple_per_row(&reference, &extraction);
-            oracle.add_distinct(&vec![per_slice; slices.len()], probability);
-            sources.push((slices, extraction, probability, plan, reference.len()));
-            results.push([view, rows]);
+            // The result off its view or off its rows, once or twice over: a tuple a source
+            // query meets again counts once.
+            let twice: Vec<u32> = (0..view.len() as u32).chain(0..view.len() as u32).collect();
+            let view_twice = Relation::from_view(
+                view.schema().clone(),
+                view.view().unwrap().select_rows(twice),
+            );
+            let rows_twice =
+                Relation::from_validated(rows.schema().clone(), [rows.rows(); 2].concat());
+            let pick = rng.index(4);
+            let copies = 1 + pick / 2;
+            let tuples = tuple_per_row(&reference, &extraction);
+            oracle.add_distinct(vec![tuples; copies].concat(), probability);
+            sources.push((pick, extraction, probability, plan, copies * reference.len()));
+            results.push([view, rows, view_twice, rows_twice]);
         }
         let clusters: Vec<Cluster<'_>> = sources
             .iter()
             .zip(&results)
-            .map(|((slices, extraction, probability, ..), results)| Cluster {
-                probability: *probability,
-                extraction,
-                factors: vec![slices.iter().map(|&s| &results[s]).collect()],
+            .map(|((pick, extraction, probability, ..), results)| {
+                Cluster::single(*probability, extraction, &results[*pick])
             })
             .collect();
         let (probed, work) = aggregate(&clusters, 0.0);
         let (one_chain, _) = aggregate_with_colliding_hashes(&clusters, 0.0);
-        let read: usize = sources.iter().map(|(slices, .., len)| slices.len() * len).sum();
+        let read: usize = sources.iter().map(|(.., len)| len).sum();
         prop_assert_eq!(work.factor_rows, read);
         prop_assert!(probed.len() <= work.rows);
-        for ((.., plan, _), [view, _]) in sources.iter().zip(&results) {
+        for ((.., plan, _), [view, ..]) in sources.iter().zip(&results) {
             prop_assert_eq!(
                 view.estimated_bytes(),
                 view.view().unwrap().estimated_bytes(),
@@ -304,7 +303,7 @@ proptest! {
 
             let reference = ReferenceExecutor::new(&catalog).run(&plan).expect("valid root");
             let mut want = TuplePerRow::default();
-            want.add_distinct(&[tuple_per_row(&reference, &extraction)], 0.5);
+            want.add_distinct(tuple_per_row(&reference, &extraction), 0.5);
             let distinct = |result: &Relation| {
                 let mut answer = ProbabilisticAnswer::new();
                 let added = answer.add_distinct(extract_answers(result, &extraction), 0.5);
@@ -343,8 +342,9 @@ fn overflowed_dictionaries_deduplicate_by_value() {
     let pair = Schema::new("Pair", vec![Attribute::new("p", DataType::Int)]);
     let rows = [1i64, 1].map(|p| Tuple::new(vec![Value::from(p)])).into();
     catalog.insert(Relation::new(pair, rows).unwrap());
-    let converted = catalog.columnar_view(&catalog.get("Wide").unwrap());
-    assert!(matches!(&**converted.column(0).unwrap(), Column::Mixed(_)));
+    let wide = catalog.get("Wide").unwrap();
+    let column = wide.view().unwrap().column(0).unwrap().column;
+    assert!(matches!(column, Column::Mixed(_)));
 
     let plan = Plan::scan("Wide")
         .product(Plan::scan("Pair"))
