@@ -402,7 +402,12 @@ impl QueryKey {
 }
 
 impl PartialEq for QueryKey {
+    /// Clones of one key share their query, and compare by pointer: a caller that keys its
+    /// queries once probes without walking them.
     fn eq(&self, other: &Self) -> bool {
+        if Arc::ptr_eq(&self.query, &other.query) {
+            return true;
+        }
         let (a, b) = (&*self.query, &*other.query);
         self.hash == other.hash
             && (&a.name, &a.relations, &a.output) == (&b.name, &b.relations, &b.output)

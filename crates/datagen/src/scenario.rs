@@ -93,9 +93,28 @@ pub struct Scenario {
 impl Scenario {
     /// Generates a scenario: source data, similarity scores and the top-h mapping set.
     pub fn generate(config: &ScenarioConfig) -> CoreResult<Self> {
+        Scenario::over(generate_source(config.scale, config.seed), config)
+    }
+
+    /// One scenario per target schema over **one** source instance: the data of `(scale,
+    /// seed)` is generated and converted to columns once, and each scenario holds a clone of
+    /// its catalog, which shares every relation.  Scenario `i` is what [`Scenario::generate`]
+    /// gives for `config` with `targets[i]` as its target (`config.target` is not read).
+    pub fn generate_per_target(
+        config: &ScenarioConfig,
+        targets: &[TargetSchemaKind],
+    ) -> CoreResult<Vec<Self>> {
+        let catalog = generate_source(config.scale, config.seed);
+        targets
+            .iter()
+            .map(|&target| Scenario::over(catalog.clone(), &ScenarioConfig { target, ..*config }))
+            .collect()
+    }
+
+    /// The scenario of `config` over a source instance already generated from it.
+    fn over(catalog: Catalog, config: &ScenarioConfig) -> CoreResult<Self> {
         let source_def = source_schema_def();
         let target_def = config.target.schema();
-        let catalog = generate_source(config.scale, config.seed);
         let sim = score_schemas(&source_def, &target_def, DEFAULT_THRESHOLD)?;
         let mappings = MappingSet::top_h(&sim, config.mappings.max(1))?;
         Ok(Scenario {
@@ -172,6 +191,32 @@ mod tests {
         assert!((t.mappings.probability_sum() - 1.0).abs() < 1e-9);
         // Catalog shared unchanged.
         assert_eq!(t.catalog.total_tuples(), s.catalog.total_tuples());
+    }
+
+    #[test]
+    fn scenarios_per_target_share_one_source_instance() {
+        let config = ScenarioConfig {
+            target: TargetSchemaKind::Noris,
+            scale: 6,
+            mappings: 4,
+            seed: 3,
+        };
+        let targets = TargetSchemaKind::all();
+        let shared = Scenario::generate_per_target(&config, &targets).unwrap();
+        assert_eq!(shared.len(), 3);
+        for (scenario, target) in shared.iter().zip(targets) {
+            let alone = Scenario::generate(&ScenarioConfig { target, ..config }).unwrap();
+            assert_eq!(scenario.config, alone.config);
+            assert_eq!(scenario.mappings, alone.mappings);
+            assert_eq!(scenario.catalog.len(), alone.catalog.len());
+            for (name, relation) in scenario.catalog.iter() {
+                let first = shared[0].catalog.get(name).unwrap();
+                assert_eq!(relation.storage_id(), first.storage_id(), "{name}");
+                let own = alone.catalog.get(name).unwrap();
+                assert_ne!(relation.storage_id(), own.storage_id(), "{name}");
+                assert_eq!(relation.rows(), own.rows(), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * [`DagScheduler`] — executes what a set of roots needs, bottom-up, in one worker loop:
 //!   take the most expensive *ready* node, run it, release its consumers.  One worker runs the
 //!   loop on the calling thread; more add scoped helper threads (each with its own
-//!   [`Executor`] over the shared catalog) to the same loop, merging statistics afterwards.
+//!   [`Executor`] over the shared catalog) to the same loop, merging statistics afterwards —
+//!   never more threads than nodes to run or than CPUs the process may use ([`run_threads`]).
 //!   Every needed node executes **exactly once** and hands its result to all consumers as a
 //!   shared `Arc<Relation>` — results are byte-identical for any worker count because every
 //!   operator is a pure function of its children's batches.  What flows along an interior edge
@@ -38,7 +39,8 @@ use crate::executor::Executor;
 use crate::physical::PhysicalPlan;
 use crate::{EngineError, EngineResult, RunReport};
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::num::NonZeroUsize;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use urm_storage::Relation;
 
 /// Identifier of a node in an [`OperatorDag`].
@@ -275,8 +277,25 @@ pub struct DagRun {
     pub report: RunReport,
 }
 
+/// How many threads a run uses: the `configured` workers, but no more than the `needed` nodes
+/// and no more than the `cpus` the process may use — a helper beyond those only waits for a
+/// CPU another thread holds, and its spawn and join cost tens of microseconds per run.
+#[must_use]
+pub fn run_threads(configured: usize, needed: usize, cpus: usize) -> usize {
+    configured.min(needed).min(cpus).max(1)
+}
+
+/// The CPUs this process may use (its affinity mask and CPU quota, as
+/// [`std::thread::available_parallelism`] reads them), read once per process: the read opens
+/// cgroup files.
+#[must_use]
+pub fn usable_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// Executes [`OperatorDag`]s in one ready-queue worker loop, on the calling thread and up to
-/// `workers − 1` scoped helpers.
+/// `workers − 1` scoped helpers ([`run_threads`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DagScheduler {
     workers: usize,
@@ -322,7 +341,7 @@ impl DagScheduler {
         let (needed, seeds) = plan_nodes(dag, &roots, cache);
         let results_reused = seeds.len() as u64;
         let needed_count = needed.iter().filter(|&&n| n).count();
-        let threads = self.workers.min(needed_count).max(1);
+        let threads = run_threads(self.workers, needed_count, usable_cpus());
         let shared = SchedState::new(dag, &roots, needed, seeds, cache);
         let catalog = exec.catalog();
         // Helpers inherit the driving executor's spill pool (one shared budget, not one per
@@ -709,8 +728,12 @@ mod tests {
                 par_exec.stats().operators_executed,
                 seq_exec.stats().operators_executed
             );
-            // No more threads than nodes to run: eight workers over five nodes use five.
-            assert_eq!(par.report.workers, workers.min(dag.node_count()));
+            // No more threads than nodes to run (eight workers over five nodes use five), nor
+            // than CPUs.
+            assert_eq!(
+                par.report.workers,
+                run_threads(workers, dag.node_count(), usable_cpus())
+            );
             assert!(par.report.peak_parallelism >= 1);
         }
     }
@@ -732,15 +755,39 @@ mod tests {
         let wide = run(&dag, &roots, &mut exec, 4).unwrap();
         assert_eq!(wide.report.nodes_executed, 5);
         assert_eq!(
-            wide.report.workers, 4,
-            "min(4, needed) with five nodes needed"
+            wide.report.workers,
+            4.min(usable_cpus()),
+            "min(4, needed, CPUs) with five nodes needed"
         );
         let narrow = run(&dag, &roots[..1], &mut exec, 4).unwrap();
         assert_eq!(narrow.report.nodes_executed, 3);
         assert_eq!(
-            narrow.report.workers, 3,
-            "min(4, needed) with three nodes needed"
+            narrow.report.workers,
+            3.min(usable_cpus()),
+            "min(4, needed, CPUs) with three nodes needed"
         );
+    }
+
+    #[test]
+    fn a_run_uses_no_more_threads_than_workers_nodes_or_cpus() {
+        // (configured, needed, CPUs) → threads.
+        for (configured, needed, cpus, threads) in [
+            (4, 5, 8, 4),
+            (4, 3, 8, 3),
+            (2, 12, 1, 1),
+            (4, 12, 2, 2),
+            (8, 0, 4, 1),
+            (1, 9, 16, 1),
+            (0, 9, 16, 1),
+        ] {
+            assert_eq!(
+                run_threads(configured, needed, cpus),
+                threads,
+                "({configured}, {needed}, {cpus})"
+            );
+        }
+        assert!(usable_cpus() >= 1);
+        assert_eq!(usable_cpus(), usable_cpus(), "read once");
     }
 
     #[test]

@@ -74,12 +74,14 @@ USAGE:
 OPTIONS:
   --addr A:P          listen address (default 127.0.0.1:7171; port 0 picks a free port)
   --targets LIST      comma-separated target schemas to serve: excel,noris,paragon
-                      (default excel; each gets its own generated scenario and epoch)
+                      (default excel; each gets its own mappings and epoch over
+                      one generated source instance)
   --scale N           scenario scale factor (default 20)
   --mappings H        possible mappings per scenario (default 30)
   --seed S            data-generation seed (default 42)
   --workers W         service worker threads (default 4)
-  --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4)
+  --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4;
+                      a run never uses more than the CPUs the process may use)
   --batch-size B      max queries per service batch (default 64)
   --memory-budget B   per-epoch byte budget for materialised relations (default: unbudgeted)
   --trace-sample N    trace every Nth batch (default 0 = off; requests carrying an
@@ -160,27 +162,34 @@ fn main() -> ExitCode {
         memory_budget: args.memory_budget,
         ..ServiceConfig::default()
     });
-    let mut epochs = Vec::new();
-    for target in &args.targets {
-        eprintln!(
-            "generating scenario: target={target} scale={} mappings={} seed={} …",
-            args.scale, args.mappings, args.seed
-        );
-        let scenario = match Scenario::generate(&ScenarioConfig {
-            target: *target,
-            scale: args.scale,
-            mappings: args.mappings,
-            seed: args.seed,
-        }) {
-            Ok(s) => s,
-            Err(err) => {
-                eprintln!("error: scenario generation failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let epoch = service.register_epoch(scenario.catalog, scenario.mappings);
-        epochs.push((*target, epoch));
-    }
+    let targets: Vec<String> = args.targets.iter().map(ToString::to_string).collect();
+    eprintln!(
+        "generating scenarios: targets={} scale={} mappings={} seed={} …",
+        targets.join(","),
+        args.scale,
+        args.mappings,
+        args.seed
+    );
+    let config = ScenarioConfig {
+        scale: args.scale,
+        mappings: args.mappings,
+        seed: args.seed,
+        ..ScenarioConfig::default()
+    };
+    let scenarios = match Scenario::generate_per_target(&config, &args.targets) {
+        Ok(scenarios) => scenarios,
+        Err(err) => {
+            eprintln!("error: scenario generation failed: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let epochs = scenarios
+        .into_iter()
+        .map(|s| {
+            let epoch = service.register_epoch(s.catalog, s.mappings);
+            (s.config.target, epoch)
+        })
+        .collect();
 
     let admission = AdmissionController::new(AdmissionConfig {
         queue_capacity: args.queue_capacity,

@@ -6,6 +6,11 @@
 //! **chunked** responses back.  Chunked transfer encoding is what lets `/batch` stream each
 //! answer as soon as its batch resolves instead of buffering the whole response.
 //!
+//! Requests arrive in a per-connection [`Request`]: the head is read into one `String`, the
+//! method, path and headers are ranges of it, and the body has its own buffer.  All three keep
+//! their capacity from one keep-alive request to the next, so reading a request allocates
+//! nothing once the connection has read one as large.
+//!
 //! Responses leave through a per-connection [`ResponseWriter`]: the head (or head and chunk
 //! framing) and the body's own text are built in two buffers reused across keep-alive
 //! requests, and go to the socket — with whatever slice the body [lent](Part::lend), from
@@ -15,37 +20,68 @@
 //! answer's memoised rendering is 91 KB that nothing needs to copy before the kernel does.
 
 use std::fmt::{self, Write as _};
-use std::io::{BufRead, BufReader, IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, IoSlice, Read, Write};
+use std::ops::Range;
 
 /// Hard cap on the request head (request line + headers) — generous for curl and the bench
 /// client, small enough that a slow-loris connection cannot balloon memory either.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// One parsed request.
-#[derive(Debug)]
+/// The body capacity a connection keeps between requests: a request body is a few specs, and
+/// an idle connection need not hold on to the megabyte an odd request once sent.
+const KEPT_BODY_BYTES: usize = 64 * 1024;
+
+/// One request, and the buffers the next request of its connection is read into.
+///
+/// The head — request line and header lines, line ends dropped — is kept as one `String`, and
+/// the method, the path and each header are ranges into it; header names are lowercased in
+/// place.  [`read_from`](Request::read_from) clears the head, the ranges and the body and reads
+/// the next request into them, so a keep-alive connection allocates for its largest request
+/// once and reads every later one into the capacity already there.
+#[derive(Debug, Default)]
 pub struct Request {
-    /// The method, uppercased by the client (`GET`, `POST`, …; passed through verbatim).
-    pub method: String,
-    /// The request target (path + optional query string, verbatim).
-    pub path: String,
-    /// Whether the request line said `HTTP/1.0`: such a peer cannot frame a chunked body and
-    /// expects the connection to close after the response.
-    pub http10: bool,
-    /// Headers, lowercased names, in arrival order.
-    pub headers: Vec<(String, String)>,
-    /// The body (empty when no `Content-Length` was sent).
-    pub body: Vec<u8>,
+    head: String,
+    method: Range<usize>,
+    path: Range<usize>,
+    http10: bool,
+    /// Each header's name and value (trimmed), in arrival order.
+    headers: Vec<(Range<usize>, Range<usize>)>,
+    body: Vec<u8>,
 }
 
 impl Request {
+    /// The method, uppercased by the client (`GET`, `POST`, …; passed through verbatim).
+    #[must_use]
+    pub fn method(&self) -> &str {
+        &self.head[self.method.clone()]
+    }
+
+    /// The request target (path + optional query string, verbatim).
+    #[must_use]
+    pub fn path(&self) -> &str {
+        &self.head[self.path.clone()]
+    }
+
+    /// Whether the request line said `HTTP/1.0`: such a peer cannot frame a chunked body and
+    /// expects the connection to close after the response.
+    #[must_use]
+    pub fn http10(&self) -> bool {
+        self.http10
+    }
+
+    /// The body (empty when no `Content-Length` was sent).
+    #[must_use]
+    pub fn body(&self) -> &[u8] {
+        &self.body
+    }
+
     /// The first header with this (lowercase) name.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+            .find(|(k, _)| self.head[k.clone()] == *name)
+            .map(|(_, v)| &self.head[v.clone()])
     }
 
     /// Whether the connection must close after this request's response: an HTTP/1.0 peer, or
@@ -58,6 +94,110 @@ impl Request {
                     .any(|token| token.trim().eq_ignore_ascii_case("close"))
             })
     }
+
+    /// Reads the next request off `reader` into `self`, in place of the last one.
+    ///
+    /// [`HttpError::Closed`] when the peer hung up between requests; [`HttpError::Io`] when
+    /// the socket's read timeout fired mid-request (the slow-loris case — the caller set the
+    /// timeout on the underlying `TcpStream`).  Bodies require an explicit `Content-Length`
+    /// and are rejected with [`HttpError::BodyTooLarge`] *before* any body byte is read, so an
+    /// oversized upload costs the server nothing.  After an error the request is unspecified.
+    pub fn read_from(
+        &mut self,
+        reader: &mut impl BufRead,
+        max_body_bytes: usize,
+    ) -> Result<(), HttpError> {
+        self.head.clear();
+        self.headers.clear();
+        self.body.clear();
+        self.body.shrink_to(KEPT_BODY_BYTES);
+        let line = self.read_line(reader, true)?;
+        let request_line = &self.head[line.clone()];
+        let mut parts = request_line.split(' ');
+        let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
+        {
+            (Some(m), Some(p), Some(v), None) if !m.is_empty() && p.starts_with('/') => (m, p, v),
+            _ => {
+                return Err(HttpError::Malformed(format!(
+                    "bad request line '{request_line}'"
+                )))
+            }
+        };
+        if !version.starts_with("HTTP/1.") {
+            return Err(HttpError::Malformed(format!("bad version '{version}'")));
+        }
+        self.method = 0..method.len();
+        self.path = self.method.end + 1..self.method.end + 1 + path.len();
+        self.http10 = version == "HTTP/1.0";
+
+        loop {
+            let line = self.read_line(reader, false)?;
+            if line.is_empty() {
+                break;
+            }
+            if self.head.len() > MAX_HEAD_BYTES {
+                return Err(HttpError::Malformed("request head too large".into()));
+            }
+            let text = &self.head[line.clone()];
+            let Some(colon) = text.find(':') else {
+                return Err(HttpError::Malformed(format!("bad header '{text}'")));
+            };
+            let name = trimmed(text, line.start, 0..colon);
+            let value = trimmed(text, line.start, colon + 1..text.len());
+            self.head[name.clone()].make_ascii_lowercase();
+            self.headers.push((name, value));
+        }
+
+        let content_length = match self.header("content-length") {
+            Some(v) => v
+                .parse::<usize>()
+                .map_err(|_| HttpError::Malformed(format!("bad content-length '{v}'")))?,
+            None => 0,
+        };
+        if content_length > max_body_bytes {
+            return Err(HttpError::BodyTooLarge {
+                declared: content_length,
+                limit: max_body_bytes,
+            });
+        }
+        self.body.resize(content_length, 0);
+        reader.read_exact(&mut self.body).map_err(HttpError::Io)
+    }
+
+    /// Appends one line of the head — terminator dropped, bare LF tolerated — and returns
+    /// where in the head it lies.
+    fn read_line(
+        &mut self,
+        reader: &mut impl BufRead,
+        first: bool,
+    ) -> Result<Range<usize>, HttpError> {
+        let start = self.head.len();
+        let mut limited = reader.by_ref().take(MAX_HEAD_BYTES as u64 + 1);
+        match limited.read_line(&mut self.head) {
+            Ok(0) if first => return Err(HttpError::Closed),
+            Ok(0) => return Err(HttpError::Malformed("unexpected end of head".into())),
+            Ok(_) if !self.head.ends_with('\n') => {
+                return Err(HttpError::Malformed("request head too large".into()))
+            }
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return Err(HttpError::Malformed("non-UTF-8 request head".into()))
+            }
+            Err(e) => return Err(HttpError::Io(e)),
+        }
+        let end = self.head.trim_end_matches(['\n', '\r']).len().max(start);
+        self.head.truncate(end);
+        Ok(start..end)
+    }
+}
+
+/// `range` of `text` with surrounding whitespace dropped, as a range of the head `text`
+/// starts at `offset` of.
+fn trimmed(text: &str, offset: usize, range: Range<usize>) -> Range<usize> {
+    let part = &text[range.clone()];
+    let start = range.start + (part.len() - part.trim_start().len());
+    let end = range.end - (part.len() - part.trim_end().len());
+    offset + start..offset + end.max(start)
 }
 
 /// Why a request could not be read.
@@ -90,91 +230,6 @@ impl HttpError {
             )
         )
     }
-}
-
-/// Reads one request off `reader`.
-///
-/// `Ok(request)` on success; [`HttpError::Closed`] when the peer hung up between requests;
-/// [`HttpError::Io`] when the socket's read timeout fired mid-request (the slow-loris case —
-/// the caller set the timeout on the underlying `TcpStream`).  Bodies require an explicit
-/// `Content-Length` and are rejected with [`HttpError::BodyTooLarge`] *before* any body byte
-/// is read, so an oversized upload costs the server nothing.
-pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    max_body_bytes: usize,
-) -> Result<Request, HttpError> {
-    let request_line = read_line(reader, true)?;
-    let mut parts = request_line.split(' ');
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v), None) if !m.is_empty() && p.starts_with('/') => (m, p, v),
-        _ => {
-            return Err(HttpError::Malformed(format!(
-                "bad request line '{request_line}'"
-            )))
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Malformed(format!("bad version '{version}'")));
-    }
-
-    let mut headers = Vec::new();
-    let mut head_bytes = request_line.len();
-    loop {
-        let line = read_line(reader, false)?;
-        if line.is_empty() {
-            break;
-        }
-        head_bytes += line.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(HttpError::Malformed("request head too large".into()));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("bad header '{line}'")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length '{v}'")))?,
-        None => 0,
-    };
-    if content_length > max_body_bytes {
-        return Err(HttpError::BodyTooLarge {
-            declared: content_length,
-            limit: max_body_bytes,
-        });
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(HttpError::Io)?;
-
-    Ok(Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        http10: version == "HTTP/1.0",
-        headers,
-        body,
-    })
-}
-
-/// Reads one CRLF-terminated line (the terminator is stripped; bare LF tolerated).
-fn read_line(reader: &mut BufReader<TcpStream>, first: bool) -> Result<String, HttpError> {
-    let mut line = Vec::new();
-    let mut limited = reader.by_ref().take(MAX_HEAD_BYTES as u64 + 1);
-    match limited.read_until(b'\n', &mut line) {
-        Ok(0) if first && line.is_empty() => return Err(HttpError::Closed),
-        Ok(0) => return Err(HttpError::Malformed("unexpected end of head".into())),
-        Ok(_) if line.last() != Some(&b'\n') => {
-            return Err(HttpError::Malformed("request head too large".into()))
-        }
-        Ok(_) => {}
-        Err(e) => return Err(HttpError::Io(e)),
-    }
-    while matches!(line.last(), Some(b'\n' | b'\r')) {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| HttpError::Malformed("non-UTF-8 request head".into()))
 }
 
 /// The reason phrase for the status codes this server emits.
@@ -491,6 +546,82 @@ pub(crate) mod tests {
             let sink = std::mem::take(&mut out.stream);
             (sink.writes, String::from_utf8(sink.bytes).unwrap())
         }
+    }
+
+    #[test]
+    fn keep_alive_requests_are_read_into_the_buffers_of_the_last() {
+        let raw = "POST /query HTTP/1.1\r\nHost: urm\r\nContent-Length: 13\r\n\
+                   X-Trace-Id:  t1 \r\n\r\n{\"spec\":\"Q1\"}\
+                   GET /healthz HTTP/1.0\nconnection: keep-alive, Close\n\n";
+        let mut reader = raw.as_bytes();
+        let mut request = Request::default();
+        request.read_from(&mut reader, 1024).unwrap();
+        assert_eq!((request.method(), request.path()), ("POST", "/query"));
+        assert!(!request.http10() && !request.wants_close());
+        assert_eq!(request.header("host"), Some("urm"));
+        assert_eq!(request.header("x-trace-id"), Some("t1"));
+        assert_eq!(request.body(), b"{\"spec\":\"Q1\"}");
+        let capacities = |r: &Request| (r.head.capacity(), r.headers.capacity(), r.body.capacity());
+        let before = capacities(&request);
+
+        request.read_from(&mut reader, 1024).unwrap();
+        assert_eq!((request.method(), request.path()), ("GET", "/healthz"));
+        assert!(request.http10() && request.wants_close());
+        assert_eq!((request.header("host"), request.body()), (None, &b""[..]));
+        assert_eq!(capacities(&request), before, "nothing reallocated");
+        assert!(matches!(
+            request.read_from(&mut reader, 1024),
+            Err(HttpError::Closed)
+        ));
+
+        // A body past what a connection keeps is let go at the next request.
+        let big = format!(
+            "POST / HTTP/1.1\r\ncontent-length: 100000\r\n\r\n{}",
+            "x".repeat(100_000)
+        );
+        request.read_from(&mut big.as_bytes(), 1 << 20).unwrap();
+        assert_eq!(request.body().len(), 100_000);
+        request.read_from(&mut raw.as_bytes(), 1024).unwrap();
+        assert!(request.body.capacity() <= KEPT_BODY_BYTES);
+    }
+
+    #[test]
+    fn a_malformed_head_is_refused_with_its_reason() {
+        let many_headers = format!("GET / HTTP/1.1\r\n{}\r\n", "x: y\r\n".repeat(5_000));
+        let cases: [(&[u8], &str); 8] = [
+            (b"GET /x HTTP/2.0\r\n\r\n", "bad version 'HTTP/2.0'"),
+            (
+                b"GET x HTTP/1.1\r\n\r\n",
+                "bad request line 'GET x HTTP/1.1'",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nno colon\r\n\r\n",
+                "bad header 'no colon'",
+            ),
+            (
+                b"POST /x HTTP/1.1\r\ncontent-length: z\r\n\r\n",
+                "bad content-length 'z'",
+            ),
+            (b"GET /x HTTP/1.1\r\nhost: a", "request head too large"),
+            (b"GET /x HTTP/1.1\r\n", "unexpected end of head"),
+            (b"GET /\xff HTTP/1.1\r\n\r\n", "non-UTF-8 request head"),
+            (many_headers.as_bytes(), "request head too large"),
+        ];
+        for (raw, reason) in cases {
+            let mut reader = raw;
+            match Request::default().read_from(&mut reader, 1024) {
+                Err(HttpError::Malformed(message)) => assert_eq!(message, reason),
+                other => panic!("{reason}: {other:?}"),
+            }
+        }
+        let mut reader = &b"POST /x HTTP/1.1\r\ncontent-length: 2000\r\n\r\n"[..];
+        assert!(matches!(
+            Request::default().read_from(&mut reader, 1024),
+            Err(HttpError::BodyTooLarge {
+                declared: 2000,
+                limit: 1024
+            })
+        ));
     }
 
     #[test]

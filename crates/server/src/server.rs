@@ -6,18 +6,27 @@
 //! two-stage bind/execute pipeline).  Shutdown is **draining**: the listener closes first, then
 //! in-flight connections get [`DRAIN_GRACE`] to finish their current request before the server
 //! returns — no accepted query is abandoned.
+//!
+//! The server builds every query of the spec language once, when it starts: each of the 28
+//! [`SpecRef`]s with its target schema, its static admission cost and its [`QueryKey`].  A
+//! request is read into its connection's reused [`Request`]; its specs are only read
+//! ([`resolve_spec`]: a label and a ref), charged from the table, and submitted as clones of the
+//! table's keys ([`QueryService::submit_key`]).  An answer-cache hit therefore builds no query
+//! and hashes none, and the cache compares the key it holds with the one submitted by pointer.
 
 use crate::admission::{AdmissionController, Rejected};
-use crate::http::{read_request, Head, HttpError, Part, Request, ResponseWriter};
+use crate::http::{Head, HttpError, Part, Request, ResponseWriter};
 use crate::json::{write_number, Json};
-use crate::wire::{parse_query_spec, splice_answer};
+use crate::wire::{resolve_spec, splice_answer};
+use std::borrow::Cow;
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use urm_datagen::replay::WorkloadEntry;
+use urm_core::QueryKey;
+use urm_datagen::replay::SpecRef;
 use urm_datagen::scenario::TargetSchemaKind;
 use urm_service::{
     EpochId, HistSnapshot, Histogram, MetricKind, PromWriter, QueryResponse, QueryService,
@@ -32,6 +41,8 @@ struct Shared {
     /// The epoch serving each target schema (registered by the caller before start).
     epochs: Vec<(TargetSchemaKind, EpochId)>,
     admission: AdmissionController,
+    /// Every query of the spec language, built and keyed once, at [`SpecRef::index`].
+    specs: Vec<ServedSpec>,
     /// When the server started — `/healthz` reports the uptime.
     started: Instant,
     /// Per-endpoint wall-clock latency histograms (admission to last byte), exposed as the
@@ -101,6 +112,7 @@ impl Shared {
             service,
             epochs,
             admission,
+            specs: SpecRef::all().map(ServedSpec::new).collect(),
             started: Instant::now(),
             endpoints: EndpointHistograms::default(),
             stopping: AtomicBool::new(false),
@@ -115,12 +127,39 @@ impl Shared {
             .map(|(_, id)| *id)
     }
 
+    fn served(&self, spec: SpecRef) -> &ServedSpec {
+        &self.specs[spec.index()]
+    }
+
     /// What admission charges one query: its serving epoch's observed source operators per
     /// evaluated query once the epoch has history, else the static plan-shape estimate.
-    fn query_cost(&self, entry: &WorkloadEntry) -> u64 {
-        self.epoch_for(entry.target)
+    fn query_cost(&self, spec: &ServedSpec) -> u64 {
+        self.epoch_for(spec.target)
             .and_then(|epoch| self.service.observed_query_cost(epoch))
-            .unwrap_or_else(|| static_query_cost(&entry.query))
+            .unwrap_or(spec.static_cost)
+    }
+}
+
+/// One query of the spec language as the server submits it: built, costed and keyed when the
+/// server starts, so a request's spec is read ([`resolve_spec`]) and never built again.
+struct ServedSpec {
+    target: TargetSchemaKind,
+    /// [`static_query_cost`] of the query.
+    static_cost: u64,
+    /// The query as the answer cache's key; a submission clones it, which bumps a count.
+    key: QueryKey,
+}
+
+impl ServedSpec {
+    fn new(spec: SpecRef) -> Self {
+        let query = spec
+            .query()
+            .expect("every query of the spec language builds");
+        ServedSpec {
+            target: spec.target(),
+            static_cost: static_query_cost(&query),
+            key: QueryKey::new(query),
+        }
     }
 }
 
@@ -242,30 +281,29 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
+    // And its one request, whose buffers each keep-alive request is read into.
+    let mut request = Request::default();
 
     // Keep-alive loop: serve requests until the peer hangs up, errors, asks to close, or the
     // server drains.
     loop {
-        let request = match read_request(&mut reader, config.max_body_bytes) {
-            Ok(request) => request,
-            Err(err) => {
-                // Tell the peer and hang up: after a slow-loris timeout (or an idle keep-alive
-                // connection during drain), a malformed head or an unread oversized body the
-                // framing is unrecoverable.  The write is best-effort — the peer may be gone.
-                let (status, msg) = match err {
-                    HttpError::Malformed(msg) => (400, msg),
-                    HttpError::BodyTooLarge { declared, limit } => (
-                        413,
-                        format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-                    ),
-                    timeout if timeout.is_timeout() => (408, "read timeout".to_string()),
-                    HttpError::Closed | HttpError::Io(_) => return,
-                };
-                out.set_close(true);
-                let _ = out.json(status, &[], &error_body(&msg));
-                return;
-            }
-        };
+        if let Err(err) = request.read_from(&mut reader, config.max_body_bytes) {
+            // Tell the peer and hang up: after a slow-loris timeout (or an idle keep-alive
+            // connection during drain), a malformed head or an unread oversized body the
+            // framing is unrecoverable.  The write is best-effort — the peer may be gone.
+            let (status, msg) = match err {
+                HttpError::Malformed(msg) => (400, msg),
+                HttpError::BodyTooLarge { declared, limit } => (
+                    413,
+                    format!("body of {declared} bytes exceeds the {limit}-byte limit"),
+                ),
+                timeout if timeout.is_timeout() => (408, "read timeout".to_string()),
+                HttpError::Closed | HttpError::Io(_) => return,
+            };
+            out.set_close(true);
+            let _ = out.json(status, &[], &error_body(&msg));
+            return;
+        }
         // An HTTP/1.0 peer, `connection: close`, or a draining server: this response is the
         // connection's last, and says so.
         out.set_close(request.wants_close() || shared.stopping.load(Ordering::SeqCst));
@@ -288,7 +326,7 @@ fn respond<W: Write>(
     client: IpAddr,
     shared: &Shared,
 ) -> std::io::Result<()> {
-    match (request.method.as_str(), request.path.as_str()) {
+    match (request.method(), request.path()) {
         ("GET", "/healthz") => out.json(200, &[], &healthz_body(shared)),
         ("GET", "/metrics") => {
             let head = Head {
@@ -437,7 +475,7 @@ fn serve_queries<W: Write>(
     shared: &Shared,
     batch: bool,
 ) -> std::io::Result<()> {
-    let specs = match parse_body_specs(&request.body, batch) {
+    let specs = match parse_body_specs(request.body(), batch) {
         Ok(specs) => specs,
         Err(msg) => return out.json(400, &[], &error_body(&msg)),
     };
@@ -458,7 +496,10 @@ fn serve_queries<W: Write>(
     // (or the request has failed: every return below drops it).  Each query is charged its
     // estimated evaluation cost (`Shared::query_cost`), so the bounded queue meters admitted
     // *work*, not request count.
-    let cost: u64 = specs.iter().map(|entry| shared.query_cost(entry)).sum();
+    let cost: u64 = specs
+        .iter()
+        .map(|(_, spec)| shared.query_cost(shared.served(*spec)))
+        .sum();
     let mut admission_span = tracer.span("admission");
     admission_span.tag("queries", specs.len() as u64);
     admission_span.tag("cost", cost);
@@ -478,17 +519,18 @@ fn serve_queries<W: Write>(
 
     // Submit everything, then flush once — if anything missed the answer cache: one service
     // batch per target schema touched.
-    let mut tickets: Vec<(String, Ticket)> = Vec::with_capacity(specs.len());
-    for entry in specs {
-        let Some(epoch) = shared.epoch_for(entry.target) else {
-            let msg = format!("target schema '{}' is not served", entry.target);
+    let mut tickets: Vec<(Cow<'static, str>, Ticket)> = Vec::with_capacity(specs.len());
+    for (label, spec) in specs {
+        let served = shared.served(spec);
+        let Some(epoch) = shared.epoch_for(served.target) else {
+            let msg = format!("target schema '{}' is not served", served.target);
             return out.json(400, &[], &error_body(&msg));
         };
         match shared
             .service
-            .submit_traced(epoch, entry.query, tracer.clone())
+            .submit_key(epoch, served.key.clone(), tracer.clone())
         {
-            Ok(ticket) => tickets.push((entry.label, ticket)),
+            Ok(ticket) => tickets.push((label, ticket)),
             Err(err) => return out.json(error_status(&err), &[], &error_body(&err.to_string())),
         }
     }
@@ -505,12 +547,12 @@ fn serve_queries<W: Write>(
     let last = tickets.pop().expect("a request has at least one spec");
     // A response is held across the write that sends it: its answer's rendering is lent to
     // that write, not copied into it.
-    let wait = |(label, ticket): (String, Ticket)| (label, ticket.wait());
+    let wait = |(label, ticket): (Cow<'static, str>, Ticket)| (label, ticket.wait());
     if batch {
         // Each ticket's answer is written as its own chunk the moment its batch resolves; a
         // failed one becomes an error object in its place.  An HTTP/1.0 peer cannot frame
         // chunks, so its answers are gathered and sent fixed-length.
-        let mut body = out.begin(head, !request.http10);
+        let mut body = out.begin(head, !request.http10());
         let mut first = true;
         for ticket in tickets {
             let (label, result) = wait(ticket);
@@ -573,10 +615,11 @@ fn static_query_cost(query: &urm_core::TargetQuery) -> u64 {
     1 + query.predicates().len() as u64 + relations * relations
 }
 
-/// The specs of a `/query` (`batch: false`) or `/batch` body, or the message of the 400 that
-/// refuses it: not UTF-8, not JSON (or nested beyond [`crate::json::MAX_DEPTH`]), not the
-/// expected shape, or naming a spec that does not parse.
-fn parse_body_specs(body: &[u8], batch: bool) -> Result<Vec<WorkloadEntry>, String> {
+/// The labels and refs of the specs of a `/query` (`batch: false`) or `/batch` body, or the
+/// message of the 400 that refuses it: not UTF-8, not JSON (or nested beyond
+/// [`crate::json::MAX_DEPTH`]), not the expected shape, or naming a spec that does not parse.
+/// No query is built: the server holds them all.
+fn parse_body_specs(body: &[u8], batch: bool) -> Result<Vec<(Cow<'static, str>, SpecRef)>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let doc = Json::parse(text).map_err(|e| format!("bad JSON body: {e}"))?;
     let specs: Vec<&str> = if batch {
@@ -597,7 +640,7 @@ fn parse_body_specs(body: &[u8], batch: bool) -> Result<Vec<WorkloadEntry>, Stri
     }
     specs
         .into_iter()
-        .map(|s| parse_query_spec(s).map_err(|e| bad_spec(s, &e)))
+        .map(|s| resolve_spec(s).map_err(|e| bad_spec(s, &e)))
         .collect()
 }
 
@@ -620,7 +663,7 @@ fn bad_spec(spec: &str, why: &str) -> String {
 mod tests {
     use super::*;
     use crate::http::tests::CountingWrite;
-    use crate::wire::answer_json;
+    use crate::wire::{answer_json, parse_query_spec};
     use crate::AdmissionConfig;
     use std::net::Ipv4Addr;
     use urm_datagen::scenario::{Scenario, ScenarioConfig};
@@ -645,13 +688,13 @@ mod tests {
     }
 
     fn post(path: &str, body: &str) -> Request {
-        Request {
-            method: "POST".into(),
-            path: path.into(),
-            http10: false,
-            headers: Vec::new(),
-            body: body.as_bytes().to_vec(),
-        }
+        let raw = format!(
+            "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let mut request = Request::default();
+        request.read_from(&mut raw.as_bytes(), 1 << 20).unwrap();
+        request
     }
 
     #[test]
@@ -672,13 +715,57 @@ mod tests {
         assert_eq!(nested, "bad JSON body: nesting deeper than 64 at byte 64");
     }
 
+    /// The resolver — [`resolve_spec`], then the server's table — against [`parse_query_spec`]:
+    /// the same label, target, static cost and key for every spelling of every query, and the
+    /// same 400 for every spec it refuses.
+    #[test]
+    fn the_resolver_answers_every_spelling_as_parse_query_spec_does() {
+        let (shared, _) = excel_server();
+        let mut specs: Vec<String> = SpecRef::all().map(|s| s.label().to_string()).collect();
+        for prefix in ["sel:", "prod:", "join:", "scale:", "skew:"] {
+            // 0 and the counts past each family's range clamp.
+            specs.extend((0..=7).map(|n| format!("{prefix}{n}")));
+            specs.extend([format!("{prefix}+3"), format!(" {prefix}03 ")]);
+        }
+        specs.extend(["q4", " Q4 ", "q10", "\tsel:2\n"].map(String::from));
+        for spec in &specs {
+            let entry = parse_query_spec(spec).unwrap();
+            let (label, spec_ref) = resolve_spec(spec).unwrap();
+            assert_eq!(label, entry.label, "{spec:?}");
+            let served = shared.served(spec_ref);
+            assert_eq!(served.target, entry.target, "{spec:?}");
+            assert_eq!(served.static_cost, static_query_cost(&entry.query));
+            assert_eq!(served.key, QueryKey::new(entry.query), "{spec:?}");
+        }
+        assert_eq!(resolve_spec(" sel:03 ").unwrap().0, "sel:03");
+        assert_eq!(resolve_spec("q4").unwrap().0, "Q4");
+        assert!(matches!(resolve_spec("sel:3").unwrap().0, Cow::Borrowed(_)));
+
+        for spec in [
+            "Q11", "Q04", "", "sel:x", "sel:-1", "join: 2", "SEL:1", "skew:",
+        ] {
+            let why = parse_query_spec(spec).unwrap_err();
+            assert_eq!(resolve_spec(spec).unwrap_err(), why, "{spec:?}");
+            let body = format!("{{\"specs\": [\"Q1\", \"{spec}\"]}}");
+            assert_eq!(
+                parse_body_specs(body.as_bytes(), true).unwrap_err(),
+                format!("bad spec '{spec}': {why}")
+            );
+        }
+    }
+
     #[test]
     fn admission_charges_the_static_estimate_cold_and_the_observed_cost_warm() {
         let (shared, epoch) = excel_server();
+        let served = |spec: &str| shared.served(resolve_spec(spec).unwrap().1);
         let entry = parse_query_spec("join:2").unwrap();
         let static_cost = static_query_cost(&entry.query);
         assert_eq!(shared.service.observed_query_cost(epoch), None);
-        assert_eq!(shared.query_cost(&entry), static_cost, "a cold epoch");
+        assert_eq!(
+            shared.query_cost(served("join:2")),
+            static_cost,
+            "a cold epoch"
+        );
 
         shared
             .service
@@ -686,11 +773,15 @@ mod tests {
             .unwrap();
         let observed = shared.service.observed_query_cost(epoch).unwrap();
         assert_ne!(observed, static_cost);
-        assert_eq!(shared.query_cost(&entry), observed, "after one batch");
+        assert_eq!(
+            shared.query_cost(served("join:2")),
+            observed,
+            "after one batch"
+        );
         // A query no served epoch answers has no history to charge.
         let unserved = parse_query_spec("Q6").unwrap();
         assert_eq!(
-            shared.query_cost(&unserved),
+            shared.query_cost(served("Q6")),
             static_query_cost(&unserved.query)
         );
     }

@@ -1,8 +1,11 @@
 //! The wire format: workload specs in, canonically rendered answers out.
 //!
 //! Queries arrive as the same spec strings the replayable workload files use (`Q1`–`Q10`,
-//! `sel:N`, `prod:N`, `join:N`, `scale:N` — see [`urm_datagen::replay`]), so a workload file
-//! replayed over HTTP and one replayed in-process by `urm-cli` are the *same* request stream.
+//! `sel:N`, `prod:N`, `join:N`, `scale:N`, `skew:N` — see [`urm_datagen::replay`]), so a
+//! workload file replayed over HTTP and one replayed in-process by `urm-cli` are the *same*
+//! request stream.  The server reads a spec with [`resolve_spec`] alone — its label and its
+//! [`SpecRef`], nothing built — and answers the ref from the queries it built once, when it
+//! started; [`parse_query_spec`] builds the query too, for callers without such a table.
 //! Answers render through one deterministic function ([`write_answer`]): tuples in
 //! [`ProbabilisticAnswer::sorted_rows`] order, probabilities in shortest-round-trip form — two
 //! equal answers always produce byte-identical documents, which is what the `http_bench`
@@ -22,14 +25,30 @@
 
 use crate::http::Part;
 use crate::json::{write_number, write_string, Escaped, Json};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use urm_core::ProbabilisticAnswer;
-use urm_datagen::replay::{parse_spec, WorkloadEntry};
+use urm_datagen::replay::{parse_spec, parse_spec_ref, SpecRef, WorkloadEntry};
 
-/// Parses one workload spec (the `"spec"`/`"specs"` strings of `/query` and `/batch` bodies).
+/// Parses one workload spec (the `"spec"`/`"specs"` strings of `/query` and `/batch` bodies)
+/// and builds its query.
 pub fn parse_query_spec(spec: &str) -> Result<WorkloadEntry, String> {
     parse_spec(spec).map_err(|e| e.to_string())
+}
+
+/// The syntax half of [`parse_query_spec`]: the spec's label and what it names, refused in the
+/// same words, with no query built.  The label is borrowed from [`SpecRef::label`] when the
+/// spec is spelled canonically (`Q4`, `sel:3`), so only a spec spelled otherwise (` sel:03 `
+/// keeps its label `sel:03`) copies it.
+pub fn resolve_spec(spec: &str) -> Result<(Cow<'static, str>, SpecRef), String> {
+    let (label, spec) = parse_spec_ref(spec).map_err(|e| e.to_string())?;
+    let label = if label == spec.label() {
+        Cow::Borrowed(spec.label())
+    } else {
+        Cow::Owned(label.to_string())
+    };
+    Ok((label, spec))
 }
 
 /// Appends one answer to `out` as a deterministic JSON object:

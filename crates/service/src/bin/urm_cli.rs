@@ -103,7 +103,8 @@ OPTIONS:
   --mappings H        possible mappings per scenario (default 30)
   --seed S            data-generation seed (default 42)
   --workers W         service worker threads (default 4)
-  --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4)
+  --dag-workers D     intra-batch DAG scheduler threads (default: half the host threads, 1–4;
+                      a run never uses more than the CPUs the process may use)
   --batch-size B      max queries per batch (default 64)
   --answer-cache N    service answer cache capacity (default 1024; 0 disables it)
   --memory-budget B   byte budget for materialised relations, per epoch (default:
@@ -255,31 +256,33 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // One scenario per target schema the workload touches.
-    let mut scenarios: BTreeMap<String, Scenario> = BTreeMap::new();
-    for kind in TargetSchemaKind::all() {
-        if !workload.iter().any(|e| e.target == kind) {
-            continue;
-        }
-        eprintln!(
-            "generating scenario: target={kind} scale={} mappings={} seed={} …",
-            args.scale, args.mappings, args.seed
-        );
-        match Scenario::generate(&ScenarioConfig {
-            target: kind,
-            scale: args.scale,
-            mappings: args.mappings,
-            seed: args.seed,
-        }) {
-            Ok(s) => {
-                scenarios.insert(kind.to_string(), s);
-            }
+    // One scenario per target schema the workload touches, over one source instance.
+    let targets: Vec<TargetSchemaKind> = TargetSchemaKind::all()
+        .into_iter()
+        .filter(|&kind| workload.iter().any(|e| e.target == kind))
+        .collect();
+    let names: Vec<String> = targets.iter().map(ToString::to_string).collect();
+    eprintln!(
+        "generating scenarios: targets={} scale={} mappings={} seed={} …",
+        names.join(","),
+        args.scale,
+        args.mappings,
+        args.seed
+    );
+    let config = ScenarioConfig {
+        scale: args.scale,
+        mappings: args.mappings,
+        seed: args.seed,
+        ..ScenarioConfig::default()
+    };
+    let scenarios: BTreeMap<String, Scenario> =
+        match Scenario::generate_per_target(&config, &targets) {
+            Ok(scenarios) => names.into_iter().zip(scenarios).collect(),
             Err(err) => {
                 eprintln!("error: scenario generation failed: {err}");
                 return ExitCode::FAILURE;
             }
-        }
-    }
+        };
 
     match args.algorithm {
         Mode::Service => run_service(&args, &workload, &scenarios),

@@ -10,7 +10,10 @@ pub struct ServiceConfig {
     pub batch_max: usize,
     /// Worker threads of the intra-batch DAG scheduler: each batch is merged into one
     /// shared-operator DAG whose independent ready nodes run on up to this many threads — the
-    /// batch's own plus scoped helpers (1 = the batch's own thread alone).
+    /// batch's own plus scoped helpers (1 = the batch's own thread alone).  A run never uses
+    /// more threads than it has nodes to run or than the process may use CPUs
+    /// ([`urm_engine::dag::run_threads`]): on one CPU every batch runs on its own thread
+    /// whatever this says.
     pub dag_workers: usize,
     /// Capacity of the service-wide answer cache (entries, LRU-evicted); 0 disables it.
     pub answer_cache_capacity: usize,

@@ -554,21 +554,33 @@ impl QueryService {
     /// is dispatched when it reaches [`ServiceConfig::batch_max`] or on
     /// [`flush`](QueryService::flush).
     pub fn submit(&self, epoch: EpochId, query: TargetQuery) -> ServiceResult<Ticket> {
-        self.submit_traced(epoch, query, Tracer::disabled())
+        self.submit_key(epoch, QueryKey::new(query), Tracer::disabled())
     }
 
     /// [`submit`](QueryService::submit) with a request-scoped tracer: when `tracer` is
     /// enabled, the batch this query lands in records a full span tree under its trace id
     /// (retrievable from [`finished_traces`](QueryService::finished_traces) once answered).
-    ///
-    /// A hit costs what a hit is: the epoch check (a retired epoch is refused *before* the
-    /// probe, even for an answer the cache still holds), one [`QueryKey`] — a hash of the query
-    /// as it stands, nothing rendered — and one probe under the cache lock.  It records no
-    /// spans; the channel, the [`Submission`] and the pending-queue lock exist only on a miss.
     pub fn submit_traced(
         &self,
         epoch: EpochId,
         query: TargetQuery,
+        tracer: Tracer,
+    ) -> ServiceResult<Ticket> {
+        self.submit_key(epoch, QueryKey::new(query), tracer)
+    }
+
+    /// [`submit_traced`](QueryService::submit_traced) for a query already keyed: a caller that
+    /// submits the same queries again and again keys each once and passes a clone of the key
+    /// (a reference-count bump) instead of a query to hash.
+    ///
+    /// A hit costs what a hit is: the epoch check (a retired epoch is refused *before* the
+    /// probe, even for an answer the cache still holds) and one probe under the cache lock.
+    /// It records no spans; the channel, the [`Submission`] and the pending-queue lock exist
+    /// only on a miss.
+    pub fn submit_key(
+        &self,
+        epoch: EpochId,
+        key: QueryKey,
         tracer: Tracer,
     ) -> ServiceResult<Ticket> {
         let inner = &self.inner;
@@ -577,7 +589,6 @@ impl QueryService {
         }
         inner.queries_submitted.fetch_add(1, Ordering::Relaxed);
 
-        let key = QueryKey::new(query);
         if let Some(found) = inner.answer_cache.lock().unwrap().lookup(epoch, &key) {
             return Ok(Ticket(Ok(QueryResponse {
                 answer: found.answer,
