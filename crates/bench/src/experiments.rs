@@ -136,21 +136,23 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Generates the scenarios for all three target schemas.
+    /// Generates the scenarios for all three target schemas, over one source instance.
     pub fn new(config: HarnessConfig) -> CoreResult<Self> {
-        let build = |target| {
-            Scenario::generate(&ScenarioConfig {
-                target,
-                scale: config.scale,
-                mappings: config.mappings,
-                seed: config.seed,
-            })
+        let scenario = ScenarioConfig {
+            target: TargetSchemaKind::Excel,
+            scale: config.scale,
+            mappings: config.mappings,
+            seed: config.seed,
         };
+        let targets = TargetSchemaKind::all();
+        let [excel, noris, paragon] = Scenario::generate_per_target(&scenario, &targets)?
+            .try_into()
+            .expect("one scenario per target");
         Ok(Harness {
             config,
-            excel: build(TargetSchemaKind::Excel)?,
-            noris: build(TargetSchemaKind::Noris)?,
-            paragon: build(TargetSchemaKind::Paragon)?,
+            excel,
+            noris,
+            paragon,
         })
     }
 

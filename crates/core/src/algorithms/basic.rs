@@ -1,4 +1,11 @@
 //! The `basic` algorithm: one source query per possible mapping (Section III-B.1).
+//!
+//! Every other algorithm runs its source queries through the batch's lowering
+//! ([`crate::algorithms::batch`]), as the factors of their optimised products.  `basic` stays
+//! outside it on purpose: it is the unshared reference — each mapping's whole optimised plan
+//! run on its own, the product multiplied out — that the end-to-end benchmark's oracle and the
+//! two cross-algorithm tests (`tests/algorithms_agree.rs`, `tests/prop_consistency.rs`)
+//! compare every other path against, so it must not share that path's code.
 
 use crate::answer::{aggregate, Cluster};
 use crate::metrics::{EvalMetrics, Evaluation};

@@ -1,4 +1,4 @@
-//! Batch evaluation: many probabilistic queries over one mapping set, run over one epoch DAG.
+//! Batch evaluation, and the lowering every algorithm but `basic` runs its source queries by.
 //!
 //! The paper evaluates sharing *within* one probabilistic query (its `h` reformulations).  A
 //! serving layer gets a second amortisation axis: independent queries submitted together
@@ -12,27 +12,31 @@
 //!
 //! A batch always runs over a [`BatchEpoch`]: the epoch's persistent [`EpochDag`] and the
 //! factors its source queries split into.  [`evaluate_batch`] runs over a throwaway one.
-//! [`evaluate_batch_on`], the one coordinator, takes each query through three steps:
+//! [`evaluate_batch_on`], the one coordinator, **rewrites** each query, one representative per
+//! mapping *partition* ([`partitioned_reformulations`]): the clusters — distinct source queries
+//! with their summed mapping probabilities — their order and probabilities are bit for bit
+//! those of e-basic's rewrite-every-mapping phase.  It hands the rewrites to the *lowering*,
+//! which takes their clusters through three steps:
 //!
-//! 1. **Rewrite**, one representative per mapping *partition*
-//!    ([`partitioned_reformulations`]): the clusters — distinct source queries with their
-//!    summed mapping probabilities — their order and probabilities are bit for bit those of
-//!    e-basic's rewrite-every-mapping phase.
-//! 2. **Split**, once per epoch: the optimised form of a tuple-producing source query is a
+//! 1. **Split**, once per epoch: the optimised form of a tuple-producing source query is a
 //!    product of distinct factors `δπ(C1) × … × δπ(Ck)`, under a projection when the product's
-//!    columns need reordering (see `urm_engine::optimize`).  Each factor becomes a DAG root of
-//!    its own, under its own fingerprint, so the product and its projection are never bound,
-//!    executed or pinned, and the source queries that share a factor share its root.  An
-//!    aggregate is one factor.  The epoch remembers each cluster's factors, so a warm batch
-//!    neither optimises nor splits again.
-//! 3. **Bind**, under the DAG's lock: each distinct factor once (a bind-cache lookup for a
+//!    columns need reordering (see `urm_engine::optimize`).  Each factor
+//!    ([`product_factors`]) becomes a DAG root of its own, under its own fingerprint, so the
+//!    product and its projection are never bound, executed or pinned, and the source queries
+//!    that share a factor share its root.  An aggregate is one factor.  The epoch remembers
+//!    each cluster's factors, so a warm batch neither optimises nor splits again.
+//! 2. **Bind**, under the DAG's lock: each distinct factor once (a bind-cache lookup for a
 //!    factor bound before), closed into a [`PreparedBatch`].  The lock is released before
 //!    execution, so the next batch binds while this one executes.
+//! 3. **Execute and aggregate**: a node whose result is still materialised from an earlier
+//!    batch is answered without executing; each query's clusters, in cluster order, then go to
+//!    [`aggregate`] as the factors whose product they are.
 //!
-//! Rewrite and split hold no lock.  A node whose result is still materialised from an earlier
-//! batch is answered without executing.  Each query's clusters, in cluster order, then go to
-//! the one aggregation every algorithm uses ([`aggregate`]).  Answers are e-basic's to the bit,
-//! warm or cold, with or without a memory budget (property-tested).
+//! Splitting holds no lock.  Answers are e-basic's to the bit, warm or cold, with or without a
+//! memory budget (property-tested).
+//!
+//! **One lowering.**  Every algorithm but `basic` runs its source queries this way: each is a
+//! policy over which clusters it lowers and onto which epoch ([`crate::algorithms`]).
 
 use crate::answer::{aggregate, Cluster};
 use crate::metrics::{EvalMetrics, Evaluation};
@@ -43,7 +47,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
-use urm_engine::optimize::{fingerprint, optimize};
+use urm_engine::optimize::{fingerprint, optimize, product_factors};
 use urm_engine::{
     EpochDag, ExecStats, Executor, Plan, PreparedBatch, RunReport, DEFAULT_PIN_BUDGET_BYTES,
 };
@@ -164,9 +168,8 @@ impl BatchEpoch {
         Some(factors.get(&key)?.iter().map(|factor| factor.key).collect())
     }
 
-    /// The factors of the source query `sq`, whose fingerprint is `key`: split on first sight,
-    /// remembered after.  A tuple-producing source query is split into the factors of its
-    /// optimised product; an aggregate runs whole.
+    /// The factors of the source query `sq`, whose fingerprint is `key`: split on first sight
+    /// ([`factor_plans`]), remembered after.
     fn factors_of(
         &self,
         key: u64,
@@ -176,13 +179,7 @@ impl BatchEpoch {
         if let Some(known) = self.factors.lock().unwrap().get(&key) {
             return Ok(Arc::clone(known));
         }
-        let optimized = optimize(&sq.plan, catalog)?;
-        let plans = if matches!(sq.extraction, Extraction::Columns(_)) {
-            product_factors(optimized)
-        } else {
-            vec![optimized]
-        };
-        let factors: Arc<[Factor]> = (plans.into_iter())
+        let factors: Arc<[Factor]> = (factor_plans(sq, catalog)?.into_iter())
             .map(|plan| Factor {
                 key: fingerprint(&plan),
                 plan,
@@ -193,36 +190,43 @@ impl BatchEpoch {
     }
 }
 
-/// The factors whose product `plan` is: the product chain under the reordering projection
-/// `optimize` may put above it, or `plan` itself when it is not a product.  Only for a plan
-/// whose answers are read by column name ([`Extraction::Columns`]), which no reordering moves.
-fn product_factors(plan: Plan) -> Vec<Plan> {
-    fn flatten(plan: Plan, factors: &mut Vec<Plan>) {
-        match plan {
-            Plan::Product { left, right } => {
-                flatten(*left, factors);
-                flatten(*right, factors);
-            }
-            factor => factors.push(factor),
-        }
-    }
-    let product = match plan {
-        Plan::Project { input, .. } if matches!(*input, Plan::Product { .. }) => *input,
-        plan => plan,
-    };
-    let mut factors = Vec::new();
-    flatten(product, &mut factors);
-    factors
+/// The DAG roots the source query `sq` is lowered to: the factors of its optimised product
+/// when its answers are read by column name ([`Extraction::Columns`]), which no reordering
+/// moves; its optimised plan whole when it is an aggregate.
+pub(crate) fn factor_plans(sq: &SourceQuery, catalog: &Catalog) -> CoreResult<Vec<Plan>> {
+    let optimized = optimize(&sq.plan, catalog)?;
+    Ok(match sq.extraction {
+        Extraction::Columns(_) => product_factors(optimized),
+        Extraction::Raw => vec![optimized],
+    })
 }
 
-/// A query between its split and the aggregation.
-struct PendingQuery {
-    /// Per cluster, in cluster order: its probability, its extraction rule and the range of
-    /// the batch's factor slots holding its factors.
-    clusters: Vec<(f64, Extraction, Range<usize>)>,
-    empty_probability: f64,
-    metrics: EvalMetrics,
-    started: Instant,
+/// One query on its way through the lowering: its clusters, the metrics it has so far, and
+/// when its evaluation began.
+pub(crate) struct Rewrite {
+    pub(crate) clustering: Clustering,
+    pub(crate) metrics: EvalMetrics,
+    pub(crate) started: Instant,
+}
+
+impl Rewrite {
+    /// Runs `rewrite` as the timed rewrite phase of an evaluation by `algorithm`.
+    pub(crate) fn timed(
+        algorithm: &'static str,
+        rewrite: impl FnOnce() -> CoreResult<Clustering>,
+    ) -> CoreResult<Rewrite> {
+        let started = Instant::now();
+        let clustering = rewrite()?;
+        let mut metrics = EvalMetrics::new(algorithm);
+        metrics.rewrite_time = started.elapsed();
+        metrics.representative_mappings = clustering.partitions;
+        metrics.distinct_source_queries = clustering.clusters.len();
+        Ok(Rewrite {
+            clustering,
+            metrics,
+            started,
+        })
+    }
 }
 
 /// A batch's DAG roots: each distinct factor once, in submission order.
@@ -261,9 +265,9 @@ pub fn evaluate_batch(
     evaluate_batch_on(queries, mappings, catalog, options, &BatchEpoch::new(None))
 }
 
-/// Evaluates a batch over `epoch`: rewrite and split every query, bind its roots under the
-/// DAG's lock, execute on the calling thread with `options.workers` DAG workers, aggregate the
-/// answers (module docs).
+/// Evaluates a batch over `epoch`: rewrite every query, then lower the rewrites — split, bind
+/// under the DAG's lock, execute on the calling thread with `options.workers` DAG workers,
+/// aggregate (module docs).
 ///
 /// `epoch` must be used with `catalog` alone: rewriting, optimisation and execution read it,
 /// and bound fingerprints are identity-based, so an epoch must not outlive or migrate between
@@ -276,63 +280,73 @@ pub fn evaluate_batch_on(
     epoch: &BatchEpoch,
 ) -> CoreResult<BatchEvaluation> {
     let tracer = &options.tracer;
+    let rewrites = (queries.iter().enumerate())
+        .map(|(qi, query)| {
+            Rewrite::timed("batch", || {
+                let mut span = tracer.span("rewrite");
+                span.tag("query", qi as u64);
+                let out = partitioned_reformulations(query, mappings, catalog)?;
+                // reformulations ≤ partitions ≤ mappings: distinct source queries, rewrites
+                // made, rewrites e-basic would have made.
+                span.tag("mappings", mappings.len() as u64);
+                span.tag("partitions", out.partitions as u64);
+                span.tag("reformulations", out.clusters.len() as u64);
+                Ok(out)
+            })
+        })
+        .collect::<CoreResult<Vec<_>>>()?;
+    lower(rewrites, catalog, options, epoch)
+}
 
-    // Rewrite and split every query, with no lock held.
-    let mut pending: Vec<PendingQuery> = Vec::with_capacity(queries.len());
+/// Lowers one query onto a throwaway epoch, on the calling thread, untraced: the evaluation of
+/// a per-query algorithm, charged with the run's executor work.
+pub(crate) fn lower_alone(rewrite: Rewrite, catalog: &Catalog) -> CoreResult<Evaluation> {
+    let epoch = BatchEpoch::new(None);
+    let mut run = lower(vec![rewrite], catalog, &BatchOptions::sequential(), &epoch)?;
+    let mut evaluation = run.evaluations.pop().expect("one query, one evaluation");
+    evaluation.metrics.exec = run.exec;
+    Ok(evaluation)
+}
+
+/// The lowering (module docs): splits every rewrite's clusters into factor roots on `epoch`,
+/// binds the roots under the DAG's lock, executes them with `options.workers` DAG workers and
+/// aggregates each query's answer from its clusters' factors.
+fn lower(
+    rewrites: Vec<Rewrite>,
+    catalog: &Catalog,
+    options: &BatchOptions,
+    epoch: &BatchEpoch,
+) -> CoreResult<BatchEvaluation> {
+    let tracer = &options.tracer;
+
+    // Split every query, with no lock held.  Per query, per cluster: the range of the batch's
+    // factor slots holding the cluster's factors.
+    let mut pending: Vec<(Rewrite, Vec<Range<usize>>)> = Vec::with_capacity(rewrites.len());
     let mut slots: Vec<usize> = Vec::new();
     let mut cluster_factors: Vec<Arc<[Factor]>> = Vec::new();
     let mut submissions = Submissions::default();
-    for (qi, query) in queries.iter().enumerate() {
-        let started = Instant::now();
-        let mut metrics = EvalMetrics::new("batch");
-
-        let rewrite_start = Instant::now();
-        let Clustering {
-            clusters: ordered,
-            empty_probability,
-            partitions,
-        } = {
-            let mut span = tracer.span("rewrite");
-            span.tag("query", qi as u64);
-            let out = partitioned_reformulations(query, mappings, catalog)?;
-            // reformulations ≤ partitions ≤ mappings: distinct source queries, rewrites made,
-            // rewrites e-basic would have made.
-            span.tag("mappings", mappings.len() as u64);
-            span.tag("partitions", out.partitions as u64);
-            span.tag("reformulations", out.clusters.len() as u64);
-            out
-        };
-        metrics.rewrite_time = rewrite_start.elapsed();
-        metrics.representative_mappings = partitions;
-        metrics.distinct_source_queries = ordered.len();
-
+    for (qi, mut rewrite) in rewrites.into_iter().enumerate() {
         let plan_start = Instant::now();
+        let clusters = &rewrite.clustering.clusters;
         let mut span = tracer.span("optimize_bind");
         span.tag("query", qi as u64);
-        span.tag("source_queries", ordered.len() as u64);
-        let mut query_clusters = Vec::with_capacity(ordered.len());
-        for cluster in ordered {
+        span.tag("source_queries", clusters.len() as u64);
+        let mut ranges = Vec::with_capacity(clusters.len());
+        for cluster in clusters {
             let factors = epoch.factors_of(cluster.fingerprint, &cluster.query, catalog)?;
             let first = slots.len();
             for (at, factor) in factors.iter().enumerate() {
                 // A factor this batch already submitted is that root again.
                 let (slot, added) = submissions.slot(factor.key, (cluster_factors.len(), at, qi));
-                metrics.shared_plan_hits += u64::from(!added);
+                rewrite.metrics.shared_plan_hits += u64::from(!added);
                 slots.push(slot);
             }
             cluster_factors.push(factors);
-            let (probability, extraction) = (cluster.probability, cluster.query.extraction);
-            query_clusters.push((probability, extraction, first..slots.len()));
+            ranges.push(first..slots.len());
         }
         drop(span);
-        metrics.plan_time = plan_start.elapsed();
-
-        pending.push(PendingQuery {
-            clusters: query_clusters,
-            empty_probability,
-            metrics,
-            started,
-        });
+        rewrite.metrics.plan_time += plan_start.elapsed();
+        pending.push((rewrite, ranges));
     }
 
     // Bind, under the DAG's lock, every root — a bind-cache lookup for a factor bound before —
@@ -356,7 +370,7 @@ pub fn evaluate_batch_on(
                 dag.abort_pending();
                 return Err(err.into());
             }
-            let metrics = &mut pending[query].metrics;
+            let metrics = &mut pending[query].0.metrics;
             metrics.shared_plan_hits +=
                 (dag.bind_hits() - before.0) + (dag.dag().operators_reused() - before.1);
             metrics.shared_plan_misses += (dag.node_count() - before.2) as u64;
@@ -395,29 +409,25 @@ pub fn evaluate_batch_on(
     let mut agg_span = tracer.span("aggregate");
     let mut evaluations = Vec::with_capacity(pending.len());
     let (mut factor_rows, mut rows, mut answers) = (0, 0, 0);
-    for mut query in pending {
+    for (query, ranges) in pending {
+        let (clustering, mut metrics) = (query.clustering, query.metrics);
         let agg_start = Instant::now();
-        let clusters: Vec<Cluster<'_>> = (query.clusters.iter())
-            .map(|(probability, extraction, factors)| Cluster {
-                probability: *probability,
-                extraction,
-                factors: (slots[factors.clone()].iter())
-                    .map(|&slot| &*results[slot])
-                    .collect(),
+        let clusters: Vec<Cluster<'_>> = (clustering.clusters.iter().zip(ranges))
+            .map(|(cluster, factors)| Cluster {
+                probability: cluster.probability,
+                extraction: &cluster.query.extraction,
+                factors: slots[factors].iter().map(|&slot| &*results[slot]).collect(),
             })
             .collect();
-        let (answer, work) = aggregate(&clusters, query.empty_probability);
+        let (answer, work) = aggregate(&clusters, clustering.empty_probability);
         factor_rows += work.factor_rows;
         rows += work.rows;
         answers += answer.len();
-        query.metrics.aggregation_time = agg_start.elapsed();
+        metrics.aggregation_time = agg_start.elapsed();
         // Wall-clock spans submission to aggregation; the execution slice in the middle is
         // indivisible across queries (shared nodes), so executor time is reported batch-wide.
-        query.metrics.total_time = query.started.elapsed();
-        evaluations.push(Evaluation {
-            answer,
-            metrics: query.metrics,
-        });
+        metrics.total_time = query.started.elapsed();
+        evaluations.push(Evaluation { answer, metrics });
     }
     // What the step read against what it kept: factor rows in, answer rows enumerated from
     // them, answer entries out.

@@ -1,13 +1,13 @@
 //! The `e-basic` algorithm: deduplicate identical source queries before executing them
 //! (Section III-B.2).
 
-use crate::answer::{aggregate, Cluster};
-use crate::metrics::{EvalMetrics, Evaluation};
+use crate::algorithms::batch::{lower_alone, Rewrite};
+use crate::answer::ProbabilisticAnswer;
+use crate::metrics::Evaluation;
 use crate::query::TargetQuery;
 use crate::reformulate::{reformulate, Clustering, Clusters, Reformulated};
 use crate::CoreResult;
 use std::time::Instant;
-use urm_engine::{optimize::optimize, Executor};
 use urm_matching::MappingSet;
 use urm_storage::Catalog;
 
@@ -42,50 +42,45 @@ pub fn clustered_reformulations(
 }
 
 /// Reformulates the query through every mapping (like `basic`), but clusters identical source
-/// queries and executes each distinct one exactly once with the summed probability.
+/// queries and executes each distinct one once with the summed probability.  Each cluster is
+/// lowered onto a throwaway epoch of its own, so nothing is shared across clusters: e-basic
+/// stays the baseline the sharing algorithms are measured against.
 pub fn evaluate(
     query: &TargetQuery,
     mappings: &MappingSet,
     catalog: &Catalog,
 ) -> CoreResult<Evaluation> {
-    let total_start = Instant::now();
-    let mut metrics = EvalMetrics::new("e-basic");
-    metrics.representative_mappings = mappings.len();
-
     // Phase 1 (rewriting): a source query is still produced for every mapping — this is the
     // cost e-basic does NOT save, which is why q-sharing beats it.
-    let rewrite_start = Instant::now();
-    let Clustering {
-        clusters: ordered,
-        empty_probability,
-        ..
-    } = clustered_reformulations(query, mappings, catalog)?;
-    metrics.rewrite_time = rewrite_start.elapsed();
-    metrics.distinct_source_queries = ordered.len();
+    let Rewrite {
+        clustering,
+        mut metrics,
+        started,
+    } = Rewrite::timed("e-basic", || {
+        clustered_reformulations(query, mappings, catalog)
+    })?;
 
-    // Phase 2 (evaluation): run each distinct source query once.
-    let mut exec = Executor::new(catalog);
-    let mut results = Vec::with_capacity(ordered.len());
-    for cluster in &ordered {
-        let plan_start = Instant::now();
-        let plan = optimize(&cluster.query.plan, catalog)?;
-        metrics.plan_time += plan_start.elapsed();
-        results.push(exec.run(&plan)?);
+    // Phase 2 (evaluation): run each distinct source query once, and add its answers to the
+    // others' in cluster order.
+    let mut answer = ProbabilisticAnswer::new();
+    for cluster in clustering.clusters {
+        // The cluster alone: its own rewrite, lowered onto its own epoch.
+        let one = Clustering {
+            clusters: vec![cluster],
+            empty_probability: 0.0,
+            partitions: 1,
+        };
+        let eval = lower_alone(Rewrite::timed("e-basic", || Ok(one))?, catalog)?;
+        let agg_start = Instant::now();
+        answer.merge(&eval.answer);
+        metrics.aggregation_time += eval.metrics.aggregation_time + agg_start.elapsed();
+        metrics.plan_time += eval.metrics.plan_time;
+        metrics.exec += &eval.metrics.exec;
+        metrics.shared_plan_hits += eval.metrics.shared_plan_hits;
+        metrics.shared_plan_misses += eval.metrics.shared_plan_misses;
     }
-
-    let agg_start = Instant::now();
-    let clusters: Vec<Cluster<'_>> = ordered
-        .iter()
-        .zip(&results)
-        .map(|(cluster, result)| {
-            Cluster::single(cluster.probability, &cluster.query.extraction, result)
-        })
-        .collect();
-    let (answer, _) = aggregate(&clusters, empty_probability);
-    metrics.aggregation_time = agg_start.elapsed();
-
-    metrics.exec = exec.into_stats();
-    metrics.total_time = total_start.elapsed();
+    answer.add_empty(clustering.empty_probability);
+    metrics.total_time = started.elapsed();
     Ok(Evaluation { answer, metrics })
 }
 

@@ -1,14 +1,13 @@
 //! The `e-MQO` algorithm: distinct source queries evaluated through a shared global plan built
 //! by a multi-query optimiser (Section III-B.3).
 
+use crate::algorithms::batch::{lower_alone, Rewrite};
 use crate::algorithms::ebasic::clustered_reformulations;
-use crate::answer::{aggregate, Cluster};
-use crate::metrics::{EvalMetrics, Evaluation};
+use crate::metrics::Evaluation;
 use crate::query::TargetQuery;
-use crate::reformulate::Clustering;
 use crate::CoreResult;
 use std::time::Instant;
-use urm_engine::{optimize::optimize, EpochDag, Executor};
+use urm_engine::optimize::optimize;
 use urm_matching::MappingSet;
 use urm_mqo::GlobalPlan;
 use urm_storage::Catalog;
@@ -22,56 +21,22 @@ pub fn evaluate(
     mappings: &MappingSet,
     catalog: &Catalog,
 ) -> CoreResult<Evaluation> {
-    let total_start = Instant::now();
-    let mut metrics = EvalMetrics::new("e-MQO");
-    metrics.representative_mappings = mappings.len();
+    // Rewrite through every mapping and deduplicate (same as e-basic).
+    let mut rewrite = Rewrite::timed("e-MQO", || {
+        clustered_reformulations(query, mappings, catalog)
+    })?;
 
-    // Phase 1: rewrite through every mapping and deduplicate (same as e-basic).
-    let rewrite_start = Instant::now();
-    let Clustering {
-        clusters: ordered,
-        empty_probability,
-        ..
-    } = clustered_reformulations(query, mappings, catalog)?;
-    metrics.rewrite_time = rewrite_start.elapsed();
-    metrics.distinct_source_queries = ordered.len();
-
-    // Phase 2: build the shared global plan (the expensive MQO search).
+    // The global-plan search over the whole optimised source queries is what e-MQO pays for.
     let plan_start = Instant::now();
-    let optimized: Vec<_> = ordered
-        .iter()
+    let optimized: Vec<_> = (rewrite.clustering.clusters.iter())
         .map(|cluster| optimize(&cluster.query.plan, catalog))
         .collect::<Result<_, _>>()?;
-    // The search is what e-MQO pays for; the sharing it finds is realised by the DAG below.
     GlobalPlan::build(&optimized, catalog)?;
-    metrics.plan_time = plan_start.elapsed();
+    rewrite.metrics.plan_time = plan_start.elapsed();
 
-    // Phase 3: lower the global plan onto one throwaway epoch DAG and execute it; each distinct
-    // operator runs exactly once.  Every plan is keyed by its own cluster's fingerprint, so the
-    // sharing is `add_plan`'s node dedup, which the DAG reports as reuse.
-    let mut exec = Executor::new(catalog);
-    let mut epoch = EpochDag::new();
-    for (cluster, plan) in ordered.iter().zip(&optimized) {
-        epoch.submit_with(cluster.fingerprint, || exec.bind(plan))?;
-    }
-    let run = epoch.execute_pending(&mut exec, 1)?;
-    metrics.shared_plan_hits = run.report.operators_deduped;
-    metrics.shared_plan_misses = run.report.nodes_executed;
-
-    let agg_start = Instant::now();
-    let clusters: Vec<Cluster<'_>> = ordered
-        .iter()
-        .zip(&run.root_results)
-        .map(|(cluster, result)| {
-            Cluster::single(cluster.probability, &cluster.query.extraction, result)
-        })
-        .collect();
-    let (answer, _) = aggregate(&clusters, empty_probability);
-    metrics.aggregation_time = agg_start.elapsed();
-
-    metrics.exec = exec.into_stats();
-    metrics.total_time = total_start.elapsed();
-    Ok(Evaluation { answer, metrics })
+    // The sharing it finds is realised by lowering every cluster onto one epoch, where each
+    // distinct operator runs exactly once.
+    lower_alone(rewrite, catalog)
 }
 
 #[cfg(test)]

@@ -12,6 +12,14 @@
 //! * [`batch`] — batch evaluation of many queries over one mapping set, lowered onto one
 //!   merged shared-operator DAG per epoch, with optional parallel scheduling — the entry point
 //!   of the `urm-service` serving layer.
+//!
+//! The algorithms differ only in which source queries they generate and what they share, and
+//! all of them but `basic` run those queries one way, the batch's: each source query's
+//! optimised product is split into its factors, the factors are DAG roots, and
+//! [`crate::answer::aggregate`] counts the answers from them.  q-sharing, e-basic and e-MQO
+//! are policies over the batch's lowering (one query, one epoch per cluster, one epoch after
+//! the global-plan search); the u-trace's leaves resolve the same factors on its own DAG.
+//! `basic` stays the literal, unshared reference the others are checked against.
 
 pub mod basic;
 pub mod batch;

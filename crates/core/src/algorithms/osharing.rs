@@ -16,11 +16,13 @@
 //! ([`urm_engine::optimize::factors`]) is resolved on the u-trace's DAG, and an empty factor
 //! prunes the e-unit (the paper's Case 2, for queries that return tuples; an aggregate over
 //! nothing still has an answer).  A leaf — the output operator for one partition — is the
-//! reformulated source query of its representative, optimised and resolved on the same DAG:
-//! the leaf's mappings agree on every attribute the query uses, so that query is the leaf's
-//! answer, and it is the very node q-sharing runs.  The factors the steps probed are the ones
-//! its optimised plan reuses.
+//! reformulated source query of its representative, lowered as the batch lowers it: each
+//! factor of its optimised product is resolved on the same DAG, and the product is never
+//! built.  The leaf's mappings agree on every attribute the query uses, so that query is the
+//! leaf's answer, and its factors are the very nodes q-sharing runs.  The leaves' factors go
+//! to [`aggregate`] as multi-factor clusters, in traversal order.
 
+use crate::algorithms::batch::factor_plans;
 use crate::answer::{aggregate, Cluster, ProbabilisticAnswer};
 use crate::eunit::EUnit;
 use crate::metrics::{EvalMetrics, Evaluation};
@@ -31,7 +33,7 @@ use crate::strategy::{select_operator, Strategy};
 use crate::{CoreError, CoreResult};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use urm_engine::optimize::{factors, optimize};
+use urm_engine::optimize::factors;
 use urm_engine::{EpochDag, Executor, Plan, Predicate};
 use urm_matching::{Mapping, MappingSet};
 use urm_storage::{AttrRef, Catalog, Relation};
@@ -41,49 +43,51 @@ use urm_storage::{AttrRef, Catalog, Relation};
 /// The exact evaluation accumulates every leaf; the top-k algorithm maintains probability
 /// bounds and can ask the traversal to stop early by returning `true`.
 pub(crate) trait LeafSink {
-    /// Called with the result of a completed e-unit, how its answer tuples are read out of it,
-    /// and the total probability of its mappings.  Returns `true` to stop the traversal.
-    fn on_answers(
-        &mut self,
-        result: Arc<Relation>,
-        extraction: Extraction,
-        probability: f64,
-    ) -> bool;
+    /// Called with the answers of a completed e-unit.  Returns `true` to stop the traversal.
+    fn on_answers(&mut self, leaf: Leaf) -> bool;
     /// Called when an e-unit can produce no answer tuples (empty intermediate result or an
     /// unmapped attribute).  Returns `true` to stop the traversal.
     fn on_empty(&mut self, probability: f64) -> bool;
 }
 
+/// The answers of one u-trace leaf: its source query's factor results, how answer tuples are
+/// read out of them, and the total probability of its mappings.
+pub(crate) struct Leaf {
+    factors: Vec<Arc<Relation>>,
+    extraction: Extraction,
+    pub(crate) probability: f64,
+}
+
+impl Leaf {
+    /// The leaf as [`aggregate`] reads it.
+    pub(crate) fn cluster(&self) -> Cluster<'_> {
+        Cluster {
+            probability: self.probability,
+            extraction: &self.extraction,
+            factors: self.factors.iter().map(|factor| &**factor).collect(),
+        }
+    }
+}
+
 /// A [`LeafSink`] that keeps every leaf and aggregates them all at the end (exact evaluation).
 #[derive(Default)]
 pub(crate) struct ExactSink {
-    /// Each leaf's result, extraction and probability, in traversal order.
-    leaves: Vec<(Arc<Relation>, Extraction, f64)>,
+    /// Every leaf, in traversal order.
+    leaves: Vec<Leaf>,
     empty_probability: f64,
 }
 
 impl ExactSink {
-    /// The answer: every leaf a one-factor cluster, in traversal order.
+    /// The answer: every leaf a cluster, in traversal order.
     fn answer(&self) -> ProbabilisticAnswer {
-        let clusters: Vec<Cluster<'_>> = self
-            .leaves
-            .iter()
-            .map(|(result, extraction, probability)| {
-                Cluster::single(*probability, extraction, result)
-            })
-            .collect();
+        let clusters: Vec<Cluster<'_>> = self.leaves.iter().map(Leaf::cluster).collect();
         aggregate(&clusters, self.empty_probability).0
     }
 }
 
 impl LeafSink for ExactSink {
-    fn on_answers(
-        &mut self,
-        result: Arc<Relation>,
-        extraction: Extraction,
-        probability: f64,
-    ) -> bool {
-        self.leaves.push((result, extraction, probability));
+    fn on_answers(&mut self, leaf: Leaf) -> bool {
+        self.leaves.push(leaf);
         false
     }
     fn on_empty(&mut self, probability: f64) -> bool {
@@ -95,7 +99,8 @@ impl LeafSink for ExactSink {
 /// Outcome of executing one operator for one mapping partition.
 enum ChildOutcome {
     Child(EUnit),
-    Answers(Arc<Relation>, Extraction),
+    /// A leaf's factor results and extraction.
+    Answers(Vec<Arc<Relation>>, Extraction),
     Empty,
 }
 
@@ -228,9 +233,11 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
                     child.probability = probability;
                     self.run_qt(child)?
                 }
-                ChildOutcome::Answers(result, extraction) => {
-                    self.sink.on_answers(result, extraction, probability)
-                }
+                ChildOutcome::Answers(factors, extraction) => self.sink.on_answers(Leaf {
+                    factors,
+                    extraction,
+                    probability,
+                }),
                 ChildOutcome::Empty => self.sink.on_empty(probability),
             };
             if stop {
@@ -255,8 +262,10 @@ impl<'a, S: LeafSink> UTraceRunner<'a, S> {
             return Ok(match reformulate(self.query, mapping, catalog)? {
                 Reformulated::Empty => ChildOutcome::Empty,
                 Reformulated::Query(sq) => {
-                    let result = self.resolve(&optimize(&sq.plan, catalog)?)?;
-                    ChildOutcome::Answers(result, sq.extraction)
+                    let factors = (factor_plans(&sq, catalog)?.iter())
+                        .map(|factor| self.resolve(factor))
+                        .collect::<CoreResult<_>>()?;
+                    ChildOutcome::Answers(factors, sq.extraction)
                 }
             });
         }

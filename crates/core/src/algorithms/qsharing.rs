@@ -4,21 +4,19 @@
 //! (e-basic), q-sharing first partitions the mapping set with the partition tree: two mappings
 //! land in the same partition exactly when they translate every query attribute identically,
 //! hence produce the same source query.  Only one *representative* mapping per partition is then
-//! reformulated and executed, carrying the partition's total probability.
+//! reformulated ([`partitioned_reformulations`]), carrying the partition's total probability.
 //!
-//! Execution goes through the bound physical path: every representative's plan is bound and
-//! merged into one pin-everything [`EpochDag`], so representatives that still overlap structurally
-//! (shared scans, shared selection prefixes — sharing *below* query granularity, which the
-//! partition tree cannot see) execute each distinct bound operator once.
+//! Execution is a batch of one query on a throwaway epoch (the lowering of
+//! [`crate::algorithms::batch`]): every source query is split into the factors of its
+//! optimised product, and source queries that still overlap structurally (shared scans, shared
+//! factors — sharing *below* query granularity, which the partition tree cannot see) run each
+//! distinct bound operator once.
 
-use crate::answer::{aggregate, Cluster};
-use crate::metrics::{EvalMetrics, Evaluation};
-use crate::partition::{partition_mappings, representatives};
+use crate::algorithms::batch::{lower_alone, Rewrite};
+use crate::metrics::Evaluation;
 use crate::query::TargetQuery;
-use crate::reformulate::{reformulate, Reformulated};
+use crate::reformulate::partitioned_reformulations;
 use crate::CoreResult;
-use std::time::Instant;
-use urm_engine::{optimize::optimize, EpochDag, Executor};
 use urm_matching::MappingSet;
 use urm_storage::Catalog;
 
@@ -28,59 +26,10 @@ pub fn evaluate(
     mappings: &MappingSet,
     catalog: &Catalog,
 ) -> CoreResult<Evaluation> {
-    let total_start = Instant::now();
-    let mut metrics = EvalMetrics::new("q-sharing");
-
-    // Step 1-2: partition the mappings and pick representatives (Algorithm 1).
-    let partition_start = Instant::now();
-    let partitions = partition_mappings(query, mappings)?;
-    let reps = representatives(&partitions, mappings);
-    metrics.rewrite_time += partition_start.elapsed();
-    metrics.representative_mappings = reps.len();
-
-    // Step 3: reformulate and execute one source query per representative, all lowered onto
-    // one merged shared-operator DAG.
-    let mut exec = Executor::new(catalog);
-    let mut dag = EpochDag::pinning_all();
-    let mut distinct = std::collections::HashSet::new();
-    // Per representative with a source query: its result, probability and extraction.
-    let mut results = Vec::with_capacity(reps.len());
-    let mut empty_probability = 0.0;
-    for rep in reps {
-        let (mapping, probability) = (rep.mapping, rep.probability);
-        let rewrite_start = Instant::now();
-        let reformulated = reformulate(query, mapping, catalog)?;
-        metrics.rewrite_time += rewrite_start.elapsed();
-
-        match reformulated {
-            Reformulated::Empty => empty_probability += probability.max(0.0),
-            Reformulated::Query(sq) => {
-                let plan_start = Instant::now();
-                let plan = optimize(&sq.plan, catalog)?;
-                metrics.plan_time += plan_start.elapsed();
-
-                let result = dag.resolve(&exec.bind(&plan)?, &mut exec)?;
-                exec.stats_mut().record_source_query();
-                results.push((result, probability, sq.extraction.clone()));
-                distinct.insert(sq);
-            }
-        }
-    }
-
-    let agg_start = Instant::now();
-    let clusters: Vec<Cluster<'_>> = results
-        .iter()
-        .map(|(result, probability, extraction)| Cluster::single(*probability, extraction, result))
-        .collect();
-    let (answer, _) = aggregate(&clusters, empty_probability);
-    metrics.aggregation_time = agg_start.elapsed();
-
-    metrics.exec = exec.into_stats();
-    metrics.distinct_source_queries = distinct.len();
-    metrics.shared_plan_hits = dag.result_hits();
-    metrics.shared_plan_misses = dag.nodes_executed();
-    metrics.total_time = total_start.elapsed();
-    Ok(Evaluation { answer, metrics })
+    let rewrite = Rewrite::timed("q-sharing", || {
+        partitioned_reformulations(query, mappings, catalog)
+    })?;
+    lower_alone(rewrite, catalog)
 }
 
 #[cfg(test)]

@@ -3,12 +3,12 @@
 //! A top-k query returns the `k` answer tuples with the highest probabilities without computing
 //! exact probabilities for every tuple.  It walks the same u-trace as o-sharing
 //! ([`crate::algorithms::osharing`]): an e-unit holds a logical plan, a step probes that plan's
-//! factors for emptiness, and a leaf is its representative's reformulated source query.  Each
-//! leaf's answers go into one [`ProbabilisticAnswer`] through
-//! [`add_distinct`](ProbabilisticAnswer::add_distinct), as pool-id rows — the answer o-sharing
-//! builds, grown leaf by leaf.  An entry's probability so far is its *lower bound*; the mass
-//! `U` of the e-units not yet visited is what any answer, seen or not, can still gain, so its
-//! upper bound is the lower bound plus `U`.
+//! factors for emptiness, and a leaf is the factors of its representative's optimised source
+//! query.  Each leaf is counted by [`aggregate`] as one cluster and
+//! [`merge`](ProbabilisticAnswer::merge)d into one answer, in traversal order — the answer
+//! o-sharing builds, grown leaf by leaf, with the same sums.  An entry's probability so far is
+//! its *lower bound*; the mass `U` of the e-units not yet visited is what any answer, seen or
+//! not, can still gain, so its upper bound is the lower bound plus `U`.
 //!
 //! The traversal stops by Fagin, Lotem & Naor's threshold rule (PODS 2001): with `lb_i` the
 //! `i`-th largest lower bound (0 past the last answer), the top k are decided once
@@ -17,18 +17,16 @@
 //! by selection; and the result is the answer's own [`top_k`](ProbabilisticAnswer::top_k), in
 //! the order every algorithm and the wire share.
 
-use crate::algorithms::osharing::{LeafSink, UTraceRunner};
-use crate::answer::ProbabilisticAnswer;
+use crate::algorithms::osharing::{Leaf, LeafSink, UTraceRunner};
+use crate::answer::{aggregate, ProbabilisticAnswer};
 use crate::metrics::EvalMetrics;
 use crate::partition::{partition_mappings, representatives};
 use crate::query::TargetQuery;
-use crate::reformulate::{extract_answers, Extraction};
 use crate::strategy::Strategy;
 use crate::{CoreError, CoreResult};
-use std::sync::Arc;
 use std::time::Instant;
 use urm_matching::MappingSet;
-use urm_storage::{Catalog, Relation, Tuple};
+use urm_storage::{Catalog, Tuple};
 
 /// One candidate answer of a top-k query, with its probability bounds.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,15 +92,9 @@ impl TopKSink {
 }
 
 impl LeafSink for TopKSink {
-    fn on_answers(
-        &mut self,
-        result: Arc<Relation>,
-        extraction: Extraction,
-        probability: f64,
-    ) -> bool {
-        let rows = extract_answers(&result, &extraction);
-        self.answer.add_distinct(rows, probability);
-        self.visit(probability)
+    fn on_answers(&mut self, leaf: Leaf) -> bool {
+        self.answer.merge(&aggregate(&[leaf.cluster()], 0.0).0);
+        self.visit(leaf.probability)
     }
 
     fn on_empty(&mut self, probability: f64) -> bool {

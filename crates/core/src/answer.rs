@@ -22,11 +22,14 @@
 //!   a hash of a few integers and an integer comparison — only when another group can also
 //!   produce it, and each entry's probability is the sum over the source queries that produce
 //!   it, in their order.  Entries are kept group by group, in enumeration order.
+//! * Every algorithm builds its answers here, `basic` included, and an answer that grows leaf
+//!   by leaf — top-k's ([`crate::algorithms::topk`]) — aggregates each leaf as one cluster
+//!   and [`merge`](ProbabilisticAnswer::merge)s it in, which sums as one aggregation does.
 //! * [`AnswerRows`] is one result seen as answer rows, borrowed and unbuilt, for a caller that
-//!   holds one result at a time: [`ProbabilisticAnswer::add_distinct`] adds it to an existing
-//!   answer, probing every row, and appends the rows no earlier call added.  It is the
-//!   incremental form top-k grows its answer with, one u-trace leaf at a time
-//!   ([`crate::algorithms::topk`]).
+//!   holds one whole result at a time, outside the evaluation algorithms (the end-to-end
+//!   benchmark's layer pass, the tests' oracles):
+//!   [`ProbabilisticAnswer::add_distinct`] adds it to an existing answer, probing every row,
+//!   and appends the rows no earlier call added.
 //! * The index the probes and lookups use is built on the first lookup, so an answer that is
 //!   only ranked and rendered — a served one — never builds it.
 //! * Ordering **ranks once and sorts integers**: the pool's values are ranked by [`Value`]'s
@@ -557,7 +560,7 @@ impl ProbabilisticAnswer {
     /// probability only once (this mirrors the "remove duplicate tuples" step of the paper's
     /// Algorithm 4).  One probe per row: an answer this call has already counted carries the
     /// call's stamp.  The evaluation algorithms build their answers with [`aggregate`]
-    /// instead; this is the incremental form, which top-k calls once per u-trace leaf.
+    /// instead, from factors; this reads one whole result, for callers outside them.
     pub fn add_distinct(&mut self, rows: AnswerRows<'_>, probability: f64) -> usize {
         if probability <= 0.0 {
             return 0;

@@ -36,9 +36,9 @@ pub struct EvalMetrics {
     /// Target operators executed by the u-trace, one per operator per mapping partition — the
     /// unit of the paper's Table IV (o-sharing and top-k only; 0 for whole-query algorithms).
     pub target_operators: u64,
-    /// Sub-plan cache hits observed while evaluating this query (batch evaluation only).
+    /// Sub-plan cache hits observed while evaluating this query (every algorithm but basic).
     pub shared_plan_hits: u64,
-    /// Sub-plan cache misses observed while evaluating this query (batch evaluation only).
+    /// Sub-plan cache misses observed while evaluating this query (every algorithm but basic).
     pub shared_plan_misses: u64,
     /// Total wall-clock time of the evaluation.
     #[serde(skip)]

@@ -24,14 +24,14 @@
 //! through the same `Clusters` and add probabilities in mapping order, so they agree to the
 //! bit.
 //!
-//! The last step is shared too.  [`extract_answers`] resolves an [`Extraction`] against one
-//! result and hands back its rows *unbuilt* ([`AnswerRows`]), for a caller that adds one result
-//! at a time with [`add_distinct`](crate::ProbabilisticAnswer::add_distinct): top-k, one
-//! u-trace leaf after another.  Every other algorithm builds its answers with
+//! The last step is shared too.  Every algorithm builds its answers with
 //! [`crate::answer::aggregate`], which takes a query's clusters whole — each as the factors
-//! whose product is its result — and resolves the same extraction by name in the factors'
+//! whose product is its result — and resolves an [`Extraction`] by name in the factors'
 //! schemas; no tuple is built, then or when the answer is ranked and rendered (see
-//! [`crate::answer`]).
+//! [`crate::answer`]).  [`extract_answers`] resolves the same extraction against one whole
+//! result and hands back its rows *unbuilt* ([`AnswerRows`]), for a caller outside the
+//! algorithms that adds one result at a time with
+//! [`add_distinct`](crate::ProbabilisticAnswer::add_distinct).
 
 use crate::answer::AnswerRows;
 use crate::partition::partition_mappings;

@@ -32,8 +32,8 @@
 //!
 //! A DAG holds no results.  The one holder is [`EpochDag`](crate::EpochDag): its result cache
 //! plugs in as a [`DagResultCache`], consulted before the scheduler descends into a subgraph — a
-//! hit prunes the entire subtree below it — and handed every fresh result.  A served batch, a
-//! u-trace or q-sharing step and e-MQO's global plan all run this one way.
+//! hit prunes the entire subtree below it — and handed every fresh result.  A batch (served,
+//! or a per-query algorithm's) and a u-trace step all run this one way.
 
 use crate::executor::Executor;
 use crate::physical::PhysicalPlan;

@@ -450,8 +450,8 @@ impl EpochDag {
         self.prepare_pending().execute(exec, workers)
     }
 
-    /// Resolves one bound plan immediately (the incremental front-end of the u-trace and of
-    /// q-sharing): the plan is merged into the DAG and run as a batch of one root on the calling
+    /// Resolves one bound plan immediately (the incremental front-end of the u-trace's probes
+    /// and leaves): the plan is merged into the DAG and run as a batch of one root on the calling
     /// thread — only the nodes without a live cached result execute, and the results are pinned
     /// like any batch's.
     pub fn resolve(

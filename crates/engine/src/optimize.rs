@@ -30,9 +30,10 @@
 //!    *existence factor* `δ π_∅ (Ci)` of at most one row; a projection above the product puts
 //!    its columns in `A`'s order when the factors' order differs.  Under an aggregate, a bag
 //!    projection or no head the components are multiplied as they are.  A `δ π_A` product is
-//!    a plan anyone can run, but the batch does not run it: it submits the factors under the
-//!    reordering projection as roots of their own and counts the answers from them
-//!    (`urm_core::answer::aggregate`), so the product is never built.
+//!    a plan anyone can run, but only the unshared `basic` reference runs it: every other
+//!    algorithm submits the factors under the reordering projection ([`product_factors`]) as
+//!    roots of their own and counts the answers from them (`urm_core::answer::aggregate`), so
+//!    the product is never built.
 //!
 //! Components stay bag-semantic and output-agnostic inside, so one component node is shared
 //! by every mapping, query and output list (COUNT/SUM included) that contains it.
@@ -127,6 +128,30 @@ pub fn optimize(plan: &Plan, catalog: &Catalog) -> EngineResult<Plan> {
 pub fn factors(plan: &Plan, catalog: &Catalog) -> EngineResult<Vec<Plan>> {
     let block = Block::of(plan, catalog)?;
     Ok(block.components.into_iter().map(|c| c.plan).collect())
+}
+
+/// The factors whose product the optimised `plan` is: the product chain under the reordering
+/// projection [`optimize`] may put above it, or `plan` itself when it is not a product.  Each
+/// factor is a DAG root of its own, so the product is never built.  Only for a plan whose
+/// consumer reads its columns by name, which no reordering moves.
+#[must_use]
+pub fn product_factors(plan: Plan) -> Vec<Plan> {
+    fn flatten(plan: Plan, factors: &mut Vec<Plan>) {
+        match plan {
+            Plan::Product { left, right } => {
+                flatten(*left, factors);
+                flatten(*right, factors);
+            }
+            factor => factors.push(factor),
+        }
+    }
+    let product = match plan {
+        Plan::Project { input, .. } if matches!(*input, Plan::Product { .. }) => *input,
+        plan => plan,
+    };
+    let mut factors = Vec::new();
+    flatten(product, &mut factors);
+    factors
 }
 
 /// The product of `factors`, smallest estimate first (ties by fingerprint) — followed, when the

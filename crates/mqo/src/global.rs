@@ -149,8 +149,8 @@ mod tests {
         Plan::scan("R").select(Predicate::eq("R.b", Value::from(value)))
     }
 
-    /// Executes the queries as e-MQO does: each submitted to one throwaway epoch DAG under its
-    /// own fingerprint, then run on `workers` threads.
+    /// Executes the queries on one throwaway epoch DAG, each submitted under its own
+    /// fingerprint, then run on `workers` threads.
     fn execute(queries: &[Plan], exec: &mut Executor<'_>, workers: usize) -> (EpochDag, EpochRun) {
         let mut epoch = EpochDag::new();
         for q in queries {

@@ -17,7 +17,7 @@
 //! query is fingerprinted, and [`GlobalPlan::build`] performs the (intentionally thorough,
 //! quadratic-in-candidates) covering analysis over all pairs of queries that a cost-based MQO
 //! search performs, which is what makes plan construction slow for hundreds of source queries.
-//! Execution is the engine's one way to run a DAG: e-MQO submits the same queries to a
+//! Execution is the engine's one way to run a DAG: e-MQO lowers the same queries onto a
 //! throwaway `urm_engine::EpochDag`, whose node dedup executes each distinct sub-expression
 //! exactly once.
 //!

@@ -10,15 +10,19 @@
 //! in every `f64` shape, and over labels that need escaping themselves; and what is rendered
 //! must parse back to itself.
 //!
-//! The answers are built the way the server's are — `add_distinct` over late-materialized
-//! results and over row results, each call reading its own base columns (its own
-//! dictionaries, its own codes) through its own extraction — and through plain `add`, mixed:
-//! `Int`/`Float` twins, `-0.0` and NaN, NULL cells and uncovered positions, rows of different
-//! arities in one answer; half of them with every hash forced equal.
+//! A third of the answers are built the way the server's are: `aggregate` over clusters, each
+//! the product of up to three factors — late-materialized views or row results, each over its
+//! own base columns (its own dictionaries, its own codes) — drawn from one pool, so clusters
+//! share factors, and read through the cluster's own extraction.  The others are grown one
+//! addition at a time, mixed: `add_distinct` over a whole late-materialized or row result, and
+//! plain `add`.  Across them: `Int`/`Float` twins, `-0.0` and NaN, NULL cells and uncovered
+//! positions, rows of different arities in one answer; half of them with every hash forced
+//! equal.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::sync::Arc;
+use urm_core::answer::{aggregate, aggregate_with_colliding_hashes, Cluster};
 use urm_core::reformulate::{extract_answers, Extraction};
 use urm_core::ProbabilisticAnswer;
 use urm_server::wire::{answer_json, write_answer};
@@ -70,41 +74,81 @@ fn value(rng: &mut TestRng) -> Value {
     }
 }
 
-/// One source-query result of up to six rows over up to three columns, aggregated into
-/// `answer` through an extraction of its own — columns in any order, repeated, left uncovered,
-/// or the whole row — off a late-materialized view of it or off its rows.  Every call converts
-/// its own relation, so a string two calls share has two dictionaries and two codes.
-fn add_result(rng: &mut TestRng, answer: &mut ProbabilisticAnswer) {
+/// One source-query result of up to six rows over one to three columns named `{prefix}0`,
+/// `{prefix}1`, …, late-materialized or rows.  Every call converts its own relation, so a
+/// string two calls share has two dictionaries and two codes.
+fn result(rng: &mut TestRng, prefix: &str) -> Relation {
     let width = 1 + rng.index(3);
-    let attributes = (0..width).map(|c| Attribute::new(format!("c{c}"), DataType::Null));
+    let attributes = (0..width).map(|c| Attribute::new(format!("{prefix}{c}"), DataType::Null));
     let schema = Schema::new("R", attributes.collect());
     let rows = (0..rng.index(7)).map(|_| (0..width).map(|_| value(rng)).collect());
-    let mut result = Relation::from_validated(schema.clone(), rows.collect());
+    let result = Relation::from_validated(schema.clone(), rows.collect());
     if rng.index(2) == 0 {
         let columns = ColumnarRelation::from_relation(&result);
-        result = Relation::from_view(schema, ColumnView::from_base(Arc::new(columns)));
+        return Relation::from_view(schema, ColumnView::from_base(Arc::new(columns)));
     }
-    let extraction = match rng.index(4) {
-        0 => Extraction::Raw,
-        _ => Extraction::Columns(
-            (0..rng.index(4))
-                .map(|_| (rng.index(4) > 0).then(|| format!("c{}", rng.index(width)).into()))
-                .collect(),
-        ),
-    };
+    result
+}
+
+/// An extraction over `results`: up to three columns of theirs in any order, repeated or left
+/// uncovered, or the whole row.
+fn extraction(rng: &mut TestRng, results: &[&Relation]) -> Extraction {
+    if rng.index(4) == 0 {
+        return Extraction::Raw;
+    }
+    let columns = (0..rng.index(4)).map(|_| {
+        let schema = results[rng.index(results.len())].schema();
+        let name = &schema.attributes()[rng.index(schema.arity())].name;
+        (rng.index(4) > 0).then(|| name.clone())
+    });
+    Extraction::Columns(columns.collect())
+}
+
+/// One whole result added to `answer` through an extraction of its own.
+fn add_result(rng: &mut TestRng, answer: &mut ProbabilisticAnswer) {
+    let result = result(rng, "c");
+    let extraction = extraction(rng, &[&result]);
     let probability = PROBABILITIES[rng.index(PROBABILITIES.len())];
     answer.add_distinct(extract_answers(&result, &extraction), probability);
 }
 
-/// Up to a dozen additions — a tuple of up to three values, or a whole result — so that
-/// tuples collide and probabilities add up; sometimes none at all, with or without empty
-/// mass, including a `-0.0` one.
+/// [`aggregate`] over up to five clusters, each the product of one to three distinct factors
+/// of a pool of four, in any order, read through an extraction of its own.
+fn aggregated(rng: &mut TestRng) -> ProbabilisticAnswer {
+    let pool: Vec<Relation> = (0..4).map(|f| result(rng, &format!("f{f}c"))).collect();
+    let mut products = Vec::new();
+    for _ in 0..rng.index(6) {
+        let mut factors: Vec<&Relation> = pool.iter().collect();
+        while factors.len() > 3 || (factors.len() > 1 && rng.index(2) == 0) {
+            factors.swap_remove(rng.index(factors.len()));
+        }
+        let extraction = extraction(rng, &factors);
+        let probability = PROBABILITIES[rng.index(PROBABILITIES.len())];
+        products.push((probability, factors, extraction));
+    }
+    let clusters: Vec<Cluster<'_>> = (products.iter())
+        .map(|(probability, factors, extraction)| Cluster {
+            probability: *probability,
+            extraction,
+            factors: factors.clone(),
+        })
+        .collect();
+    match rng.index(2) {
+        0 => aggregate(&clusters, 0.0).0,
+        _ => aggregate_with_colliding_hashes(&clusters, 0.0).0,
+    }
+}
+
+/// An aggregated answer, or up to a dozen additions — a tuple of up to three values, or a
+/// whole result — so that tuples collide and probabilities add up; sometimes none at all; with
+/// or without empty mass, including a `-0.0` one.
 fn answer(rng: &mut TestRng) -> ProbabilisticAnswer {
-    let mut answer = match rng.index(2) {
-        0 => ProbabilisticAnswer::new(),
-        _ => ProbabilisticAnswer::with_colliding_hashes(),
+    let (mut answer, additions) = match rng.index(3) {
+        0 => (ProbabilisticAnswer::new(), rng.index(13)),
+        1 => (ProbabilisticAnswer::with_colliding_hashes(), rng.index(13)),
+        _ => (aggregated(rng), 0),
     };
-    for _ in 0..rng.index(13) {
+    for _ in 0..additions {
         if rng.index(2) == 0 {
             add_result(rng, &mut answer);
         } else {
